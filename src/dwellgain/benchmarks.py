@@ -11,7 +11,6 @@ __all__ = [
     "unstable_chain_plant",
     "unstable_pair_plant",
     "two_mode_switched_bench",
-    "BUILTIN",
 ]
 
 
@@ -111,13 +110,3 @@ def two_mode_switched_bench() -> SwitchedSystem:
             },
         ]
     )
-
-
-BUILTIN = {
-    "lti-jump": lti_jump_bench,
-    "timer-growth": timer_growth_bench,
-    "timer-stable": timer_stable_bench,
-    "unstable-chain": unstable_chain_plant,
-    "unstable-pair": unstable_pair_plant,
-    "two-mode-switched": two_mode_switched_bench,
-}

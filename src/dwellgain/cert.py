@@ -16,6 +16,7 @@ import numpy as np
 from .errors import Mismatch, Unsupported
 from .model import ImpulsiveSystem, PolyMatrix, SwitchedSystem
 from .poly import Poly
+from .sim import _block_prefix, _rk4_maps, _scan
 
 __all__ = [
     "VerificationReport",
@@ -65,12 +66,6 @@ class VerificationReport:
 # --- state-transition machinery ----------------------------------------------
 
 
-def _step_maps(A_of, b_of, h: float, m: int):
-    from .sim import _rk4_maps
-
-    return _rk4_maps(A_of, b_of, h, m)
-
-
 def flow_grid(
     A_pm: PolyMatrix,
     E_pm: Optional[PolyMatrix],
@@ -99,15 +94,9 @@ def flow_grid(
     else:
         b_of = lambda ts: E_pm.eval_mesh(ts, clamp).sum(axis=2)
 
-    _, R, s = _step_maps(A_of, b_of, h, m)
-    Phis = np.empty((m + 1, n, n))
-    rs = np.empty((m + 1, n))
-    Phis[0] = np.eye(n)
-    rs[0] = 0.0
-    for i in range(m):
-        Phis[i + 1] = R[i] @ Phis[i]
-        rs[i + 1] = R[i] @ rs[i] + s[i]
-    return Phis, rs
+    _, R, s = _rk4_maps(A_of, b_of, h, m)
+    P, q = _block_prefix(R, s)
+    return _scan(P, None, np.eye(n), m), _scan(P, q, np.zeros(n), m)
 
 
 def transition_matrix(
@@ -142,9 +131,8 @@ def transition_matrix(
                 return sys.A.eval_mesh(ts + off, clamp)
 
             b_of = lambda ts: np.zeros((len(ts), n))
-            _, R, _ = _step_maps(A_of, b_of, h, m)
-            for i in range(m):
-                Phi = R[i] @ Phi
+            _, R, s = _rk4_maps(A_of, b_of, h, m)
+            Phi = _scan(_block_prefix(R, s)[0], None, Phi, m)[-1]
         if tk < to or (tk == to and tk in events):
             if tk in events:
                 Phi = sys.jump.J @ Phi

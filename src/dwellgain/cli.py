@@ -212,30 +212,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dwell=True):
+    def common(p):
         p.add_argument("--system", required=True, help="system JSON file")
-        if dwell:
-            p.add_argument("--dwell", required=True,
-                           help="arbitrary | constant:<T> | minimum:<T> | range:<Tmin>:<Tmax>")
+        p.add_argument("--dwell", required=True,
+                       help="arbitrary | constant:<T> | minimum:<T> | range:<Tmin>:<Tmax>")
+
+    def lp_flags(p):
         p.add_argument("--degree", type=int, default=4, help="certificate polynomial degree")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--margin", type=float, default=None, help="strictness margin override")
         p.add_argument("--order-cap", type=int, default=None, help="interval-certificate order cap")
         p.add_argument("--dump-lp", default=None, help="write the solved LP in LP format")
 
     p = sub.add_parser("analyze", help="certified gain bound; writes certificate JSON")
     common(p)
+    lp_flags(p)
     p.add_argument("--output", "-o", default=None, help="certificate JSON path")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="state-feedback design; writes controller JSON")
     common(p)
+    lp_flags(p)
     p.add_argument("--fixed-kd", action="store_true", help="dwell-time-independent discrete gain (range)")
     p.add_argument("--output", "-o", default=None, help="controller JSON path")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="Monte-Carlo gain lower bound + trajectory CSVs")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled dwell sequences")
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--horizon", type=float, default=30.0)
     p.add_argument("--step", type=float, default=None)

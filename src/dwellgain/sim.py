@@ -3,7 +3,10 @@ hybrid sup-norm bookkeeping, and Monte-Carlo gain lower bounds.
 
 The flow between jumps is linear in the state, so the classical fixed-step
 RK4 update is precomputed per mesh cell as an affine map x -> R x + s with
-all mesh evaluations vectorized; only the cell-to-cell recursion is serial.
+all mesh evaluations vectorized.  The maps are composed by a blocked prefix
+scan, so a segment of m cells costs about m/32 serial steps; a segment whose
+mode, mesh and input values repeat those of the mode's previous segment
+reuses its tables.
 """
 
 from __future__ import annotations
@@ -150,75 +153,143 @@ class Trajectory:
         return float(np.min(self.states)) if self.states.size else 0.0
 
 
+_BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
+
+
+def _rk4_stage(A1, A2, A4, b1, b2, b4, h: float):
+    """Classical RK4 step of x' = A x + b as an affine map x -> R x + s, per cell.
+
+    A1, A2, A4 (m, n, n) and b1, b2, b4 (m, n) are the data at the start,
+    midpoint and end of each of m cells of width h.
+    """
+    M2 = A2 + 0.5 * h * (A2 @ A1)
+    M3 = A2 + 0.5 * h * (A2 @ M2)
+    M4 = A4 + h * (A4 @ M3)
+    R = np.eye(A1.shape[1]) + (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
+    v2 = 0.5 * h * (A2 @ b1[:, :, None])[:, :, 0] + b2
+    v3 = 0.5 * h * (A2 @ v2[:, :, None])[:, :, 0] + b2
+    v4 = h * (A4 @ v3[:, :, None])[:, :, 0] + b4
+    s = (h / 6.0) * (b1 + 2.0 * v2 + 2.0 * v3 + v4)
+    return R, s
+
+
+def _mesh(m: int, h: float, quarters: bool = False) -> np.ndarray:
+    """The m+1 cell ends, then the m midpoints, then optionally the 2m quarter
+    points the half-step referee needs."""
+    taus = np.arange(m + 1) * h
+    parts = [taus, taus[:-1] + 0.5 * h]
+    if quarters:
+        parts += [taus[:-1] + 0.25 * h, taus[:-1] + 0.75 * h]
+    return np.concatenate(parts)
+
+
 def _rk4_maps(A_of, b_of, h: float, m: int):
     """Affine one-step maps over a uniform mesh: x_{i+1} = R[i] x_i + s[i].
 
     A_of(taus) -> (len, n, n); b_of(taus) -> (len, n), both vectorized.
     """
-    taus = np.arange(m + 1) * h
-    A_full = A_of(taus)
-    A_half = A_of(taus[:-1] + 0.5 * h)
-    b_full = b_of(taus)
-    b_half = b_of(taus[:-1] + 0.5 * h)
-    n = A_full.shape[1]
-    eye = np.eye(n)
-    A1, A2, A4 = A_full[:-1], A_half, A_full[1:]
-    M1 = A1
-    M2 = A2 + 0.5 * h * np.einsum("mij,mjk->mik", A2, M1)
-    M3 = A2 + 0.5 * h * np.einsum("mij,mjk->mik", A2, M2)
-    M4 = A4 + h * np.einsum("mij,mjk->mik", A4, M3)
-    R = eye + (h / 6.0) * (M1 + 2.0 * M2 + 2.0 * M3 + M4)
-    b1, b2, b4 = b_full[:-1], b_half, b_full[1:]
-    v1 = b1
-    v2 = 0.5 * h * np.einsum("mij,mj->mi", A2, v1) + b2
-    v3 = 0.5 * h * np.einsum("mij,mj->mi", A2, v2) + b2
-    v4 = h * np.einsum("mij,mj->mi", A4, v3) + b4
-    s = (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return taus, R, s
+    grid = _mesh(m, h)
+    A, b = A_of(grid), b_of(grid)
+    R, s = _rk4_stage(A[:m], A[m + 1:], A[1:m + 1], b[:m], b[m + 1:], b[1:m + 1], h)
+    return grid[: m + 1], R, s
 
 
-def _march(R: np.ndarray, s: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    m = R.shape[0]
-    xs = np.empty((m + 1, x0.size))
-    xs[0] = x0
-    x = x0
-    for i in range(m):
-        x = R[i] @ x + s[i]
-        xs[i + 1] = x
-    return xs
+def _block_prefix(R: np.ndarray, s: np.ndarray):
+    """Inclusive prefix compositions of x -> R[i] x + s[i] within blocks of cells.
+
+    Returns P (nb, B, n, n) and q (nb, B, n, 1) with x_{bB+j+1} = P[b, j] x_{bB}
+    + q[b, j], B = min(_BLOCK, m); the last block is padded with identity maps.
+    Built by log-doubling, so the Python work is log2(B) batched products.
+    """
+    m, n = s.shape
+    B = min(_BLOCK, m)
+    nb = -(-m // B)
+    pad = nb * B - m
+    if pad:
+        R = np.concatenate([R, np.broadcast_to(np.eye(n), (pad, n, n))])
+        s = np.concatenate([s, np.zeros((pad, n))])
+    P = R.reshape(nb, B, n, n)
+    q = s.reshape(nb, B, n, 1)
+    d = 1
+    while d < B:
+        P, q = (
+            np.concatenate([P[:, :d], P[:, d:] @ P[:, :-d]], axis=1),
+            np.concatenate([q[:, :d], P[:, d:] @ q[:, :-d] + q[:, d:]], axis=1),
+        )
+        d *= 2
+    return P, q
 
 
-def _halfstep_error(A_of, b_of, h: float, m: int, xs: np.ndarray, R, s) -> float:
-    """Max relative gap between one h-step and two h/2-steps along the trajectory."""
-    taus = np.arange(m) * h
-    quarter = lambda frac: taus + frac * h
-    A_q1, A_q2, A_q3 = A_of(quarter(0.25)), A_of(quarter(0.5)), A_of(quarter(0.75))
-    A_0, A_1 = A_of(taus), A_of(taus + h)
-    b_q1, b_q2, b_q3 = b_of(quarter(0.25)), b_of(quarter(0.5)), b_of(quarter(0.75))
-    b_0, b_1 = b_of(taus), b_of(taus + h)
-    n = xs.shape[1]
-    eye = np.eye(n)
-    hh = 0.5 * h
+def _scan(P: np.ndarray, q: Optional[np.ndarray], x0: np.ndarray, m: int) -> np.ndarray:
+    """States x_0..x_m from the block prefix tables of `_block_prefix`.
 
-    def maps(Aa, Ab, Ac, ba, bb, bc):
-        M1 = Aa
-        M2 = Ab + 0.5 * hh * np.einsum("mij,mjk->mik", Ab, M1)
-        M3 = Ab + 0.5 * hh * np.einsum("mij,mjk->mik", Ab, M2)
-        M4 = Ac + hh * np.einsum("mij,mjk->mik", Ac, M3)
-        Rr = eye + (hh / 6.0) * (M1 + 2 * M2 + 2 * M3 + M4)
-        v1 = ba
-        v2 = 0.5 * hh * np.einsum("mij,mj->mi", Ab, v1) + bb
-        v3 = 0.5 * hh * np.einsum("mij,mj->mi", Ab, v2) + bb
-        v4 = hh * np.einsum("mij,mj->mi", Ac, v3) + bc
-        ss = (hh / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-        return Rr, ss
+    x0 is a vector (n,) or a matrix (n, k) whose columns are marched alike;
+    q=None drops the forced part.  Only the block ends are chained serially.
+    """
+    nb, _, n, _ = P.shape
+    Y = np.empty((nb, n, x0.size // n))
+    Y[0] = x0.reshape(n, -1)
+    for b in range(nb - 1):
+        Y[b + 1] = P[b, -1] @ Y[b] if q is None else P[b, -1] @ Y[b] + q[b, -1]
+    X = P @ Y[:, None]
+    if q is not None:
+        X += q
+    xs = np.concatenate([Y[:1], X.reshape(-1, n, Y.shape[2])[:m]])
+    return xs.reshape((m + 1,) + x0.shape)
 
-    R1, s1 = maps(A_0, A_q1, A_q2, b_0, b_q1, b_q2)
-    R2, s2 = maps(A_q2, A_q3, A_1, b_q2, b_q3, b_1)
-    x_half = np.einsum("mij,mj->mi", R1, xs[:-1]) + s1
-    x_two = np.einsum("mij,mj->mi", R2, x_half) + s2
-    x_one = np.einsum("mij,mj->mi", R, xs[:-1]) + s
-    num = np.max(np.abs(x_two - x_one), axis=1)
+
+@dataclass
+class _Flow:
+    """One segment's flow on its mesh: prefix tables, output terms and the
+    half-step maps of the step referee.  Everything here is a function of the
+    mode, (m, h) and the continuous input on the mesh, which form its key."""
+
+    m: int
+    h: float
+    w: np.ndarray
+    P: np.ndarray
+    q: np.ndarray
+    C: np.ndarray
+    z_off: np.ndarray
+    halves: Optional[tuple] = None
+
+    def matches(self, m: int, h: float, w: np.ndarray) -> bool:
+        return self.m == m and self.h == h and np.array_equal(self.w, w)
+
+
+def _flow(mats, controller, mode, clamp, m: int, h: float, grid: np.ndarray, w: np.ndarray) -> _Flow:
+    A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = mats
+    ends = grid[: m + 1]
+    A = A_pm.eval_mesh(grid, clamp)
+    C = C_pm.eval_mesh(ends, clamp)
+    if controller is not None:
+        K = controller.kc_mesh(grid, mode=mode)
+        A = A + B_pm.eval_mesh(grid, clamp) @ K
+        C = C + D_pm.eval_mesh(ends, clamp) @ K[: m + 1]
+    b = E_pm.eval_mesh(grid, clamp).sum(axis=2) * w[:, None]
+    z_off = F_pm.eval_mesh(ends, clamp).sum(axis=2) * w[: m + 1, None]
+    start, mid, end = slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1)
+    R, s = _rk4_stage(A[start], A[mid], A[end], b[start], b[mid], b[end], h)
+    P, q = _block_prefix(R, s)
+    halves = None
+    if len(grid) > 2 * m + 1:  # quarter points: the step referee runs
+        q1, q3 = slice(2 * m + 1, 3 * m + 1), slice(3 * m + 1, 4 * m + 1)
+        halves = (
+            _rk4_stage(A[start], A[q1], A[mid], b[start], b[q1], b[mid], 0.5 * h),
+            _rk4_stage(A[mid], A[q3], A[end], b[mid], b[q3], b[end], 0.5 * h),
+        )
+    return _Flow(m, h, w, P, q, C, z_off, halves)
+
+
+def _halfstep_error(xs: np.ndarray, halves) -> float:
+    """Max relative gap between one h-step and two h/2-steps along the trajectory.
+
+    The one-step result from xs[i] is xs[i+1] itself: the scan applies the
+    same maps, so the two differ only by rounding."""
+    (R1, s1), (R2, s2) = halves
+    x_half = (R1 @ xs[:-1, :, None])[:, :, 0] + s1
+    x_two = (R2 @ x_half[:, :, None])[:, :, 0] + s2
+    num = np.max(np.abs(x_two - xs[1:]), axis=1)
     den = 1.0 + np.max(np.abs(xs[1:]), axis=1)
     return float(np.max(num / den)) if num.size else 0.0
 
@@ -274,6 +345,7 @@ def simulate(
     t0 = 0.0
     worst_lt = 0.0
     k = 0  # jumps applied so far
+    flows: dict = {}  # mode -> its latest _Flow; one entry per mode bounds the memory
 
     for dwell_len in dwells:
         seg = min(dwell_len, horizon - t0)
@@ -283,44 +355,27 @@ def simulate(
         m = max(1, int(np.ceil(seg / step)))
         h = seg / m
 
-        if switched:
-            md = sys.modes[mode]
-            A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = (md[kk] for kk in ("A", "B", "E", "C", "D", "F"))
-        else:
-            A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc
+        grid = _mesh(m, h, check_step)
+        w = np.broadcast_to(inputs.wc(t0 + grid), grid.shape).astype(float)
+        flow = flows.get(mode)
+        if flow is None or not flow.matches(m, h, w):
+            if switched:
+                md = sys.modes[mode]
+                mats = tuple(md[kk] for kk in ("A", "B", "E", "C", "D", "F"))
+            else:
+                mats = (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
+            flow = flows[mode] = _flow(mats, controller, mode, clamp, m, h, grid, w)
 
-        def mesh_mats(taus):
-            A_m = A_pm.eval_mesh(taus, clamp)
-            C_m = C_pm.eval_mesh(taus, clamp)
-            if controller is not None:
-                K_m = controller.kc_mesh(taus, mode=mode)
-                A_m = A_m + np.einsum("mij,mjk->mik", B_pm.eval_mesh(taus, clamp), K_m)
-                C_m = C_m + np.einsum("mij,mjk->mik", D_pm.eval_mesh(taus, clamp), K_m)
-            return A_m, C_m
-
-        wc_of = lambda taus: np.broadcast_to(inputs.wc(t0 + taus), taus.shape).astype(float)
-
-        def A_of(taus):
-            return mesh_mats(taus)[0]
-
-        def b_of(taus):
-            E_m = E_pm.eval_mesh(taus, clamp)
-            return E_m.sum(axis=2) * wc_of(taus)[:, None]
-
-        taus, R, s = _rk4_maps(A_of, b_of, h, m)
-        xs = _march(R, s, x)
-        if not np.isfinite(xs[-1]).all():
+        xs = _scan(flow.P, flow.q, x, m)
+        if not np.isfinite(xs).all():
             raise StepTooLarge("state overflow while integrating; reduce the step")
         if check_step:
-            worst_lt = max(worst_lt, _halfstep_error(A_of, b_of, h, m, xs, R, s))
+            worst_lt = max(worst_lt, _halfstep_error(xs, flow.halves))
 
         # outputs on this segment's mesh (pre-jump convention at the right end)
-        _, C_m = mesh_mats(taus)
-        F_m = F_pm.eval_mesh(taus, clamp)
-        w_m = wc_of(taus)
-        zc = np.einsum("mij,mj->mi", C_m, xs) + F_m.sum(axis=2) * w_m[:, None]
+        zc = (flow.C @ xs[:, :, None])[:, :, 0] + flow.z_off
 
-        times_parts.append(t0 + taus)
+        times_parts.append(t0 + grid[: m + 1])
         states_parts.append(xs)
         zc_parts.append(zc)
         kappa_parts.append(np.full(m + 1, k))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dwellgain import sim
 from dwellgain.errors import DimensionMismatch, StepTooLarge
-from dwellgain.model import ImpulsiveSystem
+from dwellgain.model import ImpulsiveSystem, PolyMatrix, SwitchedSystem
 from dwellgain.sim import (
     InputSignal,
     SequenceGen,
@@ -11,6 +14,76 @@ from dwellgain.sim import (
     generate_inputs,
     simulate,
 )
+
+
+def serial_march(R, s, x0):
+    """Reference for the prefix scan: x_{i+1} = R[i] x_i + s[i], one cell at a time."""
+    xs = np.empty((len(R) + 1,) + x0.shape)
+    xs[0] = x0
+    for i in range(len(R)):
+        xs[i + 1] = R[i] @ xs[i] + (s[i] if xs[i].ndim == 1 else s[i][:, None])
+    return xs
+
+
+def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None):
+    """Reference simulation without a controller: every segment's maps are
+    rebuilt and marched cell by cell, nothing is reused.  Impulsive systems
+    need a single jump map.  Returns (states, sup of the hybrid output)."""
+    rng = np.random.default_rng(gen.seed)
+    step = min(1e-3, gen.shortest / 50.0) if step is None else step
+    switched = isinstance(sys, SwitchedSystem)
+    mode = int(rng.integers(sys.N)) if switched else None
+    x, t0, k = np.asarray(x0, dtype=float), 0.0, 0
+    states, sups = [], [0.0]
+    for dwell_len in gen.dwells(horizon, rng):
+        seg = min(dwell_len, horizon - t0)
+        last = t0 + dwell_len >= horizon - 1e-12
+        m = max(1, int(np.ceil(seg / step)))
+        if switched:
+            A, E, C, F = (sys.modes[mode][key] for key in "AECF")
+        else:
+            A, E, C, F = sys.A, sys.Ec, sys.Cc, sys.Fc
+
+        def w(ts, t0=t0):
+            return np.broadcast_to(inputs.wc(t0 + ts), ts.shape).astype(float)
+
+        taus, R, s = sim._rk4_maps(
+            lambda ts: A.eval_mesh(ts, clamp),
+            lambda ts: E.eval_mesh(ts, clamp).sum(axis=2) * w(ts)[:, None],
+            seg / m,
+            m,
+        )
+        xs = serial_march(R, s, x)
+        zc = np.einsum("mij,mj->mi", C.eval_mesh(taus, clamp), xs)
+        zc += F.eval_mesh(taus, clamp).sum(axis=2) * w(taus)[:, None]
+        states.append(xs)
+        sups.append(np.max(np.abs(zc)))
+        t0 += seg
+        x = xs[-1]
+        if last or t0 >= horizon - 1e-12:
+            break
+        k += 1
+        if switched:
+            j = int(rng.integers(sys.N - 1))
+            mode = j if j < mode else j + 1
+            continue
+        jm, wd = sys.jump, inputs.wd(k)
+        sups.append(np.max(np.abs(jm.Cd @ x + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))))
+        x = jm.J @ x + jm.Ed @ (wd * np.ones(jm.Ed.shape[1]))
+    return np.vstack(states), float(max(sups))
+
+
+def random_positive_impulsive(rng: np.random.Generator, n: int) -> ImpulsiveSystem:
+    """A(tau) = A0 + tau A1 Metzler (possibly unstable); nonnegative input,
+    output and jump data."""
+    A = rng.uniform(0.0, 1.0, size=(n, n, 2))
+    A[np.arange(n), np.arange(n), 0] = rng.uniform(-3.0, 0.5, size=n)
+    A[np.arange(n), np.arange(n), 1] = rng.uniform(-1.0, 1.0, size=n)
+    nonneg = lambda r, c: rng.uniform(0.0, 1.0, size=(r, c))
+    return ImpulsiveSystem.from_arrays(
+        A=PolyMatrix(A), Ec=nonneg(n, 2), Cc=nonneg(2, n), Fc=nonneg(2, 2),
+        J=nonneg(n, n), Ed=nonneg(n, 1), Cd=nonneg(1, n), Fd=nonneg(1, 1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +226,74 @@ class TestSimulate:
         Ec_frozen = bench_timer_stable.Ec(2.0).sum(axis=1)
         x_ss = -np.linalg.solve(A_frozen, Ec_frozen)
         assert traj.states[-1] == pytest.approx(x_ss, rel=1e-3)
+
+    def test_state_overflow_raises(self):
+        blowup = ImpulsiveSystem.from_arrays(
+            A=[[50.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]],
+            J=[[1.0]], Ed=[[0.0]], Cd=[[0.0]], Fd=[[0.0]],
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
+            simulate(blowup, SequenceGen.exact(1.0), generate_inputs("const_unit"),
+                     x0=[1.0], horizon=30.0)
+
+
+class TestSerialEquivalence:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 700])
+    def test_scan_matches_serial_march(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        R = np.eye(n) + 0.01 * rng.uniform(0.0, 1.0, size=(m, n, n))
+        s = 0.01 * rng.uniform(0.0, 1.0, size=(m, n))
+        P, q = sim._block_prefix(R, s)
+        x0 = rng.uniform(0.0, 1.0, size=n)
+        np.testing.assert_allclose(sim._scan(P, q, x0, m), serial_march(R, s, x0), rtol=1e-12, atol=0)
+        X0 = rng.uniform(0.0, 1.0, size=(n, n + 1))
+        np.testing.assert_allclose(sim._scan(P, q, X0, m), serial_march(R, s, X0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sim._scan(P, None, X0, m), serial_march(R, 0.0 * s, X0),
+                                   rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["exact", "uniform_range"]),
+        T=st.floats(0.2, 1.0),
+    )
+    def test_simulate_matches_serial_oracle(self, seed, n, kind, T):
+        sys_ = random_positive_impulsive(np.random.default_rng(seed), n)
+        gen = SequenceGen.exact(T, seed) if kind == "exact" else SequenceGen.uniform_range(T, 1.5 * T, seed)
+        inputs = generate_inputs("const_unit")
+        traj = simulate(sys_, gen, inputs, x0=np.zeros(n), horizon=3.0)
+        states, sup = serial_simulate(sys_, gen, inputs, np.zeros(n), 3.0)
+        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+
+    def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch):
+        built = []
+        flow = sim._flow
+        monkeypatch.setattr(sim, "_flow", lambda *a: built.append(1) or flow(*a))
+        gen, sine = SequenceGen.exact(0.35), generate_inputs("sine")
+        traj = simulate(bench_timer_growth, gen, sine, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
+        states, sup = serial_simulate(bench_timer_growth, gen, sine, [0.2, 0.1], 6.0, clamp=0.3)
+        assert len(built) == len(traj.jump_times) + 1
+        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
+
+        built.clear()
+        const = generate_inputs("const_unit")
+        traj = simulate(bench_timer_growth, gen, const, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
+        states, sup = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3)
+        assert len(built) == 2  # the full dwell once, then the clipped last segment
+        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
+
+    def test_switched_reuse_is_per_mode(self, bench_switched):
+        gen, const = SequenceGen.exact(0.3, seed=6), generate_inputs("const_unit")
+        traj = simulate(bench_switched, gen, const, x0=[0.3, 0.1], horizon=5.0)
+        states, sup = serial_simulate(bench_switched, gen, const, [0.3, 0.1], 5.0)
+        assert len(set(traj.modes)) == 2
+        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
 
 class TestInputs:
