@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
 from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
-from .poly import HandelmanCertificate, Poly
+from .poly import HandelmanCertificate, Poly, product_basis
 
 __all__ = [
     "Certificate",
@@ -252,23 +252,16 @@ class _Program:
         h = b - a
         order = pexpr.degree + self.relax
         q = pexpr.shift_scale_arg(a, h)  # q(s) = pexpr(a + h s), s in [0, 1]
-        pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-        basis = {
-            ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
-            for ij in pairs
-        }
+        pairs, terms = product_basis(order)
         cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
-        for k in range(order + 1):
+        for k, basis_k in enumerate(terms):
             row: dict[int, float] = {}
             const = 0.0
             if k <= q.degree:
-                for v, c in q.coeffs[k].coeffs.items():
-                    row[v] = row.get(v, 0.0) + c
+                row.update(q.coeffs[k].coeffs)
                 const = q.coeffs[k].const
-            for v, ij in zip(cone, pairs):
-                bc = basis[ij]
-                if k < len(bc) and bc[k] != 0.0:
-                    row[v] = row.get(v, 0.0) - bc[k]
+            for p, c in basis_k:
+                row[cone[p]] = -c
             rhs = (margin if k == 0 else 0.0) - const
             self.lp.add_eq(row, rhs)
         self.interval_records.append(

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis as ana
 from . import cert as certmod
+from . import sim
 from . import synthesis as synth
 from .errors import (
     DwellgainError,
@@ -27,7 +28,7 @@ from .errors import (
     StepTooLarge,
 )
 from .model import DwellTimeSpec, SwitchedSystem, load_system
-from .sim import SequenceGen, estimate_gain, export_trajectory, generate_inputs, simulate
+from .sim import SequenceGen, export_trajectory, generate_inputs
 
 EXIT_OK = 0
 EXIT_CERTIFY_FAILED = 1
@@ -105,7 +106,7 @@ def _cmd_simulate(args) -> int:
     gen = SequenceGen.for_spec(dwell, seed=args.seed)
     controller = synth.ControllerRealization.load(args.controller) if args.controller else None
     clamp = dwell.clamp
-    traj = simulate(
+    traj = sim.simulate(
         sys_obj,
         gen,
         generate_inputs("const_unit"),
@@ -117,15 +118,11 @@ def _cmd_simulate(args) -> int:
         check_step=True,
         rng=np.random.default_rng((args.seed, 0)),
     )
-    gain = estimate_gain(
-        sys_obj,
-        gen,
-        runs=args.runs,
-        horizon=args.horizon,
-        step=args.step,
-        controller=controller,
-        clamp=clamp,
-        jobs=args.jobs,
+    # The exported trajectory is estimate_gain's run 0: same rng, and the step
+    # referee only reads the states, so its sup stands in for that run.
+    gain = sim._max_sup(
+        sys_obj, gen, args.runs, args.horizon, "LinfXlinf", args.step, controller, clamp, args.jobs,
+        sup0=traj.sup_hybrid(),
     )
     prefix = args.output or "trajectory"
     export_trajectory(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,28 +87,31 @@ def _assemble(lp: LinearProgram):
     c = np.zeros(lp.num_vars)
     for v, coef in lp.objective.items():
         c[v] = coef
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in lp.rows:
-        scale = max((abs(v) for v in coeffs.values()), default=0.0)
-        if scale == 0.0:
-            scale = 1.0
-        row = {v: coef / scale for v, coef in coeffs.items()}
-        if rel == _REL_LE:
-            ub_rows.append(row)
-            ub_rhs.append(rhs / scale)
-        else:
-            eq_rows.append(row)
-            eq_rhs.append(rhs / scale)
+    n = len(lp.rows)
+    sizes = np.fromiter((len(coeffs) for coeffs, _, _ in lp.rows), np.int64, n)
+    nnz = int(sizes.sum())
+    cols = np.fromiter(chain.from_iterable(coeffs for coeffs, _, _ in lp.rows), np.int64, nnz)
+    vals = np.fromiter(chain.from_iterable(coeffs.values() for coeffs, _, _ in lp.rows), float, nnz)
+    rhs = np.fromiter((r for _, _, r in lp.rows), float, n)
+    is_eq = np.fromiter((rel == _REL_EQ for _, rel, _ in lp.rows), bool, n)
+    # each row divided by its largest magnitude (empty rows by 1)
+    row_of = np.repeat(np.arange(n), sizes)
+    scale = np.zeros(n)
+    if nnz:
+        filled = sizes > 0
+        scale[filled] = np.maximum.reduceat(np.abs(vals), (np.cumsum(sizes) - sizes)[filled])
+    scale[scale == 0.0] = 1.0
+    vals = vals / scale[row_of]
+    rhs = rhs / scale
 
-    def to_csr(rows):
-        m = sp.lil_matrix((len(rows), lp.num_vars))
-        for i, row in enumerate(rows):
-            for v, coef in row.items():
-                m[i, v] = coef
-        return m.tocsr()
+    def to_csr(select):
+        local = np.cumsum(select) - 1  # row index within its block
+        keep = select[row_of] & (vals != 0.0)
+        shape = (int(select.sum()), lp.num_vars)
+        return sp.csr_matrix((vals[keep], (local[row_of[keep]], cols[keep])), shape=shape)
 
     bounds = [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)]
-    return c, to_csr(ub_rows), np.array(ub_rhs), to_csr(eq_rows), np.array(eq_rhs), bounds
+    return c, to_csr(~is_eq), rhs[~is_eq], to_csr(is_eq), rhs[is_eq], bounds
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "HandelmanCertificate",
     "Witness",
     "handelman_basis",
+    "product_basis",
     "certify_nonneg",
     "falsify_nonneg",
 ]
@@ -164,10 +166,13 @@ class HandelmanCertificate:
 
     def reconstruct(self) -> Poly:
         a, b = self.interval
+        # each power chain once, by the multiplications __pow__ performs
+        left = _powers(Poly((-a, 1.0)), max((i for i, _ in self.weights), default=0))
+        right = _powers(Poly((b, -1.0)), max((j for _, j in self.weights), default=0))
         terms: list[list[float]] = []
         maxdeg = 0
         for (i, j), c in self.weights.items():
-            p = ((Poly((-a, 1.0)) ** i) * (Poly((b, -1.0)) ** j)).scale(c)
+            p = (left[i] * right[j]).scale(c)
             terms.append(list(p.coeffs))
             maxdeg = max(maxdeg, p.degree)
         out = []
@@ -181,6 +186,34 @@ class HandelmanCertificate:
             return False
         diff = self.reconstruct() - target
         return diff.max_abs_coeff() <= tol
+
+
+def _powers(p: Poly, k: int) -> list[Poly]:
+    """[p**0, ..., p**k], each power one product from the last, as in __pow__."""
+    out = [Poly.const(1.0)]
+    for _ in range(k):
+        out.append(out[-1] * p)
+    return out
+
+
+@lru_cache(maxsize=None)
+def product_basis(order: int):
+    """Coefficient table of the normalized product basis s^i (1 - s)^j,
+    i + j <= order, on s in [0, 1].
+
+    Returns (pairs, terms): pairs lists the (i, j) in cone-column order, and
+    terms[k] holds the (pair index, coefficient of s^k) of every product whose
+    s^k coefficient is nonzero, in pair order.  It depends on the order alone,
+    so each order is expanded once per process.
+    """
+    pairs = tuple((i, j) for i in range(order + 1) for j in range(order + 1 - i))
+    s_pow, t_pow = _powers(Poly((0.0, 1.0)), order), _powers(Poly((1.0, -1.0)), order)
+    coeffs = [(s_pow[i] * t_pow[j]).coeffs for i, j in pairs]
+    terms = tuple(
+        tuple((p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0)
+        for k in range(order + 1)
+    )
+    return pairs, terms
 
 
 def handelman_basis(a: float, b: float, order: int) -> list[tuple[tuple[int, int], Poly]]:
@@ -204,20 +237,13 @@ def _certify_at_order(p: Poly, a: float, b: float, order: int, margin: float):
 
     h = b - a
     q = (p - Poly.const(margin)).shift_scale_arg(a, h)
-    ncoef = order + 1
-    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-    basis = {ij: (Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1]) for ij in pairs}
+    pairs, terms = product_basis(order)
     lp = LinearProgram(num_vars=len(pairs))
     for v in range(len(pairs)):
         lp.set_bounds(v, 0.0, None)
-    for k in range(ncoef):
-        row = {}
-        for v, ij in enumerate(pairs):
-            bc = basis[ij].coeffs
-            if k < len(bc) and bc[k] != 0.0:
-                row[v] = bc[k]
+    for k, row in enumerate(terms):
         rhs = q.coeffs[k] if k < len(q.coeffs) else 0.0
-        lp.add_eq(row, rhs)
+        lp.add_eq(dict(row), rhs)
     try:
         sol = lp_solve(lp)
     except NumericalFailure:

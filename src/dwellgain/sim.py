@@ -481,18 +481,26 @@ def estimate_gain(
     Runs are independent per seed, so jobs > 1 fans them out over processes
     without changing the result.
     """
+    return _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs)
+
+
+def _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs, sup0=None) -> float:
+    """The body of estimate_gain.  sup0, when given, is the sup of run 0 (the
+    sequence drawn from default_rng((seed, 0))) that the caller has already
+    integrated, so only runs 1.. are simulated here."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if norm != "LinfXlinf":
         raise ValueError(f"unsupported norm {norm!r}")
     if dwell_gen.kind == "exact":
         runs = 1  # deterministic sequence: all runs identical
-    payloads = [(sys, dwell_gen, horizon, step, controller, clamp, r) for r in range(runs)]
-    if jobs > 1 and runs > 1:
+    sups = [] if sup0 is None else [sup0]
+    payloads = [(sys, dwell_gen, horizon, step, controller, clamp, r) for r in range(len(sups), runs)]
+    if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sups = list(pool.map(_gain_run, payloads))
+            sups += pool.map(_gain_run, payloads)
     else:
-        sups = [_gain_run(p) for p in payloads]
+        sups += [_gain_run(p) for p in payloads]
     return max(sups)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from dwellgain import benchmarks
@@ -73,3 +74,49 @@ def isolated_jump_peak(A, Ec, Cc, Fc, J, Ed, tau_max: float = 20.0, step: float 
         d = P @ d
     z = ds @ Cc.T + (Cc @ x_ss + Fc @ w_c)
     return float(np.max(z))
+
+
+def lil_assemble(lp):
+    """Oracle for lp._assemble: every row scaled to unit infinity-norm and
+    written entry by entry into lil_matrix blocks, split into <= and = rows."""
+    c = np.zeros(lp.num_vars)
+    for v, coef in lp.objective.items():
+        c[v] = coef
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for coeffs, rel, rhs in lp.rows:
+        scale = max((abs(v) for v in coeffs.values()), default=0.0)
+        if scale == 0.0:
+            scale = 1.0
+        row = {v: coef / scale for v, coef in coeffs.items()}
+        if rel == "<=":
+            ub_rows.append(row)
+            ub_rhs.append(rhs / scale)
+        else:
+            eq_rows.append(row)
+            eq_rhs.append(rhs / scale)
+
+    def to_csr(rows):
+        m = sp.lil_matrix((len(rows), lp.num_vars))
+        for i, row in enumerate(rows):
+            for v, coef in row.items():
+                m[i, v] = coef
+        return m.tocsr()
+
+    bounds = [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)]
+    return c, to_csr(ub_rows), np.array(ub_rhs), to_csr(eq_rows), np.array(eq_rhs), bounds
+
+
+def assert_same_assembly(got, want):
+    """Assembled programs equal array for array: c, both CSR blocks (shape,
+    data, indices, indptr), both right-hand sides and the bounds."""
+    c, A_ub, b_ub, A_eq, b_eq, bounds = got
+    c_r, A_ub_r, b_ub_r, A_eq_r, b_eq_r, bounds_r = want
+    assert np.array_equal(c, c_r)
+    for A, A_r in ((A_ub, A_ub_r), (A_eq, A_eq_r)):
+        assert A.shape == A_r.shape
+        assert np.array_equal(A.data, A_r.data)
+        assert np.array_equal(A.indices, A_r.indices)
+        assert np.array_equal(A.indptr, A_r.indptr)
+    assert b_ub.shape == b_ub_r.shape and np.array_equal(b_ub, b_ub_r)
+    assert b_eq.shape == b_eq_r.shape and np.array_equal(b_eq, b_eq_r)
+    assert bounds == bounds_r

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import lti_linf_closed_form, random_stable_metzler
+from conftest import assert_same_assembly, lil_assemble, lti_linf_closed_form, random_stable_metzler
+from dwellgain import lp as lp_mod
+from dwellgain import poly as poly_mod
 from dwellgain.analysis import (
     Certificate,
+    _Program,
     analyze_arbitrary,
     analyze_constant,
     analyze_lti,
@@ -12,8 +15,11 @@ from dwellgain.analysis import (
     analyze_switched_blanchini,
     analyze_switched_min,
 )
-from dwellgain.errors import Infeasible, NotConstant, RelaxationLimit
-from dwellgain.model import ImpulsiveSystem, SwitchedSystem, adjoint
+from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
+from dwellgain.lp import LinearProgram, PolyExpr, dump_lp, lp_solve
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint
+from dwellgain.poly import HandelmanCertificate, Poly, certify_nonneg
+from dwellgain.synthesis import synthesize
 
 
 class TestArbitrary:
@@ -310,3 +316,158 @@ class TestCertificateObject:
     def test_zeta_positive_at_origin(self, bench_timer_growth):
         cert = analyze_constant(bench_timer_growth, 0.3, 4)
         assert all(z.eval(0.0) > 0 for z in cert.zeta)
+
+
+def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
+    """Oracle for _Program.add_interval_ge: expands every product-basis
+    polynomial with Poly.__pow__ again for each row."""
+    a, b = interval
+    if not a < b:
+        self.add_point_ge(family, index, pexpr.eval_at(a), margin)
+        return
+    h = b - a
+    order = pexpr.degree + self.relax
+    q = pexpr.shift_scale_arg(a, h)
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    basis = {
+        ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
+        for ij in pairs
+    }
+    cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
+    for k in range(order + 1):
+        row = {}
+        const = 0.0
+        if k <= q.degree:
+            for v, c in q.coeffs[k].coeffs.items():
+                row[v] = row.get(v, 0.0) + c
+            const = q.coeffs[k].const
+        for v, ij in zip(cone, pairs):
+            bc = basis[ij]
+            if k < len(bc) and bc[k] != 0.0:
+                row[v] = row.get(v, 0.0) - bc[k]
+        self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+    self.interval_records.append(
+        {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
+         "margin": margin, "cone": cone, "pairs": pairs, "h": h}
+    )
+
+
+def per_row_certify_at_order(p, a, b, order, margin):
+    """Oracle for poly._certify_at_order, with the same per-row expansion."""
+    h = b - a
+    q = (p - Poly.const(margin)).shift_scale_arg(a, h)
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    basis = {ij: (Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1]) for ij in pairs}
+    lp = LinearProgram(num_vars=len(pairs))
+    for v in range(len(pairs)):
+        lp.set_bounds(v, 0.0, None)
+    for k in range(order + 1):
+        row = {}
+        for v, ij in enumerate(pairs):
+            bc = basis[ij].coeffs
+            if k < len(bc) and bc[k] != 0.0:
+                row[v] = bc[k]
+        lp.add_eq(row, q.coeffs[k] if k < len(q.coeffs) else 0.0)
+    try:
+        sol = lp_solve(lp)
+    except NumericalFailure:
+        return None
+    if sol.status != "Optimal":
+        return None
+    weights = {}
+    for v, (i, j) in enumerate(pairs):
+        c = max(sol.x[v], 0.0) / h ** (i + j)
+        if c != 0.0:
+            weights[(i, j)] = c
+    return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
+
+
+class TestLpBuildOracle:
+    """Programs built from the product-basis table equal, row for row and array
+    for array, those built by the per-row expansion and the lil assembly."""
+
+    @staticmethod
+    def _solved(monkeypatch, tmp_path, run, reference):
+        """Rows, assembly and dump_lp text of every LP that `run` solves."""
+        assemble = lil_assemble if reference else lp_mod._assemble
+        real = lp_mod._assemble
+        seen = []
+
+        def spy(prog):
+            dump_lp(prog, str(tmp_path / "prog.lp"))
+            rows = [(list(coeffs.items()), rel, rhs) for coeffs, rel, rhs in prog.rows]
+            seen.append((rows, assemble(prog), (tmp_path / "prog.lp").read_bytes()))
+            return real(prog)
+
+        with monkeypatch.context() as m:
+            m.setattr(lp_mod, "_assemble", spy)
+            if reference:
+                m.setattr(_Program, "add_interval_ge", per_row_add_interval_ge)
+                m.setattr(poly_mod, "_certify_at_order", per_row_certify_at_order)
+            try:
+                out = run()
+            except DwellgainError as exc:
+                out = type(exc).__name__
+        return seen, out
+
+    def _check(self, monkeypatch, tmp_path, run):
+        got, out = self._solved(monkeypatch, tmp_path, run, reference=False)
+        want, out_r = self._solved(monkeypatch, tmp_path, run, reference=True)
+        assert got and len(got) == len(want)
+        for (rows, asm, text), (rows_r, asm_r, text_r) in zip(got, want):
+            assert rows == rows_r
+            assert_same_assembly(asm, asm_r)
+            assert text == text_r
+        return out, out_r
+
+    @pytest.mark.parametrize("relax", [4, 10])
+    @pytest.mark.parametrize("degree", [0, 2, 4])
+    @pytest.mark.parametrize("kind", ["constant", "minimum", "range"])
+    def test_analysis(self, monkeypatch, tmp_path, bench_timer_growth, bench_timer_stable,
+                      kind, degree, relax):
+        def run():
+            sched = (relax,)
+            if kind == "constant":
+                return analyze_constant(bench_timer_growth, 0.3, degree, relax_schedule=sched)
+            if kind == "range":
+                return analyze_range(bench_timer_growth, 0.3, 0.45, degree, relax_schedule=sched)
+            # timer_growth is never stable under minimum dwell
+            return analyze_minimum(bench_timer_stable, 1.9, degree, relax_schedule=sched)
+
+        out, out_r = self._check(monkeypatch, tmp_path, run)
+        if isinstance(out, Certificate):
+            assert out.to_json() == out_r.to_json()
+        else:
+            assert out == out_r
+
+    def test_switched_min(self, monkeypatch, tmp_path, bench_switched):
+        out, out_r = self._check(
+            monkeypatch, tmp_path, lambda: analyze_switched_min(bench_switched, 0.5, 2)
+        )
+        assert out.to_json() == out_r.to_json()
+
+    def test_synthesize(self, monkeypatch, tmp_path, bench_chain_plant):
+        out, out_r = self._check(
+            monkeypatch, tmp_path,
+            lambda: synthesize(bench_chain_plant, DwellTimeSpec.range(0.1, 0.3), 2),
+        )
+        assert out.to_json() == out_r.to_json()
+
+    def test_certify_nonneg(self, monkeypatch, tmp_path):
+        # minimum 0.074 at t = 1.85: orders 6 and 8 fail, order 10 certifies
+        p = Poly((1.0, -1.0, 0.27))
+        out, out_r = self._check(monkeypatch, tmp_path, lambda: certify_nonneg(p, (0.0, 3.0)))
+        assert out.order == 10 and out == out_r
+
+    def test_degenerate_interval(self, monkeypatch, tmp_path):
+        def run():
+            prog = _Program(4)
+            gamma = prog.scalar(lo=0.0, name="gamma")
+            z = prog.poly_vec(1, 2, "z")[0]
+            prog.add_interval_ge("flat", 0, z - PolyExpr.from_poly([0.5]), (0.7, 0.7), 0.0)
+            prog.add_interval_ge("wide", 0, z, (0.0, 2.0), 1e-3)
+            prog.add_point_ge("cap", 0, z.eval_at(1.0) - gamma, -2.0)
+            return prog.solve_min(gamma).status
+
+        out, out_r = self._check(monkeypatch, tmp_path, run)
+        assert out == out_r == "Optimal"

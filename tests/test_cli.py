@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dwellgain import sim
 from dwellgain.cli import main
-from dwellgain.model import save_system
+from dwellgain.model import DwellTimeSpec, load_system, save_system
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,63 @@ class TestSimulateAndSweep:
                          "--from", "0.3", "--to", "0.9", "--points", "3",
                          "--degree", "2", "--jobs", jobs, "-o", str(out)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestSimulateIntegrationCount:
+    """simulate exports run 0's trajectory and takes its sup as that run's
+    gain sample, so each sampled sequence is integrated once."""
+
+    @staticmethod
+    def _reference(system, dwell, runs, seed, prefix):
+        """The command's outputs with the export and estimate_gain run apart."""
+        sys_obj = load_system(system)
+        spec = DwellTimeSpec.parse(dwell)
+        gen = sim.SequenceGen.for_spec(spec, seed=seed)
+        traj = sim.simulate(sys_obj, gen, sim.generate_inputs("const_unit"), x0=np.zeros(sys_obj.n),
+                            horizon=4.0, clamp=spec.clamp, check_step=True,
+                            rng=np.random.default_rng((seed, 0)))
+        gain = sim.estimate_gain(sys_obj, gen, runs=runs, horizon=4.0, clamp=spec.clamp)
+        sim.export_trajectory(traj, prefix, sidecar={
+            "command": "simulate", "system": system, "dwell": str(spec), "seed": seed, "runs": runs,
+            "inputs": "const_unit", "empirical_gain": gain, "controller": None})
+        return (f"empirical gain lower bound = {gain!r}  ({runs} runs, horizon 4.0)\n"
+                f"trajectory written to {prefix}_states.csv / {prefix}_jumps.csv\n")
+
+    @staticmethod
+    def _outputs(prefix):
+        return [open(prefix + suffix, "rb").read() for suffix in ("_states.csv", "_jumps.csv", "_meta.json")]
+
+    @pytest.mark.parametrize(
+        "dwell, runs, jobs, integrations",
+        [
+            ("range:0.3:0.6", 2, 1, 2),
+            ("minimum:0.4", 3, 1, 3),
+            ("constant:0.5", 2, 1, 1),  # exact dwell: one run whatever --runs says
+            ("range:0.3:0.6", 3, 2, None),  # runs 1 and 2 fan out over two processes
+        ],
+    )
+    def test_matches_separate_estimate(self, ex1_path, tmp_path, capsys, monkeypatch,
+                                       dwell, runs, jobs, integrations):
+        prefix = str(tmp_path / "run")
+        expected_stdout = self._reference(ex1_path, dwell, runs, 11, prefix)
+        expected = self._outputs(prefix)
+        capsys.readouterr()
+
+        calls = []
+        real = sim.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("check_step"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate", counted)
+        assert main(["simulate", "--system", ex1_path, "--dwell", dwell, "--runs", str(runs),
+                     "--jobs", str(jobs), "--horizon", "4", "--seed", "11", "-o", prefix]) == 0
+        assert capsys.readouterr().out == expected_stdout
+        assert self._outputs(prefix) == expected
+        if integrations is not None:
+            assert len(calls) == integrations
+            assert calls[0] is True  # the exported run carries the step referee
 
 
 def test_console_entry_point():

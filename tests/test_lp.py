@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_assembly, lil_assemble
 from dwellgain.analysis import analyze_arbitrary
 from dwellgain.errors import Infeasible
-from dwellgain.lp import LinearProgram, LinExpr, PolyExpr, dump_lp, lp_bisect_feasibility, lp_solve
+from dwellgain.lp import (
+    LinearProgram,
+    LinExpr,
+    PolyExpr,
+    _assemble,
+    dump_lp,
+    lp_bisect_feasibility,
+    lp_solve,
+)
 
 
 def test_minimize_bounded_scalar():
@@ -114,6 +123,46 @@ def test_dump_lp(tmp_path):
     dump_lp(lp, str(path))
     text = path.read_text()
     assert "Minimize" in text and "Subject To" in text and "x" in text
+
+
+class TestAssembly:
+    """The COO assembly against the lil_matrix oracle, edge cases included."""
+
+    @staticmethod
+    def _program(le_rows, eq_rows, num_vars=4):
+        lp = LinearProgram(num_vars=num_vars)
+        lp.set_objective({0: 1.0, 2: -3.0})
+        lp.set_bounds(1, 0.0, None)
+        for coeffs, rhs in le_rows:
+            lp.add_le(coeffs, rhs)
+        for coeffs, rhs in eq_rows:
+            lp.add_eq(coeffs, rhs)
+        return lp
+
+    @pytest.mark.parametrize(
+        "le_rows, eq_rows",
+        [
+            ([({0: 2.0, 3: -8.0}, 1.0), ({1: 0.5}, -2.0)], [({2: 3.0, 0: -1.5}, 0.25)]),
+            ([], [({3: 1e-3, 1: 7.0}, 3.0), ({0: -2.0}, 1.0)]),  # no <= rows
+            ([({2: 5.0, 1: -5.0}, 0.5)], []),  # no = rows
+            ([({}, 1.0), ({0: 4.0}, 2.0)], [({}, 0.0), ({1: -1.0}, 0.5)]),  # empty row dicts
+            ([], []),
+            # 1e-300 / 1e300 underflows to 0.0 after scaling; the entry is dropped
+            ([({0: 1e300, 1: 1e-300}, 1.0)], [({2: 1e-300, 3: -1e300}, 2.0)]),
+        ],
+    )
+    def test_matches_lil_oracle(self, le_rows, eq_rows):
+        lp = self._program(le_rows, eq_rows)
+        assert_same_assembly(_assemble(lp), lil_assemble(lp))
+
+    def test_interleaved_rows_keep_their_order(self):
+        rng = np.random.default_rng(3)
+        lp = LinearProgram(num_vars=30)
+        for r in range(200):
+            cols = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
+            coeffs = {int(v): float(rng.normal() * 10.0 ** rng.integers(-6, 6)) for v in cols}
+            (lp.add_eq if r % 3 == 0 else lp.add_ge)(coeffs, float(rng.normal()))
+        assert_same_assembly(_assemble(lp), lil_assemble(lp))
 
 
 class TestAffineExpressions:

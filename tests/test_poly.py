@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dwellgain.poly import (
     certify_nonneg,
     falsify_nonneg,
     handelman_basis,
+    product_basis,
 )
 
 coeff_lists = st.lists(
@@ -202,3 +205,28 @@ def test_handelman_basis_spans_and_reconstruct():
     rec = cert.reconstruct()
     # 1 + 0.5 t (2 - t) = 1 + t - 0.5 t^2
     assert rec.coeffs == pytest.approx((1.0, 1.0, -0.5))
+
+
+@pytest.mark.parametrize("order", range(15))
+def test_product_basis_table_matches_expansion(order):
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    coeffs = [((Poly((0.0, 1.0)) ** i) * (Poly((1.0, -1.0)) ** j)).coeffs for i, j in pairs]
+    table_pairs, terms = product_basis(order)
+    assert list(table_pairs) == pairs and len(terms) == order + 1
+    for k, basis_k in enumerate(terms):
+        want = [(p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0]
+        assert list(basis_k) == want
+
+
+def test_reconstruct_matches_per_weight_powers():
+    p = Poly((1.0, -1.0, 0.27))
+    certs = [certify_nonneg(p, (0.0, 3.0)), certify_nonneg(p * Poly((0.5, 1.0)), (-0.25, 1.5), order=9)]
+    for cert in certs:
+        a, b = cert.interval
+        terms = [
+            ((Poly((-a, 1.0)) ** i) * (Poly((b, -1.0)) ** j)).scale(c).coeffs
+            for (i, j), c in cert.weights.items()
+        ]
+        want = [math.fsum(t[k] for t in terms if k < len(t)) for k in range(max(map(len, terms)))]
+        assert cert.reconstruct().coeffs == Poly(tuple(want)).coeffs
+    assert HandelmanCertificate((0.0, 1.0), 2, {}).reconstruct().coeffs == (0.0,)
