@@ -1,8 +1,10 @@
 """Linear programs: construction, solving, bisection referee, LP-format dump.
 
-The solver contract is the interface; the implementation delegates to the
-HiGHS backend behind it.  Rows are normalized to unit infinity-norm before
-solving because interval-certificate bases are badly scaled at high order.
+The solver contract is the interface; the implementation hands each program
+straight to the HiGHS binding that SciPy bundles, with the options
+``linprog(method="highs")`` uses, and checks the answer as ``linprog`` did.
+Rows are normalized to unit infinity-norm before solving because
+interval-certificate bases are badly scaled at high order.
 
 Also provides LinExpr/PolyExpr, affine expressions over LP variables that the
 analysis and synthesis encoders assemble their constraint polynomials from.
@@ -13,13 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import Infeasible, NumericalFailure
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # SciPy too old to bundle the binding
+    import scipy
+
+    raise ImportError(
+        "dwellgain needs SciPy >= 1.17, whose scipy.optimize._highspy._core "
+        f"HiGHS binding it solves LPs with; SciPy {scipy.__version__} is installed"
+    ) from exc
 
 __all__ = [
     "LinearProgram",
@@ -61,10 +71,14 @@ class LinearProgram:
         self.objective = dict(coeffs)
 
     def _check(self, coeffs: dict[int, float]) -> dict[int, float]:
-        for v in coeffs:
-            if not 0 <= v < self.num_vars:
+        n = self.num_vars
+        out = {}
+        for v, c in coeffs.items():
+            if not 0 <= v < n:
                 raise ValueError(f"row references unknown variable {v}")
-        return {v: float(c) for v, c in coeffs.items() if c != 0.0}
+            if c != 0.0:
+                out[v] = float(c)
+        return out
 
     def add_le(self, coeffs: dict[int, float], rhs: float) -> None:
         self.rows.append((self._check(coeffs), _REL_LE, float(rhs)))
@@ -83,17 +97,33 @@ class LpSolution:
     objective_value: float
 
 
-def _assemble(lp: LinearProgram):
+class _Assembled(NamedTuple):
+    """A program in HiGHS's row-wise form: <= rows first, then = rows."""
+
+    c: np.ndarray
+    col_lower: np.ndarray  # -inf where unbounded
+    col_upper: np.ndarray  # +inf where unbounded
+    start: np.ndarray  # row r holds entries start[r]:start[r + 1]
+    index: np.ndarray  # column of each entry, ascending within a row
+    value: np.ndarray
+    rhs: np.ndarray
+    num_le: int  # rows [0, num_le) are <= rows, the rest = rows
+
+
+def _assemble(lp: LinearProgram) -> _Assembled:
     c = np.zeros(lp.num_vars)
     for v, coef in lp.objective.items():
         c[v] = coef
-    n = len(lp.rows)
-    sizes = np.fromiter((len(coeffs) for coeffs, _, _ in lp.rows), np.int64, n)
+    # <= rows keep their order ahead of = rows
+    rows = [r for r in lp.rows if r[1] != _REL_EQ]
+    num_le = len(rows)
+    rows += [r for r in lp.rows if r[1] == _REL_EQ]
+    n = len(rows)
+    sizes = np.fromiter((len(coeffs) for coeffs, _, _ in rows), np.int64, n)
     nnz = int(sizes.sum())
-    cols = np.fromiter(chain.from_iterable(coeffs for coeffs, _, _ in lp.rows), np.int64, nnz)
-    vals = np.fromiter(chain.from_iterable(coeffs.values() for coeffs, _, _ in lp.rows), float, nnz)
-    rhs = np.fromiter((r for _, _, r in lp.rows), float, n)
-    is_eq = np.fromiter((rel == _REL_EQ for _, rel, _ in lp.rows), bool, n)
+    cols = np.fromiter(chain.from_iterable(coeffs for coeffs, _, _ in rows), np.int64, nnz)
+    vals = np.fromiter(chain.from_iterable(coeffs.values() for coeffs, _, _ in rows), float, nnz)
+    rhs = np.fromiter((r for _, _, r in rows), float, n)
     # each row divided by its largest magnitude (empty rows by 1)
     row_of = np.repeat(np.arange(n), sizes)
     scale = np.zeros(n)
@@ -103,44 +133,111 @@ def _assemble(lp: LinearProgram):
     scale[scale == 0.0] = 1.0
     vals = vals / scale[row_of]
     rhs = rhs / scale
+    # explicit zeros (underflow of the scaling) dropped, entries sorted by
+    # column within each row
+    keep = vals != 0.0
+    row_of, cols, vals = row_of[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, row_of))
+    start = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row_of, minlength=n), out=start[1:])
+    # None reads as nan, which means unbounded, as in linprog
+    lower, upper = np.array(
+        [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)], dtype=float
+    ).reshape(-1, 2).T
+    lower[np.isnan(lower)] = -np.inf
+    upper[np.isnan(upper)] = np.inf
+    return _Assembled(c, lower, upper, start, cols[order], vals[order], rhs, num_le)
 
-    def to_csr(select):
-        local = np.cumsum(select) - 1  # row index within its block
-        keep = select[row_of] & (vals != 0.0)
-        shape = (int(select.sum()), lp.num_vars)
-        return sp.csr_matrix((vals[keep], (local[row_of[keep]], cols[keep])), shape=shape)
 
-    bounds = [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)]
-    return c, to_csr(~is_eq), rhs[~is_eq], to_csr(is_eq), rhs[is_eq], bounds
+def _highs_options():
+    """The options linprog(method="highs") sets: presolve, dual simplex, silent."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
+_OPTIONS = _highs_options()
+_STATUS = _highs.HighsModelStatus
+# linprog's _check_result tolerance at its default tol=1e-9
+_RESULT_TOL = math.sqrt(1e-9) * 10
+
+
+def _highs_lp(a: _Assembled):
+    def finite(v):  # HiGHS reads +-kHighsInf as infinite
+        return np.clip(v, -_highs.kHighsInf, _highs.kHighsInf)
+
+    m = _highs.HighsLp()
+    m.num_col_ = m.a_matrix_.num_col_ = len(a.c)
+    m.num_row_ = m.a_matrix_.num_row_ = len(a.rhs)
+    m.col_cost_ = a.c
+    m.col_lower_ = finite(a.col_lower)
+    m.col_upper_ = finite(a.col_upper)
+    m.row_lower_ = finite(np.concatenate((np.full(a.num_le, -np.inf), a.rhs[a.num_le:])))
+    m.row_upper_ = finite(a.rhs)
+    m.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    m.a_matrix_.start_ = a.start
+    m.a_matrix_.index_ = a.index
+    m.a_matrix_.value_ = a.value
+    return m
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve; Optimal solutions are re-checked for feasibility within 1e-7."""
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _assemble(lp)
-    res = linprog(
-        c,
-        A_ub=A_ub if A_ub.shape[0] else None,
-        b_ub=b_ub if A_ub.shape[0] else None,
-        A_eq=A_eq if A_eq.shape[0] else None,
-        b_eq=b_eq if A_eq.shape[0] else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:
+    a = _assemble(lp)
+    if lp.num_vars == 0:
+        raise ValueError("LP has no variables")
+    if not np.isfinite(a.c).all():
+        raise ValueError("LP objective must be finite")
+    if not (np.isfinite(a.value).all() and np.isfinite(a.rhs).all()):
+        raise ValueError("LP rows must have finite coefficients and right-hand sides")
+    highs = _highs._Highs()
+    solved = False
+    if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
+        status = _STATUS.kNotset
+    elif highs.passModel(_highs_lp(a)) == _highs.HighsStatus.kError:
+        status = _STATUS.kModelError
+    else:
+        solved = highs.run() != _highs.HighsStatus.kError
+        status = highs.getModelStatus()
+    if status == _STATUS.kInfeasible:
         return LpSolution("Infeasible", np.zeros(lp.num_vars), np.inf)
-    if res.status == 3:
+    if status == _STATUS.kUnbounded:
         return LpSolution("Unbounded", np.zeros(lp.num_vars), -np.inf)
-    if res.status != 0:
-        raise NumericalFailure(f"LP solver did not converge: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    viol = 0.0
-    if A_ub.shape[0]:
-        viol = max(viol, float(np.max(A_ub @ x - b_ub, initial=0.0)))
-    if A_eq.shape[0]:
-        viol = max(viol, float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
+    if status != _STATUS.kOptimal or not solved:
+        raise NumericalFailure(
+            f"LP solver did not converge: HiGHS model status {highs.modelStatusToString(status)}"
+        )
+    solution = highs.getSolution()
+    x = np.array(solution.col_value, dtype=float)
+    fun = float(highs.getInfo().objective_function_value)
+    # slack of <= rows, residual of = rows, from HiGHS's row values
+    resid = a.rhs - np.array(solution.row_value, dtype=float)
+    tol = _RESULT_TOL
+    if (
+        np.isnan(x).any()
+        or math.isnan(fun)
+        or np.isnan(resid).any()
+        or not np.all((x >= a.col_lower - tol) & (x <= a.col_upper + tol))
+        or (resid[: a.num_le] < -tol).any()
+        or (np.abs(resid[a.num_le :]) > tol).any()
+    ):
+        raise NumericalFailure("LP solution from HiGHS fails its bounds or rows")
+    # each row summed entry by entry in column order, as a CSR product does
+    sizes = np.diff(a.start)
+    Ax = np.bincount(
+        np.repeat(np.arange(len(sizes)), sizes), weights=a.value * x[a.index], minlength=len(sizes)
+    )
+    viol = max(
+        float(np.max(Ax[: a.num_le] - a.rhs[: a.num_le], initial=0.0)),
+        float(np.max(np.abs(Ax[a.num_le :] - a.rhs[a.num_le :]), initial=0.0)),
+    )
     if viol > 1e-7:
         raise NumericalFailure(f"solution violates constraints by {viol:.2e}")
-    return LpSolution("Optimal", x, float(res.fun))
+    return LpSolution("Optimal", x, fun)
 
 
 def lp_bisect_feasibility(

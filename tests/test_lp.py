@@ -1,9 +1,32 @@
+import importlib.util
+import math
+import sys
+
 import numpy as np
 import pytest
+import scipy.optimize._highspy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from conftest import assert_same_assembly, lil_assemble
-from dwellgain.analysis import analyze_arbitrary
-from dwellgain.errors import Infeasible
+from conftest import (
+    assert_same_assembly,
+    assert_same_outcome,
+    csr_assemble,
+    lil_assemble,
+    linprog_solve,
+    solve_outcome,
+)
+from dwellgain import analysis as analysis_mod
+from dwellgain import lp as lp_mod
+from dwellgain.analysis import (
+    analyze_arbitrary,
+    analyze_constant,
+    analyze_minimum,
+    analyze_range,
+    analyze_switched_min,
+)
+from dwellgain.errors import DwellgainError, Infeasible, NumericalFailure
 from dwellgain.lp import (
     LinearProgram,
     LinExpr,
@@ -13,6 +36,9 @@ from dwellgain.lp import (
     lp_bisect_feasibility,
     lp_solve,
 )
+from dwellgain.model import DwellTimeSpec
+from dwellgain.poly import Poly, certify_nonneg
+from dwellgain.synthesis import synthesize
 
 
 def test_minimize_bounded_scalar():
@@ -154,6 +180,7 @@ class TestAssembly:
     def test_matches_lil_oracle(self, le_rows, eq_rows):
         lp = self._program(le_rows, eq_rows)
         assert_same_assembly(_assemble(lp), lil_assemble(lp))
+        assert_same_outcome(solve_outcome(lp_solve, lp), solve_outcome(linprog_solve, lp))
 
     def test_interleaved_rows_keep_their_order(self):
         rng = np.random.default_rng(3)
@@ -163,6 +190,309 @@ class TestAssembly:
             coeffs = {int(v): float(rng.normal() * 10.0 ** rng.integers(-6, 6)) for v in cols}
             (lp.add_eq if r % 3 == 0 else lp.add_ge)(coeffs, float(rng.normal()))
         assert_same_assembly(_assemble(lp), lil_assemble(lp))
+        assert_same_outcome(solve_outcome(lp_solve, lp), solve_outcome(linprog_solve, lp))
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("add", ["add_le", "add_ge", "add_eq"])
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_unknown_variable(self, add, v):
+        lp = LinearProgram(num_vars=3)
+        with pytest.raises(ValueError, match=f"unknown variable {v}"):
+            getattr(lp, add)({0: 1.0, v: 0.0}, 1.0)
+        assert lp.rows == []
+
+    def test_rows_keep_order_and_drop_zeros(self):
+        lp = LinearProgram(num_vars=4)
+        coeffs = {3: np.float64(2.5), 0: 0.0, 1: 4, 2: -0.0}
+        lp.add_le(coeffs, 1)
+        lp.add_ge(coeffs, 1)
+        lp.add_eq(coeffs, 1)
+        for row, rel, sign in zip(lp.rows, ("<=", "<=", "="), (1.0, -1.0, 1.0)):
+            assert row[1] == rel and row[2] == sign
+            assert list(row[0].items()) == [(3, sign * 2.5), (1, sign * 4.0)]
+            assert all(type(c) is float for c in row[0].values())
+
+
+@pytest.fixture
+def oracle_pairs(monkeypatch):
+    """(lp_solve outcome, linprog oracle outcome) of every LP solved while
+    the fixture is active, through analysis and poly alike."""
+    pairs = []
+    real = lp_mod.lp_solve
+
+    def spy(prog):
+        want = solve_outcome(linprog_solve, prog)
+        try:
+            sol = real(prog)
+        except (ValueError, NumericalFailure) as exc:
+            pairs.append((type(exc), want))
+            raise
+        pairs.append(((sol.status, sol.x, sol.objective_value), want))
+        return sol
+
+    monkeypatch.setattr(lp_mod, "lp_solve", spy)
+    monkeypatch.setattr(analysis_mod, "lp_solve", spy)
+    return pairs
+
+
+def _outcome_classes(pairs):
+    return {got if isinstance(got, type) else got[0] for got, _ in pairs}
+
+
+class TestLinprogOracle:
+    """lp_solve against scipy's linprog(method="highs") with the same checks:
+    the same status or error class, a bit-equal x and an equal objective."""
+
+    @staticmethod
+    def _assert_all_same(pairs):
+        assert pairs
+        for got, want in pairs:
+            assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    @pytest.mark.parametrize("kind", ["constant", "minimum", "range"])
+    @pytest.mark.parametrize("bench", ["bench_timer_growth", "bench_timer_stable"])
+    def test_analyses(self, request, oracle_pairs, bench, kind, degree):
+        s = request.getfixturevalue(bench)
+        for T in (0.12, 0.5, 1.9):
+            try:
+                if kind == "range":
+                    analyze_range(s, T, 1.5 * T, degree)
+                elif kind == "constant":
+                    analyze_constant(s, T, degree)
+                else:
+                    analyze_minimum(s, T, degree)
+            except DwellgainError:
+                pass
+        self._assert_all_same(oracle_pairs)
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_escalation_failures(self, oracle_pairs, bench_timer_stable, degree):
+        # degree 4: HiGHS ends with status Unknown; degree 6: two Optimal
+        # answers violate a row by 2.0e-3 and 5.1e-3; the sampled referee
+        # then reports the program infeasible
+        with pytest.raises(Infeasible):
+            analyze_constant(bench_timer_stable, 0.12, degree)
+        assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
+        self._assert_all_same(oracle_pairs)
+
+    def test_switched_min(self, oracle_pairs, bench_switched):
+        for T in (0.3, 1.0):
+            analyze_switched_min(bench_switched, T, 4)
+        self._assert_all_same(oracle_pairs)
+
+    def test_synthesize(self, oracle_pairs, bench_chain_plant):
+        # three relaxation orders fail the 1e-7 recheck before one certifies
+        synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
+        assert {NumericalFailure, "Optimal"} <= _outcome_classes(oracle_pairs)
+        self._assert_all_same(oracle_pairs)
+
+    def test_certify_nonneg(self, oracle_pairs):
+        # orders 6 and 8 are infeasible, order 10 certifies
+        certify_nonneg(Poly((1.0, -1.0, 0.27)), (0.0, 3.0))
+        assert {"Infeasible", "Optimal"} <= _outcome_classes(oracle_pairs)
+        self._assert_all_same(oracle_pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_programs(self, data):
+        n = data.draw(st.integers(1, 5))
+        coef = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-4.0, 4.0)
+        # a point x0 inside every bound makes the rows feasible; a clashing
+        # pair of rows makes them infeasible; free columns may leave it unbounded
+        x0 = [data.draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+        lp = LinearProgram()
+        for v in range(n):
+            kind = data.draw(st.sampled_from(["free", "lower", "upper", "boxed"]))
+            lo = x0[v] - data.draw(st.floats(0.0, 2.0))
+            hi = x0[v] + data.draw(st.floats(0.0, 2.0))
+            lp.new_var(
+                lo=lo if kind in ("lower", "boxed") else None,
+                hi=hi if kind in ("upper", "boxed") else None,
+            )
+        lp.set_objective({v: data.draw(coef) for v in range(n)})
+        for _ in range(data.draw(st.integers(0, 5))):
+            row = {v: data.draw(coef) for v in data.draw(st.sets(st.integers(0, n - 1)))}
+            at_x0 = sum(c * x0[v] for v, c in row.items())
+            rel = data.draw(st.sampled_from(["le", "ge", "eq"]))
+            if rel == "eq":
+                lp.add_eq(row, at_x0)
+            else:
+                gap = data.draw(st.floats(0.0, 2.0))
+                (lp.add_le if rel == "le" else lp.add_ge)(row, at_x0 + gap if rel == "le" else at_x0 - gap)
+        if data.draw(st.booleans()):
+            row = {v: data.draw(coef) for v in range(n)}
+            lp.add_le(row, 1.0)
+            lp.add_ge(row, 1.5)
+        assert_same_outcome(solve_outcome(lp_solve, lp), solve_outcome(linprog_solve, lp))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["coefficient", "rhs", "objective"])
+    def test_non_finite_input(self, where, bad):
+        lp = LinearProgram()
+        x = lp.new_var(lo=0.0)
+        y = lp.new_var()
+        lp.set_objective({x: bad if where == "objective" else 1.0})
+        lp.add_ge({x: 1.0, y: bad if where == "coefficient" else 1.0}, bad if where == "rhs" else 1.0)
+        with pytest.raises(ValueError):
+            lp_solve(lp)
+        assert solve_outcome(linprog_solve, lp) is ValueError
+
+    def test_model_error_is_not_infeasible(self):
+        # min x over x <= -1e28, unbounded: the scaled row bound lies beyond
+        # HiGHS's infinite bound, HiGHS rejects the model, and linprog used
+        # to call the program infeasible
+        lp = LinearProgram()
+        x = lp.new_var()
+        lp.set_objective({x: 1.0})
+        lp.add_le({x: 1e-28}, -1.0)
+        with pytest.raises(NumericalFailure, match="Model error"):
+            lp_solve(lp)
+        c, A_ub, b_ub, _, _, bounds = csr_assemble(lp)
+        assert linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs").status == 2
+
+    def test_no_variables(self):
+        lp = LinearProgram()
+        lp.add_le({}, 1.0)
+        with pytest.raises(ValueError, match="no variables"):
+            lp_solve(lp)
+        assert solve_outcome(linprog_solve, lp) is ValueError
+
+
+class _TamperedHighs:
+    """The binding's solver, with its answer or status altered after the run."""
+
+    col_shift: dict = {}
+    row_shift: dict = {}
+    status = None
+    reject_options = False
+
+    def __init__(self):
+        self._highs = _REAL_HIGHS()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passOptions(self, options):
+        status = self._highs.passOptions(options)
+        return lp_mod._highs.HighsStatus.kError if self.reject_options else status
+
+    def getModelStatus(self):
+        return self.status if self.status is not None else self._highs.getModelStatus()
+
+    def getSolution(self):
+        sol = self._highs.getSolution()
+        sol.col_value = [x + self.col_shift.get(v, 0.0) for v, x in enumerate(sol.col_value)]
+        sol.row_value = [r + self.row_shift.get(i, 0.0) for i, r in enumerate(sol.row_value)]
+        return sol
+
+
+_REAL_HIGHS = lp_mod._highs._Highs
+
+
+class TestResultChecks:
+    """Every check lp_solve makes on what HiGHS returns, tripped one at a time.
+
+    The program: minimize x + y over x in [0, 1], y >= 0, x + y >= 1 (the
+    only <= row) and y - x = 0 (the = row); the optimum is x = y = 0.5.
+    """
+
+    @staticmethod
+    def _program():
+        lp = LinearProgram()
+        x = lp.new_var(lo=0.0, hi=1.0)
+        y = lp.new_var(lo=0.0)
+        lp.add_ge({x: 1.0, y: 1.0}, 1.0)
+        lp.add_eq({y: 1.0, x: -1.0}, 0.0)
+        lp.set_objective({x: 1.0, y: 1.0})
+        return lp
+
+    def _solve(self, monkeypatch, **tamper):
+        fake = type("Fake", (_TamperedHighs,), tamper)
+        monkeypatch.setattr(lp_mod._highs, "_Highs", fake)
+        return lp_solve(self._program())
+
+    def test_untampered(self, monkeypatch):
+        sol = self._solve(monkeypatch)
+        assert sol.status == "Optimal" and np.array_equal(sol.x, [0.5, 0.5])
+
+    @pytest.mark.parametrize("shift", [0.5 + 1e-3, -0.5 - 1e-3])
+    def test_bound_violated_beyond_tol(self, monkeypatch, shift):
+        # x = 0.5 moved outside [0, 1] by 1e-3 > sqrt(1e-9) * 10
+        with pytest.raises(NumericalFailure, match="bounds or rows"):
+            self._solve(monkeypatch, col_shift={0: shift})
+
+    def test_bound_violated_within_tol_and_rows_held(self, monkeypatch):
+        # x = 1 + 1e-4 passes the bound check; rows then fail the 1e-7 recheck
+        with pytest.raises(NumericalFailure, match="violates constraints"):
+            self._solve(monkeypatch, col_shift={0: 0.5 + 1e-4})
+
+    def test_le_slack_from_highs_row_values(self, monkeypatch):
+        # HiGHS's own row value of x + y >= 1 (the scaled row -x - y <= -1)
+        with pytest.raises(NumericalFailure, match="bounds or rows"):
+            self._solve(monkeypatch, row_shift={0: 1e-3})
+
+    def test_eq_residual_from_highs_row_values(self, monkeypatch):
+        with pytest.raises(NumericalFailure, match="bounds or rows"):
+            self._solve(monkeypatch, row_shift={1: -1e-3})
+
+    def test_small_row_value_drift_is_accepted(self, monkeypatch):
+        sol = self._solve(monkeypatch, row_shift={0: 1e-4, 1: 1e-4})
+        assert sol.status == "Optimal" and np.array_equal(sol.x, [0.5, 0.5])
+
+    def test_recheck_uses_the_programs_rows(self, monkeypatch):
+        # y off by 1e-6 breaks y - x = 0; HiGHS's row values are untouched
+        with pytest.raises(NumericalFailure, match="violates constraints by 1.00e-06"):
+            self._solve(monkeypatch, col_shift={1: 1e-6})
+
+    def test_nan_in_solution(self, monkeypatch):
+        with pytest.raises(NumericalFailure, match="bounds or rows"):
+            self._solve(monkeypatch, col_shift={1: math.nan})
+
+    @pytest.mark.parametrize("status, text", [("kUnknown", "Unknown"), ("kIterationLimit", "limit")])
+    def test_other_status(self, monkeypatch, status, text):
+        with pytest.raises(NumericalFailure, match=text):
+            self._solve(monkeypatch, status=getattr(lp_mod._highs.HighsModelStatus, status))
+
+
+
+    def test_options_rejected(self, monkeypatch):
+        with pytest.raises(NumericalFailure, match="Not Set"):
+            self._solve(monkeypatch, reject_options=True)
+
+
+class TestHighsBinding:
+    def test_binding_has_what_lp_uses(self):
+        core = lp_mod._highs
+        for name in ("HighsLp", "_Highs", "HighsOptions", "HighsModelStatus", "HighsStatus",
+                     "HighsDebugLevel", "MatrixFormat", "kHighsInf", "simplex_constants"):
+            assert hasattr(core, name), name
+        for name in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
+                     "getSolution", "getInfo"):
+            assert hasattr(core._Highs, name), name
+        m = core.HighsLp()
+        for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                     "row_upper_"):
+            assert hasattr(m, name), name
+        for name in ("format_", "start_", "index_", "value_", "num_col_", "num_row_"):
+            assert hasattr(m.a_matrix_, name), name
+        for name in ("kOptimal", "kInfeasible", "kUnbounded", "kModelError"):
+            assert hasattr(core.HighsModelStatus, name), name
+        opts = lp_mod._OPTIONS
+        assert opts.presolve == "on"
+        assert opts.simplex_strategy == int(
+            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        )
+        assert opts.highs_debug_level == int(core.HighsDebugLevel.kHighsDebugLevelNone)
+        assert opts.log_to_console is False and opts.output_flag is False
+
+    def test_missing_binding_names_the_scipy_version(self, monkeypatch):
+        monkeypatch.delattr(scipy.optimize._highspy, "_core")
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        spec = importlib.util.spec_from_file_location("dwellgain._lp_without_binding", lp_mod.__file__)
+        with pytest.raises(ImportError, match=r"SciPy >= 1\.17"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 class TestAffineExpressions:
