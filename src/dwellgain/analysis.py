@@ -230,7 +230,7 @@ class _Program:
 
     def add_point_ge(self, family: str, index: int, expr: LinExpr, margin: float) -> None:
         # expr >= margin
-        self.lp.add_ge(dict(expr.coeffs), margin - expr.const)
+        self.lp.add_ge(expr.coeffs, margin - expr.const)
         self.point_records.append(
             {"family": family, "index": index, "expr": expr, "margin": margin}
         )
@@ -298,12 +298,12 @@ class _Program:
         lp.objective = dict(self.lp.objective)
         for rec in self.point_records:
             expr, margin = rec["expr"], rec["margin"]
-            lp.add_ge(dict(expr.coeffs), margin - expr.const)
+            lp.add_ge(expr.coeffs, margin - expr.const)
         for rec in self.interval_records:
             a, b = rec["interval"]
             for t in np.linspace(a, b, _REFEREE_SAMPLES):
                 e = rec["pexpr"].eval_at(float(t))
-                lp.add_ge(dict(e.coeffs), rec["margin"] - e.const)
+                lp.add_ge(e.coeffs, rec["margin"] - e.const)
         return lp
 
     def extract_rows(self, x: np.ndarray) -> list[CertifiedRow]:

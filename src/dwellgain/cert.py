@@ -9,7 +9,7 @@ integrating the forced flow.  Nothing here reuses the LP encoders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,148 +144,30 @@ def transition_matrix(
 # --- theorem-row re-derivation ------------------------------------------------
 
 
-def _zeta_rows_symbolic(A: PolyMatrix, Ec: PolyMatrix, Cc: PolyMatrix, Fc: PolyMatrix,
-                        zeta: list[Poly], gamma: float):
-    """Flow/output row polynomials in tau derived with plain Poly arithmetic."""
-    n, qc = A.shape[0], Cc.shape[0]
-    flow, out_c = [], []
-    for i in range(n):
-        expr = zeta[i].deriv()
-        for j in range(n):
-            expr = expr - A.entry(i, j) * zeta[j]
-        for j in range(Ec.shape[1]):
-            expr = expr - Ec.entry(i, j)
-        flow.append(expr)
-    for i in range(qc):
-        expr = Poly.const(gamma)
-        for j in range(n):
-            expr = expr - Cc.entry(i, j) * zeta[j]
-        for j in range(Fc.shape[1]):
-            expr = expr - Fc.entry(i, j)
-        out_c.append(expr)
-    return flow, out_c
-
-
-def _grid_min(p: Poly, interval, grid: int, clamp: Optional[float] = None) -> float:
-    a, b = interval
-    taus = np.linspace(a, b, grid + 2)
-    if clamp is not None:
-        taus = np.minimum(taus, clamp)
-    return float(np.min(p.eval(taus)))
-
-
 def _record(slacks: dict, family: str, value: float) -> None:
     slacks[family] = min(slacks.get(family, np.inf), float(value))
 
 
-def _verify_impulsive(cert, sys: ImpulsiveSystem, grid: int) -> VerificationReport:
-    zeta = cert.zeta
-    gamma = cert.gamma
-    n = sys.n
-    if len(zeta) != n:
-        raise Mismatch(f"certificate has {len(zeta)} state rows, system has {n}")
-    dwell = cert.dwell
-    clamp = dwell.clamp
-    slacks: dict[str, float] = {}
-    if dwell.kind == "arbitrary":
-        if not sys.is_constant():
-            raise Mismatch("arbitrary-dwell certificate applies to constant systems")
-        lam = np.array([z.eval(0.0) for z in zeta])
-        A = sys.A.const()
-        _record(slacks, "flow", float(np.min(-(A @ lam + sys.Ec.const().sum(axis=1)))))
-        if sys.qc:
-            _record(
-                slacks,
-                "out_c",
-                float(np.min(gamma - (sys.Cc.const() @ lam + sys.Fc.const().sum(axis=1)))),
-            )
-        for jk, jm in enumerate(sys.jumps):
-            _record(slacks, f"jump[{jk}]", float(np.min(-(jm.J @ lam - lam + jm.Ed.sum(axis=1)))))
-            if jm.Cd.shape[0]:
-                _record(
-                    slacks,
-                    f"out_d[{jk}]",
-                    float(np.min(gamma - (jm.Cd @ lam + jm.Fd.sum(axis=1)))),
-                )
-        _record(slacks, "pin_lo", float(np.min(lam)))
-    else:
-        Tend = dwell.horizon_tau()
-        flow_rows, out_rows = _zeta_rows_symbolic(sys.A, sys.Ec, sys.Cc, sys.Fc, zeta, gamma)
-        for i, p in enumerate(flow_rows):
-            _record(slacks, "flow", _grid_min(p, (0.0, Tend), grid, clamp))
-        for i, p in enumerate(out_rows):
-            _record(slacks, "out_c", _grid_min(p, (0.0, Tend), grid, clamp))
-        if dwell.kind == "minimum":
-            T = dwell.T
-            zT = np.array([z.eval(T) for z in zeta])
-            _record(slacks, "stat_flow", float(np.min(-(sys.A(T) @ zT + sys.Ec(T).sum(axis=1)))))
-            if sys.qc:
-                _record(
-                    slacks,
-                    "stat_out",
-                    float(np.min(gamma - (sys.Cc(T) @ zT + sys.Fc(T).sum(axis=1)))),
-                )
-        if dwell.kind == "range":
-            thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
+class _OpenLoop:
+    """An open-loop system behind ClosedLoopView's cont_mesh/jumps_at interface."""
+
+    def __init__(self, sys: Union[ImpulsiveSystem, SwitchedSystem]):
+        self.sys = sys
+        self.switched = isinstance(sys, SwitchedSystem)
+        jumps = [] if self.switched else sys.jumps
+        self._jumps = [(jm.J, jm.Ed.sum(axis=1), jm.Cd, jm.Fd.sum(axis=1)) for jm in jumps]
+
+    def cont_mesh(self, taus: np.ndarray, mode=None):
+        if self.switched:
+            md = self.sys.modes[mode]
+            pms = (md["A"], md["E"], md["C"], md["F"])
         else:
-            thetas = np.array([dwell.T])
-        z0 = np.array([z.eval(0.0) for z in zeta])
-        mu = cert.aux.get("mu")
-        for jk, jm in enumerate(sys.jumps):
-            for th in thetas:
-                target = np.array(
-                    [m.eval(th) for m in mu] if mu else [z.eval(th) for z in zeta]
-                )
-                _record(
-                    slacks, f"jump[{jk}]", float(np.min(z0 - (jm.J @ target + jm.Ed.sum(axis=1))))
-                )
-                if jm.Cd.shape[0]:
-                    _record(
-                        slacks,
-                        f"out_d[{jk}]",
-                        float(np.min(gamma - (jm.Cd @ target + jm.Fd.sum(axis=1)))),
-                    )
-        if mu:
-            for th in thetas:
-                _record(
-                    slacks,
-                    "mu_dom",
-                    float(min(m.eval(th) - z.eval(th) for m, z in zip(mu, zeta))),
-                )
-        _record(slacks, "pin_lo", float(np.min(z0)))
-    return _finish_report(cert, sys, slacks, grid)
+            pms = (self.sys.A, self.sys.Ec, self.sys.Cc, self.sys.Fc)
+        A_m, E_m, C_m, F_m = (pm.eval_mesh(taus) for pm in pms)
+        return A_m, E_m.sum(axis=2), C_m, F_m.sum(axis=2)
 
-
-def _verify_switched(cert, sw: SwitchedSystem, grid: int) -> VerificationReport:
-    if len(cert.zeta) != sw.N:
-        raise Mismatch(f"certificate has {len(cert.zeta)} mode vectors, system has {sw.N}")
-    T = cert.dwell.T
-    gamma = cert.gamma
-    slacks: dict[str, float] = {}
-    for i, md in enumerate(sw.modes):
-        zeta = cert.zeta[i]
-        flow_rows, out_rows = _zeta_rows_symbolic(md["A"], md["E"], md["C"], md["F"], zeta, gamma)
-        for p in flow_rows:
-            _record(slacks, f"flow[{i}]", _grid_min(p, (0.0, T), grid))
-        for p in out_rows:
-            _record(slacks, f"out_c[{i}]", _grid_min(p, (0.0, T), grid))
-        zT = np.array([z.eval(T) for z in zeta])
-        _record(slacks, f"stat_flow[{i}]", float(np.min(-(md["A"](T) @ zT + md["E"](T).sum(axis=1)))))
-        _record(
-            slacks,
-            f"stat_out[{i}]",
-            float(np.min(gamma - (md["C"](T) @ zT + md["F"](T).sum(axis=1)))),
-        )
-        _record(slacks, f"pin_lo[{i}]", float(min(z.eval(0.0) for z in zeta)))
-    for i in range(sw.N):
-        for j in range(sw.N):
-            if i == j:
-                continue
-            c = min(
-                cert.zeta[i][r].eval(0.0) - cert.zeta[j][r].eval(T) for r in range(sw.n)
-            )
-            _record(slacks, "couple", float(c))
-    return _finish_report(cert, sw, slacks, grid)
+    def jumps_at(self, theta: float):
+        return self._jumps
 
 
 def _finish_report(cert, sys, slacks: dict[str, float], grid: int) -> VerificationReport:
@@ -320,76 +202,81 @@ def _finish_report(cert, sys, slacks: dict[str, float], grid: int) -> Verificati
 
 def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     """Re-evaluate every row of the certificate's theorem on a dense grid and
-    re-validate the interval-certificate weights."""
-    if isinstance(sys, SwitchedSystem):
-        if cert.kind != "SwitchedMinDT":
-            raise Mismatch(f"{cert.kind} certificate cannot verify a switched system")
-        return _verify_switched(cert, sys, grid)
-    if isinstance(sys, ImpulsiveSystem):
-        if cert.kind == "SwitchedMinDT":
-            raise Mismatch("switched certificate needs the switched system")
-        return _verify_impulsive(cert, sys, grid)
-    # numeric closed-loop adapter (duck-typed, provided by the synthesis module)
-    return _verify_numeric(cert, sys, grid)
+    re-validate the interval-certificate weights.
 
-
-def _verify_numeric(cert, view, grid: int) -> VerificationReport:
-    """Grid verification against a numeric system view (rational closed loop)."""
-    zeta = cert.zeta
-    gamma = cert.gamma
+    `sys` is an ImpulsiveSystem, a SwitchedSystem, or a closed-loop view with
+    the same cont_mesh(taus, mode) / jumps_at(theta) interface
+    (synthesis.ClosedLoopView); every row family is evaluated on that mesh."""
+    view = sys if hasattr(sys, "jumps_at") else _OpenLoop(sys)
+    plant = view.sys
     dwell = cert.dwell
-    slacks: dict[str, float] = {}
-    Tend = dwell.horizon_tau() if dwell.kind != "arbitrary" else 0.0
-    taus = np.linspace(0.0, Tend, grid + 2) if Tend > 0 else np.array([0.0])
-    if dwell.clamp is not None:
-        taus = np.minimum(taus, dwell.clamp)
+    gamma = cert.gamma
     per_mode = cert.per_mode
+    if isinstance(plant, SwitchedSystem):
+        if not per_mode:
+            raise Mismatch(f"{cert.kind} certificate cannot verify a switched system")
+        if len(cert.zeta) != plant.N:
+            raise Mismatch(f"certificate has {len(cert.zeta)} mode vectors, system has {plant.N}")
+    else:
+        if per_mode:
+            raise Mismatch("switched certificate needs the switched system")
+        if len(cert.zeta) != plant.n:
+            raise Mismatch(f"certificate has {len(cert.zeta)} state rows, system has {plant.n}")
+        if dwell.kind == "arbitrary" and not plant.is_constant():
+            raise Mismatch("arbitrary-dwell certificate applies to constant systems")
     zsets = cert.zeta_vectors()
-    n = len(zsets[0])
+    if dwell.kind == "arbitrary":
+        # the theorem's vector is the constant lambda = zeta(0)
+        zsets = [[Poly.const(z.eval(0.0)) for z in zs] for zs in zsets]
+        taus = np.array([0.0])
+    else:
+        taus = np.linspace(0.0, dwell.horizon_tau(), grid + 2)
+        if dwell.clamp is not None:
+            taus = np.minimum(taus, dwell.clamp)
+    slacks: dict[str, float] = {}
+    ends = []  # per mode: zeta at tau = 0 and at the end of the mesh
     for mode, zs in enumerate(zsets):
+        tag = f"[{mode}]" if per_mode else ""
         A_m, Ec1_m, Cc_m, Fc1_m = view.cont_mesh(taus, mode=mode if per_mode else None)
         zv = np.stack([z.eval(taus) for z in zs], axis=1)
         zdv = np.stack([z.deriv().eval(taus) for z in zs], axis=1)
-        flow = zdv - np.einsum("mij,mj->mi", A_m, zv) - Ec1_m
-        fam = f"flow[{mode}]" if per_mode else "flow"
-        _record(slacks, fam, float(np.min(flow)))
-        if Cc_m.shape[1]:
-            outc = gamma - (np.einsum("mij,mj->mi", Cc_m, zv) + Fc1_m)
-            fam = f"out_c[{mode}]" if per_mode else "out_c"
-            _record(slacks, fam, float(np.min(outc)))
+        Az = np.einsum("mij,mj->mi", A_m, zv) + Ec1_m
+        _record(slacks, "flow" + tag, np.min(zdv - Az))
+        out = gamma - (np.einsum("mij,mj->mi", Cc_m, zv) + Fc1_m)
+        if out.shape[1]:
+            _record(slacks, "out_c" + tag, np.min(out))
         if dwell.kind == "minimum":
-            T = dwell.T
-            A_T, Ec1_T, Cc_T, Fc1_T = (arr[-1] for arr in view.cont_mesh(np.array([T]), mode=mode if per_mode else None))
-            zT = np.array([z.eval(T) for z in zs])
-            _record(slacks, f"stat_flow[{mode}]" if per_mode else "stat_flow", float(np.min(-(A_T @ zT + Ec1_T))))
-            if Cc_T.shape[0]:
-                _record(slacks, f"stat_out[{mode}]" if per_mode else "stat_out", float(np.min(gamma - (Cc_T @ zT + Fc1_T))))
-    if not per_mode:
-        zs = zsets[0]
-        z0 = np.array([z.eval(0.0) for z in zs])
-        if dwell.kind == "range":
-            thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
-        elif dwell.kind == "arbitrary":
-            thetas = np.array([0.0])
-        else:
-            thetas = np.array([dwell.T])
-        for th in thetas:
-            for jk, (J_cl, Ed1, Cd_cl, Fd1) in enumerate(view.jumps_at(float(th))):
-                target = np.array([z.eval(min(th, dwell.clamp) if dwell.clamp else th) for z in zs])
-                _record(slacks, f"jump[{jk}]", float(np.min(z0 - (J_cl @ target + Ed1))))
-                if Cd_cl.shape[0]:
-                    _record(slacks, f"out_d[{jk}]", float(np.min(gamma - (Cd_cl @ target + Fd1))))
-        _record(slacks, "pin_lo", float(np.min(z0)))
+            # the mesh ends at tau = T, where the clamped flow is stationary
+            _record(slacks, "stat_flow" + tag, np.min(-Az[-1]))
+            if out.shape[1]:
+                _record(slacks, "stat_out" + tag, np.min(out[-1]))
+        _record(slacks, "pin_lo" + tag, np.min(zv[0]))
+        ends.append((zv[0], zv[-1]))
+    if per_mode:
+        # a switch from mode j, its timer clamped at T, to mode i: zeta_i(0) >= zeta_j(T)
+        for i, (z0, _) in enumerate(ends):
+            for j, (_, zT) in enumerate(ends):
+                if i != j:
+                    _record(slacks, "couple", np.min(z0 - zT))
+        return _finish_report(cert, plant, slacks, grid)
+    zs = zsets[0]
+    z0 = ends[0][0]
+    if dwell.kind == "range":
+        thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
     else:
-        T = dwell.T
-        for i in range(len(zsets)):
-            for j in range(len(zsets)):
-                if i == j:
-                    continue
-                c = min(zsets[i][r].eval(0.0) - zsets[j][r].eval(T) for r in range(n))
-                _record(slacks, "couple", float(c))
-        _record(slacks, "pin_lo", float(min(z.eval(0.0) for zs in zsets for z in zs)))
-    return _finish_report(cert, view, slacks, grid)
+        thetas = np.array([dwell.T or 0.0])  # an arbitrary dwell has no T
+    mu = cert.aux.get("mu")
+    # jump targets for every theta at once, one row per theta
+    target = np.stack([p.eval(thetas) for p in (mu or zs)], axis=1)
+    maps = [view.jumps_at(float(th)) for th in thetas]
+    for jk in range(len(maps[0])):
+        J, Ed1, Cd, Fd1 = (np.stack(arrs) for arrs in zip(*(m[jk] for m in maps)))
+        _record(slacks, f"jump[{jk}]", np.min(z0 - (np.einsum("kij,kj->ki", J, target) + Ed1)))
+        if Cd.shape[1]:
+            _record(slacks, f"out_d[{jk}]", np.min(gamma - (np.einsum("kij,kj->ki", Cd, target) + Fd1)))
+    if mu:
+        _record(slacks, "mu_dom", np.min(target - np.stack([z.eval(thetas) for z in zs], axis=1)))
+    return _finish_report(cert, plant, slacks, grid)
 
 
 def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) -> VerificationReport:

@@ -70,21 +70,22 @@ class LinearProgram:
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self.objective = dict(coeffs)
 
-    def _check(self, coeffs: dict[int, float]) -> dict[int, float]:
+    def _check(self, coeffs: dict[int, float], sign: float = 1.0) -> dict[int, float]:
+        """A fresh copy of the row, times `sign`, with zero coefficients dropped."""
         n = self.num_vars
         out = {}
         for v, c in coeffs.items():
             if not 0 <= v < n:
                 raise ValueError(f"row references unknown variable {v}")
             if c != 0.0:
-                out[v] = float(c)
+                out[v] = sign * float(c)
         return out
 
     def add_le(self, coeffs: dict[int, float], rhs: float) -> None:
         self.rows.append((self._check(coeffs), _REL_LE, float(rhs)))
 
     def add_ge(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.rows.append(({v: -c for v, c in self._check(coeffs).items()}, _REL_LE, -float(rhs)))
+        self.rows.append((self._check(coeffs, -1.0), _REL_LE, -float(rhs)))
 
     def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
         self.rows.append((self._check(coeffs), _REL_EQ, float(rhs)))

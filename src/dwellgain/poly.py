@@ -22,7 +22,6 @@ __all__ = [
     "Poly",
     "HandelmanCertificate",
     "Witness",
-    "handelman_basis",
     "product_basis",
     "certify_nonneg",
     "falsify_nonneg",
@@ -214,19 +213,6 @@ def product_basis(order: int):
         for k in range(order + 1)
     )
     return pairs, terms
-
-
-def handelman_basis(a: float, b: float, order: int) -> list[tuple[tuple[int, int], Poly]]:
-    """All products (t-a)^i (b-t)^j with i + j <= order, as expanded polynomials."""
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got [{a}, {b}]")
-    left = Poly((-a, 1.0))
-    right = Poly((b, -1.0))
-    basis = []
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            basis.append(((i, j), (left**i) * (right**j)))
-    return basis
 
 
 def _certify_at_order(p: Poly, a: float, b: float, order: int, margin: float):

@@ -328,39 +328,23 @@ def synthesize(
         def x_at(j, where) -> LinExpr:
             return X[j].eval_at(where)
 
-        def jump_entry(i: int, j: int, theta_poly: bool, where: Optional[float] = None):
-            """(J X + Bd Ud)_{ij} as PolyExpr in theta (or LinExpr at `where`)."""
+        def map_entry(P, Q, i: int, j: int, theta_poly: bool, where: Optional[float] = None):
+            """(P X + Q Ud)_{ij} as PolyExpr in theta (or LinExpr at `where`), for
+            the jump pair (J, Bd) or the discrete-output pair (Cd, Dd)."""
             if fixed_kd:
-                e = LinExpr.variable(M[j]).scaled(jm.J[i, j])
+                e = LinExpr.variable(M[j]).scaled(P[i, j])
                 for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(jm.Bd[i, l]))
+                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
                 return e
             if theta_poly:
-                expr = X[j].scaled(jm.J[i, j])
+                expr = X[j].scaled(P[i, j])
                 for l in range(md_):
-                    expr = expr + Ud_poly[l][j].scaled(float(jm.Bd[i, l]))
+                    expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
                 return expr
-            e = x_at(j, jump_eval if where is None else where).scaled(jm.J[i, j])
+            e = x_at(j, jump_eval if where is None else where).scaled(P[i, j])
             if Ud_const is not None:
                 for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(jm.Bd[i, l]))
-            return e
-
-        def outd_entry(i: int, j: int, theta_poly: bool, where: Optional[float] = None):
-            if fixed_kd:
-                e = LinExpr.variable(M[j]).scaled(jm.Cd[i, j])
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(jm.Dd[i, l]))
-                return e
-            if theta_poly:
-                expr = X[j].scaled(jm.Cd[i, j])
-                for l in range(md_):
-                    expr = expr + Ud_poly[l][j].scaled(float(jm.Dd[i, l]))
-                return expr
-            e = x_at(j, jump_eval if where is None else where).scaled(jm.Cd[i, j])
-            if Ud_const is not None:
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(jm.Dd[i, l]))
+                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
             return e
 
         theta_poly = genuine_range and not fixed_kd
@@ -371,26 +355,17 @@ def synthesize(
         jump_points = [None]
         if dwell.kind == "minimum":
             jump_points = [0.0, dwell.T]
-        idx = 0
-        for i in range(n):
-            for j in range(n):
-                if theta_poly:
-                    prog.add_interval_ge("pos_jump", idx, jump_entry(i, j, True), theta_iv, 0.0)
-                    idx += 1
-                else:
-                    for pt in jump_points:
-                        prog.add_point_ge("pos_jump", idx, jump_entry(i, j, False, pt), 0.0)
+        for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
+            idx = 0
+            for i in range(P.shape[0]):
+                for j in range(n):
+                    if theta_poly:
+                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j, True), theta_iv, 0.0)
                         idx += 1
-        idx = 0
-        for i in range(qd):
-            for j in range(n):
-                if theta_poly:
-                    prog.add_interval_ge("pos_out_d", idx, outd_entry(i, j, True), theta_iv, 0.0)
-                    idx += 1
-                else:
-                    for pt in jump_points:
-                        prog.add_point_ge("pos_out_d", idx, outd_entry(i, j, False, pt), 0.0)
-                        idx += 1
+                    else:
+                        for pt in jump_points:
+                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, False, pt), 0.0)
+                            idx += 1
 
         # performance rows; the flow row is the analysis row under zeta = X*1,
         # i.e. X'(tau)*1 - [A X + Bc Uc]*1 - Ec*1 >= margin
@@ -426,23 +401,23 @@ def synthesize(
         # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
         for i in range(n):
             if theta_poly:
-                row = _sum_entries([jump_entry(i, j, True) for j in range(n)])
+                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j, True) for j in range(n)])
                 expr = PolyExpr([x_at(i, 0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
                 prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
             else:
                 e = x_at(i, 0.0)
                 for j in range(n):
-                    e = e - jump_entry(i, j, False)
+                    e = e - map_entry(jm.J, jm.Bd, i, j, False)
                 prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
         for i in range(qd):
             if theta_poly:
-                row = _sum_entries([outd_entry(i, j, True) for j in range(n)])
+                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j, True) for j in range(n)])
                 expr = gam - row - PolyExpr.from_poly([Fd1[i]])
                 prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
             else:
                 e = LinExpr.variable(gamma) - Fd1[i]
                 for j in range(n):
-                    e = e - outd_entry(i, j, False)
+                    e = e - map_entry(jm.Cd, jm.Dd, i, j, False)
                 prog.add_point_ge("perf_out_d", i, e, margin)
         if fixed_kd:
             for j in range(n):

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import chain
 
 import numpy as np
@@ -7,8 +8,21 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from dwellgain import benchmarks
-from dwellgain.errors import NumericalFailure
+from dwellgain.cert import _finish_report, _record, verify
+from dwellgain.errors import Mismatch, NumericalFailure
 from dwellgain.lp import LpSolution
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
+from dwellgain.poly import Poly
+
+
+# the certify-grid benchmark's dwell times and (design spec, fixed Kd) pairs
+CERTIFY_GRID_T = (0.12, 0.2, 0.33, 0.5, 1.9, 2.7)
+CERTIFY_GRID_DESIGNS = (
+    (DwellTimeSpec.constant(0.1), False),
+    (DwellTimeSpec.range(0.1, 0.3), False),
+    (DwellTimeSpec.range(0.1, 0.3), True),
+    (DwellTimeSpec.minimum(0.2), False),
+)
 
 
 @pytest.fixture(scope="session")
@@ -212,3 +226,212 @@ def assert_same_outcome(got, want):
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+def _zeta_rows_symbolic(A, Ec, Cc, Fc, zeta, gamma):
+    """Flow/output row polynomials in tau derived with plain Poly arithmetic."""
+    n, qc = A.shape[0], Cc.shape[0]
+    flow, out_c = [], []
+    for i in range(n):
+        expr = zeta[i].deriv()
+        for j in range(n):
+            expr = expr - A.entry(i, j) * zeta[j]
+        for j in range(Ec.shape[1]):
+            expr = expr - Ec.entry(i, j)
+        flow.append(expr)
+    for i in range(qc):
+        expr = Poly.const(gamma)
+        for j in range(n):
+            expr = expr - Cc.entry(i, j) * zeta[j]
+        for j in range(Fc.shape[1]):
+            expr = expr - Fc.entry(i, j)
+        out_c.append(expr)
+    return flow, out_c
+
+
+def _grid_min(p, interval, grid, clamp=None):
+    a, b = interval
+    taus = np.linspace(a, b, grid + 2)
+    if clamp is not None:
+        taus = np.minimum(taus, clamp)
+    return float(np.min(p.eval(taus)))
+
+
+def _verify_impulsive(cert, sys, grid):
+    zeta = cert.zeta
+    gamma = cert.gamma
+    n = sys.n
+    if len(zeta) != n:
+        raise Mismatch(f"certificate has {len(zeta)} state rows, system has {n}")
+    dwell = cert.dwell
+    clamp = dwell.clamp
+    slacks = {}
+    if dwell.kind == "arbitrary":
+        if not sys.is_constant():
+            raise Mismatch("arbitrary-dwell certificate applies to constant systems")
+        lam = np.array([z.eval(0.0) for z in zeta])
+        A = sys.A.const()
+        _record(slacks, "flow", float(np.min(-(A @ lam + sys.Ec.const().sum(axis=1)))))
+        if sys.qc:
+            _record(slacks, "out_c",
+                    float(np.min(gamma - (sys.Cc.const() @ lam + sys.Fc.const().sum(axis=1)))))
+        for jk, jm in enumerate(sys.jumps):
+            _record(slacks, f"jump[{jk}]", float(np.min(-(jm.J @ lam - lam + jm.Ed.sum(axis=1)))))
+            if jm.Cd.shape[0]:
+                _record(slacks, f"out_d[{jk}]", float(np.min(gamma - (jm.Cd @ lam + jm.Fd.sum(axis=1)))))
+        _record(slacks, "pin_lo", float(np.min(lam)))
+    else:
+        Tend = dwell.horizon_tau()
+        flow_rows, out_rows = _zeta_rows_symbolic(sys.A, sys.Ec, sys.Cc, sys.Fc, zeta, gamma)
+        for p in flow_rows:
+            _record(slacks, "flow", _grid_min(p, (0.0, Tend), grid, clamp))
+        for p in out_rows:
+            _record(slacks, "out_c", _grid_min(p, (0.0, Tend), grid, clamp))
+        if dwell.kind == "minimum":
+            T = dwell.T
+            zT = np.array([z.eval(T) for z in zeta])
+            _record(slacks, "stat_flow", float(np.min(-(sys.A(T) @ zT + sys.Ec(T).sum(axis=1)))))
+            if sys.qc:
+                _record(slacks, "stat_out", float(np.min(gamma - (sys.Cc(T) @ zT + sys.Fc(T).sum(axis=1)))))
+        if dwell.kind == "range":
+            thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
+        else:
+            thetas = np.array([dwell.T])
+        z0 = np.array([z.eval(0.0) for z in zeta])
+        mu = cert.aux.get("mu")
+        for jk, jm in enumerate(sys.jumps):
+            for th in thetas:
+                target = np.array([m.eval(th) for m in mu] if mu else [z.eval(th) for z in zeta])
+                _record(slacks, f"jump[{jk}]", float(np.min(z0 - (jm.J @ target + jm.Ed.sum(axis=1)))))
+                if jm.Cd.shape[0]:
+                    _record(slacks, f"out_d[{jk}]",
+                            float(np.min(gamma - (jm.Cd @ target + jm.Fd.sum(axis=1)))))
+        if mu:
+            for th in thetas:
+                _record(slacks, "mu_dom", float(min(m.eval(th) - z.eval(th) for m, z in zip(mu, zeta))))
+        _record(slacks, "pin_lo", float(np.min(z0)))
+    return _finish_report(cert, sys, slacks, grid)
+
+
+def _verify_switched(cert, sw, grid):
+    if len(cert.zeta) != sw.N:
+        raise Mismatch(f"certificate has {len(cert.zeta)} mode vectors, system has {sw.N}")
+    T = cert.dwell.T
+    gamma = cert.gamma
+    slacks = {}
+    for i, md in enumerate(sw.modes):
+        zeta = cert.zeta[i]
+        flow_rows, out_rows = _zeta_rows_symbolic(md["A"], md["E"], md["C"], md["F"], zeta, gamma)
+        for p in flow_rows:
+            _record(slacks, f"flow[{i}]", _grid_min(p, (0.0, T), grid))
+        for p in out_rows:
+            _record(slacks, f"out_c[{i}]", _grid_min(p, (0.0, T), grid))
+        zT = np.array([z.eval(T) for z in zeta])
+        _record(slacks, f"stat_flow[{i}]", float(np.min(-(md["A"](T) @ zT + md["E"](T).sum(axis=1)))))
+        _record(slacks, f"stat_out[{i}]", float(np.min(gamma - (md["C"](T) @ zT + md["F"](T).sum(axis=1)))))
+        _record(slacks, f"pin_lo[{i}]", float(min(z.eval(0.0) for z in zeta)))
+    for i in range(sw.N):
+        for j in range(sw.N):
+            if i != j:
+                c = min(cert.zeta[i][r].eval(0.0) - cert.zeta[j][r].eval(T) for r in range(sw.n))
+                _record(slacks, "couple", float(c))
+    return _finish_report(cert, sw, slacks, grid)
+
+
+def _verify_numeric(cert, view, grid):
+    zeta = cert.zeta
+    gamma = cert.gamma
+    dwell = cert.dwell
+    slacks = {}
+    Tend = dwell.horizon_tau() if dwell.kind != "arbitrary" else 0.0
+    taus = np.linspace(0.0, Tend, grid + 2) if Tend > 0 else np.array([0.0])
+    if dwell.clamp is not None:
+        taus = np.minimum(taus, dwell.clamp)
+    per_mode = cert.per_mode
+    zsets = cert.zeta_vectors()
+    n = len(zsets[0])
+    for mode, zs in enumerate(zsets):
+        m_arg = mode if per_mode else None
+        A_m, Ec1_m, Cc_m, Fc1_m = view.cont_mesh(taus, mode=m_arg)
+        zv = np.stack([z.eval(taus) for z in zs], axis=1)
+        zdv = np.stack([z.deriv().eval(taus) for z in zs], axis=1)
+        flow = zdv - np.einsum("mij,mj->mi", A_m, zv) - Ec1_m
+        _record(slacks, f"flow[{mode}]" if per_mode else "flow", float(np.min(flow)))
+        if Cc_m.shape[1]:
+            outc = gamma - (np.einsum("mij,mj->mi", Cc_m, zv) + Fc1_m)
+            _record(slacks, f"out_c[{mode}]" if per_mode else "out_c", float(np.min(outc)))
+        if dwell.kind == "minimum":
+            T = dwell.T
+            A_T, Ec1_T, Cc_T, Fc1_T = (arr[-1] for arr in view.cont_mesh(np.array([T]), mode=m_arg))
+            zT = np.array([z.eval(T) for z in zs])
+            _record(slacks, f"stat_flow[{mode}]" if per_mode else "stat_flow",
+                    float(np.min(-(A_T @ zT + Ec1_T))))
+            if Cc_T.shape[0]:
+                _record(slacks, f"stat_out[{mode}]" if per_mode else "stat_out",
+                        float(np.min(gamma - (Cc_T @ zT + Fc1_T))))
+    if not per_mode:
+        zs = zsets[0]
+        z0 = np.array([z.eval(0.0) for z in zs])
+        if dwell.kind == "range":
+            thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
+        elif dwell.kind == "arbitrary":
+            thetas = np.array([0.0])
+        else:
+            thetas = np.array([dwell.T])
+        for th in thetas:
+            for jk, (J_cl, Ed1, Cd_cl, Fd1) in enumerate(view.jumps_at(float(th))):
+                target = np.array([z.eval(min(th, dwell.clamp) if dwell.clamp else th) for z in zs])
+                _record(slacks, f"jump[{jk}]", float(np.min(z0 - (J_cl @ target + Ed1))))
+                if Cd_cl.shape[0]:
+                    _record(slacks, f"out_d[{jk}]", float(np.min(gamma - (Cd_cl @ target + Fd1))))
+        _record(slacks, "pin_lo", float(np.min(z0)))
+    else:
+        T = dwell.T
+        for i in range(len(zsets)):
+            for j in range(len(zsets)):
+                if i != j:
+                    c = min(zsets[i][r].eval(0.0) - zsets[j][r].eval(T) for r in range(n))
+                    _record(slacks, "couple", float(c))
+        _record(slacks, "pin_lo", float(min(z.eval(0.0) for zs in zsets for z in zs)))
+    return _finish_report(cert, view, slacks, grid)
+
+
+def three_path_verify(cert, sys, grid=1000):
+    """Oracle for cert.verify: the three row evaluators it replaced -- symbolic
+    Poly rows for impulsive and for switched systems, mesh rows for closed-loop
+    views -- chosen by the type of `sys`, with the same Mismatch guards."""
+    if isinstance(sys, SwitchedSystem):
+        if cert.kind != "SwitchedMinDT":
+            raise Mismatch(f"{cert.kind} certificate cannot verify a switched system")
+        return _verify_switched(cert, sys, grid)
+    if isinstance(sys, ImpulsiveSystem):
+        if cert.kind == "SwitchedMinDT":
+            raise Mismatch("switched certificate needs the switched system")
+        return _verify_impulsive(cert, sys, grid)
+    return _verify_numeric(cert, sys, grid)
+
+
+def _mutations(cert):
+    """The certificate, its gain cut to 0.9 gamma, and its zeta(0) cut to 0.97 zeta(0)."""
+    cut = lambda z: Poly((0.97 * z.coeffs[0],) + z.coeffs[1:])
+    zeta = [[cut(z) for z in zs] for zs in cert.zeta] if cert.per_mode else [cut(z) for z in cert.zeta]
+    return [cert, dataclasses.replace(cert, gamma=0.9 * cert.gamma), dataclasses.replace(cert, zeta=zeta)]
+
+
+def assert_matches_three_paths(cert, target):
+    """verify gives the three-path oracle's verdicts, row families and slacks
+    (to 1e-12 per unit of row scale) on the certificate and its mutations.
+    The one key change: a closed-loop switched report splits pin_lo per mode."""
+    for c in _mutations(cert):
+        got, want = verify(c, target), three_path_verify(c, target)
+        assert got.passed == want.passed
+        assert got.handelman_ok == want.handelman_ok
+        slack, ref = dict(got.worst_slack), dict(want.worst_slack)
+        if c.per_mode and "pin_lo" in ref:
+            split = [k for k in slack if k.startswith("pin_lo[")]
+            assert len(split) == len(c.zeta)
+            slack["pin_lo"] = min(slack.pop(k) for k in split)
+        assert slack.keys() == ref.keys()
+        scale = max([1.0 + abs(c.gamma)] + [z.max_abs_coeff() for zs in c.zeta_vectors() for z in zs])
+        for fam, v in slack.items():
+            assert abs(v - ref[fam]) <= 1e-12 * scale, fam

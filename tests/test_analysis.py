@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_same_assembly, lil_assemble, lti_linf_closed_form, random_stable_metzler
+from conftest import CERTIFY_GRID_DESIGNS, assert_same_assembly, lil_assemble, lti_linf_closed_form, random_stable_metzler
 from dwellgain import lp as lp_mod
 from dwellgain import poly as poly_mod
 from dwellgain.analysis import (
@@ -17,7 +17,7 @@ from dwellgain.analysis import (
 )
 from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.lp import LinearProgram, PolyExpr, dump_lp, lp_solve
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint
+from dwellgain.model import ImpulsiveSystem, SwitchedSystem, adjoint
 from dwellgain.poly import HandelmanCertificate, Poly, certify_nonneg
 from dwellgain.synthesis import synthesize
 
@@ -446,12 +446,16 @@ class TestLpBuildOracle:
         )
         assert out.to_json() == out_r.to_json()
 
-    def test_synthesize(self, monkeypatch, tmp_path, bench_chain_plant):
-        out, out_r = self._check(
-            monkeypatch, tmp_path,
-            lambda: synthesize(bench_chain_plant, DwellTimeSpec.range(0.1, 0.3), 2),
-        )
-        assert out.to_json() == out_r.to_json()
+    def test_synthesize(self, monkeypatch, tmp_path, bench_chain_plant, bench_pair_plant):
+        for plant in (bench_chain_plant, bench_pair_plant):
+            for spec, fixed_kd in CERTIFY_GRID_DESIGNS:
+                out, out_r = self._check(
+                    monkeypatch, tmp_path, lambda: synthesize(plant, spec, 2, fixed_kd=fixed_kd)
+                )
+                if isinstance(out, str):
+                    assert out == out_r
+                else:
+                    assert out.to_json() == out_r.to_json()
 
     def test_certify_nonneg(self, monkeypatch, tmp_path):
         # minimum 0.074 at t = 1.85: orders 6 and 8 fail, order 10 certifies

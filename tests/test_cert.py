@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CERTIFY_GRID_DESIGNS, CERTIFY_GRID_T, assert_matches_three_paths, three_path_verify
+from dwellgain import benchmarks
 from dwellgain.analysis import (
     Certificate,
     analyze_arbitrary,
@@ -12,9 +14,10 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.cert import cross_check_discrete, transition_matrix, verify
-from dwellgain.errors import Mismatch
+from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
 from dwellgain.poly import Poly
+from dwellgain.synthesis import certificate_from, closed_loop, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,21 @@ class TestVerify:
         with pytest.raises(Mismatch):
             verify(short, bench_timer_growth)
 
+    def test_arbitrary_needs_constant_system(self, bench_timer_growth):
+        lam = [Poly.const(1.0)] * bench_timer_growth.n
+        cert = Certificate(kind="ArbitraryDT", gamma=5.0, zeta=lam, dwell=DwellTimeSpec.arbitrary(),
+                           margin=0.0, jump_margin=0.0, degree=0)
+        for check in (verify, three_path_verify):
+            with pytest.raises(Mismatch, match="constant systems"):
+                check(cert, bench_timer_growth)
+
+    def test_switched_mode_count_mismatch(self, bench_switched):
+        cert = analyze_switched_min(bench_switched, 0.1, 4)
+        short = dataclasses.replace(cert, zeta=cert.zeta[:1])
+        for check in (verify, three_path_verify):
+            with pytest.raises(Mismatch, match="mode vectors"):
+                check(short, bench_switched)
+
     def test_switched_certificate(self, bench_switched):
         cert = analyze_switched_min(bench_switched, 0.1, 4)
         rep = verify(cert, bench_switched)
@@ -77,6 +95,56 @@ class TestVerify:
         mu = analyze_range(bench_timer_growth, 0.3, 0.5, 4, mode="mu_variant")
         rep = verify(mu, bench_timer_growth)
         assert rep.passed and "mu_dom" in rep.worst_slack
+
+
+class TestVerifyOracle:
+    """The one mesh body against the three row evaluators it replaced."""
+
+    @pytest.mark.parametrize("bench", ["lti_jump_bench", "timer_growth_bench", "timer_stable_bench"])
+    def test_analysis_grid(self, bench):
+        s = getattr(benchmarks, bench)()
+        analyses = {
+            "constant": lambda T, degree: analyze_constant(s, T, degree),
+            "minimum": lambda T, degree: analyze_minimum(s, T, degree),
+            "range": lambda T, degree: analyze_range(s, T, float(f"{1.5 * T:.5g}"), degree),
+        }
+        compared = set()
+        for kind, analyze in analyses.items():
+            for T in CERTIFY_GRID_T:
+                for degree in (2, 4, 6):
+                    try:
+                        c = analyze(T, degree)
+                    except Infeasible:
+                        continue
+                    assert_matches_three_paths(c, s)
+                    compared.add(kind)
+        # timer_growth is never stable under minimum dwell
+        assert len(compared) >= 2
+
+    def test_mu_variant_arbitrary_and_switched(self, bench_timer_growth, bench_lti, bench_switched):
+        assert_matches_three_paths(
+            analyze_range(bench_timer_growth, 0.3, 0.5, 4, mode="mu_variant"), bench_timer_growth
+        )
+        arb = analyze_arbitrary(bench_lti)
+        assert_matches_three_paths(arb, bench_lti)
+        # an arbitrary dwell reads lambda = zeta(0) alone, whatever zeta's slope
+        sloped = dataclasses.replace(arb, zeta=[z + Poly((0.0, -5.0)) for z in arb.zeta])
+        assert_matches_three_paths(sloped, bench_lti)
+        for T in (0.1, 0.3, 1.0):
+            assert_matches_three_paths(analyze_switched_min(bench_switched, T, 4), bench_switched)
+
+    @pytest.mark.parametrize("plant", ["unstable_chain_plant", "unstable_pair_plant"])
+    def test_certify_grid_designs(self, plant):
+        p = getattr(benchmarks, plant)()
+        compared = 0
+        for spec, fixed_kd in CERTIFY_GRID_DESIGNS:
+            try:
+                ctrl = synthesize(p, spec, 2, fixed_kd=fixed_kd)
+            except Infeasible:
+                continue
+            assert_matches_three_paths(certificate_from(ctrl), closed_loop(p, ctrl))
+            compared += 1
+        assert compared
 
 
 class TestTransitionMatrix:

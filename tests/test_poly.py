@@ -11,7 +11,6 @@ from dwellgain.poly import (
     Poly,
     certify_nonneg,
     falsify_nonneg,
-    handelman_basis,
     product_basis,
 )
 
@@ -199,8 +198,6 @@ class TestFalsify:
 
 
 def test_handelman_basis_spans_and_reconstruct():
-    basis = handelman_basis(0.0, 2.0, 3)
-    assert len(basis) == 10
     cert = HandelmanCertificate((0.0, 2.0), 2, {(1, 1): 0.5, (0, 0): 1.0})
     rec = cert.reconstruct()
     # 1 + 0.5 t (2 - t) = 1 + t - 0.5 t^2

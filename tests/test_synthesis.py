@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_matches_three_paths
 from dwellgain.errors import DimensionMismatch, IllPosed, Infeasible
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
@@ -201,6 +202,7 @@ class TestSwitchedSynthesis:
         assert ctrl.per_mode and ctrl.gamma > 0
         rep = verify(certificate_from(ctrl), closed_loop(sw, ctrl), grid=600)
         assert rep.passed, rep.table()
+        assert_matches_three_paths(certificate_from(ctrl), closed_loop(sw, ctrl))
         traj = simulate(
             sw,
             SequenceGen.min_plus_exp(0.3, seed=1),
