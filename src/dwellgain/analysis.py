@@ -339,7 +339,7 @@ class _Program:
 
 def _gain_rows_constant_like(
     prog: _Program,
-    sys: ImpulsiveSystem,
+    mats: tuple,
     zeta: list[PolyExpr],
     gamma: int,
     tau_interval: tuple[float, float],
@@ -349,47 +349,50 @@ def _gain_rows_constant_like(
     stationary_at: Optional[float] = None,
     theta_interval: Optional[tuple[float, float]] = None,
     mu: Optional[list[PolyExpr]] = None,
+    tag: str = "",
 ):
-    """Common rows for the constant/minimum/range conditions.
+    """Common rows of the constant/minimum/range conditions, mats = (A, Ec, Cc, Fc,
+    jumps), and of one switched mode, mats = (A, E, C, F, ()), tag suffixing its families.
 
     jump_at: the timer value (or PolyExpr-evaluable theta handling) at which
     jump/discrete-output rows are imposed; with theta_interval set the rows are
     imposed as polynomials in theta over that interval (mu substitutes for
     zeta(theta) when provided).
     """
-    n, qc = sys.n, sys.qc
+    A, Ec, Cc, Fc, jumps = mats
+    n, qc = A.shape[0], Cc.shape[0]
     gam = PolyExpr([LinExpr.variable(gamma)])
 
     # flow rows: zeta' - A zeta - Ec*1 >= margin on tau_interval
     for i in range(n):
-        expr = zeta[i].deriv() - _matvec_row(sys.A, i, zeta) - PolyExpr.from_poly(
-            _row_ones(sys.Ec, i).coeffs
+        expr = zeta[i].deriv() - _matvec_row(A, i, zeta) - PolyExpr.from_poly(
+            _row_ones(Ec, i).coeffs
         )
-        prog.add_interval_ge("flow", i, expr, tau_interval, margin)
+        prog.add_interval_ge(f"flow{tag}", i, expr, tau_interval, margin)
 
     # continuous output rows: gamma - Cc zeta - Fc*1 >= margin on tau_interval
     for i in range(qc):
-        expr = gam - _matvec_row(sys.Cc, i, zeta) - PolyExpr.from_poly(_row_ones(sys.Fc, i).coeffs)
-        prog.add_interval_ge("out_c", i, expr, tau_interval, margin)
+        expr = gam - _matvec_row(Cc, i, zeta) - PolyExpr.from_poly(_row_ones(Fc, i).coeffs)
+        prog.add_interval_ge(f"out_c{tag}", i, expr, tau_interval, margin)
 
     # stationary rows at tau = T (minimum dwell-time only)
     if stationary_at is not None:
         T = stationary_at
-        A_T = sys.A(T)
-        Ec_T = sys.Ec(T).sum(axis=1)
+        A_T = A(T)
+        Ec_T = Ec(T).sum(axis=1)
         zeta_T = [z.eval_at(T) for z in zeta]
         for i in range(n):
             expr = -_const_matvec_row(A_T, i, zeta_T) - Ec_T[i]
-            prog.add_point_ge("stat_flow", i, expr, margin)
-        Cc_T = sys.Cc(T)
-        Fc_T = sys.Fc(T).sum(axis=1)
+            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
+        Cc_T = Cc(T)
+        Fc_T = Fc(T).sum(axis=1)
         for i in range(qc):
             expr = LinExpr.variable(gamma) - _const_matvec_row(Cc_T, i, zeta_T) - Fc_T[i]
-            prog.add_point_ge("stat_out", i, expr, margin)
+            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
 
     # jump and discrete output rows, per jump map
     zeta0 = [z.eval_at(0.0) for z in zeta]
-    for jk, jm in enumerate(sys.jumps):
+    for jk, jm in enumerate(jumps):
         Ed1 = jm.Ed.sum(axis=1)
         Fd1 = jm.Fd.sum(axis=1)
         if theta_interval is None:
@@ -429,8 +432,8 @@ def _gain_rows_constant_like(
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i in range(n):
-        prog.add_point_ge("pin_lo", i, zeta0[i], margin)
-        prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
+        prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
+        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
 
 
 def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
@@ -561,7 +564,7 @@ def _analyze_hybrid(
                 jump_at = dwell.Tmin
         _gain_rows_constant_like(
             prog,
-            sys,
+            (sys.A, sys.Ec, sys.Cc, sys.Fc, sys.jumps),
             zeta,
             gamma,
             (0.0, Tend),
@@ -674,43 +677,17 @@ def analyze_switched_min(
         raise DimensionMismatch("switched analysis needs at least two modes")
     if T <= 0:
         raise ValueError("T must be positive")
-    n, q = sw.n, sw.q
+    n = sw.n
 
     def build(relax: int):
         prog = _Program(relax)
         zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
         gamma = prog.scalar(lo=0.0, name="gamma")
-        gam = PolyExpr([LinExpr.variable(gamma)])
         for i, md in enumerate(sw.modes):
-            zeta = zetas[i]
-            for r in range(n):
-                expr = zeta[r].deriv() - _matvec_row(md["A"], r, zeta) - PolyExpr.from_poly(
-                    _row_ones(md["E"], r).coeffs
-                )
-                prog.add_interval_ge(f"flow[{i}]", r, expr, (0.0, T), margin)
-            for r in range(q):
-                expr = gam - _matvec_row(md["C"], r, zeta) - PolyExpr.from_poly(
-                    _row_ones(md["F"], r).coeffs
-                )
-                prog.add_interval_ge(f"out_c[{i}]", r, expr, (0.0, T), margin)
-            A_T = md["A"](T)
-            E_T = md["E"](T).sum(axis=1)
-            C_T = md["C"](T)
-            F_T = md["F"](T).sum(axis=1)
-            zT = [z.eval_at(T) for z in zeta]
-            for r in range(n):
-                prog.add_point_ge(f"stat_flow[{i}]", r, -_const_matvec_row(A_T, r, zT) - E_T[r], margin)
-            for r in range(q):
-                prog.add_point_ge(
-                    f"stat_out[{i}]",
-                    r,
-                    LinExpr.variable(gamma) - _const_matvec_row(C_T, r, zT) - F_T[r],
-                    margin,
-                )
-            z0 = [z.eval_at(0.0) for z in zeta]
-            for r in range(n):
-                prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
-                prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
+            _gain_rows_constant_like(
+                prog, (md["A"], md["E"], md["C"], md["F"], ()), zetas[i], gamma, (0.0, T),
+                jump_at=None, margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
+            )
         # coupling: zeta_j(T) - zeta_i(0) <= 0, i != j (closed inequality)
         for i in range(sw.N):
             for j in range(sw.N):

@@ -168,17 +168,14 @@ _RESULT_TOL = math.sqrt(1e-9) * 10
 
 
 def _highs_lp(a: _Assembled):
-    def finite(v):  # HiGHS reads +-kHighsInf as infinite
-        return np.clip(v, -_highs.kHighsInf, _highs.kHighsInf)
-
     m = _highs.HighsLp()
     m.num_col_ = m.a_matrix_.num_col_ = len(a.c)
     m.num_row_ = m.a_matrix_.num_row_ = len(a.rhs)
     m.col_cost_ = a.c
-    m.col_lower_ = finite(a.col_lower)
-    m.col_upper_ = finite(a.col_upper)
-    m.row_lower_ = finite(np.concatenate((np.full(a.num_le, -np.inf), a.rhs[a.num_le:])))
-    m.row_upper_ = finite(a.rhs)
+    m.col_lower_ = a.col_lower
+    m.col_upper_ = a.col_upper
+    m.row_lower_ = np.concatenate((np.full(a.num_le, -np.inf), a.rhs[a.num_le:]))
+    m.row_upper_ = a.rhs
     m.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
     m.a_matrix_.start_ = a.start
     m.a_matrix_.index_ = a.index
@@ -195,6 +192,18 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         raise ValueError("LP objective must be finite")
     if not (np.isfinite(a.value).all() and np.isfinite(a.rhs).all()):
         raise ValueError("LP rows must have finite coefficients and right-hand sides")
+    # HiGHS reads a finite bound at or beyond its infinite_bound (1e20) as infinite
+    inf = _OPTIONS.infinite_bound
+    big = np.flatnonzero(np.abs(a.rhs) >= inf)
+    if big.size:
+        k = int(big[0])
+        i = sorted(range(len(lp.rows)), key=lambda r: lp.rows[r][1] == _REL_EQ)[k]  # as assembled
+        raise NumericalFailure(f"row c{i} scaled to unit norm has bound {a.rhs[k]:.6g}, beyond {inf:g}")
+    for side, bound in (("lower", a.col_lower), ("upper", a.col_upper)):
+        big = np.flatnonzero(np.isfinite(bound) & (np.abs(bound) >= inf))
+        if big.size:
+            v = int(big[0])
+            raise NumericalFailure(f"column {lp.names.get(v, f'x{v}')} has {side} bound {bound[v]:.6g}, beyond {inf:g}")
     highs = _highs._Highs()
     solved = False
     if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:

@@ -449,21 +449,21 @@ class PositivityReport:
         return self.positive
 
 
-def _check_entry_nonneg(report: PositivityReport, name: str, p: Poly, domain: tuple[float, float]):
+def _check_entry_nonneg(report: PositivityReport, entry: tuple, p: Poly, domain: tuple[float, float]):
     if p.is_zero:
         return
     if p.degree == 0:
         if p.coeffs[0] < 0:
-            report.violations.append((name, (0, 0), None, p.coeffs[0]))
+            report.violations.append((*entry, None, p.coeffs[0]))
         return
     wit = falsify_nonneg(p, domain, 10_000)
     if wit is not None:
-        report.violations.append((name, (0, 0), wit.tau, wit.value))
+        report.violations.append((*entry, wit.tau, wit.value))
         return
     try:
         certify_nonneg(p, domain, margin=0.0)
     except NoCertificate:
-        report.unverified.append((name, (0, 0)))
+        report.unverified.append(entry)
 
 
 def check_positive(sys: ImpulsiveSystem, domain: tuple[float, float]) -> PositivityReport:
@@ -478,25 +478,15 @@ def check_positive(sys: ImpulsiveSystem, domain: tuple[float, float]) -> Positiv
     report = PositivityReport(positive=True)
     n = sys.n
 
-    def scan_entry(name: str, i: int, j: int, p: Poly):
-        before = (len(report.violations), len(report.unverified))
-        _check_entry_nonneg(report, name, p, (lo, hi))
-        for k in range(before[0], len(report.violations)):
-            nm, _, tau, val = report.violations[k]
-            report.violations[k] = (nm, (i, j), tau, val)
-        for k in range(before[1], len(report.unverified)):
-            nm, _ = report.unverified[k]
-            report.unverified[k] = (nm, (i, j))
-
     for i in range(n):
         for j in range(n):
             if i != j:
-                scan_entry("A", i, j, sys.A.entry(i, j))
+                _check_entry_nonneg(report, ("A", (i, j)), sys.A.entry(i, j), (lo, hi))
     for name, mat in (("Ec", sys.Ec), ("Cc", sys.Cc), ("Fc", sys.Fc)):
         r, c = mat.shape
         for i in range(r):
             for j in range(c):
-                scan_entry(name, i, j, mat.entry(i, j))
+                _check_entry_nonneg(report, (name, (i, j)), mat.entry(i, j), (lo, hi))
     for k, jm in enumerate(sys.jumps):
         for name, m in (("J", jm.J), ("Ed", jm.Ed), ("Cd", jm.Cd), ("Fd", jm.Fd)):
             bad = np.argwhere(m < 0.0)

@@ -3,14 +3,17 @@
 Polynomials are real, univariate in the timer variable and stored as ascending
 coefficient tuples.  Nonnegativity of p on a compact interval [a, b] is
 certified by expressing p as a nonnegative combination of the products
-(t - a)^i (b - t)^j with i + j <= D, which is checkable by a single linear
-program; a uniform-grid falsifier acts as the independent referee.
+(t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b]; for
+a known p this is decided exactly from its Bernstein coefficients in Fractions,
+while the gain LPs build product-basis rows.  A uniform-grid falsifier acts as
+the independent referee.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -215,60 +218,47 @@ def product_basis(order: int):
     return pairs, terms
 
 
-def _certify_at_order(p: Poly, a: float, b: float, order: int, margin: float):
-    # Solve in the normalized variable s = (t - a)/(b - a) for conditioning,
-    # then map weights back: c_ij = c~_ij / h^(i+j).
-    from .errors import NumericalFailure
-    from .lp import LinearProgram, lp_solve
-
-    h = b - a
-    q = (p - Poly.const(margin)).shift_scale_arg(a, h)
-    pairs, terms = product_basis(order)
-    lp = LinearProgram(num_vars=len(pairs))
-    for v in range(len(pairs)):
-        lp.set_bounds(v, 0.0, None)
-    for k, row in enumerate(terms):
-        rhs = q.coeffs[k] if k < len(q.coeffs) else 0.0
-        lp.add_eq(dict(row), rhs)
-    try:
-        sol = lp_solve(lp)
-    except NumericalFailure:
-        # borderline orders can defeat the solver; escalation treats this as a miss
-        return None
-    if sol.status != "Optimal":
-        return None
-    weights = {}
-    for v, (i, j) in enumerate(pairs):
-        c = max(sol.x[v], 0.0) / h ** (i + j)
-        if c != 0.0:
-            weights[(i, j)] = c
-    return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
-
-
 def certify_nonneg(
     p: Poly,
     interval: tuple[float, float],
     order: Optional[int] = None,
     margin: float = 0.0,
 ) -> HandelmanCertificate:
-    """Certify p >= margin on [a, b]; raises NoCertificate if the LP stays infeasible.
+    """Certify p >= margin on [a, b]; raises NoCertificate if no order has only
+    nonnegative Bernstein coefficients.
 
-    With order=None the relaxation order starts at degree+4 and escalates to
-    degree+10 before giving up.
+    With order=None the order starts at degree+4 and escalates to degree+10.
+    q(s) = (p - margin)(a + h s), h = b - a, is expanded exactly; at the first
+    order d whose Bernstein coefficients b_i of q are all >= 0 the weight of
+    (t - a)^i (b - t)^(d - i) is C(d, i) b_i / h^d.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InvalidInterval(f"need a < b, got [{a}, {b}]")
     if margin < 0:
         raise ValueError("margin must be nonnegative")
+    if not all(map(math.isfinite, (a, b, margin, *p.coeffs))):
+        raise ValueError("interval, margin and coefficients must be finite")
     if order is not None:
         orders = [max(int(order), p.degree)]
     else:
         orders = [p.degree + r for r in (4, 6, 8, 10)]
+    fa, h = Fraction(a), Fraction(b) - Fraction(a)
+    cs = [Fraction(c) for c in p.coeffs]
+    cs[0] -= Fraction(margin)
+    q = [
+        h**k * sum(c * math.comb(j, k) * fa ** (j - k) for j, c in enumerate(cs) if j >= k)
+        for k in range(len(cs))
+    ]
     for d in orders:
-        cert = _certify_at_order(p, a, b, d, margin)
-        if cert is not None:
-            return cert
+        # degree-d Bernstein coefficients of q on [0, 1]
+        bern = [
+            sum(Fraction(math.comb(i, k), math.comb(d, k)) * c for k, c in enumerate(q[: i + 1]))
+            for i in range(d + 1)
+        ]
+        if min(bern) >= 0:
+            weights = {(i, d - i): float(math.comb(d, i) * bi / h**d) for i, bi in enumerate(bern)}
+            return HandelmanCertificate(interval=(a, b), order=d, weights=weights)
     raise NoCertificate(f"no order-{orders[-1]} certificate for p >= {margin} on [{a}, {b}]")
 
 

@@ -8,11 +8,22 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from dwellgain import benchmarks
+from dwellgain.analysis import (
+    DEFAULT_MARGIN,
+    RELAX_SCHEDULE,
+    _ZETA_PIN,
+    Certificate,
+    _const_matvec_row,
+    _matvec_row,
+    _Program,
+    _row_ones,
+    _solve_with_escalation,
+)
 from dwellgain.cert import _finish_report, _record, verify
 from dwellgain.errors import Mismatch, NumericalFailure
-from dwellgain.lp import LpSolution
+from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
-from dwellgain.poly import Poly
+from dwellgain.poly import HandelmanCertificate, Poly
 
 
 # the certify-grid benchmark's dwell times and (design spec, fixed Kd) pairs
@@ -188,6 +199,13 @@ def linprog_solve(lp) -> LpSolution:
         bounds=bounds,
         method="highs",
     )
+    values = (*b_ub, *b_eq, *chain.from_iterable(bounds))
+    big = [v for v in values if v is not None and np.isfinite(v) and abs(v) >= 1e20]
+    if big:
+        # the second intended difference: lp_solve refuses a scaled row bound
+        # or column bound at or beyond HiGHS's infinite bound 1e20, which HiGHS
+        # (and so linprog) would read as infinite, dropping the row or bound
+        raise NumericalFailure(f"bound {big[0]:.6g} beyond 1e20")
     if res.status == 2 and "Model error" in res.message:
         # the one intended difference: linprog reports HiGHS's model error
         # (such as a row bound beyond its infinite bound 1e20) as infeasible
@@ -435,3 +453,102 @@ def assert_matches_three_paths(cert, target):
         scale = max([1.0 + abs(c.gamma)] + [z.max_abs_coeff() for zs in c.zeta_vectors() for z in zs])
         for fam, v in slack.items():
             assert abs(v - ref[fam]) <= 1e-12 * scale, fam
+
+
+def per_row_certify_at_order(p, a, b, order, margin):
+    """LP oracle for certify_nonneg at one order, as poly decided it before the
+    exact Bernstein test: the product-basis cone, with every basis polynomial
+    expanded by Poly.__pow__, solved by lp_solve; None when not Optimal."""
+    h = b - a
+    q = (p - Poly.const(margin)).shift_scale_arg(a, h)
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    basis = {ij: (Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1]) for ij in pairs}
+    lp = LinearProgram(num_vars=len(pairs))
+    for v in range(len(pairs)):
+        lp.set_bounds(v, 0.0, None)
+    for k in range(order + 1):
+        row = {}
+        for v, ij in enumerate(pairs):
+            bc = basis[ij].coeffs
+            if k < len(bc) and bc[k] != 0.0:
+                row[v] = bc[k]
+        lp.add_eq(row, q.coeffs[k] if k < len(q.coeffs) else 0.0)
+    try:
+        sol = lp_solve(lp)
+    except NumericalFailure:
+        return None
+    if sol.status != "Optimal":
+        return None
+    weights = {}
+    for v, (i, j) in enumerate(pairs):
+        c = max(sol.x[v], 0.0) / h ** (i + j)
+        if c != 0.0:
+            weights[(i, j)] = c
+    return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
+
+
+def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=RELAX_SCHEDULE):
+    """Oracle for analyze_switched_min: its body before the per-mode rows went
+    through _gain_rows_constant_like, with its own flow, out_c, stat and pin loops."""
+    n, q = sw.n, sw.q
+
+    def build(relax: int):
+        prog = _Program(relax)
+        zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
+        gamma = prog.scalar(lo=0.0, name="gamma")
+        gam = PolyExpr([LinExpr.variable(gamma)])
+        for i, md in enumerate(sw.modes):
+            zeta = zetas[i]
+            for r in range(n):
+                expr = zeta[r].deriv() - _matvec_row(md["A"], r, zeta) - PolyExpr.from_poly(
+                    _row_ones(md["E"], r).coeffs
+                )
+                prog.add_interval_ge(f"flow[{i}]", r, expr, (0.0, T), margin)
+            for r in range(q):
+                expr = gam - _matvec_row(md["C"], r, zeta) - PolyExpr.from_poly(
+                    _row_ones(md["F"], r).coeffs
+                )
+                prog.add_interval_ge(f"out_c[{i}]", r, expr, (0.0, T), margin)
+            A_T = md["A"](T)
+            E_T = md["E"](T).sum(axis=1)
+            C_T = md["C"](T)
+            F_T = md["F"](T).sum(axis=1)
+            zT = [z.eval_at(T) for z in zeta]
+            for r in range(n):
+                prog.add_point_ge(f"stat_flow[{i}]", r, -_const_matvec_row(A_T, r, zT) - E_T[r], margin)
+            for r in range(q):
+                prog.add_point_ge(
+                    f"stat_out[{i}]",
+                    r,
+                    LinExpr.variable(gamma) - _const_matvec_row(C_T, r, zT) - F_T[r],
+                    margin,
+                )
+            z0 = [z.eval_at(0.0) for z in zeta]
+            for r in range(n):
+                prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
+                prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
+        for i in range(sw.N):
+            for j in range(sw.N):
+                if i == j:
+                    continue
+                zi0 = [z.eval_at(0.0) for z in zetas[i]]
+                zjT = [z.eval_at(T) for z in zetas[j]]
+                for r in range(n):
+                    prog.add_point_ge(f"couple[{j}->{i}]", r, zi0[r] - zjT[r], 0.0)
+
+        def finalize(prog, sol, relax):
+            return Certificate(
+                kind="SwitchedMinDT",
+                gamma=float(sol.x[gamma]),
+                zeta=[[z.value(sol.x) for z in zeta] for zeta in zetas],
+                dwell=DwellTimeSpec.minimum(T),
+                margin=margin,
+                jump_margin=0.0,
+                degree=degree,
+                rows=prog.extract_rows(sol.x),
+                relax=relax,
+            )
+
+        return prog, gamma, finalize
+
+    return _solve_with_escalation(build, degree, relax_schedule)

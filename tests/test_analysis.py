@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import CERTIFY_GRID_DESIGNS, assert_same_assembly, lil_assemble, lti_linf_closed_form, random_stable_metzler
+from conftest import (
+    CERTIFY_GRID_DESIGNS,
+    assert_same_assembly,
+    lil_assemble,
+    lti_linf_closed_form,
+    random_stable_metzler,
+    reference_switched_min,
+)
 from dwellgain import lp as lp_mod
-from dwellgain import poly as poly_mod
 from dwellgain.analysis import (
     Certificate,
     _Program,
@@ -15,10 +21,10 @@ from dwellgain.analysis import (
     analyze_switched_blanchini,
     analyze_switched_min,
 )
-from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
-from dwellgain.lp import LinearProgram, PolyExpr, dump_lp, lp_solve
+from dwellgain.errors import DwellgainError, Infeasible, NotConstant, RelaxationLimit
+from dwellgain.lp import PolyExpr, dump_lp
 from dwellgain.model import ImpulsiveSystem, SwitchedSystem, adjoint
-from dwellgain.poly import HandelmanCertificate, Poly, certify_nonneg
+from dwellgain.poly import Poly
 from dwellgain.synthesis import synthesize
 
 
@@ -352,36 +358,6 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
     )
 
 
-def per_row_certify_at_order(p, a, b, order, margin):
-    """Oracle for poly._certify_at_order, with the same per-row expansion."""
-    h = b - a
-    q = (p - Poly.const(margin)).shift_scale_arg(a, h)
-    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-    basis = {ij: (Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1]) for ij in pairs}
-    lp = LinearProgram(num_vars=len(pairs))
-    for v in range(len(pairs)):
-        lp.set_bounds(v, 0.0, None)
-    for k in range(order + 1):
-        row = {}
-        for v, ij in enumerate(pairs):
-            bc = basis[ij].coeffs
-            if k < len(bc) and bc[k] != 0.0:
-                row[v] = bc[k]
-        lp.add_eq(row, q.coeffs[k] if k < len(q.coeffs) else 0.0)
-    try:
-        sol = lp_solve(lp)
-    except NumericalFailure:
-        return None
-    if sol.status != "Optimal":
-        return None
-    weights = {}
-    for v, (i, j) in enumerate(pairs):
-        c = max(sol.x[v], 0.0) / h ** (i + j)
-        if c != 0.0:
-            weights[(i, j)] = c
-    return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
-
-
 class TestLpBuildOracle:
     """Programs built from the product-basis table equal, row for row and array
     for array, those built by the per-row expansion and the lil assembly."""
@@ -403,7 +379,6 @@ class TestLpBuildOracle:
             m.setattr(lp_mod, "_assemble", spy)
             if reference:
                 m.setattr(_Program, "add_interval_ge", per_row_add_interval_ge)
-                m.setattr(poly_mod, "_certify_at_order", per_row_certify_at_order)
             try:
                 out = run()
             except DwellgainError as exc:
@@ -457,12 +432,6 @@ class TestLpBuildOracle:
                 else:
                     assert out.to_json() == out_r.to_json()
 
-    def test_certify_nonneg(self, monkeypatch, tmp_path):
-        # minimum 0.074 at t = 1.85: orders 6 and 8 fail, order 10 certifies
-        p = Poly((1.0, -1.0, 0.27))
-        out, out_r = self._check(monkeypatch, tmp_path, lambda: certify_nonneg(p, (0.0, 3.0)))
-        assert out.order == 10 and out == out_r
-
     def test_degenerate_interval(self, monkeypatch, tmp_path):
         def run():
             prog = _Program(4)
@@ -475,3 +444,22 @@ class TestLpBuildOracle:
 
         out, out_r = self._check(monkeypatch, tmp_path, run)
         assert out == out_r == "Optimal"
+
+
+class TestSwitchedFoldOracle:
+    """analyze_switched_min builds its per-mode rows with _gain_rows_constant_like;
+    the programs, dump_lp text and certificates equal those of its own loops,
+    kept as conftest.reference_switched_min."""
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
+    def test_same_programs_and_certificate(self, monkeypatch, tmp_path, bench_switched, T, degree):
+        solved = TestLpBuildOracle._solved
+        got, out = solved(monkeypatch, tmp_path, lambda: analyze_switched_min(bench_switched, T, degree), False)
+        want, out_r = solved(monkeypatch, tmp_path, lambda: reference_switched_min(bench_switched, T, degree), False)
+        assert got and len(got) == len(want)
+        for (rows, asm, text), (rows_r, asm_r, text_r) in zip(got, want):
+            assert rows == rows_r
+            assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
+            assert text == text_r
+        assert out.to_json() == out_r.to_json()

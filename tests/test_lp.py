@@ -37,7 +37,6 @@ from dwellgain.lp import (
     lp_solve,
 )
 from dwellgain.model import DwellTimeSpec
-from dwellgain.poly import Poly, certify_nonneg
 from dwellgain.synthesis import synthesize
 
 
@@ -240,6 +239,34 @@ def _outcome_classes(pairs):
     return {got if isinstance(got, type) else got[0] for got, _ in pairs}
 
 
+def _tiny_rows(lp):
+    # 3.5e-28 x <= 1 and 3.5e-28 x >= 1.5: infeasible, scaled bounds ~3e27
+    x = lp.new_var()
+    lp.add_le({x: 3.5e-28}, 1.0)
+    lp.add_ge({x: 3.5e-28}, 1.5)
+
+
+def _huge_row(lp):
+    # min -x s.t. 1e-28 x <= 1, x >= 1e19: optimum x = 1e28, but HiGHS
+    # would read the scaled bound 1e28 as infinite and answer Unbounded
+    x = lp.new_var(lo=1e19)
+    lp.set_objective({x: -1.0})
+    lp.add_le({x: 1e-28}, 1.0)
+
+
+def _huge_column(lp):
+    # the same program with the upper bound as the column bound 1e30
+    x = lp.new_var(lo=1e19, hi=1e30)
+    lp.set_objective({x: -1.0})
+
+
+def _huge_eq_row_after_le_row(lp):
+    # = row c0 is assembled after <= row c1, and is named c0 all the same
+    x = lp.new_var()
+    lp.add_eq({x: 1e-25}, 1.0)
+    lp.add_le({x: 1.0}, 3.0)
+
+
 class TestLinprogOracle:
     """lp_solve against scipy's linprog(method="highs") with the same checks:
     the same status or error class, a bit-equal x and an equal objective."""
@@ -286,12 +313,6 @@ class TestLinprogOracle:
         # three relaxation orders fail the 1e-7 recheck before one certifies
         synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
         assert {NumericalFailure, "Optimal"} <= _outcome_classes(oracle_pairs)
-        self._assert_all_same(oracle_pairs)
-
-    def test_certify_nonneg(self, oracle_pairs):
-        # orders 6 and 8 are infeasible, order 10 certifies
-        certify_nonneg(Poly((1.0, -1.0, 0.27)), (0.0, 3.0))
-        assert {"Infeasible", "Optimal"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
 
     @settings(max_examples=150, deadline=None)
@@ -347,10 +368,35 @@ class TestLinprogOracle:
         x = lp.new_var()
         lp.set_objective({x: 1.0})
         lp.add_le({x: 1e-28}, -1.0)
-        with pytest.raises(NumericalFailure, match="Model error"):
+        with pytest.raises(NumericalFailure, match=r"row c0 scaled to unit norm has bound -1e\+28"):
             lp_solve(lp)
         c, A_ub, b_ub, _, _, bounds = csr_assemble(lp)
         assert linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs").status == 2
+
+    @pytest.mark.parametrize("build, message, linprog_status", [
+        (_tiny_rows, r"row c0 scaled to unit norm has bound 2\.85714e\+27, beyond 1e\+20", 2),
+        (_huge_row, r"row c0 scaled to unit norm has bound 1e\+28, beyond 1e\+20", 3),
+        (_huge_column, r"column x0 has upper bound 1e\+30, beyond 1e\+20", 3),
+        (_huge_eq_row_after_le_row, r"row c0 scaled to unit norm has bound 1e\+25", 2),
+    ])
+    def test_bound_beyond_highs_infinity_is_refused(self, build, message, linprog_status):
+        lp = LinearProgram()
+        build(lp)
+        with pytest.raises(NumericalFailure, match=message):
+            lp_solve(lp)
+        assert solve_outcome(linprog_solve, lp) is NumericalFailure
+        # what HiGHS makes of the program when it is handed over as it is
+        c, A_ub, b_ub, A_eq, b_eq, bounds = csr_assemble(lp)
+        res = linprog(
+            c,
+            A_ub=A_ub if A_ub.shape[0] else None,
+            b_ub=b_ub if A_ub.shape[0] else None,
+            A_eq=A_eq if A_eq.shape[0] else None,
+            b_eq=b_eq if A_eq.shape[0] else None,
+            bounds=bounds,
+            method="highs",
+        )
+        assert res.status == linprog_status
 
     def test_no_variables(self):
         lp = LinearProgram()
@@ -466,7 +512,7 @@ class TestHighsBinding:
     def test_binding_has_what_lp_uses(self):
         core = lp_mod._highs
         for name in ("HighsLp", "_Highs", "HighsOptions", "HighsModelStatus", "HighsStatus",
-                     "HighsDebugLevel", "MatrixFormat", "kHighsInf", "simplex_constants"):
+                     "HighsDebugLevel", "MatrixFormat", "simplex_constants"):
             assert hasattr(core, name), name
         for name in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
                      "getSolution", "getInfo"):
@@ -486,6 +532,7 @@ class TestHighsBinding:
         )
         assert opts.highs_debug_level == int(core.HighsDebugLevel.kHighsDebugLevelNone)
         assert opts.log_to_console is False and opts.output_flag is False
+        assert opts.infinite_bound == 1e20
 
     def test_missing_binding_names_the_scipy_version(self, monkeypatch):
         monkeypatch.delattr(scipy.optimize._highspy, "_core")

@@ -59,6 +59,25 @@ class TestPositivity:
         assert not report.positive
         assert any(name == "A" and idx == (0, 1) for name, idx, _, _ in report.violations)
 
+    def test_report_names_each_entry(self):
+        # A[1,0] = t - 0.5 dips below 0 on the grid, Ec[1,0] = -0.2 is a
+        # negative constant, Cc[0,1] = (t - 0.5)^2 + 0.01 has no order-12
+        # certificate on [0, 1]
+        sys = ImpulsiveSystem.from_arrays(
+            A=[[[-1.0], [0.0]], [[-0.5, 1.0], [-1.0]]],
+            Ec=[[[0.0]], [[-0.2]]],
+            Cc=[[[0.0], [0.26, -1.0, 1.0]]],
+            Fc=[[[0.0]]],
+            J=np.eye(2),
+            Ed=[[0.0], [0.0]],
+            Cd=[[0.0, 0.0]],
+            Fd=[[0.0]],
+        )
+        report = check_positive(sys, (0.0, 1.0))
+        assert not report.positive
+        assert report.violations == [("A", (1, 0), 0.0, -0.5), ("Ec", (1, 0), None, -0.2)]
+        assert report.unverified == [("Cc", (0, 1))]
+
     def test_timer_dependent_positive(self, bench_timer_growth, bench_timer_stable):
         assert check_positive(bench_timer_growth, (0.0, 0.5)).positive
         assert check_positive(bench_timer_stable, (0.0, 2.0)).positive

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CERTIFY_GRID_T, per_row_certify_at_order
+from dwellgain import benchmarks
+from dwellgain import lp as lp_mod
 from dwellgain.errors import InvalidInterval, NoCertificate
+from dwellgain.model import lift_switched
 from dwellgain.poly import (
     HandelmanCertificate,
     Poly,
@@ -175,6 +179,101 @@ class TestCertify:
             assert falsify_nonneg(p, (0.0, 1.0)) is None
             grid_min = float(np.min(p.eval(np.linspace(0, 1, 10_000))))
             assert grid_min >= -1e-8 * (1 + p.max_abs_coeff())
+
+
+def assert_exact_matches_lp_oracle(p, interval, margin=0.0):
+    """At every order of the default schedule, the exact decision equals the
+    product-basis LP's Optimal / not Optimal; where they differ, the smallest
+    Bernstein coefficient is within the LP's 1e-7 tolerance (times scale) of 0."""
+    a, b = interval
+    for d in (p.degree + r for r in (4, 6, 8, 10)):
+        try:
+            certify_nonneg(p, interval, order=d, margin=margin)
+            exact = True
+        except NoCertificate:
+            exact = False
+        if exact != (per_row_certify_at_order(p, a, b, d, margin) is not None):
+            q = (p - Poly.const(margin)).shift_scale_arg(a, b - a).coeffs
+            bern = [
+                math.fsum(math.comb(i, k) / math.comb(d, k) * c for k, c in enumerate(q[: i + 1]))
+                for i in range(d + 1)
+            ]
+            assert abs(min(bern)) <= 1e-7 * max(1.0, max(map(abs, q))), (p, interval, d)
+
+
+def _positivity_entries():
+    """Every nonconstant entry check_positive reads, on every certify-grid domain."""
+    systems = [getattr(benchmarks, name)() for name in (
+        "lti_jump_bench", "timer_growth_bench", "timer_stable_bench",
+        "unstable_chain_plant", "unstable_pair_plant",
+    )]
+    systems.append(lift_switched(benchmarks.two_mode_switched_bench()))
+    polys = set()
+    for s in systems:
+        polys |= {s.A.entry(i, j) for i in range(s.n) for j in range(s.n) if i != j}
+        for mat in (s.Ec, s.Cc, s.Fc):
+            polys |= {mat.entry(i, j) for i in range(mat.shape[0]) for j in range(mat.shape[1])}
+    horizons = sorted(set(CERTIFY_GRID_T) | {float(f"{1.5 * T:.5g}") for T in CERTIFY_GRID_T})
+    return [(p, (0.0, T)) for p in sorted(polys, key=lambda p: p.coeffs) if p.degree > 0
+            for T in horizons]
+
+
+class TestExactDecision:
+    """certify_nonneg decides by exact Bernstein coefficients, without an LP."""
+
+    def test_matches_lp_oracle_on_positivity_entries(self):
+        entries = _positivity_entries()
+        assert len(entries) >= 12
+        for p, interval in entries:
+            assert_exact_matches_lp_oracle(p, interval)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+        offset=st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.3]),
+        interval=st.sampled_from([(0.0, 1.0), (0.0, 3.0), (0.3, 0.5), (-0.25, 1.5)]),
+    )
+    def test_matches_lp_oracle_on_squares(self, q, offset, interval):
+        root = Poly(tuple(q))
+        assert_exact_matches_lp_oracle(root * root + Poly((offset,)), interval)
+
+    def test_constant_at_its_margin(self):
+        cert = certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=1.0)
+        assert all(c == 0.0 for c in cert.weights.values())
+        with pytest.raises(NoCertificate):
+            certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=math.nextafter(1.0, 2.0))
+
+    def test_zero_bernstein_coefficient_is_accepted(self):
+        # t^2 on [0, 1]: b_0 = 0 at every order
+        p = Poly((0.0, 0.0, 1.0))
+        cert = certify_nonneg(p, (0.0, 1.0))
+        assert cert.order == 6 and cert.weights[(0, 6)] == 0.0
+        assert cert.validate(p)
+
+    def test_weights_are_scaled_bernstein_coefficients(self):
+        # 1 + t on [1, 3] at order 1: q(s) = 2 + 2s, b = (2, 4), h = 2
+        cert = certify_nonneg(Poly((1.0, 1.0)), (1.0, 3.0), order=1)
+        assert cert.weights == {(0, 1): 1.0, (1, 0): 2.0}
+
+    def test_solves_no_lp(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certify_nonneg must not build or solve an LP")
+
+        monkeypatch.setattr(lp_mod, "lp_solve", forbidden)
+        monkeypatch.setattr(lp_mod, "LinearProgram", forbidden)
+        assert certify_nonneg(Poly((1.0, -1.0, 0.27)), (0.0, 3.0)).order == 10
+        with pytest.raises(NoCertificate):
+            certify_nonneg(Poly((0.26, -1.0, 1.0)), (0.0, 1.0))
+
+    @pytest.mark.parametrize("interval, margin, coeffs", [
+        ((0.0, math.inf), 0.0, (1.0, 1.0)),
+        ((-math.inf, 0.0), 0.0, (1.0,)),
+        ((0.0, 1.0), math.inf, (1.0,)),
+        ((0.0, 1.0), 0.0, (1.0, math.nan)),
+    ])
+    def test_non_finite_input(self, interval, margin, coeffs):
+        with pytest.raises(ValueError):
+            certify_nonneg(Poly(coeffs), interval, margin=margin)
 
 
 class TestFalsify:
