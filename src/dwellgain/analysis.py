@@ -438,8 +438,10 @@ def _gain_rows_constant_like(
 
 def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """build(relax) -> (_Program, gamma var, finalize[, extra_obj]); escalate the
-    relaxation order on infeasibility, then classify via the sampled referee."""
+    relaxation order on infeasibility or numerical failure, then classify via the
+    sampled referee, whose error message lists each order's outcome."""
     last_prog = None
+    tried = []  # (relax, LP status or NumericalFailure message)
     for relax in relax_schedule:
         built = build(relax)
         prog, gamma, finalize = built[:3]
@@ -447,7 +449,8 @@ def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, du
         last_prog = (prog, gamma, finalize)
         try:
             sol = prog.solve_min(gamma, extra_obj)
-        except NumericalFailure:
+        except NumericalFailure as exc:
+            tried.append((relax, f"NumericalFailure ({exc})"))
             continue
         if sol.status == "Optimal":
             if dump_lp:
@@ -459,15 +462,17 @@ def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, du
             raise NumericalFailure("gain LP unbounded; encoding error")
         if not prog.interval_records:
             raise Infeasible("conditions infeasible (finite LP)")
+        tried.append((relax, sol.status))
+    history = "; ".join(f"order +{relax}: {what}" for relax, what in tried)
     prog = last_prog[0]
     referee = prog.sampled_referee()
     ref_sol = lp_solve(referee)
     if ref_sol.status == "Optimal":
         raise RelaxationLimit(
             f"interval relaxation exhausted at order +{relax_schedule[-1]} "
-            "while the sampled referee stays feasible"
+            f"while the sampled referee stays feasible [{history}]"
         )
-    raise Infeasible("conditions infeasible (sampled referee LP infeasible)")
+    raise Infeasible(f"conditions infeasible (sampled referee LP infeasible) [{history}]")
 
 
 def analyze_arbitrary(

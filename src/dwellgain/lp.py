@@ -192,7 +192,14 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         raise ValueError("LP objective must be finite")
     if not (np.isfinite(a.value).all() and np.isfinite(a.rhs).all()):
         raise ValueError("LP rows must have finite coefficients and right-hand sides")
-    # HiGHS reads a finite bound at or beyond its infinite_bound (1e20) as infinite
+    # HiGHS reads a cost at or beyond its infinite_cost (1e20), and a finite
+    # bound at or beyond its infinite_bound (1e20), as infinite
+    big = np.flatnonzero(np.abs(a.c) >= _OPTIONS.infinite_cost)
+    if big.size:
+        v = int(big[0])
+        raise NumericalFailure(
+            f"column {lp.names.get(v, f'x{v}')} has cost {a.c[v]:.6g}, beyond {_OPTIONS.infinite_cost:g}"
+        )
     inf = _OPTIONS.infinite_bound
     big = np.flatnonzero(np.abs(a.rhs) >= inf)
     if big.size:

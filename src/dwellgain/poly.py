@@ -4,7 +4,7 @@ Polynomials are real, univariate in the timer variable and stored as ascending
 coefficient tuples.  Nonnegativity of p on a compact interval [a, b] is
 certified by expressing p as a nonnegative combination of the products
 (t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b]; for
-a known p this is decided exactly from its Bernstein coefficients in Fractions,
+a known p this is decided exactly from its Bernstein coefficients in integers,
 while the gain LPs build product-basis rows.  A uniform-grid falsifier acts as
 the independent referee.
 """
@@ -69,11 +69,6 @@ class Poly:
 
     def eval(self, t):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        if isinstance(t, np.ndarray):
-            acc = np.zeros_like(t, dtype=float)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -166,36 +161,45 @@ class HandelmanCertificate:
     order: int
     weights: Mapping[tuple[int, int], float]
 
-    def reconstruct(self) -> Poly:
-        a, b = self.interval
-        # each power chain once, by the multiplications __pow__ performs
-        left = _powers(Poly((-a, 1.0)), max((i for i, _ in self.weights), default=0))
-        right = _powers(Poly((b, -1.0)), max((j for _, j in self.weights), default=0))
-        terms: list[list[float]] = []
-        maxdeg = 0
-        for (i, j), c in self.weights.items():
-            p = (left[i] * right[j]).scale(c)
-            terms.append(list(p.coeffs))
-            maxdeg = max(maxdeg, p.degree)
-        out = []
-        for k in range(maxdeg + 1):
-            out.append(math.fsum(t[k] for t in terms if k < len(t)))
-        return Poly(tuple(out)) if out else Poly.const(0.0)
+    def validate(self, target: Poly, tol: float = 0.0) -> bool:
+        """target >= -tol on the interval, proved by its exact degree-`order`
+        Bernstein coefficients all being >= -tol; the weights are not read."""
+        return self.min_coefficient(target) >= -tol
 
-    def validate(self, target: Poly, tol: float = 1e-9) -> bool:
-        """Weights nonnegative and reconstruction matches target coefficientwise."""
-        if any(c < 0 for c in self.weights.values()):
-            return False
-        diff = self.reconstruct() - target
-        return diff.max_abs_coeff() <= tol
+    def min_coefficient(self, target: Poly):
+        """Smallest exact degree-`order` Bernstein coefficient of target on the
+        interval, a Fraction; -inf when target exceeds the order or is not finite."""
+        if target.degree > self.order or not all(map(math.isfinite, (*self.interval, *target.coeffs))):
+            return -math.inf
+        N, S = _bernstein(target, self.interval, self.order)
+        return min(Fraction(v, math.comb(self.order, i) * S) for i, v in enumerate(N))
 
 
-def _powers(p: Poly, k: int) -> list[Poly]:
-    """[p**0, ..., p**k], each power one product from the last, as in __pow__."""
-    out = [Poly.const(1.0)]
-    for _ in range(k):
-        out.append(out[-1] * p)
-    return out
+def _bernstein(p: Poly, interval: tuple[float, float], d: int, margin: float = 0.0):
+    """Exact degree-d Bernstein coefficients b_i of q(s) = (p - margin)(a + h s),
+    h = b - a, on s in [0, 1], as integers N_i and a power of two S with
+    b_i = N_i / (C(d, i) S); d must be at least the degree of p.
+
+    Floats are dyadic rationals, so with a, b counted in units of 2^-e and the
+    coefficients in units of 2^-f, S = 2^(e deg p + f) makes every S q_k an
+    integer Q_k, and C(d, i) b_i = sum_k C(d - k, i - k) q_k."""
+    (A, B), e = _dyadic(interval)
+    C, f = _dyadic((*p.coeffs, margin))
+    C[0] -= C.pop()
+    n, H = len(C) - 1, B - A
+    Q = [
+        H**k * sum(C[j] * math.comb(j, k) * A ** (j - k) << (e * (n - j)) for j in range(k, n + 1))
+        for k in range(n + 1)
+    ]
+    N = [sum(math.comb(d - k, i - k) * Q[k] for k in range(min(i, n) + 1)) for i in range(d + 1)]
+    return N, 1 << (e * n + f)
+
+
+def _dyadic(xs) -> tuple[list[int], int]:
+    """Integers X and the least e >= 0 with X / 2^e equal to each float x."""
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
 
 
 @lru_cache(maxsize=None)
@@ -209,10 +213,13 @@ def product_basis(order: int):
     so each order is expanded once per process.
     """
     pairs = tuple((i, j) for i in range(order + 1) for j in range(order + 1 - i))
-    s_pow, t_pow = _powers(Poly((0.0, 1.0)), order), _powers(Poly((1.0, -1.0)), order)
-    coeffs = [(s_pow[i] * t_pow[j]).coeffs for i, j in pairs]
+    # s^i (1 - s)^j has coefficient (-1)^(k - i) C(j, k - i) at s^k, i <= k <= i + j
     terms = tuple(
-        tuple((p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0)
+        tuple(
+            (p, float((-1) ** (k - i) * math.comb(j, k - i)))
+            for p, (i, j) in enumerate(pairs)
+            if i <= k <= i + j
+        )
         for k in range(order + 1)
     )
     return pairs, terms
@@ -243,21 +250,11 @@ def certify_nonneg(
         orders = [max(int(order), p.degree)]
     else:
         orders = [p.degree + r for r in (4, 6, 8, 10)]
-    fa, h = Fraction(a), Fraction(b) - Fraction(a)
-    cs = [Fraction(c) for c in p.coeffs]
-    cs[0] -= Fraction(margin)
-    q = [
-        h**k * sum(c * math.comb(j, k) * fa ** (j - k) for j, c in enumerate(cs) if j >= k)
-        for k in range(len(cs))
-    ]
+    h = Fraction(b) - Fraction(a)
     for d in orders:
-        # degree-d Bernstein coefficients of q on [0, 1]
-        bern = [
-            sum(Fraction(math.comb(i, k), math.comb(d, k)) * c for k, c in enumerate(q[: i + 1]))
-            for i in range(d + 1)
-        ]
-        if min(bern) >= 0:
-            weights = {(i, d - i): float(math.comb(d, i) * bi / h**d) for i, bi in enumerate(bern)}
+        N, S = _bernstein(p, (a, b), d, margin)
+        if min(N) >= 0:
+            weights = {(i, d - i): float(Fraction(v, S) / h**d) for i, v in enumerate(N)}
             return HandelmanCertificate(interval=(a, b), order=d, weights=weights)
     raise NoCertificate(f"no order-{orders[-1]} certificate for p >= {margin} on [{a}, {b}]")
 

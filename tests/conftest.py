@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -18,9 +20,12 @@ from dwellgain.analysis import (
     _Program,
     _row_ones,
     _solve_with_escalation,
+    analyze_constant,
+    analyze_minimum,
+    analyze_range,
 )
 from dwellgain.cert import _finish_report, _record, verify
-from dwellgain.errors import Mismatch, NumericalFailure
+from dwellgain.errors import Infeasible, Mismatch, NumericalFailure
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import HandelmanCertificate, Poly
@@ -64,6 +69,34 @@ def bench_pair_plant():
 @pytest.fixture(scope="session")
 def bench_switched():
     return benchmarks.two_mode_switched_bench()
+
+
+@pytest.fixture(scope="session")
+def certify_grid_analyses():
+    """analyses(bench) -> [(kind, certificate)] for every feasible certify-grid
+    analysis of an impulsive benchmark: each kind at each CERTIFY_GRID_T and
+    degree 2, 4 and 6, a range dwell being [T, 1.5 T]; computed once per bench."""
+    cache = {}
+
+    def analyses(bench):
+        if bench not in cache:
+            s = getattr(benchmarks, bench)()
+            run = {
+                "constant": lambda T, degree: analyze_constant(s, T, degree),
+                "minimum": lambda T, degree: analyze_minimum(s, T, degree),
+                "range": lambda T, degree: analyze_range(s, T, float(f"{1.5 * T:.5g}"), degree),
+            }
+            cache[bench] = []
+            for kind, analyze in run.items():
+                for T in CERTIFY_GRID_T:
+                    for degree in (2, 4, 6):
+                        try:
+                            cache[bench].append((kind, analyze(T, degree)))
+                        except Infeasible:
+                            continue
+        return cache[bench]
+
+    return analyses
 
 
 def random_stable_metzler(rng: np.random.Generator, n: int = 3, p: int = 2, q: int = 2):
@@ -199,6 +232,11 @@ def linprog_solve(lp) -> LpSolution:
         bounds=bounds,
         method="highs",
     )
+    if (np.abs(c) >= 1e20).any():
+        # the third intended difference: lp_solve refuses an objective cost at
+        # or beyond HiGHS's infinite cost 1e20, for which linprog reports an
+        # Optimal answer with an infinite objective
+        raise NumericalFailure("cost beyond 1e20")
     values = (*b_ub, *b_eq, *chain.from_iterable(bounds))
     big = [v for v in values if v is not None and np.isfinite(v) and abs(v) >= 1e20]
     if big:
@@ -453,6 +491,24 @@ def assert_matches_three_paths(cert, target):
         scale = max([1.0 + abs(c.gamma)] + [z.max_abs_coeff() for zs in c.zeta_vectors() for z in zs])
         for fam, v in slack.items():
             assert abs(v - ref[fam]) <= 1e-12 * scale, fam
+
+
+def bernstein_oracle(p, interval, d, margin=0.0):
+    """Oracle for poly._bernstein: the degree-d Bernstein coefficients of
+    (p - margin)(a + h s) on s in [0, 1], h = b - a, in Fractions, as
+    certify_nonneg computed them before the integer routine."""
+    a, b = interval
+    fa, h = Fraction(a), Fraction(b) - Fraction(a)
+    cs = [Fraction(c) for c in p.coeffs]
+    cs[0] -= Fraction(margin)
+    q = [
+        h**k * sum(c * math.comb(j, k) * fa ** (j - k) for j, c in enumerate(cs) if j >= k)
+        for k in range(len(cs))
+    ]
+    return [
+        sum(Fraction(math.comb(i, k), math.comb(d, k)) * c for k, c in enumerate(q[: i + 1]))
+        for i in range(d + 1)
+    ]
 
 
 def per_row_certify_at_order(p, a, b, order, margin):

@@ -11,6 +11,7 @@ from conftest import (
 )
 from dwellgain import lp as lp_mod
 from dwellgain.analysis import (
+    RELAX_SCHEDULE,
     Certificate,
     _Program,
     analyze_arbitrary,
@@ -21,7 +22,7 @@ from dwellgain.analysis import (
     analyze_switched_blanchini,
     analyze_switched_min,
 )
-from dwellgain.errors import DwellgainError, Infeasible, NotConstant, RelaxationLimit
+from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.lp import PolyExpr, dump_lp
 from dwellgain.model import ImpulsiveSystem, SwitchedSystem, adjoint
 from dwellgain.poly import Poly
@@ -294,8 +295,33 @@ class TestRelaxationLimit:
         )
 
     def test_reported_distinctly_from_infeasible(self):
-        with pytest.raises(RelaxationLimit):
+        with pytest.raises(RelaxationLimit) as err:
             analyze_constant(self._hard_interval_system(), 1.0, 0)
+        # the message names every order tried and its outcome
+        history = "; ".join(f"order +{r}: Infeasible" for r in RELAX_SCHEDULE)
+        assert str(err.value).endswith(f"[{history}]")
+
+    def test_history_keeps_numerical_failures(self, monkeypatch):
+        solve_min = _Program.solve_min
+
+        def failing_at_six(prog, gamma, extra_obj=None):
+            if prog.relax == 6:
+                raise NumericalFailure("HiGHS model status Unknown")
+            return solve_min(prog, gamma, extra_obj)
+
+        monkeypatch.setattr(_Program, "solve_min", failing_at_six)
+        with pytest.raises(RelaxationLimit) as err:
+            analyze_constant(self._hard_interval_system(), 1.0, 0)
+        assert str(err.value).endswith(
+            "[order +4: Infeasible; order +6: NumericalFailure (HiGHS model status Unknown); "
+            "order +8: Infeasible; order +10: Infeasible]"
+        )
+
+    def test_referee_infeasible_names_every_order(self, bench_timer_growth):
+        # timer_growth_bench is unstable at constant dwell 1.2
+        with pytest.raises(Infeasible, match="sampled referee LP infeasible") as err:
+            analyze_constant(bench_timer_growth, 1.2, 2)
+        assert all(f"order +{r}: Infeasible" in str(err.value) for r in RELAX_SCHEDULE)
 
     def test_higher_order_cap_solves(self):
         cert = analyze_constant(

@@ -1,9 +1,11 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import CERTIFY_GRID_DESIGNS, CERTIFY_GRID_T, assert_matches_three_paths, three_path_verify
+from conftest import CERTIFY_GRID_DESIGNS, assert_matches_three_paths, bernstein_oracle, three_path_verify
 from dwellgain import benchmarks
 from dwellgain.analysis import (
     Certificate,
@@ -13,16 +15,36 @@ from dwellgain.analysis import (
     analyze_range,
     analyze_switched_min,
 )
-from dwellgain.cert import cross_check_discrete, transition_matrix, verify
+from dwellgain.cert import _SLACK_TOL, cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
-from dwellgain.poly import Poly
+from dwellgain.poly import Poly, _bernstein
 from dwellgain.synthesis import certificate_from, closed_loop, synthesize
+
+
+IMPULSIVE_BENCHES = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
+
+# certify-grid jobs whose rows a float rebuild of the weights in t used to
+# reject, with the gain each LP gives; the exact row proof leaves the LP alone
+SOUND_JOBS = [
+    ("timer_growth_bench", "constant:0.33", 2, "0x1.85f4f8ce0c939p-1"),
+    ("timer_growth_bench", "constant:0.12", 4, "0x1.0d19287409b64p-1"),
+    ("timer_growth_bench", "range:0.33:0.495", 6, "0x1.0a2de123cafc7p+0"),
+    ("timer_growth_bench", "range:0.2:0.3", 4, "0x1.6862772a02c30p-1"),
+    ("lti_jump_bench", "range:0.5:0.75", 6, "0x1.26d2db5907f7ep+0"),
+    ("lti_jump_bench", "range:0.12:0.18", 6, "0x1.dc6aa098dc857p-1"),
+]
 
 
 @pytest.fixture(scope="module")
 def cert_constant(bench_timer_growth):
     return analyze_constant(bench_timer_growth, 0.3, 4)
+
+
+def _row_tol(cert):
+    """verify's tolerance: _SLACK_TOL per unit of the certificate's row scale."""
+    scale = max([1.0 + abs(cert.gamma)] + [z.max_abs_coeff() for zs in cert.zeta_vectors() for z in zs])
+    return _SLACK_TOL * scale
 
 
 class TestVerify:
@@ -97,27 +119,63 @@ class TestVerify:
         assert rep.passed and "mu_dom" in rep.worst_slack
 
 
+class TestRowProof:
+    """verify proves every stored interval row by its exact Bernstein coefficients."""
+
+    @pytest.mark.parametrize("bench, dwell, degree, gamma", SOUND_JOBS)
+    def test_sound_certificates_verify(self, bench, dwell, degree, gamma):
+        s = getattr(benchmarks, bench)()
+        spec = DwellTimeSpec.parse(dwell)
+        if spec.kind == "range":
+            c = analyze_range(s, spec.Tmin, spec.Tmax, degree)
+        else:
+            c = analyze_constant(s, spec.T, degree)
+        assert c.gamma == float.fromhex(gamma)
+        rep = verify(c, s)
+        assert rep.passed and rep.handelman_ok is True and rep.notes == []
+
+    def test_mutated_row_fails_the_proof_not_the_grid(self, bench_timer_growth, cert_constant):
+        tol = _row_tol(cert_constant)
+        grid = verify(cert_constant, bench_timer_growth).worst_slack
+        interval_rows = [k for k, r in enumerate(cert_constant.rows) if r.handelman is not None]
+        assert len(interval_rows) >= 2
+        for k in interval_rows:
+            row = cert_constant.rows[k]
+            # push the stored row below -tol by its own grid minimum plus 2 tol
+            slack = float(np.min(row.poly.eval(np.linspace(*row.interval, 1001))))
+            rows = list(cert_constant.rows)
+            rows[k] = dataclasses.replace(row, poly=row.poly - (2.0 * tol + slack))
+            rep = verify(dataclasses.replace(cert_constant, rows=rows), bench_timer_growth)
+            assert not rep.passed and rep.handelman_ok is False
+            # the grid re-derives the rows from zeta, so it still passes
+            assert rep.worst_slack == grid and rep.minimum_slack() >= -tol
+            [note] = rep.notes
+            assert note.startswith(f"row {row.family}[{row.index}] not proved at order {row.handelman.order}:")
+            assert float(note.rsplit(" ", 1)[1]) < -tol
+            assert "rows proved" in rep.table()
+
+    @pytest.mark.parametrize("bench", IMPULSIVE_BENCHES)
+    def test_bernstein_matches_oracle_on_grid_rows(self, bench, certify_grid_analyses):
+        rows = [r for _, c in certify_grid_analyses(bench) for r in c.rows if r.handelman is not None]
+        assert len(rows) >= 50
+        for r in rows:
+            d = r.handelman.order
+            for margin in (0.0, r.margin):
+                N, S = _bernstein(r.poly, r.interval, d, margin)
+                got = [Fraction(v, math.comb(d, i) * S) for i, v in enumerate(N)]
+                assert got == bernstein_oracle(r.poly, r.interval, d, margin)
+
+
 class TestVerifyOracle:
     """The one mesh body against the three row evaluators it replaced."""
 
-    @pytest.mark.parametrize("bench", ["lti_jump_bench", "timer_growth_bench", "timer_stable_bench"])
-    def test_analysis_grid(self, bench):
+    @pytest.mark.parametrize("bench", IMPULSIVE_BENCHES)
+    def test_analysis_grid(self, bench, certify_grid_analyses):
         s = getattr(benchmarks, bench)()
-        analyses = {
-            "constant": lambda T, degree: analyze_constant(s, T, degree),
-            "minimum": lambda T, degree: analyze_minimum(s, T, degree),
-            "range": lambda T, degree: analyze_range(s, T, float(f"{1.5 * T:.5g}"), degree),
-        }
         compared = set()
-        for kind, analyze in analyses.items():
-            for T in CERTIFY_GRID_T:
-                for degree in (2, 4, 6):
-                    try:
-                        c = analyze(T, degree)
-                    except Infeasible:
-                        continue
-                    assert_matches_three_paths(c, s)
-                    compared.add(kind)
+        for kind, c in certify_grid_analyses(bench):
+            assert_matches_three_paths(c, s)
+            compared.add(kind)
         # timer_growth is never stable under minimum dwell
         assert len(compared) >= 2
 

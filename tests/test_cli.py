@@ -96,6 +96,22 @@ class TestCertify:
         printed = capsys.readouterr().out
         assert "FAILED" in printed and "out_" in printed
 
+    def test_unproved_row_fails_with_its_note(self, ex2_path, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        main(["analyze", "--system", ex2_path, "--dwell", "constant:0.3",
+              "--degree", "4", "-o", str(cert)])
+        data = json.loads(cert.read_text())
+        row = next(r for r in data["rows"] if r["handelman"])
+        row["poly"] = [-1.0]  # the stored row only; the grid re-derives it from zeta
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["certify", "--system", ex2_path, "--certificate", str(bad)])
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert f"FAILED: row {row['family']}[{row['index']}] not proved at order" in printed
+        assert "worst row family" not in printed
+
     def test_controller_certify(self, bench_chain_plant, tmp_path):
         from dwellgain.model import DwellTimeSpec
         from dwellgain.synthesis import synthesize

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 
 import numpy as np
@@ -397,6 +398,20 @@ class TestLinprogOracle:
             method="highs",
         )
         assert res.status == linprog_status
+
+    @pytest.mark.parametrize("cost", [1e25, -1e25])
+    def test_cost_beyond_highs_infinity_is_refused(self, cost):
+        # min cost * x over 1 <= x <= 2: HiGHS reads the cost as infinite
+        lp = LinearProgram()
+        x = lp.new_var(lo=1.0, hi=2.0, name="gamma")
+        lp.set_objective({x: cost})
+        with pytest.raises(NumericalFailure, match=re.escape(f"column gamma has cost {cost:g}, beyond 1e+20")):
+            lp_solve(lp)
+        assert solve_outcome(linprog_solve, lp) is NumericalFailure
+        # linprog calls it Optimal, with an infinite objective
+        c, _, _, _, _, bounds = csr_assemble(lp)
+        res = linprog(c, bounds=bounds, method="highs")
+        assert res.status == 0 and res.fun == math.copysign(math.inf, cost)
 
     def test_no_variables(self):
         lp = LinearProgram()

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFY_GRID_T, per_row_certify_at_order
+from conftest import CERTIFY_GRID_T, bernstein_oracle, per_row_certify_at_order
 from dwellgain import benchmarks
 from dwellgain import lp as lp_mod
 from dwellgain.errors import InvalidInterval, NoCertificate
@@ -13,6 +14,7 @@ from dwellgain.model import lift_switched
 from dwellgain.poly import (
     HandelmanCertificate,
     Poly,
+    _bernstein,
     certify_nonneg,
     falsify_nonneg,
     product_basis,
@@ -131,14 +133,13 @@ class TestCertify:
             certify_nonneg(p, (0.0, 1.0))  # default escalation stops at degree+10
         cert = certify_nonneg(p, (0.0, 1.0), order=26)
         assert all(c >= 0 for c in cert.weights.values())
-        # at this order the weights reach ~2e3 against binomial-scale basis
-        # coefficients, so float reconstruction carries ~1e-6 cancellation noise
-        assert cert.validate(p, tol=1e-5)
+        assert cert.validate(p)
         assert falsify_nonneg(p, (0.0, 1.0)) is None
 
     def test_margin_shifts_constant(self):
         cert = certify_nonneg(Poly((2.0,)), (0.0, 1.0), order=0, margin=0.5)
-        assert cert.reconstruct().eval(0.5) == pytest.approx(1.5)
+        assert cert.weights == {(0, 0): 1.5}
+        assert cert.validate(Poly((1.5,)))
 
     def test_invalid_interval(self):
         with pytest.raises(InvalidInterval):
@@ -276,6 +277,54 @@ class TestExactDecision:
             certify_nonneg(Poly(coeffs), interval, margin=margin)
 
 
+# nonzero coefficients from 1e-9 to 1e3 in magnitude, either sign
+magnitudes = st.builds(
+    lambda m, neg: -m if neg else m, st.floats(1e-9, 1e3), st.booleans()
+)
+
+
+class TestBernstein:
+    """_bernstein's integers against the Fraction oracle, and the row proof."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coeffs=st.lists(magnitudes, min_size=1, max_size=9),
+        extra=st.integers(0, 10),
+        a=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        width=st.floats(1e-3, 5.0),
+        margin=st.sampled_from([0.0, 1e-6, 1e-2, 0.3]),
+    )
+    def test_matches_fraction_oracle(self, coeffs, extra, a, width, margin):
+        p = Poly(tuple(coeffs))
+        interval = (a, a + width)
+        d = p.degree + extra
+        N, S = _bernstein(p, interval, d, margin)
+        assert S & (S - 1) == 0
+        got = [Fraction(v, math.comb(d, i) * S) for i, v in enumerate(N)]
+        assert got == bernstein_oracle(p, interval, d, margin)
+
+    def test_exact_boundary(self):
+        # t^2 on [0, 1] at order 2 has Bernstein coefficients (0, 0, 1)
+        cert = HandelmanCertificate((0.0, 1.0), 2, {})
+        assert cert.validate(Poly((0.0, 0.0, 1.0)))
+        assert not cert.validate(Poly((-(2.0**-60), 0.0, 1.0)))
+        assert cert.min_coefficient(Poly((-(2.0**-60), 0.0, 1.0))) == -Fraction(1, 2**60)
+
+    def test_validate_reads_no_weights(self):
+        # the weights are evidence; the target's own coefficients decide
+        cert = HandelmanCertificate((0.5, 2.0), 3, {(0, 0): -1.0})
+        assert cert.validate(Poly((1.0, -1.0, 0.5)))
+        # -0.375 + 0.5 t is -0.125 at t = 0.5, its smallest Bernstein coefficient
+        assert cert.validate(Poly((-0.375, 0.5)), tol=0.125)
+        assert not cert.validate(Poly((-0.375, 0.5)), tol=math.nextafter(0.125, 0.0))
+
+    def test_unprovable_targets(self):
+        cert = HandelmanCertificate((0.0, 1.0), 2, {})
+        assert not cert.validate(Poly((1.0, 0.0, 0.0, 1.0)))  # beyond the order
+        assert not cert.validate(Poly((1.0, math.nan)))
+        assert not HandelmanCertificate((0.0, math.inf), 2, {}).validate(Poly((1.0,)))
+
+
 class TestFalsify:
     def test_linear_negative_left(self):
         w = falsify_nonneg(Poly((-0.5, 1.0)), (0.0, 1.0), 1001)
@@ -296,13 +345,6 @@ class TestFalsify:
             falsify_nonneg(Poly((1.0,)), (0.0, 1.0), 1)
 
 
-def test_handelman_basis_spans_and_reconstruct():
-    cert = HandelmanCertificate((0.0, 2.0), 2, {(1, 1): 0.5, (0, 0): 1.0})
-    rec = cert.reconstruct()
-    # 1 + 0.5 t (2 - t) = 1 + t - 0.5 t^2
-    assert rec.coeffs == pytest.approx((1.0, 1.0, -0.5))
-
-
 @pytest.mark.parametrize("order", range(15))
 def test_product_basis_table_matches_expansion(order):
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
@@ -313,16 +355,3 @@ def test_product_basis_table_matches_expansion(order):
         want = [(p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0]
         assert list(basis_k) == want
 
-
-def test_reconstruct_matches_per_weight_powers():
-    p = Poly((1.0, -1.0, 0.27))
-    certs = [certify_nonneg(p, (0.0, 3.0)), certify_nonneg(p * Poly((0.5, 1.0)), (-0.25, 1.5), order=9)]
-    for cert in certs:
-        a, b = cert.interval
-        terms = [
-            ((Poly((-a, 1.0)) ** i) * (Poly((b, -1.0)) ** j)).scale(c).coeffs
-            for (i, j), c in cert.weights.items()
-        ]
-        want = [math.fsum(t[k] for t in terms if k < len(t)) for k in range(max(map(len, terms)))]
-        assert cert.reconstruct().coeffs == Poly(tuple(want)).coeffs
-    assert HandelmanCertificate((0.0, 1.0), 2, {}).reconstruct().coeffs == (0.0,)
