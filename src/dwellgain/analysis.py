@@ -291,6 +291,8 @@ class _Program:
 
         This relaxation is necessary for the true semi-infinite program, so its
         infeasibility proves genuine infeasibility (vs. a relaxation limit).
+        Its rows do not depend on the relaxation order; the cone columns stay
+        as empty columns.
         """
         lp = LinearProgram()
         lp.num_vars = self.lp.num_vars
@@ -300,10 +302,8 @@ class _Program:
             expr, margin = rec["expr"], rec["margin"]
             lp.add_ge(expr.coeffs, margin - expr.const)
         for rec in self.interval_records:
-            a, b = rec["interval"]
-            for t in np.linspace(a, b, _REFEREE_SAMPLES):
-                e = rec["pexpr"].eval_at(float(t))
-                lp.add_ge(e.coeffs, rec["margin"] - e.const)
+            cols, block, const = rec["pexpr"].eval_grid(np.linspace(*rec["interval"], _REFEREE_SAMPLES))
+            lp.add_ge_block(cols, block, rec["margin"] - const)
         return lp
 
     def extract_rows(self, x: np.ndarray) -> list[CertifiedRow]:
@@ -438,19 +438,27 @@ def _gain_rows_constant_like(
 
 def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """build(relax) -> (_Program, gamma var, finalize[, extra_obj]); escalate the
-    relaxation order on infeasibility or numerical failure, then classify via the
-    sampled referee, whose error message lists each order's outcome."""
-    last_prog = None
-    tried = []  # (relax, LP status or NumericalFailure message)
+    relaxation order on infeasibility or numerical failure.
+
+    The first order that ends Infeasible is followed by one solve of its
+    sampled referee.  The referee relaxes the semi-infinite program (interval
+    rows at finitely many points) while every order's LP restricts it (a
+    product-basis cone inside the nonnegative polynomials), so an infeasible
+    referee proves that no order can succeed: Infeasible is raised at once.  A
+    feasible referee lets the escalation go on, ending in RelaxationLimit if
+    every order fails; a referee that fails numerically is recorded and
+    escalation goes on, ending in NumericalFailure.  If no order ends
+    Infeasible, the referee is solved after the last order.  Error messages
+    list each outcome in the order it happened.
+    """
+    tried = []  # (what, LP status or NumericalFailure message)
+    referee = None  # the referee's outcome (see _solve_referee) once solved
     for relax in relax_schedule:
-        built = build(relax)
-        prog, gamma, finalize = built[:3]
-        extra_obj = built[3] if len(built) > 3 else None
-        last_prog = (prog, gamma, finalize)
+        prog, gamma, finalize, *extra_obj = build(relax)
         try:
-            sol = prog.solve_min(gamma, extra_obj)
+            sol = prog.solve_min(gamma, *extra_obj)
         except NumericalFailure as exc:
-            tried.append((relax, f"NumericalFailure ({exc})"))
+            tried.append((f"order +{relax}", f"NumericalFailure ({exc})"))
             continue
         if sol.status == "Optimal":
             if dump_lp:
@@ -462,17 +470,32 @@ def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, du
             raise NumericalFailure("gain LP unbounded; encoding error")
         if not prog.interval_records:
             raise Infeasible("conditions infeasible (finite LP)")
-        tried.append((relax, sol.status))
-    history = "; ".join(f"order +{relax}: {what}" for relax, what in tried)
-    prog = last_prog[0]
-    referee = prog.sampled_referee()
-    ref_sol = lp_solve(referee)
-    if ref_sol.status == "Optimal":
+        tried.append((f"order +{relax}", sol.status))
+        if referee is None:
+            referee = _solve_referee(prog, tried)
+            if referee == "Infeasible":
+                break
+    if referee is None:
+        referee = _solve_referee(prog, tried)
+    history = "; ".join(f"{what}: {status}" for what, status in tried)
+    if referee == "Optimal":
         raise RelaxationLimit(
             f"interval relaxation exhausted at order +{relax_schedule[-1]} "
             f"while the sampled referee stays feasible [{history}]"
         )
+    if referee == "NumericalFailure":
+        raise NumericalFailure(f"sampled referee failed numerically [{history}]")
     raise Infeasible(f"conditions infeasible (sampled referee LP infeasible) [{history}]")
+
+
+def _solve_referee(prog: _Program, tried: list) -> str:
+    """Solve prog's sampled referee: "Optimal", "Infeasible" (any other LP
+    status) or "NumericalFailure", whose message is appended to tried."""
+    try:
+        return "Optimal" if lp_solve(prog.sampled_referee()).status == "Optimal" else "Infeasible"
+    except NumericalFailure as exc:
+        tried.append(("referee", f"NumericalFailure ({exc})"))
+        return "NumericalFailure"
 
 
 def analyze_arbitrary(

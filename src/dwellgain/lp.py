@@ -90,6 +90,16 @@ class LinearProgram:
     def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
         self.rows.append((self._check(coeffs), _REL_EQ, float(rhs)))
 
+    def add_ge_block(self, cols: list[int], block: np.ndarray, rhs: np.ndarray) -> None:
+        """One row block[s] . x[cols] >= rhs[s] per s, as add_ge stores it."""
+        if cols and not (0 <= min(cols) and max(cols) < self.num_vars):
+            raise ValueError("row references unknown variable")
+        for row, r in zip((-block).tolist(), rhs.tolist()):
+            coeffs = dict(zip(cols, row))
+            if 0.0 in row:
+                coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
+            self.rows.append((coeffs, _REL_LE, -r))
+
 
 @dataclass
 class LpSolution:
@@ -440,6 +450,24 @@ class PolyExpr:
             out.add_inplace(c, tk)
             tk *= t
         return out
+
+    def eval_grid(self, ts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """eval_at at every t in ts in one pass: (cols, block, const) with
+        eval_at(ts[s]) = block[s] . x[cols] + const[s].  The powers are the
+        running products eval_at takes and coefficient k is added after
+        coefficient k - 1, so every finite value is bit-equal to eval_at's
+        (the zero terms it skips change no sum)."""
+        cols = sorted(set(chain.from_iterable(c.coeffs for c in self.coeffs)))
+        pos = {v: j for j, v in enumerate(cols)}
+        coef = np.zeros((len(self.coeffs), len(cols) + 1))  # last column: the constant
+        for k, c in enumerate(self.coeffs):
+            coef[k, [pos[v] for v in c.coeffs]] = list(c.coeffs.values())
+            coef[k, -1] = c.const
+        powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * self.degree), axis=1)
+        acc = np.zeros((len(ts), len(cols) + 1))
+        for k in range(len(self.coeffs)):
+            acc += powers[:, k, None] * coef[k]
+        return cols, acc[:, :-1], acc[:, -1]
 
     def shift_scale_arg(self, a: float, h: float) -> "PolyExpr":
         """PolyExpr q with q(s) = p(a + h*s)."""

@@ -9,8 +9,10 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
+from dwellgain import analysis as analysis_mod
 from dwellgain import benchmarks
 from dwellgain.analysis import (
+    _REFEREE_SAMPLES,
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     _ZETA_PIN,
@@ -25,7 +27,7 @@ from dwellgain.analysis import (
     analyze_range,
 )
 from dwellgain.cert import _finish_report, _record, verify
-from dwellgain.errors import Infeasible, Mismatch, NumericalFailure
+from dwellgain.errors import Infeasible, Mismatch, NumericalFailure, RelaxationLimit
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import HandelmanCertificate, Poly
@@ -608,3 +610,81 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
         return prog, gamma, finalize
 
     return _solve_with_escalation(build, degree, relax_schedule)
+
+
+def per_sample_referee(prog):
+    """Oracle for _Program.sampled_referee: one eval_at and one add_ge per
+    sample of each interval row."""
+    lp = LinearProgram()
+    lp.num_vars = prog.lp.num_vars
+    lp.bounds = dict(prog.lp.bounds)
+    lp.objective = dict(prog.lp.objective)
+    for rec in prog.point_records:
+        expr, margin = rec["expr"], rec["margin"]
+        lp.add_ge(expr.coeffs, margin - expr.const)
+    for rec in prog.interval_records:
+        a, b = rec["interval"]
+        for t in np.linspace(a, b, _REFEREE_SAMPLES):
+            e = rec["pexpr"].eval_at(float(t))
+            lp.add_ge(e.coeffs, rec["margin"] - e.const)
+    return lp
+
+
+def full_schedule_escalation(build, degree, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
+    """Oracle for analysis._solve_with_escalation: every order of the schedule
+    is tried, and only then the sampled referee of the last order classifies
+    the failure."""
+    last_prog = None
+    tried = []
+    for relax in relax_schedule:
+        built = build(relax)
+        prog, gamma, finalize = built[:3]
+        extra_obj = built[3] if len(built) > 3 else None
+        last_prog = prog
+        try:
+            sol = prog.solve_min(gamma, extra_obj)
+        except NumericalFailure as exc:
+            tried.append((relax, f"NumericalFailure ({exc})"))
+            continue
+        if sol.status == "Optimal":
+            if dump_lp:
+                from dwellgain.lp import dump_lp as _dump
+
+                _dump(prog.lp, dump_lp)
+            return finalize(prog, sol, relax)
+        if sol.status == "Unbounded":
+            raise NumericalFailure("gain LP unbounded; encoding error")
+        if not prog.interval_records:
+            raise Infeasible("conditions infeasible (finite LP)")
+        tried.append((relax, sol.status))
+    history = "; ".join(f"order +{relax}: {what}" for relax, what in tried)
+    ref_sol = analysis_mod.lp_solve(per_sample_referee(last_prog))
+    if ref_sol.status == "Optimal":
+        raise RelaxationLimit(
+            f"interval relaxation exhausted at order +{relax_schedule[-1]} "
+            f"while the sampled referee stays feasible [{history}]"
+        )
+    raise Infeasible(f"conditions infeasible (sampled referee LP infeasible) [{history}]")
+
+
+def spy_solves(monkeypatch, referee_fails=False):
+    """Label every LP analysis solves "order" or "referee"; with referee_fails
+    the referee's solve raises NumericalFailure instead."""
+    calls, referees = [], []
+    real_solve, real_referee = analysis_mod.lp_solve, _Program.sampled_referee
+
+    def referee(prog):
+        lp = real_referee(prog)
+        referees.append(lp)
+        return lp
+
+    def solve(lp):
+        is_referee = any(lp is r for r in referees)
+        calls.append("referee" if is_referee else "order")
+        if is_referee and referee_fails:
+            raise NumericalFailure("HiGHS model status Unknown")
+        return real_solve(lp)
+
+    monkeypatch.setattr(_Program, "sampled_referee", referee)
+    monkeypatch.setattr(analysis_mod, "lp_solve", solve)
+    return calls

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CERTIFY_GRID_DESIGNS,
+    CERTIFY_GRID_T,
+    full_schedule_escalation,
+    per_sample_referee,
+    spy_solves,
     assert_same_assembly,
     lil_assemble,
     lti_linf_closed_form,
     random_stable_metzler,
     reference_switched_min,
 )
+from dwellgain import analysis as analysis_mod
+from dwellgain import benchmarks
 from dwellgain import lp as lp_mod
+from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import (
     RELAX_SCHEDULE,
     Certificate,
@@ -23,8 +32,9 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
-from dwellgain.lp import PolyExpr, dump_lp
-from dwellgain.model import ImpulsiveSystem, SwitchedSystem, adjoint
+from dwellgain.cert import verify
+from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint
 from dwellgain.poly import Poly
 from dwellgain.synthesis import synthesize
 
@@ -317,17 +327,267 @@ class TestRelaxationLimit:
             "order +8: Infeasible; order +10: Infeasible]"
         )
 
-    def test_referee_infeasible_names_every_order(self, bench_timer_growth):
-        # timer_growth_bench is unstable at constant dwell 1.2
+    def test_referee_infeasible_names_every_order(self, bench_timer_growth, monkeypatch):
+        # timer_growth_bench is unstable at constant dwell 1.2: the referee of
+        # order +4 is infeasible, so orders +6 to +10 are never built
+        built = []
+        solve = analysis_mod._solve_with_escalation
+
+        def spy(build, *args, **kwargs):
+            def counted(relax):
+                built.append(relax)
+                return build(relax)
+
+            return solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "_solve_with_escalation", spy)
         with pytest.raises(Infeasible, match="sampled referee LP infeasible") as err:
             analyze_constant(bench_timer_growth, 1.2, 2)
-        assert all(f"order +{r}: Infeasible" in str(err.value) for r in RELAX_SCHEDULE)
+        assert str(err.value).endswith("[order +4: Infeasible]")
+        assert built == [4]
 
     def test_higher_order_cap_solves(self):
         cert = analyze_constant(
             self._hard_interval_system(), 1.0, 0, relax_schedule=(26,)
         )
         assert cert.gamma > 0
+
+
+def _offset_parabola_system(offset):
+    # scalar flow row zeta * (offset - tau + tau^2) - 0.001 on [0, 1]: the
+    # smaller the offset, the higher the relaxation order it needs
+    return ImpulsiveSystem.from_arrays(
+        A=[[[-offset, 1.0, -1.0]]], Ec=[[[0.001]]], Cc=[[[1.0]]], Fc=[[[0.0]]],
+        J=[[0.5]], Ed=[[0.0]], Cd=[[1.0]], Fd=[[0.0]],
+    )
+
+
+def _certify_grid_runs():
+    """(label, run(dump_lp path) -> certificate or controller) for every
+    certify-grid analysis at degrees 2, 4 and 6, both switched analyses and
+    every design."""
+    runs = []
+    for bench in ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench"):
+        s = getattr(benchmarks, bench)()
+        for T in CERTIFY_GRID_T:
+            for degree in (2, 4, 6):
+                tag = f"{bench} T={T} degree={degree}"
+                runs += [
+                    (f"constant {tag}", lambda p, s=s, T=T, d=degree: analyze_constant(s, T, d, dump_lp=p)),
+                    (f"minimum {tag}", lambda p, s=s, T=T, d=degree: analyze_minimum(s, T, d, dump_lp=p)),
+                    (
+                        f"range {tag}",
+                        lambda p, s=s, T=T, d=degree: analyze_range(s, T, float(f"{1.5 * T:.5g}"), d, dump_lp=p),
+                    ),
+                ]
+    sw = benchmarks.two_mode_switched_bench()
+    for T in (0.3, 1.0):
+        runs.append((f"switched T={T}", lambda p, T=T: analyze_switched_min(sw, T, 4, dump_lp=p)))
+    for plant in ("unstable_chain_plant", "unstable_pair_plant"):
+        pl = getattr(benchmarks, plant)()
+        for spec, fixed_kd in CERTIFY_GRID_DESIGNS:
+            runs.append((
+                f"design {plant} {spec} fixed_kd={fixed_kd}",
+                lambda p, pl=pl, spec=spec, k=fixed_kd: synthesize(pl, spec, 2, fixed_kd=k, dump_lp=p),
+            ))
+    return runs
+
+
+def _artifacts(run, path):
+    """(error class, artifact JSON text, dump_lp text) of one run."""
+    try:
+        art = run(str(path))
+    except DwellgainError as exc:
+        return type(exc), None, None
+    art.save(str(path) + ".json")
+    with open(str(path) + ".json") as fh, open(path) as lp_fh:
+        return None, fh.read(), lp_fh.read()
+
+
+def _assert_same_program(got, want):
+    """Equal rows, and byte-equal arrays as lp._assemble hands them to HiGHS."""
+    assert got.num_vars == want.num_vars
+    assert got.rows == want.rows
+    for g, w in zip(_assemble(got), _assemble(want)):
+        if isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        else:
+            assert g == w
+
+
+class TestEscalation:
+    """The first Infeasible order's sampled referee settles infeasibility."""
+
+    def test_feasible_at_first_order_solves_once(self, bench_timer_growth, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        assert analyze_constant(bench_timer_growth, 0.3, 4).relax == 4
+        assert calls == ["order"]
+
+    def test_infeasible_solves_twice(self, bench_timer_growth, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        with pytest.raises(Infeasible):
+            analyze_constant(bench_timer_growth, 1.2, 2)
+        assert calls == ["order", "referee"]
+
+    def test_feasible_referee_lets_the_next_order_certify(self, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        assert analyze_constant(_offset_parabola_system(0.3), 1.0, 0).relax == 6
+        assert calls == ["order", "referee", "order"]
+
+    def test_relaxation_limit_solves_the_referee_once(self, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        with pytest.raises(RelaxationLimit):
+            analyze_constant(_offset_parabola_system(0.26), 1.0, 0)
+        assert calls == ["order", "referee", "order", "order", "order"]
+
+    def test_early_referee_failure_is_named(self, monkeypatch):
+        calls = spy_solves(monkeypatch, referee_fails=True)
+        with pytest.raises(NumericalFailure) as err:
+            analyze_constant(_offset_parabola_system(0.26), 1.0, 0)
+        assert str(err.value) == (
+            "sampled referee failed numerically [order +4: Infeasible; "
+            "referee: NumericalFailure (HiGHS model status Unknown); "
+            "order +6: Infeasible; order +8: Infeasible; order +10: Infeasible]"
+        )
+        assert calls == ["order", "referee", "order", "order", "order"]
+
+    def test_early_referee_failure_still_certifies(self, monkeypatch):
+        want = analyze_constant(_offset_parabola_system(0.3), 1.0, 0)
+        spy_solves(monkeypatch, referee_fails=True)
+        got = analyze_constant(_offset_parabola_system(0.3), 1.0, 0)
+        assert got.to_json() == want.to_json()
+
+    def test_referee_failure_never_reads_infeasible(self, bench_timer_growth, monkeypatch):
+        calls = spy_solves(monkeypatch, referee_fails=True)
+        with pytest.raises(NumericalFailure, match="^sampled referee failed numerically") as err:
+            analyze_constant(bench_timer_growth, 1.2, 2)
+        assert not isinstance(err.value, (Infeasible, RelaxationLimit))
+        assert calls == ["order", "referee", "order", "order", "order"]
+
+    @pytest.mark.parametrize("referee_fails", [False, True])
+    def test_referee_after_numerical_failures(self, bench_timer_growth, monkeypatch, referee_fails):
+        # no order ends Infeasible, so the referee of the last order is solved
+        def failing(prog, gamma, extra_obj=None):
+            raise NumericalFailure("HiGHS model status Unknown")
+
+        monkeypatch.setattr(_Program, "solve_min", failing)
+        calls = spy_solves(monkeypatch, referee_fails)
+        history = "; ".join(
+            f"order +{r}: NumericalFailure (HiGHS model status Unknown)" for r in RELAX_SCHEDULE
+        )
+        if referee_fails:
+            with pytest.raises(NumericalFailure) as err:
+                analyze_constant(bench_timer_growth, 1.2, 2)
+            assert str(err.value) == (
+                f"sampled referee failed numerically [{history}; "
+                "referee: NumericalFailure (HiGHS model status Unknown)]"
+            )
+        else:
+            with pytest.raises(Infeasible) as err:
+                analyze_constant(bench_timer_growth, 1.2, 2)
+            assert str(err.value).endswith(f"[{history}]")
+        assert calls == ["referee"]
+
+    def test_certify_grid_matches_full_schedule(self, tmp_path, monkeypatch):
+        runs = _certify_grid_runs()
+        got = [_artifacts(run, tmp_path / f"got{i}.lp") for i, (_, run) in enumerate(runs)]
+        monkeypatch.setattr(analysis_mod, "_solve_with_escalation", full_schedule_escalation)
+        monkeypatch.setattr(synthesis_mod, "_solve_with_escalation", full_schedule_escalation)
+        for i, (label, run) in enumerate(runs):
+            assert got[i] == _artifacts(run, tmp_path / f"want{i}.lp"), label
+        # both outcomes occur
+        assert {g[0] for g in got} == {None, Infeasible}
+
+    def test_referee_matches_per_sample_build(self, monkeypatch, tmp_path):
+        progs = []
+        solve_min = _Program.solve_min
+
+        def keep(prog, gamma, extra_obj=None):
+            progs.append(prog)
+            return solve_min(prog, gamma, extra_obj)
+
+        monkeypatch.setattr(_Program, "solve_min", keep)
+        for _, run in _certify_grid_runs()[::7]:
+            _artifacts(run, tmp_path / "x.lp")
+        assert len(progs) >= 20
+        for prog in progs:
+            assert any(rec["interval"][0] == 0.0 for rec in prog.interval_records)
+            _assert_same_program(prog.sampled_referee(), per_sample_referee(prog))
+
+    def test_referee_matches_on_degenerate_interval(self):
+        prog = _Program(4)
+        zeta = prog.poly_vec(2, 3, "z")
+        expr = zeta[0].scaled(-1.5) + zeta[1].deriv() - PolyExpr.from_poly([0.25, 0.0, 2.0])
+        prog.add_interval_ge("flow", 0, expr, (0.0, 0.7), 1e-6)
+        prog.interval_records.append(dict(prog.interval_records[0], interval=(0.7, 0.7)))
+        prog.add_point_ge("pin", 0, expr.eval_at(0.0), 1e-6)
+        _assert_same_program(prog.sampled_referee(), per_sample_referee(prog))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_eval_grid_equals_eval_at(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        coef = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+        coeffs = [
+            LinExpr(
+                {v: data.draw(coef) for v in data.draw(st.sets(st.integers(0, nvars - 1)))},
+                data.draw(coef),
+            )
+            for _ in range(data.draw(st.integers(1, 9)))
+        ]
+        pexpr = PolyExpr(coeffs)
+        a = data.draw(st.sampled_from([0.0, -0.25, 0.3, 2.0]))
+        b = a + data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
+        ts = np.linspace(a, b, 51)
+        cols, block, const = pexpr.eval_grid(ts)
+        for s, t in enumerate(ts):
+            want = pexpr.eval_at(float(t))
+            got = dict(zip(cols, block[s].tolist()))
+            assert {v: c for v, c in got.items() if c != 0.0} == {v: c for v, c in want.coeffs.items() if c != 0.0}
+            assert const[s] == want.const
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems_match_full_schedule(self, data):
+        n = data.draw(st.integers(1, 2))
+        u = lambda lo, hi: data.draw(st.floats(lo, hi, allow_subnormal=False))  # noqa: E731
+        # Metzler flow matrix with timer-dependent diagonal, all else nonnegative
+        A = [[[u(-3.0, 0.5), u(-1.0, 1.0)] if i == j else [u(0.0, 1.0), 0.0] for j in range(n)] for i in range(n)]
+        sys = ImpulsiveSystem.from_arrays(
+            A=A,
+            Ec=[[u(0.0, 1.0)] for _ in range(n)],
+            Cc=[[u(0.0, 1.0) for _ in range(n)]],
+            Fc=[[u(0.0, 0.5)]],
+            J=[[u(0.0, 1.5) for _ in range(n)] for _ in range(n)],
+            Ed=[[u(0.0, 1.0)] for _ in range(n)],
+            Cd=[[u(0.0, 1.0) for _ in range(n)]],
+            Fd=[[u(0.0, 0.5)]],
+        )
+        T = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
+        spec = data.draw(
+            st.sampled_from([DwellTimeSpec.constant(T), DwellTimeSpec.minimum(T), DwellTimeSpec.range(T, 1.5 * T)])
+        )
+        degree = data.draw(st.integers(1, 2))
+
+        def run():
+            try:
+                if spec.kind == "range":
+                    return analyze_range(sys, spec.Tmin, spec.Tmax, degree)
+                if spec.kind == "constant":
+                    return analyze_constant(sys, spec.T, degree)
+                return analyze_minimum(sys, spec.T, degree)
+            except DwellgainError as exc:
+                return type(exc)
+
+        got = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis_mod, "_solve_with_escalation", full_schedule_escalation)
+            want = run()
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.to_json() == want.to_json()
+            assert verify(got, sys).passed
 
 
 class TestCertificateObject:

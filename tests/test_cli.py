@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import spy_solves
 from dwellgain import sim
 from dwellgain.cli import main
 from dwellgain.model import DwellTimeSpec, load_system, save_system
@@ -67,6 +68,16 @@ class TestAnalyze:
         save_system(hard, str(path))
         assert main(["analyze", "--system", str(path), "--dwell", "constant:1",
                      "--degree", "0"]) == 4
+
+    def test_referee_infeasible_exits_3(self, ex2_path, capsys):
+        # timer_growth_bench is unstable at constant dwell 1.2
+        assert main(["analyze", "--system", ex2_path, "--dwell", "constant:1.2", "--degree", "2"]) == 3
+        assert "[order +4: Infeasible]" in capsys.readouterr().err
+
+    def test_referee_numerical_failure_exits_4(self, ex2_path, capsys, monkeypatch):
+        spy_solves(monkeypatch, referee_fails=True)
+        assert main(["analyze", "--system", ex2_path, "--dwell", "constant:1.2", "--degree", "2"]) == 4
+        assert "sampled referee failed numerically" in capsys.readouterr().err
 
     def test_dump_lp(self, ex1_path, tmp_path):
         lp_path = tmp_path / "prog.lp"

@@ -21,6 +21,7 @@ from conftest import (
 from dwellgain import analysis as analysis_mod
 from dwellgain import lp as lp_mod
 from dwellgain.analysis import (
+    RELAX_SCHEDULE,
     analyze_arbitrary,
     analyze_constant,
     analyze_minimum,
@@ -297,11 +298,14 @@ class TestLinprogOracle:
 
     @pytest.mark.parametrize("degree", [4, 6])
     def test_escalation_failures(self, oracle_pairs, bench_timer_stable, degree):
-        # degree 4: HiGHS ends with status Unknown; degree 6: two Optimal
-        # answers violate a row by 2.0e-3 and 5.1e-3; the sampled referee
-        # then reports the program infeasible
-        with pytest.raises(Infeasible):
-            analyze_constant(bench_timer_stable, 0.12, degree)
+        # degree 4: HiGHS ends order +10 with status Unknown; degree 6: the
+        # Optimal answers of orders +8 and +10 violate a row by 5.1e-3 and
+        # 2.0e-3.  The default schedule stops after order +4, whose referee is
+        # infeasible, so each order runs alone; its referee then reports the
+        # program infeasible
+        for relax in RELAX_SCHEDULE:
+            with pytest.raises(Infeasible):
+                analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
         assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
 
