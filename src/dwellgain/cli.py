@@ -47,7 +47,13 @@ def _relax_schedule(order_cap):
     return tuple(r for r in ana.RELAX_SCHEDULE if r <= order_cap) or (int(order_cap),)
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ParseError(f"--degree must be >= 0, got {degree}")
+
+
 def _analyze_once(sys_obj, dwell: DwellTimeSpec, degree: int, margin, order_cap, dump_lp=None):
+    _check_degree(degree)
     kw = {}
     if margin is not None:
         kw["margin"] = margin
@@ -57,6 +63,8 @@ def _analyze_once(sys_obj, dwell: DwellTimeSpec, degree: int, margin, order_cap,
             raise ParseError("switched systems support --dwell minimum:<T>")
         return ana.analyze_switched_min(sys_obj, dwell.T, degree, dump_lp=dump_lp, **kw)
     if dwell.kind == "arbitrary":
+        if dump_lp:
+            raise ParseError("--dump-lp is not supported with --dwell arbitrary")
         kw.pop("relax_schedule")
         cert = ana.analyze_arbitrary(sys_obj, **kw)
         return cert
@@ -81,11 +89,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_synthesize(args) -> int:
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
+    _check_degree(args.degree)
+    switched = isinstance(sys_obj, SwitchedSystem)
+    if args.fixed_kd and (switched or dwell.kind != "range"):
+        raise ParseError("--fixed-kd needs an impulsive system and --dwell range:<Tmin>:<Tmax>")
     kw = {}
     if args.margin is not None:
         kw["margin"] = args.margin
     kw["relax_schedule"] = _relax_schedule(args.order_cap)
-    if isinstance(sys_obj, SwitchedSystem):
+    if switched:
         if dwell.kind != "minimum":
             raise ParseError("switched synthesis supports --dwell minimum:<T>")
         ctrl = synth.synthesize_switched(sys_obj, dwell.T, args.degree, dump_lp=args.dump_lp, **kw)

@@ -135,6 +135,9 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     cols = np.fromiter(chain.from_iterable(coeffs for coeffs, _, _ in rows), np.int64, nnz)
     vals = np.fromiter(chain.from_iterable(coeffs.values() for coeffs, _, _ in rows), float, nnz)
     rhs = np.fromiter((r for _, _, r in rows), float, n)
+    # checked before scaling, which an infinite entry would turn into nan
+    if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
+        raise ValueError("LP rows must have finite coefficients and right-hand sides")
     # each row divided by its largest magnitude (empty rows by 1)
     row_of = np.repeat(np.arange(n), sizes)
     scale = np.zeros(n)
@@ -200,8 +203,6 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         raise ValueError("LP has no variables")
     if not np.isfinite(a.c).all():
         raise ValueError("LP objective must be finite")
-    if not (np.isfinite(a.value).all() and np.isfinite(a.rhs).all()):
-        raise ValueError("LP rows must have finite coefficients and right-hand sides")
     # HiGHS reads a cost at or beyond its infinite_cost (1e20), and a finite
     # bound at or beyond its infinite_bound (1e20), as infinite
     big = np.flatnonzero(np.abs(a.c) >= _OPTIONS.infinite_cost)

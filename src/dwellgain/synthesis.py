@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -101,30 +102,32 @@ class ControllerRealization:
     def kc(self, tau: float, mode=None) -> np.ndarray:
         return self.kc_mesh(np.array([float(tau)]), mode=mode)[0]
 
+    @property
+    def _ud_poly(self) -> bool:
+        """Ud holds polynomial rows in theta (a genuine range design); else
+        it is a constant array (a degenerate range [T, T] included)."""
+        return self.Ud is not None and not isinstance(self.Ud, np.ndarray)
+
     def kd(self, theta: Optional[float] = None, mode=None) -> np.ndarray:
         """Discrete gain K_d = U_d X(.)^{-1} at the proper evaluation point."""
         if self.Ud is None:
             n = len(self.X[0]) if self.per_mode else len(self.X)
             return np.zeros((0, n))
+        if self.kind == "RangeDT_FixedKd":
+            return np.asarray(self.Ud) / np.asarray(self.M)[None, :]
         if self.kind == "RangeDT":
             if theta is None:
                 raise ValueError("range dwell-time controller needs theta")
-            th = float(np.clip(theta, self.dwell.Tmin, self.dwell.Tmax))
-            xv = np.array([p.eval(th) for p in self.X])
-            if np.min(xv) <= 0.0:
-                raise IllPosed("denominator X(theta) not positive")
-            ud = np.array([[p.eval(th) for p in row] for row in self.Ud])
-            return ud / xv[None, :]
-        if self.kind == "RangeDT_FixedKd":
-            return np.asarray(self.Ud) / np.asarray(self.M)[None, :]
-        if self.kind in ("ConstantDT", "MinimumDT"):
-            T = self.dwell.T
-            xv = np.array([p.eval(T) for p in self.X])
+            at = float(np.clip(theta, self.dwell.Tmin, self.dwell.Tmax))
+        elif self.kind in ("ConstantDT", "MinimumDT"):
+            at = self.dwell.T
         else:  # ArbitraryDT
-            xv = np.array([p.eval(0.0) for p in self.X])
+            at = 0.0
+        xv = np.array([p.eval(at) for p in self.X])
         if np.min(xv) <= 0.0:
             raise IllPosed("denominator X not positive at the jump evaluation point")
-        return np.asarray(self.Ud) / xv[None, :]
+        ud = np.array([[p.eval(at) for p in row] for row in self.Ud]) if self._ud_poly else np.asarray(self.Ud)
+        return ud / xv[None, :]
 
     def to_json(self) -> dict:
         data = {
@@ -142,7 +145,7 @@ class ControllerRealization:
             data["X"] = [list(p.coeffs) for p in self.X]
             data["Uc"] = _poly_rows(self.Uc)
         if self.Ud is not None:
-            if self.kind == "RangeDT":
+            if self._ud_poly:
                 data["Ud_poly"] = _poly_rows(self.Ud)
             else:
                 data["Ud"] = np.asarray(self.Ud).tolist()
@@ -219,6 +222,79 @@ def _sum_entries(exprs: Sequence[PolyExpr]) -> PolyExpr:
     return out
 
 
+class _Mode:
+    """One mode's closed loop in the decision variables (X, U) on the timer
+    interval (0, Tend), mats = (A, B, E, C, D, F).  Each entry of A X + B U and
+    C X + D U is built once and feeds the positivity, performance and
+    denominator rows; families carry `tag` as a suffix.  Tend = 0 (arbitrary
+    dwell-time) turns every interval row into a point row at tau = 0."""
+
+    def __init__(self, prog: _Program, mats: tuple, X: list[PolyExpr],
+                 U: list[list[PolyExpr]], Tend: float, tag: str = ""):
+        A, B, self.E, C, D, self.F = mats
+        self.prog, self.X, self.U, self.tag = prog, X, U, tag
+        self.iv = (0.0, Tend)
+        n = len(X)
+        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
+        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+
+    def positivity(self, alpha: int) -> None:
+        """Metzler rows (A X + B U)_{ij} + alpha [i=j] >= 0, output rows (C X + D U)_{ij} >= 0."""
+        al = PolyExpr([LinExpr.variable(alpha)])
+        flow = [[e + al if i == j else e for j, e in enumerate(row)] for i, row in enumerate(self.flow)]
+        for family, entries in (("pos_flow", flow), ("pos_out_c", self.out)):
+            for idx, expr in enumerate(chain.from_iterable(entries)):
+                self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
+
+    def performance(self, gamma: int, margin: float, stat_at: Optional[float] = None) -> None:
+        """The analysis flow and output rows under zeta = X*1,
+        X'*1 - [A X + B U]*1 - E*1 >= margin and gamma - [C X + D U]*1 - F*1 >= margin,
+        plus their stationary rows at tau = stat_at (minimum dwell-time)."""
+        prog, tag = self.prog, self.tag
+        flow = [_sum_entries(row) for row in self.flow]
+        out = [_sum_entries(row) for row in self.out]
+        gam = PolyExpr([LinExpr.variable(gamma)])
+        for i, row in enumerate(flow):
+            expr = -row - PolyExpr.from_poly(_row_ones(self.E, i).coeffs)
+            prog.add_interval_ge(f"perf_flow{tag}", i, self.X[i].deriv() + expr, self.iv, margin)
+        for i, row in enumerate(out):
+            expr = gam - row - PolyExpr.from_poly(_row_ones(self.F, i).coeffs)
+            prog.add_interval_ge(f"perf_out_c{tag}", i, expr, self.iv, margin)
+        if stat_at is None:
+            return
+        E_T, F_T = self.E(stat_at), self.F(stat_at)
+        for i, row in enumerate(flow):
+            expr = (-row).eval_at(stat_at) - float(E_T[i].sum())
+            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
+        for i, row in enumerate(out):
+            expr = LinExpr.variable(gamma) - row.eval_at(stat_at) - float(F_T[i].sum())
+            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
+
+    def denominator(self, x_min: float, gain_cap: Optional[float]) -> None:
+        """X >= x_min, X(0) <= _X_CAP, and implementable gains |U_lj| <= cap * X_j."""
+        prog, tag = self.prog, self.tag
+        for j, x in enumerate(self.X):
+            prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([x_min]), self.iv, 0.0)
+            prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(_X_CAP) - x.eval_at(0.0), 0.0)
+        if gain_cap is None:
+            return
+        idx = 0
+        for row in self.U:
+            for x, u in zip(self.X, row):
+                for sgn in (1.0, -1.0):
+                    prog.add_interval_ge(f"gain_cap{tag}", idx, x.scaled(gain_cap) + u.scaled(sgn), self.iv, 0.0)
+                    idx += 1
+
+    def regularize(self, extra_obj: dict[int, float], reg: float) -> None:
+        """Add reg * the integral of X over (0, Tend) (reg * X(0) when Tend = 0)."""
+        Tend = self.iv[1]
+        for x in self.X:
+            for k, le in enumerate(x.coeffs):
+                w = reg * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (reg if k == 0 else 0.0)
+                for v, c in le.coeffs.items():
+                    extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+
+
 def synthesize(
     sys: ImpulsiveSystem,
     dwell: DwellTimeSpec,
@@ -245,7 +321,7 @@ def synthesize(
         raise ValueError("fixed_kd is a range dwell-time variant")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n, mc, qc = sys.n, sys.mc, sys.qc
+    n, mc = sys.n, sys.mc
     jm = sys.jump
     md_, qd = sys.md, sys.qd
     Ed1 = jm.Ed.sum(axis=1)
@@ -261,76 +337,41 @@ def synthesize(
 
     x_degree = 0 if dwell.kind == "arbitrary" else degree
     Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
-    tau_iv = (0.0, Tend)
+    genuine_range = dwell.kind == "range" and dwell.Tmax - dwell.Tmin > 1e-12
+    # the jump rows are polynomials in theta for a genuine range design with
+    # theta-dependent Ud; otherwise they are point rows at jump_eval (or in M)
+    theta_poly = genuine_range and not fixed_kd
+    theta_iv = (dwell.Tmin, dwell.Tmax) if dwell.kind == "range" else None
+    if dwell.kind in ("constant", "minimum"):
+        jump_eval = dwell.T
+    elif dwell.kind == "arbitrary":
+        jump_eval = 0.0
+    else:
+        jump_eval = None if genuine_range else dwell.Tmin
 
     def build(relax: int):
         prog = _Program(relax)
         X = prog.poly_vec(n, x_degree, "X")
-        Uc = [[PolyExpr.from_vars([prog.lp.new_var(name=f"U{l}{j}_c{k}") for k in range(x_degree + 1)])
-               for j in range(n)] for l in range(mc)]
+        Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
         gamma = prog.scalar(lo=0.0, name="gamma")
         alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-        theta_iv: Optional[tuple[float, float]] = None
-        jump_eval: Optional[float] = None
-        Ud_poly = None
-        Ud_const = None
-        M = None
-        genuine_range = dwell.kind == "range" and dwell.Tmax - dwell.Tmin > 1e-12
-        if dwell.kind == "range":
-            theta_iv = (dwell.Tmin, dwell.Tmax)
-        if dwell.kind in ("constant", "minimum"):
-            jump_eval = dwell.T
-        elif dwell.kind == "arbitrary":
-            jump_eval = 0.0
-        elif not genuine_range:
-            jump_eval = dwell.Tmin
+        Ud_poly = Ud_const = M = None
         if md_:
-            if kind == "RangeDT" and genuine_range:
-                Ud_poly = [
-                    [
-                        PolyExpr.from_vars(
-                            [prog.lp.new_var(name=f"Ud{l}{j}_c{k}") for k in range(x_degree + 1)]
-                        )
-                        for j in range(n)
-                    ]
-                    for l in range(md_)
-                ]
+            if theta_poly:
+                Ud_poly = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md_)]
             else:
                 Ud_const = [
                     [prog.lp.new_var(name=f"Ud{l}{j}") for j in range(n)] for l in range(md_)
                 ]
         if fixed_kd:
             M = [prog.scalar(lo=x_min, hi=_X_CAP, name=f"M{j}") for j in range(n)]
+        mode = _Mode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+        mode.positivity(alpha)
 
-        def interval_or_point(family, idx, expr: PolyExpr, row_margin: float, iv):
-            if iv is None:
-                prog.add_point_ge(family, idx, expr.eval_at(jump_eval if Tend == 0.0 else 0.0), row_margin)
-            else:
-                prog.add_interval_ge(family, idx, expr, iv, row_margin)
-
-        # closed-loop Metzler rows: (A X + Bc Uc)_{ij} + alpha [i=j] >= 0
-        idx = 0
-        for i in range(n):
-            for j in range(n):
-                expr = _bilinear_entry(sys.A, X, sys.Bc, Uc, i, j)
-                if i == j:
-                    expr = expr + PolyExpr([LinExpr.variable(alpha)])
-                interval_or_point("pos_flow", idx, expr, 0.0, tau_iv if Tend > 0 else None)
-                idx += 1
-        # output positivity rows: (Cc X + Dc Uc)_{ij} >= 0
-        idx = 0
-        for i in range(qc):
-            for j in range(n):
-                expr = _bilinear_entry(sys.Cc, X, sys.Dc, Uc, i, j)
-                interval_or_point("pos_out_c", idx, expr, 0.0, tau_iv if Tend > 0 else None)
-                idx += 1
-
-        def x_at(j, where) -> LinExpr:
-            return X[j].eval_at(where)
-
-        def map_entry(P, Q, i: int, j: int, theta_poly: bool, where: Optional[float] = None):
-            """(P X + Q Ud)_{ij} as PolyExpr in theta (or LinExpr at `where`), for
-            the jump pair (J, Bd) or the discrete-output pair (Cd, Dd)."""
+        def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):
+            """(P X + Q Ud)_{ij} as PolyExpr in theta (theta_poly) or as LinExpr
+            at `where` (default jump_eval), for the jump pair (J, Bd) or the
+            discrete-output pair (Cd, Dd)."""
             if fixed_kd:
                 e = LinExpr.variable(M[j]).scaled(P[i, j])
                 for l in range(md_):
@@ -341,105 +382,61 @@ def synthesize(
                 for l in range(md_):
                     expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
                 return expr
-            e = x_at(j, jump_eval if where is None else where).scaled(P[i, j])
+            e = X[j].eval_at(jump_eval if where is None else where).scaled(P[i, j])
             if Ud_const is not None:
                 for l in range(md_):
                     e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
             return e
 
-        theta_poly = genuine_range and not fixed_kd
         # jump/discrete-output positivity rows: (J X + Bd Ud) >= 0, (Cd X + Dd Ud) >= 0.
         # Minimum dwell-time imposes them at both timer endpoints: the jump fires
         # at a frozen X(T) (sound gain recovery) while the reference condition
         # evaluates at X(0); the intersection keeps both readings valid.
-        jump_points = [None]
-        if dwell.kind == "minimum":
-            jump_points = [0.0, dwell.T]
+        jump_points = [0.0, dwell.T] if dwell.kind == "minimum" else [None]
         for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
             idx = 0
             for i in range(P.shape[0]):
                 for j in range(n):
                     if theta_poly:
-                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j, True), theta_iv, 0.0)
+                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j), theta_iv, 0.0)
                         idx += 1
                     else:
                         for pt in jump_points:
-                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, False, pt), 0.0)
+                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, pt), 0.0)
                             idx += 1
 
-        # performance rows; the flow row is the analysis row under zeta = X*1,
-        # i.e. X'(tau)*1 - [A X + Bc Uc]*1 - Ec*1 >= margin
+        mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+        # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
         gam = PolyExpr([LinExpr.variable(gamma)])
         for i in range(n):
-            row = _sum_entries(
-                [_bilinear_entry(sys.A, X, sys.Bc, Uc, i, j) for j in range(n)]
-            )
-            expr = -row - PolyExpr.from_poly(_row_ones(sys.Ec, i).coeffs)
-            if Tend > 0:
-                expr = X[i].deriv() + expr
-            interval_or_point("perf_flow", i, expr, margin, tau_iv if Tend > 0 else None)
-        for i in range(qc):
-            row = _sum_entries(
-                [_bilinear_entry(sys.Cc, X, sys.Dc, Uc, i, j) for j in range(n)]
-            )
-            expr = gam - row - PolyExpr.from_poly(_row_ones(sys.Fc, i).coeffs)
-            interval_or_point("perf_out_c", i, expr, margin, tau_iv if Tend > 0 else None)
-        if dwell.kind == "minimum":
-            T = dwell.T
-            for i in range(n):
-                row = _sum_entries(
-                    [_bilinear_entry(sys.A, X, sys.Bc, Uc, i, j) for j in range(n)]
-                )
-                expr = (-row).eval_at(T) - float(sys.Ec(T)[i].sum())
-                prog.add_point_ge("stat_flow", i, expr, margin)
-            for i in range(qc):
-                row = _sum_entries(
-                    [_bilinear_entry(sys.Cc, X, sys.Dc, Uc, i, j) for j in range(n)]
-                )
-                expr = LinExpr.variable(gamma) - row.eval_at(T) - float(sys.Fc(T)[i].sum())
-                prog.add_point_ge("stat_out", i, expr, margin)
-        # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
-        for i in range(n):
             if theta_poly:
-                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j, True) for j in range(n)])
-                expr = PolyExpr([x_at(i, 0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
+                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j) for j in range(n)])
+                expr = PolyExpr([X[i].eval_at(0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
                 prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
             else:
-                e = x_at(i, 0.0)
+                e = X[i].eval_at(0.0)
                 for j in range(n):
-                    e = e - map_entry(jm.J, jm.Bd, i, j, False)
+                    e = e - map_entry(jm.J, jm.Bd, i, j)
                 prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
         for i in range(qd):
             if theta_poly:
-                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j, True) for j in range(n)])
+                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j) for j in range(n)])
                 expr = gam - row - PolyExpr.from_poly([Fd1[i]])
                 prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
             else:
                 e = LinExpr.variable(gamma) - Fd1[i]
                 for j in range(n):
-                    e = e - map_entry(jm.Cd, jm.Dd, i, j, False)
+                    e = e - map_entry(jm.Cd, jm.Dd, i, j)
                 prog.add_point_ge("perf_out_d", i, e, margin)
         if fixed_kd:
             for j in range(n):
                 expr = PolyExpr([LinExpr.variable(M[j])]) - X[j]
                 prog.add_interval_ge("x_below_M", j, expr, theta_iv, 0.0)
 
-        # denominator positivity and scale cap
-        for j in range(n):
-            if Tend > 0:
-                prog.add_interval_ge("x_pos", j, X[j] - PolyExpr.from_poly([x_min]), tau_iv, 0.0)
-            else:
-                prog.add_point_ge("x_pos", j, x_at(j, 0.0), x_min)
-            prog.add_point_ge("x_cap", j, LinExpr.constant(_X_CAP) - x_at(j, 0.0), 0.0)
-        # implementable-gain rows: |Uc_lj(tau)| <= cap * X_j(tau)
+        mode.denominator(x_min, gain_cap)
+        # implementable discrete gains: |Ud_lj| <= cap * X_j (or cap * M_j)
         if gain_cap is not None:
-            idx = 0
-            for l in range(mc):
-                for j in range(n):
-                    for sgn in (1.0, -1.0):
-                        expr = X[j].scaled(gain_cap) + Uc[l][j].scaled(sgn)
-                        interval_or_point("gain_cap", idx, expr, 0.0, tau_iv if Tend > 0 else None)
-                        idx += 1
+            idx = 2 * mc * n  # numbered on from the continuous gain_cap rows
             for l in range(md_):
                 for j in range(n):
                     for sgn in (1.0, -1.0):
@@ -450,7 +447,7 @@ def synthesize(
                             base = (
                                 LinExpr.variable(M[j]).scaled(gain_cap)
                                 if fixed_kd
-                                else x_at(j, jump_eval).scaled(gain_cap)
+                                else X[j].eval_at(jump_eval).scaled(gain_cap)
                             )
                             base.add_inplace(LinExpr.variable(Ud_const[l][j]), sgn)
                             prog.add_point_ge("gain_cap_d", idx, base, 0.0)
@@ -480,11 +477,7 @@ def synthesize(
             return ctrl
 
         extra_obj: dict[int, float] = {}
-        for i in range(n):
-            for k, le in enumerate(X[i].coeffs):
-                w = reg * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (reg if k == 0 else 0.0)
-                for v, c in le.coeffs.items():
-                    extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+        mode.regularize(extra_obj, reg)
         if fixed_kd:
             for v in M:
                 extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
@@ -518,73 +511,22 @@ def synthesize_switched(
         raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
     if T <= 0:
         raise ValueError("T must be positive")
-    n, m, q = sw.n, sw.m, sw.q
+    n, m = sw.n, sw.m
 
     def build(relax: int):
         prog = _Program(relax)
         Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
-        Us = [
-            [
-                [
-                    PolyExpr.from_vars(
-                        [prog.lp.new_var(name=f"U{i}_{l}{j}_c{k}") for k in range(degree + 1)]
-                    )
-                    for j in range(n)
-                ]
-                for l in range(m)
-            ]
-            for i in range(sw.N)
-        ]
+        Us = [[prog.poly_vec(n, degree, f"U{i}_{l}") for l in range(m)] for i in range(sw.N)]
         gamma = prog.scalar(lo=0.0, name="gamma")
         alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i, md in enumerate(sw.modes):
-            X, U = Xs[i], Us[i]
-            idx = 0
-            for r in range(n):
-                for c in range(n):
-                    expr = _bilinear_entry(md["A"], X, md["B"], U, r, c)
-                    if r == c:
-                        expr = expr + PolyExpr([LinExpr.variable(alpha)])
-                    prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
-                    idx += 1
-            idx = 0
-            for r in range(q):
-                for c in range(n):
-                    expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
-                    prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
-                    idx += 1
-            for r in range(n):
-                row = _sum_entries(
-                    [_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)]
-                )
-                expr = X[r].deriv() - row - PolyExpr.from_poly(_row_ones(md["E"], r).coeffs)
-                prog.add_interval_ge(f"perf_flow[{i}]", r, expr, (0.0, T), margin)
-                stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
-                prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
-            for r in range(q):
-                row = _sum_entries(
-                    [_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)]
-                )
-                expr = gam - row - PolyExpr.from_poly(_row_ones(md["F"], r).coeffs)
-                prog.add_interval_ge(f"perf_out[{i}]", r, expr, (0.0, T), margin)
-                prog.add_point_ge(
-                    f"stat_out[{i}]",
-                    r,
-                    LinExpr.variable(gamma) - row.eval_at(T) - float(md["F"](T)[r].sum()),
-                    margin,
-                )
-            for r in range(n):
-                prog.add_interval_ge(f"x_pos[{i}]", r, X[r] - PolyExpr.from_poly([x_min]), (0.0, T), 0.0)
-                prog.add_point_ge(f"x_cap[{i}]", r, LinExpr.constant(_X_CAP) - X[r].eval_at(0.0), 0.0)
-            if gain_cap is not None:
-                idx = 0
-                for l in range(m):
-                    for c in range(n):
-                        for sgn in (1.0, -1.0):
-                            expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
-                            prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
-                            idx += 1
+        modes = [
+            _Mode(prog, tuple(md[k] for k in ("A", "B", "E", "C", "D", "F")), Xs[i], Us[i], T, f"[{i}]")
+            for i, md in enumerate(sw.modes)
+        ]
+        for mode in modes:
+            mode.positivity(alpha)
+            mode.performance(gamma, margin, T)
+            mode.denominator(x_min, gain_cap)
         for i in range(sw.N):
             for j in range(sw.N):
                 if i == j:
@@ -612,12 +554,8 @@ def synthesize_switched(
             return ctrl
 
         extra_obj: dict[int, float] = {}
-        for X in Xs:
-            for r in range(n):
-                for k, le in enumerate(X[r].coeffs):
-                    w = reg * (T ** (k + 1) / (k + 1))
-                    for v, c in le.coeffs.items():
-                        extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+        for mode in modes:
+            mode.regularize(extra_obj, reg)
         return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, degree, relax_schedule, dump_lp=dump_lp)

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 from dwellgain import analysis as analysis_mod
 from dwellgain import benchmarks
+from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import (
     _REFEREE_SAMPLES,
     DEFAULT_MARGIN,
@@ -31,6 +32,7 @@ from dwellgain.errors import Infeasible, Mismatch, NumericalFailure, RelaxationL
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import HandelmanCertificate, Poly
+from dwellgain.synthesis import ControllerRealization, _bilinear_entry, _sum_entries
 
 
 # the certify-grid benchmark's dwell times and (design spec, fixed Kd) pairs
@@ -608,6 +610,109 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
             )
 
         return prog, gamma, finalize
+
+    return _solve_with_escalation(build, degree, relax_schedule)
+
+
+def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e-3, reg=1e-6,
+                                  gain_cap=100.0, relax_schedule=RELAX_SCHEDULE):
+    """Oracle for synthesize_switched: its body before the per-mode rows went
+    through synthesis._Mode, with its own positivity, performance, stationary,
+    denominator and regularizer loops (families pos_out[i] and perf_out[i])."""
+    n, m, q = sw.n, sw.m, sw.q
+
+    def build(relax: int):
+        prog = _Program(relax)
+        Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
+        Us = [
+            [
+                [
+                    PolyExpr.from_vars(
+                        [prog.lp.new_var(name=f"U{i}_{l}{j}_c{k}") for k in range(degree + 1)]
+                    )
+                    for j in range(n)
+                ]
+                for l in range(m)
+            ]
+            for i in range(sw.N)
+        ]
+        gamma = prog.scalar(lo=0.0, name="gamma")
+        alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
+        gam = PolyExpr([LinExpr.variable(gamma)])
+        for i, md in enumerate(sw.modes):
+            X, U = Xs[i], Us[i]
+            idx = 0
+            for r in range(n):
+                for c in range(n):
+                    expr = _bilinear_entry(md["A"], X, md["B"], U, r, c)
+                    if r == c:
+                        expr = expr + PolyExpr([LinExpr.variable(alpha)])
+                    prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
+                    idx += 1
+            idx = 0
+            for r in range(q):
+                for c in range(n):
+                    expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
+                    prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
+                    idx += 1
+            for r in range(n):
+                row = _sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)])
+                expr = X[r].deriv() - row - PolyExpr.from_poly(_row_ones(md["E"], r).coeffs)
+                prog.add_interval_ge(f"perf_flow[{i}]", r, expr, (0.0, T), margin)
+                stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
+                prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
+            for r in range(q):
+                row = _sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)])
+                expr = gam - row - PolyExpr.from_poly(_row_ones(md["F"], r).coeffs)
+                prog.add_interval_ge(f"perf_out[{i}]", r, expr, (0.0, T), margin)
+                prog.add_point_ge(
+                    f"stat_out[{i}]",
+                    r,
+                    LinExpr.variable(gamma) - row.eval_at(T) - float(md["F"](T)[r].sum()),
+                    margin,
+                )
+            for r in range(n):
+                prog.add_interval_ge(f"x_pos[{i}]", r, X[r] - PolyExpr.from_poly([x_min]), (0.0, T), 0.0)
+                prog.add_point_ge(
+                    f"x_cap[{i}]", r, LinExpr.constant(synthesis_mod._X_CAP) - X[r].eval_at(0.0), 0.0
+                )
+            if gain_cap is not None:
+                idx = 0
+                for l in range(m):
+                    for c in range(n):
+                        for sgn in (1.0, -1.0):
+                            expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
+                            prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
+                            idx += 1
+        for i in range(sw.N):
+            for j in range(sw.N):
+                if i == j:
+                    continue
+                for r in range(n):
+                    prog.add_point_ge(f"couple[{i}->{j}]", r, Xs[j][r].eval_at(0.0) - Xs[i][r].eval_at(T), 0.0)
+
+        def finalize(prog, sol, relax):
+            ctrl = ControllerRealization(
+                kind="SwitchedMinDT",
+                dwell=DwellTimeSpec.minimum(T),
+                gamma=float(sol.x[gamma]),
+                degree=degree,
+                margin=margin,
+                X=[[x.value(sol.x) for x in X] for X in Xs],
+                Uc=[[[u.value(sol.x) for u in row] for row in U] for U in Us],
+                Ud=None,
+            )
+            synthesis_mod._check_denominator(ctrl)
+            return ctrl
+
+        extra_obj: dict[int, float] = {}
+        for X in Xs:
+            for r in range(n):
+                for k, le in enumerate(X[r].coeffs):
+                    w = reg * (T ** (k + 1) / (k + 1))
+                    for v, c in le.coeffs.items():
+                        extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+        return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, degree, relax_schedule)
 

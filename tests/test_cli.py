@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import spy_solves
 from dwellgain import sim
 from dwellgain.cli import main
 from dwellgain.model import DwellTimeSpec, load_system, save_system
+from dwellgain.synthesis import ControllerRealization, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,56 @@ class TestSynthesizeCommand:
                      "--degree", "2", "--fixed-kd", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["kind"] == "RangeDT_FixedKd"
 
+    def test_degenerate_range_saves_and_certifies(self, bench_chain_plant, tmp_path):
+        # range:T:T keeps a constant Ud; saving, kd and certify read it as such
+        sys_path = tmp_path / "plant.json"
+        save_system(bench_chain_plant, str(sys_path))
+        out = tmp_path / "ctrl.json"
+        assert main(["synthesize", "--system", str(sys_path), "--dwell", "range:0.2:0.2",
+                     "--degree", "2", "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["kind"] == "RangeDT" and "Ud" in data and "Ud_poly" not in data
+        ctrl = synthesize(bench_chain_plant, DwellTimeSpec.range(0.2, 0.2), degree=2)
+        loaded = ControllerRealization.load(str(out))
+        assert loaded.to_json() == ctrl.to_json()
+        assert np.array_equal(loaded.kd(0.2), ctrl.kd(0.2))
+        assert np.array_equal(ctrl.kd(0.2), np.asarray(ctrl.Ud) / [x.eval(0.2) for x in ctrl.X])
+        assert main(["certify", "--system", str(sys_path), "--certificate", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def chain_path(bench_chain_plant, tmp_path_factory):
+    path = tmp_path_factory.mktemp("sys") / "chain.json"
+    save_system(bench_chain_plant, str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def switched_path(bench_switched, tmp_path_factory):
+    path = tmp_path_factory.mktemp("sys") / "switched.json"
+    save_system(bench_switched, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--system", "{ex1}", "--dwell", "constant:0.3", "--degree", "-1"],
+        ["analyze", "--system", "{ex1}", "--dwell", "arbitrary", "--dump-lp", "{out}"],
+        ["sweep", "--system", "{ex1}", "--dwell", "minimum", "--from", "0.2", "--to", "0.4",
+         "--points", "2", "--degree", "-1", "-o", "{out}"],
+        ["synthesize", "--system", "{chain}", "--dwell", "constant:0.1", "--degree", "-1", "-o", "{out}"],
+        ["synthesize", "--system", "{chain}", "--dwell", "constant:0.1", "--fixed-kd", "-o", "{out}"],
+        ["synthesize", "--system", "{switched}", "--dwell", "minimum:0.5", "--fixed-kd", "-o", "{out}"],
+    ],
+)
+def test_config_errors_exit_2(ex1_path, chain_path, switched_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    args = [a.format(ex1=ex1_path, chain=chain_path, switched=switched_path, out=out) for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
 
 class TestSimulateAndSweep:
     def test_simulate_outputs(self, ex1_path, tmp_path):
@@ -222,7 +274,7 @@ class TestSimulateIntegrationCount:
 
     @staticmethod
     def _outputs(prefix):
-        return [open(prefix + suffix, "rb").read() for suffix in ("_states.csv", "_jumps.csv", "_meta.json")]
+        return [Path(prefix + suffix).read_bytes() for suffix in ("_states.csv", "_jumps.csv", "_meta.json")]
 
     @pytest.mark.parametrize(
         "dwell, runs, jobs, integrations",

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import assert_matches_three_paths
-from dwellgain.errors import DimensionMismatch, IllPosed, Infeasible
+from conftest import assert_matches_three_paths, reference_synthesize_switched
+from dwellgain.analysis import _Program
+from dwellgain.benchmarks import two_mode_switched_bench
+from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible
+from dwellgain.lp import _assemble
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, InputSignal, estimate_gain, generate_inputs, simulate
@@ -242,6 +247,61 @@ class TestSwitchedSynthesis:
         )
         with pytest.raises(Infeasible):
             synthesize_switched(sw, 0.2, degree=2)
+
+
+class TestSwitchedModeOracle:
+    """synthesize_switched builds its per-mode rows with synthesis._Mode; its
+    programs and controllers equal those of its own loops, kept as
+    conftest.reference_synthesize_switched.  The fold renames pos_out[i] and
+    perf_out[i] to pos_out_c[i] and perf_out_c[i] and moves the stationary
+    (point) rows past interval rows; _assemble puts every <= (point) row ahead
+    of every = (interval) row, so the arrays HiGHS gets are unchanged."""
+
+    @staticmethod
+    def _solved(monkeypatch, run):
+        """(assembly, point records, interval records) of every LP `run`
+        solves, and its controller JSON or error class."""
+        seen = []
+        real = _Program.solve_min
+
+        def lin(e):
+            return list(e.coeffs.items()), e.const
+
+        def family(name):
+            return re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
+
+        def spy(prog, *args):
+            try:
+                return real(prog, *args)
+            finally:
+                points = [(family(r["family"]), r["index"], lin(r["expr"]), r["margin"])
+                          for r in prog.point_records]
+                intervals = [(family(r["family"]), r["index"], [lin(c) for c in r["pexpr"].coeffs],
+                              r["interval"], r["order"], r["margin"], r["cone"])
+                             for r in prog.interval_records]
+                seen.append((_assemble(prog.lp), points, intervals))
+
+        with monkeypatch.context() as m:
+            m.setattr(_Program, "solve_min", spy)
+            try:
+                out = run().to_json()
+            except DwellgainError as exc:
+                out = type(exc).__name__
+        return seen, out
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("plant", ["two_mode", "stabilizable"])
+    def test_same_programs_and_controller(self, monkeypatch, plant, T, degree):
+        sw = two_mode_switched_bench() if plant == "two_mode" else TestSwitchedSynthesis._stabilizable_two_mode()
+        got, out = self._solved(monkeypatch, lambda: synthesize_switched(sw, T, degree))
+        want, out_r = self._solved(monkeypatch, lambda: reference_synthesize_switched(sw, T, degree))
+        assert got and len(got) == len(want)
+        for (asm, points, intervals), (asm_r, points_r, intervals_r) in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
+            assert points == points_r
+            assert intervals == intervals_r
+        assert out == out_r
 
 
 class TestControllerIO:
