@@ -24,7 +24,7 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
-from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
 from .poly import HandelmanCertificate, Poly, product_basis
 
 __all__ = [
@@ -504,6 +504,7 @@ def analyze_arbitrary(
     jump_margin: float = DEFAULT_JUMP_MARGIN,
 ) -> Certificate:
     """Arbitrary dwell-time gain bound for constant-matrix systems (plain LP)."""
+    require_forward_time(sys, "arbitrary dwell-time analysis")
     if not sys.is_constant():
         raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
     A = sys.A.const()
@@ -565,6 +566,7 @@ def _analyze_hybrid(
     mu_variant: bool = False,
     dump_lp=None,
 ) -> Certificate:
+    require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     Tend = dwell.horizon_tau()

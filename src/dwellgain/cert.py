@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import Mismatch, Unsupported
-from .model import ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from .model import ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
 from .poly import Poly
 from .sim import _block_prefix, _rk4_maps, _scan
 
@@ -199,6 +199,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     (synthesis.ClosedLoopView); every row family is evaluated on that mesh."""
     view = sys if hasattr(sys, "jumps_at") else _OpenLoop(sys)
     plant = view.sys
+    require_forward_time(plant, "verification")
     dwell = cert.dwell
     gamma = cert.gamma
     per_mode = cert.per_mode
@@ -273,6 +274,7 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
     """Check the equivalent state-transition (integral-form) conditions with
     lambda = zeta(0) by integrating the forced flow; referee for the
     statement equivalences."""
+    require_forward_time(sys, "the state-transition cross-check")
     dwell = cert.dwell
     gamma = cert.gamma
     slacks: dict[str, float] = {}

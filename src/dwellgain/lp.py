@@ -3,6 +3,9 @@
 The solver contract is the interface; the implementation hands each program
 straight to the HiGHS binding that SciPy bundles, with the options
 ``linprog(method="highs")`` uses, and checks the answer as ``linprog`` did.
+The binding is loaded directly from its extension file, so importing this
+module never runs ``scipy.optimize`` (nor ``scipy.linalg`` or
+``scipy.sparse``, which that package loads).
 Rows are normalized to unit infinity-norm before solving because
 interval-certificate bases are badly scaled at high order.
 
@@ -12,7 +15,10 @@ analysis and synthesis encoders assemble their constraint polynomials from.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -21,8 +27,33 @@ import numpy as np
 
 from .errors import Infeasible, NumericalFailure
 
+
+def _load_highs_core():
+    """SciPy's HiGHS extension module, loaded from its file.
+
+    Importing it as ``scipy.optimize._highspy._core`` would first run
+    ``scipy/optimize/__init__.py``, which loads all of ``scipy.optimize``,
+    ``scipy.linalg`` and ``scipy.sparse``; none of them is used here.
+    """
+    name = "scipy.optimize._highspy._core"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("SciPy is not installed")
+    directory = os.path.join(os.path.dirname(scipy_spec.origin), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_core" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no {name} extension module in {directory}")
+
+
 try:
-    from scipy.optimize._highspy import _core as _highs
+    _highs = _load_highs_core()
 except ImportError as exc:  # SciPy too old to bundle the binding
     import scipy
 

@@ -582,6 +582,14 @@ def adjoint(sys: ImpulsiveSystem) -> ImpulsiveSystem:
     return out
 
 
+def require_forward_time(sys, operation: str) -> None:
+    """Refuse a time-reversed system: `operation` would read it as running
+    forward in time.  Only analyze_lti, whose LTI gains are the same in either
+    direction, accepts the adjoint."""
+    if getattr(sys, "time_reversed", False):
+        raise Unsupported(f"{operation} is not defined for a time-reversed (adjoint) system")
+
+
 # --- JSON round-trip ---------------------------------------------------------
 
 _CONT_KEYS = ("A", "Bc", "Ec", "Cc", "Dc", "Fc")

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, StepTooLarge
-from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
+from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
 
 __all__ = [
     "SequenceGen",
@@ -319,6 +319,7 @@ def simulate(
     minimum-dwell-time semantics.  With check_step=True a halve-step referee
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
     """
+    require_forward_time(sys, "simulation")
     if horizon <= 0 or (step is not None and step <= 0):
         raise DimensionMismatch("horizon and step must be positive")
     if rng is None:

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
 from .poly import Poly
 
 __all__ = [
@@ -315,6 +315,7 @@ def synthesize(
     among gain-equivalent optima; `gain_cap` bounds |U| <= cap * X entrywise so
     the recovered rational gains stay implementable (degenerate optima otherwise
     drive X to its floor and the gains to the LP bounds)."""
+    require_forward_time(sys, "synthesis")
     if len(sys.jumps) != 1:
         raise DimensionMismatch("synthesis expects a single jump map (lift switched systems separately)")
     if fixed_kd and dwell.kind != "range":

@@ -210,8 +210,10 @@ def csr_assemble(lp):
         filled = sizes > 0
         scale[filled] = np.maximum.reduceat(np.abs(vals), (np.cumsum(sizes) - sizes)[filled])
     scale[scale == 0.0] = 1.0
-    vals = vals / scale[row_of]
-    rhs = rhs / scale
+    # an infinite coefficient scales to nan, which linprog refuses with ValueError
+    with np.errstate(invalid="ignore"):
+        vals = vals / scale[row_of]
+        rhs = rhs / scale
 
     def to_csr(select):
         local = np.cumsum(select) - 1

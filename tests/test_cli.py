@@ -59,6 +59,14 @@ class TestAnalyze:
         save_system(bad, str(path))
         assert main(["analyze", "--system", str(path), "--dwell", "arbitrary"]) == 3
 
+    def test_time_reversed_system_exits_2(self, ex1_path, tmp_path, capsys):
+        data = json.loads(Path(ex1_path).read_text())
+        data["time_reversed"] = True
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--system", str(path), "--dwell", "constant:0.5"]) == 2
+        assert "time-reversed" in capsys.readouterr().err
+
     def test_relaxation_limit_exits_4(self, tmp_path):
         from dwellgain.model import ImpulsiveSystem
 

@@ -1,11 +1,13 @@
+import importlib.machinery
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.optimize._highspy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -554,11 +556,43 @@ class TestHighsBinding:
         assert opts.infinite_bound == 1e20
 
     def test_missing_binding_names_the_scipy_version(self, monkeypatch):
-        monkeypatch.delattr(scipy.optimize._highspy, "_core")
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        # no _core file carries this suffix, as when SciPy bundles no binding
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-abi.so"])
         spec = importlib.util.spec_from_file_location("dwellgain._lp_without_binding", lp_mod.__file__)
         with pytest.raises(ImportError, match=r"SciPy >= 1\.17"):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    @staticmethod
+    def _fresh_python(code):
+        """Run `code` in a new interpreter that imports dwellgain from this tree."""
+        src = os.path.dirname(os.path.dirname(lp_mod.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        out = self._fresh_python(
+            "import sys, dwellgain, dwellgain.cli\n"
+            "print(sorted({'scipy.optimize', 'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))"
+        )
+        assert out.strip() == "[]"
+
+    def test_binding_is_the_module_scipy_optimize_loads(self):
+        out = self._fresh_python(
+            "import dwellgain.lp as lp\n"
+            "import scipy.optimize\n"
+            "print(scipy.optimize._highspy._core is lp._highs)\n"
+            "print(scipy.optimize.linprog([1.0], bounds=[(1.0, 2.0)]).x[0])\n"
+            "prog = lp.LinearProgram()\n"
+            "x = prog.new_var(lo=1.0, hi=2.0)\n"
+            "prog.set_objective({x: 1.0})\n"
+            "sol = lp.lp_solve(prog)\n"
+            "print(sol.status, sol.x[0])\n"
+        )
+        assert out.split("\n")[:3] == ["True", "1.0", "Optimal 1.0"]
 
 
 class TestAffineExpressions:

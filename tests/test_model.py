@@ -1,8 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dwellgain.analysis import (
+    analyze_arbitrary,
+    analyze_constant,
+    analyze_minimum,
+    analyze_range,
+)
+from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.errors import DimensionMismatch, InvalidDomain, ParseError, Unsupported
 from dwellgain.model import (
     DwellTimeSpec,
@@ -16,6 +24,7 @@ from dwellgain.model import (
     save_system,
 )
 from dwellgain.sim import SequenceGen, generate_inputs, simulate
+from dwellgain.synthesis import synthesize
 
 
 class TestPolyMatrix:
@@ -165,6 +174,45 @@ class TestAdjoint:
     def test_multi_jump_unsupported(self, bench_switched):
         with pytest.raises(Unsupported):
             adjoint(lift_switched(bench_switched))
+
+
+def _analyze(name, s):
+    return {
+        "arbitrary": lambda: analyze_arbitrary(s),
+        "constant": lambda: analyze_constant(s, 0.5, 4),
+        "minimum": lambda: analyze_minimum(s, 0.5, 4),
+        "range": lambda: analyze_range(s, 0.5, 0.8, 4),
+    }[name]()
+
+
+class TestTimeReversedRefused:
+    """Every entry point but analyze_lti refuses a time-reversed system: it
+    would read the adjoint as running forward (constant dwell 0.5 on the
+    adjoint of lti_jump_bench gave 2.164; the primal's gain is 1.115)."""
+
+    @pytest.mark.parametrize("kind", ["arbitrary", "constant", "minimum", "range"])
+    def test_analyze(self, bench_lti, kind):
+        assert _analyze(kind, bench_lti).gamma > 0
+        with pytest.raises(Unsupported, match="time-reversed"):
+            _analyze(kind, adjoint(bench_lti))
+
+    def test_synthesize(self, bench_chain_plant):
+        reversed_plant = replace(bench_chain_plant, time_reversed=True)
+        with pytest.raises(Unsupported, match="time-reversed"):
+            synthesize(reversed_plant, DwellTimeSpec.constant(0.1))
+
+    def test_simulate(self, bench_lti):
+        adj = adjoint(bench_lti)
+        with pytest.raises(Unsupported, match="time-reversed"):
+            simulate(adj, SequenceGen.exact(0.5), generate_inputs("const_unit"),
+                     x0=np.zeros(adj.n), horizon=2.0)
+
+    @pytest.mark.parametrize("check", [verify, cross_check_discrete])
+    def test_verify_and_cross_check(self, bench_lti, check):
+        cert = analyze_constant(bench_lti, 0.5, 4)
+        assert check(cert, bench_lti).passed
+        with pytest.raises(Unsupported, match="time-reversed"):
+            check(cert, replace(bench_lti, time_reversed=True))
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CERTIFY_GRID_T, bernstein_oracle, per_row_certify_at_order
@@ -182,10 +182,31 @@ class TestCertify:
             assert grid_min >= -1e-8 * (1 + p.max_abs_coeff())
 
 
+def _cone_bernstein(cert, d):
+    """Degree-d Bernstein coefficients, in s on [0, 1], of the oracle's cone
+    element sum_ij w_ij (t - a)^i (b - t)^j, in exact arithmetic."""
+    a, b = cert.interval
+    h = Fraction(b) - Fraction(a)
+    mono = [Fraction(0)] * (d + 1)  # (t - a)^i (b - t)^j = h^(i+j) s^i (1 - s)^j
+    for (i, j), w in cert.weights.items():
+        scale = Fraction(w) * h ** (i + j)
+        for m in range(j + 1):
+            mono[i + m] += scale * (-1) ** m * math.comb(j, m)
+    return [
+        sum(Fraction(math.comb(i, k), math.comb(d, k)) * c for k, c in enumerate(mono[: i + 1]))
+        for i in range(d + 1)
+    ]
+
+
 def assert_exact_matches_lp_oracle(p, interval, margin=0.0):
     """At every order of the default schedule, the exact decision equals the
-    product-basis LP's Optimal / not Optimal; where they differ, the smallest
-    Bernstein coefficient is within the LP's 1e-7 tolerance (times scale) of 0."""
+    product-basis LP's Optimal / not Optimal, or the disagreement is the LP's.
+
+    LP accepts, exact rejects: the smallest Bernstein coefficient b(q) is
+    negative, and no lower than -max |b_i(r)|, r = q - c the oracle's residual
+    against its own cone element c (b(c) >= 0 term by term, so b(q) >= b(r)).
+    Exact accepts, LP rejects: min b(q) is within the LP's 1e-7 tolerance
+    (times scale) of 0."""
     a, b = interval
     for d in (p.degree + r for r in (4, 6, 8, 10)):
         try:
@@ -193,12 +214,15 @@ def assert_exact_matches_lp_oracle(p, interval, margin=0.0):
             exact = True
         except NoCertificate:
             exact = False
-        if exact != (per_row_certify_at_order(p, a, b, d, margin) is not None):
+        cert = per_row_certify_at_order(p, a, b, d, margin)
+        if exact == (cert is not None):
+            continue
+        bern = bernstein_oracle(p, interval, d, margin)
+        if cert is not None:
+            residual = max(abs(x - y) for x, y in zip(bern, _cone_bernstein(cert, d)))
+            assert -residual <= min(bern) < 0, (p, interval, d)
+        else:
             q = (p - Poly.const(margin)).shift_scale_arg(a, b - a).coeffs
-            bern = [
-                math.fsum(math.comb(i, k) / math.comb(d, k) * c for k, c in enumerate(q[: i + 1]))
-                for i in range(d + 1)
-            ]
             assert abs(min(bern)) <= 1e-7 * max(1.0, max(map(abs, q))), (p, interval, d)
 
 
@@ -229,6 +253,7 @@ class TestExactDecision:
             assert_exact_matches_lp_oracle(p, interval)
 
     @settings(max_examples=60, deadline=None)
+    @example(q=[-1e-5, 0.0, 0.25], offset=1e-9, interval=(0.0, 1.0))
     @given(
         q=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
         offset=st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.3]),
