@@ -66,7 +66,8 @@ def flow_grid(
     taus: np.ndarray,
     clamp: Optional[float] = None,
 ):
-    """Phi(tau_i, 0) and the unit-input forced response on a uniform grid.
+    """Phi(tau_i, 0) (len, n, n) and the unit-input forced response (len, n)
+    on a uniform grid.
 
     Integrates dPhi/dtau = A(tau) Phi and dr/dtau = A(tau) r + E(tau) * 1 with
     the fixed-step RK4 machinery; taus must be uniform starting at 0."""
@@ -81,16 +82,18 @@ def flow_grid(
     n = A_pm.shape[0]
 
     def A_of(ts):
-        return A_pm.eval_mesh(ts, clamp)
+        return A_pm.eval_mesh(ts, clamp, component_major=True)
 
     if E_pm is None:
-        b_of = lambda ts: np.zeros((len(ts), n))
+        b_of = lambda ts: np.zeros((n, len(ts)))
     else:
-        b_of = lambda ts: E_pm.eval_mesh(ts, clamp).sum(axis=2)
+        b_of = lambda ts: E_pm.eval_mesh(ts, clamp, component_major=True).sum(axis=1)
 
     _, R, s = _rk4_maps(A_of, b_of, h, m)
-    P, q = _block_prefix(R, s)
-    return _scan(P, None, np.eye(n), m), _scan(P, q, np.zeros(n), m)
+    tables = _block_prefix(R, s)
+    Phis = _scan(tables, np.eye(n), m, forced=False)  # (n, n, m+1)
+    forced = _scan(tables, np.zeros(n), m)  # (n, m+1)
+    return np.ascontiguousarray(Phis.transpose(2, 0, 1)), np.ascontiguousarray(forced.T)
 
 
 def transition_matrix(
@@ -122,11 +125,11 @@ def transition_matrix(
             off = t - t_origin
 
             def A_of(ts):
-                return sys.A.eval_mesh(ts + off, clamp)
+                return sys.A.eval_mesh(ts + off, clamp, component_major=True)
 
-            b_of = lambda ts: np.zeros((len(ts), n))
+            b_of = lambda ts: np.zeros((n, len(ts)))
             _, R, s = _rk4_maps(A_of, b_of, h, m)
-            Phi = _scan(_block_prefix(R, s)[0], None, Phi, m)[-1]
+            Phi = _scan(_block_prefix(R, s), Phi, m, forced=False)[..., -1]
         if tk in events:
             Phi = sys.jump.J @ Phi
             t_origin = tk

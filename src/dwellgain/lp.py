@@ -177,7 +177,10 @@ def _assemble(lp: LinearProgram) -> _Assembled:
         scale[filled] = np.maximum.reduceat(np.abs(vals), (np.cumsum(sizes) - sizes)[filled])
     scale[scale == 0.0] = 1.0
     vals = vals / scale[row_of]
-    rhs = rhs / scale
+    # a row of subnormal coefficients scales its bound past the float range;
+    # lp_solve refuses that inf with the other bounds beyond HiGHS's infinity
+    with np.errstate(over="ignore"):
+        rhs = rhs / scale
     # explicit zeros (underflow of the scaling) dropped, entries sorted by
     # column within each row
     keep = vals != 0.0

@@ -103,12 +103,21 @@ class PolyMatrix:
             out = out * t + self.coeffs[:, :, k]
         return out
 
-    def eval_mesh(self, taus: np.ndarray, clamp: Optional[float] = None) -> np.ndarray:
-        """Evaluate on a mesh, returning shape (len(taus), r, c)."""
+    def eval_mesh(
+        self, taus: np.ndarray, clamp: Optional[float] = None, component_major: bool = False
+    ) -> np.ndarray:
+        """Evaluate on a mesh, returning shape (len(taus), r, c), or with
+        component_major=True a C-contiguous (r, c, len(taus)) array of the
+        same values, the layout the simulator's batched products run on."""
         t = np.minimum(taus, clamp) if clamp is not None else np.asarray(taus, dtype=float)
-        out = np.broadcast_to(self.coeffs[:, :, -1], (len(t),) + self.shape).copy()
-        for k in range(self.coeffs.shape[2] - 2, -1, -1):
-            out = out * t[:, None, None] + self.coeffs[:, :, k]
+        cs = self.coeffs.transpose(2, 0, 1)  # cs[k] is the degree-k slab
+        if component_major:
+            cs, shape = cs[..., None], self.shape + (len(t),)
+        else:
+            t, shape = t[:, None, None], (len(t),) + self.shape
+        out = np.broadcast_to(cs[-1], shape).copy()
+        for c in cs[-2::-1]:
+            out = out * t + c
         return out
 
     @property

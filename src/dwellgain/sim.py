@@ -3,10 +3,13 @@ hybrid sup-norm bookkeeping, and Monte-Carlo gain lower bounds.
 
 The flow between jumps is linear in the state, so the classical fixed-step
 RK4 update is precomputed per mesh cell as an affine map x -> R x + s with
-all mesh evaluations vectorized.  The maps are composed by a blocked prefix
-scan, so a segment of m cells costs about m/32 serial steps; a segment whose
-mode, mesh and input values repeat those of the mode's previous segment
-reuses its tables.
+all mesh evaluations vectorized.  The tables are component-major, (n, n, m)
+and (n, m), so each batched 2x2 product is a few vector operations over the
+cells.  The maps are composed by a two-level log-doubling prefix scan, within
+blocks of 32 cells and then over the block ends, so a segment of m cells
+costs O(log m) batched products and no Python loop over its cells or blocks;
+a segment whose mode, mesh and input values repeat those of the mode's
+previous segment reuses its tables.
 """
 
 from __future__ import annotations
@@ -156,19 +159,33 @@ class Trajectory:
 _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
 
 
-def _rk4_stage(A1, A2, A4, b1, b2, b4, h: float):
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Cellwise products of component-major matrix stacks: (r, k, ...) times (k, c, ...) is (r, c, ...)."""
+    return np.einsum("ik...,kj...->ij...", A, B)
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cellwise products of a component-major matrix stack (r, k, ...) and vectors (k, ...)."""
+    return np.einsum("ik...,k...->i...", A, x)
+
+
+def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h: float):
     """Classical RK4 step of x' = A x + b as an affine map x -> R x + s, per cell.
 
-    A1, A2, A4 (m, n, n) and b1, b2, b4 (m, n) are the data at the start,
-    midpoint and end of each of m cells of width h.
+    A (n, n, len) and b (n, len) hold the data on a mesh; the slices pick the
+    start, midpoint and end of each of m cells of width h.  R is (n, n, m)
+    and s (n, m).
     """
-    M2 = A2 + 0.5 * h * (A2 @ A1)
-    M3 = A2 + 0.5 * h * (A2 @ M2)
-    M4 = A4 + h * (A4 @ M3)
-    R = np.eye(A1.shape[1]) + (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
-    v2 = 0.5 * h * (A2 @ b1[:, :, None])[:, :, 0] + b2
-    v3 = 0.5 * h * (A2 @ v2[:, :, None])[:, :, 0] + b2
-    v4 = h * (A4 @ v3[:, :, None])[:, :, 0] + b4
+    A1, A2, A4 = A[..., start], A[..., mid], A[..., end]
+    b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
+    M2 = A2 + 0.5 * h * _mm(A2, A1)
+    M3 = A2 + 0.5 * h * _mm(A2, M2)
+    M4 = A4 + h * _mm(A4, M3)
+    R = (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
+    R += np.eye(A1.shape[0])[:, :, None]
+    v2 = 0.5 * h * _mv(A2, b1) + b2
+    v3 = 0.5 * h * _mv(A2, v2) + b2
+    v4 = h * _mv(A4, v3) + b4
     s = (h / 6.0) * (b1 + 2.0 * v2 + 2.0 * v3 + v4)
     return R, s
 
@@ -184,71 +201,87 @@ def _mesh(m: int, h: float, quarters: bool = False) -> np.ndarray:
 
 
 def _rk4_maps(A_of, b_of, h: float, m: int):
-    """Affine one-step maps over a uniform mesh: x_{i+1} = R[i] x_i + s[i].
+    """Affine one-step maps over a uniform mesh: x_{i+1} = R[..., i] x_i + s[..., i].
 
-    A_of(taus) -> (len, n, n); b_of(taus) -> (len, n), both vectorized.
+    A_of(taus) -> (n, n, len) and b_of(taus) -> (n, len), both vectorized and
+    component-major.
     """
     grid = _mesh(m, h)
-    A, b = A_of(grid), b_of(grid)
-    R, s = _rk4_stage(A[:m], A[m + 1:], A[1:m + 1], b[:m], b[m + 1:], b[1:m + 1], h)
+    R, s = _rk4_stage(A_of(grid), b_of(grid), slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
     return grid[: m + 1], R, s
 
 
-def _block_prefix(R: np.ndarray, s: np.ndarray):
-    """Inclusive prefix compositions of x -> R[i] x + s[i] within blocks of cells.
-
-    Returns P (nb, B, n, n) and q (nb, B, n, 1) with x_{bB+j+1} = P[b, j] x_{bB}
-    + q[b, j], B = min(_BLOCK, m); the last block is padded with identity maps.
-    Built by log-doubling, so the Python work is log2(B) batched products.
-    """
-    m, n = s.shape
-    B = min(_BLOCK, m)
-    nb = -(-m // B)
-    pad = nb * B - m
-    if pad:
-        R = np.concatenate([R, np.broadcast_to(np.eye(n), (pad, n, n))])
-        s = np.concatenate([s, np.zeros((pad, n))])
-    P = R.reshape(nb, B, n, n)
-    q = s.reshape(nb, B, n, 1)
-    d = 1
-    while d < B:
-        P, q = (
-            np.concatenate([P[:, :d], P[:, d:] @ P[:, :-d]], axis=1),
-            np.concatenate([q[:, :d], P[:, d:] @ q[:, :-d] + q[:, d:]], axis=1),
-        )
+def _prefix(P: np.ndarray, q: np.ndarray):
+    """Inclusive prefix compositions of the affine maps x -> P[..., i] x + q[..., i]
+    along the last axis: on return, P[..., i] x + q[..., i] applies maps 0..i
+    in order.  P is (n, n, ..., L) and q (n, ..., L).  Log-doubling, so the
+    Python work is log2(L) batched products."""
+    d, L = 1, P.shape[-1]
+    while d < L:
+        hi = P[..., d:]
+        q = np.concatenate([q[..., :d], _mv(hi, q[..., :-d]) + q[..., d:]], axis=-1)
+        P = np.concatenate([P[..., :d], _mm(hi, P[..., :-d])], axis=-1)
         d *= 2
     return P, q
 
 
-def _scan(P: np.ndarray, q: Optional[np.ndarray], x0: np.ndarray, m: int) -> np.ndarray:
-    """States x_0..x_m from the block prefix tables of `_block_prefix`.
+def _block_prefix(R: np.ndarray, s: np.ndarray):
+    """Prefix tables of the one-step maps x_{i+1} = R[..., i] x_i + s[..., i].
+
+    R is (n, n, m) and s (n, m).  The m cells form nb blocks of B = min(_BLOCK, m),
+    the last padded with identity maps.  Returns (P, q, S, r):
+    - P (n, n, nb, B) and q (n, nb, B) compose within each block:
+      x_{bB+j+1} = P[..., b, j] x_{bB} + q[..., b, j];
+    - S (n, n, nb) and r (n, nb) map x_0 to each block's start:
+      x_{bB} = S[..., b] x_0 + r[..., b].
+    Both levels come from `_prefix`, the second over the block-end maps, so
+    no Python loop runs over cells or blocks.
+    """
+    n, m = s.shape
+    B = min(_BLOCK, m)
+    nb = -(-m // B)
+    pad = nb * B - m
+    if pad:
+        R = np.concatenate([R, np.broadcast_to(np.eye(n)[:, :, None], (n, n, pad))], axis=2)
+        s = np.concatenate([s, np.zeros((n, pad))], axis=1)
+    P, q = _prefix(R.reshape(n, n, nb, B), s.reshape(n, nb, B))
+    S, r = _prefix(P[..., :-1, -1], q[..., :-1, -1])
+    S = np.concatenate([np.eye(n)[:, :, None], S], axis=2)
+    r = np.concatenate([np.zeros((n, 1)), r], axis=1)
+    return P, q, S, r
+
+
+def _scan(tables, x0: np.ndarray, m: int, forced: bool = True) -> np.ndarray:
+    """States x_0..x_m from the tables of `_block_prefix`, component-major.
 
     x0 is a vector (n,) or a matrix (n, k) whose columns are marched alike;
-    q=None drops the forced part.  Only the block ends are chained serially.
+    the result is (n, m+1) or (n, k, m+1).  forced=False drops the forced
+    parts q and r.
     """
-    nb, _, n, _ = P.shape
-    Y = np.empty((nb, n, x0.size // n))
-    Y[0] = x0.reshape(n, -1)
-    for b in range(nb - 1):
-        Y[b + 1] = P[b, -1] @ Y[b] if q is None else P[b, -1] @ Y[b] + q[b, -1]
-    X = P @ Y[:, None]
-    if q is not None:
-        X += q
-    xs = np.concatenate([Y[:1], X.reshape(-1, n, Y.shape[2])[:m]])
-    return xs.reshape((m + 1,) + x0.shape)
+    P, q, S, r = tables
+    n, nb, B = q.shape
+    X0 = x0.reshape(n, -1)
+    Y = np.einsum("ilb,lc->icb", S, X0)  # block starts
+    if forced:
+        Y += r[:, None]
+    X = np.einsum("ilbj,lcb->icbj", P, Y)
+    if forced:
+        X += q[:, None]
+    xs = np.concatenate([X0[:, :, None], X.reshape(n, -1, nb * B)[:, :, :m]], axis=2)
+    return xs.reshape(x0.shape + (m + 1,))
 
 
 @dataclass
 class _Flow:
     """One segment's flow on its mesh: prefix tables, output terms and the
-    half-step maps of the step referee.  Everything here is a function of the
-    mode, (m, h) and the continuous input on the mesh, which form its key."""
+    half-step maps of the step referee, all component-major.  Everything here
+    is a function of the mode, (m, h) and the continuous input on the mesh,
+    which form its key."""
 
     m: int
     h: float
     w: np.ndarray
-    P: np.ndarray
-    q: np.ndarray
+    tables: tuple
     C: np.ndarray
     z_off: np.ndarray
     halves: Optional[tuple] = None
@@ -260,37 +293,33 @@ class _Flow:
 def _flow(mats, controller, mode, clamp, m: int, h: float, grid: np.ndarray, w: np.ndarray) -> _Flow:
     A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = mats
     ends = grid[: m + 1]
-    A = A_pm.eval_mesh(grid, clamp)
-    C = C_pm.eval_mesh(ends, clamp)
+    A = A_pm.eval_mesh(grid, clamp, component_major=True)
+    C = C_pm.eval_mesh(ends, clamp, component_major=True)
     if controller is not None:
-        K = controller.kc_mesh(grid, mode=mode)
-        A = A + B_pm.eval_mesh(grid, clamp) @ K
-        C = C + D_pm.eval_mesh(ends, clamp) @ K[: m + 1]
-    b = E_pm.eval_mesh(grid, clamp).sum(axis=2) * w[:, None]
-    z_off = F_pm.eval_mesh(ends, clamp).sum(axis=2) * w[: m + 1, None]
+        K = controller.kc_mesh(grid, mode=mode, component_major=True)
+        A = A + _mm(B_pm.eval_mesh(grid, clamp, component_major=True), K)
+        C = C + _mm(D_pm.eval_mesh(ends, clamp, component_major=True), K[..., : m + 1])
+    b = E_pm.eval_mesh(grid, clamp, component_major=True).sum(axis=1) * w
+    z_off = F_pm.eval_mesh(ends, clamp, component_major=True).sum(axis=1) * w[: m + 1]
     start, mid, end = slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1)
-    R, s = _rk4_stage(A[start], A[mid], A[end], b[start], b[mid], b[end], h)
-    P, q = _block_prefix(R, s)
+    R, s = _rk4_stage(A, b, start, mid, end, h)
     halves = None
     if len(grid) > 2 * m + 1:  # quarter points: the step referee runs
         q1, q3 = slice(2 * m + 1, 3 * m + 1), slice(3 * m + 1, 4 * m + 1)
-        halves = (
-            _rk4_stage(A[start], A[q1], A[mid], b[start], b[q1], b[mid], 0.5 * h),
-            _rk4_stage(A[mid], A[q3], A[end], b[mid], b[q3], b[end], 0.5 * h),
-        )
-    return _Flow(m, h, w, P, q, C, z_off, halves)
+        halves = (_rk4_stage(A, b, start, q1, mid, 0.5 * h), _rk4_stage(A, b, mid, q3, end, 0.5 * h))
+    return _Flow(m, h, w, _block_prefix(R, s), C, z_off, halves)
 
 
 def _halfstep_error(xs: np.ndarray, halves) -> float:
-    """Max relative gap between one h-step and two h/2-steps along the trajectory.
+    """Max relative gap between one h-step and two h/2-steps along the
+    trajectory xs (n, m+1).
 
-    The one-step result from xs[i] is xs[i+1] itself: the scan applies the
-    same maps, so the two differ only by rounding."""
+    The one-step result from xs[:, i] is xs[:, i+1] itself: the scan applies
+    the same maps, so the two differ only by rounding."""
     (R1, s1), (R2, s2) = halves
-    x_half = (R1 @ xs[:-1, :, None])[:, :, 0] + s1
-    x_two = (R2 @ x_half[:, :, None])[:, :, 0] + s2
-    num = np.max(np.abs(x_two - xs[1:]), axis=1)
-    den = 1.0 + np.max(np.abs(xs[1:]), axis=1)
+    x_two = _mv(R2, _mv(R1, xs[:, :-1]) + s1) + s2
+    num = np.max(np.abs(x_two - xs[:, 1:]), axis=0)
+    den = 1.0 + np.max(np.abs(xs[:, 1:]), axis=0)
     return float(np.max(num / den)) if num.size else 0.0
 
 
@@ -367,24 +396,24 @@ def simulate(
                 mats = (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
             flow = flows[mode] = _flow(mats, controller, mode, clamp, m, h, grid, w)
 
-        xs = _scan(flow.P, flow.q, x, m)
+        xs = _scan(flow.tables, x, m)  # (n, m+1)
         if not np.isfinite(xs).all():
             raise StepTooLarge("state overflow while integrating; reduce the step")
         if check_step:
             worst_lt = max(worst_lt, _halfstep_error(xs, flow.halves))
 
         # outputs on this segment's mesh (pre-jump convention at the right end)
-        zc = (flow.C @ xs[:, :, None])[:, :, 0] + flow.z_off
+        zc = _mv(flow.C, xs) + flow.z_off
 
         times_parts.append(t0 + grid[: m + 1])
-        states_parts.append(xs)
-        zc_parts.append(zc)
+        states_parts.append(xs.T)
+        zc_parts.append(zc.T)
         kappa_parts.append(np.full(m + 1, k))
         if switched:
             mode_parts.append(np.full(m + 1, mode))
 
         t0 += seg
-        x = xs[-1]
+        x = xs[:, -1]
         if last or t0 >= horizon - 1e-12:
             break
 
@@ -508,29 +537,24 @@ def _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs,
 def export_trajectory(traj: Trajectory, prefix: str, sidecar: Optional[dict] = None) -> None:
     """Write `<prefix>_states.csv`, `<prefix>_jumps.csv`, and a JSON sidecar
     echoing seeds/settings; floats are round-trippable reprs."""
-
-    def fmt(x) -> str:
-        return repr(float(x))
-
     n = traj.states.shape[1]
     qc = traj.zc.shape[1] if traj.zc.size else 0
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"zc_{i+1}" for i in range(qc)]
     lines = [",".join(header)]
-    for k in range(len(traj.times)):
-        row = [fmt(traj.times[k])] + [fmt(v) for v in traj.states[k]]
-        if qc:
-            row += [fmt(v) for v in traj.zc[k]]
-        lines.append(",".join(row))
+    # tolist() yields the Python floats whose repr the rows carry
+    cols = [traj.times[:, None], traj.states] + ([traj.zc] if qc else [])
+    lines += [",".join(map(repr, row)) for row in np.hstack(cols).tolist()]
     with open(prefix + "_states.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     qd = traj.zd.shape[1] if traj.zd.size else 0
     header = ["k", "t_k"] + [f"zd_{i+1}" for i in range(qd)]
     lines = [",".join(header)]
-    for k, tk in enumerate(traj.jump_times):
-        row = [str(k + 1), fmt(tk)]
-        if qd and k < traj.zd.shape[0]:
-            row += [fmt(v) for v in traj.zd[k]]
+    zd = traj.zd.tolist() if qd else []
+    for k, tk in enumerate(traj.jump_times.tolist()):
+        row = [str(k + 1), repr(tk)]
+        if k < len(zd):
+            row += map(repr, zd[k])
         lines.append(",".join(row))
     with open(prefix + "_jumps.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -83,8 +83,9 @@ class ControllerRealization:
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
         return np.stack([p.eval(t) for p in self._x_mode(mode)], axis=1)
 
-    def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
-        """K_c on a mesh: (len(taus), mc, n); clamped for minimum dwell-time."""
+    def kc_mesh(self, taus: np.ndarray, mode=None, component_major: bool = False) -> np.ndarray:
+        """K_c on a mesh: (len(taus), mc, n), or with component_major=True a
+        C-contiguous (mc, n, len(taus)); clamped for minimum dwell-time."""
         taus = np.asarray(taus, dtype=float)
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
         xv = self.x_values(t, mode)
@@ -93,11 +94,11 @@ class ControllerRealization:
         uc = self._uc_mode(mode)
         mc = len(uc)
         n = len(self._x_mode(mode))
-        out = np.empty((len(t), mc, n))
+        out = np.empty((mc, n, len(t)))
         for i in range(mc):
             for j in range(n):
-                out[:, i, j] = uc[i][j].eval(t) / xv[:, j]
-        return out
+                out[i, j] = uc[i][j].eval(t) / xv[:, j]
+        return out if component_major else np.ascontiguousarray(out.transpose(2, 0, 1))
 
     def kc(self, tau: float, mode=None) -> np.ndarray:
         return self.kc_mesh(np.array([float(tau)]), mode=mode)[0]

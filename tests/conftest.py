@@ -210,8 +210,9 @@ def csr_assemble(lp):
         filled = sizes > 0
         scale[filled] = np.maximum.reduceat(np.abs(vals), (np.cumsum(sizes) - sizes)[filled])
     scale[scale == 0.0] = 1.0
-    # an infinite coefficient scales to nan, which linprog refuses with ValueError
-    with np.errstate(invalid="ignore"):
+    # an infinite coefficient scales to nan, which linprog refuses with
+    # ValueError; a row of subnormal coefficients may scale its bound to inf
+    with np.errstate(invalid="ignore", over="ignore"):
         vals = vals / scale[row_of]
         rhs = rhs / scale
 
@@ -229,6 +230,11 @@ def linprog_solve(lp) -> LpSolution:
     """Oracle for lp.lp_solve: scipy.optimize.linprog(method="highs") on the
     CSR assembly, with the same 1e-7 feasibility recheck of Optimal answers."""
     c, A_ub, b_ub, A_eq, b_eq, bounds = csr_assemble(lp)
+    finite_rows = all(np.isfinite([r, *coeffs.values()]).all() for coeffs, _, r in lp.rows)
+    if finite_rows and not np.isfinite([*b_ub, *b_eq]).all():
+        # the second intended difference (below) where a finite row's scaled
+        # bound overflows to inf, which linprog refuses with ValueError
+        raise NumericalFailure("scaled row bound overflows")
     res = linprog(
         c,
         A_ub=A_ub if A_ub.shape[0] else None,

@@ -36,6 +36,7 @@ from dwellgain.cert import verify
 from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint
 from dwellgain.poly import Poly
+from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import synthesize
 
 
@@ -546,9 +547,10 @@ class TestEscalation:
             assert {v: c for v, c in got.items() if c != 0.0} == {v: c for v, c in want.coeffs.items() if c != 0.0}
             assert const[s] == want.const
 
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_random_positive_systems_match_full_schedule(self, data):
+    @staticmethod
+    def _draw_positive_system(data):
+        """A small random positive impulsive system, a dwell-time spec and a
+        degree; run() analyzes it and returns the certificate or the error type."""
         n = data.draw(st.integers(1, 2))
         u = lambda lo, hi: data.draw(st.floats(lo, hi, allow_subnormal=False))  # noqa: E731
         # Metzler flow matrix with timer-dependent diagonal, all else nonnegative
@@ -579,6 +581,12 @@ class TestEscalation:
             except DwellgainError as exc:
                 return type(exc)
 
+        return sys, spec, run
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems_match_full_schedule(self, data):
+        sys, spec, run = self._draw_positive_system(data)
         got = run()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis_mod, "_solve_with_escalation", full_schedule_escalation)
@@ -588,6 +596,19 @@ class TestEscalation:
         else:
             assert got.to_json() == want.to_json()
             assert verify(got, sys).passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems_gamma_bounds_monte_carlo(self, data):
+        """A certified gamma is an upper bound, so it is never below the
+        Monte-Carlo lower bound of the same system and dwell-time family."""
+        sys, spec, run = self._draw_positive_system(data)
+        seed = data.draw(st.integers(0, 2**16))
+        cert = run()
+        if isinstance(cert, type):
+            return
+        gen = SequenceGen.for_spec(spec, seed=seed)
+        assert cert.gamma >= estimate_gain(sys, gen, runs=3, horizon=10.0, clamp=spec.clamp)
 
 
 class TestCertificateObject:

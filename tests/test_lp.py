@@ -405,6 +405,17 @@ class TestLinprogOracle:
         )
         assert res.status == linprog_status
 
+    def test_subnormal_row_bound_overflow_is_refused(self):
+        # the rows of _tiny_rows with a subnormal coefficient: scaling sends
+        # both bounds past the float range, with no RuntimeWarning
+        lp = LinearProgram()
+        x = lp.new_var()
+        lp.add_le({x: 2.2250738585e-313}, 1.0)
+        lp.add_ge({x: 2.2250738585e-313}, 1.5)
+        with pytest.raises(NumericalFailure, match=r"row c0 scaled to unit norm has bound inf, beyond 1e\+20"):
+            lp_solve(lp)
+        assert solve_outcome(linprog_solve, lp) is NumericalFailure
+
     @pytest.mark.parametrize("cost", [1e25, -1e25])
     def test_cost_beyond_highs_infinity_is_refused(self, cost):
         # min cost * x over 1 <= x <= 2: HiGHS reads the cost as infinite

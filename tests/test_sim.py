@@ -1,19 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwellgain import sim
+from dwellgain.cert import flow_grid, transition_matrix
 from dwellgain.errors import DimensionMismatch, StepTooLarge
-from dwellgain.model import ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
 from dwellgain.sim import (
     InputSignal,
     SequenceGen,
     combine_inputs,
     estimate_gain,
+    export_trajectory,
     generate_inputs,
     simulate,
 )
+from dwellgain.synthesis import synthesize
 
 
 def serial_march(R, s, x0):
@@ -25,10 +30,40 @@ def serial_march(R, s, x0):
     return xs
 
 
-def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None):
-    """Reference simulation without a controller: every segment's maps are
-    rebuilt and marched cell by cell, nothing is reused.  Impulsive systems
-    need a single jump map.  Returns (states, sup of the hybrid output)."""
+def oracle_rk4_maps(A_of, b_of, h, m):
+    """Reference RK4 one-step maps, cell-major: x_{i+1} = R[i] x_i + s[i].
+
+    A_of(taus) -> (len, n, n) and b_of(taus) -> (len, n); the cell ends come
+    first in the mesh, then the midpoints."""
+    ends = np.arange(m + 1) * h
+    grid = np.concatenate([ends, ends[:-1] + 0.5 * h])
+    A, b = A_of(grid), b_of(grid)
+    A1, A2, A4 = A[:m], A[m + 1:], A[1:m + 1]
+    b1, b2, b4 = b[:m], b[m + 1:], b[1:m + 1]
+    M2 = A2 + 0.5 * h * (A2 @ A1)
+    M3 = A2 + 0.5 * h * (A2 @ M2)
+    M4 = A4 + h * (A4 @ M3)
+    R = np.eye(A1.shape[1]) + (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
+    v2 = 0.5 * h * (A2 @ b1[:, :, None])[:, :, 0] + b2
+    v3 = 0.5 * h * (A2 @ v2[:, :, None])[:, :, 0] + b2
+    v4 = h * (A4 @ v3[:, :, None])[:, :, 0] + b4
+    s = (h / 6.0) * (b1 + 2.0 * v2 + 2.0 * v3 + v4)
+    return ends, R, s
+
+
+def oracle_kc(ctrl, taus):
+    """K_c(tau) = U_c(tau) X(tau)^{-1} entry by entry from the stored
+    polynomials, cell-major (len, mc, n); the timer is clamped as the design's."""
+    t = np.minimum(taus, ctrl.clamp) if ctrl.clamp is not None else taus
+    K = [[u.eval(t) / x.eval(t) for u, x in zip(row, ctrl.X)] for row in ctrl.Uc]
+    return np.array(K).transpose(2, 0, 1)
+
+
+def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, controller=None):
+    """Reference simulation: every segment's maps are rebuilt and marched
+    cell by cell, nothing is reused.  Impulsive systems need a single jump
+    map; a controller needs an impulsive plant.  Returns (states, sup of the
+    hybrid output)."""
     rng = np.random.default_rng(gen.seed)
     step = min(1e-3, gen.shortest / 50.0) if step is None else step
     switched = isinstance(sys, SwitchedSystem)
@@ -47,14 +82,18 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None):
         def w(ts, t0=t0):
             return np.broadcast_to(inputs.wc(t0 + ts), ts.shape).astype(float)
 
-        taus, R, s = sim._rk4_maps(
-            lambda ts: A.eval_mesh(ts, clamp),
-            lambda ts: E.eval_mesh(ts, clamp).sum(axis=2) * w(ts)[:, None],
-            seg / m,
-            m,
-        )
+        def A_of(ts):
+            if controller is None:
+                return A.eval_mesh(ts, clamp)
+            return A.eval_mesh(ts, clamp) + sys.Bc.eval_mesh(ts, clamp) @ oracle_kc(controller, ts)
+
+        taus, R, s = oracle_rk4_maps(A_of, lambda ts: E.eval_mesh(ts, clamp).sum(axis=2) * w(ts)[:, None],
+                                     seg / m, m)
         xs = serial_march(R, s, x)
-        zc = np.einsum("mij,mj->mi", C.eval_mesh(taus, clamp), xs)
+        C_m = C.eval_mesh(taus, clamp)
+        if controller is not None:
+            C_m = C_m + sys.Dc.eval_mesh(taus, clamp) @ oracle_kc(controller, taus)
+        zc = np.einsum("mij,mj->mi", C_m, xs)
         zc += F.eval_mesh(taus, clamp).sum(axis=2) * w(taus)[:, None]
         states.append(xs)
         sups.append(np.max(np.abs(zc)))
@@ -68,8 +107,9 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None):
             mode = j if j < mode else j + 1
             continue
         jm, wd = sys.jump, inputs.wd(k)
-        sups.append(np.max(np.abs(jm.Cd @ x + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))))
-        x = jm.J @ x + jm.Ed @ (wd * np.ones(jm.Ed.shape[1]))
+        ud = controller.kd(theta=dwell_len) @ x if controller is not None else np.zeros(jm.Bd.shape[1])
+        sups.append(np.max(np.abs(jm.Cd @ x + jm.Dd @ ud + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))))
+        x = jm.J @ x + jm.Bd @ ud + jm.Ed @ (wd * np.ones(jm.Ed.shape[1]))
     return np.vstack(states), float(max(sups))
 
 
@@ -84,6 +124,22 @@ def random_positive_impulsive(rng: np.random.Generator, n: int) -> ImpulsiveSyst
         A=PolyMatrix(A), Ec=nonneg(n, 2), Cc=nonneg(2, n), Fc=nonneg(2, 2),
         J=nonneg(n, n), Ed=nonneg(n, 1), Cd=nonneg(1, n), Fd=nonneg(1, 1),
     )
+
+
+@pytest.fixture(scope="module")
+def closed_loops(bench_chain_plant, bench_pair_plant):
+    """design kind -> (plant, controller, a sequence generator for its dwell)."""
+    designs = {
+        "constant": (bench_chain_plant, DwellTimeSpec.constant(0.1)),
+        "minimum": (bench_pair_plant, DwellTimeSpec.minimum(0.2)),
+        "range": (bench_chain_plant, DwellTimeSpec.range(0.1, 0.3)),
+    }
+    loops = {key: (plant, synthesize(plant, spec, degree=2), SequenceGen.for_spec(spec, seed=5))
+             for key, (plant, spec) in designs.items()}
+    # the constant design on a plant with control feedthrough, so D K enters z_c
+    plant, ctrl, gen = loops["constant"]
+    loops["feedthrough"] = (replace(plant, Dc=PolyMatrix(np.full(plant.Dc.shape + (2,), 0.5))), ctrl, gen)
+    return loops
 
 
 @pytest.fixture(scope="module")
@@ -239,18 +295,31 @@ class TestSimulate:
 
 class TestSerialEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("m", [1, 31, 32, 33, 700])
+    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, 64, 65, 700])
     def test_scan_matches_serial_march(self, m, n):
         rng = np.random.default_rng(100 * m + n)
         R = np.eye(n) + 0.01 * rng.uniform(0.0, 1.0, size=(m, n, n))
         s = 0.01 * rng.uniform(0.0, 1.0, size=(m, n))
-        P, q = sim._block_prefix(R, s)
+        tables = sim._block_prefix(R.transpose(1, 2, 0).copy(), s.T.copy())
         x0 = rng.uniform(0.0, 1.0, size=n)
-        np.testing.assert_allclose(sim._scan(P, q, x0, m), serial_march(R, s, x0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sim._scan(tables, x0, m).T, serial_march(R, s, x0), rtol=1e-12, atol=0)
         X0 = rng.uniform(0.0, 1.0, size=(n, n + 1))
-        np.testing.assert_allclose(sim._scan(P, q, X0, m), serial_march(R, s, X0), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(sim._scan(P, None, X0, m), serial_march(R, 0.0 * s, X0),
+        np.testing.assert_allclose(np.moveaxis(sim._scan(tables, X0, m), -1, 0), serial_march(R, s, X0),
                                    rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.moveaxis(sim._scan(tables, X0, m, forced=False), -1, 0),
+                                   serial_march(R, 0.0 * s, X0), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3, 31, 32, 33, 64, 65, 700])
+    def test_prefix_matches_serial_compositions(self, L, n):
+        """Entry i of `_prefix` is maps 0..i composed, for any length L."""
+        rng = np.random.default_rng(10 * L + n)
+        R = np.eye(n) + 0.01 * rng.uniform(0.0, 1.0, size=(L, n, n))
+        s = 0.01 * rng.uniform(0.0, 1.0, size=(L, n))
+        P, q = sim._prefix(R.transpose(1, 2, 0).copy(), s.T.copy())
+        np.testing.assert_allclose(np.moveaxis(P, -1, 0), serial_march(R, 0.0 * s, np.eye(n))[1:],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(q.T, serial_march(R, s, np.zeros(n))[1:], rtol=1e-12, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -294,6 +363,96 @@ class TestSerialEquivalence:
         assert len(set(traj.modes)) == 2
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("design", ["constant", "minimum", "range", "feedthrough"])
+    @pytest.mark.parametrize("input_kind", ["const_unit", "sine"])
+    def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind):
+        plant, ctrl, gen = closed_loops[design]
+        inputs = generate_inputs(input_kind)
+        x0 = np.full(plant.n, 0.1)
+        traj = simulate(plant, gen, inputs, x0=x0, horizon=3.0, controller=ctrl, clamp=ctrl.clamp)
+        states, sup = serial_simulate(plant, gen, inputs, x0, 3.0, clamp=ctrl.clamp, controller=ctrl)
+        assert len(traj.jump_times) > 1
+        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+
+    @pytest.mark.parametrize("clamp", [None, 0.6])
+    def test_flow_grid_matches_serial_march(self, bench_timer_growth, clamp):
+        sys_, taus = bench_timer_growth, np.linspace(0.0, 1.3, 150)
+        n, m, h = sys_.n, len(taus) - 1, taus[1] - taus[0]
+        Phis, forced = flow_grid(sys_.A, sys_.Ec, taus, clamp=clamp)
+        _, R, s = oracle_rk4_maps(lambda ts: sys_.A.eval_mesh(ts, clamp),
+                                  lambda ts: sys_.Ec.eval_mesh(ts, clamp).sum(axis=2), h, m)
+        np.testing.assert_allclose(Phis, serial_march(R, 0.0 * s, np.eye(n)), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(forced, serial_march(R, s, np.zeros(n)), rtol=1e-12, atol=0)
+        unforced = flow_grid(sys_.A, None, taus, clamp=clamp)
+        np.testing.assert_array_equal(unforced[0], Phis)
+        assert not unforced[1].any()
+
+    @pytest.mark.parametrize("clamp", [None, 0.4])
+    def test_transition_matrix_matches_serial_march(self, bench_timer_growth, clamp):
+        sys_, jumps, step = bench_timer_growth, [0.5, 1.1], 1e-3
+        Phi, t, origin = np.eye(sys_.n), 0.0, 0.0
+        for tk in jumps + [1.7]:
+            m = int(np.ceil((tk - t) / step))
+            _, R, s = oracle_rk4_maps(lambda ts: sys_.A.eval_mesh(ts + (t - origin), clamp),
+                                      lambda ts: np.zeros((len(ts), sys_.n)), (tk - t) / m, m)
+            Phi = serial_march(R, s, Phi)[-1]
+            if tk in jumps:
+                Phi, origin = sys_.jump.J @ Phi, tk
+            t = tk
+        got = transition_matrix(sys_, 0.0, 1.7, jumps_in_between=jumps, step=step, clamp=clamp)
+        np.testing.assert_allclose(got, Phi, rtol=1e-12, atol=0)
+
+
+def oracle_export_text(traj):
+    """The states and jumps CSV text of the exporter's earlier row-by-row
+    formatter, which called repr(float(x)) on every number."""
+
+    def fmt(x) -> str:
+        return repr(float(x))
+
+    n = traj.states.shape[1]
+    qc = traj.zc.shape[1] if traj.zc.size else 0
+    lines = [",".join(["t"] + [f"x_{i+1}" for i in range(n)] + [f"zc_{i+1}" for i in range(qc)])]
+    for k in range(len(traj.times)):
+        row = [fmt(traj.times[k])] + [fmt(v) for v in traj.states[k]]
+        if qc:
+            row += [fmt(v) for v in traj.zc[k]]
+        lines.append(",".join(row))
+    states = "\n".join(lines) + "\n"
+    qd = traj.zd.shape[1] if traj.zd.size else 0
+    lines = [",".join(["k", "t_k"] + [f"zd_{i+1}" for i in range(qd)])]
+    for k, tk in enumerate(traj.jump_times):
+        row = [str(k + 1), fmt(tk)]
+        if qd and k < traj.zd.shape[0]:
+            row += [fmt(v) for v in traj.zd[k]]
+        lines.append(",".join(row))
+    return states, "\n".join(lines) + "\n"
+
+
+class TestExport:
+    @staticmethod
+    def _no_zc_system():
+        return ImpulsiveSystem.from_arrays(
+            A=[[-1.0, 0.2], [0.1, -2.0]], Ec=[[1.0], [0.5]], Cc=np.zeros((0, 2)), Fc=np.zeros((0, 1)),
+            J=[[0.5, 0.0], [0.0, 0.5]], Ed=[[0.1], [0.0]], Cd=[[1.0, 1.0]], Fd=[[0.0]],
+        )
+
+    @pytest.mark.parametrize("case", ["impulsive", "no_zc", "switched"])
+    def test_bytes_match_row_formatter(self, case, bench_lti, bench_switched, tmp_path):
+        sys_ = {"impulsive": bench_lti, "no_zc": self._no_zc_system(), "switched": bench_switched}[case]
+        traj = simulate(sys_, SequenceGen.uniform_range(0.3, 0.6, seed=2), generate_inputs("sine"),
+                        x0=np.full(sys_.n, 0.3), horizon=2.0)
+        assert len(traj.jump_times) > 1
+        assert (traj.zc.size == 0) == (case == "no_zc")
+        assert (traj.zd.size == 0) == (case == "switched")
+        prefix = str(tmp_path / case)
+        export_trajectory(traj, prefix)
+        states, jumps = oracle_export_text(traj)
+        assert (tmp_path / f"{case}_states.csv").read_bytes() == states.encode()
+        assert (tmp_path / f"{case}_jumps.csv").read_bytes() == jumps.encode()
 
 
 class TestInputs:
