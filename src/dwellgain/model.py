@@ -116,8 +116,9 @@ class PolyMatrix:
         else:
             t, shape = t[:, None, None], (len(t),) + self.shape
         out = np.broadcast_to(cs[-1], shape).copy()
-        for c in cs[-2::-1]:
-            out = out * t + c
+        for c in cs[-2::-1]:  # in place: one mesh-sized array however high the degree
+            out *= t
+            out += c
         return out
 
     @property

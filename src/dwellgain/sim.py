@@ -2,14 +2,19 @@
 hybrid sup-norm bookkeeping, and Monte-Carlo gain lower bounds.
 
 The flow between jumps is linear in the state, so the classical fixed-step
-RK4 update is precomputed per mesh cell as an affine map x -> R x + s with
-all mesh evaluations vectorized.  The tables are component-major, (n, n, m)
-and (n, m), so each batched 2x2 product is a few vector operations over the
-cells.  The maps are composed by a two-level log-doubling prefix scan, within
-blocks of 32 cells and then over the block ends, so a segment of m cells
-costs O(log m) batched products and no Python loop over its cells or blocks;
-a segment whose mode, mesh and input values repeat those of the mode's
-previous segment reuses its tables.
+RK4 update is an affine map x -> R x + s per mesh cell, and a jump is an
+affine map too.  A run first draws its whole schedule (dwells, meshes,
+modes, jump maps and K_d), then lays the mesh points of all its segments on
+one flat axis, where the map between consecutive points is an RK4 cell or,
+at a segment's end, the jump.  The march takes this axis in chunks of
+_CHUNK maps: a chunk's mesh data are evaluated in one vectorized pass per
+mode, its maps are built at once as component-major (n, n, L) and (n, L)
+tables, so each batched 2x2 product is a few vector operations, and they
+are composed by a two-level log-doubling prefix scan (Blelloch 1990),
+within blocks of 32 cells and then over the block ends.  No Python loop
+runs over cells, blocks or segments; only the schedule draw is per segment.
+The half-step referee reads the marched states afterwards, so the states
+never depend on whether it runs.
 """
 
 from __future__ import annotations
@@ -157,6 +162,7 @@ class Trajectory:
 
 
 _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
+_CHUNK = 8192  # maps per march chunk: bounds the working tables whatever the run's length
 
 
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -169,19 +175,34 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,k...->i...", A, x)
 
 
-def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h: float):
+def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h):
     """Classical RK4 step of x' = A x + b as an affine map x -> R x + s, per cell.
 
     A (n, n, len) and b (n, len) hold the data on a mesh; the slices pick the
-    start, midpoint and end of each of m cells of width h.  R is (n, n, m)
-    and s (n, m).
+    start, midpoint and end of each of m cells, whose widths h are one float
+    or an (m,) array.  R is (n, n, m) and s (n, m).
     """
     A1, A2, A4 = A[..., start], A[..., mid], A[..., end]
     b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
-    M2 = A2 + 0.5 * h * _mm(A2, A1)
-    M3 = A2 + 0.5 * h * _mm(A2, M2)
-    M4 = A4 + h * _mm(A4, M3)
-    R = (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
+    # M2 = A2 + h/2 A2 A1, M3 = A2 + h/2 A2 M2, M4 = A4 + h A4 M3 and
+    # R = I + h/6 (A1 + 2 M2 + 2 M3 + M4), evaluated in place: the same
+    # floating-point operations in the same order, with fewer temporaries
+    M2 = _mm(A2, A1)
+    M2 *= 0.5 * h
+    M2 += A2
+    M3 = _mm(A2, M2)
+    M3 *= 0.5 * h
+    M3 += A2
+    M4 = _mm(A4, M3)
+    M4 *= h
+    M4 += A4
+    R = M2
+    R *= 2.0
+    R += A1
+    M3 *= 2.0
+    R += M3
+    R += M4
+    R *= h / 6.0
     R += np.eye(A1.shape[0])[:, :, None]
     v2 = 0.5 * h * _mv(A2, b1) + b2
     v3 = 0.5 * h * _mv(A2, v2) + b2
@@ -190,25 +211,16 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
     return R, s
 
 
-def _mesh(m: int, h: float, quarters: bool = False) -> np.ndarray:
-    """The m+1 cell ends, then the m midpoints, then optionally the 2m quarter
-    points the half-step referee needs."""
-    taus = np.arange(m + 1) * h
-    parts = [taus, taus[:-1] + 0.5 * h]
-    if quarters:
-        parts += [taus[:-1] + 0.25 * h, taus[:-1] + 0.75 * h]
-    return np.concatenate(parts)
-
-
 def _rk4_maps(A_of, b_of, h: float, m: int):
     """Affine one-step maps over a uniform mesh: x_{i+1} = R[..., i] x_i + s[..., i].
 
     A_of(taus) -> (n, n, len) and b_of(taus) -> (n, len), both vectorized and
-    component-major.
+    component-major; they see the m+1 cell ends, then the m midpoints.
     """
-    grid = _mesh(m, h)
+    ends = np.arange(m + 1) * h
+    grid = np.concatenate([ends, ends[:-1] + 0.5 * h])
     R, s = _rk4_stage(A_of(grid), b_of(grid), slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
-    return grid[: m + 1], R, s
+    return ends, R, s
 
 
 def _prefix(P: np.ndarray, q: np.ndarray):
@@ -216,11 +228,11 @@ def _prefix(P: np.ndarray, q: np.ndarray):
     along the last axis: on return, P[..., i] x + q[..., i] applies maps 0..i
     in order.  P is (n, n, ..., L) and q (n, ..., L).  Log-doubling, so the
     Python work is log2(L) batched products."""
+    P, q = P.copy(), q.copy()
     d, L = 1, P.shape[-1]
-    while d < L:
-        hi = P[..., d:]
-        q = np.concatenate([q[..., :d], _mv(hi, q[..., :-d]) + q[..., d:]], axis=-1)
-        P = np.concatenate([P[..., :d], _mm(hi, P[..., :-d])], axis=-1)
+    while d < L:  # each right-hand side is computed in full before it is stored
+        q[..., d:] += _mv(P[..., d:], q[..., :-d])
+        P[..., d:] = _mm(P[..., d:], P[..., :-d])
         d *= 2
     return P, q
 
@@ -271,56 +283,124 @@ def _scan(tables, x0: np.ndarray, m: int, forced: bool = True) -> np.ndarray:
     return xs.reshape(x0.shape + (m + 1,))
 
 
-@dataclass
-class _Flow:
-    """One segment's flow on its mesh: prefix tables, output terms and the
-    half-step maps of the step referee, all component-major.  Everything here
-    is a function of the mode, (m, h) and the continuous input on the mesh,
-    which form its key."""
-
-    m: int
-    h: float
-    w: np.ndarray
-    tables: tuple
-    C: np.ndarray
-    z_off: np.ndarray
-    halves: Optional[tuple] = None
-
-    def matches(self, m: int, h: float, w: np.ndarray) -> bool:
-        return self.m == m and self.h == h and np.array_equal(self.w, w)
+def _mats(sys, mode):
+    """The flow and output data (A, B, E, C, D, F) of `mode`."""
+    if isinstance(sys, SwitchedSystem):
+        return tuple(sys.modes[mode][key] for key in ("A", "B", "E", "C", "D", "F"))
+    return (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
 
 
-def _flow(mats, controller, mode, clamp, m: int, h: float, grid: np.ndarray, w: np.ndarray) -> _Flow:
-    A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = mats
-    ends = grid[: m + 1]
+def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: np.ndarray, npts: int):
+    """A (+B K_c) and the forcing E w on the timer values `grid`, and the
+    output terms C (+D K_c) and F w on its first npts entries, the mesh
+    points; all component-major.  w holds the continuous input on grid."""
+    A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = _mats(sys, mode)
+    pts = grid[:npts]
     A = A_pm.eval_mesh(grid, clamp, component_major=True)
-    C = C_pm.eval_mesh(ends, clamp, component_major=True)
+    C = C_pm.eval_mesh(pts, clamp, component_major=True)
     if controller is not None:
         K = controller.kc_mesh(grid, mode=mode, component_major=True)
-        A = A + _mm(B_pm.eval_mesh(grid, clamp, component_major=True), K)
-        C = C + _mm(D_pm.eval_mesh(ends, clamp, component_major=True), K[..., : m + 1])
-    b = E_pm.eval_mesh(grid, clamp, component_major=True).sum(axis=1) * w
-    z_off = F_pm.eval_mesh(ends, clamp, component_major=True).sum(axis=1) * w[: m + 1]
-    start, mid, end = slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1)
-    R, s = _rk4_stage(A, b, start, mid, end, h)
-    halves = None
-    if len(grid) > 2 * m + 1:  # quarter points: the step referee runs
-        q1, q3 = slice(2 * m + 1, 3 * m + 1), slice(3 * m + 1, 4 * m + 1)
-        halves = (_rk4_stage(A, b, start, q1, mid, 0.5 * h), _rk4_stage(A, b, mid, q3, end, 0.5 * h))
-    return _Flow(m, h, w, _block_prefix(R, s), C, z_off, halves)
+        A += _mm(B_pm.eval_mesh(grid, clamp, component_major=True), K)
+        C += _mm(D_pm.eval_mesh(pts, clamp, component_major=True), K[..., :npts])
+    b = E_pm.eval_mesh(grid, clamp, component_major=True).sum(axis=1)
+    b *= w
+    z = F_pm.eval_mesh(pts, clamp, component_major=True).sum(axis=1)
+    z *= w[:npts]
+    return A, b, C, z
 
 
-def _halfstep_error(xs: np.ndarray, halves) -> float:
-    """Max relative gap between one h-step and two h/2-steps along the
-    trajectory xs (n, m+1).
+@dataclass
+class _FlatAxis:
+    """The mesh points of all the segments of one run on one axis.
 
-    The one-step result from xs[:, i] is xs[:, i+1] itself: the scan applies
-    the same maps, so the two differ only by rounding."""
-    (R1, s1), (R2, s2) = halves
-    x_two = _mv(R2, _mv(R1, xs[:, :-1]) + s1) + s2
-    num = np.max(np.abs(x_two - xs[:, 1:]), axis=0)
-    den = 1.0 + np.max(np.abs(xs[:, 1:]), axis=0)
-    return float(np.max(num / den)) if num.size else 0.0
+    Point i has timer value taus[i] and time origin[i] + taus[i], and
+    codes[i] (None: all alike) indexes `modes`; map i takes point i to point
+    i+1 and is an RK4 cell of width widths[i], or at a segment's last point
+    the jump, a cell of zero width whose mesh collapses onto that point.
+    The methods work on the stretch of points a..b, maps a..b-1."""
+
+    sys: Union[ImpulsiveSystem, SwitchedSystem]
+    controller: object
+    clamp: Optional[float]
+    inputs: InputSignal
+    modes: list
+    codes: Optional[np.ndarray]
+    taus: np.ndarray
+    origin: np.ndarray
+    widths: np.ndarray
+
+    def fields(self, a: int, b: int, quarters: bool):
+        """A (+B K_c) and E w on the stretch's mesh -- its points, then the
+        cell midpoints, then with quarters the quarter points -- and
+        C (+D K_c), F w on its points."""
+        taus, origin, widths = self.taus[a : b + 1], self.origin[a : b + 1], self.widths[a:b]
+        npts, cells = len(taus), taus[:-1]
+        parts = [taus, cells + 0.5 * widths]
+        if quarters:
+            parts += [cells + 0.25 * widths, cells + 0.75 * widths]
+        grid = np.concatenate(parts)
+        t = np.concatenate([origin] + [origin[:-1]] * (len(parts) - 1)) + grid
+        w = np.broadcast_to(self.inputs.wc(t), grid.shape).astype(float)
+        sys, ctrl, clamp = self.sys, self.controller, self.clamp
+        if self.codes is None:
+            return _fields(sys, ctrl, self.modes[0], clamp, grid, w, npts)
+        codes = self.codes[a : b + 1]
+        code = np.concatenate([codes] + [codes[:-1]] * (len(parts) - 1))
+        n, qc = sys.n, _mats(sys, self.modes[0])[3].shape[0]
+        A, bw = np.empty((n, n, len(grid))), np.empty((n, len(grid)))
+        C, z = np.empty((qc, n, npts)), np.empty((qc, npts))
+        for c, md in enumerate(self.modes):
+            sel = code == c
+            if sel.any():
+                pts = sel[:npts]
+                A[..., sel], bw[..., sel], C[..., pts], z[..., pts] = _fields(
+                    sys, ctrl, md, clamp, grid[sel], w[sel], int(pts.sum()))
+        return A, bw, C, z
+
+    def maps(self, a: int, b: int):
+        """The stretch's one-step maps x_{i+1} = R[..., i] x_i + s[..., i]
+        (jumps still as identity cells) and the output terms C, z at its
+        points."""
+        A, bw, C, z = self.fields(a, b, quarters=False)
+        L = b - a
+        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b])
+        return R, s, C, z
+
+    def halfstep_error(self, a: int, b: int, xs: np.ndarray) -> np.ndarray:
+        """Relative gap between one h-step and two h/2-steps per map of the
+        stretch, along its states xs (n, b-a+1).
+
+        The one-step result from xs[:, i] is xs[:, i+1] itself: the march
+        applied the same maps, so the two differ only by rounding."""
+        A, bw, _, _ = self.fields(a, b, quarters=True)
+        L, h = b - a, self.widths[a:b]
+        start, mid, end = slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1)
+        R1, s1 = _rk4_stage(A, bw, start, slice(2 * L + 1, 3 * L + 1), mid, 0.5 * h)
+        R2, s2 = _rk4_stage(A, bw, mid, slice(3 * L + 1, 4 * L + 1), end, 0.5 * h)
+        x_two = _mv(R2, _mv(R1, xs[:, :-1]) + s1) + s2
+        num = np.max(np.abs(x_two - xs[:, 1:]), axis=0)
+        den = 1.0 + np.max(np.abs(xs[:, 1:]), axis=0)
+        return num / den
+
+
+def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds: list):
+    """Jump k as an affine map x+ = R[..., k] x + s[..., k] with output
+    z_d = Cz[..., k] x + zs[..., k], K_d(theta_k) folded in; component-major.
+    picks index sys.jumps, thetas are the dwells before the jumps and wds
+    their discrete inputs."""
+    picks = np.asarray(picks, dtype=int)
+
+    def take(key):
+        return np.take(np.stack([getattr(jm, key) for jm in sys.jumps], axis=-1), picks, axis=-1)
+
+    R, Cz = take("J"), take("Cd")
+    if controller is not None and sys.md:
+        Kd = np.array([controller.kd(theta=t) for t in thetas]).reshape(len(thetas), sys.md, sys.n)
+        Kd = np.moveaxis(Kd, 0, -1)
+        R = R + _mm(take("Bd"), Kd)
+        Cz = Cz + _mm(take("Dd"), Kd)
+    w = np.broadcast_to(np.asarray(wds, dtype=float), (sys.pd, len(picks)))
+    return R, _mv(take("Ed"), w), Cz, _mv(take("Fd"), w)
 
 
 def _default_step(gen: SequenceGen) -> float:
@@ -358,99 +438,114 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
 
     switched = isinstance(sys, SwitchedSystem)
+    n = sys.n
     if switched:
-        n = sys.n
         mode = int(start_mode) if start_mode is not None else int(rng.integers(sys.N))
     else:
-        n = sys.n
         mode = start_mode
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}")
 
-    dwells = dwell_gen.dwells(horizon, rng)
-    times_parts, states_parts, zc_parts, kappa_parts = [], [], [], []
-    jump_times, zd_rows, pre_states, post_states, mode_parts = [], [], [], [], []
-
-    x = x0.copy()
+    # Plan: the whole schedule first.  No draw depends on the state, so the
+    # draws come in the order a segment-by-segment march would make them.
+    seg_t0, seg_m, seg_h, seg_mode = [], [], [], []
+    picks, thetas, wds = [], [], []  # per jump of an impulsive system
     t0 = 0.0
-    worst_lt = 0.0
-    k = 0  # jumps applied so far
-    flows: dict = {}  # mode -> its latest _Flow; one entry per mode bounds the memory
-
-    for dwell_len in dwells:
+    for dwell_len in dwell_gen.dwells(horizon, rng):
         seg = min(dwell_len, horizon - t0)
         last = t0 + dwell_len >= horizon - 1e-12
         if seg <= 0:
             break
         m = max(1, int(np.ceil(seg / step)))
-        h = seg / m
-
-        grid = _mesh(m, h, check_step)
-        w = np.broadcast_to(inputs.wc(t0 + grid), grid.shape).astype(float)
-        flow = flows.get(mode)
-        if flow is None or not flow.matches(m, h, w):
-            if switched:
-                md = sys.modes[mode]
-                mats = tuple(md[kk] for kk in ("A", "B", "E", "C", "D", "F"))
-            else:
-                mats = (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
-            flow = flows[mode] = _flow(mats, controller, mode, clamp, m, h, grid, w)
-
-        xs = _scan(flow.tables, x, m)  # (n, m+1)
-        if not np.isfinite(xs).all():
-            raise StepTooLarge("state overflow while integrating; reduce the step")
-        if check_step:
-            worst_lt = max(worst_lt, _halfstep_error(xs, flow.halves))
-
-        # outputs on this segment's mesh (pre-jump convention at the right end)
-        zc = _mv(flow.C, xs) + flow.z_off
-
-        times_parts.append(t0 + grid[: m + 1])
-        states_parts.append(xs.T)
-        zc_parts.append(zc.T)
-        kappa_parts.append(np.full(m + 1, k))
-        if switched:
-            mode_parts.append(np.full(m + 1, mode))
-
+        seg_t0.append(t0)
+        seg_m.append(m)
+        seg_h.append(seg / m)
+        seg_mode.append(mode)
         t0 += seg
-        x = xs[:, -1]
         if last or t0 >= horizon - 1e-12:
             break
-
-        # jump at t0
-        k += 1
-        pre_states.append(x.copy())
-        jump_times.append(t0)
         if switched:
             j = int(rng.integers(sys.N - 1))
             mode = j if j < mode else j + 1
-            post_states.append(x.copy())
         else:
-            jm = _pick_jump(sys, mode, rng)
-            if jm.tag is not None:
-                mode = jm.tag[1]
-            wd_k = inputs.wd(k)
-            ud = np.zeros(jm.Bd.shape[1])
-            if controller is not None and jm.Bd.shape[1]:
-                ud = controller.kd(theta=dwell_len) @ x
-            if jm.Cd.shape[0]:
-                zd_rows.append(jm.Cd @ x + jm.Dd @ ud + jm.Fd @ (wd_k * np.ones(jm.Fd.shape[1])))
-            x = jm.J @ x + jm.Bd @ ud + jm.Ed @ (wd_k * np.ones(jm.Ed.shape[1]))
-            post_states.append(x.copy())
+            picks.append(_pick_jump(sys, mode, rng))
+            if sys.jumps[picks[-1]].tag is not None:
+                mode = sys.jumps[picks[-1]].tag[1]
+            wds.append(inputs.wd(len(picks)))
+            thetas.append(dwell_len)
 
-    if check_step and worst_lt > _LT_TOL:
-        raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
+    # Flat point axis: segment k contributes its m_k+1 mesh points; the jump
+    # after it is its last map, replaced by the jump map before the scan.
+    t0s, hs = np.asarray(seg_t0), np.asarray(seg_h)
+    counts = np.asarray(seg_m) + 1
+    seg_of = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    jumps_at = firsts[1:] - 1  # map index of each jump
+    widths = hs[seg_of[:-1]]
+    widths[jumps_at] = 0.0
+    modes = list(dict.fromkeys(seg_mode))
+    axis = _FlatAxis(
+        sys, controller, clamp, inputs, modes,
+        codes=np.repeat([modes.index(md) for md in seg_mode], counts) if len(modes) > 1 else None,
+        taus=(np.arange(len(seg_of)) - firsts[seg_of]) * hs[seg_of],
+        origin=t0s[seg_of],
+        widths=widths,
+    )
+    if switched:
+        jR = np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(jumps_at)))
+        js = np.zeros((n, len(jumps_at)))
+    else:
+        jR, js, jCz, jzs = _jump_maps(sys, controller, picks, thetas, wds)
 
-    traj = Trajectory(
-        times=np.concatenate(times_parts),
-        states=np.vstack(states_parts),
-        zc=np.vstack(zc_parts) if zc_parts else np.zeros((0, 0)),
-        jump_times=np.asarray(jump_times),
-        jump_count=np.concatenate(kappa_parts),
-        zd=np.vstack(zd_rows) if zd_rows else np.zeros((0, 0)),
-        pre_jump_states=np.vstack(pre_states) if pre_states else np.zeros((0, n)),
-        post_jump_states=np.vstack(post_states) if post_states else np.zeros((0, n)),
-        modes=np.concatenate(mode_parts) if mode_parts else None,
+    # March: chunk by chunk from the state the previous chunk ended in.
+    qc = _mats(sys, modes[0])[3].shape[0]
+    states = np.empty((len(seg_of), n))
+    zc = np.empty((len(seg_of), qc))
+    x = x0
+    for a in range(0, len(widths), _CHUNK):
+        b = min(a + _CHUNK, len(widths))
+        R, s, C, z = axis.maps(a, b)
+        lo, hi = np.searchsorted(jumps_at, [a, b])
+        at = jumps_at[lo:hi] - a
+        R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
+        xs = _scan(_block_prefix(R, s), x, b - a)
+        if switched:  # the state is continuous: copy it rather than round it through the identity
+            xs[:, at + 1] = xs[:, at]
+        if not np.isfinite(xs).all():
+            raise StepTooLarge("state overflow while integrating; reduce the step")
+        # outputs on the mesh (pre-jump convention at a segment's right end)
+        states[a : b + 1] = xs.T
+        zc[a : b + 1] = (_mv(C, xs) + z).T
+        x = xs[:, -1]
+
+    # Half-step referee over the marched states.  Its quarter points and two
+    # half-step tables more than double the working set per map, so it takes
+    # a quarter of a chunk at a time; the march itself never depends on it.
+    worst_lt = 0.0
+    if check_step:
+        for a in range(0, len(widths), _CHUNK // 4):
+            b = min(a + _CHUNK // 4, len(widths))
+            err = axis.halfstep_error(a, b, states[a : b + 1].T)
+            lo, hi = np.searchsorted(jumps_at, [a, b])
+            err[jumps_at[lo:hi] - a] = 0.0  # jumps are not RK4 steps
+            worst_lt = max(worst_lt, float(np.max(err)))
+        if worst_lt > _LT_TOL:
+            raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
+
+    pre, post = states[jumps_at], states[jumps_at + 1]
+    zd = np.zeros((0, 0))
+    if not switched and len(jumps_at) and jCz.shape[0]:
+        zd = (_mv(jCz, pre.T) + jzs).T
+    return Trajectory(
+        times=axis.origin + axis.taus,
+        states=states,
+        zc=zc,
+        jump_times=t0s[1:],
+        jump_count=seg_of,
+        zd=zd,
+        pre_jump_states=pre,
+        post_jump_states=post,
+        modes=np.repeat(seg_mode, counts) if switched else None,
         meta={
             "seed": dwell_gen.seed,
             "step": step,
@@ -460,19 +555,19 @@ def simulate(
             "worst_local_truncation": worst_lt,
         },
     )
-    return traj
 
 
-def _pick_jump(sys: ImpulsiveSystem, mode: Optional[int], rng: np.random.Generator):
+def _pick_jump(sys: ImpulsiveSystem, mode: Optional[int], rng: np.random.Generator) -> int:
+    """The index in sys.jumps of the jump taken from `mode`."""
     if len(sys.jumps) == 1:
-        return sys.jumps[0]
-    tagged = [jm for jm in sys.jumps if jm.tag is not None]
+        return 0
+    tagged = [i for i, jm in enumerate(sys.jumps) if jm.tag is not None]
     if tagged and mode is not None:
-        options = [jm for jm in tagged if jm.tag[0] == mode]
+        options = [i for i in tagged if sys.jumps[i].tag[0] == mode]
         if not options:
             raise DimensionMismatch(f"no jump map leaves mode {mode}")
         return options[int(rng.integers(len(options)))]
-    return sys.jumps[int(rng.integers(len(sys.jumps)))]
+    return int(rng.integers(len(sys.jumps)))
 
 
 def _gain_run(payload) -> float:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from dwellgain import sim
 from dwellgain.cert import flow_grid, transition_matrix
-from dwellgain.errors import DimensionMismatch, StepTooLarge
+from dwellgain.errors import DimensionMismatch, IllPosed, StepTooLarge
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from dwellgain.poly import Poly
 from dwellgain.sim import (
     InputSignal,
     SequenceGen,
@@ -18,7 +19,7 @@ from dwellgain.sim import (
     generate_inputs,
     simulate,
 )
-from dwellgain.synthesis import synthesize
+from dwellgain.synthesis import ControllerRealization, synthesize
 
 
 def serial_march(R, s, x0):
@@ -59,17 +60,18 @@ def oracle_kc(ctrl, taus):
     return np.array(K).transpose(2, 0, 1)
 
 
-def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, controller=None):
+def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, controller=None, full=False):
     """Reference simulation: every segment's maps are rebuilt and marched
     cell by cell, nothing is reused.  Impulsive systems need a single jump
     map; a controller needs an impulsive plant.  Returns (states, sup of the
-    hybrid output)."""
+    hybrid output), or with full=True a dict of the states, z_c, z_d and the
+    pre- and post-jump states."""
     rng = np.random.default_rng(gen.seed)
     step = min(1e-3, gen.shortest / 50.0) if step is None else step
     switched = isinstance(sys, SwitchedSystem)
     mode = int(rng.integers(sys.N)) if switched else None
     x, t0, k = np.asarray(x0, dtype=float), 0.0, 0
-    states, sups = [], [0.0]
+    states, zcs, zds, pre, post, sups = [], [], [], [], [], [0.0]
     for dwell_len in gen.dwells(horizon, rng):
         seg = min(dwell_len, horizon - t0)
         last = t0 + dwell_len >= horizon - 1e-12
@@ -96,20 +98,28 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
         zc = np.einsum("mij,mj->mi", C_m, xs)
         zc += F.eval_mesh(taus, clamp).sum(axis=2) * w(taus)[:, None]
         states.append(xs)
+        zcs.append(zc)
         sups.append(np.max(np.abs(zc)))
         t0 += seg
         x = xs[-1]
         if last or t0 >= horizon - 1e-12:
             break
         k += 1
+        pre.append(x)
         if switched:
             j = int(rng.integers(sys.N - 1))
             mode = j if j < mode else j + 1
+            post.append(x)
             continue
         jm, wd = sys.jump, inputs.wd(k)
         ud = controller.kd(theta=dwell_len) @ x if controller is not None else np.zeros(jm.Bd.shape[1])
-        sups.append(np.max(np.abs(jm.Cd @ x + jm.Dd @ ud + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))))
+        zds.append(jm.Cd @ x + jm.Dd @ ud + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))
+        sups.append(np.max(np.abs(zds[-1])))
         x = jm.J @ x + jm.Bd @ ud + jm.Ed @ (wd * np.ones(jm.Ed.shape[1]))
+        post.append(x)
+    if full:
+        return {"states": np.vstack(states), "zc": np.vstack(zcs), "zd": np.array(zds),
+                "pre": np.array(pre), "post": np.array(post)}
     return np.vstack(states), float(max(sups))
 
 
@@ -338,21 +348,28 @@ class TestSerialEquivalence:
         assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
 
     def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch):
-        built = []
-        flow = sim._flow
-        monkeypatch.setattr(sim, "_flow", lambda *a: built.append(1) or flow(*a))
+        calls = []
+        eval_mesh = PolyMatrix.eval_mesh
+        monkeypatch.setattr(PolyMatrix, "eval_mesh", lambda *a, **kw: calls.append(1) or eval_mesh(*a, **kw))
+
+        def run(gen, inputs):
+            calls.clear()
+            traj = simulate(bench_timer_growth, gen, inputs, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
+            return traj, len(calls)
+
         gen, sine = SequenceGen.exact(0.35), generate_inputs("sine")
-        traj = simulate(bench_timer_growth, gen, sine, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
+        _, one_segment = run(SequenceGen.exact(100.0), sine)
+        traj, evals = run(gen, sine)
         states, sup = serial_simulate(bench_timer_growth, gen, sine, [0.2, 0.1], 6.0, clamp=0.3)
-        assert len(built) == len(traj.jump_times) + 1
+        assert len(traj.jump_times) == 17
+        assert evals == one_segment  # the mesh is evaluated per chunk, not per segment
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
-        built.clear()
         const = generate_inputs("const_unit")
-        traj = simulate(bench_timer_growth, gen, const, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
+        traj, evals = run(gen, const)
         states, sup = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3)
-        assert len(built) == 2  # the full dwell once, then the clipped last segment
+        assert evals == one_segment
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
@@ -404,6 +421,136 @@ class TestSerialEquivalence:
             t = tk
         got = transition_matrix(sys_, 0.0, 1.7, jumps_in_between=jumps, step=step, clamp=clamp)
         np.testing.assert_allclose(got, Phi, rtol=1e-12, atol=0)
+
+
+class TestChunkedMarch:
+    """The march runs over chunks of the run's flat point axis; a chunk seam
+    may fall anywhere, on a jump too."""
+
+    @pytest.fixture
+    def seam_case(self, request, bench_lti, bench_timer_growth, bench_switched, closed_loops):
+        """(system, sequence generator, simulate keywords) of one case."""
+        case = request.param
+        if case == "impulsive":
+            return bench_lti, SequenceGen.uniform_range(0.2, 0.3, seed=3), {}
+        if case == "clamped":
+            return bench_timer_growth, SequenceGen.min_plus_exp(0.15, seed=4), {"clamp": 0.15}
+        if case == "switched":
+            return bench_switched, SequenceGen.min_plus_exp(0.1, seed=4), {}
+        plant, ctrl, gen = closed_loops[case]
+        return plant, gen, {"controller": ctrl, "clamp": ctrl.clamp}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 33, "jump"])
+    @pytest.mark.parametrize(
+        "seam_case",
+        ["impulsive", "clamped", "switched", "constant", "minimum", "range", "feedthrough"],
+        indirect=True,
+    )
+    def test_chunk_seams_match_serial_oracle(self, seam_case, chunk, monkeypatch):
+        sys_, gen, kw = seam_case
+        inputs = combine_inputs(generate_inputs("sine"), generate_inputs("uniform_random", seed=8))
+        x0 = np.full(sys_.n, 0.1)
+
+        def run():
+            return simulate(sys_, gen, inputs, x0=x0, horizon=1.5, step=0.01, **kw)
+
+        if chunk == "jump":  # chunk 0 ends on the first pre-jump sample, chunk 1 starts with the jump
+            chunk = int(np.searchsorted(run().jump_count, 1)) - 1
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        traj = run()
+        ref = serial_simulate(sys_, gen, inputs, x0, 1.5, step=0.01, full=True, **kw)
+        assert len(traj.jump_times) > 1
+        for got, want in ((traj.states, ref["states"]), (traj.zc, ref["zc"]),
+                          (traj.pre_jump_states, ref["pre"]), (traj.post_jump_states, ref["post"])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if isinstance(sys_, SwitchedSystem):
+            assert np.array_equal(traj.pre_jump_states, traj.post_jump_states)
+            assert traj.zd.size == 0
+        else:
+            np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
+
+    def test_jump_cells_stay_in_their_segment(self):
+        """A jump sits on the flat axis as a cell of zero width, so nothing is
+        evaluated past a segment's end: here X(tau) of the controller turns
+        negative just after the dwell."""
+        plant = ImpulsiveSystem.from_arrays(
+            A=[[-1.0]], Bc=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[0.5]], Ed=[[0.2]], Cd=[[1.0]], Fd=[[0.0]],
+        )
+        ctrl = ControllerRealization(
+            kind="ConstantDT", dwell=DwellTimeSpec.constant(1.0), gamma=1.0, degree=1, margin=0.0,
+            X=[Poly((1.0, -0.999))],  # zero at tau = 1.001, within half a cell of the dwell
+            Uc=[[Poly.const(-0.5)]],
+        )
+        gen, inputs = SequenceGen.exact(1.0), generate_inputs("const_unit")
+        traj = simulate(plant, gen, inputs, x0=[1.0], horizon=3.5, step=0.01, controller=ctrl)
+        ref = serial_simulate(plant, gen, inputs, [1.0], 3.5, step=0.01, controller=ctrl, full=True)
+        assert len(traj.jump_times) == 3
+        np.testing.assert_allclose(traj.states, ref["states"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("chunk", [sim._CHUNK, 28, "jump"])
+    def test_halfstep_referee_skips_jumps(self, bench_timer_stable, chunk, monkeypatch):
+        """timer_stable_bench's jump is expansive, so a referee that took a
+        jump for an RK4 step would raise.  The referee must instead give the
+        value it gives segment by segment, on each segment's own mesh, across
+        chunk seams too (the referee's chunks hold _CHUNK // 4 maps)."""
+        sys_, T = bench_timer_stable, 2.0
+
+        def run():
+            return simulate(sys_, SequenceGen.exact(T), generate_inputs("const_unit"), x0=[1.0, 1.0],
+                            horizon=10.0, step=0.02, check_step=True)
+
+        if chunk == "jump":  # a seam right before the first jump
+            chunk = 4 * (int(np.searchsorted(run().jump_count, 1)) - 1)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        traj = run()
+        worst = 0.0
+        for k in range(len(traj.jump_times) + 1):
+            xs = traj.states[traj.jump_count == k].T
+            m = xs.shape[1] - 1
+            h = T / m
+            cells = np.arange(m) * h
+            grid = np.concatenate([np.arange(m + 1) * h, cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
+            A = sys_.A.eval_mesh(grid, component_major=True)
+            b = sys_.Ec.eval_mesh(grid, component_major=True).sum(axis=1)
+            mids = slice(m + 1, 2 * m + 1)
+            halves = (sim._rk4_stage(A, b, slice(0, m), slice(2 * m + 1, 3 * m + 1), mids, 0.5 * h),
+                      sim._rk4_stage(A, b, mids, slice(3 * m + 1, 4 * m + 1), slice(1, m + 1), 0.5 * h))
+            (R1, s1), (R2, s2) = halves
+            x_two = np.einsum("ijm,jm->im", R2, np.einsum("ijm,jm->im", R1, xs[:, :-1]) + s1) + s2
+            gap = np.max(np.abs(x_two - xs[:, 1:]), axis=0) / (1.0 + np.max(np.abs(xs[:, 1:]), axis=0))
+            worst = max(worst, float(np.max(gap)))
+        assert len(traj.jump_times) == 4
+        assert worst > 1e-12  # truncation, not rounding, sets the value
+        assert traj.meta["worst_local_truncation"] == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+class TestErrorClasses:
+    """What the plan-then-march order must keep raising; a state overflow is
+    pinned by TestSimulate.test_state_overflow_raises, whose overflow lands
+    in a later chunk."""
+
+    def test_no_outgoing_jump_map(self):
+        tagged = ImpulsiveSystem.from_arrays(
+            A=[[-1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[1.0]], Ed=[[0.0]], Cd=[[0.0]], Fd=[[0.0]],
+            extra_jumps=[{"J": [[0.5]], "Ed": [[0.0]], "Cd": [[0.0]], "Fd": [[0.0]], "tag": (0, 1)}],
+        )
+        with pytest.raises(DimensionMismatch, match="no jump map leaves mode 1"):
+            simulate(tagged, SequenceGen.exact(0.5), generate_inputs("const_unit"), x0=[1.0],
+                     horizon=3.0, start_mode=0)
+
+    def test_denominator_not_positive(self):
+        plant = ImpulsiveSystem.from_arrays(
+            A=[[-1.0]], Bc=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[0.5]], Ed=[[0.0]], Cd=[[0.0]], Fd=[[0.0]],
+        )
+        ctrl = ControllerRealization(
+            kind="ConstantDT", dwell=DwellTimeSpec.constant(1.0), gamma=1.0, degree=1, margin=0.0,
+            X=[Poly((0.5, -1.0))],  # crosses zero at tau = 0.5
+            Uc=[[Poly.const(1.0)]],
+        )
+        with pytest.raises(IllPosed):
+            simulate(plant, SequenceGen.exact(1.0), generate_inputs("const_unit"), x0=[1.0], horizon=2.0,
+                     controller=ctrl)
 
 
 def oracle_export_text(traj):
