@@ -436,7 +436,7 @@ def _gain_rows_constant_like(
         prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
 
 
-def _solve_with_escalation(build, degree: int, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
+def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """build(relax) -> (_Program, gamma var, finalize[, extra_obj]); escalate the
     relaxation order on infeasibility or numerical failure.
 
@@ -626,7 +626,7 @@ def _analyze_hybrid(
 
         return prog, gamma, finalize
 
-    return _solve_with_escalation(build, degree, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_constant(
@@ -743,7 +743,7 @@ def analyze_switched_min(
 
         return prog, gamma, finalize
 
-    return _solve_with_escalation(build, degree, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_switched_blanchini(
@@ -778,8 +778,8 @@ def analyze_switched_blanchini(
         for r in range(n):
             lp.add_le({lam[i][c]: A[r, c] for c in range(n)}, -E1[r] - margin)
     for i in range(N):
-        eAT = Phis[i][-1]
-        integ = forced[i][-1]
+        eAT = Phis[i][..., -1]
+        integ = forced[i][:, -1]
         for j in range(N):
             if i == j:
                 continue
@@ -793,7 +793,7 @@ def analyze_switched_blanchini(
         for j in range(N):
             if i == j:
                 continue
-            for Ph in Phis[i]:
+            for Ph in Phis[i].transpose(2, 0, 1):
                 CP = C @ Ph
                 CmCP = C - CP
                 for r in range(q):

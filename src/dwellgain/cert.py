@@ -10,14 +10,15 @@ Nothing here reuses the LP encoders.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import Mismatch, Unsupported
 from .model import ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
 from .poly import Poly
-from .sim import _block_prefix, _rk4_maps, _scan
+from .sim import _block_prefix, _fields, _jump_maps, _mv, _rk4_maps, _scan
+from .synthesis import ClosedLoopView
 
 __all__ = [
     "VerificationReport",
@@ -66,34 +67,30 @@ def flow_grid(
     taus: np.ndarray,
     clamp: Optional[float] = None,
 ):
-    """Phi(tau_i, 0) (len, n, n) and the unit-input forced response (len, n)
-    on a uniform grid.
+    """Phi(tau_i, 0) as a C-contiguous (n, n, len) array and the unit-input
+    forced response as (n, len) on a uniform grid, component-major like every
+    mesh array: Phi(tau_i, 0) is [..., i].
 
     Integrates dPhi/dtau = A(tau) Phi and dr/dtau = A(tau) r + E(tau) * 1 with
-    the fixed-step RK4 machinery; taus must be uniform starting at 0."""
+    the simulator's fixed-step RK4 maps and prefix scan; taus must be uniform
+    starting at 0."""
     taus = np.asarray(taus, dtype=float)
     m = len(taus) - 1
     if m < 1:
         n = A_pm.shape[0]
-        return np.eye(n)[None, :, :], np.zeros((1, n))
+        return np.eye(n)[:, :, None], np.zeros((n, 1))
     h = taus[1] - taus[0]
     if not np.allclose(np.diff(taus), h):
         raise ValueError("flow_grid needs a uniform grid")
     n = A_pm.shape[0]
 
-    def A_of(ts):
-        return A_pm.eval_mesh(ts, clamp, component_major=True)
-
     if E_pm is None:
         b_of = lambda ts: np.zeros((n, len(ts)))
     else:
-        b_of = lambda ts: E_pm.eval_mesh(ts, clamp, component_major=True).sum(axis=1)
-
-    _, R, s = _rk4_maps(A_of, b_of, h, m)
+        b_of = lambda ts: E_pm.eval_mesh(ts, clamp).sum(axis=1)
+    _, R, s = _rk4_maps(lambda ts: A_pm.eval_mesh(ts, clamp), b_of, h, m)
     tables = _block_prefix(R, s)
-    Phis = _scan(tables, np.eye(n), m, forced=False)  # (n, n, m+1)
-    forced = _scan(tables, np.zeros(n), m)  # (n, m+1)
-    return np.ascontiguousarray(Phis.transpose(2, 0, 1)), np.ascontiguousarray(forced.T)
+    return _scan(tables, np.eye(n), m, forced=False), _scan(tables, np.zeros(n), m)
 
 
 def transition_matrix(
@@ -123,12 +120,8 @@ def transition_matrix(
             m = max(1, int(np.ceil(seg / step)))
             h = seg / m
             off = t - t_origin
-
-            def A_of(ts):
-                return sys.A.eval_mesh(ts + off, clamp, component_major=True)
-
-            b_of = lambda ts: np.zeros((n, len(ts)))
-            _, R, s = _rk4_maps(A_of, b_of, h, m)
+            A_of = lambda ts: sys.A.eval_mesh(ts + off, clamp)
+            _, R, s = _rk4_maps(A_of, lambda ts: np.zeros((n, len(ts))), h, m)
             Phi = _scan(_block_prefix(R, s), Phi, m, forced=False)[..., -1]
         if tk in events:
             Phi = sys.jump.J @ Phi
@@ -144,29 +137,7 @@ def _record(slacks: dict, family: str, value: float) -> None:
     slacks[family] = min(slacks.get(family, np.inf), float(value))
 
 
-class _OpenLoop:
-    """An open-loop system behind ClosedLoopView's cont_mesh/jumps_at interface."""
-
-    def __init__(self, sys: Union[ImpulsiveSystem, SwitchedSystem]):
-        self.sys = sys
-        self.switched = isinstance(sys, SwitchedSystem)
-        jumps = [] if self.switched else sys.jumps
-        self._jumps = [(jm.J, jm.Ed.sum(axis=1), jm.Cd, jm.Fd.sum(axis=1)) for jm in jumps]
-
-    def cont_mesh(self, taus: np.ndarray, mode=None):
-        if self.switched:
-            md = self.sys.modes[mode]
-            pms = (md["A"], md["E"], md["C"], md["F"])
-        else:
-            pms = (self.sys.A, self.sys.Ec, self.sys.Cc, self.sys.Fc)
-        A_m, E_m, C_m, F_m = (pm.eval_mesh(taus) for pm in pms)
-        return A_m, E_m.sum(axis=2), C_m, F_m.sum(axis=2)
-
-    def jumps_at(self, theta: float):
-        return self._jumps
-
-
-def _finish_report(cert, sys, slacks: dict[str, float], grid: int) -> VerificationReport:
+def _finish_report(cert, slacks: dict[str, float], grid: int) -> VerificationReport:
     scale = 1.0 + abs(cert.gamma)
     for zv in cert.zeta_vectors():
         for z in zv:
@@ -197,11 +168,13 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     """Re-evaluate every row of the certificate's theorem on a dense grid and
     prove each stored interval row by its exact Bernstein coefficients.
 
-    `sys` is an ImpulsiveSystem, a SwitchedSystem, or a closed-loop view with
-    the same cont_mesh(taus, mode) / jumps_at(theta) interface
-    (synthesis.ClosedLoopView); every row family is evaluated on that mesh."""
-    view = sys if hasattr(sys, "jumps_at") else _OpenLoop(sys)
-    plant = view.sys
+    `sys` is an ImpulsiveSystem, a SwitchedSystem, or a
+    synthesis.ClosedLoopView of one under a controller, which is unpacked to
+    (plant, controller).  The flow and output data on the tau mesh come from
+    the simulator's `_fields` with unit inputs and the jump rows of every theta
+    at once from its `_jump_maps`, so a closed loop is read by the same
+    evaluator as an open loop and as a simulation."""
+    plant, ctrl = (sys.sys, sys.ctrl) if isinstance(sys, ClosedLoopView) else (sys, None)
     require_forward_time(plant, "verification")
     dwell = cert.dwell
     gamma = cert.gamma
@@ -231,46 +204,47 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     ends = []  # per mode: zeta at tau = 0 and at the end of the mesh
     for mode, zs in enumerate(zsets):
         tag = f"[{mode}]" if per_mode else ""
-        A_m, Ec1_m, Cc_m, Fc1_m = view.cont_mesh(taus, mode=mode if per_mode else None)
-        zv = np.stack([z.eval(taus) for z in zs], axis=1)
-        zdv = np.stack([z.deriv().eval(taus) for z in zs], axis=1)
-        Az = np.einsum("mij,mj->mi", A_m, zv) + Ec1_m
+        # taus are clamped already; a controller clamps its own gains
+        A, Ew, C, Fw = _fields(plant, ctrl, mode if per_mode else None, None, taus, np.ones(len(taus)), len(taus))
+        zv = np.stack([z.eval(taus) for z in zs])
+        zdv = np.stack([z.deriv().eval(taus) for z in zs])
+        Az = _mv(A, zv) + Ew
         _record(slacks, "flow" + tag, np.min(zdv - Az))
-        out = gamma - (np.einsum("mij,mj->mi", Cc_m, zv) + Fc1_m)
-        if out.shape[1]:
+        out = gamma - (_mv(C, zv) + Fw)
+        if len(out):
             _record(slacks, "out_c" + tag, np.min(out))
         if dwell.kind == "minimum":
             # the mesh ends at tau = T, where the clamped flow is stationary
-            _record(slacks, "stat_flow" + tag, np.min(-Az[-1]))
-            if out.shape[1]:
-                _record(slacks, "stat_out" + tag, np.min(out[-1]))
-        _record(slacks, "pin_lo" + tag, np.min(zv[0]))
-        ends.append((zv[0], zv[-1]))
+            _record(slacks, "stat_flow" + tag, np.min(-Az[:, -1]))
+            if len(out):
+                _record(slacks, "stat_out" + tag, np.min(out[:, -1]))
+        _record(slacks, "pin_lo" + tag, np.min(zv[:, 0]))
+        ends.append((zv[:, 0], zv[:, -1]))
     if per_mode:
         # a switch from mode j, its timer clamped at T, to mode i: zeta_i(0) >= zeta_j(T)
         for i, (z0, _) in enumerate(ends):
             for j, (_, zT) in enumerate(ends):
                 if i != j:
                     _record(slacks, "couple", np.min(z0 - zT))
-        return _finish_report(cert, plant, slacks, grid)
+        return _finish_report(cert, slacks, grid)
     zs = zsets[0]
-    z0 = ends[0][0]
+    z0 = ends[0][0][:, None]
     if dwell.kind == "range":
         thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
     else:
         thetas = np.array([dwell.T or 0.0])  # an arbitrary dwell has no T
     mu = cert.aux.get("mu")
-    # jump targets for every theta at once, one row per theta
-    target = np.stack([p.eval(thetas) for p in (mu or zs)], axis=1)
-    maps = [view.jumps_at(float(th)) for th in thetas]
-    for jk in range(len(maps[0])):
-        J, Ed1, Cd, Fd1 = (np.stack(arrs) for arrs in zip(*(m[jk] for m in maps)))
-        _record(slacks, f"jump[{jk}]", np.min(z0 - (np.einsum("kij,kj->ki", J, target) + Ed1)))
-        if Cd.shape[1]:
-            _record(slacks, f"out_d[{jk}]", np.min(gamma - (np.einsum("kij,kj->ki", Cd, target) + Fd1)))
+    # jump targets and jump maps for every theta at once, one column per theta
+    target = np.stack([p.eval(thetas) for p in (mu or zs)])
+    ones = np.ones(len(thetas))
+    for jk in range(len(plant.jumps)):
+        J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, ones)
+        _record(slacks, f"jump[{jk}]", np.min(z0 - (_mv(J, target) + Ed1)))
+        if len(Cd):
+            _record(slacks, f"out_d[{jk}]", np.min(gamma - (_mv(Cd, target) + Fd1)))
     if mu:
-        _record(slacks, "mu_dom", np.min(target - np.stack([z.eval(thetas) for z in zs], axis=1)))
-    return _finish_report(cert, plant, slacks, grid)
+        _record(slacks, "mu_dom", np.min(target - np.stack([z.eval(thetas) for z in zs])))
+    return _finish_report(cert, slacks, grid)
 
 
 def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) -> VerificationReport:
@@ -292,7 +266,7 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
         for i, md in enumerate(sw.modes):
             Phis, rs = flow_grid(md["A"], md["E"], taus)
             C_m = md["C"].eval_mesh(taus)
-            F1_m = md["F"].eval_mesh(taus).sum(axis=2)
+            F1_m = md["F"].eval_mesh(taus).sum(axis=1)
             A_T = md["A"](T)
             E1_T = md["E"](T).sum(axis=1)
             _record(slacks, f"stat_flow[{i}]", float(np.min(-(A_T @ lam[i] + E1_T))))
@@ -304,9 +278,9 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
             for j in range(sw.N):
                 if i == j:
                     continue
-                r_ij = np.einsum("mij,j->mi", Phis, lam[j]) + rs
-                _record(slacks, f"couple[{j}->{i}]", float(np.min(lam[i] - r_ij[-1])))
-                z = np.einsum("mij,mj->mi", C_m, r_ij) + F1_m
+                r_ij = _mv(Phis, lam[j]) + rs
+                _record(slacks, f"couple[{j}->{i}]", float(np.min(lam[i] - r_ij[:, -1])))
+                z = _mv(C_m, r_ij) + F1_m
                 _record(slacks, f"out[{i},{j}]", float(gamma - np.max(z)))
         return _referee_report(slacks, gamma, grid)
 
@@ -331,12 +305,12 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
     m = max(grid, theta_points * 4)
     taus = np.linspace(0.0, theta_hi, m + 1)
     Phis, rs = flow_grid(sys.A, sys.Ec, taus, clamp=clamp)
-    r_of = np.einsum("mij,j->mi", Phis, lam) + rs
+    r_of = _mv(Phis, lam) + rs
 
     C_m = sys.Cc.eval_mesh(taus, clamp)
-    F1_m = sys.Fc.eval_mesh(taus, clamp).sum(axis=2)
+    F1_m = sys.Fc.eval_mesh(taus, clamp).sum(axis=1)
     if sys.qc:
-        z = np.einsum("mij,mj->mi", C_m, r_of) + F1_m
+        z = _mv(C_m, r_of) + F1_m
         _record(slacks, "out_c", float(gamma - np.max(z)))
     if dwell.kind == "minimum":
         # only rows with nonnegative multipliers are consequences of the hybrid
@@ -344,13 +318,13 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
         # not (A is Metzler, not nonnegative), so it is not a referee row here
         T = dwell.T
         iT = int(round(T / (taus[1] - taus[0])))
-        rT = r_of[min(iT, m)]
+        rT = r_of[:, min(iT, m)]
         if sys.qc:
             _record(slacks, "stat_out", float(np.min(gamma - (sys.Cc(T) @ rT + sys.Fc(T).sum(axis=1)))))
     idx = np.minimum(np.round(thetas / (taus[1] - taus[0])).astype(int), m)
     for jk, jm in enumerate(sys.jumps):
         for ii in idx:
-            r_th = r_of[ii]
+            r_th = r_of[:, ii]
             _record(slacks, f"jump[{jk}]", float(np.min(lam - (jm.J @ r_th + jm.Ed.sum(axis=1)))))
             if jm.Cd.shape[0]:
                 _record(

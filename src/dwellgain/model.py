@@ -103,19 +103,12 @@ class PolyMatrix:
             out = out * t + self.coeffs[:, :, k]
         return out
 
-    def eval_mesh(
-        self, taus: np.ndarray, clamp: Optional[float] = None, component_major: bool = False
-    ) -> np.ndarray:
-        """Evaluate on a mesh, returning shape (len(taus), r, c), or with
-        component_major=True a C-contiguous (r, c, len(taus)) array of the
-        same values, the layout the simulator's batched products run on."""
+    def eval_mesh(self, taus: np.ndarray, clamp: Optional[float] = None) -> np.ndarray:
+        """Evaluate on a mesh as a C-contiguous (r, c, len(taus)) array, the
+        component-major layout every batched product runs on."""
         t = np.minimum(taus, clamp) if clamp is not None else np.asarray(taus, dtype=float)
-        cs = self.coeffs.transpose(2, 0, 1)  # cs[k] is the degree-k slab
-        if component_major:
-            cs, shape = cs[..., None], self.shape + (len(t),)
-        else:
-            t, shape = t[:, None, None], (len(t),) + self.shape
-        out = np.broadcast_to(cs[-1], shape).copy()
+        cs = self.coeffs.transpose(2, 0, 1)[..., None]  # cs[k] is the degree-k slab
+        out = np.broadcast_to(cs[-1], self.shape + (len(t),)).copy()
         for c in cs[-2::-1]:  # in place: one mesh-sized array however high the degree
             out *= t
             out += c

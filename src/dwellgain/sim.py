@@ -293,18 +293,19 @@ def _mats(sys, mode):
 def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: np.ndarray, npts: int):
     """A (+B K_c) and the forcing E w on the timer values `grid`, and the
     output terms C (+D K_c) and F w on its first npts entries, the mesh
-    points; all component-major.  w holds the continuous input on grid."""
+    points; all component-major.  w holds the continuous input on grid;
+    cert.verify reads its rows from here with w = 1."""
     A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = _mats(sys, mode)
     pts = grid[:npts]
-    A = A_pm.eval_mesh(grid, clamp, component_major=True)
-    C = C_pm.eval_mesh(pts, clamp, component_major=True)
+    A = A_pm.eval_mesh(grid, clamp)
+    C = C_pm.eval_mesh(pts, clamp)
     if controller is not None:
-        K = controller.kc_mesh(grid, mode=mode, component_major=True)
-        A += _mm(B_pm.eval_mesh(grid, clamp, component_major=True), K)
-        C += _mm(D_pm.eval_mesh(pts, clamp, component_major=True), K[..., :npts])
-    b = E_pm.eval_mesh(grid, clamp, component_major=True).sum(axis=1)
+        K = controller.kc_mesh(grid, mode=mode)
+        A += _mm(B_pm.eval_mesh(grid, clamp), K)
+        C += _mm(D_pm.eval_mesh(pts, clamp), K[..., :npts])
+    b = E_pm.eval_mesh(grid, clamp).sum(axis=1)
     b *= w
-    z = F_pm.eval_mesh(pts, clamp, component_major=True).sum(axis=1)
+    z = F_pm.eval_mesh(pts, clamp).sum(axis=1)
     z *= w[:npts]
     return A, b, C, z
 
@@ -387,7 +388,7 @@ def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds:
     """Jump k as an affine map x+ = R[..., k] x + s[..., k] with output
     z_d = Cz[..., k] x + zs[..., k], K_d(theta_k) folded in; component-major.
     picks index sys.jumps, thetas are the dwells before the jumps and wds
-    their discrete inputs."""
+    their discrete inputs; cert.verify reads its jump rows from here."""
     picks = np.asarray(picks, dtype=int)
 
     def take(key):
@@ -395,8 +396,7 @@ def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds:
 
     R, Cz = take("J"), take("Cd")
     if controller is not None and sys.md:
-        Kd = np.array([controller.kd(theta=t) for t in thetas]).reshape(len(thetas), sys.md, sys.n)
-        Kd = np.moveaxis(Kd, 0, -1)
+        Kd = controller.kd_mesh(thetas)
         R = R + _mm(take("Bd"), Kd)
         Cz = Cz + _mm(take("Dd"), Kd)
     w = np.broadcast_to(np.asarray(wds, dtype=float), (sys.pd, len(picks)))

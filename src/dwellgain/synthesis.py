@@ -83,9 +83,9 @@ class ControllerRealization:
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
         return np.stack([p.eval(t) for p in self._x_mode(mode)], axis=1)
 
-    def kc_mesh(self, taus: np.ndarray, mode=None, component_major: bool = False) -> np.ndarray:
-        """K_c on a mesh: (len(taus), mc, n), or with component_major=True a
-        C-contiguous (mc, n, len(taus)); clamped for minimum dwell-time."""
+    def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
+        """K_c on a mesh as a C-contiguous (mc, n, len(taus)); clamped for
+        minimum dwell-time."""
         taus = np.asarray(taus, dtype=float)
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
         xv = self.x_values(t, mode)
@@ -98,10 +98,10 @@ class ControllerRealization:
         for i in range(mc):
             for j in range(n):
                 out[i, j] = uc[i][j].eval(t) / xv[:, j]
-        return out if component_major else np.ascontiguousarray(out.transpose(2, 0, 1))
+        return out
 
     def kc(self, tau: float, mode=None) -> np.ndarray:
-        return self.kc_mesh(np.array([float(tau)]), mode=mode)[0]
+        return self.kc_mesh(np.array([float(tau)]), mode=mode)[..., 0]
 
     @property
     def _ud_poly(self) -> bool:
@@ -109,26 +109,34 @@ class ControllerRealization:
         it is a constant array (a degenerate range [T, T] included)."""
         return self.Ud is not None and not isinstance(self.Ud, np.ndarray)
 
-    def kd(self, theta: Optional[float] = None, mode=None) -> np.ndarray:
-        """Discrete gain K_d = U_d X(.)^{-1} at the proper evaluation point."""
+    def kd_mesh(self, thetas) -> np.ndarray:
+        """K_d = U_d X(.)^{-1} for the dwells `thetas`, a C-contiguous
+        (md, n, len(thetas)).  A RangeDT design evaluates at each clipped
+        theta in one vectorized pass; the others evaluate K_d once: from M
+        (RangeDT_FixedKd), at T (ConstantDT, MinimumDT) or at 0 (ArbitraryDT)."""
+        k = len(thetas)
         if self.Ud is None:
             n = len(self.X[0]) if self.per_mode else len(self.X)
-            return np.zeros((0, n))
+            return np.zeros((0, n, k))
         if self.kind == "RangeDT_FixedKd":
-            return np.asarray(self.Ud) / np.asarray(self.M)[None, :]
-        if self.kind == "RangeDT":
-            if theta is None:
-                raise ValueError("range dwell-time controller needs theta")
-            at = float(np.clip(theta, self.dwell.Tmin, self.dwell.Tmax))
-        elif self.kind in ("ConstantDT", "MinimumDT"):
-            at = self.dwell.T
-        else:  # ArbitraryDT
-            at = 0.0
-        xv = np.array([p.eval(at) for p in self.X])
-        if np.min(xv) <= 0.0:
-            raise IllPosed("denominator X not positive at the jump evaluation point")
-        ud = np.array([[p.eval(at) for p in row] for row in self.Ud]) if self._ud_poly else np.asarray(self.Ud)
-        return ud / xv[None, :]
+            K = (np.asarray(self.Ud) / np.asarray(self.M)[None, :])[:, :, None]
+        else:
+            at = (np.clip(np.asarray(thetas, dtype=float), self.dwell.Tmin, self.dwell.Tmax)
+                  if self.kind == "RangeDT" else np.array([self.dwell.T or 0.0]))
+            xv = np.stack([p.eval(at) for p in self.X])
+            if (xv <= 0.0).any():
+                raise IllPosed("denominator X not positive at the jump evaluation point")
+            ud = (np.array([[p.eval(at) for p in row] for row in self.Ud]) if self._ud_poly
+                  else np.asarray(self.Ud)[:, :, None])
+            K = ud / xv[None]
+        return K if K.shape[2] == k else np.repeat(K, k, axis=2)
+
+    def kd(self, theta: Optional[float] = None, mode=None) -> np.ndarray:
+        """K_d at one dwell theta, the single-point case of kd_mesh; a RangeDT
+        design needs theta."""
+        if theta is None and self.kind == "RangeDT" and self.Ud is not None:
+            raise ValueError("range dwell-time controller needs theta")
+        return self.kd_mesh([0.0 if theta is None else theta])[..., 0]
 
     def to_json(self) -> dict:
         data = {
@@ -485,7 +493,7 @@ def synthesize(
                 extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
         return prog, gamma, finalize, extra_obj
 
-    return _solve_with_escalation(build, degree, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
 
 
 def _check_denominator(ctrl: ControllerRealization) -> None:
@@ -560,49 +568,17 @@ def synthesize_switched(
             mode.regularize(extra_obj, reg)
         return prog, gamma, finalize, extra_obj
 
-    return _solve_with_escalation(build, degree, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
 
 
+@dataclass(frozen=True)
 class ClosedLoopView:
-    """Numeric closed-loop evaluation for grid verification and certificates."""
+    """A plant under a synthesized controller.  cert.verify unpacks it to
+    (plant, controller) and evaluates A + B K_c, C + D K_c and J + B_d K_d
+    with the simulator's evaluators, as a simulation with `controller` does."""
 
-    def __init__(self, sys: Union[ImpulsiveSystem, SwitchedSystem], ctrl: ControllerRealization):
-        self.sys = sys
-        self.ctrl = ctrl
-        self.switched = isinstance(sys, SwitchedSystem)
-
-    def cont_mesh(self, taus: np.ndarray, mode=None):
-        taus = np.asarray(taus, dtype=float)
-        clamp = self.ctrl.clamp
-        if self.switched:
-            md = self.sys.modes[mode if mode is not None else 0]
-            A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = (md[k] for k in ("A", "B", "E", "C", "D", "F"))
-        else:
-            A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = (
-                self.sys.A,
-                self.sys.Bc,
-                self.sys.Ec,
-                self.sys.Cc,
-                self.sys.Dc,
-                self.sys.Fc,
-            )
-        K = self.ctrl.kc_mesh(taus, mode=mode)
-        A_m = A_pm.eval_mesh(taus, clamp) + np.einsum("mij,mjk->mik", B_pm.eval_mesh(taus, clamp), K)
-        C_m = C_pm.eval_mesh(taus, clamp) + np.einsum("mij,mjk->mik", D_pm.eval_mesh(taus, clamp), K)
-        Ec1 = E_pm.eval_mesh(taus, clamp).sum(axis=2)
-        Fc1 = F_pm.eval_mesh(taus, clamp).sum(axis=2)
-        return A_m, Ec1, C_m, Fc1
-
-    def jumps_at(self, theta: float):
-        if self.switched:
-            return []
-        out = []
-        for jm in self.sys.jumps:
-            Kd = self.ctrl.kd(theta=theta)
-            J_cl = jm.J + jm.Bd @ Kd
-            Cd_cl = jm.Cd + jm.Dd @ Kd
-            out.append((J_cl, jm.Ed.sum(axis=1), Cd_cl, jm.Fd.sum(axis=1)))
-        return out
+    sys: Union[ImpulsiveSystem, SwitchedSystem]
+    ctrl: ControllerRealization
 
 
 def closed_loop(sys, ctrl: ControllerRealization) -> ClosedLoopView:

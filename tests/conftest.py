@@ -378,7 +378,7 @@ def _verify_impulsive(cert, sys, grid):
             for th in thetas:
                 _record(slacks, "mu_dom", float(min(m.eval(th) - z.eval(th) for m, z in zip(mu, zeta))))
         _record(slacks, "pin_lo", float(np.min(z0)))
-    return _finish_report(cert, sys, slacks, grid)
+    return _finish_report(cert, slacks, grid)
 
 
 def _verify_switched(cert, sw, grid):
@@ -403,7 +403,51 @@ def _verify_switched(cert, sw, grid):
             if i != j:
                 c = min(cert.zeta[i][r].eval(0.0) - cert.zeta[j][r].eval(T) for r in range(sw.n))
                 _record(slacks, "couple", float(c))
-    return _finish_report(cert, sw, slacks, grid)
+    return _finish_report(cert, slacks, grid)
+
+
+def cell_mesh(pm, taus, clamp=None):
+    """PolyMatrix.eval_mesh transposed to the oracles' cell-major (len, r, c)."""
+    return pm.eval_mesh(taus, clamp).transpose(2, 0, 1)
+
+
+def oracle_kc(ctrl, taus, mode=None):
+    """K_c(tau) = U_c(tau) X(tau)^{-1} entry by entry from the stored
+    polynomials, cell-major (len, mc, n); the timer is clamped as the design's."""
+    t = np.minimum(taus, ctrl.clamp) if ctrl.clamp is not None else taus
+    X = ctrl.X[mode] if ctrl.per_mode else ctrl.X
+    Uc = ctrl.Uc[mode] if ctrl.per_mode else ctrl.Uc
+    K = [[u.eval(t) / x.eval(t) for u, x in zip(row, X)] for row in Uc]
+    return np.array(K).reshape(len(Uc), len(X), len(t)).transpose(2, 0, 1)
+
+
+def oracle_kd(ctrl, theta):
+    """K_d = U_d X^{-1} entry by entry from the stored U_d and X (or M), at the
+    design's evaluation point: the clipped theta (range), T, or 0 (arbitrary)."""
+    if ctrl.Ud is None:
+        return np.zeros((0, len(ctrl.X)))
+    if ctrl.kind == "RangeDT_FixedKd":
+        return np.array([[u / m for u, m in zip(row, ctrl.M)] for row in ctrl.Ud])
+    dwell = ctrl.dwell
+    if ctrl.kind == "RangeDT":
+        at = min(max(theta, dwell.Tmin), dwell.Tmax)
+    else:
+        at = 0.0 if ctrl.kind == "ArbitraryDT" else dwell.T
+    return np.array([[(u.eval(at) if isinstance(u, Poly) else u) / x.eval(at) for u, x in zip(row, ctrl.X)]
+                     for row in ctrl.Ud])
+
+
+def _closed_loop_mesh(view, taus, mode):
+    """A + B K_c, E*1, C + D K_c and F*1 of a closed-loop view on taus,
+    cell-major, with K_c from oracle_kc."""
+    plant, ctrl = view.sys, view.ctrl
+    if mode is None:
+        pms = (plant.A, plant.Bc, plant.Ec, plant.Cc, plant.Dc, plant.Fc)
+    else:
+        pms = tuple(plant.modes[mode][k] for k in ("A", "B", "E", "C", "D", "F"))
+    A, B, E, C, D, F = (cell_mesh(pm, taus, ctrl.clamp) for pm in pms)
+    K = oracle_kc(ctrl, taus, mode)
+    return A + B @ K, E.sum(axis=2), C + D @ K, F.sum(axis=2)
 
 
 def _verify_numeric(cert, view, grid):
@@ -420,7 +464,7 @@ def _verify_numeric(cert, view, grid):
     n = len(zsets[0])
     for mode, zs in enumerate(zsets):
         m_arg = mode if per_mode else None
-        A_m, Ec1_m, Cc_m, Fc1_m = view.cont_mesh(taus, mode=m_arg)
+        A_m, Ec1_m, Cc_m, Fc1_m = _closed_loop_mesh(view, taus, m_arg)
         zv = np.stack([z.eval(taus) for z in zs], axis=1)
         zdv = np.stack([z.deriv().eval(taus) for z in zs], axis=1)
         flow = zdv - np.einsum("mij,mj->mi", A_m, zv) - Ec1_m
@@ -430,7 +474,7 @@ def _verify_numeric(cert, view, grid):
             _record(slacks, f"out_c[{mode}]" if per_mode else "out_c", float(np.min(outc)))
         if dwell.kind == "minimum":
             T = dwell.T
-            A_T, Ec1_T, Cc_T, Fc1_T = (arr[-1] for arr in view.cont_mesh(np.array([T]), mode=m_arg))
+            A_T, Ec1_T, Cc_T, Fc1_T = (arr[-1] for arr in _closed_loop_mesh(view, np.array([T]), m_arg))
             zT = np.array([z.eval(T) for z in zs])
             _record(slacks, f"stat_flow[{mode}]" if per_mode else "stat_flow",
                     float(np.min(-(A_T @ zT + Ec1_T))))
@@ -447,7 +491,10 @@ def _verify_numeric(cert, view, grid):
         else:
             thetas = np.array([dwell.T])
         for th in thetas:
-            for jk, (J_cl, Ed1, Cd_cl, Fd1) in enumerate(view.jumps_at(float(th))):
+            Kd = oracle_kd(view.ctrl, float(th))
+            for jk, jm in enumerate(view.sys.jumps):
+                J_cl, Ed1 = jm.J + jm.Bd @ Kd, jm.Ed.sum(axis=1)
+                Cd_cl, Fd1 = jm.Cd + jm.Dd @ Kd, jm.Fd.sum(axis=1)
                 target = np.array([z.eval(min(th, dwell.clamp) if dwell.clamp else th) for z in zs])
                 _record(slacks, f"jump[{jk}]", float(np.min(z0 - (J_cl @ target + Ed1))))
                 if Cd_cl.shape[0]:
@@ -461,7 +508,7 @@ def _verify_numeric(cert, view, grid):
                     c = min(zsets[i][r].eval(0.0) - zsets[j][r].eval(T) for r in range(n))
                     _record(slacks, "couple", float(c))
         _record(slacks, "pin_lo", float(min(z.eval(0.0) for zs in zsets for z in zs)))
-    return _finish_report(cert, view, slacks, grid)
+    return _finish_report(cert, slacks, grid)
 
 
 def three_path_verify(cert, sys, grid=1000):
@@ -619,7 +666,7 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
 
         return prog, gamma, finalize
 
-    return _solve_with_escalation(build, degree, relax_schedule)
+    return _solve_with_escalation(build, relax_schedule)
 
 
 def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e-3, reg=1e-6,
@@ -722,7 +769,7 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
                         extra_obj[v] = extra_obj.get(v, 0.0) + c * w
         return prog, gamma, finalize, extra_obj
 
-    return _solve_with_escalation(build, degree, relax_schedule)
+    return _solve_with_escalation(build, relax_schedule)
 
 
 def per_sample_referee(prog):
@@ -743,7 +790,7 @@ def per_sample_referee(prog):
     return lp
 
 
-def full_schedule_escalation(build, degree, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
+def full_schedule_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """Oracle for analysis._solve_with_escalation: every order of the schedule
     is tried, and only then the sampled referee of the last order classifies
     the failure."""

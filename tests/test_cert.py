@@ -19,7 +19,7 @@ from dwellgain.cert import _SLACK_TOL, cross_check_discrete, transition_matrix, 
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
 from dwellgain.poly import Poly, _bernstein
-from dwellgain.synthesis import certificate_from, closed_loop, synthesize
+from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize
 
 
 IMPULSIVE_BENCHES = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
@@ -203,6 +203,57 @@ class TestVerifyOracle:
             assert_matches_three_paths(certificate_from(ctrl), closed_loop(p, ctrl))
             compared += 1
         assert compared
+
+
+def with_inputs(s):
+    """The benchmark with one nonnegative control input on each channel."""
+    jm = s.jump
+    return ImpulsiveSystem.from_arrays(
+        A=s.A, Ec=s.Ec, Cc=s.Cc, Fc=s.Fc, J=jm.J, Ed=jm.Ed, Cd=jm.Cd, Fd=jm.Fd,
+        Bc=np.full((s.n, 1), 0.5), Dc=np.full((s.qc, 1), 0.2),
+        Bd=np.full((s.n, 1), 1.0), Dd=np.full((s.qd, 1), 0.3),
+    )
+
+
+def zero_gain(c, plant):
+    """A controller of the certificate's dwell whose gains K_c, K_d are all 0."""
+    one, zero = Poly.const(1.0), Poly.const(0.0)
+    if c.per_mode:
+        return ControllerRealization(
+            kind="SwitchedMinDT", dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
+            X=[[one] * plant.n for _ in range(plant.N)],
+            Uc=[[[zero] * plant.n for _ in range(plant.m)] for _ in range(plant.N)],
+        )
+    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
+    return ControllerRealization(
+        kind=kind[c.dwell.kind], dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
+        X=[one] * plant.n, Uc=[[zero] * plant.n for _ in range(plant.mc)], Ud=np.zeros((plant.md, plant.n)),
+    )
+
+
+class TestZeroGainClosedLoop:
+    """verify reads a plant and the plant under zero gains through one
+    evaluator, so an open-loop certificate gets the same report from both;
+    the state-transition cross-check of the plant agrees with the verdict."""
+
+    def test_same_report(self, bench_switched):
+        benches = ("timer_growth_bench", "timer_stable_bench", "lti_jump_bench")
+        growth, stable, lti = (with_inputs(getattr(benchmarks, b)()) for b in benches)
+        cases = [
+            (analyze_constant(growth, 0.33, 2), growth),
+            (analyze_range(growth, 0.2, 0.3, 4), growth),
+            (analyze_range(growth, 0.3, 0.5, 4, mode="mu_variant"), growth),
+            (analyze_minimum(stable, 1.9, 4), stable),
+            (analyze_minimum(lti, 0.5, 4), lti),
+            (analyze_arbitrary(lti), lti),
+            (analyze_switched_min(bench_switched, 0.3, 4), bench_switched),
+        ]
+        for c, plant in cases:
+            for cut in (c, dataclasses.replace(c, gamma=0.9 * c.gamma)):
+                want = verify(cut, plant).to_json()
+                assert verify(cut, closed_loop(plant, zero_gain(cut, plant))).to_json() == want
+                assert cross_check_discrete(cut, plant).passed == want["passed"]
+        assert sum(verify(c, plant).passed for c, plant in cases) == len(cases)
 
 
 class TestTransitionMatrix:

@@ -10,7 +10,7 @@ from dwellgain.analysis import (
     analyze_minimum,
     analyze_range,
 )
-from dwellgain.cert import cross_check_discrete, verify
+from dwellgain.cert import cross_check_discrete, flow_grid, verify
 from dwellgain.errors import DimensionMismatch, InvalidDomain, ParseError, Unsupported
 from dwellgain.model import (
     DwellTimeSpec,
@@ -23,8 +23,9 @@ from dwellgain.model import (
     load_system,
     save_system,
 )
+from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, generate_inputs, simulate
-from dwellgain.synthesis import synthesize
+from dwellgain.synthesis import ControllerRealization, synthesize
 
 
 class TestPolyMatrix:
@@ -38,8 +39,33 @@ class TestPolyMatrix:
         pm = PolyMatrix.from_entries([[[0.5, -1.0, 2.0]]])
         taus = np.linspace(0, 3, 7)
         mesh = pm.eval_mesh(taus)
+        assert mesh.flags.c_contiguous and mesh.shape == (1, 1, len(taus))
         for k, t in enumerate(taus):
-            assert mesh[k] == pytest.approx(pm(float(t)))
+            assert mesh[..., k] == pytest.approx(pm(float(t)))
+        # a controller's gains share the component-major (r, c, len) layout
+        ctrl = ControllerRealization(
+            kind="RangeDT", dwell=DwellTimeSpec.range(0.5, 2.0), gamma=1.0, degree=1, margin=0.0,
+            X=[Poly((1.0, 0.5)), Poly((2.0, -0.25))],
+            Uc=[[Poly((0.3, -0.1)), Poly((-0.2, 0.4))]],
+            Ud=[[Poly((0.1, 0.2)), Poly((-0.3, 0.05))]],
+        )
+        for mesh, point in ((ctrl.kc_mesh(taus), ctrl.kc), (ctrl.kd_mesh(taus), ctrl.kd)):
+            assert mesh.flags.c_contiguous and mesh.shape == (1, 2, len(taus))
+            for k, t in enumerate(taus):
+                np.testing.assert_array_equal(mesh[..., k], point(float(t)))
+        # and so does flow_grid: Phi(tau_k, 0) and the forced response are [..., k],
+        # the last point of the march over the grid's first k cells
+        A = PolyMatrix.from_entries([[[-1.0, 0.5], [0.3]], [[0.2, 0.1], [-2.0]]])
+        E = PolyMatrix.from_entries([[[0.1]], [[0.2, 0.3]]])
+        Phis, forced = flow_grid(A, E, taus)
+        assert Phis.flags.c_contiguous and Phis.shape == (2, 2, len(taus))
+        assert forced.flags.c_contiguous and forced.shape == (2, len(taus))
+        np.testing.assert_array_equal(Phis[..., 0], np.eye(2))
+        np.testing.assert_array_equal(forced[..., 0], np.zeros(2))
+        for k in range(1, len(taus)):
+            head_Phi, head_forced = flow_grid(A, E, taus[: k + 1])
+            np.testing.assert_allclose(Phis[..., k], head_Phi[..., -1], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(forced[..., k], head_forced[..., -1], rtol=1e-12, atol=0)
 
     def test_transpose_derivative(self):
         pm = PolyMatrix.from_entries([[[1.0, 1.0], [2.0]], [[0.0], [0.0, 3.0]]])

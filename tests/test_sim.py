@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cell_mesh, oracle_kc, oracle_kd
 from dwellgain import sim
 from dwellgain.cert import flow_grid, transition_matrix
 from dwellgain.errors import DimensionMismatch, IllPosed, StepTooLarge
@@ -52,14 +53,6 @@ def oracle_rk4_maps(A_of, b_of, h, m):
     return ends, R, s
 
 
-def oracle_kc(ctrl, taus):
-    """K_c(tau) = U_c(tau) X(tau)^{-1} entry by entry from the stored
-    polynomials, cell-major (len, mc, n); the timer is clamped as the design's."""
-    t = np.minimum(taus, ctrl.clamp) if ctrl.clamp is not None else taus
-    K = [[u.eval(t) / x.eval(t) for u, x in zip(row, ctrl.X)] for row in ctrl.Uc]
-    return np.array(K).transpose(2, 0, 1)
-
-
 def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, controller=None, full=False):
     """Reference simulation: every segment's maps are rebuilt and marched
     cell by cell, nothing is reused.  Impulsive systems need a single jump
@@ -86,17 +79,17 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
 
         def A_of(ts):
             if controller is None:
-                return A.eval_mesh(ts, clamp)
-            return A.eval_mesh(ts, clamp) + sys.Bc.eval_mesh(ts, clamp) @ oracle_kc(controller, ts)
+                return cell_mesh(A, ts, clamp)
+            return cell_mesh(A, ts, clamp) + cell_mesh(sys.Bc, ts, clamp) @ oracle_kc(controller, ts)
 
-        taus, R, s = oracle_rk4_maps(A_of, lambda ts: E.eval_mesh(ts, clamp).sum(axis=2) * w(ts)[:, None],
+        taus, R, s = oracle_rk4_maps(A_of, lambda ts: cell_mesh(E, ts, clamp).sum(axis=2) * w(ts)[:, None],
                                      seg / m, m)
         xs = serial_march(R, s, x)
-        C_m = C.eval_mesh(taus, clamp)
+        C_m = cell_mesh(C, taus, clamp)
         if controller is not None:
-            C_m = C_m + sys.Dc.eval_mesh(taus, clamp) @ oracle_kc(controller, taus)
+            C_m = C_m + cell_mesh(sys.Dc, taus, clamp) @ oracle_kc(controller, taus)
         zc = np.einsum("mij,mj->mi", C_m, xs)
-        zc += F.eval_mesh(taus, clamp).sum(axis=2) * w(taus)[:, None]
+        zc += cell_mesh(F, taus, clamp).sum(axis=2) * w(taus)[:, None]
         states.append(xs)
         zcs.append(zc)
         sups.append(np.max(np.abs(zc)))
@@ -112,7 +105,7 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
             post.append(x)
             continue
         jm, wd = sys.jump, inputs.wd(k)
-        ud = controller.kd(theta=dwell_len) @ x if controller is not None else np.zeros(jm.Bd.shape[1])
+        ud = oracle_kd(controller, dwell_len) @ x if controller is not None else np.zeros(jm.Bd.shape[1])
         zds.append(jm.Cd @ x + jm.Dd @ ud + jm.Fd @ (wd * np.ones(jm.Fd.shape[1])))
         sups.append(np.max(np.abs(zds[-1])))
         x = jm.J @ x + jm.Bd @ ud + jm.Ed @ (wd * np.ones(jm.Ed.shape[1]))
@@ -399,10 +392,10 @@ class TestSerialEquivalence:
         sys_, taus = bench_timer_growth, np.linspace(0.0, 1.3, 150)
         n, m, h = sys_.n, len(taus) - 1, taus[1] - taus[0]
         Phis, forced = flow_grid(sys_.A, sys_.Ec, taus, clamp=clamp)
-        _, R, s = oracle_rk4_maps(lambda ts: sys_.A.eval_mesh(ts, clamp),
-                                  lambda ts: sys_.Ec.eval_mesh(ts, clamp).sum(axis=2), h, m)
-        np.testing.assert_allclose(Phis, serial_march(R, 0.0 * s, np.eye(n)), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(forced, serial_march(R, s, np.zeros(n)), rtol=1e-12, atol=0)
+        _, R, s = oracle_rk4_maps(lambda ts: cell_mesh(sys_.A, ts, clamp),
+                                  lambda ts: cell_mesh(sys_.Ec, ts, clamp).sum(axis=2), h, m)
+        np.testing.assert_allclose(Phis, serial_march(R, 0.0 * s, np.eye(n)).transpose(1, 2, 0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(forced, serial_march(R, s, np.zeros(n)).T, rtol=1e-12, atol=0)
         unforced = flow_grid(sys_.A, None, taus, clamp=clamp)
         np.testing.assert_array_equal(unforced[0], Phis)
         assert not unforced[1].any()
@@ -413,7 +406,7 @@ class TestSerialEquivalence:
         Phi, t, origin = np.eye(sys_.n), 0.0, 0.0
         for tk in jumps + [1.7]:
             m = int(np.ceil((tk - t) / step))
-            _, R, s = oracle_rk4_maps(lambda ts: sys_.A.eval_mesh(ts + (t - origin), clamp),
+            _, R, s = oracle_rk4_maps(lambda ts: cell_mesh(sys_.A, ts + (t - origin), clamp),
                                       lambda ts: np.zeros((len(ts), sys_.n)), (tk - t) / m, m)
             Phi = serial_march(R, s, Phi)[-1]
             if tk in jumps:
@@ -511,8 +504,8 @@ class TestChunkedMarch:
             h = T / m
             cells = np.arange(m) * h
             grid = np.concatenate([np.arange(m + 1) * h, cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
-            A = sys_.A.eval_mesh(grid, component_major=True)
-            b = sys_.Ec.eval_mesh(grid, component_major=True).sum(axis=1)
+            A = sys_.A.eval_mesh(grid)
+            b = sys_.Ec.eval_mesh(grid).sum(axis=1)
             mids = slice(m + 1, 2 * m + 1)
             halves = (sim._rk4_stage(A, b, slice(0, m), slice(2 * m + 1, 3 * m + 1), mids, 0.5 * h),
                       sim._rk4_stage(A, b, mids, slice(3 * m + 1, 4 * m + 1), slice(1, m + 1), 0.5 * h))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_matches_three_paths, reference_synthesize_switched
+from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize_switched
 from dwellgain.analysis import _Program
 from dwellgain.benchmarks import two_mode_switched_bench
 from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible
@@ -328,20 +328,50 @@ class TestControllerIO:
             synthesize(bench_chain_plant, DwellTimeSpec.arbitrary(), degree=0)
 
 
+def arbitrary_plant() -> ImpulsiveSystem:
+    """A constant plant with an expansive jump that two jump inputs stabilize
+    under any dwell."""
+    return ImpulsiveSystem.from_arrays(
+        A=[[-1.0, 0.5], [0.4, -2.0]],
+        Bc=[[1.0], [0.0]],
+        Ec=[[0.2], [0.1]],
+        Cc=[[0.0, 1.0]],
+        Fc=[[0.05]],
+        J=[[1.5, 0.0], [0.0, 1.5]],
+        Bd=[[1.0, 0.0], [0.0, 1.0]],
+        Ed=[[0.1], [0.1]],
+        Cd=[[1.0, 0.0]],
+        Fd=[[0.05]],
+    )
+
+
+class TestKdMesh:
+    def test_matches_per_theta_loop(self, bench_chain_plant, ctrl_constant_01, ctrl_range, ctrl_minimum):
+        """kd_mesh equals, bit for bit, the per-theta kd loop and the gains
+        computed entry by entry from the stored U_d, X and M; thetas run past
+        both ends of the range."""
+        designs = [
+            ctrl_constant_01,
+            ctrl_minimum,
+            ctrl_range,
+            synthesize(bench_chain_plant, DwellTimeSpec.range(0.1, 0.3), degree=2, fixed_kd=True),
+            synthesize(arbitrary_plant(), DwellTimeSpec.arbitrary(), degree=0),
+        ]
+        assert [c.kind for c in designs] == ["ConstantDT", "MinimumDT", "RangeDT", "RangeDT_FixedKd", "ArbitraryDT"]
+        thetas = np.array([0.05, 0.1, 0.1375, 0.2, 0.29, 0.3, 0.8])
+        for ctrl in designs:
+            mesh = ctrl.kd_mesh(thetas)
+            assert mesh.flags.c_contiguous
+            assert mesh.shape == (len(ctrl.Ud), len(ctrl.X), len(thetas))
+            np.testing.assert_array_equal(mesh, np.stack([ctrl.kd(float(th)) for th in thetas], axis=-1))
+            np.testing.assert_array_equal(mesh, np.stack([oracle_kd(ctrl, float(th)) for th in thetas], axis=-1))
+            assert ctrl.kd_mesh([]).shape == mesh.shape[:2] + (0,)
+        assert not np.array_equal(designs[2].kd(0.1), designs[2].kd(0.3))
+
+
 class TestArbitraryDesign:
     def test_feasible_plant(self):
-        plant = ImpulsiveSystem.from_arrays(
-            A=[[-1.0, 0.5], [0.4, -2.0]],
-            Bc=[[1.0], [0.0]],
-            Ec=[[0.2], [0.1]],
-            Cc=[[0.0, 1.0]],
-            Fc=[[0.05]],
-            J=[[1.5, 0.0], [0.0, 1.5]],
-            Bd=[[1.0, 0.0], [0.0, 1.0]],
-            Ed=[[0.1], [0.1]],
-            Cd=[[1.0, 0.0]],
-            Fd=[[0.05]],
-        )
+        plant = arbitrary_plant()
         ctrl = synthesize(plant, DwellTimeSpec.arbitrary(), degree=0)
         assert ctrl.kind == "ArbitraryDT" and ctrl.degree == 0
         rep = verify(certificate_from(ctrl), closed_loop(plant, ctrl))
