@@ -503,57 +503,12 @@ def analyze_arbitrary(
     margin: float = DEFAULT_MARGIN,
     jump_margin: float = DEFAULT_JUMP_MARGIN,
 ) -> Certificate:
-    """Arbitrary dwell-time gain bound for constant-matrix systems (plain LP)."""
+    """Arbitrary dwell-time gain bound for constant-matrix systems (plain LP):
+    the hybrid rows with a constant zeta at the single timer value 0."""
     require_forward_time(sys, "arbitrary dwell-time analysis")
     if not sys.is_constant():
         raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
-    A = sys.A.const()
-    Ec1 = sys.Ec.const().sum(axis=1)
-    Cc = sys.Cc.const()
-    Fc1 = sys.Fc.const().sum(axis=1)
-    n, qc = sys.n, sys.qc
-
-    prog = _Program(relax=0)
-    lam = [prog.scalar(name=f"lam{i}") for i in range(n)]
-    gamma = prog.scalar(lo=0.0, name="gamma")
-    lam_e = [LinExpr.variable(v) for v in lam]
-    for i in range(n):
-        prog.add_point_ge("flow", i, -_const_matvec_row(A, i, lam_e) - Ec1[i], margin)
-    for i in range(qc):
-        prog.add_point_ge(
-            "out_c", i, LinExpr.variable(gamma) - _const_matvec_row(Cc, i, lam_e) - Fc1[i], margin
-        )
-    for jk, jm in enumerate(sys.jumps):
-        JmI = jm.J - np.eye(n)
-        Ed1 = jm.Ed.sum(axis=1)
-        Fd1 = jm.Fd.sum(axis=1)
-        for i in range(n):
-            prog.add_point_ge(
-                f"jump[{jk}]", i, -_const_matvec_row(JmI, i, lam_e) - Ed1[i], jump_margin
-            )
-        for i in range(jm.Cd.shape[0]):
-            prog.add_point_ge(
-                f"out_d[{jk}]",
-                i,
-                LinExpr.variable(gamma) - _const_matvec_row(jm.Cd, i, lam_e) - Fd1[i],
-                margin,
-            )
-    for i in range(n):
-        prog.add_point_ge("pin_lo", i, lam_e[i], margin)
-        prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - lam_e[i], 0.0)
-    sol = prog.solve_min(gamma)
-    if sol.status != "Optimal":
-        raise Infeasible("no positive vector satisfies the arbitrary dwell-time conditions")
-    return Certificate(
-        kind="ArbitraryDT",
-        gamma=float(sol.x[gamma]),
-        zeta=[Poly.const(sol.x[v]) for v in lam],
-        dwell=DwellTimeSpec.arbitrary(),
-        margin=margin,
-        jump_margin=jump_margin,
-        degree=0,
-        rows=prog.extract_rows(sol.x),
-    )
+    return _analyze_hybrid(sys, DwellTimeSpec.arbitrary(), 0, margin, jump_margin, (0,))
 
 
 def _analyze_hybrid(
@@ -569,8 +524,11 @@ def _analyze_hybrid(
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    Tend = dwell.horizon_tau()
-    kind = {"constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}[dwell.kind]
+    # arbitrary dwell: every row at the timer value 0, so all are point rows
+    Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
+    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}[
+        dwell.kind
+    ]
 
     def build(relax: int):
         prog = _Program(relax)
@@ -580,7 +538,9 @@ def _analyze_hybrid(
         theta_interval = None
         jump_at: Optional[float] = None
         stationary_at = None
-        if dwell.kind == "constant":
+        if dwell.kind == "arbitrary":
+            jump_at = 0.0
+        elif dwell.kind == "constant":
             jump_at = dwell.T
         elif dwell.kind == "minimum":
             jump_at = dwell.T
@@ -763,11 +723,7 @@ def analyze_switched_blanchini(
 
     n, q, N = sw.n, sw.q, sw.N
     taus = np.linspace(0.0, T, grid_points)
-    Phis, forced = [], []
-    for md in sw.modes:
-        Ph, rr = flow_grid(md["A"], md["E"], taus, clamp=None)
-        Phis.append(Ph)
-        forced.append(rr)
+    Phis, forced = zip(*(flow_grid(sw, taus, mode=i)[:2] for i in range(N)))
 
     lp = LinearProgram()
     lam = [[lp.new_var(name=f"lam{i}_{r}") for r in range(n)] for i in range(N)]

@@ -4,7 +4,10 @@ Re-derives every theorem row from the certificate vector and the system data,
 re-evaluates it on dense grids, proves each stored interval row nonnegative by
 its exact Bernstein coefficients, and cross-checks the equivalent
 state-transition (integral form) conditions by integrating the forced flow.
-Nothing here reuses the LP encoders.
+Both read the system through the simulator's evaluator, `sim._fields` for the
+flow and outputs and `sim._jump_maps` for the jumps, so a plant, a closed loop
+under a synthesized controller and a simulation are evaluated by the same
+code.  Nothing here reuses the LP encoders.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Mismatch, Unsupported
-from .model import ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
+from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time
 from .poly import Poly
-from .sim import _block_prefix, _fields, _jump_maps, _mv, _rk4_maps, _scan
+from .sim import _block_prefix, _fields, _jump_maps, _mv, _rk4_stage, _scan
 from .synthesis import ClosedLoopView
 
 __all__ = [
@@ -61,36 +64,36 @@ class VerificationReport:
 # --- state-transition machinery ----------------------------------------------
 
 
-def flow_grid(
-    A_pm: PolyMatrix,
-    E_pm: Optional[PolyMatrix],
-    taus: np.ndarray,
-    clamp: Optional[float] = None,
-):
-    """Phi(tau_i, 0) as a C-contiguous (n, n, len) array and the unit-input
-    forced response as (n, len) on a uniform grid, component-major like every
-    mesh array: Phi(tau_i, 0) is [..., i].
+def _unpack(sys):
+    """(plant, controller) of a plant or of a synthesis.ClosedLoopView."""
+    return (sys.sys, sys.ctrl) if isinstance(sys, ClosedLoopView) else (sys, None)
 
-    Integrates dPhi/dtau = A(tau) Phi and dr/dtau = A(tau) r + E(tau) * 1 with
-    the simulator's fixed-step RK4 maps and prefix scan; taus must be uniform
-    starting at 0."""
+
+def flow_grid(sys, taus: np.ndarray, clamp: Optional[float] = None, mode: Optional[int] = None):
+    """(Phi, r, C, z) on a uniform grid, C-contiguous and component-major:
+    Phi(tau_i, tau_0) is Phi[..., i] (n, n, len), r (n, len) the unit-input
+    forced response from r(tau_0) = 0, and C (+D K_c) (q, n, len) and F * 1
+    (q, len) the output terms on the grid points.
+
+    `sys` is a plant (a SwitchedSystem with its `mode`) or a
+    synthesis.ClosedLoopView, unpacked as `verify` does.  The data come from
+    one `sim._fields` call with unit inputs on the points, then the cell
+    midpoints; dPhi/dtau = A Phi and dr/dtau = A r + E * 1 are integrated by
+    the simulator's RK4 maps and prefix scan, as a simulation integrates them."""
+    plant, ctrl = _unpack(sys)
     taus = np.asarray(taus, dtype=float)
     m = len(taus) - 1
-    if m < 1:
-        n = A_pm.shape[0]
-        return np.eye(n)[:, :, None], np.zeros((n, 1))
-    h = taus[1] - taus[0]
-    if not np.allclose(np.diff(taus), h):
+    h = taus[1] - taus[0] if m else 0.0
+    if m and not np.allclose(np.diff(taus), h):
         raise ValueError("flow_grid needs a uniform grid")
-    n = A_pm.shape[0]
-
-    if E_pm is None:
-        b_of = lambda ts: np.zeros((n, len(ts)))
-    else:
-        b_of = lambda ts: E_pm.eval_mesh(ts, clamp).sum(axis=1)
-    _, R, s = _rk4_maps(lambda ts: A_pm.eval_mesh(ts, clamp), b_of, h, m)
+    grid = np.concatenate([taus, taus[:-1] + 0.5 * h])
+    A, b, C, z = _fields(plant, ctrl, mode, clamp, grid, np.ones(len(grid)), m + 1)
+    n = plant.n
+    if m < 1:
+        return np.eye(n)[:, :, None], np.zeros((n, 1)), C, z
+    R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
     tables = _block_prefix(R, s)
-    return _scan(tables, np.eye(n), m, forced=False), _scan(tables, np.zeros(n), m)
+    return _scan(tables, np.eye(n), m, forced=False), _scan(tables, np.zeros(n), m), C, z
 
 
 def transition_matrix(
@@ -109,8 +112,7 @@ def transition_matrix(
         raise ValueError("need frm <= to")
     if len(sys.jumps) != 1 and jumps_in_between:
         raise Unsupported("transition through jumps needs a single jump map")
-    n = sys.n
-    Phi = np.eye(n)
+    Phi = np.eye(sys.n)
     t_origin = frm if timer_origin is None else timer_origin
     t = frm
     events = sorted(tk for tk in jumps_in_between if frm < tk <= to)
@@ -118,11 +120,8 @@ def transition_matrix(
         seg = tk - t
         if seg > 1e-15:
             m = max(1, int(np.ceil(seg / step)))
-            h = seg / m
-            off = t - t_origin
-            A_of = lambda ts: sys.A.eval_mesh(ts + off, clamp)
-            _, R, s = _rk4_maps(A_of, lambda ts: np.zeros((n, len(ts))), h, m)
-            Phi = _scan(_block_prefix(R, s), Phi, m, forced=False)[..., -1]
+            taus = (t - t_origin) + np.arange(m + 1) * (seg / m)
+            Phi = flow_grid(sys, taus, clamp)[0][..., -1] @ Phi
         if tk in events:
             Phi = sys.jump.J @ Phi
             t_origin = tk
@@ -174,7 +173,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     the simulator's `_fields` with unit inputs and the jump rows of every theta
     at once from its `_jump_maps`, so a closed loop is read by the same
     evaluator as an open loop and as a simulation."""
-    plant, ctrl = (sys.sys, sys.ctrl) if isinstance(sys, ClosedLoopView) else (sys, None)
+    plant, ctrl = _unpack(sys)
     require_forward_time(plant, "verification")
     dwell = cert.dwell
     gamma = cert.gamma
@@ -250,88 +249,70 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
 def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) -> VerificationReport:
     """Check the equivalent state-transition (integral-form) conditions with
     lambda = zeta(0) by integrating the forced flow; referee for the
-    statement equivalences."""
-    require_forward_time(sys, "the state-transition cross-check")
+    statement equivalences.
+
+    `sys` is a plant or a synthesis.ClosedLoopView, unpacked as `verify`
+    does.  The flow and outputs come from `flow_grid`, the stationary rows
+    from the simulator's `_fields` at T and the jump rows of every theta at
+    once from its `_jump_maps`, so a closed loop is integrated with
+    A + B K_c and jumps with J + B_d K_d(theta), as a simulation does."""
+    plant, ctrl = _unpack(sys)
+    require_forward_time(plant, "the state-transition cross-check")
     dwell = cert.dwell
     gamma = cert.gamma
     slacks: dict[str, float] = {}
 
-    if cert.kind == "SwitchedMinDT":
-        sw: SwitchedSystem = sys
+    def at(t: float, mode=None):
+        """A (+B K_c), E * 1, C (+D K_c) and F * 1 at the timer value t."""
+        return tuple(f[..., 0] for f in _fields(plant, ctrl, mode, None, np.array([t]), np.ones(1), 1))
+
+    if cert.per_mode:
         T = dwell.T
         taus = np.linspace(0.0, T, grid + 1)
         # integral-form vectors are the end-of-dwell values: a mode-i dwell is
         # entered from the predecessor's vector and must land below lambda_i
         lam = [np.array([z.eval(T) for z in zs]) for zs in cert.zeta]
-        for i, md in enumerate(sw.modes):
-            Phis, rs = flow_grid(md["A"], md["E"], taus)
-            C_m = md["C"].eval_mesh(taus)
-            F1_m = md["F"].eval_mesh(taus).sum(axis=1)
-            A_T = md["A"](T)
-            E1_T = md["E"](T).sum(axis=1)
-            _record(slacks, f"stat_flow[{i}]", float(np.min(-(A_T @ lam[i] + E1_T))))
-            _record(
-                slacks,
-                f"stat_out[{i}]",
-                float(np.min(gamma - (md["C"](T) @ lam[i] + md["F"](T).sum(axis=1)))),
-            )
-            for j in range(sw.N):
-                if i == j:
-                    continue
-                r_ij = _mv(Phis, lam[j]) + rs
-                _record(slacks, f"couple[{j}->{i}]", float(np.min(lam[i] - r_ij[:, -1])))
-                z = _mv(C_m, r_ij) + F1_m
-                _record(slacks, f"out[{i},{j}]", float(gamma - np.max(z)))
+        for i in range(plant.N):
+            Phis, rs, C, z1 = flow_grid(sys, taus, mode=i)
+            A_T, E1_T, C_T, F1_T = at(T, i)
+            _record(slacks, f"stat_flow[{i}]", np.min(-(_mv(A_T, lam[i]) + E1_T)))
+            _record(slacks, f"stat_out[{i}]", np.min(gamma - (_mv(C_T, lam[i]) + F1_T)))
+            for j in range(plant.N):
+                if i != j:
+                    r_ij = _mv(Phis, lam[j]) + rs
+                    _record(slacks, f"couple[{j}->{i}]", np.min(lam[i] - r_ij[:, -1]))
+                    _record(slacks, f"out[{i},{j}]", gamma - np.max(_mv(C, r_ij) + z1))
         return _referee_report(slacks, gamma, grid)
 
-    zeta = cert.zeta
-    lam = np.array([z.eval(0.0) for z in zeta])
-    clamp = dwell.clamp
-    if dwell.kind == "constant":
-        theta_hi = dwell.T
-        thetas = np.array([dwell.T])
-    elif dwell.kind == "minimum":
-        theta_hi = 3.0 * dwell.T + 1.0
-        thetas = np.linspace(dwell.T, theta_hi, theta_points)
-        clamp = dwell.T
-    elif dwell.kind == "range":
-        theta_hi = dwell.Tmax
-        thetas = np.linspace(dwell.Tmin, dwell.Tmax, theta_points)
-    else:  # arbitrary
-        A = sys.A.const()
-        decay = -float(np.max(np.real(np.linalg.eigvals(A))))
-        theta_hi = float(np.clip(10.0 / max(decay, 1e-3), 1.0, 100.0))
-        thetas = np.linspace(0.0, theta_hi, theta_points)
+    lam = np.array([z.eval(0.0) for z in cert.zeta])
+    if dwell.kind == "arbitrary":  # a constant flow, whose decay rate sets the horizon
+        decay = -float(np.max(np.real(np.linalg.eigvals(at(0.0)[0]))))
+        lo, hi = 0.0, float(np.clip(10.0 / max(decay, 1e-3), 1.0, 100.0))
+    else:
+        lo, hi = (dwell.Tmin, dwell.Tmax) if dwell.kind == "range" else (dwell.T, dwell.T)
+        hi = 3.0 * dwell.T + 1.0 if dwell.kind == "minimum" else hi
+    thetas = np.linspace(lo, hi, 1 if dwell.kind == "constant" else theta_points)
     m = max(grid, theta_points * 4)
-    taus = np.linspace(0.0, theta_hi, m + 1)
-    Phis, rs = flow_grid(sys.A, sys.Ec, taus, clamp=clamp)
+    taus = np.linspace(0.0, hi, m + 1)
+    h = taus[1] - taus[0]
+    Phis, rs, C, z1 = flow_grid(sys, taus, clamp=dwell.clamp)
     r_of = _mv(Phis, lam) + rs
-
-    C_m = sys.Cc.eval_mesh(taus, clamp)
-    F1_m = sys.Fc.eval_mesh(taus, clamp).sum(axis=1)
-    if sys.qc:
-        z = _mv(C_m, r_of) + F1_m
-        _record(slacks, "out_c", float(gamma - np.max(z)))
-    if dwell.kind == "minimum":
+    if len(C):
+        _record(slacks, "out_c", gamma - np.max(_mv(C, r_of) + z1))
+    if dwell.kind == "minimum" and len(C):
         # only rows with nonnegative multipliers are consequences of the hybrid
         # certificate at lambda = zeta(0); the A(T)-weighted stationarity row is
         # not (A is Metzler, not nonnegative), so it is not a referee row here
-        T = dwell.T
-        iT = int(round(T / (taus[1] - taus[0])))
-        rT = r_of[:, min(iT, m)]
-        if sys.qc:
-            _record(slacks, "stat_out", float(np.min(gamma - (sys.Cc(T) @ rT + sys.Fc(T).sum(axis=1)))))
-    idx = np.minimum(np.round(thetas / (taus[1] - taus[0])).astype(int), m)
-    for jk, jm in enumerate(sys.jumps):
-        for ii in idx:
-            r_th = r_of[:, ii]
-            _record(slacks, f"jump[{jk}]", float(np.min(lam - (jm.J @ r_th + jm.Ed.sum(axis=1)))))
-            if jm.Cd.shape[0]:
-                _record(
-                    slacks,
-                    f"out_d[{jk}]",
-                    float(np.min(gamma - (jm.Cd @ r_th + jm.Fd.sum(axis=1)))),
-                )
+        rT = r_of[:, min(int(round(dwell.T / h)), m)]
+        _, _, C_T, F1_T = at(dwell.T)
+        _record(slacks, "stat_out", np.min(gamma - (_mv(C_T, rT) + F1_T)))
+    # the states and jump maps at every theta at once, one column per theta
+    r_th = r_of[:, np.minimum(np.round(thetas / h).astype(int), m)]
+    for jk in range(len(plant.jumps)):
+        J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, np.ones(len(thetas)))
+        _record(slacks, f"jump[{jk}]", np.min(lam[:, None] - (_mv(J, r_th) + Ed1)))
+        if len(Cd):
+            _record(slacks, f"out_d[{jk}]", np.min(gamma - (_mv(Cd, r_th) + Fd1)))
     return _referee_report(slacks, gamma, m)
 
 

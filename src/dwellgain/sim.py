@@ -211,18 +211,6 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
     return R, s
 
 
-def _rk4_maps(A_of, b_of, h: float, m: int):
-    """Affine one-step maps over a uniform mesh: x_{i+1} = R[..., i] x_i + s[..., i].
-
-    A_of(taus) -> (n, n, len) and b_of(taus) -> (n, len), both vectorized and
-    component-major; they see the m+1 cell ends, then the m midpoints.
-    """
-    ends = np.arange(m + 1) * h
-    grid = np.concatenate([ends, ends[:-1] + 0.5 * h])
-    R, s = _rk4_stage(A_of(grid), b_of(grid), slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
-    return ends, R, s
-
-
 def _prefix(P: np.ndarray, q: np.ndarray):
     """Inclusive prefix compositions of the affine maps x -> P[..., i] x + q[..., i]
     along the last axis: on return, P[..., i] x + q[..., i] applies maps 0..i

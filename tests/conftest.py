@@ -11,9 +11,11 @@ from scipy.optimize import linprog
 
 from dwellgain import analysis as analysis_mod
 from dwellgain import benchmarks
+from dwellgain import sim as sim_mod
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import (
     _REFEREE_SAMPLES,
+    DEFAULT_JUMP_MARGIN,
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     _ZETA_PIN,
@@ -27,8 +29,8 @@ from dwellgain.analysis import (
     analyze_minimum,
     analyze_range,
 )
-from dwellgain.cert import _finish_report, _record, verify
-from dwellgain.errors import Infeasible, Mismatch, NumericalFailure, RelaxationLimit
+from dwellgain.cert import _finish_report, _record, _referee_report, verify
+from dwellgain.errors import Infeasible, Mismatch, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import HandelmanCertificate, Poly
@@ -600,6 +602,150 @@ def per_row_certify_at_order(p, a, b, order, margin):
         if c != 0.0:
             weights[(i, j)] = c
     return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
+
+
+def _reference_flow_grid(A_pm, E_pm, taus, clamp=None):
+    """Phi(tau_i, 0) as (n, n, len) and the unit-input forced response as
+    (n, len) of the bare PolyMatrix data (A, E) on a uniform grid from 0, by
+    the simulator's RK4 maps and prefix scan; the cell ends are i * h."""
+    taus = np.asarray(taus, dtype=float)
+    m, n = len(taus) - 1, A_pm.shape[0]
+    if m < 1:
+        return np.eye(n)[:, :, None], np.zeros((n, 1))
+    h = taus[1] - taus[0]
+    ends = np.arange(m + 1) * h
+    grid = np.concatenate([ends, ends[:-1] + 0.5 * h])
+    R, s = sim_mod._rk4_stage(A_pm.eval_mesh(grid, clamp), E_pm.eval_mesh(grid, clamp).sum(axis=1),
+                              slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
+    tables = sim_mod._block_prefix(R, s)
+    return sim_mod._scan(tables, np.eye(n), m, forced=False), sim_mod._scan(tables, np.zeros(n), m)
+
+
+def reference_cross_check(cert, sys, theta_points=101, grid=400):
+    """Oracle for cross_check_discrete of a plant: its body before it read the
+    simulator's evaluator, integrating the plant's PolyMatrix data itself,
+    evaluating the outputs and the stationary rows itself and the jump rows
+    one theta at a time."""
+    dwell = cert.dwell
+    gamma = cert.gamma
+    slacks = {}
+
+    if cert.kind == "SwitchedMinDT":
+        T = dwell.T
+        taus = np.linspace(0.0, T, grid + 1)
+        lam = [np.array([z.eval(T) for z in zs]) for zs in cert.zeta]
+        for i, md in enumerate(sys.modes):
+            Phis, rs = _reference_flow_grid(md["A"], md["E"], taus)
+            C_m = md["C"].eval_mesh(taus)
+            F1_m = md["F"].eval_mesh(taus).sum(axis=1)
+            A_T = md["A"](T)
+            E1_T = md["E"](T).sum(axis=1)
+            _record(slacks, f"stat_flow[{i}]", float(np.min(-(A_T @ lam[i] + E1_T))))
+            _record(slacks, f"stat_out[{i}]",
+                    float(np.min(gamma - (md["C"](T) @ lam[i] + md["F"](T).sum(axis=1)))))
+            for j in range(sys.N):
+                if i == j:
+                    continue
+                r_ij = sim_mod._mv(Phis, lam[j]) + rs
+                _record(slacks, f"couple[{j}->{i}]", float(np.min(lam[i] - r_ij[:, -1])))
+                z = sim_mod._mv(C_m, r_ij) + F1_m
+                _record(slacks, f"out[{i},{j}]", float(gamma - np.max(z)))
+        return _referee_report(slacks, gamma, grid)
+
+    lam = np.array([z.eval(0.0) for z in cert.zeta])
+    clamp = dwell.clamp
+    if dwell.kind == "constant":
+        theta_hi = dwell.T
+        thetas = np.array([dwell.T])
+    elif dwell.kind == "minimum":
+        theta_hi = 3.0 * dwell.T + 1.0
+        thetas = np.linspace(dwell.T, theta_hi, theta_points)
+        clamp = dwell.T
+    elif dwell.kind == "range":
+        theta_hi = dwell.Tmax
+        thetas = np.linspace(dwell.Tmin, dwell.Tmax, theta_points)
+    else:
+        decay = -float(np.max(np.real(np.linalg.eigvals(sys.A.const()))))
+        theta_hi = float(np.clip(10.0 / max(decay, 1e-3), 1.0, 100.0))
+        thetas = np.linspace(0.0, theta_hi, theta_points)
+    m = max(grid, theta_points * 4)
+    taus = np.linspace(0.0, theta_hi, m + 1)
+    Phis, rs = _reference_flow_grid(sys.A, sys.Ec, taus, clamp=clamp)
+    r_of = sim_mod._mv(Phis, lam) + rs
+
+    C_m = sys.Cc.eval_mesh(taus, clamp)
+    F1_m = sys.Fc.eval_mesh(taus, clamp).sum(axis=1)
+    if sys.qc:
+        z = sim_mod._mv(C_m, r_of) + F1_m
+        _record(slacks, "out_c", float(gamma - np.max(z)))
+    if dwell.kind == "minimum":
+        T = dwell.T
+        iT = int(round(T / (taus[1] - taus[0])))
+        rT = r_of[:, min(iT, m)]
+        if sys.qc:
+            _record(slacks, "stat_out", float(np.min(gamma - (sys.Cc(T) @ rT + sys.Fc(T).sum(axis=1)))))
+    idx = np.minimum(np.round(thetas / (taus[1] - taus[0])).astype(int), m)
+    for jk, jm in enumerate(sys.jumps):
+        for ii in idx:
+            r_th = r_of[:, ii]
+            _record(slacks, f"jump[{jk}]", float(np.min(lam - (jm.J @ r_th + jm.Ed.sum(axis=1)))))
+            if jm.Cd.shape[0]:
+                _record(slacks, f"out_d[{jk}]", float(np.min(gamma - (jm.Cd @ r_th + jm.Fd.sum(axis=1)))))
+    return _referee_report(slacks, gamma, m)
+
+
+def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_JUMP_MARGIN):
+    """Oracle for analyze_arbitrary: its body before it went through
+    _analyze_hybrid, with its own flow, out_c, jump, out_d and pin loops."""
+    if not sys.is_constant():
+        raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
+    A = sys.A.const()
+    Ec1 = sys.Ec.const().sum(axis=1)
+    Cc = sys.Cc.const()
+    Fc1 = sys.Fc.const().sum(axis=1)
+    n, qc = sys.n, sys.qc
+
+    prog = _Program(relax=0)
+    lam = [prog.scalar(name=f"lam{i}") for i in range(n)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    lam_e = [LinExpr.variable(v) for v in lam]
+    for i in range(n):
+        prog.add_point_ge("flow", i, -_const_matvec_row(A, i, lam_e) - Ec1[i], margin)
+    for i in range(qc):
+        prog.add_point_ge(
+            "out_c", i, LinExpr.variable(gamma) - _const_matvec_row(Cc, i, lam_e) - Fc1[i], margin
+        )
+    for jk, jm in enumerate(sys.jumps):
+        JmI = jm.J - np.eye(n)
+        Ed1 = jm.Ed.sum(axis=1)
+        Fd1 = jm.Fd.sum(axis=1)
+        for i in range(n):
+            prog.add_point_ge(
+                f"jump[{jk}]", i, -_const_matvec_row(JmI, i, lam_e) - Ed1[i], jump_margin
+            )
+        for i in range(jm.Cd.shape[0]):
+            prog.add_point_ge(
+                f"out_d[{jk}]",
+                i,
+                LinExpr.variable(gamma) - _const_matvec_row(jm.Cd, i, lam_e) - Fd1[i],
+                margin,
+            )
+    for i in range(n):
+        prog.add_point_ge("pin_lo", i, lam_e[i], margin)
+        prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - lam_e[i], 0.0)
+    sol = prog.solve_min(gamma)
+    if sol.status != "Optimal":
+        raise Infeasible("no positive vector satisfies the arbitrary dwell-time conditions")
+    return Certificate(
+        kind="ArbitraryDT",
+        gamma=float(sol.x[gamma]),
+        zeta=[Poly.const(sol.x[v]) for v in lam],
+        dwell=DwellTimeSpec.arbitrary(),
+        margin=margin,
+        jump_margin=jump_margin,
+        degree=0,
+        rows=prog.extract_rows(sol.x),
+    )
 
 
 def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=RELAX_SCHEDULE):

@@ -13,6 +13,7 @@ from conftest import (
     lil_assemble,
     lti_linf_closed_form,
     random_stable_metzler,
+    reference_analyze_arbitrary,
     reference_switched_min,
 )
 from dwellgain import analysis as analysis_mod
@@ -34,7 +35,7 @@ from dwellgain.analysis import (
 from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.cert import verify
 from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint, lift_switched
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import synthesize
@@ -770,3 +771,46 @@ class TestSwitchedFoldOracle:
             assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
             assert text == text_r
         assert out.to_json() == out_r.to_json()
+
+
+class TestArbitraryFoldOracle:
+    """analyze_arbitrary builds its rows with _gain_rows_constant_like, a
+    degree-0 zeta at the single timer value 0; the programs and certificates
+    equal those of its own loops, kept as conftest.reference_analyze_arbitrary.
+    The rows are equal as dicts: a jump row of state i > 0 lists zeta_i first,
+    which the assembled arrays do not see."""
+
+    @staticmethod
+    def _solved(monkeypatch, tmp_path, run):
+        seen, out = TestLpBuildOracle._solved(monkeypatch, tmp_path, run, False)
+        # the LP texts differ in the variable names (zeta<i>_c0 against lam<i>)
+        return [([(dict(items), rel, rhs) for items, rel, rhs in rows], asm) for rows, asm, _ in seen], out
+
+    @pytest.mark.parametrize(
+        "bench, margins",
+        [
+            ("lti_jump_bench", ()),
+            ("lti_jump_bench", (0.0, 0.0)),
+            ("lti_jump_bench", (1e-3, 0.1)),
+            ("lifted_two_mode", (0.0, 0.0)),
+        ],
+    )
+    def test_same_program_and_certificate(self, monkeypatch, tmp_path, bench, margins):
+        s = (lift_switched(benchmarks.two_mode_switched_bench()) if bench == "lifted_two_mode"
+             else getattr(benchmarks, bench)())
+        got, out = self._solved(monkeypatch, tmp_path, lambda: analyze_arbitrary(s, *margins))
+        want, out_r = self._solved(monkeypatch, tmp_path, lambda: reference_analyze_arbitrary(s, *margins))
+        assert len(got) == len(want) == 1
+        (rows, asm), (rows_r, asm_r) = got[0], want[0]
+        assert rows == rows_r
+        assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
+        assert out.to_json() == out_r.to_json()
+
+    @pytest.mark.parametrize("bench", ["unstable_chain_plant", "unstable_pair_plant"])
+    def test_same_infeasible(self, monkeypatch, tmp_path, bench):
+        s = getattr(benchmarks, bench)()
+        _, out = self._solved(monkeypatch, tmp_path, lambda: analyze_arbitrary(s))
+        _, out_r = self._solved(monkeypatch, tmp_path, lambda: reference_analyze_arbitrary(s))
+        assert out == out_r == "Infeasible"
+        with pytest.raises(Infeasible, match=r"conditions infeasible \(finite LP\)"):
+            analyze_arbitrary(s)

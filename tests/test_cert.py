@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CERTIFY_GRID_DESIGNS, assert_matches_three_paths, bernstein_oracle, three_path_verify
+from conftest import (
+    CERTIFY_GRID_DESIGNS,
+    assert_matches_three_paths,
+    bernstein_oracle,
+    reference_cross_check,
+    three_path_verify,
+)
 from dwellgain import benchmarks
 from dwellgain.analysis import (
     Certificate,
@@ -17,9 +23,9 @@ from dwellgain.analysis import (
 )
 from dwellgain.cert import _SLACK_TOL, cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly, _bernstein
-from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize
+from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize, synthesize_switched
 
 
 IMPULSIVE_BENCHES = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
@@ -251,9 +257,63 @@ class TestZeroGainClosedLoop:
         for c, plant in cases:
             for cut in (c, dataclasses.replace(c, gamma=0.9 * c.gamma)):
                 want = verify(cut, plant).to_json()
-                assert verify(cut, closed_loop(plant, zero_gain(cut, plant))).to_json() == want
-                assert cross_check_discrete(cut, plant).passed == want["passed"]
+                view = closed_loop(plant, zero_gain(cut, plant))
+                assert verify(cut, view).to_json() == want
+                referee = cross_check_discrete(cut, plant).to_json()
+                assert cross_check_discrete(cut, view).to_json() == referee
+                assert referee["passed"] == want["passed"]
         assert sum(verify(c, plant).passed for c, plant in cases) == len(cases)
+
+
+# degree-2 design specs: each dwell kind, fixed Kd and a degenerate range
+DESIGN_SPECS = (
+    (DwellTimeSpec.constant(0.1), False),
+    (DwellTimeSpec.constant(0.3), False),
+    (DwellTimeSpec.minimum(0.2), False),
+    (DwellTimeSpec.minimum(0.5), False),
+    (DwellTimeSpec.range(0.1, 0.3), False),
+    (DwellTimeSpec.range(0.1, 0.3), True),
+    (DwellTimeSpec.range(0.2, 0.2), False),
+    (DwellTimeSpec.arbitrary(), False),
+)
+
+
+def zeroed(ctrl):
+    """The controller with its numerators U_c and U_d set to 0: K_c = K_d = 0."""
+    zero = lambda rows: [[Poly.const(0.0) for _ in row] for row in rows]
+    Uc = [zero(u) for u in ctrl.Uc] if ctrl.per_mode else zero(ctrl.Uc)
+    Ud = ctrl.Ud
+    if Ud is not None:
+        Ud = np.zeros_like(Ud) if isinstance(Ud, np.ndarray) else zero(Ud)
+    return dataclasses.replace(ctrl, Uc=Uc, Ud=Ud)
+
+
+class TestClosedLoopCrossCheck:
+    """The state-transition referee integrates A + B K_c and jumps with
+    J + B_d K_d(theta): every design passes it, and the same certificate
+    fails it on the plant under zero gains."""
+
+    def test_designs_pass_and_fail_without_gains(self, bench_chain_plant, bench_pair_plant, bench_switched):
+        designs = []
+        for plant in (bench_chain_plant, bench_pair_plant):
+            for spec, fixed_kd in DESIGN_SPECS:
+                try:
+                    designs.append((plant, synthesize(plant, spec, 2, fixed_kd=fixed_kd)))
+                except Infeasible:
+                    continue
+        assert len(designs) >= 12
+        # the two-mode bench with a control input on each mode
+        steered = SwitchedSystem.from_arrays(
+            [{**{k: md[k] for k in "AECF"}, "B": [[0.5], [0.5]], "D": [[0.2]]} for md in bench_switched.modes]
+        )
+        designs.append((steered, synthesize_switched(steered, 0.5, 2)))
+        for plant, ctrl in designs:
+            c = certificate_from(ctrl)
+            assert cross_check_discrete(c, closed_loop(plant, ctrl)).passed, (plant, ctrl.dwell)
+            assert not cross_check_discrete(c, closed_loop(plant, zeroed(ctrl))).passed, (plant, ctrl.dwell)
+        # the bench has no control input, so its design is its open loop
+        ctrl = synthesize_switched(bench_switched, 0.5, 2)
+        assert cross_check_discrete(certificate_from(ctrl), closed_loop(bench_switched, ctrl)).passed
 
 
 class TestTransitionMatrix:
@@ -284,6 +344,31 @@ class TestTransitionMatrix:
         A = bench_lti.A.const()
         Phi = transition_matrix(bench_lti, 0.0, 0.9)
         assert np.max(np.abs(Phi - expm(0.9 * A))) <= 1e-9
+
+
+class TestCrossCheckOracle:
+    """cross_check_discrete reads the simulator's evaluator; the body that
+    integrated the plant's PolyMatrix data itself, kept as
+    conftest.reference_cross_check, gives the same verdicts and slacks."""
+
+    @staticmethod
+    def _check(c, s):
+        got, want = cross_check_discrete(c, s), reference_cross_check(c, s)
+        assert got.passed == want.passed
+        assert got.grid_density == want.grid_density
+        assert list(got.worst_slack) == list(want.worst_slack)
+        for family, slack in want.worst_slack.items():
+            assert abs(got.worst_slack[family] - slack) <= 1e-12 * (1.0 + abs(c.gamma))
+
+    @pytest.mark.parametrize("bench", IMPULSIVE_BENCHES)
+    def test_analysis_grid(self, bench, certify_grid_analyses):
+        s = getattr(benchmarks, bench)()
+        for _, c in certify_grid_analyses(bench):
+            self._check(c, s)
+
+    def test_arbitrary_and_switched(self, bench_lti, bench_switched):
+        self._check(analyze_arbitrary(bench_lti), bench_lti)
+        self._check(analyze_switched_min(bench_switched, 0.3, 4), bench_switched)
 
 
 class TestCrossCheck:

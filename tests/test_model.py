@@ -54,16 +54,25 @@ class TestPolyMatrix:
             for k, t in enumerate(taus):
                 np.testing.assert_array_equal(mesh[..., k], point(float(t)))
         # and so does flow_grid: Phi(tau_k, 0) and the forced response are [..., k],
-        # the last point of the march over the grid's first k cells
+        # the last point of the march over the grid's first k cells, and the
+        # output terms C and F * 1 are [..., k] at tau_k
         A = PolyMatrix.from_entries([[[-1.0, 0.5], [0.3]], [[0.2, 0.1], [-2.0]]])
         E = PolyMatrix.from_entries([[[0.1]], [[0.2, 0.3]]])
-        Phis, forced = flow_grid(A, E, taus)
+        C = PolyMatrix.from_entries([[[0.5, 0.2], [1.0]]])
+        F = PolyMatrix.from_entries([[[0.1, 0.3]]])
+        sys_ = ImpulsiveSystem.from_arrays(A=A, Ec=E, Cc=C, Fc=F, J=np.eye(2))
+        Phis, forced, C_m, z = flow_grid(sys_, taus)
         assert Phis.flags.c_contiguous and Phis.shape == (2, 2, len(taus))
         assert forced.flags.c_contiguous and forced.shape == (2, len(taus))
+        assert C_m.flags.c_contiguous and C_m.shape == (1, 2, len(taus))
+        assert z.flags.c_contiguous and z.shape == (1, len(taus))
         np.testing.assert_array_equal(Phis[..., 0], np.eye(2))
         np.testing.assert_array_equal(forced[..., 0], np.zeros(2))
+        for k, t in enumerate(taus):
+            np.testing.assert_array_equal(C_m[..., k], C(float(t)))
+            np.testing.assert_array_equal(z[..., k], F(float(t)).sum(axis=1))
         for k in range(1, len(taus)):
-            head_Phi, head_forced = flow_grid(A, E, taus[: k + 1])
+            head_Phi, head_forced, _, _ = flow_grid(sys_, taus[: k + 1])
             np.testing.assert_allclose(Phis[..., k], head_Phi[..., -1], rtol=1e-12, atol=0)
             np.testing.assert_allclose(forced[..., k], head_forced[..., -1], rtol=1e-12, atol=0)
 

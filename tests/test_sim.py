@@ -391,12 +391,17 @@ class TestSerialEquivalence:
     def test_flow_grid_matches_serial_march(self, bench_timer_growth, clamp):
         sys_, taus = bench_timer_growth, np.linspace(0.0, 1.3, 150)
         n, m, h = sys_.n, len(taus) - 1, taus[1] - taus[0]
-        Phis, forced = flow_grid(sys_.A, sys_.Ec, taus, clamp=clamp)
+        Phis, forced, C, z = flow_grid(sys_, taus, clamp=clamp)
         _, R, s = oracle_rk4_maps(lambda ts: cell_mesh(sys_.A, ts, clamp),
                                   lambda ts: cell_mesh(sys_.Ec, ts, clamp).sum(axis=2), h, m)
         np.testing.assert_allclose(Phis, serial_march(R, 0.0 * s, np.eye(n)).transpose(1, 2, 0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(forced, serial_march(R, s, np.zeros(n)).T, rtol=1e-12, atol=0)
-        unforced = flow_grid(sys_.A, None, taus, clamp=clamp)
+        # the output terms on the points, in the layout of the state arrays
+        assert C.flags.c_contiguous and z.flags.c_contiguous
+        np.testing.assert_array_equal(C, cell_mesh(sys_.Cc, taus, clamp).transpose(1, 2, 0))
+        np.testing.assert_array_equal(z, cell_mesh(sys_.Fc, taus, clamp).sum(axis=2).T)
+        # a system without continuous input has the same flow and no forcing
+        unforced = flow_grid(ImpulsiveSystem.from_arrays(A=sys_.A, J=sys_.jump.J), taus, clamp=clamp)
         np.testing.assert_array_equal(unforced[0], Phis)
         assert not unforced[1].any()
 

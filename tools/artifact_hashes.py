@@ -1,0 +1,226 @@
+"""Hash every artifact dwellgain produces on a fixed list of cases, so that two
+versions of the package can be compared output by output.
+
+    PYTHONPATH=src python3 tools/artifact_hashes.py OUT.json
+    PYTHONPATH=src python3 tools/artifact_hashes.py --compare BEFORE.json AFTER.json
+
+The first form runs the cases below against the dwellgain on the path and
+writes one entry per output.  Certificates, controllers, `--dump-lp` texts,
+`verify` reports, gains, Blanchini values and error texts are stored as
+SHA-256 digests of their JSON or text.  State-transition cross-check reports
+are stored whole, because a refactor may move their slacks by rounding.
+
+The second form compares two such files.  Digests must be equal; a cross-check
+report must keep its verdict and its row families, and each worst slack may
+move by at most 1e-12 * (1 + |gamma|).  It prints every other difference and
+exits 1 if there is one.
+
+Cases:
+- the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
+  and range-mu dwell at T in {0.12, 0.2, 0.33, 0.5, 1.9, 2.7} and degrees
+  2, 4, 6, plus degenerate ranges [T, T];
+- arbitrary dwell on four constant systems at three margin settings;
+- switched minimum dwell and the Blanchini bound at five dwell times;
+- `synthesize` for three plants, eight dwell specifications and degrees 0-3,
+  with the closed loop verified and cross-checked;
+- `synthesize_switched` at four dwell times.
+
+Only the public API is used, so the script runs against any version of `src/`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from dwellgain import analysis, benchmarks, cert, model, synthesis
+from dwellgain.errors import DwellgainError
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
+
+IMPULSIVE = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
+GRID_T = (0.12, 0.2, 0.33, 0.5, 1.9, 2.7)
+DEGREES = (2, 4, 6)
+DEGENERATE_T = (0.2, 1.9)
+ARBITRARY_MARGINS = ((analysis.DEFAULT_MARGIN, analysis.DEFAULT_JUMP_MARGIN), (0.0, 0.0), (1e-3, 0.1))
+SWITCHED_T = (0.1, 0.3, 0.5, 1.0, 2.0)
+DESIGN_SPECS = (
+    (DwellTimeSpec.constant(0.1), False),
+    (DwellTimeSpec.constant(0.3), False),
+    (DwellTimeSpec.minimum(0.2), False),
+    (DwellTimeSpec.minimum(0.5), False),
+    (DwellTimeSpec.range(0.1, 0.3), False),
+    (DwellTimeSpec.range(0.1, 0.3), True),
+    (DwellTimeSpec.range(0.2, 0.2), False),
+    (DwellTimeSpec.arbitrary(), False),
+)
+DESIGN_DEGREES = (0, 1, 2, 3)
+SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
+SLACK_RTOL = 1e-12
+
+
+def _digest(obj) -> str:
+    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _error(exc: Exception) -> dict:
+    return {"error": _digest(f"{type(exc).__name__}: {exc}"), "text": f"{type(exc).__name__}: {exc}"}
+
+
+def with_inputs(s: ImpulsiveSystem) -> ImpulsiveSystem:
+    """The benchmark with one nonnegative control input on each channel."""
+    jm = s.jump
+    return ImpulsiveSystem.from_arrays(
+        A=s.A, Ec=s.Ec, Cc=s.Cc, Fc=s.Fc, J=jm.J, Ed=jm.Ed, Cd=jm.Cd, Fd=jm.Fd,
+        Bc=np.full((s.n, 1), 0.5), Dc=np.full((s.qc, 1), 0.2),
+        Bd=np.full((s.n, 1), 1.0), Dd=np.full((s.qd, 1), 0.3),
+    )
+
+
+class Recorder:
+    def __init__(self, lp_dir: str):
+        self.out: dict[str, dict] = {}
+        self.lp_path = os.path.join(lp_dir, "dump.lp")
+
+    def solve(self, key: str, run, artifact):
+        """run(lp_path) -> result; stores the digest of artifact(result), or
+        the error, and the LP text if run wrote one to lp_path."""
+        if os.path.exists(self.lp_path):
+            os.remove(self.lp_path)
+        try:
+            result = run(self.lp_path)
+        except (DwellgainError, ValueError) as exc:
+            self.out[key] = _error(exc)
+            return None
+        self.out[key] = {"digest": _digest(artifact(result))}
+        if os.path.exists(self.lp_path):
+            with open(self.lp_path) as fh:
+                self.out[key + " lp"] = {"digest": _digest(fh.read())}
+        return result
+
+    def reports(self, key: str, c, target):
+        """verify (digest) and the state-transition cross-check (whole report)."""
+        self.out[key + " verify"] = {"digest": _digest(cert.verify(c, target).to_json())}
+        try:
+            rep = cert.cross_check_discrete(c, target).to_json()
+        except Exception as exc:  # a version may not accept every target
+            self.out[key + " cross-check"] = _error(exc)
+            return
+        self.out[key + " cross-check"] = {"report": rep, "gamma": float(c.gamma)}
+
+
+def collect(lp_dir: str) -> dict:
+    rec = Recorder(lp_dir)
+    to_json = lambda c: c.to_json()
+    for bname in IMPULSIVE:
+        s = getattr(benchmarks, bname)()
+        for T in GRID_T:
+            Tmax = float(f"{1.5 * T:.5g}")
+            runs = {
+                "constant": lambda d, lp: analysis.analyze_constant(s, T, d, dump_lp=lp),
+                "minimum": lambda d, lp: analysis.analyze_minimum(s, T, d, dump_lp=lp),
+                "range": lambda d, lp: analysis.analyze_range(s, T, Tmax, d, dump_lp=lp),
+                "range-mu": lambda d, lp: analysis.analyze_range(s, T, Tmax, d, mode="mu_variant", dump_lp=lp),
+            }
+            for kind, run in runs.items():
+                for d in DEGREES:
+                    key = f"{bname} {kind} T={T} degree={d}"
+                    c = rec.solve(key, lambda lp: run(d, lp), to_json)
+                    if c is not None:
+                        rec.reports(key, c, s)
+        for T in DEGENERATE_T:
+            for mode in ("direct", "mu_variant"):
+                key = f"{bname} range {T}:{T} {mode} degree=2"
+                c = rec.solve(key, lambda lp: analysis.analyze_range(s, T, T, 2, mode=mode, dump_lp=lp), to_json)
+                if c is not None:
+                    rec.reports(key, c, s)
+
+    arbitrary = {
+        "lti_jump_bench": benchmarks.lti_jump_bench(),
+        "unstable_chain_plant": benchmarks.unstable_chain_plant(),
+        "unstable_pair_plant": benchmarks.unstable_pair_plant(),
+        "lifted two_mode_switched_bench": model.lift_switched(benchmarks.two_mode_switched_bench()),
+    }
+    for sname, s in arbitrary.items():
+        for margin, jump_margin in ARBITRARY_MARGINS:
+            key = f"{sname} arbitrary margin={margin} jump_margin={jump_margin}"
+            c = rec.solve(key, lambda lp: analysis.analyze_arbitrary(s, margin, jump_margin), to_json)
+            if c is not None:
+                rec.reports(key, c, s)
+
+    sw = benchmarks.two_mode_switched_bench()
+    for T in SWITCHED_T:
+        key = f"two_mode_switched_bench minimum T={T} degree=4"
+        c = rec.solve(key, lambda lp: analysis.analyze_switched_min(sw, T, 4, dump_lp=lp), to_json)
+        if c is not None:
+            rec.reports(key, c, sw)
+        rec.solve(f"two_mode_switched_bench blanchini T={T}",
+                  lambda lp: analysis.analyze_switched_blanchini(sw, T), lambda g: repr(g))
+
+    plants = {
+        "unstable_chain_plant": benchmarks.unstable_chain_plant(),
+        "unstable_pair_plant": benchmarks.unstable_pair_plant(),
+        "lti_jump_bench+inputs": with_inputs(benchmarks.lti_jump_bench()),
+    }
+    for pname, p in plants.items():
+        for spec, fixed_kd in DESIGN_SPECS:
+            for d in DESIGN_DEGREES:
+                key = f"{pname} design {spec}{' fixed_kd' if fixed_kd else ''} degree={d}"
+                ctrl = rec.solve(
+                    key, lambda lp: synthesis.synthesize(p, spec, d, fixed_kd=fixed_kd, dump_lp=lp), to_json)
+                if ctrl is not None:
+                    rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(p, ctrl))
+    for T in SWITCHED_DESIGN_T:
+        key = f"two_mode_switched_bench design minimum T={T} degree=2"
+        ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(sw, T, 2, dump_lp=lp), to_json)
+        if ctrl is not None:
+            rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(sw, ctrl))
+    return rec.out
+
+
+def _same_cross_check(a: dict, b: dict) -> bool:
+    ra, rb = a["report"], b["report"]
+    if ra["passed"] != rb["passed"] or set(ra["worst_slack"]) != set(rb["worst_slack"]):
+        return False
+    tol = SLACK_RTOL * (1.0 + abs(a["gamma"]))
+    return all(abs(ra["worst_slack"][f] - rb["worst_slack"][f]) <= tol for f in ra["worst_slack"])
+
+
+def compare(before: dict, after: dict) -> int:
+    """Print each key whose entry differs beyond what a refactor may move;
+    return the number of such keys."""
+    bad = 0
+    for key in sorted(set(before) | set(after)):
+        a, b = before.get(key), after.get(key)
+        if a == b or (a and b and "report" in a and "report" in b and _same_cross_check(a, b)):
+            continue
+        bad += 1
+        describe = lambda e: "missing" if e is None else e.get("text") or e.get("report") or e["digest"][:12]
+        print(f"{key}:\n  before {describe(a)}\n  after  {describe(b)}")
+    print(f"{len(set(before) | set(after))} outputs, {bad} differ")
+    return bad
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        with open(argv[1]) as fa, open(argv[2]) as fb:
+            return 1 if compare(json.load(fa), json.load(fb)) else 0
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as lp_dir:
+        out = collect(lp_dir)
+    with open(argv[0], "w") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(out)} outputs written to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
