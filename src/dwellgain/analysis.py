@@ -25,11 +25,10 @@ from .errors import (
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
 from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
-from .poly import HandelmanCertificate, Poly, product_basis
+from .poly import Poly, product_basis
 
 __all__ = [
     "Certificate",
-    "CertifiedRow",
     "analyze_arbitrary",
     "analyze_constant",
     "analyze_minimum",
@@ -54,18 +53,6 @@ _REFEREE_SAMPLES = 51
 
 
 @dataclass
-class CertifiedRow:
-    """One encoded theorem row at the solved point."""
-
-    family: str
-    index: int
-    poly: Poly
-    margin: float
-    interval: Optional[tuple[float, float]] = None
-    handelman: Optional[HandelmanCertificate] = None
-
-
-@dataclass
 class Certificate:
     """Sufficient proof object for one analysis theorem."""
 
@@ -76,7 +63,6 @@ class Certificate:
     margin: float
     jump_margin: float
     degree: int
-    rows: list[CertifiedRow] = field(default_factory=list)
     aux: dict = field(default_factory=dict)
     relax: int = 0
 
@@ -91,7 +77,7 @@ class Certificate:
         def poly_list(polys):
             return [p.to_json() for p in polys]
 
-        data = {
+        return {
             "type": "certificate",
             "kind": self.kind,
             "gamma": self.gamma,
@@ -102,27 +88,7 @@ class Certificate:
             "relax": self.relax,
             "zeta": [poly_list(z) for z in self.zeta] if self.per_mode else poly_list(self.zeta),
             "aux": {k: poly_list(v) if k == "mu" else v for k, v in self.aux.items()},
-            "rows": [
-                {
-                    "family": r.family,
-                    "index": r.index,
-                    "poly": r.poly.to_json(),
-                    "margin": r.margin,
-                    "interval": list(r.interval) if r.interval else None,
-                    "handelman": (
-                        {
-                            "interval": list(r.handelman.interval),
-                            "order": r.handelman.order,
-                            "weights": [[i, j, c] for (i, j), c in sorted(r.handelman.weights.items())],
-                        }
-                        if r.handelman
-                        else None
-                    ),
-                }
-                for r in self.rows
-            ],
         }
-        return data
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
@@ -134,26 +100,6 @@ class Certificate:
                 if per_mode
                 else [Poly.from_json(p) for p in data["zeta"]]
             )
-            rows = []
-            for r in data.get("rows", []):
-                hc = None
-                if r.get("handelman"):
-                    h = r["handelman"]
-                    hc = HandelmanCertificate(
-                        interval=tuple(h["interval"]),
-                        order=int(h["order"]),
-                        weights={(int(i), int(j)): float(c) for i, j, c in h["weights"]},
-                    )
-                rows.append(
-                    CertifiedRow(
-                        family=r["family"],
-                        index=int(r["index"]),
-                        poly=Poly.from_json(r["poly"]),
-                        margin=float(r["margin"]),
-                        interval=tuple(r["interval"]) if r.get("interval") else None,
-                        handelman=hc,
-                    )
-                )
             aux = {
                 k: [Poly.from_json(p) for p in v] if k == "mu" else v
                 for k, v in data.get("aux", {}).items()
@@ -166,7 +112,6 @@ class Certificate:
                 margin=float(data["margin"]),
                 jump_margin=float(data.get("jump_margin", data["margin"])),
                 degree=int(data["degree"]),
-                rows=rows,
                 aux=aux,
                 relax=int(data.get("relax", 0)),
             )
@@ -210,7 +155,7 @@ def _const_matvec_row(mat: np.ndarray, i: int, vals: Sequence[LinExpr]) -> LinEx
 
 
 class _Program:
-    """LP under construction plus bookkeeping to extract certified rows."""
+    """LP under construction plus the records of its rows, which its sampled referee reads."""
 
     def __init__(self, relax: int):
         self.lp = LinearProgram()
@@ -231,9 +176,7 @@ class _Program:
     def add_point_ge(self, family: str, index: int, expr: LinExpr, margin: float) -> None:
         # expr >= margin
         self.lp.add_ge(expr.coeffs, margin - expr.const)
-        self.point_records.append(
-            {"family": family, "index": index, "expr": expr, "margin": margin}
-        )
+        self.point_records.append({"family": family, "index": index, "expr": expr, "margin": margin})
 
     def add_interval_ge(
         self,
@@ -265,17 +208,7 @@ class _Program:
             rhs = (margin if k == 0 else 0.0) - const
             self.lp.add_eq(row, rhs)
         self.interval_records.append(
-            {
-                "family": family,
-                "index": index,
-                "pexpr": pexpr,
-                "interval": (a, b),
-                "order": order,
-                "margin": margin,
-                "cone": cone,
-                "pairs": pairs,
-                "h": h,
-            }
+            {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order, "margin": margin}
         )
 
     def solve_min(self, gamma: int, extra_obj: Optional[dict[int, float]] = None):
@@ -305,36 +238,6 @@ class _Program:
             cols, block, const = rec["pexpr"].eval_grid(np.linspace(*rec["interval"], _REFEREE_SAMPLES))
             lp.add_ge_block(cols, block, rec["margin"] - const)
         return lp
-
-    def extract_rows(self, x: np.ndarray) -> list[CertifiedRow]:
-        rows = []
-        for rec in self.point_records:
-            rows.append(
-                CertifiedRow(
-                    family=rec["family"],
-                    index=rec["index"],
-                    poly=Poly.const(rec["expr"].value(x)),
-                    margin=rec["margin"],
-                )
-            )
-        for rec in self.interval_records:
-            weights = {}
-            h = rec["h"]
-            for v, (i, j) in zip(rec["cone"], rec["pairs"]):
-                c = float(x[v])
-                if c > 0.0:
-                    weights[(i, j)] = c / h ** (i + j)
-            rows.append(
-                CertifiedRow(
-                    family=rec["family"],
-                    index=rec["index"],
-                    poly=rec["pexpr"].value(x),
-                    margin=rec["margin"],
-                    interval=rec["interval"],
-                    handelman=HandelmanCertificate(rec["interval"], rec["order"], weights),
-                )
-            )
-        return rows
 
 
 def _gain_rows_constant_like(
@@ -579,7 +482,6 @@ def _analyze_hybrid(
                 margin=margin,
                 jump_margin=jump_margin,
                 degree=degree,
-                rows=prog.extract_rows(sol.x),
                 aux=aux,
                 relax=relax,
             )
@@ -697,7 +599,6 @@ def analyze_switched_min(
                 margin=margin,
                 jump_margin=0.0,
                 degree=degree,
-                rows=prog.extract_rows(sol.x),
                 relax=relax,
             )
 

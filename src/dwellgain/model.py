@@ -125,9 +125,6 @@ class PolyMatrix:
         ks = np.arange(1, d)
         return PolyMatrix(self.coeffs[:, :, 1:] * ks[None, None, :])
 
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
     def to_json(self) -> list:
         r, c = self.shape
         return [[self.entry(i, j).to_json() for j in range(c)] for i in range(r)]
@@ -310,9 +307,6 @@ class ImpulsiveSystem:
 
     def is_constant(self) -> bool:
         return all(m.is_constant for m in (self.A, self.Bc, self.Ec, self.Cc, self.Dc, self.Fc))
-
-    def max_degree(self) -> int:
-        return max(m.degree for m in (self.A, self.Bc, self.Ec, self.Cc, self.Dc, self.Fc))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,11 +53,6 @@ class Poly:
     @staticmethod
     def const(c: float) -> "Poly":
         return Poly((float(c),))
-
-    @staticmethod
-    def identity() -> "Poly":
-        """The polynomial t."""
-        return Poly((0.0, 1.0))
 
     @property
     def degree(self) -> int:
@@ -175,17 +171,18 @@ class HandelmanCertificate:
         return min(Fraction(v, math.comb(self.order, i) * S) for i, v in enumerate(N))
 
 
-def _bernstein(p: Poly, interval: tuple[float, float], d: int, margin: float = 0.0):
+def _bernstein(p, interval: tuple[float, float], d: int, margin: float = 0.0):
     """Exact degree-d Bernstein coefficients b_i of q(s) = (p - margin)(a + h s),
     h = b - a, on s in [0, 1], as integers N_i and a power of two S with
-    b_i = N_i / (C(d, i) S); d must be at least the degree of p.
+    b_i = N_i / (C(d, i) S); p is a Poly or an _Exact polynomial, and d must
+    be at least its degree.
 
     Floats are dyadic rationals, so with a, b counted in units of 2^-e and the
     coefficients in units of 2^-f, S = 2^(e deg p + f) makes every S q_k an
     integer Q_k, and C(d, i) b_i = sum_k C(d - k, i - k) q_k."""
+    exact = (p if isinstance(p, _Exact) else _Exact.of(p.coeffs)) - _Exact.of((margin,))
+    C, f = exact.C, exact.e
     (A, B), e = _dyadic(interval)
-    C, f = _dyadic((*p.coeffs, margin))
-    C[0] -= C.pop()
     n, H = len(C) - 1, B - A
     Q = [
         H**k * sum(C[j] * math.comb(j, k) * A ** (j - k) << (e * (n - j)) for j in range(k, n + 1))
@@ -200,6 +197,48 @@ def _dyadic(xs) -> tuple[list[int], int]:
     ratios = [float(x).as_integer_ratio() for x in xs]
     e = max(den.bit_length() - 1 for _, den in ratios)
     return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
+@dataclass(frozen=True)
+class _Exact:
+    """Polynomial with the exact dyadic coefficients C[k] / 2^e: floats, and
+    their sums, products and derivatives, without rounding."""
+
+    C: tuple[int, ...]
+    e: int = 0
+
+    @staticmethod
+    def of(coeffs: Iterable[float]) -> "_Exact":
+        C, e = _dyadic(coeffs)
+        return _Exact(tuple(C), e)
+
+    def __add__(self, other: "_Exact", sign: int = 1) -> "_Exact":
+        e = max(self.e, other.e)
+        a, b = ([c << e - p.e for c in p.C] for p in (self, other))
+        return _Exact(tuple(x + sign * y for x, y in zip_longest(a, b, fillvalue=0)), e)
+
+    def __sub__(self, other: "_Exact") -> "_Exact":
+        return self.__add__(other, -1)
+
+    def __mul__(self, other: "_Exact") -> "_Exact":
+        out = [0] * (len(self.C) + len(other.C) - 1)
+        for i, a in enumerate(self.C):
+            for j, b in enumerate(other.C):
+                out[i + j] += a * b
+        return _Exact(tuple(out), self.e + other.e)
+
+    def deriv(self) -> "_Exact":
+        return _Exact(tuple(k * c for k, c in enumerate(self.C))[1:] or (0,), self.e)
+
+    def at(self, t: float) -> "_Exact":
+        """The value at t, as a constant."""
+        (T,), g = _dyadic((t,))
+        n = len(self.C) - 1
+        return _Exact((sum(c * T**k << g * (n - k) for k, c in enumerate(self.C)),), self.e + g * n)
+
+    def size(self, R: float) -> float:
+        """sum_k |C_k| R^k / 2^e, a bound on |p| over [-R, R]."""
+        return sum(abs(c) / (1 << self.e) * R**k for k, c in enumerate(self.C))
 
 
 @lru_cache(maxsize=None)

@@ -602,5 +602,4 @@ def certificate_from(ctrl: ControllerRealization) -> Certificate:
         margin=ctrl.margin,
         jump_margin=ctrl.margin,
         degree=ctrl.degree,
-        rows=[],
     )

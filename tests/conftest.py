@@ -29,7 +29,7 @@ from dwellgain.analysis import (
     analyze_minimum,
     analyze_range,
 )
-from dwellgain.cert import _finish_report, _record, _referee_report, verify
+from dwellgain.cert import _SLACK_TOL, VerificationReport, verify
 from dwellgain.errors import Infeasible, Mismatch, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
@@ -298,25 +298,114 @@ def assert_same_outcome(got, want):
     assert got[2] == want[2]
 
 
-def _zeta_rows_symbolic(A, Ec, Cc, Fc, zeta, gamma):
-    """Flow/output row polynomials in tau derived with plain Poly arithmetic."""
-    n, qc = A.shape[0], Cc.shape[0]
-    flow, out_c = [], []
-    for i in range(n):
-        expr = zeta[i].deriv()
-        for j in range(n):
-            expr = expr - A.entry(i, j) * zeta[j]
-        for j in range(Ec.shape[1]):
-            expr = expr - Ec.entry(i, j)
-        flow.append(expr)
-    for i in range(qc):
-        expr = Poly.const(gamma)
-        for j in range(n):
-            expr = expr - Cc.entry(i, j) * zeta[j]
-        for j in range(Fc.shape[1]):
-            expr = expr - Fc.entry(i, j)
-        out_c.append(expr)
+def _record(slacks, family, value):
+    slacks[family] = min(slacks.get(family, np.inf), float(value))
+
+
+def _zeta_rows_symbolic(A, Ec, Cc, Fc, zeta, gamma, B=None, D=None, U=()):
+    """Flow/output rows in tau as lists of Poly terms derived with plain Poly
+    arithmetic: zeta' - A zeta - B U 1 - Ec 1 and gamma - Cc zeta - D U 1 - Fc 1,
+    U the numerators U_c of a closed loop whose zeta is X."""
+
+    def terms(lead, M, N, W, i):
+        out = [lead] + [-(M.entry(i, j) * z) for j, z in enumerate(zeta)]
+        out += [-(N.entry(i, l) * u) for l, row in enumerate(U) for u in row]
+        return out + [-W.entry(i, j) for j in range(W.shape[1])]
+
+    flow = [terms(zeta[i].deriv(), A, B, Ec, i) for i in range(A.shape[0])]
+    out_c = [terms(Poly.const(gamma), Cc, D, Fc, i) for i in range(Cc.shape[0])]
     return flow, out_c
+
+
+def _summed(rows):
+    return [sum(terms[1:], terms[0]) for terms in rows]
+
+
+def oracle_rows(cert, sys):
+    """Every theorem row of the certificate as (family, Poly terms, domain),
+    derived with plain Poly arithmetic: the row is the sum of its terms on
+    the interval or at the point `domain`.  A closed loop's rows read zeta = X:
+    (A X + B U_c) 1 and (J X + B_d U_d) 1, or B_d U_d M^-1 X for a fixed K_d."""
+    plant, ctrl = (sys.sys, sys.ctrl) if isinstance(sys, synthesis_mod.ClosedLoopView) else (sys, None)
+    dwell, gamma = cert.dwell, cert.gamma
+    arbitrary = dwell.kind == "arbitrary"
+    Tend = 0.0 if arbitrary else dwell.horizon_tau()
+    tdom = (0.0, Tend) if Tend > 0 else 0.0
+    zsets = [[Poly.const(z.eval(0.0)) for z in zs] if arbitrary else zs for zs in cert.zeta_vectors()]
+    rows = []
+    for mode, zs in enumerate(zsets):
+        if isinstance(plant, SwitchedSystem):
+            mats, tag = [plant.modes[mode][k] for k in "ABECDF"], f"[{mode}]"
+        else:
+            mats, tag = [plant.A, plant.Bc, plant.Ec, plant.Cc, plant.Dc, plant.Fc], ""
+        A, B, E, C, D, F = mats
+        U = [] if ctrl is None else (ctrl.Uc[mode] if cert.per_mode else ctrl.Uc)
+        flow, out_c = _zeta_rows_symbolic(A, E, C, F, zs, gamma, B, D, U)
+        rows += [("flow" + tag, t, tdom) for t in flow] + [("out_c" + tag, t, tdom) for t in out_c]
+        if dwell.kind == "minimum":
+            rows += [("stat_flow" + tag, t[1:], dwell.T) for t in flow]
+            rows += [("stat_out" + tag, t, dwell.T) for t in out_c]
+        # the closed-loop path keeps one pin_lo family for every mode
+        rows += [("pin_lo" + (tag if ctrl is None else ""), [z], 0.0) for z in zs]
+    if cert.per_mode:
+        for i, zi in enumerate(zsets):
+            for j, zj in enumerate(zsets):
+                if i != j:
+                    rows += [("couple", [Poly.const(a.eval(0.0)), Poly.const(-b.eval(dwell.T))], 0.0)
+                             for a, b in zip(zi, zj)]
+        return rows
+    zs = zsets[0]
+    if dwell.kind == "range":
+        th = (dwell.Tmin, dwell.Tmax) if dwell.Tmin < dwell.Tmax else dwell.Tmin
+    else:
+        th = dwell.T or 0.0
+    mu = cert.aux.get("mu")
+    target = mu or zs
+    V = []  # per discrete input, its terms: (K_d target)_l with zeta = X
+    if ctrl is not None and plant.md:
+        if ctrl.kind == "RangeDT_FixedKd":
+            V = [[target[j] * (u / m) for j, (u, m) in enumerate(zip(row, ctrl.M))] for row in ctrl.Ud]
+        else:
+            V = [[u if isinstance(u, Poly) else Poly.const(u) for u in row] for row in ctrl.Ud]
+    for jk, jm in enumerate(plant.jumps):
+        for family, lead, M, N, W in ((f"jump[{jk}]", None, jm.J, jm.Bd, jm.Ed),
+                                      (f"out_d[{jk}]", gamma, jm.Cd, jm.Dd, jm.Fd)):
+            for i in range(M.shape[0]):
+                terms = [Poly.const(zs[i].eval(0.0) if lead is None else lead)]
+                terms += [-(t * M[i, j]) for j, t in enumerate(target)]
+                terms += [-(v * N[i, l]) for l, vs in enumerate(V) for v in vs]
+                rows.append((family, terms + [Poly.const(-w) for w in W[i]], th))
+    if mu:
+        rows += [("mu_dom", [m, -z], th) for m, z in zip(mu, zs)]
+    return rows
+
+
+def _oracle_report(cert, sys, slacks, grid):
+    """The three paths' verdict: each oracle_rows row proved >= -_SLACK_TOL
+    times the size sum |c_k| R^k of its terms (R the far end of its domain),
+    by bernstein_oracle at its degree + RELAX_SCHEDULE[-1] on an interval and
+    by its exact value at a point, and each family's grid minimum at >= minus
+    the smallest such tolerance of its rows."""
+    tols, unproved = {}, []
+    for family, terms, domain in oracle_rows(cert, sys):
+        p = sum(terms[1:], terms[0])
+        R = domain[1] if isinstance(domain, tuple) else domain
+        tol = _SLACK_TOL * sum(sum(abs(c) * R**k for k, c in enumerate(t.coeffs)) for t in terms)
+        tols[family] = min(tols.get(family, math.inf), tol)
+        if isinstance(domain, tuple):
+            least = min(bernstein_oracle(p, domain, p.degree + RELAX_SCHEDULE[-1]))
+        else:
+            least = sum(Fraction(c) * Fraction(domain) ** k for k, c in enumerate(p.coeffs))
+        if least < -Fraction(tol):
+            unproved.append(family)
+    proved = not unproved
+    return VerificationReport(
+        passed=proved and all(v >= -tols[f] for f, v in slacks.items()),
+        worst_slack=slacks,
+        grid_density=grid,
+        handelman_ok=proved,
+        notes=unproved,
+    )
 
 
 def _grid_min(p, interval, grid, clamp=None):
@@ -352,7 +441,7 @@ def _verify_impulsive(cert, sys, grid):
         _record(slacks, "pin_lo", float(np.min(lam)))
     else:
         Tend = dwell.horizon_tau()
-        flow_rows, out_rows = _zeta_rows_symbolic(sys.A, sys.Ec, sys.Cc, sys.Fc, zeta, gamma)
+        flow_rows, out_rows = map(_summed, _zeta_rows_symbolic(sys.A, sys.Ec, sys.Cc, sys.Fc, zeta, gamma))
         for p in flow_rows:
             _record(slacks, "flow", _grid_min(p, (0.0, Tend), grid, clamp))
         for p in out_rows:
@@ -380,7 +469,7 @@ def _verify_impulsive(cert, sys, grid):
             for th in thetas:
                 _record(slacks, "mu_dom", float(min(m.eval(th) - z.eval(th) for m, z in zip(mu, zeta))))
         _record(slacks, "pin_lo", float(np.min(z0)))
-    return _finish_report(cert, slacks, grid)
+    return _oracle_report(cert, sys, slacks, grid)
 
 
 def _verify_switched(cert, sw, grid):
@@ -391,7 +480,7 @@ def _verify_switched(cert, sw, grid):
     slacks = {}
     for i, md in enumerate(sw.modes):
         zeta = cert.zeta[i]
-        flow_rows, out_rows = _zeta_rows_symbolic(md["A"], md["E"], md["C"], md["F"], zeta, gamma)
+        flow_rows, out_rows = map(_summed, _zeta_rows_symbolic(md["A"], md["E"], md["C"], md["F"], zeta, gamma))
         for p in flow_rows:
             _record(slacks, f"flow[{i}]", _grid_min(p, (0.0, T), grid))
         for p in out_rows:
@@ -405,7 +494,7 @@ def _verify_switched(cert, sw, grid):
             if i != j:
                 c = min(cert.zeta[i][r].eval(0.0) - cert.zeta[j][r].eval(T) for r in range(sw.n))
                 _record(slacks, "couple", float(c))
-    return _finish_report(cert, slacks, grid)
+    return _oracle_report(cert, sw, slacks, grid)
 
 
 def cell_mesh(pm, taus, clamp=None):
@@ -510,13 +599,14 @@ def _verify_numeric(cert, view, grid):
                     c = min(zsets[i][r].eval(0.0) - zsets[j][r].eval(T) for r in range(n))
                     _record(slacks, "couple", float(c))
         _record(slacks, "pin_lo", float(min(z.eval(0.0) for zs in zsets for z in zs)))
-    return _finish_report(cert, slacks, grid)
+    return _oracle_report(cert, view, slacks, grid)
 
 
 def three_path_verify(cert, sys, grid=1000):
     """Oracle for cert.verify: the three row evaluators it replaced -- symbolic
     Poly rows for impulsive and for switched systems, mesh rows for closed-loop
-    views -- chosen by the type of `sys`, with the same Mismatch guards."""
+    views -- chosen by the type of `sys`, with the same Mismatch guards; the
+    proof verdict comes from bernstein_oracle over oracle_rows."""
     if isinstance(sys, SwitchedSystem):
         if cert.kind != "SwitchedMinDT":
             raise Mismatch(f"{cert.kind} certificate cannot verify a switched system")
@@ -528,19 +618,35 @@ def three_path_verify(cert, sys, grid=1000):
     return _verify_numeric(cert, sys, grid)
 
 
-def _mutations(cert):
-    """The certificate, its gain cut to 0.9 gamma, and its zeta(0) cut to 0.97 zeta(0)."""
-    cut = lambda z: Poly((0.97 * z.coeffs[0],) + z.coeffs[1:])
-    zeta = [[cut(z) for z in zs] for zs in cert.zeta] if cert.per_mode else [cut(z) for z in cert.zeta]
-    return [cert, dataclasses.replace(cert, gamma=0.9 * cert.gamma), dataclasses.replace(cert, zeta=zeta)]
+def _shrink(x):
+    """Polynomials, arrays and nested lists of them scaled by 0.97."""
+    if x is None or isinstance(x, (Poly, np.ndarray)):
+        return x if x is None else 0.97 * x
+    return [_shrink(y) for y in x]
+
+
+def _mutations(cert, target):
+    """(certificate, target) pairs: the certificate, its gain cut to 0.9 gamma,
+    and its zeta(0) cut to 0.97 zeta(0).  A closed loop's certificate is its
+    controller's, zeta = X, so there X, U_c, U_d and M are cut to 0.97 of
+    themselves instead, which keeps the gains K_c and K_d."""
+    if isinstance(target, synthesis_mod.ClosedLoopView):
+        ctrl = target.ctrl
+        ctrl = dataclasses.replace(ctrl, **{k: _shrink(getattr(ctrl, k)) for k in ("X", "Uc", "Ud", "M")})
+        moved = (synthesis_mod.certificate_from(ctrl), synthesis_mod.closed_loop(target.sys, ctrl))
+    else:
+        cut = lambda z: Poly((0.97 * z.coeffs[0],) + z.coeffs[1:])
+        zeta = [[cut(z) for z in zs] for zs in cert.zeta] if cert.per_mode else [cut(z) for z in cert.zeta]
+        moved = (dataclasses.replace(cert, zeta=zeta), target)
+    return [(cert, target), (dataclasses.replace(cert, gamma=0.9 * cert.gamma), target), moved]
 
 
 def assert_matches_three_paths(cert, target):
     """verify gives the three-path oracle's verdicts, row families and slacks
     (to 1e-12 per unit of row scale) on the certificate and its mutations.
     The one key change: a closed-loop switched report splits pin_lo per mode."""
-    for c in _mutations(cert):
-        got, want = verify(c, target), three_path_verify(c, target)
+    for c, t in _mutations(cert, target):
+        got, want = verify(c, t), three_path_verify(c, t)
         assert got.passed == want.passed
         assert got.handelman_ok == want.handelman_ok
         slack, ref = dict(got.worst_slack), dict(want.worst_slack)
@@ -621,14 +727,28 @@ def _reference_flow_grid(A_pm, E_pm, taus, clamp=None):
     return sim_mod._scan(tables, np.eye(n), m, forced=False), sim_mod._scan(tables, np.zeros(n), m)
 
 
+def _referee_row(slacks, bad, family, lead, M, x, c):
+    """One row lead - (M x + c) of the reference cross-check: its worst slack,
+    and its family marked bad where it is below -_SLACK_TOL times the size
+    |lead| + |M| |x| + |c| of its terms."""
+    value = lead - (sim_mod._mv(M, x) + c)
+    _record(slacks, family, float(np.min(value)))
+    if not np.all(value >= -_SLACK_TOL * (np.abs(lead) + sim_mod._mv(np.abs(M), np.abs(x)) + np.abs(c))):
+        bad.add(family)
+
+
 def reference_cross_check(cert, sys, theta_points=101, grid=400):
     """Oracle for cross_check_discrete of a plant: its body before it read the
     simulator's evaluator, integrating the plant's PolyMatrix data itself,
     evaluating the outputs and the stationary rows itself and the jump rows
-    one theta at a time."""
+    one theta at a time, each at the first grid point at or after theta."""
     dwell = cert.dwell
     gamma = cert.gamma
-    slacks = {}
+    slacks, bad = {}, set()
+
+    def report(m):
+        return VerificationReport(passed=not bad, worst_slack=slacks, grid_density=m,
+                                  phi_residual=float(min(slacks.values())))
 
     if cert.kind == "SwitchedMinDT":
         T = dwell.T
@@ -638,19 +758,15 @@ def reference_cross_check(cert, sys, theta_points=101, grid=400):
             Phis, rs = _reference_flow_grid(md["A"], md["E"], taus)
             C_m = md["C"].eval_mesh(taus)
             F1_m = md["F"].eval_mesh(taus).sum(axis=1)
-            A_T = md["A"](T)
-            E1_T = md["E"](T).sum(axis=1)
-            _record(slacks, f"stat_flow[{i}]", float(np.min(-(A_T @ lam[i] + E1_T))))
-            _record(slacks, f"stat_out[{i}]",
-                    float(np.min(gamma - (md["C"](T) @ lam[i] + md["F"](T).sum(axis=1)))))
+            _referee_row(slacks, bad, f"stat_flow[{i}]", 0.0, md["A"](T), lam[i], md["E"](T).sum(axis=1))
+            _referee_row(slacks, bad, f"stat_out[{i}]", gamma, md["C"](T), lam[i], md["F"](T).sum(axis=1))
             for j in range(sys.N):
                 if i == j:
                     continue
                 r_ij = sim_mod._mv(Phis, lam[j]) + rs
-                _record(slacks, f"couple[{j}->{i}]", float(np.min(lam[i] - r_ij[:, -1])))
-                z = sim_mod._mv(C_m, r_ij) + F1_m
-                _record(slacks, f"out[{i},{j}]", float(gamma - np.max(z)))
-        return _referee_report(slacks, gamma, grid)
+                _referee_row(slacks, bad, f"couple[{j}->{i}]", lam[i], Phis[..., -1], lam[j], rs[:, -1])
+                _referee_row(slacks, bad, f"out[{i},{j}]", gamma, C_m, r_ij, F1_m)
+        return report(grid)
 
     lam = np.array([z.eval(0.0) for z in cert.zeta])
     clamp = dwell.clamp
@@ -676,22 +792,21 @@ def reference_cross_check(cert, sys, theta_points=101, grid=400):
     C_m = sys.Cc.eval_mesh(taus, clamp)
     F1_m = sys.Fc.eval_mesh(taus, clamp).sum(axis=1)
     if sys.qc:
-        z = sim_mod._mv(C_m, r_of) + F1_m
-        _record(slacks, "out_c", float(gamma - np.max(z)))
+        _referee_row(slacks, bad, "out_c", gamma, C_m, r_of, F1_m)
     if dwell.kind == "minimum":
         T = dwell.T
         iT = int(round(T / (taus[1] - taus[0])))
         rT = r_of[:, min(iT, m)]
         if sys.qc:
-            _record(slacks, "stat_out", float(np.min(gamma - (sys.Cc(T) @ rT + sys.Fc(T).sum(axis=1)))))
-    idx = np.minimum(np.round(thetas / (taus[1] - taus[0])).astype(int), m)
+            _referee_row(slacks, bad, "stat_out", gamma, sys.Cc(T), rT, sys.Fc(T).sum(axis=1))
+    idx = np.minimum(np.ceil(thetas / (taus[1] - taus[0])).astype(int), m)
     for jk, jm in enumerate(sys.jumps):
         for ii in idx:
             r_th = r_of[:, ii]
-            _record(slacks, f"jump[{jk}]", float(np.min(lam - (jm.J @ r_th + jm.Ed.sum(axis=1)))))
+            _referee_row(slacks, bad, f"jump[{jk}]", lam, jm.J, r_th, jm.Ed.sum(axis=1))
             if jm.Cd.shape[0]:
-                _record(slacks, f"out_d[{jk}]", float(np.min(gamma - (jm.Cd @ r_th + jm.Fd.sum(axis=1)))))
-    return _referee_report(slacks, gamma, m)
+                _referee_row(slacks, bad, f"out_d[{jk}]", gamma, jm.Cd, r_th, jm.Fd.sum(axis=1))
+    return report(m)
 
 
 def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_JUMP_MARGIN):
@@ -744,7 +859,6 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
         margin=margin,
         jump_margin=jump_margin,
         degree=0,
-        rows=prog.extract_rows(sol.x),
     )
 
 
@@ -806,8 +920,7 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
                 margin=margin,
                 jump_margin=0.0,
                 degree=degree,
-                rows=prog.extract_rows(sol.x),
-                relax=relax,
+                        relax=relax,
             )
 
         return prog, gamma, finalize

@@ -622,10 +622,6 @@ class TestCertificateObject:
         assert loaded.kind == cert.kind
         assert str(loaded.dwell) == str(cert.dwell)
         assert [z.coeffs for z in loaded.zeta] == [z.coeffs for z in cert.zeta]
-        assert len(loaded.rows) == len(cert.rows)
-        orig = next(r for r in cert.rows if r.handelman is not None)
-        back = next(r for r in loaded.rows if r.family == orig.family and r.index == orig.index)
-        assert back.handelman.weights == pytest.approx(orig.handelman.weights)
 
     def test_zeta_positive_at_origin(self, bench_timer_growth):
         cert = analyze_constant(bench_timer_growth, 0.3, 4)
@@ -662,7 +658,7 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
         self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
     self.interval_records.append(
         {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
-         "margin": margin, "cone": cone, "pairs": pairs, "h": h}
+         "margin": margin}
     )
 
 

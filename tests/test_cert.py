@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +13,14 @@ from conftest import (
     CERTIFY_GRID_DESIGNS,
     assert_matches_three_paths,
     bernstein_oracle,
+    oracle_rows,
     reference_cross_check,
     three_path_verify,
 )
 from dwellgain import benchmarks
+from dwellgain import cert as cert_mod
 from dwellgain.analysis import (
+    RELAX_SCHEDULE,
     Certificate,
     analyze_arbitrary,
     analyze_constant,
@@ -21,7 +28,7 @@ from dwellgain.analysis import (
     analyze_range,
     analyze_switched_min,
 )
-from dwellgain.cert import _SLACK_TOL, cross_check_discrete, transition_matrix, verify
+from dwellgain.cert import cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly, _bernstein
@@ -47,10 +54,27 @@ def cert_constant(bench_timer_growth):
     return analyze_constant(bench_timer_growth, 0.3, 4)
 
 
-def _row_tol(cert):
-    """verify's tolerance: _SLACK_TOL per unit of the certificate's row scale."""
-    scale = max([1.0 + abs(cert.gamma)] + [z.max_abs_coeff() for zs in cert.zeta_vectors() for z in zs])
-    return _SLACK_TOL * scale
+# certificate files in the earlier format, rows stored next to zeta
+DATA = Path(__file__).parent / "data"
+
+
+def _rederived_rows(monkeypatch, c, target):
+    """verify's report of c and the rows it proved: [(family, index, exact row, domain)]."""
+    seen = []
+    real = cert_mod._report
+
+    def spy(rows, grid):
+        seen.extend((f, k, row, domain) for f, parts in rows.items() for k, (_, row, domain, _, _) in enumerate(parts))
+        return real(rows, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(cert_mod, "_report", spy)
+        return verify(c, target), seen
+
+
+def _fractions(row):
+    """The exact row's coefficients as Fractions, in a Poly-like shell."""
+    return SimpleNamespace(coeffs=[Fraction(c, 1 << row.e) for c in row.C])
 
 
 class TestVerify:
@@ -140,36 +164,99 @@ class TestRowProof:
         rep = verify(c, s)
         assert rep.passed and rep.handelman_ok is True and rep.notes == []
 
-    def test_mutated_row_fails_the_proof_not_the_grid(self, bench_timer_growth, cert_constant):
-        tol = _row_tol(cert_constant)
-        grid = verify(cert_constant, bench_timer_growth).worst_slack
-        interval_rows = [k for k, r in enumerate(cert_constant.rows) if r.handelman is not None]
-        assert len(interval_rows) >= 2
-        for k in interval_rows:
-            row = cert_constant.rows[k]
-            # push the stored row below -tol by its own grid minimum plus 2 tol
-            slack = float(np.min(row.poly.eval(np.linspace(*row.interval, 1001))))
-            rows = list(cert_constant.rows)
-            rows[k] = dataclasses.replace(row, poly=row.poly - (2.0 * tol + slack))
-            rep = verify(dataclasses.replace(cert_constant, rows=rows), bench_timer_growth)
-            assert not rep.passed and rep.handelman_ok is False
-            # the grid re-derives the rows from zeta, so it still passes
-            assert rep.worst_slack == grid and rep.minimum_slack() >= -tol
-            [note] = rep.notes
-            assert note.startswith(f"row {row.family}[{row.index}] not proved at order {row.handelman.order}:")
-            assert float(note.rsplit(" ", 1)[1]) < -tol
-            assert "rows proved" in rep.table()
+    @staticmethod
+    def _moves(c):
+        """gamma cut below the output rows, every zeta(0) cut by 3% and zeta_1 pushed below 0 at tau = 0."""
+        cut = lambda z, f: Poly((f(z.coeffs[0]),) + z.coeffs[1:])
+        return {
+            "gamma": dataclasses.replace(c, gamma=0.9 * c.gamma),
+            "zeta(0)": dataclasses.replace(c, zeta=[cut(z, lambda x: 0.97 * x) for z in c.zeta]),
+            "zeta_1": dataclasses.replace(c, zeta=[c.zeta[0], cut(c.zeta[1], lambda x: -1e-3)]),
+        }
+
+    @pytest.mark.parametrize("move", ["gamma", "zeta(0)", "zeta_1"])
+    def test_moved_row_fails_with_its_note(self, bench_timer_growth, cert_constant, move):
+        c = self._moves(cert_constant)[move]
+        rep = verify(c, bench_timer_growth)
+        assert not rep.passed and rep.handelman_ok is False
+        proved = {note.split(" not proved")[0] for note in rep.notes if " not proved" in note}
+        low, seen = [], {}
+        for family, terms, domain in oracle_rows(c, bench_timer_growth):
+            k = seen[family] = seen.get(family, -1) + 1
+            p = sum(terms[1:], terms[0])
+            pts = np.linspace(*domain, 1001) if isinstance(domain, tuple) else np.array([domain])
+            margin = c.jump_margin if family.startswith("jump") else c.margin
+            grid_min = float(np.min(p.eval(pts)))
+            # a row pushed below zero by more than its margin is named, a row
+            # above its margin is proved
+            if grid_min < -margin:
+                low.append(f"row {family}[{k}]")
+                assert f"row {family}[{k}]" in proved
+            elif grid_min > margin:
+                assert f"row {family}[{k}]" not in proved
+        assert low
+        for note in rep.notes:
+            if " not proved" in note:
+                assert float(note.rsplit(" ", 1)[1]) < 0
 
     @pytest.mark.parametrize("bench", IMPULSIVE_BENCHES)
-    def test_bernstein_matches_oracle_on_grid_rows(self, bench, certify_grid_analyses):
-        rows = [r for _, c in certify_grid_analyses(bench) for r in c.rows if r.handelman is not None]
-        assert len(rows) >= 50
-        for r in rows:
-            d = r.handelman.order
-            for margin in (0.0, r.margin):
-                N, S = _bernstein(r.poly, r.interval, d, margin)
-                got = [Fraction(v, math.comb(d, i) * S) for i, v in enumerate(N)]
-                assert got == bernstein_oracle(r.poly, r.interval, d, margin)
+    def test_bernstein_matches_oracle_on_grid_rows(self, bench, certify_grid_analyses, monkeypatch):
+        """_bernstein on the rows verify re-derives from zeta, against the
+        Fraction oracle; each row equals the plain-Poly row of oracle_rows."""
+        s = getattr(benchmarks, bench)()
+        checked = 0
+        for _, c in certify_grid_analyses(bench):
+            rep, rows = _rederived_rows(monkeypatch, c, s)
+            assert rep.passed and rep.handelman_ok is True
+            want = {}
+            for family, terms, domain in oracle_rows(c, s):
+                want.setdefault(family, []).append((terms, domain))
+            assert sorted(want) == sorted({f for f, *_ in rows})
+            for family, k, row, domain in rows:
+                terms, where = want[family][k]
+                assert where == domain
+                # the exact row and the float one agree to rounding of their terms
+                size = sum(sum(abs(x) for x in t.coeffs) for t in terms)
+                got = _fractions(row).coeffs
+                p = sum(terms[1:], terms[0])
+                assert all(abs(float(a) - b) <= 1e-13 * size
+                           for a, b in zip_longest(got, p.coeffs, fillvalue=0.0))
+                if isinstance(domain, tuple):
+                    d = len(row.C) - 1 + RELAX_SCHEDULE[-1]
+                    for margin in (0.0, c.margin):
+                        N, S = _bernstein(row, domain, d, margin)
+                        got = [Fraction(v, math.comb(d, i) * S) for i, v in enumerate(N)]
+                        assert got == bernstein_oracle(_fractions(row), domain, d, margin)
+                    checked += 1
+        assert checked >= 50
+
+
+class TestFixtures:
+    """Certificate files in the earlier format, which stored the LP's rows
+    next to zeta: the rows are ignored, and verify proves the rows of zeta."""
+
+    def test_valid_certificate_loads_and_verifies(self, bench_timer_growth):
+        data = json.loads((DATA / "timer_growth_constant_0.3.json").read_text())
+        assert data["rows"]
+        c = Certificate.from_json(data)
+        assert "rows" not in c.to_json()
+        rep = verify(c, bench_timer_growth)
+        assert rep.passed and rep.handelman_ok is True and rep.notes == []
+        assert cross_check_discrete(c, bench_timer_growth).passed
+
+    @pytest.mark.parametrize("name, rows", [
+        ("inflated_zeta_cut_gamma.json", ["out_c[0]", "out_d[0][0]"]),
+        ("cut_zeta_inflated_gamma.json", ["flow[0]"]),
+    ])
+    def test_bad_certificates_fail_both_referees(self, bench_timer_growth, name, rows):
+        """zeta_0 + 1e7 (1 - tau), which feeds no other row, with gamma cut by
+        10%; and every zeta(0) cut by 3% with gamma = 1e7.  A tolerance scaled
+        by the largest zeta coefficient or by 1 + |gamma| passed them."""
+        c = Certificate.load(str(DATA / name))
+        rep = verify(c, bench_timer_growth)
+        assert not rep.passed and rep.handelman_ok is False
+        assert [n.split(" not proved")[0] for n in rep.notes if " not proved" in n] == [f"row {r}" for r in rows]
+        assert not cross_check_discrete(c, bench_timer_growth).passed
 
 
 class TestVerifyOracle:
@@ -314,6 +401,50 @@ class TestClosedLoopCrossCheck:
         # the bench has no control input, so its design is its open loop
         ctrl = synthesize_switched(bench_switched, 0.5, 2)
         assert cross_check_discrete(certificate_from(ctrl), closed_loop(bench_switched, ctrl)).passed
+
+
+    def test_dwell_read_on_its_admissible_side(self, bench_lti):
+        """A minimum dwell of 0.2 falls between grid points (T / h = 50.5 at
+        the default grid); the state at the point below T is larger than at T
+        and broke the jump row of this valid design."""
+        plant = with_inputs(bench_lti)
+        ctrl = synthesize(plant, DwellTimeSpec.minimum(0.2), 3)
+        c, view = certificate_from(ctrl), closed_loop(plant, ctrl)
+        assert verify(c, view).passed
+        rep = cross_check_discrete(c, view)
+        assert rep.passed and rep.worst_slack["jump[0]"] > 0
+        assert cross_check_discrete(c, view, grid=4000).passed
+
+
+class TestClosedLoopProof:
+    """verify proves a design's rows from X, U_c and U_d (or M) exactly."""
+
+    def test_designs_proved(self, bench_chain_plant, bench_pair_plant):
+        proved = 0
+        for plant in (bench_chain_plant, bench_pair_plant):
+            for spec, fixed_kd in DESIGN_SPECS:
+                try:
+                    ctrl = synthesize(plant, spec, 2, fixed_kd=fixed_kd)
+                except Infeasible:
+                    continue
+                rep = verify(certificate_from(ctrl), closed_loop(plant, ctrl))
+                assert rep.passed and rep.handelman_ok is True and rep.notes == [], (plant, spec)
+                proved += 1
+        assert proved >= 12
+
+    def test_gamma_cut_names_the_output_rows(self, bench_chain_plant):
+        ctrl = synthesize(bench_chain_plant, DwellTimeSpec.range(0.1, 0.3), 2, fixed_kd=True)
+        cut = dataclasses.replace(ctrl, gamma=0.9 * ctrl.gamma)
+        rep = verify(certificate_from(cut), closed_loop(bench_chain_plant, cut))
+        assert not rep.passed and rep.handelman_ok is False
+        assert any(n.startswith("row out_") and " not proved " in n for n in rep.notes)
+
+    def test_zeta_other_than_x_is_refused(self, bench_chain_plant):
+        ctrl = synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
+        c = certificate_from(ctrl)
+        other = dataclasses.replace(c, zeta=[z + Poly.const(1.0) for z in c.zeta])
+        with pytest.raises(Mismatch, match="zeta = X"):
+            verify(other, closed_loop(bench_chain_plant, ctrl))
 
 
 class TestTransitionMatrix:

@@ -117,21 +117,27 @@ class TestCertify:
         printed = capsys.readouterr().out
         assert "FAILED" in printed and "out_" in printed
 
-    def test_unproved_row_fails_with_its_note(self, ex2_path, tmp_path, capsys):
+    def test_moved_zeta_fails_with_its_note(self, ex2_path, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         main(["analyze", "--system", ex2_path, "--dwell", "constant:0.3",
               "--degree", "4", "-o", str(cert)])
         data = json.loads(cert.read_text())
-        row = next(r for r in data["rows"] if r["handelman"])
-        row["poly"] = [-1.0]  # the stored row only; the grid re-derives it from zeta
+        for z in data["zeta"]:
+            z[0] *= 0.97  # pushes the flow rows below zero by more than their margin
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         capsys.readouterr()
         code = main(["certify", "--system", ex2_path, "--certificate", str(bad)])
         assert code == 1
         printed = capsys.readouterr().out
-        assert f"FAILED: row {row['family']}[{row['index']}] not proved at order" in printed
+        assert "FAILED: row flow[0] not proved at order" in printed
         assert "worst row family" not in printed
+
+    def test_earlier_format_certifies(self, ex2_path):
+        """A certificate file that still stores the LP's rows next to zeta."""
+        path = Path(__file__).parent / "data" / "timer_growth_constant_0.3.json"
+        assert "rows" in json.loads(path.read_text())
+        assert main(["certify", "--system", ex2_path, "--certificate", str(path)]) == 0
 
     def test_controller_certify(self, bench_chain_plant, tmp_path):
         from dwellgain.model import DwellTimeSpec

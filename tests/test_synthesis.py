@@ -277,7 +277,7 @@ class TestSwitchedModeOracle:
                 points = [(family(r["family"]), r["index"], lin(r["expr"]), r["margin"])
                           for r in prog.point_records]
                 intervals = [(family(r["family"]), r["index"], [lin(c) for c in r["pexpr"].coeffs],
-                              r["interval"], r["order"], r["margin"], r["cone"])
+                              r["interval"], r["order"], r["margin"])
                              for r in prog.interval_records]
                 seen.append((_assemble(prog.lp), points, intervals))
 

@@ -5,15 +5,16 @@ versions of the package can be compared output by output.
     PYTHONPATH=src python3 tools/artifact_hashes.py --compare BEFORE.json AFTER.json
 
 The first form runs the cases below against the dwellgain on the path and
-writes one entry per output.  Certificates, controllers, `--dump-lp` texts,
-`verify` reports, gains, Blanchini values and error texts are stored as
-SHA-256 digests of their JSON or text.  State-transition cross-check reports
-are stored whole, because a refactor may move their slacks by rounding.
+writes one entry per output.  Certificates (without the `rows` that earlier
+versions stored next to zeta), controllers, `--dump-lp` texts, gains,
+Blanchini values and error texts are stored as SHA-256 digests of their JSON
+or text.  `verify` and state-transition cross-check reports are stored whole.
 
-The second form compares two such files.  Digests must be equal; a cross-check
-report must keep its verdict and its row families, and each worst slack may
-move by at most 1e-12 * (1 + |gamma|).  It prints every other difference and
-exits 1 if there is one.
+The second form compares two such files.  Digests must be equal; a `verify`
+report must keep its verdict and its worst slack per row family, bit for bit;
+a cross-check report must keep its verdict and its row families, and each
+worst slack may move by at most 1e-12 * (1 + |gamma|), as rounding may move
+it.  It prints every other difference and exits 1 if there is one.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -104,8 +105,8 @@ class Recorder:
         return result
 
     def reports(self, key: str, c, target):
-        """verify (digest) and the state-transition cross-check (whole report)."""
-        self.out[key + " verify"] = {"digest": _digest(cert.verify(c, target).to_json())}
+        """verify and the state-transition cross-check, whole reports."""
+        self.out[key + " verify"] = {"verify": cert.verify(c, target).to_json()}
         try:
             rep = cert.cross_check_discrete(c, target).to_json()
         except Exception as exc:  # a version may not accept every target
@@ -116,7 +117,7 @@ class Recorder:
 
 def collect(lp_dir: str) -> dict:
     rec = Recorder(lp_dir)
-    to_json = lambda c: c.to_json()
+    to_json = lambda c: {k: v for k, v in c.to_json().items() if k != "rows"}
     for bname in IMPULSIVE:
         s = getattr(benchmarks, bname)()
         for T in GRID_T:
@@ -191,6 +192,11 @@ def _same_cross_check(a: dict, b: dict) -> bool:
     return all(abs(ra["worst_slack"][f] - rb["worst_slack"][f]) <= tol for f in ra["worst_slack"])
 
 
+def _same_verify(a: dict, b: dict) -> bool:
+    ra, rb = a["verify"], b["verify"]
+    return ra["passed"] == rb["passed"] and ra["worst_slack"] == rb["worst_slack"]
+
+
 def compare(before: dict, after: dict) -> int:
     """Print each key whose entry differs beyond what a refactor may move;
     return the number of such keys."""
@@ -199,8 +205,11 @@ def compare(before: dict, after: dict) -> int:
         a, b = before.get(key), after.get(key)
         if a == b or (a and b and "report" in a and "report" in b and _same_cross_check(a, b)):
             continue
+        if a and b and "verify" in a and "verify" in b and _same_verify(a, b):
+            continue
         bad += 1
-        describe = lambda e: "missing" if e is None else e.get("text") or e.get("report") or e["digest"][:12]
+        describe = lambda e: ("missing" if e is None else
+                              e.get("text") or e.get("report") or e.get("verify") or e["digest"][:12])
         print(f"{key}:\n  before {describe(a)}\n  after  {describe(b)}")
     print(f"{len(set(before) | set(after))} outputs, {bad} differ")
     return bad
