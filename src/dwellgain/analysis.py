@@ -2,15 +2,17 @@
 dwell-time stability/performance condition and return a checkable Certificate.
 
 Every strict theorem inequality "expr < 0" is encoded as "-expr >= margin";
-interval-valued rows embed a nonnegative-combination (interval certificate)
-expansion directly into the LP, point rows are plain LP rows.  gamma enters
-every encoding affinely and is minimized directly.
+interval-valued rows are imposed through their Bernstein coefficients, one
+equality row and one nonnegative slack column each; point rows are plain LP
+rows.  gamma enters every encoding affinely and is minimized directly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
 from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
-from .poly import Poly, product_basis
+from .poly import Poly
 
 __all__ = [
     "Certificate",
@@ -81,7 +83,7 @@ class Certificate:
             "type": "certificate",
             "kind": self.kind,
             "gamma": self.gamma,
-            "dwell": str(self.dwell),
+            "dwell": self.dwell.to_json(),
             "margin": self.margin,
             "jump_margin": self.jump_margin,
             "degree": self.degree,
@@ -154,6 +156,15 @@ def _const_matvec_row(mat: np.ndarray, i: int, vals: Sequence[LinExpr]) -> LinEx
     return out
 
 
+@lru_cache(maxsize=None)
+def _bernstein_weights(order: int) -> tuple[tuple[float, ...], ...]:
+    """Row i holds C(i, k) / C(order, k), k <= i: the degree-`order` Bernstein
+    coefficient b_i of q on [0, 1] is sum_k row_i[k] q_k."""
+    return tuple(
+        tuple(math.comb(i, k) / math.comb(order, k) for k in range(i + 1)) for i in range(order + 1)
+    )
+
+
 class _Program:
     """LP under construction plus the records of its rows, which its sampled referee reads."""
 
@@ -186,30 +197,35 @@ class _Program:
         interval: tuple[float, float],
         margin: float,
     ) -> None:
-        """pexpr(t) >= margin on [a, b] via the product-basis cone at solver level."""
+        """pexpr(t) >= margin on [a, b] at order D = degree + relax, imposed by
+        _cone_rows on q(s) = pexpr(a + h s), h = b - a, s in [0, 1]."""
         a, b = interval
         if not a < b:
             # degenerate interval: a single point row
             self.add_point_ge(family, index, pexpr.eval_at(a), margin)
             return
-        h = b - a
         order = pexpr.degree + self.relax
-        q = pexpr.shift_scale_arg(a, h)  # q(s) = pexpr(a + h s), s in [0, 1]
-        pairs, terms = product_basis(order)
-        cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
-        for k, basis_k in enumerate(terms):
-            row: dict[int, float] = {}
-            const = 0.0
-            if k <= q.degree:
-                row.update(q.coeffs[k].coeffs)
-                const = q.coeffs[k].const
-            for p, c in basis_k:
-                row[cone[p]] = -c
-            rhs = (margin if k == 0 else 0.0) - const
-            self.lp.add_eq(row, rhs)
+        self._cone_rows(f"{family}{index}", pexpr.shift_scale_arg(a, b - a), order, margin)
         self.interval_records.append(
             {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order, "margin": margin}
         )
+
+    def _cone_rows(self, name: str, q: PolyExpr, order: int, margin: float) -> None:
+        """q - margin in the degree-`order` Bernstein cone on [0, 1], the span
+        of s^i (1 - s)^j, i + j <= D: each coefficient b_i(q) = sum_{k <= i}
+        C(i, k) / C(D, k) q_k is one row b_i(q) - s_i = margin with a slack
+        column s_i >= 0.  The slack's bound holds the sign to the solver's
+        absolute tolerance; a >= row is checked only after scaling to unit
+        norm, which let a coefficient of a range analysis end at -2e-5."""
+        for i, weights in enumerate(_bernstein_weights(order)):
+            slack = self.lp.new_var(0.0, None, name=f"{name}_b{i}")
+            row = {slack: -1.0}
+            const = 0.0
+            for qk, w in zip(q.coeffs, weights):
+                for v, c in qk.coeffs.items():
+                    row[v] = row.get(v, 0.0) + w * c
+                const += w * qk.const
+            self.lp.add_eq(row, margin - const)
 
     def solve_min(self, gamma: int, extra_obj: Optional[dict[int, float]] = None):
         obj = {gamma: 1.0}
@@ -224,8 +240,8 @@ class _Program:
 
         This relaxation is necessary for the true semi-infinite program, so its
         infeasibility proves genuine infeasibility (vs. a relaxation limit).
-        Its rows do not depend on the relaxation order; the cone columns stay
-        as empty columns.
+        Its rows do not depend on the relaxation order; the slack (or cone)
+        columns of the interval rows stay as empty columns.
         """
         lp = LinearProgram()
         lp.num_vars = self.lp.num_vars

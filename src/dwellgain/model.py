@@ -413,12 +413,22 @@ class DwellTimeSpec:
             raise ParseError(f"bad dwell spec {text!r}: {exc}") from exc
         raise ParseError(f"bad dwell spec {text!r}")
 
-    def __str__(self) -> str:
+    def _text(self, num) -> str:
         if self.kind == "arbitrary":
             return "arbitrary"
         if self.kind == "range":
-            return f"range:{self.Tmin:g}:{self.Tmax:g}"
-        return f"{self.kind}:{self.T:g}"
+            return f"range:{num(self.Tmin)}:{num(self.Tmax)}"
+        return f"{self.kind}:{num(self.T)}"
+
+    def __str__(self) -> str:
+        return self._text(lambda x: f"{x:g}")
+
+    def to_json(self) -> str:
+        """The text certificate and controller files store: as str(), but a
+        time that six significant digits would round is written in full, so
+        parse reads back the same floats (0.3 stays "0.3", 1/3 becomes
+        "0.3333333333333333")."""
+        return self._text(lambda x: f"{x:g}" if float(f"{x:g}") == x else repr(x))
 
     @property
     def clamp(self) -> Optional[float]:

@@ -4,9 +4,10 @@ Polynomials are real, univariate in the timer variable and stored as ascending
 coefficient tuples.  Nonnegativity of p on a compact interval [a, b] is
 certified by expressing p as a nonnegative combination of the products
 (t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b]; for
-a known p this is decided exactly from its Bernstein coefficients in integers,
-while the gain LPs build product-basis rows.  A uniform-grid falsifier acts as
-the independent referee.
+a known p this is decided exactly from its Bernstein coefficients in integers.
+The analysis LPs impose the cone through one row per Bernstein coefficient; the
+design LPs span it with the product basis, whose table `product_basis` holds.
+A uniform-grid falsifier acts as the independent referee.
 """
 
 from __future__ import annotations

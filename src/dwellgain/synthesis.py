@@ -26,7 +26,7 @@ from .analysis import (
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
 from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
-from .poly import Poly
+from .poly import Poly, product_basis
 
 __all__ = [
     "ControllerRealization",
@@ -41,6 +41,28 @@ __all__ = [
 _X_MIN = 1e-3
 _X_CAP = 1e6
 _ALPHA_CAP = 1e9
+
+
+class _DesignProgram(_Program):
+    """A design LP: its interval rows keep the product-basis cone, the
+    Bernstein cone of `_Program` spanned by (D + 1)(D + 2) / 2 columns instead
+    of D + 1.  The designs, their `--dump-lp` texts and the closed-loop
+    Monte-Carlo values recorded for them were all made with this encoding."""
+
+    def _cone_rows(self, name: str, q: PolyExpr, order: int, margin: float) -> None:
+        """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
+        column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
+        pairs, terms = product_basis(order)
+        cone = [self.lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
+        for k, basis_k in enumerate(terms):
+            row: dict[int, float] = {}
+            const = 0.0
+            if k <= q.degree:
+                row.update(q.coeffs[k].coeffs)
+                const = q.coeffs[k].const
+            for p, c in basis_k:
+                row[cone[p]] = -c
+            self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
 
 
 def _poly_rows(rows: Sequence[Sequence[Poly]]) -> list[list[list[float]]]:
@@ -142,7 +164,7 @@ class ControllerRealization:
         data = {
             "type": "controller",
             "kind": self.kind,
-            "dwell": str(self.dwell),
+            "dwell": self.dwell.to_json(),
             "gamma": self.gamma,
             "degree": self.degree,
             "margin": self.margin,
@@ -360,7 +382,7 @@ def synthesize(
         jump_eval = None if genuine_range else dwell.Tmin
 
     def build(relax: int):
-        prog = _Program(relax)
+        prog = _DesignProgram(relax)
         X = prog.poly_vec(n, x_degree, "X")
         Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
         gamma = prog.scalar(lo=0.0, name="gamma")
@@ -524,7 +546,7 @@ def synthesize_switched(
     n, m = sw.n, sw.m
 
     def build(relax: int):
-        prog = _Program(relax)
+        prog = _DesignProgram(relax)
         Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
         Us = [[prog.poly_vec(n, degree, f"U{i}_{l}") for l in range(m)] for i in range(sw.N)]
         gamma = prog.scalar(lo=0.0, name="gamma")

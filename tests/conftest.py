@@ -936,7 +936,7 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     n, m, q = sw.n, sw.m, sw.q
 
     def build(relax: int):
-        prog = _Program(relax)
+        prog = synthesis_mod._DesignProgram(relax)
         Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
         Us = [
             [
@@ -1029,6 +1029,43 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
         return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, relax_schedule)
+
+
+def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
+    """The product-basis cone encoding of an interval row, expanding every
+    product polynomial with Poly.__pow__ again for each row: the oracle of
+    synthesis._DesignProgram.add_interval_ge, and the reference the
+    Bernstein-coefficient rows of _Program.add_interval_ge are checked
+    against (analyses used this encoding before)."""
+    a, b = interval
+    if not a < b:
+        self.add_point_ge(family, index, pexpr.eval_at(a), margin)
+        return
+    h = b - a
+    order = pexpr.degree + self.relax
+    q = pexpr.shift_scale_arg(a, h)
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    basis = {
+        ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
+        for ij in pairs
+    }
+    cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
+    for k in range(order + 1):
+        row = {}
+        const = 0.0
+        if k <= q.degree:
+            for v, c in q.coeffs[k].coeffs.items():
+                row[v] = row.get(v, 0.0) + c
+            const = q.coeffs[k].const
+        for v, ij in zip(cone, pairs):
+            bc = basis[ij]
+            if k < len(bc) and bc[k] != 0.0:
+                row[v] = row.get(v, 0.0) - bc[k]
+        self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+    self.interval_records.append(
+        {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
+         "margin": margin}
+    )
 
 
 def per_sample_referee(prog):

@@ -1,3 +1,8 @@
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from conftest import (
     CERTIFY_GRID_DESIGNS,
     CERTIFY_GRID_T,
     full_schedule_escalation,
+    per_row_cone_add_interval_ge,
     per_sample_referee,
     spy_solves,
     assert_same_assembly,
@@ -33,12 +39,13 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
-from dwellgain.cert import verify
+from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint, lift_switched
-from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import synthesize
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestArbitrary:
@@ -612,6 +619,104 @@ class TestEscalation:
         assert cert.gamma >= estimate_gain(sys, gen, runs=3, horizon=10.0, clamp=spec.clamp)
 
 
+def _outcome(run):
+    """run()'s certificate, or the class of the error it raises."""
+    try:
+        return run()
+    except DwellgainError as exc:
+        return type(exc)
+
+
+def _shortfall(cert, target) -> float:
+    """The most by which a row family's smallest value in verify falls below
+    the margin its LP imposed: jump_margin on jump rows, 0 on pin_hi, mu_dom
+    and couple rows, margin on every other row."""
+    def margin(family):
+        if family.startswith("jump"):
+            return cert.jump_margin
+        return 0.0 if family.startswith(("pin_hi", "mu_dom", "couple")) else cert.margin
+
+    return max(margin(f) - v for f, v in verify(cert, target).worst_slack.items())
+
+
+class TestBernsteinRows:
+    """_Program.add_interval_ge imposes the degree-D Bernstein cone by D + 1
+    coefficient rows; against the product-basis cone of the same order,
+    conftest.per_row_cone_add_interval_ge, no analysis ends worse: it fails
+    only where the cone fails, it certifies at no higher order, verify passes,
+    and at an equal order gamma is equal within 1e-7 relative.  On random
+    systems the cone's solution may fall short of a row's margin, within the
+    solver's tolerance; its gamma may then be lower by more."""
+
+    @staticmethod
+    def _never_worse(target, run):
+        """The outcome checks above; the two certificates when both certify
+        at the same order, else None."""
+        got = _outcome(run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Program, "add_interval_ge", per_row_cone_add_interval_ge)
+            want = _outcome(run)
+        if isinstance(got, type):
+            assert isinstance(want, type), f"the cone certifies, the Bernstein rows raise {got.__name__}"
+            return None
+        assert verify(got, target).passed
+        if isinstance(want, type):
+            return None
+        assert got.relax <= want.relax
+        return (got, want) if got.relax == want.relax else None
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems(self, data):
+        sys, _, run = TestEscalation._draw_positive_system(data)
+        pair = self._never_worse(sys, run)
+        if pair is None:
+            return
+        got, want = pair
+        if got.gamma != pytest.approx(want.gamma, rel=1e-7):
+            assert _shortfall(want, sys) > 1e-9 * (1.0 + want.gamma)
+            assert got.gamma > want.gamma
+
+    def test_certify_grid_analyses(self):
+        """The certify-grid analyses, each range also with its dominating vector."""
+        runs = [(label, lambda run=run: run(None)) for label, run in _certify_grid_runs()
+                if not label.startswith("design")]
+        for bench in ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench"):
+            s = getattr(benchmarks, bench)()
+            for T in CERTIFY_GRID_T:
+                Tmax = float(f"{1.5 * T:.5g}")
+                for degree in (2, 4, 6):
+                    runs.append((
+                        f"range-mu {bench} T={T} degree={degree}",
+                        lambda s=s, T=T, Tmax=Tmax, d=degree: analyze_range(s, T, Tmax, d, mode="mu_variant"),
+                    ))
+        sw = benchmarks.two_mode_switched_bench()
+        for label, run in runs:
+            target = sw if label.startswith("switched") else getattr(benchmarks, label.split()[1])()
+            pair = self._never_worse(target, run)
+            if pair is not None:
+                assert pair[0].gamma == pytest.approx(pair[1].gamma, rel=1e-7), label
+
+    @pytest.mark.parametrize(
+        "bench, T",
+        [
+            ("lti_jump_bench", 0.12),
+            ("lti_jump_bench", 0.2),
+            ("timer_growth_bench", 0.12),
+            ("timer_growth_bench", 0.2),
+            ("lti_jump_bench", 2.7),
+        ],
+    )
+    def test_dominated_range_certifies(self, bench, T):
+        """Degree-6 dominated range analyses that failed numerically at every
+        order under the cone (the first four); the coefficient rows as plain
+        >= rows return a certificate at T = 2.7 that verify refuses."""
+        s = getattr(benchmarks, bench)()
+        c = analyze_range(s, T, float(f"{1.5 * T:.5g}"), 6, mode="mu_variant")
+        assert verify(c, s).passed
+        assert cross_check_discrete(c, s).passed
+
+
 class TestCertificateObject:
     def test_json_round_trip(self, bench_timer_growth, tmp_path):
         cert = analyze_constant(bench_timer_growth, 0.3, 4)
@@ -623,39 +728,51 @@ class TestCertificateObject:
         assert str(loaded.dwell) == str(cert.dwell)
         assert [z.coeffs for z in loaded.zeta] == [z.coeffs for z in cert.zeta]
 
+    @pytest.mark.parametrize("T", [1 / 3, 0.123456789])
+    def test_dwell_round_trips_exactly(self, bench_timer_growth, tmp_path, T):
+        cert = analyze_constant(bench_timer_growth, T, 4)
+        path = tmp_path / "cert.json"
+        cert.save(str(path))
+        loaded = Certificate.load(str(path))
+        assert loaded.dwell.T == T
+        assert verify(loaded, bench_timer_growth).to_json() == verify(cert, bench_timer_growth).to_json()
+
+    def test_short_dwell_file_unchanged(self, bench_timer_growth, tmp_path):
+        # the fixture was written when the dwell field was str(dwell)
+        with open(DATA / "timer_growth_constant_0.3.json") as fh:
+            stored = json.load(fh)["dwell"]
+        cert = analyze_constant(bench_timer_growth, 0.3, 4)
+        assert cert.to_json()["dwell"] == stored == str(cert.dwell) == "constant:0.3"
+        path = tmp_path / "cert.json"
+        cert.save(str(path))
+        assert '"dwell": "constant:0.3",' in path.read_text()
+
     def test_zeta_positive_at_origin(self, bench_timer_growth):
         cert = analyze_constant(bench_timer_growth, 0.3, 4)
         assert all(z.eval(0.0) > 0 for z in cert.zeta)
 
 
 def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
-    """Oracle for _Program.add_interval_ge: expands every product-basis
-    polynomial with Poly.__pow__ again for each row."""
+    """Oracle for _Program.add_interval_ge: every row expands s^k in the
+    degree-D Bernstein basis again, s^k = s^k (s + 1 - s)^(D - k), so the
+    weight of q_k in b_i is C(D - k, i - k) / C(D, i), an exact fraction
+    rounded once."""
     a, b = interval
     if not a < b:
         self.add_point_ge(family, index, pexpr.eval_at(a), margin)
         return
-    h = b - a
     order = pexpr.degree + self.relax
-    q = pexpr.shift_scale_arg(a, h)
-    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-    basis = {
-        ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
-        for ij in pairs
-    }
-    cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
-    for k in range(order + 1):
-        row = {}
+    q = pexpr.shift_scale_arg(a, b - a)
+    for i in range(order + 1):
+        slack = self.lp.new_var(0.0, None, name=f"{family}{index}_b{i}")
+        row = {slack: -1.0}
         const = 0.0
-        if k <= q.degree:
+        for k in range(min(i, q.degree) + 1):
+            w = float(Fraction(math.comb(order - k, i - k), math.comb(order, i)))
             for v, c in q.coeffs[k].coeffs.items():
-                row[v] = row.get(v, 0.0) + c
-            const = q.coeffs[k].const
-        for v, ij in zip(cone, pairs):
-            bc = basis[ij]
-            if k < len(bc) and bc[k] != 0.0:
-                row[v] = row.get(v, 0.0) - bc[k]
-        self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+                row[v] = row.get(v, 0.0) + w * c
+            const += w * q.coeffs[k].const
+        self.lp.add_eq(row, margin - const)
     self.interval_records.append(
         {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
          "margin": margin}
@@ -663,8 +780,9 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
 
 
 class TestLpBuildOracle:
-    """Programs built from the product-basis table equal, row for row and array
-    for array, those built by the per-row expansion and the lil assembly."""
+    """Programs built from the cached Bernstein weights (analyses) and the
+    product-basis table (designs) equal, row for row and array for array,
+    those built by the per-row expansions and the lil assembly."""
 
     @staticmethod
     def _solved(monkeypatch, tmp_path, run, reference):
@@ -683,6 +801,7 @@ class TestLpBuildOracle:
             m.setattr(lp_mod, "_assemble", spy)
             if reference:
                 m.setattr(_Program, "add_interval_ge", per_row_add_interval_ge)
+                m.setattr(synthesis_mod._DesignProgram, "add_interval_ge", per_row_cone_add_interval_ge)
             try:
                 out = run()
             except DwellgainError as exc:

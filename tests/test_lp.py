@@ -30,7 +30,7 @@ from dwellgain.analysis import (
     analyze_range,
     analyze_switched_min,
 )
-from dwellgain.errors import DwellgainError, Infeasible, NumericalFailure
+from dwellgain.errors import DwellgainError, Infeasible, NumericalFailure, RelaxationLimit
 from dwellgain.lp import (
     LinearProgram,
     LinExpr,
@@ -299,15 +299,20 @@ class TestLinprogOracle:
         self._assert_all_same(oracle_pairs)
 
     @pytest.mark.parametrize("degree", [4, 6])
-    def test_escalation_failures(self, oracle_pairs, bench_timer_stable, degree):
-        # degree 4: HiGHS ends order +10 with status Unknown; degree 6: the
-        # Optimal answers of orders +8 and +10 violate a row by 5.1e-3 and
-        # 2.0e-3.  The default schedule stops after order +4, whose referee is
-        # infeasible, so each order runs alone; its referee then reports the
-        # program infeasible
+    def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, degree):
+        # each order of the default schedule alone ends Infeasible, its referee
+        # infeasible too; the dominated range analysis fails numerically at one
+        # order: degree 4 at order +8, whose referee stays feasible, degree 6
+        # at order +10, whose referee is infeasible
         for relax in RELAX_SCHEDULE:
             with pytest.raises(Infeasible):
                 analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
+        s, relax, error = {
+            4: (bench_timer_growth, 8, RelaxationLimit),
+            6: (bench_timer_stable, 10, Infeasible),
+        }[degree]
+        with pytest.raises(error, match=f"order \\+{relax}: NumericalFailure"):
+            analyze_range(s, 0.5, 0.75, degree, mode="mu_variant", relax_schedule=(relax,))
         assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
 

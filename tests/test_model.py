@@ -343,6 +343,26 @@ class TestDwellTimeSpec:
         with pytest.raises(ParseError):
             DwellTimeSpec.parse(text)
 
+    @pytest.mark.parametrize("T", [1 / 3, 0.123456789, 0.3, 2.0, 1e-5, 1234567.0])
+    def test_file_text_round_trips_exactly(self, T):
+        for spec in (DwellTimeSpec.constant(T), DwellTimeSpec.minimum(T), DwellTimeSpec.range(T, 1.5 * T)):
+            assert DwellTimeSpec.parse(spec.to_json()) == spec
+            # a time that six significant digits keep exactly is written as str() writes it
+            if float(f"{T:g}") == T and float(f"{1.5 * T:g}") == 1.5 * T:
+                assert spec.to_json() == str(spec)
+        assert DwellTimeSpec.constant(1 / 3).to_json() == "constant:0.3333333333333333"
+        assert str(DwellTimeSpec.constant(1 / 3)) == "constant:0.333333"
+        assert DwellTimeSpec.arbitrary().to_json() == "arbitrary"
+
+    def test_controller_keeps_its_dwell(self):
+        ctrl = ControllerRealization(
+            kind="RangeDT", dwell=DwellTimeSpec.range(1 / 3, 0.123456789 * 5), gamma=1.0, degree=0,
+            margin=0.0, X=[Poly((1.0,))], Uc=[[Poly((0.5,))]],
+        )
+        data = json.loads(json.dumps(ctrl.to_json()))
+        assert ControllerRealization.from_json(data).dwell == ctrl.dwell
+        assert data["dwell"] == "range:0.3333333333333333:0.617283945"
+
     def test_clamp_only_for_minimum(self):
         assert DwellTimeSpec.minimum(2.0).clamp == 2.0
         assert DwellTimeSpec.constant(2.0).clamp is None

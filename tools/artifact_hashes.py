@@ -14,7 +14,12 @@ The second form compares two such files.  Digests must be equal; a `verify`
 report must keep its verdict and its worst slack per row family, bit for bit;
 a cross-check report must keep its verdict and its row families, and each
 worst slack may move by at most 1e-12 * (1 + |gamma|), as rounding may move
-it.  It prints every other difference and exits 1 if there is one.
+it.  It prints every other difference and exits 1 if there is one.  A summary
+follows: the differences per output kind (certificate, controller, gain, lp,
+verify, cross-check, error), every verdict that flips between pass and fail
+and every case that flips between a result and an error, each with its
+direction, and the largest relative move of the gamma stored with the
+cross-check entries.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -197,22 +202,75 @@ def _same_verify(a: dict, b: dict) -> bool:
     return ra["passed"] == rb["passed"] and ra["worst_slack"] == rb["worst_slack"]
 
 
+def _kind(key: str, a: dict, b: dict) -> str:
+    """The output kind of a differing entry: error when either side is one,
+    else read from the key."""
+    if any(e is not None and "error" in e for e in (a, b)):
+        return "error"
+    for suffix in ("lp", "verify", "cross-check"):
+        if key.endswith(" " + suffix):
+            return suffix
+    if " blanchini " in key:
+        return "gain"
+    return "controller" if " design " in key else "certificate"
+
+
+def _verdict(e: dict):
+    """passed of a verify or cross-check entry, None for any other entry."""
+    if e is None:
+        return None
+    report = e.get("verify") or e.get("report")
+    return None if report is None else report["passed"]
+
+
+def _summary(before: dict, after: dict, differ: list[str]) -> None:
+    """Differences per output kind, every verdict and outcome flip, and the
+    largest relative gamma move of the cross-check entries."""
+    kinds: dict[str, int] = {}
+    for key in differ:
+        kind = _kind(key, before.get(key), after.get(key))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    print("differences per kind: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items())) or "none"))
+    flips = []
+    for key in differ:
+        a, b = before.get(key), after.get(key)
+        if a is None or b is None:
+            continue
+        va, vb = _verdict(a), _verdict(b)
+        if va is not None and vb is not None and va != vb:
+            flips.append(f"  {key}: {'pass' if va else 'fail'} -> {'pass' if vb else 'fail'}")
+        elif ("error" in a) != ("error" in b) and not key.endswith((" verify", " cross-check")):
+            flips.append(f"  {key}: {'error -> result' if 'error' in a else 'result -> error'}")
+    print(f"{len(flips)} verdict or outcome flips")
+    for line in flips:
+        print(line)
+    moves = [
+        (abs(after[k]["gamma"] - before[k]["gamma"]) / abs(before[k]["gamma"]), k)
+        for k in set(before) & set(after)
+        if "gamma" in before[k] and "gamma" in after[k] and before[k]["gamma"] != 0.0
+    ]
+    if moves:
+        rel, key = max(moves)
+        print(f"largest relative gamma move {rel:.3g} ({key}) over {len(moves)} cross-check entries")
+
+
 def compare(before: dict, after: dict) -> int:
-    """Print each key whose entry differs beyond what a refactor may move;
-    return the number of such keys."""
-    bad = 0
+    """Print each key whose entry differs beyond what a refactor may move,
+    then a summary of them; return the number of such keys."""
+    differ = []
     for key in sorted(set(before) | set(after)):
         a, b = before.get(key), after.get(key)
         if a == b or (a and b and "report" in a and "report" in b and _same_cross_check(a, b)):
             continue
         if a and b and "verify" in a and "verify" in b and _same_verify(a, b):
             continue
-        bad += 1
+        differ.append(key)
         describe = lambda e: ("missing" if e is None else
                               e.get("text") or e.get("report") or e.get("verify") or e["digest"][:12])
         print(f"{key}:\n  before {describe(a)}\n  after  {describe(b)}")
-    print(f"{len(set(before) | set(after))} outputs, {bad} differ")
-    return bad
+    print(f"{len(set(before) | set(after))} outputs, {len(differ)} differ")
+    _summary(before, after, differ)
+    return len(differ)
 
 
 def main(argv: list[str]) -> int:
