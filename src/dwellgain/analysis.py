@@ -5,6 +5,13 @@ Every strict theorem inequality "expr < 0" is encoded as "-expr >= margin";
 interval-valued rows are imposed through their Bernstein coefficients, one
 equality row and one nonnegative slack column each; point rows are plain LP
 rows.  gamma enters every encoding affinely and is minimized directly.
+
+Infeasible is proved in one of two ways.  Before the LPs of the constant,
+minimum or range conditions are built, `_unstable_orbit` looks for an
+admissible periodic orbit of a positive system that is unstable,
+rho(J Phi(theta)) > 1, or under minimum dwell an A(T) that is not Hurwitz;
+either rules out every order.  Otherwise the sampled referee of the first
+order that ends Infeasible decides (`_solve_with_escalation`).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
 from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
-from .poly import Poly
+from .poly import Poly, _bernstein
 
 __all__ = [
     "Certificate",
@@ -52,6 +59,11 @@ DEFAULT_JUMP_MARGIN = 1e-2
 RELAX_SCHEDULE = (4, 6, 8, 10)
 _ZETA_PIN = 1e6  # upper bound on zeta(0) fixing the free scaling
 _REFEREE_SAMPLES = 51
+# the unstable-orbit test (_unstable_orbit): mesh step bounds, mesh cap, tolerance
+_ORBIT_STEP = 0.01
+_ORBIT_HL = 0.25
+_ORBIT_MAX_STEPS = 8192
+_ORBIT_TOL = 1e-6
 
 
 @dataclass
@@ -359,10 +371,12 @@ def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """build(relax) -> (_Program, gamma var, finalize[, extra_obj]); escalate the
     relaxation order on infeasibility or numerical failure.
 
-    The first order that ends Infeasible is followed by one solve of its
-    sampled referee.  The referee relaxes the semi-infinite program (interval
+    Analyses of an unstable periodic orbit never get here: `_analyze_hybrid`
+    raises Infeasible from `_unstable_orbit` first.  Otherwise the first
+    order that ends Infeasible is followed by one solve of its sampled
+    referee.  The referee relaxes the semi-infinite program (interval
     rows at finitely many points) while every order's LP restricts it (a
-    product-basis cone inside the nonnegative polynomials), so an infeasible
+    Bernstein cone inside the nonnegative polynomials), so an infeasible
     referee proves that no order can succeed: Infeasible is raised at once.  A
     feasible referee lets the escalation go on, ending in RelaxationLimit if
     every order fails; a referee that fails numerically is recorded and
@@ -417,6 +431,120 @@ def _solve_referee(prog: _Program, tried: list) -> str:
         return "NumericalFailure"
 
 
+def _jump_timers(dwell: DwellTimeSpec) -> tuple[float, float]:
+    """The dwell times [lo, hi] at which the jump rows are imposed: the one
+    point 0 (arbitrary), T (constant, minimum) or Tmin (a range narrower than
+    1e-12), else [Tmin, Tmax]."""
+    if dwell.kind == "arbitrary":
+        return 0.0, 0.0
+    if dwell.kind != "range":
+        return dwell.T, dwell.T
+    return dwell.Tmin, (dwell.Tmax if dwell.Tmax - dwell.Tmin > 1e-12 else dwell.Tmin)
+
+
+def _proved_positive(sys: ImpulsiveSystem, tau_end: float) -> bool:
+    """A Metzler and Ec >= 0 on [0, tau_end], each entry with a negative
+    coefficient decided by its exact Bernstein coefficients, and every J_k
+    and Ed_k >= 0.  False also where the Bernstein test is inconclusive."""
+    if not all((jm.J >= 0.0).all() and (jm.Ed >= 0.0).all() for jm in sys.jumps):
+        return False
+    A, Ec = sys.A.coeffs, sys.Ec.coeffs
+    entries = [*A[~np.eye(sys.n, dtype=bool)], *Ec.reshape(-1, Ec.shape[2])]
+    return all(
+        not (c < 0.0).any() or min(_bernstein(Poly(tuple(c)), (0.0, tau_end), len(c) - 1)[0]) >= 0
+        for c in entries
+    )
+
+
+def _radius_bound(M: np.ndarray) -> np.ndarray:
+    """Collatz-Wielandt lower bounds on the spectral radii of the nonnegative
+    matrices M (..., n, n): M v >= r v with v >= 0, v != 0 gives rho(M) >= r,
+    so r = min (M v)_i / v_i over the support of v.  v is M^1024 1, by ten
+    normalized squarings, with entries below 1e-12 of its largest set to 0:
+    near the Perron vector, r is rho(M) to rounding where the Perron root is
+    dominant, and lower where it is not.  A zero v gives 0."""
+    P = M
+    for _ in range(10):
+        P = np.einsum("...ij,...jk->...ik", P, P)
+        P /= np.maximum(np.abs(P).max(axis=(-2, -1), keepdims=True), 1e-300)
+    v = P.sum(axis=-1)
+    v = np.where(v > 1e-12 * v.max(axis=-1, keepdims=True), v, 0.0)
+    on = v > 0.0
+    r = np.where(on, np.einsum("...ij,...j->...i", M, v) / np.where(on, v, 1.0), np.inf).min(axis=-1)
+    return np.where(np.isinf(r), 0.0, r)
+
+
+def _unstable_orbit(
+    sys: ImpulsiveSystem, dwell: DwellTimeSpec, margin: float, jump_margin: float
+) -> Optional[str]:
+    """Why no relaxation order of the constant, minimum or range conditions
+    can be feasible, or None if this test finds no reason.
+
+    Let margin > 0, jump_margin >= 0, A Metzler and Ec >= 0 on [0, hi] and
+    every J_k, Ed_k >= 0 (`_proved_positive`), where the jump rows hold at the
+    dwell times [lo, hi] (`_jump_timers`).  Any order's zeta satisfies the
+    theorem rows, so zeta(0) >= margin > 0 (pin rows), zeta' >= A zeta on
+    [0, theta], hence zeta(theta) >= Phi(theta) zeta(0) by comparison with
+    the flow, Phi(theta) >= 0, and the jump rows give zeta(0) >=
+    J_k zeta(theta) >= J_k Phi(theta) zeta(0) for theta in [lo, hi].  By
+    Collatz-Wielandt, rho(J_k Phi(theta)) <= 1 then, for every k.  Under
+    minimum dwell the stationary rows give A(T) zeta(T) < 0 with
+    zeta(T) >= Phi(T) zeta(0) > 0, so the Metzler A(T) is Hurwitz.
+
+    Reported are a lower bound (`_radius_bound`) on the spectral abscissa of
+    A(T) above _ORBIT_TOL times the size of A(T), or one on
+    rho(J_k Phi(theta)) above 1 + _ORBIT_TOL at a mesh point theta in
+    [lo, hi].  Phi comes from `cert.flow_grid` at a step of at most
+    _ORBIT_STEP and _ORBIT_HL over a bound on |A(tau)|; the largest rho is
+    recomputed on the half-step mesh and must still exceed 1 + _ORBIT_TOL by
+    more than the two values differ, so the RK4 error cannot make it fire.
+    A mesh longer than _ORBIT_MAX_STEPS skips the test."""
+    if dwell.kind == "arbitrary" or not (margin > 0.0 and jump_margin >= 0.0):
+        return None
+    lo, hi = _jump_timers(dwell)
+    if not _proved_positive(sys, hi):
+        return None
+    if dwell.kind == "minimum":
+        # the spectral abscissa of a Metzler matrix is rho(A(T) + s I) - s
+        A_T = sys.A(dwell.T)
+        shift = max(0.0, -A_T.diagonal().min())
+        alpha = float(_radius_bound(A_T + shift * np.eye(sys.n))) - shift
+        if alpha > _ORBIT_TOL * (1.0 + np.abs(A_T).max()):
+            return f"A(T) is not Hurwitz at T = {dwell.T:.6g}: spectral abscissa >= {alpha:.4g}"
+    from .cert import flow_grid
+
+    # |A(tau)| <= the largest row sum of |coefficient| * hi^degree on [0, hi]
+    A = sys.A.coeffs
+    size = (np.abs(A) * hi ** np.arange(A.shape[2])).sum(axis=(1, 2)).max()
+    m = max(1, math.ceil(hi / min(_ORBIT_STEP, _ORBIT_HL / max(size, 1e-300))))
+    if 2 * m > _ORBIT_MAX_STEPS:
+        return None
+
+    def flow(steps: int) -> np.ndarray:
+        return flow_grid(sys, np.linspace(0.0, hi, steps + 1))[0]
+
+    taus = np.linspace(0.0, hi, m + 1)
+    at = np.flatnonzero(taus >= lo)
+    Js = np.stack([jm.J for jm in sys.jumps])
+    # skip the flow where |J_k| exp(int_0^theta mu) <= 1 bounds every rho, mu
+    # the infinity log-norm of A (its largest row sum, A being Metzler),
+    # integrated by the trapezoid rule: an estimate suffices, as skipping
+    # only leaves the decision to the LPs
+    mu = sys.A.eval_mesh(taus).sum(axis=1).max(axis=0)
+    growth = np.concatenate([[0.0], np.cumsum(0.5 * (mu[1:] + mu[:-1]) * (hi / m))])
+    if Js.sum(axis=-1).max() * np.exp(growth[at].max()) <= 1.0 + _ORBIT_TOL:
+        return None
+    rho = _radius_bound(np.einsum("kij,jlt->ktil", Js, flow(m)[..., at]))
+    k, t = np.unravel_index(np.argmax(rho), rho.shape)
+    if rho[k, t] <= 1.0 + _ORBIT_TOL:
+        return None
+    fine = float(_radius_bound(np.einsum("ij,jl->il", Js[k], flow(2 * m)[..., 2 * at[t]])))
+    if fine - abs(fine - rho[k, t]) <= 1.0 + _ORBIT_TOL:
+        return None
+    J = f"J[{k}]" if len(sys.jumps) > 1 else "J"
+    return f"rho({J} Phi(theta)) >= {fine:.4g} at theta = {taus[at[t]]:.6g}"
+
+
 def analyze_arbitrary(
     sys: ImpulsiveSystem,
     margin: float = DEFAULT_MARGIN,
@@ -449,35 +577,25 @@ def _analyze_hybrid(
         dwell.kind
     ]
 
+    lo, hi = _jump_timers(dwell)
+    theta_interval = (lo, hi) if lo < hi else None
+    stationary_at = dwell.T if dwell.kind == "minimum" else None
+    reason = _unstable_orbit(sys, dwell, margin, jump_margin)
+    if reason:
+        raise Infeasible(f"conditions infeasible ({reason})")
+
     def build(relax: int):
         prog = _Program(relax)
         zeta = prog.poly_vec(sys.n, degree, "zeta")
         gamma = prog.scalar(lo=0.0, name="gamma")
-        mu = None
-        theta_interval = None
-        jump_at: Optional[float] = None
-        stationary_at = None
-        if dwell.kind == "arbitrary":
-            jump_at = 0.0
-        elif dwell.kind == "constant":
-            jump_at = dwell.T
-        elif dwell.kind == "minimum":
-            jump_at = dwell.T
-            stationary_at = dwell.T
-        else:
-            if dwell.Tmax - dwell.Tmin > 1e-12:
-                theta_interval = (dwell.Tmin, dwell.Tmax)
-                if mu_variant:
-                    mu = prog.poly_vec(sys.n, degree, "mu")
-            else:
-                jump_at = dwell.Tmin
+        mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and theta_interval else None
         _gain_rows_constant_like(
             prog,
             (sys.A, sys.Ec, sys.Cc, sys.Fc, sys.jumps),
             zeta,
             gamma,
             (0.0, Tend),
-            jump_at,
+            None if theta_interval else lo,
             margin,
             jump_margin,
             stationary_at=stationary_at,

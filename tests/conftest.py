@@ -105,6 +105,13 @@ def certify_grid_analyses():
     return analyses
 
 
+@pytest.fixture
+def orbit_test_off(monkeypatch):
+    """Switch off analysis._unstable_orbit, so every analysis builds and
+    solves its LPs even where the test would refuse it first."""
+    monkeypatch.setattr(analysis_mod, "_unstable_orbit", lambda *args: None)
+
+
 def random_stable_metzler(rng: np.random.Generator, n: int = 3, p: int = 2, q: int = 2):
     """Random internally positive, Hurwitz-stable continuous LTI system."""
     A = rng.uniform(0.0, 0.5, size=(n, n))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from dwellgain import benchmarks
 from dwellgain import lp as lp_mod
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import (
+    DEFAULT_JUMP_MARGIN,
+    DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
     _Program,
@@ -507,6 +510,7 @@ class TestEscalation:
         # both outcomes occur
         assert {g[0] for g in got} == {None, Infeasible}
 
+    @pytest.mark.usefixtures("orbit_test_off")  # else only 16 programs are built
     def test_referee_matches_per_sample_build(self, monkeypatch, tmp_path):
         progs = []
         solve_min = _Program.solve_min
@@ -715,6 +719,123 @@ class TestBernsteinRows:
         c = analyze_range(s, T, float(f"{1.5 * T:.5g}"), 6, mode="mu_variant")
         assert verify(c, s).passed
         assert cross_check_discrete(c, s).passed
+
+
+def _timer_stable(A=None, J=None) -> ImpulsiveSystem:
+    """timer_stable_bench with its flow or jump matrix replaced."""
+    return ImpulsiveSystem.from_arrays(
+        A=A or [[[-1.0], [0.0]], [[1.0, 1.0], [-2.0, 0.0, -1.0]]],
+        Ec=[[[0.1]], [[0.1, 0.0, 1.0]]],
+        Cc=[[[0.0, 1.0], [1.0]]],
+        Fc=[[[0.03, 0.1]]],
+        J=J or [[2.0, 1.0], [1.0, 3.0]],
+        Ed=[[0.3], [0.3]],
+        Cd=[[0.0, 1.0]],
+        Fd=[[0.03]],
+    )
+
+
+def _stiff(rho: float, T: float = 0.01) -> ImpulsiveSystem:
+    """Metzler flow with a fast mode, A = [[-1000, 0], [1, -1]], and a jump
+    that makes rho(J Phi(T)) = rho: J Phi(T) is lower triangular with the
+    diagonal rho, exp(-T)."""
+    return ImpulsiveSystem.from_arrays(
+        A=[[-1000.0, 0.0], [1.0, -1.0]],
+        Ec=[[0.1], [0.1]],
+        Cc=[[0.0, 1.0]],
+        Fc=[[0.1]],
+        J=[[rho * math.exp(1000.0 * T), 0.0], [0.0, 1.0]],
+        Ed=[[0.3], [0.3]],
+        Cd=[[0.0, 1.0]],
+        Fd=[[0.03]],
+    )
+
+
+def _orbit(sys, spec, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_JUMP_MARGIN):
+    return analysis_mod._unstable_orbit(sys, spec, margin, jump_margin)
+
+
+class TestUnstableOrbit:
+    """analysis._unstable_orbit refuses a dwell set before any LP is built;
+    wherever it does, the LPs of every order, solved with the test off,
+    certify nothing."""
+
+    @staticmethod
+    def _never_certifies(run):
+        """run() with the test off and every order of the schedule tried."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis_mod, "_unstable_orbit", lambda *args: None)
+            mp.setattr(analysis_mod, "_solve_with_escalation", full_schedule_escalation)
+            got = _outcome(run)
+        assert isinstance(got, type), f"order +{got.relax} certifies gamma = {got.gamma}"
+
+    def test_certify_grid_analyses(self):
+        """The 162 certify-grid analyses: 3 systems, 3 kinds, 6 dwell times, degrees 2, 4 and 6."""
+        fired = set()
+        for bench in ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench"):
+            s = getattr(benchmarks, bench)()
+            for T in CERTIFY_GRID_T:
+                Tmax = float(f"{1.5 * T:.5g}")
+                for spec in (DwellTimeSpec.constant(T), DwellTimeSpec.minimum(T), DwellTimeSpec.range(T, Tmax)):
+                    reason = _orbit(s, spec)
+                    if reason is None:
+                        continue
+                    for degree in (2, 4, 6):
+                        run = {
+                            "constant": lambda d=degree: analyze_constant(s, T, d),
+                            "minimum": lambda d=degree: analyze_minimum(s, T, d),
+                            "range": lambda d=degree: analyze_range(s, T, Tmax, d),
+                        }[spec.kind]
+                        with pytest.raises(Infeasible, match=f"^conditions infeasible \\({re.escape(reason)}\\)$"):
+                            run()
+                        self._never_certifies(run)
+                        fired.add((bench, str(spec)))
+        assert len(fired) == 22
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems(self, data):
+        sys, spec, run = TestEscalation._draw_positive_system(data)
+        if _orbit(sys, spec) is not None:
+            assert run() is Infeasible
+            self._never_certifies(run)
+
+    def test_fires_on_each_reason(self, bench_timer_growth, bench_timer_stable):
+        assert _orbit(bench_timer_growth, DwellTimeSpec.minimum(0.5)) == (
+            "A(T) is not Hurwitz at T = 0.5: spectral abscissa >= 1.25")
+        assert _orbit(bench_timer_stable, DwellTimeSpec.range(0.5, 0.75)).startswith("rho(J Phi(theta)) >= 2.04")
+        assert _orbit(bench_timer_stable, DwellTimeSpec.arbitrary()) is None
+        # a second, expansive jump map is named by its index
+        two = ImpulsiveSystem.from_arrays(
+            A=[[-1.0]], Ec=[[0.1]], Cc=[[1.0]], Fc=[[0.0]], J=[[0.5]], Ed=[[0.1]], Cd=[[1.0]], Fd=[[0.0]],
+            extra_jumps=[{"J": [[4.0]], "Ed": [[0.1]], "Cd": [[1.0]], "Fd": [[0.0]]}],
+        )
+        assert _orbit(two, DwellTimeSpec.constant(0.5)) == "rho(J[1] Phi(theta)) >= 2.426 at theta = 0.5"
+
+    def test_negative_jump_entry(self):
+        spec = DwellTimeSpec.constant(0.5)
+        assert _orbit(_timer_stable(), spec) is not None
+        assert _orbit(_timer_stable(J=[[2.0, -1e-9], [1.0, 3.0]]), spec) is None
+
+    def test_non_metzler_flow(self):
+        # A[1][0] = 1 - 4 tau is nonnegative on [0, 0.25] only
+        A = [[[-1.0], [0.0]], [[1.0, -4.0], [-2.0, 0.0, -1.0]]]
+        assert _orbit(_timer_stable(A=A), DwellTimeSpec.constant(0.2)) is not None
+        assert _orbit(_timer_stable(A=A), DwellTimeSpec.constant(0.5)) is None
+        assert _orbit(_timer_stable(A=A), DwellTimeSpec.range(0.2, 0.3)) is None
+
+    def test_margin_zero(self, bench_timer_stable):
+        spec = DwellTimeSpec.constant(0.5)
+        assert _orbit(bench_timer_stable, spec, margin=1e-9) is not None
+        assert _orbit(bench_timer_stable, spec, margin=0.0) is None
+        assert _orbit(bench_timer_stable, spec, jump_margin=-1e-9) is None
+
+    def test_stiff_stable_flow(self):
+        """rho just below 1 behind a fast mode: one RK4 mesh alone reads
+        rho(J Phi(T)) = 1.0004, the half-step mesh does not let it fire."""
+        spec = DwellTimeSpec.constant(0.01)
+        assert _orbit(_stiff(1.0 - 1e-5), spec) is None
+        assert _orbit(_stiff(1.0 + 1e-2), spec) == "rho(J Phi(theta)) >= 1.01 at theta = 0.01"
 
 
 class TestCertificateObject:

@@ -84,6 +84,14 @@ class TestAnalyze:
         assert main(["analyze", "--system", ex2_path, "--dwell", "constant:1.2", "--degree", "2"]) == 3
         assert "[order +4: Infeasible]" in capsys.readouterr().err
 
+    def test_unstable_orbit_exits_3(self, bench_timer_stable, tmp_path, capsys):
+        # rho(J Phi(0.5)) > 1 refuses the analysis before any LP is built
+        path = tmp_path / "stable.json"
+        save_system(bench_timer_stable, str(path))
+        assert main(["analyze", "--system", str(path), "--dwell", "constant:0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "infeasible: conditions infeasible (rho(J Phi(theta)) >= 2.043 at theta = 0.5)\n"
+
     def test_referee_numerical_failure_exits_4(self, ex2_path, capsys, monkeypatch):
         spy_solves(monkeypatch, referee_fails=True)
         assert main(["analyze", "--system", ex2_path, "--dwell", "constant:1.2", "--degree", "2"]) == 4

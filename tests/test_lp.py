@@ -281,6 +281,17 @@ class TestLinprogOracle:
         for got, want in pairs:
             assert_same_outcome(got, want)
 
+    @staticmethod
+    def _analyze(s, kind, T, degree):
+        if kind == "range":
+            return analyze_range(s, T, 1.5 * T, degree)
+        if kind == "constant":
+            return analyze_constant(s, T, degree)
+        return analyze_minimum(s, T, degree)
+
+    # with the unstable-orbit test on, every timer_growth minimum analysis
+    # below is refused before any LP is built (test_orbit_test_refuses_inputs)
+    @pytest.mark.usefixtures("orbit_test_off")
     @pytest.mark.parametrize("degree", [2, 4])
     @pytest.mark.parametrize("kind", ["constant", "minimum", "range"])
     @pytest.mark.parametrize("bench", ["bench_timer_growth", "bench_timer_stable"])
@@ -288,22 +299,20 @@ class TestLinprogOracle:
         s = request.getfixturevalue(bench)
         for T in (0.12, 0.5, 1.9):
             try:
-                if kind == "range":
-                    analyze_range(s, T, 1.5 * T, degree)
-                elif kind == "constant":
-                    analyze_constant(s, T, degree)
-                else:
-                    analyze_minimum(s, T, degree)
+                self._analyze(s, kind, T, degree)
             except DwellgainError:
                 pass
         self._assert_all_same(oracle_pairs)
 
+    @pytest.mark.usefixtures("orbit_test_off")
     @pytest.mark.parametrize("degree", [4, 6])
     def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, degree):
         # each order of the default schedule alone ends Infeasible, its referee
         # infeasible too; the dominated range analysis fails numerically at one
         # order: degree 4 at order +8, whose referee stays feasible, degree 6
-        # at order +10, whose referee is infeasible
+        # at order +10, whose referee is infeasible.  With the unstable-orbit
+        # test on, the timer_stable inputs are refused before any LP is built
+        # (test_orbit_test_refuses_inputs)
         for relax in RELAX_SCHEDULE:
             with pytest.raises(Infeasible):
                 analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
@@ -315,6 +324,20 @@ class TestLinprogOracle:
             analyze_range(s, 0.5, 0.75, degree, mode="mu_variant", relax_schedule=(relax,))
         assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
+
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    def test_orbit_test_refuses_inputs(self, oracle_pairs, bench_timer_growth, bench_timer_stable, degree):
+        """The inputs above that lose their LPs to the unstable-orbit test
+        raise its Infeasible, with no LP solved."""
+        for T in (0.12, 0.5, 1.9):
+            with pytest.raises(Infeasible, match=r"^conditions infeasible \(A\(T\) is not Hurwitz at T = "):
+                self._analyze(bench_timer_growth, "minimum", T, degree)
+        for relax in RELAX_SCHEDULE:
+            with pytest.raises(Infeasible, match=r"^conditions infeasible \(rho\(J Phi\(theta\)\) >= 3\.122 at theta = 0\.12\)$"):
+                analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
+        with pytest.raises(Infeasible, match=r"^conditions infeasible \(rho\(J Phi\(theta\)\) >= 2\.043 at theta = 0\.5\)$"):
+            analyze_range(bench_timer_stable, 0.5, 0.75, degree, mode="mu_variant", relax_schedule=(10,))
+        assert oracle_pairs == []
 
     def test_switched_min(self, oracle_pairs, bench_switched):
         for T in (0.3, 1.0):
