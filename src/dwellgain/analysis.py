@@ -205,16 +205,17 @@ class _Program:
         self,
         family: str,
         index: int,
-        pexpr: PolyExpr,
+        pexpr: Union[PolyExpr, LinExpr],
         interval: tuple[float, float],
         margin: float,
     ) -> None:
         """pexpr(t) >= margin on [a, b] at order D = degree + relax, imposed by
-        _cone_rows on q(s) = pexpr(a + h s), h = b - a, s in [0, 1]."""
+        _cone_rows on q(s) = pexpr(a + h s), h = b - a, s in [0, 1].  A
+        degenerate interval a = b is one point row, pexpr(a), or pexpr itself
+        if it is a LinExpr already."""
         a, b = interval
         if not a < b:
-            # degenerate interval: a single point row
-            self.add_point_ge(family, index, pexpr.eval_at(a), margin)
+            self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
             return
         order = pexpr.degree + self.relax
         self._cone_rows(f"{family}{index}", pexpr.shift_scale_arg(a, b - a), order, margin)
@@ -274,21 +275,20 @@ def _gain_rows_constant_like(
     zeta: list[PolyExpr],
     gamma: int,
     tau_interval: tuple[float, float],
-    jump_at,
+    jump_dwells: tuple[float, float],
     margin: float,
     jump_margin: float,
     stationary_at: Optional[float] = None,
-    theta_interval: Optional[tuple[float, float]] = None,
     mu: Optional[list[PolyExpr]] = None,
     tag: str = "",
 ):
     """Common rows of the constant/minimum/range conditions, mats = (A, Ec, Cc, Fc,
     jumps), and of one switched mode, mats = (A, E, C, F, ()), tag suffixing its families.
 
-    jump_at: the timer value (or PolyExpr-evaluable theta handling) at which
-    jump/discrete-output rows are imposed; with theta_interval set the rows are
-    imposed as polynomials in theta over that interval (mu substitutes for
-    zeta(theta) when provided).
+    The jump and discrete-output rows hold at every dwell theta in
+    jump_dwells = (lo, hi) (`_jump_timers`), with mu(theta) in place of
+    zeta(theta) when mu is given: polynomial rows in theta on [lo, hi], or
+    point rows at theta = lo when lo == hi.
     """
     A, Ec, Cc, Fc, jumps = mats
     n, qc = A.shape[0], Cc.shape[0]
@@ -321,50 +321,43 @@ def _gain_rows_constant_like(
             expr = LinExpr.variable(gamma) - _const_matvec_row(Cc_T, i, zeta_T) - Fc_T[i]
             prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
 
-    # jump and discrete output rows, per jump map
+    # jump and discrete output rows, per jump map:
+    # zeta(0) - J target - Ed*1 >= jump_margin, gamma - Cd target - Fd*1 >= margin
+    lo, hi = jump_dwells
+    target = zeta if mu is None else mu
+    if not lo < hi:
+        target = [t.eval_at(lo) for t in target]
     zeta0 = [z.eval_at(0.0) for z in zeta]
     for jk, jm in enumerate(jumps):
-        Ed1 = jm.Ed.sum(axis=1)
-        Fd1 = jm.Fd.sum(axis=1)
-        if theta_interval is None:
-            T = jump_at
-            target = [z.eval_at(T) for z in zeta] if mu is None else [m.eval_at(T) for m in mu]
-            for i in range(n):
-                expr = zeta0[i] - _const_matvec_row(jm.J, i, target) - Ed1[i]
-                prog.add_point_ge(f"jump[{jk}]", i, expr, jump_margin)
-            for i in range(jm.Cd.shape[0]):
-                expr = (
-                    LinExpr.variable(gamma)
-                    - _const_matvec_row(jm.Cd, i, target)
-                    - Fd1[i]
-                )
-                prog.add_point_ge(f"out_d[{jk}]", i, expr, margin)
-        else:
-            target_p = zeta if mu is None else mu
-            for i in range(n):
-                expr = PolyExpr([zeta0[i]])
-                for j in range(n):
-                    if jm.J[i, j] != 0.0:
-                        expr = expr - target_p[j].scaled(jm.J[i, j])
-                expr = expr - PolyExpr.from_poly([Ed1[i]])
-                prog.add_interval_ge(f"jump[{jk}]", i, expr, theta_interval, jump_margin)
-            for i in range(jm.Cd.shape[0]):
-                expr = gam
-                for j in range(n):
-                    if jm.Cd[i, j] != 0.0:
-                        expr = expr - target_p[j].scaled(jm.Cd[i, j])
-                expr = expr - PolyExpr.from_poly([Fd1[i]])
-                prog.add_interval_ge(f"out_d[{jk}]", i, expr, theta_interval, margin)
+        for family, P, leads, m in (
+            (f"jump[{jk}]", jm.J, [z - e for z, e in zip(zeta0, jm.Ed.sum(axis=1))], jump_margin),
+            (f"out_d[{jk}]", jm.Cd, [LinExpr.variable(gamma) - f for f in jm.Fd.sum(axis=1)], margin),
+        ):
+            for i, lead in enumerate(leads):
+                entries = [t.scaled(float(p)) for t, p in zip(target, P[i]) if p != 0.0]
+                _jump_row(prog, family, i, lead, entries, jump_dwells, m)
 
-    # mu domination rows: mu(theta) - zeta(theta) >= 0 on theta interval
-    if mu is not None and theta_interval is not None:
+    # mu domination rows: mu(theta) - zeta(theta) >= 0 on [lo, hi]
+    if mu is not None:
         for i in range(n):
-            prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], theta_interval, 0.0)
+            prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], jump_dwells, 0.0)
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i in range(n):
         prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
         prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
+
+
+def _jump_row(
+    prog: _Program, family: str, index: int, lead: LinExpr, entries: Sequence, dwells: tuple[float, float], margin: float
+) -> None:
+    """lead - sum(entries) >= margin at every dwell in dwells = (lo, hi): the
+    entries are PolyExprs in theta when lo < hi, else LinExprs, one point row."""
+    lo, hi = dwells
+    expr = PolyExpr([lead]) if lo < hi else lead
+    for e in entries:
+        expr = expr - e
+    prog.add_interval_ge(family, index, expr, dwells, margin)
 
 
 def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
@@ -431,15 +424,21 @@ def _solve_referee(prog: _Program, tried: list) -> str:
         return "NumericalFailure"
 
 
+def _timer_end(dwell: DwellTimeSpec) -> float:
+    """The right end of the timer interval [0, tau_end] on which the flow rows
+    hold: 0 under arbitrary dwell, where every row is a point row at tau = 0,
+    else the dwell's horizon."""
+    return 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
+
+
 def _jump_timers(dwell: DwellTimeSpec) -> tuple[float, float]:
-    """The dwell times [lo, hi] at which the jump rows are imposed: the one
-    point 0 (arbitrary), T (constant, minimum) or Tmin (a range narrower than
-    1e-12), else [Tmin, Tmax]."""
-    if dwell.kind == "arbitrary":
-        return 0.0, 0.0
-    if dwell.kind != "range":
-        return dwell.T, dwell.T
-    return dwell.Tmin, (dwell.Tmax if dwell.Tmax - dwell.Tmin > 1e-12 else dwell.Tmin)
+    """The dwell times [lo, hi] at which the jump rows are imposed: [Tmin,
+    Tmax] for a range, collapsed to the one point Tmin when narrower than
+    1e-12, else the one point _timer_end: 0 (arbitrary) or T (constant,
+    minimum).  Constant dwell is the range [T, T]."""
+    hi = _timer_end(dwell)
+    lo = dwell.Tmin if dwell.kind == "range" else hi
+    return lo, (hi if hi - lo > 1e-12 else lo)
 
 
 def _proved_positive(sys: ImpulsiveSystem, tau_end: float) -> bool:
@@ -571,14 +570,11 @@ def _analyze_hybrid(
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    # arbitrary dwell: every row at the timer value 0, so all are point rows
-    Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
     kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}[
         dwell.kind
     ]
 
     lo, hi = _jump_timers(dwell)
-    theta_interval = (lo, hi) if lo < hi else None
     stationary_at = dwell.T if dwell.kind == "minimum" else None
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
     if reason:
@@ -588,18 +584,17 @@ def _analyze_hybrid(
         prog = _Program(relax)
         zeta = prog.poly_vec(sys.n, degree, "zeta")
         gamma = prog.scalar(lo=0.0, name="gamma")
-        mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and theta_interval else None
+        mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
         _gain_rows_constant_like(
             prog,
             (sys.A, sys.Ec, sys.Cc, sys.Fc, sys.jumps),
             zeta,
             gamma,
-            (0.0, Tend),
-            None if theta_interval else lo,
+            (0.0, _timer_end(dwell)),
+            (lo, hi),
             margin,
             jump_margin,
             stationary_at=stationary_at,
-            theta_interval=theta_interval,
             mu=mu,
         )
 
@@ -712,7 +707,7 @@ def analyze_switched_min(
         for i, md in enumerate(sw.modes):
             _gain_rows_constant_like(
                 prog, (md["A"], md["E"], md["C"], md["F"], ()), zetas[i], gamma, (0.0, T),
-                jump_at=None, margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
+                jump_dwells=(T, T), margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
             )
         # coupling: zeta_j(T) - zeta_i(0) <= 0, i != j (closed inequality)
         for i in range(sw.N):

@@ -19,9 +19,12 @@ from .analysis import (
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
+    _jump_row,
+    _jump_timers,
     _Program,
     _row_ones,
     _solve_with_escalation,
+    _timer_end,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
@@ -154,9 +157,9 @@ class ControllerRealization:
         return K if K.shape[2] == k else np.repeat(K, k, axis=2)
 
     def kd(self, theta: Optional[float] = None, mode=None) -> np.ndarray:
-        """K_d at one dwell theta, the single-point case of kd_mesh; a RangeDT
-        design needs theta."""
-        if theta is None and self.kind == "RangeDT" and self.Ud is not None:
+        """K_d at one dwell theta, the single-point case of kd_mesh; a design
+        whose U_d is polynomial in theta needs theta."""
+        if theta is None and self._ud_poly:
             raise ValueError("range dwell-time controller needs theta")
         return self.kd_mesh([0.0 if theta is None else theta])[..., 0]
 
@@ -307,14 +310,8 @@ class _Mode:
         for j, x in enumerate(self.X):
             prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([x_min]), self.iv, 0.0)
             prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(_X_CAP) - x.eval_at(0.0), 0.0)
-        if gain_cap is None:
-            return
-        idx = 0
-        for row in self.U:
-            for x, u in zip(self.X, row):
-                for sgn in (1.0, -1.0):
-                    prog.add_interval_ge(f"gain_cap{tag}", idx, x.scaled(gain_cap) + u.scaled(sgn), self.iv, 0.0)
-                    idx += 1
+        if gain_cap is not None:
+            _gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, gain_cap, self.iv)
 
     def regularize(self, extra_obj: dict[int, float], reg: float) -> None:
         """Add reg * the integral of X over (0, Tend) (reg * X(0) when Tend = 0)."""
@@ -324,6 +321,28 @@ class _Mode:
                 w = reg * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (reg if k == 0 else 0.0)
                 for v, c in le.coeffs.items():
                     extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+
+
+def _gain_cap_rows(prog: _Program, family: str, idx: int, X: list, U: list, cap: float, interval) -> None:
+    """Implementable gains |U_lj| <= cap * X_j on interval, numbered from idx on."""
+    for row in U:
+        for x, u in zip(X, row):
+            for sgn in (1.0, -1.0):
+                prog.add_interval_ge(family, idx, x.scaled(cap) + u.scaled(sgn), interval, 0.0)
+                idx += 1
+
+
+def _jump_entries(x_at: list, Ud: list, P: np.ndarray, Q: np.ndarray) -> list[list]:
+    """(P X + Q U_d)_{ij} for the jump pair (J, Bd) or the discrete-output pair
+    (Cd, Dd), X read on one side x_at: X(theta), X(t) or M.  The entries are
+    PolyExprs in theta or LinExprs, as x_at and Ud hold."""
+    def entry(i: int, j: int):
+        e = x_at[j].scaled(P[i, j])
+        for l, ud in enumerate(Ud):
+            e = e + ud[j].scaled(float(Q[i, l]))
+        return e
+
+    return [[entry(i, j) for j in range(len(x_at))] for i in range(P.shape[0])]
 
 
 def synthesize(
@@ -345,7 +364,12 @@ def synthesize(
     integral-of-X term to the objective so the solver picks a well-scaled vertex
     among gain-equivalent optima; `gain_cap` bounds |U| <= cap * X entrywise so
     the recovered rational gains stay implementable (degenerate optima otherwise
-    drive X to its floor and the gains to the LP bounds)."""
+    drive X to its floor and the gains to the LP bounds).
+
+    The jump rows hold at the dwells [lo, hi] of `_jump_timers`, a single
+    point unless the range is genuine: with X(theta) and a U_d polynomial in
+    theta on [lo, hi], else with a constant U_d and X at the point, or with M
+    in place of X (fixed_kd), whatever theta."""
     require_forward_time(sys, "synthesis")
     if len(sys.jumps) != 1:
         raise DimensionMismatch("synthesis expects a single jump map (lift switched systems separately)")
@@ -353,11 +377,8 @@ def synthesize(
         raise ValueError("fixed_kd is a range dwell-time variant")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n, mc = sys.n, sys.mc
+    n, mc, md = sys.n, sys.mc, sys.md
     jm = sys.jump
-    md_, qd = sys.md, sys.qd
-    Ed1 = jm.Ed.sum(axis=1)
-    Fd1 = jm.Fd.sum(axis=1)
     kind = {
         "arbitrary": "ArbitraryDT",
         "constant": "ConstantDT",
@@ -368,18 +389,9 @@ def synthesize(
         raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
 
     x_degree = 0 if dwell.kind == "arbitrary" else degree
-    Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
-    genuine_range = dwell.kind == "range" and dwell.Tmax - dwell.Tmin > 1e-12
-    # the jump rows are polynomials in theta for a genuine range design with
-    # theta-dependent Ud; otherwise they are point rows at jump_eval (or in M)
-    theta_poly = genuine_range and not fixed_kd
-    theta_iv = (dwell.Tmin, dwell.Tmax) if dwell.kind == "range" else None
-    if dwell.kind in ("constant", "minimum"):
-        jump_eval = dwell.T
-    elif dwell.kind == "arbitrary":
-        jump_eval = 0.0
-    else:
-        jump_eval = None if genuine_range else dwell.Tmin
+    Tend = _timer_end(dwell)
+    lo, hi = _jump_timers(dwell)
+    theta_poly = lo < hi and not fixed_kd
 
     def build(relax: int):
         prog = _DesignProgram(relax)
@@ -387,140 +399,82 @@ def synthesize(
         Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
         gamma = prog.scalar(lo=0.0, name="gamma")
         alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-        Ud_poly = Ud_const = M = None
-        if md_:
-            if theta_poly:
-                Ud_poly = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md_)]
-            else:
-                Ud_const = [
-                    [prog.lp.new_var(name=f"Ud{l}{j}") for j in range(n)] for l in range(md_)
-                ]
-        if fixed_kd:
-            M = [prog.scalar(lo=x_min, hi=_X_CAP, name=f"M{j}") for j in range(n)]
+        if theta_poly:
+            Ud = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md)]
+        else:
+            Ud = [[LinExpr.variable(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
+        M = [prog.scalar(lo=x_min, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
         mode = _Mode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
         mode.positivity(alpha)
 
-        def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):
-            """(P X + Q Ud)_{ij} as PolyExpr in theta (theta_poly) or as LinExpr
-            at `where` (default jump_eval), for the jump pair (J, Bd) or the
-            discrete-output pair (Cd, Dd)."""
-            if fixed_kd:
-                e = LinExpr.variable(M[j]).scaled(P[i, j])
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
-                return e
-            if theta_poly:
-                expr = X[j].scaled(P[i, j])
-                for l in range(md_):
-                    expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
-                return expr
-            e = X[j].eval_at(jump_eval if where is None else where).scaled(P[i, j])
-            if Ud_const is not None:
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
-            return e
-
-        # jump/discrete-output positivity rows: (J X + Bd Ud) >= 0, (Cd X + Dd Ud) >= 0.
-        # Minimum dwell-time imposes them at both timer endpoints: the jump fires
-        # at a frozen X(T) (sound gain recovery) while the reference condition
-        # evaluates at X(0); the intersection keeps both readings valid.
-        jump_points = [0.0, dwell.T] if dwell.kind == "minimum" else [None]
-        for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
+        # the sides X is read on at the jump, each with the dwells its rows
+        # hold at: X(theta) on [lo, hi], M (constant in theta, so point rows)
+        # or X at a point.  Minimum dwell-time imposes
+        # the positivity rows at both timer endpoints: the jump fires at a
+        # frozen X(T) (sound gain recovery) while the reference condition
+        # evaluates at X(0); the intersection keeps both readings valid.  The
+        # last side carries the performance and gain-cap rows.
+        if theta_poly:
+            sides = [(X, (lo, hi))]
+        elif fixed_kd:
+            sides = [([LinExpr.variable(v) for v in M], (lo, lo))]
+        else:
+            sides = [([x.eval_at(t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
+        entries = [[_jump_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
+        # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
+        for k, family in enumerate(("pos_jump", "pos_out_d")):
             idx = 0
-            for i in range(P.shape[0]):
-                for j in range(n):
-                    if theta_poly:
-                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j), theta_iv, 0.0)
-                        idx += 1
-                    else:
-                        for pt in jump_points:
-                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, pt), 0.0)
-                            idx += 1
+            for cells in zip(*(chain.from_iterable(e[k]) for e in entries)):
+                for e, (_, dwells) in zip(cells, sides):
+                    prog.add_interval_ge(family, idx, e, dwells, 0.0)
+                    idx += 1
 
         mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
-        # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i in range(n):
-            if theta_poly:
-                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j) for j in range(n)])
-                expr = PolyExpr([X[i].eval_at(0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
-                prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
-            else:
-                e = X[i].eval_at(0.0)
-                for j in range(n):
-                    e = e - map_entry(jm.J, jm.Bd, i, j)
-                prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
-        for i in range(qd):
-            if theta_poly:
-                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j) for j in range(n)])
-                expr = gam - row - PolyExpr.from_poly([Fd1[i]])
-                prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
-            else:
-                e = LinExpr.variable(gamma) - Fd1[i]
-                for j in range(n):
-                    e = e - map_entry(jm.Cd, jm.Dd, i, j)
-                prog.add_point_ge("perf_out_d", i, e, margin)
-        if fixed_kd:
-            for j in range(n):
-                expr = PolyExpr([LinExpr.variable(M[j])]) - X[j]
-                prog.add_interval_ge("x_below_M", j, expr, theta_iv, 0.0)
+        # X_i(0) - [J X + Bd Ud]_i 1 - Ed_i 1 >= margin, gamma - [Cd X + Dd Ud]_i 1 - Fd_i 1 >= margin
+        (jump, out_d), (x_at, dwells) = entries[-1], sides[-1]
+        for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
+            _jump_row(prog, "perf_jump", i, X[i].eval_at(0.0) - ed, row, dwells, margin)
+        for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
+            _jump_row(prog, "perf_out_d", i, LinExpr.variable(gamma) - fd, row, dwells, margin)
+        for j, (m, x) in enumerate(zip(M, X)):
+            prog.add_interval_ge("x_below_M", j, PolyExpr([LinExpr.variable(m)]) - x, (dwell.Tmin, dwell.Tmax), 0.0)
 
         mode.denominator(x_min, gain_cap)
-        # implementable discrete gains: |Ud_lj| <= cap * X_j (or cap * M_j)
-        if gain_cap is not None:
-            idx = 2 * mc * n  # numbered on from the continuous gain_cap rows
-            for l in range(md_):
-                for j in range(n):
-                    for sgn in (1.0, -1.0):
-                        if Ud_poly is not None:
-                            expr = X[j].scaled(gain_cap) + Ud_poly[l][j].scaled(sgn)
-                            prog.add_interval_ge("gain_cap_d", idx, expr, theta_iv, 0.0)
-                        else:
-                            base = (
-                                LinExpr.variable(M[j]).scaled(gain_cap)
-                                if fixed_kd
-                                else X[j].eval_at(jump_eval).scaled(gain_cap)
-                            )
-                            base.add_inplace(LinExpr.variable(Ud_const[l][j]), sgn)
-                            prog.add_point_ge("gain_cap_d", idx, base, 0.0)
-                        idx += 1
+        if gain_cap is not None:  # numbered on from the continuous gain_cap rows
+            _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, gain_cap, dwells)
 
         def finalize(prog, sol, relax):
-            Xp = [x.value(sol.x) for x in X]
-            Ucp = [[Uc[l][j].value(sol.x) for j in range(n)] for l in range(mc)]
             Ud_out = None
-            if Ud_poly is not None:
-                Ud_out = [[Ud_poly[l][j].value(sol.x) for j in range(n)] for l in range(md_)]
-            elif Ud_const is not None:
-                Ud_out = np.array([[sol.x[Ud_const[l][j]] for j in range(n)] for l in range(md_)])
-            M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
+            if Ud and theta_poly:
+                Ud_out = [[u.value(sol.x) for u in row] for row in Ud]
+            elif Ud:
+                # read from sol.x, as LinExpr.value would turn a -0.0 into 0.0
+                Ud_out = np.array([[sol.x[v] for u in row for v in u.coeffs] for row in Ud])
             ctrl = ControllerRealization(
                 kind=kind,
                 dwell=dwell,
                 gamma=float(sol.x[gamma]),
                 degree=x_degree,
                 margin=margin,
-                X=Xp,
-                Uc=Ucp,
+                X=[x.value(sol.x) for x in X],
+                Uc=[[u.value(sol.x) for u in row] for row in Uc],
                 Ud=Ud_out,
-                M=M_out,
+                M=np.array([sol.x[v] for v in M]) if fixed_kd else None,
             )
             _check_denominator(ctrl)
             return ctrl
 
         extra_obj: dict[int, float] = {}
         mode.regularize(extra_obj, reg)
-        if fixed_kd:
-            for v in M:
-                extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
+        for v in M:
+            extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
         return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
 
 
 def _check_denominator(ctrl: ControllerRealization) -> None:
-    Tend = 0.0 if ctrl.dwell.kind == "arbitrary" else ctrl.dwell.horizon_tau()
-    taus = np.linspace(0.0, max(Tend, 1e-9), 512)
+    taus = np.linspace(0.0, max(_timer_end(ctrl.dwell), 1e-9), 512)
     modes = range(len(ctrl.X)) if ctrl.per_mode else [None]
     for mode in modes:
         if np.min(ctrl.x_values(taus, mode)) <= 0.0:

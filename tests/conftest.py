@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from dwellgain.analysis import (
     analyze_range,
 )
 from dwellgain.cert import _SLACK_TOL, VerificationReport, verify
-from dwellgain.errors import Infeasible, Mismatch, NotConstant, NumericalFailure, RelaxationLimit
+from dwellgain.errors import DimensionMismatch, Infeasible, Mismatch, NotConstant, NumericalFailure, RelaxationLimit
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
 from dwellgain.poly import HandelmanCertificate, Poly
 from dwellgain.synthesis import ControllerRealization, _bilinear_entry, _sum_entries
 
@@ -1038,6 +1039,296 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     return _solve_with_escalation(build, relax_schedule)
 
 
+def _reference_gain_rows(
+    prog: _Program,
+    mats: tuple,
+    zeta: list[PolyExpr],
+    gamma: int,
+    tau_interval: tuple[float, float],
+    jump_at,
+    margin: float,
+    jump_margin: float,
+    stationary_at: Optional[float] = None,
+    theta_interval: Optional[tuple[float, float]] = None,
+    mu: Optional[list[PolyExpr]] = None,
+    tag: str = "",
+):
+    """analysis._gain_rows_constant_like with its jump and out_d rows in two
+    branches: point rows at jump_at, or polynomials in theta over
+    theta_interval."""
+    A, Ec, Cc, Fc, jumps = mats
+    n, qc = A.shape[0], Cc.shape[0]
+    gam = PolyExpr([LinExpr.variable(gamma)])
+
+    # flow rows: zeta' - A zeta - Ec*1 >= margin on tau_interval
+    for i in range(n):
+        expr = zeta[i].deriv() - _matvec_row(A, i, zeta) - PolyExpr.from_poly(
+            _row_ones(Ec, i).coeffs
+        )
+        prog.add_interval_ge(f"flow{tag}", i, expr, tau_interval, margin)
+
+    # continuous output rows: gamma - Cc zeta - Fc*1 >= margin on tau_interval
+    for i in range(qc):
+        expr = gam - _matvec_row(Cc, i, zeta) - PolyExpr.from_poly(_row_ones(Fc, i).coeffs)
+        prog.add_interval_ge(f"out_c{tag}", i, expr, tau_interval, margin)
+
+    # stationary rows at tau = T (minimum dwell-time only)
+    if stationary_at is not None:
+        T = stationary_at
+        A_T = A(T)
+        Ec_T = Ec(T).sum(axis=1)
+        zeta_T = [z.eval_at(T) for z in zeta]
+        for i in range(n):
+            expr = -_const_matvec_row(A_T, i, zeta_T) - Ec_T[i]
+            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
+        Cc_T = Cc(T)
+        Fc_T = Fc(T).sum(axis=1)
+        for i in range(qc):
+            expr = LinExpr.variable(gamma) - _const_matvec_row(Cc_T, i, zeta_T) - Fc_T[i]
+            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
+
+    # jump and discrete output rows, per jump map
+    zeta0 = [z.eval_at(0.0) for z in zeta]
+    for jk, jm in enumerate(jumps):
+        Ed1 = jm.Ed.sum(axis=1)
+        Fd1 = jm.Fd.sum(axis=1)
+        if theta_interval is None:
+            T = jump_at
+            target = [z.eval_at(T) for z in zeta] if mu is None else [m.eval_at(T) for m in mu]
+            for i in range(n):
+                expr = zeta0[i] - _const_matvec_row(jm.J, i, target) - Ed1[i]
+                prog.add_point_ge(f"jump[{jk}]", i, expr, jump_margin)
+            for i in range(jm.Cd.shape[0]):
+                expr = (
+                    LinExpr.variable(gamma)
+                    - _const_matvec_row(jm.Cd, i, target)
+                    - Fd1[i]
+                )
+                prog.add_point_ge(f"out_d[{jk}]", i, expr, margin)
+        else:
+            target_p = zeta if mu is None else mu
+            for i in range(n):
+                expr = PolyExpr([zeta0[i]])
+                for j in range(n):
+                    if jm.J[i, j] != 0.0:
+                        expr = expr - target_p[j].scaled(jm.J[i, j])
+                expr = expr - PolyExpr.from_poly([Ed1[i]])
+                prog.add_interval_ge(f"jump[{jk}]", i, expr, theta_interval, jump_margin)
+            for i in range(jm.Cd.shape[0]):
+                expr = gam
+                for j in range(n):
+                    if jm.Cd[i, j] != 0.0:
+                        expr = expr - target_p[j].scaled(jm.Cd[i, j])
+                expr = expr - PolyExpr.from_poly([Fd1[i]])
+                prog.add_interval_ge(f"out_d[{jk}]", i, expr, theta_interval, margin)
+
+    # mu domination rows: mu(theta) - zeta(theta) >= 0 on theta interval
+    if mu is not None and theta_interval is not None:
+        for i in range(n):
+            prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], theta_interval, 0.0)
+
+    # scaling pin: margin <= zeta_i(0) <= PIN
+    for i in range(n):
+        prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
+        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
+
+def reference_gain_rows_constant_like(prog, mats, zeta, gamma, tau_interval, jump_dwells, margin, jump_margin,
+                                      stationary_at=None, mu=None, tag=""):
+    """Oracle for analysis._gain_rows_constant_like: its body before the jump
+    and out_d rows went through one path, with separate point (jump_at) and
+    interval (theta_interval) branches, which jump_dwells = (lo, hi) selects."""
+    lo, hi = jump_dwells
+    _reference_gain_rows(prog, mats, zeta, gamma, tau_interval, None if lo < hi else lo, margin, jump_margin,
+                         stationary_at=stationary_at, theta_interval=(lo, hi) if lo < hi else None, mu=mu, tag=tag)
+
+
+def reference_synthesize(
+    sys: ImpulsiveSystem,
+    dwell: DwellTimeSpec,
+    degree: int = 2,
+    margin: float = DEFAULT_MARGIN,
+    fixed_kd: bool = False,
+    x_min: float = 1e-3,
+    reg: float = 1e-6,
+    gain_cap: float = 100.0,
+    relax_schedule=RELAX_SCHEDULE,
+    dump_lp=None,
+) -> ControllerRealization:
+    """Oracle for synthesize: its body before its jump rows went through one
+    path, writing each jump-row family as a theta polynomial, as a point row
+    at jump_eval or through M, by the map_entry closure."""
+    require_forward_time(sys, "synthesis")
+    if len(sys.jumps) != 1:
+        raise DimensionMismatch("synthesis expects a single jump map (lift switched systems separately)")
+    if fixed_kd and dwell.kind != "range":
+        raise ValueError("fixed_kd is a range dwell-time variant")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    n, mc = sys.n, sys.mc
+    jm = sys.jump
+    md_, qd = sys.md, sys.qd
+    Ed1 = jm.Ed.sum(axis=1)
+    Fd1 = jm.Fd.sum(axis=1)
+    kind = {
+        "arbitrary": "ArbitraryDT",
+        "constant": "ConstantDT",
+        "minimum": "MinimumDT",
+        "range": "RangeDT_FixedKd" if fixed_kd else "RangeDT",
+    }[dwell.kind]
+    if dwell.kind == "arbitrary" and not sys.is_constant():
+        raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
+
+    x_degree = 0 if dwell.kind == "arbitrary" else degree
+    Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
+    genuine_range = dwell.kind == "range" and dwell.Tmax - dwell.Tmin > 1e-12
+    # the jump rows are polynomials in theta for a genuine range design with
+    # theta-dependent Ud; otherwise they are point rows at jump_eval (or in M)
+    theta_poly = genuine_range and not fixed_kd
+    theta_iv = (dwell.Tmin, dwell.Tmax) if dwell.kind == "range" else None
+    if dwell.kind in ("constant", "minimum"):
+        jump_eval = dwell.T
+    elif dwell.kind == "arbitrary":
+        jump_eval = 0.0
+    else:
+        jump_eval = None if genuine_range else dwell.Tmin
+
+    def build(relax: int):
+        prog = synthesis_mod._DesignProgram(relax)
+        X = prog.poly_vec(n, x_degree, "X")
+        Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
+        gamma = prog.scalar(lo=0.0, name="gamma")
+        alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
+        Ud_poly = Ud_const = M = None
+        if md_:
+            if theta_poly:
+                Ud_poly = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md_)]
+            else:
+                Ud_const = [
+                    [prog.lp.new_var(name=f"Ud{l}{j}") for j in range(n)] for l in range(md_)
+                ]
+        if fixed_kd:
+            M = [prog.scalar(lo=x_min, hi=synthesis_mod._X_CAP, name=f"M{j}") for j in range(n)]
+        mode = synthesis_mod._Mode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+        mode.positivity(alpha)
+
+        def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):
+            """(P X + Q Ud)_{ij} as PolyExpr in theta (theta_poly) or as LinExpr
+            at `where` (default jump_eval), for the jump pair (J, Bd) or the
+            discrete-output pair (Cd, Dd)."""
+            if fixed_kd:
+                e = LinExpr.variable(M[j]).scaled(P[i, j])
+                for l in range(md_):
+                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
+                return e
+            if theta_poly:
+                expr = X[j].scaled(P[i, j])
+                for l in range(md_):
+                    expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
+                return expr
+            e = X[j].eval_at(jump_eval if where is None else where).scaled(P[i, j])
+            if Ud_const is not None:
+                for l in range(md_):
+                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
+            return e
+
+        # jump/discrete-output positivity rows: (J X + Bd Ud) >= 0, (Cd X + Dd Ud) >= 0.
+        # Minimum dwell-time imposes them at both timer endpoints: the jump fires
+        # at a frozen X(T) (sound gain recovery) while the reference condition
+        # evaluates at X(0); the intersection keeps both readings valid.
+        jump_points = [0.0, dwell.T] if dwell.kind == "minimum" else [None]
+        for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
+            idx = 0
+            for i in range(P.shape[0]):
+                for j in range(n):
+                    if theta_poly:
+                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j), theta_iv, 0.0)
+                        idx += 1
+                    else:
+                        for pt in jump_points:
+                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, pt), 0.0)
+                            idx += 1
+
+        mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+        # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
+        gam = PolyExpr([LinExpr.variable(gamma)])
+        for i in range(n):
+            if theta_poly:
+                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j) for j in range(n)])
+                expr = PolyExpr([X[i].eval_at(0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
+                prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
+            else:
+                e = X[i].eval_at(0.0)
+                for j in range(n):
+                    e = e - map_entry(jm.J, jm.Bd, i, j)
+                prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
+        for i in range(qd):
+            if theta_poly:
+                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j) for j in range(n)])
+                expr = gam - row - PolyExpr.from_poly([Fd1[i]])
+                prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
+            else:
+                e = LinExpr.variable(gamma) - Fd1[i]
+                for j in range(n):
+                    e = e - map_entry(jm.Cd, jm.Dd, i, j)
+                prog.add_point_ge("perf_out_d", i, e, margin)
+        if fixed_kd:
+            for j in range(n):
+                expr = PolyExpr([LinExpr.variable(M[j])]) - X[j]
+                prog.add_interval_ge("x_below_M", j, expr, theta_iv, 0.0)
+
+        mode.denominator(x_min, gain_cap)
+        # implementable discrete gains: |Ud_lj| <= cap * X_j (or cap * M_j)
+        if gain_cap is not None:
+            idx = 2 * mc * n  # numbered on from the continuous gain_cap rows
+            for l in range(md_):
+                for j in range(n):
+                    for sgn in (1.0, -1.0):
+                        if Ud_poly is not None:
+                            expr = X[j].scaled(gain_cap) + Ud_poly[l][j].scaled(sgn)
+                            prog.add_interval_ge("gain_cap_d", idx, expr, theta_iv, 0.0)
+                        else:
+                            base = (
+                                LinExpr.variable(M[j]).scaled(gain_cap)
+                                if fixed_kd
+                                else X[j].eval_at(jump_eval).scaled(gain_cap)
+                            )
+                            base.add_inplace(LinExpr.variable(Ud_const[l][j]), sgn)
+                            prog.add_point_ge("gain_cap_d", idx, base, 0.0)
+                        idx += 1
+
+        def finalize(prog, sol, relax):
+            Xp = [x.value(sol.x) for x in X]
+            Ucp = [[Uc[l][j].value(sol.x) for j in range(n)] for l in range(mc)]
+            Ud_out = None
+            if Ud_poly is not None:
+                Ud_out = [[Ud_poly[l][j].value(sol.x) for j in range(n)] for l in range(md_)]
+            elif Ud_const is not None:
+                Ud_out = np.array([[sol.x[Ud_const[l][j]] for j in range(n)] for l in range(md_)])
+            M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
+            ctrl = ControllerRealization(
+                kind=kind,
+                dwell=dwell,
+                gamma=float(sol.x[gamma]),
+                degree=x_degree,
+                margin=margin,
+                X=Xp,
+                Uc=Ucp,
+                Ud=Ud_out,
+                M=M_out,
+            )
+            synthesis_mod._check_denominator(ctrl)
+            return ctrl
+
+        extra_obj: dict[int, float] = {}
+        mode.regularize(extra_obj, reg)
+        if fixed_kd:
+            for v in M:
+                extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
+        return prog, gamma, finalize, extra_obj
+
+    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+
+
 def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
     """The product-basis cone encoding of an interval row, expanding every
     product polynomial with Poly.__pow__ again for each row: the oracle of
@@ -1046,7 +1337,7 @@ def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
     against (analyses used this encoding before)."""
     a, b = interval
     if not a < b:
-        self.add_point_ge(family, index, pexpr.eval_at(a), margin)
+        self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
         return
     h = b - a
     order = pexpr.degree + self.relax

@@ -21,7 +21,9 @@ from conftest import (
     lti_linf_closed_form,
     random_stable_metzler,
     reference_analyze_arbitrary,
+    reference_gain_rows_constant_like,
     reference_switched_min,
+    reference_synthesize,
 )
 from dwellgain import analysis as analysis_mod
 from dwellgain import benchmarks
@@ -582,6 +584,11 @@ class TestEscalation:
             st.sampled_from([DwellTimeSpec.constant(T), DwellTimeSpec.minimum(T), DwellTimeSpec.range(T, 1.5 * T)])
         )
         degree = data.draw(st.integers(1, 2))
+        return sys, spec, TestEscalation._runner(sys, spec, degree)
+
+    @staticmethod
+    def _runner(sys, spec, degree):
+        """run() analyzes sys under spec and returns the certificate or the error type."""
 
         def run():
             try:
@@ -593,7 +600,7 @@ class TestEscalation:
             except DwellgainError as exc:
                 return type(exc)
 
-        return sys, spec, run
+        return run
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -648,9 +655,11 @@ class TestBernsteinRows:
     coefficient rows; against the product-basis cone of the same order,
     conftest.per_row_cone_add_interval_ge, no analysis ends worse: it fails
     only where the cone fails, it certifies at no higher order, verify passes,
-    and at an equal order gamma is equal within 1e-7 relative.  On random
-    systems the cone's solution may fall short of a row's margin, within the
-    solver's tolerance; its gamma may then be lower by more."""
+    and at an equal order gamma is equal within 1e-7 relative, or 1e-7
+    absolute: the two cones are equal, but HiGHS solves each program only to
+    its 1e-7 primal and dual tolerances on the unit-norm rows.  On random
+    systems the cone's solution may also fall short of a row's margin, within
+    the solver's tolerance; its gamma may then be lower by more."""
 
     @staticmethod
     def _never_worse(target, run):
@@ -669,17 +678,45 @@ class TestBernsteinRows:
         assert got.relax <= want.relax
         return (got, want) if got.relax == want.relax else None
 
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_random_positive_systems(self, data):
-        sys, _, run = TestEscalation._draw_positive_system(data)
+    def _random_system_checks(self, sys, run):
         pair = self._never_worse(sys, run)
         if pair is None:
             return
         got, want = pair
-        if got.gamma != pytest.approx(want.gamma, rel=1e-7):
+        if got.gamma != pytest.approx(want.gamma, rel=1e-7, abs=1e-7):
             assert _shortfall(want, sys) > 1e-9 * (1.0 + want.gamma)
             assert got.gamma > want.gamma
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_positive_systems(self, data):
+        sys, _, run = TestEscalation._draw_positive_system(data)
+        self._random_system_checks(sys, run)
+
+    @pytest.mark.parametrize(
+        "arrays, dwell, degree",
+        [
+            # the Bernstein gamma lower by 1e-8: its out_c row falls short by that much
+            (dict(A=[[[0.0]]], Fc=[[1e-8]]), "constant:0.2", 1),
+            # both gammas feasible, the cone's 4.3e-8 higher
+            (dict(A=[[[-1.5], [1.0]], [[0.0], [-1.5]]], Ec=[[0.0], [1.0]], Cc=[[0.25, 0.0]],
+                  J=[[0.0, 1e-6], [5.960464477539063e-08, 0.375]], Ed=[[1.0], [0.0]]), "constant:1", 1),
+            # both feasible, the Bernstein gamma 7.8e-8 higher
+            (dict(A=[[[1e-08, -0.7696902271690274]]], Cc=[[0.9356248625304746]], Fc=[[0.20279271894664036]],
+                  J=[[0.2777767477584692]], Ed=[[0.3820162010711857]], Cd=[[0.9969225979916649]],
+                  Fd=[[0.20279271894664036]]), "minimum:0.5", 2),
+            # the Bernstein gamma 3.3e-8 (relative 3.3e-6) higher; the cone's falls short by 1e-10
+            (dict(A=[[[0.0, -0.5]]], Cc=[[1.0]]), "minimum:0.2", 2),
+        ],
+    )
+    def test_pinned_draws(self, arrays, dwell, degree):
+        """Draws of test_random_positive_systems on which both programs
+        certify at one order with gammas more than 1e-7 relative apart."""
+        n = len(arrays["A"])
+        zeros = {"Ec": [[0.0]] * n, "Cc": [[0.0] * n], "Fc": [[0.0]], "J": [[0.0] * n] * n,
+                 "Ed": [[0.0]] * n, "Cd": [[0.0] * n], "Fd": [[0.0]]}
+        sys = ImpulsiveSystem.from_arrays(**{**zeros, **arrays})
+        self._random_system_checks(sys, TestEscalation._runner(sys, DwellTimeSpec.parse(dwell), degree))
 
     def test_certify_grid_analyses(self):
         """The certify-grid analyses, each range also with its dominating vector."""
@@ -880,7 +917,7 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
     rounded once."""
     a, b = interval
     if not a < b:
-        self.add_point_ge(family, index, pexpr.eval_at(a), margin)
+        self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
         return
     order = pexpr.degree + self.relax
     q = pexpr.shift_scale_arg(a, b - a)
@@ -1050,3 +1087,129 @@ class TestArbitraryFoldOracle:
         assert out == out_r == "Infeasible"
         with pytest.raises(Infeasible, match=r"conditions infeasible \(finite LP\)"):
             analyze_arbitrary(s)
+
+
+def _with_inputs(s: ImpulsiveSystem) -> ImpulsiveSystem:
+    """s with one nonnegative control input on each channel."""
+    jm = s.jump
+    return ImpulsiveSystem.from_arrays(
+        A=s.A, Ec=s.Ec, Cc=s.Cc, Fc=s.Fc, J=jm.J, Ed=jm.Ed, Cd=jm.Cd, Fd=jm.Fd,
+        Bc=np.full((s.n, 1), 0.5), Dc=np.full((s.qc, 1), 0.2),
+        Bd=np.full((s.n, 1), 1.0), Dd=np.full((s.qd, 1), 0.3),
+    )
+
+
+# the design specs of tools/artifact_hashes.py, then one-dwell ranges under
+# fixed K_d: exactly [0.2, 0.2] and narrower than the 1e-12 collapse
+FOLD_DESIGNS = (
+    (DwellTimeSpec.constant(0.1), False),
+    (DwellTimeSpec.constant(0.3), False),
+    (DwellTimeSpec.minimum(0.2), False),
+    (DwellTimeSpec.minimum(0.5), False),
+    (DwellTimeSpec.range(0.1, 0.3), False),
+    (DwellTimeSpec.range(0.1, 0.3), True),
+    (DwellTimeSpec.range(0.2, 0.2), False),
+    (DwellTimeSpec.arbitrary(), False),
+    (DwellTimeSpec.range(0.2, 0.2), True),
+    (DwellTimeSpec.range(0.2, 0.2000000000001), False),
+    (DwellTimeSpec.range(0.2, 0.2000000000001), True),
+)
+
+
+class TestJumpRowFoldOracle:
+    """The jump-row families of _gain_rows_constant_like and synthesize are
+    each written once, a single dwell being the interval [lo, lo]; their
+    programs (rows as dicts, assembled arrays, dump_lp text) and certificates
+    or controllers equal those of the two-branch builders, kept as
+    conftest.reference_gain_rows_constant_like and conftest.reference_synthesize."""
+
+    @staticmethod
+    def _solved(monkeypatch, tmp_path, run):
+        seen, out = TestLpBuildOracle._solved(monkeypatch, tmp_path, run, False)
+        return [([(dict(items), rel, rhs) for items, rel, rhs in rows], asm, text) for rows, asm, text in seen], out
+
+    def _same(self, monkeypatch, tmp_path, run, run_r):
+        """Assert that run and run_r solve equal programs to equal outcomes; return run's."""
+        got, out = self._solved(monkeypatch, tmp_path, run)
+        want, out_r = self._solved(monkeypatch, tmp_path, run_r)
+        assert len(got) == len(want)
+        for (rows, asm, text), (rows_r, asm_r, text_r) in zip(got, want):
+            assert rows == rows_r
+            assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
+            assert text == text_r
+        if isinstance(out, str):
+            assert out == out_r
+        else:
+            assert json.dumps(out.to_json(), sort_keys=True) == json.dumps(out_r.to_json(), sort_keys=True)
+        return out
+
+    @pytest.mark.parametrize(
+        "dwell, timers",
+        [
+            ("arbitrary", (0.0, 0.0)),
+            ("constant:0.3", (0.3, 0.3)),
+            ("minimum:0.3", (0.3, 0.3)),
+            ("range:0.3:0.45", (0.3, 0.45)),
+            ("range:0.3:0.3", (0.3, 0.3)),
+            ("range:0.3:0.3000000000001", (0.3, 0.3)),
+            ("range:0.3:0.300000000002", (0.3, 0.300000000002)),
+        ],
+    )
+    def test_jump_timers(self, dwell, timers):
+        """The dwells the jump rows hold at; a range narrower than 1e-12 is the one dwell Tmin."""
+        assert analysis_mod._jump_timers(DwellTimeSpec.parse(dwell)) == timers
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    @pytest.mark.parametrize(
+        "bench, dwell",
+        [
+            ("lti_jump_bench", "constant:0.5"),
+            ("timer_growth_bench", "constant:0.3"),
+            ("timer_stable_bench", "minimum:1.9"),
+            ("lti_jump_bench", "minimum:0.5"),
+            ("timer_growth_bench", "range:0.3:0.45"),
+            ("timer_growth_bench", "range-mu:0.3:0.45"),
+            ("lti_jump_bench", "range-mu:0.2:0.3"),
+            ("timer_growth_bench", "range:0.2:0.2"),
+            ("timer_growth_bench", "range:0.2:0.2000000000001"),
+            ("timer_growth_bench", "range-mu:0.2:0.2000000000001"),
+            ("timer_stable_bench", "range-mu:1.9:1.9000000000001"),
+            ("lti_jump_bench", "arbitrary"),
+        ],
+    )
+    def test_analyses(self, monkeypatch, tmp_path, bench, dwell, degree):
+        s = getattr(benchmarks, bench)()
+        kind, *T = dwell.split(":")
+        T = [float(t) for t in T]
+
+        def run():
+            if kind == "arbitrary":
+                return analyze_arbitrary(s)
+            if kind == "constant":
+                return analyze_constant(s, T[0], degree)
+            if kind == "minimum":
+                return analyze_minimum(s, T[0], degree)
+            return analyze_range(s, *T, degree, mode="mu_variant" if kind == "range-mu" else "direct")
+
+        def run_r():
+            with monkeypatch.context() as m:
+                m.setattr(analysis_mod, "_gain_rows_constant_like", reference_gain_rows_constant_like)
+                return run()
+
+        out = self._same(monkeypatch, tmp_path, run, run_r)
+        assert isinstance(out, Certificate)
+
+    @pytest.mark.parametrize("plant", ["unstable_chain_plant", "unstable_pair_plant", "lti_jump_bench"])
+    def test_designs(self, monkeypatch, tmp_path, plant):
+        p = getattr(benchmarks, plant)()
+        p = _with_inputs(p) if plant == "lti_jump_bench" else p
+        certified = 0
+        for degree in (0, 1, 2, 3):
+            for spec, fixed_kd in FOLD_DESIGNS:
+                out = self._same(
+                    monkeypatch, tmp_path,
+                    lambda: synthesize(p, spec, degree, fixed_kd=fixed_kd),
+                    lambda: reference_synthesize(p, spec, degree, fixed_kd=fixed_kd),
+                )
+                certified += not isinstance(out, str)
+        assert certified >= 20

@@ -368,6 +368,18 @@ class TestKdMesh:
             assert ctrl.kd_mesh([]).shape == mesh.shape[:2] + (0,)
         assert not np.array_equal(designs[2].kd(0.1), designs[2].kd(0.3))
 
+    def test_one_dwell_range_needs_no_theta(self, bench_chain_plant, ctrl_range):
+        """A range design on [0.2, 0.2], or one narrower than 1e-12, has a
+        constant U_d and the one dwell 0.2: kd() is K_d there.  A U_d
+        polynomial in theta still needs theta."""
+        for Tmax in (0.2, 0.2000000000001):
+            ctrl = synthesize(bench_chain_plant, DwellTimeSpec.range(0.2, Tmax), degree=2)
+            assert ctrl.kind == "RangeDT" and isinstance(ctrl.Ud, np.ndarray)
+            np.testing.assert_array_equal(ctrl.kd(), ctrl.kd(0.2))
+            np.testing.assert_array_equal(ctrl.kd(), oracle_kd(ctrl, 0.2))
+        with pytest.raises(ValueError, match="needs theta"):
+            ctrl_range.kd()
+
 
 class TestArbitraryDesign:
     def test_feasible_plant(self):

@@ -24,11 +24,12 @@ cross-check entries.
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
   and range-mu dwell at T in {0.12, 0.2, 0.33, 0.5, 1.9, 2.7} and degrees
-  2, 4, 6, plus degenerate ranges [T, T];
+  2, 4, 6, plus degenerate ranges [T, T] and ranges [T, T + 1e-13];
 - arbitrary dwell on four constant systems at three margin settings;
 - switched minimum dwell and the Blanchini bound at five dwell times;
 - `synthesize` for three plants, eight dwell specifications and degrees 0-3,
-  with the closed loop verified and cross-checked;
+  with the closed loop verified and cross-checked, and likewise fixed-K_d
+  designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13];
 - `synthesize_switched` at four dwell times.
 
 Only the public API is used, so the script runs against any version of `src/`.
@@ -51,7 +52,7 @@ from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
 IMPULSIVE = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
 GRID_T = (0.12, 0.2, 0.33, 0.5, 1.9, 2.7)
 DEGREES = (2, 4, 6)
-DEGENERATE_T = (0.2, 1.9)
+DEGENERATE_RANGES = ((0.2, 0.2), (1.9, 1.9), (0.2, 0.2000000000001), (1.9, 1.9000000000001))
 ARBITRARY_MARGINS = ((analysis.DEFAULT_MARGIN, analysis.DEFAULT_JUMP_MARGIN), (0.0, 0.0), (1e-3, 0.1))
 SWITCHED_T = (0.1, 0.3, 0.5, 1.0, 2.0)
 DESIGN_SPECS = (
@@ -63,6 +64,10 @@ DESIGN_SPECS = (
     (DwellTimeSpec.range(0.1, 0.3), True),
     (DwellTimeSpec.range(0.2, 0.2), False),
     (DwellTimeSpec.arbitrary(), False),
+    # one-dwell ranges: exactly [T, T], and narrower than the 1e-12 collapse
+    (DwellTimeSpec.range(0.2, 0.2), True),
+    (DwellTimeSpec.range(0.2, 0.2000000000001), False),
+    (DwellTimeSpec.range(0.2, 0.2000000000001), True),
 )
 DESIGN_DEGREES = (0, 1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
@@ -139,10 +144,10 @@ def collect(lp_dir: str) -> dict:
                     c = rec.solve(key, lambda lp: run(d, lp), to_json)
                     if c is not None:
                         rec.reports(key, c, s)
-        for T in DEGENERATE_T:
+        for lo, hi in DEGENERATE_RANGES:
             for mode in ("direct", "mu_variant"):
-                key = f"{bname} range {T}:{T} {mode} degree=2"
-                c = rec.solve(key, lambda lp: analysis.analyze_range(s, T, T, 2, mode=mode, dump_lp=lp), to_json)
+                key = f"{bname} range {lo}:{hi} {mode} degree=2"
+                c = rec.solve(key, lambda lp: analysis.analyze_range(s, lo, hi, 2, mode=mode, dump_lp=lp), to_json)
                 if c is not None:
                     rec.reports(key, c, s)
 
@@ -176,7 +181,7 @@ def collect(lp_dir: str) -> dict:
     for pname, p in plants.items():
         for spec, fixed_kd in DESIGN_SPECS:
             for d in DESIGN_DEGREES:
-                key = f"{pname} design {spec}{' fixed_kd' if fixed_kd else ''} degree={d}"
+                key = f"{pname} design {spec.to_json()}{' fixed_kd' if fixed_kd else ''} degree={d}"
                 ctrl = rec.solve(
                     key, lambda lp: synthesis.synthesize(p, spec, d, fixed_kd=fixed_kd, dump_lp=lp), to_json)
                 if ctrl is not None:
