@@ -6,6 +6,11 @@ interval-valued rows are imposed through their Bernstein coefficients, one
 equality row and one nonnegative slack column each; point rows are plain LP
 rows.  gamma enters every encoding affinely and is minimized directly.
 
+The theorem rows have one builder for analyses and designs: a design reads
+zeta = X 1 (X diagonal) with numerators U = K X, so an analysis is the
+design with U = 0.  `_Mode` (flow, output, stationary rows) and `_jump_rows`
+write each as lead - sum_j (P X + Q U)_ij >= margin (`_theorem_row`).
+
 Infeasible is proved in one of two ways.  Before the LPs of the constant,
 minimum or range conditions are built, `_unstable_orbit` looks for an
 admissible periodic orbit of a positive system that is unstable,
@@ -64,6 +69,8 @@ _ORBIT_STEP = 0.01
 _ORBIT_HL = 0.25
 _ORBIT_MAX_STEPS = 8192
 _ORBIT_TOL = 1e-6
+# dwell kind -> certificate kind
+_KIND = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
 
 
 @dataclass
@@ -148,23 +155,6 @@ def _row_ones(pm: PolyMatrix, i: int) -> Poly:
     out = Poly.const(0.0)
     for j in range(pm.shape[1]):
         out = out + pm.entry(i, j)
-    return out
-
-
-def _matvec_row(pm: PolyMatrix, i: int, zeta: Sequence[PolyExpr]) -> PolyExpr:
-    """(M(tau) zeta(tau))_i as a PolyExpr."""
-    out = PolyExpr.zero()
-    for j, z in enumerate(zeta):
-        entry = pm.entry(i, j)
-        if not entry.is_zero:
-            out = out + z.mul_poly(entry.coeffs)
-    return out
-
-
-def _const_matvec_row(mat: np.ndarray, i: int, vals: Sequence[LinExpr]) -> LinExpr:
-    out = LinExpr()
-    for j, v in enumerate(vals):
-        out.add_inplace(v, float(mat[i, j]))
     return out
 
 
@@ -269,95 +259,135 @@ class _Program:
         return lp
 
 
+def _bilinear_entry(A_pm: PolyMatrix, X: list[PolyExpr], B_pm: PolyMatrix,
+                    U: list[list[PolyExpr]], i: int, j: int) -> PolyExpr:
+    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a PolyExpr (X diagonal)."""
+    expr = X[j].mul_poly(A_pm.entry(i, j).coeffs)
+    for l in range(len(U)):
+        b = B_pm.entry(i, l)
+        if not b.is_zero:
+            expr = expr + U[l][j].mul_poly(b.coeffs)
+    return expr
+
+
+def _const_entries(x_at: list, U: list, P: np.ndarray, Q: Optional[np.ndarray]) -> list[list]:
+    """(P X + Q U)_{ij} for constant matrices P and Q, X read on one side
+    x_at: X(theta), X at a point, or M.  The entries are PolyExprs in theta or
+    LinExprs, as x_at and U hold; Q is not read when U = []."""
+    def entry(i: int, j: int):
+        e = x_at[j].scaled(float(P[i, j]))
+        for l, u in enumerate(U):
+            e = e + u[j].scaled(float(Q[i, l]))
+        return e
+
+    return [[entry(i, j) for j in range(len(x_at))] for i in range(P.shape[0])]
+
+
+def _theorem_row(prog: _Program, family: str, index: int, lead: Union[LinExpr, PolyExpr], entries: Sequence,
+                 where: tuple[float, float], margin: float) -> None:
+    """lead - sum(entries) >= margin at every timer value in where = (lo, hi),
+    the one form of every theorem row.  The entries are PolyExprs in the
+    timer, or LinExprs when lo = hi (one point row); a LinExpr lead over
+    PolyExpr entries is the constant polynomial."""
+    expr = PolyExpr([lead]) if isinstance(lead, LinExpr) and where[0] < where[1] else lead
+    for e in entries:
+        expr = expr - e
+    prog.add_interval_ge(family, index, expr, where, margin)
+
+
+class _Mode:
+    """One mode's flow in the decision variables X(tau), the diagonal as a
+    vector, and U(tau) on the timer interval (0, tau_end), mats = (A, B, E,
+    C, D, F).  Each entry of A X + B U and C X + D U is built once.  A design
+    (`synthesis._DesignMode`) adds its positivity and denominator rows from
+    them; an analysis is the case X = zeta and U = [], where B and D are
+    never read.  tau_end = 0 (arbitrary dwell-time) turns every interval row
+    into a point row at tau = 0; families carry `tag` as a suffix."""
+
+    def __init__(self, prog: _Program, mats: tuple, X: list[PolyExpr],
+                 U: list[list[PolyExpr]], tau_end: float, tag: str = ""):
+        A, B, _, C, D, _ = self.mats = mats
+        self.prog, self.X, self.U, self.tag = prog, X, U, tag
+        self.iv = (0.0, tau_end)
+        n = len(X)
+        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
+        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+
+    def theorem_rows(self, gamma: int, margin: float, stat_at: Optional[float] = None) -> None:
+        """flow: X_i' - E_i 1 - (A X + B U)_i 1 >= margin and out_c: gamma -
+        F_i 1 - (C X + D U)_i 1 >= margin on (0, tau_end), the analysis rows
+        under zeta = X 1; with stat_at = T (minimum dwell-time) also their
+        stationary rows at tau = T, without X', from the matrices at T times
+        X(T) and U(T)."""
+        prog, tag = self.prog, self.tag
+        A, B, E, C, D, F = self.mats
+        gam = LinExpr.variable(gamma)
+        for i, row in enumerate(self.flow):
+            lead = self.X[i].deriv() - PolyExpr.from_poly(_row_ones(E, i).coeffs)
+            _theorem_row(prog, f"flow{tag}", i, lead, row, self.iv, margin)
+        for i, row in enumerate(self.out):
+            lead = PolyExpr([gam]) - PolyExpr.from_poly(_row_ones(F, i).coeffs)
+            _theorem_row(prog, f"out_c{tag}", i, lead, row, self.iv, margin)
+        if stat_at is None:
+            return
+        T = stat_at
+        X_T = [x.eval_at(T) for x in self.X]
+        U_T = [[u.eval_at(T) for u in row] for row in self.U]
+        for family, P, Q, leads in (
+            ("stat_flow", A, B, [LinExpr.constant(-e) for e in E(T).sum(axis=1)]),
+            ("stat_out", C, D, [gam - f for f in F(T).sum(axis=1)]),
+        ):
+            for i, row in enumerate(_const_entries(X_T, U_T, P(T), Q(T) if U_T else None)):
+                _theorem_row(prog, f"{family}{tag}", i, leads[i], row, (T, T), margin)
+
+
+def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[LinExpr], gamma: int,
+               dwells: tuple[float, float], margin: float, jump_margin: float) -> None:
+    """Per jump map k, with entries[k] = (J_k X + Bd_k U, Cd_k X + Dd_k U) read
+    on one side (`_const_entries`): jump[k], X_i(0) - Ed_k,i 1 - (J_k X +
+    Bd_k U)_i 1 >= jump_margin, and out_d[k], gamma - Fd_k,i 1 - (Cd_k X +
+    Dd_k U)_i 1 >= margin, at every dwell in dwells = (lo, hi); x0 = X(0)."""
+    for k, (jm, (jump, out_d)) in enumerate(zip(jumps, entries)):
+        for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
+            _theorem_row(prog, f"jump[{k}]", i, x0[i] - ed, row, dwells, jump_margin)
+        for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
+            _theorem_row(prog, f"out_d[{k}]", i, LinExpr.variable(gamma) - fd, row, dwells, margin)
+
+
 def _gain_rows_constant_like(
-    prog: _Program,
-    mats: tuple,
-    zeta: list[PolyExpr],
-    gamma: int,
-    tau_interval: tuple[float, float],
-    jump_dwells: tuple[float, float],
-    margin: float,
-    jump_margin: float,
-    stationary_at: Optional[float] = None,
-    mu: Optional[list[PolyExpr]] = None,
-    tag: str = "",
-):
-    """Common rows of the constant/minimum/range conditions, mats = (A, Ec, Cc, Fc,
-    jumps), and of one switched mode, mats = (A, E, C, F, ()), tag suffixing its families.
+    prog: _Program, mats: tuple, jumps: Sequence, zeta: list[PolyExpr], gamma: int, tau_end: float,
+    jump_dwells: tuple[float, float], margin: float, jump_margin: float, stationary_at: Optional[float] = None,
+    mu: Optional[list[PolyExpr]] = None, tag: str = "",
+) -> None:
+    """The rows of the constant/minimum/range conditions, mats = (A, Bc, Ec,
+    Cc, Dc, Fc) with the jump maps `jumps`, and of one switched mode, mats =
+    (A, B, E, C, D, F) with jumps = (), tag suffixing its families.
 
-    The jump and discrete-output rows hold at every dwell theta in
-    jump_dwells = (lo, hi) (`_jump_timers`), with mu(theta) in place of
-    zeta(theta) when mu is given: polynomial rows in theta on [lo, hi], or
-    point rows at theta = lo when lo == hi.
+    The theorem rows are a design's with X = zeta and U = []: flow and out_c
+    on (0, tau_end) and the stationary rows at stationary_at (`_Mode`), and
+    jump[k] and out_d[k] (`_jump_rows`) at every dwell theta in jump_dwells
+    = (lo, hi) (`_jump_timers`), with mu(theta) in place of zeta(theta) when
+    mu is given: polynomial rows in theta on [lo, hi], or point rows at
+    theta = lo when lo == hi.  The mu domination and pin rows follow.
     """
-    A, Ec, Cc, Fc, jumps = mats
-    n, qc = A.shape[0], Cc.shape[0]
-    gam = PolyExpr([LinExpr.variable(gamma)])
-
-    # flow rows: zeta' - A zeta - Ec*1 >= margin on tau_interval
-    for i in range(n):
-        expr = zeta[i].deriv() - _matvec_row(A, i, zeta) - PolyExpr.from_poly(
-            _row_ones(Ec, i).coeffs
-        )
-        prog.add_interval_ge(f"flow{tag}", i, expr, tau_interval, margin)
-
-    # continuous output rows: gamma - Cc zeta - Fc*1 >= margin on tau_interval
-    for i in range(qc):
-        expr = gam - _matvec_row(Cc, i, zeta) - PolyExpr.from_poly(_row_ones(Fc, i).coeffs)
-        prog.add_interval_ge(f"out_c{tag}", i, expr, tau_interval, margin)
-
-    # stationary rows at tau = T (minimum dwell-time only)
-    if stationary_at is not None:
-        T = stationary_at
-        A_T = A(T)
-        Ec_T = Ec(T).sum(axis=1)
-        zeta_T = [z.eval_at(T) for z in zeta]
-        for i in range(n):
-            expr = -_const_matvec_row(A_T, i, zeta_T) - Ec_T[i]
-            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
-        Cc_T = Cc(T)
-        Fc_T = Fc(T).sum(axis=1)
-        for i in range(qc):
-            expr = LinExpr.variable(gamma) - _const_matvec_row(Cc_T, i, zeta_T) - Fc_T[i]
-            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
-
-    # jump and discrete output rows, per jump map:
-    # zeta(0) - J target - Ed*1 >= jump_margin, gamma - Cd target - Fd*1 >= margin
+    _Mode(prog, mats, zeta, [], tau_end, tag).theorem_rows(gamma, margin, stationary_at)
     lo, hi = jump_dwells
     target = zeta if mu is None else mu
     if not lo < hi:
         target = [t.eval_at(lo) for t in target]
     zeta0 = [z.eval_at(0.0) for z in zeta]
-    for jk, jm in enumerate(jumps):
-        for family, P, leads, m in (
-            (f"jump[{jk}]", jm.J, [z - e for z, e in zip(zeta0, jm.Ed.sum(axis=1))], jump_margin),
-            (f"out_d[{jk}]", jm.Cd, [LinExpr.variable(gamma) - f for f in jm.Fd.sum(axis=1)], margin),
-        ):
-            for i, lead in enumerate(leads):
-                entries = [t.scaled(float(p)) for t, p in zip(target, P[i]) if p != 0.0]
-                _jump_row(prog, family, i, lead, entries, jump_dwells, m)
+    entries = [[_const_entries(target, [], P, None) for P in (jm.J, jm.Cd)] for jm in jumps]
+    _jump_rows(prog, jumps, entries, zeta0, gamma, jump_dwells, margin, jump_margin)
 
     # mu domination rows: mu(theta) - zeta(theta) >= 0 on [lo, hi]
     if mu is not None:
-        for i in range(n):
+        for i in range(len(zeta)):
             prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], jump_dwells, 0.0)
 
     # scaling pin: margin <= zeta_i(0) <= PIN
-    for i in range(n):
-        prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
-        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
-
-
-def _jump_row(
-    prog: _Program, family: str, index: int, lead: LinExpr, entries: Sequence, dwells: tuple[float, float], margin: float
-) -> None:
-    """lead - sum(entries) >= margin at every dwell in dwells = (lo, hi): the
-    entries are PolyExprs in theta when lo < hi, else LinExprs, one point row."""
-    lo, hi = dwells
-    expr = PolyExpr([lead]) if lo < hi else lead
-    for e in entries:
-        expr = expr - e
-    prog.add_interval_ge(family, index, expr, dwells, margin)
+    for i, z0 in enumerate(zeta0):
+        prog.add_point_ge(f"pin_lo{tag}", i, z0, margin)
+        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - z0, 0.0)
 
 
 def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
@@ -570,10 +600,6 @@ def _analyze_hybrid(
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}[
-        dwell.kind
-    ]
-
     lo, hi = _jump_timers(dwell)
     stationary_at = dwell.T if dwell.kind == "minimum" else None
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
@@ -587,10 +613,11 @@ def _analyze_hybrid(
         mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
         _gain_rows_constant_like(
             prog,
-            (sys.A, sys.Ec, sys.Cc, sys.Fc, sys.jumps),
+            (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc),
+            sys.jumps,
             zeta,
             gamma,
-            (0.0, _timer_end(dwell)),
+            _timer_end(dwell),
             (lo, hi),
             margin,
             jump_margin,
@@ -604,7 +631,7 @@ def _analyze_hybrid(
             if mu is not None:
                 aux["mu"] = [m.value(sol.x) for m in mu]
             return Certificate(
-                kind=kind,
+                kind=_KIND[dwell.kind],
                 gamma=float(sol.x[gamma]),
                 zeta=zp,
                 dwell=dwell,
@@ -698,6 +725,8 @@ def analyze_switched_min(
         raise DimensionMismatch("switched analysis needs at least two modes")
     if T <= 0:
         raise ValueError("T must be positive")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     n = sw.n
 
     def build(relax: int):
@@ -706,7 +735,7 @@ def analyze_switched_min(
         gamma = prog.scalar(lo=0.0, name="gamma")
         for i, md in enumerate(sw.modes):
             _gain_rows_constant_like(
-                prog, (md["A"], md["E"], md["C"], md["F"], ()), zetas[i], gamma, (0.0, T),
+                prog, tuple(md[k] for k in "ABECDF"), (), zetas[i], gamma, T,
                 jump_dwells=(T, T), margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
             )
         # coupling: zeta_j(T) - zeta_i(0) <= 0, i != j (closed inequality)

@@ -485,6 +485,11 @@ def simulate(
     else:
         jR, js, jCz, jzs = _jump_maps(sys, controller, picks, thetas, wds)
 
+    # 8 MiB taken and given back, more than a chunk's tables up to n = 8: glibc
+    # raises its mmap and trim thresholds to the largest mapped block freed, so
+    # the tables come from a heap it no longer trims and re-faults every chunk.
+    np.empty(1 << 23, np.uint8)
+
     # March: chunk by chunk from the state the previous chunk ended in.
     qc = _mats(sys, modes[0])[3].shape[0]
     states = np.empty((len(seg_of), n))

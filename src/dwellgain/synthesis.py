@@ -2,7 +2,10 @@
 
 The decision variables are a diagonal polynomial matrix X(tau) and numerator
 gains U; the closed-loop positivity and performance rows are affine in them,
-so gain minimization stays a linear program.  Controllers are recovered as
+so gain minimization stays a linear program.  The performance rows are the
+analysis theorem rows under zeta = X 1, written by the analysis builders
+(`analysis._Mode`, `analysis._jump_rows`); this module adds the positivity,
+denominator and gain-cap rows (`_DesignMode`).  Controllers are recovered as
 rational gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 """
 
@@ -16,19 +19,21 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analysis import (
+    _KIND,
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
-    _jump_row,
+    _const_entries,
+    _jump_rows,
     _jump_timers,
+    _Mode,
     _Program,
-    _row_ones,
     _solve_with_escalation,
     _timer_end,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
+from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
 from .poly import Poly, product_basis
 
 __all__ = [
@@ -238,39 +243,10 @@ def realize_gain(ctrl: ControllerRealization, tau: float, mode: Optional[int] = 
     return ctrl.kc(tau, mode=mode)
 
 
-def _bilinear_entry(A_pm: PolyMatrix, X: list[PolyExpr], B_pm: PolyMatrix,
-                    U: list[list[PolyExpr]], i: int, j: int) -> PolyExpr:
-    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a PolyExpr (X diagonal)."""
-    expr = X[j].mul_poly(A_pm.entry(i, j).coeffs)
-    for l in range(len(U)):
-        b = B_pm.entry(i, l)
-        if not b.is_zero:
-            expr = expr + U[l][j].mul_poly(b.coeffs)
-    return expr
-
-
-def _sum_entries(exprs: Sequence[PolyExpr]) -> PolyExpr:
-    out = PolyExpr.zero()
-    for e in exprs:
-        out = out + e
-    return out
-
-
-class _Mode:
-    """One mode's closed loop in the decision variables (X, U) on the timer
-    interval (0, Tend), mats = (A, B, E, C, D, F).  Each entry of A X + B U and
-    C X + D U is built once and feeds the positivity, performance and
-    denominator rows; families carry `tag` as a suffix.  Tend = 0 (arbitrary
-    dwell-time) turns every interval row into a point row at tau = 0."""
-
-    def __init__(self, prog: _Program, mats: tuple, X: list[PolyExpr],
-                 U: list[list[PolyExpr]], Tend: float, tag: str = ""):
-        A, B, self.E, C, D, self.F = mats
-        self.prog, self.X, self.U, self.tag = prog, X, U, tag
-        self.iv = (0.0, Tend)
-        n = len(X)
-        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
-        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+class _DesignMode(_Mode):
+    """A design's mode (`analysis._Mode`): its theorem rows plus the
+    closed-loop positivity, denominator and regularizer rows, all read from
+    the same entries of A X + B U and C X + D U."""
 
     def positivity(self, alpha: int) -> None:
         """Metzler rows (A X + B U)_{ij} + alpha [i=j] >= 0, output rows (C X + D U)_{ij} >= 0."""
@@ -279,30 +255,6 @@ class _Mode:
         for family, entries in (("pos_flow", flow), ("pos_out_c", self.out)):
             for idx, expr in enumerate(chain.from_iterable(entries)):
                 self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
-
-    def performance(self, gamma: int, margin: float, stat_at: Optional[float] = None) -> None:
-        """The analysis flow and output rows under zeta = X*1,
-        X'*1 - [A X + B U]*1 - E*1 >= margin and gamma - [C X + D U]*1 - F*1 >= margin,
-        plus their stationary rows at tau = stat_at (minimum dwell-time)."""
-        prog, tag = self.prog, self.tag
-        flow = [_sum_entries(row) for row in self.flow]
-        out = [_sum_entries(row) for row in self.out]
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i, row in enumerate(flow):
-            expr = -row - PolyExpr.from_poly(_row_ones(self.E, i).coeffs)
-            prog.add_interval_ge(f"perf_flow{tag}", i, self.X[i].deriv() + expr, self.iv, margin)
-        for i, row in enumerate(out):
-            expr = gam - row - PolyExpr.from_poly(_row_ones(self.F, i).coeffs)
-            prog.add_interval_ge(f"perf_out_c{tag}", i, expr, self.iv, margin)
-        if stat_at is None:
-            return
-        E_T, F_T = self.E(stat_at), self.F(stat_at)
-        for i, row in enumerate(flow):
-            expr = (-row).eval_at(stat_at) - float(E_T[i].sum())
-            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
-        for i, row in enumerate(out):
-            expr = LinExpr.variable(gamma) - row.eval_at(stat_at) - float(F_T[i].sum())
-            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
 
     def denominator(self, x_min: float, gain_cap: Optional[float]) -> None:
         """X >= x_min, X(0) <= _X_CAP, and implementable gains |U_lj| <= cap * X_j."""
@@ -330,19 +282,6 @@ def _gain_cap_rows(prog: _Program, family: str, idx: int, X: list, U: list, cap:
             for sgn in (1.0, -1.0):
                 prog.add_interval_ge(family, idx, x.scaled(cap) + u.scaled(sgn), interval, 0.0)
                 idx += 1
-
-
-def _jump_entries(x_at: list, Ud: list, P: np.ndarray, Q: np.ndarray) -> list[list]:
-    """(P X + Q U_d)_{ij} for the jump pair (J, Bd) or the discrete-output pair
-    (Cd, Dd), X read on one side x_at: X(theta), X(t) or M.  The entries are
-    PolyExprs in theta or LinExprs, as x_at and Ud hold."""
-    def entry(i: int, j: int):
-        e = x_at[j].scaled(P[i, j])
-        for l, ud in enumerate(Ud):
-            e = e + ud[j].scaled(float(Q[i, l]))
-        return e
-
-    return [[entry(i, j) for j in range(len(x_at))] for i in range(P.shape[0])]
 
 
 def synthesize(
@@ -379,12 +318,7 @@ def synthesize(
         raise ValueError("degree must be >= 0")
     n, mc, md = sys.n, sys.mc, sys.md
     jm = sys.jump
-    kind = {
-        "arbitrary": "ArbitraryDT",
-        "constant": "ConstantDT",
-        "minimum": "MinimumDT",
-        "range": "RangeDT_FixedKd" if fixed_kd else "RangeDT",
-    }[dwell.kind]
+    kind = _KIND[dwell.kind] + ("_FixedKd" if fixed_kd else "")
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
 
@@ -404,7 +338,7 @@ def synthesize(
         else:
             Ud = [[LinExpr.variable(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
         M = [prog.scalar(lo=x_min, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
-        mode = _Mode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+        mode = _DesignMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
         mode.positivity(alpha)
 
         # the sides X is read on at the jump, each with the dwells its rows
@@ -413,14 +347,14 @@ def synthesize(
         # the positivity rows at both timer endpoints: the jump fires at a
         # frozen X(T) (sound gain recovery) while the reference condition
         # evaluates at X(0); the intersection keeps both readings valid.  The
-        # last side carries the performance and gain-cap rows.
+        # last side carries the jump[0], out_d[0] and gain-cap rows.
         if theta_poly:
             sides = [(X, (lo, hi))]
         elif fixed_kd:
             sides = [([LinExpr.variable(v) for v in M], (lo, lo))]
         else:
             sides = [([x.eval_at(t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
-        entries = [[_jump_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
+        entries = [[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
         # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
         for k, family in enumerate(("pos_jump", "pos_out_d")):
             idx = 0
@@ -429,13 +363,9 @@ def synthesize(
                     prog.add_interval_ge(family, idx, e, dwells, 0.0)
                     idx += 1
 
-        mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
-        # X_i(0) - [J X + Bd Ud]_i 1 - Ed_i 1 >= margin, gamma - [Cd X + Dd Ud]_i 1 - Fd_i 1 >= margin
-        (jump, out_d), (x_at, dwells) = entries[-1], sides[-1]
-        for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
-            _jump_row(prog, "perf_jump", i, X[i].eval_at(0.0) - ed, row, dwells, margin)
-        for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
-            _jump_row(prog, "perf_out_d", i, LinExpr.variable(gamma) - fd, row, dwells, margin)
+        mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+        x_at, dwells = sides[-1]
+        _jump_rows(prog, sys.jumps, entries[-1:], [x.eval_at(0.0) for x in X], gamma, dwells, margin, margin)
         for j, (m, x) in enumerate(zip(M, X)):
             prog.add_interval_ge("x_below_M", j, PolyExpr([LinExpr.variable(m)]) - x, (dwell.Tmin, dwell.Tmax), 0.0)
 
@@ -497,6 +427,8 @@ def synthesize_switched(
         raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
     if T <= 0:
         raise ValueError("T must be positive")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     n, m = sw.n, sw.m
 
     def build(relax: int):
@@ -506,12 +438,12 @@ def synthesize_switched(
         gamma = prog.scalar(lo=0.0, name="gamma")
         alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
         modes = [
-            _Mode(prog, tuple(md[k] for k in ("A", "B", "E", "C", "D", "F")), Xs[i], Us[i], T, f"[{i}]")
+            _DesignMode(prog, tuple(md[k] for k in "ABECDF"), Xs[i], Us[i], T, f"[{i}]")
             for i, md in enumerate(sw.modes)
         ]
         for mode in modes:
             mode.positivity(alpha)
-            mode.performance(gamma, margin, T)
+            mode.theorem_rows(gamma, margin, T)
             mode.denominator(x_min, gain_cap)
         for i in range(sw.N):
             for j in range(sw.N):
@@ -563,15 +495,8 @@ def closed_loop(sys, ctrl: ControllerRealization) -> ClosedLoopView:
 
 def certificate_from(ctrl: ControllerRealization) -> Certificate:
     """The copositive certificate zeta = X * 1 transferred to the closed loop."""
-    kind = "SwitchedMinDT" if ctrl.per_mode else {
-        "ArbitraryDT": "ArbitraryDT",
-        "ConstantDT": "ConstantDT",
-        "MinimumDT": "MinimumDT",
-        "RangeDT": "RangeDT",
-        "RangeDT_FixedKd": "RangeDT",
-    }[ctrl.kind]
     return Certificate(
-        kind=kind,
+        kind=ctrl.kind.removesuffix("_FixedKd"),
         gamma=ctrl.gamma,
         zeta=ctrl.X,
         dwell=ctrl.dwell,

@@ -21,8 +21,6 @@ from dwellgain.analysis import (
     RELAX_SCHEDULE,
     _ZETA_PIN,
     Certificate,
-    _const_matvec_row,
-    _matvec_row,
     _Program,
     _row_ones,
     _solve_with_escalation,
@@ -35,7 +33,7 @@ from dwellgain.errors import DimensionMismatch, Infeasible, Mismatch, NotConstan
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
 from dwellgain.poly import HandelmanCertificate, Poly
-from dwellgain.synthesis import ControllerRealization, _bilinear_entry, _sum_entries
+from dwellgain.synthesis import ControllerRealization
 
 
 # the certify-grid benchmark's dwell times and (design spec, fixed Kd) pairs
@@ -817,6 +815,102 @@ def reference_cross_check(cert, sys, theta_points=101, grid=400):
     return report(m)
 
 
+def _matvec_row(pm, i, zeta):
+    """(M(tau) zeta(tau))_i as a PolyExpr: the flow-row product the analyses
+    used before their theorem rows went through analysis._Mode."""
+    out = PolyExpr.zero()
+    for j, z in enumerate(zeta):
+        entry = pm.entry(i, j)
+        if not entry.is_zero:
+            out = out + z.mul_poly(entry.coeffs)
+    return out
+
+
+def _const_matvec_row(mat, i, vals):
+    """(M zeta)_i for a constant M and LinExprs zeta, as the analyses built it
+    before their theorem rows went through analysis._Mode."""
+    out = LinExpr()
+    for j, v in enumerate(vals):
+        out.add_inplace(v, float(mat[i, j]))
+    return out
+
+
+def _bilinear_entry(A_pm, X, B_pm, U, i, j):
+    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a PolyExpr (X diagonal), as
+    synthesis built it before the entry moved to analysis."""
+    expr = X[j].mul_poly(A_pm.entry(i, j).coeffs)
+    for l in range(len(U)):
+        b = B_pm.entry(i, l)
+        if not b.is_zero:
+            expr = expr + U[l][j].mul_poly(b.coeffs)
+    return expr
+
+
+def _sum_entries(exprs):
+    out = PolyExpr.zero()
+    for e in exprs:
+        out = out + e
+    return out
+
+
+class ReferenceMode:
+    """synthesis._Mode before the theorem rows moved to analysis._Mode: its
+    own performance rows (families perf_flow and perf_out_c), with the
+    stationary rows evaluated from the polynomial row at tau = stat_at."""
+
+    def __init__(self, prog, mats, X, U, Tend, tag=""):
+        A, B, self.E, C, D, self.F = mats
+        self.prog, self.X, self.U, self.tag = prog, X, U, tag
+        self.iv = (0.0, Tend)
+        n = len(X)
+        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
+        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+
+    def positivity(self, alpha):
+        al = PolyExpr([LinExpr.variable(alpha)])
+        flow = [[e + al if i == j else e for j, e in enumerate(row)] for i, row in enumerate(self.flow)]
+        for family, entries in (("pos_flow", flow), ("pos_out_c", self.out)):
+            for idx, expr in enumerate(chain.from_iterable(entries)):
+                self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
+
+    def performance(self, gamma, margin, stat_at=None):
+        prog, tag = self.prog, self.tag
+        flow = [_sum_entries(row) for row in self.flow]
+        out = [_sum_entries(row) for row in self.out]
+        gam = PolyExpr([LinExpr.variable(gamma)])
+        for i, row in enumerate(flow):
+            expr = -row - PolyExpr.from_poly(_row_ones(self.E, i).coeffs)
+            prog.add_interval_ge(f"perf_flow{tag}", i, self.X[i].deriv() + expr, self.iv, margin)
+        for i, row in enumerate(out):
+            expr = gam - row - PolyExpr.from_poly(_row_ones(self.F, i).coeffs)
+            prog.add_interval_ge(f"perf_out_c{tag}", i, expr, self.iv, margin)
+        if stat_at is None:
+            return
+        E_T, F_T = self.E(stat_at), self.F(stat_at)
+        for i, row in enumerate(flow):
+            expr = (-row).eval_at(stat_at) - float(E_T[i].sum())
+            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
+        for i, row in enumerate(out):
+            expr = LinExpr.variable(gamma) - row.eval_at(stat_at) - float(F_T[i].sum())
+            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
+
+    def denominator(self, x_min, gain_cap):
+        prog, tag = self.prog, self.tag
+        for j, x in enumerate(self.X):
+            prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([x_min]), self.iv, 0.0)
+            prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(synthesis_mod._X_CAP) - x.eval_at(0.0), 0.0)
+        if gain_cap is not None:
+            synthesis_mod._gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, gain_cap, self.iv)
+
+    def regularize(self, extra_obj, reg):
+        Tend = self.iv[1]
+        for x in self.X:
+            for k, le in enumerate(x.coeffs):
+                w = reg * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (reg if k == 0 else 0.0)
+                for v, c in le.coeffs.items():
+                    extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+
+
 def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_JUMP_MARGIN):
     """Oracle for analyze_arbitrary: its body before it went through
     _analyze_hybrid, with its own flow, out_c, jump, out_d and pin loops."""
@@ -1132,14 +1226,18 @@ def _reference_gain_rows(
         prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
         prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
 
-def reference_gain_rows_constant_like(prog, mats, zeta, gamma, tau_interval, jump_dwells, margin, jump_margin,
+def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, jump_dwells, margin, jump_margin,
                                       stationary_at=None, mu=None, tag=""):
     """Oracle for analysis._gain_rows_constant_like: its body before the jump
     and out_d rows went through one path, with separate point (jump_at) and
-    interval (theta_interval) branches, which jump_dwells = (lo, hi) selects."""
+    interval (theta_interval) branches, which jump_dwells = (lo, hi) selects,
+    and before its flow, output and stationary rows went through
+    analysis._Mode.  mats = (A, B, E, C, D, F); B and D are not read."""
+    A, _, E, C, _, F = mats
     lo, hi = jump_dwells
-    _reference_gain_rows(prog, mats, zeta, gamma, tau_interval, None if lo < hi else lo, margin, jump_margin,
-                         stationary_at=stationary_at, theta_interval=(lo, hi) if lo < hi else None, mu=mu, tag=tag)
+    _reference_gain_rows(prog, (A, E, C, F, jumps), zeta, gamma, (0.0, tau_end), None if lo < hi else lo, margin,
+                         jump_margin, stationary_at=stationary_at, theta_interval=(lo, hi) if lo < hi else None,
+                         mu=mu, tag=tag)
 
 
 def reference_synthesize(
@@ -1208,7 +1306,7 @@ def reference_synthesize(
                 ]
         if fixed_kd:
             M = [prog.scalar(lo=x_min, hi=synthesis_mod._X_CAP, name=f"M{j}") for j in range(n)]
-        mode = synthesis_mod._Mode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+        mode = ReferenceMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
         mode.positivity(alpha)
 
         def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):

@@ -48,7 +48,7 @@ from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint, lift_switched
 from dwellgain.sim import SequenceGen, estimate_gain
-from dwellgain.synthesis import synthesize
+from dwellgain.synthesis import synthesize, synthesize_switched
 
 DATA = Path(__file__).parent / "data"
 
@@ -1116,11 +1116,25 @@ FOLD_DESIGNS = (
 )
 
 
+# the design families that took the analysis names when the theorem rows of
+# both went through analysis._Mode and analysis._jump_rows
+DESIGN_RENAMES = ((b"perf_flow", b"flow"), (b"perf_out_c", b"out_c"), (b"perf_jump", b"jump[0]"),
+                  (b"perf_out_d", b"out_d[0]"))
+
+
+def _renamed(text: bytes) -> bytes:
+    for old, new in DESIGN_RENAMES:
+        text = text.replace(old, new)
+    return text
+
+
 class TestJumpRowFoldOracle:
     """The jump-row families of _gain_rows_constant_like and synthesize are
-    each written once, a single dwell being the interval [lo, lo]; their
-    programs (rows as dicts, assembled arrays, dump_lp text) and certificates
-    or controllers equal those of the two-branch builders, kept as
+    each written once, a single dwell being the interval [lo, lo], and the
+    theorem rows of both go through analysis._Mode and analysis._jump_rows;
+    their programs (rows as dicts, assembled arrays, dump_lp text, the design
+    families under their analysis names) and certificates or controllers
+    equal those of the two-branch builders, kept as
     conftest.reference_gain_rows_constant_like and conftest.reference_synthesize."""
 
     @staticmethod
@@ -1136,7 +1150,7 @@ class TestJumpRowFoldOracle:
         for (rows, asm, text), (rows_r, asm_r, text_r) in zip(got, want):
             assert rows == rows_r
             assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
-            assert text == text_r
+            assert text == _renamed(text_r)
         if isinstance(out, str):
             assert out == out_r
         else:
@@ -1213,3 +1227,89 @@ class TestJumpRowFoldOracle:
                 )
                 certified += not isinstance(out, str)
         assert certified >= 20
+
+
+# the rows that encode the theorem's conditions, in both LP builders
+THEOREM_FAMILIES = ("flow", "out_c", "stat_flow", "stat_out", "jump[0]", "out_d[0]")
+
+
+class TestAnalysisIsDesign:
+    """An analysis is a design with U = 0: on a plant without inputs, the
+    theorem rows synthesize builds equal those of the matching analyze_*
+    (jump_margin = margin), once its X is matched to zeta by name.  The
+    timer-dependent case at a dwell that is not dyadic holds the stationary
+    rows of both to the matrices at T times X(T)."""
+
+    @staticmethod
+    def _theorem_rows(monkeypatch, run):
+        """The theorem-row records of the first LP that run solves, each
+        variable by its name, X read as zeta."""
+        seen = []
+        real = _Program.solve_min
+
+        def spy(prog, *args):
+            if not seen:
+                name = lambda v: re.sub(r"^X", "zeta", prog.lp.names[v])
+                lin = lambda e: ({name(v): c for v, c in e.coeffs.items()}, e.const)
+                seen.append(
+                    [(r["family"], r["index"], lin(r["expr"]), r["margin"])
+                     for r in prog.point_records if r["family"] in THEOREM_FAMILIES]
+                    + [(r["family"], r["index"], [lin(c) for c in r["pexpr"].coeffs], r["interval"], r["order"],
+                        r["margin"]) for r in prog.interval_records if r["family"] in THEOREM_FAMILIES]
+                )
+            return real(prog, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(_Program, "solve_min", spy)
+            try:
+                run()
+            except DwellgainError:
+                pass
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "bench, dwell",
+        [
+            ("lti_jump_bench", "constant:0.5"),
+            ("lti_jump_bench", "minimum:0.5"),
+            ("lti_jump_bench", "range:0.2:0.3"),
+            ("lti_jump_bench", "arbitrary"),
+            ("timer_stable_bench", "minimum:1.7"),
+        ],
+    )
+    def test_same_theorem_rows(self, monkeypatch, bench, dwell):
+        s = getattr(benchmarks, bench)()
+        assert s.mc == s.md == 0
+        spec = DwellTimeSpec.parse(dwell)
+        sched, m = (4,), DEFAULT_MARGIN
+
+        def analyze():
+            if spec.kind == "arbitrary":
+                return analyze_arbitrary(s, m, m)
+            if spec.kind == "range":
+                return analyze_range(s, spec.Tmin, spec.Tmax, 2, margin=m, jump_margin=m, relax_schedule=sched)
+            run = analyze_constant if spec.kind == "constant" else analyze_minimum
+            return run(s, spec.T, 2, margin=m, jump_margin=m, relax_schedule=sched)
+
+        want = self._theorem_rows(monkeypatch, analyze)
+        got = self._theorem_rows(monkeypatch, lambda: synthesize(s, spec, 2, margin=m, relax_schedule=sched))
+        assert {r[0] for r in want} >= {"flow", "out_c", "jump[0]", "out_d[0]"}
+        assert ("stat_flow" in {r[0] for r in want}) == (spec.kind == "minimum")
+        assert got == want
+
+
+class TestNegativeDegree:
+    """A negative degree is refused as a ValueError by every entry point that
+    takes one, before any LP is built."""
+
+    @pytest.mark.parametrize("run", ["analyze_constant", "synthesize", "analyze_switched_min", "synthesize_switched"])
+    def test_refused(self, run):
+        s, sw = benchmarks.timer_growth_bench(), benchmarks.two_mode_switched_bench()
+        calls = {
+            "analyze_constant": lambda: analyze_constant(s, 0.5, -1),
+            "synthesize": lambda: synthesize(benchmarks.unstable_chain_plant(), DwellTimeSpec.constant(0.5), -1),
+            "analyze_switched_min": lambda: analyze_switched_min(sw, 0.5, -1),
+            "synthesize_switched": lambda: synthesize_switched(sw, 0.5, -1),
+        }
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            calls[run]()

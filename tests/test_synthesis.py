@@ -250,12 +250,15 @@ class TestSwitchedSynthesis:
 
 
 class TestSwitchedModeOracle:
-    """synthesize_switched builds its per-mode rows with synthesis._Mode; its
-    programs and controllers equal those of its own loops, kept as
+    """synthesize_switched builds its per-mode rows with synthesis._DesignMode;
+    its programs and controllers equal those of its own loops, kept as
     conftest.reference_synthesize_switched.  The fold renames pos_out[i] and
-    perf_out[i] to pos_out_c[i] and perf_out_c[i] and moves the stationary
-    (point) rows past interval rows; _assemble puts every <= (point) row ahead
-    of every = (interval) row, so the arrays HiGHS gets are unchanged."""
+    perf_out[i] to pos_out_c[i] and out_c[i], and perf_flow[i] to flow[i],
+    and moves the stationary (point) rows past interval rows; _assemble puts
+    every <= (point) row ahead of every = (interval) row, so the arrays HiGHS
+    gets are unchanged.  A row is compared as a dict: its stationary rows now
+    list their terms state by state instead of power by power, an order that
+    _assemble and dump_lp sort away."""
 
     @staticmethod
     def _solved(monkeypatch, run):
@@ -265,10 +268,11 @@ class TestSwitchedModeOracle:
         real = _Program.solve_min
 
         def lin(e):
-            return list(e.coeffs.items()), e.const
+            return dict(e.coeffs), e.const
 
         def family(name):
-            return re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
+            name = re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
+            return re.sub(r"^perf_(flow|out_c)\[", r"\1[", name)
 
         def spy(prog, *args):
             try:

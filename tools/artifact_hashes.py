@@ -29,7 +29,9 @@ Cases:
 - switched minimum dwell and the Blanchini bound at five dwell times;
 - `synthesize` for three plants, eight dwell specifications and degrees 0-3,
   with the closed loop verified and cross-checked, and likewise fixed-K_d
-  designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13];
+  designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13], and
+  minimum-dwell designs for the timer-dependent timer_stable_bench with
+  inputs at T in {0.7, 1.3, 1.7} and degrees 1-3;
 - `synthesize_switched` at four dwell times.
 
 Only the public API is used, so the script runs against any version of `src/`.
@@ -70,6 +72,9 @@ DESIGN_SPECS = (
     (DwellTimeSpec.range(0.2, 0.2000000000001), True),
 )
 DESIGN_DEGREES = (0, 1, 2, 3)
+# a timer-dependent plant at dwell times that are not dyadic
+TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3, 1.7))
+TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
 SLACK_RTOL = 1e-12
 
@@ -178,9 +183,12 @@ def collect(lp_dir: str) -> dict:
         "unstable_pair_plant": benchmarks.unstable_pair_plant(),
         "lti_jump_bench+inputs": with_inputs(benchmarks.lti_jump_bench()),
     }
-    for pname, p in plants.items():
-        for spec, fixed_kd in DESIGN_SPECS:
-            for d in DESIGN_DEGREES:
+    designs = [(pname, p, DESIGN_SPECS, DESIGN_DEGREES) for pname, p in plants.items()]
+    designs.append(("timer_stable_bench+inputs", with_inputs(benchmarks.timer_stable_bench()),
+                    TIMER_DESIGN_SPECS, TIMER_DESIGN_DEGREES))
+    for pname, p, specs, degrees in designs:
+        for spec, fixed_kd in specs:
+            for d in degrees:
                 key = f"{pname} design {spec.to_json()}{' fixed_kd' if fixed_kd else ''} degree={d}"
                 ctrl = rec.solve(
                     key, lambda lp: synthesis.synthesize(p, spec, d, fixed_kd=fixed_kd, dump_lp=lp), to_json)
