@@ -11,9 +11,11 @@ zeta = X 1 (X diagonal) with numerators U = K X, so an analysis is the
 design with U = 0.  `_Mode` (flow, output, stationary rows) and `_jump_rows`
 write each as lead - sum_j (P X + Q U)_ij >= margin (`_theorem_row`).
 
-Infeasible is proved in one of two ways.  Before the LPs of the constant,
-minimum or range conditions are built, `_unstable_orbit` looks for an
-admissible periodic orbit of a positive system that is unstable,
+Every analysis first refuses a system that `model.check_positive` does not
+prove positive (`require_positive`, NotPositive): the theorems hold for
+positive systems only.  Infeasible is proved in one of two ways.  Before the
+LPs of the constant, minimum or range conditions are built,
+`_unstable_orbit` looks for an admissible periodic orbit that is unstable,
 rho(J Phi(theta)) > 1, or under minimum dwell an A(T) that is not Hurwitz;
 either rules out every order.  Otherwise the sampled referee of the first
 order that ends Infeasible decides (`_solve_with_escalation`).
@@ -38,8 +40,8 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
-from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time
-from .poly import Poly, _bernstein
+from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time, require_positive
+from .poly import Poly
 
 __all__ = [
     "Certificate",
@@ -471,20 +473,6 @@ def _jump_timers(dwell: DwellTimeSpec) -> tuple[float, float]:
     return lo, (hi if hi - lo > 1e-12 else lo)
 
 
-def _proved_positive(sys: ImpulsiveSystem, tau_end: float) -> bool:
-    """A Metzler and Ec >= 0 on [0, tau_end], each entry with a negative
-    coefficient decided by its exact Bernstein coefficients, and every J_k
-    and Ed_k >= 0.  False also where the Bernstein test is inconclusive."""
-    if not all((jm.J >= 0.0).all() and (jm.Ed >= 0.0).all() for jm in sys.jumps):
-        return False
-    A, Ec = sys.A.coeffs, sys.Ec.coeffs
-    entries = [*A[~np.eye(sys.n, dtype=bool)], *Ec.reshape(-1, Ec.shape[2])]
-    return all(
-        not (c < 0.0).any() or min(_bernstein(Poly(tuple(c)), (0.0, tau_end), len(c) - 1)[0]) >= 0
-        for c in entries
-    )
-
-
 def _radius_bound(M: np.ndarray) -> np.ndarray:
     """Collatz-Wielandt lower bounds on the spectral radii of the nonnegative
     matrices M (..., n, n): M v >= r v with v >= 0, v != 0 gives rho(M) >= r,
@@ -509,9 +497,10 @@ def _unstable_orbit(
     """Why no relaxation order of the constant, minimum or range conditions
     can be feasible, or None if this test finds no reason.
 
-    Let margin > 0, jump_margin >= 0, A Metzler and Ec >= 0 on [0, hi] and
-    every J_k, Ed_k >= 0 (`_proved_positive`), where the jump rows hold at the
-    dwell times [lo, hi] (`_jump_timers`).  Any order's zeta satisfies the
+    Let margin > 0 and jump_margin >= 0, and let the system be positive on
+    [0, hi], which `_analyze_hybrid` has proved (`require_positive`): A
+    Metzler, Ec >= 0 and every J_k, Ed_k >= 0, where the jump rows hold at
+    the dwell times [lo, hi] (`_jump_timers`).  Any order's zeta satisfies the
     theorem rows, so zeta(0) >= margin > 0 (pin rows), zeta' >= A zeta on
     [0, theta], hence zeta(theta) >= Phi(theta) zeta(0) by comparison with
     the flow, Phi(theta) >= 0, and the jump rows give zeta(0) >=
@@ -531,8 +520,6 @@ def _unstable_orbit(
     if dwell.kind == "arbitrary" or not (margin > 0.0 and jump_margin >= 0.0):
         return None
     lo, hi = _jump_timers(dwell)
-    if not _proved_positive(sys, hi):
-        return None
     if dwell.kind == "minimum":
         # the spectral abscissa of a Metzler matrix is rho(A(T) + s I) - s
         A_T = sys.A(dwell.T)
@@ -600,6 +587,7 @@ def _analyze_hybrid(
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    require_positive(sys, _timer_end(dwell))
     lo, hi = _jump_timers(dwell)
     stationary_at = dwell.T if dwell.kind == "minimum" else None
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
@@ -711,6 +699,17 @@ def analyze_range(
     )
 
 
+def _coupling_rows(prog: _Program, zetas: Sequence[list[PolyExpr]], T: float) -> None:
+    """couple[j->i]: zeta_i(0) - zeta_j(T) >= 0 for every switch j -> i,
+    i != j, a closed inequality; zetas[i] is mode i's vector (X under a
+    design)."""
+    for i, zi in enumerate(zetas):
+        for j, zj in enumerate(zetas):
+            if i != j:
+                for r, (a, b) in enumerate(zip(zi, zj)):
+                    prog.add_point_ge(f"couple[{j}->{i}]", r, a.eval_at(0.0) - b.eval_at(T), 0.0)
+
+
 def analyze_switched_min(
     sw: SwitchedSystem,
     T: float,
@@ -727,6 +726,7 @@ def analyze_switched_min(
         raise ValueError("T must be positive")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    require_positive(sw, T)
     n = sw.n
 
     def build(relax: int):
@@ -738,15 +738,7 @@ def analyze_switched_min(
                 prog, tuple(md[k] for k in "ABECDF"), (), zetas[i], gamma, T,
                 jump_dwells=(T, T), margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
             )
-        # coupling: zeta_j(T) - zeta_i(0) <= 0, i != j (closed inequality)
-        for i in range(sw.N):
-            for j in range(sw.N):
-                if i == j:
-                    continue
-                zi0 = [z.eval_at(0.0) for z in zetas[i]]
-                zjT = [z.eval_at(T) for z in zetas[j]]
-                for r in range(n):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, zi0[r] - zjT[r], 0.0)
+        _coupling_rows(prog, zetas, T)
 
         def finalize(prog, sol, relax):
             return Certificate(
@@ -778,6 +770,7 @@ def analyze_switched_blanchini(
     for md in sw.modes:
         if any(not md[k].is_constant for k in ("A", "E", "C", "F")):
             raise NotConstant("this comparison bound needs timer-independent modes")
+    require_positive(sw, T)
     from .cert import flow_grid
 
     n, q, N = sw.n, sw.q, sw.N
@@ -841,6 +834,7 @@ def analyze_lti(
         raise ValueError("norm must be Linf|L1 and time continuous|discrete")
     if not sys.is_constant():
         raise NotConstant("LTI analysis needs constant matrices")
+    require_positive(sys, 0.0)
     if time == "continuous":
         A = sys.A.const()
         E = sys.Ec.const()

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RELAX_SCHEDULE
-from .errors import Mismatch, Unsupported
-from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time
+from .errors import Mismatch, NotPositive, Unsupported
+from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time, require_positive
 from .poly import Poly, _bernstein, _Exact
 from .sim import _block_prefix, _fields, _jump_maps, _mats, _mv, _rk4_stage, _scan
 from .synthesis import ClosedLoopView
@@ -156,6 +156,21 @@ def _inputs(U, X: list[Poly], zs: list[Poly]) -> list[_Exact]:
     return [sum((_Exact.of(u.coeffs) for u in row), ZERO) for row in U]
 
 
+def _positivity_notes(what: str, P, X: list[_Exact], Q, U: list[list[_Exact]], domain, R: float,
+                      metzler: bool = False) -> list[str]:
+    """A note for each entry (P X + Q U)_ij >= 0 of a design's positivity rows
+    (off the diagonal when metzler), X diagonal, that is not proved on domain
+    as a theorem row is; P and Q as in `_affine`."""
+    notes = []
+    for j, x in enumerate(X):
+        rows, sizes = _affine([(np.atleast_3d(P)[:, j:j + 1], [x]), (Q, [u[j] for u in U])], R)
+        for i, (row, size) in enumerate(zip(rows, sizes)):
+            found = None if metzler and i == j else _disproof(row, domain, _SLACK_TOL * size)
+            if found is not None:
+                notes.append(f"closed loop not positive: {what}[{i}, {j}] {found[1]} {found[0]:.3e}")
+    return notes
+
+
 def _disproof(row: _Exact, domain, bound: float):
     """None when row >= -bound is proved exactly, else the smallest Bernstein
     coefficient (order deg + RELAX_SCHEDULE[-1]) on an interval domain, or
@@ -185,7 +200,10 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     and output data from the simulator's `_fields` with unit inputs and the
     jump rows of every theta at once from its `_jump_maps`.  Either way a row
     passes at >= -_SLACK_TOL times the size of its own terms, sum |c_k| R^k
-    over their coefficients with R the far end of the row's domain."""
+    over their coefficients with R the far end of the row's domain.  The
+    positivity hypothesis is proved too, a failure being a note: a plant's by
+    `model.require_positive`, a closed loop's from its design's positivity
+    rows (`_positivity_notes`), as the theorem rows are."""
     plant, ctrl = _unpack(sys)
     require_forward_time(plant, "verification")
     dwell, gamma, per_mode = cert.dwell, cert.gamma, cert.per_mode
@@ -210,6 +228,12 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     R = float(taus[-1])
     where = (0.0, R) if R > 0 else 0.0
     gam = _Exact.of((gamma,))
+    positivity = []  # notes: the entries of the positivity hypothesis not proved
+    try:
+        if ctrl is None:
+            require_positive(plant, R)
+    except NotPositive as exc:
+        positivity.append(str(exc))
     rows: dict[str, list] = {}  # per family: (grid minimum, exact row, domain, size, weight) per row
     own = lambda polys, end: (polys, [p.size(end) for p in polys])  # exact polynomials, with their sizes
 
@@ -231,6 +255,11 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         Z = [_Exact.of(z.coeffs) for z in zs]
         A_, B_, E_, C_, D_, F_ = _mats(plant, m)
         u = [] if ctrl is None else _inputs(ctrl._uc_mode(m), ctrl._x_mode(m), zs)
+        if ctrl is not None:
+            X = [_Exact.of(x.coeffs) for x in ctrl._x_mode(m)]
+            Uc = [[_Exact.of(p.coeffs) for p in row] for row in ctrl._uc_mode(m)]
+            positivity += _positivity_notes(f"A X + B U_c{tag}", A_.coeffs, X, B_.coeffs, Uc, where, R, True)
+            positivity += _positivity_notes(f"C X + D U_c{tag}", C_.coeffs, X, D_.coeffs, Uc, where, R)
         drift = _affine([(A_.coeffs, Z), (B_.coeffs, u), (E_.coeffs, [ONE] * E_.shape[1])], R)
         y = _affine([(C_.coeffs, Z), (D_.coeffs, u), (F_.coeffs, [ONE] * F_.shape[1])], R)
         add("flow" + tag, zdv - Az, own([z.deriv() for z in Z], R), drift, where)
@@ -250,7 +279,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
             for j, (_, zT, Zj) in enumerate(ends):
                 if i != j:
                     add("couple", z0 - zT, own([a.at(0.0) for a in Zi], 0.0), own([b.at(R) for b in Zj], R), 0.0)
-        return _report(rows, grid)
+        return _report(rows, grid, positivity)
     (z0, _, Z), zs = ends[0], zsets[0]
     if dwell.kind == "range":
         thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
@@ -264,14 +293,21 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     target = np.stack([p.eval(thetas) for p in (mu or zs)])
     goal = [_Exact.of(p.coeffs) for p in mu] if mu else Z
     w, v = ONE, []  # the jump rows times the weight w, and w (K_d target)_l
-    if ctrl is not None and plant.md:
-        if ctrl.kind == "RangeDT_FixedKd":  # K_d = U_d M^-1: the rows times prod M are exact
-            Ms = [_Exact.of((x,)) for x in ctrl.M]
-            w = math.prod(Ms, start=ONE)
-            v = [sum((_Exact.of((x,)) * math.prod(Ms[:j] + Ms[j + 1:], start=ONE) * g
-                      for j, (x, g) in enumerate(zip(row, goal))), ZERO) for row in ctrl.Ud]
-        else:
-            Ud = ctrl.Ud if ctrl._ud_poly else [[Poly.const(x) for x in row] for row in ctrl.Ud]
+    if ctrl is not None:
+        fixed = ctrl.kind == "RangeDT_FixedKd"
+        Ud = ([] if ctrl.Ud is None else ctrl.Ud if ctrl._ud_poly
+              else [[Poly.const(x) for x in row] for row in ctrl.Ud])
+        # K_d = U_d X^-1 at the jump dwells, or U_d M^-1 under a fixed K_d
+        Xd = [_Exact.of((x,)) for x in ctrl.M] if fixed else [_Exact.of(x.coeffs) for x in ctrl.X]
+        Ue = [[_Exact.of(p.coeffs) for p in row] for row in Ud]
+        jm = plant.jump  # a design's one jump map
+        positivity += _positivity_notes("J X + B_d U_d", jm.J, Xd, jm.Bd, Ue, at, Rt)
+        positivity += _positivity_notes("C_d X + D_d U_d", jm.Cd, Xd, jm.Dd, Ue, at, Rt)
+        if plant.md and fixed:  # the rows times prod M are exact
+            w = math.prod(Xd, start=ONE)
+            v = [sum((u * math.prod(Xd[:j] + Xd[j + 1:], start=ONE) * g
+                      for j, (u, g) in enumerate(zip(row, goal))), ZERO) for row in Ue]
+        elif plant.md:
             v = _inputs(Ud, ctrl.X, mu or zs)
     wgoal, ones, weight = [w * g for g in goal], [w] * plant.pd, w.size(0.0)
     for jk, jm in enumerate(plant.jumps):
@@ -283,12 +319,13 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
             add(f"out_d[{jk}]", gamma - (_mv(Cd, target) + Fd1), own([w * gam] * len(Cd), 0.0), y, at, weight)
     if mu:
         add("mu_dom", target - np.stack([z.eval(thetas) for z in zs]), own(goal, Rt), own(Z, Rt), at)
-    return _report(rows, grid)
+    return _report(rows, grid, positivity)
 
 
-def _report(rows: dict, grid: int) -> VerificationReport:
+def _report(rows: dict, grid: int, positivity: list[str]) -> VerificationReport:
     """The verdict: each row proved exactly, and its grid minimum, at >= -_SLACK_TOL times the
-    size of its own terms; a row proved times a weight w has that size divided by w on the grid."""
+    size of its own terms; a row proved times a weight w has that size divided by w on the grid.
+    The positivity notes come first, and any of them fails the report."""
     notes, bad = [], []
     for family, parts in rows.items():
         for k, (low, row, domain, size, w) in enumerate(parts):
@@ -298,9 +335,9 @@ def _report(rows: dict, grid: int) -> VerificationReport:
         if not all(low >= -_SLACK_TOL * size / w for low, _, _, size, w in parts):
             bad.append(family)
     proved = not notes
-    notes += ["violated rows: " + ", ".join(sorted(bad))] if bad else []
+    notes = positivity + notes + (["violated rows: " + ", ".join(sorted(bad))] if bad else [])
     worst = {family: min(float(p[0]) for p in parts) for family, parts in rows.items()}
-    return VerificationReport(proved and not bad, worst, grid, handelman_ok=proved, notes=notes)
+    return VerificationReport(proved and not bad and not positivity, worst, grid, handelman_ok=proved, notes=notes)
 
 
 def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) -> VerificationReport:

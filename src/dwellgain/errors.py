@@ -29,6 +29,10 @@ class NumericalFailure(DwellgainError):
     """LP solver failed to converge (distinct from proven infeasibility)."""
 
 
+class NotPositive(DwellgainError):
+    """System not proved positive: a theorem for positive systems does not apply."""
+
+
 class NotConstant(DwellgainError):
     """Operation requires constant (degree-0) system matrices."""
 

@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDomain,
     NoCertificate,
+    NotPositive,
     ParseError,
     Unsupported,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "DwellTimeSpec",
     "PositivityReport",
     "check_positive",
+    "require_positive",
     "lift_switched",
     "adjoint",
     "load_system",
@@ -446,7 +448,7 @@ class DwellTimeSpec:
 
 @dataclass
 class PositivityReport:
-    """Entrywise internal-positivity audit of an impulsive system."""
+    """Entrywise internal-positivity audit of an impulsive or switched system."""
 
     positive: bool
     violations: list[tuple[str, tuple[int, int], Optional[float], float]] = field(default_factory=list)
@@ -456,49 +458,47 @@ class PositivityReport:
         return self.positive
 
 
-def _check_entry_nonneg(report: PositivityReport, entry: tuple, p: Poly, domain: tuple[float, float]):
-    if p.is_zero:
-        return
+def _check_entry_nonneg(report: PositivityReport, entry: tuple, p: Poly, hi: float):
+    """p >= 0 on [0, hi]: a constant by its sign, p with no negative
+    coefficient at once, any other p by certify_nonneg's exact Bernstein
+    escalation; only where that refuses p does the grid falsifier file it
+    under violations, with its witness, or unverified."""
     if p.degree == 0:
         if p.coeffs[0] < 0:
             report.violations.append((*entry, None, p.coeffs[0]))
-        return
-    wit = falsify_nonneg(p, domain, 10_000)
-    if wit is not None:
-        report.violations.append((*entry, wit.tau, wit.value))
-        return
-    try:
-        certify_nonneg(p, domain, margin=0.0)
-    except NoCertificate:
-        report.unverified.append(entry)
+    elif not all(0.0 <= c < np.inf for c in p.coeffs):
+        try:
+            certify_nonneg(p, (0.0, hi))
+        except NoCertificate:
+            wit = falsify_nonneg(p, (0.0, hi), 10_000)
+            if wit is None:
+                report.unverified.append(entry)
+            else:
+                report.violations.append((*entry, wit.tau, wit.value))
 
 
-def check_positive(sys: ImpulsiveSystem, domain: tuple[float, float]) -> PositivityReport:
-    """Audit internal positivity on tau in [0, T]: A Metzler, everything else nonnegative.
-
-    Entries are certified nonnegative with the interval certificate and refereed
-    by the grid falsifier; `positive` only when every required entry is certified.
+def check_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], domain: tuple[float, float]) -> PositivityReport:
+    """Audit internal positivity on tau in [0, T]: A Metzler, everything else
+    nonnegative, each mode of a switched system.  This is the one positivity
+    decision: the analyses (`require_positive`) and `cert.verify` read it
+    too.  `positive` only when every entry is proved (`_check_entry_nonneg`).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= 0 or lo != 0.0:
         raise InvalidDomain(f"domain must be [0, T] with T > 0, got [{lo}, {hi}]")
+    if isinstance(sys, SwitchedSystem):
+        mats = {f"modes[{k}].{x}": md[x] for k, md in enumerate(sys.modes) for x in "AECF"}
+    else:
+        mats = {"A": sys.A, "Ec": sys.Ec, "Cc": sys.Cc, "Fc": sys.Fc}
+        mats.update({f"jumps[{k}].{x}": PolyMatrix.from_const(getattr(jm, x))
+                     for k, jm in enumerate(sys.jumps) for x in ("J", "Ed", "Cd", "Fd")})
     report = PositivityReport(positive=True)
-    n = sys.n
-
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                _check_entry_nonneg(report, ("A", (i, j)), sys.A.entry(i, j), (lo, hi))
-    for name, mat in (("Ec", sys.Ec), ("Cc", sys.Cc), ("Fc", sys.Fc)):
+    for name, mat in mats.items():
         r, c = mat.shape
         for i in range(r):
             for j in range(c):
-                _check_entry_nonneg(report, (name, (i, j)), mat.entry(i, j), (lo, hi))
-    for k, jm in enumerate(sys.jumps):
-        for name, m in (("J", jm.J), ("Ed", jm.Ed), ("Cd", jm.Cd), ("Fd", jm.Fd)):
-            bad = np.argwhere(m < 0.0)
-            for i, j in bad:
-                report.violations.append((f"jumps[{k}].{name}", (int(i), int(j)), None, float(m[i, j])))
+                if i != j or not name.endswith("A"):  # A is read off its diagonal only
+                    _check_entry_nonneg(report, (name, (i, j)), mat.entry(i, j), hi)
     report.positive = not report.violations and not report.unverified
     return report
 
@@ -595,6 +595,18 @@ def require_forward_time(sys, operation: str) -> None:
     direction, accepts the adjoint."""
     if getattr(sys, "time_reversed", False):
         raise Unsupported(f"{operation} is not defined for a time-reversed (adjoint) system")
+
+
+def require_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
+    """Raise NotPositive, naming the entries, for a system that
+    `check_positive` does not prove positive on [0, tau_end]: the theorems
+    hold for positive systems only.  tau_end = 0 (arbitrary dwell, LTI) comes
+    with constant matrices, whose report no domain changes."""
+    report = check_positive(sys, (0.0, tau_end or 1.0))
+    if not report:
+        bad = [f"{name}[{i}, {j}]" for name, (i, j), *_ in report.violations]
+        bad += [f"{name}[{i}, {j}] (unverified)" for name, (i, j) in report.unverified]
+        raise NotPositive(f"not positive {f'on [0, {tau_end:g}]' if tau_end else 'at tau = 0'}: {', '.join(bad)}")
 
 
 # --- JSON round-trip ---------------------------------------------------------

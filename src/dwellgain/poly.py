@@ -7,7 +7,8 @@ certified by expressing p as a nonnegative combination of the products
 a known p this is decided exactly from its Bernstein coefficients in integers.
 The analysis LPs impose the cone through one row per Bernstein coefficient; the
 design LPs span it with the product basis, whose table `product_basis` holds.
-A uniform-grid falsifier acts as the independent referee.
+A uniform-grid falsifier finds a witness for a polynomial the exact test
+refuses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -148,19 +149,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class HandelmanCertificate:
-    """Nonnegative-combination certificate of p - margin on [a, b].
-
-    weights maps (i, j) with i + j <= order to c_ij >= 0 such that
-    sum c_ij (t - a)^i (b - t)^j reproduces the certified polynomial.
-    """
+    """Certificate that p - margin lies in the degree-`order` Bernstein cone
+    on [a, b], the nonnegative combinations of (t - a)^i (b - t)^j with
+    i + j <= order; `validate` re-decides it from the target alone."""
 
     interval: tuple[float, float]
     order: int
-    weights: Mapping[tuple[int, int], float]
 
     def validate(self, target: Poly, tol: float = 0.0) -> bool:
         """target >= -tol on the interval, proved by its exact degree-`order`
-        Bernstein coefficients all being >= -tol; the weights are not read."""
+        Bernstein coefficients all being >= -tol."""
         return self.min_coefficient(target) >= -tol
 
     def min_coefficient(self, target: Poly):
@@ -275,9 +273,10 @@ def certify_nonneg(
     nonnegative Bernstein coefficients.
 
     With order=None the order starts at degree+4 and escalates to degree+10.
-    q(s) = (p - margin)(a + h s), h = b - a, is expanded exactly; at the first
-    order d whose Bernstein coefficients b_i of q are all >= 0 the weight of
-    (t - a)^i (b - t)^(d - i) is C(d, i) b_i / h^d.
+    q(s) = (p - margin)(a + h s), h = b - a, is expanded exactly, and the
+    first order d whose Bernstein coefficients of q are all >= 0 is returned:
+    then q = sum_i C(d, i) b_i s^i (1 - s)^(d - i) with every b_i >= 0.  This
+    exact decision is the positivity test of `model.check_positive`.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -290,12 +289,9 @@ def certify_nonneg(
         orders = [max(int(order), p.degree)]
     else:
         orders = [p.degree + r for r in (4, 6, 8, 10)]
-    h = Fraction(b) - Fraction(a)
     for d in orders:
-        N, S = _bernstein(p, (a, b), d, margin)
-        if min(N) >= 0:
-            weights = {(i, d - i): float(Fraction(v, S) / h**d) for i, v in enumerate(N)}
-            return HandelmanCertificate(interval=(a, b), order=d, weights=weights)
+        if min(_bernstein(p, (a, b), d, margin)[0]) >= 0:
+            return HandelmanCertificate(interval=(a, b), order=d)
     raise NoCertificate(f"no order-{orders[-1]} certificate for p >= {margin} on [{a}, {b}]")
 
 

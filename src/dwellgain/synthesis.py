@@ -24,6 +24,7 @@ from .analysis import (
     RELAX_SCHEDULE,
     Certificate,
     _const_entries,
+    _coupling_rows,
     _jump_rows,
     _jump_timers,
     _Mode,
@@ -31,10 +32,10 @@ from .analysis import (
     _solve_with_escalation,
     _timer_end,
 )
-from .errors import DimensionMismatch, IllPosed, ParseError
+from .errors import DimensionMismatch, IllPosed, NoCertificate, ParseError
 from .lp import LinExpr, PolyExpr
 from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
-from .poly import Poly, product_basis
+from .poly import Poly, certify_nonneg, product_basis
 
 __all__ = [
     "ControllerRealization",
@@ -109,16 +110,12 @@ class ControllerRealization:
     def _uc_mode(self, mode) -> list[list[Poly]]:
         return self.Uc[mode] if self.per_mode else self.Uc
 
-    def x_values(self, taus: np.ndarray, mode=None) -> np.ndarray:
-        t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
-        return np.stack([p.eval(t) for p in self._x_mode(mode)], axis=1)
-
     def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
         """K_c on a mesh as a C-contiguous (mc, n, len(taus)); clamped for
         minimum dwell-time."""
         taus = np.asarray(taus, dtype=float)
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
-        xv = self.x_values(t, mode)
+        xv = np.stack([p.eval(t) for p in self._x_mode(mode)], axis=1)
         if np.min(xv) <= 0.0:
             raise IllPosed("denominator X(tau) not positive on the requested mesh")
         uc = self._uc_mode(mode)
@@ -404,10 +401,16 @@ def synthesize(
 
 
 def _check_denominator(ctrl: ControllerRealization) -> None:
-    taus = np.linspace(0.0, max(_timer_end(ctrl.dwell), 1e-9), 512)
-    modes = range(len(ctrl.X)) if ctrl.per_mode else [None]
-    for mode in modes:
-        if np.min(ctrl.x_values(taus, mode)) <= 0.0:
+    """X > 0 on [0, tau_end] in every mode, decided as check_positive decides
+    an entry, its Bernstein coefficients at certify_nonneg's order all > 0
+    (X(0) > 0 where tau_end = 0)."""
+    tau_end = _timer_end(ctrl.dwell)
+    for x in chain.from_iterable(ctrl.X if ctrl.per_mode else [ctrl.X]):
+        try:
+            ok = certify_nonneg(x, (0.0, tau_end)).min_coefficient(x) > 0 if tau_end else x.coeffs[0] > 0.0
+        except NoCertificate:
+            ok = False
+        if not ok:
             raise IllPosed("denominator X(tau) not positive on the working interval")
 
 
@@ -445,17 +448,7 @@ def synthesize_switched(
             mode.positivity(alpha)
             mode.theorem_rows(gamma, margin, T)
             mode.denominator(x_min, gain_cap)
-        for i in range(sw.N):
-            for j in range(sw.N):
-                if i == j:
-                    continue
-                for r in range(n):
-                    prog.add_point_ge(
-                        f"couple[{i}->{j}]",
-                        r,
-                        Xs[j][r].eval_at(0.0) - Xs[i][r].eval_at(T),
-                        0.0,
-                    )
+        _coupling_rows(prog, Xs, T)
 
         def finalize(prog, sol, relax):
             ctrl = ControllerRealization(

@@ -29,10 +29,19 @@ from dwellgain.analysis import (
     analyze_range,
 )
 from dwellgain.cert import _SLACK_TOL, VerificationReport, verify
-from dwellgain.errors import DimensionMismatch, Infeasible, Mismatch, NotConstant, NumericalFailure, RelaxationLimit
+from dwellgain.errors import (
+    DimensionMismatch,
+    Infeasible,
+    InvalidDomain,
+    Mismatch,
+    NoCertificate,
+    NotConstant,
+    NumericalFailure,
+    RelaxationLimit,
+)
 from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
-from dwellgain.poly import HandelmanCertificate, Poly
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, require_forward_time
+from dwellgain.poly import Poly, certify_nonneg, falsify_nonneg
 from dwellgain.synthesis import ControllerRealization
 
 
@@ -74,6 +83,57 @@ def bench_pair_plant():
 @pytest.fixture(scope="session")
 def bench_switched():
     return benchmarks.two_mode_switched_bench()
+
+
+@pytest.fixture(scope="session")
+def nonpositive_rotation():
+    """A stable flow that is not positive, A[0, 1] = -3, with J = I: its
+    hybrid gain under constant dwell 1 is its LTI L-infinity gain, 0.6244,
+    while the theorem rows certify 0.309 when positivity goes unchecked."""
+    return ImpulsiveSystem.from_arrays(A=[[-1.0, -3.0], [3.0, -1.0]], Ec=[[1.0], [0.0]], Cc=[[0.0, 1.0]], J=np.eye(2))
+
+
+def reference_check_positive(sys, domain):
+    """Oracle for model.check_positive on an impulsive system: its body when
+    the 10,000-point grid falsifier ran first on every nonconstant entry and
+    certify_nonneg only on the entries the grid passed."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if hi <= 0 or lo != 0.0:
+        raise InvalidDomain(f"domain must be [0, T] with T > 0, got [{lo}, {hi}]")
+    report = PositivityReport(positive=True)
+
+    def entry_nonneg(entry, p):
+        if p.is_zero:
+            return
+        if p.degree == 0:
+            if p.coeffs[0] < 0:
+                report.violations.append((*entry, None, p.coeffs[0]))
+            return
+        wit = falsify_nonneg(p, (lo, hi), 10_000)
+        if wit is not None:
+            report.violations.append((*entry, wit.tau, wit.value))
+            return
+        try:
+            certify_nonneg(p, (lo, hi), margin=0.0)
+        except NoCertificate:
+            report.unverified.append(entry)
+
+    n = sys.n
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                entry_nonneg(("A", (i, j)), sys.A.entry(i, j))
+    for name, mat in (("Ec", sys.Ec), ("Cc", sys.Cc), ("Fc", sys.Fc)):
+        r, c = mat.shape
+        for i in range(r):
+            for j in range(c):
+                entry_nonneg((name, (i, j)), mat.entry(i, j))
+    for k, jm in enumerate(sys.jumps):
+        for name, m in (("J", jm.J), ("Ed", jm.Ed), ("Cd", jm.Cd), ("Fd", jm.Fd)):
+            for i, j in np.argwhere(m < 0.0):
+                report.violations.append((f"jumps[{k}].{name}", (int(i), int(j)), None, float(m[i, j])))
+    report.positive = not report.violations and not report.unverified
+    return report
 
 
 @pytest.fixture(scope="session")
@@ -687,7 +747,8 @@ def bernstein_oracle(p, interval, d, margin=0.0):
 def per_row_certify_at_order(p, a, b, order, margin):
     """LP oracle for certify_nonneg at one order, as poly decided it before the
     exact Bernstein test: the product-basis cone, with every basis polynomial
-    expanded by Poly.__pow__, solved by lp_solve; None when not Optimal."""
+    expanded by Poly.__pow__, solved by lp_solve.  The weights c_ij of
+    (t - a)^i (b - t)^j, or None when not Optimal."""
     h = b - a
     q = (p - Poly.const(margin)).shift_scale_arg(a, h)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
@@ -713,7 +774,7 @@ def per_row_certify_at_order(p, a, b, order, margin):
         c = max(sol.x[v], 0.0) / h ** (i + j)
         if c != 0.0:
             weights[(i, j)] = c
-    return HandelmanCertificate(interval=(a, b), order=order, weights=weights)
+    return weights
 
 
 def _reference_flow_grid(A_pm, E_pm, taus, clamp=None):
@@ -1100,12 +1161,13 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
                             expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
                             prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
                             idx += 1
+        # the coupling rows in the order analysis._coupling_rows writes them
         for i in range(sw.N):
             for j in range(sw.N):
                 if i == j:
                     continue
                 for r in range(n):
-                    prog.add_point_ge(f"couple[{i}->{j}]", r, Xs[j][r].eval_at(0.0) - Xs[i][r].eval_at(T), 0.0)
+                    prog.add_point_ge(f"couple[{j}->{i}]", r, Xs[i][r].eval_at(0.0) - Xs[j][r].eval_at(T), 0.0)
 
         def finalize(prog, sol, relax):
             ctrl = ControllerRealization(

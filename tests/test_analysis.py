@@ -43,7 +43,14 @@ from dwellgain.analysis import (
     analyze_switched_blanchini,
     analyze_switched_min,
 )
-from dwellgain.errors import DwellgainError, Infeasible, NotConstant, NumericalFailure, RelaxationLimit
+from dwellgain.errors import (
+    DwellgainError,
+    Infeasible,
+    NotConstant,
+    NotPositive,
+    NumericalFailure,
+    RelaxationLimit,
+)
 from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint, lift_switched
@@ -850,16 +857,25 @@ class TestUnstableOrbit:
         assert _orbit(two, DwellTimeSpec.constant(0.5)) == "rho(J[1] Phi(theta)) >= 2.426 at theta = 0.5"
 
     def test_negative_jump_entry(self):
-        spec = DwellTimeSpec.constant(0.5)
-        assert _orbit(_timer_stable(), spec) is not None
-        assert _orbit(_timer_stable(J=[[2.0, -1e-9], [1.0, 3.0]]), spec) is None
+        # the orbit test reads a positive system only: the gate refuses the
+        # system before the test is reached
+        assert _orbit(_timer_stable(), DwellTimeSpec.constant(0.5)) is not None
+        s = _timer_stable(J=[[2.0, -1e-9], [1.0, 3.0]])
+        for run in (lambda: analyze_constant(s, 0.5, 2), lambda: analyze_range(s, 0.2, 0.3, 2)):
+            with pytest.raises(NotPositive, match=r"^not positive on \[0, 0\.[35]\]: jumps\[0\]\.J\[0, 1\]$"):
+                run()
 
     def test_non_metzler_flow(self):
         # A[1][0] = 1 - 4 tau is nonnegative on [0, 0.25] only
         A = [[[-1.0], [0.0]], [[1.0, -4.0], [-2.0, 0.0, -1.0]]]
-        assert _orbit(_timer_stable(A=A), DwellTimeSpec.constant(0.2)) is not None
-        assert _orbit(_timer_stable(A=A), DwellTimeSpec.constant(0.5)) is None
-        assert _orbit(_timer_stable(A=A), DwellTimeSpec.range(0.2, 0.3)) is None
+        s = _timer_stable(A=A)
+        assert _orbit(s, DwellTimeSpec.constant(0.2)) is not None
+        with pytest.raises(Infeasible, match=r"rho\(J Phi\(theta\)\)"):
+            analyze_constant(s, 0.2, 2)
+        for run in (lambda: analyze_constant(s, 0.5, 2), lambda: analyze_range(s, 0.2, 0.3, 2),
+                    lambda: analyze_minimum(s, 0.5, 2)):
+            with pytest.raises(NotPositive, match=r": A\[1, 0\]$"):
+                run()
 
     def test_margin_zero(self, bench_timer_stable):
         spec = DwellTimeSpec.constant(0.5)
@@ -873,6 +889,50 @@ class TestUnstableOrbit:
         spec = DwellTimeSpec.constant(0.01)
         assert _orbit(_stiff(1.0 - 1e-5), spec) is None
         assert _orbit(_stiff(1.0 + 1e-2), spec) == "rho(J Phi(theta)) >= 1.01 at theta = 0.01"
+
+
+class TestPositivityGate:
+    """Every analysis refuses a system that model.check_positive does not
+    prove positive, before any LP is built: the theorems hold for positive
+    systems only."""
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an LP was solved for a system that is not positive")
+
+        monkeypatch.setattr(analysis_mod, "lp_solve", forbidden)
+
+    def test_nonpositive_rotation(self, nonpositive_rotation, no_lp):
+        s = nonpositive_rotation
+        runs = {
+            r"on \[0, 1\]": [lambda: analyze_constant(s, 1.0, 2), lambda: analyze_minimum(s, 1.0, 2),
+                              lambda: analyze_range(s, 0.5, 1.0, 2),
+                              lambda: analyze_range(s, 0.5, 1.0, 2, mode="mu_variant")],
+            "at tau = 0": [lambda: analyze_arbitrary(s), lambda: analyze_lti(s),
+                           lambda: analyze_lti(s, norm="L1"), lambda: analyze_lti(s, time="discrete")],
+        }
+        for where, group in runs.items():
+            for run in group:
+                with pytest.raises(NotPositive, match=f"^not positive {where}: A\\[0, 1\\]$"):
+                    run()
+
+    def test_switched_mode_not_metzler(self, bench_switched, no_lp):
+        modes = [{k: md[k] for k in "ABECDF"} for md in bench_switched.modes]
+        modes[1]["A"] = [[-1.0, -1.0], [1.0, -6.0]]
+        sw = SwitchedSystem.from_arrays(modes)
+        for run in (lambda: analyze_switched_min(sw, 0.5, 2), lambda: analyze_switched_blanchini(sw, 0.5)):
+            with pytest.raises(NotPositive, match=r"^not positive on \[0, 0\.5\]: modes\[1\]\.A\[0, 1\]$"):
+                run()
+
+    def test_unverified_entry_is_refused(self):
+        # A[1, 0] = (1 - 2 tau)^2 >= 0 touches 0 inside [0, 1]: no Bernstein
+        # order proves it, so the gate refuses it as unverified
+        A = [[[-1.0], [0.0]], [[1.0, -4.0, 4.0], [-2.0, 0.0, -1.0]]]
+        s = ImpulsiveSystem.from_arrays(A=A, Ec=[[0.1], [0.1]], Cc=[[0.0, 1.0]], J=[[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(NotPositive, match=r": A\[1, 0\] \(unverified\)$"):
+            analyze_constant(s, 1.0, 2)
+        assert analyze_constant(s, 0.4, 2).gamma > 0
 
 
 class TestCertificateObject:
@@ -1081,10 +1141,18 @@ class TestArbitraryFoldOracle:
 
     @pytest.mark.parametrize("bench", ["unstable_chain_plant", "unstable_pair_plant"])
     def test_same_infeasible(self, monkeypatch, tmp_path, bench):
+        """The chain plant's program is infeasible; the pair plant, with
+        A[0, 1] = -1, is not positive and is refused before any LP is built."""
         s = getattr(benchmarks, bench)()
-        _, out = self._solved(monkeypatch, tmp_path, lambda: analyze_arbitrary(s))
+        got, out = self._solved(monkeypatch, tmp_path, lambda: analyze_arbitrary(s))
         _, out_r = self._solved(monkeypatch, tmp_path, lambda: reference_analyze_arbitrary(s))
-        assert out == out_r == "Infeasible"
+        assert out_r == "Infeasible"
+        if bench == "unstable_pair_plant":
+            assert got == [] and out == "NotPositive"
+            with pytest.raises(NotPositive, match=r"^not positive at tau = 0: A\[0, 1\]$"):
+                analyze_arbitrary(s)
+            return
+        assert out == "Infeasible"
         with pytest.raises(Infeasible, match=r"conditions infeasible \(finite LP\)"):
             analyze_arbitrary(s)
 

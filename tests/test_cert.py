@@ -32,6 +32,7 @@ from dwellgain.cert import cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly, _bernstein
+from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize, synthesize_switched
 
 
@@ -63,9 +64,9 @@ def _rederived_rows(monkeypatch, c, target):
     seen = []
     real = cert_mod._report
 
-    def spy(rows, grid):
+    def spy(rows, grid, *rest):
         seen.extend((f, k, row, domain) for f, parts in rows.items() for k, (_, row, domain, _, _) in enumerate(parts))
-        return real(rows, grid)
+        return real(rows, grid, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(cert_mod, "_report", spy)
@@ -445,6 +446,37 @@ class TestClosedLoopProof:
         other = dataclasses.replace(c, zeta=[z + Poly.const(1.0) for z in c.zeta])
         with pytest.raises(Mismatch, match="zeta = X"):
             verify(other, closed_loop(bench_chain_plant, ctrl))
+
+
+class TestPositivityProof:
+    """verify proves the positivity hypothesis as well as the theorem rows: a
+    plant by model.check_positive, a closed loop by its design's positivity
+    rows, each failure a note; the theorem rows and their slacks are as
+    before."""
+
+    def test_nonpositive_plant_fails(self, nonpositive_rotation):
+        # issued when no analysis checked positivity; its gamma is below the
+        # gain a single simulated run already shows
+        c = Certificate.load(str(DATA / "nonpositive_constant_1.json"))
+        assert estimate_gain(nonpositive_rotation, SequenceGen.for_spec(c.dwell, seed=0), runs=1) > 1.3 * c.gamma
+        rep = verify(c, nonpositive_rotation)
+        assert not rep.passed and rep.handelman_ok is True
+        assert rep.notes == ["not positive on [0, 1]: A[0, 1]"]
+        assert min(rep.worst_slack.values()) > 0
+
+    def test_tampered_numerators_fail(self, bench_chain_plant):
+        """U_c and U_d moved with their row sums kept: the theorem rows read
+        them through U 1 only, so only the positivity rows see the change."""
+        ctrl = synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
+        want = verify(certificate_from(ctrl), closed_loop(bench_chain_plant, ctrl))
+        (u0, u1), = ctrl.Uc
+        uc = dataclasses.replace(ctrl, Uc=[[u0 + Poly.const(20.0), u1 - Poly.const(20.0)]])
+        ud = dataclasses.replace(ctrl, Ud=ctrl.Ud + np.array([[20.0, -20.0]]))
+        for bad, entries in ((uc, ["A X + B U_c[0, 1]"]), (ud, ["J X + B_d U_d[0, 1]", "J X + B_d U_d[1, 1]"])):
+            rep = verify(certificate_from(bad), closed_loop(bench_chain_plant, bad))
+            assert not rep.passed and rep.handelman_ok is True
+            assert rep.worst_slack == pytest.approx(want.worst_slack, abs=1e-12)  # rounding of K = U X^-1
+            assert [n.split(" at ")[0] for n in rep.notes] == [f"closed loop not positive: {e}" for e in entries]
 
 
 class TestTransitionMatrix:

@@ -160,6 +160,40 @@ class TestCertify:
                      "--certificate", str(ctrl_path)]) == 0
 
 
+class TestPositivityGate:
+    """A system that is not positive is refused by CLI analyze (exit 2), and
+    a certificate issued for it when no analysis checked positivity fails
+    CLI certify with a note naming the entry."""
+
+    @pytest.fixture
+    def rotation_path(self, nonpositive_rotation, tmp_path):
+        path = tmp_path / "rotation.json"
+        save_system(nonpositive_rotation, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("dwell", ["constant:1", "minimum:1", "range:0.5:1", "arbitrary"])
+    def test_analyze_exits_2(self, rotation_path, dwell, capsys):
+        assert main(["analyze", "--system", rotation_path, "--dwell", dwell]) == 2
+        assert capsys.readouterr().err.startswith("error: not positive ")
+
+    def test_certify_of_earlier_certificate_fails(self, rotation_path, capsys):
+        path = Path(__file__).parent / "data" / "nonpositive_constant_1.json"
+        assert main(["certify", "--system", rotation_path, "--certificate", str(path)]) == 1
+        printed = capsys.readouterr().out
+        assert "FAILED: not positive on [0, 1]: A[0, 1]" in printed
+
+    def test_tampered_controller_fails_with_its_note(self, bench_chain_plant, tmp_path, capsys):
+        sys_path = tmp_path / "plant.json"
+        save_system(bench_chain_plant, str(sys_path))
+        data = synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), degree=2).to_json()
+        data["Uc"][0][0][0] += 20.0
+        data["Uc"][0][1][0] -= 20.0
+        ctrl_path = tmp_path / "ctrl.json"
+        ctrl_path.write_text(json.dumps(data))
+        assert main(["certify", "--system", str(sys_path), "--certificate", str(ctrl_path)]) == 1
+        assert "FAILED: closed loop not positive: A X + B U_c[0, 1]" in capsys.readouterr().out
+
+
 class TestSynthesizeCommand:
     def test_writes_controller(self, bench_chain_plant, tmp_path):
         sys_path = tmp_path / "plant.json"

@@ -3,7 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_check_positive
+from dwellgain import poly as poly_mod
 from dwellgain.analysis import (
     analyze_arbitrary,
     analyze_constant,
@@ -11,7 +15,7 @@ from dwellgain.analysis import (
     analyze_range,
 )
 from dwellgain.cert import cross_check_discrete, flow_grid, verify
-from dwellgain.errors import DimensionMismatch, InvalidDomain, ParseError, Unsupported
+from dwellgain.errors import DimensionMismatch, InvalidDomain, NotPositive, ParseError, Unsupported
 from dwellgain.model import (
     DwellTimeSpec,
     ImpulsiveSystem,
@@ -21,6 +25,7 @@ from dwellgain.model import (
     check_positive,
     lift_switched,
     load_system,
+    require_positive,
     save_system,
 )
 from dwellgain.poly import Poly
@@ -134,6 +139,58 @@ class TestPositivity:
     def test_invalid_domain(self, bench_lti):
         with pytest.raises(InvalidDomain):
             check_positive(bench_lti, (0.0, 0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_falsifier_first_oracle(self, data):
+        """The exact decision first and the grid falsifier only on an entry it
+        refuses: the same reports as the falsifier-first audit it replaced
+        (conftest.reference_check_positive)."""
+        coeff = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.26, -0.5]), st.floats(-2.0, 2.0))
+        entry = st.lists(coeff, min_size=1, max_size=4)
+        n, q = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+        draw = lambda r, c, e: data.draw(st.lists(st.lists(e, min_size=c, max_size=c), min_size=r, max_size=r))
+        const = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-0.1, 2.0))
+        s = ImpulsiveSystem.from_arrays(
+            A=draw(n, n, entry), Ec=draw(n, 1, entry), Cc=draw(q, n, entry), Fc=draw(q, 1, entry),
+            J=draw(n, n, const), Ed=draw(n, 1, const),
+        )
+        domain = (0.0, data.draw(st.sampled_from([0.12, 0.5, 1.0, 2.7])))
+        assert check_positive(s, domain) == reference_check_positive(s, domain)
+
+    def test_falsifier_runs_only_after_an_exact_refusal(self, bench_timer_stable, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the falsifier ran on an entry the exact test proves")
+
+        monkeypatch.setattr("dwellgain.model.falsify_nonneg", forbidden)
+        assert check_positive(bench_timer_stable, (0.0, 2.0)).positive
+        # A[0, 1] = 1 - 4 tau + c tau^2 has a negative coefficient: decided
+        # exactly where c = 5, refused and then falsified where c = 3.9
+        tilted = lambda c: ImpulsiveSystem.from_arrays(A=[[[-1.0], [1.0, -4.0, c]], [[0.0], [-1.0]]], J=np.eye(2))
+        assert check_positive(tilted(5.0), (0.0, 1.0)).positive
+        monkeypatch.setattr("dwellgain.model.falsify_nonneg", poly_mod.falsify_nonneg)
+        (name, idx, tau, value), = check_positive(tilted(3.9), (0.0, 1.0)).violations
+        assert (name, idx) == ("A", (0, 1)) and 0.4 < tau < 0.6 and value < 0
+
+    def test_require_positive_names_entries(self, bench_lti):
+        require_positive(bench_lti, 0.0)
+        require_positive(bench_lti, 1.0)
+        s = ImpulsiveSystem.from_arrays(
+            A=[[[-1.0], [0.0]], [[-0.5, 1.0], [-1.0]]], Cc=[[[0.0], [0.26, -1.0, 1.0]]], J=[[1.0, -0.1], [0.0, 1.0]])
+        with pytest.raises(NotPositive, match=(r"^not positive on \[0, 1\]: A\[1, 0\], "
+                                               r"jumps\[0\]\.J\[0, 1\], Cc\[0, 1\] \(unverified\)$")):
+            require_positive(s, 1.0)
+        # tau_end = 0 (arbitrary dwell, LTI) comes with constant matrices
+        s = ImpulsiveSystem.from_arrays(A=[[-1.0, 0.0], [-0.5, -1.0]], J=[[1.0, -0.1], [0.0, 1.0]])
+        with pytest.raises(NotPositive, match=r"^not positive at tau = 0: A\[1, 0\], jumps\[0\]\.J\[0, 1\]$"):
+            require_positive(s, 0.0)
+
+    def test_require_positive_switched_per_mode(self, bench_switched):
+        require_positive(bench_switched, 1.0)
+        modes = [{k: md[k] for k in "ABECDF"} for md in bench_switched.modes]
+        modes[1]["A"] = PolyMatrix.from_const([[-1.0, -1.0], [1.0, -6.0]])
+        with pytest.raises(NotPositive, match=r": modes\[1\]\.A\[0, 1\]$"):
+            require_positive(SwitchedSystem.from_arrays(modes), 1.0)
 
     def test_positivity_semantics_by_simulation(self, bench_lti, bench_timer_growth):
         """Certified-positive systems keep x, z_c, z_d nonnegative along runs."""

@@ -111,15 +111,16 @@ class TestArithmetic:
 class TestCertify:
     def test_constant_order_zero(self):
         cert = certify_nonneg(Poly((1.0,)), (0.0, 1.0), order=0)
-        assert cert.weights[(0, 0)] == pytest.approx(1.0)
+        assert cert.order == 0 and cert.min_coefficient(Poly((1.0,))) == 1
         assert cert.validate(Poly((1.0,)))
 
     def test_basis_element_itself(self):
         p = Poly((0.0, 1.0, -1.0))  # t (1 - t)
         cert = certify_nonneg(p, (0.0, 1.0), order=2)
-        assert cert.weights[(1, 1)] == pytest.approx(1.0, abs=1e-9)
-        others = sum(abs(c) for ij, c in cert.weights.items() if ij != (1, 1))
-        assert others <= 1e-9
+        # Bernstein coefficients (0, 1/2, 0): p is 1 times the basis element,
+        # so no multiple above 1 of it fits under p
+        assert cert.order == 2 and cert.min_coefficient(p) == 0
+        assert cert.min_coefficient(p - p.scale(1.0 + 2.0**-20)) == -Fraction(1, 2**21)
         assert cert.validate(p)
 
     def test_offset_parabola_needs_high_order(self):
@@ -132,13 +133,13 @@ class TestCertify:
         with pytest.raises(NoCertificate):
             certify_nonneg(p, (0.0, 1.0))  # default escalation stops at degree+10
         cert = certify_nonneg(p, (0.0, 1.0), order=26)
-        assert all(c >= 0 for c in cert.weights.values())
+        assert cert.min_coefficient(p) >= 0
         assert cert.validate(p)
         assert falsify_nonneg(p, (0.0, 1.0)) is None
 
     def test_margin_shifts_constant(self):
         cert = certify_nonneg(Poly((2.0,)), (0.0, 1.0), order=0, margin=0.5)
-        assert cert.weights == {(0, 0): 1.5}
+        assert cert.order == 0 and cert.min_coefficient(Poly((2.0,)) - 0.5) == Fraction(3, 2)
         assert cert.validate(Poly((1.5,)))
 
     def test_invalid_interval(self):
@@ -182,13 +183,13 @@ class TestCertify:
             assert grid_min >= -1e-8 * (1 + p.max_abs_coeff())
 
 
-def _cone_bernstein(cert, d):
+def _cone_bernstein(weights, interval, d):
     """Degree-d Bernstein coefficients, in s on [0, 1], of the oracle's cone
     element sum_ij w_ij (t - a)^i (b - t)^j, in exact arithmetic."""
-    a, b = cert.interval
+    a, b = interval
     h = Fraction(b) - Fraction(a)
     mono = [Fraction(0)] * (d + 1)  # (t - a)^i (b - t)^j = h^(i+j) s^i (1 - s)^j
-    for (i, j), w in cert.weights.items():
+    for (i, j), w in weights.items():
         scale = Fraction(w) * h ** (i + j)
         for m in range(j + 1):
             mono[i + m] += scale * (-1) ** m * math.comb(j, m)
@@ -214,12 +215,12 @@ def assert_exact_matches_lp_oracle(p, interval, margin=0.0):
             exact = True
         except NoCertificate:
             exact = False
-        cert = per_row_certify_at_order(p, a, b, d, margin)
-        if exact == (cert is not None):
+        weights = per_row_certify_at_order(p, a, b, d, margin)
+        if exact == (weights is not None):
             continue
         bern = bernstein_oracle(p, interval, d, margin)
-        if cert is not None:
-            residual = max(abs(x - y) for x, y in zip(bern, _cone_bernstein(cert, d)))
+        if weights is not None:
+            residual = max(abs(x - y) for x, y in zip(bern, _cone_bernstein(weights, interval, d)))
             assert -residual <= min(bern) < 0, (p, interval, d)
         else:
             q = (p - Poly.const(margin)).shift_scale_arg(a, b - a).coeffs
@@ -265,7 +266,7 @@ class TestExactDecision:
 
     def test_constant_at_its_margin(self):
         cert = certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=1.0)
-        assert all(c == 0.0 for c in cert.weights.values())
+        assert cert.min_coefficient(Poly((1.0,)) - 1.0) == 0
         with pytest.raises(NoCertificate):
             certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=math.nextafter(1.0, 2.0))
 
@@ -273,13 +274,15 @@ class TestExactDecision:
         # t^2 on [0, 1]: b_0 = 0 at every order
         p = Poly((0.0, 0.0, 1.0))
         cert = certify_nonneg(p, (0.0, 1.0))
-        assert cert.order == 6 and cert.weights[(0, 6)] == 0.0
+        assert cert.order == 6 and cert.min_coefficient(p) == 0
         assert cert.validate(p)
 
-    def test_weights_are_scaled_bernstein_coefficients(self):
+    def test_min_coefficient_is_smallest_bernstein_coefficient(self):
         # 1 + t on [1, 3] at order 1: q(s) = 2 + 2s, b = (2, 4), h = 2
         cert = certify_nonneg(Poly((1.0, 1.0)), (1.0, 3.0), order=1)
-        assert cert.weights == {(0, 1): 1.0, (1, 0): 2.0}
+        assert cert.min_coefficient(Poly((1.0, 1.0))) == 2
+        # t - 5 on [1, 3]: q(s) = -4 + 2s, b = (-4, -2)
+        assert cert.min_coefficient(Poly((-5.0, 1.0))) == -4
 
     def test_solves_no_lp(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -330,24 +333,24 @@ class TestBernstein:
 
     def test_exact_boundary(self):
         # t^2 on [0, 1] at order 2 has Bernstein coefficients (0, 0, 1)
-        cert = HandelmanCertificate((0.0, 1.0), 2, {})
+        cert = HandelmanCertificate((0.0, 1.0), 2)
         assert cert.validate(Poly((0.0, 0.0, 1.0)))
         assert not cert.validate(Poly((-(2.0**-60), 0.0, 1.0)))
         assert cert.min_coefficient(Poly((-(2.0**-60), 0.0, 1.0))) == -Fraction(1, 2**60)
 
     def test_validate_reads_no_weights(self):
-        # the weights are evidence; the target's own coefficients decide
-        cert = HandelmanCertificate((0.5, 2.0), 3, {(0, 0): -1.0})
+        # a certificate holds no weights; the target's own coefficients decide
+        cert = HandelmanCertificate((0.5, 2.0), 3)
         assert cert.validate(Poly((1.0, -1.0, 0.5)))
         # -0.375 + 0.5 t is -0.125 at t = 0.5, its smallest Bernstein coefficient
         assert cert.validate(Poly((-0.375, 0.5)), tol=0.125)
         assert not cert.validate(Poly((-0.375, 0.5)), tol=math.nextafter(0.125, 0.0))
 
     def test_unprovable_targets(self):
-        cert = HandelmanCertificate((0.0, 1.0), 2, {})
+        cert = HandelmanCertificate((0.0, 1.0), 2)
         assert not cert.validate(Poly((1.0, 0.0, 0.0, 1.0)))  # beyond the order
         assert not cert.validate(Poly((1.0, math.nan)))
-        assert not HandelmanCertificate((0.0, math.inf), 2, {}).validate(Poly((1.0,)))
+        assert not HandelmanCertificate((0.0, math.inf), 2).validate(Poly((1.0,)))
 
 
 class TestFalsify:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize_switched
+from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import _Program
 from dwellgain.benchmarks import two_mode_switched_bench
 from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible
@@ -110,6 +111,26 @@ class TestGainRecovery:
         )
         with pytest.raises(IllPosed):
             realize_gain(ctrl, 0.9)
+
+    def test_denominator_decided_exactly(self):
+        """X = (tau - 0.3)^2 - 1e-8 dips below 0 on (0.2999, 0.3001) only,
+        between the points of a 512-point grid on [0, 1]; X + 2e-8 is positive."""
+        dip = Poly((0.09, -0.6, 1.0)) - 1e-8
+        for dwell in (DwellTimeSpec.constant(1.0), DwellTimeSpec.minimum(1.0), DwellTimeSpec.range(0.5, 1.0)):
+            ctrl = ControllerRealization(kind="ConstantDT", dwell=dwell, gamma=1.0, degree=2, margin=0.0,
+                                         X=[dip], Uc=[])
+            assert (dip.eval(np.linspace(0.0, 1.0, 512)) > 0.0).all()
+            with pytest.raises(IllPosed):
+                synthesis_mod._check_denominator(ctrl)
+        # a constant X under arbitrary dwell is read at tau = 0
+        for x, ok in ((Poly.const(1e-300), True), (Poly.const(0.0), False)):
+            ctrl = ControllerRealization(kind="ArbitraryDT", dwell=DwellTimeSpec.arbitrary(), gamma=1.0,
+                                         degree=0, margin=0.0, X=[x], Uc=[])
+            if ok:
+                synthesis_mod._check_denominator(ctrl)
+            else:
+                with pytest.raises(IllPosed):
+                    synthesis_mod._check_denominator(ctrl)
 
 
 class TestCertificateTransfer:

@@ -32,7 +32,14 @@ Cases:
   designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13], and
   minimum-dwell designs for the timer-dependent timer_stable_bench with
   inputs at T in {0.7, 1.3, 1.7} and degrees 1-3;
-- `synthesize_switched` at four dwell times.
+- `synthesize_switched` at four dwell times;
+- a system that is not positive (A[0, 1] = -3) under constant, minimum,
+  range and arbitrary dwell, and `verify` of a certificate issued for it
+  (tests/data/nonpositive_constant_1.json, made when no analysis checked
+  positivity);
+- `verify` of a closed loop whose U_c breaks its positivity rows while
+  U_c 1 is unchanged: U_c[0][0] + 20 and U_c[0][1] - 20 in the
+  unstable_chain_plant constant:0.1 degree-2 design.
 
 Only the public API is used, so the script runs against any version of `src/`.
 """
@@ -47,7 +54,7 @@ import tempfile
 
 import numpy as np
 
-from dwellgain import analysis, benchmarks, cert, model, synthesis
+from dwellgain import analysis, benchmarks, cert, model, synthesis, Poly
 from dwellgain.errors import DwellgainError
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
 
@@ -77,6 +84,13 @@ TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3,
 TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
 SLACK_RTOL = 1e-12
+NONPOSITIVE_CERTIFICATE = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "nonpositive_constant_1.json")
+
+
+def nonpositive_rotation() -> ImpulsiveSystem:
+    """A stable flow that is not positive, A[0, 1] = -3, with J = I: its gain
+    under constant dwell 1 is its LTI L-infinity gain, 0.6244."""
+    return ImpulsiveSystem.from_arrays(A=[[-1.0, -3.0], [3.0, -1.0]], Ec=[[1.0], [0.0]], Cc=[[0.0, 1.0]], J=np.eye(2))
 
 
 def _digest(obj) -> str:
@@ -199,6 +213,26 @@ def collect(lp_dir: str) -> dict:
         ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(sw, T, 2, dump_lp=lp), to_json)
         if ctrl is not None:
             rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(sw, ctrl))
+
+    rot = nonpositive_rotation()
+    runs = {
+        "constant:1": lambda lp: analysis.analyze_constant(rot, 1.0, 2, dump_lp=lp),
+        "minimum:1": lambda lp: analysis.analyze_minimum(rot, 1.0, 2, dump_lp=lp),
+        "range:0.5:1": lambda lp: analysis.analyze_range(rot, 0.5, 1.0, 2, dump_lp=lp),
+        "arbitrary": lambda lp: analysis.analyze_arbitrary(rot),
+    }
+    for spec, run in runs.items():
+        key = f"nonpositive_rotation {spec} degree=2"
+        c = rec.solve(key, run, to_json)
+        if c is not None:
+            rec.reports(key, c, rot)
+    rec.reports("nonpositive_rotation certificate file", analysis.Certificate.load(NONPOSITIVE_CERTIFICATE), rot)
+    chain = benchmarks.unstable_chain_plant()
+    ctrl = synthesis.synthesize(chain, DwellTimeSpec.constant(0.1), 2)
+    ctrl.Uc[0][0] = ctrl.Uc[0][0] + Poly((20.0,))
+    ctrl.Uc[0][1] = ctrl.Uc[0][1] - Poly((20.0,))
+    rec.reports("unstable_chain_plant design constant:0.1 degree=2 U_c tampered",
+                synthesis.certificate_from(ctrl), synthesis.closed_loop(chain, ctrl))
     return rec.out
 
 
