@@ -23,7 +23,6 @@ order that ends Infeasible decides (`_solve_with_escalation`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,7 +39,8 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
-from .model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, require_forward_time, require_positive
+from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, polys_from_json, polys_to_json,
+                    read_json, require_forward_time, require_positive, write_json)
 from .poly import Poly
 
 __all__ = [
@@ -97,9 +97,6 @@ class Certificate:
         return self.zeta if self.per_mode else [self.zeta]
 
     def to_json(self) -> dict:
-        def poly_list(polys):
-            return [p.to_json() for p in polys]
-
         return {
             "type": "certificate",
             "kind": self.kind,
@@ -109,47 +106,34 @@ class Certificate:
             "jump_margin": self.jump_margin,
             "degree": self.degree,
             "relax": self.relax,
-            "zeta": [poly_list(z) for z in self.zeta] if self.per_mode else poly_list(self.zeta),
-            "aux": {k: poly_list(v) if k == "mu" else v for k, v in self.aux.items()},
+            "zeta": polys_to_json(self.zeta),
+            "aux": {k: polys_to_json(v) if k == "mu" else v for k, v in self.aux.items()},
         }
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
         try:
             kind = data["kind"]
-            per_mode = kind == "SwitchedMinDT"
-            zeta = (
-                [[Poly.from_json(p) for p in mode] for mode in data["zeta"]]
-                if per_mode
-                else [Poly.from_json(p) for p in data["zeta"]]
-            )
-            aux = {
-                k: [Poly.from_json(p) for p in v] if k == "mu" else v
-                for k, v in data.get("aux", {}).items()
-            }
             return Certificate(
                 kind=kind,
                 gamma=float(data["gamma"]),
-                zeta=zeta,
+                zeta=polys_from_json(data["zeta"], 1 + (kind == "SwitchedMinDT")),
                 dwell=DwellTimeSpec.parse(data["dwell"]),
                 margin=float(data["margin"]),
                 jump_margin=float(data.get("jump_margin", data["margin"])),
                 degree=int(data["degree"]),
-                aux=aux,
+                aux={k: polys_from_json(v, 1) if k == "mu" else v for k, v in data.get("aux", {}).items()},
                 relax=int(data.get("relax", 0)),
             )
         except KeyError as exc:
             raise ParseError(f"certificate file missing field {exc.args[0]!r}") from exc
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def load(path: str) -> "Certificate":
-        with open(path) as fh:
-            return Certificate.from_json(json.load(fh))
+        return read_json(path, Certificate.from_json)
 
 
 def _row_ones(pm: PolyMatrix, i: int) -> Poly:

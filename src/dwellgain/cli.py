@@ -8,7 +8,6 @@ Exit codes: 0 success (certify: all rows passed), 1 certify failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,7 +26,7 @@ from .errors import (
     RelaxationLimit,
     StepTooLarge,
 )
-from .model import DwellTimeSpec, SwitchedSystem, load_system
+from .model import DwellTimeSpec, SwitchedSystem, load_system, read_json
 from .sim import SequenceGen, export_trajectory, generate_inputs
 
 EXIT_OK = 0
@@ -158,13 +157,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     sys_obj = load_system(args.system)
-    with open(args.certificate) as fh:
-        data = json.load(fh)
-    ctrl = synth.ControllerRealization.from_json(data) if data.get("type") == "controller" else None
+    loaded = read_json(args.certificate, lambda data: (
+        synth.ControllerRealization if data.get("type") == "controller" else ana.Certificate).from_json(data))
+    ctrl = loaded if isinstance(loaded, synth.ControllerRealization) else None
     if ctrl is not None:
         cert, target = synth.certificate_from(ctrl), synth.closed_loop(sys_obj, ctrl)
     else:
-        cert, target = ana.Certificate.from_json(data), sys_obj
+        cert, target = loaded, sys_obj
     rep = certmod.verify(cert, target, grid=args.grid)
     print(rep.table())
     ok = rep.passed
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Infeasible as exc:

@@ -32,6 +32,8 @@ __all__ = [
     "adjoint",
     "load_system",
     "save_system",
+    "read_json",
+    "write_json",
 ]
 
 
@@ -216,8 +218,11 @@ class ImpulsiveSystem:
         Dc=None,
         Bd=None,
         Dd=None,
+        tag=None,
         extra_jumps: Sequence[dict] = (),
     ) -> "ImpulsiveSystem":
+        """The first jump map is given by J, ..., tag; each further one by a
+        dict with the same keys, J required."""
         Apm = _as_polymatrix(A)
         n = Apm.shape[0]
         if Apm.shape != (n, n):
@@ -231,22 +236,21 @@ class ImpulsiveSystem:
         mc = Bcpm.shape[1]
         Dcpm = _as_polymatrix(Dc, qc, mc)
 
-        def one_jump(J, Ed, Cd, Fd, Bd, Dd, tag=None) -> JumpMap:
-            Jm = _as_matrix(J)
-            Edm = _as_matrix(Ed, n, 0)
+        def one_jump(jm: dict) -> JumpMap:
+            Jm = _as_matrix(jm["J"])
+            Edm = _as_matrix(jm.get("Ed"), n, 0)
             pd = Edm.shape[1]
-            Cdm = _as_matrix(Cd, 0, n)
+            Cdm = _as_matrix(jm.get("Cd"), 0, n)
             qd = Cdm.shape[0]
-            Fdm = _as_matrix(Fd, qd, pd)
-            Bdm = _as_matrix(Bd, n, 0)
+            Fdm = _as_matrix(jm.get("Fd"), qd, pd)
+            Bdm = _as_matrix(jm.get("Bd"), n, 0)
             md = Bdm.shape[1]
-            Ddm = _as_matrix(Dd, qd, md)
-            return JumpMap(Jm, Bdm, Edm, Cdm, Ddm, Fdm, tag)
+            Ddm = _as_matrix(jm.get("Dd"), qd, md)
+            tag = jm.get("tag")
+            return JumpMap(Jm, Bdm, Edm, Cdm, Ddm, Fdm, None if tag is None else tuple(tag))
 
-        jumps = [one_jump(J, Ed, Cd, Fd, Bd, Dd)]
-        for ex in extra_jumps:
-            jumps.append(one_jump(ex["J"], ex.get("Ed"), ex.get("Cd"), ex.get("Fd"),
-                                  ex.get("Bd"), ex.get("Dd"), ex.get("tag")))
+        first = {"J": J, "Bd": Bd, "Ed": Ed, "Cd": Cd, "Dd": Dd, "Fd": Fd, "tag": tag}
+        jumps = [one_jump(jm) for jm in (first, *extra_jumps)]
         sys = ImpulsiveSystem(Apm, Bcpm, Ecpm, Ccpm, Dcpm, Fcpm, tuple(jumps))
         sys.validate()
         return sys
@@ -661,43 +665,12 @@ def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
     try:
         if data.get("kind") == "switched" or "modes" in data:
             return SwitchedSystem.from_arrays(
-                [
-                    {k: PolyMatrix.from_entries(md[k]) if k in md else None for k in ("A", "B", "E", "C", "D", "F")}
-                    for md in data["modes"]
-                ]
+                [{k: PolyMatrix.from_entries(md[k]) for k in "ABECDF" if k in md} for md in data["modes"]]
             )
-        cont = {k: PolyMatrix.from_entries(data[k]) if k in data else None for k in _CONT_KEYS}
-        if "jump_maps" in data:
-            jumps = data["jump_maps"]
-            first, extra = jumps[0], jumps[1:]
-        else:
-            first, extra = {k: data[k] for k in _DISC_KEYS if k in data}, []
-        sys = ImpulsiveSystem.from_arrays(
-            A=cont["A"],
-            Bc=cont["Bc"],
-            Ec=cont["Ec"],
-            Cc=cont["Cc"],
-            Dc=cont["Dc"],
-            Fc=cont["Fc"],
-            J=first["J"],
-            Bd=first.get("Bd"),
-            Ed=first.get("Ed"),
-            Cd=first.get("Cd"),
-            Fd=first.get("Fd"),
-            Dd=first.get("Dd"),
-            extra_jumps=[
-                {
-                    "J": ex["J"],
-                    "Bd": ex.get("Bd"),
-                    "Ed": ex.get("Ed"),
-                    "Cd": ex.get("Cd"),
-                    "Dd": ex.get("Dd"),
-                    "Fd": ex.get("Fd"),
-                    "tag": tuple(ex["tag"]) if "tag" in ex else None,
-                }
-                for ex in extra
-            ],
-        )
+        cont = {k: PolyMatrix.from_entries(data[k]) for k in _CONT_KEYS if k in data}
+        first, *extra = data["jump_maps"] if "jump_maps" in data else [data]
+        sys = ImpulsiveSystem.from_arrays(cont.pop("A"), first["J"], **cont, extra_jumps=extra,
+                                          **{k: first.get(k) for k in (*_DISC_KEYS[1:], "tag")})
         if data.get("time_reversed"):
             sys = replace(sys, time_reversed=True)
         declared = {k: data[k] for k in ("n", "mc", "pc", "md", "pd", "qc", "qd") if k in data}
@@ -709,16 +682,44 @@ def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
         raise ParseError(f"missing field {exc.args[0]!r} in system file") from exc
 
 
-def save_system(sys: Union[ImpulsiveSystem, SwitchedSystem], path: str) -> None:
+def write_json(data: dict, path: str) -> None:
+    """The one writer of every dwellgain JSON file: sorted keys, indent 1 and
+    a final newline, so that equal data give equal bytes."""
     with open(path, "w") as fh:
-        json.dump(system_to_json(sys), fh, indent=1, sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_system(path: str) -> Union[ImpulsiveSystem, SwitchedSystem]:
-    try:
-        with open(path) as fh:
+def read_json(path: str, decode):
+    """The one reader of every dwellgain JSON file: decode(the object in
+    `path`).  A malformed file, a top level that is not an object and a
+    ParseError of decode raise ParseError naming the file."""
+    with open(path) as fh:
+        try:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return system_from_json(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: the top level is a JSON {type(data).__name__}, not an object")
+    try:
+        return decode(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def polys_to_json(x):
+    """A Poly, or nested lists of them, as nested ascending coefficient lists."""
+    return x.to_json() if isinstance(x, Poly) else [polys_to_json(v) for v in x]
+
+
+def polys_from_json(data, depth: int):
+    """The inverse of polys_to_json for `depth` levels of lists around each Poly."""
+    return Poly.from_json(data) if depth == 0 else [polys_from_json(v, depth - 1) for v in data]
+
+
+def save_system(sys: Union[ImpulsiveSystem, SwitchedSystem], path: str) -> None:
+    write_json(system_to_json(sys), path)
+
+
+def load_system(path: str) -> Union[ImpulsiveSystem, SwitchedSystem]:
+    return read_json(path, system_from_json)

@@ -19,7 +19,6 @@ never depend on whether it runs.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, StepTooLarge
-from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
+from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time, write_json
 
 __all__ = [
     "SequenceGen",
@@ -650,6 +649,4 @@ def export_trajectory(traj: Trajectory, prefix: str, sidecar: Optional[dict] = N
     meta = dict(traj.meta)
     if sidecar:
         meta.update(sidecar)
-    with open(prefix + "_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, prefix + "_meta.json")

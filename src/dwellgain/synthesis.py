@@ -11,10 +11,9 @@ rational gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,7 +33,8 @@ from .analysis import (
 )
 from .errors import DimensionMismatch, IllPosed, NoCertificate, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, polys_from_json, polys_to_json, read_json,
+                    require_forward_time, write_json)
 from .poly import Poly, certify_nonneg, product_basis
 
 __all__ = [
@@ -49,6 +49,13 @@ __all__ = [
 
 _X_MIN = 1e-3
 _X_CAP = 1e6
+# weight of the integral of X added to the objective, so that the solver picks
+# a well-scaled vertex among gain-equivalent optima
+_REG = 1e-6
+# |U| <= _GAIN_CAP * X entrywise keeps the recovered rational gains
+# implementable: degenerate optima otherwise drive X to its floor and the
+# gains to the LP bounds
+_GAIN_CAP = 100.0
 _ALPHA_CAP = 1e9
 
 
@@ -72,14 +79,6 @@ class _DesignProgram(_Program):
             for p, c in basis_k:
                 row[cone[p]] = -c
             self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
-
-
-def _poly_rows(rows: Sequence[Sequence[Poly]]) -> list[list[list[float]]]:
-    return [[list(p.coeffs) for p in row] for row in rows]
-
-
-def _rows_from_json(data) -> list[list[Poly]]:
-    return [[Poly.from_json(p) for p in row] for row in data]
 
 
 @dataclass
@@ -173,18 +172,13 @@ class ControllerRealization:
             "gamma": self.gamma,
             "degree": self.degree,
             "margin": self.margin,
+            "X": polys_to_json(self.X),
+            "Uc": polys_to_json(self.Uc),
         }
-        if self.per_mode:
-            data["X"] = [[list(p.coeffs) for p in mode] for mode in self.X]
-            data["Uc"] = [_poly_rows(mode) for mode in self.Uc]
-        else:
-            data["X"] = [list(p.coeffs) for p in self.X]
-            data["Uc"] = _poly_rows(self.Uc)
-        if self.Ud is not None:
-            if self._ud_poly:
-                data["Ud_poly"] = _poly_rows(self.Ud)
-            else:
-                data["Ud"] = np.asarray(self.Ud).tolist()
+        if self._ud_poly:
+            data["Ud_poly"] = polys_to_json(self.Ud)
+        elif self.Ud is not None:
+            data["Ud"] = np.asarray(self.Ud).tolist()
         if self.M is not None:
             data["M"] = np.asarray(self.M).tolist()
         return data
@@ -193,46 +187,29 @@ class ControllerRealization:
     def from_json(data: dict) -> "ControllerRealization":
         try:
             kind = data["kind"]
-            per_mode = kind == "SwitchedMinDT"
-            X = (
-                [[Poly.from_json(p) for p in mode] for mode in data["X"]]
-                if per_mode
-                else [Poly.from_json(p) for p in data["X"]]
-            )
-            Uc = (
-                [_rows_from_json(mode) for mode in data["Uc"]]
-                if per_mode
-                else _rows_from_json(data["Uc"])
-            )
-            Ud = None
-            if "Ud_poly" in data:
-                Ud = _rows_from_json(data["Ud_poly"])
-            elif "Ud" in data:
-                Ud = np.asarray(data["Ud"], dtype=float)
-            M = np.asarray(data["M"], dtype=float) if "M" in data else None
+            depth = 1 + (kind == "SwitchedMinDT")
+            Ud = (polys_from_json(data["Ud_poly"], 2) if "Ud_poly" in data
+                  else np.asarray(data["Ud"], dtype=float) if "Ud" in data else None)
             return ControllerRealization(
                 kind=kind,
                 dwell=DwellTimeSpec.parse(data["dwell"]),
                 gamma=float(data["gamma"]),
                 degree=int(data["degree"]),
                 margin=float(data["margin"]),
-                X=X,
-                Uc=Uc,
+                X=polys_from_json(data["X"], depth),
+                Uc=polys_from_json(data["Uc"], depth + 1),
                 Ud=Ud,
-                M=M,
+                M=np.asarray(data["M"], dtype=float) if "M" in data else None,
             )
         except KeyError as exc:
             raise ParseError(f"controller file missing field {exc.args[0]!r}") from exc
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def load(path: str) -> "ControllerRealization":
-        with open(path) as fh:
-            return ControllerRealization.from_json(json.load(fh))
+        return read_json(path, ControllerRealization.from_json)
 
 
 def realize_gain(ctrl: ControllerRealization, tau: float, mode: Optional[int] = None) -> np.ndarray:
@@ -253,21 +230,20 @@ class _DesignMode(_Mode):
             for idx, expr in enumerate(chain.from_iterable(entries)):
                 self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
 
-    def denominator(self, x_min: float, gain_cap: Optional[float]) -> None:
-        """X >= x_min, X(0) <= _X_CAP, and implementable gains |U_lj| <= cap * X_j."""
+    def denominator(self) -> None:
+        """X >= _X_MIN, X(0) <= _X_CAP, and implementable gains |U_lj| <= _GAIN_CAP * X_j."""
         prog, tag = self.prog, self.tag
         for j, x in enumerate(self.X):
-            prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([x_min]), self.iv, 0.0)
+            prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([_X_MIN]), self.iv, 0.0)
             prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(_X_CAP) - x.eval_at(0.0), 0.0)
-        if gain_cap is not None:
-            _gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, gain_cap, self.iv)
+        _gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, _GAIN_CAP, self.iv)
 
-    def regularize(self, extra_obj: dict[int, float], reg: float) -> None:
-        """Add reg * the integral of X over (0, Tend) (reg * X(0) when Tend = 0)."""
+    def regularize(self, extra_obj: dict[int, float]) -> None:
+        """Add _REG * the integral of X over (0, Tend) (_REG * X(0) when Tend = 0)."""
         Tend = self.iv[1]
         for x in self.X:
             for k, le in enumerate(x.coeffs):
-                w = reg * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (reg if k == 0 else 0.0)
+                w = _REG * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (_REG if k == 0 else 0.0)
                 for v, c in le.coeffs.items():
                     extra_obj[v] = extra_obj.get(v, 0.0) + c * w
 
@@ -287,20 +263,15 @@ def synthesize(
     degree: int = 2,
     margin: float = DEFAULT_MARGIN,
     fixed_kd: bool = False,
-    x_min: float = _X_MIN,
-    reg: float = 1e-6,
-    gain_cap: float = 100.0,
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> ControllerRealization:
     """Minimize the closed-loop hybrid gain over timer-dependent state feedback.
 
     fixed_kd selects the dwell-time-independent discrete gain variant of the
-    range dwell-time design (dominating constant diagonal M).  `reg` adds a tiny
-    integral-of-X term to the objective so the solver picks a well-scaled vertex
-    among gain-equivalent optima; `gain_cap` bounds |U| <= cap * X entrywise so
-    the recovered rational gains stay implementable (degenerate optima otherwise
-    drive X to its floor and the gains to the LP bounds).
+    range dwell-time design (dominating constant diagonal M).  Two constants
+    shape every design: _REG weights a tiny integral-of-X term in the objective,
+    and _GAIN_CAP bounds |U| <= _GAIN_CAP * X entrywise (X >= _X_MIN).
 
     The jump rows hold at the dwells [lo, hi] of `_jump_timers`, a single
     point unless the range is genuine: with X(theta) and a U_d polynomial in
@@ -334,7 +305,7 @@ def synthesize(
             Ud = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md)]
         else:
             Ud = [[LinExpr.variable(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
-        M = [prog.scalar(lo=x_min, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
+        M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
         mode = _DesignMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
         mode.positivity(alpha)
 
@@ -366,9 +337,9 @@ def synthesize(
         for j, (m, x) in enumerate(zip(M, X)):
             prog.add_interval_ge("x_below_M", j, PolyExpr([LinExpr.variable(m)]) - x, (dwell.Tmin, dwell.Tmax), 0.0)
 
-        mode.denominator(x_min, gain_cap)
-        if gain_cap is not None:  # numbered on from the continuous gain_cap rows
-            _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, gain_cap, dwells)
+        mode.denominator()
+        # numbered on from the continuous gain_cap rows
+        _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, _GAIN_CAP, dwells)
 
         def finalize(prog, sol, relax):
             Ud_out = None
@@ -392,9 +363,9 @@ def synthesize(
             return ctrl
 
         extra_obj: dict[int, float] = {}
-        mode.regularize(extra_obj, reg)
+        mode.regularize(extra_obj)
         for v in M:
-            extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
+            extra_obj[v] = extra_obj.get(v, 0.0) + _REG * max(Tend, 1.0)
         return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
@@ -419,9 +390,6 @@ def synthesize_switched(
     T: float,
     degree: int = 2,
     margin: float = DEFAULT_MARGIN,
-    x_min: float = _X_MIN,
-    reg: float = 1e-6,
-    gain_cap: float = 100.0,
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> ControllerRealization:
@@ -447,7 +415,7 @@ def synthesize_switched(
         for mode in modes:
             mode.positivity(alpha)
             mode.theorem_rows(gamma, margin, T)
-            mode.denominator(x_min, gain_cap)
+            mode.denominator()
         _coupling_rows(prog, Xs, T)
 
         def finalize(prog, sol, relax):
@@ -466,7 +434,7 @@ def synthesize_switched(
 
         extra_obj: dict[int, float] = {}
         for mode in modes:
-            mode.regularize(extra_obj, reg)
+            mode.regularize(extra_obj)
         return prog, gamma, finalize, extra_obj
 
     return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)

@@ -263,6 +263,22 @@ def test_config_errors_exit_2(ex1_path, chain_path, switched_path, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--system", "{ex1}", "--certificate", "{bad}"],
+    ["simulate", "--system", "{ex1}", "--dwell", "minimum:0.5", "--runs", "1", "--controller", "{bad}", "-o", "{out}"],
+    ["analyze", "--system", "{bad}", "--dwell", "arbitrary"],
+])
+def test_unreadable_file_exits_2(ex1_path, tmp_path, capsys, argv, text):
+    """A malformed file, or one whose top level is not an object, is a parse
+    error naming the file, whichever command reads it."""
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(text)
+    assert main([a.format(ex1=ex1_path, bad=bad, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestSimulateAndSweep:
     def test_simulate_outputs(self, ex1_path, tmp_path):
         prefix = str(tmp_path / "run")

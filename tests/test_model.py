@@ -27,6 +27,7 @@ from dwellgain.model import (
     load_system,
     require_positive,
     save_system,
+    system_to_json,
 )
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, generate_inputs, simulate
@@ -368,6 +369,25 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_system(str(path))
+
+    @pytest.mark.parametrize("switched", [False, True])
+    def test_missing_A_is_a_parse_error(self, bench_lti, bench_switched, tmp_path, switched):
+        data = system_to_json(bench_switched if switched else bench_lti)
+        (data["modes"][0] if switched else data).pop("A")
+        path = tmp_path / "noA.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="missing field 'A' in system file$"):
+            load_system(str(path))
+
+    def test_lifted_file_keeps_every_tag(self, bench_switched, tmp_path):
+        """The first jump map's tag, the mode a simulation switches to, is read back too."""
+        lifted = lift_switched(bench_switched)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_system(lifted, str(p1))
+        loaded = load_system(str(p1))
+        assert [jm.tag for jm in loaded.jumps] == [jm.tag for jm in lifted.jumps] == [(1, 0), (0, 1)]
+        save_system(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def _to_json(sys):

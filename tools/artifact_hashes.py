@@ -16,10 +16,10 @@ a cross-check report must keep its verdict and its row families, and each
 worst slack may move by at most 1e-12 * (1 + |gamma|), as rounding may move
 it.  It prints every other difference and exits 1 if there is one.  A summary
 follows: the differences per output kind (certificate, controller, gain, lp,
-verify, cross-check, error), every verdict that flips between pass and fail
-and every case that flips between a result and an error, each with its
-direction, and the largest relative move of the gamma stored with the
-cross-check entries.
+verify, cross-check, error), every verdict that flips between pass and fail,
+every case that flips between a result and an error and every error whose
+class changes (say Infeasible -> NotPositive), each with its direction, and
+the largest relative move of the gamma stored with the cross-check entries.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -270,9 +270,14 @@ def _verdict(e: dict):
     return None if report is None else report["passed"]
 
 
+def _error_class(e: dict) -> str:
+    """The exception class of an error entry, the text before its first colon."""
+    return e["text"].split(":", 1)[0]
+
+
 def _summary(before: dict, after: dict, differ: list[str]) -> None:
-    """Differences per output kind, every verdict and outcome flip, and the
-    largest relative gamma move of the cross-check entries."""
+    """Differences per output kind, every verdict, outcome and error-class
+    flip, and the largest relative gamma move of the cross-check entries."""
     kinds: dict[str, int] = {}
     for key in differ:
         kind = _kind(key, before.get(key), after.get(key))
@@ -288,7 +293,9 @@ def _summary(before: dict, after: dict, differ: list[str]) -> None:
             flips.append(f"  {key}: {'pass' if va else 'fail'} -> {'pass' if vb else 'fail'}")
         elif ("error" in a) != ("error" in b) and not key.endswith((" verify", " cross-check")):
             flips.append(f"  {key}: {'error -> result' if 'error' in a else 'result -> error'}")
-    print(f"{len(flips)} verdict or outcome flips")
+        elif "error" in a and "error" in b and _error_class(a) != _error_class(b):
+            flips.append(f"  {key}: {_error_class(a)} -> {_error_class(b)}")
+    print(f"{len(flips)} verdict, outcome or error-class flips")
     for line in flips:
         print(line)
     moves = [
