@@ -40,8 +40,8 @@ from .errors import (
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, polys_from_json, polys_to_json,
-                    read_json, require_forward_time, require_positive, write_json)
-from .poly import Poly
+                    read_field, read_json, require_forward_time, require_positive, write_json)
+from .poly import RELAX_SCHEDULE, Poly
 
 __all__ = [
     "Certificate",
@@ -63,7 +63,6 @@ DEFAULT_MARGIN = 1e-6
 # the default makes certified gains reproduce those values (it only strengthens
 # the certificate, so soundness is unaffected).
 DEFAULT_JUMP_MARGIN = 1e-2
-RELAX_SCHEDULE = (4, 6, 8, 10)
 _ZETA_PIN = 1e6  # upper bound on zeta(0) fixing the free scaling
 _REFEREE_SAMPLES = 51
 # the unstable-orbit test (_unstable_orbit): mesh step bounds, mesh cap, tolerance
@@ -116,14 +115,15 @@ class Certificate:
             kind = data["kind"]
             return Certificate(
                 kind=kind,
-                gamma=float(data["gamma"]),
-                zeta=polys_from_json(data["zeta"], 1 + (kind == "SwitchedMinDT")),
-                dwell=DwellTimeSpec.parse(data["dwell"]),
-                margin=float(data["margin"]),
-                jump_margin=float(data.get("jump_margin", data["margin"])),
-                degree=int(data["degree"]),
-                aux={k: polys_from_json(v, 1) if k == "mu" else v for k, v in data.get("aux", {}).items()},
-                relax=int(data.get("relax", 0)),
+                gamma=read_field(data, "gamma", float),
+                zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + (kind == "SwitchedMinDT"))),
+                dwell=read_field(data, "dwell", DwellTimeSpec.parse),
+                margin=read_field(data, "margin", float),
+                jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", float),
+                degree=read_field(data, "degree", int),
+                aux=read_field(data, "aux", lambda aux: {k: polys_from_json(v, 1) if k == "mu" else v
+                                                          for k, v in aux.items()}) if "aux" in data else {},
+                relax=read_field(data, "relax", int) if "relax" in data else 0,
             )
         except KeyError as exc:
             raise ParseError(f"certificate file missing field {exc.args[0]!r}") from exc

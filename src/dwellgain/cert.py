@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import RELAX_SCHEDULE
 from .errors import Mismatch, NotPositive, Unsupported
-from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time, require_positive
-from .poly import Poly, _bernstein, _Exact
+from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time, require_positive, require_positive_design
+from .poly import Poly, _Exact, decide_nonneg
 from .sim import _block_prefix, _fields, _jump_maps, _mats, _mv, _rk4_stage, _scan
 from .synthesis import ClosedLoopView
 
@@ -165,24 +164,19 @@ def _positivity_notes(what: str, P, X: list[_Exact], Q, U: list[list[_Exact]], d
     for j, x in enumerate(X):
         rows, sizes = _affine([(np.atleast_3d(P)[:, j:j + 1], [x]), (Q, [u[j] for u in U])], R)
         for i, (row, size) in enumerate(zip(rows, sizes)):
-            found = None if metzler and i == j else _disproof(row, domain, _SLACK_TOL * size)
-            if found is not None:
-                notes.append(f"closed loop not positive: {what}[{i}, {j}] {found[1]} {found[0]:.3e}")
+            if metzler and i == j:
+                continue
+            proved, d, least = decide_nonneg(row, domain, _SLACK_TOL * size)
+            if not proved:
+                notes.append(f"closed loop not positive: {what}[{i}, {j}] {_smallest(domain, d, float(least))}")
     return notes
 
 
-def _disproof(row: _Exact, domain, bound: float):
-    """None when row >= -bound is proved exactly, else the smallest Bernstein
-    coefficient (order deg + RELAX_SCHEDULE[-1]) on an interval domain, or
-    the value at a point domain, and the words that name it."""
-    point = not isinstance(domain, tuple)
-    d = 0 if point else len(row.C) - 1 + RELAX_SCHEDULE[-1]
-    N, S = _bernstein(row.at(domain) if point else row, (domain, domain) if point else domain, d)
-    num, den = bound.as_integer_ratio()
-    if min(N) >= 0 or all(v * den >= -num * math.comb(d, i) * S for i, v in enumerate(N)):
-        return None
-    what = f"at {domain:g}: value" if point else f"at order {d}: smallest Bernstein coefficient"
-    return min(v / (math.comb(d, i) * S) for i, v in enumerate(N)), what
+def _smallest(domain, d: int, value: float) -> str:
+    """The words that name a row's smallest order-d Bernstein coefficient on an
+    interval domain, or its value at a point domain, and that number."""
+    where = f"at order {d}: smallest Bernstein coefficient" if isinstance(domain, tuple) else f"at {domain:g}: value"
+    return f"{where} {value:.3e}"
 
 
 def verify(cert, sys, grid: int = 1000) -> VerificationReport:
@@ -194,16 +188,18 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     (plant, controller).  The proof re-derives each row from zeta, mu, gamma
     and the plant data in exact dyadic integers; a closed loop's zeta is X,
     so (A + B K_c) zeta = (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1
-    are polynomials (a fixed-K_d row is proved times prod M).  An interval
-    row is decided by its Bernstein coefficients at its degree +
-    RELAX_SCHEDULE[-1], a point row by its value.  The grid reads the flow
+    are polynomials (a fixed-K_d row is proved times prod M).  A row is
+    decided by `poly.decide_nonneg`: on an interval by its Bernstein
+    coefficients at the first of its degree + RELAX_SCHEDULE that proves it,
+    at a point by its value.  The grid reads the flow
     and output data from the simulator's `_fields` with unit inputs and the
     jump rows of every theta at once from its `_jump_maps`.  Either way a row
     passes at >= -_SLACK_TOL times the size of its own terms, sum |c_k| R^k
     over their coefficients with R the far end of the row's domain.  The
     positivity hypothesis is proved too, a failure being a note: a plant's by
-    `model.require_positive`, a closed loop's from its design's positivity
-    rows (`_positivity_notes`), as the theorem rows are."""
+    `model.require_positive`, a closed loop's by `model.require_positive_design`
+    for E and F and from its design's positivity rows (`_positivity_notes`),
+    as the theorem rows are."""
     plant, ctrl = _unpack(sys)
     require_forward_time(plant, "verification")
     dwell, gamma, per_mode = cert.dwell, cert.gamma, cert.per_mode
@@ -230,8 +226,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     gam = _Exact.of((gamma,))
     positivity = []  # notes: the entries of the positivity hypothesis not proved
     try:
-        if ctrl is None:
-            require_positive(plant, R)
+        (require_positive if ctrl is None else require_positive_design)(plant, R)
     except NotPositive as exc:
         positivity.append(str(exc))
     rows: dict[str, list] = {}  # per family: (grid minimum, exact row, domain, size, weight) per row
@@ -329,9 +324,9 @@ def _report(rows: dict, grid: int, positivity: list[str]) -> VerificationReport:
     notes, bad = [], []
     for family, parts in rows.items():
         for k, (low, row, domain, size, w) in enumerate(parts):
-            found = _disproof(row, domain, _SLACK_TOL * size)
-            if found is not None:
-                notes.append(f"row {family}[{k}] not proved {found[1]} {found[0] / w:.3e}")
+            proved, d, least = decide_nonneg(row, domain, _SLACK_TOL * size)
+            if not proved:
+                notes.append(f"row {family}[{k}] not proved {_smallest(domain, d, float(least) / w)}")
         if not all(low >= -_SLACK_TOL * size / w for low, _, _, size, w in parts):
             bad.append(family)
     proved = not notes

@@ -20,7 +20,6 @@ from . import synthesis as synth
 from .errors import (
     DwellgainError,
     Infeasible,
-    NoCertificate,
     NumericalFailure,
     ParseError,
     RelaxationLimit,
@@ -185,7 +184,7 @@ def _sweep_point(payload) -> tuple[float, float]:
     try:
         cert = _analyze_once(sys_obj, dwell, degree, margin, order_cap)
         return T, cert.gamma
-    except (Infeasible, RelaxationLimit, NoCertificate):
+    except (Infeasible, RelaxationLimit):
         return T, float("nan")
 
 
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NumericalFailure, RelaxationLimit, NoCertificate, StepTooLarge) as exc:
+    except (NumericalFailure, RelaxationLimit, StepTooLarge) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DwellgainError as exc:

@@ -1,4 +1,4 @@
-"""Linear programs: construction, solving, bisection referee, LP-format dump.
+"""Linear programs: construction, solving, LP-format dump.
 
 The solver contract is the interface; the implementation hands each program
 straight to the HiGHS binding that SciPy bundles, with the options
@@ -21,11 +21,11 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import Infeasible, NumericalFailure
+from .errors import NumericalFailure
 
 
 def _load_highs_core():
@@ -66,7 +66,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "lp_solve",
-    "lp_bisect_feasibility",
     "dump_lp",
     "LinExpr",
     "PolyExpr",
@@ -300,37 +299,6 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     if viol > 1e-7:
         raise NumericalFailure(f"solution violates constraints by {viol:.2e}")
     return LpSolution("Optimal", x, fun)
-
-
-def lp_bisect_feasibility(
-    builder: Callable[[float], LinearProgram],
-    gamma_lo: float,
-    gamma_hi: float,
-    tol: float = 1e-4,
-) -> float:
-    """Smallest feasible gamma in [gamma_lo, gamma_hi] for a monotone builder.
-
-    Debugging referee for direct minimization; raises Infeasible when even
-    gamma_hi fails.
-    """
-    if not gamma_lo < gamma_hi:
-        raise ValueError("need gamma_lo < gamma_hi")
-
-    def feasible(g: float) -> bool:
-        return lp_solve(builder(g)).status == "Optimal"
-
-    if not feasible(gamma_hi):
-        raise Infeasible(f"builder infeasible at gamma_hi={gamma_hi}")
-    if feasible(gamma_lo):
-        return gamma_lo
-    lo, hi = gamma_lo, gamma_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def dump_lp(lp: LinearProgram, path: str) -> None:

@@ -12,12 +12,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidDomain,
-    NoCertificate,
     NotPositive,
     ParseError,
     Unsupported,
 )
-from .poly import Poly, certify_nonneg, falsify_nonneg
+from .poly import Poly, decide_nonneg, falsify_nonneg
 
 __all__ = [
     "PolyMatrix",
@@ -28,6 +27,8 @@ __all__ = [
     "PositivityReport",
     "check_positive",
     "require_positive",
+    "require_positive_design",
+    "read_field",
     "lift_switched",
     "adjoint",
     "load_system",
@@ -464,32 +465,36 @@ class PositivityReport:
 
 def _check_entry_nonneg(report: PositivityReport, entry: tuple, p: Poly, hi: float):
     """p >= 0 on [0, hi]: a constant by its sign, p with no negative
-    coefficient at once, any other p by certify_nonneg's exact Bernstein
-    escalation; only where that refuses p does the grid falsifier file it
-    under violations, with its witness, or unverified."""
+    coefficient at once, any other p by `poly.decide_nonneg`; only where
+    that refuses p does the grid falsifier file it under violations, with its
+    witness, or unverified."""
     if p.degree == 0:
         if p.coeffs[0] < 0:
             report.violations.append((*entry, None, p.coeffs[0]))
-    elif not all(0.0 <= c < np.inf for c in p.coeffs):
-        try:
-            certify_nonneg(p, (0.0, hi))
-        except NoCertificate:
-            wit = falsify_nonneg(p, (0.0, hi), 10_000)
-            if wit is None:
-                report.unverified.append(entry)
-            else:
-                report.violations.append((*entry, wit.tau, wit.value))
+    elif not all(0.0 <= c < np.inf for c in p.coeffs) and not decide_nonneg(p, (0.0, hi))[0]:
+        wit = falsify_nonneg(p, (0.0, hi), 10_000)
+        if wit is None:
+            report.unverified.append(entry)
+        else:
+            report.violations.append((*entry, wit.tau, wit.value))
 
 
 def check_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], domain: tuple[float, float]) -> PositivityReport:
     """Audit internal positivity on tau in [0, T]: A Metzler, everything else
     nonnegative, each mode of a switched system.  This is the one positivity
-    decision: the analyses (`require_positive`) and `cert.verify` read it
-    too.  `positive` only when every entry is proved (`_check_entry_nonneg`).
+    decision: the analyses (`require_positive`), the designs
+    (`require_positive_design`) and `cert.verify` read it too.  `positive`
+    only when every entry is proved (`_check_entry_nonneg`).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= 0 or lo != 0.0:
         raise InvalidDomain(f"domain must be [0, T] with T > 0, got [{lo}, {hi}]")
+    return _audit(sys, hi)
+
+
+def _audit(sys: Union[ImpulsiveSystem, SwitchedSystem], hi: float, names=None) -> PositivityReport:
+    """check_positive's report on [0, hi], of the matrices whose own name
+    (after any "modes[k]." or "jumps[k]." prefix) is in names when given."""
     if isinstance(sys, SwitchedSystem):
         mats = {f"modes[{k}].{x}": md[x] for k, md in enumerate(sys.modes) for x in "AECF"}
     else:
@@ -498,6 +503,8 @@ def check_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], domain: tuple[fl
                      for k, jm in enumerate(sys.jumps) for x in ("J", "Ed", "Cd", "Fd")})
     report = PositivityReport(positive=True)
     for name, mat in mats.items():
+        if names is not None and name.rsplit(".", 1)[-1] not in names:
+            continue
         r, c = mat.shape
         for i in range(r):
             for j in range(c):
@@ -601,16 +608,27 @@ def require_forward_time(sys, operation: str) -> None:
         raise Unsupported(f"{operation} is not defined for a time-reversed (adjoint) system")
 
 
+def _refuse(report: PositivityReport, tau_end: float) -> None:
+    if not report:
+        bad = [f"{name}[{i}, {j}]" for name, (i, j), *_ in report.violations]
+        bad += [f"{name}[{i}, {j}] (unverified)" for name, (i, j) in report.unverified]
+        raise NotPositive(f"not positive {f'on [0, {tau_end:g}]' if tau_end else 'at tau = 0'}: {', '.join(bad)}")
+
+
 def require_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
     """Raise NotPositive, naming the entries, for a system that
     `check_positive` does not prove positive on [0, tau_end]: the theorems
     hold for positive systems only.  tau_end = 0 (arbitrary dwell, LTI) comes
     with constant matrices, whose report no domain changes."""
-    report = check_positive(sys, (0.0, tau_end or 1.0))
-    if not report:
-        bad = [f"{name}[{i}, {j}]" for name, (i, j), *_ in report.violations]
-        bad += [f"{name}[{i}, {j}] (unverified)" for name, (i, j) in report.unverified]
-        raise NotPositive(f"not positive {f'on [0, {tau_end:g}]' if tau_end else 'at tau = 0'}: {', '.join(bad)}")
+    _refuse(_audit(sys, tau_end or 1.0), tau_end)
+
+
+def require_positive_design(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
+    """As require_positive, for the plant of a state-feedback design: only E
+    and F, which no feedback changes, are checked.  The design's positivity
+    rows impose the rest, A + B K_c Metzler and C + D K_c, J + B_d K_d and
+    C_d + D_d K_d nonnegative, on the closed loop."""
+    _refuse(_audit(sys, tau_end or 1.0, ("Ec", "Fc", "Ed", "Fd", "E", "F")), tau_end)
 
 
 # --- JSON round-trip ---------------------------------------------------------
@@ -661,16 +679,37 @@ def system_to_json(sys: Union[ImpulsiveSystem, SwitchedSystem]) -> dict:
     return data
 
 
+def read_field(data: dict, key: str, decode):
+    """decode(data[key]) for a file's decoder.  A missing key stays a KeyError,
+    which the decoder names with its kind of file; a value of the wrong type
+    or shape (a TypeError, ValueError, IndexError or AttributeError of decode)
+    is a ParseError naming the field."""
+    value = data[key]
+    try:
+        return decode(value)
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ParseError(f"bad field {key!r}: {exc}") from exc
+
+
+def _jumps_from_json(maps: list) -> list[dict]:
+    """The jump maps of a system file, one at least, as from_arrays' keywords."""
+    if not maps:
+        raise ValueError("a system needs one jump map at least")
+    matrix = lambda v: v if _is_empty_listing(v) else _as_matrix(v)  # an empty matrix stands for zeros
+    return [{k: read_field(jm, k, tuple if k == "tag" else matrix) for k in (*_DISC_KEYS, "tag")
+             if k == "J" or jm.get(k) is not None} for jm in maps]
+
+
 def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
     try:
         if data.get("kind") == "switched" or "modes" in data:
-            return SwitchedSystem.from_arrays(
-                [{k: PolyMatrix.from_entries(md[k]) for k in "ABECDF" if k in md} for md in data["modes"]]
-            )
-        cont = {k: PolyMatrix.from_entries(data[k]) for k in _CONT_KEYS if k in data}
-        first, *extra = data["jump_maps"] if "jump_maps" in data else [data]
-        sys = ImpulsiveSystem.from_arrays(cont.pop("A"), first["J"], **cont, extra_jumps=extra,
-                                          **{k: first.get(k) for k in (*_DISC_KEYS[1:], "tag")})
+            return read_field(data, "modes", lambda modes: SwitchedSystem.from_arrays(
+                [{k: read_field(md, k, PolyMatrix.from_entries) for k in "ABECDF" if k in md} for md in modes]))
+        cont = {k: read_field(data, k, PolyMatrix.from_entries) for k in _CONT_KEYS if k in data}
+        A = cont.pop("A")
+        maps = read_field(data, "jump_maps", _jumps_from_json) if "jump_maps" in data else _jumps_from_json([data])
+        first, *extra = maps
+        sys = ImpulsiveSystem.from_arrays(A, **cont, **first, extra_jumps=extra)
         if data.get("time_reversed"):
             sys = replace(sys, time_reversed=True)
         declared = {k: data[k] for k in ("n", "mc", "pc", "md", "pd", "qc", "qd") if k in data}

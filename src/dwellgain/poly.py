@@ -25,13 +25,18 @@ import numpy as np
 from .errors import InvalidInterval, NoCertificate
 
 __all__ = [
+    "RELAX_SCHEDULE",
     "Poly",
     "HandelmanCertificate",
     "Witness",
     "product_basis",
+    "decide_nonneg",
     "certify_nonneg",
     "falsify_nonneg",
 ]
+
+# the orders above a polynomial's degree that decide_nonneg and the analysis LPs try in turn
+RELAX_SCHEDULE = (4, 6, 8, 10)
 
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -166,8 +171,30 @@ class HandelmanCertificate:
         interval, a Fraction; -inf when target exceeds the order or is not finite."""
         if target.degree > self.order or not all(map(math.isfinite, (*self.interval, *target.coeffs))):
             return -math.inf
-        N, S = _bernstein(target, self.interval, self.order)
-        return min(Fraction(v, math.comb(self.order, i) * S) for i, v in enumerate(N))
+        return decide_nonneg(target, self.interval, orders=(self.order,))[2]
+
+
+def decide_nonneg(p, domain, tol: float = 0.0, orders: Optional[Sequence[int]] = None):
+    """The one decision of p >= -tol for a known p, a Poly or an _Exact:
+    (proved, d, least), d the first of `orders` (default p's degree +
+    RELAX_SCHEDULE) whose exact Bernstein coefficients on the interval domain
+    are all >= -tol, else the last, and least the smallest of them, a
+    Fraction.  A point domain, a float t, is decided by p(t), as order 0.
+    Each coefficient after degree elevation is a convex combination of those
+    before, so stopping at the first order that proves p gives the verdict
+    of the last."""
+    exact = p if isinstance(p, _Exact) else _Exact.of(p.coeffs)
+    if not isinstance(domain, tuple):
+        exact, domain, orders = exact.at(domain), (domain, domain), (0,)
+    num, den = float(tol).as_integer_ratio()
+    for d in orders or [len(exact.C) - 1 + r for r in RELAX_SCHEDULE]:
+        N, S = _bernstein(exact, domain, d)
+        L = math.lcm(*(math.comb(d, i) for i in range(d + 1)))
+        least = min(v * (L // math.comb(d, i)) for i, v in enumerate(N))  # L S times the smallest b_i
+        proved = least * den >= -num * L * S
+        if proved:
+            break
+    return proved, d, Fraction(least, L * S)
 
 
 def _bernstein(p, interval: tuple[float, float], d: int, margin: float = 0.0):
@@ -272,11 +299,11 @@ def certify_nonneg(
     """Certify p >= margin on [a, b]; raises NoCertificate if no order has only
     nonnegative Bernstein coefficients.
 
-    With order=None the order starts at degree+4 and escalates to degree+10.
-    q(s) = (p - margin)(a + h s), h = b - a, is expanded exactly, and the
-    first order d whose Bernstein coefficients of q are all >= 0 is returned:
-    then q = sum_i C(d, i) b_i s^i (1 - s)^(d - i) with every b_i >= 0.  This
-    exact decision is the positivity test of `model.check_positive`.
+    With order=None the orders are degree + RELAX_SCHEDULE, else max(order,
+    degree) alone.  q(s) = (p - margin)(a + h s), h = b - a, is expanded
+    exactly, and the first order d whose Bernstein coefficients of q are all
+    >= 0 is returned (`decide_nonneg`): then
+    q = sum_i C(d, i) b_i s^i (1 - s)^(d - i) with every b_i >= 0.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -285,14 +312,11 @@ def certify_nonneg(
         raise ValueError("margin must be nonnegative")
     if not all(map(math.isfinite, (a, b, margin, *p.coeffs))):
         raise ValueError("interval, margin and coefficients must be finite")
-    if order is not None:
-        orders = [max(int(order), p.degree)]
-    else:
-        orders = [p.degree + r for r in (4, 6, 8, 10)]
-    for d in orders:
-        if min(_bernstein(p, (a, b), d, margin)[0]) >= 0:
-            return HandelmanCertificate(interval=(a, b), order=d)
-    raise NoCertificate(f"no order-{orders[-1]} certificate for p >= {margin} on [{a}, {b}]")
+    orders = None if order is None else (max(int(order), p.degree),)
+    proved, d, _ = decide_nonneg(_Exact.of(p.coeffs) - _Exact.of((margin,)), (a, b), orders=orders)
+    if not proved:
+        raise NoCertificate(f"no order-{d} certificate for p >= {margin} on [{a}, {b}]")
+    return HandelmanCertificate(interval=(a, b), order=d)
 
 
 def falsify_nonneg(

@@ -31,11 +31,11 @@ from .analysis import (
     _solve_with_escalation,
     _timer_end,
 )
-from .errors import DimensionMismatch, IllPosed, NoCertificate, ParseError
+from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, polys_from_json, polys_to_json, read_json,
-                    require_forward_time, write_json)
-from .poly import Poly, certify_nonneg, product_basis
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, polys_from_json, polys_to_json, read_field,
+                    read_json, require_forward_time, require_positive_design, write_json)
+from .poly import Poly, decide_nonneg, product_basis
 
 __all__ = [
     "ControllerRealization",
@@ -188,18 +188,19 @@ class ControllerRealization:
         try:
             kind = data["kind"]
             depth = 1 + (kind == "SwitchedMinDT")
-            Ud = (polys_from_json(data["Ud_poly"], 2) if "Ud_poly" in data
-                  else np.asarray(data["Ud"], dtype=float) if "Ud" in data else None)
+            matrix = lambda v: np.asarray(v, dtype=float)
+            Ud = (read_field(data, "Ud_poly", lambda v: polys_from_json(v, 2)) if "Ud_poly" in data
+                  else read_field(data, "Ud", matrix) if "Ud" in data else None)
             return ControllerRealization(
                 kind=kind,
-                dwell=DwellTimeSpec.parse(data["dwell"]),
-                gamma=float(data["gamma"]),
-                degree=int(data["degree"]),
-                margin=float(data["margin"]),
-                X=polys_from_json(data["X"], depth),
-                Uc=polys_from_json(data["Uc"], depth + 1),
+                dwell=read_field(data, "dwell", DwellTimeSpec.parse),
+                gamma=read_field(data, "gamma", float),
+                degree=read_field(data, "degree", int),
+                margin=read_field(data, "margin", float),
+                X=read_field(data, "X", lambda v: polys_from_json(v, depth)),
+                Uc=read_field(data, "Uc", lambda v: polys_from_json(v, depth + 1)),
                 Ud=Ud,
-                M=np.asarray(data["M"], dtype=float) if "M" in data else None,
+                M=read_field(data, "M", matrix) if "M" in data else None,
             )
         except KeyError as exc:
             raise ParseError(f"controller file missing field {exc.args[0]!r}") from exc
@@ -276,7 +277,8 @@ def synthesize(
     The jump rows hold at the dwells [lo, hi] of `_jump_timers`, a single
     point unless the range is genuine: with X(theta) and a U_d polynomial in
     theta on [lo, hi], else with a constant U_d and X at the point, or with M
-    in place of X (fixed_kd), whatever theta."""
+    in place of X (fixed_kd), whatever theta.  A plant whose Ec, Fc, Ed or
+    Fd is not nonnegative is refused (`model.require_positive_design`)."""
     require_forward_time(sys, "synthesis")
     if len(sys.jumps) != 1:
         raise DimensionMismatch("synthesis expects a single jump map (lift switched systems separately)")
@@ -292,6 +294,7 @@ def synthesize(
 
     x_degree = 0 if dwell.kind == "arbitrary" else degree
     Tend = _timer_end(dwell)
+    require_positive_design(sys, Tend)
     lo, hi = _jump_timers(dwell)
     theta_poly = lo < hi and not fixed_kd
 
@@ -372,16 +375,12 @@ def synthesize(
 
 
 def _check_denominator(ctrl: ControllerRealization) -> None:
-    """X > 0 on [0, tau_end] in every mode, decided as check_positive decides
-    an entry, its Bernstein coefficients at certify_nonneg's order all > 0
-    (X(0) > 0 where tau_end = 0)."""
+    """X > 0 on [0, tau_end] in every mode: the smallest Bernstein coefficient
+    at the first order that proves X >= 0 (`poly.decide_nonneg`) is > 0;
+    X(0) > 0 where tau_end = 0."""
     tau_end = _timer_end(ctrl.dwell)
     for x in chain.from_iterable(ctrl.X if ctrl.per_mode else [ctrl.X]):
-        try:
-            ok = certify_nonneg(x, (0.0, tau_end)).min_coefficient(x) > 0 if tau_end else x.coeffs[0] > 0.0
-        except NoCertificate:
-            ok = False
-        if not ok:
+        if not decide_nonneg(x, (0.0, tau_end) if tau_end else 0.0)[2] > 0:
             raise IllPosed("denominator X(tau) not positive on the working interval")
 
 
@@ -393,13 +392,15 @@ def synthesize_switched(
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> ControllerRealization:
-    """Per-mode state feedback under minimum dwell-time with coupled diagonals."""
+    """Per-mode state feedback under minimum dwell-time with coupled
+    diagonals; a plant whose E or F is not nonnegative is refused."""
     if sw.N < 2:
         raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
     if T <= 0:
         raise ValueError("T must be positive")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    require_positive_design(sw, T)
     n, m = sw.n, sw.m
 
     def build(relax: int):

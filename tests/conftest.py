@@ -93,6 +93,19 @@ def nonpositive_rotation():
     return ImpulsiveSystem.from_arrays(A=[[-1.0, -3.0], [3.0, -1.0]], Ec=[[1.0], [0.0]], Cc=[[0.0, 1.0]], J=np.eye(2))
 
 
+@pytest.fixture(scope="session")
+def negative_input_plant():
+    """unstable_chain_plant with Ec = [[0.2], [-0.3]], Fc = [[-0.1]] and
+    Ed = [[0.3], [-0.3]], entries no state feedback changes: no design makes
+    its closed loop positive.  The constant:0.1 degree-2 design made for it
+    when designs did not check them (data/negative_input_design.json)
+    certifies gamma 0.101, while one simulated run reaches 0.508."""
+    c = benchmarks.unstable_chain_plant()
+    jm = c.jump
+    return ImpulsiveSystem.from_arrays(A=c.A, Bc=c.Bc, Ec=[[0.2], [-0.3]], Cc=c.Cc, Fc=[[-0.1]],
+                                       J=jm.J, Bd=jm.Bd, Ed=[[0.3], [-0.3]], Cd=jm.Cd, Fd=jm.Fd)
+
+
 def reference_check_positive(sys, domain):
     """Oracle for model.check_positive on an impulsive system: its body when
     the 10,000-point grid falsifier ran first on every nonconstant entry and

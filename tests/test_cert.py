@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CERTIFY_GRID_DESIGNS,
@@ -31,7 +33,7 @@ from dwellgain.analysis import (
 from dwellgain.cert import cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
-from dwellgain.poly import Poly, _bernstein
+from dwellgain.poly import Poly, _bernstein, _Exact, decide_nonneg
 from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize, synthesize_switched
 
@@ -230,6 +232,56 @@ class TestRowProof:
                         assert got == bernstein_oracle(_fractions(row), domain, d, margin)
                     checked += 1
         assert checked >= 50
+
+
+class TestOneDecision:
+    """`poly.decide_nonneg` stops at the first order of degree +
+    RELAX_SCHEDULE that proves a row.  By degree elevation the smallest
+    Bernstein coefficient never falls as the order rises, so its verdict, and
+    the note verify writes, are those of the order-(degree + 10) decision,
+    taken here from the Fraction oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    # -1/128 + t ((t - 1/2)^2 + 3/128): proved at order 3 + 10 exactly at
+    # -tol = p(0), and with 34 for 35 not proved at any order
+    @example(C=[0, 35, -128, 128], e=7, domain=(0.0, 1.0), tol=("boundary", 1), w=1.0)
+    @example(C=[-1, 34, -128, 128], e=7, domain=(0.0, 1.0), tol=("scaled", 0.0), w=0.37)
+    @given(
+        C=st.lists(st.integers(-2**24, 2**24), min_size=1, max_size=5),
+        e=st.integers(0, 30),
+        domain=st.sampled_from([(0.0, 0.1), (0.0, 0.5), (0.0, 1.0), (0.0, 2.7), 0.0, 0.3, 1.9]),
+        tol=st.one_of(st.tuples(st.just("boundary"), st.integers(0, 2**24)),
+                      st.tuples(st.just("scaled"), st.sampled_from([0.0, 1e-12, 1e-8, 1e-3, 0.5]))),
+        w=st.sampled_from([1.0, 0.37]),
+    )
+    def test_verdict_and_note_of_the_last_order(self, C, e, domain, tol, w):
+        kind, t = tol
+        if kind == "boundary":
+            # p(0) = C_0 / 2^e = -tol, the smallest coefficient when it is the least
+            C, tol = [-t, *C[1:]], t / 2**e
+        else:
+            tol = t * sum(abs(c) for c in C) / 2**e
+        row = _Exact(tuple(C), e)
+        p = _fractions(row)
+        if isinstance(domain, tuple):
+            d = len(C) - 1 + RELAX_SCHEDULE[-1]
+            least = min(bernstein_oracle(p, domain, d))
+            words = f"at order {d}: smallest Bernstein coefficient"
+        else:
+            least = sum(c * Fraction(domain) ** k for k, c in enumerate(p.coeffs))
+            words = f"at {domain:g}: value"
+        if kind == "boundary":
+            assume(least == -Fraction(tol))
+        proved, order, got = decide_nonneg(row, domain, tol)
+        assert proved == (least >= -Fraction(tol))
+        if not proved:
+            assert (order, got) == ((d if isinstance(domain, tuple) else 0), least)
+        # the verdict of verify's report, at a row size whose tolerance is tol exactly
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cert_mod, "_SLACK_TOL", 1.0)
+            rep = cert_mod._report({"f": [(0.0, row, domain, tol, w)]}, 10, [])
+        assert rep.handelman_ok == proved
+        assert rep.notes == ([] if proved else [f"row f[0] not proved {words} {float(least) / w:.3e}"])
 
 
 class TestFixtures:
@@ -463,6 +515,17 @@ class TestPositivityProof:
         assert not rep.passed and rep.handelman_ok is True
         assert rep.notes == ["not positive on [0, 1]: A[0, 1]"]
         assert min(rep.worst_slack.values()) > 0
+
+    def test_negative_inputs_fail(self, negative_input_plant):
+        """A controller made for a plant whose Ec, Fc and Ed have negative
+        entries, when no design checked them: its rows are proved, and a
+        simulated run exceeds its gamma, as no feedback changes those entries."""
+        ctrl = ControllerRealization.load(str(DATA / "negative_input_design.json"))
+        gen = SequenceGen.for_spec(ctrl.dwell, seed=0)
+        assert estimate_gain(negative_input_plant, gen, runs=1, controller=ctrl) > 4 * ctrl.gamma
+        rep = verify(certificate_from(ctrl), closed_loop(negative_input_plant, ctrl))
+        assert not rep.passed and rep.handelman_ok is True
+        assert rep.notes == ["not positive on [0, 0.1]: Ec[1, 0], Fc[0, 0], jumps[0].Ed[1, 0]"]
 
     def test_tampered_numerators_fail(self, bench_chain_plant):
         """U_c and U_d moved with their row sums kept: the theorem rows read

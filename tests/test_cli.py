@@ -193,6 +193,21 @@ class TestPositivityGate:
         assert main(["certify", "--system", str(sys_path), "--certificate", str(ctrl_path)]) == 1
         assert "FAILED: closed loop not positive: A X + B U_c[0, 1]" in capsys.readouterr().out
 
+    def test_negative_inputs(self, negative_input_plant, tmp_path, capsys):
+        """synthesize refuses a plant whose Ec, Fc and Ed no feedback makes
+        nonnegative; certify fails the controller made for it when no design
+        checked them."""
+        sys_path, out = tmp_path / "plant.json", tmp_path / "ctrl.json"
+        save_system(negative_input_plant, str(sys_path))
+        assert main(["synthesize", "--system", str(sys_path), "--dwell", "constant:0.1", "--degree", "2",
+                     "-o", str(out)]) == 2
+        message = "not positive on [0, 0.1]: Ec[1, 0], Fc[0, 0], jumps[0].Ed[1, 0]"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        stored = Path(__file__).parent / "data" / "negative_input_design.json"
+        assert main(["certify", "--system", str(sys_path), "--certificate", str(stored)]) == 1
+        assert f"FAILED: {message}" in capsys.readouterr().out
+
 
 class TestSynthesizeCommand:
     def test_writes_controller(self, bench_chain_plant, tmp_path):
@@ -276,6 +291,23 @@ def test_unreadable_file_exits_2(ex1_path, tmp_path, capsys, argv, text):
     bad.write_text(text)
     assert main([a.format(ex1=ex1_path, bad=bad, out=out) for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv, source, field, value", [
+    (["certify", "--system", "{ex1}", "--certificate", "{bad}"], "nonpositive_constant_1.json", "gamma", "x"),
+    (["simulate", "--system", "{ex1}", "--dwell", "minimum:0.5", "--runs", "1", "--controller", "{bad}",
+      "-o", "{out}"], "negative_input_design.json", "X", [[1.0], 2.0]),
+    (["analyze", "--system", "{bad}", "--dwell", "arbitrary"], "{ex1}", "jump_maps", []),
+])
+def test_wrong_field_exits_2(ex1_path, tmp_path, capsys, argv, source, field, value):
+    """A field of the wrong type or shape is a parse error naming the file
+    and the field, whichever command reads it."""
+    path = Path(ex1_path) if source == "{ex1}" else Path(__file__).parent / "data" / source
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    assert main([a.format(ex1=ex1_path, bad=bad, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: bad field {field!r}: ")
     assert not list(tmp_path.glob("out*"))
 
 

@@ -3,6 +3,7 @@ reads every certificate, controller and system file."""
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.errors import ParseError
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, load_system
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, load_system, system_to_json
 from dwellgain.synthesis import ControllerRealization, synthesize, synthesize_switched
 
 ARTIFACTS = {
@@ -73,4 +74,39 @@ def test_unreadable_file_names_it(tmp_path, load, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load(str(path))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("base, field, value, named", [
+    ("certificate", "gamma", "x", "gamma"),
+    ("certificate", "zeta", 3, "zeta"),
+    ("certificate", "dwell", 3, "dwell"),
+    ("certificate", "aux", [], "aux"),
+    ("controller", "X", [[1.0], 2.0], "X"),
+    ("controller", "Ud", [[1.0], [2.0, 3.0]], "Ud"),
+    ("controller", "margin", None, "margin"),
+    ("system", "jump_maps", [], "jump_maps"),
+    ("system", "jump_maps", [{"J": "x"}], "J"),
+    ("system", "jump_maps", {"J": [[1.0]]}, "jump_maps"),
+    ("system", "A", "x", "A"),
+    ("system", "Ed", [["x"]], "Ed"),
+    ("system", "tag", 3, "tag"),
+    ("switched", "modes", [{"A": [[[1.0]]], "E": [["x"]]}], "E"),
+    ("switched", "modes", 3, "modes"),
+])
+def test_wrong_field_names_it(bench_lti, bench_switched, tmp_path, base, field, value, named):
+    """A field of the wrong type or shape is a ParseError naming the file and
+    the field, not a TypeError, ValueError or IndexError from the decoder."""
+    load = {"certificate": Certificate.load, "controller": ControllerRealization.load}.get(base, load_system)
+    if base in ("system", "switched"):
+        data = system_to_json(bench_lti if base == "system" else bench_switched)
+    else:
+        data = json.loads((DATA / ("nonpositive_constant_1.json" if base == "certificate"
+                                   else "negative_input_design.json")).read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, field: value}))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: bad field {named!r}: "):
         load(str(path))

@@ -24,7 +24,6 @@ from dwellgain import analysis as analysis_mod
 from dwellgain import lp as lp_mod
 from dwellgain.analysis import (
     RELAX_SCHEDULE,
-    analyze_arbitrary,
     analyze_constant,
     analyze_minimum,
     analyze_range,
@@ -37,7 +36,6 @@ from dwellgain.lp import (
     PolyExpr,
     _assemble,
     dump_lp,
-    lp_bisect_feasibility,
     lp_solve,
 )
 from dwellgain.model import DwellTimeSpec
@@ -89,58 +87,6 @@ def test_optimal_solutions_feasible_within_tolerance():
     assert sol.status == "Optimal"
     for coeffs, rhs in rows:
         assert sum(c * sol.x[v] for v, c in coeffs.items()) <= rhs + 1e-7
-
-
-def test_bisect_synthetic():
-    def builder(g):
-        lp = LinearProgram()
-        v = lp.new_var()
-        lp.add_ge({v: 0.0}, 2.0 - g)  # feasible iff g >= 2
-        return lp
-
-    g = lp_bisect_feasibility(builder, 0.0, 10.0, tol=1e-3)
-    assert 2.0 <= g <= 2.001 + 1e-12
-
-
-def test_bisect_never_feasible():
-    def builder(g):
-        lp = LinearProgram()
-        v = lp.new_var()
-        lp.add_ge({v: 0.0}, 1.0)  # 0 >= 1: never feasible
-        return lp
-
-    with pytest.raises(Infeasible):
-        lp_bisect_feasibility(builder, 0.0, 5.0)
-
-
-def test_bisect_agrees_with_direct_minimization(bench_lti):
-    """Bisection referee on the arbitrary dwell-time program."""
-    direct = analyze_arbitrary(bench_lti).gamma
-
-    A = bench_lti.A.const()
-    Ec1 = bench_lti.Ec.const().sum(axis=1)
-    Cc = bench_lti.Cc.const()
-    Fc1 = bench_lti.Fc.const().sum(axis=1)
-    jm = bench_lti.jump
-    n = 2
-
-    def builder(g):
-        lp = LinearProgram()
-        lam = [lp.new_var(lo=1e-9) for _ in range(n)]
-        for i in range(n):
-            lp.add_le({lam[j]: A[i, j] for j in range(n)}, -Ec1[i] - 1e-6)
-        for i in range(Cc.shape[0]):
-            lp.add_le({lam[j]: Cc[i, j] for j in range(n)}, g - Fc1[i] - 1e-6)
-        JmI = jm.J - np.eye(n)
-        for i in range(n):
-            lp.add_le({lam[j]: JmI[i, j] for j in range(n)}, -jm.Ed.sum(axis=1)[i] - 1e-2)
-        for i in range(jm.Cd.shape[0]):
-            lp.add_le({lam[j]: jm.Cd[i, j] for j in range(n)}, g - jm.Fd.sum(axis=1)[i] - 1e-6)
-        return lp
-
-    g_bisect = lp_bisect_feasibility(builder, 0.0, 10.0, tol=1e-4)
-    assert g_bisect == pytest.approx(direct, abs=2e-4)
-    assert g_bisect == pytest.approx(1.925, rel=1e-3)
 
 
 def test_dump_lp(tmp_path):

@@ -7,7 +7,7 @@ from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import _Program
 from dwellgain.benchmarks import two_mode_switched_bench
-from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible
+from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive
 from dwellgain.lp import _assemble
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
@@ -200,6 +200,31 @@ class TestCertificateTransfer:
             assert np.max(np.abs(traj.states[-1])) <= 1e-2 * 4.0
 
 
+class TestInputPositivity:
+    """A design refuses a plant whose E or F, which no state feedback
+    changes, check_positive does not prove nonnegative."""
+
+    def test_negative_inputs_refused(self, negative_input_plant):
+        message = "not positive on [0, 0.1]: Ec[1, 0], Fc[0, 0], jumps[0].Ed[1, 0]"
+        for spec in (DwellTimeSpec.constant(0.1), DwellTimeSpec.range(0.1, 0.3)):
+            end = f"{spec.horizon_tau():g}"
+            with pytest.raises(NotPositive, match=re.escape(message.replace("0.1]", f"{end}]")) + "$"):
+                synthesize(negative_input_plant, spec, 2)
+        with pytest.raises(NotPositive, match=re.escape("not positive at tau = 0: Ec[1, 0]")):
+            synthesize(negative_input_plant, DwellTimeSpec.arbitrary())
+
+    def test_feedback_matrices_are_left_to_the_design(self, bench_chain_plant):
+        """A J with a negative entry is designed for: a feedback changes J,
+        and the design's positivity rows decide J + B_d K_d."""
+        jm = bench_chain_plant.jump
+        plant = ImpulsiveSystem.from_arrays(
+            A=bench_chain_plant.A, Bc=bench_chain_plant.Bc, Ec=bench_chain_plant.Ec, Cc=bench_chain_plant.Cc,
+            Fc=bench_chain_plant.Fc, J=jm.J - np.array([[0.0, 0.05], [0.0, 0.0]]), Bd=jm.Bd, Ed=jm.Ed, Cd=jm.Cd,
+            Fd=jm.Fd)
+        ctrl = synthesize(plant, DwellTimeSpec.constant(0.1), 2)
+        assert verify(certificate_from(ctrl), closed_loop(plant, ctrl)).passed
+
+
 class TestSwitchedSynthesis:
     @staticmethod
     def _stabilizable_two_mode():
@@ -243,6 +268,20 @@ class TestSwitchedSynthesis:
         emp = estimate_gain(sw, SequenceGen.min_plus_exp(0.3, seed=2), runs=20,
                             horizon=20.0, controller=ctrl, clamp=0.3)
         assert emp <= ctrl.gamma + 1e-6
+
+    def test_negative_inputs_refused(self):
+        """A mode's E and F, which no state feedback changes, are checked as
+        the analyses check them; a closed loop of the plant fails verify."""
+        good = self._stabilizable_two_mode()
+        modes = [{k: md[k] for k in "ABECDF"} for md in good.modes]
+        modes[1]["E"], modes[1]["F"] = [[0.3], [-0.2]], [[-0.1]]
+        bad = SwitchedSystem.from_arrays(modes)
+        message = "not positive on [0, 0.3]: modes[1].E[1, 0], modes[1].F[0, 0]"
+        with pytest.raises(NotPositive, match=re.escape(message) + "$"):
+            synthesize_switched(bad, 0.3, degree=2)
+        ctrl = synthesize_switched(good, 0.3, degree=2)
+        rep = verify(certificate_from(ctrl), closed_loop(bad, ctrl), grid=600)
+        assert not rep.passed and rep.notes[0] == message
 
     def test_single_mode_rejected(self):
         sw = SwitchedSystem.from_arrays(

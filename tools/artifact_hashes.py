@@ -39,7 +39,11 @@ Cases:
   positivity);
 - `verify` of a closed loop whose U_c breaks its positivity rows while
   U_c 1 is unchanged: U_c[0][0] + 20 and U_c[0][1] - 20 in the
-  unstable_chain_plant constant:0.1 degree-2 design.
+  unstable_chain_plant constant:0.1 degree-2 design;
+- `synthesize` for a plant whose input matrices Ec, Fc and Ed have negative
+  entries, which no state feedback changes, at constant:0.1 degree 2, and
+  `verify` of the controller made for it when no design checked them
+  (tests/data/negative_input_design.json).
 
 Only the public API is used, so the script runs against any version of `src/`.
 """
@@ -84,13 +88,24 @@ TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3,
 TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
 SLACK_RTOL = 1e-12
-NONPOSITIVE_CERTIFICATE = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "nonpositive_constant_1.json")
+DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
+NONPOSITIVE_CERTIFICATE = os.path.join(DATA, "nonpositive_constant_1.json")
+NEGATIVE_INPUT_DESIGN = os.path.join(DATA, "negative_input_design.json")
 
 
 def nonpositive_rotation() -> ImpulsiveSystem:
     """A stable flow that is not positive, A[0, 1] = -3, with J = I: its gain
     under constant dwell 1 is its LTI L-infinity gain, 0.6244."""
     return ImpulsiveSystem.from_arrays(A=[[-1.0, -3.0], [3.0, -1.0]], Ec=[[1.0], [0.0]], Cc=[[0.0, 1.0]], J=np.eye(2))
+
+
+def negative_input_plant() -> ImpulsiveSystem:
+    """unstable_chain_plant with Ec = [[0.2], [-0.3]], Fc = [[-0.1]] and
+    Ed = [[0.3], [-0.3]]: no state feedback makes its closed loop positive."""
+    c = benchmarks.unstable_chain_plant()
+    jm = c.jump
+    return ImpulsiveSystem.from_arrays(A=c.A, Bc=c.Bc, Ec=[[0.2], [-0.3]], Cc=c.Cc, Fc=[[-0.1]],
+                                       J=jm.J, Bd=jm.Bd, Ed=[[0.3], [-0.3]], Cd=jm.Cd, Fd=jm.Fd)
 
 
 def _digest(obj) -> str:
@@ -233,6 +248,12 @@ def collect(lp_dir: str) -> dict:
     ctrl.Uc[0][1] = ctrl.Uc[0][1] - Poly((20.0,))
     rec.reports("unstable_chain_plant design constant:0.1 degree=2 U_c tampered",
                 synthesis.certificate_from(ctrl), synthesis.closed_loop(chain, ctrl))
+    neg = negative_input_plant()
+    rec.solve("negative_input_plant design constant:0.1 degree=2",
+              lambda lp: synthesis.synthesize(neg, DwellTimeSpec.constant(0.1), 2), to_json)
+    stored = synthesis.ControllerRealization.load(NEGATIVE_INPUT_DESIGN)
+    rec.reports("negative_input_plant design file", synthesis.certificate_from(stored),
+                synthesis.closed_loop(neg, stored))
     return rec.out
 
 
