@@ -39,8 +39,8 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
-from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, polys_from_json, polys_to_json,
-                    read_field, read_json, require_forward_time, require_positive, write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, mode_mats, polys_from_json,
+                    polys_to_json, read_field, read_json, require_forward_time, require_positive, write_json)
 from .poly import RELAX_SCHEDULE, Poly
 
 __all__ = [
@@ -585,7 +585,7 @@ def _analyze_hybrid(
         mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
         _gain_rows_constant_like(
             prog,
-            (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc),
+            mode_mats(sys),
             sys.jumps,
             zeta,
             gamma,
@@ -717,9 +717,9 @@ def analyze_switched_min(
         prog = _Program(relax)
         zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
         gamma = prog.scalar(lo=0.0, name="gamma")
-        for i, md in enumerate(sw.modes):
+        for i in range(sw.N):
             _gain_rows_constant_like(
-                prog, tuple(md[k] for k in "ABECDF"), (), zetas[i], gamma, T,
+                prog, mode_mats(sw, i), (), zetas[i], gamma, T,
                 jump_dwells=(T, T), margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
             )
         _coupling_rows(prog, zetas, T)
@@ -810,48 +810,29 @@ def analyze_lti(
     time: str = "continuous",
     margin: float = 0.0,
 ) -> tuple[float, np.ndarray]:
-    """LTI gain corollaries: minimal gamma plus the witness vector.
-
-    continuous uses (A, Ec, Cc, Fc); discrete uses the jump tuple (J, Ed, Cd, Fd)
-    as the one-step system."""
+    """LTI gain corollaries: minimal gamma plus the witness vector v, from the
+    flow and out_c rows of `_Mode` at tau_end = 0 on a constant v.
+    continuous uses (A, Ec, Cc, Fc); discrete the jump tuple (J, Ed, Cd, Fd)
+    as the one-step system, A := J - I, as v >= J v + Ed 1 + margin.  L1 is
+    the L-infinity gain of the transposed data (A', C', E', F'), so
+    analyze_lti(adjoint(s), "L1") solves the LP of analyze_lti(s)."""
     if norm not in ("Linf", "L1") or time not in ("continuous", "discrete"):
         raise ValueError("norm must be Linf|L1 and time continuous|discrete")
     if not sys.is_constant():
         raise NotConstant("LTI analysis needs constant matrices")
     require_positive(sys, 0.0)
     if time == "continuous":
-        A = sys.A.const()
-        E = sys.Ec.const()
-        C = sys.Cc.const()
-        F = sys.Fc.const()
+        A, E, C, F = sys.A, sys.Ec, sys.Cc, sys.Fc
     else:
         jm = sys.jump
-        A, E, C, F = jm.J, jm.Ed, jm.Cd, jm.Fd
-    n = A.shape[0]
-    q, p = C.shape[0], E.shape[1]
-
-    lp = LinearProgram()
-    v = [lp.new_var(lo=1e-12, name=f"v{i}") for i in range(n)]
-    gamma = lp.new_var(lo=0.0, name="gamma")
-    if norm == "Linf":
-        Aeff = A if time == "continuous" else A - np.eye(n)
-        for i in range(n):
-            lp.add_le({v[j]: Aeff[i, j] for j in range(n)}, -float(E[i].sum()) - margin)
-        for i in range(q):
-            row = {v[j]: C[i, j] for j in range(n)}
-            row[gamma] = -1.0
-            lp.add_le(row, -float(F[i].sum()) - margin)
-    else:
-        Aeff = A if time == "continuous" else A - np.eye(n)
-        ones_q = np.ones(q)
-        for j in range(n):
-            lp.add_le({v[i]: Aeff[i, j] for i in range(n)}, -float(ones_q @ C[:, j]) - margin)
-        for j in range(p):
-            row = {v[i]: E[i, j] for i in range(n)}
-            row[gamma] = -1.0
-            lp.add_le(row, -float(ones_q @ F[:, j]) - margin)
-    lp.set_objective({gamma: 1.0})
-    sol = lp_solve(lp)
+        A, E, C, F = (PolyMatrix.from_const(m) for m in (jm.J - np.eye(sys.n), jm.Ed, jm.Cd, jm.Fd))
+    if norm == "L1":
+        A, E, C, F = A.T, C.T, E.T, F.T
+    prog = _Program(0)
+    v = [PolyExpr.from_vars([prog.scalar(lo=1e-12, name=f"v{i}")]) for i in range(sys.n)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    _Mode(prog, (A, None, E, C, None, F), v, [], 0.0).theorem_rows(gamma, margin)
+    sol = prog.solve_min(gamma)
     if sol.status != "Optimal":
         raise Infeasible("system not certifiably stable (LTI vector conditions)")
-    return float(sol.x[gamma]), np.array([sol.x[i] for i in v])
+    return float(sol.x[gamma]), sol.x[: sys.n].copy()  # v: the first n columns

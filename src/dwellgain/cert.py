@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Mismatch, NotPositive, Unsupported
-from .model import ImpulsiveSystem, SwitchedSystem, require_forward_time, require_positive, require_positive_design
+from .model import (ImpulsiveSystem, SwitchedSystem, mode_mats, require_forward_time, require_positive,
+                    require_positive_design)
 from .poly import Poly, _Exact, decide_nonneg
-from .sim import _block_prefix, _fields, _jump_maps, _mats, _mv, _rk4_stage, _scan
+from .sim import _block_prefix, _fields, _jump_maps, _mv, _rk4_stage, _scan
 from .synthesis import ClosedLoopView
 
 __all__ = [
@@ -248,7 +249,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         zdv = np.stack([z.deriv().eval(taus) for z in zs])
         Az = _mv(A, zv) + Ew
         Z = [_Exact.of(z.coeffs) for z in zs]
-        A_, B_, E_, C_, D_, F_ = _mats(plant, m)
+        A_, B_, E_, C_, D_, F_ = mode_mats(plant, m)
         u = [] if ctrl is None else _inputs(ctrl._uc_mode(m), ctrl._x_mode(m), zs)
         if ctrl is not None:
             X = [_Exact.of(x.coeffs) for x in ctrl._x_mode(m)]

@@ -39,23 +39,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _relax_schedule(order_cap):
-    if order_cap is None:
-        return ana.RELAX_SCHEDULE
-    return tuple(r for r in ana.RELAX_SCHEDULE if r <= order_cap) or (int(order_cap),)
-
-
-def _check_degree(degree: int) -> None:
+def _lp_options(degree: int, margin, order_cap) -> dict:
+    """The keywords of an analysis or design LP from --degree, --margin and
+    --order-cap: the relaxation orders up to the cap and any margin
+    override; a negative degree is a ParseError."""
     if degree < 0:
         raise ParseError(f"--degree must be >= 0, got {degree}")
+    schedule = ana.RELAX_SCHEDULE
+    if order_cap is not None:
+        schedule = tuple(r for r in schedule if r <= order_cap) or (int(order_cap),)
+    kw = {"relax_schedule": schedule}
+    if margin is not None:
+        kw["margin"] = margin
+    return kw
 
 
 def _analyze_once(sys_obj, dwell: DwellTimeSpec, degree: int, margin, order_cap, dump_lp=None):
-    _check_degree(degree)
-    kw = {}
-    if margin is not None:
-        kw["margin"] = margin
-    kw["relax_schedule"] = _relax_schedule(order_cap)
+    kw = _lp_options(degree, margin, order_cap)
     if isinstance(sys_obj, SwitchedSystem):
         if dwell.kind != "minimum":
             raise ParseError("switched systems support --dwell minimum:<T>")
@@ -64,8 +64,7 @@ def _analyze_once(sys_obj, dwell: DwellTimeSpec, degree: int, margin, order_cap,
         if dump_lp:
             raise ParseError("--dump-lp is not supported with --dwell arbitrary")
         kw.pop("relax_schedule")
-        cert = ana.analyze_arbitrary(sys_obj, **kw)
-        return cert
+        return ana.analyze_arbitrary(sys_obj, **kw)
     if dwell.kind == "constant":
         return ana.analyze_constant(sys_obj, dwell.T, degree, dump_lp=dump_lp, **kw)
     if dwell.kind == "minimum":
@@ -87,14 +86,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_synthesize(args) -> int:
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
-    _check_degree(args.degree)
+    kw = _lp_options(args.degree, args.margin, args.order_cap)
     switched = isinstance(sys_obj, SwitchedSystem)
     if args.fixed_kd and (switched or dwell.kind != "range"):
         raise ParseError("--fixed-kd needs an impulsive system and --dwell range:<Tmin>:<Tmax>")
-    kw = {}
-    if args.margin is not None:
-        kw["margin"] = args.margin
-    kw["relax_schedule"] = _relax_schedule(args.order_cap)
     if switched:
         if dwell.kind != "minimum":
             raise ParseError("switched synthesis supports --dwell minimum:<T>")

@@ -30,6 +30,7 @@ __all__ = [
     "require_positive_design",
     "read_field",
     "lift_switched",
+    "mode_mats",
     "adjoint",
     "load_system",
     "save_system",
@@ -47,6 +48,8 @@ class PolyMatrix:
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim != 3:
             raise DimensionMismatch(f"PolyMatrix needs a 3-D coefficient array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix coefficients must be finite")
         # canonical: drop all-zero leading-degree slabs
         while arr.shape[2] > 1 and not arr[:, :, -1].any():
             arr = arr[:, :, :-1]
@@ -176,6 +179,8 @@ def _as_matrix(data, rows: Optional[int] = None, cols: Optional[int] = None) -> 
         m = m.reshape(1, 1)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected 2-D matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -313,7 +318,7 @@ class ImpulsiveSystem:
                 raise DimensionMismatch(f"{name}: expected shape {want}, got {got}")
 
     def is_constant(self) -> bool:
-        return all(m.is_constant for m in (self.A, self.Bc, self.Ec, self.Cc, self.Dc, self.Fc))
+        return all(m.is_constant for m in mode_mats(self))
 
 
 @dataclass(frozen=True)
@@ -362,6 +367,14 @@ class SwitchedSystem:
     @property
     def q(self) -> int:
         return self.modes[0]["C"].shape[0]
+
+
+def mode_mats(sys: Union[ImpulsiveSystem, SwitchedSystem], mode: Optional[int] = None) -> tuple[PolyMatrix, ...]:
+    """The flow and output data (A, B, E, C, D, F) of an impulsive system, or
+    of mode `mode` of a switched one."""
+    if isinstance(sys, SwitchedSystem):
+        return tuple(sys.modes[mode][key] for key in "ABECDF")
+    return (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
 
 
 @dataclass(frozen=True)
@@ -471,7 +484,7 @@ def _check_entry_nonneg(report: PositivityReport, entry: tuple, p: Poly, hi: flo
     if p.degree == 0:
         if p.coeffs[0] < 0:
             report.violations.append((*entry, None, p.coeffs[0]))
-    elif not all(0.0 <= c < np.inf for c in p.coeffs) and not decide_nonneg(p, (0.0, hi))[0]:
+    elif not all(c >= 0.0 for c in p.coeffs) and not decide_nonneg(p, (0.0, hi))[0]:
         wit = falsify_nonneg(p, (0.0, hi), 10_000)
         if wit is None:
             report.unverified.append(entry)
@@ -520,7 +533,7 @@ def lift_switched(sw: SwitchedSystem) -> ImpulsiveSystem:
     if sw.N < 2:
         raise DimensionMismatch("lifting requires at least two modes")
     N, n, m, p, q = sw.N, sw.n, sw.m, sw.p, sw.q
-    dmax = 1 + max(max(md[k].degree for k in "ABECDF") for md in sw.modes)
+    dmax = 1 + max(mat.degree for i in range(N) for mat in mode_mats(sw, i))
 
     def blkdiag(key, rows, cols):
         arr = np.zeros((N * rows, N * cols, dmax))

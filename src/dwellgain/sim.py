@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, StepTooLarge
-from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, require_forward_time, write_json
+from .model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, mode_mats, require_forward_time, write_json
 
 __all__ = [
     "SequenceGen",
@@ -270,19 +270,12 @@ def _scan(tables, x0: np.ndarray, m: int, forced: bool = True) -> np.ndarray:
     return xs.reshape(x0.shape + (m + 1,))
 
 
-def _mats(sys, mode):
-    """The flow and output data (A, B, E, C, D, F) of `mode`."""
-    if isinstance(sys, SwitchedSystem):
-        return tuple(sys.modes[mode][key] for key in ("A", "B", "E", "C", "D", "F"))
-    return (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
-
-
 def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: np.ndarray, npts: int):
     """A (+B K_c) and the forcing E w on the timer values `grid`, and the
     output terms C (+D K_c) and F w on its first npts entries, the mesh
     points; all component-major.  w holds the continuous input on grid;
     cert.verify reads its rows from here with w = 1."""
-    A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = _mats(sys, mode)
+    A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = mode_mats(sys, mode)
     pts = grid[:npts]
     A = A_pm.eval_mesh(grid, clamp)
     C = C_pm.eval_mesh(pts, clamp)
@@ -334,7 +327,7 @@ class _FlatAxis:
             return _fields(sys, ctrl, self.modes[0], clamp, grid, w, npts)
         codes = self.codes[a : b + 1]
         code = np.concatenate([codes] + [codes[:-1]] * (len(parts) - 1))
-        n, qc = sys.n, _mats(sys, self.modes[0])[3].shape[0]
+        n, qc = sys.n, mode_mats(sys, self.modes[0])[3].shape[0]
         A, bw = np.empty((n, n, len(grid))), np.empty((n, len(grid)))
         C, z = np.empty((qc, n, npts)), np.empty((qc, npts))
         for c, md in enumerate(self.modes):
@@ -490,7 +483,7 @@ def simulate(
     np.empty(1 << 23, np.uint8)
 
     # March: chunk by chunk from the state the previous chunk ended in.
-    qc = _mats(sys, modes[0])[3].shape[0]
+    qc = mode_mats(sys, modes[0])[3].shape[0]
     states = np.empty((len(seg_of), n))
     zc = np.empty((len(seg_of), qc))
     x = x0

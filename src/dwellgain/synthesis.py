@@ -33,8 +33,8 @@ from .analysis import (
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, polys_from_json, polys_to_json, read_field,
-                    read_json, require_forward_time, require_positive_design, write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, mode_mats, polys_from_json, polys_to_json,
+                    read_field, read_json, require_forward_time, require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
 
 __all__ = [
@@ -309,7 +309,7 @@ def synthesize(
         else:
             Ud = [[LinExpr.variable(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
         M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
-        mode = _DesignMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+        mode = _DesignMode(prog, mode_mats(sys), X, Uc, Tend)
         mode.positivity(alpha)
 
         # the sides X is read on at the jump, each with the dwells its rows
@@ -410,8 +410,8 @@ def synthesize_switched(
         gamma = prog.scalar(lo=0.0, name="gamma")
         alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
         modes = [
-            _DesignMode(prog, tuple(md[k] for k in "ABECDF"), Xs[i], Us[i], T, f"[{i}]")
-            for i, md in enumerate(sw.modes)
+            _DesignMode(prog, mode_mats(sw, i), Xs[i], Us[i], T, f"[{i}]")
+            for i in range(sw.N)
         ]
         for mode in modes:
             mode.positivity(alpha)

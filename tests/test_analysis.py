@@ -283,6 +283,22 @@ class TestLti:
             g_dual, _ = analyze_lti(adjoint(sys), "L1", "continuous")
             assert g_dual == pytest.approx(g_primal, rel=1e-6)
 
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    def test_adjoint_l1_is_the_linf_lp(self, time):
+        """analyze_lti(adjoint(s), "L1") solves the LP of analyze_lti(s): gamma
+        and the witness agree bit for bit, also with 8 or more inputs or
+        outputs, where a row summed in another order moves the last bits."""
+        rng = np.random.default_rng(2402)
+        dims = [(2, 1, 1), (3, 9, 2), (2, 2, 9), (4, 8, 8)] + [tuple(rng.integers(1, 11, 3)) for _ in range(16)]
+        for n, p, q in dims:
+            A, E, C, F = random_stable_metzler(rng, n, p, q)
+            J = rng.uniform(0.0, 0.9 / n, (n, n))
+            Ed, Cd, Fd = rng.uniform(0.0, 1.0, (n, p)), rng.uniform(0.0, 1.0, (q, n)), rng.uniform(0.0, 0.5, (q, p))
+            s = ImpulsiveSystem.from_arrays(A=A, Ec=E, Cc=C, Fc=F, J=J, Ed=Ed, Cd=Cd, Fd=Fd)
+            g, v = analyze_lti(s, "Linf", time)
+            g_adj, v_adj = analyze_lti(adjoint(s), "L1", time)
+            assert g_adj == g and np.array_equal(v_adj, v), (n, p, q)
+
     def test_discrete_linf(self):
         # x+ = 0.5 x + w, z = x: ell_inf gain = C (I-A)^{-1} E + F = 2
         sys = ImpulsiveSystem.from_arrays(

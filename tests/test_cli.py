@@ -299,6 +299,10 @@ def test_unreadable_file_exits_2(ex1_path, tmp_path, capsys, argv, text):
     (["simulate", "--system", "{ex1}", "--dwell", "minimum:0.5", "--runs", "1", "--controller", "{bad}",
       "-o", "{out}"], "negative_input_design.json", "X", [[1.0], 2.0]),
     (["analyze", "--system", "{bad}", "--dwell", "arbitrary"], "{ex1}", "jump_maps", []),
+    # a non-finite entry is refused where the file is read, before any LP
+    (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "Ec", [[[float("nan")]], [[1.1]]]),
+    (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "Ec", [[[float("inf")]], [[1.1]]]),
+    (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "J", [[float("nan"), 1.0], [0.1, 0.1]]),
 ])
 def test_wrong_field_exits_2(ex1_path, tmp_path, capsys, argv, source, field, value):
     """A field of the wrong type or shape is a parse error naming the file

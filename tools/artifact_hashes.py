@@ -7,8 +7,9 @@ versions of the package can be compared output by output.
 The first form runs the cases below against the dwellgain on the path and
 writes one entry per output.  Certificates (without the `rows` that earlier
 versions stored next to zeta), controllers, `--dump-lp` texts, gains,
-Blanchini values and error texts are stored as SHA-256 digests of their JSON
-or text.  `verify` and state-transition cross-check reports are stored whole.
+Blanchini values, LTI gains with their witness vectors and error texts are
+stored as SHA-256 digests of their JSON or text.  `verify` and
+state-transition cross-check reports are stored whole.
 
 The second form compares two such files.  Digests must be equal; a `verify`
 report must keep its verdict and its worst slack per row family, bit for bit;
@@ -25,7 +26,9 @@ Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
   and range-mu dwell at T in {0.12, 0.2, 0.33, 0.5, 1.9, 2.7} and degrees
   2, 4, 6, plus degenerate ranges [T, T] and ranges [T, T + 1e-13];
-- arbitrary dwell on four constant systems at three margin settings;
+- arbitrary dwell on four constant systems at three margin settings, and
+  `analyze_lti` of each for both norms and both times, and the L1 gain of
+  its `adjoint` at both times;
 - switched minimum dwell and the Blanchini bound at five dwell times;
 - `synthesize` for three plants, eight dwell specifications and degrees 0-3,
   with the closed loop verified and cross-checked, and likewise fixed-K_d
@@ -197,6 +200,12 @@ def collect(lp_dir: str) -> dict:
             c = rec.solve(key, lambda lp: analysis.analyze_arbitrary(s, margin, jump_margin), to_json)
             if c is not None:
                 rec.reports(key, c, s)
+        lti = lambda result: [repr(result[0]), [repr(v) for v in result[1]]]
+        for time in ("continuous", "discrete"):
+            for norm in ("Linf", "L1"):
+                rec.solve(f"{sname} lti {norm} {time}", lambda lp: analysis.analyze_lti(s, norm, time), lti)
+            rec.solve(f"{sname} lti adjoint L1 {time}",
+                      lambda lp: analysis.analyze_lti(model.adjoint(s), "L1", time), lti)
 
     sw = benchmarks.two_mode_switched_bench()
     for T in SWITCHED_T:
@@ -278,7 +287,7 @@ def _kind(key: str, a: dict, b: dict) -> str:
     for suffix in ("lp", "verify", "cross-check"):
         if key.endswith(" " + suffix):
             return suffix
-    if " blanchini " in key:
+    if " blanchini " in key or " lti " in key:
         return "gain"
     return "controller" if " design " in key else "certificate"
 
