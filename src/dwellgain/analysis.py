@@ -39,8 +39,9 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
-from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, mode_mats, polys_from_json,
-                    polys_to_json, read_field, read_json, require_forward_time, require_positive, write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, mode_mats,
+                    polys_from_json, polys_to_json, read_field, read_json, require_forward_time, require_positive,
+                    write_json)
 from .poly import RELAX_SCHEDULE, Poly
 
 __all__ = [
@@ -115,11 +116,11 @@ class Certificate:
             kind = data["kind"]
             return Certificate(
                 kind=kind,
-                gamma=read_field(data, "gamma", float),
+                gamma=read_field(data, "gamma", finite_float),
                 zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + (kind == "SwitchedMinDT"))),
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
-                margin=read_field(data, "margin", float),
-                jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", float),
+                margin=read_field(data, "margin", finite_float),
+                jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", finite_float),
                 degree=read_field(data, "degree", int),
                 aux=read_field(data, "aux", lambda aux: {k: polys_from_json(v, 1) if k == "mu" else v
                                                           for k, v in aux.items()}) if "aux" in data else {},
@@ -813,17 +814,19 @@ def analyze_lti(
     """LTI gain corollaries: minimal gamma plus the witness vector v, from the
     flow and out_c rows of `_Mode` at tau_end = 0 on a constant v.
     continuous uses (A, Ec, Cc, Fc); discrete the jump tuple (J, Ed, Cd, Fd)
-    as the one-step system, A := J - I, as v >= J v + Ed 1 + margin.  L1 is
+    as the one-step system, A := J - I, as v >= J v + Ed 1 + margin; only
+    the data read are checked for positivity.  L1 is
     the L-infinity gain of the transposed data (A', C', E', F'), so
     analyze_lti(adjoint(s), "L1") solves the LP of analyze_lti(s)."""
     if norm not in ("Linf", "L1") or time not in ("continuous", "discrete"):
         raise ValueError("norm must be Linf|L1 and time continuous|discrete")
     if not sys.is_constant():
         raise NotConstant("LTI analysis needs constant matrices")
-    require_positive(sys, 0.0)
     if time == "continuous":
+        require_positive(sys, 0.0, ("A", "Ec", "Cc", "Fc"))
         A, E, C, F = sys.A, sys.Ec, sys.Cc, sys.Fc
     else:
+        require_positive(sys, 0.0, tuple(f"jumps[0].{x}" for x in ("J", "Ed", "Cd", "Fd")))
         jm = sys.jump
         A, E, C, F = (PolyMatrix.from_const(m) for m in (jm.J - np.eye(sys.n), jm.Ed, jm.Cd, jm.Fd))
     if norm == "L1":

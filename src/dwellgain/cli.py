@@ -8,6 +8,7 @@ Exit codes: 0 success (certify: all rows passed), 1 certify failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -204,7 +205,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dwellgain argument parser, built once per process: parse_args
+    leaves it unchanged, so every main() call can share it."""
     ap = argparse.ArgumentParser(
         prog="dwellgain",
         description="Dwell-time stability and hybrid-gain analysis/synthesis for positive impulsive and switched systems",

@@ -506,8 +506,8 @@ def check_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], domain: tuple[fl
 
 
 def _audit(sys: Union[ImpulsiveSystem, SwitchedSystem], hi: float, names=None) -> PositivityReport:
-    """check_positive's report on [0, hi], of the matrices whose own name
-    (after any "modes[k]." or "jumps[k]." prefix) is in names when given."""
+    """check_positive's report on [0, hi], of the matrices whose name, or own
+    name after any "modes[k]." or "jumps[k]." prefix, is in names when given."""
     if isinstance(sys, SwitchedSystem):
         mats = {f"modes[{k}].{x}": md[x] for k, md in enumerate(sys.modes) for x in "AECF"}
     else:
@@ -516,7 +516,7 @@ def _audit(sys: Union[ImpulsiveSystem, SwitchedSystem], hi: float, names=None) -
                      for k, jm in enumerate(sys.jumps) for x in ("J", "Ed", "Cd", "Fd")})
     report = PositivityReport(positive=True)
     for name, mat in mats.items():
-        if names is not None and name.rsplit(".", 1)[-1] not in names:
+        if names is not None and name not in names and name.rsplit(".", 1)[-1] not in names:
             continue
         r, c = mat.shape
         for i in range(r):
@@ -628,12 +628,14 @@ def _refuse(report: PositivityReport, tau_end: float) -> None:
         raise NotPositive(f"not positive {f'on [0, {tau_end:g}]' if tau_end else 'at tau = 0'}: {', '.join(bad)}")
 
 
-def require_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
+def require_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float, names=None) -> None:
     """Raise NotPositive, naming the entries, for a system that
     `check_positive` does not prove positive on [0, tau_end]: the theorems
     hold for positive systems only.  tau_end = 0 (arbitrary dwell, LTI) comes
-    with constant matrices, whose report no domain changes."""
-    _refuse(_audit(sys, tau_end or 1.0), tau_end)
+    with constant matrices, whose report no domain changes.  `names`, when
+    given, are the only matrices checked (see `_audit`): those an analysis
+    reads."""
+    _refuse(_audit(sys, tau_end or 1.0, names), tau_end)
 
 
 def require_positive_design(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
@@ -641,7 +643,7 @@ def require_positive_design(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end
     and F, which no feedback changes, are checked.  The design's positivity
     rows impose the rest, A + B K_c Metzler and C + D K_c, J + B_d K_d and
     C_d + D_d K_d nonnegative, on the closed loop."""
-    _refuse(_audit(sys, tau_end or 1.0, ("Ec", "Fc", "Ed", "Fd", "E", "F")), tau_end)
+    require_positive(sys, tau_end, ("Ec", "Fc", "Ed", "Fd", "E", "F"))
 
 
 # --- JSON round-trip ---------------------------------------------------------
@@ -702,6 +704,15 @@ def read_field(data: dict, key: str, decode):
         return decode(value)
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ParseError(f"bad field {key!r}: {exc}") from exc
+
+
+def finite_float(value) -> float:
+    """float(value) for a file's decoder: NaN and the infinities are a
+    ValueError, which read_field names with its field."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
 
 
 def _jumps_from_json(maps: list) -> list[dict]:
@@ -765,8 +776,9 @@ def polys_to_json(x):
 
 
 def polys_from_json(data, depth: int):
-    """The inverse of polys_to_json for `depth` levels of lists around each Poly."""
-    return Poly.from_json(data) if depth == 0 else [polys_from_json(v, depth - 1) for v in data]
+    """The inverse of polys_to_json for `depth` levels of lists around each
+    Poly, whose coefficients must be finite."""
+    return Poly.from_json(map(finite_float, data)) if depth == 0 else [polys_from_json(v, depth - 1) for v in data]
 
 
 def save_system(sys: Union[ImpulsiveSystem, SwitchedSystem], path: str) -> None:

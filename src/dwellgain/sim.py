@@ -11,14 +11,19 @@ _CHUNK maps: a chunk's mesh data are evaluated in one vectorized pass per
 mode, its maps are built at once as component-major (n, n, L) and (n, L)
 tables, so each batched 2x2 product is a few vector operations, and they
 are composed by a two-level log-doubling prefix scan (Blelloch 1990),
-within blocks of 32 cells and then over the block ends.  No Python loop
-runs over cells, blocks or segments; only the schedule draw is per segment.
+within blocks of 32 cells and then over the block ends.  The tables hold
+each map as one (n, n+1) block [P | q]; the in-block ones are
+block-inner-major, (n, n+1, 32, L/32), so that every doubling step is one
+batched product over contiguous slabs, and they live in buffers allocated
+once per run.  No Python loop runs over cells, blocks or segments; only the
+schedule draw is per segment.
 The half-step referee reads the marched states afterwards, so the states
 never depend on whether it runs.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -164,32 +169,35 @@ _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than t
 _CHUNK = 8192  # maps per march chunk: bounds the working tables whatever the run's length
 
 
-def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _mm(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cellwise products of component-major matrix stacks: (r, k, ...) times (k, c, ...) is (r, c, ...)."""
-    return np.einsum("ik...,kj...->ij...", A, B)
+    return np.einsum("ik...,kj...->ij...", A, B, out=out)
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _mv(A: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cellwise products of a component-major matrix stack (r, k, ...) and vectors (k, ...)."""
-    return np.einsum("ik...,k...->i...", A, x)
+    return np.einsum("ik...,k...->i...", A, x, out=out)
 
 
-def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h):
+def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h, out=(None,) * 4):
     """Classical RK4 step of x' = A x + b as an affine map x -> R x + s, per cell.
 
     A (n, n, len) and b (n, len) hold the data on a mesh; the slices pick the
     start, midpoint and end of each of m cells, whose widths h are one float
-    or an (m,) array.  R is (n, n, m) and s (n, m).
+    or an (m,) array.  R is (n, n, m) and s (n, m).  `out`, when given, is
+    the arrays R, s are written to, then one scratch array of each shape.
     """
     A1, A2, A4 = A[..., start], A[..., mid], A[..., end]
     b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
     # M2 = A2 + h/2 A2 A1, M3 = A2 + h/2 A2 M2, M4 = A4 + h A4 M3 and
     # R = I + h/6 (A1 + 2 M2 + 2 M3 + M4), evaluated in place: the same
-    # floating-point operations in the same order, with fewer temporaries
-    M2 = _mm(A2, A1)
+    # floating-point operations in the same order, with fewer temporaries;
+    # likewise v2, v3, v4 and s = h/6 (b1 + 2 v2 + 2 v3 + v4)
+    R_out, s_out, M3_out, v3_out = out
+    M2 = _mm(A2, A1, out=R_out)
     M2 *= 0.5 * h
     M2 += A2
-    M3 = _mm(A2, M2)
+    M3 = _mm(A2, M2, out=M3_out)
     M3 *= 0.5 * h
     M3 += A2
     M4 = _mm(A4, M3)
@@ -203,71 +211,115 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
     R += M4
     R *= h / 6.0
     R += np.eye(A1.shape[0])[:, :, None]
-    v2 = 0.5 * h * _mv(A2, b1) + b2
-    v3 = 0.5 * h * _mv(A2, v2) + b2
-    v4 = h * _mv(A4, v3) + b4
-    s = (h / 6.0) * (b1 + 2.0 * v2 + 2.0 * v3 + v4)
+    v2 = _mv(A2, b1, out=s_out)
+    v2 *= 0.5 * h
+    v2 += b2
+    v3 = _mv(A2, v2, out=v3_out)
+    v3 *= 0.5 * h
+    v3 += b2
+    v4 = _mv(A4, v3)
+    v4 *= h
+    v4 += b4
+    s = v2
+    s *= 2.0
+    s += b1
+    v3 *= 2.0
+    s += v3
+    s += v4
+    s *= h / 6.0
     return R, s
 
 
-def _prefix(P: np.ndarray, q: np.ndarray):
-    """Inclusive prefix compositions of the affine maps x -> P[..., i] x + q[..., i]
-    along the last axis: on return, P[..., i] x + q[..., i] applies maps 0..i
-    in order.  P is (n, n, ..., L) and q (n, ..., L).  Log-doubling, so the
-    Python work is log2(L) batched products."""
-    P, q = P.copy(), q.copy()
-    d, L = 1, P.shape[-1]
-    while d < L:  # each right-hand side is computed in full before it is stored
-        q[..., d:] += _mv(P[..., d:], q[..., :-d])
-        P[..., d:] = _mm(P[..., d:], P[..., :-d])
+def _prefix(T: np.ndarray, T2: np.ndarray) -> np.ndarray:
+    """Inclusive prefix compositions of affine maps x -> P x + q stored as
+    T[:, :, i] = [P | q], one (n, n+1) table per entry i of axis 2; the axes
+    after it index sequences of their own.  On return, entry i applies maps
+    0..i in order.  T2 is a buffer of T's shape.  Log-doubling, so the Python
+    work is log2(L) batched products: each step writes P_i [P_{i-d} | q_{i-d}]
+    + [0 | q_i] from one buffer into the other, both parts in one product.
+    Both buffers are overwritten, and the one holding the result is returned."""
+    n, L = T.shape[0], T.shape[2]
+    d = 1
+    while d < L:
+        T2[:, :, :d] = T[:, :, :d]
+        _mm(T[:, :n, d:], T[:, :, :-d], out=T2[:, :, d:])
+        T2[:, n, d:] += T[:, n, d:]
+        T, T2 = T2, T
         d *= 2
-    return P, q
+    return T
 
 
-def _block_prefix(R: np.ndarray, s: np.ndarray):
+def _buffers(n: int, m: int) -> list:
+    """Flat buffers for the tables of `_block_prefix` over up to m maps of
+    size n: two for the in-block tables, then two for the block-end ones."""
+    B = min(_BLOCK, m)
+    nb = -(-m // B)
+    return [np.empty(size) for size in (n * (n + 1) * B * nb,) * 2 + (n * (n + 1) * nb,) * 2]
+
+
+def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of the flat buffer `buf` as a C-contiguous array of `shape`."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _block_prefix(R: np.ndarray, s: np.ndarray, buffers: Optional[list] = None):
     """Prefix tables of the one-step maps x_{i+1} = R[..., i] x_i + s[..., i].
 
     R is (n, n, m) and s (n, m).  The m cells form nb blocks of B = min(_BLOCK, m),
-    the last padded with identity maps.  Returns (P, q, S, r):
-    - P (n, n, nb, B) and q (n, nb, B) compose within each block:
-      x_{bB+j+1} = P[..., b, j] x_{bB} + q[..., b, j];
-    - S (n, n, nb) and r (n, nb) map x_0 to each block's start:
-      x_{bB} = S[..., b] x_0 + r[..., b].
+    the last padded with identity maps; cell bB + j is entry [..., j, b] of
+    the block-inner-major tables, so each log-doubling step of `_prefix`
+    reads and writes whole (n, n+1, nb) slabs.  Returns (T, U), each holding
+    maps [P | q] as in `_prefix`:
+    - T (n, n+1, B, nb) composes within each block:
+      x_{bB+j+1} = T[:, :n, j, b] x_{bB} + T[:, n, j, b];
+    - U (n, n+1, nb-1) maps x_0 to the starts of blocks 1..nb-1:
+      x_{(b+1)B} = U[:, :n, b] x_0 + U[:, n, b].
     Both levels come from `_prefix`, the second over the block-end maps, so
-    no Python loop runs over cells or blocks.
+    no Python loop runs over cells or blocks.  The tables are views into
+    `buffers` (from `_buffers`, for m maps or more), which a march reuses
+    chunk after chunk; without them they are allocated for this call.  R
+    and s may lie in the first buffer: they are copied into the second
+    before the first is written.
     """
     n, m = s.shape
     B = min(_BLOCK, m)
-    nb = -(-m // B)
-    pad = nb * B - m
-    if pad:
-        R = np.concatenate([R, np.broadcast_to(np.eye(n)[:, :, None], (n, n, pad))], axis=2)
-        s = np.concatenate([s, np.zeros((n, pad))], axis=1)
-    P, q = _prefix(R.reshape(n, n, nb, B), s.reshape(n, nb, B))
-    S, r = _prefix(P[..., :-1, -1], q[..., :-1, -1])
-    S = np.concatenate([np.eye(n)[:, :, None], S], axis=2)
-    r = np.concatenate([np.zeros((n, 1)), r], axis=1)
-    return P, q, S, r
+    nb, full = -(-m // B), m // B
+    t = m - full * B  # cells of a last, partial block
+    shapes = [(n, n + 1, B, nb)] * 2 + [(n, n + 1, nb - 1)] * 2
+    T, T2, U, U2 = map(_view, buffers, shapes) if buffers else map(np.empty, shapes)
+    for part, maps in ((T2[:, :n], R), (T2[:, n], s)):
+        part[..., :full] = maps[..., : full * B].reshape(maps.shape[:-1] + (full, B)).swapaxes(-1, -2)
+        if t:
+            part[..., :t, -1] = maps[..., full * B :]
+    if t:  # the last block ends in identity maps
+        T2[:, :n, t:, -1], T2[:, n, t:, -1] = np.eye(n)[:, :, None], 0.0
+    T = _prefix(T2, T)
+    U[...] = T[:, :, -1, :-1]
+    return T, _prefix(U, U2)
 
 
 def _scan(tables, x0: np.ndarray, m: int, forced: bool = True) -> np.ndarray:
     """States x_0..x_m from the tables of `_block_prefix`, component-major.
 
     x0 is a vector (n,) or a matrix (n, k) whose columns are marched alike;
-    the result is (n, m+1) or (n, k, m+1).  forced=False drops the forced
-    parts q and r.
+    the result is (n, m+1) or (n, k, m+1), in the natural order of the
+    cells.  forced=False drops the forced parts, the last columns q.
     """
-    P, q, S, r = tables
-    n, nb, B = q.shape
+    T, U = tables
+    n, _, B, nb = T.shape
     X0 = x0.reshape(n, -1)
-    Y = np.einsum("ilb,lc->icb", S, X0)  # block starts
+    Y = np.empty((n, X0.shape[1], nb))  # block starts
+    Y[:, :, 0] = X0
+    np.einsum("ilb,lc->icb", U[:, :n], X0, out=Y[:, :, 1:])
     if forced:
-        Y += r[:, None]
-    X = np.einsum("ilbj,lcb->icbj", P, Y)
+        Y[:, :, 1:] += U[:, n, None]
+    X = np.einsum("iljb,lcb->icjb", T[:, :n], Y)
     if forced:
-        X += q[:, None]
-    xs = np.concatenate([X0[:, :, None], X.reshape(n, -1, nb * B)[:, :, :m]], axis=2)
-    return xs.reshape(x0.shape + (m + 1,))
+        X += T[:, n, None]
+    xs = np.empty(Y.shape[:2] + (nb * B + 1,))
+    xs[:, :, 0] = X0
+    xs[:, :, 1:].reshape(Y.shape[:2] + (nb, B))[...] = X.transpose(0, 1, 3, 2)
+    return xs[..., : m + 1].reshape(x0.shape + (m + 1,))
 
 
 def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: np.ndarray, npts: int):
@@ -298,7 +350,10 @@ class _FlatAxis:
     codes[i] (None: all alike) indexes `modes`; map i takes point i to point
     i+1 and is an RK4 cell of width widths[i], or at a segment's last point
     the jump, a cell of zero width whose mesh collapses onto that point.
-    The methods work on the stretch of points a..b, maps a..b-1."""
+    The methods work on the stretch of points a..b, maps a..b-1.  `buffers`
+    holds the march's tables (see `_buffers`) from the first `maps` call on,
+    made once that call's mesh data exist so that a one-chunk run never
+    holds both."""
 
     sys: Union[ImpulsiveSystem, SwitchedSystem]
     controller: object
@@ -309,6 +364,7 @@ class _FlatAxis:
     taus: np.ndarray
     origin: np.ndarray
     widths: np.ndarray
+    buffers: list = field(default_factory=list)
 
     def fields(self, a: int, b: int, quarters: bool):
         """A (+B K_c) and E w on the stretch's mesh -- its points, then the
@@ -320,20 +376,19 @@ class _FlatAxis:
         if quarters:
             parts += [cells + 0.25 * widths, cells + 0.75 * widths]
         grid = np.concatenate(parts)
-        t = np.concatenate([origin] + [origin[:-1]] * (len(parts) - 1)) + grid
-        w = np.broadcast_to(self.inputs.wc(t), grid.shape).astype(float)
+        w = self.inputs.wc(np.concatenate([origin] + [origin[:-1]] * (len(parts) - 1)) + grid)
+        w = np.asarray(np.broadcast_to(w, grid.shape), dtype=float)
         sys, ctrl, clamp = self.sys, self.controller, self.clamp
         if self.codes is None:
             return _fields(sys, ctrl, self.modes[0], clamp, grid, w, npts)
         codes = self.codes[a : b + 1]
-        code = np.concatenate([codes] + [codes[:-1]] * (len(parts) - 1))
         n, qc = sys.n, mode_mats(sys, self.modes[0])[3].shape[0]
         A, bw = np.empty((n, n, len(grid))), np.empty((n, len(grid)))
         C, z = np.empty((qc, n, npts)), np.empty((qc, npts))
         for c, md in enumerate(self.modes):
-            sel = code == c
-            if sel.any():
-                pts = sel[:npts]
+            pts = codes == c
+            if pts.any():
+                sel = np.concatenate([pts] + [pts[:-1]] * (len(parts) - 1))
                 A[..., sel], bw[..., sel], C[..., pts], z[..., pts] = _fields(
                     sys, ctrl, md, clamp, grid[sel], w[sel], int(pts.sum()))
         return A, bw, C, z
@@ -341,10 +396,14 @@ class _FlatAxis:
     def maps(self, a: int, b: int):
         """The stretch's one-step maps x_{i+1} = R[..., i] x_i + s[..., i]
         (jumps still as identity cells) and the output terms C, z at its
-        points."""
+        points.  R and s lie in the first of `buffers`, as one table [R | s]."""
         A, bw, C, z = self.fields(a, b, quarters=False)
-        L = b - a
-        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b])
+        L, n = b - a, len(bw)
+        if not self.buffers:
+            self.buffers = _buffers(n, min(_CHUNK, len(self.widths)))
+        T, T2 = (_view(buf, (n, n + 1, L)) for buf in self.buffers[:2])
+        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b],
+                          (T[:, :n], T[:, n], T2[:, :n], T2[:, n]))
         return R, s, C, z
 
     def halfstep_error(self, a: int, b: int, xs: np.ndarray) -> np.ndarray:
@@ -482,7 +541,8 @@ def simulate(
     # the tables come from a heap it no longer trims and re-faults every chunk.
     np.empty(1 << 23, np.uint8)
 
-    # March: chunk by chunk from the state the previous chunk ended in.
+    # March: chunk by chunk from the state the previous chunk ended in, the
+    # prefix tables of every chunk in the same buffers.
     qc = mode_mats(sys, modes[0])[3].shape[0]
     states = np.empty((len(seg_of), n))
     zc = np.empty((len(seg_of), qc))
@@ -493,7 +553,7 @@ def simulate(
         lo, hi = np.searchsorted(jumps_at, [a, b])
         at = jumps_at[lo:hi] - a
         R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
-        xs = _scan(_block_prefix(R, s), x, b - a)
+        xs = _scan(_block_prefix(R, s, axis.buffers), x, b - a)
         if switched:  # the state is continuous: copy it rather than round it through the identity
             xs[:, at + 1] = xs[:, at]
         if not np.isfinite(xs).all():
@@ -502,6 +562,7 @@ def simulate(
         states[a : b + 1] = xs.T
         zc[a : b + 1] = (_mv(C, xs) + z).T
         x = xs[:, -1]
+    axis.buffers = []  # freed before the referee's own working set is built
 
     # Half-step referee over the marched states.  Its quarter points and two
     # half-step tables more than double the working set per map, so it takes

@@ -33,8 +33,8 @@ from .analysis import (
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
 from .lp import LinExpr, PolyExpr
-from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, mode_mats, polys_from_json, polys_to_json,
-                    read_field, read_json, require_forward_time, require_positive_design, write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, mode_mats, polys_from_json,
+                    polys_to_json, read_field, read_json, require_forward_time, require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
 
 __all__ = [
@@ -194,9 +194,9 @@ class ControllerRealization:
             return ControllerRealization(
                 kind=kind,
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
-                gamma=read_field(data, "gamma", float),
+                gamma=read_field(data, "gamma", finite_float),
                 degree=read_field(data, "degree", int),
-                margin=read_field(data, "margin", float),
+                margin=read_field(data, "margin", finite_float),
                 X=read_field(data, "X", lambda v: polys_from_json(v, depth)),
                 Uc=read_field(data, "Uc", lambda v: polys_from_json(v, depth + 1)),
                 Ud=Ud,

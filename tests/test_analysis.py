@@ -925,13 +925,28 @@ class TestPositivityGate:
             r"on \[0, 1\]": [lambda: analyze_constant(s, 1.0, 2), lambda: analyze_minimum(s, 1.0, 2),
                               lambda: analyze_range(s, 0.5, 1.0, 2),
                               lambda: analyze_range(s, 0.5, 1.0, 2, mode="mu_variant")],
-            "at tau = 0": [lambda: analyze_arbitrary(s), lambda: analyze_lti(s),
-                           lambda: analyze_lti(s, norm="L1"), lambda: analyze_lti(s, time="discrete")],
+            "at tau = 0": [lambda: analyze_arbitrary(s), lambda: analyze_lti(s), lambda: analyze_lti(s, norm="L1")],
         }
         for where, group in runs.items():
             for run in group:
                 with pytest.raises(NotPositive, match=f"^not positive {where}: A\\[0, 1\\]$"):
                     run()
+
+    def test_lti_checks_only_the_data_it_reads(self):
+        """analyze_lti reads (A, Ec, Cc, Fc) in continuous time and the first
+        jump map (J, Ed, Cd, Fd) in discrete time, and checks only those."""
+        flow_ok = ImpulsiveSystem.from_arrays(A=[[-1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[-0.5]])
+        for norm in ("Linf", "L1"):
+            assert analyze_lti(flow_ok, norm, "continuous")[0] == pytest.approx(1.0, rel=1e-7)
+            with pytest.raises(NotPositive, match=r"^not positive at tau = 0: jumps\[0\]\.J\[0, 0\]$"):
+                analyze_lti(flow_ok, norm, "discrete")
+        jump_ok = ImpulsiveSystem.from_arrays(A=[[-1.0, -1.0], [0.0, -1.0]], Ec=np.zeros((2, 1)), Cc=np.zeros((1, 2)),
+                                              J=0.5 * np.eye(2), Ed=[[1.0], [1.0]], Cd=[[1.0, 1.0]])
+        for norm in ("Linf", "L1"):
+            # x+ = x / 2 + 1 settles at x = 2, so z = Cd x = 4
+            assert analyze_lti(jump_ok, norm, "discrete")[0] == pytest.approx(4.0, rel=1e-7)
+            with pytest.raises(NotPositive, match=r"^not positive at tau = 0: A\[0, 1\]$"):
+                analyze_lti(jump_ok, norm, "continuous")
 
     def test_switched_mode_not_metzler(self, bench_switched, no_lp):
         modes = [{k: md[k] for k in "ABECDF"} for md in bench_switched.modes]

@@ -303,6 +303,11 @@ def test_unreadable_file_exits_2(ex1_path, tmp_path, capsys, argv, text):
     (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "Ec", [[[float("nan")]], [[1.1]]]),
     (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "Ec", [[[float("inf")]], [[1.1]]]),
     (["analyze", "--system", "{bad}", "--dwell", "constant:0.3"], "{ex1}", "J", [[float("nan"), 1.0], [0.1, 0.1]]),
+    # and so is a non-finite certificate value, before verify's exact arithmetic
+    (["certify", "--system", "{ex1}", "--certificate", "{bad}"], "nonpositive_constant_1.json", "gamma", float("nan")),
+    (["certify", "--system", "{ex1}", "--certificate", "{bad}"], "nonpositive_constant_1.json", "gamma", float("inf")),
+    (["certify", "--system", "{ex1}", "--certificate", "{bad}"], "nonpositive_constant_1.json", "zeta",
+     [[0.1, float("nan"), 0.02], [0.3, 0.0, -0.01]]),
 ])
 def test_wrong_field_exits_2(ex1_path, tmp_path, capsys, argv, source, field, value):
     """A field of the wrong type or shape is a parse error naming the file
@@ -313,6 +318,36 @@ def test_wrong_field_exits_2(ex1_path, tmp_path, capsys, argv, source, field, va
     assert main([a.format(ex1=ex1_path, bad=bad, out=out) for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: bad field {field!r}: ")
     assert not list(tmp_path.glob("out*"))
+
+
+def test_parser_is_built_once(ex1_path, tmp_path, capsys):
+    """main() shares one parser: analyze, simulate and a failing parse in one
+    process print, write and exit as each does in a fresh process."""
+    import subprocess
+    import sys
+
+    from dwellgain import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["analyze", "--system", ex1_path, "--dwell", "minimum:0.5", "--degree", "2", "-o", str(tmp_path / "c.json")],
+        ["simulate", "--system", ex1_path, "--dwell", "range:0.3:0.6", "--runs", "2", "--horizon", "2",
+         "-o", str(tmp_path / "run")],
+        ["simulate", "--system", ex1_path, "--dwell", "minimum:0.5", "--runs", "two"],
+    ]
+
+    def outputs():
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here = (code, *capsys.readouterr(), outputs())
+        fresh = subprocess.run([sys.executable, "-m", "dwellgain.cli", *argv], capture_output=True, text=True)
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr, outputs())
+    assert code == 2 and "invalid int value: 'two'" in here[2]
 
 
 class TestSimulateAndSweep:

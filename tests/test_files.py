@@ -96,6 +96,12 @@ DATA = Path(__file__).parent / "data"
     ("system", "tag", 3, "tag"),
     ("switched", "modes", [{"A": [[[1.0]]], "E": [["x"]]}], "E"),
     ("switched", "modes", 3, "modes"),
+    # values that are not finite, as json writes and reads them
+    ("certificate", "gamma", float("nan"), "gamma"),
+    ("certificate", "jump_margin", float("-inf"), "jump_margin"),
+    ("certificate", "zeta", [[0.5, float("inf")]], "zeta"),
+    ("controller", "gamma", float("inf"), "gamma"),
+    ("controller", "X", [[float("nan")]], "X"),
 ])
 def test_wrong_field_names_it(bench_lti, bench_switched, tmp_path, base, field, value, named):
     """A field of the wrong type or shape is a ParseError naming the file and

@@ -319,10 +319,48 @@ class TestSerialEquivalence:
         rng = np.random.default_rng(10 * L + n)
         R = np.eye(n) + 0.01 * rng.uniform(0.0, 1.0, size=(L, n, n))
         s = 0.01 * rng.uniform(0.0, 1.0, size=(L, n))
-        P, q = sim._prefix(R.transpose(1, 2, 0).copy(), s.T.copy())
+        T = sim._prefix(np.concatenate([R, s[:, :, None]], axis=2).transpose(1, 2, 0).copy(), np.empty((n, n + 1, L)))
+        P, q = T[:, :n], T[:, n]
         np.testing.assert_allclose(np.moveaxis(P, -1, 0), serial_march(R, 0.0 * s, np.eye(n))[1:],
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(q.T, serial_march(R, s, np.zeros(n))[1:], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3, 31, 32, 33])
+    def test_prefix_along_the_inner_axis(self, L, n):
+        """The tables of `_block_prefix` are (n, n+1, L, K): `_prefix` composes
+        along axis 2, each of the K columns a sequence of its own, and leaves
+        its result in whichever buffer the number of steps lands on."""
+        K = 5
+        rng = np.random.default_rng(10 * L + n)
+        R = np.eye(n) + 0.01 * rng.uniform(0.0, 1.0, size=(K, L, n, n))
+        s = 0.01 * rng.uniform(0.0, 1.0, size=(K, L, n))
+        T0 = np.concatenate([R, s[..., None]], axis=3).transpose(2, 3, 1, 0).copy()
+        T = sim._prefix(T0, np.full_like(T0, np.nan))
+        P, q = T[:, :n], T[:, n]
+        assert T.shape == (n, n + 1, L, K)
+        for c in range(K):
+            np.testing.assert_allclose(np.moveaxis(P[:, :, :, c], -1, 0),
+                                       serial_march(R[c], 0.0 * s[c], np.eye(n))[1:], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(q[:, :, c].T, serial_march(R[c], s[c], np.zeros(n))[1:],
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("horizon, tail", [(8.5, 324), (8.1955, 20)])
+    def test_reused_buffers_hold_no_stale_values(self, horizon, tail):
+        """simulate keeps its prefix tables in buffers from chunk to chunk.
+        A last chunk that is short and not a multiple of _BLOCK cells, after a
+        full chunk of non-identity maps, and systems of n = 1, 2, 3 one after
+        another, still march as the serial oracle does."""
+        inputs = combine_inputs(generate_inputs("sine"), generate_inputs("uniform_random", seed=8))
+        gen = SequenceGen.exact(0.5, seed=3)
+        for n in (1, 2, 3):
+            sys_ = random_positive_impulsive(np.random.default_rng(40 + n), n)
+            x0 = np.full(n, 0.1)
+            traj = simulate(sys_, gen, inputs, x0=x0, horizon=horizon)
+            assert len(traj.times) - 1 - sim._CHUNK == tail and tail % sim._BLOCK
+            ref = serial_simulate(sys_, gen, inputs, x0, horizon, full=True)
+            for got, want in ((traj.states, ref["states"]), (traj.zc, ref["zc"]), (traj.zd, ref["zd"])):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -17,10 +17,11 @@ a cross-check report must keep its verdict and its row families, and each
 worst slack may move by at most 1e-12 * (1 + |gamma|), as rounding may move
 it.  It prints every other difference and exits 1 if there is one.  A summary
 follows: the differences per output kind (certificate, controller, gain, lp,
-verify, cross-check, error), every verdict that flips between pass and fail,
-every case that flips between a result and an error and every error whose
-class changes (say Infeasible -> NotPositive), each with its direction, and
-the largest relative move of the gamma stored with the cross-check entries.
+verify, cross-check, simulation, error), every verdict that flips between
+pass and fail, every case that flips between a result and an error and every
+error whose class changes (say Infeasible -> NotPositive), each with its
+direction, and the largest relative move of the gamma stored with the
+cross-check entries.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -46,7 +47,14 @@ Cases:
 - `synthesize` for a plant whose input matrices Ec, Fc and Ed have negative
   entries, which no state feedback changes, at constant:0.1 degree 2, and
   `verify` of the controller made for it when no design checked them
-  (tests/data/negative_input_design.json).
+  (tests/data/negative_input_design.json);
+- simulations, open and closed loop, impulsive (n = 1, 2, 4) and switched,
+  at constant, range and minimum dwell: the `simulate` states, z_c and z_d
+  and the bytes of the three `export_trajectory` files, over a horizon of
+  several march chunks and one of fewer maps than a prefix block, the
+  `estimate_gain` value and the `cert.flow_grid` tables (Phi, r, C, z) on
+  grids of 1 to 9,000 cells.  Arrays are stored as SHA-256 digests of their
+  bytes, so a march that moves any value by one ulp shows.
 
 Only the public API is used, so the script runs against any version of `src/`.
 """
@@ -61,9 +69,9 @@ import tempfile
 
 import numpy as np
 
-from dwellgain import analysis, benchmarks, cert, model, synthesis, Poly
+from dwellgain import analysis, benchmarks, cert, model, sim, synthesis, Poly
 from dwellgain.errors import DwellgainError
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 
 IMPULSIVE = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
 GRID_T = (0.12, 0.2, 0.33, 0.5, 1.9, 2.7)
@@ -90,6 +98,9 @@ DESIGN_DEGREES = (0, 1, 2, 3)
 TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3, 1.7))
 TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
+# several march chunks of 8,192 maps, and fewer maps than one prefix block
+SIM_HORIZONS = (30.0, 0.02)
+FLOW_GRID_CELLS = (1, 20, 700, 9000)
 SLACK_RTOL = 1e-12
 DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
 NONPOSITIVE_CERTIFICATE = os.path.join(DATA, "nonpositive_constant_1.json")
@@ -109,6 +120,74 @@ def negative_input_plant() -> ImpulsiveSystem:
     jm = c.jump
     return ImpulsiveSystem.from_arrays(A=c.A, Bc=c.Bc, Ec=[[0.2], [-0.3]], Cc=c.Cc, Fc=[[-0.1]],
                                        J=jm.J, Bd=jm.Bd, Ed=[[0.3], [-0.3]], Cd=jm.Cd, Fd=jm.Fd)
+
+
+def scalar_plant() -> ImpulsiveSystem:
+    """A one-state plant with one control input on each channel."""
+    return ImpulsiveSystem.from_arrays(A=[[-1.0]], Bc=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]],
+                                       J=[[0.5]], Bd=[[0.5]], Ed=[[0.2]], Cd=[[1.0]], Fd=[[0.0]])
+
+
+def simulation_cases() -> list:
+    """(name, system, dwell, controller or None) of the simulation outputs."""
+    lti, timer, sw = benchmarks.lti_jump_bench(), benchmarks.timer_stable_bench(), benchmarks.two_mode_switched_bench()
+    cases = [("lti_jump_bench", lti, DwellTimeSpec.parse(d), None)
+             for d in ("constant:0.3", "range:0.3:0.45", "minimum:0.3")]
+    cases += [("timer_stable_bench", timer, DwellTimeSpec.parse(d), None)
+              for d in ("constant:2", "range:1.7:2.55", "minimum:1.7")]
+    cases += [("timer_growth_bench", benchmarks.timer_growth_bench(), DwellTimeSpec.constant(0.6), None),
+              ("lifted two_mode_switched_bench", model.lift_switched(sw), DwellTimeSpec.minimum(0.5), None),
+              ("scalar_plant", scalar_plant(), DwellTimeSpec.constant(0.3), None)]
+    cases += [("two_mode_switched_bench", sw, DwellTimeSpec.parse(d), None)
+              for d in ("constant:0.5", "range:0.5:0.75", "minimum:0.5")]
+    designs = (("unstable_chain_plant", benchmarks.unstable_chain_plant(), DwellTimeSpec.constant(0.1)),
+               ("unstable_chain_plant", benchmarks.unstable_chain_plant(), DwellTimeSpec.range(0.1, 0.3)),
+               ("unstable_pair_plant", benchmarks.unstable_pair_plant(), DwellTimeSpec.minimum(0.2)),
+               ("scalar_plant", scalar_plant(), DwellTimeSpec.constant(0.3)))
+    cases += [(f"{pname} closed loop", p, spec, synthesis.synthesize(p, spec, 2)) for pname, p, spec in designs]
+    cases.append(("two_mode_switched_bench closed loop", sw, DwellTimeSpec.minimum(0.5),
+                  synthesis.synthesize_switched(sw, 0.5, 2)))
+    return cases
+
+
+def _array_digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
+
+
+def collect_simulations(rec: "Recorder", out_dir: str) -> None:
+    """The simulation outputs of `simulation_cases` into rec.out."""
+    inputs = sim.combine_inputs(sim.generate_inputs("sine"), sim.generate_inputs("uniform_random", seed=8))
+    prefix = os.path.join(out_dir, "trajectory")
+    for name, s, dwell, ctrl in simulation_cases():
+        gen = sim.SequenceGen.for_spec(dwell, seed=7)
+        for horizon in SIM_HORIZONS:
+            key = f"sim {name} {dwell} horizon={horizon}"
+            try:
+                traj = sim.simulate(s, gen, inputs, x0=np.full(s.n, 0.1), horizon=horizon, controller=ctrl,
+                                    clamp=dwell.clamp, check_step=True)
+            except (DwellgainError, ValueError) as exc:
+                rec.out[key] = _error(exc)
+                continue
+            for part in ("states", "zc", "zd"):
+                rec.out[f"{key} {part}"] = {"digest": _array_digest(getattr(traj, part))}
+            sim.export_trajectory(traj, prefix)
+            for suffix in ("_states.csv", "_jumps.csv", "_meta.json"):
+                with open(prefix + suffix, "rb") as fh:
+                    rec.out[f"{key} export{suffix}"] = {"digest": hashlib.sha256(fh.read()).hexdigest()}
+        rec.solve(f"sim {name} {dwell} estimate_gain", lambda lp: sim.estimate_gain(
+            s, gen, runs=3, horizon=10.0, controller=ctrl, clamp=dwell.clamp), repr)
+        view = s if ctrl is None else synthesis.closed_loop(s, ctrl)
+        for mode in range(s.N) if isinstance(s, SwitchedSystem) else (None,):
+            for cells in FLOW_GRID_CELLS:
+                key = f"flow_grid {name} {dwell} mode={mode} cells={cells}"
+                try:
+                    tables = cert.flow_grid(view, np.linspace(0.0, 1.5, cells + 1), dwell.clamp, mode)
+                except (DwellgainError, ValueError) as exc:
+                    rec.out[key] = _error(exc)
+                    continue
+                for part, a in zip(("Phi", "r", "C", "z"), tables):
+                    rec.out[f"{key} {part}"] = {"digest": _array_digest(a)}
 
 
 def _digest(obj) -> str:
@@ -263,6 +342,7 @@ def collect(lp_dir: str) -> dict:
     stored = synthesis.ControllerRealization.load(NEGATIVE_INPUT_DESIGN)
     rec.reports("negative_input_plant design file", synthesis.certificate_from(stored),
                 synthesis.closed_loop(neg, stored))
+    collect_simulations(rec, lp_dir)
     return rec.out
 
 
@@ -287,6 +367,8 @@ def _kind(key: str, a: dict, b: dict) -> str:
     for suffix in ("lp", "verify", "cross-check"):
         if key.endswith(" " + suffix):
             return suffix
+    if key.startswith(("sim ", "flow_grid ")):
+        return "simulation"
     if " blanchini " in key or " lti " in key:
         return "gain"
     return "controller" if " design " in key else "certificate"
