@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     RelaxationLimit,
 )
-from .lp import LinearProgram, LinExpr, PolyExpr, lp_solve
+from .lp import LinearProgram, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time, require_positive,
                     write_json)
@@ -146,12 +146,134 @@ def _row_ones(pm: PolyMatrix, i: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _bernstein_weights(order: int) -> tuple[tuple[float, ...], ...]:
-    """Row i holds C(i, k) / C(order, k), k <= i: the degree-`order` Bernstein
-    coefficient b_i of q on [0, 1] is sum_k row_i[k] q_k."""
-    return tuple(
-        tuple(math.comb(i, k) / math.comb(order, k) for k in range(i + 1)) for i in range(order + 1)
-    )
+def _bernstein_weights(order: int) -> np.ndarray:
+    """W[i, k] = C(i, k) / C(order, k), k <= i, else 0: the degree-`order`
+    Bernstein coefficient b_i of q on [0, 1] is sum_k W[i, k] q_k.  Cached,
+    so read-only."""
+    W = np.zeros((order + 1, order + 1))
+    for i in range(order + 1):
+        W[i, : i + 1] = [math.comb(i, k) / math.comb(order, k) for k in range(i + 1)]
+    W.setflags(write=False)
+    return W
+
+
+# Every row is affine in the LP's decision columns.  An affine expression is a
+# 1-D float array e: e[0] is its constant and e[1 + v] the coefficient of
+# column v.  An affine polynomial in a timer is a 2-D array whose row t is the
+# expression multiplying tau^t, with no trailing zero row past row 0
+# (`_trim`), so that len(p) - 1 is its degree.  Widths differ; a missing
+# column is a zero.  Each coefficient is summed term by term in a fixed order
+# (data term j after j - 1, power k after k - 1), never by a matrix product,
+# whose order would move the LP texts and gammas by ulps.
+
+def _var(v: int) -> np.ndarray:
+    e = np.zeros(v + 2)
+    e[v + 1] = 1.0
+    return e
+
+
+def _const(c: float) -> np.ndarray:
+    return np.array([c], dtype=float)
+
+
+def _poly(coeffs: Sequence[float]) -> np.ndarray:
+    """The constant polynomial with these coefficients."""
+    return _trim(np.array(coeffs, dtype=float)[:, None])
+
+
+def _trim(p: np.ndarray) -> np.ndarray:
+    k = len(p)
+    while k > 1 and not np.count_nonzero(p[k - 1]):
+        k -= 1
+    return p[:k]
+
+
+def _terms(e: np.ndarray) -> dict[int, float]:
+    """The nonzero coefficients {column: value} of an expression."""
+    return {v: c for v, c in enumerate(e[1:].tolist()) if c != 0.0}
+
+
+def _add(p: np.ndarray, q: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """p + s q for two expressions or two polynomials.  An expression's sum
+    starts from p, so a -0.0 constant, which a point row's bound can show,
+    stays -0.0; a polynomial's starts from zero."""
+    out = np.zeros(tuple(map(max, p.shape, q.shape)))
+    if p.ndim == 1:
+        out[: len(p)] = p
+        out[: len(q)] += s * q
+        return out
+    out[: len(p), : p.shape[1]] += p
+    out[: len(q), : q.shape[1]] += s * q
+    return _trim(out)
+
+
+def _scale(p: np.ndarray, s: float) -> np.ndarray:
+    if s == 0.0:
+        return np.zeros((1,) * p.ndim)
+    return s * p if p.ndim == 1 else _trim(s * p)
+
+
+def _mul_poly(p: np.ndarray, data: Sequence[float]) -> np.ndarray:
+    """p times a polynomial with constant coefficients `data`."""
+    out = np.zeros((len(p) + len(data) - 1, p.shape[1]))
+    for j, d in enumerate(data):
+        if d != 0.0:
+            out[j : j + len(p)] += d * p
+    return _trim(out)
+
+
+def _deriv(p: np.ndarray) -> np.ndarray:
+    if len(p) == 1:
+        return np.zeros((1, 1))
+    return _trim(p[1:] * np.arange(1, len(p))[:, None])
+
+
+def _eval_at(p: np.ndarray, t: float) -> np.ndarray:
+    """The expression p(t), by running powers of t; a zero power adds nothing."""
+    out = np.zeros(p.shape[1])
+    tk = 1.0
+    for c in p:
+        if tk != 0.0:
+            out += tk * c
+        tk *= t
+    return out
+
+
+def _eval_grid(p: np.ndarray, ts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """_eval_at at every t in ts in one pass: (cols, block, const) with
+    _eval_at(p, ts[s]) = block[s] . x[cols] + const[s].  The powers are the
+    running products _eval_at takes and coefficient k is added after
+    coefficient k - 1, so every finite value is bit-equal to _eval_at's
+    (the zero terms it skips change no sum)."""
+    cols = np.flatnonzero(p[:, 1:].any(axis=0))
+    coef = p[:, np.concatenate([[0], 1 + cols])]
+    powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * (len(p) - 1)), axis=1)
+    acc = np.zeros((len(ts), len(cols) + 1))
+    for k in range(len(p)):
+        acc += powers[:, k, None] * coef[k]
+    return cols.tolist(), acc[:, 1:], acc[:, 0]
+
+
+def _shift_scale_arg(p: np.ndarray, a: float, h: float) -> np.ndarray:
+    """The polynomial q with q(s) = p(a + h*s): q_k is h^k sum_{j >= k}
+    C(j, k) a^(j - k) p_j, summed in j from zero (the zero weights of j < k
+    change no sum, and at a = 0 the sum is p_k alone), and zero where h^k is."""
+    n = len(p)
+    if a == 0.0:
+        out = 0.0 + p
+    else:
+        out = np.zeros(p.shape)
+        w = np.array([[math.comb(j, k) * a ** (j - k) if k <= j else 0.0 for k in range(n)] for j in range(n)])
+        for term in w[:, :, None] * p[:, None]:
+            out += term
+    hk = np.array([h**k for k in range(n)])[:, None]
+    return _trim(np.where(hk != 0.0, hk * out, 0.0))
+
+
+def _value(p: np.ndarray, x: np.ndarray) -> Poly:
+    """The polynomial p takes at the LP solution x: each coefficient its
+    constant plus its terms, so a -0.0 reads as 0.0."""
+    return Poly(tuple(c[0] + sum(a * x[v] for v, a in _terms(c).items()) for c in p))
 
 
 class _Program:
@@ -166,55 +288,50 @@ class _Program:
     def scalar(self, lo=None, hi=None, name="") -> int:
         return self.lp.new_var(lo, hi, name)
 
-    def poly_vec(self, n: int, degree: int, name: str) -> list[PolyExpr]:
+    def poly_vec(self, n: int, degree: int, name: str) -> list[np.ndarray]:
         out = []
         for i in range(n):
             ids = [self.lp.new_var(name=f"{name}{i}_c{k}") for k in range(degree + 1)]
-            out.append(PolyExpr.from_vars(ids))
+            p = np.zeros((degree + 1, ids[-1] + 2))
+            p[range(degree + 1), [v + 1 for v in ids]] = 1.0
+            out.append(p)
         return out
 
-    def add_point_ge(self, family: str, index: int, expr: LinExpr, margin: float) -> None:
+    def add_point_ge(self, family: str, index: int, expr: np.ndarray, margin: float) -> None:
         # expr >= margin
-        self.lp.add_ge(expr.coeffs, margin - expr.const)
+        self.lp.add_ge(_terms(expr), margin - expr[0])
         self.point_records.append({"family": family, "index": index, "expr": expr, "margin": margin})
 
-    def add_interval_ge(
-        self,
-        family: str,
-        index: int,
-        pexpr: Union[PolyExpr, LinExpr],
-        interval: tuple[float, float],
-        margin: float,
-    ) -> None:
-        """pexpr(t) >= margin on [a, b] at order D = degree + relax, imposed by
-        _cone_rows on q(s) = pexpr(a + h s), h = b - a, s in [0, 1].  A
-        degenerate interval a = b is one point row, pexpr(a), or pexpr itself
-        if it is a LinExpr already."""
+    def add_interval_ge(self, family: str, index: int, p: np.ndarray, interval: tuple[float, float],
+                        margin: float) -> None:
+        """p(t) >= margin on [a, b] at order D = degree + relax, imposed by
+        _cone_rows on q(s) = p(a + h s), h = b - a, s in [0, 1].  A
+        degenerate interval a = b is one point row, p(a), or p itself if it
+        is an expression already."""
         a, b = interval
         if not a < b:
-            self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
+            self.add_point_ge(family, index, p if p.ndim == 1 else _eval_at(p, a), margin)
             return
-        order = pexpr.degree + self.relax
-        self._cone_rows(f"{family}{index}", pexpr.shift_scale_arg(a, b - a), order, margin)
+        order = len(p) - 1 + self.relax
+        self._cone_rows(f"{family}{index}", _shift_scale_arg(p, a, b - a), order, margin)
         self.interval_records.append(
-            {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order, "margin": margin}
+            {"family": family, "index": index, "pexpr": p, "interval": (a, b), "order": order, "margin": margin}
         )
 
-    def _cone_rows(self, name: str, q: PolyExpr, order: int, margin: float) -> None:
+    def _cone_rows(self, name: str, q: np.ndarray, order: int, margin: float) -> None:
         """q - margin in the degree-`order` Bernstein cone on [0, 1], the span
         of s^i (1 - s)^j, i + j <= D: each coefficient b_i(q) = sum_{k <= i}
         C(i, k) / C(D, k) q_k is one row b_i(q) - s_i = margin with a slack
         column s_i >= 0.  The slack's bound holds the sign to the solver's
         absolute tolerance; a >= row is checked only after scaling to unit
         norm, which let a coefficient of a range analysis end at -2e-5."""
-        for i, weights in enumerate(_bernstein_weights(order)):
-            slack = self.lp.new_var(0.0, None, name=f"{name}_b{i}")
-            row = {slack: -1.0}
-            const = 0.0
-            for qk, w in zip(q.coeffs, weights):
-                for v, c in qk.coeffs.items():
-                    row[v] = row.get(v, 0.0) + w * c
-                const += w * qk.const
+        W = _bernstein_weights(order)
+        b = np.zeros((order + 1, q.shape[1]))
+        for k, qk in enumerate(q):
+            b[k:] += W[k:, k, None] * qk
+        for i, (const, *coeffs) in enumerate(b.tolist()):
+            row = {self.lp.new_var(0.0, None, name=f"{name}_b{i}"): -1.0}
+            row.update((v, c) for v, c in enumerate(coeffs) if c != 0.0)
             self.lp.add_eq(row, margin - const)
 
     def solve_min(self, gamma: int, extra_obj: Optional[dict[int, float]] = None):
@@ -239,46 +356,46 @@ class _Program:
         lp.objective = dict(self.lp.objective)
         for rec in self.point_records:
             expr, margin = rec["expr"], rec["margin"]
-            lp.add_ge(expr.coeffs, margin - expr.const)
+            lp.add_ge(_terms(expr), margin - expr[0])
         for rec in self.interval_records:
-            cols, block, const = rec["pexpr"].eval_grid(np.linspace(*rec["interval"], _REFEREE_SAMPLES))
+            cols, block, const = _eval_grid(rec["pexpr"], np.linspace(*rec["interval"], _REFEREE_SAMPLES))
             lp.add_ge_block(cols, block, rec["margin"] - const)
         return lp
 
 
-def _bilinear_entry(A_pm: PolyMatrix, X: list[PolyExpr], B_pm: PolyMatrix,
-                    U: list[list[PolyExpr]], i: int, j: int) -> PolyExpr:
-    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a PolyExpr (X diagonal)."""
-    expr = X[j].mul_poly(A_pm.entry(i, j).coeffs)
+def _bilinear_entry(A_pm: PolyMatrix, X: list[np.ndarray], B_pm: PolyMatrix,
+                    U: list[list[np.ndarray]], i: int, j: int) -> np.ndarray:
+    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a polynomial (X diagonal)."""
+    expr = _mul_poly(X[j], A_pm.entry(i, j).coeffs)
     for l in range(len(U)):
         b = B_pm.entry(i, l)
         if not b.is_zero:
-            expr = expr + U[l][j].mul_poly(b.coeffs)
+            expr = _add(expr, _mul_poly(U[l][j], b.coeffs))
     return expr
 
 
 def _const_entries(x_at: list, U: list, P: np.ndarray, Q: Optional[np.ndarray]) -> list[list]:
     """(P X + Q U)_{ij} for constant matrices P and Q, X read on one side
-    x_at: X(theta), X at a point, or M.  The entries are PolyExprs in theta or
-    LinExprs, as x_at and U hold; Q is not read when U = []."""
+    x_at: X(theta), X at a point, or M.  The entries are polynomials in theta
+    or expressions, as x_at and U hold; Q is not read when U = []."""
     def entry(i: int, j: int):
-        e = x_at[j].scaled(float(P[i, j]))
+        e = _scale(x_at[j], float(P[i, j]))
         for l, u in enumerate(U):
-            e = e + u[j].scaled(float(Q[i, l]))
+            e = _add(e, _scale(u[j], float(Q[i, l])))
         return e
 
     return [[entry(i, j) for j in range(len(x_at))] for i in range(P.shape[0])]
 
 
-def _theorem_row(prog: _Program, family: str, index: int, lead: Union[LinExpr, PolyExpr], entries: Sequence,
+def _theorem_row(prog: _Program, family: str, index: int, lead: np.ndarray, entries: Sequence,
                  where: tuple[float, float], margin: float) -> None:
     """lead - sum(entries) >= margin at every timer value in where = (lo, hi),
-    the one form of every theorem row.  The entries are PolyExprs in the
-    timer, or LinExprs when lo = hi (one point row); a LinExpr lead over
-    PolyExpr entries is the constant polynomial."""
-    expr = PolyExpr([lead]) if isinstance(lead, LinExpr) and where[0] < where[1] else lead
+    the one form of every theorem row.  The entries are polynomials in the
+    timer, or expressions when lo = hi (one point row); an expression lead
+    over polynomial entries is the constant polynomial."""
+    expr = lead[None] if lead.ndim == 1 and where[0] < where[1] else lead
     for e in entries:
-        expr = expr - e
+        expr = _add(expr, e, -1.0)
     prog.add_interval_ge(family, index, expr, where, margin)
 
 
@@ -291,8 +408,8 @@ class _Mode:
     never read.  tau_end = 0 (arbitrary dwell-time) turns every interval row
     into a point row at tau = 0; families carry `tag` as a suffix."""
 
-    def __init__(self, prog: _Program, mats: tuple, X: list[PolyExpr],
-                 U: list[list[PolyExpr]], tau_end: float, tag: str = ""):
+    def __init__(self, prog: _Program, mats: tuple, X: list[np.ndarray],
+                 U: list[list[np.ndarray]], tau_end: float, tag: str = ""):
         A, B, _, C, D, _ = self.mats = mats
         self.prog, self.X, self.U, self.tag = prog, X, U, tag
         self.iv = (0.0, tau_end)
@@ -308,27 +425,27 @@ class _Mode:
         X(T) and U(T)."""
         prog, tag = self.prog, self.tag
         A, B, E, C, D, F = self.mats
-        gam = LinExpr.variable(gamma)
+        gam = _var(gamma)
         for i, row in enumerate(self.flow):
-            lead = self.X[i].deriv() - PolyExpr.from_poly(_row_ones(E, i).coeffs)
+            lead = _add(_deriv(self.X[i]), _poly(_row_ones(E, i).coeffs), -1.0)
             _theorem_row(prog, f"flow{tag}", i, lead, row, self.iv, margin)
         for i, row in enumerate(self.out):
-            lead = PolyExpr([gam]) - PolyExpr.from_poly(_row_ones(F, i).coeffs)
+            lead = _add(gam[None], _poly(_row_ones(F, i).coeffs), -1.0)
             _theorem_row(prog, f"out_c{tag}", i, lead, row, self.iv, margin)
         if stat_at is None:
             return
         T = stat_at
-        X_T = [x.eval_at(T) for x in self.X]
-        U_T = [[u.eval_at(T) for u in row] for row in self.U]
+        X_T = [_eval_at(x, T) for x in self.X]
+        U_T = [[_eval_at(u, T) for u in row] for row in self.U]
         for family, P, Q, leads in (
-            ("stat_flow", A, B, [LinExpr.constant(-e) for e in E(T).sum(axis=1)]),
-            ("stat_out", C, D, [gam - f for f in F(T).sum(axis=1)]),
+            ("stat_flow", A, B, [_const(-e) for e in E(T).sum(axis=1)]),
+            ("stat_out", C, D, [_add(gam, _const(f), -1.0) for f in F(T).sum(axis=1)]),
         ):
             for i, row in enumerate(_const_entries(X_T, U_T, P(T), Q(T) if U_T else None)):
                 _theorem_row(prog, f"{family}{tag}", i, leads[i], row, (T, T), margin)
 
 
-def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[LinExpr], gamma: int,
+def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.ndarray], gamma: int,
                dwells: tuple[float, float], margin: float, jump_margin: float) -> None:
     """Per jump map k, with entries[k] = (J_k X + Bd_k U, Cd_k X + Dd_k U) read
     on one side (`_const_entries`): jump[k], X_i(0) - Ed_k,i 1 - (J_k X +
@@ -336,15 +453,15 @@ def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[LinE
     Dd_k U)_i 1 >= margin, at every dwell in dwells = (lo, hi); x0 = X(0)."""
     for k, (jm, (jump, out_d)) in enumerate(zip(jumps, entries)):
         for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
-            _theorem_row(prog, f"jump[{k}]", i, x0[i] - ed, row, dwells, jump_margin)
+            _theorem_row(prog, f"jump[{k}]", i, _add(x0[i], _const(ed), -1.0), row, dwells, jump_margin)
         for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
-            _theorem_row(prog, f"out_d[{k}]", i, LinExpr.variable(gamma) - fd, row, dwells, margin)
+            _theorem_row(prog, f"out_d[{k}]", i, _add(_var(gamma), _const(fd), -1.0), row, dwells, margin)
 
 
 def _gain_rows_constant_like(
-    prog: _Program, mats: tuple, jumps: Sequence, zeta: list[PolyExpr], gamma: int, tau_end: float,
+    prog: _Program, mats: tuple, jumps: Sequence, zeta: list[np.ndarray], gamma: int, tau_end: float,
     jump_dwells: tuple[float, float], margin: float, jump_margin: float, stationary_at: Optional[float] = None,
-    mu: Optional[list[PolyExpr]] = None, tag: str = "",
+    mu: Optional[list[np.ndarray]] = None, tag: str = "",
 ) -> None:
     """The rows of the constant/minimum/range conditions, mats = (A, Bc, Ec,
     Cc, Dc, Fc) with the jump maps `jumps`, and of one switched mode, mats =
@@ -361,20 +478,20 @@ def _gain_rows_constant_like(
     lo, hi = jump_dwells
     target = zeta if mu is None else mu
     if not lo < hi:
-        target = [t.eval_at(lo) for t in target]
-    zeta0 = [z.eval_at(0.0) for z in zeta]
+        target = [_eval_at(t, lo) for t in target]
+    zeta0 = [_eval_at(z, 0.0) for z in zeta]
     entries = [[_const_entries(target, [], P, None) for P in (jm.J, jm.Cd)] for jm in jumps]
     _jump_rows(prog, jumps, entries, zeta0, gamma, jump_dwells, margin, jump_margin)
 
     # mu domination rows: mu(theta) - zeta(theta) >= 0 on [lo, hi]
     if mu is not None:
         for i in range(len(zeta)):
-            prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], jump_dwells, 0.0)
+            prog.add_interval_ge("mu_dom", i, _add(mu[i], zeta[i], -1.0), jump_dwells, 0.0)
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i, z0 in enumerate(zeta0):
         prog.add_point_ge(f"pin_lo{tag}", i, z0, margin)
-        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - z0, 0.0)
+        prog.add_point_ge(f"pin_hi{tag}", i, _add(_const(_ZETA_PIN), z0, -1.0), 0.0)
 
 
 def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
@@ -599,10 +716,10 @@ def _analyze_hybrid(
         )
 
         def finalize(prog, sol, relax):
-            zp = [z.value(sol.x) for z in zeta]
+            zp = [_value(z, sol.x) for z in zeta]
             aux = {}
             if mu is not None:
-                aux["mu"] = [m.value(sol.x) for m in mu]
+                aux["mu"] = [_value(m, sol.x) for m in mu]
             return Certificate(
                 kind=_KIND[dwell.kind],
                 gamma=float(sol.x[gamma]),
@@ -684,7 +801,7 @@ def analyze_range(
     )
 
 
-def _coupling_rows(prog: _Program, zetas: Sequence[list[PolyExpr]], T: float) -> None:
+def _coupling_rows(prog: _Program, zetas: Sequence[list[np.ndarray]], T: float) -> None:
     """couple[j->i]: zeta_i(0) - zeta_j(T) >= 0 for every switch j -> i,
     i != j, a closed inequality; zetas[i] is mode i's vector (X under a
     design)."""
@@ -692,7 +809,7 @@ def _coupling_rows(prog: _Program, zetas: Sequence[list[PolyExpr]], T: float) ->
         for j, zj in enumerate(zetas):
             if i != j:
                 for r, (a, b) in enumerate(zip(zi, zj)):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, a.eval_at(0.0) - b.eval_at(T), 0.0)
+                    prog.add_point_ge(f"couple[{j}->{i}]", r, _add(_eval_at(a, 0.0), _eval_at(b, T), -1.0), 0.0)
 
 
 def analyze_switched_min(
@@ -729,7 +846,7 @@ def analyze_switched_min(
             return Certificate(
                 kind="SwitchedMinDT",
                 gamma=float(sol.x[gamma]),
-                zeta=[[z.value(sol.x) for z in zeta] for zeta in zetas],
+                zeta=[[_value(z, sol.x) for z in zeta] for zeta in zetas],
                 dwell=DwellTimeSpec.minimum(T),
                 margin=margin,
                 jump_margin=0.0,
@@ -832,7 +949,7 @@ def analyze_lti(
     if norm == "L1":
         A, E, C, F = A.T, C.T, E.T, F.T
     prog = _Program(0)
-    v = [PolyExpr.from_vars([prog.scalar(lo=1e-12, name=f"v{i}")]) for i in range(sys.n)]
+    v = [_var(prog.scalar(lo=1e-12, name=f"v{i}"))[None] for i in range(sys.n)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     _Mode(prog, (A, None, E, C, None, F), v, [], 0.0).theorem_rows(gamma, margin)
     sol = prog.solve_min(gamma)

@@ -8,9 +8,6 @@ module never runs ``scipy.optimize`` (nor ``scipy.linalg`` or
 ``scipy.sparse``, which that package loads).
 Rows are normalized to unit infinity-norm before solving because
 interval-certificate bases are badly scaled at high order.
-
-Also provides LinExpr/PolyExpr, affine expressions over LP variables that the
-analysis and synthesis encoders assemble their constraint polynomials from.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -67,8 +64,6 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "dump_lp",
-    "LinExpr",
-    "PolyExpr",
 ]
 
 _REL_LE = "<="
@@ -330,161 +325,3 @@ def dump_lp(lp: LinearProgram, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-class LinExpr:
-    """Affine expression c0 + sum coeff[v] * x[v] over LP variables."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: Optional[dict[int, float]] = None, const: float = 0.0):
-        self.coeffs = dict(coeffs) if coeffs else {}
-        self.const = float(const)
-
-    @staticmethod
-    def variable(v: int) -> "LinExpr":
-        return LinExpr({v: 1.0})
-
-    @staticmethod
-    def constant(c: float) -> "LinExpr":
-        return LinExpr(None, c)
-
-    def copy(self) -> "LinExpr":
-        return LinExpr(self.coeffs, self.const)
-
-    def scaled(self, s: float) -> "LinExpr":
-        if s == 0.0:
-            return LinExpr()
-        return LinExpr({v: s * c for v, c in self.coeffs.items()}, s * self.const)
-
-    def add_inplace(self, other: "LinExpr", scale: float = 1.0) -> None:
-        if scale == 0.0:
-            return
-        for v, c in other.coeffs.items():
-            self.coeffs[v] = self.coeffs.get(v, 0.0) + scale * c
-        self.const += scale * other.const
-
-    def __add__(self, other):
-        out = self.copy()
-        if isinstance(other, LinExpr):
-            out.add_inplace(other)
-        else:
-            out.const += float(other)
-        return out
-
-    def __sub__(self, other):
-        other = other if isinstance(other, LinExpr) else LinExpr.constant(float(other))
-        return self + other.scaled(-1.0)
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0.0 and not any(self.coeffs.values())
-
-    def value(self, x: np.ndarray) -> float:
-        return self.const + sum(c * x[v] for v, c in self.coeffs.items())
-
-
-class PolyExpr:
-    """Polynomial whose coefficients are LinExpr (affine in LP variables)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[LinExpr]):
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = cs if cs else [LinExpr()]
-
-    @staticmethod
-    def from_vars(var_ids: Sequence[int]) -> "PolyExpr":
-        return PolyExpr([LinExpr.variable(v) for v in var_ids])
-
-    @staticmethod
-    def from_poly(coeffs: Sequence[float]) -> "PolyExpr":
-        return PolyExpr([LinExpr.constant(c) for c in coeffs])
-
-    @staticmethod
-    def zero() -> "PolyExpr":
-        return PolyExpr([LinExpr()])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "PolyExpr") -> "PolyExpr":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [LinExpr() for _ in range(n)]
-        for k, c in enumerate(self.coeffs):
-            out[k].add_inplace(c)
-        for k, c in enumerate(other.coeffs):
-            out[k].add_inplace(c)
-        return PolyExpr(out)
-
-    def __sub__(self, other: "PolyExpr") -> "PolyExpr":
-        return self + other.scaled(-1.0)
-
-    def __neg__(self) -> "PolyExpr":
-        return self.scaled(-1.0)
-
-    def scaled(self, s: float) -> "PolyExpr":
-        return PolyExpr([c.scaled(s) for c in self.coeffs])
-
-    def mul_poly(self, data: Sequence[float]) -> "PolyExpr":
-        """Multiply by a constant-coefficient polynomial (convolution)."""
-        out = [LinExpr() for _ in range(len(self.coeffs) + len(data) - 1)]
-        for j, d in enumerate(data):
-            if d == 0.0:
-                continue
-            for k, c in enumerate(self.coeffs):
-                out[j + k].add_inplace(c, d)
-        return PolyExpr(out)
-
-    def deriv(self) -> "PolyExpr":
-        if len(self.coeffs) == 1:
-            return PolyExpr.zero()
-        return PolyExpr([c.scaled(float(k)) for k, c in enumerate(self.coeffs) if k > 0])
-
-    def eval_at(self, t: float) -> LinExpr:
-        out = LinExpr()
-        tk = 1.0
-        for c in self.coeffs:
-            out.add_inplace(c, tk)
-            tk *= t
-        return out
-
-    def eval_grid(self, ts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """eval_at at every t in ts in one pass: (cols, block, const) with
-        eval_at(ts[s]) = block[s] . x[cols] + const[s].  The powers are the
-        running products eval_at takes and coefficient k is added after
-        coefficient k - 1, so every finite value is bit-equal to eval_at's
-        (the zero terms it skips change no sum)."""
-        cols = sorted(set(chain.from_iterable(c.coeffs for c in self.coeffs)))
-        pos = {v: j for j, v in enumerate(cols)}
-        coef = np.zeros((len(self.coeffs), len(cols) + 1))  # last column: the constant
-        for k, c in enumerate(self.coeffs):
-            coef[k, [pos[v] for v in c.coeffs]] = list(c.coeffs.values())
-            coef[k, -1] = c.const
-        powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * self.degree), axis=1)
-        acc = np.zeros((len(ts), len(cols) + 1))
-        for k in range(len(self.coeffs)):
-            acc += powers[:, k, None] * coef[k]
-        return cols, acc[:, :-1], acc[:, -1]
-
-    def shift_scale_arg(self, a: float, h: float) -> "PolyExpr":
-        """PolyExpr q with q(s) = p(a + h*s)."""
-        n = len(self.coeffs)
-        out = []
-        for k in range(n):
-            acc = LinExpr()
-            for j in range(k, n):
-                acc.add_inplace(self.coeffs[j], math.comb(j, k) * a ** (j - k))
-            out.append(acc.scaled(h**k))
-        return PolyExpr(out)
-
-    def value(self, x: np.ndarray):
-        """Substitute a solution vector, yielding a concrete Poly."""
-        from .poly import Poly
-
-        return Poly(tuple(c.value(x) for c in self.coeffs))

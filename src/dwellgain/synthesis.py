@@ -28,11 +28,18 @@ from .analysis import (
     _jump_timers,
     _Mode,
     _Program,
+    _add,
+    _const,
+    _eval_at,
+    _poly,
+    _scale,
     _solve_with_escalation,
+    _terms,
     _timer_end,
+    _value,
+    _var,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
-from .lp import LinExpr, PolyExpr
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, mode_mats, polys_from_json,
                     polys_to_json, read_field, read_json, require_forward_time, require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
@@ -65,17 +72,15 @@ class _DesignProgram(_Program):
     of D + 1.  The designs, their `--dump-lp` texts and the closed-loop
     Monte-Carlo values recorded for them were all made with this encoding."""
 
-    def _cone_rows(self, name: str, q: PolyExpr, order: int, margin: float) -> None:
+    def _cone_rows(self, name: str, q: np.ndarray, order: int, margin: float) -> None:
         """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
         column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
         pairs, terms = product_basis(order)
         cone = [self.lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
+        qs = q.tolist()
         for k, basis_k in enumerate(terms):
-            row: dict[int, float] = {}
-            const = 0.0
-            if k <= q.degree:
-                row.update(q.coeffs[k].coeffs)
-                const = q.coeffs[k].const
+            const, *coeffs = qs[k] if k < len(qs) else [0.0]
+            row = {v: c for v, c in enumerate(coeffs) if c != 0.0}
             for p, c in basis_k:
                 row[cone[p]] = -c
             self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
@@ -225,8 +230,8 @@ class _DesignMode(_Mode):
 
     def positivity(self, alpha: int) -> None:
         """Metzler rows (A X + B U)_{ij} + alpha [i=j] >= 0, output rows (C X + D U)_{ij} >= 0."""
-        al = PolyExpr([LinExpr.variable(alpha)])
-        flow = [[e + al if i == j else e for j, e in enumerate(row)] for i, row in enumerate(self.flow)]
+        al = _var(alpha)[None]
+        flow = [[_add(e, al) if i == j else e for j, e in enumerate(row)] for i, row in enumerate(self.flow)]
         for family, entries in (("pos_flow", flow), ("pos_out_c", self.out)):
             for idx, expr in enumerate(chain.from_iterable(entries)):
                 self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
@@ -235,17 +240,17 @@ class _DesignMode(_Mode):
         """X >= _X_MIN, X(0) <= _X_CAP, and implementable gains |U_lj| <= _GAIN_CAP * X_j."""
         prog, tag = self.prog, self.tag
         for j, x in enumerate(self.X):
-            prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([_X_MIN]), self.iv, 0.0)
-            prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(_X_CAP) - x.eval_at(0.0), 0.0)
+            prog.add_interval_ge(f"x_pos{tag}", j, _add(x, _poly([_X_MIN]), -1.0), self.iv, 0.0)
+            prog.add_point_ge(f"x_cap{tag}", j, _add(_const(_X_CAP), _eval_at(x, 0.0), -1.0), 0.0)
         _gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, _GAIN_CAP, self.iv)
 
     def regularize(self, extra_obj: dict[int, float]) -> None:
         """Add _REG * the integral of X over (0, Tend) (_REG * X(0) when Tend = 0)."""
         Tend = self.iv[1]
         for x in self.X:
-            for k, le in enumerate(x.coeffs):
+            for k, le in enumerate(x):
                 w = _REG * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (_REG if k == 0 else 0.0)
-                for v, c in le.coeffs.items():
+                for v, c in _terms(le).items():
                     extra_obj[v] = extra_obj.get(v, 0.0) + c * w
 
 
@@ -254,7 +259,7 @@ def _gain_cap_rows(prog: _Program, family: str, idx: int, X: list, U: list, cap:
     for row in U:
         for x, u in zip(X, row):
             for sgn in (1.0, -1.0):
-                prog.add_interval_ge(family, idx, x.scaled(cap) + u.scaled(sgn), interval, 0.0)
+                prog.add_interval_ge(family, idx, _add(_scale(x, cap), u, sgn), interval, 0.0)
                 idx += 1
 
 
@@ -307,7 +312,7 @@ def synthesize(
         if theta_poly:
             Ud = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md)]
         else:
-            Ud = [[LinExpr.variable(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
+            Ud = [[_var(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
         M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
         mode = _DesignMode(prog, mode_mats(sys), X, Uc, Tend)
         mode.positivity(alpha)
@@ -322,9 +327,9 @@ def synthesize(
         if theta_poly:
             sides = [(X, (lo, hi))]
         elif fixed_kd:
-            sides = [([LinExpr.variable(v) for v in M], (lo, lo))]
+            sides = [([_var(v) for v in M], (lo, lo))]
         else:
-            sides = [([x.eval_at(t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
+            sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
         entries = [[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
         # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
         for k, family in enumerate(("pos_jump", "pos_out_d")):
@@ -336,9 +341,9 @@ def synthesize(
 
         mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
         x_at, dwells = sides[-1]
-        _jump_rows(prog, sys.jumps, entries[-1:], [x.eval_at(0.0) for x in X], gamma, dwells, margin, margin)
+        _jump_rows(prog, sys.jumps, entries[-1:], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, margin)
         for j, (m, x) in enumerate(zip(M, X)):
-            prog.add_interval_ge("x_below_M", j, PolyExpr([LinExpr.variable(m)]) - x, (dwell.Tmin, dwell.Tmax), 0.0)
+            prog.add_interval_ge("x_below_M", j, _add(_var(m)[None], x, -1.0), (dwell.Tmin, dwell.Tmax), 0.0)
 
         mode.denominator()
         # numbered on from the continuous gain_cap rows
@@ -347,18 +352,18 @@ def synthesize(
         def finalize(prog, sol, relax):
             Ud_out = None
             if Ud and theta_poly:
-                Ud_out = [[u.value(sol.x) for u in row] for row in Ud]
+                Ud_out = [[_value(u, sol.x) for u in row] for row in Ud]
             elif Ud:
-                # read from sol.x, as LinExpr.value would turn a -0.0 into 0.0
-                Ud_out = np.array([[sol.x[v] for u in row for v in u.coeffs] for row in Ud])
+                # read raw from sol.x, where _value would turn a -0.0 into 0.0
+                Ud_out = np.array([[sol.x[v] for u in row for v in _terms(u)] for row in Ud])
             ctrl = ControllerRealization(
                 kind=kind,
                 dwell=dwell,
                 gamma=float(sol.x[gamma]),
                 degree=x_degree,
                 margin=margin,
-                X=[x.value(sol.x) for x in X],
-                Uc=[[u.value(sol.x) for u in row] for row in Uc],
+                X=[_value(x, sol.x) for x in X],
+                Uc=[[_value(u, sol.x) for u in row] for row in Uc],
                 Ud=Ud_out,
                 M=np.array([sol.x[v] for v in M]) if fixed_kd else None,
             )
@@ -426,8 +431,8 @@ def synthesize_switched(
                 gamma=float(sol.x[gamma]),
                 degree=degree,
                 margin=margin,
-                X=[[x.value(sol.x) for x in X] for X in Xs],
-                Uc=[[[u.value(sol.x) for u in row] for row in U] for U in Us],
+                X=[[_value(x, sol.x) for x in X] for X in Xs],
+                Uc=[[[_value(u, sol.x) for u in row] for row in U] for U in Us],
                 Ud=None,
             )
             _check_denominator(ctrl)

@@ -2,7 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from dwellgain.errors import (
     NumericalFailure,
     RelaxationLimit,
 )
-from dwellgain.lp import LinearProgram, LinExpr, LpSolution, PolyExpr, lp_solve
+from dwellgain.lp import LinearProgram, LpSolution, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, require_forward_time
 from dwellgain.poly import Poly, certify_nonneg, falsify_nonneg
 from dwellgain.synthesis import ControllerRealization
@@ -889,6 +889,218 @@ def reference_cross_check(cert, sys, theta_points=101, grid=400):
     return report(m)
 
 
+# The reference expressions the row oracles below build with: lp.LinExpr and
+# lp.PolyExpr as they were before the analyses built their rows from
+# coefficient arrays.
+
+
+class LinExpr:
+    """Affine expression c0 + sum coeff[v] * x[v] over LP variables."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: Optional[dict[int, float]] = None, const: float = 0.0):
+        self.coeffs = dict(coeffs) if coeffs else {}
+        self.const = float(const)
+
+    @staticmethod
+    def variable(v: int) -> "LinExpr":
+        return LinExpr({v: 1.0})
+
+    @staticmethod
+    def constant(c: float) -> "LinExpr":
+        return LinExpr(None, c)
+
+    def copy(self) -> "LinExpr":
+        return LinExpr(self.coeffs, self.const)
+
+    def scaled(self, s: float) -> "LinExpr":
+        if s == 0.0:
+            return LinExpr()
+        return LinExpr({v: s * c for v, c in self.coeffs.items()}, s * self.const)
+
+    def add_inplace(self, other: "LinExpr", scale: float = 1.0) -> None:
+        if scale == 0.0:
+            return
+        for v, c in other.coeffs.items():
+            self.coeffs[v] = self.coeffs.get(v, 0.0) + scale * c
+        self.const += scale * other.const
+
+    def __add__(self, other):
+        out = self.copy()
+        if isinstance(other, LinExpr):
+            out.add_inplace(other)
+        else:
+            out.const += float(other)
+        return out
+
+    def __sub__(self, other):
+        other = other if isinstance(other, LinExpr) else LinExpr.constant(float(other))
+        return self + other.scaled(-1.0)
+
+    def __neg__(self):
+        return self.scaled(-1.0)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.const == 0.0 and not any(self.coeffs.values())
+
+    def value(self, x: np.ndarray) -> float:
+        return self.const + sum(c * x[v] for v, c in self.coeffs.items())
+
+
+class PolyExpr:
+    """Polynomial whose coefficients are LinExpr (affine in LP variables)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[LinExpr]):
+        cs = list(coeffs)
+        while len(cs) > 1 and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = cs if cs else [LinExpr()]
+
+    @staticmethod
+    def from_vars(var_ids: Sequence[int]) -> "PolyExpr":
+        return PolyExpr([LinExpr.variable(v) for v in var_ids])
+
+    @staticmethod
+    def from_poly(coeffs: Sequence[float]) -> "PolyExpr":
+        return PolyExpr([LinExpr.constant(c) for c in coeffs])
+
+    @staticmethod
+    def zero() -> "PolyExpr":
+        return PolyExpr([LinExpr()])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __add__(self, other: "PolyExpr") -> "PolyExpr":
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = [LinExpr() for _ in range(n)]
+        for k, c in enumerate(self.coeffs):
+            out[k].add_inplace(c)
+        for k, c in enumerate(other.coeffs):
+            out[k].add_inplace(c)
+        return PolyExpr(out)
+
+    def __sub__(self, other: "PolyExpr") -> "PolyExpr":
+        return self + other.scaled(-1.0)
+
+    def __neg__(self) -> "PolyExpr":
+        return self.scaled(-1.0)
+
+    def scaled(self, s: float) -> "PolyExpr":
+        return PolyExpr([c.scaled(s) for c in self.coeffs])
+
+    def mul_poly(self, data: Sequence[float]) -> "PolyExpr":
+        """Multiply by a constant-coefficient polynomial (convolution)."""
+        out = [LinExpr() for _ in range(len(self.coeffs) + len(data) - 1)]
+        for j, d in enumerate(data):
+            if d == 0.0:
+                continue
+            for k, c in enumerate(self.coeffs):
+                out[j + k].add_inplace(c, d)
+        return PolyExpr(out)
+
+    def deriv(self) -> "PolyExpr":
+        if len(self.coeffs) == 1:
+            return PolyExpr.zero()
+        return PolyExpr([c.scaled(float(k)) for k, c in enumerate(self.coeffs) if k > 0])
+
+    def eval_at(self, t: float) -> LinExpr:
+        out = LinExpr()
+        tk = 1.0
+        for c in self.coeffs:
+            out.add_inplace(c, tk)
+            tk *= t
+        return out
+
+    def eval_grid(self, ts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """eval_at at every t in ts in one pass: (cols, block, const) with
+        eval_at(ts[s]) = block[s] . x[cols] + const[s].  The powers are the
+        running products eval_at takes and coefficient k is added after
+        coefficient k - 1, so every finite value is bit-equal to eval_at's
+        (the zero terms it skips change no sum)."""
+        cols = sorted(set(chain.from_iterable(c.coeffs for c in self.coeffs)))
+        pos = {v: j for j, v in enumerate(cols)}
+        coef = np.zeros((len(self.coeffs), len(cols) + 1))  # last column: the constant
+        for k, c in enumerate(self.coeffs):
+            coef[k, [pos[v] for v in c.coeffs]] = list(c.coeffs.values())
+            coef[k, -1] = c.const
+        powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * self.degree), axis=1)
+        acc = np.zeros((len(ts), len(cols) + 1))
+        for k in range(len(self.coeffs)):
+            acc += powers[:, k, None] * coef[k]
+        return cols, acc[:, :-1], acc[:, -1]
+
+    def shift_scale_arg(self, a: float, h: float) -> "PolyExpr":
+        """PolyExpr q with q(s) = p(a + h*s)."""
+        n = len(self.coeffs)
+        out = []
+        for k in range(n):
+            acc = LinExpr()
+            for j in range(k, n):
+                acc.add_inplace(self.coeffs[j], math.comb(j, k) * a ** (j - k))
+            out.append(acc.scaled(h**k))
+        return PolyExpr(out)
+
+    def value(self, x: np.ndarray):
+        """Substitute a solution vector, yielding a concrete Poly."""
+        return Poly(tuple(c.value(x) for c in self.coeffs))
+
+
+def row_terms(e: np.ndarray) -> tuple[dict[int, float], float]:
+    """A row array of analysis (an expression: entry 0 the constant, entry
+    1 + v the coefficient of column v) as (its nonzero coefficients, its
+    constant)."""
+    cols = np.flatnonzero(e[1:])
+    return {int(v): float(e[1 + v]) for v in cols}, float(e[0])
+
+
+def ref_expr(a: np.ndarray):
+    """An analysis row array as the reference expression: a LinExpr (1-D) or
+    a PolyExpr with one LinExpr per power (2-D)."""
+    if a.ndim == 1:
+        return LinExpr(*row_terms(a))
+    return PolyExpr([LinExpr(*row_terms(c)) for c in a])
+
+
+def array_of(e) -> np.ndarray:
+    """A reference LinExpr or PolyExpr as an analysis row array."""
+    if isinstance(e, LinExpr):
+        out = np.zeros(2 + max(e.coeffs, default=-1))
+        out[0] = e.const
+        for v, c in e.coeffs.items():
+            out[1 + v] = c
+        return out
+    rows = [array_of(c) for c in e.coeffs]
+    width = max(len(r) for r in rows)
+    return np.array([np.pad(r, (0, width - len(r))) for r in rows])
+
+
+class ReferenceRows:
+    """A program seen through the reference expressions: poly_vec hands out
+    PolyExprs and add_point_ge and add_interval_ge take LinExpr and PolyExpr
+    rows, which reach the program as arrays; all else is the program's."""
+
+    def __init__(self, prog):
+        self.prog = prog
+
+    def __getattr__(self, name):
+        return getattr(self.prog, name)
+
+    def poly_vec(self, n, degree, name):
+        return [ref_expr(p) for p in self.prog.poly_vec(n, degree, name)]
+
+    def add_point_ge(self, family, index, expr, margin):
+        self.prog.add_point_ge(family, index, array_of(expr), margin)
+
+    def add_interval_ge(self, family, index, pexpr, interval, margin):
+        self.prog.add_interval_ge(family, index, array_of(pexpr), interval, margin)
+
+
 def _matvec_row(pm, i, zeta):
     """(M(tau) zeta(tau))_i as a PolyExpr: the flow-row product the analyses
     used before their theorem rows went through analysis._Mode."""
@@ -974,7 +1186,8 @@ class ReferenceMode:
             prog.add_interval_ge(f"x_pos{tag}", j, x - PolyExpr.from_poly([x_min]), self.iv, 0.0)
             prog.add_point_ge(f"x_cap{tag}", j, LinExpr.constant(synthesis_mod._X_CAP) - x.eval_at(0.0), 0.0)
         if gain_cap is not None:
-            synthesis_mod._gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, gain_cap, self.iv)
+            synthesis_mod._gain_cap_rows(prog.prog, f"gain_cap{tag}", 0, [array_of(x) for x in self.X],
+                                         [[array_of(u) for u in row] for row in self.U], gain_cap, self.iv)
 
     def regularize(self, extra_obj, reg):
         Tend = self.iv[1]
@@ -996,7 +1209,7 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
     Fc1 = sys.Fc.const().sum(axis=1)
     n, qc = sys.n, sys.qc
 
-    prog = _Program(relax=0)
+    prog = ReferenceRows(_Program(relax=0))
     lam = [prog.scalar(name=f"lam{i}") for i in range(n)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     lam_e = [LinExpr.variable(v) for v in lam]
@@ -1044,7 +1257,7 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
     n, q = sw.n, sw.q
 
     def build(relax: int):
-        prog = _Program(relax)
+        prog = ReferenceRows(_Program(relax))
         zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
         gamma = prog.scalar(lo=0.0, name="gamma")
         gam = PolyExpr([LinExpr.variable(gamma)])
@@ -1112,7 +1325,7 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     n, m, q = sw.n, sw.m, sw.q
 
     def build(relax: int):
-        prog = synthesis_mod._DesignProgram(relax)
+        prog = ReferenceRows(synthesis_mod._DesignProgram(relax))
         Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
         Us = [
             [
@@ -1310,9 +1523,10 @@ def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, j
     analysis._Mode.  mats = (A, B, E, C, D, F); B and D are not read."""
     A, _, E, C, _, F = mats
     lo, hi = jump_dwells
-    _reference_gain_rows(prog, (A, E, C, F, jumps), zeta, gamma, (0.0, tau_end), None if lo < hi else lo, margin,
-                         jump_margin, stationary_at=stationary_at, theta_interval=(lo, hi) if lo < hi else None,
-                         mu=mu, tag=tag)
+    _reference_gain_rows(ReferenceRows(prog), (A, E, C, F, jumps), [ref_expr(z) for z in zeta], gamma,
+                         (0.0, tau_end), None if lo < hi else lo, margin, jump_margin, stationary_at=stationary_at,
+                         theta_interval=(lo, hi) if lo < hi else None,
+                         mu=None if mu is None else [ref_expr(m) for m in mu], tag=tag)
 
 
 def reference_synthesize(
@@ -1366,7 +1580,7 @@ def reference_synthesize(
         jump_eval = None if genuine_range else dwell.Tmin
 
     def build(relax: int):
-        prog = synthesis_mod._DesignProgram(relax)
+        prog = ReferenceRows(synthesis_mod._DesignProgram(relax))
         X = prog.poly_vec(n, x_degree, "X")
         Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
         gamma = prog.scalar(lo=0.0, name="gamma")
@@ -1509,12 +1723,13 @@ def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
     Bernstein-coefficient rows of _Program.add_interval_ge are checked
     against (analyses used this encoding before)."""
     a, b = interval
+    p = ref_expr(pexpr)
     if not a < b:
-        self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
+        self.add_point_ge(family, index, array_of(p if isinstance(p, LinExpr) else p.eval_at(a)), margin)
         return
     h = b - a
-    order = pexpr.degree + self.relax
-    q = pexpr.shift_scale_arg(a, h)
+    order = p.degree + self.relax
+    q = p.shift_scale_arg(a, h)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
     basis = {
         ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
@@ -1547,12 +1762,12 @@ def per_sample_referee(prog):
     lp.bounds = dict(prog.lp.bounds)
     lp.objective = dict(prog.lp.objective)
     for rec in prog.point_records:
-        expr, margin = rec["expr"], rec["margin"]
+        expr, margin = ref_expr(rec["expr"]), rec["margin"]
         lp.add_ge(expr.coeffs, margin - expr.const)
     for rec in prog.interval_records:
         a, b = rec["interval"]
         for t in np.linspace(a, b, _REFEREE_SAMPLES):
-            e = rec["pexpr"].eval_at(float(t))
+            e = ref_expr(rec["pexpr"]).eval_at(float(t))
             lp.add_ge(e.coeffs, rec["margin"] - e.const)
     return lp
 

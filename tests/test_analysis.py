@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from conftest import (
     CERTIFY_GRID_DESIGNS,
     CERTIFY_GRID_T,
+    LinExpr,
+    PolyExpr,
+    ReferenceRows,
+    array_of,
     full_schedule_escalation,
     per_row_cone_add_interval_ge,
     per_sample_referee,
@@ -24,6 +28,8 @@ from conftest import (
     reference_gain_rows_constant_like,
     reference_switched_min,
     reference_synthesize,
+    ref_expr,
+    row_terms,
 )
 from dwellgain import analysis as analysis_mod
 from dwellgain import benchmarks
@@ -52,7 +58,7 @@ from dwellgain.errors import (
     RelaxationLimit,
 )
 from dwellgain.cert import cross_check_discrete, verify
-from dwellgain.lp import LinExpr, PolyExpr, _assemble, dump_lp
+from dwellgain.lp import LinearProgram, _assemble, dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, adjoint, lift_switched
 from dwellgain.sim import SequenceGen, estimate_gain
 from dwellgain.synthesis import synthesize, synthesize_switched
@@ -553,7 +559,7 @@ class TestEscalation:
             _assert_same_program(prog.sampled_referee(), per_sample_referee(prog))
 
     def test_referee_matches_on_degenerate_interval(self):
-        prog = _Program(4)
+        prog = ReferenceRows(_Program(4))
         zeta = prog.poly_vec(2, 3, "z")
         expr = zeta[0].scaled(-1.5) + zeta[1].deriv() - PolyExpr.from_poly([0.25, 0.0, 2.0])
         prog.add_interval_ge("flow", 0, expr, (0.0, 0.7), 1e-6)
@@ -577,7 +583,7 @@ class TestEscalation:
         a = data.draw(st.sampled_from([0.0, -0.25, 0.3, 2.0]))
         b = a + data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
         ts = np.linspace(a, b, 51)
-        cols, block, const = pexpr.eval_grid(ts)
+        cols, block, const = analysis_mod._eval_grid(array_of(pexpr), ts)
         for s, t in enumerate(ts):
             want = pexpr.eval_at(float(t))
             got = dict(zip(cols, block[s].tolist()))
@@ -1007,11 +1013,12 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
     weight of q_k in b_i is C(D - k, i - k) / C(D, i), an exact fraction
     rounded once."""
     a, b = interval
+    p = ref_expr(pexpr)
     if not a < b:
-        self.add_point_ge(family, index, pexpr if isinstance(pexpr, LinExpr) else pexpr.eval_at(a), margin)
+        self.add_point_ge(family, index, array_of(p if isinstance(p, LinExpr) else p.eval_at(a)), margin)
         return
-    order = pexpr.degree + self.relax
-    q = pexpr.shift_scale_arg(a, b - a)
+    order = p.degree + self.relax
+    q = p.shift_scale_arg(a, b - a)
     for i in range(order + 1):
         slack = self.lp.new_var(0.0, None, name=f"{family}{index}_b{i}")
         row = {slack: -1.0}
@@ -1062,7 +1069,10 @@ class TestLpBuildOracle:
         want, out_r = self._solved(monkeypatch, tmp_path, run, reference=True)
         assert got and len(got) == len(want)
         for (rows, asm, text), (rows_r, asm_r, text_r) in zip(got, want):
-            assert rows == rows_r
+            # as dicts: the reference lists a row's columns in the order its
+            # terms arise, the arrays in column order; _assemble and dump_lp
+            # sort them
+            assert [(dict(c), rel, rhs) for c, rel, rhs in rows] == [(dict(c), rel, rhs) for c, rel, rhs in rows_r]
             assert_same_assembly(asm, asm_r)
             assert text == text_r
         return out, out_r
@@ -1106,7 +1116,7 @@ class TestLpBuildOracle:
 
     def test_degenerate_interval(self, monkeypatch, tmp_path):
         def run():
-            prog = _Program(4)
+            prog = ReferenceRows(_Program(4))
             gamma = prog.scalar(lo=0.0, name="gamma")
             z = prog.poly_vec(1, 2, "z")[0]
             prog.add_interval_ge("flat", 0, z - PolyExpr.from_poly([0.5]), (0.7, 0.7), 0.0)
@@ -1328,6 +1338,161 @@ class TestJumpRowFoldOracle:
         assert certified >= 20
 
 
+# coefficients the row algebra must treat exactly: zeros of both signs, units,
+# finite floats, and sevenths, whose sums round differently in another order
+_COEF = (st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+         | st.integers(-10**4, 10**4).map(lambda k: k / 7.0))
+
+
+def _draw_linexpr(data) -> LinExpr:
+    """A reference expression over columns 0-2, zero coefficients kept."""
+    return LinExpr({v: data.draw(_COEF) for v in data.draw(st.sets(st.integers(0, 2)))}, data.draw(_COEF))
+
+
+def _draw_polyexpr(data) -> PolyExpr:
+    """A reference polynomial of degree 0 to 4, drawn with up to two trailing
+    zero coefficients for the trim to drop."""
+    zero = st.sampled_from([0.0, -0.0])
+    coeffs = [_draw_linexpr(data) for _ in range(data.draw(st.integers(1, 5)))]
+    coeffs += [LinExpr({v: data.draw(zero) for v in data.draw(st.sets(st.integers(0, 2)))}, data.draw(zero))
+               for _ in range(data.draw(st.integers(0, 2)))]
+    return PolyExpr(coeffs)
+
+
+def _key(e):
+    """(nonzero coefficients, constant, sign of the constant) of a reference
+    LinExpr or of a 1-D row array."""
+    terms, const = (({v: c for v, c in e.coeffs.items() if c != 0.0}, e.const) if isinstance(e, LinExpr)
+                    else row_terms(e))
+    return terms, const, math.copysign(1.0, const)
+
+
+def _assert_same(got: np.ndarray, want) -> None:
+    """A row array equals a reference LinExpr or PolyExpr: the same kind, the
+    same degree, and per coefficient the same nonzeros and constant, bit for bit."""
+    if isinstance(want, LinExpr):
+        assert got.ndim == 1 and _key(got) == _key(want)
+    else:
+        assert got.ndim == 2 and [_key(c) for c in got] == [_key(c) for c in want.coeffs]
+
+
+def reference_bernstein_rows(lp, name, q, order, margin):
+    """The Bernstein-coefficient rows of _Program._cone_rows on a reference
+    PolyExpr q, one row at a time with its weights in a tuple."""
+    for i in range(order + 1):
+        weights = tuple(math.comb(i, k) / math.comb(order, k) for k in range(i + 1))
+        slack = lp.new_var(0.0, None, name=f"{name}_b{i}")
+        row = {slack: -1.0}
+        const = 0.0
+        for qk, w in zip(q.coeffs, weights):
+            for v, c in qk.coeffs.items():
+                row[v] = row.get(v, 0.0) + w * c
+            const += w * qk.const
+        lp.add_eq(row, margin - const)
+
+
+class TestRowAlgebra:
+    """The row arrays of analysis and their functions equal, bit for bit, the
+    reference LinExpr and PolyExpr of conftest on random affine expressions,
+    polynomials and data polynomials, exact zeros, -0.0 and trailing zero
+    coefficients included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_expressions(self, data):
+        a, b = _draw_linexpr(data), _draw_linexpr(data)
+        s = data.draw(_COEF)
+        _assert_same(analysis_mod._add(array_of(a), array_of(b)), a + b)
+        _assert_same(analysis_mod._add(array_of(a), array_of(b), -1.0), a - b)
+        _assert_same(analysis_mod._scale(array_of(a), s), a.scaled(s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_polynomials(self, data):
+        p = _draw_polyexpr(data)
+        # q = -p and q = p cancel down to the zero polynomial
+        q = data.draw(st.sampled_from([None, "neg", "same"]))
+        q = _draw_polyexpr(data) if q is None else p.scaled(-1.0) if q == "neg" else p
+        P, Q = array_of(p), array_of(q)
+        assert len(P) == len(p.coeffs)
+        s, t = data.draw(_COEF), data.draw(st.sampled_from([0.0, -0.0, 0.7, -1.3]) | st.floats(-3.0, 3.0))
+        poly = data.draw(st.lists(_COEF, min_size=1, max_size=5)) + [0.0] * data.draw(st.integers(0, 2))
+        a = data.draw(st.sampled_from([0.0, -0.0, 0.3, -0.25, 2.0]))
+        h = data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
+        _assert_same(analysis_mod._add(P, Q), p + q)
+        _assert_same(analysis_mod._add(P, Q, -1.0), p - q)
+        _assert_same(analysis_mod._scale(P, s), p.scaled(s))
+        _assert_same(analysis_mod._mul_poly(P, poly), p.mul_poly(poly))
+        _assert_same(analysis_mod._poly(poly), PolyExpr.from_poly(poly))
+        _assert_same(analysis_mod._deriv(P), p.deriv())
+        _assert_same(analysis_mod._eval_at(P, t), p.eval_at(t))
+        _assert_same(analysis_mod._shift_scale_arg(P, a, h), p.shift_scale_arg(a, h))
+        ts = np.linspace(a, a + h, 51)
+        cols, block, const = analysis_mod._eval_grid(P, ts)
+        cols_r, block_r, const_r = p.eval_grid(ts)
+        for s in range(len(ts)):
+            got = {v: c for v, c in zip(cols, block[s].tolist()) if c != 0.0}
+            assert got == {v: c for v, c in zip(cols_r, block_r[s].tolist()) if c != 0.0}
+        assert [_key(np.array([c])) for c in const] == [_key(np.array([c])) for c in const_r]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bernstein_rows(self, data):
+        q = _draw_polyexpr(data)
+        order = q.degree + data.draw(st.integers(0, 4))
+        margin = data.draw(st.sampled_from([0.0, -0.0, 1e-6, 1e-2]))
+        prog, lp = _Program(0), LinearProgram()
+        prog.lp.num_vars = lp.num_vars = 3
+        prog._cone_rows("q", array_of(q), order, margin)
+        reference_bernstein_rows(lp, "q", q, order, margin)
+        assert [(c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in prog.lp.rows] == [
+            (c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in lp.rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_value(self, data):
+        """A polynomial of columns reads back from a solution as the
+        reference's, a -0.0 as 0.0."""
+        x = np.array([data.draw(_COEF) for _ in range(6)])
+        p = PolyExpr.from_vars(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True)))
+        got, want = analysis_mod._value(array_of(p), x).coeffs, p.value(x).coeffs
+        assert [(c, math.copysign(1.0, c)) for c in got] == [(c, math.copysign(1.0, c)) for c in want]
+
+
+class TestNegativeZeroReadBack:
+    """zeta, X and U_c read back from the LP solution as polynomials, where a
+    -0.0 reads as 0.0; a constant U_d is read raw, -0.0 kept.  A solution with
+    -0.0 in those columns writes these values to the JSON of a certificate
+    and of a controller."""
+
+    @staticmethod
+    def _negative_zeros(monkeypatch, names):
+        """Every LP solution from here on holds -0.0 in the columns named."""
+        real = analysis_mod.lp_solve
+
+        def solve(lp):
+            sol = real(lp)
+            x = sol.x.copy()
+            x[[v for v, name in lp.names.items() if name in names]] = -0.0
+            return lp_mod.LpSolution(sol.status, x, sol.objective_value)
+
+        monkeypatch.setattr(analysis_mod, "lp_solve", solve)
+
+    def test_certificate(self, monkeypatch, bench_timer_growth):
+        self._negative_zeros(monkeypatch, {"zeta0_c1", "zeta1_c1"})
+        data = analyze_constant(bench_timer_growth, 0.3, 2).to_json()
+        assert [math.copysign(1.0, z[1]) for z in data["zeta"]] == [1.0, 1.0]
+        assert [z[1] for z in data["zeta"]] == [0.0, 0.0]
+        assert "-0.0" not in json.dumps(data)
+
+    def test_controller(self, monkeypatch, bench_chain_plant):
+        self._negative_zeros(monkeypatch, {"X0_c1", "U00_c1", "Ud00"})
+        data = synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2).to_json()
+        assert (data["X"][0][1], math.copysign(1.0, data["X"][0][1])) == (0.0, 1.0)
+        assert (data["Uc"][0][0][1], math.copysign(1.0, data["Uc"][0][0][1])) == (0.0, 1.0)
+        assert json.dumps(data["Ud"]).startswith("[[-0.0, ")
+        assert "-0.0" not in json.dumps({k: v for k, v in data.items() if k != "Ud"})
+
 # the rows that encode the theorem's conditions, in both LP builders
 THEOREM_FAMILIES = ("flow", "out_c", "stat_flow", "stat_out", "jump[0]", "out_d[0]")
 
@@ -1349,11 +1514,15 @@ class TestAnalysisIsDesign:
         def spy(prog, *args):
             if not seen:
                 name = lambda v: re.sub(r"^X", "zeta", prog.lp.names[v])
-                lin = lambda e: ({name(v): c for v, c in e.coeffs.items()}, e.const)
+
+                def lin(e):
+                    terms, const = row_terms(e)
+                    return {name(v): c for v, c in terms.items()}, const
+
                 seen.append(
                     [(r["family"], r["index"], lin(r["expr"]), r["margin"])
                      for r in prog.point_records if r["family"] in THEOREM_FAMILIES]
-                    + [(r["family"], r["index"], [lin(c) for c in r["pexpr"].coeffs], r["interval"], r["order"],
+                    + [(r["family"], r["index"], [lin(c) for c in r["pexpr"]], r["interval"], r["order"],
                         r["margin"]) for r in prog.interval_records if r["family"] in THEOREM_FAMILIES]
                 )
             return real(prog, *args)

@@ -24,6 +24,7 @@ from dwellgain import analysis as analysis_mod
 from dwellgain import lp as lp_mod
 from dwellgain.analysis import (
     RELAX_SCHEDULE,
+    _Program,
     analyze_constant,
     analyze_minimum,
     analyze_range,
@@ -32,8 +33,6 @@ from dwellgain.analysis import (
 from dwellgain.errors import DwellgainError, Infeasible, NumericalFailure, RelaxationLimit
 from dwellgain.lp import (
     LinearProgram,
-    LinExpr,
-    PolyExpr,
     _assemble,
     dump_lp,
     lp_solve,
@@ -580,26 +579,59 @@ class TestHighsBinding:
         assert out.split("\n")[:3] == ["True", "1.0", "Optimal 1.0"]
 
 
+def _poly_of_vars(vs):
+    """The polynomial row array sum_t x[vs[t]] tau^t."""
+    p = np.zeros((len(vs), max(vs) + 2))
+    p[range(len(vs)), [1 + v for v in vs]] = 1.0
+    return p
+
+
 class TestAffineExpressions:
-    def test_linexpr_value(self):
-        e = LinExpr({0: 2.0, 3: -1.0}, 0.5)
-        x = np.array([1.0, 0.0, 0.0, 4.0])
-        assert e.value(x) == pytest.approx(2.0 - 4.0 + 0.5)
+    """Polynomial rows in the LP columns, read back at a solution."""
 
     def test_polyexpr_mul_eval(self):
         # vars as coefficients: p(t) = x0 + x1 t; data poly d(t) = 1 + 2t
-        p = PolyExpr.from_vars([0, 1])
-        q = p.mul_poly([1.0, 2.0])
+        q = analysis_mod._mul_poly(_poly_of_vars([0, 1]), [1.0, 2.0])
         x = np.array([3.0, -1.0])
-        concrete = q.value(x)
+        concrete = analysis_mod._value(q, x)
         for t in (0.0, 0.7, 2.0):
             assert concrete.eval(t) == pytest.approx((3.0 - t) * (1.0 + 2.0 * t))
+            assert analysis_mod._value(analysis_mod._eval_at(q, t)[None], x).coeffs[0] == pytest.approx(
+                concrete.eval(t))
 
     def test_polyexpr_deriv_and_shift(self):
-        p = PolyExpr.from_vars([0, 1, 2])
+        p = _poly_of_vars([0, 1, 2])
         x = np.array([1.0, -2.0, 0.5])
-        assert p.deriv().value(x).coeffs == pytest.approx((-2.0, 1.0))
-        shifted = p.shift_scale_arg(0.5, 2.0).value(x)
-        base = p.value(x)
+        assert analysis_mod._value(analysis_mod._deriv(p), x).coeffs == pytest.approx((-2.0, 1.0))
+        shifted = analysis_mod._value(analysis_mod._shift_scale_arg(p, 0.5, 2.0), x)
+        base = analysis_mod._value(p, x)
         for s in (0.0, 0.3, 1.0):
             assert shifted.eval(s) == pytest.approx(base.eval(0.5 + 2.0 * s))
+
+
+class TestRowsContract:
+    """The LinearProgram fields that the benchmark's LP census reads
+    (perfbench/layertrace.py, _lp_note) on an analysis LP and a design LP:
+    rows as (dict[int, float], "<=" | "=", float) triples, whose stored
+    entries are the nonzeros _assemble hands to HiGHS."""
+
+    @pytest.mark.parametrize("run", ["analysis", "design"])
+    def test_rows(self, monkeypatch, bench_timer_growth, bench_chain_plant, run):
+        progs = []
+        solve_min = _Program.solve_min
+
+        def keep(prog, *args):
+            progs.append(prog)
+            return solve_min(prog, *args)
+
+        monkeypatch.setattr(_Program, "solve_min", keep)
+        if run == "analysis":
+            analyze_constant(bench_timer_growth, 0.3, 2)
+        else:
+            synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
+        lp = progs[0].lp
+        assert {rel for _, rel, _ in lp.rows} == {"<=", "="}
+        for coeffs, rel, rhs in lp.rows:
+            assert type(coeffs) is dict and type(rhs) is float
+            assert all(type(v) is int and type(c) is float for v, c in coeffs.items())
+        assert sum(len(coeffs) for coeffs, _, _ in lp.rows) == len(_assemble(lp).value)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize_switched
+from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize_switched, row_terms
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.analysis import _Program
 from dwellgain.benchmarks import two_mode_switched_bench
@@ -327,9 +327,6 @@ class TestSwitchedModeOracle:
         seen = []
         real = _Program.solve_min
 
-        def lin(e):
-            return dict(e.coeffs), e.const
-
         def family(name):
             name = re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
             return re.sub(r"^perf_(flow|out_c)\[", r"\1[", name)
@@ -338,9 +335,9 @@ class TestSwitchedModeOracle:
             try:
                 return real(prog, *args)
             finally:
-                points = [(family(r["family"]), r["index"], lin(r["expr"]), r["margin"])
+                points = [(family(r["family"]), r["index"], row_terms(r["expr"]), r["margin"])
                           for r in prog.point_records]
-                intervals = [(family(r["family"]), r["index"], [lin(c) for c in r["pexpr"].coeffs],
+                intervals = [(family(r["family"]), r["index"], [row_terms(c) for c in r["pexpr"]],
                               r["interval"], r["order"], r["margin"])
                              for r in prog.interval_records]
                 seen.append((_assemble(prog.lp), points, intervals))
