@@ -614,11 +614,12 @@ def _unstable_orbit(
     Reported are a lower bound (`_radius_bound`) on the spectral abscissa of
     A(T) above _ORBIT_TOL times the size of A(T), or one on
     rho(J_k Phi(theta)) above 1 + _ORBIT_TOL at a mesh point theta in
-    [lo, hi].  Phi comes from `cert.flow_grid` at a step of at most
-    _ORBIT_STEP and _ORBIT_HL over a bound on |A(tau)|; the largest rho is
-    recomputed on the half-step mesh and must still exceed 1 + _ORBIT_TOL by
-    more than the two values differ, so the RK4 error cannot make it fire.
-    A mesh longer than _ORBIT_MAX_STEPS skips the test."""
+    [lo, hi].  Phi comes from `sim._flow_tables` without inputs, the flow
+    alone, at a step of at most _ORBIT_STEP and _ORBIT_HL over a bound on
+    |A(tau)|; the largest rho is recomputed on the half-step mesh and must
+    still exceed 1 + _ORBIT_TOL by more than the two values differ, so the
+    RK4 error cannot make it fire.  A mesh longer than _ORBIT_MAX_STEPS
+    skips the test."""
     if dwell.kind == "arbitrary" or not (margin > 0.0 and jump_margin >= 0.0):
         return None
     lo, hi = _jump_timers(dwell)
@@ -629,7 +630,7 @@ def _unstable_orbit(
         alpha = float(_radius_bound(A_T + shift * np.eye(sys.n))) - shift
         if alpha > _ORBIT_TOL * (1.0 + np.abs(A_T).max()):
             return f"A(T) is not Hurwitz at T = {dwell.T:.6g}: spectral abscissa >= {alpha:.4g}"
-    from .cert import flow_grid
+    from .sim import _flow_tables
 
     # |A(tau)| <= the largest row sum of |coefficient| * hi^degree on [0, hi]
     A = sys.A.coeffs
@@ -639,7 +640,7 @@ def _unstable_orbit(
         return None
 
     def flow(steps: int) -> np.ndarray:
-        return flow_grid(sys, np.linspace(0.0, hi, steps + 1))[0]
+        return _flow_tables(sys, None, None, None, np.linspace(0.0, hi, steps + 1))[0]
 
     taus = np.linspace(0.0, hi, m + 1)
     at = np.flatnonzero(taus >= lo)

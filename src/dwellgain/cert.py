@@ -22,7 +22,7 @@ from .errors import Mismatch, NotPositive, Unsupported
 from .model import (ImpulsiveSystem, SwitchedSystem, mode_mats, require_forward_time, require_positive,
                     require_positive_design)
 from .poly import Poly, _Exact, decide_nonneg
-from .sim import _block_prefix, _fields, _jump_maps, _mv, _rk4_stage, _scan
+from .sim import _fields, _flow_tables, _jump_maps, _mv
 from .synthesis import ClosedLoopView
 
 __all__ = [
@@ -75,24 +75,16 @@ def flow_grid(sys, taus: np.ndarray, clamp: Optional[float] = None, mode: Option
     (q, len) the output terms on the grid points.
 
     `sys` is a plant (a SwitchedSystem with its `mode`) or a
-    synthesis.ClosedLoopView, unpacked as `verify` does.  The data come from
-    one `sim._fields` call with unit inputs on the points, then the cell
-    midpoints; dPhi/dtau = A Phi and dr/dtau = A r + E * 1 are integrated by
-    the simulator's RK4 maps and prefix scan, as a simulation integrates them."""
+    synthesis.ClosedLoopView, unpacked as `verify` does.  The tables are the
+    simulator's `_flow_tables` with unit inputs, so dPhi/dtau = A Phi and
+    dr/dtau = A r + E * 1 are integrated by the RK4 maps and prefix scan that
+    a simulation integrates them with."""
     plant, ctrl = _unpack(sys)
     taus = np.asarray(taus, dtype=float)
     m = len(taus) - 1
-    h = taus[1] - taus[0] if m else 0.0
-    if m and not np.allclose(np.diff(taus), h):
+    if m and not np.allclose(np.diff(taus), taus[1] - taus[0]):
         raise ValueError("flow_grid needs a uniform grid")
-    grid = np.concatenate([taus, taus[:-1] + 0.5 * h])
-    A, b, C, z = _fields(plant, ctrl, mode, clamp, grid, np.ones(len(grid)), m + 1)
-    n = plant.n
-    if m < 1:
-        return np.eye(n)[:, :, None], np.zeros((n, 1)), C, z
-    R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
-    tables = _block_prefix(R, s)
-    return _scan(tables, np.eye(n), m, forced=False), _scan(tables, np.zeros(n), m), C, z
+    return _flow_tables(plant, ctrl, mode, clamp, taus, np.ones(2 * m + 1))
 
 
 def transition_matrix(
@@ -120,7 +112,7 @@ def transition_matrix(
         if seg > 1e-15:
             m = max(1, int(np.ceil(seg / step)))
             taus = (t - t_origin) + np.arange(m + 1) * (seg / m)
-            Phi = flow_grid(sys, taus, clamp)[0][..., -1] @ Phi
+            Phi = _flow_tables(*_unpack(sys), None, clamp, taus)[0][..., -1] @ Phi
         if tk in events:
             Phi = sys.jump.J @ Phi
             t_origin = tk

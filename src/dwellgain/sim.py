@@ -4,21 +4,35 @@ hybrid sup-norm bookkeeping, and Monte-Carlo gain lower bounds.
 The flow between jumps is linear in the state, so the classical fixed-step
 RK4 update is an affine map x -> R x + s per mesh cell, and a jump is an
 affine map too.  A run first draws its whole schedule (dwells, meshes,
-modes, jump maps and K_d), then lays the mesh points of all its segments on
-one flat axis, where the map between consecutive points is an RK4 cell or,
-at a segment's end, the jump.  The march takes this axis in chunks of
-_CHUNK maps: a chunk's mesh data are evaluated in one vectorized pass per
-mode, its maps are built at once as component-major (n, n, L) and (n, L)
-tables, so each batched 2x2 product is a few vector operations, and they
-are composed by a two-level log-doubling prefix scan (Blelloch 1990),
-within blocks of 32 cells and then over the block ends.  The tables hold
-each map as one (n, n+1) block [P | q]; the in-block ones are
-block-inner-major, (n, n+1, 32, L/32), so that every doubling step is one
-batched product over contiguous slabs, and they live in buffers allocated
-once per run.  No Python loop runs over cells, blocks or segments; only the
-schedule draw is per segment.
-The half-step referee reads the marched states afterwards, so the states
-never depend on whether it runs.
+modes, jump maps and K_d) and groups its segments by shape: mode, cell
+count, width and the continuous input on the mesh, compared as values.
+
+When the shapes repeat, as under a constant dwell with a constant input,
+where the impulsive system is periodic and every segment has the same
+transition Phi(T), each shape gets one table (`_flow_tables`): the
+transition and the forced response from a segment's start to each of its
+points, and the outputs there.  The segment starts are marched through the
+jumps by a prefix scan over the segments, and every state and output of
+the run is filled from its segment's start by one batched product per
+shape.
+
+Otherwise, as under a random dwell or a time-varying input, the run lays
+the mesh points of all its segments on one flat axis, where the map
+between consecutive points is an RK4 cell or, at a segment's end, the
+jump.  The march takes this axis in chunks of _CHUNK maps: a chunk's mesh
+data are evaluated in one vectorized pass per mode, its maps are built at
+once as component-major (n, n, L) and (n, L) tables, so each batched 2x2
+product is a few vector operations, and they are composed by a two-level
+log-doubling prefix scan (Blelloch 1990), within blocks of 32 cells and
+then over the block ends.  The tables hold each map as one (n, n+1) block
+[P | q]; the in-block ones are block-inner-major, (n, n+1, 32, L/32), so
+that every doubling step is one batched product over contiguous slabs, and
+they live in buffers allocated once per run.
+
+Either way no Python loop runs over cells, blocks or segments; only the
+schedule draw and its grouping are per segment.  The half-step referee
+reads the marched states afterwards, so the states never depend on
+whether it runs.
 """
 
 from __future__ import annotations
@@ -184,11 +198,11 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
 
     A (n, n, len) and b (n, len) hold the data on a mesh; the slices pick the
     start, midpoint and end of each of m cells, whose widths h are one float
-    or an (m,) array.  R is (n, n, m) and s (n, m).  `out`, when given, is
-    the arrays R, s are written to, then one scratch array of each shape.
+    or an (m,) array.  R is (n, n, m) and s (n, m); b None builds R alone
+    and s is None.  `out`, when given, is the arrays R, s are written to,
+    then one scratch array of each shape.
     """
     A1, A2, A4 = A[..., start], A[..., mid], A[..., end]
-    b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
     # M2 = A2 + h/2 A2 A1, M3 = A2 + h/2 A2 M2, M4 = A4 + h A4 M3 and
     # R = I + h/6 (A1 + 2 M2 + 2 M3 + M4), evaluated in place: the same
     # floating-point operations in the same order, with fewer temporaries;
@@ -211,6 +225,9 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
     R += M4
     R *= h / 6.0
     R += np.eye(A1.shape[0])[:, :, None]
+    if b is None:
+        return R, None
+    b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
     v2 = _mv(A2, b1, out=s_out)
     v2 *= 0.5 * h
     v2 += b2
@@ -237,13 +254,16 @@ def _prefix(T: np.ndarray, T2: np.ndarray) -> np.ndarray:
     0..i in order.  T2 is a buffer of T's shape.  Log-doubling, so the Python
     work is log2(L) batched products: each step writes P_i [P_{i-d} | q_{i-d}]
     + [0 | q_i] from one buffer into the other, both parts in one product.
-    Both buffers are overwritten, and the one holding the result is returned."""
+    Tables of n columns hold P alone.  Both buffers are overwritten, and the
+    one holding the result is returned."""
     n, L = T.shape[0], T.shape[2]
+    forced = T.shape[1] > n
     d = 1
     while d < L:
         T2[:, :, :d] = T[:, :, :d]
         _mm(T[:, :n, d:], T[:, :, :-d], out=T2[:, :, d:])
-        T2[:, n, d:] += T[:, n, d:]
+        if forced:
+            T2[:, n, d:] += T[:, n, d:]
         T, T2 = T2, T
         d *= 2
     return T
@@ -262,7 +282,7 @@ def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _block_prefix(R: np.ndarray, s: np.ndarray, buffers: Optional[list] = None):
+def _block_prefix(R: np.ndarray, s: Optional[np.ndarray], buffers: Optional[list] = None):
     """Prefix tables of the one-step maps x_{i+1} = R[..., i] x_i + s[..., i].
 
     R is (n, n, m) and s (n, m).  The m cells form nb blocks of B = min(_BLOCK, m),
@@ -275,24 +295,27 @@ def _block_prefix(R: np.ndarray, s: np.ndarray, buffers: Optional[list] = None):
     - U (n, n+1, nb-1) maps x_0 to the starts of blocks 1..nb-1:
       x_{(b+1)B} = U[:, :n, b] x_0 + U[:, n, b].
     Both levels come from `_prefix`, the second over the block-end maps, so
-    no Python loop runs over cells or blocks.  The tables are views into
+    no Python loop runs over cells or blocks.  With s None the tables hold
+    P alone, (n, n, B, nb) and (n, n, nb-1).  The tables are views into
     `buffers` (from `_buffers`, for m maps or more), which a march reuses
     chunk after chunk; without them they are allocated for this call.  R
     and s may lie in the first buffer: they are copied into the second
     before the first is written.
     """
-    n, m = s.shape
+    n, m = R.shape[1:]
     B = min(_BLOCK, m)
     nb, full = -(-m // B), m // B
     t = m - full * B  # cells of a last, partial block
-    shapes = [(n, n + 1, B, nb)] * 2 + [(n, n + 1, nb - 1)] * 2
+    cols = n + (s is not None)
+    shapes = [(n, cols, B, nb)] * 2 + [(n, cols, nb - 1)] * 2
     T, T2, U, U2 = map(_view, buffers, shapes) if buffers else map(np.empty, shapes)
-    for part, maps in ((T2[:, :n], R), (T2[:, n], s)):
+    for part, maps in [(T2[:, :n], R)] + ([(T2[:, n], s)] if s is not None else []):
         part[..., :full] = maps[..., : full * B].reshape(maps.shape[:-1] + (full, B)).swapaxes(-1, -2)
         if t:
             part[..., :t, -1] = maps[..., full * B :]
     if t:  # the last block ends in identity maps
-        T2[:, :n, t:, -1], T2[:, n, t:, -1] = np.eye(n)[:, :, None], 0.0
+        T2[:, :n, t:, -1] = np.eye(n)[:, :, None]
+        T2[:, n:, t:, -1] = 0.0
     T = _prefix(T2, T)
     U[...] = T[:, :, -1, :-1]
     return T, _prefix(U, U2)
@@ -322,24 +345,48 @@ def _scan(tables, x0: np.ndarray, m: int, forced: bool = True) -> np.ndarray:
     return xs[..., : m + 1].reshape(x0.shape + (m + 1,))
 
 
-def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: np.ndarray, npts: int):
+def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: Optional[np.ndarray], npts: int):
     """A (+B K_c) and the forcing E w on the timer values `grid`, and the
     output terms C (+D K_c) and F w on its first npts entries, the mesh
     points; all component-major.  w holds the continuous input on grid;
-    cert.verify reads its rows from here with w = 1."""
+    cert.verify reads its rows from here with w = 1.  With w None only
+    A (+B K_c) is evaluated, and the other three are None."""
     A_pm, B_pm, E_pm, C_pm, D_pm, F_pm = mode_mats(sys, mode)
     pts = grid[:npts]
     A = A_pm.eval_mesh(grid, clamp)
-    C = C_pm.eval_mesh(pts, clamp)
+    C = None if w is None else C_pm.eval_mesh(pts, clamp)
     if controller is not None:
         K = controller.kc_mesh(grid, mode=mode)
         A += _mm(B_pm.eval_mesh(grid, clamp), K)
-        C += _mm(D_pm.eval_mesh(pts, clamp), K[..., :npts])
+        if w is not None:
+            C += _mm(D_pm.eval_mesh(pts, clamp), K[..., :npts])
+    if w is None:
+        return A, None, None, None
     b = E_pm.eval_mesh(grid, clamp).sum(axis=1)
     b *= w
     z = F_pm.eval_mesh(pts, clamp).sum(axis=1)
     z *= w[:npts]
     return A, b, C, z
+
+
+def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.ndarray] = None):
+    """The flow across the uniform grid `taus`, integrated by the march's RK4
+    maps and prefix scan: Phi(tau_i, tau_0) is Phi[..., i] (n, n, len).
+    With w, the continuous input on the grid's points and then its cell
+    midpoints, also the forced response r (n, len) from r(tau_0) = 0 and the
+    output terms C (+D K_c) (q, n, len) and F w (q, len) on the points, as
+    `_fields` gives them; without it nothing forced is evaluated or scanned,
+    and these three are None."""
+    m = len(taus) - 1
+    h = taus[1] - taus[0] if m else 0.0
+    grid = np.concatenate([taus, taus[:-1] + 0.5 * h])
+    A, b, C, z = _fields(sys, controller, mode, clamp, grid, w, m + 1)
+    n = sys.n
+    if m < 1:
+        return np.eye(n)[:, :, None], None if w is None else np.zeros((n, 1)), C, z
+    R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
+    tables = _block_prefix(R, s)
+    return _scan(tables, np.eye(n), m, forced=False), None if w is None else _scan(tables, np.zeros(n), m), C, z
 
 
 @dataclass
@@ -381,17 +428,32 @@ class _FlatAxis:
         sys, ctrl, clamp = self.sys, self.controller, self.clamp
         if self.codes is None:
             return _fields(sys, ctrl, self.modes[0], clamp, grid, w, npts)
+        # Each mode's entries of the mesh, gathered by index: a stable sort of
+        # their codes lists mode 0's points, then its other entries, then
+        # mode 1's, ...  Each mode's data fill their stretch of arrays laid
+        # out in that order, which one gather per array takes to mesh order.
         codes = self.codes[a : b + 1]
+        order = np.argsort(np.concatenate([codes] + [codes[:-1]] * (len(parts) - 1)), kind="stable")
+        points = np.argsort(codes, kind="stable")  # the points alone, in the same order
+        counts = np.bincount(codes, minlength=len(self.modes))
+        sizes = counts + np.bincount(codes[:-1], minlength=len(self.modes)) * (len(parts) - 1)
         n, qc = sys.n, mode_mats(sys, self.modes[0])[3].shape[0]
         A, bw = np.empty((n, n, len(grid))), np.empty((n, len(grid)))
         C, z = np.empty((qc, n, npts)), np.empty((qc, npts))
-        for c, md in enumerate(self.modes):
-            pts = codes == c
-            if pts.any():
-                sel = np.concatenate([pts] + [pts[:-1]] * (len(parts) - 1))
-                A[..., sel], bw[..., sel], C[..., pts], z[..., pts] = _fields(
-                    sys, ctrl, md, clamp, grid[sel], w[sel], int(pts.sum()))
-        return A, bw, C, z
+        lo = at = 0
+        for md, k, size in zip(self.modes, counts, sizes):
+            if k:
+                sel, hi = order[lo : lo + size], lo + size
+                A[..., lo:hi], bw[..., lo:hi], C[..., at : at + k], z[..., at : at + k] = _fields(
+                    sys, ctrl, md, clamp, grid[sel], w[sel], k)
+            lo, at = lo + size, at + k
+        data = [A, bw, C, z]
+        del A, bw, C, z  # each laid-out array is freed once gathered
+        for i, perm in enumerate((order, order, points, points)):
+            back = np.empty_like(perm)
+            back[perm] = np.arange(len(perm))
+            data[i] = data[i].take(back, axis=-1)
+        return tuple(data)
 
     def maps(self, a: int, b: int):
         """The stretch's one-step maps x_{i+1} = R[..., i] x_i + s[..., i]
@@ -423,6 +485,80 @@ class _FlatAxis:
         return num / den
 
 
+def _segment_shapes(inputs: InputSignal, seg_mode: list, seg_m: list, hs: np.ndarray, t0s: np.ndarray):
+    """The run's segments grouped by shape: mode, cell count m, width h and
+    the continuous input on the segment's mesh, compared as values.  Returns
+    (mode, m, h, the input on the mesh, the segments) per shape, or None
+    unless the shapes repeat: each fits in one chunk, and their tables hold
+    at most half of the run's maps, so a table serves two segments on
+    average.  The input is evaluated only when mode, m and h alone repeat
+    that much, so a random dwell evaluates nothing here."""
+    groups: dict = {}
+    for k, key in enumerate(zip(seg_mode, seg_m, hs.tolist())):
+        groups.setdefault(key, []).append(k)
+    total = sum(seg_m)
+    if max(seg_m) > _CHUNK or 2 * sum(m for _, m, _ in groups) > total:
+        return None
+    shapes = []
+    for (mode, m, h), ks in groups.items():
+        taus = np.arange(m + 1) * h
+        t = t0s[ks][:, None] + np.concatenate([taus, taus[:-1] + 0.5 * h])
+        w = np.asarray(np.broadcast_to(inputs.wc(t.ravel()), (t.size,)), dtype=float).reshape(t.shape)
+        if (w == w[0]).all():  # the same input on every segment, as a constant one gives
+            alike = [list(range(len(ks)))]
+        else:
+            rows: dict = {}
+            for i, row in enumerate(w):
+                rows.setdefault(row.tobytes(), []).append(i)
+            alike = list(rows.values())
+        shapes += [(mode, m, h, w[i[0]].copy(), np.asarray(ks)[i]) for i in alike]
+    return shapes if 2 * sum(shape[1] for shape in shapes) <= total else None
+
+
+def _march_shapes(sys, controller, clamp, shapes: list, jR, js, x0: np.ndarray, firsts: np.ndarray, switched: bool,
+                  states: np.ndarray, zc: np.ndarray) -> None:
+    """Fill the states (npts, n) and z_c (npts, q) of a run whose segments
+    repeat their shapes (see `_segment_shapes`); firsts are the segments'
+    first points.
+
+    One table per shape maps a segment's start x_k to every point j of the
+    segment, the state by [Phi_j | r_j] and z_c by [C_j Phi_j | C_j r_j + z_j],
+    from `_flow_tables`.  The segment starts follow x_{k+1} = J_k (Phi_m x_k
+    + r_m) + s_k, the jump maps J_k, s_k as in the flat march, by the prefix
+    scan over the segments; then each shape fills the states of all its
+    segments with one matrix product, and their z_c with another."""
+    n = sys.n
+    tables, of = [], np.empty(len(firsts), dtype=int)
+    for i, (mode, m, h, w, ks) in enumerate(shapes):
+        Phi, r, C, z = _flow_tables(sys, controller, mode, clamp, np.arange(m + 1) * h, w)
+        top = np.concatenate([Phi, r[:, None]], axis=1)  # [Phi_j | r_j]
+        bottom = _mm(C, top)
+        bottom[:, n] += z
+        tables.append(np.concatenate([top, bottom]))
+        of[ks] = i
+    ends = np.stack([table[:n, :, -1] for table in tables], axis=-1)[..., of[:-1]]
+    maps = _mm(jR, ends)
+    maps[:, n] += js
+    starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, len(firsts) - 1)
+    for (_, m, _, _, ks), table in zip(shapes, tables):
+        x = starts[:, ks].T
+        stretch = ks[-1] - ks[0] == len(ks) - 1  # consecutive segments: their points are one stretch
+        rows = (slice(firsts[ks[0]], firsts[ks[0]] + len(ks) * (m + 1)) if stretch
+                else (firsts[ks][:, None] + np.arange(m + 1)).ravel())
+        for out, part in ((states, table[:n]), (zc, table[n:])):
+            shape = (len(ks), (m + 1) * len(part))  # the points of a segment, then their components
+            # einsum, not a BLAS product: BLAS would allocate work buffers of its own
+            vals = np.einsum("kl,lj->kj", x, part[:, :n].transpose(1, 2, 0).reshape(n, -1),
+                             out=out[rows].reshape(shape) if stretch else None)
+            vals += part[:, n].T.ravel()
+            if not stretch:
+                out[rows] = vals.reshape(-1, len(part))
+    if switched:  # the state is continuous: a post-jump state is the pre-jump one
+        states[firsts[1:]] = states[firsts[1:] - 1]
+    if not np.isfinite(states).all():
+        raise StepTooLarge("state overflow while integrating; reduce the step")
+
+
 def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds: list):
     """Jump k as an affine map x+ = R[..., k] x + s[..., k] with output
     z_d = Cz[..., k] x + zs[..., k], K_d(theta_k) folded in; component-major.
@@ -440,6 +576,31 @@ def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds:
         Cz = Cz + _mm(take("Dd"), Kd)
     w = np.broadcast_to(np.asarray(wds, dtype=float), (sys.pd, len(picks)))
     return R, _mv(take("Ed"), w), Cz, _mv(take("Fd"), w)
+
+
+def _march_flat(axis: _FlatAxis, jR, js, jumps_at: np.ndarray, x0: np.ndarray, switched: bool, states: np.ndarray,
+                zc: np.ndarray) -> None:
+    """Fill the states and z_c of the whole flat axis, marched chunk by
+    chunk from the state the previous chunk ended in, the prefix tables of
+    every chunk in the same buffers; these are freed on return, before the
+    referee's own working set is built."""
+    x = x0
+    for a in range(0, len(axis.widths), _CHUNK):
+        b = min(a + _CHUNK, len(axis.widths))
+        R, s, C, z = axis.maps(a, b)
+        lo, hi = np.searchsorted(jumps_at, [a, b])
+        at = jumps_at[lo:hi] - a
+        R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
+        xs = _scan(_block_prefix(R, s, axis.buffers), x, b - a)
+        if switched:  # the state is continuous: copy it rather than round it through the identity
+            xs[:, at + 1] = xs[:, at]
+        if not np.isfinite(xs).all():
+            raise StepTooLarge("state overflow while integrating; reduce the step")
+        # outputs on the mesh (pre-jump convention at a segment's right end)
+        states[a : b + 1] = xs.T
+        zc[a : b + 1] = (_mv(C, xs) + z).T
+        x = xs[:, -1]
+    axis.buffers = []
 
 
 def _default_step(gen: SequenceGen) -> float:
@@ -466,6 +627,12 @@ def simulate(
     pre-jump state and z_d is computed from it.  `clamp` freezes the timer for
     minimum-dwell-time semantics.  With check_step=True a halve-step referee
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
+
+    Segments of one shape (mode, cells, width and continuous input) share
+    one transition table when the shapes repeat, as under a constant dwell
+    with a constant input; otherwise the run is marched along one flat axis
+    of all its mesh points (see the module docstring).  The two agree to
+    rounding; a random dwell, whose segments differ, takes the flat march.
     """
     require_forward_time(sys, "simulation")
     if horizon <= 0 or (step is not None and step <= 0):
@@ -541,28 +708,16 @@ def simulate(
     # the tables come from a heap it no longer trims and re-faults every chunk.
     np.empty(1 << 23, np.uint8)
 
-    # March: chunk by chunk from the state the previous chunk ended in, the
-    # prefix tables of every chunk in the same buffers.
+    # March: from one table per segment shape when the shapes repeat, else
+    # chunk by chunk along the flat axis.
     qc = mode_mats(sys, modes[0])[3].shape[0]
     states = np.empty((len(seg_of), n))
     zc = np.empty((len(seg_of), qc))
-    x = x0
-    for a in range(0, len(widths), _CHUNK):
-        b = min(a + _CHUNK, len(widths))
-        R, s, C, z = axis.maps(a, b)
-        lo, hi = np.searchsorted(jumps_at, [a, b])
-        at = jumps_at[lo:hi] - a
-        R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
-        xs = _scan(_block_prefix(R, s, axis.buffers), x, b - a)
-        if switched:  # the state is continuous: copy it rather than round it through the identity
-            xs[:, at + 1] = xs[:, at]
-        if not np.isfinite(xs).all():
-            raise StepTooLarge("state overflow while integrating; reduce the step")
-        # outputs on the mesh (pre-jump convention at a segment's right end)
-        states[a : b + 1] = xs.T
-        zc[a : b + 1] = (_mv(C, xs) + z).T
-        x = xs[:, -1]
-    axis.buffers = []  # freed before the referee's own working set is built
+    shapes = _segment_shapes(inputs, seg_mode, seg_m, hs, t0s)
+    if shapes is not None:
+        _march_shapes(sys, controller, clamp, shapes, jR, js, x0, firsts, switched, states, zc)
+    else:
+        _march_flat(axis, jR, js, jumps_at, x0, switched, states, zc)
 
     # Half-step referee over the marched states.  Its quarter points and two
     # half-step tables more than double the working set per map, so it takes

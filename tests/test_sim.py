@@ -145,6 +145,42 @@ def closed_loops(bench_chain_plant, bench_pair_plant):
     return loops
 
 
+def timer_switched() -> SwitchedSystem:
+    """Three modes whose A, E, C and F all differ and depend on the timer, so
+    that mesh data evaluated in the wrong mode or at the wrong point show."""
+    rng = np.random.default_rng(7)
+    modes = []
+    for _ in range(3):
+        A = rng.uniform(0.0, 0.5, size=(2, 2, 2))
+        A[[0, 1], [0, 1], 0] = -rng.uniform(1.0, 2.0, size=2)
+        modes.append({"A": PolyMatrix(A)} | {key: PolyMatrix(rng.uniform(0.0, 1.0, size=shape))
+                                             for key, shape in (("E", (2, 1, 2)), ("C", (2, 2, 2)), ("F", (2, 1, 2)))})
+    return SwitchedSystem.from_arrays(modes)
+
+
+@pytest.fixture
+def march_spy(monkeypatch):
+    """The march each simulate call takes, and the (mode, cells) of every
+    table `_flow_tables` builds."""
+    seen = {"march": [], "tables": []}
+    for name in ("_march_flat", "_march_shapes"):
+        march = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, f=march, name=name: seen["march"].append(name) or f(*a))
+    flow_tables = sim._flow_tables
+    monkeypatch.setattr(sim, "_flow_tables", lambda *a: seen["tables"].append((a[2], len(a[4]) - 1))
+                        or flow_tables(*a))
+    return seen
+
+
+def check_full(traj, ref, switched=False):
+    """Every output of simulate against serial_simulate(..., full=True)."""
+    for got, want in ((traj.states, ref["states"]), (traj.zc, ref["zc"]),
+                      (traj.pre_jump_states, ref["pre"]), (traj.post_jump_states, ref["post"])):
+        np.testing.assert_allclose(got, np.reshape(want, got.shape), rtol=1e-12, atol=0)
+    if not switched and len(ref["zd"]):
+        np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
+
+
 @pytest.fixture(scope="module")
 def scalar_relax():
     # xdot = -x + w, z = x
@@ -378,7 +414,7 @@ class TestSerialEquivalence:
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
 
-    def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch):
+    def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch, march_spy):
         calls = []
         eval_mesh = PolyMatrix.eval_mesh
         monkeypatch.setattr(PolyMatrix, "eval_mesh", lambda *a, **kw: calls.append(1) or eval_mesh(*a, **kw))
@@ -397,33 +433,45 @@ class TestSerialEquivalence:
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
+        # a constant input repeats the segments: one evaluation per distinct
+        # segment shape, the 17 full dwells and the truncated last one of
+        # about 0.05, each with its own table
         const = generate_inputs("const_unit")
+        march_spy["tables"].clear()
         traj, evals = run(gen, const)
-        states, sup = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3)
-        assert evals == one_segment
-        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
-        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
+        ref = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3, full=True)
+        (_, last), (_, full) = sorted(march_spy["tables"])
+        assert evals == 2 * one_segment and full == 350 and last < 60
+        assert np.array_equal(np.bincount(traj.jump_count)[-2:], [full + 1, last + 1])
+        assert march_spy["march"] == ["_march_flat"] * 2 + ["_march_shapes"]
+        check_full(traj, ref)
 
-    def test_switched_reuse_is_per_mode(self, bench_switched):
+    def test_switched_reuse_is_per_mode(self, bench_switched, march_spy):
         gen, const = SequenceGen.exact(0.3, seed=6), generate_inputs("const_unit")
         traj = simulate(bench_switched, gen, const, x0=[0.3, 0.1], horizon=5.0)
-        states, sup = serial_simulate(bench_switched, gen, const, [0.3, 0.1], 5.0)
+        ref = serial_simulate(bench_switched, gen, const, [0.3, 0.1], 5.0, full=True)
         assert len(set(traj.modes)) == 2
-        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
-        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
+        # one table per mode for the full dwells, and one for the last 0.2
+        assert march_spy["march"] == ["_march_shapes"] and len(march_spy["tables"]) == 3
+        assert sorted(march_spy["tables"])[-2:] == [(0, 300), (1, 300)]
+        check_full(traj, ref, switched=True)
+        assert np.array_equal(traj.pre_jump_states, traj.post_jump_states)
 
 
     @pytest.mark.parametrize("design", ["constant", "minimum", "range", "feedthrough"])
     @pytest.mark.parametrize("input_kind", ["const_unit", "sine"])
-    def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind):
+    def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind, march_spy):
+        """K_c(tau) enters the mesh data and K_d(theta) every jump; under
+        constant dwell and input the segments share one table."""
         plant, ctrl, gen = closed_loops[design]
         inputs = generate_inputs(input_kind)
         x0 = np.full(plant.n, 0.1)
         traj = simulate(plant, gen, inputs, x0=x0, horizon=3.0, controller=ctrl, clamp=ctrl.clamp)
-        states, sup = serial_simulate(plant, gen, inputs, x0, 3.0, clamp=ctrl.clamp, controller=ctrl)
+        ref = serial_simulate(plant, gen, inputs, x0, 3.0, clamp=ctrl.clamp, controller=ctrl, full=True)
+        shared = design in ("constant", "feedthrough") and input_kind == "const_unit"
+        assert march_spy["march"] == ["_march_shapes" if shared else "_march_flat"]
         assert len(traj.jump_times) > 1
-        assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
-        assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+        check_full(traj, ref)
 
     @pytest.mark.parametrize("clamp", [None, 0.6])
     def test_flow_grid_matches_serial_march(self, bench_timer_growth, clamp):
@@ -473,13 +521,15 @@ class TestChunkedMarch:
             return bench_timer_growth, SequenceGen.min_plus_exp(0.15, seed=4), {"clamp": 0.15}
         if case == "switched":
             return bench_switched, SequenceGen.min_plus_exp(0.1, seed=4), {}
+        if case == "timer_switched":
+            return timer_switched(), SequenceGen.min_plus_exp(0.1, seed=4), {}
         plant, ctrl, gen = closed_loops[case]
         return plant, gen, {"controller": ctrl, "clamp": ctrl.clamp}
 
     @pytest.mark.parametrize("chunk", [1, 7, 33, "jump"])
     @pytest.mark.parametrize(
         "seam_case",
-        ["impulsive", "clamped", "switched", "constant", "minimum", "range", "feedthrough"],
+        ["impulsive", "clamped", "switched", "timer_switched", "constant", "minimum", "range", "feedthrough"],
         indirect=True,
     )
     def test_chunk_seams_match_serial_oracle(self, seam_case, chunk, monkeypatch):
@@ -559,6 +609,66 @@ class TestChunkedMarch:
         assert len(traj.jump_times) == 4
         assert worst > 1e-12  # truncation, not rounding, sets the value
         assert traj.meta["worst_local_truncation"] == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+class TestSharedSegments:
+    """A schedule that repeats its segment shapes -- mode, cell count, width
+    and continuous input -- is marched from one table per shape; any other
+    keeps the flat chunked march.  The closed loop, switched and clamped
+    cases are in TestSerialEquivalence."""
+
+    def test_discrete_input_varies_per_jump(self, bench_lti, march_spy):
+        """uniform_random keeps w_c = 1, so the segments repeat, and draws w_d per jump."""
+        gen = SequenceGen.exact(0.25)
+        inputs = combine_inputs(generate_inputs("const_unit"), generate_inputs("uniform_random", seed=8))
+        traj = simulate(bench_lti, gen, inputs, x0=[0.1, 0.2], horizon=4.0)
+        assert march_spy["march"] == ["_march_shapes"] and len(march_spy["tables"]) == 1
+        ref = serial_simulate(bench_lti, gen, inputs, [0.1, 0.2], 4.0, full=True)
+        assert len(np.unique(ref["zd"])) > 10
+        check_full(traj, ref)
+
+    @pytest.mark.parametrize("case", ["timer_stable", "no_zc"])
+    def test_shared_tables_match_flat_march(self, bench_timer_stable, case, march_spy, monkeypatch):
+        """The two marches agree, the referee too, also for a system without z_c."""
+        sys_ = bench_timer_stable if case == "timer_stable" else TestExport._no_zc_system()
+        gen, const = SequenceGen.exact(1.7), generate_inputs("const_unit")
+
+        def run():
+            return simulate(sys_, gen, const, x0=[1.0, 1.0], horizon=20.0, check_step=True)
+
+        shared = run()
+        monkeypatch.setattr(sim, "_segment_shapes", lambda *a: None)
+        flat = run()
+        assert march_spy["march"] == ["_march_shapes", "_march_flat"]
+        assert shared.zc.shape == flat.zc.shape and (shared.zc.size == 0) == (case == "no_zc")
+        for part in ("states", "zc", "zd", "pre_jump_states", "post_jump_states"):
+            np.testing.assert_allclose(getattr(shared, part), getattr(flat, part), rtol=1e-12, atol=0)
+        assert shared.meta["worst_local_truncation"] == pytest.approx(flat.meta["worst_local_truncation"],
+                                                                        rel=1e-9)
+
+    def test_single_segment(self, bench_lti, march_spy):
+        """T >= horizon is one segment: no table would serve twice."""
+        gen, const = SequenceGen.exact(5.0), generate_inputs("const_unit")
+        traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=3.0)
+        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"] and not len(traj.jump_times)
+        check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 3.0, full=True))
+
+    def test_shape_longer_than_a_chunk(self, bench_lti, march_spy, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        gen, const = SequenceGen.exact(0.25), generate_inputs("const_unit")
+        traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=2.0, step=0.002)
+        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"]
+        check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 2.0, step=0.002, full=True))
+
+    @pytest.mark.parametrize("gen", [SequenceGen.uniform_range(0.2, 0.3, seed=2), SequenceGen.min_plus_exp(0.2, seed=2)])
+    def test_random_dwell_marches_flat(self, bench_lti, gen, march_spy):
+        """A random dwell never repeats a segment, even under a constant input:
+        it keeps the flat march and builds no table (the sine input is in
+        test_time_varying_input_is_never_reused)."""
+        const = generate_inputs("const_unit")
+        traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=4.0)
+        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"] and len(traj.jump_times) > 10
+        check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 4.0, full=True))
 
 
 class TestErrorClasses:

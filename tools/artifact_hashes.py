@@ -20,8 +20,9 @@ follows: the differences per output kind (certificate, controller, gain, lp,
 verify, cross-check, simulation, error), every verdict that flips between
 pass and fail, every case that flips between a result and an error and every
 error whose class changes (say Infeasible -> NotPositive), each with its
-direction, and the largest relative move of the gamma stored with the
-cross-check entries.
+direction, the largest relative move of the gamma stored with the
+cross-check entries, and that of the values stored with the simulation
+entries.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -53,8 +54,12 @@ Cases:
   and the bytes of the three `export_trajectory` files, over a horizon of
   several march chunks and one of fewer maps than a prefix block, the
   `estimate_gain` value and the `cert.flow_grid` tables (Phi, r, C, z) on
-  grids of 1 to 9,000 cells.  Arrays are stored as SHA-256 digests of their
-  bytes, so a march that moves any value by one ulp shows.
+  grids of 1 to 9,000 cells.  These trajectories take a sine input, which
+  never repeats a segment; those of `constant_input_cases` take a constant
+  one under exact dwell, open and closed loop, switched, and with a
+  truncated last segment.  Arrays are stored as SHA-256 digests of their
+  bytes, so a march that moves any value by one ulp shows; next to them
+  are each array's largest magnitude and each estimate's value.
 
 Only the public API is used, so the script runs against any version of `src/`.
 """
@@ -150,33 +155,56 @@ def simulation_cases() -> list:
     return cases
 
 
+def constant_input_cases() -> list:
+    """(name, system, dwell, controller or None, horizon) of the trajectories
+    under a constant continuous input and exact dwell, whose segments repeat."""
+    chain, sw = benchmarks.unstable_chain_plant(), benchmarks.two_mode_switched_bench()
+    return [
+        ("lti_jump_bench", benchmarks.lti_jump_bench(), DwellTimeSpec.constant(0.3), None, 30.0),
+        ("unstable_chain_plant closed loop", chain, DwellTimeSpec.constant(0.1),
+         synthesis.synthesize(chain, DwellTimeSpec.constant(0.1), 2), 30.0),
+        ("two_mode_switched_bench", sw, DwellTimeSpec.constant(0.5), None, 30.0),
+        # 16 dwells and a last segment of 0.4
+        ("timer_growth_bench", benchmarks.timer_growth_bench(), DwellTimeSpec.constant(0.6), None, 10.0),
+    ]
+
+
 def _array_digest(a: np.ndarray) -> str:
     a = np.ascontiguousarray(a)
     return hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
 
 
+def record_trajectory(rec: "Recorder", key: str, s, gen, inputs, horizon: float, ctrl, clamp, prefix: str) -> None:
+    """The states, z_c and z_d of one `simulate` run, each with its largest
+    magnitude as its value, and the bytes of its export files."""
+    try:
+        traj = sim.simulate(s, gen, inputs, x0=np.full(s.n, 0.1), horizon=horizon, controller=ctrl, clamp=clamp,
+                            check_step=True)
+    except (DwellgainError, ValueError) as exc:
+        rec.out[key] = _error(exc)
+        return
+    for part in ("states", "zc", "zd"):
+        a = getattr(traj, part)
+        rec.out[f"{key} {part}"] = {"digest": _array_digest(a), "value": float(np.max(np.abs(a))) if a.size else 0.0}
+    sim.export_trajectory(traj, prefix)
+    for suffix in ("_states.csv", "_jumps.csv", "_meta.json"):
+        with open(prefix + suffix, "rb") as fh:
+            rec.out[f"{key} export{suffix}"] = {"digest": hashlib.sha256(fh.read()).hexdigest()}
+
+
 def collect_simulations(rec: "Recorder", out_dir: str) -> None:
-    """The simulation outputs of `simulation_cases` into rec.out."""
+    """The simulation outputs of `simulation_cases` and `constant_input_cases` into rec.out."""
     inputs = sim.combine_inputs(sim.generate_inputs("sine"), sim.generate_inputs("uniform_random", seed=8))
     prefix = os.path.join(out_dir, "trajectory")
     for name, s, dwell, ctrl in simulation_cases():
         gen = sim.SequenceGen.for_spec(dwell, seed=7)
         for horizon in SIM_HORIZONS:
-            key = f"sim {name} {dwell} horizon={horizon}"
-            try:
-                traj = sim.simulate(s, gen, inputs, x0=np.full(s.n, 0.1), horizon=horizon, controller=ctrl,
-                                    clamp=dwell.clamp, check_step=True)
-            except (DwellgainError, ValueError) as exc:
-                rec.out[key] = _error(exc)
-                continue
-            for part in ("states", "zc", "zd"):
-                rec.out[f"{key} {part}"] = {"digest": _array_digest(getattr(traj, part))}
-            sim.export_trajectory(traj, prefix)
-            for suffix in ("_states.csv", "_jumps.csv", "_meta.json"):
-                with open(prefix + suffix, "rb") as fh:
-                    rec.out[f"{key} export{suffix}"] = {"digest": hashlib.sha256(fh.read()).hexdigest()}
-        rec.solve(f"sim {name} {dwell} estimate_gain", lambda lp: sim.estimate_gain(
+            record_trajectory(rec, f"sim {name} {dwell} horizon={horizon}", s, gen, inputs, horizon, ctrl,
+                              dwell.clamp, prefix)
+        value = rec.solve(f"sim {name} {dwell} estimate_gain", lambda lp: sim.estimate_gain(
             s, gen, runs=3, horizon=10.0, controller=ctrl, clamp=dwell.clamp), repr)
+        if value is not None:
+            rec.out[f"sim {name} {dwell} estimate_gain"]["value"] = value
         view = s if ctrl is None else synthesis.closed_loop(s, ctrl)
         for mode in range(s.N) if isinstance(s, SwitchedSystem) else (None,):
             for cells in FLOW_GRID_CELLS:
@@ -188,6 +216,10 @@ def collect_simulations(rec: "Recorder", out_dir: str) -> None:
                     continue
                 for part, a in zip(("Phi", "r", "C", "z"), tables):
                     rec.out[f"{key} {part}"] = {"digest": _array_digest(a)}
+    constant = sim.combine_inputs(sim.generate_inputs("const_unit"), sim.generate_inputs("uniform_random", seed=8))
+    for name, s, dwell, ctrl, horizon in constant_input_cases():
+        record_trajectory(rec, f"sim {name} {dwell} const_unit horizon={horizon}", s,
+                          sim.SequenceGen.for_spec(dwell, seed=7), constant, horizon, ctrl, dwell.clamp, prefix)
 
 
 def _digest(obj) -> str:
@@ -418,6 +450,14 @@ def _summary(before: dict, after: dict, differ: list[str]) -> None:
     if moves:
         rel, key = max(moves)
         print(f"largest relative gamma move {rel:.3g} ({key}) over {len(moves)} cross-check entries")
+    moves = [
+        (abs(after[k]["value"] - before[k]["value"]) / abs(before[k]["value"]), k)
+        for k in set(before) & set(after)
+        if "value" in before[k] and "value" in after[k] and before[k]["value"] != 0.0
+    ]
+    if moves:
+        rel, key = max(moves)
+        print(f"largest relative simulation value move {rel:.3g} ({key}) over {len(moves)} simulation entries")
 
 
 def compare(before: dict, after: dict) -> int:
