@@ -24,7 +24,7 @@ from .model import (
     load_system,
     save_system,
 )
-from .poly import HandelmanCertificate, Poly, certify_nonneg, falsify_nonneg
+from .poly import Poly, decide_nonneg, falsify_nonneg
 from .sim import InputSignal, SequenceGen, Trajectory, estimate_gain, generate_inputs, simulate
 from .synthesis import ControllerRealization, realize_gain, synthesize, synthesize_switched
 
@@ -32,8 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly",
-    "HandelmanCertificate",
-    "certify_nonneg",
+    "decide_nonneg",
     "falsify_nonneg",
     "PolyMatrix",
     "ImpulsiveSystem",

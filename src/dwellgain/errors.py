@@ -5,16 +5,8 @@ class DwellgainError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidInterval(DwellgainError):
-    """Interval [a, b] with a >= b where a < b is required."""
-
-
 class InvalidDomain(DwellgainError):
     """Nonpositive analysis horizon or malformed domain."""
-
-
-class NoCertificate(DwellgainError):
-    """Nonnegativity LP infeasible at the attempted orders (not a proof of negativity)."""
 
 
 class Infeasible(DwellgainError):

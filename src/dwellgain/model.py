@@ -105,11 +105,7 @@ class PolyMatrix:
         return Poly(tuple(self.coeffs[i, j]))
 
     def __call__(self, tau: float, clamp: Optional[float] = None) -> np.ndarray:
-        t = min(tau, clamp) if clamp is not None else tau
-        out = self.coeffs[:, :, -1].copy()
-        for k in range(self.coeffs.shape[2] - 2, -1, -1):
-            out = out * t + self.coeffs[:, :, k]
-        return out
+        return self.eval_mesh(np.array([tau], dtype=float), clamp)[..., 0]
 
     def eval_mesh(self, taus: np.ndarray, clamp: Optional[float] = None) -> np.ndarray:
         """Evaluate on a mesh as a C-contiguous (r, c, len(taus)) array, the

@@ -1,14 +1,14 @@
-"""Univariate polynomial arithmetic and interval nonnegativity certificates.
+"""Univariate polynomial arithmetic and the one interval nonnegativity decision.
 
 Polynomials are real, univariate in the timer variable and stored as ascending
 coefficient tuples.  Nonnegativity of p on a compact interval [a, b] is
 certified by expressing p as a nonnegative combination of the products
-(t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b]; for
-a known p this is decided exactly from its Bernstein coefficients in integers.
-The analysis LPs impose the cone through one row per Bernstein coefficient; the
-design LPs span it with the product basis, whose table `product_basis` holds.
-A uniform-grid falsifier finds a witness for a polynomial the exact test
-refuses.
+(t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b].
+For a known p, `decide_nonneg` decides this exactly from its Bernstein
+coefficients in integers.  The analysis LPs impose the cone through one row
+per Bernstein coefficient; the design LPs span it with the product basis,
+whose table `product_basis` holds.  A uniform-grid falsifier finds a witness
+for a polynomial the exact test refuses.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInterval, NoCertificate
-
 __all__ = [
     "RELAX_SCHEDULE",
     "Poly",
-    "HandelmanCertificate",
     "Witness",
     "product_basis",
     "decide_nonneg",
-    "certify_nonneg",
     "falsify_nonneg",
 ]
 
@@ -152,42 +148,24 @@ class Witness:
     value: float
 
 
-@dataclass(frozen=True)
-class HandelmanCertificate:
-    """Certificate that p - margin lies in the degree-`order` Bernstein cone
-    on [a, b], the nonnegative combinations of (t - a)^i (b - t)^j with
-    i + j <= order; `validate` re-decides it from the target alone."""
-
-    interval: tuple[float, float]
-    order: int
-
-    def validate(self, target: Poly, tol: float = 0.0) -> bool:
-        """target >= -tol on the interval, proved by its exact degree-`order`
-        Bernstein coefficients all being >= -tol."""
-        return self.min_coefficient(target) >= -tol
-
-    def min_coefficient(self, target: Poly):
-        """Smallest exact degree-`order` Bernstein coefficient of target on the
-        interval, a Fraction; -inf when target exceeds the order or is not finite."""
-        if target.degree > self.order or not all(map(math.isfinite, (*self.interval, *target.coeffs))):
-            return -math.inf
-        return decide_nonneg(target, self.interval, orders=(self.order,))[2]
-
-
-def decide_nonneg(p, domain, tol: float = 0.0, orders: Optional[Sequence[int]] = None):
-    """The one decision of p >= -tol for a known p, a Poly or an _Exact:
-    (proved, d, least), d the first of `orders` (default p's degree +
-    RELAX_SCHEDULE) whose exact Bernstein coefficients on the interval domain
-    are all >= -tol, else the last, and least the smallest of them, a
-    Fraction.  A point domain, a float t, is decided by p(t), as order 0.
-    Each coefficient after degree elevation is a convex combination of those
-    before, so stopping at the first order that proves p gives the verdict
-    of the last."""
+def decide_nonneg(p, domain, tol: float = 0.0):
+    """The one decision of p >= -tol for a known p, a Poly (or an _Exact):
+    (proved, d, least), d the first order of p's degree + RELAX_SCHEDULE
+    whose exact Bernstein coefficients on the interval domain (a, b) are all
+    >= -tol, else the last, and least the smallest of them, a Fraction.
+    The interval is the set between its ends, so (b, a) gets the verdict of
+    (a, b), and (a, a) that of the point a.  A point domain, a float t, is
+    decided by p(t), as order 0.  Each coefficient after degree elevation is
+    a convex combination of those before, so stopping at the first order
+    that proves p gives the verdict of the last.  A coefficient, domain end
+    or tol that is not finite raises a ValueError that names it."""
     exact = p if isinstance(p, _Exact) else _Exact.of(p.coeffs)
+    orders = [len(exact.C) - 1 + r for r in RELAX_SCHEDULE]
     if not isinstance(domain, tuple):
         exact, domain, orders = exact.at(domain), (domain, domain), (0,)
-    num, den = float(tol).as_integer_ratio()
-    for d in orders or [len(exact.C) - 1 + r for r in RELAX_SCHEDULE]:
+    (num,), e = _dyadic((tol,), "tol")
+    den = 1 << e
+    for d in orders:
         N, S = _bernstein(exact, domain, d)
         L = math.lcm(*(math.comb(d, i) for i in range(d + 1)))
         least = min(v * (L // math.comb(d, i)) for i, v in enumerate(N))  # L S times the smallest b_i
@@ -208,7 +186,7 @@ def _bernstein(p, interval: tuple[float, float], d: int, margin: float = 0.0):
     integer Q_k, and C(d, i) b_i = sum_k C(d - k, i - k) q_k."""
     exact = (p if isinstance(p, _Exact) else _Exact.of(p.coeffs)) - _Exact.of((margin,))
     C, f = exact.C, exact.e
-    (A, B), e = _dyadic(interval)
+    (A, B), e = _dyadic(interval, "domain")
     n, H = len(C) - 1, B - A
     Q = [
         H**k * sum(C[j] * math.comb(j, k) * A ** (j - k) << (e * (n - j)) for j in range(k, n + 1))
@@ -218,9 +196,13 @@ def _bernstein(p, interval: tuple[float, float], d: int, margin: float = 0.0):
     return N, 1 << (e * n + f)
 
 
-def _dyadic(xs) -> tuple[list[int], int]:
-    """Integers X and the least e >= 0 with X / 2^e equal to each float x."""
-    ratios = [float(x).as_integer_ratio() for x in xs]
+def _dyadic(xs, what: str = "coefficient") -> tuple[list[int], int]:
+    """Integers X and the least e >= 0 with X / 2^e equal to each float x; a
+    ValueError names `what` if some x is not finite."""
+    try:
+        ratios = [float(x).as_integer_ratio() for x in xs]
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} must be finite, got {[float(x) for x in xs]}") from None
     e = max(den.bit_length() - 1 for _, den in ratios)
     return [num << (e - den.bit_length() + 1) for num, den in ratios], e
 
@@ -258,7 +240,7 @@ class _Exact:
 
     def at(self, t: float) -> "_Exact":
         """The value at t, as a constant."""
-        (T,), g = _dyadic((t,))
+        (T,), g = _dyadic((t,), "domain")
         n = len(self.C) - 1
         return _Exact((sum(c * T**k << g * (n - k) for k, c in enumerate(self.C)),), self.e + g * n)
 
@@ -288,35 +270,6 @@ def product_basis(order: int):
         for k in range(order + 1)
     )
     return pairs, terms
-
-
-def certify_nonneg(
-    p: Poly,
-    interval: tuple[float, float],
-    order: Optional[int] = None,
-    margin: float = 0.0,
-) -> HandelmanCertificate:
-    """Certify p >= margin on [a, b]; raises NoCertificate if no order has only
-    nonnegative Bernstein coefficients.
-
-    With order=None the orders are degree + RELAX_SCHEDULE, else max(order,
-    degree) alone.  q(s) = (p - margin)(a + h s), h = b - a, is expanded
-    exactly, and the first order d whose Bernstein coefficients of q are all
-    >= 0 is returned (`decide_nonneg`): then
-    q = sum_i C(d, i) b_i s^i (1 - s)^(d - i) with every b_i >= 0.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got [{a}, {b}]")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    if not all(map(math.isfinite, (a, b, margin, *p.coeffs))):
-        raise ValueError("interval, margin and coefficients must be finite")
-    orders = None if order is None else (max(int(order), p.degree),)
-    proved, d, _ = decide_nonneg(_Exact.of(p.coeffs) - _Exact.of((margin,)), (a, b), orders=orders)
-    if not proved:
-        raise NoCertificate(f"no order-{d} certificate for p >= {margin} on [{a}, {b}]")
-    return HandelmanCertificate(interval=(a, b), order=d)
 
 
 def falsify_nonneg(

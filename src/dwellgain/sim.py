@@ -5,9 +5,10 @@ The flow between jumps is linear in the state, so the classical fixed-step
 RK4 update is an affine map x -> R x + s per mesh cell, and a jump is an
 affine map too.  A run first draws its whole schedule (dwells, meshes,
 modes, jump maps and K_d) and groups its segments by shape: mode, cell
-count, width and the continuous input on the mesh, compared as values.
+count and width.
 
-When the shapes repeat, as under a constant dwell with a constant input,
+When the shapes repeat and the segments of each shape see one continuous
+input on their mesh, as under a constant dwell with a constant input,
 where the impulsive system is periodic and every segment has the same
 transition Phi(T), each shape gets one table (`_flow_tables`): the
 transition and the forced response from a segment's start to each of its
@@ -486,33 +487,28 @@ class _FlatAxis:
 
 
 def _segment_shapes(inputs: InputSignal, seg_mode: list, seg_m: list, hs: np.ndarray, t0s: np.ndarray):
-    """The run's segments grouped by shape: mode, cell count m, width h and
-    the continuous input on the segment's mesh, compared as values.  Returns
-    (mode, m, h, the input on the mesh, the segments) per shape, or None
-    unless the shapes repeat: each fits in one chunk, and their tables hold
-    at most half of the run's maps, so a table serves two segments on
-    average.  The input is evaluated only when mode, m and h alone repeat
-    that much, so a random dwell evaluates nothing here."""
+    """The run's segments grouped by shape: mode, cell count m and width h,
+    with the same continuous input on every segment's mesh.  Returns (mode,
+    m, h, the input on the mesh, the segments) per shape, or None unless the
+    shapes repeat: each fits in one chunk, and their tables hold at most half
+    of the run's maps, so a table serves two segments on average.  The input
+    is evaluated only when mode, m and h alone repeat that much, so a random
+    dwell evaluates nothing here; a group whose segments see different
+    inputs gives None too."""
     groups: dict = {}
     for k, key in enumerate(zip(seg_mode, seg_m, hs.tolist())):
         groups.setdefault(key, []).append(k)
-    total = sum(seg_m)
-    if max(seg_m) > _CHUNK or 2 * sum(m for _, m, _ in groups) > total:
+    if max(seg_m) > _CHUNK or 2 * sum(m for _, m, _ in groups) > sum(seg_m):
         return None
     shapes = []
     for (mode, m, h), ks in groups.items():
         taus = np.arange(m + 1) * h
         t = t0s[ks][:, None] + np.concatenate([taus, taus[:-1] + 0.5 * h])
         w = np.asarray(np.broadcast_to(inputs.wc(t.ravel()), (t.size,)), dtype=float).reshape(t.shape)
-        if (w == w[0]).all():  # the same input on every segment, as a constant one gives
-            alike = [list(range(len(ks)))]
-        else:
-            rows: dict = {}
-            for i, row in enumerate(w):
-                rows.setdefault(row.tobytes(), []).append(i)
-            alike = list(rows.values())
-        shapes += [(mode, m, h, w[i[0]].copy(), np.asarray(ks)[i]) for i in alike]
-    return shapes if 2 * sum(shape[1] for shape in shapes) <= total else None
+        if not (w == w[0]).all():  # a time-varying input
+            return None
+        shapes.append((mode, m, h, w[0].copy(), np.asarray(ks)))
+    return shapes
 
 
 def _march_shapes(sys, controller, clamp, shapes: list, jR, js, x0: np.ndarray, firsts: np.ndarray, switched: bool,
@@ -628,11 +624,12 @@ def simulate(
     minimum-dwell-time semantics.  With check_step=True a halve-step referee
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
 
-    Segments of one shape (mode, cells, width and continuous input) share
-    one transition table when the shapes repeat, as under a constant dwell
-    with a constant input; otherwise the run is marched along one flat axis
-    of all its mesh points (see the module docstring).  The two agree to
-    rounding; a random dwell, whose segments differ, takes the flat march.
+    Segments of one shape (mode, cells and width) share one transition
+    table when the shapes repeat and each shape's segments see one
+    continuous input, as under a constant dwell with a constant input;
+    otherwise the run is marched along one flat axis of all its mesh points
+    (see the module docstring).  The two agree to rounding; a random dwell,
+    whose segments differ, and a time-varying input take the flat march.
     """
     require_forward_time(sys, "simulation")
     if horizon <= 0 or (step is not None and step <= 0):

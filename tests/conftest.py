@@ -34,14 +34,13 @@ from dwellgain.errors import (
     Infeasible,
     InvalidDomain,
     Mismatch,
-    NoCertificate,
     NotConstant,
     NumericalFailure,
     RelaxationLimit,
 )
 from dwellgain.lp import LinearProgram, LpSolution, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, require_forward_time
-from dwellgain.poly import Poly, certify_nonneg, falsify_nonneg
+from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg
 from dwellgain.synthesis import ControllerRealization
 
 
@@ -109,7 +108,7 @@ def negative_input_plant():
 def reference_check_positive(sys, domain):
     """Oracle for model.check_positive on an impulsive system: its body when
     the 10,000-point grid falsifier ran first on every nonconstant entry and
-    certify_nonneg only on the entries the grid passed."""
+    the exact decision only on the entries the grid passed."""
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= 0 or lo != 0.0:
         raise InvalidDomain(f"domain must be [0, T] with T > 0, got [{lo}, {hi}]")
@@ -126,9 +125,7 @@ def reference_check_positive(sys, domain):
         if wit is not None:
             report.violations.append((*entry, wit.tau, wit.value))
             return
-        try:
-            certify_nonneg(p, (lo, hi), margin=0.0)
-        except NoCertificate:
+        if not decide_nonneg(p, (lo, hi))[0]:
             report.unverified.append(entry)
 
     n = sys.n
@@ -742,7 +739,7 @@ def assert_matches_three_paths(cert, target):
 def bernstein_oracle(p, interval, d, margin=0.0):
     """Oracle for poly._bernstein: the degree-d Bernstein coefficients of
     (p - margin)(a + h s) on s in [0, 1], h = b - a, in Fractions, as
-    certify_nonneg computed them before the integer routine."""
+    poly computed them before the integer routine."""
     a, b = interval
     fa, h = Fraction(a), Fraction(b) - Fraction(a)
     cs = [Fraction(c) for c in p.coeffs]
@@ -758,7 +755,7 @@ def bernstein_oracle(p, interval, d, margin=0.0):
 
 
 def per_row_certify_at_order(p, a, b, order, margin):
-    """LP oracle for certify_nonneg at one order, as poly decided it before the
+    """LP oracle for the nonnegativity decision at one order, as poly made it before the
     exact Bernstein test: the product-basis cone, with every basis polynomial
     expanded by Poly.__pow__, solved by lp_solve.  The weights c_ij of
     (t - a)^i (b - t)^j, or None when not Optimal."""

@@ -747,6 +747,21 @@ class TestBernsteinRows:
         sys = ImpulsiveSystem.from_arrays(**{**zeros, **arrays})
         self._random_system_checks(sys, TestEscalation._runner(sys, DwellTimeSpec.parse(dwell), degree))
 
+    @pytest.mark.xfail(
+        raises=NumericalFailure, strict=False,
+        reason="the out_d row's 8.3e-13 entry is below HiGHS's small_matrix_value, so every order's "
+               "solution violates it by 8.27e-7 (ROADMAP item 1: a scale-aware LP acceptance test)",
+    )
+    def test_tiny_discrete_output_draw(self):
+        """A draw of test_random_positive_systems (Hypothesis seed 222): its
+        true gain is 0, so gamma = margin = 1e-6 is the answer, which the
+        product-basis cone certifies at order +4."""
+        zeros = {"Ec": [[0.0]], "Cc": [[0.0]], "Fc": [[0.0]], "Ed": [[0.0]], "Fd": [[0.0]]}
+        sys = ImpulsiveSystem.from_arrays(A=[[[-1.0]]], J=[[1.0]], Cd=[[8.265803520048773e-13]], **zeros)
+        got = analyze_constant(sys, 0.2, 1)
+        assert got.gamma == pytest.approx(DEFAULT_MARGIN, rel=1e-7) and got.relax == RELAX_SCHEDULE[0]
+        assert verify(got, sys).passed
+
     def test_certify_grid_analyses(self):
         """The certify-grid analyses, each range also with its dominating vector."""
         runs = [(label, lambda run=run: run(None)) for label, run in _certify_grid_runs()

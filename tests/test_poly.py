@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -6,19 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dwellgain
 from conftest import CERTIFY_GRID_T, bernstein_oracle, per_row_certify_at_order
 from dwellgain import benchmarks
 from dwellgain import lp as lp_mod
-from dwellgain.errors import InvalidInterval, NoCertificate
 from dwellgain.model import lift_switched
-from dwellgain.poly import (
-    HandelmanCertificate,
-    Poly,
-    _bernstein,
-    certify_nonneg,
-    falsify_nonneg,
-    product_basis,
-)
+from dwellgain.poly import RELAX_SCHEDULE, Poly, _bernstein, decide_nonneg, falsify_nonneg, product_basis
 
 coeff_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=7
@@ -108,76 +103,88 @@ class TestArithmetic:
         assert diff.max_abs_coeff() <= 1e-9 * (1.0 + p.max_abs_coeff() * q.max_abs_coeff())
 
 
+def least_at(p, interval, d, margin=0.0):
+    """The smallest exact degree-d Bernstein coefficient of p - margin on the
+    interval, a Fraction: one order pinned through poly._bernstein."""
+    N, S = _bernstein(p, interval, d, margin)
+    return min(Fraction(v, math.comb(d, i) * S) for i, v in enumerate(N))
+
+
 class TestCertify:
     def test_constant_order_zero(self):
-        cert = certify_nonneg(Poly((1.0,)), (0.0, 1.0), order=0)
-        assert cert.order == 0 and cert.min_coefficient(Poly((1.0,))) == 1
-        assert cert.validate(Poly((1.0,)))
+        assert least_at(Poly((1.0,)), (0.0, 1.0), 0) == 1
+        assert decide_nonneg(Poly((1.0,)), (0.0, 1.0)) == (True, 4, 1)
 
     def test_basis_element_itself(self):
         p = Poly((0.0, 1.0, -1.0))  # t (1 - t)
-        cert = certify_nonneg(p, (0.0, 1.0), order=2)
         # Bernstein coefficients (0, 1/2, 0): p is 1 times the basis element,
         # so no multiple above 1 of it fits under p
-        assert cert.order == 2 and cert.min_coefficient(p) == 0
-        assert cert.min_coefficient(p - p.scale(1.0 + 2.0**-20)) == -Fraction(1, 2**21)
-        assert cert.validate(p)
+        assert least_at(p, (0.0, 1.0), 2) == 0
+        assert least_at(p - p.scale(1.0 + 2.0**-20), (0.0, 1.0), 2) == -Fraction(1, 2**21)
+        assert decide_nonneg(p, (0.0, 1.0)) == (True, 6, 0)
 
     def test_offset_parabola_needs_high_order(self):
         # (t - 0.5)^2 + 0.01: representable only once the order covers the
-        # coefficient undershoot (~0.25/order); infeasible at order 8,
-        # certified at 26.
+        # coefficient undershoot (~0.25/order); refused at order 8, proved at 26
         p = Poly((0.26, -1.0, 1.0))
-        with pytest.raises(NoCertificate):
-            certify_nonneg(p, (0.0, 1.0), order=8)
-        with pytest.raises(NoCertificate):
-            certify_nonneg(p, (0.0, 1.0))  # default escalation stops at degree+10
-        cert = certify_nonneg(p, (0.0, 1.0), order=26)
-        assert cert.min_coefficient(p) >= 0
-        assert cert.validate(p)
+        assert least_at(p, (0.0, 1.0), 8) < 0
+        proved, d, least = decide_nonneg(p, (0.0, 1.0))
+        assert not proved and d == 12 and least < 0  # the schedule stops at degree + 10
+        assert least_at(p, (0.0, 1.0), 26) >= 0
         assert falsify_nonneg(p, (0.0, 1.0)) is None
 
     def test_margin_shifts_constant(self):
-        cert = certify_nonneg(Poly((2.0,)), (0.0, 1.0), order=0, margin=0.5)
-        assert cert.order == 0 and cert.min_coefficient(Poly((2.0,)) - 0.5) == Fraction(3, 2)
-        assert cert.validate(Poly((1.5,)))
+        # p >= margin is p >= -tol at tol = -margin; least is p's own coefficient
+        assert least_at(Poly((2.0,)), (0.0, 1.0), 0, margin=0.5) == Fraction(3, 2)
+        assert decide_nonneg(Poly((2.0,)), (0.0, 1.0), tol=-0.5) == (True, 4, 2)
+        assert not decide_nonneg(Poly((2.0,)), (0.0, 1.0), tol=-2.5)[0]
 
-    def test_invalid_interval(self):
-        with pytest.raises(InvalidInterval):
-            certify_nonneg(Poly((1.0,)), (1.0, 1.0))
+    def test_degenerate_interval(self):
+        # (a, a) is decided at the point a: the same verdict and least
+        for p in (Poly((1.0,)), Poly((0.5, -1.0, 0.25)), Poly((-0.25, 0.0, 1.0))):
+            for a in (0.0, 0.5, 1.0):
+                proved, _, least = decide_nonneg(p, (a, a))
+                assert (proved, least) == decide_nonneg(p, a)[::2]
+                assert least == Fraction(p(a))
+
+    def test_reversed_interval(self):
+        # (b, a) denotes the set between its ends, as (a, b) does
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            p = Poly(tuple(rng.uniform(-1, 1, size=rng.integers(1, 5))))
+            a, b = sorted(rng.uniform(-1, 2, size=2))
+            assert decide_nonneg(p, (b, a)) == decide_nonneg(p, (a, b))
+        assert decide_nonneg(Poly((-0.5, 1.0)), (1.0, 0.6))[0]
+        assert not decide_nonneg(Poly((-0.5, 1.0)), (1.0, 0.4))[0]
 
     def test_nonconstant_interval(self):
         p = Poly((0.06, 0.1, 1.0))  # strictly positive on [0.3, 0.5]... on [-1,1] too
-        cert = certify_nonneg(p, (0.3, 0.5))
-        assert cert.validate(p)
+        assert decide_nonneg(p, (0.3, 0.5))[0]
 
     def test_order_monotonicity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             r1, r2 = sorted(rng.uniform(-0.5, 1.5, size=2))
             p = Poly((-r1, 1.0)) * Poly((-r2, 1.0)) + Poly((0.3,))
-            first = None
-            for order in range(p.degree, p.degree + 9):
-                try:
-                    certify_nonneg(p, (0.0, 1.0), order=order)
-                    first = order
-                    break
-                except NoCertificate:
-                    continue
-            if first is None:
+            schedule = [p.degree + r for r in RELAX_SCHEDULE]
+            orders = range(p.degree, schedule[-1] + 1)
+            proving = [d for d in orders if least_at(p, (0.0, 1.0), d) >= 0]
+            if not proving:
                 continue
-            certify_nonneg(p, (0.0, 1.0), order=first + 1)  # must not raise
+            first = proving[0]
+            assert proving == list(range(first, orders[-1] + 1))  # a higher order never loses it
+            # decide_nonneg stops at the first order of its schedule at or above it
+            assert decide_nonneg(p, (0.0, 1.0))[:2] == (True, min(d for d in schedule if d >= first))
 
     def test_soundness_vs_falsifier(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             q = Poly(tuple(rng.uniform(-1, 1, size=4)))
             p = q * q + Poly((float(rng.uniform(0.05, 0.5)),))
-            try:
-                cert = certify_nonneg(p, (0.0, 1.0))
-            except NoCertificate:
+            proved, _, least = decide_nonneg(p, (0.0, 1.0))
+            if not proved:
                 continue
-            assert cert.validate(p)
+            assert least >= 0
             assert falsify_nonneg(p, (0.0, 1.0)) is None
             grid_min = float(np.min(p.eval(np.linspace(0, 1, 10_000))))
             assert grid_min >= -1e-8 * (1 + p.max_abs_coeff())
@@ -210,11 +217,7 @@ def assert_exact_matches_lp_oracle(p, interval, margin=0.0):
     (times scale) of 0."""
     a, b = interval
     for d in (p.degree + r for r in (4, 6, 8, 10)):
-        try:
-            certify_nonneg(p, interval, order=d, margin=margin)
-            exact = True
-        except NoCertificate:
-            exact = False
+        exact = least_at(p, interval, d, margin) >= 0
         weights = per_row_certify_at_order(p, a, b, d, margin)
         if exact == (weights is not None):
             continue
@@ -245,7 +248,7 @@ def _positivity_entries():
 
 
 class TestExactDecision:
-    """certify_nonneg decides by exact Bernstein coefficients, without an LP."""
+    """decide_nonneg decides by exact Bernstein coefficients, without an LP."""
 
     def test_matches_lp_oracle_on_positivity_entries(self):
         entries = _positivity_entries()
@@ -265,44 +268,46 @@ class TestExactDecision:
         assert_exact_matches_lp_oracle(root * root + Poly((offset,)), interval)
 
     def test_constant_at_its_margin(self):
-        cert = certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=1.0)
-        assert cert.min_coefficient(Poly((1.0,)) - 1.0) == 0
-        with pytest.raises(NoCertificate):
-            certify_nonneg(Poly((1.0,)), (0.0, 1.0), margin=math.nextafter(1.0, 2.0))
+        # 1 >= margin 1 holds exactly, 1 >= the next float above 1 does not
+        assert decide_nonneg(Poly((1.0,)), (0.0, 1.0), tol=-1.0) == (True, 4, 1)
+        assert not decide_nonneg(Poly((1.0,)), (0.0, 1.0), tol=-math.nextafter(1.0, 2.0))[0]
 
     def test_zero_bernstein_coefficient_is_accepted(self):
         # t^2 on [0, 1]: b_0 = 0 at every order
-        p = Poly((0.0, 0.0, 1.0))
-        cert = certify_nonneg(p, (0.0, 1.0))
-        assert cert.order == 6 and cert.min_coefficient(p) == 0
-        assert cert.validate(p)
+        assert decide_nonneg(Poly((0.0, 0.0, 1.0)), (0.0, 1.0)) == (True, 6, 0)
 
     def test_min_coefficient_is_smallest_bernstein_coefficient(self):
         # 1 + t on [1, 3] at order 1: q(s) = 2 + 2s, b = (2, 4), h = 2
-        cert = certify_nonneg(Poly((1.0, 1.0)), (1.0, 3.0), order=1)
-        assert cert.min_coefficient(Poly((1.0, 1.0))) == 2
-        # t - 5 on [1, 3]: q(s) = -4 + 2s, b = (-4, -2)
-        assert cert.min_coefficient(Poly((-5.0, 1.0))) == -4
+        assert least_at(Poly((1.0, 1.0)), (1.0, 3.0), 1) == 2
+        assert decide_nonneg(Poly((1.0, 1.0)), (1.0, 3.0)) == (True, 5, 2)
+        # t - 5 on [1, 3]: q(s) = -4 + 2s, b = (-4, -2); every order ends at -4
+        assert least_at(Poly((-5.0, 1.0)), (1.0, 3.0), 1) == -4
+        assert decide_nonneg(Poly((-5.0, 1.0)), (1.0, 3.0)) == (False, 11, -4)
 
     def test_solves_no_lp(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("certify_nonneg must not build or solve an LP")
+            raise AssertionError("decide_nonneg must not build or solve an LP")
 
         monkeypatch.setattr(lp_mod, "lp_solve", forbidden)
         monkeypatch.setattr(lp_mod, "LinearProgram", forbidden)
-        assert certify_nonneg(Poly((1.0, -1.0, 0.27)), (0.0, 3.0)).order == 10
-        with pytest.raises(NoCertificate):
-            certify_nonneg(Poly((0.26, -1.0, 1.0)), (0.0, 1.0))
+        assert decide_nonneg(Poly((1.0, -1.0, 0.27)), (0.0, 3.0))[:2] == (True, 10)
+        assert not decide_nonneg(Poly((0.26, -1.0, 1.0)), (0.0, 1.0))[0]
 
-    @pytest.mark.parametrize("interval, margin, coeffs", [
+    @pytest.mark.parametrize("interval, tol, coeffs", [
         ((0.0, math.inf), 0.0, (1.0, 1.0)),
         ((-math.inf, 0.0), 0.0, (1.0,)),
         ((0.0, 1.0), math.inf, (1.0,)),
         ((0.0, 1.0), 0.0, (1.0, math.nan)),
     ])
-    def test_non_finite_input(self, interval, margin, coeffs):
-        with pytest.raises(ValueError):
-            certify_nonneg(Poly(coeffs), interval, margin=margin)
+    def test_non_finite_input(self, interval, tol, coeffs):
+        what = "domain" if not all(map(math.isfinite, interval)) else "tol" if tol else "coefficient"
+        with pytest.raises(ValueError, match=f"^{what} must be finite"):
+            decide_nonneg(Poly(coeffs), interval, tol)
+
+    @pytest.mark.parametrize("point, tol", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, -math.inf)])
+    def test_non_finite_point_or_tol(self, point, tol):
+        with pytest.raises(ValueError, match="^(domain|tol) must be finite"):
+            decide_nonneg(Poly((1.0, 1.0)), point, tol)
 
 
 # nonzero coefficients from 1e-9 to 1e3 in magnitude, either sign
@@ -333,24 +338,25 @@ class TestBernstein:
 
     def test_exact_boundary(self):
         # t^2 on [0, 1] at order 2 has Bernstein coefficients (0, 0, 1)
-        cert = HandelmanCertificate((0.0, 1.0), 2)
-        assert cert.validate(Poly((0.0, 0.0, 1.0)))
-        assert not cert.validate(Poly((-(2.0**-60), 0.0, 1.0)))
-        assert cert.min_coefficient(Poly((-(2.0**-60), 0.0, 1.0))) == -Fraction(1, 2**60)
+        assert least_at(Poly((0.0, 0.0, 1.0)), (0.0, 1.0), 2) == 0
+        assert least_at(Poly((-(2.0**-60), 0.0, 1.0)), (0.0, 1.0), 2) == -Fraction(1, 2**60)
+        assert decide_nonneg(Poly((0.0, 0.0, 1.0)), (0.0, 1.0))[0]
+        assert not decide_nonneg(Poly((-(2.0**-60), 0.0, 1.0)), (0.0, 1.0))[0]
 
-    def test_validate_reads_no_weights(self):
-        # a certificate holds no weights; the target's own coefficients decide
-        cert = HandelmanCertificate((0.5, 2.0), 3)
-        assert cert.validate(Poly((1.0, -1.0, 0.5)))
-        # -0.375 + 0.5 t is -0.125 at t = 0.5, its smallest Bernstein coefficient
-        assert cert.validate(Poly((-0.375, 0.5)), tol=0.125)
-        assert not cert.validate(Poly((-0.375, 0.5)), tol=math.nextafter(0.125, 0.0))
+    def test_tol_boundary(self):
+        # -0.375 + 0.5 t is -0.125 at t = 0.5, its smallest Bernstein coefficient on [0.5, 2]
+        assert decide_nonneg(Poly((1.0, -1.0, 0.5)), (0.5, 2.0))[0]
+        assert decide_nonneg(Poly((-0.375, 0.5)), (0.5, 2.0), tol=0.125) == (True, 5, Fraction(-1, 8))
+        assert not decide_nonneg(Poly((-0.375, 0.5)), (0.5, 2.0), tol=math.nextafter(0.125, 0.0))[0]
 
     def test_unprovable_targets(self):
-        cert = HandelmanCertificate((0.0, 1.0), 2)
-        assert not cert.validate(Poly((1.0, 0.0, 0.0, 1.0)))  # beyond the order
-        assert not cert.validate(Poly((1.0, math.nan)))
-        assert not HandelmanCertificate((0.0, math.inf), 2).validate(Poly((1.0,)))
+        # negative somewhere: no order proves it, and the last one is reported
+        for p, interval in ((Poly((1.0, 0.0, 0.0, -1.0)), (0.0, 1.5)), (Poly((0.2, -1.0, 1.0)), (0.0, 1.0))):
+            proved, d, least = decide_nonneg(p, interval)
+            assert not proved and d == p.degree + 10 and least < 0
+            assert falsify_nonneg(p, interval) is not None
+        # a point where p is negative
+        assert decide_nonneg(Poly((0.2, -1.0, 1.0)), 0.5) == (False, 0, Fraction(0.2) - Fraction(1, 4))
 
 
 class TestFalsify:
@@ -383,3 +389,10 @@ def test_product_basis_table_matches_expansion(order):
         want = [(p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0]
         assert list(basis_k) == want
 
+
+
+@pytest.mark.parametrize("name", ["dwellgain"] + [f"dwellgain.{m.name}" for m in pkgutil.iter_modules(dwellgain.__path__)])
+def test_public_names_resolve(name):
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", ()):
+        assert hasattr(module, attr), f"{name}.__all__ lists {attr}, which it does not define"

@@ -17,12 +17,12 @@ a cross-check report must keep its verdict and its row families, and each
 worst slack may move by at most 1e-12 * (1 + |gamma|), as rounding may move
 it.  It prints every other difference and exits 1 if there is one.  A summary
 follows: the differences per output kind (certificate, controller, gain, lp,
-verify, cross-check, simulation, error), every verdict that flips between
-pass and fail, every case that flips between a result and an error and every
-error whose class changes (say Infeasible -> NotPositive), each with its
-direction, the largest relative move of the gamma stored with the
-cross-check entries, and that of the values stored with the simulation
-entries.
+verify, cross-check, simulation, decision, positivity, error), every verdict
+that flips between pass and fail, every case that flips between a result and
+an error and every error whose class changes (say Infeasible ->
+NotPositive), each with its direction, the largest relative move of the gamma
+stored with the cross-check entries, and that of the values stored with the
+simulation entries.
 
 Cases:
 - the three impulsive benchmarks under constant, minimum, range [T, 1.5 T]
@@ -59,7 +59,14 @@ Cases:
   one under exact dwell, open and closed loop, switched, and with a
   truncated last segment.  Arrays are stored as SHA-256 digests of their
   bytes, so a march that moves any value by one ulp shows; next to them
-  are each array's largest magnitude and each estimate's value.
+  are each array's largest magnitude and each estimate's value;
+- `decide_nonneg` verdicts (proved, order, smallest Bernstein coefficient)
+  of every nonconstant flow or output matrix entry of the built-in
+  benchmarks on (0, 1.9) at tol 0, 1e-8 and -1e-8, and at the points of
+  NONNEG_POINTS, and of the parabolas (t - 0.5)^2 + c on (0, 1) for c in
+  PARABOLA_C; and the `violations` and `unverified` of `check_positive` of
+  every benchmark, nonpositive_rotation and negative_input_plant at
+  T in {0.2, 1.9}.
 
 Only the public API is used, so the script runs against any version of `src/`.
 """
@@ -76,7 +83,8 @@ import numpy as np
 
 from dwellgain import analysis, benchmarks, cert, model, sim, synthesis, Poly
 from dwellgain.errors import DwellgainError
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, check_positive
+from dwellgain.poly import decide_nonneg
 
 IMPULSIVE = ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench")
 GRID_T = (0.12, 0.2, 0.33, 0.5, 1.9, 2.7)
@@ -106,6 +114,11 @@ SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
 # several march chunks of 8,192 maps, and fewer maps than one prefix block
 SIM_HORIZONS = (30.0, 0.02)
 FLOW_GRID_CELLS = (1, 20, 700, 9000)
+NONNEG_DOMAIN = (0.0, 1.9)
+NONNEG_TOLS = (0.0, 1e-8, -1e-8)
+NONNEG_POINTS = (0.0, 0.7, 1.9)
+PARABOLA_C = (0.26, 0.25, 0.01, 0.0)
+POSITIVITY_T = (0.2, 1.9)
 SLACK_RTOL = 1e-12
 DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
 NONPOSITIVE_CERTIFICATE = os.path.join(DATA, "nonpositive_constant_1.json")
@@ -220,6 +233,37 @@ def collect_simulations(rec: "Recorder", out_dir: str) -> None:
     for name, s, dwell, ctrl, horizon in constant_input_cases():
         record_trajectory(rec, f"sim {name} {dwell} const_unit horizon={horizon}", s,
                           sim.SequenceGen.for_spec(dwell, seed=7), constant, horizon, ctrl, dwell.clamp, prefix)
+
+
+def collect_decisions(rec: "Recorder") -> None:
+    """The decide_nonneg verdicts and check_positive reports into rec.out."""
+    verdict = lambda r: [r[0], r[1], str(r[2])]
+    systems = {name: getattr(benchmarks, name)() for name in (
+        "lti_jump_bench", "timer_growth_bench", "timer_stable_bench", "unstable_chain_plant",
+        "unstable_pair_plant", "two_mode_switched_bench")}
+    for name, s in systems.items():
+        modes = range(s.N) if isinstance(s, SwitchedSystem) else (None,)
+        for mode in modes:
+            for label, mat in zip("ABECDF", model.mode_mats(s, mode)):
+                for i in range(mat.shape[0]):
+                    for j in range(mat.shape[1]):
+                        p = mat.entry(i, j)
+                        if p.degree == 0:
+                            continue
+                        key = f"decide_nonneg {name} mode={mode} {label}[{i},{j}]"
+                        for tol in NONNEG_TOLS:
+                            rec.solve(f"{key} {NONNEG_DOMAIN} tol={tol}",
+                                      lambda lp: decide_nonneg(p, NONNEG_DOMAIN, tol), verdict)
+                        for t in NONNEG_POINTS:
+                            rec.solve(f"{key} at {t}", lambda lp: decide_nonneg(p, t), verdict)
+    for c in PARABOLA_C:
+        p = Poly((0.25 + c, -1.0, 1.0))
+        rec.solve(f"decide_nonneg (t - 0.5)^2 + {c} (0.0, 1.0)", lambda lp: decide_nonneg(p, (0.0, 1.0)), verdict)
+    systems.update(nonpositive_rotation=nonpositive_rotation(), negative_input_plant=negative_input_plant())
+    for name, s in systems.items():
+        for T in POSITIVITY_T:
+            rec.solve(f"check_positive {name} T={T}", lambda lp: check_positive(s, (0.0, T)),
+                      lambda r: {"violations": r.violations, "unverified": r.unverified})
 
 
 def _digest(obj) -> str:
@@ -375,6 +419,7 @@ def collect(lp_dir: str) -> dict:
     rec.reports("negative_input_plant design file", synthesis.certificate_from(stored),
                 synthesis.closed_loop(neg, stored))
     collect_simulations(rec, lp_dir)
+    collect_decisions(rec)
     return rec.out
 
 
@@ -401,6 +446,10 @@ def _kind(key: str, a: dict, b: dict) -> str:
             return suffix
     if key.startswith(("sim ", "flow_grid ")):
         return "simulation"
+    if key.startswith("decide_nonneg "):
+        return "decision"
+    if key.startswith("check_positive "):
+        return "positivity"
     if " blanchini " in key or " lti " in key:
         return "gain"
     return "controller" if " design " in key else "certificate"
