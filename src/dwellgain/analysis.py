@@ -1,10 +1,13 @@
 """Gain analysis: build and minimize the linear programs behind each
 dwell-time stability/performance condition and return a checkable Certificate.
 
-Every strict theorem inequality "expr < 0" is encoded as "-expr >= margin";
-interval-valued rows are imposed through their Bernstein coefficients, one
-equality row and one nonnegative slack column each; point rows are plain LP
-rows.  gamma enters every encoding affinely and is minimized directly.
+Every strict theorem inequality "expr < 0" is written as "-expr >= margin",
+at a point or at every timer value of an interval, into one `_Program` per
+theorem, which every LP of this package encodes: a relaxation order imposes
+the interval rows through their Bernstein coefficients, one equality row and
+one nonnegative slack column each, and the sampled referee at finitely many
+points; point rows are plain LP rows.  gamma enters every encoding affinely
+and is minimized directly.
 
 The theorem rows have one builder for analyses and designs: a design reads
 zeta = X 1 (X diagonal) with numerators U = K X, so an analysis is the
@@ -277,48 +280,60 @@ def _value(p: np.ndarray, x: np.ndarray) -> Poly:
 
 
 class _Program:
-    """LP under construction plus the records of its rows, which its sampled referee reads."""
+    """A theorem's program: its decision columns and one ordered list of
+    rows (family, index, e, interval, margin), each e >= margin, at a point
+    (interval None, e an expression) or at every t in interval = (a, b),
+    a < b (e a polynomial).  Two encoders make LPs of it: one relaxation
+    order (`relaxation`) and the sampled referee (`sampled_referee`)."""
 
-    def __init__(self, relax: int):
-        self.lp = LinearProgram()
-        self.relax = relax
-        self.interval_records: list[dict] = []
-        self.point_records: list[dict] = []
+    def __init__(self):
+        self.columns = LinearProgram()  # the decision columns, no rows
+        self.rows: list[tuple] = []
 
     def scalar(self, lo=None, hi=None, name="") -> int:
-        return self.lp.new_var(lo, hi, name)
+        return self.columns.new_var(lo, hi, name)
 
     def poly_vec(self, n: int, degree: int, name: str) -> list[np.ndarray]:
         out = []
         for i in range(n):
-            ids = [self.lp.new_var(name=f"{name}{i}_c{k}") for k in range(degree + 1)]
+            ids = [self.scalar(name=f"{name}{i}_c{k}") for k in range(degree + 1)]
             p = np.zeros((degree + 1, ids[-1] + 2))
             p[range(degree + 1), [v + 1 for v in ids]] = 1.0
             out.append(p)
         return out
 
     def add_point_ge(self, family: str, index: int, expr: np.ndarray, margin: float) -> None:
-        # expr >= margin
-        self.lp.add_ge(_terms(expr), margin - expr[0])
-        self.point_records.append({"family": family, "index": index, "expr": expr, "margin": margin})
+        self.rows.append((family, index, expr, None, margin))
 
     def add_interval_ge(self, family: str, index: int, p: np.ndarray, interval: tuple[float, float],
                         margin: float) -> None:
-        """p(t) >= margin on [a, b] at order D = degree + relax, imposed by
-        _cone_rows on q(s) = p(a + h s), h = b - a, s in [0, 1].  A
-        degenerate interval a = b is one point row, p(a), or p itself if it
-        is an expression already."""
+        """p(t) >= margin on [a, b].  A degenerate interval a = b is one point
+        row, p(a), or p itself if it is an expression already."""
         a, b = interval
         if not a < b:
             self.add_point_ge(family, index, p if p.ndim == 1 else _eval_at(p, a), margin)
             return
-        order = len(p) - 1 + self.relax
-        self._cone_rows(f"{family}{index}", _shift_scale_arg(p, a, b - a), order, margin)
-        self.interval_records.append(
-            {"family": family, "index": index, "pexpr": p, "interval": (a, b), "order": order, "margin": margin}
-        )
+        self.rows.append((family, index, p, (a, b), margin))
 
-    def _cone_rows(self, name: str, q: np.ndarray, order: int, margin: float) -> None:
+    def _lp(self, objective: dict[int, float]) -> LinearProgram:
+        """A new LP on the decision columns that minimizes objective."""
+        c = self.columns
+        return LinearProgram(c.num_vars, dict(objective), bounds=dict(c.bounds), names=dict(c.names))
+
+    def relaxation(self, relax: int, objective: dict[int, float]) -> LinearProgram:
+        """The LP at relaxation order relax: each point row one >= row, each
+        interval row p >= margin on [a, b] the rows of `_cone_rows` at order
+        D = degree + relax on q(s) = p(a + h s), h = b - a, s in [0, 1]."""
+        lp = self._lp(objective)
+        for family, index, e, interval, margin in self.rows:
+            if interval is None:
+                lp.add_ge(_terms(e), margin - e[0])
+            else:
+                a, b = interval
+                self._cone_rows(lp, f"{family}{index}", _shift_scale_arg(e, a, b - a), len(e) - 1 + relax, margin)
+        return lp
+
+    def _cone_rows(self, lp: LinearProgram, name: str, q: np.ndarray, order: int, margin: float) -> None:
         """q - margin in the degree-`order` Bernstein cone on [0, 1], the span
         of s^i (1 - s)^j, i + j <= D: each coefficient b_i(q) = sum_{k <= i}
         C(i, k) / C(D, k) q_k is one row b_i(q) - s_i = margin with a slack
@@ -330,36 +345,26 @@ class _Program:
         for k, qk in enumerate(q):
             b[k:] += W[k:, k, None] * qk
         for i, (const, *coeffs) in enumerate(b.tolist()):
-            row = {self.lp.new_var(0.0, None, name=f"{name}_b{i}"): -1.0}
+            row = {lp.new_var(0.0, None, name=f"{name}_b{i}"): -1.0}
             row.update((v, c) for v, c in enumerate(coeffs) if c != 0.0)
-            self.lp.add_eq(row, margin - const)
+            lp.add_eq(row, margin - const)
 
-    def solve_min(self, gamma: int, extra_obj: Optional[dict[int, float]] = None):
-        obj = {gamma: 1.0}
-        if extra_obj:
-            for v, c in extra_obj.items():
-                obj[v] = obj.get(v, 0.0) + c
-        self.lp.set_objective(obj)
-        return lp_solve(self.lp)
-
-    def sampled_referee(self) -> LinearProgram:
-        """Same program with interval rows imposed on a finite grid only.
+    def sampled_referee(self, objective: dict[int, float]) -> LinearProgram:
+        """The point rows, then every interval row imposed at _REFEREE_SAMPLES
+        points only.
 
         This relaxation is necessary for the true semi-infinite program, so its
         infeasibility proves genuine infeasibility (vs. a relaxation limit).
-        Its rows do not depend on the relaxation order; the slack (or cone)
-        columns of the interval rows stay as empty columns.
+        It does not depend on the relaxation order.
         """
-        lp = LinearProgram()
-        lp.num_vars = self.lp.num_vars
-        lp.bounds = dict(self.lp.bounds)
-        lp.objective = dict(self.lp.objective)
-        for rec in self.point_records:
-            expr, margin = rec["expr"], rec["margin"]
-            lp.add_ge(_terms(expr), margin - expr[0])
-        for rec in self.interval_records:
-            cols, block, const = _eval_grid(rec["pexpr"], np.linspace(*rec["interval"], _REFEREE_SAMPLES))
-            lp.add_ge_block(cols, block, rec["margin"] - const)
+        lp = self._lp(objective)
+        for _, _, e, interval, margin in self.rows:
+            if interval is None:
+                lp.add_ge(_terms(e), margin - e[0])
+        for _, _, p, interval, margin in self.rows:
+            if interval is not None:
+                cols, block, const = _eval_grid(p, np.linspace(*interval, _REFEREE_SAMPLES))
+                lp.add_ge_block(cols, block, margin - const)
         return lp
 
 
@@ -494,13 +499,15 @@ def _gain_rows_constant_like(
         prog.add_point_ge(f"pin_hi{tag}", i, _add(_const(_ZETA_PIN), z0, -1.0), 0.0)
 
 
-def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
-    """build(relax) -> (_Program, gamma var, finalize[, extra_obj]); escalate the
-    relaxation order on infeasibility or numerical failure.
+def _solve_with_escalation(prog: _Program, gamma: int, finalize, extra_obj: Optional[dict[int, float]] = None,
+                           relax_schedule=RELAX_SCHEDULE, dump_lp=None):
+    """Minimize gamma (plus extra_obj) over prog, encoded at each order of
+    relax_schedule in turn until one solves: finalize(solution, order).
+    An order goes on to the next on infeasibility or numerical failure.
 
     Analyses of an unstable periodic orbit never get here: `_analyze_hybrid`
     raises Infeasible from `_unstable_orbit` first.  Otherwise the first
-    order that ends Infeasible is followed by one solve of its sampled
+    order that ends Infeasible is followed by one solve of the sampled
     referee.  The referee relaxes the semi-infinite program (interval
     rows at finitely many points) while every order's LP restricts it (a
     Bernstein cone inside the nonnegative polynomials), so an infeasible
@@ -511,12 +518,15 @@ def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     Infeasible, the referee is solved after the last order.  Error messages
     list each outcome in the order it happened.
     """
+    objective = {gamma: 1.0}
+    for v, c in (extra_obj or {}).items():
+        objective[v] = objective.get(v, 0.0) + c
     tried = []  # (what, LP status or NumericalFailure message)
     referee = None  # the referee's outcome (see _solve_referee) once solved
     for relax in relax_schedule:
-        prog, gamma, finalize, *extra_obj = build(relax)
+        lp = prog.relaxation(relax, objective)
         try:
-            sol = prog.solve_min(gamma, *extra_obj)
+            sol = lp_solve(lp)
         except NumericalFailure as exc:
             tried.append((f"order +{relax}", f"NumericalFailure ({exc})"))
             continue
@@ -524,19 +534,19 @@ def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
             if dump_lp:
                 from .lp import dump_lp as _dump
 
-                _dump(prog.lp, dump_lp)
-            return finalize(prog, sol, relax)
+                _dump(lp, dump_lp)
+            return finalize(sol, relax)
         if sol.status == "Unbounded":
             raise NumericalFailure("gain LP unbounded; encoding error")
-        if not prog.interval_records:
+        if all(interval is None for _, _, _, interval, _ in prog.rows):
             raise Infeasible("conditions infeasible (finite LP)")
         tried.append((f"order +{relax}", sol.status))
         if referee is None:
-            referee = _solve_referee(prog, tried)
+            referee = _solve_referee(prog, objective, tried)
             if referee == "Infeasible":
                 break
     if referee is None:
-        referee = _solve_referee(prog, tried)
+        referee = _solve_referee(prog, objective, tried)
     history = "; ".join(f"{what}: {status}" for what, status in tried)
     if referee == "Optimal":
         raise RelaxationLimit(
@@ -548,11 +558,11 @@ def _solve_with_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     raise Infeasible(f"conditions infeasible (sampled referee LP infeasible) [{history}]")
 
 
-def _solve_referee(prog: _Program, tried: list) -> str:
+def _solve_referee(prog: _Program, objective: dict[int, float], tried: list) -> str:
     """Solve prog's sampled referee: "Optimal", "Infeasible" (any other LP
     status) or "NumericalFailure", whose message is appended to tried."""
     try:
-        return "Optimal" if lp_solve(prog.sampled_referee()).status == "Optimal" else "Infeasible"
+        return "Optimal" if lp_solve(prog.sampled_referee(objective)).status == "Optimal" else "Infeasible"
     except NumericalFailure as exc:
         tried.append(("referee", f"NumericalFailure ({exc})"))
         return "NumericalFailure"
@@ -697,45 +707,27 @@ def _analyze_hybrid(
     if reason:
         raise Infeasible(f"conditions infeasible ({reason})")
 
-    def build(relax: int):
-        prog = _Program(relax)
-        zeta = prog.poly_vec(sys.n, degree, "zeta")
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
-        _gain_rows_constant_like(
-            prog,
-            mode_mats(sys),
-            sys.jumps,
-            zeta,
-            gamma,
-            _timer_end(dwell),
-            (lo, hi),
-            margin,
-            jump_margin,
-            stationary_at=stationary_at,
-            mu=mu,
+    prog = _Program()
+    zeta = prog.poly_vec(sys.n, degree, "zeta")
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
+    _gain_rows_constant_like(prog, mode_mats(sys), sys.jumps, zeta, gamma, _timer_end(dwell), (lo, hi), margin,
+                             jump_margin, stationary_at=stationary_at, mu=mu)
+
+    def finalize(sol, relax):
+        return Certificate(
+            kind=_KIND[dwell.kind],
+            gamma=float(sol.x[gamma]),
+            zeta=[_value(z, sol.x) for z in zeta],
+            dwell=dwell,
+            margin=margin,
+            jump_margin=jump_margin,
+            degree=degree,
+            aux={} if mu is None else {"mu": [_value(m, sol.x) for m in mu]},
+            relax=relax,
         )
 
-        def finalize(prog, sol, relax):
-            zp = [_value(z, sol.x) for z in zeta]
-            aux = {}
-            if mu is not None:
-                aux["mu"] = [_value(m, sol.x) for m in mu]
-            return Certificate(
-                kind=_KIND[dwell.kind],
-                gamma=float(sol.x[gamma]),
-                zeta=zp,
-                dwell=dwell,
-                margin=margin,
-                jump_margin=jump_margin,
-                degree=degree,
-                aux=aux,
-                relax=relax,
-            )
-
-        return prog, gamma, finalize
-
-    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(prog, gamma, finalize, relax_schedule=relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_constant(
@@ -832,32 +824,27 @@ def analyze_switched_min(
     require_positive(sw, T)
     n = sw.n
 
-    def build(relax: int):
-        prog = _Program(relax)
-        zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        for i in range(sw.N):
-            _gain_rows_constant_like(
-                prog, mode_mats(sw, i), (), zetas[i], gamma, T,
-                jump_dwells=(T, T), margin=margin, jump_margin=0.0, stationary_at=T, tag=f"[{i}]",
-            )
-        _coupling_rows(prog, zetas, T)
+    prog = _Program()
+    zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    for i in range(sw.N):
+        _gain_rows_constant_like(prog, mode_mats(sw, i), (), zetas[i], gamma, T, jump_dwells=(T, T), margin=margin,
+                                 jump_margin=0.0, stationary_at=T, tag=f"[{i}]")
+    _coupling_rows(prog, zetas, T)
 
-        def finalize(prog, sol, relax):
-            return Certificate(
-                kind="SwitchedMinDT",
-                gamma=float(sol.x[gamma]),
-                zeta=[[_value(z, sol.x) for z in zeta] for zeta in zetas],
-                dwell=DwellTimeSpec.minimum(T),
-                margin=margin,
-                jump_margin=0.0,
-                degree=degree,
-                relax=relax,
-            )
+    def finalize(sol, relax):
+        return Certificate(
+            kind="SwitchedMinDT",
+            gamma=float(sol.x[gamma]),
+            zeta=[[_value(z, sol.x) for z in zeta] for zeta in zetas],
+            dwell=DwellTimeSpec.minimum(T),
+            margin=margin,
+            jump_margin=0.0,
+            degree=degree,
+            relax=relax,
+        )
 
-        return prog, gamma, finalize
-
-    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(prog, gamma, finalize, relax_schedule=relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_switched_blanchini(
@@ -876,48 +863,40 @@ def analyze_switched_blanchini(
     require_positive(sw, T)
     from .cert import flow_grid
 
-    n, q, N = sw.n, sw.q, sw.N
+    n, N = sw.n, sw.N
     taus = np.linspace(0.0, T, grid_points)
     Phis, forced = zip(*(flow_grid(sw, taus, mode=i)[:2] for i in range(N)))
 
-    lp = LinearProgram()
-    lam = [[lp.new_var(name=f"lam{i}_{r}") for r in range(n)] for i in range(N)]
-    gamma = lp.new_var(lo=0.0, name="gamma")
+    prog = _Program()
+    cols = [[prog.scalar(name=f"lam{i}_{r}") for r in range(n)] for i in range(N)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    # lam[i][r] is column cols[i][r] as an expression; a product with these
+    # unit rows adds only exact zeros
+    lam = np.eye(gamma + 2)[1 + np.array(cols)]
+
+    def rows(family: str, exprs: np.ndarray, const: np.ndarray) -> None:
+        for r, e in enumerate(exprs):
+            prog.add_point_ge(family, r, _add(e, _const(const[r]), -1.0), margin)
+
+    # -A_i lam_i - E_i 1, lam_i - e^(A_i T) lam_j - int_0^T e^(A_i s) E_i 1 ds,
+    # gamma - (C_i - C_i Phi_i(tau)) lam_i - C_i Phi_i(tau) lam_j - F_i 1 on
+    # the grid, and lam_i, each >= margin
     for i, md in enumerate(sw.modes):
-        A = md["A"].const()
-        E1 = md["E"].const().sum(axis=1)
-        for r in range(n):
-            lp.add_le({lam[i][c]: A[r, c] for c in range(n)}, -E1[r] - margin)
+        rows(f"flow[{i}]", -(md["A"].const() @ lam[i]), md["E"].const().sum(axis=1))
     for i in range(N):
-        eAT = Phis[i][..., -1]
-        integ = forced[i][:, -1]
         for j in range(N):
-            if i == j:
-                continue
-            for r in range(n):
-                row = {lam[j][c]: eAT[r, c] for c in range(n)}
-                row[lam[i][r]] = row.get(lam[i][r], 0.0) - 1.0
-                lp.add_le(row, -integ[r] - margin)
+            if i != j:
+                rows(f"couple[{j}->{i}]", lam[i] - Phis[i][..., -1] @ lam[j], forced[i][:, -1])
     for i, md in enumerate(sw.modes):
-        C = md["C"].const()
-        F1 = md["F"].const().sum(axis=1)
+        C, F1 = md["C"].const(), md["F"].const().sum(axis=1)
         for j in range(N):
-            if i == j:
-                continue
-            for Ph in Phis[i].transpose(2, 0, 1):
-                CP = C @ Ph
-                CmCP = C - CP
-                for r in range(q):
-                    row = {lam[i][c]: CmCP[r, c] for c in range(n)}
-                    for c in range(n):
-                        row[lam[j][c]] = row.get(lam[j][c], 0.0) + CP[r, c]
-                    row[gamma] = -1.0
-                    lp.add_le(row, -F1[r] - margin)
+            if i != j:
+                for Ph in Phis[i].transpose(2, 0, 1):
+                    CP = C @ Ph
+                    rows(f"out_c[{j}->{i}]", _var(gamma) - (C - CP) @ lam[i] - CP @ lam[j], F1)
     for i in range(N):
-        for r in range(n):
-            lp.add_ge({lam[i][r]: 1.0}, margin)
-    lp.set_objective({gamma: 1.0})
-    sol = lp_solve(lp)
+        rows(f"lam[{i}]", lam[i], np.zeros(n))
+    sol = lp_solve(prog.relaxation(0, {gamma: 1.0}))
     if sol.status != "Optimal":
         raise Infeasible("per-mode vector conditions infeasible at this dwell-time")
     return float(sol.objective_value)
@@ -949,11 +928,11 @@ def analyze_lti(
         A, E, C, F = (PolyMatrix.from_const(m) for m in (jm.J - np.eye(sys.n), jm.Ed, jm.Cd, jm.Fd))
     if norm == "L1":
         A, E, C, F = A.T, C.T, E.T, F.T
-    prog = _Program(0)
+    prog = _Program()
     v = [_var(prog.scalar(lo=1e-12, name=f"v{i}"))[None] for i in range(sys.n)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     _Mode(prog, (A, None, E, C, None, F), v, [], 0.0).theorem_rows(gamma, margin)
-    sol = prog.solve_min(gamma)
+    sol = lp_solve(prog.relaxation(0, {gamma: 1.0}))
     if sol.status != "Optimal":
         raise Infeasible("system not certifiably stable (LTI vector conditions)")
     return float(sol.x[gamma]), sol.x[: sys.n].copy()  # v: the first n columns

@@ -112,7 +112,8 @@ class PolyMatrix:
         component-major layout every batched product runs on."""
         t = np.minimum(taus, clamp) if clamp is not None else np.asarray(taus, dtype=float)
         cs = self.coeffs.transpose(2, 0, 1)[..., None]  # cs[k] is the degree-k slab
-        out = np.broadcast_to(cs[-1], self.shape + (len(t),)).copy()
+        out = np.empty(self.shape + (len(t),))
+        out[...] = cs[-1]
         for c in cs[-2::-1]:  # in place: one mesh-sized array however high the degree
             out *= t
             out += c

@@ -70,7 +70,6 @@ class SequenceGen:
     T: Optional[float] = None
     Tmin: Optional[float] = None
     Tmax: Optional[float] = None
-    rate: Optional[float] = None
     seed: int = 0
 
     @staticmethod
@@ -82,8 +81,8 @@ class SequenceGen:
         return SequenceGen("uniform_range", Tmin=float(Tmin), Tmax=float(Tmax), seed=seed)
 
     @staticmethod
-    def min_plus_exp(T: float, rate: Optional[float] = None, seed: int = 0) -> "SequenceGen":
-        return SequenceGen("min_plus_exp", T=float(T), rate=rate, seed=seed)
+    def min_plus_exp(T: float, seed: int = 0) -> "SequenceGen":
+        return SequenceGen("min_plus_exp", T=float(T), seed=seed)
 
     @staticmethod
     def for_spec(dwell: DwellTimeSpec, seed: int = 0) -> "SequenceGen":
@@ -112,8 +111,8 @@ class SequenceGen:
             elif self.kind == "uniform_range":
                 d = float(rng.uniform(self.Tmin, self.Tmax))
             elif self.kind == "min_plus_exp":
-                rate = self.rate if self.rate is not None else 1.0 / self.T
-                d = min(self.T + float(rng.exponential(1.0 / rate)), 10.0 * self.T)
+                # T plus an exponential of rate 1/T, whose scale 1/rate is rounded twice
+                d = min(self.T + float(rng.exponential(1.0 / (1.0 / self.T))), 10.0 * self.T)
             else:
                 raise ValueError(f"unknown sequence kind {self.kind!r}")
             out.append(d)

@@ -5,7 +5,9 @@ gains U; the closed-loop positivity and performance rows are affine in them,
 so gain minimization stays a linear program.  The performance rows are the
 analysis theorem rows under zeta = X 1, written by the analysis builders
 (`analysis._Mode`, `analysis._jump_rows`); this module adds the positivity,
-denominator and gain-cap rows (`_DesignMode`).  Controllers are recovered as
+denominator and gain-cap rows (`_DesignMode`).  A design's program
+(`_DesignProgram`) is an analysis program whose relaxation orders impose the
+interval rows in the product-basis cone.  Controllers are recovered as
 rational gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 """
 
@@ -40,6 +42,7 @@ from .analysis import (
     _var,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
+from .lp import LinearProgram
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, mode_mats, polys_from_json,
                     polys_to_json, read_field, read_json, require_forward_time, require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
@@ -72,18 +75,18 @@ class _DesignProgram(_Program):
     of D + 1.  The designs, their `--dump-lp` texts and the closed-loop
     Monte-Carlo values recorded for them were all made with this encoding."""
 
-    def _cone_rows(self, name: str, q: np.ndarray, order: int, margin: float) -> None:
+    def _cone_rows(self, lp: LinearProgram, name: str, q: np.ndarray, order: int, margin: float) -> None:
         """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
         column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
         pairs, terms = product_basis(order)
-        cone = [self.lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
+        cone = [lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
         qs = q.tolist()
         for k, basis_k in enumerate(terms):
             const, *coeffs = qs[k] if k < len(qs) else [0.0]
             row = {v: c for v, c in enumerate(coeffs) if c != 0.0}
             for p, c in basis_k:
                 row[cone[p]] = -c
-            self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+            lp.add_eq(row, (margin if k == 0 else 0.0) - const)
 
 
 @dataclass
@@ -303,80 +306,78 @@ def synthesize(
     lo, hi = _jump_timers(dwell)
     theta_poly = lo < hi and not fixed_kd
 
-    def build(relax: int):
-        prog = _DesignProgram(relax)
-        X = prog.poly_vec(n, x_degree, "X")
-        Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-        if theta_poly:
-            Ud = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md)]
-        else:
-            Ud = [[_var(prog.lp.new_var(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
-        M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
-        mode = _DesignMode(prog, mode_mats(sys), X, Uc, Tend)
-        mode.positivity(alpha)
+    prog = _DesignProgram()
+    X = prog.poly_vec(n, x_degree, "X")
+    Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
+    if theta_poly:
+        Ud = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md)]
+    else:
+        Ud = [[_var(prog.scalar(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
+    M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
+    mode = _DesignMode(prog, mode_mats(sys), X, Uc, Tend)
+    mode.positivity(alpha)
 
-        # the sides X is read on at the jump, each with the dwells its rows
-        # hold at: X(theta) on [lo, hi], M (constant in theta, so point rows)
-        # or X at a point.  Minimum dwell-time imposes
-        # the positivity rows at both timer endpoints: the jump fires at a
-        # frozen X(T) (sound gain recovery) while the reference condition
-        # evaluates at X(0); the intersection keeps both readings valid.  The
-        # last side carries the jump[0], out_d[0] and gain-cap rows.
-        if theta_poly:
-            sides = [(X, (lo, hi))]
-        elif fixed_kd:
-            sides = [([_var(v) for v in M], (lo, lo))]
-        else:
-            sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
-        entries = [[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
-        # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
-        for k, family in enumerate(("pos_jump", "pos_out_d")):
-            idx = 0
-            for cells in zip(*(chain.from_iterable(e[k]) for e in entries)):
-                for e, (_, dwells) in zip(cells, sides):
-                    prog.add_interval_ge(family, idx, e, dwells, 0.0)
-                    idx += 1
+    # the sides X is read on at the jump, each with the dwells its rows
+    # hold at: X(theta) on [lo, hi], M (constant in theta, so point rows)
+    # or X at a point.  Minimum dwell-time imposes
+    # the positivity rows at both timer endpoints: the jump fires at a
+    # frozen X(T) (sound gain recovery) while the reference condition
+    # evaluates at X(0); the intersection keeps both readings valid.  The
+    # last side carries the jump[0], out_d[0] and gain-cap rows.
+    if theta_poly:
+        sides = [(X, (lo, hi))]
+    elif fixed_kd:
+        sides = [([_var(v) for v in M], (lo, lo))]
+    else:
+        sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
+    entries = [[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
+    # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
+    for k, family in enumerate(("pos_jump", "pos_out_d")):
+        idx = 0
+        for cells in zip(*(chain.from_iterable(e[k]) for e in entries)):
+            for e, (_, dwells) in zip(cells, sides):
+                prog.add_interval_ge(family, idx, e, dwells, 0.0)
+                idx += 1
 
-        mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
-        x_at, dwells = sides[-1]
-        _jump_rows(prog, sys.jumps, entries[-1:], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, margin)
-        for j, (m, x) in enumerate(zip(M, X)):
-            prog.add_interval_ge("x_below_M", j, _add(_var(m)[None], x, -1.0), (dwell.Tmin, dwell.Tmax), 0.0)
+    mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+    x_at, dwells = sides[-1]
+    _jump_rows(prog, sys.jumps, entries[-1:], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, margin)
+    for j, (m, x) in enumerate(zip(M, X)):
+        prog.add_interval_ge("x_below_M", j, _add(_var(m)[None], x, -1.0), (dwell.Tmin, dwell.Tmax), 0.0)
 
-        mode.denominator()
-        # numbered on from the continuous gain_cap rows
-        _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, _GAIN_CAP, dwells)
+    mode.denominator()
+    # numbered on from the continuous gain_cap rows
+    _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, _GAIN_CAP, dwells)
 
-        def finalize(prog, sol, relax):
-            Ud_out = None
-            if Ud and theta_poly:
-                Ud_out = [[_value(u, sol.x) for u in row] for row in Ud]
-            elif Ud:
-                # read raw from sol.x, where _value would turn a -0.0 into 0.0
-                Ud_out = np.array([[sol.x[v] for u in row for v in _terms(u)] for row in Ud])
-            ctrl = ControllerRealization(
-                kind=kind,
-                dwell=dwell,
-                gamma=float(sol.x[gamma]),
-                degree=x_degree,
-                margin=margin,
-                X=[_value(x, sol.x) for x in X],
-                Uc=[[_value(u, sol.x) for u in row] for row in Uc],
-                Ud=Ud_out,
-                M=np.array([sol.x[v] for v in M]) if fixed_kd else None,
-            )
-            _check_denominator(ctrl)
-            return ctrl
+    def finalize(sol, relax):
+        Ud_out = None
+        if Ud and theta_poly:
+            Ud_out = [[_value(u, sol.x) for u in row] for row in Ud]
+        elif Ud:
+            # read raw from sol.x, where _value would turn a -0.0 into 0.0
+            Ud_out = np.array([[sol.x[v] for u in row for v in _terms(u)] for row in Ud])
+        ctrl = ControllerRealization(
+            kind=kind,
+            dwell=dwell,
+            gamma=float(sol.x[gamma]),
+            degree=x_degree,
+            margin=margin,
+            X=[_value(x, sol.x) for x in X],
+            Uc=[[_value(u, sol.x) for u in row] for row in Uc],
+            Ud=Ud_out,
+            M=np.array([sol.x[v] for v in M]) if fixed_kd else None,
+        )
+        _check_denominator(ctrl)
+        return ctrl
 
-        extra_obj: dict[int, float] = {}
-        mode.regularize(extra_obj)
-        for v in M:
-            extra_obj[v] = extra_obj.get(v, 0.0) + _REG * max(Tend, 1.0)
-        return prog, gamma, finalize, extra_obj
+    extra_obj: dict[int, float] = {}
+    mode.regularize(extra_obj)
+    for v in M:
+        extra_obj[v] = extra_obj.get(v, 0.0) + _REG * max(Tend, 1.0)
 
-    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(prog, gamma, finalize, extra_obj, relax_schedule, dump_lp)
 
 
 def _check_denominator(ctrl: ControllerRealization) -> None:
@@ -408,42 +409,40 @@ def synthesize_switched(
     require_positive_design(sw, T)
     n, m = sw.n, sw.m
 
-    def build(relax: int):
-        prog = _DesignProgram(relax)
-        Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
-        Us = [[prog.poly_vec(n, degree, f"U{i}_{l}") for l in range(m)] for i in range(sw.N)]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-        modes = [
-            _DesignMode(prog, mode_mats(sw, i), Xs[i], Us[i], T, f"[{i}]")
-            for i in range(sw.N)
-        ]
-        for mode in modes:
-            mode.positivity(alpha)
-            mode.theorem_rows(gamma, margin, T)
-            mode.denominator()
-        _coupling_rows(prog, Xs, T)
+    prog = _DesignProgram()
+    Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
+    Us = [[prog.poly_vec(n, degree, f"U{i}_{l}") for l in range(m)] for i in range(sw.N)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
+    modes = [
+        _DesignMode(prog, mode_mats(sw, i), Xs[i], Us[i], T, f"[{i}]")
+        for i in range(sw.N)
+    ]
+    for mode in modes:
+        mode.positivity(alpha)
+        mode.theorem_rows(gamma, margin, T)
+        mode.denominator()
+    _coupling_rows(prog, Xs, T)
 
-        def finalize(prog, sol, relax):
-            ctrl = ControllerRealization(
-                kind="SwitchedMinDT",
-                dwell=DwellTimeSpec.minimum(T),
-                gamma=float(sol.x[gamma]),
-                degree=degree,
-                margin=margin,
-                X=[[_value(x, sol.x) for x in X] for X in Xs],
-                Uc=[[[_value(u, sol.x) for u in row] for row in U] for U in Us],
-                Ud=None,
-            )
-            _check_denominator(ctrl)
-            return ctrl
+    def finalize(sol, relax):
+        ctrl = ControllerRealization(
+            kind="SwitchedMinDT",
+            dwell=DwellTimeSpec.minimum(T),
+            gamma=float(sol.x[gamma]),
+            degree=degree,
+            margin=margin,
+            X=[[_value(x, sol.x) for x in X] for X in Xs],
+            Uc=[[[_value(u, sol.x) for u in row] for row in U] for U in Us],
+            Ud=None,
+        )
+        _check_denominator(ctrl)
+        return ctrl
 
-        extra_obj: dict[int, float] = {}
-        for mode in modes:
-            mode.regularize(extra_obj)
-        return prog, gamma, finalize, extra_obj
+    extra_obj: dict[int, float] = {}
+    for mode in modes:
+        mode.regularize(extra_obj)
 
-    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+    return _solve_with_escalation(prog, gamma, finalize, extra_obj, relax_schedule, dump_lp)
 
 
 @dataclass(frozen=True)

@@ -1206,7 +1206,7 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
     Fc1 = sys.Fc.const().sum(axis=1)
     n, qc = sys.n, sys.qc
 
-    prog = ReferenceRows(_Program(relax=0))
+    prog = ReferenceRows(_Program())
     lam = [prog.scalar(name=f"lam{i}") for i in range(n)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     lam_e = [LinExpr.variable(v) for v in lam]
@@ -1234,7 +1234,7 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
     for i in range(n):
         prog.add_point_ge("pin_lo", i, lam_e[i], margin)
         prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - lam_e[i], 0.0)
-    sol = prog.solve_min(gamma)
+    sol = analysis_mod.lp_solve(prog.relaxation(0, {gamma: 1.0}))
     if sol.status != "Optimal":
         raise Infeasible("no positive vector satisfies the arbitrary dwell-time conditions")
     return Certificate(
@@ -1253,65 +1253,62 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
     through _gain_rows_constant_like, with its own flow, out_c, stat and pin loops."""
     n, q = sw.n, sw.q
 
-    def build(relax: int):
-        prog = ReferenceRows(_Program(relax))
-        zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i, md in enumerate(sw.modes):
-            zeta = zetas[i]
-            for r in range(n):
-                expr = zeta[r].deriv() - _matvec_row(md["A"], r, zeta) - PolyExpr.from_poly(
-                    _row_ones(md["E"], r).coeffs
-                )
-                prog.add_interval_ge(f"flow[{i}]", r, expr, (0.0, T), margin)
-            for r in range(q):
-                expr = gam - _matvec_row(md["C"], r, zeta) - PolyExpr.from_poly(
-                    _row_ones(md["F"], r).coeffs
-                )
-                prog.add_interval_ge(f"out_c[{i}]", r, expr, (0.0, T), margin)
-            A_T = md["A"](T)
-            E_T = md["E"](T).sum(axis=1)
-            C_T = md["C"](T)
-            F_T = md["F"](T).sum(axis=1)
-            zT = [z.eval_at(T) for z in zeta]
-            for r in range(n):
-                prog.add_point_ge(f"stat_flow[{i}]", r, -_const_matvec_row(A_T, r, zT) - E_T[r], margin)
-            for r in range(q):
-                prog.add_point_ge(
-                    f"stat_out[{i}]",
-                    r,
-                    LinExpr.variable(gamma) - _const_matvec_row(C_T, r, zT) - F_T[r],
-                    margin,
-                )
-            z0 = [z.eval_at(0.0) for z in zeta]
-            for r in range(n):
-                prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
-                prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
-        for i in range(sw.N):
-            for j in range(sw.N):
-                if i == j:
-                    continue
-                zi0 = [z.eval_at(0.0) for z in zetas[i]]
-                zjT = [z.eval_at(T) for z in zetas[j]]
-                for r in range(n):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, zi0[r] - zjT[r], 0.0)
-
-        def finalize(prog, sol, relax):
-            return Certificate(
-                kind="SwitchedMinDT",
-                gamma=float(sol.x[gamma]),
-                zeta=[[z.value(sol.x) for z in zeta] for zeta in zetas],
-                dwell=DwellTimeSpec.minimum(T),
-                margin=margin,
-                jump_margin=0.0,
-                degree=degree,
-                        relax=relax,
+    prog = ReferenceRows(_Program())
+    zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    gam = PolyExpr([LinExpr.variable(gamma)])
+    for i, md in enumerate(sw.modes):
+        zeta = zetas[i]
+        for r in range(n):
+            expr = zeta[r].deriv() - _matvec_row(md["A"], r, zeta) - PolyExpr.from_poly(
+                _row_ones(md["E"], r).coeffs
             )
+            prog.add_interval_ge(f"flow[{i}]", r, expr, (0.0, T), margin)
+        for r in range(q):
+            expr = gam - _matvec_row(md["C"], r, zeta) - PolyExpr.from_poly(
+                _row_ones(md["F"], r).coeffs
+            )
+            prog.add_interval_ge(f"out_c[{i}]", r, expr, (0.0, T), margin)
+        A_T = md["A"](T)
+        E_T = md["E"](T).sum(axis=1)
+        C_T = md["C"](T)
+        F_T = md["F"](T).sum(axis=1)
+        zT = [z.eval_at(T) for z in zeta]
+        for r in range(n):
+            prog.add_point_ge(f"stat_flow[{i}]", r, -_const_matvec_row(A_T, r, zT) - E_T[r], margin)
+        for r in range(q):
+            prog.add_point_ge(
+                f"stat_out[{i}]",
+                r,
+                LinExpr.variable(gamma) - _const_matvec_row(C_T, r, zT) - F_T[r],
+                margin,
+            )
+        z0 = [z.eval_at(0.0) for z in zeta]
+        for r in range(n):
+            prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
+            prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
+    for i in range(sw.N):
+        for j in range(sw.N):
+            if i == j:
+                continue
+            zi0 = [z.eval_at(0.0) for z in zetas[i]]
+            zjT = [z.eval_at(T) for z in zetas[j]]
+            for r in range(n):
+                prog.add_point_ge(f"couple[{j}->{i}]", r, zi0[r] - zjT[r], 0.0)
 
-        return prog, gamma, finalize
+    def finalize(sol, relax):
+        return Certificate(
+            kind="SwitchedMinDT",
+            gamma=float(sol.x[gamma]),
+            zeta=[[z.value(sol.x) for z in zeta] for zeta in zetas],
+            dwell=DwellTimeSpec.minimum(T),
+            margin=margin,
+            jump_margin=0.0,
+            degree=degree,
+                    relax=relax,
+        )
 
-    return _solve_with_escalation(build, relax_schedule)
+    return _solve_with_escalation(prog.prog, gamma, finalize, relax_schedule=relax_schedule)
 
 
 def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e-3, reg=1e-6,
@@ -1321,101 +1318,98 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     denominator and regularizer loops (families pos_out[i] and perf_out[i])."""
     n, m, q = sw.n, sw.m, sw.q
 
-    def build(relax: int):
-        prog = ReferenceRows(synthesis_mod._DesignProgram(relax))
-        Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
-        Us = [
+    prog = ReferenceRows(synthesis_mod._DesignProgram())
+    Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
+    Us = [
+        [
             [
-                [
-                    PolyExpr.from_vars(
-                        [prog.lp.new_var(name=f"U{i}_{l}{j}_c{k}") for k in range(degree + 1)]
-                    )
-                    for j in range(n)
-                ]
-                for l in range(m)
+                PolyExpr.from_vars(
+                    [prog.scalar(name=f"U{i}_{l}{j}_c{k}") for k in range(degree + 1)]
+                )
+                for j in range(n)
             ]
-            for i in range(sw.N)
+            for l in range(m)
         ]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i, md in enumerate(sw.modes):
-            X, U = Xs[i], Us[i]
-            idx = 0
-            for r in range(n):
-                for c in range(n):
-                    expr = _bilinear_entry(md["A"], X, md["B"], U, r, c)
-                    if r == c:
-                        expr = expr + PolyExpr([LinExpr.variable(alpha)])
-                    prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
-                    idx += 1
-            idx = 0
-            for r in range(q):
-                for c in range(n):
-                    expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
-                    prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
-                    idx += 1
-            for r in range(n):
-                row = _sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)])
-                expr = X[r].deriv() - row - PolyExpr.from_poly(_row_ones(md["E"], r).coeffs)
-                prog.add_interval_ge(f"perf_flow[{i}]", r, expr, (0.0, T), margin)
-                stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
-                prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
-            for r in range(q):
-                row = _sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)])
-                expr = gam - row - PolyExpr.from_poly(_row_ones(md["F"], r).coeffs)
-                prog.add_interval_ge(f"perf_out[{i}]", r, expr, (0.0, T), margin)
-                prog.add_point_ge(
-                    f"stat_out[{i}]",
-                    r,
-                    LinExpr.variable(gamma) - row.eval_at(T) - float(md["F"](T)[r].sum()),
-                    margin,
-                )
-            for r in range(n):
-                prog.add_interval_ge(f"x_pos[{i}]", r, X[r] - PolyExpr.from_poly([x_min]), (0.0, T), 0.0)
-                prog.add_point_ge(
-                    f"x_cap[{i}]", r, LinExpr.constant(synthesis_mod._X_CAP) - X[r].eval_at(0.0), 0.0
-                )
-            if gain_cap is not None:
-                idx = 0
-                for l in range(m):
-                    for c in range(n):
-                        for sgn in (1.0, -1.0):
-                            expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
-                            prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
-                            idx += 1
-        # the coupling rows in the order analysis._coupling_rows writes them
-        for i in range(sw.N):
-            for j in range(sw.N):
-                if i == j:
-                    continue
-                for r in range(n):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, Xs[i][r].eval_at(0.0) - Xs[j][r].eval_at(T), 0.0)
-
-        def finalize(prog, sol, relax):
-            ctrl = ControllerRealization(
-                kind="SwitchedMinDT",
-                dwell=DwellTimeSpec.minimum(T),
-                gamma=float(sol.x[gamma]),
-                degree=degree,
-                margin=margin,
-                X=[[x.value(sol.x) for x in X] for X in Xs],
-                Uc=[[[u.value(sol.x) for u in row] for row in U] for U in Us],
-                Ud=None,
+        for i in range(sw.N)
+    ]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
+    gam = PolyExpr([LinExpr.variable(gamma)])
+    for i, md in enumerate(sw.modes):
+        X, U = Xs[i], Us[i]
+        idx = 0
+        for r in range(n):
+            for c in range(n):
+                expr = _bilinear_entry(md["A"], X, md["B"], U, r, c)
+                if r == c:
+                    expr = expr + PolyExpr([LinExpr.variable(alpha)])
+                prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
+                idx += 1
+        idx = 0
+        for r in range(q):
+            for c in range(n):
+                expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
+                prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
+                idx += 1
+        for r in range(n):
+            row = _sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)])
+            expr = X[r].deriv() - row - PolyExpr.from_poly(_row_ones(md["E"], r).coeffs)
+            prog.add_interval_ge(f"perf_flow[{i}]", r, expr, (0.0, T), margin)
+            stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
+            prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
+        for r in range(q):
+            row = _sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)])
+            expr = gam - row - PolyExpr.from_poly(_row_ones(md["F"], r).coeffs)
+            prog.add_interval_ge(f"perf_out[{i}]", r, expr, (0.0, T), margin)
+            prog.add_point_ge(
+                f"stat_out[{i}]",
+                r,
+                LinExpr.variable(gamma) - row.eval_at(T) - float(md["F"](T)[r].sum()),
+                margin,
             )
-            synthesis_mod._check_denominator(ctrl)
-            return ctrl
-
-        extra_obj: dict[int, float] = {}
-        for X in Xs:
+        for r in range(n):
+            prog.add_interval_ge(f"x_pos[{i}]", r, X[r] - PolyExpr.from_poly([x_min]), (0.0, T), 0.0)
+            prog.add_point_ge(
+                f"x_cap[{i}]", r, LinExpr.constant(synthesis_mod._X_CAP) - X[r].eval_at(0.0), 0.0
+            )
+        if gain_cap is not None:
+            idx = 0
+            for l in range(m):
+                for c in range(n):
+                    for sgn in (1.0, -1.0):
+                        expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
+                        prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
+                        idx += 1
+    # the coupling rows in the order analysis._coupling_rows writes them
+    for i in range(sw.N):
+        for j in range(sw.N):
+            if i == j:
+                continue
             for r in range(n):
-                for k, le in enumerate(X[r].coeffs):
-                    w = reg * (T ** (k + 1) / (k + 1))
-                    for v, c in le.coeffs.items():
-                        extra_obj[v] = extra_obj.get(v, 0.0) + c * w
-        return prog, gamma, finalize, extra_obj
+                prog.add_point_ge(f"couple[{j}->{i}]", r, Xs[i][r].eval_at(0.0) - Xs[j][r].eval_at(T), 0.0)
 
-    return _solve_with_escalation(build, relax_schedule)
+    def finalize(sol, relax):
+        ctrl = ControllerRealization(
+            kind="SwitchedMinDT",
+            dwell=DwellTimeSpec.minimum(T),
+            gamma=float(sol.x[gamma]),
+            degree=degree,
+            margin=margin,
+            X=[[x.value(sol.x) for x in X] for X in Xs],
+            Uc=[[[u.value(sol.x) for u in row] for row in U] for U in Us],
+            Ud=None,
+        )
+        synthesis_mod._check_denominator(ctrl)
+        return ctrl
+
+    extra_obj: dict[int, float] = {}
+    for X in Xs:
+        for r in range(n):
+            for k, le in enumerate(X[r].coeffs):
+                w = reg * (T ** (k + 1) / (k + 1))
+                for v, c in le.coeffs.items():
+                    extra_obj[v] = extra_obj.get(v, 0.0) + c * w
+    return _solve_with_escalation(prog.prog, gamma, finalize, extra_obj, relax_schedule)
 
 
 def _reference_gain_rows(
@@ -1576,163 +1570,153 @@ def reference_synthesize(
     else:
         jump_eval = None if genuine_range else dwell.Tmin
 
-    def build(relax: int):
-        prog = ReferenceRows(synthesis_mod._DesignProgram(relax))
-        X = prog.poly_vec(n, x_degree, "X")
-        Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
-        gamma = prog.scalar(lo=0.0, name="gamma")
-        alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
-        Ud_poly = Ud_const = M = None
-        if md_:
-            if theta_poly:
-                Ud_poly = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md_)]
-            else:
-                Ud_const = [
-                    [prog.lp.new_var(name=f"Ud{l}{j}") for j in range(n)] for l in range(md_)
-                ]
+    prog = ReferenceRows(synthesis_mod._DesignProgram())
+    X = prog.poly_vec(n, x_degree, "X")
+    Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
+    gamma = prog.scalar(lo=0.0, name="gamma")
+    alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
+    Ud_poly = Ud_const = M = None
+    if md_:
+        if theta_poly:
+            Ud_poly = [prog.poly_vec(n, x_degree, f"Ud{l}") for l in range(md_)]
+        else:
+            Ud_const = [
+                [prog.scalar(name=f"Ud{l}{j}") for j in range(n)] for l in range(md_)
+            ]
+    if fixed_kd:
+        M = [prog.scalar(lo=x_min, hi=synthesis_mod._X_CAP, name=f"M{j}") for j in range(n)]
+    mode = ReferenceMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
+    mode.positivity(alpha)
+
+    def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):
+        """(P X + Q Ud)_{ij} as PolyExpr in theta (theta_poly) or as LinExpr
+        at `where` (default jump_eval), for the jump pair (J, Bd) or the
+        discrete-output pair (Cd, Dd)."""
         if fixed_kd:
-            M = [prog.scalar(lo=x_min, hi=synthesis_mod._X_CAP, name=f"M{j}") for j in range(n)]
-        mode = ReferenceMode(prog, (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc), X, Uc, Tend)
-        mode.positivity(alpha)
-
-        def map_entry(P, Q, i: int, j: int, where: Optional[float] = None):
-            """(P X + Q Ud)_{ij} as PolyExpr in theta (theta_poly) or as LinExpr
-            at `where` (default jump_eval), for the jump pair (J, Bd) or the
-            discrete-output pair (Cd, Dd)."""
-            if fixed_kd:
-                e = LinExpr.variable(M[j]).scaled(P[i, j])
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
-                return e
-            if theta_poly:
-                expr = X[j].scaled(P[i, j])
-                for l in range(md_):
-                    expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
-                return expr
-            e = X[j].eval_at(jump_eval if where is None else where).scaled(P[i, j])
-            if Ud_const is not None:
-                for l in range(md_):
-                    e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
-            return e
-
-        # jump/discrete-output positivity rows: (J X + Bd Ud) >= 0, (Cd X + Dd Ud) >= 0.
-        # Minimum dwell-time imposes them at both timer endpoints: the jump fires
-        # at a frozen X(T) (sound gain recovery) while the reference condition
-        # evaluates at X(0); the intersection keeps both readings valid.
-        jump_points = [0.0, dwell.T] if dwell.kind == "minimum" else [None]
-        for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
-            idx = 0
-            for i in range(P.shape[0]):
-                for j in range(n):
-                    if theta_poly:
-                        prog.add_interval_ge(family, idx, map_entry(P, Q, i, j), theta_iv, 0.0)
-                        idx += 1
-                    else:
-                        for pt in jump_points:
-                            prog.add_point_ge(family, idx, map_entry(P, Q, i, j, pt), 0.0)
-                            idx += 1
-
-        mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
-        # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
-        gam = PolyExpr([LinExpr.variable(gamma)])
-        for i in range(n):
-            if theta_poly:
-                row = _sum_entries([map_entry(jm.J, jm.Bd, i, j) for j in range(n)])
-                expr = PolyExpr([X[i].eval_at(0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
-                prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
-            else:
-                e = X[i].eval_at(0.0)
-                for j in range(n):
-                    e = e - map_entry(jm.J, jm.Bd, i, j)
-                prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
-        for i in range(qd):
-            if theta_poly:
-                row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j) for j in range(n)])
-                expr = gam - row - PolyExpr.from_poly([Fd1[i]])
-                prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
-            else:
-                e = LinExpr.variable(gamma) - Fd1[i]
-                for j in range(n):
-                    e = e - map_entry(jm.Cd, jm.Dd, i, j)
-                prog.add_point_ge("perf_out_d", i, e, margin)
-        if fixed_kd:
-            for j in range(n):
-                expr = PolyExpr([LinExpr.variable(M[j])]) - X[j]
-                prog.add_interval_ge("x_below_M", j, expr, theta_iv, 0.0)
-
-        mode.denominator(x_min, gain_cap)
-        # implementable discrete gains: |Ud_lj| <= cap * X_j (or cap * M_j)
-        if gain_cap is not None:
-            idx = 2 * mc * n  # numbered on from the continuous gain_cap rows
+            e = LinExpr.variable(M[j]).scaled(P[i, j])
             for l in range(md_):
-                for j in range(n):
-                    for sgn in (1.0, -1.0):
-                        if Ud_poly is not None:
-                            expr = X[j].scaled(gain_cap) + Ud_poly[l][j].scaled(sgn)
-                            prog.add_interval_ge("gain_cap_d", idx, expr, theta_iv, 0.0)
-                        else:
-                            base = (
-                                LinExpr.variable(M[j]).scaled(gain_cap)
-                                if fixed_kd
-                                else X[j].eval_at(jump_eval).scaled(gain_cap)
-                            )
-                            base.add_inplace(LinExpr.variable(Ud_const[l][j]), sgn)
-                            prog.add_point_ge("gain_cap_d", idx, base, 0.0)
+                e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
+            return e
+        if theta_poly:
+            expr = X[j].scaled(P[i, j])
+            for l in range(md_):
+                expr = expr + Ud_poly[l][j].scaled(float(Q[i, l]))
+            return expr
+        e = X[j].eval_at(jump_eval if where is None else where).scaled(P[i, j])
+        if Ud_const is not None:
+            for l in range(md_):
+                e.add_inplace(LinExpr.variable(Ud_const[l][j]), float(Q[i, l]))
+        return e
+
+    # jump/discrete-output positivity rows: (J X + Bd Ud) >= 0, (Cd X + Dd Ud) >= 0.
+    # Minimum dwell-time imposes them at both timer endpoints: the jump fires
+    # at a frozen X(T) (sound gain recovery) while the reference condition
+    # evaluates at X(0); the intersection keeps both readings valid.
+    jump_points = [0.0, dwell.T] if dwell.kind == "minimum" else [None]
+    for family, P, Q in (("pos_jump", jm.J, jm.Bd), ("pos_out_d", jm.Cd, jm.Dd)):
+        idx = 0
+        for i in range(P.shape[0]):
+            for j in range(n):
+                if theta_poly:
+                    prog.add_interval_ge(family, idx, map_entry(P, Q, i, j), theta_iv, 0.0)
+                    idx += 1
+                else:
+                    for pt in jump_points:
+                        prog.add_point_ge(family, idx, map_entry(P, Q, i, j, pt), 0.0)
                         idx += 1
 
-        def finalize(prog, sol, relax):
-            Xp = [x.value(sol.x) for x in X]
-            Ucp = [[Uc[l][j].value(sol.x) for j in range(n)] for l in range(mc)]
-            Ud_out = None
-            if Ud_poly is not None:
-                Ud_out = [[Ud_poly[l][j].value(sol.x) for j in range(n)] for l in range(md_)]
-            elif Ud_const is not None:
-                Ud_out = np.array([[sol.x[Ud_const[l][j]] for j in range(n)] for l in range(md_)])
-            M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
-            ctrl = ControllerRealization(
-                kind=kind,
-                dwell=dwell,
-                gamma=float(sol.x[gamma]),
-                degree=x_degree,
-                margin=margin,
-                X=Xp,
-                Uc=Ucp,
-                Ud=Ud_out,
-                M=M_out,
-            )
-            synthesis_mod._check_denominator(ctrl)
-            return ctrl
+    mode.performance(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+    # jump performance rows: X_i(0) - [J X + Bd Ud](1)_i - Ed1_i >= margin
+    gam = PolyExpr([LinExpr.variable(gamma)])
+    for i in range(n):
+        if theta_poly:
+            row = _sum_entries([map_entry(jm.J, jm.Bd, i, j) for j in range(n)])
+            expr = PolyExpr([X[i].eval_at(0.0)]) - row - PolyExpr.from_poly([Ed1[i]])
+            prog.add_interval_ge("perf_jump", i, expr, theta_iv, margin)
+        else:
+            e = X[i].eval_at(0.0)
+            for j in range(n):
+                e = e - map_entry(jm.J, jm.Bd, i, j)
+            prog.add_point_ge("perf_jump", i, e - Ed1[i], margin)
+    for i in range(qd):
+        if theta_poly:
+            row = _sum_entries([map_entry(jm.Cd, jm.Dd, i, j) for j in range(n)])
+            expr = gam - row - PolyExpr.from_poly([Fd1[i]])
+            prog.add_interval_ge("perf_out_d", i, expr, theta_iv, margin)
+        else:
+            e = LinExpr.variable(gamma) - Fd1[i]
+            for j in range(n):
+                e = e - map_entry(jm.Cd, jm.Dd, i, j)
+            prog.add_point_ge("perf_out_d", i, e, margin)
+    if fixed_kd:
+        for j in range(n):
+            expr = PolyExpr([LinExpr.variable(M[j])]) - X[j]
+            prog.add_interval_ge("x_below_M", j, expr, theta_iv, 0.0)
 
-        extra_obj: dict[int, float] = {}
-        mode.regularize(extra_obj, reg)
-        if fixed_kd:
-            for v in M:
-                extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
-        return prog, gamma, finalize, extra_obj
+    mode.denominator(x_min, gain_cap)
+    # implementable discrete gains: |Ud_lj| <= cap * X_j (or cap * M_j)
+    if gain_cap is not None:
+        idx = 2 * mc * n  # numbered on from the continuous gain_cap rows
+        for l in range(md_):
+            for j in range(n):
+                for sgn in (1.0, -1.0):
+                    if Ud_poly is not None:
+                        expr = X[j].scaled(gain_cap) + Ud_poly[l][j].scaled(sgn)
+                        prog.add_interval_ge("gain_cap_d", idx, expr, theta_iv, 0.0)
+                    else:
+                        base = (
+                            LinExpr.variable(M[j]).scaled(gain_cap)
+                            if fixed_kd
+                            else X[j].eval_at(jump_eval).scaled(gain_cap)
+                        )
+                        base.add_inplace(LinExpr.variable(Ud_const[l][j]), sgn)
+                        prog.add_point_ge("gain_cap_d", idx, base, 0.0)
+                    idx += 1
 
-    return _solve_with_escalation(build, relax_schedule, dump_lp=dump_lp)
+    def finalize(sol, relax):
+        Xp = [x.value(sol.x) for x in X]
+        Ucp = [[Uc[l][j].value(sol.x) for j in range(n)] for l in range(mc)]
+        Ud_out = None
+        if Ud_poly is not None:
+            Ud_out = [[Ud_poly[l][j].value(sol.x) for j in range(n)] for l in range(md_)]
+        elif Ud_const is not None:
+            Ud_out = np.array([[sol.x[Ud_const[l][j]] for j in range(n)] for l in range(md_)])
+        M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
+        ctrl = ControllerRealization(
+            kind=kind,
+            dwell=dwell,
+            gamma=float(sol.x[gamma]),
+            degree=x_degree,
+            margin=margin,
+            X=Xp,
+            Uc=Ucp,
+            Ud=Ud_out,
+            M=M_out,
+        )
+        synthesis_mod._check_denominator(ctrl)
+        return ctrl
+
+    extra_obj: dict[int, float] = {}
+    mode.regularize(extra_obj, reg)
+    if fixed_kd:
+        for v in M:
+            extra_obj[v] = extra_obj.get(v, 0.0) + reg * max(Tend, 1.0)
+    return _solve_with_escalation(prog.prog, gamma, finalize, extra_obj, relax_schedule, dump_lp)
 
 
-def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
-    """The product-basis cone encoding of an interval row, expanding every
-    product polynomial with Poly.__pow__ again for each row: the oracle of
-    synthesis._DesignProgram.add_interval_ge, and the reference the
-    Bernstein-coefficient rows of _Program.add_interval_ge are checked
-    against (analyses used this encoding before)."""
-    a, b = interval
-    p = ref_expr(pexpr)
-    if not a < b:
-        self.add_point_ge(family, index, array_of(p if isinstance(p, LinExpr) else p.eval_at(a)), margin)
-        return
-    h = b - a
-    order = p.degree + self.relax
-    q = p.shift_scale_arg(a, h)
+def per_row_cone_rows(self, lp, name, q, order, margin):
+    """The product-basis cone encoding of an interval row on q(s), s in
+    [0, 1], expanding every product polynomial with Poly.__pow__ again for
+    each row: the oracle of synthesis._DesignProgram._cone_rows, and the
+    reference the Bernstein-coefficient rows of _Program._cone_rows are
+    checked against (analyses used this encoding before)."""
+    q = ref_expr(q)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
     basis = {
         ij: ((Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1])).coeffs
         for ij in pairs
     }
-    cone = [self.lp.new_var(0.0, None, name=f"{family}{index}_h{i}_{j}") for i, j in pairs]
+    cone = [lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
     for k in range(order + 1):
         row = {}
         const = 0.0
@@ -1744,44 +1728,61 @@ def per_row_cone_add_interval_ge(self, family, index, pexpr, interval, margin):
             bc = basis[ij]
             if k < len(bc) and bc[k] != 0.0:
                 row[v] = row.get(v, 0.0) - bc[k]
-        self.lp.add_eq(row, (margin if k == 0 else 0.0) - const)
-    self.interval_records.append(
-        {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
-         "margin": margin}
-    )
+        lp.add_eq(row, (margin if k == 0 else 0.0) - const)
 
 
-def per_sample_referee(prog):
+def row_records(prog, relax):
+    """prog's rows as its point rows (family, index, expr, margin) and its
+    interval rows (family, index, p, interval, order, margin) at order relax."""
+    points = [(f, i, e, m) for f, i, e, iv, m in prog.rows if iv is None]
+    intervals = [(f, i, p, iv, len(p) - 1 + relax, m) for f, i, p, iv, m in prog.rows if iv is not None]
+    return points, intervals
+
+
+def spy_relaxations(monkeypatch):
+    """(program, order, LP) of every relaxation that any program encodes from
+    here on, in order."""
+    seen = []
+    real = _Program.relaxation
+
+    def relaxation(prog, relax, objective):
+        lp = real(prog, relax, objective)
+        seen.append((prog, relax, lp))
+        return lp
+
+    monkeypatch.setattr(_Program, "relaxation", relaxation)
+    return seen
+
+
+def per_sample_referee(prog, objective):
     """Oracle for _Program.sampled_referee: one eval_at and one add_ge per
     sample of each interval row."""
     lp = LinearProgram()
-    lp.num_vars = prog.lp.num_vars
-    lp.bounds = dict(prog.lp.bounds)
-    lp.objective = dict(prog.lp.objective)
-    for rec in prog.point_records:
-        expr, margin = ref_expr(rec["expr"]), rec["margin"]
+    lp.num_vars = prog.columns.num_vars
+    lp.bounds = dict(prog.columns.bounds)
+    lp.objective = dict(objective)
+    points, intervals = row_records(prog, 0)
+    for _, _, expr, margin in points:
+        expr = ref_expr(expr)
         lp.add_ge(expr.coeffs, margin - expr.const)
-    for rec in prog.interval_records:
-        a, b = rec["interval"]
+    for _, _, pexpr, (a, b), _, margin in intervals:
         for t in np.linspace(a, b, _REFEREE_SAMPLES):
-            e = ref_expr(rec["pexpr"]).eval_at(float(t))
-            lp.add_ge(e.coeffs, rec["margin"] - e.const)
+            e = ref_expr(pexpr).eval_at(float(t))
+            lp.add_ge(e.coeffs, margin - e.const)
     return lp
 
 
-def full_schedule_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
+def full_schedule_escalation(prog, gamma, finalize, extra_obj=None, relax_schedule=RELAX_SCHEDULE, dump_lp=None):
     """Oracle for analysis._solve_with_escalation: every order of the schedule
-    is tried, and only then the sampled referee of the last order classifies
-    the failure."""
-    last_prog = None
+    is tried, and only then the sampled referee classifies the failure."""
+    objective = {gamma: 1.0}
+    for v, c in (extra_obj or {}).items():
+        objective[v] = objective.get(v, 0.0) + c
     tried = []
     for relax in relax_schedule:
-        built = build(relax)
-        prog, gamma, finalize = built[:3]
-        extra_obj = built[3] if len(built) > 3 else None
-        last_prog = prog
+        lp = prog.relaxation(relax, objective)
         try:
-            sol = prog.solve_min(gamma, extra_obj)
+            sol = analysis_mod.lp_solve(lp)
         except NumericalFailure as exc:
             tried.append((relax, f"NumericalFailure ({exc})"))
             continue
@@ -1789,15 +1790,15 @@ def full_schedule_escalation(build, relax_schedule=RELAX_SCHEDULE, dump_lp=None)
             if dump_lp:
                 from dwellgain.lp import dump_lp as _dump
 
-                _dump(prog.lp, dump_lp)
-            return finalize(prog, sol, relax)
+                _dump(lp, dump_lp)
+            return finalize(sol, relax)
         if sol.status == "Unbounded":
             raise NumericalFailure("gain LP unbounded; encoding error")
-        if not prog.interval_records:
+        if not row_records(prog, relax)[1]:
             raise Infeasible("conditions infeasible (finite LP)")
         tried.append((relax, sol.status))
     history = "; ".join(f"order +{relax}: {what}" for relax, what in tried)
-    ref_sol = analysis_mod.lp_solve(per_sample_referee(last_prog))
+    ref_sol = analysis_mod.lp_solve(per_sample_referee(prog, objective))
     if ref_sol.status == "Optimal":
         raise RelaxationLimit(
             f"interval relaxation exhausted at order +{relax_schedule[-1]} "
@@ -1812,8 +1813,8 @@ def spy_solves(monkeypatch, referee_fails=False):
     calls, referees = [], []
     real_solve, real_referee = analysis_mod.lp_solve, _Program.sampled_referee
 
-    def referee(prog):
-        lp = real_referee(prog)
+    def referee(prog, objective):
+        lp = real_referee(prog, objective)
         referees.append(lp)
         return lp
 
@@ -1827,3 +1828,56 @@ def spy_solves(monkeypatch, referee_fails=False):
     monkeypatch.setattr(_Program, "sampled_referee", referee)
     monkeypatch.setattr(analysis_mod, "lp_solve", solve)
     return calls
+
+
+def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
+    """Oracle for analyze_switched_blanchini: its LP as it was written by
+    hand, row by row with LinearProgram.add_le, before its rows went through
+    analysis._Program; solved with analysis_mod.lp_solve."""
+    from dwellgain.cert import flow_grid
+
+    n, q, N = sw.n, sw.q, sw.N
+    taus = np.linspace(0.0, T, grid_points)
+    Phis, forced = zip(*(flow_grid(sw, taus, mode=i)[:2] for i in range(N)))
+
+    lp = LinearProgram()
+    lam = [[lp.new_var(name=f"lam{i}_{r}") for r in range(n)] for i in range(N)]
+    gamma = lp.new_var(lo=0.0, name="gamma")
+    for i, md in enumerate(sw.modes):
+        A = md["A"].const()
+        E1 = md["E"].const().sum(axis=1)
+        for r in range(n):
+            lp.add_le({lam[i][c]: A[r, c] for c in range(n)}, -E1[r] - margin)
+    for i in range(N):
+        eAT = Phis[i][..., -1]
+        integ = forced[i][:, -1]
+        for j in range(N):
+            if i == j:
+                continue
+            for r in range(n):
+                row = {lam[j][c]: eAT[r, c] for c in range(n)}
+                row[lam[i][r]] = row.get(lam[i][r], 0.0) - 1.0
+                lp.add_le(row, -integ[r] - margin)
+    for i, md in enumerate(sw.modes):
+        C = md["C"].const()
+        F1 = md["F"].const().sum(axis=1)
+        for j in range(N):
+            if i == j:
+                continue
+            for Ph in Phis[i].transpose(2, 0, 1):
+                CP = C @ Ph
+                CmCP = C - CP
+                for r in range(q):
+                    row = {lam[i][c]: CmCP[r, c] for c in range(n)}
+                    for c in range(n):
+                        row[lam[j][c]] = row.get(lam[j][c], 0.0) + CP[r, c]
+                    row[gamma] = -1.0
+                    lp.add_le(row, -F1[r] - margin)
+    for i in range(N):
+        for r in range(n):
+            lp.add_ge({lam[i][r]: 1.0}, margin)
+    lp.set_objective({gamma: 1.0})
+    sol = analysis_mod.lp_solve(lp)
+    if sol.status != "Optimal":
+        raise Infeasible("per-mode vector conditions infeasible at this dwell-time")
+    return float(sol.objective_value)

@@ -17,8 +17,11 @@ from conftest import (
     ReferenceRows,
     array_of,
     full_schedule_escalation,
-    per_row_cone_add_interval_ge,
+    per_row_cone_rows,
     per_sample_referee,
+    reference_blanchini,
+    row_records,
+    spy_relaxations,
     spy_solves,
     assert_same_assembly,
     lil_assemble,
@@ -355,14 +358,15 @@ class TestRelaxationLimit:
         assert str(err.value).endswith(f"[{history}]")
 
     def test_history_keeps_numerical_failures(self, monkeypatch):
-        solve_min = _Program.solve_min
+        encoded = spy_relaxations(monkeypatch)
+        solve = analysis_mod.lp_solve
 
-        def failing_at_six(prog, gamma, extra_obj=None):
-            if prog.relax == 6:
+        def failing_at_six(lp):
+            if any(lp is order_lp and relax == 6 for _, relax, order_lp in encoded):
                 raise NumericalFailure("HiGHS model status Unknown")
-            return solve_min(prog, gamma, extra_obj)
+            return solve(lp)
 
-        monkeypatch.setattr(_Program, "solve_min", failing_at_six)
+        monkeypatch.setattr(analysis_mod, "lp_solve", failing_at_six)
         with pytest.raises(RelaxationLimit) as err:
             analyze_constant(self._hard_interval_system(), 1.0, 0)
         assert str(err.value).endswith(
@@ -371,23 +375,34 @@ class TestRelaxationLimit:
         )
 
     def test_referee_infeasible_names_every_order(self, bench_timer_growth, monkeypatch):
-        # timer_growth_bench is unstable at constant dwell 1.2: the referee of
-        # order +4 is infeasible, so orders +6 to +10 are never built
-        built = []
-        solve = analysis_mod._solve_with_escalation
-
-        def spy(build, *args, **kwargs):
-            def counted(relax):
-                built.append(relax)
-                return build(relax)
-
-            return solve(counted, *args, **kwargs)
-
-        monkeypatch.setattr(analysis_mod, "_solve_with_escalation", spy)
+        # timer_growth_bench is unstable at constant dwell 1.2: the referee
+        # after order +4 is infeasible, so orders +6 to +10 are never encoded
+        encoded = spy_relaxations(monkeypatch)
         with pytest.raises(Infeasible, match="sampled referee LP infeasible") as err:
             analyze_constant(bench_timer_growth, 1.2, 2)
         assert str(err.value).endswith("[order +4: Infeasible]")
-        assert built == [4]
+        assert [relax for _, relax, _ in encoded] == [4]
+
+    def test_program_built_once(self, monkeypatch):
+        """One _Mode and one _Program are built, whatever the number of
+        orders: the program is encoded at +4 to +10 and once as the referee."""
+        built = []
+        for cls in (analysis_mod._Mode, _Program):
+            def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        encoded = spy_relaxations(monkeypatch)
+        calls = spy_solves(monkeypatch)
+        with pytest.raises(RelaxationLimit) as err:
+            analyze_constant(self._hard_interval_system(), 1.0, 0)
+        history = "; ".join(f"order +{r}: Infeasible" for r in RELAX_SCHEDULE)
+        assert str(err.value).endswith(f"[{history}]")
+        assert built == ["_Program", "_Mode"]
+        assert [relax for _, relax, _ in encoded] == [4, 6, 8, 10]
+        assert len({id(prog) for prog, _, _ in encoded}) == 1
+        assert calls == ["order", "referee", "order", "order", "order"]
 
     def test_higher_order_cap_solves(self):
         cert = analyze_constant(
@@ -509,12 +524,17 @@ class TestEscalation:
 
     @pytest.mark.parametrize("referee_fails", [False, True])
     def test_referee_after_numerical_failures(self, bench_timer_growth, monkeypatch, referee_fails):
-        # no order ends Infeasible, so the referee of the last order is solved
-        def failing(prog, gamma, extra_obj=None):
-            raise NumericalFailure("HiGHS model status Unknown")
-
-        monkeypatch.setattr(_Program, "solve_min", failing)
+        # no order ends Infeasible, so the referee is solved after the last order
         calls = spy_solves(monkeypatch, referee_fails)
+        encoded = spy_relaxations(monkeypatch)
+        solve = analysis_mod.lp_solve
+
+        def failing(lp):
+            if any(lp is order_lp for _, _, order_lp in encoded):
+                raise NumericalFailure("HiGHS model status Unknown")
+            return solve(lp)
+
+        monkeypatch.setattr(analysis_mod, "lp_solve", failing)
         history = "; ".join(
             f"order +{r}: NumericalFailure (HiGHS model status Unknown)" for r in RELAX_SCHEDULE
         )
@@ -543,29 +563,23 @@ class TestEscalation:
 
     @pytest.mark.usefixtures("orbit_test_off")  # else only 16 programs are built
     def test_referee_matches_per_sample_build(self, monkeypatch, tmp_path):
-        progs = []
-        solve_min = _Program.solve_min
-
-        def keep(prog, gamma, extra_obj=None):
-            progs.append(prog)
-            return solve_min(prog, gamma, extra_obj)
-
-        monkeypatch.setattr(_Program, "solve_min", keep)
+        encoded = spy_relaxations(monkeypatch)
         for _, run in _certify_grid_runs()[::7]:
             _artifacts(run, tmp_path / "x.lp")
-        assert len(progs) >= 20
-        for prog in progs:
-            assert any(rec["interval"][0] == 0.0 for rec in prog.interval_records)
-            _assert_same_program(prog.sampled_referee(), per_sample_referee(prog))
+        assert len(encoded) >= 20
+        for prog, relax, lp in encoded:
+            assert any(interval[0] == 0.0 for _, _, _, interval, _, _ in row_records(prog, relax)[1])
+            _assert_same_program(prog.sampled_referee(lp.objective), per_sample_referee(prog, lp.objective))
 
     def test_referee_matches_on_degenerate_interval(self):
-        prog = ReferenceRows(_Program(4))
+        prog = ReferenceRows(_Program())
         zeta = prog.poly_vec(2, 3, "z")
         expr = zeta[0].scaled(-1.5) + zeta[1].deriv() - PolyExpr.from_poly([0.25, 0.0, 2.0])
         prog.add_interval_ge("flow", 0, expr, (0.0, 0.7), 1e-6)
-        prog.interval_records.append(dict(prog.interval_records[0], interval=(0.7, 0.7)))
+        family, index, p, _, margin = prog.rows[0]
+        prog.rows.append((family, index, p, (0.7, 0.7), margin))
         prog.add_point_ge("pin", 0, expr.eval_at(0.0), 1e-6)
-        _assert_same_program(prog.sampled_referee(), per_sample_referee(prog))
+        _assert_same_program(prog.sampled_referee({}), per_sample_referee(prog.prog, {}))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -680,9 +694,9 @@ def _shortfall(cert, target) -> float:
 
 
 class TestBernsteinRows:
-    """_Program.add_interval_ge imposes the degree-D Bernstein cone by D + 1
+    """_Program._cone_rows imposes the degree-D Bernstein cone by D + 1
     coefficient rows; against the product-basis cone of the same order,
-    conftest.per_row_cone_add_interval_ge, no analysis ends worse: it fails
+    conftest.per_row_cone_rows, no analysis ends worse: it fails
     only where the cone fails, it certifies at no higher order, verify passes,
     and at an equal order gamma is equal within 1e-7 relative, or 1e-7
     absolute: the two cones are equal, but HiGHS solves each program only to
@@ -696,7 +710,7 @@ class TestBernsteinRows:
         at the same order, else None."""
         got = _outcome(run)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Program, "add_interval_ge", per_row_cone_add_interval_ge)
+            mp.setattr(_Program, "_cone_rows", per_row_cone_rows)
             want = _outcome(run)
         if isinstance(got, type):
             assert isinstance(want, type), f"the cone certifies, the Bernstein rows raise {got.__name__}"
@@ -1022,20 +1036,14 @@ class TestCertificateObject:
         assert all(z.eval(0.0) > 0 for z in cert.zeta)
 
 
-def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
-    """Oracle for _Program.add_interval_ge: every row expands s^k in the
+def per_row_bernstein_rows(self, lp, name, q, order, margin):
+    """Oracle for _Program._cone_rows: every row expands s^k in the
     degree-D Bernstein basis again, s^k = s^k (s + 1 - s)^(D - k), so the
     weight of q_k in b_i is C(D - k, i - k) / C(D, i), an exact fraction
     rounded once."""
-    a, b = interval
-    p = ref_expr(pexpr)
-    if not a < b:
-        self.add_point_ge(family, index, array_of(p if isinstance(p, LinExpr) else p.eval_at(a)), margin)
-        return
-    order = p.degree + self.relax
-    q = p.shift_scale_arg(a, b - a)
+    q = ref_expr(q)
     for i in range(order + 1):
-        slack = self.lp.new_var(0.0, None, name=f"{family}{index}_b{i}")
+        slack = lp.new_var(0.0, None, name=f"{name}_b{i}")
         row = {slack: -1.0}
         const = 0.0
         for k in range(min(i, q.degree) + 1):
@@ -1043,11 +1051,7 @@ def per_row_add_interval_ge(self, family, index, pexpr, interval, margin):
             for v, c in q.coeffs[k].coeffs.items():
                 row[v] = row.get(v, 0.0) + w * c
             const += w * q.coeffs[k].const
-        self.lp.add_eq(row, margin - const)
-    self.interval_records.append(
-        {"family": family, "index": index, "pexpr": pexpr, "interval": (a, b), "order": order,
-         "margin": margin}
-    )
+        lp.add_eq(row, margin - const)
 
 
 class TestLpBuildOracle:
@@ -1071,8 +1075,8 @@ class TestLpBuildOracle:
         with monkeypatch.context() as m:
             m.setattr(lp_mod, "_assemble", spy)
             if reference:
-                m.setattr(_Program, "add_interval_ge", per_row_add_interval_ge)
-                m.setattr(synthesis_mod._DesignProgram, "add_interval_ge", per_row_cone_add_interval_ge)
+                m.setattr(_Program, "_cone_rows", per_row_bernstein_rows)
+                m.setattr(synthesis_mod._DesignProgram, "_cone_rows", per_row_cone_rows)
             try:
                 out = run()
             except DwellgainError as exc:
@@ -1131,13 +1135,13 @@ class TestLpBuildOracle:
 
     def test_degenerate_interval(self, monkeypatch, tmp_path):
         def run():
-            prog = ReferenceRows(_Program(4))
+            prog = ReferenceRows(_Program())
             gamma = prog.scalar(lo=0.0, name="gamma")
             z = prog.poly_vec(1, 2, "z")[0]
             prog.add_interval_ge("flat", 0, z - PolyExpr.from_poly([0.5]), (0.7, 0.7), 0.0)
             prog.add_interval_ge("wide", 0, z, (0.0, 2.0), 1e-3)
             prog.add_point_ge("cap", 0, z.eval_at(1.0) - gamma, -2.0)
-            return prog.solve_min(gamma).status
+            return analysis_mod.lp_solve(prog.relaxation(4, {gamma: 1.0})).status
 
         out, out_r = self._check(monkeypatch, tmp_path, run)
         assert out == out_r == "Optimal"
@@ -1160,6 +1164,41 @@ class TestSwitchedFoldOracle:
             assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
             assert text == text_r
         assert out.to_json() == out_r.to_json()
+
+
+class TestBlanchiniOracle:
+    """analyze_switched_blanchini writes its rows through analysis._Program;
+    its LP, as dump_lp writes it, and its value equal those of the LP it
+    wrote by hand, kept as conftest.reference_blanchini."""
+
+    @staticmethod
+    def _solved(monkeypatch, tmp_path, run):
+        """run()'s value or error class, and the dump_lp text of every LP it solves."""
+        texts = []
+        real = analysis_mod.lp_solve
+
+        def solve(lp):
+            dump_lp(lp, str(tmp_path / "blanchini.lp"))
+            texts.append((tmp_path / "blanchini.lp").read_text())
+            return real(lp)
+
+        with monkeypatch.context() as m:
+            m.setattr(analysis_mod, "lp_solve", solve)
+            try:
+                out = run()
+            except DwellgainError as exc:
+                out = type(exc).__name__
+        return out, texts
+
+    @pytest.mark.parametrize("grid_points", [2, 11, 101])
+    @pytest.mark.parametrize("T", [0.1, 0.3, 0.5, 1.0, 2.0])  # the dwell times of tools/artifact_hashes.py
+    def test_same_lp_and_value(self, monkeypatch, tmp_path, bench_switched, T, grid_points):
+        got, texts = self._solved(monkeypatch, tmp_path, lambda: analyze_switched_blanchini(bench_switched, T,
+                                                                                          grid_points))
+        want, texts_r = self._solved(monkeypatch, tmp_path, lambda: reference_blanchini(bench_switched, T,
+                                                                                        grid_points))
+        assert got == want
+        assert len(texts) == 1 and texts == texts_r
 
 
 class TestArbitraryFoldOracle:
@@ -1456,11 +1495,10 @@ class TestRowAlgebra:
         q = _draw_polyexpr(data)
         order = q.degree + data.draw(st.integers(0, 4))
         margin = data.draw(st.sampled_from([0.0, -0.0, 1e-6, 1e-2]))
-        prog, lp = _Program(0), LinearProgram()
-        prog.lp.num_vars = lp.num_vars = 3
-        prog._cone_rows("q", array_of(q), order, margin)
+        got, lp = LinearProgram(num_vars=3), LinearProgram(num_vars=3)
+        _Program()._cone_rows(got, "q", array_of(q), order, margin)
         reference_bernstein_rows(lp, "q", q, order, margin)
-        assert [(c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in prog.lp.rows] == [
+        assert [(c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in got.rows] == [
             (c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in lp.rows]
 
     @settings(max_examples=100, deadline=None)
@@ -1521,34 +1559,25 @@ class TestAnalysisIsDesign:
 
     @staticmethod
     def _theorem_rows(monkeypatch, run):
-        """The theorem-row records of the first LP that run solves, each
-        variable by its name, X read as zeta."""
-        seen = []
-        real = _Program.solve_min
-
-        def spy(prog, *args):
-            if not seen:
-                name = lambda v: re.sub(r"^X", "zeta", prog.lp.names[v])
-
-                def lin(e):
-                    terms, const = row_terms(e)
-                    return {name(v): c for v, c in terms.items()}, const
-
-                seen.append(
-                    [(r["family"], r["index"], lin(r["expr"]), r["margin"])
-                     for r in prog.point_records if r["family"] in THEOREM_FAMILIES]
-                    + [(r["family"], r["index"], [lin(c) for c in r["pexpr"]], r["interval"], r["order"],
-                        r["margin"]) for r in prog.interval_records if r["family"] in THEOREM_FAMILIES]
-                )
-            return real(prog, *args)
-
+        """The theorem rows of the first LP that run solves, point rows
+        first, each variable by its name, X read as zeta."""
         with monkeypatch.context() as m:
-            m.setattr(_Program, "solve_min", spy)
+            encoded = spy_relaxations(m)
             try:
                 run()
             except DwellgainError:
                 pass
-        return seen[0]
+        prog, relax, _ = encoded[0]
+        name = lambda v: re.sub(r"^X", "zeta", prog.columns.names[v])
+
+        def lin(e):
+            terms, const = row_terms(e)
+            return {name(v): c for v, c in terms.items()}, const
+
+        points, intervals = row_records(prog, relax)
+        return ([(f, i, lin(e), mg) for f, i, e, mg in points if f in THEOREM_FAMILIES]
+                + [(f, i, [lin(c) for c in p], iv, order, mg) for f, i, p, iv, order, mg in intervals
+                   if f in THEOREM_FAMILIES])
 
     @pytest.mark.parametrize(
         "bench, dwell",

@@ -19,12 +19,12 @@ from conftest import (
     lil_assemble,
     linprog_solve,
     solve_outcome,
+    spy_relaxations,
 )
 from dwellgain import analysis as analysis_mod
 from dwellgain import lp as lp_mod
 from dwellgain.analysis import (
     RELAX_SCHEDULE,
-    _Program,
     analyze_constant,
     analyze_minimum,
     analyze_range,
@@ -617,19 +617,12 @@ class TestRowsContract:
 
     @pytest.mark.parametrize("run", ["analysis", "design"])
     def test_rows(self, monkeypatch, bench_timer_growth, bench_chain_plant, run):
-        progs = []
-        solve_min = _Program.solve_min
-
-        def keep(prog, *args):
-            progs.append(prog)
-            return solve_min(prog, *args)
-
-        monkeypatch.setattr(_Program, "solve_min", keep)
+        encoded = spy_relaxations(monkeypatch)
         if run == "analysis":
             analyze_constant(bench_timer_growth, 0.3, 2)
         else:
             synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2)
-        lp = progs[0].lp
+        lp = encoded[0][2]
         assert {rel for _, rel, _ in lp.rows} == {"<=", "="}
         for coeffs, rel, rhs in lp.rows:
             assert type(coeffs) is dict and type(rhs) is float

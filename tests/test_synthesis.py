@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_matches_three_paths, oracle_kd, reference_synthesize_switched, row_terms
+from conftest import (assert_matches_three_paths, oracle_kd, reference_synthesize_switched, row_records,
+                      row_terms, spy_relaxations)
 from dwellgain import synthesis as synthesis_mod
-from dwellgain.analysis import _Program
 from dwellgain.benchmarks import two_mode_switched_bench
 from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive
 from dwellgain.lp import _assemble
@@ -322,32 +322,24 @@ class TestSwitchedModeOracle:
 
     @staticmethod
     def _solved(monkeypatch, run):
-        """(assembly, point records, interval records) of every LP `run`
-        solves, and its controller JSON or error class."""
-        seen = []
-        real = _Program.solve_min
-
+        """(assembly, point rows, interval rows) of every LP `run` solves,
+        and its controller JSON or error class."""
         def family(name):
             name = re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
             return re.sub(r"^perf_(flow|out_c)\[", r"\1[", name)
 
-        def spy(prog, *args):
-            try:
-                return real(prog, *args)
-            finally:
-                points = [(family(r["family"]), r["index"], row_terms(r["expr"]), r["margin"])
-                          for r in prog.point_records]
-                intervals = [(family(r["family"]), r["index"], [row_terms(c) for c in r["pexpr"]],
-                              r["interval"], r["order"], r["margin"])
-                             for r in prog.interval_records]
-                seen.append((_assemble(prog.lp), points, intervals))
-
         with monkeypatch.context() as m:
-            m.setattr(_Program, "solve_min", spy)
+            encoded = spy_relaxations(m)
             try:
                 out = run().to_json()
             except DwellgainError as exc:
                 out = type(exc).__name__
+        seen = []
+        for prog, relax, lp in encoded:
+            points, intervals = row_records(prog, relax)
+            seen.append((_assemble(lp), [(family(f), i, row_terms(e), mg) for f, i, e, mg in points],
+                         [(family(f), i, [row_terms(c) for c in p], iv, order, mg)
+                          for f, i, p, iv, order, mg in intervals]))
         return seen, out
 
     @pytest.mark.parametrize("degree", [0, 2])

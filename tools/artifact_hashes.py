@@ -38,6 +38,13 @@ Cases:
   minimum-dwell designs for the timer-dependent timer_stable_bench with
   inputs at T in {0.7, 1.3, 1.7} and degrees 1-3;
 - `synthesize_switched` at four dwell times;
+- the escalation outcomes at constant dwell: the offset parabola plant
+  (`offset_parabola_system`) at offset 0.26 (needs order ~26) with the
+  default schedule, which ends in RelaxationLimit, and with the schedule
+  (26,), and at offset 0.3, which certifies at order +6 after a feasible
+  referee, all at T = 1 and degree 0; and a plant whose discrete output
+  entry, 8.27e-13, lies below HiGHS's small_matrix_value, at T = 0.2 and
+  degree 1, whose every order and referee fail numerically;
 - a system that is not positive (A[0, 1] = -3) under constant, minimum,
   range and arbitrary dwell, and `verify` of a certificate issued for it
   (tests/data/nonpositive_constant_1.json, made when no analysis checked
@@ -138,6 +145,21 @@ def negative_input_plant() -> ImpulsiveSystem:
     jm = c.jump
     return ImpulsiveSystem.from_arrays(A=c.A, Bc=c.Bc, Ec=[[0.2], [-0.3]], Cc=c.Cc, Fc=[[-0.1]],
                                        J=jm.J, Bd=jm.Bd, Ed=[[0.3], [-0.3]], Cd=jm.Cd, Fd=jm.Fd)
+
+
+def offset_parabola_system(offset: float) -> ImpulsiveSystem:
+    """A scalar plant whose flow row, zeta (offset - tau + tau^2) - 0.001 on
+    [0, 1] at degree 0, needs a higher relaxation order the smaller the
+    offset."""
+    return ImpulsiveSystem.from_arrays(A=[[[-offset, 1.0, -1.0]]], Ec=[[[0.001]]], Cc=[[[1.0]]], Fc=[[[0.0]]],
+                                       J=[[0.5]], Ed=[[0.0]], Cd=[[1.0]], Fd=[[0.0]])
+
+
+def tiny_discrete_output_plant() -> ImpulsiveSystem:
+    """A = -1, J = 1 and a discrete output entry of 8.27e-13, which row
+    scaling leaves below HiGHS's small_matrix_value."""
+    zeros = {"Ec": [[0.0]], "Cc": [[0.0]], "Fc": [[0.0]], "Ed": [[0.0]], "Fd": [[0.0]]}
+    return ImpulsiveSystem.from_arrays(A=[[[-1.0]]], J=[[1.0]], Cd=[[8.265803520048773e-13]], **zeros)
 
 
 def scalar_plant() -> ImpulsiveSystem:
@@ -392,6 +414,20 @@ def collect(lp_dir: str) -> dict:
         ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(sw, T, 2, dump_lp=lp), to_json)
         if ctrl is not None:
             rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(sw, ctrl))
+
+    escalations = {
+        "offset_parabola_system(0.26) constant T=1.0 degree=0":
+            lambda lp: analysis.analyze_constant(offset_parabola_system(0.26), 1.0, 0, dump_lp=lp),
+        "offset_parabola_system(0.26) constant T=1.0 degree=0 relax_schedule=(26,)":
+            lambda lp: analysis.analyze_constant(offset_parabola_system(0.26), 1.0, 0, relax_schedule=(26,),
+                                                 dump_lp=lp),
+        "offset_parabola_system(0.3) constant T=1.0 degree=0":
+            lambda lp: analysis.analyze_constant(offset_parabola_system(0.3), 1.0, 0, dump_lp=lp),
+        "tiny_discrete_output_plant constant T=0.2 degree=1":
+            lambda lp: analysis.analyze_constant(tiny_discrete_output_plant(), 0.2, 1, dump_lp=lp),
+    }
+    for key, run in escalations.items():
+        rec.solve(key, run, to_json)
 
     rot = nonpositive_rotation()
     runs = {
