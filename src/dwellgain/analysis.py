@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from itertools import groupby
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
     ParseError,
     RelaxationLimit,
 )
-from .lp import LinearProgram, lp_solve
+from .lp import LinearProgram, RowBlock, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time, require_positive,
                     write_json)
@@ -148,16 +149,44 @@ def _row_ones(pm: PolyMatrix, i: int) -> Poly:
     return out
 
 
+class _Cone(NamedTuple):
+    """How a relaxation order writes q(s) >= margin on [0, 1], q of degree
+    at most D: coefficient row i of the D + 1 is sum_k weights[i, k] q_k
+    (q's own coefficients where weights is None) plus matrix[i] . c, = margin
+    where on[i], else 0, over cone columns c >= 0 of their own for each row
+    of q, named by the row's family and index and by suffixes."""
+
+    weights: Optional[np.ndarray]
+    on: np.ndarray
+    matrix: np.ndarray
+    suffixes: tuple[str, ...]
+
+
 @lru_cache(maxsize=None)
-def _bernstein_weights(order: int) -> np.ndarray:
-    """W[i, k] = C(i, k) / C(order, k), k <= i, else 0: the degree-`order`
-    Bernstein coefficient b_i of q on [0, 1] is sum_k W[i, k] q_k.  Cached,
-    so read-only."""
+def _bernstein_cone(order: int) -> _Cone:
+    """The degree-`order` Bernstein cone on [0, 1], the span of s^i (1 - s)^j,
+    i + j <= D: each Bernstein coefficient b_i(q) = sum_{k <= i} W[i, k] q_k,
+    W[i, k] = C(i, k) / C(D, k), is one row b_i(q) - s_i = margin with a slack
+    column s_i >= 0.  The slack's bound holds the sign to the solver's
+    absolute tolerance; a >= row is checked only after scaling to unit norm,
+    which let a coefficient of a range analysis end at -2e-5.  Cached, so
+    read-only."""
     W = np.zeros((order + 1, order + 1))
     for i in range(order + 1):
         W[i, : i + 1] = [math.comb(i, k) / math.comb(order, k) for k in range(i + 1)]
     W.setflags(write=False)
-    return W
+    return _Cone(W, np.ones(order + 1, bool), -np.eye(order + 1), tuple(f"_b{i}" for i in range(order + 1)))
+
+
+def _csr(dense: np.ndarray, colmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, values) of the nonzeros of dense (rows, ..., k), one
+    LP row per index but the last, entry [r, ..., j] in LP column colmap[r, j]
+    (colmap (rows, k), or (k,) for every r), ascending in j."""
+    mask = dense != 0.0
+    nz = np.nonzero(mask)
+    indptr = np.zeros(math.prod(dense.shape[:-1]) + 1, np.int64)
+    mask.sum(axis=-1).cumsum(out=indptr[1:])
+    return indptr, colmap[nz[-1]] if colmap.ndim == 1 else colmap[nz[0], nz[-1]], dense[nz]
 
 
 # Every row is affine in the LP's decision columns.  An affine expression is a
@@ -242,35 +271,35 @@ def _eval_at(p: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _eval_grid(p: np.ndarray, ts: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """_eval_at at every t in ts in one pass: (cols, block, const) with
-    _eval_at(p, ts[s]) = block[s] . x[cols] + const[s].  The powers are the
-    running products _eval_at takes and coefficient k is added after
-    coefficient k - 1, so every finite value is bit-equal to _eval_at's
-    (the zero terms it skips change no sum)."""
-    cols = np.flatnonzero(p[:, 1:].any(axis=0))
-    coef = p[:, np.concatenate([[0], 1 + cols])]
-    powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * (len(p) - 1)), axis=1)
-    acc = np.zeros((len(ts), len(cols) + 1))
-    for k in range(len(p)):
-        acc += powers[:, k, None] * coef[k]
-    return cols.tolist(), acc[:, 1:], acc[:, 0]
+def _eval_grid(p: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """_eval_at at every t in ts in one pass, for a stack p (..., n, width) of
+    polynomials of n coefficients: out[..., s, :] = _eval_at(p[...], ts[s]).
+    The powers are the running products _eval_at takes and coefficient k is
+    added after coefficient k - 1, so every finite value is bit-equal to
+    _eval_at's (the zero terms it skips change no sum)."""
+    n = p.shape[-2]
+    powers = np.cumprod(np.column_stack([np.ones(len(ts))] + [ts] * (n - 1)), axis=1)
+    acc = np.zeros(p.shape[:-2] + (len(ts), p.shape[-1]))
+    for k in range(n):
+        acc += powers[:, k, None] * p[..., k, None, :]
+    return acc
 
 
 def _shift_scale_arg(p: np.ndarray, a: float, h: float) -> np.ndarray:
-    """The polynomial q with q(s) = p(a + h*s): q_k is h^k sum_{j >= k}
+    """The polynomials q with q(s) = p(a + h*s), for a stack p (..., n, width)
+    of polynomials of n coefficients, not trimmed: q_k is h^k sum_{j >= k}
     C(j, k) a^(j - k) p_j, summed in j from zero (the zero weights of j < k
     change no sum, and at a = 0 the sum is p_k alone), and zero where h^k is."""
-    n = len(p)
+    n = p.shape[-2]
     if a == 0.0:
         out = 0.0 + p
     else:
         out = np.zeros(p.shape)
         w = np.array([[math.comb(j, k) * a ** (j - k) if k <= j else 0.0 for k in range(n)] for j in range(n)])
-        for term in w[:, :, None] * p[:, None]:
-            out += term
+        for j in range(n):
+            out += w[j, :, None] * p[..., j, None, :]
     hk = np.array([h**k for k in range(n)])[:, None]
-    return _trim(np.where(hk != 0.0, hk * out, 0.0))
+    return np.where(hk != 0.0, hk * out, 0.0)
 
 
 def _value(p: np.ndarray, x: np.ndarray) -> Poly:
@@ -279,16 +308,33 @@ def _value(p: np.ndarray, x: np.ndarray) -> Poly:
     return Poly(tuple(c[0] + sum(a * x[v] for v, a in _terms(c).items()) for c in p))
 
 
+class _IntervalRun(NamedTuple):
+    """Consecutive interval rows on one interval (a, b) with polynomials of
+    n coefficients: p (rows, n, 1 + len(cols)) holds each row's constant and
+    its coefficients of the columns cols, q the same for q(s) = p(a + h s)."""
+
+    interval: tuple[float, float]
+    names: list[str]
+    cols: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    margins: np.ndarray
+
+
 class _Program:
     """A theorem's program: its decision columns and one ordered list of
     rows (family, index, e, interval, margin), each e >= margin, at a point
     (interval None, e an expression) or at every t in interval = (a, b),
     a < b (e a polynomial).  Two encoders make LPs of it: one relaxation
-    order (`relaxation`) and the sampled referee (`sampled_referee`)."""
+    order (`relaxation`) and the sampled referee (`sampled_referee`).  Both
+    write each run of consecutive rows of one shape, point rows or interval
+    rows on one interval with one length, as one row block; what no order
+    changes is encoded once per program (`_runs`)."""
 
     def __init__(self):
         self.columns = LinearProgram()  # the decision columns, no rows
         self.rows: list[tuple] = []
+        self._cut = (0, [])  # (rows cut, their runs)
 
     def scalar(self, lo=None, hi=None, name="") -> int:
         return self.columns.new_var(lo, hi, name)
@@ -315,39 +361,75 @@ class _Program:
             return
         self.rows.append((family, index, p, (a, b), margin))
 
+    def _runs(self) -> list:
+        """The rows as runs of one shape, cut again only when rows were
+        added: point rows e >= margin as their block -e[1:] . x <= -(margin -
+        e[0]), interval rows as an `_IntervalRun`."""
+        if self._cut[0] != len(self.rows):
+            runs = []
+            # a run's shape: None for point rows, else (interval, length)
+            for shape, group in groupby(self.rows, key=lambda row: row[3] and (row[3], len(row[2]))):
+                group = list(group)
+                margins = np.array([row[4] for row in group], dtype=float)
+                # the rows stacked, zero padded to the widest, then cut to the columns in use
+                e = np.zeros((len(group),) + group[0][2].shape[:-1] + (max(row[2].shape[-1] for row in group),))
+                for r, row in enumerate(group):
+                    e[r, ..., : row[2].shape[-1]] = row[2]
+                cols = np.flatnonzero(e[..., 1:].any(axis=tuple(range(e.ndim - 1))))
+                e = e[..., np.concatenate(([0], 1 + cols))]
+                if shape is None:
+                    runs.append(RowBlock("<=", *_csr(-e[:, 1:], cols), -(margins - e[:, 0])))
+                else:
+                    interval = (a, b) = shape[0]
+                    runs.append(_IntervalRun(interval, [f"{f}{i}" for f, i, *_ in group], cols, e,
+                                             _shift_scale_arg(e, a, b - a), margins))
+            self._cut = (len(self.rows), runs)
+        return self._cut[1]
+
     def _lp(self, objective: dict[int, float]) -> LinearProgram:
         """A new LP on the decision columns that minimizes objective."""
-        c = self.columns
-        return LinearProgram(c.num_vars, dict(objective), bounds=dict(c.bounds), names=dict(c.names))
+        lp = self.columns.copy()
+        lp.objective = dict(objective)
+        return lp
 
     def relaxation(self, relax: int, objective: dict[int, float]) -> LinearProgram:
         """The LP at relaxation order relax: each point row one >= row, each
         interval row p >= margin on [a, b] the rows of `_cone_rows` at order
-        D = degree + relax on q(s) = p(a + h s), h = b - a, s in [0, 1]."""
+        D = degree + relax on q(s) = p(a + h s), h = b - a, s in [0, 1].
+        Each run of `_runs` is one row block, in the order of the rows; only
+        the cone rows are computed for each order."""
         lp = self._lp(objective)
-        for family, index, e, interval, margin in self.rows:
-            if interval is None:
-                lp.add_ge(_terms(e), margin - e[0])
+        for run in self._runs():
+            if isinstance(run, RowBlock):
+                lp.add_rows(*run)
             else:
-                a, b = interval
-                self._cone_rows(lp, f"{family}{index}", _shift_scale_arg(e, a, b - a), len(e) - 1 + relax, margin)
+                self._cone_rows(lp, run.q.shape[1] - 1 + relax, run.names, run.cols, run.q, run.margins)
         return lp
 
-    def _cone_rows(self, lp: LinearProgram, name: str, q: np.ndarray, order: int, margin: float) -> None:
-        """q - margin in the degree-`order` Bernstein cone on [0, 1], the span
-        of s^i (1 - s)^j, i + j <= D: each coefficient b_i(q) = sum_{k <= i}
-        C(i, k) / C(D, k) q_k is one row b_i(q) - s_i = margin with a slack
-        column s_i >= 0.  The slack's bound holds the sign to the solver's
-        absolute tolerance; a >= row is checked only after scaling to unit
-        norm, which let a coefficient of a range analysis end at -2e-5."""
-        W = _bernstein_weights(order)
-        b = np.zeros((order + 1, q.shape[1]))
-        for k, qk in enumerate(q):
-            b[k:] += W[k:, k, None] * qk
-        for i, (const, *coeffs) in enumerate(b.tolist()):
-            row = {lp.new_var(0.0, None, name=f"{name}_b{i}"): -1.0}
-            row.update((v, c) for v, c in enumerate(coeffs) if c != 0.0)
-            lp.add_eq(row, margin - const)
+    def _cone(self, order: int) -> _Cone:
+        return _bernstein_cone(order)
+
+    def _cone_rows(self, lp: LinearProgram, order: int, names: list[str], cols: np.ndarray, q: np.ndarray,
+                   margins: np.ndarray) -> None:
+        """q[r] - margins[r] in the degree-`order` cone of `_cone` on [0, 1],
+        for the stack q (rows, n, 1 + len(cols)): one = row block, and the
+        cone columns of each row of q in turn, named by names[r]."""
+        cone = self._cone(order)
+        rows, n = q.shape[:2]
+        b = np.zeros((rows, order + 1, q.shape[2]))
+        if cone.weights is None:
+            b[:, :n] = q
+        else:
+            for k in range(n):
+                b[:, k:] += cone.weights[k:, k, None] * q[:, k, None, :]
+        # row r of q in LP columns cols and then in its own cone columns
+        m, width = len(cols), len(cone.suffixes)
+        dense = np.empty((rows, order + 1, m + width))
+        dense[..., :m], dense[..., m:] = b[..., 1:], cone.matrix
+        colmap = np.empty((rows, m + width), np.int64)
+        colmap[:, :m] = cols
+        colmap[:, m:] = lp.add_columns(0.0, None, names, cone.suffixes) + np.arange(rows * width).reshape(rows, -1)
+        lp.add_rows("=", *_csr(dense, colmap), (np.where(cone.on, margins[:, None], 0.0) - b[..., 0]).ravel())
 
     def sampled_referee(self, objective: dict[int, float]) -> LinearProgram:
         """The point rows, then every interval row imposed at _REFEREE_SAMPLES
@@ -358,13 +440,15 @@ class _Program:
         It does not depend on the relaxation order.
         """
         lp = self._lp(objective)
-        for _, _, e, interval, margin in self.rows:
-            if interval is None:
-                lp.add_ge(_terms(e), margin - e[0])
-        for _, _, p, interval, margin in self.rows:
-            if interval is not None:
-                cols, block, const = _eval_grid(p, np.linspace(*interval, _REFEREE_SAMPLES))
-                lp.add_ge_block(cols, block, margin - const)
+        runs = self._runs()
+        for run in runs:
+            if isinstance(run, RowBlock):
+                lp.add_rows(*run)
+        for run in runs:
+            if isinstance(run, _IntervalRun):
+                acc = _eval_grid(run.p, np.linspace(*run.interval, _REFEREE_SAMPLES))
+                rhs = -(run.margins[:, None] - acc[..., 0]).ravel()
+                lp.add_rows("<=", *_csr(-acc[..., 1:], run.cols), rhs)
         return lp
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -191,6 +190,9 @@ def _cmd_sweep(args) -> int:
     Ts = np.linspace(args.sweep_from, args.sweep_to, args.points)
     payloads = [(args.system, kind, float(T), args.degree, args.margin, args.order_cap) for T in Ts]
     if args.jobs > 1:
+        # imported here: the pool loads multiprocessing, which one job never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:

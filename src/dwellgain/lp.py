@@ -1,11 +1,16 @@
 """Linear programs: construction, solving, LP-format dump.
 
-The solver contract is the interface; the implementation hands each program
-straight to the HiGHS binding that SciPy bundles, with the options
-``linprog(method="highs")`` uses, and checks the answer as ``linprog`` did.
-The binding is loaded directly from its extension file, so importing this
-module never runs ``scipy.optimize`` (nor ``scipy.linalg`` or
-``scipy.sparse``, which that package loads).
+A program holds its rows as blocks in CSR form (`RowBlock`), each of one
+relation, and its columns one by one or as ranges of like columns, whose
+names are made only when read.  The encoders write each run of like rows as
+one block; `rows`, `bounds` and `names` read a program row by row.
+
+The solver contract is the interface; the implementation concatenates the
+blocks (`_assemble`) and passes the arrays straight to the HiGHS binding
+that SciPy bundles, with the options ``linprog(method="highs")`` uses, and
+checks the answer as ``linprog`` did.  The binding is loaded directly from
+its extension file, so importing this module never runs ``scipy.optimize``
+(nor ``scipy.linalg`` or ``scipy.sparse``, which that package loads).
 Rows are normalized to unit infinity-norm before solving because
 interval-certificate bases are badly scaled at high order.
 """
@@ -16,9 +21,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +65,7 @@ except ImportError as exc:  # SciPy too old to bundle the binding
 
 __all__ = [
     "LinearProgram",
+    "RowBlock",
     "LpSolution",
     "lp_solve",
     "dump_lp",
@@ -70,60 +75,109 @@ _REL_LE = "<="
 _REL_EQ = "="
 
 
-@dataclass
-class LinearProgram:
-    """Sparse LP: minimize objective subject to <=/= rows and variable bounds."""
+class RowBlock(NamedTuple):
+    """Rows of one relation, "<=" or "=", in CSR form: row r is the sum of
+    values[e] x[indices[e]] over e in indptr[r]:indptr[r + 1], related to
+    rhs[r], with its columns ascending and its values nonzero."""
 
-    num_vars: int = 0
-    objective: dict[int, float] = field(default_factory=dict)
-    rows: list[tuple[dict[int, float], str, float]] = field(default_factory=list)
-    bounds: dict[int, tuple[Optional[float], Optional[float]]] = field(default_factory=dict)
-    names: dict[int, str] = field(default_factory=dict)
+    rel: str
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    rhs: np.ndarray
+
+
+class _ColumnRange(NamedTuple):
+    """len(prefixes) * len(suffixes) columns from start on, each bounded by
+    (lo, hi); column start + p * len(suffixes) + s is named prefixes[p] +
+    suffixes[s]."""
+
+    start: int
+    lo: Optional[float]
+    hi: Optional[float]
+    prefixes: Sequence[str]
+    suffixes: Sequence[str]
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.prefixes) * len(self.suffixes)
+
+
+class LinearProgram:
+    """Sparse LP: minimize objective subject to blocks of <=/= rows, in the
+    order added, and column bounds (None: unbounded).  Columns come one by
+    one (`new_var`) or as ranges of like columns (`add_columns`), one bound
+    pair each and names made only when read.  `rows`, `bounds` and `names`
+    read the program row by row and column by column, each built anew."""
+
+    def __init__(self, num_vars: int = 0, objective: Optional[dict[int, float]] = None,
+                 bounds: Optional[dict] = None, names: Optional[dict[int, str]] = None):
+        self.num_vars = num_vars
+        self.objective = {} if objective is None else objective
+        self.blocks: list[RowBlock] = []
+        self._bounds = {} if bounds is None else bounds  # of single columns
+        self._names = {} if names is None else names
+        self._ranges: list[_ColumnRange] = []
+
+    def copy(self) -> "LinearProgram":
+        """A program with these columns, objective and blocks, to add to apart from this one."""
+        lp = LinearProgram(self.num_vars, dict(self.objective), dict(self._bounds), dict(self._names))
+        lp.blocks, lp._ranges = list(self.blocks), list(self._ranges)
+        return lp
 
     def new_var(self, lo: Optional[float] = None, hi: Optional[float] = None, name: str = "") -> int:
         v = self.num_vars
         self.num_vars += 1
         if lo is not None or hi is not None:
-            self.bounds[v] = (lo, hi)
+            self._bounds[v] = (lo, hi)
         if name:
-            self.names[v] = name
+            self._names[v] = name
         return v
 
-    def set_bounds(self, v: int, lo: Optional[float], hi: Optional[float]) -> None:
-        self.bounds[v] = (lo, hi)
+    def add_columns(self, lo: Optional[float], hi: Optional[float], prefixes: Sequence[str],
+                    suffixes: Sequence[str]) -> int:
+        """len(prefixes) * len(suffixes) new columns bounded by (lo, hi),
+        column p * len(suffixes) + s of them named prefixes[p] + suffixes[s];
+        returns the first one's index."""
+        r = _ColumnRange(self.num_vars, lo, hi, prefixes, suffixes)
+        self._ranges.append(r)
+        self.num_vars = r.stop
+        return r.start
 
-    def set_objective(self, coeffs: dict[int, float]) -> None:
-        self.objective = dict(coeffs)
+    def add_rows(self, rel: str, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                 rhs: np.ndarray) -> None:
+        """Append the RowBlock (rel, indptr, indices, values, rhs)."""
+        if rel not in (_REL_LE, _REL_EQ):
+            raise ValueError(f"unknown row relation {rel!r}")
+        if indices.size and not (0 <= indices.min() and indices.max() < self.num_vars):
+            v = indices[(indices < 0) | (indices >= self.num_vars)][0]
+            raise ValueError(f"row references unknown variable {v}")
+        self.blocks.append(RowBlock(rel, indptr, indices, values, rhs))
 
-    def _check(self, coeffs: dict[int, float], sign: float = 1.0) -> dict[int, float]:
-        """A fresh copy of the row, times `sign`, with zero coefficients dropped."""
-        n = self.num_vars
-        out = {}
-        for v, c in coeffs.items():
-            if not 0 <= v < n:
-                raise ValueError(f"row references unknown variable {v}")
-            if c != 0.0:
-                out[v] = sign * float(c)
+    @property
+    def rows(self) -> list[tuple[dict[int, float], str, float]]:
+        """Every row as ({column: coefficient}, relation, rhs), in order; built on each read."""
+        out = []
+        for b in self.blocks:
+            ptr, idx, val = b.indptr.tolist(), b.indices.tolist(), b.values.tolist()
+            out += [(dict(zip(idx[s:e], val[s:e])), b.rel, r) for s, e, r in zip(ptr, ptr[1:], b.rhs.tolist())]
         return out
 
-    def add_le(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.rows.append((self._check(coeffs), _REL_LE, float(rhs)))
+    @property
+    def bounds(self) -> dict[int, tuple[Optional[float], Optional[float]]]:
+        """{column: (lo, hi)} of every column with a bound; built on each read."""
+        out = dict(self._bounds)
+        for r in self._ranges:
+            out.update(dict.fromkeys(range(r.start, r.stop), (r.lo, r.hi)))
+        return out
 
-    def add_ge(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.rows.append((self._check(coeffs, -1.0), _REL_LE, -float(rhs)))
-
-    def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.rows.append((self._check(coeffs), _REL_EQ, float(rhs)))
-
-    def add_ge_block(self, cols: list[int], block: np.ndarray, rhs: np.ndarray) -> None:
-        """One row block[s] . x[cols] >= rhs[s] per s, as add_ge stores it."""
-        if cols and not (0 <= min(cols) and max(cols) < self.num_vars):
-            raise ValueError("row references unknown variable")
-        for row, r in zip((-block).tolist(), rhs.tolist()):
-            coeffs = dict(zip(cols, row))
-            if 0.0 in row:
-                coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
-            self.rows.append((coeffs, _REL_LE, -r))
+    @property
+    def names(self) -> dict[int, str]:
+        """{column: name} of every named column; built on each read."""
+        out = dict(self._names)
+        for r in self._ranges:
+            out.update(zip(range(r.start, r.stop), (p + s for p in r.prefixes for s in r.suffixes)))
+        return out
 
 
 @dataclass
@@ -150,16 +204,16 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     c = np.zeros(lp.num_vars)
     for v, coef in lp.objective.items():
         c[v] = coef
-    # <= rows keep their order ahead of = rows
-    rows = [r for r in lp.rows if r[1] != _REL_EQ]
-    num_le = len(rows)
-    rows += [r for r in lp.rows if r[1] == _REL_EQ]
-    n = len(rows)
-    sizes = np.fromiter((len(coeffs) for coeffs, _, _ in rows), np.int64, n)
-    nnz = int(sizes.sum())
-    cols = np.fromiter(chain.from_iterable(coeffs for coeffs, _, _ in rows), np.int64, nnz)
-    vals = np.fromiter(chain.from_iterable(coeffs.values() for coeffs, _, _ in rows), float, nnz)
-    rhs = np.fromiter((r for _, _, r in rows), float, n)
+    # <= blocks keep their order ahead of = blocks
+    blocks = [b for b in lp.blocks if b.rel != _REL_EQ]
+    num_le = sum(len(b.rhs) for b in blocks)
+    blocks += [b for b in lp.blocks if b.rel == _REL_EQ]
+    sizes = np.concatenate([np.diff(b.indptr) for b in blocks] + [np.zeros(0, np.int64)])
+    n, nnz = len(sizes), int(sizes.sum())
+    # indices as HiGHS's 32-bit HighsInt
+    cols = np.concatenate([b.indices for b in blocks] + [np.zeros(0, np.int32)], dtype=np.int32)
+    vals = np.concatenate([b.values for b in blocks] + [np.zeros(0)])
+    rhs = np.concatenate([b.rhs for b in blocks] + [np.zeros(0)])
     # checked before scaling, which an infinite entry would turn into nan
     if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
         raise ValueError("LP rows must have finite coefficients and right-hand sides")
@@ -175,20 +229,19 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     # lp_solve refuses that inf with the other bounds beyond HiGHS's infinity
     with np.errstate(over="ignore"):
         rhs = rhs / scale
-    # explicit zeros (underflow of the scaling) dropped, entries sorted by
-    # column within each row
+    # explicit zeros (underflow of the scaling) dropped; the blocks hold each
+    # row's entries in column order already
     keep = vals != 0.0
-    row_of, cols, vals = row_of[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, row_of))
-    start = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(row_of, minlength=n), out=start[1:])
-    # None reads as nan, which means unbounded, as in linprog
-    lower, upper = np.array(
-        [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)], dtype=float
-    ).reshape(-1, 2).T
-    lower[np.isnan(lower)] = -np.inf
-    upper[np.isnan(upper)] = np.inf
-    return _Assembled(c, lower, upper, start, cols[order], vals[order], rhs, num_le)
+    start = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(row_of[keep], minlength=n), out=start[1:])
+    lower, upper = np.full(lp.num_vars, -np.inf), np.full(lp.num_vars, np.inf)
+    for v, (lo, hi) in lp._bounds.items():
+        lower[v] = -np.inf if lo is None else lo
+        upper[v] = np.inf if hi is None else hi
+    for r in lp._ranges:
+        lower[r.start : r.stop] = -np.inf if r.lo is None else r.lo
+        upper[r.start : r.stop] = np.inf if r.hi is None else r.hi
+    return _Assembled(c, lower, upper, start, cols[keep], vals[keep], rhs, num_le)
 
 
 def _highs_options():
@@ -204,28 +257,15 @@ def _highs_options():
 
 _OPTIONS = _highs_options()
 _STATUS = _highs.HighsModelStatus
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 # linprog's _check_result tolerance at its default tol=1e-9
 _RESULT_TOL = math.sqrt(1e-9) * 10
 
 
-def _highs_lp(a: _Assembled):
-    m = _highs.HighsLp()
-    m.num_col_ = m.a_matrix_.num_col_ = len(a.c)
-    m.num_row_ = m.a_matrix_.num_row_ = len(a.rhs)
-    m.col_cost_ = a.c
-    m.col_lower_ = a.col_lower
-    m.col_upper_ = a.col_upper
-    m.row_lower_ = np.concatenate((np.full(a.num_le, -np.inf), a.rhs[a.num_le:]))
-    m.row_upper_ = a.rhs
-    m.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-    m.a_matrix_.start_ = a.start
-    m.a_matrix_.index_ = a.index
-    m.a_matrix_.value_ = a.value
-    return m
-
-
 def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve; Optimal solutions are re-checked for feasibility within 1e-7."""
+    """Solve, handing HiGHS the assembled arrays through a new solver object;
+    Optimal solutions are re-checked for feasibility within 1e-7."""
     a = _assemble(lp)
     if lp.num_vars == 0:
         raise ValueError("LP has no variables")
@@ -243,7 +283,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     big = np.flatnonzero(np.abs(a.rhs) >= inf)
     if big.size:
         k = int(big[0])
-        i = sorted(range(len(lp.rows)), key=lambda r: lp.rows[r][1] == _REL_EQ)[k]  # as assembled
+        rels = [rel for _, rel, _ in lp.rows]
+        i = sorted(range(len(rels)), key=lambda r: rels[r] == _REL_EQ)[k]  # as assembled
         raise NumericalFailure(f"row c{i} scaled to unit norm has bound {a.rhs[k]:.6g}, beyond {inf:g}")
     for side, bound in (("lower", a.col_lower), ("upper", a.col_upper)):
         big = np.flatnonzero(np.isfinite(bound) & (np.abs(bound) >= inf))
@@ -254,7 +295,11 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     solved = False
     if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
         status = _STATUS.kNotset
-    elif highs.passModel(_highs_lp(a)) == _highs.HighsStatus.kError:
+    elif highs.passModel(
+        len(a.c), len(a.rhs), len(a.value), _ROWWISE, _MINIMIZE, 0.0, a.c, a.col_lower, a.col_upper,
+        np.concatenate((np.full(a.num_le, -np.inf), a.rhs[a.num_le :])), a.rhs, a.start, a.index, a.value,
+        np.zeros(len(a.c), np.int32),  # every column continuous; an empty array is a model error
+    ) == _highs.HighsStatus.kError:
         status = _STATUS.kModelError
     else:
         solved = highs.run() != _highs.HighsStatus.kError
@@ -299,8 +344,10 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 def dump_lp(lp: LinearProgram, path: str) -> None:
     """Write the program in CPLEX LP format for external cross-checking."""
 
+    names, bounds = lp.names, lp.bounds
+
     def var(v: int) -> str:
-        return lp.names.get(v, f"x{v}")
+        return names.get(v, f"x{v}")
 
     def terms(coeffs: dict[int, float]) -> str:
         parts = []
@@ -317,7 +364,7 @@ def dump_lp(lp: LinearProgram, path: str) -> None:
         lines.append(f" c{i}: {terms(coeffs)} {op} {rhs:.17g}")
     lines.append("Bounds")
     for v in range(lp.num_vars):
-        lo, hi = lp.bounds.get(v, (None, None))
+        lo, hi = bounds.get(v, (None, None))
         lo_s = "-inf" if lo is None else f"{lo:.17g}"
         hi_s = "+inf" if hi is None else f"{hi:.17g}"
         lines.append(f" {lo_s} <= {var(v)} <= {hi_s}")

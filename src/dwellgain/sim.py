@@ -39,7 +39,6 @@ whether it runs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -819,6 +818,9 @@ def _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs,
     sups = [] if sup0 is None else [sup0]
     payloads = [(sys, dwell_gen, horizon, step, controller, clamp, r) for r in range(len(sups), runs)]
     if jobs > 1 and len(payloads) > 1:
+        # imported here: the pool loads multiprocessing, which one job never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             sups += pool.map(_gain_run, payloads)
     else:

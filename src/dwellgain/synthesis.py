@@ -14,6 +14,7 @@ rational gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
@@ -24,6 +25,7 @@ from .analysis import (
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
+    _Cone,
     _const_entries,
     _coupling_rows,
     _jump_rows,
@@ -42,7 +44,6 @@ from .analysis import (
     _var,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
-from .lp import LinearProgram
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, mode_mats, polys_from_json,
                     polys_to_json, read_field, read_json, require_forward_time, require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
@@ -75,18 +76,20 @@ class _DesignProgram(_Program):
     of D + 1.  The designs, their `--dump-lp` texts and the closed-loop
     Monte-Carlo values recorded for them were all made with this encoding."""
 
-    def _cone_rows(self, lp: LinearProgram, name: str, q: np.ndarray, order: int, margin: float) -> None:
-        """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
-        column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
-        pairs, terms = product_basis(order)
-        cone = [lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
-        qs = q.tolist()
-        for k, basis_k in enumerate(terms):
-            const, *coeffs = qs[k] if k < len(qs) else [0.0]
-            row = {v: c for v, c in enumerate(coeffs) if c != 0.0}
-            for p, c in basis_k:
-                row[cone[p]] = -c
-            lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+    def _cone(self, order: int) -> _Cone:
+        return _product_cone(order)
+
+
+@lru_cache(maxsize=None)
+def _product_cone(order: int) -> _Cone:
+    """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
+    column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
+    pairs, terms = product_basis(order)
+    matrix = np.zeros((order + 1, len(pairs)))
+    for k, basis_k in enumerate(terms):
+        for p, c in basis_k:
+            matrix[k, p] = -c
+    return _Cone(None, np.arange(order + 1) == 0, matrix, tuple(f"_h{i}_{j}" for i, j in pairs))
 
 
 @dataclass

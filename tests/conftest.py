@@ -40,7 +40,7 @@ from dwellgain.errors import (
 )
 from dwellgain.lp import LinearProgram, LpSolution, lp_solve
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, require_forward_time
-from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg
+from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg, product_basis
 from dwellgain.synthesis import ControllerRealization
 
 
@@ -221,6 +221,32 @@ def isolated_jump_peak(A, Ec, Cc, Fc, J, Ed, tau_max: float = 20.0, step: float 
     return float(np.max(z))
 
 
+def add_row(lp, coeffs, rel, rhs, sign=1.0):
+    """sign * (sum_v coeffs[v] x_v) rel sign * rhs appended as a one-row
+    block, as LinearProgram.add_le, add_ge and add_eq stored a row before
+    rows became blocks: every column checked, each coefficient a float and
+    the zeros dropped."""
+    for v in coeffs:
+        if not 0 <= v < lp.num_vars:
+            raise ValueError(f"row references unknown variable {v}")
+    row = {v: sign * float(c) for v, c in sorted(coeffs.items()) if c != 0.0}
+    lp.add_rows(rel, np.array([0, len(row)]), np.array(list(row), dtype=np.int64),
+                np.array(list(row.values()), dtype=float), np.array([sign * float(rhs)]))
+
+
+def add_le(lp, coeffs, rhs):
+    add_row(lp, coeffs, "<=", rhs)
+
+
+def add_ge(lp, coeffs, rhs):
+    """The >= row stored as its negated <= row."""
+    add_row(lp, coeffs, "<=", rhs, -1.0)
+
+
+def add_eq(lp, coeffs, rhs):
+    add_row(lp, coeffs, "=", rhs)
+
+
 def lil_assemble(lp):
     """Oracle for lp._assemble: every row scaled to unit infinity-norm and
     written entry by entry into lil_matrix blocks, split into <= and = rows."""
@@ -247,7 +273,8 @@ def lil_assemble(lp):
                 m[i, v] = coef
         return m.tocsr()
 
-    bounds = [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)]
+    col_bounds = lp.bounds  # built on each read
+    bounds = [col_bounds.get(v, (None, None)) for v in range(lp.num_vars)]
     return c, to_csr(ub_rows), np.array(ub_rhs), to_csr(eq_rows), np.array(eq_rhs), bounds
 
 
@@ -300,7 +327,8 @@ def csr_assemble(lp):
         shape = (int(select.sum()), lp.num_vars)
         return sp.csr_matrix((vals[keep], (local[row_of[keep]], cols[keep])), shape=shape)
 
-    bounds = [lp.bounds.get(v, (None, None)) for v in range(lp.num_vars)]
+    col_bounds = lp.bounds  # built on each read
+    bounds = [col_bounds.get(v, (None, None)) for v in range(lp.num_vars)]
     return c, to_csr(~is_eq), rhs[~is_eq], to_csr(is_eq), rhs[is_eq], bounds
 
 
@@ -763,16 +791,14 @@ def per_row_certify_at_order(p, a, b, order, margin):
     q = (p - Poly.const(margin)).shift_scale_arg(a, h)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
     basis = {ij: (Poly((0.0, 1.0)) ** ij[0]) * (Poly((1.0, -1.0)) ** ij[1]) for ij in pairs}
-    lp = LinearProgram(num_vars=len(pairs))
-    for v in range(len(pairs)):
-        lp.set_bounds(v, 0.0, None)
+    lp = LinearProgram(num_vars=len(pairs), bounds={v: (0.0, None) for v in range(len(pairs))})
     for k in range(order + 1):
         row = {}
         for v, ij in enumerate(pairs):
             bc = basis[ij].coeffs
             if k < len(bc) and bc[k] != 0.0:
                 row[v] = bc[k]
-        lp.add_eq(row, q.coeffs[k] if k < len(q.coeffs) else 0.0)
+        add_eq(lp, row, q.coeffs[k] if k < len(q.coeffs) else 0.0)
     try:
         sol = lp_solve(lp)
     except NumericalFailure:
@@ -1704,12 +1730,12 @@ def reference_synthesize(
     return _solve_with_escalation(prog.prog, gamma, finalize, extra_obj, relax_schedule, dump_lp)
 
 
-def per_row_cone_rows(self, lp, name, q, order, margin):
+def per_row_cone_rows(lp, name, q, order, margin):
     """The product-basis cone encoding of an interval row on q(s), s in
     [0, 1], expanding every product polynomial with Poly.__pow__ again for
-    each row: the oracle of synthesis._DesignProgram._cone_rows, and the
-    reference the Bernstein-coefficient rows of _Program._cone_rows are
-    checked against (analyses used this encoding before)."""
+    each row: the oracle of the design's product cone
+    (synthesis._DesignProgram), and the reference the Bernstein rows of
+    _Program are checked against (analyses used this encoding before)."""
     q = ref_expr(q)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
     basis = {
@@ -1728,7 +1754,60 @@ def per_row_cone_rows(self, lp, name, q, order, margin):
             bc = basis[ij]
             if k < len(bc) and bc[k] != 0.0:
                 row[v] = row.get(v, 0.0) - bc[k]
-        lp.add_eq(row, (margin if k == 0 else 0.0) - const)
+        add_eq(lp, row, (margin if k == 0 else 0.0) - const)
+
+
+def bernstein_cone_rows(lp, name, q, order, margin):
+    """The Bernstein-coefficient rows of an interval row on q(s), one row at
+    a time, as _Program._cone_rows wrote them before runs of rows became
+    blocks: b_i(q) = sum_{k <= i} C(i, k) / C(D, k) q_k, summed in k, then
+    b_i(q) - s_i = margin with a slack column s_i >= 0."""
+    W = np.zeros((order + 1, order + 1))
+    for i in range(order + 1):
+        W[i, : i + 1] = [math.comb(i, k) / math.comb(order, k) for k in range(i + 1)]
+    b = np.zeros((order + 1, q.shape[1]))
+    for k, qk in enumerate(q):
+        b[k:] += W[k:, k, None] * qk
+    for i, (const, *coeffs) in enumerate(b.tolist()):
+        row = {lp.new_var(0.0, None, name=f"{name}_b{i}"): -1.0}
+        row.update((v, c) for v, c in enumerate(coeffs) if c != 0.0)
+        add_eq(lp, row, margin - const)
+
+
+def product_cone_rows(lp, name, q, order, margin):
+    """The product-basis cone rows of an interval row, one row at a time
+    from the poly.product_basis table, as synthesis._DesignProgram._cone_rows
+    wrote them before runs of rows became blocks."""
+    pairs, terms = product_basis(order)
+    cone = [lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
+    qs = q.tolist()
+    for k, basis_k in enumerate(terms):
+        const, *coeffs = qs[k] if k < len(qs) else [0.0]
+        row = {v: c for v, c in enumerate(coeffs) if c != 0.0}
+        for p, c in basis_k:
+            row[cone[p]] = -c
+        add_eq(lp, row, (margin if k == 0 else 0.0) - const)
+
+
+def per_row_relaxation(prog, relax, objective, cone_rows=None):
+    """Oracle for _Program.relaxation: the LP written row by row, as it was
+    before runs of rows became blocks: each point row one >= row, each
+    interval row p >= margin on [a, b] cone_rows(lp, name, q, order, margin)
+    on q(s) = p(a + (b - a) s) of the reference PolyExpr, by default
+    product_cone_rows for a design program and bernstein_cone_rows else."""
+    if cone_rows is None:
+        design = isinstance(prog, synthesis_mod._DesignProgram)
+        cone_rows = product_cone_rows if design else bernstein_cone_rows
+    c = prog.columns
+    lp = LinearProgram(c.num_vars, dict(objective), dict(c.bounds), dict(c.names))
+    for family, index, e, interval, margin in prog.rows:
+        if interval is None:
+            add_ge(lp, row_terms(e)[0], margin - e[0])
+        else:
+            a, b = interval
+            q = array_of(ref_expr(e).shift_scale_arg(a, b - a))
+            cone_rows(lp, f"{family}{index}", q, len(e) - 1 + relax, margin)
+    return lp
 
 
 def row_records(prog, relax):
@@ -1757,18 +1836,15 @@ def spy_relaxations(monkeypatch):
 def per_sample_referee(prog, objective):
     """Oracle for _Program.sampled_referee: one eval_at and one add_ge per
     sample of each interval row."""
-    lp = LinearProgram()
-    lp.num_vars = prog.columns.num_vars
-    lp.bounds = dict(prog.columns.bounds)
-    lp.objective = dict(objective)
+    lp = LinearProgram(prog.columns.num_vars, dict(objective), dict(prog.columns.bounds))
     points, intervals = row_records(prog, 0)
     for _, _, expr, margin in points:
         expr = ref_expr(expr)
-        lp.add_ge(expr.coeffs, margin - expr.const)
+        add_ge(lp, expr.coeffs, margin - expr.const)
     for _, _, pexpr, (a, b), _, margin in intervals:
         for t in np.linspace(a, b, _REFEREE_SAMPLES):
             e = ref_expr(pexpr).eval_at(float(t))
-            lp.add_ge(e.coeffs, margin - e.const)
+            add_ge(lp, e.coeffs, margin - e.const)
     return lp
 
 
@@ -1832,8 +1908,8 @@ def spy_solves(monkeypatch, referee_fails=False):
 
 def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
     """Oracle for analyze_switched_blanchini: its LP as it was written by
-    hand, row by row with LinearProgram.add_le, before its rows went through
-    analysis._Program; solved with analysis_mod.lp_solve."""
+    hand, row by row (add_le), before its rows went through analysis._Program;
+    solved with analysis_mod.lp_solve."""
     from dwellgain.cert import flow_grid
 
     n, q, N = sw.n, sw.q, sw.N
@@ -1847,7 +1923,7 @@ def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
         A = md["A"].const()
         E1 = md["E"].const().sum(axis=1)
         for r in range(n):
-            lp.add_le({lam[i][c]: A[r, c] for c in range(n)}, -E1[r] - margin)
+            add_le(lp, {lam[i][c]: A[r, c] for c in range(n)}, -E1[r] - margin)
     for i in range(N):
         eAT = Phis[i][..., -1]
         integ = forced[i][:, -1]
@@ -1857,7 +1933,7 @@ def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
             for r in range(n):
                 row = {lam[j][c]: eAT[r, c] for c in range(n)}
                 row[lam[i][r]] = row.get(lam[i][r], 0.0) - 1.0
-                lp.add_le(row, -integ[r] - margin)
+                add_le(lp, row, -integ[r] - margin)
     for i, md in enumerate(sw.modes):
         C = md["C"].const()
         F1 = md["F"].const().sum(axis=1)
@@ -1872,11 +1948,11 @@ def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
                     for c in range(n):
                         row[lam[j][c]] = row.get(lam[j][c], 0.0) + CP[r, c]
                     row[gamma] = -1.0
-                    lp.add_le(row, -F1[r] - margin)
+                    add_le(lp, row, -F1[r] - margin)
     for i in range(N):
         for r in range(n):
-            lp.add_ge({lam[i][r]: 1.0}, margin)
-    lp.set_objective({gamma: 1.0})
+            add_ge(lp, {lam[i][r]: 1.0}, margin)
+    lp.objective = {gamma: 1.0}
     sol = analysis_mod.lp_solve(lp)
     if sol.status != "Optimal":
         raise Infeasible("per-mode vector conditions infeasible at this dwell-time")

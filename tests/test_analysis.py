@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from conftest import (
     PolyExpr,
     ReferenceRows,
     array_of,
+    add_eq,
     full_schedule_escalation,
     per_row_cone_rows,
+    per_row_relaxation,
     per_sample_referee,
     reference_blanchini,
     row_records,
@@ -597,10 +600,11 @@ class TestEscalation:
         a = data.draw(st.sampled_from([0.0, -0.25, 0.3, 2.0]))
         b = a + data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
         ts = np.linspace(a, b, 51)
-        cols, block, const = analysis_mod._eval_grid(array_of(pexpr), ts)
+        acc = analysis_mod._eval_grid(array_of(pexpr), ts)
+        block, const = acc[:, 1:], acc[:, 0]
         for s, t in enumerate(ts):
             want = pexpr.eval_at(float(t))
-            got = dict(zip(cols, block[s].tolist()))
+            got = dict(enumerate(block[s].tolist()))
             assert {v: c for v, c in got.items() if c != 0.0} == {v: c for v, c in want.coeffs.items() if c != 0.0}
             assert const[s] == want.const
 
@@ -694,8 +698,8 @@ def _shortfall(cert, target) -> float:
 
 
 class TestBernsteinRows:
-    """_Program._cone_rows imposes the degree-D Bernstein cone by D + 1
-    coefficient rows; against the product-basis cone of the same order,
+    """_Program imposes the degree-D Bernstein cone by D + 1 coefficient
+    rows; against the product-basis cone of the same order,
     conftest.per_row_cone_rows, no analysis ends worse: it fails
     only where the cone fails, it certifies at no higher order, verify passes,
     and at an equal order gamma is equal within 1e-7 relative, or 1e-7
@@ -710,7 +714,8 @@ class TestBernsteinRows:
         at the same order, else None."""
         got = _outcome(run)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Program, "_cone_rows", per_row_cone_rows)
+            mp.setattr(_Program, "relaxation",
+                       lambda prog, relax, objective: per_row_relaxation(prog, relax, objective, per_row_cone_rows))
             want = _outcome(run)
         if isinstance(got, type):
             assert isinstance(want, type), f"the cone certifies, the Bernstein rows raise {got.__name__}"
@@ -1036,8 +1041,8 @@ class TestCertificateObject:
         assert all(z.eval(0.0) > 0 for z in cert.zeta)
 
 
-def per_row_bernstein_rows(self, lp, name, q, order, margin):
-    """Oracle for _Program._cone_rows: every row expands s^k in the
+def per_row_bernstein_rows(lp, name, q, order, margin):
+    """Oracle for the Bernstein rows of _Program: every row expands s^k in the
     degree-D Bernstein basis again, s^k = s^k (s + 1 - s)^(D - k), so the
     weight of q_k in b_i is C(D - k, i - k) / C(D, i), an exact fraction
     rounded once."""
@@ -1051,13 +1056,73 @@ def per_row_bernstein_rows(self, lp, name, q, order, margin):
             for v, c in q.coeffs[k].coeffs.items():
                 row[v] = row.get(v, 0.0) + w * c
             const += w * q.coeffs[k].const
-        lp.add_eq(row, margin - const)
+        add_eq(lp, row, margin - const)
+
+
+def per_row_reference_relaxation(prog, relax, objective):
+    """The per-row relaxation of the reference expansions: the Bernstein
+    rows of per_row_bernstein_rows, a design's cone of per_row_cone_rows."""
+    design = isinstance(prog, synthesis_mod._DesignProgram)
+    return per_row_relaxation(prog, relax, objective, per_row_cone_rows if design else per_row_bernstein_rows)
+
+
+class TestBlockEncoder:
+    """_Program.relaxation writes each run of consecutive rows of one shape
+    as one row block; its rows, bounds and names, the arrays _assemble hands
+    to HiGHS and the dump_lp text equal those of the per-row oracle
+    (conftest.per_row_relaxation), and the sampled referee equals
+    conftest.per_sample_referee, on drawn analysis and design programs whose
+    runs break on interval, length and width, with and without decision
+    columns, and with constants and margins of -0.0."""
+
+    _INTERVALS = ((0.0, 0.5), (0.0, 1.0), (0.25, 0.75))
+
+    @classmethod
+    def _program(cls, data):
+        prog = synthesis_mod._DesignProgram() if data.draw(st.booleans()) else _Program()
+        ncols = data.draw(st.integers(0, 3))
+        for v in range(ncols):
+            prog.scalar(lo=data.draw(st.sampled_from([None, 0.0, -1.5])), name=f"v{v}")
+        shape = None
+        for r in range(data.draw(st.integers(1, 8))):
+            # mostly the last row's shape again, so that runs form
+            if shape is None or not data.draw(st.booleans()):
+                shape = data.draw(st.sampled_from([None, *cls._INTERVALS])), data.draw(st.integers(1, 3))
+            interval, n = shape
+            width = 1 + data.draw(st.integers(0, ncols))
+            margin = data.draw(st.sampled_from([0.0, -0.0, 1e-6, 1e-2]))
+            e = np.array([[data.draw(_COEF) for _ in range(width)] for _ in range(1 if interval is None else n)])
+            if interval is None:
+                prog.add_point_ge("pt", r, e[0], margin)
+            else:
+                prog.add_interval_ge("iv", r, analysis_mod._trim(e), interval, margin)
+        return prog
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_oracle(self, data):
+        prog = self._program(data)
+        objective = {0: 1.0} if prog.columns.num_vars else {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for relax in (0, 4):
+                got, want = prog.relaxation(relax, objective), per_row_relaxation(prog, relax, objective)
+                sign = lambda lp: [math.copysign(1.0, rhs) for _, _, rhs in lp.rows]  # noqa: E731
+                assert sign(got) == sign(want)
+                assert dict(got.bounds) == dict(want.bounds) and dict(got.names) == dict(want.names)
+                _assert_same_program(got, want)
+                texts = []
+                for i, lp in enumerate((got, want)):
+                    dump_lp(lp, f"{tmp}/{i}.lp")
+                    texts.append(Path(f"{tmp}/{i}.lp").read_bytes())
+                assert texts[0] == texts[1]
+        _assert_same_program(prog.sampled_referee(objective), per_sample_referee(prog, objective))
 
 
 class TestLpBuildOracle:
-    """Programs built from the cached Bernstein weights (analyses) and the
-    product-basis table (designs) equal, row for row and array for array,
-    those built by the per-row expansions and the lil assembly."""
+    """Programs built as row blocks from the cached Bernstein weights
+    (analyses) and the product-basis table (designs) equal, row for row and
+    array for array, those built row by row from the per-row expansions and
+    the lil assembly."""
 
     @staticmethod
     def _solved(monkeypatch, tmp_path, run, reference):
@@ -1075,8 +1140,7 @@ class TestLpBuildOracle:
         with monkeypatch.context() as m:
             m.setattr(lp_mod, "_assemble", spy)
             if reference:
-                m.setattr(_Program, "_cone_rows", per_row_bernstein_rows)
-                m.setattr(synthesis_mod._DesignProgram, "_cone_rows", per_row_cone_rows)
+                m.setattr(_Program, "relaxation", per_row_reference_relaxation)
             try:
                 out = run()
             except DwellgainError as exc:
@@ -1442,7 +1506,7 @@ def reference_bernstein_rows(lp, name, q, order, margin):
             for v, c in qk.coeffs.items():
                 row[v] = row.get(v, 0.0) + w * c
             const += w * qk.const
-        lp.add_eq(row, margin - const)
+        add_eq(lp, row, margin - const)
 
 
 class TestRowAlgebra:
@@ -1480,12 +1544,17 @@ class TestRowAlgebra:
         _assert_same(analysis_mod._poly(poly), PolyExpr.from_poly(poly))
         _assert_same(analysis_mod._deriv(P), p.deriv())
         _assert_same(analysis_mod._eval_at(P, t), p.eval_at(t))
-        _assert_same(analysis_mod._shift_scale_arg(P, a, h), p.shift_scale_arg(a, h))
+        _assert_same(analysis_mod._trim(analysis_mod._shift_scale_arg(P, a, h)), p.shift_scale_arg(a, h))
+        # a stack of polynomials shifts and evaluates row by row
+        _assert_same(analysis_mod._trim(analysis_mod._shift_scale_arg(np.stack([P, P]), a, h)[1]),
+                     p.shift_scale_arg(a, h))
         ts = np.linspace(a, a + h, 51)
-        cols, block, const = analysis_mod._eval_grid(P, ts)
+        acc = analysis_mod._eval_grid(P, ts)
+        assert analysis_mod._eval_grid(np.stack([P, P]), ts)[1].tobytes() == acc.tobytes()
+        block, const = acc[:, 1:], acc[:, 0]
         cols_r, block_r, const_r = p.eval_grid(ts)
         for s in range(len(ts)):
-            got = {v: c for v, c in zip(cols, block[s].tolist()) if c != 0.0}
+            got = {v: c for v, c in enumerate(block[s].tolist()) if c != 0.0}
             assert got == {v: c for v, c in zip(cols_r, block_r[s].tolist()) if c != 0.0}
         assert [_key(np.array([c])) for c in const] == [_key(np.array([c])) for c in const_r]
 
@@ -1496,7 +1565,8 @@ class TestRowAlgebra:
         order = q.degree + data.draw(st.integers(0, 4))
         margin = data.draw(st.sampled_from([0.0, -0.0, 1e-6, 1e-2]))
         got, lp = LinearProgram(num_vars=3), LinearProgram(num_vars=3)
-        _Program()._cone_rows(got, "q", array_of(q), order, margin)
+        Q = array_of(q)
+        _Program()._cone_rows(got, order, ["q"], np.arange(Q.shape[1] - 1), Q[None], np.array([margin]))
         reference_bernstein_rows(lp, "q", q, order, margin)
         assert [(c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in got.rows] == [
             (c, rel, rhs, math.copysign(1.0, rhs)) for c, rel, rhs in lp.rows]

@@ -452,6 +452,23 @@ class TestSimulateIntegrationCount:
             assert calls[0] is True  # the exported run carries the step referee
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    """The process pool is imported only where --jobs > 1 runs it."""
+    import os
+    import subprocess
+    import sys
+
+    import dwellgain
+
+    src = os.path.dirname(os.path.dirname(dwellgain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, dwellgain, dwellgain.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import (
+    add_eq,
+    add_ge,
+    add_le,
     assert_same_assembly,
     assert_same_outcome,
     csr_assemble,
@@ -44,8 +47,8 @@ from dwellgain.synthesis import synthesize
 def test_minimize_bounded_scalar():
     lp = LinearProgram()
     g = lp.new_var(lo=0.0)
-    lp.add_ge({g: 1.0}, 3.0)
-    lp.set_objective({g: 1.0})
+    add_ge(lp, {g: 1.0}, 3.0)
+    lp.objective = {g: 1.0}
     sol = lp_solve(lp)
     assert sol.status == "Optimal"
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -54,8 +57,8 @@ def test_minimize_bounded_scalar():
 def test_infeasible_box():
     lp = LinearProgram()
     x = lp.new_var()
-    lp.add_ge({x: 1.0}, 1.0)
-    lp.add_le({x: 1.0}, 0.0)
+    add_ge(lp, {x: 1.0}, 1.0)
+    add_le(lp, {x: 1.0}, 0.0)
     assert lp_solve(lp).status == "Infeasible"
 
 
@@ -64,8 +67,8 @@ def test_two_var_vertex():
     lp = LinearProgram()
     x = lp.new_var(lo=0.0)
     y = lp.new_var(lo=0.0)
-    lp.add_ge({x: 1.0, y: 2.0}, 2.0)
-    lp.set_objective({x: 1.0, y: 1.0})
+    add_ge(lp, {x: 1.0, y: 2.0}, 2.0)
+    lp.objective = {x: 1.0, y: 1.0}
     sol = lp_solve(lp)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
     assert sol.x == pytest.approx([0.0, 1.0], abs=1e-8)
@@ -79,9 +82,9 @@ def test_optimal_solutions_feasible_within_tolerance():
     for _ in range(8):
         coeffs = {v: float(rng.normal()) for v in xs}
         rhs = float(rng.uniform(1, 3))
-        lp.add_le(coeffs, rhs)
+        add_le(lp, coeffs, rhs)
         rows.append((coeffs, rhs))
-    lp.set_objective({xs[0]: -1.0})
+    lp.objective = {xs[0]: -1.0}
     sol = lp_solve(lp)
     assert sol.status == "Optimal"
     for coeffs, rhs in rows:
@@ -91,8 +94,8 @@ def test_optimal_solutions_feasible_within_tolerance():
 def test_dump_lp(tmp_path):
     lp = LinearProgram()
     x = lp.new_var(lo=0.0, name="x")
-    lp.add_ge({x: 1.0}, 1.0)
-    lp.set_objective({x: 1.0})
+    add_ge(lp, {x: 1.0}, 1.0)
+    lp.objective = {x: 1.0}
     path = tmp_path / "prog.lp"
     dump_lp(lp, str(path))
     text = path.read_text()
@@ -104,13 +107,11 @@ class TestAssembly:
 
     @staticmethod
     def _program(le_rows, eq_rows, num_vars=4):
-        lp = LinearProgram(num_vars=num_vars)
-        lp.set_objective({0: 1.0, 2: -3.0})
-        lp.set_bounds(1, 0.0, None)
+        lp = LinearProgram(num_vars=num_vars, objective={0: 1.0, 2: -3.0}, bounds={1: (0.0, None)})
         for coeffs, rhs in le_rows:
-            lp.add_le(coeffs, rhs)
+            add_le(lp, coeffs, rhs)
         for coeffs, rhs in eq_rows:
-            lp.add_eq(coeffs, rhs)
+            add_eq(lp, coeffs, rhs)
         return lp
 
     @pytest.mark.parametrize(
@@ -136,7 +137,7 @@ class TestAssembly:
         for r in range(200):
             cols = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
             coeffs = {int(v): float(rng.normal() * 10.0 ** rng.integers(-6, 6)) for v in cols}
-            (lp.add_eq if r % 3 == 0 else lp.add_ge)(coeffs, float(rng.normal()))
+            (add_eq if r % 3 == 0 else add_ge)(lp, coeffs, float(rng.normal()))
         assert_same_assembly(_assemble(lp), lil_assemble(lp))
         assert_same_outcome(solve_outcome(lp_solve, lp), solve_outcome(linprog_solve, lp))
 
@@ -145,21 +146,51 @@ class TestRowChecks:
     @pytest.mark.parametrize("add", ["add_le", "add_ge", "add_eq"])
     @pytest.mark.parametrize("v", [-1, 3])
     def test_unknown_variable(self, add, v):
+        # the one-row block each of conftest.add_le/add_ge/add_eq hands over
+        rel, sign = {"add_le": ("<=", 1.0), "add_ge": ("<=", -1.0), "add_eq": ("=", 1.0)}[add]
         lp = LinearProgram(num_vars=3)
         with pytest.raises(ValueError, match=f"unknown variable {v}"):
-            getattr(lp, add)({0: 1.0, v: 0.0}, 1.0)
+            lp.add_rows(rel, np.array([0, 2]), np.array(sorted([0, v])), np.array([sign, 2.0 * sign]),
+                        np.array([sign]))
+        assert lp.rows == []
+
+    def test_unknown_relation(self):
+        lp = LinearProgram(num_vars=3)
+        with pytest.raises(ValueError, match="unknown row relation '>='"):
+            lp.add_rows(">=", np.array([0, 1]), np.array([0]), np.array([1.0]), np.array([1.0]))
         assert lp.rows == []
 
     def test_rows_keep_order_and_drop_zeros(self):
+        # the one-row blocks of conftest.add_le/add_ge/add_eq read back in
+        # the order added, each row's columns in ascending order
         lp = LinearProgram(num_vars=4)
         coeffs = {3: np.float64(2.5), 0: 0.0, 1: 4, 2: -0.0}
-        lp.add_le(coeffs, 1)
-        lp.add_ge(coeffs, 1)
-        lp.add_eq(coeffs, 1)
+        add_le(lp, coeffs, 1)
+        add_ge(lp, coeffs, 1)
+        add_eq(lp, coeffs, 1)
         for row, rel, sign in zip(lp.rows, ("<=", "<=", "="), (1.0, -1.0, 1.0)):
             assert row[1] == rel and row[2] == sign
-            assert list(row[0].items()) == [(3, sign * 2.5), (1, sign * 4.0)]
+            assert list(row[0].items()) == [(1, sign * 4.0), (3, sign * 2.5)]
             assert all(type(c) is float for c in row[0].values())
+
+    def test_blocks_read_back_row_by_row(self):
+        """rows, bounds and names read a program of blocks and column
+        ranges as they read one built row by row and column by column."""
+        lp = LinearProgram(num_vars=2, objective={0: 1.0}, bounds={1: (None, 3.0)}, names={0: "g"})
+        start = lp.add_columns(0.0, None, ["f0", "f1"], ("_b0", "_b1", "_b2"))
+        assert (start, lp.num_vars) == (2, 8)
+        lp.add_rows("<=", np.array([0, 1, 1]), np.array([1]), np.array([-2.0]), np.array([-0.0, 5.0]))
+        lp.add_rows("=", np.array([0, 2]), np.array([0, 7]), np.array([0.5, -1.0]), np.array([1e-6]))
+        rows = lp.rows
+        assert rows == [({1: -2.0}, "<=", -0.0), ({}, "<=", 5.0), ({0: 0.5, 7: -1.0}, "=", 1e-6)]
+        assert math.copysign(1.0, rows[0][2]) == -1.0
+        assert dict(lp.bounds) == {1: (None, 3.0), **{v: (0.0, None) for v in range(2, 8)}}
+        assert dict(lp.names) == {0: "g", 2: "f0_b0", 3: "f0_b1", 4: "f0_b2", 5: "f1_b0", 6: "f1_b1", 7: "f1_b2"}
+        assert lp.names.get(1, "x1") == "x1" and 8 not in lp.bounds
+        copy = lp.copy()
+        copy.new_var(name="extra")
+        add_le(copy, {8: 1.0}, 0.0)
+        assert lp.num_vars == 8 and len(lp.rows) == 3 and 8 not in lp.names
 
 
 @pytest.fixture
@@ -191,29 +222,29 @@ def _outcome_classes(pairs):
 def _tiny_rows(lp):
     # 3.5e-28 x <= 1 and 3.5e-28 x >= 1.5: infeasible, scaled bounds ~3e27
     x = lp.new_var()
-    lp.add_le({x: 3.5e-28}, 1.0)
-    lp.add_ge({x: 3.5e-28}, 1.5)
+    add_le(lp, {x: 3.5e-28}, 1.0)
+    add_ge(lp, {x: 3.5e-28}, 1.5)
 
 
 def _huge_row(lp):
     # min -x s.t. 1e-28 x <= 1, x >= 1e19: optimum x = 1e28, but HiGHS
     # would read the scaled bound 1e28 as infinite and answer Unbounded
     x = lp.new_var(lo=1e19)
-    lp.set_objective({x: -1.0})
-    lp.add_le({x: 1e-28}, 1.0)
+    lp.objective = {x: -1.0}
+    add_le(lp, {x: 1e-28}, 1.0)
 
 
 def _huge_column(lp):
     # the same program with the upper bound as the column bound 1e30
     x = lp.new_var(lo=1e19, hi=1e30)
-    lp.set_objective({x: -1.0})
+    lp.objective = {x: -1.0}
 
 
 def _huge_eq_row_after_le_row(lp):
     # = row c0 is assembled after <= row c1, and is named c0 all the same
     x = lp.new_var()
-    lp.add_eq({x: 1e-25}, 1.0)
-    lp.add_le({x: 1.0}, 3.0)
+    add_eq(lp, {x: 1e-25}, 1.0)
+    add_le(lp, {x: 1.0}, 3.0)
 
 
 class TestLinprogOracle:
@@ -312,20 +343,20 @@ class TestLinprogOracle:
                 lo=lo if kind in ("lower", "boxed") else None,
                 hi=hi if kind in ("upper", "boxed") else None,
             )
-        lp.set_objective({v: data.draw(coef) for v in range(n)})
+        lp.objective = {v: data.draw(coef) for v in range(n)}
         for _ in range(data.draw(st.integers(0, 5))):
             row = {v: data.draw(coef) for v in data.draw(st.sets(st.integers(0, n - 1)))}
             at_x0 = sum(c * x0[v] for v, c in row.items())
             rel = data.draw(st.sampled_from(["le", "ge", "eq"]))
             if rel == "eq":
-                lp.add_eq(row, at_x0)
+                add_eq(lp, row, at_x0)
             else:
                 gap = data.draw(st.floats(0.0, 2.0))
-                (lp.add_le if rel == "le" else lp.add_ge)(row, at_x0 + gap if rel == "le" else at_x0 - gap)
+                (add_le if rel == "le" else add_ge)(lp, row, at_x0 + gap if rel == "le" else at_x0 - gap)
         if data.draw(st.booleans()):
             row = {v: data.draw(coef) for v in range(n)}
-            lp.add_le(row, 1.0)
-            lp.add_ge(row, 1.5)
+            add_le(lp, row, 1.0)
+            add_ge(lp, row, 1.5)
         assert_same_outcome(solve_outcome(lp_solve, lp), solve_outcome(linprog_solve, lp))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -334,8 +365,8 @@ class TestLinprogOracle:
         lp = LinearProgram()
         x = lp.new_var(lo=0.0)
         y = lp.new_var()
-        lp.set_objective({x: bad if where == "objective" else 1.0})
-        lp.add_ge({x: 1.0, y: bad if where == "coefficient" else 1.0}, bad if where == "rhs" else 1.0)
+        lp.objective = {x: bad if where == "objective" else 1.0}
+        add_ge(lp, {x: 1.0, y: bad if where == "coefficient" else 1.0}, bad if where == "rhs" else 1.0)
         with pytest.raises(ValueError):
             lp_solve(lp)
         assert solve_outcome(linprog_solve, lp) is ValueError
@@ -346,8 +377,8 @@ class TestLinprogOracle:
         # to call the program infeasible
         lp = LinearProgram()
         x = lp.new_var()
-        lp.set_objective({x: 1.0})
-        lp.add_le({x: 1e-28}, -1.0)
+        lp.objective = {x: 1.0}
+        add_le(lp, {x: 1e-28}, -1.0)
         with pytest.raises(NumericalFailure, match=r"row c0 scaled to unit norm has bound -1e\+28"):
             lp_solve(lp)
         c, A_ub, b_ub, _, _, bounds = csr_assemble(lp)
@@ -383,8 +414,8 @@ class TestLinprogOracle:
         # both bounds past the float range, with no RuntimeWarning
         lp = LinearProgram()
         x = lp.new_var()
-        lp.add_le({x: 2.2250738585e-313}, 1.0)
-        lp.add_ge({x: 2.2250738585e-313}, 1.5)
+        add_le(lp, {x: 2.2250738585e-313}, 1.0)
+        add_ge(lp, {x: 2.2250738585e-313}, 1.5)
         with pytest.raises(NumericalFailure, match=r"row c0 scaled to unit norm has bound inf, beyond 1e\+20"):
             lp_solve(lp)
         assert solve_outcome(linprog_solve, lp) is NumericalFailure
@@ -394,7 +425,7 @@ class TestLinprogOracle:
         # min cost * x over 1 <= x <= 2: HiGHS reads the cost as infinite
         lp = LinearProgram()
         x = lp.new_var(lo=1.0, hi=2.0, name="gamma")
-        lp.set_objective({x: cost})
+        lp.objective = {x: cost}
         with pytest.raises(NumericalFailure, match=re.escape(f"column gamma has cost {cost:g}, beyond 1e+20")):
             lp_solve(lp)
         assert solve_outcome(linprog_solve, lp) is NumericalFailure
@@ -405,7 +436,7 @@ class TestLinprogOracle:
 
     def test_no_variables(self):
         lp = LinearProgram()
-        lp.add_le({}, 1.0)
+        add_le(lp, {}, 1.0)
         with pytest.raises(ValueError, match="no variables"):
             lp_solve(lp)
         assert solve_outcome(linprog_solve, lp) is ValueError
@@ -442,6 +473,70 @@ class _TamperedHighs:
 _REAL_HIGHS = lp_mod._highs._Highs
 
 
+class _HighsLpHandOff:
+    """A _Highs whose passModel hands the arrays lp_solve passes over as one
+    HighsLp, the way lp_solve handed programs to HiGHS before."""
+
+    def __init__(self):
+        self._highs = _REAL_HIGHS()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, num_col, num_row, num_nz, a_format, sense, offset, cost, col_lower, col_upper,
+                  row_lower, row_upper, start, index, value, integrality):
+        core = lp_mod._highs
+        assert (a_format, sense, offset) == (int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize), 0.0)
+        assert num_nz == len(value) == len(index) == start[-1] and len(start) == num_row + 1
+        assert integrality.dtype == np.int32 and len(integrality) == num_col and not integrality.any()
+        m = core.HighsLp()
+        m.num_col_ = m.a_matrix_.num_col_ = num_col
+        m.num_row_ = m.a_matrix_.num_row_ = num_row
+        m.col_cost_ = cost
+        m.col_lower_ = col_lower
+        m.col_upper_ = col_upper
+        m.row_lower_ = row_lower
+        m.row_upper_ = row_upper
+        m.a_matrix_.format_ = core.MatrixFormat.kRowwise
+        m.a_matrix_.start_ = start
+        m.a_matrix_.index_ = index
+        m.a_matrix_.value_ = value
+        return self._highs.passModel(m)
+
+
+class TestArrayHandOff:
+    """lp_solve passes HiGHS the assembled arrays; handed over as a HighsLp
+    instead, every LP gets the same outcome, with a bit-equal x: each LP of
+    an Infeasible analysis and of a design whose orders +4, +6 and +8 fail
+    the recheck (NumericalFailure) before +10 solves, in turn, then an
+    analysis that certifies."""
+
+    def test_same_outcomes(self, monkeypatch, bench_timer_growth, bench_chain_plant):
+        lps = []
+        with monkeypatch.context() as m:
+            real = analysis_mod.lp_solve
+            m.setattr(analysis_mod, "lp_solve", lambda lp: real(lps.append(lp) or lp))
+            with pytest.raises(Infeasible):
+                analyze_constant(bench_timer_growth, 1.2, 2)
+            assert synthesize(bench_chain_plant, DwellTimeSpec.constant(0.1), 2).to_json()
+            analyze_constant(bench_timer_growth, 0.3, 4)
+
+        def outcomes():
+            out = []
+            for lp in lps:
+                try:
+                    sol = lp_solve(lp)
+                    out.append((sol.status, sol.x.tobytes(), sol.objective_value))
+                except NumericalFailure as exc:
+                    out.append(("NumericalFailure", str(exc)))
+            return out
+
+        arrays = outcomes()
+        assert [o[0] for o in arrays] == ["Infeasible", "Infeasible"] + ["NumericalFailure"] * 3 + ["Optimal"] * 2
+        monkeypatch.setattr(lp_mod._highs, "_Highs", _HighsLpHandOff)
+        assert outcomes() == arrays
+
+
 class TestResultChecks:
     """Every check lp_solve makes on what HiGHS returns, tripped one at a time.
 
@@ -454,9 +549,9 @@ class TestResultChecks:
         lp = LinearProgram()
         x = lp.new_var(lo=0.0, hi=1.0)
         y = lp.new_var(lo=0.0)
-        lp.add_ge({x: 1.0, y: 1.0}, 1.0)
-        lp.add_eq({y: 1.0, x: -1.0}, 0.0)
-        lp.set_objective({x: 1.0, y: 1.0})
+        add_ge(lp, {x: 1.0, y: 1.0}, 1.0)
+        add_eq(lp, {y: 1.0, x: -1.0}, 0.0)
+        lp.objective = {x: 1.0, y: 1.0}
         return lp
 
     def _solve(self, monkeypatch, **tamper):
@@ -517,7 +612,7 @@ class TestHighsBinding:
     def test_binding_has_what_lp_uses(self):
         core = lp_mod._highs
         for name in ("HighsLp", "_Highs", "HighsOptions", "HighsModelStatus", "HighsStatus",
-                     "HighsDebugLevel", "MatrixFormat", "simplex_constants"):
+                     "HighsDebugLevel", "MatrixFormat", "ObjSense", "simplex_constants"):
             assert hasattr(core, name), name
         for name in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
                      "getSolution", "getInfo"):
@@ -572,7 +667,7 @@ class TestHighsBinding:
             "print(scipy.optimize.linprog([1.0], bounds=[(1.0, 2.0)]).x[0])\n"
             "prog = lp.LinearProgram()\n"
             "x = prog.new_var(lo=1.0, hi=2.0)\n"
-            "prog.set_objective({x: 1.0})\n"
+            "prog.objective = {x: 1.0}\n"
             "sol = lp.lp_solve(prog)\n"
             "print(sol.status, sol.x[0])\n"
         )

@@ -8,7 +8,11 @@ The first form runs the cases below against the dwellgain on the path and
 writes one entry per output.  Certificates (without the `rows` that earlier
 versions stored next to zeta), controllers, `--dump-lp` texts, gains,
 Blanchini values, LTI gains with their witness vectors and error texts are
-stored as SHA-256 digests of their JSON or text.  `verify` and
+stored as SHA-256 digests of their JSON or text.  So is the `dump_lp` text of
+every LP a case hands to `analysis.lp_solve`, in the order solved (`<case> lp[i]`):
+each relaxation order tried, the sampled referee, and the LPs of
+`analyze_arbitrary`, `analyze_lti` and the Blanchini bound, whether the solve
+succeeds or not.  `verify` and
 state-transition cross-check reports are stored whole.
 
 The second form compares two such files.  Digests must be equal; a `verify`
@@ -90,6 +94,7 @@ import numpy as np
 
 from dwellgain import analysis, benchmarks, cert, model, sim, synthesis, Poly
 from dwellgain.errors import DwellgainError
+from dwellgain.lp import dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, check_positive
 from dwellgain.poly import decide_nonneg
 
@@ -311,17 +316,33 @@ class Recorder:
     def __init__(self, lp_dir: str):
         self.out: dict[str, dict] = {}
         self.lp_path = os.path.join(lp_dir, "dump.lp")
+        self.solved_path = os.path.join(lp_dir, "solved.lp")
 
     def solve(self, key: str, run, artifact):
         """run(lp_path) -> result; stores the digest of artifact(result), or
-        the error, and the LP text if run wrote one to lp_path."""
+        the error, the LP text if run wrote one to lp_path, and the text of
+        every LP that run hands to analysis.lp_solve."""
         if os.path.exists(self.lp_path):
             os.remove(self.lp_path)
+        solved = []
+        real = analysis.lp_solve
+
+        def spy(prog):
+            dump_lp(prog, self.solved_path)
+            with open(self.solved_path) as fh:
+                solved.append(_digest(fh.read()))
+            return real(prog)
+
+        analysis.lp_solve = spy
         try:
             result = run(self.lp_path)
         except (DwellgainError, ValueError) as exc:
             self.out[key] = _error(exc)
             return None
+        finally:
+            analysis.lp_solve = real
+            for i, digest in enumerate(solved):
+                self.out[f"{key} lp[{i}]"] = {"digest": digest}
         self.out[key] = {"digest": _digest(artifact(result))}
         if os.path.exists(self.lp_path):
             with open(self.lp_path) as fh:
@@ -480,6 +501,8 @@ def _kind(key: str, a: dict, b: dict) -> str:
     for suffix in ("lp", "verify", "cross-check"):
         if key.endswith(" " + suffix):
             return suffix
+    if key.rsplit(" ", 1)[-1].startswith("lp["):
+        return "lp"
     if key.startswith(("sim ", "flow_grid ")):
         return "simulation"
     if key.startswith("decide_nonneg "):
