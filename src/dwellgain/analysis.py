@@ -27,7 +27,7 @@ order that ends Infeasible decides (`_solve_with_escalation`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence, Union
@@ -43,9 +43,9 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, RowBlock, lp_solve
-from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, mode_mats,
-                    polys_from_json, polys_to_json, read_field, read_json, require_forward_time, require_positive,
-                    write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, lift_switched,
+                    mode_mats, polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
+                    require_positive, write_json)
 from .poly import RELAX_SCHEDULE, Poly
 
 __all__ = [
@@ -495,7 +495,8 @@ class _Mode:
     (`synthesis._DesignMode`) adds its positivity and denominator rows from
     them; an analysis is the case X = zeta and U = [], where B and D are
     never read.  tau_end = 0 (arbitrary dwell-time) turns every interval row
-    into a point row at tau = 0; families carry `tag` as a suffix."""
+    into a point row at tau = 0.  A switched design's modes carry their
+    index as `tag`, a suffix of their families ("flow[1]")."""
 
     def __init__(self, prog: _Program, mats: tuple, X: list[np.ndarray],
                  U: list[list[np.ndarray]], tau_end: float, tag: str = ""):
@@ -550,11 +551,11 @@ def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.n
 def _gain_rows_constant_like(
     prog: _Program, mats: tuple, jumps: Sequence, zeta: list[np.ndarray], gamma: int, tau_end: float,
     jump_dwells: tuple[float, float], margin: float, jump_margin: float, stationary_at: Optional[float] = None,
-    mu: Optional[list[np.ndarray]] = None, tag: str = "",
+    mu: Optional[list[np.ndarray]] = None,
 ) -> None:
     """The rows of the constant/minimum/range conditions, mats = (A, Bc, Ec,
-    Cc, Dc, Fc) with the jump maps `jumps`, and of one switched mode, mats =
-    (A, B, E, C, D, F) with jumps = (), tag suffixing its families.
+    Cc, Dc, Fc) with the jump maps `jumps`; a switched system's are those of
+    its lift (`analyze_switched_min`).
 
     The theorem rows are a design's with X = zeta and U = []: flow and out_c
     on (0, tau_end) and the stationary rows at stationary_at (`_Mode`), and
@@ -563,7 +564,7 @@ def _gain_rows_constant_like(
     mu is given: polynomial rows in theta on [lo, hi], or point rows at
     theta = lo when lo == hi.  The mu domination and pin rows follow.
     """
-    _Mode(prog, mats, zeta, [], tau_end, tag).theorem_rows(gamma, margin, stationary_at)
+    _Mode(prog, mats, zeta, [], tau_end).theorem_rows(gamma, margin, stationary_at)
     lo, hi = jump_dwells
     target = zeta if mu is None else mu
     if not lo < hi:
@@ -579,8 +580,8 @@ def _gain_rows_constant_like(
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i, z0 in enumerate(zeta0):
-        prog.add_point_ge(f"pin_lo{tag}", i, z0, margin)
-        prog.add_point_ge(f"pin_hi{tag}", i, _add(_const(_ZETA_PIN), z0, -1.0), 0.0)
+        prog.add_point_ge("pin_lo", i, z0, margin)
+        prog.add_point_ge("pin_hi", i, _add(_const(_ZETA_PIN), z0, -1.0), 0.0)
 
 
 def _solve_with_escalation(prog: _Program, gamma: int, finalize, extra_obj: Optional[dict[int, float]] = None,
@@ -781,16 +782,25 @@ def _analyze_hybrid(
     mu_variant: bool = False,
     dump_lp=None,
 ) -> Certificate:
+    """The gates of every hybrid analysis (forward time, degree, positivity
+    and `_unstable_orbit`), then its program (`_solve_hybrid`)."""
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     require_positive(sys, _timer_end(dwell))
-    lo, hi = _jump_timers(dwell)
-    stationary_at = dwell.T if dwell.kind == "minimum" else None
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
     if reason:
         raise Infeasible(f"conditions infeasible ({reason})")
+    return _solve_hybrid(sys, dwell, degree, margin, jump_margin, relax_schedule, mu_variant, dump_lp)
 
+
+def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margin: float, jump_margin: float,
+                  relax_schedule, mu_variant: bool = False, dump_lp=None) -> Certificate:
+    """The hybrid program of sys under dwell, minimized: zeta, gamma and the
+    rows of `_gain_rows_constant_like`, with mu under mu_variant on a range.
+    sys must have passed its gates (`_analyze_hybrid`, `analyze_switched_min`)."""
+    lo, hi = _jump_timers(dwell)
+    stationary_at = dwell.T if dwell.kind == "minimum" else None
     prog = _Program()
     zeta = prog.poly_vec(sys.n, degree, "zeta")
     gamma = prog.scalar(lo=0.0, name="gamma")
@@ -878,17 +888,6 @@ def analyze_range(
     )
 
 
-def _coupling_rows(prog: _Program, zetas: Sequence[list[np.ndarray]], T: float) -> None:
-    """couple[j->i]: zeta_i(0) - zeta_j(T) >= 0 for every switch j -> i,
-    i != j, a closed inequality; zetas[i] is mode i's vector (X under a
-    design)."""
-    for i, zi in enumerate(zetas):
-        for j, zj in enumerate(zetas):
-            if i != j:
-                for r, (a, b) in enumerate(zip(zi, zj)):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, _add(_eval_at(a, 0.0), _eval_at(b, T), -1.0), 0.0)
-
-
 def analyze_switched_min(
     sw: SwitchedSystem,
     T: float,
@@ -897,38 +896,25 @@ def analyze_switched_min(
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> Certificate:
-    """Minimum dwell-time L-infinity bound for switched systems: one polynomial
-    vector per mode, coupled at the switch (nonstrict coupling rows)."""
+    """Minimum dwell-time L-infinity bound for switched systems: the hybrid
+    program (`_solve_hybrid`) of the lift `model.lift_switched`, zeta of
+    length N n, reported per mode, N vectors of length n.
+
+    The lift's jump maps J = kron(e_i e_j', I), one per switch j -> i, make
+    its jump rows zeta_i(0) - zeta_j(T) >= 0, closed (jump_margin = 0), and
+    zeta_k(0) >= 0 for the other blocks k, which the pin rows imply.  The
+    gates are the switched system's own: the lift is positive where its
+    modes are, and `_unstable_orbit` never fires on it, as each J Phi(theta)
+    is nilpotent."""
     if sw.N < 2:
         raise DimensionMismatch("switched analysis needs at least two modes")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    dwell = DwellTimeSpec.minimum(T)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    require_positive(sw, T)
+    require_positive(sw, dwell.T)
+    cert = _solve_hybrid(lift_switched(sw), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
     n = sw.n
-
-    prog = _Program()
-    zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
-    gamma = prog.scalar(lo=0.0, name="gamma")
-    for i in range(sw.N):
-        _gain_rows_constant_like(prog, mode_mats(sw, i), (), zetas[i], gamma, T, jump_dwells=(T, T), margin=margin,
-                                 jump_margin=0.0, stationary_at=T, tag=f"[{i}]")
-    _coupling_rows(prog, zetas, T)
-
-    def finalize(sol, relax):
-        return Certificate(
-            kind="SwitchedMinDT",
-            gamma=float(sol.x[gamma]),
-            zeta=[[_value(z, sol.x) for z in zeta] for zeta in zetas],
-            dwell=DwellTimeSpec.minimum(T),
-            margin=margin,
-            jump_margin=0.0,
-            degree=degree,
-            relax=relax,
-        )
-
-    return _solve_with_escalation(prog, gamma, finalize, relax_schedule=relax_schedule, dump_lp=dump_lp)
+    return replace(cert, kind="SwitchedMinDT", zeta=[cert.zeta[i * n : (i + 1) * n] for i in range(sw.N)])
 
 
 def analyze_switched_blanchini(
@@ -939,6 +925,7 @@ def analyze_switched_blanchini(
 ) -> float:
     """Reference bound from the classical per-mode vector conditions, with the
     output coupling row sampled on a timer grid (necessary-only gridding)."""
+    DwellTimeSpec.minimum(T)  # refuses T outside (0, inf)
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     for md in sw.modes:

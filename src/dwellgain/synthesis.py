@@ -27,7 +27,6 @@ from .analysis import (
     Certificate,
     _Cone,
     _const_entries,
-    _coupling_rows,
     _jump_rows,
     _jump_timers,
     _Mode,
@@ -393,6 +392,16 @@ def _check_denominator(ctrl: ControllerRealization) -> None:
             raise IllPosed("denominator X(tau) not positive on the working interval")
 
 
+def _coupling_rows(prog: _Program, Xs: list[list[np.ndarray]], T: float) -> None:
+    """couple[j->i]: X_i(0) - X_j(T) >= 0 for every switch j -> i, i != j, a
+    closed inequality on the diagonals Xs[i] of the modes."""
+    for i, xi in enumerate(Xs):
+        for j, xj in enumerate(Xs):
+            if i != j:
+                for r, (a, b) in enumerate(zip(xi, xj)):
+                    prog.add_point_ge(f"couple[{j}->{i}]", r, _add(_eval_at(a, 0.0), _eval_at(b, T), -1.0), 0.0)
+
+
 def synthesize_switched(
     sw: SwitchedSystem,
     T: float,
@@ -405,8 +414,7 @@ def synthesize_switched(
     diagonals; a plant whose E or F is not nonnegative is refused."""
     if sw.N < 2:
         raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    dwell = DwellTimeSpec.minimum(T)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     require_positive_design(sw, T)
@@ -430,7 +438,7 @@ def synthesize_switched(
     def finalize(sol, relax):
         ctrl = ControllerRealization(
             kind="SwitchedMinDT",
-            dwell=DwellTimeSpec.minimum(T),
+            dwell=dwell,
             gamma=float(sol.x[gamma]),
             degree=degree,
             margin=margin,

@@ -85,6 +85,15 @@ def bench_switched():
 
 
 @pytest.fixture(scope="session")
+def bench_three_mode():
+    """two_mode_switched_bench with a third mode: its lift has N (N - 1) = 6
+    selector jump maps."""
+    modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
+    modes.append({"A": [[-1.5, 0.2], [0.3, -1.0]], "E": [[0.2], [0.05]], "C": [[0.5, 0.5]], "F": [[0.0]]})
+    return SwitchedSystem.from_arrays(modes)
+
+
+@pytest.fixture(scope="session")
 def nonpositive_rotation():
     """A stable flow that is not positive, A[0, 1] = -3, with J = I: its
     hybrid gain under constant dwell 1 is its LTI L-infinity gain, 0.6244,
@@ -1450,7 +1459,6 @@ def _reference_gain_rows(
     stationary_at: Optional[float] = None,
     theta_interval: Optional[tuple[float, float]] = None,
     mu: Optional[list[PolyExpr]] = None,
-    tag: str = "",
 ):
     """analysis._gain_rows_constant_like with its jump and out_d rows in two
     branches: point rows at jump_at, or polynomials in theta over
@@ -1464,12 +1472,12 @@ def _reference_gain_rows(
         expr = zeta[i].deriv() - _matvec_row(A, i, zeta) - PolyExpr.from_poly(
             _row_ones(Ec, i).coeffs
         )
-        prog.add_interval_ge(f"flow{tag}", i, expr, tau_interval, margin)
+        prog.add_interval_ge("flow", i, expr, tau_interval, margin)
 
     # continuous output rows: gamma - Cc zeta - Fc*1 >= margin on tau_interval
     for i in range(qc):
         expr = gam - _matvec_row(Cc, i, zeta) - PolyExpr.from_poly(_row_ones(Fc, i).coeffs)
-        prog.add_interval_ge(f"out_c{tag}", i, expr, tau_interval, margin)
+        prog.add_interval_ge("out_c", i, expr, tau_interval, margin)
 
     # stationary rows at tau = T (minimum dwell-time only)
     if stationary_at is not None:
@@ -1479,12 +1487,12 @@ def _reference_gain_rows(
         zeta_T = [z.eval_at(T) for z in zeta]
         for i in range(n):
             expr = -_const_matvec_row(A_T, i, zeta_T) - Ec_T[i]
-            prog.add_point_ge(f"stat_flow{tag}", i, expr, margin)
+            prog.add_point_ge("stat_flow", i, expr, margin)
         Cc_T = Cc(T)
         Fc_T = Fc(T).sum(axis=1)
         for i in range(qc):
             expr = LinExpr.variable(gamma) - _const_matvec_row(Cc_T, i, zeta_T) - Fc_T[i]
-            prog.add_point_ge(f"stat_out{tag}", i, expr, margin)
+            prog.add_point_ge("stat_out", i, expr, margin)
 
     # jump and discrete output rows, per jump map
     zeta0 = [z.eval_at(0.0) for z in zeta]
@@ -1528,11 +1536,11 @@ def _reference_gain_rows(
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i in range(n):
-        prog.add_point_ge(f"pin_lo{tag}", i, zeta0[i], margin)
-        prog.add_point_ge(f"pin_hi{tag}", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
+        prog.add_point_ge("pin_lo", i, zeta0[i], margin)
+        prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
 
 def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, jump_dwells, margin, jump_margin,
-                                      stationary_at=None, mu=None, tag=""):
+                                      stationary_at=None, mu=None):
     """Oracle for analysis._gain_rows_constant_like: its body before the jump
     and out_d rows went through one path, with separate point (jump_at) and
     interval (theta_interval) branches, which jump_dwells = (lo, hi) selects,
@@ -1543,7 +1551,7 @@ def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, j
     _reference_gain_rows(ReferenceRows(prog), (A, E, C, F, jumps), [ref_expr(z) for z in zeta], gamma,
                          (0.0, tau_end), None if lo < hi else lo, margin, jump_margin, stationary_at=stationary_at,
                          theta_interval=(lo, hi) if lo < hi else None,
-                         mu=None if mu is None else [ref_expr(m) for m in mu], tag=tag)
+                         mu=None if mu is None else [ref_expr(m) for m in mu])
 
 
 def reference_synthesize(

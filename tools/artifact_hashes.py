@@ -35,7 +35,9 @@ Cases:
 - arbitrary dwell on four constant systems at three margin settings, and
   `analyze_lti` of each for both norms and both times, and the L1 gain of
   its `adjoint` at both times;
-- switched minimum dwell and the Blanchini bound at five dwell times;
+- switched minimum dwell and the Blanchini bound at five dwell times, and
+  the minimum-dwell analysis of a three-mode system (`three_mode_switched`),
+  whose lift has six selector jump maps, at three dwell times;
 - `synthesize` for three plants, eight dwell specifications and degrees 0-3,
   with the closed loop verified and cross-checked, and likewise fixed-K_d
   designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13], and
@@ -123,6 +125,7 @@ DESIGN_DEGREES = (0, 1, 2, 3)
 TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3, 1.7))
 TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
+THREE_MODE_T = (0.1, 0.3, 1.0)
 # several march chunks of 8,192 maps, and fewer maps than one prefix block
 SIM_HORIZONS = (30.0, 0.02)
 FLOW_GRID_CELLS = (1, 20, 700, 9000)
@@ -165,6 +168,14 @@ def tiny_discrete_output_plant() -> ImpulsiveSystem:
     scaling leaves below HiGHS's small_matrix_value."""
     zeros = {"Ec": [[0.0]], "Cc": [[0.0]], "Fc": [[0.0]], "Ed": [[0.0]], "Fd": [[0.0]]}
     return ImpulsiveSystem.from_arrays(A=[[[-1.0]]], J=[[1.0]], Cd=[[8.265803520048773e-13]], **zeros)
+
+
+def three_mode_switched() -> SwitchedSystem:
+    """two_mode_switched_bench with a third mode: its lift has N (N - 1) = 6
+    selector jump maps."""
+    modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
+    modes.append({"A": [[-1.5, 0.2], [0.3, -1.0]], "E": [[0.2], [0.05]], "C": [[0.5, 0.5]], "F": [[0.0]]})
+    return SwitchedSystem.from_arrays(modes)
 
 
 def scalar_plant() -> ImpulsiveSystem:
@@ -413,6 +424,12 @@ def collect(lp_dir: str) -> dict:
             rec.reports(key, c, sw)
         rec.solve(f"two_mode_switched_bench blanchini T={T}",
                   lambda lp: analysis.analyze_switched_blanchini(sw, T), lambda g: repr(g))
+    sw3 = three_mode_switched()
+    for T in THREE_MODE_T:
+        key = f"three_mode_switched minimum T={T} degree=4"
+        c = rec.solve(key, lambda lp: analysis.analyze_switched_min(sw3, T, 4, dump_lp=lp), to_json)
+        if c is not None:
+            rec.reports(key, c, sw3)
 
     plants = {
         "unstable_chain_plant": benchmarks.unstable_chain_plant(),
