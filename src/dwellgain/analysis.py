@@ -454,12 +454,13 @@ class _Program:
 
 def _bilinear_entry(A_pm: PolyMatrix, X: list[np.ndarray], B_pm: PolyMatrix,
                     U: list[list[np.ndarray]], i: int, j: int) -> np.ndarray:
-    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a polynomial (X diagonal)."""
-    expr = _mul_poly(X[j], A_pm.entry(i, j).coeffs)
+    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a polynomial (X diagonal),
+    read from the coefficient arrays; a zero B_il or U_lj adds no term."""
+    expr = _mul_poly(X[j], A_pm.coeffs[i, j])
     for l in range(len(U)):
-        b = B_pm.entry(i, l)
-        if not b.is_zero:
-            expr = _add(expr, _mul_poly(U[l][j], b.coeffs))
+        b = B_pm.coeffs[i, l]
+        if b.any() and U[l][j].any():
+            expr = _add(expr, _mul_poly(U[l][j], b))
     return expr
 
 
@@ -481,10 +482,12 @@ def _theorem_row(prog: _Program, family: str, index: int, lead: np.ndarray, entr
     """lead - sum(entries) >= margin at every timer value in where = (lo, hi),
     the one form of every theorem row.  The entries are polynomials in the
     timer, or expressions when lo = hi (one point row); an expression lead
-    over polynomial entries is the constant polynomial."""
+    over polynomial entries is the constant polynomial.  An entry that is
+    zero throughout, off the blocks of a lift, adds nothing and is skipped."""
     expr = lead[None] if lead.ndim == 1 and where[0] < where[1] else lead
     for e in entries:
-        expr = _add(expr, e, -1.0)
+        if e.any():
+            expr = _add(expr, e, -1.0)
     prog.add_interval_ge(family, index, expr, where, margin)
 
 
@@ -495,13 +498,12 @@ class _Mode:
     (`synthesis._DesignMode`) adds its positivity and denominator rows from
     them; an analysis is the case X = zeta and U = [], where B and D are
     never read.  tau_end = 0 (arbitrary dwell-time) turns every interval row
-    into a point row at tau = 0.  A switched design's modes carry their
-    index as `tag`, a suffix of their families ("flow[1]")."""
+    into a point row at tau = 0."""
 
     def __init__(self, prog: _Program, mats: tuple, X: list[np.ndarray],
-                 U: list[list[np.ndarray]], tau_end: float, tag: str = ""):
+                 U: list[list[np.ndarray]], tau_end: float):
         A, B, _, C, D, _ = self.mats = mats
-        self.prog, self.X, self.U, self.tag = prog, X, U, tag
+        self.prog, self.X, self.U = prog, X, U
         self.iv = (0.0, tau_end)
         n = len(X)
         self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
@@ -513,15 +515,15 @@ class _Mode:
         under zeta = X 1; with stat_at = T (minimum dwell-time) also their
         stationary rows at tau = T, without X', from the matrices at T times
         X(T) and U(T)."""
-        prog, tag = self.prog, self.tag
+        prog = self.prog
         A, B, E, C, D, F = self.mats
         gam = _var(gamma)
         for i, row in enumerate(self.flow):
             lead = _add(_deriv(self.X[i]), _poly(_row_ones(E, i).coeffs), -1.0)
-            _theorem_row(prog, f"flow{tag}", i, lead, row, self.iv, margin)
+            _theorem_row(prog, "flow", i, lead, row, self.iv, margin)
         for i, row in enumerate(self.out):
             lead = _add(gam[None], _poly(_row_ones(F, i).coeffs), -1.0)
-            _theorem_row(prog, f"out_c{tag}", i, lead, row, self.iv, margin)
+            _theorem_row(prog, "out_c", i, lead, row, self.iv, margin)
         if stat_at is None:
             return
         T = stat_at
@@ -532,7 +534,7 @@ class _Mode:
             ("stat_out", C, D, [_add(gam, _const(f), -1.0) for f in F(T).sum(axis=1)]),
         ):
             for i, row in enumerate(_const_entries(X_T, U_T, P(T), Q(T) if U_T else None)):
-                _theorem_row(prog, f"{family}{tag}", i, leads[i], row, (T, T), margin)
+                _theorem_row(prog, family, i, leads[i], row, (T, T), margin)
 
 
 def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.ndarray], gamma: int,

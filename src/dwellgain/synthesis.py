@@ -7,13 +7,16 @@ analysis theorem rows under zeta = X 1, written by the analysis builders
 (`analysis._Mode`, `analysis._jump_rows`); this module adds the positivity,
 denominator and gain-cap rows (`_DesignMode`).  A design's program
 (`_DesignProgram`) is an analysis program whose relaxation orders impose the
-interval rows in the product-basis cone.  Controllers are recovered as
-rational gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
+interval rows in the product-basis cone.  There is one design program
+(`_solve_design`): a switched design is that of its lift
+(`model.lift_switched`) with U block-diagonal, whose jump rows are the
+coupling rows X_i(0) - X_j(T) >= 0.  Controllers are recovered as rational
+gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
@@ -43,8 +46,9 @@ from .analysis import (
     _var,
 )
 from .errors import DimensionMismatch, IllPosed, ParseError
-from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, mode_mats, polys_from_json,
-                    polys_to_json, read_field, read_json, require_forward_time, require_positive_design, write_json)
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
+                    polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
+                    require_positive_design, write_json)
 from .poly import Poly, decide_nonneg, product_basis
 
 __all__ = [
@@ -233,21 +237,26 @@ class _DesignMode(_Mode):
     closed-loop positivity, denominator and regularizer rows, all read from
     the same entries of A X + B U and C X + D U."""
 
-    def positivity(self, alpha: int) -> None:
-        """Metzler rows (A X + B U)_{ij} + alpha [i=j] >= 0, output rows (C X + D U)_{ij} >= 0."""
+    def positivity(self, alpha: int, blocks: int) -> None:
+        """Metzler rows (A X + B U)_{ij} + alpha [i=j] >= 0, output rows
+        (C X + D U)_{ij} >= 0, for the entries inside the `blocks` diagonal
+        blocks only: off them, the entries of a lift are zero."""
         al = _var(alpha)[None]
         flow = [[_add(e, al) if i == j else e for j, e in enumerate(row)] for i, row in enumerate(self.flow)]
+        n = len(self.X)
         for family, entries in (("pos_flow", flow), ("pos_out_c", self.out)):
-            for idx, expr in enumerate(chain.from_iterable(entries)):
-                self.prog.add_interval_ge(f"{family}{self.tag}", idx, expr, self.iv, 0.0)
+            for i, row in enumerate(entries):
+                for j, expr in enumerate(row):
+                    if i * blocks // len(entries) == j * blocks // n:
+                        self.prog.add_interval_ge(family, i * n + j, expr, self.iv, 0.0)
 
     def denominator(self) -> None:
         """X >= _X_MIN, X(0) <= _X_CAP, and implementable gains |U_lj| <= _GAIN_CAP * X_j."""
-        prog, tag = self.prog, self.tag
+        prog = self.prog
         for j, x in enumerate(self.X):
-            prog.add_interval_ge(f"x_pos{tag}", j, _add(x, _poly([_X_MIN]), -1.0), self.iv, 0.0)
-            prog.add_point_ge(f"x_cap{tag}", j, _add(_const(_X_CAP), _eval_at(x, 0.0), -1.0), 0.0)
-        _gain_cap_rows(prog, f"gain_cap{tag}", 0, self.X, self.U, _GAIN_CAP, self.iv)
+            prog.add_interval_ge("x_pos", j, _add(x, _poly([_X_MIN]), -1.0), self.iv, 0.0)
+            prog.add_point_ge("x_cap", j, _add(_const(_X_CAP), _eval_at(x, 0.0), -1.0), 0.0)
+        _gain_cap_rows(prog, "gain_cap", 0, self.X, self.U, _GAIN_CAP, self.iv)
 
     def regularize(self, extra_obj: dict[int, float]) -> None:
         """Add _REG * the integral of X over (0, Tend) (_REG * X(0) when Tend = 0)."""
@@ -260,12 +269,14 @@ class _DesignMode(_Mode):
 
 
 def _gain_cap_rows(prog: _Program, family: str, idx: int, X: list, U: list, cap: float, interval) -> None:
-    """Implementable gains |U_lj| <= cap * X_j on interval, numbered from idx on."""
+    """Implementable gains |U_lj| <= cap * X_j on interval, numbered from idx
+    on; a structural zero U_lj has no row."""
     for row in U:
         for x, u in zip(X, row):
-            for sgn in (1.0, -1.0):
-                prog.add_interval_ge(family, idx, _add(_scale(x, cap), u, sgn), interval, 0.0)
-                idx += 1
+            if u.any():
+                for sgn in (1.0, -1.0):
+                    prog.add_interval_ge(family, idx, _add(_scale(x, cap), u, sgn), interval, 0.0)
+                    idx += 1
 
 
 def synthesize(
@@ -283,34 +294,47 @@ def synthesize(
     range dwell-time design (dominating constant diagonal M).  Two constants
     shape every design: _REG weights a tiny integral-of-X term in the objective,
     and _GAIN_CAP bounds |U| <= _GAIN_CAP * X entrywise (X >= _X_MIN).
-
-    The jump rows hold at the dwells [lo, hi] of `_jump_timers`, a single
-    point unless the range is genuine: with X(theta) and a U_d polynomial in
-    theta on [lo, hi], else with a constant U_d and X at the point, or with M
-    in place of X (fixed_kd), whatever theta.  A plant whose Ec, Fc, Ed or
-    Fd is not nonnegative is refused (`model.require_positive_design`)."""
+    A plant whose Ec, Fc, Ed or Fd is not nonnegative is refused
+    (`model.require_positive_design`); then `_solve_design` runs."""
     require_forward_time(sys, "synthesis")
     if len(sys.jumps) != 1:
-        raise DimensionMismatch("synthesis expects a single jump map (lift switched systems separately)")
+        raise DimensionMismatch("synthesis expects a single jump map (use synthesize_switched for a switched system)")
     if fixed_kd and dwell.kind != "range":
         raise ValueError("fixed_kd is a range dwell-time variant")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n, mc, md = sys.n, sys.mc, sys.md
-    jm = sys.jump
-    kind = _KIND[dwell.kind] + ("_FixedKd" if fixed_kd else "")
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
+    require_positive_design(sys, _timer_end(dwell))
+    return _solve_design(sys, dwell, degree, margin, margin, fixed_kd, relax_schedule, dump_lp)
 
+
+def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margin: float, jump_margin: float,
+                  fixed_kd: bool, relax_schedule, dump_lp=None, blocks: int = 1) -> ControllerRealization:
+    """The design program of sys under dwell, minimized, once sys has passed
+    its gates (`synthesize`, `synthesize_switched`).  U is block-diagonal on
+    `blocks` equal blocks of states and inputs: U_lj is a zero without
+    columns unless input l and state j share a block, and the positivity
+    rows are written inside the blocks.  With blocks > 1, sys is a lift,
+    whose selector jumps are nonnegative and have no input: no jump
+    positivity rows.  The jump rows hold at the dwells [lo, hi] of
+    `_jump_timers`, a single point unless the range is genuine: with
+    X(theta) and a U_d polynomial in theta on [lo, hi], else with a constant
+    U_d and X at the point, or with M in place of X (fixed_kd), whatever
+    theta."""
+    n, mc, md = sys.n, sys.mc, sys.md
+    kind = _KIND[dwell.kind] + ("_FixedKd" if fixed_kd else "")
     x_degree = 0 if dwell.kind == "arbitrary" else degree
     Tend = _timer_end(dwell)
-    require_positive_design(sys, Tend)
     lo, hi = _jump_timers(dwell)
     theta_poly = lo < hi and not fixed_kd
 
     prog = _DesignProgram()
     X = prog.poly_vec(n, x_degree, "X")
-    Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
+    nb, mb, zero = n // blocks, mc // blocks, np.zeros((1, 1))
+    # the rows of the inputs b * mb + l of block b, zero off its states
+    Uc = [[zero] * (b * nb) + prog.poly_vec(nb, x_degree, f"U{b * mb + l}") + [zero] * (n - (b + 1) * nb)
+          for b in range(blocks) for l in range(mb)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
     if theta_poly:
@@ -319,7 +343,7 @@ def synthesize(
         Ud = [[_var(prog.scalar(name=f"Ud{l}{j}")) for j in range(n)] for l in range(md)]
     M = [prog.scalar(lo=_X_MIN, hi=_X_CAP, name=f"M{j}") for j in range(n)] if fixed_kd else []
     mode = _DesignMode(prog, mode_mats(sys), X, Uc, Tend)
-    mode.positivity(alpha)
+    mode.positivity(alpha, blocks)
 
     # the sides X is read on at the jump, each with the dwells its rows
     # hold at: X(theta) on [lo, hi], M (constant in theta, so point rows)
@@ -327,25 +351,28 @@ def synthesize(
     # the positivity rows at both timer endpoints: the jump fires at a
     # frozen X(T) (sound gain recovery) while the reference condition
     # evaluates at X(0); the intersection keeps both readings valid.  The
-    # last side carries the jump[0], out_d[0] and gain-cap rows.
+    # last side carries the jump[k], out_d[k] and gain-cap rows.
     if theta_poly:
         sides = [(X, (lo, hi))]
     elif fixed_kd:
         sides = [([_var(v) for v in M], (lo, lo))]
     else:
         sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
-    entries = [[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for x_at, _ in sides]
+    # per side, (J_k X + Bd_k Ud, Cd_k X + Dd_k Ud) for each jump map k; a
+    # lift's are read on the last side only, as it has no positivity rows
+    entries = [[[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for jm in sys.jumps]
+               for x_at, _ in (sides if blocks == 1 else sides[-1:])]
     # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
-    for k, family in enumerate(("pos_jump", "pos_out_d")):
+    for k, family in enumerate(("pos_jump", "pos_out_d") if blocks == 1 else ()):
         idx = 0
-        for cells in zip(*(chain.from_iterable(e[k]) for e in entries)):
+        for cells in zip(*(chain.from_iterable(e[0][k]) for e in entries)):
             for e, (_, dwells) in zip(cells, sides):
                 prog.add_interval_ge(family, idx, e, dwells, 0.0)
                 idx += 1
 
     mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
     x_at, dwells = sides[-1]
-    _jump_rows(prog, sys.jumps, entries[-1:], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, margin)
+    _jump_rows(prog, sys.jumps, entries[-1], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, jump_margin)
     for j, (m, x) in enumerate(zip(M, X)):
         prog.add_interval_ge("x_below_M", j, _add(_var(m)[None], x, -1.0), (dwell.Tmin, dwell.Tmax), 0.0)
 
@@ -392,16 +419,6 @@ def _check_denominator(ctrl: ControllerRealization) -> None:
             raise IllPosed("denominator X(tau) not positive on the working interval")
 
 
-def _coupling_rows(prog: _Program, Xs: list[list[np.ndarray]], T: float) -> None:
-    """couple[j->i]: X_i(0) - X_j(T) >= 0 for every switch j -> i, i != j, a
-    closed inequality on the diagonals Xs[i] of the modes."""
-    for i, xi in enumerate(Xs):
-        for j, xj in enumerate(Xs):
-            if i != j:
-                for r, (a, b) in enumerate(zip(xi, xj)):
-                    prog.add_point_ge(f"couple[{j}->{i}]", r, _add(_eval_at(a, 0.0), _eval_at(b, T), -1.0), 0.0)
-
-
 def synthesize_switched(
     sw: SwitchedSystem,
     T: float,
@@ -410,50 +427,22 @@ def synthesize_switched(
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> ControllerRealization:
-    """Per-mode state feedback under minimum dwell-time with coupled
-    diagonals; a plant whose E or F is not nonnegative is refused."""
+    """Per-mode state feedback under minimum dwell-time: the design
+    (`_solve_design`) of the lift `model.lift_switched` with U block-diagonal,
+    reported per mode as N diagonals X_i and N gains U_c,i.  The lift's jump
+    rows are X_i(0) - X_j(T) >= 0 for every switch j -> i, closed
+    (jump_margin = 0), and X_k(0) >= 0 for the other blocks k.  A plant
+    whose E or F is not nonnegative is refused."""
     if sw.N < 2:
         raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
     dwell = DwellTimeSpec.minimum(T)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     require_positive_design(sw, T)
+    ctrl = _solve_design(lift_switched(sw), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sw.N)
     n, m = sw.n, sw.m
-
-    prog = _DesignProgram()
-    Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
-    Us = [[prog.poly_vec(n, degree, f"U{i}_{l}") for l in range(m)] for i in range(sw.N)]
-    gamma = prog.scalar(lo=0.0, name="gamma")
-    alpha = prog.scalar(lo=0.0, hi=_ALPHA_CAP, name="alpha")
-    modes = [
-        _DesignMode(prog, mode_mats(sw, i), Xs[i], Us[i], T, f"[{i}]")
-        for i in range(sw.N)
-    ]
-    for mode in modes:
-        mode.positivity(alpha)
-        mode.theorem_rows(gamma, margin, T)
-        mode.denominator()
-    _coupling_rows(prog, Xs, T)
-
-    def finalize(sol, relax):
-        ctrl = ControllerRealization(
-            kind="SwitchedMinDT",
-            dwell=dwell,
-            gamma=float(sol.x[gamma]),
-            degree=degree,
-            margin=margin,
-            X=[[_value(x, sol.x) for x in X] for X in Xs],
-            Uc=[[[_value(u, sol.x) for u in row] for row in U] for U in Us],
-            Ud=None,
-        )
-        _check_denominator(ctrl)
-        return ctrl
-
-    extra_obj: dict[int, float] = {}
-    for mode in modes:
-        mode.regularize(extra_obj)
-
-    return _solve_with_escalation(prog, gamma, finalize, extra_obj, relax_schedule, dump_lp)
+    return replace(ctrl, kind="SwitchedMinDT", X=[ctrl.X[i * n : (i + 1) * n] for i in range(sw.N)],
+                   Uc=[[row[i * n : (i + 1) * n] for row in ctrl.Uc[i * m : (i + 1) * m]] for i in range(sw.N)])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -1839,6 +1840,26 @@ def spy_relaxations(monkeypatch):
 
     monkeypatch.setattr(_Program, "relaxation", relaxation)
     return seen
+
+
+def first_program_rows(monkeypatch, run):
+    """run()'s result and the rows of the first program it encodes, as a
+    multiset of (terms, domain, margin) without their family names."""
+    def terms(e):
+        coeffs, const = row_terms(e)
+        return tuple(sorted(coeffs.items())), const
+
+    with monkeypatch.context() as m:
+        encoded = spy_relaxations(m)
+        out = run()
+    rows = encoded[0][0].rows
+    return out, Counter((terms(e) if iv is None else tuple(map(terms, e)), iv, mg) for _, _, e, iv, mg in rows)
+
+
+def inactive_jump_rows(N, n, degree):
+    """The jump rows of a lift's inactive blocks, X_b(0) >= 0 for each
+    lifted state b, once per map j -> i into another block: (N - 1)^2 maps."""
+    return Counter({((((b * (degree + 1), 1.0),), 0.0), None, 0.0): (N - 1) ** 2 for b in range(N * n)})
 
 
 def per_sample_referee(prog, objective):

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import tempfile
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +18,9 @@ from conftest import (
     ReferenceRows,
     array_of,
     add_eq,
+    first_program_rows,
     full_schedule_escalation,
+    inactive_jump_rows,
     per_row_cone_rows,
     per_row_relaxation,
     per_sample_referee,
@@ -1236,27 +1237,11 @@ class TestSwitchedFoldOracle:
     relative (HiGHS may end at another vertex), and its certificate passes
     verify and the cross-check."""
 
-    @staticmethod
-    def _rows(monkeypatch, run):
-        """run()'s result and the rows of the first program it encodes, as
-        a multiset of (terms, domain, margin) without their family names."""
-        def terms(e):
-            coeffs, const = row_terms(e)
-            return tuple(sorted(coeffs.items())), const
-
-        with monkeypatch.context() as m:
-            encoded = spy_relaxations(m)
-            out = run()
-        rows = encoded[0][0].rows
-        return out, Counter((terms(e) if iv is None else tuple(map(terms, e)), iv, mg) for _, _, e, iv, mg in rows)
-
     def _check(self, monkeypatch, sw, T, degree):
-        got, rows = self._rows(monkeypatch, lambda: analyze_switched_min(sw, T, degree))
-        want, rows_r = self._rows(monkeypatch, lambda: reference_switched_min(sw, T, degree))
+        got, rows = first_program_rows(monkeypatch, lambda: analyze_switched_min(sw, T, degree))
+        want, rows_r = first_program_rows(monkeypatch, lambda: reference_switched_min(sw, T, degree))
         N, n = sw.N, sw.n
-        # zeta_b(0) >= 0 for each lifted state b, once per map j -> i into another block: (N - 1)^2 maps
-        inactive = Counter({((((b * (degree + 1), 1.0),), 0.0), None, 0.0): (N - 1) ** 2 for b in range(N * n)})
-        assert rows == rows_r + inactive
+        assert rows == rows_r + inactive_jump_rows(N, n, degree)
         assert got.kind == "SwitchedMinDT" and [len(z) for z in got.zeta] == [n] * N
         assert got.relax == want.relax
         assert got.gamma == pytest.approx(want.gamma, rel=1e-9)

@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (assert_matches_three_paths, oracle_kd, reference_synthesize_switched, row_records,
-                      row_terms, spy_relaxations)
+from conftest import (assert_matches_three_paths, first_program_rows, inactive_jump_rows, oracle_kd,
+                      reference_synthesize_switched, spy_relaxations)
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.benchmarks import two_mode_switched_bench
 from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive
-from dwellgain.lp import _assemble
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, InputSignal, estimate_gain, generate_inputs, simulate
@@ -20,7 +19,7 @@ from dwellgain.synthesis import (
     synthesize,
     synthesize_switched,
 )
-from dwellgain.cert import verify
+from dwellgain.cert import cross_check_discrete, verify
 
 
 @pytest.fixture(scope="module")
@@ -310,51 +309,58 @@ class TestSwitchedSynthesis:
 
 
 class TestSwitchedModeOracle:
-    """synthesize_switched builds its per-mode rows with synthesis._DesignMode;
-    its programs and controllers equal those of its own loops, kept as
-    conftest.reference_synthesize_switched.  The fold renames pos_out[i] and
-    perf_out[i] to pos_out_c[i] and out_c[i], and perf_flow[i] to flow[i],
-    and moves the stationary (point) rows past interval rows; _assemble puts
-    every <= (point) row ahead of every = (interval) row, so the arrays HiGHS
-    gets are unchanged.  A row is compared as a dict: its stationary rows now
-    list their terms state by state instead of power by power, an order that
-    _assemble and dump_lp sort away."""
+    """synthesize_switched solves synthesize's design program on the lift
+    (model.lift_switched) with U block-diagonal.  Its program is that of the
+    per-mode loops, kept as conftest.reference_synthesize_switched, row for
+    row up to the family names, plus the lift's jump rows of the inactive
+    blocks, X_k(0) >= 0; the coupling rows X_i(0) - X_j(T) >= 0 are the
+    lift's other jump rows.  Both end the same way here; HiGHS may end at
+    another vertex, so gamma is compared within 1e-9 relative, and each
+    controller passes verify and the cross-check."""
 
     @staticmethod
-    def _solved(monkeypatch, run):
-        """(assembly, point rows, interval rows) of every LP `run` solves,
-        and its controller JSON or error class."""
-        def family(name):
-            name = re.sub(r"^(pos|perf)_out\[", r"\1_out_c[", name)
-            return re.sub(r"^perf_(flow|out_c)\[", r"\1[", name)
+    def _outcome(run):
+        try:
+            return run()
+        except DwellgainError as exc:
+            return type(exc).__name__
 
-        with monkeypatch.context() as m:
-            encoded = spy_relaxations(m)
-            try:
-                out = run().to_json()
-            except DwellgainError as exc:
-                out = type(exc).__name__
-        seen = []
-        for prog, relax, lp in encoded:
-            points, intervals = row_records(prog, relax)
-            seen.append((_assemble(lp), [(family(f), i, row_terms(e), mg) for f, i, e, mg in points],
-                         [(family(f), i, [row_terms(c) for c in p], iv, order, mg)
-                          for f, i, p, iv, order, mg in intervals]))
-        return seen, out
+    def _check(self, monkeypatch, sw, T, degree):
+        got, rows = first_program_rows(monkeypatch, lambda: self._outcome(lambda: synthesize_switched(sw, T, degree)))
+        want, rows_r = first_program_rows(
+            monkeypatch, lambda: self._outcome(lambda: reference_synthesize_switched(sw, T, degree)))
+        assert rows == rows_r + inactive_jump_rows(sw.N, sw.n, degree)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-9)
+        cert, loop = certificate_from(got), closed_loop(sw, got)
+        assert verify(cert, loop).passed and cross_check_discrete(cert, loop).passed
 
     @pytest.mark.parametrize("degree", [0, 2])
     @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
     @pytest.mark.parametrize("plant", ["two_mode", "stabilizable"])
     def test_same_programs_and_controller(self, monkeypatch, plant, T, degree):
         sw = two_mode_switched_bench() if plant == "two_mode" else TestSwitchedSynthesis._stabilizable_two_mode()
-        got, out = self._solved(monkeypatch, lambda: synthesize_switched(sw, T, degree))
-        want, out_r = self._solved(monkeypatch, lambda: reference_synthesize_switched(sw, T, degree))
-        assert got and len(got) == len(want)
-        for (asm, points, intervals), (asm_r, points_r, intervals_r) in zip(got, want):
-            assert all(np.array_equal(x, y) for x, y in zip(asm, asm_r))
-            assert points == points_r
-            assert intervals == intervals_r
-        assert out == out_r
+        self._check(monkeypatch, sw, T, degree)
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
+    def test_three_modes(self, monkeypatch, bench_three_mode, T, degree):
+        self._check(monkeypatch, bench_three_mode, T, degree)
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_block_diagonal_gains(self, monkeypatch, degree):
+        """Each mode's input drives its own block only: the lifted program
+        has N m n (degree + 1) U columns, and each mode's U_c is m x n."""
+        sw = TestSwitchedSynthesis._stabilizable_two_mode()
+        with monkeypatch.context() as m:
+            encoded = spy_relaxations(m)
+            ctrl = synthesize_switched(sw, 0.3, degree)
+        names = encoded[0][0].columns.names.values()
+        assert sum(name.startswith("U") for name in names) == sw.N * sw.m * sw.n * (degree + 1)
+        assert [len(x) for x in ctrl.X] == [sw.n] * sw.N
+        assert [[len(row) for row in uc] for uc in ctrl.Uc] == [[sw.n] * sw.m] * sw.N
 
 
 class TestControllerIO:

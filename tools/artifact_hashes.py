@@ -43,7 +43,10 @@ Cases:
   designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13], and
   minimum-dwell designs for the timer-dependent timer_stable_bench with
   inputs at T in {0.7, 1.3, 1.7} and degrees 1-3;
-- `synthesize_switched` at four dwell times;
+- `synthesize_switched` for two_mode_switched_bench at four dwell times,
+  for a two-mode plant with one input per mode (`stabilizable_two_mode`)
+  at two, and for `three_mode_switched` at two, each closed loop verified
+  and cross-checked;
 - the escalation outcomes at constant dwell: the offset parabola plant
   (`offset_parabola_system`) at offset 0.26 (needs order ~26) with the
   default schedule, which ends in RelaxationLimit, and with the schedule
@@ -125,6 +128,9 @@ DESIGN_DEGREES = (0, 1, 2, 3)
 TIMER_DESIGN_SPECS = tuple((DwellTimeSpec.minimum(T), False) for T in (0.7, 1.3, 1.7))
 TIMER_DESIGN_DEGREES = (1, 2, 3)
 SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
+# switched designs with a block-diagonal U (m = 1) and with three modes
+STABILIZABLE_DESIGN_T = (0.3, 0.5)
+THREE_MODE_DESIGN_T = (0.3, 1.0)
 THREE_MODE_T = (0.1, 0.3, 1.0)
 # several march chunks of 8,192 maps, and fewer maps than one prefix block
 SIM_HORIZONS = (30.0, 0.02)
@@ -176,6 +182,15 @@ def three_mode_switched() -> SwitchedSystem:
     modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
     modes.append({"A": [[-1.5, 0.2], [0.3, -1.0]], "E": [[0.2], [0.05]], "C": [[0.5, 0.5]], "F": [[0.0]]})
     return SwitchedSystem.from_arrays(modes)
+
+
+def stabilizable_two_mode() -> SwitchedSystem:
+    """Two modes with one input each, each mode's unstable state driven by
+    its own input: a mode's controller acts on its own block only."""
+    return SwitchedSystem.from_arrays([
+        {"A": [[1.0, 1.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "E": [[0.2], [0.3]], "C": [[0.0, 1.0]], "F": [[0.1]]},
+        {"A": [[-2.0, 0.0], [1.0, 1.0]], "B": [[0.0], [1.0]], "E": [[0.3], [0.2]], "C": [[1.0, 0.0]], "F": [[0.1]]},
+    ])
 
 
 def scalar_plant() -> ImpulsiveSystem:
@@ -447,11 +462,15 @@ def collect(lp_dir: str) -> dict:
                     key, lambda lp: synthesis.synthesize(p, spec, d, fixed_kd=fixed_kd, dump_lp=lp), to_json)
                 if ctrl is not None:
                     rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(p, ctrl))
-    for T in SWITCHED_DESIGN_T:
-        key = f"two_mode_switched_bench design minimum T={T} degree=2"
-        ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(sw, T, 2, dump_lp=lp), to_json)
-        if ctrl is not None:
-            rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(sw, ctrl))
+    switched_designs = [("two_mode_switched_bench", sw, SWITCHED_DESIGN_T),
+                        ("stabilizable_two_mode", stabilizable_two_mode(), STABILIZABLE_DESIGN_T),
+                        ("three_mode_switched", sw3, THREE_MODE_DESIGN_T)]
+    for sname, s, Ts in switched_designs:
+        for T in Ts:
+            key = f"{sname} design minimum T={T} degree=2"
+            ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(s, T, 2, dump_lp=lp), to_json)
+            if ctrl is not None:
+                rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(s, ctrl))
 
     escalations = {
         "offset_parabola_system(0.26) constant T=1.0 degree=0":
