@@ -464,17 +464,20 @@ def _bilinear_entry(A_pm: PolyMatrix, X: list[np.ndarray], B_pm: PolyMatrix,
     return expr
 
 
-def _const_entries(x_at: list, U: list, P: np.ndarray, Q: Optional[np.ndarray]) -> list[list]:
+def _const_entries(x_at: list, U: list, P: np.ndarray, Q: Optional[np.ndarray], zeros: bool = False) -> list[list]:
     """(P X + Q U)_{ij} for constant matrices P and Q, X read on one side
     x_at: X(theta), X at a point, or M.  The entries are polynomials in theta
-    or expressions, as x_at and U hold; Q is not read when U = []."""
+    or expressions, as x_at and U hold; Q is not read when U = [].  An entry
+    with P_ij = 0 and Q_i = 0, zero whatever X and U, is left out of its row
+    unless `zeros`: `_theorem_row` skips it anyway, and most entries of a
+    lift's selector maps are such."""
     def entry(i: int, j: int):
         e = _scale(x_at[j], float(P[i, j]))
         for l, u in enumerate(U):
             e = _add(e, _scale(u[j], float(Q[i, l])))
         return e
 
-    return [[entry(i, j) for j in range(len(x_at))] for i in range(P.shape[0])]
+    return [[entry(i, j) for j in range(len(x_at)) if zeros or P[i, j] or U and Q[i].any()] for i in range(P.shape[0])]
 
 
 def _theorem_row(prog: _Program, family: str, index: int, lead: np.ndarray, entries: Sequence,

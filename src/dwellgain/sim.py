@@ -3,37 +3,40 @@ hybrid sup-norm bookkeeping, and Monte-Carlo gain lower bounds.
 
 The flow between jumps is linear in the state, so the classical fixed-step
 RK4 update is an affine map x -> R x + s per mesh cell, and a jump is an
-affine map too.  A run first draws its whole schedule (dwells, meshes,
-modes, jump maps and K_d) and groups its segments by shape: mode, cell
-count and width.
+affine map too.  A run first draws its whole schedule (dwells, modes, jump
+maps and K_d).  Every segment's mesh starts at tau = 0 in whole steps h:
+segment k has the points tau = 0, h, ..., (m_k - 1) h and its length theta_k,
+so its first m_k - 1 cells are those of every other segment of its mode,
+and only its last one, never narrower than about 1e-9 h, is its own.
 
-When the shapes repeat and the segments of each shape see one continuous
-input on their mesh, as under a constant dwell with a constant input,
-where the impulsive system is periodic and every segment has the same
-transition Phi(T), each shape gets one table (`_flow_tables`): the
-transition and the forced response from a segment's start to each of its
-points, and the outputs there.  The segment starts are marched through the
-jumps by a prefix scan over the segments, and every state and output of
-the run is filled from its segment's start by one batched product per
-shape.
+When the continuous input is constant on the run's mesh, the segments of
+one mode share one table (`_mode_table`, built by `_flow_tables` over the
+mode's longest segment): the transition Phi_j and the forced response r_j
+from tau = 0 to each tau = jh, and the outputs there.  Each segment's last,
+partial cell is one RK4 map, batched over all segments.  The segment starts
+are marched through the jumps by a prefix scan over the segments, and the
+states and outputs of each segment are filled from its start by one
+product with the first m_k columns of its table, one product for a run of
+like segments, as under a constant dwell.  A random dwell is thus marched
+as a constant one is.
 
-Otherwise, as under a random dwell or a time-varying input, the run lays
-the mesh points of all its segments on one flat axis, where the map
-between consecutive points is an RK4 cell or, at a segment's end, the
-jump.  The march takes this axis in chunks of _CHUNK maps: a chunk's mesh
-data are evaluated in one vectorized pass per mode, its maps are built at
-once as component-major (n, n, L) and (n, L) tables, so each batched 2x2
-product is a few vector operations, and they are composed by a two-level
-log-doubling prefix scan (Blelloch 1990), within blocks of 32 cells and
-then over the block ends.  The tables hold each map as one (n, n+1) block
-[P | q]; the in-block ones are block-inner-major, (n, n+1, 32, L/32), so
-that every doubling step is one batched product over contiguous slabs, and
-they live in buffers allocated once per run.
+Otherwise -- a time-varying input, a single segment, or tables that would
+not serve two segments on average -- the run lays the mesh points of all
+its segments on one flat axis, where the map between consecutive points is
+an RK4 cell or, at a segment's end, the jump.  The march takes this axis
+in chunks of _CHUNK maps: a chunk's mesh data are evaluated in one
+vectorized pass per mode, its maps are built at once as component-major
+(n, n, L) and (n, L) tables, so each batched 2x2 product is a few vector
+operations, and they are composed by a two-level log-doubling prefix scan
+(Blelloch 1990), within blocks of 32 cells and then over the block ends.
+The tables hold each map as one (n, n+1) block [P | q]; the in-block ones
+are block-inner-major, (n, n+1, 32, L/32), so that every doubling step is
+one batched product over contiguous slabs, and they live in buffers
+allocated once per run.  No Python loop runs over its cells, blocks or
+segments.
 
-Either way no Python loop runs over cells, blocks or segments; only the
-schedule draw and its grouping are per segment.  The half-step referee
-reads the marched states afterwards, so the states never depend on
-whether it runs.
+The half-step referee reads the marched states afterwards, along the flat
+axis, so the states never depend on whether it runs.
 """
 
 from __future__ import annotations
@@ -180,6 +183,7 @@ class Trajectory:
 
 _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
 _CHUNK = 8192  # maps per march chunk: bounds the working tables whatever the run's length
+_SLIVER = 1e-9  # the narrowest last cell of a segment, in steps
 
 
 def _mm(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -368,24 +372,29 @@ def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: Optional[np.ndarr
     return A, b, C, z
 
 
-def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.ndarray] = None):
+def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.ndarray] = None,
+                 h: Optional[float] = None, start: Optional[np.ndarray] = None):
     """The flow across the uniform grid `taus`, integrated by the march's RK4
     maps and prefix scan: Phi(tau_i, tau_0) is Phi[..., i] (n, n, len).
     With w, the continuous input on the grid's points and then its cell
     midpoints, also the forced response r (n, len) from r(tau_0) = 0 and the
     output terms C (+D K_c) (q, n, len) and F w (q, len) on the points, as
     `_fields` gives them; without it nothing forced is evaluated or scanned,
-    and these three are None."""
+    and these three are None.  The cells are h wide, taus[1] - taus[0]
+    unless given; start = [Phi_0 | r_0] (n, n+1), when given, replaces
+    [I | 0] as the tables' value at tau_0."""
     m = len(taus) - 1
-    h = taus[1] - taus[0] if m else 0.0
+    if h is None:
+        h = taus[1] - taus[0] if m else 0.0
     grid = np.concatenate([taus, taus[:-1] + 0.5 * h])
     A, b, C, z = _fields(sys, controller, mode, clamp, grid, w, m + 1)
     n = sys.n
+    Phi0, r0 = (np.eye(n), np.zeros(n)) if start is None else (start[:, :n], start[:, n])
     if m < 1:
-        return np.eye(n)[:, :, None], None if w is None else np.zeros((n, 1)), C, z
+        return Phi0[:, :, None].copy(), None if w is None else r0[:, None].copy(), C, z
     R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
     tables = _block_prefix(R, s)
-    return _scan(tables, np.eye(n), m, forced=False), None if w is None else _scan(tables, np.zeros(n), m), C, z
+    return _scan(tables, Phi0, m, forced=False), None if w is None else _scan(tables, r0, m), C, z
 
 
 @dataclass
@@ -484,72 +493,108 @@ class _FlatAxis:
         return num / den
 
 
-def _segment_shapes(inputs: InputSignal, seg_mode: list, seg_m: list, hs: np.ndarray, t0s: np.ndarray):
-    """The run's segments grouped by shape: mode, cell count m and width h,
-    with the same continuous input on every segment's mesh.  Returns (mode,
-    m, h, the input on the mesh, the segments) per shape, or None unless the
-    shapes repeat: each fits in one chunk, and their tables hold at most half
-    of the run's maps, so a table serves two segments on average.  The input
-    is evaluated only when mode, m and h alone repeat that much, so a random
-    dwell evaluates nothing here; a group whose segments see different
-    inputs gives None too."""
-    groups: dict = {}
-    for k, key in enumerate(zip(seg_mode, seg_m, hs.tolist())):
-        groups.setdefault(key, []).append(k)
-    if max(seg_m) > _CHUNK or 2 * sum(m for _, m, _ in groups) > sum(seg_m):
-        return None
-    shapes = []
-    for (mode, m, h), ks in groups.items():
-        taus = np.arange(m + 1) * h
-        t = t0s[ks][:, None] + np.concatenate([taus, taus[:-1] + 0.5 * h])
-        w = np.asarray(np.broadcast_to(inputs.wc(t.ravel()), (t.size,)), dtype=float).reshape(t.shape)
-        if not (w == w[0]).all():  # a time-varying input
-            return None
-        shapes.append((mode, m, h, w[0].copy(), np.asarray(ks)))
-    return shapes
+def _flat_axis(sys, controller, clamp, inputs: InputSignal, modes: list, codes: np.ndarray, counts: np.ndarray,
+               ms: np.ndarray, lens: np.ndarray, h: float, taus: np.ndarray, origin: np.ndarray) -> _FlatAxis:
+    """The run's points on one axis: segment k's counts[k] points have the
+    timer values taus and the time origin; its first m_k - 1 cells are h
+    wide, its last one ends at lens[k], and the jump after it is a cell of
+    zero width."""
+    ends = np.cumsum(counts) - 1
+    widths = np.full(len(taus) - 1, h)
+    widths[ends - 1] = lens - (ms - 1) * h
+    widths[ends[:-1]] = 0.0
+    return _FlatAxis(sys, controller, clamp, inputs, modes,
+                     codes=np.repeat(codes, counts) if len(modes) > 1 else None,
+                     taus=taus, origin=origin, widths=widths)
 
 
-def _march_shapes(sys, controller, clamp, shapes: list, jR, js, x0: np.ndarray, firsts: np.ndarray, switched: bool,
-                  states: np.ndarray, zc: np.ndarray) -> None:
-    """Fill the states (npts, n) and z_c (npts, q) of a run whose segments
-    repeat their shapes (see `_segment_shapes`); firsts are the segments'
-    first points.
+def _constant_input(inputs: InputSignal, times: np.ndarray) -> Optional[float]:
+    """The continuous input's value when it takes one value on every point
+    and cell midpoint of the run's mesh, the time points `times`; else None."""
+    t = np.concatenate([times, 0.5 * (times[:-1] + times[1:])])
+    w = np.broadcast_to(inputs.wc(t), t.shape)
+    return float(w[0]) if (w == w[0]).all() else None
 
-    One table per shape maps a segment's start x_k to every point j of the
-    segment, the state by [Phi_j | r_j] and z_c by [C_j Phi_j | C_j r_j + z_j],
-    from `_flow_tables`.  The segment starts follow x_{k+1} = J_k (Phi_m x_k
-    + r_m) + s_k, the jump maps J_k, s_k as in the flat march, by the prefix
-    scan over the segments; then each shape fills the states of all its
-    segments with one matrix product, and their z_c with another."""
-    n = sys.n
-    tables, of = [], np.empty(len(firsts), dtype=int)
-    for i, (mode, m, h, w, ks) in enumerate(shapes):
-        Phi, r, C, z = _flow_tables(sys, controller, mode, clamp, np.arange(m + 1) * h, w)
+
+def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float) -> np.ndarray:
+    """The flow of `mode` from tau = 0 to each tau = jh, j < points, under the
+    constant continuous input w, as the affine maps x(0) -> (x(jh), z_c(jh))
+    in the layout the fill reads, (n+1, points, n+q): T[:n, j] is
+    [Phi_j | C_j Phi_j] transposed and T[n, j] is [r_j | C_j r_j + z_j], with
+    Phi_j, r_j and the output terms C_j, z_j from `_flow_tables`.  A table
+    of more than _CHUNK cells is built one chunk at a time, each chunk from
+    the previous one's last column, so its working set stays a chunk's."""
+    n, qc = sys.n, mode_mats(sys, mode)[3].shape[0]
+    taus = np.arange(points) * h
+    table = np.empty((n + 1, points, n + qc))
+    start = None  # [Phi | r] at the chunk's first point, [I | 0] at tau = 0
+    for a in range(0, max(points - 1, 1), _CHUNK):
+        b = min(a + _CHUNK, points - 1)
+        Phi, r, C, z = _flow_tables(sys, controller, mode, clamp, taus[a : b + 1], np.full(2 * (b - a) + 1, w), h,
+                                    start)
         top = np.concatenate([Phi, r[:, None]], axis=1)  # [Phi_j | r_j]
         bottom = _mm(C, top)
         bottom[:, n] += z
-        tables.append(np.concatenate([top, bottom]))
-        of[ks] = i
-    ends = np.stack([table[:n, :, -1] for table in tables], axis=-1)[..., of[:-1]]
-    maps = _mm(jR, ends)
+        table[:, a : b + 1, :n] = top.transpose(1, 2, 0)
+        table[:, a : b + 1, n:] = bottom.transpose(1, 2, 0)
+        start = top[..., -1]
+    return table
+
+
+def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np.ndarray, lens: np.ndarray,
+                  h: float, w: float, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray) -> None:
+    """Fill the states and z_c, side by side in out (npts, n+q), of a run
+    under the constant continuous input w from one table per mode.
+
+    Segment k, in mode modes[codes[k]], has the points tau = jh, j < m_k =
+    ms[k], and its end lens[k].  Its mode's table (`_mode_table`, over the
+    mode's longest segment) maps the segment's start x_k to its first m_k
+    points.  The last, partial cells of all the mode's segments are one
+    batch of RK4 maps, each composed with the table's column m_k - 1 into
+    the map [E_k | e_k] from x_k to the segment's end.  The starts follow
+    x_{k+1} = J_k (E_k x_k + e_k) + s_k, the jump maps J_k, s_k as in the
+    flat march, by the prefix scan over the segments.  Then each segment's
+    points are filled by one product of [x_k | 1] with its table; a run of
+    segments alike in mode and cell count, as under a constant dwell,
+    shares one product."""
+    n, K = sys.n, len(ms)
+    counts = ms + 1
+    firsts = np.cumsum(counts) - counts
+    ends = firsts + ms
+    qc = out.shape[1] - n
+    tables = []
+    to_end, Cend, zend = np.empty((n, n + 1, K)), np.empty((qc, n, K)), np.empty((qc, K))
+    for c, mode in enumerate(modes):
+        ks = np.flatnonzero(codes == c)
+        table = _mode_table(sys, controller, mode, clamp, int(ms[ks].max()), h, w)
+        tables.append(table)
+        # the partial cells, from (m_k - 1) h to lens[k], and the outputs at their ends
+        L, cell = len(ks), (ms[ks] - 1) * h
+        width = lens[ks] - cell
+        grid = np.concatenate([lens[ks], cell, cell + 0.5 * width])
+        A, bw, Cend[..., ks], zend[..., ks] = _fields(sys, controller, mode, clamp, grid, np.full(3 * L, w), L)
+        R, s = _rk4_stage(A, bw, slice(L, 2 * L), slice(2 * L, 3 * L), slice(0, L), width)
+        E = _mm(R, table[:, ms[ks] - 1, :n].transpose(2, 0, 1))
+        E[:, n] += s
+        to_end[..., ks] = E
+    maps = _mm(jR, to_end[..., :-1])
     maps[:, n] += js
-    starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, len(firsts) - 1)
-    for (_, m, _, _, ks), table in zip(shapes, tables):
-        x = starts[:, ks].T
-        stretch = ks[-1] - ks[0] == len(ks) - 1  # consecutive segments: their points are one stretch
-        rows = (slice(firsts[ks[0]], firsts[ks[0]] + len(ks) * (m + 1)) if stretch
-                else (firsts[ks][:, None] + np.arange(m + 1)).ravel())
-        for out, part in ((states, table[:n]), (zc, table[n:])):
-            shape = (len(ks), (m + 1) * len(part))  # the points of a segment, then their components
-            # einsum, not a BLAS product: BLAS would allocate work buffers of its own
-            vals = np.einsum("kl,lj->kj", x, part[:, :n].transpose(1, 2, 0).reshape(n, -1),
-                             out=out[rows].reshape(shape) if stretch else None)
-            vals += part[:, n].T.ravel()
-            if not stretch:
-                out[rows] = vals.reshape(-1, len(part))
+    starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, K - 1)
+    x_end = _mv(to_end[:, :n], starts)
+    x_end += to_end[:, n]
+    out[ends, :n] = x_end.T
+    out[ends, n:] = (_mv(Cend, x_end) + zend).T
+
+    starts1 = np.concatenate([starts, np.ones((1, K))]).T  # the rows [x_k | 1]
+    cuts = np.flatnonzero(np.diff(codes) | np.diff(ms)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), K]):  # a run of like segments: one strided view
+        part = tables[codes[a]][:, : ms[a]].reshape(n + 1, -1)
+        rows = out[firsts[a] : ends[b - 1] + 1].reshape(b - a, -1)[:, : part.shape[1]]
+        # einsum, not a BLAS product: BLAS would allocate work buffers of its own
+        np.einsum("kl,lj->kj", starts1[a:b], part, out=rows)
     if switched:  # the state is continuous: a post-jump state is the pre-jump one
-        states[firsts[1:]] = states[firsts[1:] - 1]
-    if not np.isfinite(states).all():
+        out[firsts[1:], :n] = out[ends[:-1], :n]
+    if not np.isfinite(out[:, :n]).all():
         raise StepTooLarge("state overflow while integrating; reduce the step")
 
 
@@ -622,12 +667,13 @@ def simulate(
     minimum-dwell-time semantics.  With check_step=True a halve-step referee
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
 
-    Segments of one shape (mode, cells and width) share one transition
-    table when the shapes repeat and each shape's segments see one
-    continuous input, as under a constant dwell with a constant input;
-    otherwise the run is marched along one flat axis of all its mesh points
-    (see the module docstring).  The two agree to rounding; a random dwell,
-    whose segments differ, and a time-varying input take the flat march.
+    Every segment's mesh starts at tau = 0 in cells of the step, and its
+    last cell ends on the jump.  Under a continuous input constant on the
+    mesh, the segments of each mode share one transition table over the
+    mode's longest segment, whatever the dwell; a time-varying input, a
+    single segment, or tables that would not serve two segments on average
+    take the march along one flat axis of all the mesh points (see the
+    module docstring).  The two agree to rounding.
     """
     require_forward_time(sys, "simulation")
     if horizon <= 0 or (step is not None and step <= 0):
@@ -649,7 +695,7 @@ def simulate(
 
     # Plan: the whole schedule first.  No draw depends on the state, so the
     # draws come in the order a segment-by-segment march would make them.
-    seg_t0, seg_m, seg_h, seg_mode = [], [], [], []
+    seg_t0, seg_len, seg_mode = [], [], []
     picks, thetas, wds = [], [], []  # per jump of an impulsive system
     t0 = 0.0
     for dwell_len in dwell_gen.dwells(horizon, rng):
@@ -657,10 +703,8 @@ def simulate(
         last = t0 + dwell_len >= horizon - 1e-12
         if seg <= 0:
             break
-        m = max(1, int(np.ceil(seg / step)))
         seg_t0.append(t0)
-        seg_m.append(m)
-        seg_h.append(seg / m)
+        seg_len.append(seg)
         seg_mode.append(mode)
         t0 += seg
         if last or t0 >= horizon - 1e-12:
@@ -675,42 +719,50 @@ def simulate(
             wds.append(inputs.wd(len(picks)))
             thetas.append(dwell_len)
 
-    # Flat point axis: segment k contributes its m_k+1 mesh points; the jump
-    # after it is its last map, replaced by the jump map before the scan.
-    t0s, hs = np.asarray(seg_t0), np.asarray(seg_h)
-    counts = np.asarray(seg_m) + 1
-    seg_of = np.repeat(np.arange(len(counts)), counts)
-    firsts = np.cumsum(counts) - counts
-    jumps_at = firsts[1:] - 1  # map index of each jump
-    widths = hs[seg_of[:-1]]
-    widths[jumps_at] = 0.0
+    # Segment k has the points tau = j step, j < m_k, of one grid, and its
+    # end lens[k]: its first m_k - 1 cells are those of every other segment,
+    # and its last one is never narrower than _SLIVER steps.  On the run's
+    # point axis it contributes these m_k + 1 points, and the jump after it
+    # is map ends[k].
+    t0s, lens = np.asarray(seg_t0), np.asarray(seg_len)
+    ms = np.maximum(np.ceil(lens / step - _SLIVER), 1).astype(int)
+    counts = ms + 1
+    ends = np.cumsum(counts) - 1
+    jumps_at = ends[:-1]
+    grid = np.arange(ms.max() + 1) * step
+    taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
+    taus[ends] = lens
+    origin = np.repeat(t0s, counts)
+    times = origin + taus
     modes = list(dict.fromkeys(seg_mode))
-    axis = _FlatAxis(
-        sys, controller, clamp, inputs, modes,
-        codes=np.repeat([modes.index(md) for md in seg_mode], counts) if len(modes) > 1 else None,
-        taus=(np.arange(len(seg_of)) - firsts[seg_of]) * hs[seg_of],
-        origin=t0s[seg_of],
-        widths=widths,
-    )
+    codes = np.array([modes.index(md) for md in seg_mode])
     if switched:
         jR = np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(jumps_at)))
         js = np.zeros((n, len(jumps_at)))
     else:
         jR, js, jCz, jzs = _jump_maps(sys, controller, picks, thetas, wds)
 
-    # 8 MiB taken and given back, more than a chunk's tables up to n = 8: glibc
-    # raises its mmap and trim thresholds to the largest mapped block freed, so
-    # the tables come from a heap it no longer trims and re-faults every chunk.
+    # 8 MiB taken and given back, more than a chunk's tables up to n = 8 and
+    # a run's mesh arrays: glibc raises its mmap and trim thresholds to the
+    # largest mapped block freed, so the arrays of either march come from a
+    # heap it no longer trims and re-faults on every run.
     np.empty(1 << 23, np.uint8)
 
-    # March: from one table per segment shape when the shapes repeat, else
-    # chunk by chunk along the flat axis.
+    # March: from one table per mode when the continuous input is constant
+    # on the run's points and cell midpoints and the tables, over each mode's
+    # longest segment, hold at most half of the run's maps, so that a table
+    # serves two segments on average; else chunk by chunk along the flat axis.
     qc = mode_mats(sys, modes[0])[3].shape[0]
-    states = np.empty((len(seg_of), n))
-    zc = np.empty((len(seg_of), qc))
-    shapes = _segment_shapes(inputs, seg_mode, seg_m, hs, t0s)
-    if shapes is not None:
-        _march_shapes(sys, controller, clamp, shapes, jR, js, x0, firsts, switched, states, zc)
+    out = np.empty((len(times), n + qc))
+    states, zc = out[:, :n], out[:, n:]
+    w = None
+    if len(ms) > 1 and 2 * sum(ms[codes == c].max() for c in range(len(modes))) <= ms.sum():
+        w = _constant_input(inputs, times)
+    axis = None  # the flat axis, made for the flat march and the referee alone
+    if w is None or check_step:
+        axis = _flat_axis(sys, controller, clamp, inputs, modes, codes, counts, ms, lens, step, taus, origin)
+    if w is not None:
+        _march_tables(sys, controller, clamp, modes, codes, ms, lens, step, w, jR, js, x0, switched, out)
     else:
         _march_flat(axis, jR, js, jumps_at, x0, switched, states, zc)
 
@@ -719,8 +771,8 @@ def simulate(
     # a quarter of a chunk at a time; the march itself never depends on it.
     worst_lt = 0.0
     if check_step:
-        for a in range(0, len(widths), _CHUNK // 4):
-            b = min(a + _CHUNK // 4, len(widths))
+        for a in range(0, len(axis.widths), _CHUNK // 4):
+            b = min(a + _CHUNK // 4, len(axis.widths))
             err = axis.halfstep_error(a, b, states[a : b + 1].T)
             lo, hi = np.searchsorted(jumps_at, [a, b])
             err[jumps_at[lo:hi] - a] = 0.0  # jumps are not RK4 steps
@@ -733,11 +785,11 @@ def simulate(
     if not switched and len(jumps_at) and jCz.shape[0]:
         zd = (_mv(jCz, pre.T) + jzs).T
     return Trajectory(
-        times=axis.origin + axis.taus,
+        times=times,
         states=states,
         zc=zc,
         jump_times=t0s[1:],
-        jump_count=seg_of,
+        jump_count=np.repeat(np.arange(len(ms)), counts),
         zd=zd,
         pre_jump_states=pre,
         post_jump_states=post,

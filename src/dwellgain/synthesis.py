@@ -358,10 +358,11 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
         sides = [([_var(v) for v in M], (lo, lo))]
     else:
         sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
-    # per side, (J_k X + Bd_k Ud, Cd_k X + Dd_k Ud) for each jump map k; a
-    # lift's are read on the last side only, as it has no positivity rows
-    entries = [[[_const_entries(x_at, Ud, P, Q) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))] for jm in sys.jumps]
-               for x_at, _ in (sides if blocks == 1 else sides[-1:])]
+    # per side, (J_k X + Bd_k Ud, Cd_k X + Dd_k Ud) for each jump map k, zero
+    # entries too for the positivity rows; a lift's are read on the last
+    # side only, as it has no positivity rows
+    entries = [[[_const_entries(x_at, Ud, P, Q, zeros=blocks == 1) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))]
+                for jm in sys.jumps] for x_at, _ in (sides if blocks == 1 else sides[-1:])]
     # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
     for k, family in enumerate(("pos_jump", "pos_out_d") if blocks == 1 else ()):
         idx = 0

@@ -32,20 +32,26 @@ def serial_march(R, s, x0):
     return xs
 
 
-def oracle_rk4_maps(A_of, b_of, h, m):
+def oracle_rk4_maps(A_of, b_of, h, m, end=None):
     """Reference RK4 one-step maps, cell-major: x_{i+1} = R[i] x_i + s[i].
 
     A_of(taus) -> (len, n, n) and b_of(taus) -> (len, n); the cell ends come
-    first in the mesh, then the midpoints."""
+    first in the mesh, then the midpoints.  The m cells are h wide, or with
+    `end` the last one runs from (m - 1) h to end."""
     ends = np.arange(m + 1) * h
-    grid = np.concatenate([ends, ends[:-1] + 0.5 * h])
+    h = np.full((m, 1), h)
+    if end is not None:
+        ends[-1] = end
+        h[-1] = end - (m - 1) * h[-1]
+    grid = np.concatenate([ends, ends[:-1] + 0.5 * h[:, 0]])
     A, b = A_of(grid), b_of(grid)
     A1, A2, A4 = A[:m], A[m + 1:], A[1:m + 1]
     b1, b2, b4 = b[:m], b[m + 1:], b[1:m + 1]
-    M2 = A2 + 0.5 * h * (A2 @ A1)
-    M3 = A2 + 0.5 * h * (A2 @ M2)
-    M4 = A4 + h * (A4 @ M3)
-    R = np.eye(A1.shape[1]) + (h / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
+    H = h[:, :, None]
+    M2 = A2 + 0.5 * H * (A2 @ A1)
+    M3 = A2 + 0.5 * H * (A2 @ M2)
+    M4 = A4 + H * (A4 @ M3)
+    R = np.eye(A1.shape[1]) + (H / 6.0) * (A1 + 2.0 * M2 + 2.0 * M3 + M4)
     v2 = 0.5 * h * (A2 @ b1[:, :, None])[:, :, 0] + b2
     v3 = 0.5 * h * (A2 @ v2[:, :, None])[:, :, 0] + b2
     v4 = h * (A4 @ v3[:, :, None])[:, :, 0] + b4
@@ -55,7 +61,8 @@ def oracle_rk4_maps(A_of, b_of, h, m):
 
 def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, controller=None, full=False):
     """Reference simulation: every segment's maps are rebuilt and marched
-    cell by cell, nothing is reused.  Impulsive systems need a single jump
+    cell by cell, nothing is reused.  A segment of length seg has the points
+    tau = j step, j < m = ceil(seg / step - 1e-9), and seg.  Impulsive systems need a single jump
     map; a controller needs an impulsive plant.  Returns (states, sup of the
     hybrid output), or with full=True a dict of the states, z_c, z_d and the
     pre- and post-jump states."""
@@ -68,7 +75,7 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
     for dwell_len in gen.dwells(horizon, rng):
         seg = min(dwell_len, horizon - t0)
         last = t0 + dwell_len >= horizon - 1e-12
-        m = max(1, int(np.ceil(seg / step)))
+        m = max(1, int(np.ceil(seg / step - 1e-9)))
         if switched:
             A, E, C, F = (sys.modes[mode][key] for key in "AECF")
         else:
@@ -83,7 +90,7 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
             return cell_mesh(A, ts, clamp) + cell_mesh(sys.Bc, ts, clamp) @ oracle_kc(controller, ts)
 
         taus, R, s = oracle_rk4_maps(A_of, lambda ts: cell_mesh(E, ts, clamp).sum(axis=2) * w(ts)[:, None],
-                                     seg / m, m)
+                                     step, m, end=seg)
         xs = serial_march(R, s, x)
         C_m = cell_mesh(C, taus, clamp)
         if controller is not None:
@@ -160,15 +167,14 @@ def timer_switched() -> SwitchedSystem:
 
 @pytest.fixture
 def march_spy(monkeypatch):
-    """The march each simulate call takes, and the (mode, cells) of every
-    table `_flow_tables` builds."""
+    """The march each simulate call takes, and the (mode, points) of every
+    table `_mode_table` builds."""
     seen = {"march": [], "tables": []}
-    for name in ("_march_flat", "_march_shapes"):
+    for name in ("_march_flat", "_march_tables"):
         march = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda *a, f=march, name=name: seen["march"].append(name) or f(*a))
-    flow_tables = sim._flow_tables
-    monkeypatch.setattr(sim, "_flow_tables", lambda *a: seen["tables"].append((a[2], len(a[4]) - 1))
-                        or flow_tables(*a))
+    mode_table = sim._mode_table
+    monkeypatch.setattr(sim, "_mode_table", lambda *a: seen["tables"].append((a[2], a[4])) or mode_table(*a))
     return seen
 
 
@@ -433,17 +439,17 @@ class TestSerialEquivalence:
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
-        # a constant input repeats the segments: one evaluation per distinct
-        # segment shape, the 17 full dwells and the truncated last one of
-        # about 0.05, each with its own table
+        # a constant input repeats the segments: one table over the longest
+        # segment, whose 350 points serve the 17 full dwells and the
+        # truncated last one of about 0.05, and one evaluation of the last
+        # cells of all segments
         const = generate_inputs("const_unit")
         march_spy["tables"].clear()
         traj, evals = run(gen, const)
         ref = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3, full=True)
-        (_, last), (_, full) = sorted(march_spy["tables"])
-        assert evals == 2 * one_segment and full == 350 and last < 60
-        assert np.array_equal(np.bincount(traj.jump_count)[-2:], [full + 1, last + 1])
-        assert march_spy["march"] == ["_march_flat"] * 2 + ["_march_shapes"]
+        assert march_spy["tables"] == [(None, 350)] and evals == 2 * one_segment
+        assert np.array_equal(np.bincount(traj.jump_count)[-2:], [351, 51])
+        assert march_spy["march"] == ["_march_flat"] * 2 + ["_march_tables"]
         check_full(traj, ref)
 
     def test_switched_reuse_is_per_mode(self, bench_switched, march_spy):
@@ -451,9 +457,8 @@ class TestSerialEquivalence:
         traj = simulate(bench_switched, gen, const, x0=[0.3, 0.1], horizon=5.0)
         ref = serial_simulate(bench_switched, gen, const, [0.3, 0.1], 5.0, full=True)
         assert len(set(traj.modes)) == 2
-        # one table per mode for the full dwells, and one for the last 0.2
-        assert march_spy["march"] == ["_march_shapes"] and len(march_spy["tables"]) == 3
-        assert sorted(march_spy["tables"])[-2:] == [(0, 300), (1, 300)]
+        # one table per mode, which the last 0.2 shares
+        assert march_spy["march"] == ["_march_tables"] and sorted(march_spy["tables"]) == [(0, 300), (1, 300)]
         check_full(traj, ref, switched=True)
         assert np.array_equal(traj.pre_jump_states, traj.post_jump_states)
 
@@ -461,15 +466,14 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("design", ["constant", "minimum", "range", "feedthrough"])
     @pytest.mark.parametrize("input_kind", ["const_unit", "sine"])
     def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind, march_spy):
-        """K_c(tau) enters the mesh data and K_d(theta) every jump; under
-        constant dwell and input the segments share one table."""
+        """K_c(tau) enters the mesh data and K_d(theta) every jump; under a
+        constant input the segments share one table, whatever the dwell."""
         plant, ctrl, gen = closed_loops[design]
         inputs = generate_inputs(input_kind)
         x0 = np.full(plant.n, 0.1)
         traj = simulate(plant, gen, inputs, x0=x0, horizon=3.0, controller=ctrl, clamp=ctrl.clamp)
         ref = serial_simulate(plant, gen, inputs, x0, 3.0, clamp=ctrl.clamp, controller=ctrl, full=True)
-        shared = design in ("constant", "feedthrough") and input_kind == "const_unit"
-        assert march_spy["march"] == ["_march_shapes" if shared else "_march_flat"]
+        assert march_spy["march"] == ["_march_tables" if input_kind == "const_unit" else "_march_flat"]
         assert len(traj.jump_times) > 1
         check_full(traj, ref)
 
@@ -556,9 +560,11 @@ class TestChunkedMarch:
             np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
 
     def test_jump_cells_stay_in_their_segment(self):
-        """A jump sits on the flat axis as a cell of zero width, so nothing is
-        evaluated past a segment's end: here X(tau) of the controller turns
-        negative just after the dwell."""
+        """A jump sits on the flat axis as a cell of zero width, and a table
+        ends at its mode's longest segment, so nothing is evaluated past a
+        segment's end: here X(tau) of the controller turns negative just
+        after the dwell.  The sine input takes the flat march, the constant
+        one the table."""
         plant = ImpulsiveSystem.from_arrays(
             A=[[-1.0]], Bc=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[0.5]], Ed=[[0.2]], Cd=[[1.0]], Fd=[[0.0]],
         )
@@ -567,12 +573,13 @@ class TestChunkedMarch:
             X=[Poly((1.0, -0.999))],  # zero at tau = 1.001, within half a cell of the dwell
             Uc=[[Poly.const(-0.5)]],
         )
-        gen, inputs = SequenceGen.exact(1.0), generate_inputs("const_unit")
-        traj = simulate(plant, gen, inputs, x0=[1.0], horizon=3.5, step=0.01, controller=ctrl)
-        ref = serial_simulate(plant, gen, inputs, [1.0], 3.5, step=0.01, controller=ctrl, full=True)
-        assert len(traj.jump_times) == 3
-        np.testing.assert_allclose(traj.states, ref["states"], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
+        gen = SequenceGen.exact(1.0)
+        for inputs in (generate_inputs("sine"), generate_inputs("const_unit")):
+            traj = simulate(plant, gen, inputs, x0=[1.0], horizon=3.5, step=0.01, controller=ctrl)
+            ref = serial_simulate(plant, gen, inputs, [1.0], 3.5, step=0.01, controller=ctrl, full=True)
+            assert len(traj.jump_times) == 3
+            np.testing.assert_allclose(traj.states, ref["states"], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("chunk", [sim._CHUNK, 28, "jump"])
     def test_halfstep_referee_skips_jumps(self, bench_timer_stable, chunk, monkeypatch):
@@ -594,9 +601,10 @@ class TestChunkedMarch:
         for k in range(len(traj.jump_times) + 1):
             xs = traj.states[traj.jump_count == k].T
             m = xs.shape[1] - 1
-            h = T / m
-            cells = np.arange(m) * h
-            grid = np.concatenate([np.arange(m + 1) * h, cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
+            h = np.full(m, 0.02)
+            h[-1] = T - (m - 1) * 0.02  # the last cell ends at the dwell
+            cells = np.arange(m) * 0.02
+            grid = np.concatenate([np.append(cells, T), cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
             A = sys_.A.eval_mesh(grid)
             b = sys_.Ec.eval_mesh(grid).sum(axis=1)
             mids = slice(m + 1, 2 * m + 1)
@@ -612,17 +620,18 @@ class TestChunkedMarch:
 
 
 class TestSharedSegments:
-    """A schedule that repeats its segment shapes -- mode, cell count, width
-    and continuous input -- is marched from one table per shape; any other
-    keeps the flat chunked march.  The closed loop, switched and clamped
-    cases are in TestSerialEquivalence."""
+    """A run under a constant continuous input is marched from one table per
+    mode, whatever its dwells; a time-varying input, a single segment, or
+    tables that would not serve two segments on average keep the flat
+    chunked march.  The closed loop, switched and clamped cases are in
+    TestSerialEquivalence."""
 
     def test_discrete_input_varies_per_jump(self, bench_lti, march_spy):
-        """uniform_random keeps w_c = 1, so the segments repeat, and draws w_d per jump."""
+        """uniform_random keeps w_c = 1, so the segments share one table, and draws w_d per jump."""
         gen = SequenceGen.exact(0.25)
         inputs = combine_inputs(generate_inputs("const_unit"), generate_inputs("uniform_random", seed=8))
         traj = simulate(bench_lti, gen, inputs, x0=[0.1, 0.2], horizon=4.0)
-        assert march_spy["march"] == ["_march_shapes"] and len(march_spy["tables"]) == 1
+        assert march_spy["march"] == ["_march_tables"] and len(march_spy["tables"]) == 1
         ref = serial_simulate(bench_lti, gen, inputs, [0.1, 0.2], 4.0, full=True)
         assert len(np.unique(ref["zd"])) > 10
         check_full(traj, ref)
@@ -637,9 +646,9 @@ class TestSharedSegments:
             return simulate(sys_, gen, const, x0=[1.0, 1.0], horizon=20.0, check_step=True)
 
         shared = run()
-        monkeypatch.setattr(sim, "_segment_shapes", lambda *a: None)
+        monkeypatch.setattr(sim, "_constant_input", lambda *a: None)
         flat = run()
-        assert march_spy["march"] == ["_march_shapes", "_march_flat"]
+        assert march_spy["march"] == ["_march_tables", "_march_flat"]
         assert shared.zc.shape == flat.zc.shape and (shared.zc.size == 0) == (case == "no_zc")
         for part in ("states", "zc", "zd", "pre_jump_states", "post_jump_states"):
             np.testing.assert_allclose(getattr(shared, part), getattr(flat, part), rtol=1e-12, atol=0)
@@ -647,28 +656,73 @@ class TestSharedSegments:
                                                                         rel=1e-9)
 
     def test_single_segment(self, bench_lti, march_spy):
-        """T >= horizon is one segment: no table would serve twice."""
-        gen, const = SequenceGen.exact(5.0), generate_inputs("const_unit")
-        traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=3.0)
-        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"] and not len(traj.jump_times)
-        check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 3.0, full=True))
+        """T >= horizon is one segment, and T = 2.4 over a horizon of 3 has a
+        table of more than half the run's maps: no table would serve twice."""
+        const = generate_inputs("const_unit")
+        for T, jumps in ((5.0, 0), (2.4, 1)):
+            march_spy["march"].clear()
+            gen = SequenceGen.exact(T)
+            traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=3.0)
+            assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"]
+            assert len(traj.jump_times) == jumps
+            check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 3.0, full=True))
 
     def test_shape_longer_than_a_chunk(self, bench_lti, march_spy, monkeypatch):
+        """A segment of more cells than a chunk: its table is built one chunk
+        at a time, each chunk from the previous one's last column."""
         monkeypatch.setattr(sim, "_CHUNK", 64)
         gen, const = SequenceGen.exact(0.25), generate_inputs("const_unit")
         traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=2.0, step=0.002)
-        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"]
+        assert march_spy["march"] == ["_march_tables"] and march_spy["tables"] == [(None, 125)]
         check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 2.0, step=0.002, full=True))
 
-    @pytest.mark.parametrize("gen", [SequenceGen.uniform_range(0.2, 0.3, seed=2), SequenceGen.min_plus_exp(0.2, seed=2)])
-    def test_random_dwell_marches_flat(self, bench_lti, gen, march_spy):
-        """A random dwell never repeats a segment, even under a constant input:
-        it keeps the flat march and builds no table (the sine input is in
-        test_time_varying_input_is_never_reused)."""
-        const = generate_inputs("const_unit")
-        traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=4.0)
-        assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"] and len(traj.jump_times) > 10
-        check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 4.0, full=True))
+    @pytest.mark.parametrize("kind", ["range", "minimum"])
+    @pytest.mark.parametrize("case", ["impulsive", "switched", "closed"])
+    def test_random_dwell_shares_one_table_per_mode(self, bench_lti, bench_switched, closed_loops, case, kind,
+                                                    march_spy):
+        """Every segment's mesh starts at tau = 0 in whole steps, so under a
+        constant input a random dwell builds one table per mode, over the
+        mode's longest segment; a sine input keeps the flat march."""
+        kw = {}
+        if case == "closed":
+            sys_, ctrl, gen = closed_loops[kind]
+            kw = {"controller": ctrl, "clamp": ctrl.clamp}
+        else:
+            sys_, T = (bench_lti, 0.2) if case == "impulsive" else (bench_switched, 0.1)
+            gen = (SequenceGen.uniform_range(T, 1.5 * T, seed=2) if kind == "range"
+                   else SequenceGen.min_plus_exp(T, seed=2))
+        x0 = np.full(sys_.n, 0.1)
+        for inputs in (generate_inputs("const_unit"), generate_inputs("sine")):
+            march_spy["march"].clear()
+            traj = simulate(sys_, gen, inputs, x0=x0, horizon=4.0, **kw)
+            assert len(set(np.diff(traj.jump_times))) > 5  # no two dwells alike
+            if inputs.label == "sine":
+                assert march_spy["march"] == ["_march_flat"]
+            else:
+                cells = np.bincount(traj.jump_count) - 1
+                firsts = np.cumsum(cells + 1) - cells - 1
+                seg_modes = traj.modes[firsts].tolist() if case == "switched" else [None] * len(cells)
+                longest = {md: max(m for m, s in zip(cells, seg_modes) if s == md) for md in seg_modes}
+                assert march_spy["march"] == ["_march_tables"]
+                assert sorted(march_spy["tables"], key=str) == sorted(longest.items(), key=str)
+            ref = serial_simulate(sys_, gen, inputs, x0, 4.0, full=True, **kw)
+            check_full(traj, ref, switched=case == "switched")
+
+    @pytest.mark.parametrize("T, step", [(0.3, None), (0.5, None), (0.25, 0.002), (0.07, 0.01)])
+    def test_whole_number_of_steps(self, bench_lti, T, step):
+        """A dwell of a whole number of steps gets that many cells, all a step
+        wide within rounding, even where T / step rounds above the whole
+        number (0.07 / 0.01): no cell is narrower than 1e-9 of a step, and the
+        times strictly increase within each segment."""
+        traj = simulate(bench_lti, SequenceGen.exact(T), generate_inputs("const_unit"), x0=[0.1, 0.2], horizon=3.0,
+                        step=step)
+        h = traj.meta["step"]
+        for k in range(len(traj.jump_times) + 1):
+            cells = np.diff(traj.times[traj.jump_count == k])
+            assert cells.min() > 1e-9 * h
+            if k < len(traj.jump_times):
+                assert len(cells) == round(T / h)
+                np.testing.assert_allclose(cells, h, rtol=1e-9)
 
 
 class TestErrorClasses:

@@ -71,9 +71,10 @@ Cases:
   several march chunks and one of fewer maps than a prefix block, the
   `estimate_gain` value and the `cert.flow_grid` tables (Phi, r, C, z) on
   grids of 1 to 9,000 cells.  These trajectories take a sine input, which
-  never repeats a segment; those of `constant_input_cases` take a constant
-  one under exact dwell, open and closed loop, switched, and with a
-  truncated last segment.  Arrays are stored as SHA-256 digests of their
+  keeps the flat march; those of `constant_input_cases` take a constant
+  one, which shares one table per mode, under exact, range and minimum
+  dwell, open and closed loop, switched, and with a truncated last
+  segment.  Arrays are stored as SHA-256 digests of their
   bytes, so a march that moves any value by one ulp shows; next to them
   are each array's largest magnitude and each estimate's value;
 - `decide_nonneg` verdicts (proved, order, smallest Bernstein coefficient)
@@ -223,13 +224,21 @@ def simulation_cases() -> list:
 
 def constant_input_cases() -> list:
     """(name, system, dwell, controller or None, horizon) of the trajectories
-    under a constant continuous input and exact dwell, whose segments repeat."""
-    chain, sw = benchmarks.unstable_chain_plant(), benchmarks.two_mode_switched_bench()
+    under a constant continuous input: exact dwell, whose segments repeat,
+    and range and minimum dwell, whose segments differ in length."""
+    lti, sw = benchmarks.lti_jump_bench(), benchmarks.two_mode_switched_bench()
+    chain, pair = benchmarks.unstable_chain_plant(), benchmarks.unstable_pair_plant()
+    designs = (("unstable_chain_plant", chain, DwellTimeSpec.constant(0.1)),
+               ("unstable_chain_plant", chain, DwellTimeSpec.range(0.1, 0.3)),
+               ("unstable_pair_plant", pair, DwellTimeSpec.minimum(0.2)))
     return [
-        ("lti_jump_bench", benchmarks.lti_jump_bench(), DwellTimeSpec.constant(0.3), None, 30.0),
-        ("unstable_chain_plant closed loop", chain, DwellTimeSpec.constant(0.1),
-         synthesis.synthesize(chain, DwellTimeSpec.constant(0.1), 2), 30.0),
+        ("lti_jump_bench", lti, DwellTimeSpec.constant(0.3), None, 30.0),
+        ("lti_jump_bench", lti, DwellTimeSpec.range(0.3, 0.45), None, 30.0),
+        ("lti_jump_bench", lti, DwellTimeSpec.minimum(0.3), None, 30.0),
+    ] + [(f"{pname} closed loop", p, spec, synthesis.synthesize(p, spec, 2), 30.0) for pname, p, spec in designs] + [
         ("two_mode_switched_bench", sw, DwellTimeSpec.constant(0.5), None, 30.0),
+        ("two_mode_switched_bench", sw, DwellTimeSpec.range(0.5, 0.75), None, 30.0),
+        ("two_mode_switched_bench", sw, DwellTimeSpec.minimum(0.5), None, 30.0),
         # 16 dwells and a last segment of 0.4
         ("timer_growth_bench", benchmarks.timer_growth_bench(), DwellTimeSpec.constant(0.6), None, 10.0),
     ]
