@@ -97,8 +97,14 @@ class Certificate:
     def per_mode(self) -> bool:
         return self.kind == "SwitchedMinDT"
 
-    def zeta_vectors(self) -> list[list[Poly]]:
-        return self.zeta if self.per_mode else [self.zeta]
+    def lifted(self) -> "Certificate":
+        """A switched certificate as that of `model.lift_switched`: zeta stacked."""
+        return replace(self, kind="MinimumDT", zeta=[z for zs in self.zeta for z in zs])
+
+    def unlifted(self, N: int) -> "Certificate":
+        """The inverse of `lifted`, for N modes."""
+        n = len(self.zeta) // N
+        return replace(self, kind="SwitchedMinDT", zeta=[self.zeta[i * n : (i + 1) * n] for i in range(N)])
 
     def to_json(self) -> dict:
         return {
@@ -903,7 +909,7 @@ def analyze_switched_min(
 ) -> Certificate:
     """Minimum dwell-time L-infinity bound for switched systems: the hybrid
     program (`_solve_hybrid`) of the lift `model.lift_switched`, zeta of
-    length N n, reported per mode, N vectors of length n.
+    length N n, reported per mode (`Certificate.unlifted`).
 
     The lift's jump maps J = kron(e_i e_j', I), one per switch j -> i, make
     its jump rows zeta_i(0) - zeta_j(T) >= 0, closed (jump_margin = 0), and
@@ -918,8 +924,7 @@ def analyze_switched_min(
         raise ValueError("degree must be >= 0")
     require_positive(sw, dwell.T)
     cert = _solve_hybrid(lift_switched(sw), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
-    n = sw.n
-    return replace(cert, kind="SwitchedMinDT", zeta=[cert.zeta[i * n : (i + 1) * n] for i in range(sw.N)])
+    return cert.unlifted(sw.N)
 
 
 def analyze_switched_blanchini(

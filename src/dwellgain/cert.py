@@ -7,7 +7,10 @@ state-transition (integral form) conditions by integrating the forced flow.
 Both read the system through the simulator's evaluator, `sim._fields` for the
 flow and outputs and `sim._jump_maps` for the jumps, so a plant, a closed loop
 under a synthesized controller and a simulation are evaluated by the same
-code.  Nothing here reuses the LP encoders.
+code.  A switched system, with its certificate or controller, is checked as
+the impulsive one of its lift `model.lift_switched`, as the switched
+analysis and design solve the lift's program.  Nothing here reuses the LP
+encoders.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Mismatch, NotPositive, Unsupported
-from .model import (ImpulsiveSystem, SwitchedSystem, mode_mats, require_forward_time, require_positive,
-                    require_positive_design)
+from .model import (ImpulsiveSystem, SwitchedSystem, lift_switched, mode_mats, require_forward_time,
+                    require_positive, require_positive_design)
 from .poly import Poly, _Exact, decide_nonneg
 from .sim import _fields, _flow_tables, _jump_maps, _mv
 from .synthesis import ClosedLoopView
@@ -68,6 +71,19 @@ def _unpack(sys):
     return (sys.sys, sys.ctrl) if isinstance(sys, ClosedLoopView) else (sys, None)
 
 
+def _lifted(cert, plant, ctrl):
+    """The certificate, plant and controller, a switched system's as those of
+    `model.lift_switched`, once the certificate is seen to fit the plant."""
+    switched = isinstance(plant, SwitchedSystem)
+    if switched != cert.per_mode:
+        raise Mismatch(f"{cert.kind} certificate cannot verify a switched system" if switched
+                       else "switched certificate needs the switched system")
+    count, what = (plant.N, "mode vectors") if switched else (plant.n, "state rows")
+    if len(cert.zeta) != count:
+        raise Mismatch(f"certificate has {len(cert.zeta)} {what}, system has {count}")
+    return (cert.lifted(), lift_switched(plant), ctrl and ctrl.lifted()) if switched else (cert, plant, ctrl)
+
+
 def flow_grid(sys, taus: np.ndarray, clamp: Optional[float] = None, mode: Optional[int] = None):
     """(Phi, r, C, z) on a uniform grid, C-contiguous and component-major:
     Phi(tau_i, tau_0) is Phi[..., i] (n, n, len), r (n, len) the unit-input
@@ -98,12 +114,14 @@ def transition_matrix(
 ) -> np.ndarray:
     """State-transition matrix from `frm` to `to` with jump maps applied at the
     listed instants; the timer is zero at `timer_origin` (default `frm`) and
-    resets at every jump."""
+    resets at every jump.  `sys` is a plant or a synthesis.ClosedLoopView,
+    whose jumps map by J + B_d K_d(theta), theta the dwell before the jump."""
     if frm > to:
         raise ValueError("need frm <= to")
-    if len(sys.jumps) != 1 and jumps_in_between:
+    plant, ctrl = _unpack(sys)
+    if len(plant.jumps) != 1 and jumps_in_between:
         raise Unsupported("transition through jumps needs a single jump map")
-    Phi = np.eye(sys.n)
+    Phi = np.eye(plant.n)
     t_origin = frm if timer_origin is None else timer_origin
     t = frm
     events = sorted(tk for tk in jumps_in_between if frm < tk <= to)
@@ -112,9 +130,9 @@ def transition_matrix(
         if seg > 1e-15:
             m = max(1, int(np.ceil(seg / step)))
             taus = (t - t_origin) + np.arange(m + 1) * (seg / m)
-            Phi = _flow_tables(*_unpack(sys), None, clamp, taus)[0][..., -1] @ Phi
+            Phi = _flow_tables(plant, ctrl, None, clamp, taus)[0][..., -1] @ Phi
         if tk in events:
-            Phi = sys.jump.J @ Phi
+            Phi = _jump_maps(plant, ctrl, [0], [tk - t_origin], [0.0])[0][..., 0] @ Phi
             t_origin = tk
         t = tk
     return Phi
@@ -157,7 +175,7 @@ def _positivity_notes(what: str, P, X: list[_Exact], Q, U: list[list[_Exact]], d
     for j, x in enumerate(X):
         rows, sizes = _affine([(np.atleast_3d(P)[:, j:j + 1], [x]), (Q, [u[j] for u in U])], R)
         for i, (row, size) in enumerate(zip(rows, sizes)):
-            if metzler and i == j:
+            if row is ZERO or metzler and i == j:
                 continue
             proved, d, least = decide_nonneg(row, domain, _SLACK_TOL * size)
             if not proved:
@@ -178,37 +196,31 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
 
     `sys` is an ImpulsiveSystem, a SwitchedSystem, or a
     synthesis.ClosedLoopView of one under a controller, which is unpacked to
-    (plant, controller).  The proof re-derives each row from zeta, mu, gamma
-    and the plant data in exact dyadic integers; a closed loop's zeta is X,
-    so (A + B K_c) zeta = (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1
+    (plant, controller).  A switched system is verified as its lift, with
+    the certificate and controller lifted (`_lifted`), so its coupling rows
+    zeta_i(0) - zeta_j(T) >= 0 are the rows of jump[k], k indexing the
+    lift's jumps.  The proof re-derives each row from zeta, mu, gamma and
+    the plant data in exact dyadic integers; a closed loop's zeta is X, so
+    (A + B K_c) zeta = (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1
     are polynomials (a fixed-K_d row is proved times prod M).  A row is
     decided by `poly.decide_nonneg`: on an interval by its Bernstein
     coefficients at the first of its degree + RELAX_SCHEDULE that proves it,
-    at a point by its value.  The grid reads the flow
-    and output data from the simulator's `_fields` with unit inputs and the
-    jump rows of every theta at once from its `_jump_maps`.  Either way a row
-    passes at >= -_SLACK_TOL times the size of its own terms, sum |c_k| R^k
-    over their coefficients with R the far end of the row's domain.  The
-    positivity hypothesis is proved too, a failure being a note: a plant's by
+    at a point by its value.  The grid reads the flow and output data from
+    the simulator's `_fields` with unit inputs and the jump rows of every
+    theta at once from its `_jump_maps`.  Either way a row passes at
+    >= -_SLACK_TOL times the size of its own terms, sum |c_k| R^k over their
+    coefficients with R the far end of the row's domain.  The positivity
+    hypothesis is proved too, a failure being a note: a plant's by
     `model.require_positive`, a closed loop's by `model.require_positive_design`
     for E and F and from its design's positivity rows (`_positivity_notes`),
-    as the theorem rows are."""
-    plant, ctrl = _unpack(sys)
-    require_forward_time(plant, "verification")
-    dwell, gamma, per_mode = cert.dwell, cert.gamma, cert.per_mode
-    switched = isinstance(plant, SwitchedSystem)
-    if switched != per_mode:
-        raise Mismatch(f"{cert.kind} certificate cannot verify a switched system" if switched
-                       else "switched certificate needs the switched system")
-    count, what = (plant.N, "mode vectors") if switched else (plant.n, "state rows")
-    if len(cert.zeta) != count:
-        raise Mismatch(f"certificate has {len(cert.zeta)} {what}, system has {count}")
+    as the theorem rows are; a switched system's E and F before the lift."""
+    given, ctrl = _unpack(sys)
+    require_forward_time(given, "verification")
+    cert, plant, ctrl = _lifted(cert, given, ctrl)
+    dwell, gamma = cert.dwell, cert.gamma
     if dwell.kind == "arbitrary" and not plant.is_constant():
         raise Mismatch("arbitrary-dwell certificate applies to constant systems")
-    zsets = cert.zeta_vectors()
     if dwell.kind == "arbitrary":
-        # the theorem's vector is the constant lambda = zeta(0)
-        zsets = [[Poly.const(z.eval(0.0)) for z in zs] for zs in zsets]
         taus = np.array([0.0])
     else:
         taus = np.linspace(0.0, dwell.horizon_tau(), grid + 2)
@@ -219,9 +231,11 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     gam = _Exact.of((gamma,))
     positivity = []  # notes: the entries of the positivity hypothesis not proved
     try:
-        (require_positive if ctrl is None else require_positive_design)(plant, R)
+        (require_positive if ctrl is None else require_positive_design)(given, R)
     except NotPositive as exc:
         positivity.append(str(exc))
+    # the theorem's vector under an arbitrary dwell is the constant lambda = zeta(0)
+    zs = [Poly.const(z.eval(0.0)) for z in cert.zeta] if dwell.kind == "arbitrary" else cert.zeta
     rows: dict[str, list] = {}  # per family: (grid minimum, exact row, domain, size, weight) per row
     own = lambda polys, end: (polys, [p.size(end) for p in polys])  # exact polynomials, with their sizes
 
@@ -231,44 +245,31 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         rows.setdefault(family, []).extend(
             (low, a - b, domain, sa + sb, weight) for low, a, sa, b, sb in zip(lows, *lead, *y))
 
-    ends = []  # per mode: zeta at tau = 0 and at the end of the mesh, and zeta exactly
-    for mode, zs in enumerate(zsets):
-        tag = f"[{mode}]" if per_mode else ""
-        m = mode if per_mode else None
-        # taus are clamped already; a controller clamps its own gains
-        A, Ew, C, Fw = _fields(plant, ctrl, m, None, taus, np.ones(len(taus)), len(taus))
-        zv = np.stack([z.eval(taus) for z in zs])
-        zdv = np.stack([z.deriv().eval(taus) for z in zs])
-        Az = _mv(A, zv) + Ew
-        Z = [_Exact.of(z.coeffs) for z in zs]
-        A_, B_, E_, C_, D_, F_ = mode_mats(plant, m)
-        u = [] if ctrl is None else _inputs(ctrl._uc_mode(m), ctrl._x_mode(m), zs)
-        if ctrl is not None:
-            X = [_Exact.of(x.coeffs) for x in ctrl._x_mode(m)]
-            Uc = [[_Exact.of(p.coeffs) for p in row] for row in ctrl._uc_mode(m)]
-            positivity += _positivity_notes(f"A X + B U_c{tag}", A_.coeffs, X, B_.coeffs, Uc, where, R, True)
-            positivity += _positivity_notes(f"C X + D U_c{tag}", C_.coeffs, X, D_.coeffs, Uc, where, R)
-        drift = _affine([(A_.coeffs, Z), (B_.coeffs, u), (E_.coeffs, [ONE] * E_.shape[1])], R)
-        y = _affine([(C_.coeffs, Z), (D_.coeffs, u), (F_.coeffs, [ONE] * F_.shape[1])], R)
-        add("flow" + tag, zdv - Az, own([z.deriv() for z in Z], R), drift, where)
-        out = gamma - (_mv(C, zv) + Fw)
+    # taus are clamped already; a controller clamps its own gains
+    A, Ew, C, Fw = _fields(plant, ctrl, None, None, taus, np.ones(len(taus)), len(taus))
+    zv = np.stack([z.eval(taus) for z in zs])
+    zdv = np.stack([z.deriv().eval(taus) for z in zs])
+    Az = _mv(A, zv) + Ew
+    Z = [_Exact.of(z.coeffs) for z in zs]
+    A_, B_, E_, C_, D_, F_ = mode_mats(plant)
+    u = [] if ctrl is None else _inputs(ctrl.Uc, ctrl.X, zs)
+    if ctrl is not None:
+        X = [_Exact.of(x.coeffs) for x in ctrl.X]
+        Uc = [[_Exact.of(p.coeffs) for p in row] for row in ctrl.Uc]
+        positivity += _positivity_notes("A X + B U_c", A_.coeffs, X, B_.coeffs, Uc, where, R, True)
+        positivity += _positivity_notes("C X + D U_c", C_.coeffs, X, D_.coeffs, Uc, where, R)
+    drift = _affine([(A_.coeffs, Z), (B_.coeffs, u), (E_.coeffs, [ONE] * E_.shape[1])], R)
+    y = _affine([(C_.coeffs, Z), (D_.coeffs, u), (F_.coeffs, [ONE] * F_.shape[1])], R)
+    add("flow", zdv - Az, own([z.deriv() for z in Z], R), drift, where)
+    out = gamma - (_mv(C, zv) + Fw)
+    if len(out):
+        add("out_c", out, own([gam] * len(out), R), y, where)
+    if dwell.kind == "minimum":
+        # the mesh ends at tau = T, where the clamped flow is stationary
+        add("stat_flow", -Az[:, -1], own([ZERO] * len(Z), R), drift, R)
         if len(out):
-            add("out_c" + tag, out, own([gam] * len(out), R), y, where)
-        if dwell.kind == "minimum":
-            # the mesh ends at tau = T, where the clamped flow is stationary
-            add("stat_flow" + tag, -Az[:, -1], own([ZERO] * len(Z), R), drift, R)
-            if len(out):
-                add("stat_out" + tag, out[:, -1], own([gam] * len(out), R), y, R)
-        add("pin_lo" + tag, zv[:, 0], own(Z, 0.0), own([ZERO] * len(Z), 0.0), 0.0)
-        ends.append((zv[:, 0], zv[:, -1], Z))
-    if per_mode:
-        # a switch from mode j, its timer clamped at T, to mode i: zeta_i(0) >= zeta_j(T)
-        for i, (z0, _, Zi) in enumerate(ends):
-            for j, (_, zT, Zj) in enumerate(ends):
-                if i != j:
-                    add("couple", z0 - zT, own([a.at(0.0) for a in Zi], 0.0), own([b.at(R) for b in Zj], R), 0.0)
-        return _report(rows, grid, positivity)
-    (z0, _, Z), zs = ends[0], zsets[0]
+            add("stat_out", out[:, -1], own([gam] * len(out), R), y, R)
+    add("pin_lo", zv[:, 0], own(Z, 0.0), own([ZERO] * len(Z), 0.0), 0.0)
     if dwell.kind == "range":
         thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
         at = (dwell.Tmin, dwell.Tmax) if dwell.Tmin < dwell.Tmax else dwell.Tmin
@@ -288,9 +289,10 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         # K_d = U_d X^-1 at the jump dwells, or U_d M^-1 under a fixed K_d
         Xd = [_Exact.of((x,)) for x in ctrl.M] if fixed else [_Exact.of(x.coeffs) for x in ctrl.X]
         Ue = [[_Exact.of(p.coeffs) for p in row] for row in Ud]
-        jm = plant.jump  # a design's one jump map
-        positivity += _positivity_notes("J X + B_d U_d", jm.J, Xd, jm.Bd, Ue, at, Rt)
-        positivity += _positivity_notes("C_d X + D_d U_d", jm.Cd, Xd, jm.Dd, Ue, at, Rt)
+        for jk, jm in enumerate(plant.jumps):
+            of = f"jumps[{jk}]: " if len(plant.jumps) > 1 else ""
+            positivity += _positivity_notes(of + "J X + B_d U_d", jm.J, Xd, jm.Bd, Ue, at, Rt)
+            positivity += _positivity_notes(of + "C_d X + D_d U_d", jm.Cd, Xd, jm.Dd, Ue, at, Rt)
         if plant.md and fixed:  # the rows times prod M are exact
             w = math.prod(Xd, start=ONE)
             v = [sum((u * math.prod(Xd[:j] + Xd[j + 1:], start=ONE) * g
@@ -301,7 +303,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     for jk, jm in enumerate(plant.jumps):
         J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, np.ones(len(thetas)))
         y = _affine([(jm.J, wgoal), (jm.Bd, v), (jm.Ed, ones)], Rt)
-        add(f"jump[{jk}]", z0[:, None] - (_mv(J, target) + Ed1), own([w * z.at(0.0) for z in Z], 0.0), y, at, weight)
+        add(f"jump[{jk}]", zv[:, :1] - (_mv(J, target) + Ed1), own([w * z.at(0.0) for z in Z], 0.0), y, at, weight)
         if len(Cd):
             y = _affine([(jm.Cd, wgoal), (jm.Dd, v), (jm.Fd, ones)], Rt)
             add(f"out_d[{jk}]", gamma - (_mv(Cd, target) + Fd1), own([w * gam] * len(Cd), 0.0), y, at, weight)
@@ -333,16 +335,18 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
     lambda = zeta(0) by integrating the forced flow; referee for the
     statement equivalences.
 
-    `sys` is a plant or a synthesis.ClosedLoopView, unpacked as `verify`
-    does.  The flow and outputs come from `flow_grid`, the stationary rows
-    from the simulator's `_fields` at T and the jump rows of every theta at
-    once from its `_jump_maps`, so a closed loop is integrated with
+    `sys` is a plant or a synthesis.ClosedLoopView, unpacked and, for a
+    switched system, lifted as `verify` does.  The flow and outputs come
+    from the simulator's `_flow_tables` (as `flow_grid` gives them), the
+    stationary rows from its `_fields` at T and the jump rows of every theta
+    at once from its `_jump_maps`, so a closed loop is integrated with
     A + B K_c and jumps with J + B_d K_d(theta), as a simulation does.  Each
     dwell theta reads the state at the first grid point at or after it, a
     dwell the certificate covers.  A row passes at >= -_SLACK_TOL times the
     size of its own terms at each point."""
     plant, ctrl = _unpack(sys)
     require_forward_time(plant, "the state-transition cross-check")
+    cert, plant, ctrl = _lifted(cert, plant, ctrl)
     dwell = cert.dwell
     gamma = cert.gamma
     slacks, bad = {}, set()  # per family, the worst slack; the families with a row below its tolerance
@@ -354,26 +358,9 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
         if not np.all(value >= -_SLACK_TOL * (np.abs(lead) + _mv(np.abs(M), np.abs(x)) + np.abs(c))):
             bad.add(family)
 
-    def at(t: float, mode=None):
+    def at(t: float):
         """A (+B K_c), E * 1, C (+D K_c) and F * 1 at the timer value t."""
-        return tuple(f[..., 0] for f in _fields(plant, ctrl, mode, None, np.array([t]), np.ones(1), 1))
-
-    if cert.per_mode:
-        T = dwell.T
-        taus = np.linspace(0.0, T, grid + 1)
-        # integral-form vectors are the end-of-dwell values: a mode-i dwell is
-        # entered from the predecessor's vector and must land below lambda_i
-        lam = [np.array([z.eval(T) for z in zs]) for zs in cert.zeta]
-        for i in range(plant.N):
-            Phis, rs, C, z1 = flow_grid(sys, taus, mode=i)
-            A_T, E1_T, C_T, F1_T = at(T, i)
-            row(f"stat_flow[{i}]", 0.0, A_T, lam[i], E1_T)
-            row(f"stat_out[{i}]", gamma, C_T, lam[i], F1_T)
-            for j in range(plant.N):
-                if i != j:
-                    row(f"couple[{j}->{i}]", lam[i], Phis[..., -1], lam[j], rs[:, -1])
-                    row(f"out[{i},{j}]", gamma, C, _mv(Phis, lam[j]) + rs, z1)
-        return _referee_report(slacks, bad, grid)
+        return tuple(f[..., 0] for f in _fields(plant, ctrl, None, None, np.array([t]), np.ones(1), 1))
 
     lam = np.array([z.eval(0.0) for z in cert.zeta])
     if dwell.kind == "arbitrary":  # a constant flow, whose decay rate sets the horizon
@@ -386,7 +373,7 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
     m = max(grid, theta_points * 4)
     taus = np.linspace(0.0, hi, m + 1)
     h = taus[1] - taus[0]
-    Phis, rs, C, z1 = flow_grid(sys, taus, clamp=dwell.clamp)
+    Phis, rs, C, z1 = _flow_tables(plant, ctrl, None, dwell.clamp, taus, np.ones(2 * m + 1))
     r_of = _mv(Phis, lam) + rs
     if len(C):
         row("out_c", gamma, C, r_of, z1)

@@ -117,23 +117,30 @@ class ControllerRealization:
     def clamp(self) -> Optional[float]:
         return self.dwell.clamp
 
-    def _x_mode(self, mode) -> list[Poly]:
-        return self.X[mode] if self.per_mode else self.X
+    def lifted(self) -> "ControllerRealization":
+        """A switched controller as that of `model.lift_switched`: X stacked,
+        U_c block-diagonal with zero polynomials off the blocks."""
+        N, n, zero = len(self.X), len(self.X[0]), Poly.const(0.0)
+        return replace(self, kind="MinimumDT", X=[x for xs in self.X for x in xs],
+                       Uc=[[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n)
+                           for i, rows in enumerate(self.Uc) for row in rows])
 
-    def _uc_mode(self, mode) -> list[list[Poly]]:
-        return self.Uc[mode] if self.per_mode else self.Uc
+    def unlifted(self, N: int) -> "ControllerRealization":
+        """The inverse of `lifted`, for N modes: off the blocks U_c is dropped."""
+        n, m = len(self.X) // N, len(self.Uc) // N
+        return replace(self, kind="SwitchedMinDT", X=[self.X[i * n : (i + 1) * n] for i in range(N)],
+                       Uc=[[row[i * n : (i + 1) * n] for row in self.Uc[i * m : (i + 1) * m]] for i in range(N)])
 
     def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
-        """K_c on a mesh as a C-contiguous (mc, n, len(taus)); clamped for
-        minimum dwell-time."""
+        """K_c (of mode `mode` of a switched controller) on a mesh as a
+        C-contiguous (mc, n, len(taus)); clamped for minimum dwell-time."""
         taus = np.asarray(taus, dtype=float)
         t = np.minimum(taus, self.clamp) if self.clamp is not None else taus
-        xv = np.stack([p.eval(t) for p in self._x_mode(mode)], axis=1)
+        X, uc = (self.X[mode], self.Uc[mode]) if self.per_mode else (self.X, self.Uc)
+        xv = np.stack([p.eval(t) for p in X], axis=1)
         if np.min(xv) <= 0.0:
             raise IllPosed("denominator X(tau) not positive on the requested mesh")
-        uc = self._uc_mode(mode)
-        mc = len(uc)
-        n = len(self._x_mode(mode))
+        mc, n = len(uc), len(X)
         out = np.empty((mc, n, len(t)))
         for i in range(mc):
             for j in range(n):
@@ -171,7 +178,7 @@ class ControllerRealization:
             K = ud / xv[None]
         return K if K.shape[2] == k else np.repeat(K, k, axis=2)
 
-    def kd(self, theta: Optional[float] = None, mode=None) -> np.ndarray:
+    def kd(self, theta: Optional[float] = None) -> np.ndarray:
         """K_d at one dwell theta, the single-point case of kd_mesh; a design
         whose U_d is polynomial in theta needs theta."""
         if theta is None and self._ud_poly:
@@ -430,7 +437,7 @@ def synthesize_switched(
 ) -> ControllerRealization:
     """Per-mode state feedback under minimum dwell-time: the design
     (`_solve_design`) of the lift `model.lift_switched` with U block-diagonal,
-    reported per mode as N diagonals X_i and N gains U_c,i.  The lift's jump
+    reported per mode (`ControllerRealization.unlifted`).  The lift's jump
     rows are X_i(0) - X_j(T) >= 0 for every switch j -> i, closed
     (jump_margin = 0), and X_k(0) >= 0 for the other blocks k.  A plant
     whose E or F is not nonnegative is refused."""
@@ -441,9 +448,7 @@ def synthesize_switched(
         raise ValueError("degree must be >= 0")
     require_positive_design(sw, T)
     ctrl = _solve_design(lift_switched(sw), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sw.N)
-    n, m = sw.n, sw.m
-    return replace(ctrl, kind="SwitchedMinDT", X=[ctrl.X[i * n : (i + 1) * n] for i in range(sw.N)],
-                   Uc=[[row[i * n : (i + 1) * n] for row in ctrl.Uc[i * m : (i + 1) * m]] for i in range(sw.N)])
+    return ctrl.unlifted(sw.N)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ from dwellgain.errors import (
     RelaxationLimit,
 )
 from dwellgain.lp import LinearProgram, LpSolution, lp_solve
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, require_forward_time
+from dwellgain.model import (DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, lift_switched,
+                             require_forward_time)
 from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg, product_basis
 from dwellgain.synthesis import ControllerRealization
 
@@ -92,6 +93,17 @@ def bench_three_mode():
     modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
     modes.append({"A": [[-1.5, 0.2], [0.3, -1.0]], "E": [[0.2], [0.05]], "C": [[0.5, 0.5]], "F": [[0.0]]})
     return SwitchedSystem.from_arrays(modes)
+
+
+def stabilizable_two_mode():
+    """Two modes with one input each, each mode's unstable state driven by
+    its own input; the open loop is not stable."""
+    return SwitchedSystem.from_arrays(
+        [
+            {"A": [[1.0, 1.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "E": [[0.2], [0.3]], "C": [[0.0, 1.0]], "F": [[0.1]]},
+            {"A": [[-2.0, 0.0], [1.0, 1.0]], "B": [[0.0], [1.0]], "E": [[0.3], [0.2]], "C": [[1.0, 0.0]], "F": [[0.1]]},
+        ]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -431,6 +443,11 @@ def _zeta_rows_symbolic(A, Ec, Cc, Fc, zeta, gamma, B=None, D=None, U=()):
     return flow, out_c
 
 
+def zeta_vectors(cert):
+    """The certificate's zeta per mode: N vectors of a switched one, else one."""
+    return cert.zeta if cert.per_mode else [cert.zeta]
+
+
 def _summed(rows):
     return [sum(terms[1:], terms[0]) for terms in rows]
 
@@ -445,7 +462,7 @@ def oracle_rows(cert, sys):
     arbitrary = dwell.kind == "arbitrary"
     Tend = 0.0 if arbitrary else dwell.horizon_tau()
     tdom = (0.0, Tend) if Tend > 0 else 0.0
-    zsets = [[Poly.const(z.eval(0.0)) for z in zs] if arbitrary else zs for zs in cert.zeta_vectors()]
+    zsets = [[Poly.const(z.eval(0.0)) for z in zs] if arbitrary else zs for zs in zeta_vectors(cert)]
     rows = []
     for mode, zs in enumerate(zsets):
         if isinstance(plant, SwitchedSystem):
@@ -665,7 +682,7 @@ def _verify_numeric(cert, view, grid):
     if dwell.clamp is not None:
         taus = np.minimum(taus, dwell.clamp)
     per_mode = cert.per_mode
-    zsets = cert.zeta_vectors()
+    zsets = zeta_vectors(cert)
     n = len(zsets[0])
     for mode, zs in enumerate(zsets):
         m_arg = mode if per_mode else None
@@ -755,23 +772,60 @@ def _mutations(cert, target):
     return [(cert, target), (dataclasses.replace(cert, gamma=0.9 * cert.gamma), target), moved]
 
 
+def lifted(cert, target):
+    """A switched certificate and its system, or closed loop, as those of the
+    lift `lift_switched`, built here apart from `Certificate.lifted` and
+    `ControllerRealization.lifted`: zeta and X stacked, U_c block-diagonal
+    with zero polynomials off the blocks.  Any other pair as it is."""
+    if not cert.per_mode:
+        return cert, target
+    stack = lambda vectors: [v for vs in vectors for v in vs]
+    c = dataclasses.replace(cert, kind="MinimumDT", zeta=stack(cert.zeta))
+    if not isinstance(target, synthesis_mod.ClosedLoopView):
+        return c, lift_switched(target)
+    ctrl = target.ctrl
+    N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly.const(0.0)
+    Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
+    ctrl = dataclasses.replace(ctrl, kind="MinimumDT", X=stack(ctrl.X), Uc=Uc)
+    return c, synthesis_mod.closed_loop(lift_switched(target.sys), ctrl)
+
+
+def merged_minima(slacks):
+    """Each family's worst slack with the mode and jump indices dropped, and
+    the couple, jump and pin_lo families as one: the lift's jump rows are the
+    coupling rows and zeta_k(0) >= 0, so the per-mode and the lifted reports
+    of one certificate give the same minima."""
+    out = {}
+    for family, slack in slacks.items():
+        base = family.split("[")[0]
+        key = "couple|jump|pin_lo" if base in ("couple", "jump", "pin_lo") else base
+        out[key] = min(out.get(key, math.inf), slack)
+    return out
+
+
+def assert_slacks_match(got, want, scale):
+    """The same families, each worst slack within 1e-12 times scale."""
+    assert got.keys() == want.keys()
+    for fam, v in got.items():
+        assert abs(v - want[fam]) <= 1e-12 * scale, fam
+
+
 def assert_matches_three_paths(cert, target):
     """verify gives the three-path oracle's verdicts, row families and slacks
     (to 1e-12 per unit of row scale) on the certificate and its mutations.
-    The one key change: a closed-loop switched report splits pin_lo per mode."""
+    A switched certificate is verified as the lift's: its report has the
+    families and slacks of the oracle's impulsive path on the lift, and the
+    verdicts and merged minima (`merged_minima`) of its per-mode path."""
     for c, t in _mutations(cert, target):
-        got, want = verify(c, t), three_path_verify(c, t)
+        got, want = verify(c, t), three_path_verify(*lifted(c, t))
         assert got.passed == want.passed
         assert got.handelman_ok == want.handelman_ok
-        slack, ref = dict(got.worst_slack), dict(want.worst_slack)
-        if c.per_mode and "pin_lo" in ref:
-            split = [k for k in slack if k.startswith("pin_lo[")]
-            assert len(split) == len(c.zeta)
-            slack["pin_lo"] = min(slack.pop(k) for k in split)
-        assert slack.keys() == ref.keys()
-        scale = max([1.0 + abs(c.gamma)] + [z.max_abs_coeff() for zs in c.zeta_vectors() for z in zs])
-        for fam, v in slack.items():
-            assert abs(v - ref[fam]) <= 1e-12 * scale, fam
+        scale = max([1.0 + abs(c.gamma)] + [z.max_abs_coeff() for zs in zeta_vectors(c) for z in zs])
+        assert_slacks_match(got.worst_slack, want.worst_slack, scale)
+        if c.per_mode:
+            per_mode = three_path_verify(c, t)
+            assert (got.passed, got.handelman_ok) == (per_mode.passed, per_mode.handelman_ok)
+            assert_slacks_match(merged_minima(got.worst_slack), merged_minima(per_mode.worst_slack), scale)
 
 
 def bernstein_oracle(p, interval, d, margin=0.0):

@@ -15,8 +15,10 @@ from conftest import (
     CERTIFY_GRID_DESIGNS,
     assert_matches_three_paths,
     bernstein_oracle,
+    lifted,
     oracle_rows,
     reference_cross_check,
+    stabilizable_two_mode,
     three_path_verify,
 )
 from dwellgain import benchmarks
@@ -34,7 +36,7 @@ from dwellgain.cert import cross_check_discrete, transition_matrix, verify
 from dwellgain.errors import Infeasible, Mismatch
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly, _bernstein, _Exact, decide_nonneg
-from dwellgain.sim import SequenceGen, estimate_gain
+from dwellgain.sim import SequenceGen, estimate_gain, generate_inputs, simulate
 from dwellgain.synthesis import ControllerRealization, certificate_from, closed_loop, synthesize, synthesize_switched
 
 
@@ -142,7 +144,9 @@ class TestVerify:
         cert = analyze_switched_min(bench_switched, 0.1, 4)
         rep = verify(cert, bench_switched)
         assert rep.passed
-        assert rep.worst_slack["couple"] >= -1e-12
+        # the lift's two selector maps: zeta_1(0) >= zeta_0(T) and zeta_0(0) >= zeta_1(T)
+        assert [k for k in rep.worst_slack if k.startswith("jump")] == ["jump[0]", "jump[1]"]
+        assert min(rep.worst_slack["jump[0]"], rep.worst_slack["jump[1]"]) >= -1e-12
 
     def test_minimum_and_range_kinds(self, bench_lti, bench_timer_growth):
         assert verify(analyze_minimum(bench_lti, 1.0, 4), bench_lti).passed
@@ -571,20 +575,82 @@ class TestTransitionMatrix:
         Phi = transition_matrix(bench_lti, 0.0, 0.9)
         assert np.max(np.abs(Phi - expm(0.9 * A))) <= 1e-9
 
+    @pytest.mark.parametrize("spec, theta", [(DwellTimeSpec.constant(0.1), 0.1), (DwellTimeSpec.range(0.1, 0.3), 0.2)])
+    def test_closed_loop_through_jumps(self, bench_chain_plant, spec, theta):
+        """A closed loop's Phi through two jumps, each J + B_d K_d(theta), is
+        the simulated run from e_i less the run from 0 under the same unit
+        inputs, column by column."""
+        p = bench_chain_plant
+        ctrl = synthesize(p, spec, 2)
+        assert np.max(np.abs(p.jump.Bd @ ctrl.kd(theta))) > 0.5  # J alone is another map
+        runs = [simulate(p, SequenceGen.exact(theta), generate_inputs("const_unit"), x0, 2.5 * theta, step=1e-3,
+                         controller=ctrl) for x0 in np.vstack([np.zeros(p.n), np.eye(p.n)])]
+        jumps = list(runs[0].jump_times)
+        assert len(jumps) == 2
+        Phi = transition_matrix(closed_loop(p, ctrl), 0.0, 2.5 * theta, jumps_in_between=jumps, step=1e-3)
+        columns = np.stack([run.states[-1] - runs[0].states[-1] for run in runs[1:]], axis=1)
+        np.testing.assert_allclose(Phi, columns, rtol=0, atol=1e-14)
+
+
+class TestSwitchedLift:
+    """verify and cross_check_discrete read a switched certificate, or a
+    closed loop under a switched controller, as that of the lift: each
+    report equals, whole, the one of the lifted certificate on
+    `lift_switched` (conftest.lifted), passing and failing alike."""
+
+    def test_reports_are_the_lifts(self, bench_three_mode):
+        sw3, sw1 = bench_three_mode, stabilizable_two_mode()
+        ctrl3, ctrl1 = synthesize_switched(sw3, 0.3, 2), synthesize_switched(sw1, 0.3, 2)
+        cases = [
+            (analyze_switched_min(sw3, 0.3, 4), sw3),
+            (certificate_from(ctrl3), closed_loop(sw3, ctrl3)),
+            (certificate_from(ctrl1), sw1),  # the open loop, which no certificate fits
+            (certificate_from(ctrl1), closed_loop(sw1, ctrl1)),
+        ]
+        verdicts = []
+        for c, target in cases:
+            for check in (verify, cross_check_discrete):
+                rep = check(c, target).to_json()
+                assert rep == check(*lifted(c, target)).to_json()
+                verdicts.append(rep["passed"])
+        assert verdicts == [True, True, True, True, False, False, True, True]
+
+    def test_lifted_inverts_unlifted(self, bench_three_mode):
+        c = analyze_switched_min(bench_three_mode, 0.3, 4)
+        assert c.lifted() == lifted(c, bench_three_mode)[0] and c.lifted().unlifted(3) == c
+        ctrl = synthesize_switched(stabilizable_two_mode(), 0.3, 2)
+        assert ctrl.lifted().unlifted(2) == ctrl
+
+    def test_mismatch_still_raises(self, bench_three_mode):
+        c = analyze_switched_min(bench_three_mode, 0.3, 4)
+        lifted_c, lift = lifted(c, bench_three_mode)
+        for check in (verify, cross_check_discrete):
+            with pytest.raises(Mismatch, match="switched certificate needs the switched system"):
+                check(c, lift)
+            with pytest.raises(Mismatch, match="MinimumDT certificate cannot verify a switched system"):
+                check(lifted_c, bench_three_mode)
+            with pytest.raises(Mismatch, match="certificate has 2 mode vectors, system has 3"):
+                check(dataclasses.replace(c, zeta=c.zeta[:2]), bench_three_mode)
+
 
 class TestCrossCheckOracle:
     """cross_check_discrete reads the simulator's evaluator; the body that
     integrated the plant's PolyMatrix data itself, kept as
-    conftest.reference_cross_check, gives the same verdicts and slacks."""
+    conftest.reference_cross_check, gives the same verdicts and slacks.  A
+    switched certificate is checked as the lift's: its report is the
+    reference's impulsive one on the lift, with the verdict of the
+    reference's per-mode path."""
 
     @staticmethod
     def _check(c, s):
-        got, want = cross_check_discrete(c, s), reference_cross_check(c, s)
+        got, want = cross_check_discrete(c, s), reference_cross_check(*lifted(c, s))
         assert got.passed == want.passed
         assert got.grid_density == want.grid_density
         assert list(got.worst_slack) == list(want.worst_slack)
         for family, slack in want.worst_slack.items():
             assert abs(got.worst_slack[family] - slack) <= 1e-12 * (1.0 + abs(c.gamma))
+        if c.per_mode:
+            assert got.passed == reference_cross_check(c, s).passed
 
     @pytest.mark.parametrize("bench", IMPULSIVE_BENCHES)
     def test_analysis_grid(self, bench, certify_grid_analyses):

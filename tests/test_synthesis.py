@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_matches_three_paths, first_program_rows, inactive_jump_rows, oracle_kd,
-                      reference_synthesize_switched, spy_relaxations)
+                      reference_synthesize_switched, spy_relaxations, stabilizable_two_mode)
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.benchmarks import two_mode_switched_bench
 from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive
@@ -225,26 +225,7 @@ class TestInputPositivity:
 
 
 class TestSwitchedSynthesis:
-    @staticmethod
-    def _stabilizable_two_mode():
-        return SwitchedSystem.from_arrays(
-            [
-                {
-                    "A": [[1.0, 1.0], [0.0, -2.0]],
-                    "B": [[1.0], [0.0]],
-                    "E": [[0.2], [0.3]],
-                    "C": [[0.0, 1.0]],
-                    "F": [[0.1]],
-                },
-                {
-                    "A": [[-2.0, 0.0], [1.0, 1.0]],
-                    "B": [[0.0], [1.0]],
-                    "E": [[0.3], [0.2]],
-                    "C": [[1.0, 0.0]],
-                    "F": [[0.1]],
-                },
-            ]
-        )
+    _stabilizable_two_mode = staticmethod(stabilizable_two_mode)
 
     def test_feasible_design_stabilizes(self):
         sw = self._stabilizable_two_mode()

@@ -47,6 +47,11 @@ Cases:
   for a two-mode plant with one input per mode (`stabilizable_two_mode`)
   at two, and for `three_mode_switched` at two, each closed loop verified
   and cross-checked;
+- each switched `verify` and cross-check report again for its lifted twin
+  (`lifted_twin`, key `<case> lifted`): the certificate or controller
+  stacked onto `lift_switched`, so that a version which checks a switched
+  system as its lift can be matched bit for bit against the twins of one
+  that does not;
 - the escalation outcomes at constant dwell: the offset parabola plant
   (`offset_parabola_system`) at offset 0.26 (needs order ~26) with the
   default schedule, which ends in RelaxationLimit, and with the schedule
@@ -90,6 +95,7 @@ Only the public API is used, so the script runs against any version of `src/`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -192,6 +198,21 @@ def stabilizable_two_mode() -> SwitchedSystem:
         {"A": [[1.0, 1.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "E": [[0.2], [0.3]], "C": [[0.0, 1.0]], "F": [[0.1]]},
         {"A": [[-2.0, 0.0], [1.0, 1.0]], "B": [[0.0], [1.0]], "E": [[0.3], [0.2]], "C": [[1.0, 0.0]], "F": [[0.1]]},
     ])
+
+
+def lifted_twin(c, target):
+    """A switched certificate and its system, or closed loop, as those of
+    `model.lift_switched`, from public names only: zeta and X stacked, kind
+    MinimumDT, U_c block-diagonal with zero polynomials off the blocks."""
+    stack = lambda vectors: [v for vs in vectors for v in vs]
+    lifted = dataclasses.replace(c, kind="MinimumDT", zeta=stack(c.zeta))
+    if not isinstance(target, synthesis.ClosedLoopView):
+        return lifted, model.lift_switched(target)
+    ctrl = target.ctrl
+    N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly((0.0,))
+    Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
+    ctrl = dataclasses.replace(ctrl, kind="MinimumDT", X=stack(ctrl.X), Uc=Uc)
+    return lifted, synthesis.closed_loop(model.lift_switched(target.sys), ctrl)
 
 
 def scalar_plant() -> ImpulsiveSystem:
@@ -446,6 +467,7 @@ def collect(lp_dir: str) -> dict:
         c = rec.solve(key, lambda lp: analysis.analyze_switched_min(sw, T, 4, dump_lp=lp), to_json)
         if c is not None:
             rec.reports(key, c, sw)
+            rec.reports(key + " lifted", *lifted_twin(c, sw))
         rec.solve(f"two_mode_switched_bench blanchini T={T}",
                   lambda lp: analysis.analyze_switched_blanchini(sw, T), lambda g: repr(g))
     sw3 = three_mode_switched()
@@ -454,6 +476,7 @@ def collect(lp_dir: str) -> dict:
         c = rec.solve(key, lambda lp: analysis.analyze_switched_min(sw3, T, 4, dump_lp=lp), to_json)
         if c is not None:
             rec.reports(key, c, sw3)
+            rec.reports(key + " lifted", *lifted_twin(c, sw3))
 
     plants = {
         "unstable_chain_plant": benchmarks.unstable_chain_plant(),
@@ -479,7 +502,9 @@ def collect(lp_dir: str) -> dict:
             key = f"{sname} design minimum T={T} degree=2"
             ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(s, T, 2, dump_lp=lp), to_json)
             if ctrl is not None:
-                rec.reports(key, synthesis.certificate_from(ctrl), synthesis.closed_loop(s, ctrl))
+                c, loop = synthesis.certificate_from(ctrl), synthesis.closed_loop(s, ctrl)
+                rec.reports(key, c, loop)
+                rec.reports(key + " lifted", *lifted_twin(c, loop))
 
     escalations = {
         "offset_parabola_system(0.26) constant T=1.0 degree=0":
