@@ -22,6 +22,10 @@ LPs of the constant, minimum or range conditions are built,
 rho(J Phi(theta)) > 1, or under minimum dwell an A(T) that is not Hurwitz;
 either rules out every order.  Otherwise the sampled referee of the first
 order that ends Infeasible decides (`_solve_with_escalation`).
+
+A switched system takes every analysis entry point under every dwell class:
+it is solved as its lift `model.lift_switched` with jump margin 0, so the
+jump_margin argument is not read for it (`_analyze_hybrid`).
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     Infeasible,
     NotConstant,
     NumericalFailure,
     ParseError,
     RelaxationLimit,
+    Unsupported,
 )
 from .lp import LinearProgram, RowBlock, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, lift_switched,
@@ -75,8 +79,10 @@ _ORBIT_STEP = 0.01
 _ORBIT_HL = 0.25
 _ORBIT_MAX_STEPS = 8192
 _ORBIT_TOL = 1e-6
-# dwell kind -> certificate kind
+# dwell kind -> certificate kind, of an impulsive and of a switched system
 _KIND = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
+_SWITCHED_KIND = {"arbitrary": "SwitchedArbitraryDT", "constant": "SwitchedConstantDT", "minimum": "SwitchedMinDT",
+                  "range": "SwitchedRangeDT"}
 
 
 @dataclass
@@ -95,16 +101,16 @@ class Certificate:
 
     @property
     def per_mode(self) -> bool:
-        return self.kind == "SwitchedMinDT"
+        return self.kind.startswith("Switched")
 
     def lifted(self) -> "Certificate":
         """A switched certificate as that of `model.lift_switched`: zeta stacked."""
-        return replace(self, kind="MinimumDT", zeta=[z for zs in self.zeta for z in zs])
+        return replace(self, kind=_KIND[self.dwell.kind], zeta=[z for zs in self.zeta for z in zs])
 
     def unlifted(self, N: int) -> "Certificate":
         """The inverse of `lifted`, for N modes."""
-        n = len(self.zeta) // N
-        return replace(self, kind="SwitchedMinDT", zeta=[self.zeta[i * n : (i + 1) * n] for i in range(N)])
+        n, zs = len(self.zeta) // N, self.zeta
+        return replace(self, kind=_SWITCHED_KIND[self.dwell.kind], zeta=[zs[i * n : (i + 1) * n] for i in range(N)])
 
     def to_json(self) -> dict:
         return {
@@ -127,7 +133,7 @@ class Certificate:
             return Certificate(
                 kind=kind,
                 gamma=read_field(data, "gamma", finite_float),
-                zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + (kind == "SwitchedMinDT"))),
+                zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + kind.startswith("Switched"))),
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
                 margin=read_field(data, "margin", finite_float),
                 jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", finite_float),
@@ -551,10 +557,13 @@ def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.n
     """Per jump map k, with entries[k] = (J_k X + Bd_k U, Cd_k X + Dd_k U) read
     on one side (`_const_entries`): jump[k], X_i(0) - Ed_k,i 1 - (J_k X +
     Bd_k U)_i 1 >= jump_margin, and out_d[k], gamma - Fd_k,i 1 - (Cd_k X +
-    Dd_k U)_i 1 >= margin, at every dwell in dwells = (lo, hi); x0 = X(0)."""
+    Dd_k U)_i 1 >= margin, at every dwell in dwells = (lo, hi); x0 = X(0).
+    A jump row with no term under jump_margin 0, X_i(0) >= 0, as of a lift's
+    inactive block, is left out: the pin rows (a design's x_pos) give it."""
     for k, (jm, (jump, out_d)) in enumerate(zip(jumps, entries)):
         for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
-            _theorem_row(prog, f"jump[{k}]", i, _add(x0[i], _const(ed), -1.0), row, dwells, jump_margin)
+            if jump_margin or ed or any(e.any() for e in row):
+                _theorem_row(prog, f"jump[{k}]", i, _add(x0[i], _const(ed), -1.0), row, dwells, jump_margin)
         for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
             _theorem_row(prog, f"out_d[{k}]", i, _add(_var(gamma), _const(fd), -1.0), row, dwells, margin)
 
@@ -566,7 +575,7 @@ def _gain_rows_constant_like(
 ) -> None:
     """The rows of the constant/minimum/range conditions, mats = (A, Bc, Ec,
     Cc, Dc, Fc) with the jump maps `jumps`; a switched system's are those of
-    its lift (`analyze_switched_min`).
+    its lift (`_analyze_hybrid`).
 
     The theorem rows are a design's with X = zeta and U = []: flow and out_c
     on (0, tau_end) and the stationary rows at stationary_at (`_Mode`), and
@@ -771,7 +780,7 @@ def _unstable_orbit(
 
 
 def analyze_arbitrary(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     margin: float = DEFAULT_MARGIN,
     jump_margin: float = DEFAULT_JUMP_MARGIN,
 ) -> Certificate:
@@ -784,7 +793,7 @@ def analyze_arbitrary(
 
 
 def _analyze_hybrid(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     dwell: DwellTimeSpec,
     degree: int,
     margin: float,
@@ -794,11 +803,20 @@ def _analyze_hybrid(
     dump_lp=None,
 ) -> Certificate:
     """The gates of every hybrid analysis (forward time, degree, positivity
-    and `_unstable_orbit`), then its program (`_solve_hybrid`)."""
+    and `_unstable_orbit`), then its program (`_solve_hybrid`).  A switched
+    system is gated on its own data, so a note names modes[k].X, and solved
+    as its lift with jump margin 0, jump_margin unread, reported per mode
+    (`Certificate.unlifted`): the lift's jump maps kron(e_i e_j', I) make
+    its jump rows the coupling rows zeta_i(0) - zeta_j(theta) >= 0 of each
+    switch j -> i, and `_unstable_orbit` is not run, J Phi(theta) being
+    nilpotent."""
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     require_positive(sys, _timer_end(dwell))
+    if isinstance(sys, SwitchedSystem):
+        cert = _solve_hybrid(lift_switched(sys), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
+        return cert.unlifted(sys.N)
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
     if reason:
         raise Infeasible(f"conditions infeasible ({reason})")
@@ -809,7 +827,7 @@ def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
                   relax_schedule, mu_variant: bool = False, dump_lp=None) -> Certificate:
     """The hybrid program of sys under dwell, minimized: zeta, gamma and the
     rows of `_gain_rows_constant_like`, with mu under mu_variant on a range.
-    sys must have passed its gates (`_analyze_hybrid`, `analyze_switched_min`)."""
+    sys must have passed its gates (`_analyze_hybrid`)."""
     lo, hi = _jump_timers(dwell)
     stationary_at = dwell.T if dwell.kind == "minimum" else None
     prog = _Program()
@@ -836,7 +854,7 @@ def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
 
 
 def analyze_constant(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     T: float,
     degree: int,
     margin: float = DEFAULT_MARGIN,
@@ -845,14 +863,11 @@ def analyze_constant(
     dump_lp=None,
 ) -> Certificate:
     """Constant dwell-time hybrid-gain bound via a timer-polynomial vector."""
-    return _analyze_hybrid(
-        sys, DwellTimeSpec.constant(T), degree, margin, jump_margin, relax_schedule,
-        dump_lp=dump_lp,
-    )
+    return _analyze_hybrid(sys, DwellTimeSpec.constant(T), degree, margin, jump_margin, relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_minimum(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     T: float,
     degree: int,
     margin: float = DEFAULT_MARGIN,
@@ -864,14 +879,11 @@ def analyze_minimum(
 
     Timer clamping (matrices frozen at T for tau >= T) is part of the system
     semantics downstream (simulation/verification)."""
-    return _analyze_hybrid(
-        sys, DwellTimeSpec.minimum(T), degree, margin, jump_margin, relax_schedule,
-        dump_lp=dump_lp,
-    )
+    return _analyze_hybrid(sys, DwellTimeSpec.minimum(T), degree, margin, jump_margin, relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_range(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     Tmin: float,
     Tmax: float,
     degree: int,
@@ -884,19 +896,14 @@ def analyze_range(
     """Range dwell-time bound; jump rows become polynomials in the dwell theta.
 
     mode="mu_variant" adds the dominating vector used by dwell-time-independent
-    synthesis (zeta(theta) <= mu(theta))."""
+    synthesis (zeta(theta) <= mu(theta)) to an impulsive system's jump map;
+    a switched system is refused."""
     if mode not in ("direct", "mu_variant"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _analyze_hybrid(
-        sys,
-        DwellTimeSpec.range(Tmin, Tmax),
-        degree,
-        margin,
-        jump_margin,
-        relax_schedule,
-        mu_variant=(mode == "mu_variant"),
-        dump_lp=dump_lp,
-    )
+    if mode == "mu_variant" and isinstance(sys, SwitchedSystem):
+        raise Unsupported("mu_variant acts on an impulsive system's jump map; a switched system has none")
+    return _analyze_hybrid(sys, DwellTimeSpec.range(Tmin, Tmax), degree, margin, jump_margin, relax_schedule,
+                           mu_variant=(mode == "mu_variant"), dump_lp=dump_lp)
 
 
 def analyze_switched_min(
@@ -907,24 +914,9 @@ def analyze_switched_min(
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> Certificate:
-    """Minimum dwell-time L-infinity bound for switched systems: the hybrid
-    program (`_solve_hybrid`) of the lift `model.lift_switched`, zeta of
-    length N n, reported per mode (`Certificate.unlifted`).
-
-    The lift's jump maps J = kron(e_i e_j', I), one per switch j -> i, make
-    its jump rows zeta_i(0) - zeta_j(T) >= 0, closed (jump_margin = 0), and
-    zeta_k(0) >= 0 for the other blocks k, which the pin rows imply.  The
-    gates are the switched system's own: the lift is positive where its
-    modes are, and `_unstable_orbit` never fires on it, as each J Phi(theta)
-    is nilpotent."""
-    if sw.N < 2:
-        raise DimensionMismatch("switched analysis needs at least two modes")
-    dwell = DwellTimeSpec.minimum(T)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    require_positive(sw, dwell.T)
-    cert = _solve_hybrid(lift_switched(sw), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
-    return cert.unlifted(sw.N)
+    """Minimum dwell-time bound for switched systems, analyze_minimum(sw, T,
+    degree): the lift's program with jump margin 0 (`_analyze_hybrid`)."""
+    return _analyze_hybrid(sw, DwellTimeSpec.minimum(T), degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
 
 
 def analyze_switched_blanchini(

@@ -114,11 +114,13 @@ def transition_matrix(
 ) -> np.ndarray:
     """State-transition matrix from `frm` to `to` with jump maps applied at the
     listed instants; the timer is zero at `timer_origin` (default `frm`) and
-    resets at every jump.  `sys` is a plant or a synthesis.ClosedLoopView,
-    whose jumps map by J + B_d K_d(theta), theta the dwell before the jump."""
+    resets at every jump.  `sys` is an impulsive plant or a ClosedLoopView of
+    one, whose jumps map by J + B_d K_d(theta), theta the dwell before the jump."""
     if frm > to:
         raise ValueError("need frm <= to")
     plant, ctrl = _unpack(sys)
+    if isinstance(plant, SwitchedSystem):
+        raise Unsupported("transition_matrix needs an impulsive system: a switched one has no jump maps and no mode")
     if len(plant.jumps) != 1 and jumps_in_between:
         raise Unsupported("transition through jumps needs a single jump map")
     Phi = np.eye(plant.n)
@@ -198,11 +200,13 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     synthesis.ClosedLoopView of one under a controller, which is unpacked to
     (plant, controller).  A switched system is verified as its lift, with
     the certificate and controller lifted (`_lifted`), so its coupling rows
-    zeta_i(0) - zeta_j(T) >= 0 are the rows of jump[k], k indexing the
-    lift's jumps.  The proof re-derives each row from zeta, mu, gamma and
-    the plant data in exact dyadic integers; a closed loop's zeta is X, so
-    (A + B K_c) zeta = (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1
-    are polynomials (a fixed-K_d row is proved times prod M).  A row is
+    zeta_i(0) - zeta_j(theta) >= 0 are the rows of jump[k], k indexing the
+    lift's jumps; a jump row with no term, zeta_i(0) >= 0 of a lift's
+    inactive block, is pin_lo's row and proved once, there.  The proof
+    re-derives each row from zeta, mu, gamma and the plant data in exact
+    dyadic integers; a closed loop's zeta is X, so (A + B K_c) zeta =
+    (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1 are polynomials (a
+    fixed-K_d row is proved times prod M).  A row is
     decided by `poly.decide_nonneg`: on an interval by its Bernstein
     coefficients at the first of its degree + RELAX_SCHEDULE that proves it,
     at a point by its value.  The grid reads the flow and output data from
@@ -239,11 +243,13 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     rows: dict[str, list] = {}  # per family: (grid minimum, exact row, domain, size, weight) per row
     own = lambda polys, end: (polys, [p.size(end) for p in polys])  # exact polynomials, with their sizes
 
-    def add(family, values, lead, y, domain, weight=1.0):
-        """Rows lead - y: their grid minima, and exactly with the sizes of their terms."""
+    def add(family, values, lead, y, domain, weight=1.0, bare=True):
+        """Rows lead - y: their grid minima, and exactly with the sizes of
+        their terms; unless bare, a row whose y has no term is left out."""
         lows = np.asarray(values, dtype=float).reshape(len(lead[0]), -1).min(axis=1)
-        rows.setdefault(family, []).extend(
-            (low, a - b, domain, sa + sb, weight) for low, a, sa, b, sb in zip(lows, *lead, *y))
+        for low, a, sa, b, sb in zip(lows, *lead, *y):
+            if bare or b is not ZERO:
+                rows.setdefault(family, []).append((low, a - b, domain, sa + sb, weight))
 
     # taus are clamped already; a controller clamps its own gains
     A, Ew, C, Fw = _fields(plant, ctrl, None, None, taus, np.ones(len(taus)), len(taus))
@@ -303,7 +309,8 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     for jk, jm in enumerate(plant.jumps):
         J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, np.ones(len(thetas)))
         y = _affine([(jm.J, wgoal), (jm.Bd, v), (jm.Ed, ones)], Rt)
-        add(f"jump[{jk}]", zv[:, :1] - (_mv(J, target) + Ed1), own([w * z.at(0.0) for z in Z], 0.0), y, at, weight)
+        add(f"jump[{jk}]", zv[:, :1] - (_mv(J, target) + Ed1), own([w * z.at(0.0) for z in Z], 0.0), y, at, weight,
+            bare=w is not ONE)  # a row with no term is pin_lo's, unless weighted
         if len(Cd):
             y = _affine([(jm.Cd, wgoal), (jm.Dd, v), (jm.Fd, ones)], Rt)
             add(f"out_d[{jk}]", gamma - (_mv(Cd, target) + Fd1), own([w * gam] * len(Cd), 0.0), y, at, weight)

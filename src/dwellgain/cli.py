@@ -56,10 +56,6 @@ def _lp_options(degree: int, margin, order_cap) -> dict:
 
 def _analyze_once(sys_obj, dwell: DwellTimeSpec, degree: int, margin, order_cap, dump_lp=None):
     kw = _lp_options(degree, margin, order_cap)
-    if isinstance(sys_obj, SwitchedSystem):
-        if dwell.kind != "minimum":
-            raise ParseError("switched systems support --dwell minimum:<T>")
-        return ana.analyze_switched_min(sys_obj, dwell.T, degree, dump_lp=dump_lp, **kw)
     if dwell.kind == "arbitrary":
         if dump_lp:
             raise ParseError("--dump-lp is not supported with --dwell arbitrary")
@@ -87,17 +83,9 @@ def _cmd_synthesize(args) -> int:
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
     kw = _lp_options(args.degree, args.margin, args.order_cap)
-    switched = isinstance(sys_obj, SwitchedSystem)
-    if args.fixed_kd and (switched or dwell.kind != "range"):
+    if args.fixed_kd and (isinstance(sys_obj, SwitchedSystem) or dwell.kind != "range"):
         raise ParseError("--fixed-kd needs an impulsive system and --dwell range:<Tmin>:<Tmax>")
-    if switched:
-        if dwell.kind != "minimum":
-            raise ParseError("switched synthesis supports --dwell minimum:<T>")
-        ctrl = synth.synthesize_switched(sys_obj, dwell.T, args.degree, dump_lp=args.dump_lp, **kw)
-    else:
-        ctrl = synth.synthesize(
-            sys_obj, dwell, args.degree, fixed_kd=args.fixed_kd, dump_lp=args.dump_lp, **kw
-        )
+    ctrl = synth.synthesize(sys_obj, dwell, args.degree, fixed_kd=args.fixed_kd, dump_lp=args.dump_lp, **kw)
     print(f"gamma = {_fmt(ctrl.gamma)}  ({ctrl.kind}, dwell {ctrl.dwell})")
     if args.output:
         ctrl.save(args.output)
@@ -220,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--system", required=True, help="system JSON file")
         p.add_argument("--dwell", required=True,
-                       help="arbitrary | constant:<T> | minimum:<T> | range:<Tmin>:<Tmax>")
+                       help="arbitrary | constant:<T> | minimum:<T> | range:<Tmin>:<Tmax>, "
+                            "for an impulsive or a switched system")
 
     def lp_flags(p):
         p.add_argument("--degree", type=int, default=4, help="certificate polynomial degree")
@@ -237,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="state-feedback design; writes controller JSON")
     common(p)
     lp_flags(p)
-    p.add_argument("--fixed-kd", action="store_true", help="dwell-time-independent discrete gain (range)")
+    p.add_argument("--fixed-kd", action="store_true", help="dwell-time-independent discrete gain (range, impulsive)")
     p.add_argument("--output", "-o", default=None, help="controller JSON path")
     p.set_defaults(func=_cmd_synthesize)
 

@@ -365,11 +365,16 @@ class SwitchedSystem:
     def q(self) -> int:
         return self.modes[0]["C"].shape[0]
 
+    def is_constant(self) -> bool:
+        return all(m.is_constant for md in self.modes for m in md.values())
+
 
 def mode_mats(sys: Union[ImpulsiveSystem, SwitchedSystem], mode: Optional[int] = None) -> tuple[PolyMatrix, ...]:
     """The flow and output data (A, B, E, C, D, F) of an impulsive system, or
-    of mode `mode` of a switched one."""
+    of mode `mode` of a switched one, which must be given."""
     if isinstance(sys, SwitchedSystem):
+        if mode is None:
+            raise Unsupported("the flow data of a switched system need a mode")
         return tuple(sys.modes[mode][key] for key in "ABECDF")
     return (sys.A, sys.Bc, sys.Ec, sys.Cc, sys.Dc, sys.Fc)
 

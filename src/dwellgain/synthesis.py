@@ -8,9 +8,9 @@ analysis theorem rows under zeta = X 1, written by the analysis builders
 denominator and gain-cap rows (`_DesignMode`).  A design's program
 (`_DesignProgram`) is an analysis program whose relaxation orders impose the
 interval rows in the product-basis cone.  There is one design program
-(`_solve_design`): a switched design is that of its lift
-(`model.lift_switched`) with U block-diagonal, whose jump rows are the
-coupling rows X_i(0) - X_j(T) >= 0.  Controllers are recovered as rational
+(`_solve_design`): a switched design, under any dwell class, is that of its
+lift (`model.lift_switched`) with U block-diagonal, whose jump rows are the
+coupling rows X_i(0) - X_j(theta) >= 0.  Controllers are recovered as rational
 gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 """
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import (
     _KIND,
+    _SWITCHED_KIND,
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
@@ -45,7 +46,7 @@ from .analysis import (
     _value,
     _var,
 )
-from .errors import DimensionMismatch, IllPosed, ParseError
+from .errors import DimensionMismatch, IllPosed, ParseError, Unsupported
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
                     require_positive_design, write_json)
@@ -99,7 +100,7 @@ def _product_cone(order: int) -> _Cone:
 class ControllerRealization:
     """Diagonal denominator X, numerator gains, and the certified gain level."""
 
-    kind: str  # ArbitraryDT | ConstantDT | RangeDT | RangeDT_FixedKd | MinimumDT | SwitchedMinDT
+    kind: str  # ArbitraryDT | ConstantDT | RangeDT | RangeDT_FixedKd | MinimumDT, or Switched<kind>
     dwell: DwellTimeSpec
     gamma: float
     degree: int
@@ -111,7 +112,7 @@ class ControllerRealization:
 
     @property
     def per_mode(self) -> bool:
-        return self.kind == "SwitchedMinDT"
+        return self.kind.startswith("Switched")
 
     @property
     def clamp(self) -> Optional[float]:
@@ -121,14 +122,14 @@ class ControllerRealization:
         """A switched controller as that of `model.lift_switched`: X stacked,
         U_c block-diagonal with zero polynomials off the blocks."""
         N, n, zero = len(self.X), len(self.X[0]), Poly.const(0.0)
-        return replace(self, kind="MinimumDT", X=[x for xs in self.X for x in xs],
+        return replace(self, kind=_KIND[self.dwell.kind], X=[x for xs in self.X for x in xs],
                        Uc=[[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n)
                            for i, rows in enumerate(self.Uc) for row in rows])
 
     def unlifted(self, N: int) -> "ControllerRealization":
         """The inverse of `lifted`, for N modes: off the blocks U_c is dropped."""
-        n, m = len(self.X) // N, len(self.Uc) // N
-        return replace(self, kind="SwitchedMinDT", X=[self.X[i * n : (i + 1) * n] for i in range(N)],
+        n, m, X = len(self.X) // N, len(self.Uc) // N, self.X
+        return replace(self, kind=_SWITCHED_KIND[self.dwell.kind], X=[X[i * n : (i + 1) * n] for i in range(N)],
                        Uc=[[row[i * n : (i + 1) * n] for row in self.Uc[i * m : (i + 1) * m]] for i in range(N)])
 
     def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
@@ -208,7 +209,7 @@ class ControllerRealization:
     def from_json(data: dict) -> "ControllerRealization":
         try:
             kind = data["kind"]
-            depth = 1 + (kind == "SwitchedMinDT")
+            depth = 1 + kind.startswith("Switched")
             matrix = lambda v: np.asarray(v, dtype=float)
             Ud = (read_field(data, "Ud_poly", lambda v: polys_from_json(v, 2)) if "Ud_poly" in data
                   else read_field(data, "Ud", matrix) if "Ud" in data else None)
@@ -287,7 +288,7 @@ def _gain_cap_rows(prog: _Program, family: str, idx: int, X: list, U: list, cap:
 
 
 def synthesize(
-    sys: ImpulsiveSystem,
+    sys: Union[ImpulsiveSystem, SwitchedSystem],
     dwell: DwellTimeSpec,
     degree: int = 2,
     margin: float = DEFAULT_MARGIN,
@@ -302,10 +303,22 @@ def synthesize(
     shape every design: _REG weights a tiny integral-of-X term in the objective,
     and _GAIN_CAP bounds |U| <= _GAIN_CAP * X entrywise (X >= _X_MIN).
     A plant whose Ec, Fc, Ed or Fd is not nonnegative is refused
-    (`model.require_positive_design`); then `_solve_design` runs."""
+    (`model.require_positive_design`), and a switched system is designed as
+    its lift (`_design`)."""
+    return _design(sys, dwell, degree, margin, fixed_kd, relax_schedule, dump_lp)
+
+
+def _design(sys, dwell: DwellTimeSpec, degree: int, margin: float, fixed_kd: bool, relax_schedule, dump_lp):
+    """synthesize's gates, then `_solve_design`.  A switched system, its E and
+    F checked before the lift so that a note names modes[k].X, is designed as
+    its lift with jump margin 0 and U block-diagonal, reported per mode
+    (`ControllerRealization.unlifted`); fixed_kd is refused for it."""
     require_forward_time(sys, "synthesis")
-    if len(sys.jumps) != 1:
-        raise DimensionMismatch("synthesis expects a single jump map (use synthesize_switched for a switched system)")
+    switched = isinstance(sys, SwitchedSystem)
+    if switched and fixed_kd:
+        raise Unsupported("fixed_kd acts on an impulsive system's discrete gain; a switched system has none")
+    if not switched and len(sys.jumps) != 1:
+        raise DimensionMismatch("synthesis expects a single jump map (pass a switched system as a SwitchedSystem)")
     if fixed_kd and dwell.kind != "range":
         raise ValueError("fixed_kd is a range dwell-time variant")
     if degree < 0:
@@ -313,22 +326,24 @@ def synthesize(
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
     require_positive_design(sys, _timer_end(dwell))
+    if switched:
+        ctrl = _solve_design(lift_switched(sys), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sys.N)
+        return ctrl.unlifted(sys.N)
     return _solve_design(sys, dwell, degree, margin, margin, fixed_kd, relax_schedule, dump_lp)
 
 
 def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margin: float, jump_margin: float,
                   fixed_kd: bool, relax_schedule, dump_lp=None, blocks: int = 1) -> ControllerRealization:
     """The design program of sys under dwell, minimized, once sys has passed
-    its gates (`synthesize`, `synthesize_switched`).  U is block-diagonal on
-    `blocks` equal blocks of states and inputs: U_lj is a zero without
-    columns unless input l and state j share a block, and the positivity
-    rows are written inside the blocks.  With blocks > 1, sys is a lift,
-    whose selector jumps are nonnegative and have no input: no jump
-    positivity rows.  The jump rows hold at the dwells [lo, hi] of
-    `_jump_timers`, a single point unless the range is genuine: with
-    X(theta) and a U_d polynomial in theta on [lo, hi], else with a constant
-    U_d and X at the point, or with M in place of X (fixed_kd), whatever
-    theta."""
+    its gates (`_design`).  U is block-diagonal on `blocks` equal blocks of
+    states and inputs: U_lj is a zero without columns unless input l and
+    state j share a block, and the positivity rows are written inside the
+    blocks.  With blocks > 1, sys is a lift, whose selector jumps are
+    nonnegative and have no input: no jump positivity rows.  The jump rows
+    hold at the dwells [lo, hi] of `_jump_timers`, a single point unless the
+    range is genuine: with X(theta) and a U_d polynomial in theta on [lo,
+    hi], else with a constant U_d and X at the point, or with M in place of
+    X (fixed_kd), whatever theta."""
     n, mc, md = sys.n, sys.mc, sys.md
     kind = _KIND[dwell.kind] + ("_FixedKd" if fixed_kd else "")
     x_degree = 0 if dwell.kind == "arbitrary" else degree
@@ -435,20 +450,9 @@ def synthesize_switched(
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> ControllerRealization:
-    """Per-mode state feedback under minimum dwell-time: the design
-    (`_solve_design`) of the lift `model.lift_switched` with U block-diagonal,
-    reported per mode (`ControllerRealization.unlifted`).  The lift's jump
-    rows are X_i(0) - X_j(T) >= 0 for every switch j -> i, closed
-    (jump_margin = 0), and X_k(0) >= 0 for the other blocks k.  A plant
-    whose E or F is not nonnegative is refused."""
-    if sw.N < 2:
-        raise DimensionMismatch("switched synthesis needs at least two modes; use synthesize")
-    dwell = DwellTimeSpec.minimum(T)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    require_positive_design(sw, T)
-    ctrl = _solve_design(lift_switched(sw), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sw.N)
-    return ctrl.unlifted(sw.N)
+    """Per-mode state feedback under minimum dwell-time,
+    synthesize(sw, DwellTimeSpec.minimum(T), degree) (`_design`)."""
+    return _design(sw, DwellTimeSpec.minimum(T), degree, margin, False, relax_schedule, dump_lp)
 
 
 @dataclass(frozen=True)

@@ -776,17 +776,19 @@ def lifted(cert, target):
     """A switched certificate and its system, or closed loop, as those of the
     lift `lift_switched`, built here apart from `Certificate.lifted` and
     `ControllerRealization.lifted`: zeta and X stacked, U_c block-diagonal
-    with zero polynomials off the blocks.  Any other pair as it is."""
+    with zero polynomials off the blocks, the kind that of the dwell.  Any
+    other pair as it is."""
     if not cert.per_mode:
         return cert, target
     stack = lambda vectors: [v for vs in vectors for v in vs]
-    c = dataclasses.replace(cert, kind="MinimumDT", zeta=stack(cert.zeta))
+    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
+    c = dataclasses.replace(cert, kind=kind[cert.dwell.kind], zeta=stack(cert.zeta))
     if not isinstance(target, synthesis_mod.ClosedLoopView):
         return c, lift_switched(target)
     ctrl = target.ctrl
     N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly.const(0.0)
     Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
-    ctrl = dataclasses.replace(ctrl, kind="MinimumDT", X=stack(ctrl.X), Uc=Uc)
+    ctrl = dataclasses.replace(ctrl, kind=c.kind, X=stack(ctrl.X), Uc=Uc)
     return c, synthesis_mod.closed_loop(lift_switched(target.sys), ctrl)
 
 
@@ -1287,7 +1289,9 @@ class ReferenceMode:
 
 def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_JUMP_MARGIN):
     """Oracle for analyze_arbitrary: its body before it went through
-    _analyze_hybrid, with its own flow, out_c, jump, out_d and pin loops."""
+    _analyze_hybrid, with its own flow, out_c, jump, out_d and pin loops.
+    A jump row with no term under jump margin 0, lam_i >= 0, is left out,
+    as analysis._jump_rows leaves it out: pin_lo gives it."""
     if not sys.is_constant():
         raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
     A = sys.A.const()
@@ -1311,9 +1315,10 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
         Ed1 = jm.Ed.sum(axis=1)
         Fd1 = jm.Fd.sum(axis=1)
         for i in range(n):
-            prog.add_point_ge(
-                f"jump[{jk}]", i, -_const_matvec_row(JmI, i, lam_e) - Ed1[i], jump_margin
-            )
+            if jump_margin or Ed1[i] or jm.J[i].any():
+                prog.add_point_ge(
+                    f"jump[{jk}]", i, -_const_matvec_row(JmI, i, lam_e) - Ed1[i], jump_margin
+                )
         for i in range(jm.Cd.shape[0]):
             prog.add_point_ge(
                 f"out_d[{jk}]",
@@ -1347,6 +1352,7 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
     zetas = [prog.poly_vec(n, degree, f"zeta{i}_") for i in range(sw.N)]
     gamma = prog.scalar(lo=0.0, name="gamma")
     gam = PolyExpr([LinExpr.variable(gamma)])
+    # each family for every mode in turn, in the order the lift's program has them
     for i, md in enumerate(sw.modes):
         zeta = zetas[i]
         for r in range(n):
@@ -1354,18 +1360,23 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
                 _row_ones(md["E"], r).coeffs
             )
             prog.add_interval_ge(f"flow[{i}]", r, expr, (0.0, T), margin)
+    for i, md in enumerate(sw.modes):
+        zeta = zetas[i]
         for r in range(q):
             expr = gam - _matvec_row(md["C"], r, zeta) - PolyExpr.from_poly(
                 _row_ones(md["F"], r).coeffs
             )
             prog.add_interval_ge(f"out_c[{i}]", r, expr, (0.0, T), margin)
+    for i, md in enumerate(sw.modes):
+        zT = [z.eval_at(T) for z in zetas[i]]
         A_T = md["A"](T)
         E_T = md["E"](T).sum(axis=1)
-        C_T = md["C"](T)
-        F_T = md["F"](T).sum(axis=1)
-        zT = [z.eval_at(T) for z in zeta]
         for r in range(n):
             prog.add_point_ge(f"stat_flow[{i}]", r, -_const_matvec_row(A_T, r, zT) - E_T[r], margin)
+    for i, md in enumerate(sw.modes):
+        zT = [z.eval_at(T) for z in zetas[i]]
+        C_T = md["C"](T)
+        F_T = md["F"](T).sum(axis=1)
         for r in range(q):
             prog.add_point_ge(
                 f"stat_out[{i}]",
@@ -1373,10 +1384,6 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
                 LinExpr.variable(gamma) - _const_matvec_row(C_T, r, zT) - F_T[r],
                 margin,
             )
-        z0 = [z.eval_at(0.0) for z in zeta]
-        for r in range(n):
-            prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
-            prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
     for i in range(sw.N):
         for j in range(sw.N):
             if i == j:
@@ -1385,6 +1392,11 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
             zjT = [z.eval_at(T) for z in zetas[j]]
             for r in range(n):
                 prog.add_point_ge(f"couple[{j}->{i}]", r, zi0[r] - zjT[r], 0.0)
+    for i in range(sw.N):
+        z0 = [z.eval_at(0.0) for z in zetas[i]]
+        for r in range(n):
+            prog.add_point_ge(f"pin_lo[{i}]", r, z0[r], margin)
+            prog.add_point_ge(f"pin_hi[{i}]", r, LinExpr.constant(_ZETA_PIN) - z0[r], 0.0)
 
     def finalize(sol, relax):
         return Certificate(
@@ -1425,8 +1437,13 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     gamma = prog.scalar(lo=0.0, name="gamma")
     alpha = prog.scalar(lo=0.0, hi=synthesis_mod._ALPHA_CAP, name="alpha")
     gam = PolyExpr([LinExpr.variable(gamma)])
-    for i, md in enumerate(sw.modes):
-        X, U = Xs[i], Us[i]
+    # each family for every mode in turn, in the order the lift's program has them
+    modes = list(zip(sw.modes, Xs, Us))
+    flows = [[_sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)]) for r in range(n)]
+             for md, X, U in modes]
+    outs = [[_sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)]) for r in range(q)]
+            for md, X, U in modes]
+    for i, (md, X, U) in enumerate(modes):
         idx = 0
         for r in range(n):
             for c in range(n):
@@ -1435,33 +1452,47 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
                     expr = expr + PolyExpr([LinExpr.variable(alpha)])
                 prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
                 idx += 1
+    for i, (md, X, U) in enumerate(modes):
         idx = 0
         for r in range(q):
             for c in range(n):
                 expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
                 prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
                 idx += 1
-        for r in range(n):
-            row = _sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)])
+    for i, (md, X, U) in enumerate(modes):
+        for r, row in enumerate(flows[i]):
             expr = X[r].deriv() - row - PolyExpr.from_poly(_row_ones(md["E"], r).coeffs)
             prog.add_interval_ge(f"perf_flow[{i}]", r, expr, (0.0, T), margin)
-            stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
-            prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
-        for r in range(q):
-            row = _sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)])
+    for i, (md, X, U) in enumerate(modes):
+        for r, row in enumerate(outs[i]):
             expr = gam - row - PolyExpr.from_poly(_row_ones(md["F"], r).coeffs)
             prog.add_interval_ge(f"perf_out[{i}]", r, expr, (0.0, T), margin)
+    for i, (md, X, U) in enumerate(modes):
+        for r, row in enumerate(flows[i]):
+            stat = (-row).eval_at(T) - float(md["E"](T)[r].sum())
+            prog.add_point_ge(f"stat_flow[{i}]", r, stat, margin)
+    for i, (md, X, U) in enumerate(modes):
+        for r, row in enumerate(outs[i]):
             prog.add_point_ge(
                 f"stat_out[{i}]",
                 r,
                 LinExpr.variable(gamma) - row.eval_at(T) - float(md["F"](T)[r].sum()),
                 margin,
             )
+    # the coupling rows in the order of the lift's jump maps
+    for i in range(sw.N):
+        for j in range(sw.N):
+            if i == j:
+                continue
+            for r in range(n):
+                prog.add_point_ge(f"couple[{j}->{i}]", r, Xs[i][r].eval_at(0.0) - Xs[j][r].eval_at(T), 0.0)
+    for i, (md, X, U) in enumerate(modes):
         for r in range(n):
             prog.add_interval_ge(f"x_pos[{i}]", r, X[r] - PolyExpr.from_poly([x_min]), (0.0, T), 0.0)
             prog.add_point_ge(
                 f"x_cap[{i}]", r, LinExpr.constant(synthesis_mod._X_CAP) - X[r].eval_at(0.0), 0.0
             )
+    for i, (md, X, U) in enumerate(modes):
         if gain_cap is not None:
             idx = 0
             for l in range(m):
@@ -1470,13 +1501,6 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
                         expr = X[c].scaled(gain_cap) + U[l][c].scaled(sgn)
                         prog.add_interval_ge(f"gain_cap[{i}]", idx, expr, (0.0, T), 0.0)
                         idx += 1
-    # the coupling rows in the order analysis._coupling_rows writes them
-    for i in range(sw.N):
-        for j in range(sw.N):
-            if i == j:
-                continue
-            for r in range(n):
-                prog.add_point_ge(f"couple[{j}->{i}]", r, Xs[i][r].eval_at(0.0) - Xs[j][r].eval_at(T), 0.0)
 
     def finalize(sol, relax):
         ctrl = ControllerRealization(
@@ -1898,7 +1922,8 @@ def spy_relaxations(monkeypatch):
 
 def first_program_rows(monkeypatch, run):
     """run()'s result and the rows of the first program it encodes, as a
-    multiset of (terms, domain, margin) without their family names."""
+    list of (terms, domain, margin) in program order, without their family
+    names."""
     def terms(e):
         coeffs, const = row_terms(e)
         return tuple(sorted(coeffs.items())), const
@@ -1907,13 +1932,7 @@ def first_program_rows(monkeypatch, run):
         encoded = spy_relaxations(m)
         out = run()
     rows = encoded[0][0].rows
-    return out, Counter((terms(e) if iv is None else tuple(map(terms, e)), iv, mg) for _, _, e, iv, mg in rows)
-
-
-def inactive_jump_rows(N, n, degree):
-    """The jump rows of a lift's inactive blocks, X_b(0) >= 0 for each
-    lifted state b, once per map j -> i into another block: (N - 1)^2 maps."""
-    return Counter({((((b * (degree + 1), 1.0),), 0.0), None, 0.0): (N - 1) ** 2 for b in range(N * n)})
+    return out, [(terms(e) if iv is None else tuple(map(terms, e)), iv, mg) for _, _, e, iv, mg in rows]
 
 
 def per_sample_referee(prog, objective):

@@ -20,7 +20,6 @@ from conftest import (
     add_eq,
     first_program_rows,
     full_schedule_escalation,
-    inactive_jump_rows,
     per_row_cone_rows,
     per_row_relaxation,
     per_sample_referee,
@@ -58,6 +57,7 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.errors import (
+    DimensionMismatch,
     DwellgainError,
     Infeasible,
     NotConstant,
@@ -65,6 +65,7 @@ from dwellgain.errors import (
     NumericalFailure,
     ParseError,
     RelaxationLimit,
+    Unsupported,
 )
 from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.lp import LinearProgram, _assemble, dump_lp
@@ -265,6 +266,74 @@ class TestSwitched:
         )
         with pytest.raises(NotConstant):
             analyze_switched_blanchini(sw, 0.1)
+
+
+def analyze_spec(s, spec: DwellTimeSpec, degree: int, **kw):
+    """The analysis entry point of spec's dwell class, as the CLI picks it."""
+    if spec.kind == "arbitrary":
+        return analyze_arbitrary(s, **kw)
+    if spec.kind == "range":
+        return analyze_range(s, spec.Tmin, spec.Tmax, degree, **kw)
+    return (analyze_constant if spec.kind == "constant" else analyze_minimum)(s, spec.T, degree, **kw)
+
+
+class TestSwitchedDwellClasses:
+    """A switched system goes through the impulsive analysis entry points
+    under every dwell class: each solves the program of the lift with jump
+    margin 0 and reports it per mode, so its gamma and stacked zeta are
+    those of the lift's analysis at jump_margin 0.  Each certificate passes
+    verify and the cross-check and stays at or above the Monte-Carlo lower
+    bound; gamma is the value recorded for the lift when only minimum
+    dwell had a switched entry point."""
+
+    KIND = {"arbitrary": "SwitchedArbitraryDT", "constant": "SwitchedConstantDT", "minimum": "SwitchedMinDT",
+            "range": "SwitchedRangeDT"}
+
+    @pytest.mark.parametrize("bench, dwell, gamma", [
+        ("two_mode", "constant:0.1", 0.213175),
+        ("two_mode", "constant:0.5", 0.261282),
+        ("two_mode", "range:0.1:0.3", 0.310892),
+        ("two_mode", "range:0.5:1", 0.30149),
+        ("two_mode", "arbitrary", 0.700003),
+        ("three_mode", "constant:0.3", 0.311684),
+        ("three_mode", "range:0.3:0.6", 0.371982),
+    ])
+    def test_certified_as_the_lift(self, bench_switched, bench_three_mode, bench, dwell, gamma):
+        sw = bench_switched if bench == "two_mode" else bench_three_mode
+        spec = DwellTimeSpec.parse(dwell)
+        degree = 0 if spec.kind == "arbitrary" else 4
+        c = analyze_spec(sw, spec, degree)
+        assert c.kind == self.KIND[spec.kind] and c.per_mode and [len(z) for z in c.zeta] == [sw.n] * sw.N
+        assert c.jump_margin == 0.0 and c.gamma == pytest.approx(gamma, rel=1e-5)
+        lift = analyze_spec(lift_switched(sw), spec, degree, jump_margin=0.0)
+        assert lift.gamma == c.gamma and lift.zeta == [z for zs in c.zeta for z in zs]
+        assert verify(c, sw).passed and cross_check_discrete(c, sw).passed
+        assert c.gamma >= estimate_gain(sw, SequenceGen.for_spec(spec, seed=1), runs=10, horizon=15.0)
+
+    def test_switched_min_is_analyze_minimum(self, bench_switched):
+        """analyze_switched_min is analyze_minimum on a switched system, whose
+        jump_margin is not read."""
+        c = analyze_switched_min(bench_switched, 0.3, 4)
+        assert analyze_minimum(bench_switched, 0.3, 4).to_json() == c.to_json()
+        assert analyze_minimum(bench_switched, 0.3, 4, jump_margin=0.5).to_json() == c.to_json()
+
+    def test_mu_variant_refused(self, monkeypatch, bench_switched):
+        monkeypatch.setattr(analysis_mod, "lp_solve", None)
+        with pytest.raises(Unsupported, match="^mu_variant acts on an impulsive system's jump map"):
+            analyze_range(bench_switched, 0.1, 0.3, 2, mode="mu_variant")
+
+    def test_arbitrary_needs_constant_modes(self):
+        sw = SwitchedSystem.from_arrays([
+            {"A": [[[-2.0, -1.0]]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
+            {"A": [[-1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
+        ])
+        with pytest.raises(NotConstant):
+            analyze_arbitrary(sw)
+
+    def test_one_mode_refused_by_the_lift(self):
+        sw = SwitchedSystem.from_arrays([{"A": [[-1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]}])
+        with pytest.raises(DimensionMismatch, match="^lifting requires at least two modes$"):
+            analyze_constant(sw, 0.3, 2)
 
 
 class TestLti:
@@ -1008,9 +1077,12 @@ class TestPositivityGate:
         modes = [{k: md[k] for k in "ABECDF"} for md in bench_switched.modes]
         modes[1]["A"] = [[-1.0, -1.0], [1.0, -6.0]]
         sw = SwitchedSystem.from_arrays(modes)
-        for run in (lambda: analyze_switched_min(sw, 0.5, 2), lambda: analyze_switched_blanchini(sw, 0.5)):
+        for run in (lambda: analyze_switched_min(sw, 0.5, 2), lambda: analyze_switched_blanchini(sw, 0.5),
+                    lambda: analyze_constant(sw, 0.5, 2), lambda: analyze_range(sw, 0.25, 0.5, 2)):
             with pytest.raises(NotPositive, match=r"^not positive on \[0, 0\.5\]: modes\[1\]\.A\[0, 1\]$"):
                 run()
+        with pytest.raises(NotPositive, match=r"^not positive at tau = 0: modes\[1\]\.A\[0, 1\]$"):
+            analyze_arbitrary(sw)
 
     def test_unverified_entry_is_refused(self):
         # A[1, 0] = (1 - 2 tau)^2 >= 0 touches 0 inside [0, 1]: no Bernstein
@@ -1231,20 +1303,20 @@ class TestSwitchedFoldOracle:
     """analyze_switched_min solves the minimum-dwell program of the lift
     (model.lift_switched), as analyze_minimum(lift, jump_margin=0) does.
     Its program is that of the per-mode loops, kept as
-    conftest.reference_switched_min, row for row up to the family names,
-    plus the lift's jump rows of the inactive blocks, zeta_k(0) >= 0, which
-    the pin rows imply; so its gamma equals the oracle's within 1e-9
-    relative (HiGHS may end at another vertex), and its certificate passes
-    verify and the cross-check."""
+    conftest.reference_switched_min, row for row and in order up to the
+    family names: the lift's jump rows of the inactive blocks, zeta_k(0) >=
+    0, which the pin rows imply, are not written.  So its gamma and zeta
+    equal the oracle's, and its certificate passes verify and the
+    cross-check."""
 
     def _check(self, monkeypatch, sw, T, degree):
         got, rows = first_program_rows(monkeypatch, lambda: analyze_switched_min(sw, T, degree))
         want, rows_r = first_program_rows(monkeypatch, lambda: reference_switched_min(sw, T, degree))
         N, n = sw.N, sw.n
-        assert rows == rows_r + inactive_jump_rows(N, n, degree)
+        assert rows == rows_r
         assert got.kind == "SwitchedMinDT" and [len(z) for z in got.zeta] == [n] * N
         assert got.relax == want.relax
-        assert got.gamma == pytest.approx(want.gamma, rel=1e-9)
+        assert got.gamma == want.gamma and got.zeta == want.zeta
         assert verify(got, sw).passed and cross_check_discrete(got, sw).passed
         lifted = analyze_minimum(lift_switched(sw), T, degree, jump_margin=0.0)
         assert lifted.gamma == got.gamma and lifted.zeta == [z for zs in got.zeta for z in zs]

@@ -32,8 +32,8 @@ from dwellgain.analysis import (
     analyze_range,
     analyze_switched_min,
 )
-from dwellgain.cert import cross_check_discrete, transition_matrix, verify
-from dwellgain.errors import Infeasible, Mismatch
+from dwellgain.cert import cross_check_discrete, flow_grid, transition_matrix, verify
+from dwellgain.errors import Infeasible, Mismatch, Unsupported
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly, _bernstein, _Exact, decide_nonneg
 from dwellgain.sim import SequenceGen, estimate_gain, generate_inputs, simulate
@@ -631,6 +631,55 @@ class TestSwitchedLift:
                 check(lifted_c, bench_three_mode)
             with pytest.raises(Mismatch, match="certificate has 2 mode vectors, system has 3"):
                 check(dataclasses.replace(c, zeta=c.zeta[:2]), bench_three_mode)
+
+
+class TestSwitchedDwellClassReports:
+    """A switched certificate or closed loop of any dwell class is checked as
+    the lifted one of its dwell's kind; a jump row with no term, a lifted
+    inactive block's zeta_b(0) >= 0, is pin_lo's row and is proved once."""
+
+    @pytest.mark.parametrize("dwell", ["constant:0.3", "range:0.3:0.6", "arbitrary"])
+    def test_reports_are_the_lifts(self, bench_three_mode, dwell):
+        spec = DwellTimeSpec.parse(dwell)
+        sw = bench_three_mode
+        c = {"constant": lambda: analyze_constant(sw, spec.T, 2), "arbitrary": lambda: analyze_arbitrary(sw),
+             "range": lambda: analyze_range(sw, spec.Tmin, spec.Tmax, 2)}[spec.kind]()
+        ctrl = synthesize(sw, spec, 2)
+        assert c.lifted() == lifted(c, sw)[0] and c.lifted().unlifted(sw.N) == c
+        assert ctrl.lifted().unlifted(sw.N) == ctrl
+        for cc, target in ((c, sw), (certificate_from(ctrl), closed_loop(sw, ctrl))):
+            for check in (verify, cross_check_discrete):
+                rep = check(cc, target).to_json()
+                assert rep["passed"] and rep == check(*lifted(cc, target)).to_json()
+
+    def test_implied_rows_proved_once(self, monkeypatch, bench_switched, bench_three_mode):
+        """The two-mode analysis at T = 0.3, degree 4, proves flow 4, out_c 2,
+        stat_flow 4, stat_out 2, pin_lo 4 and 2 jump rows per switch: 20
+        rows, and 24 with the 2 inactive-block rows of each switch.  The
+        three-mode closed loop at T = 0.3, degree 2, proves 57 rows and
+        positivity entries, and 81 with the 4 inactive-block rows of each of
+        its 6 switches."""
+        calls = []
+        real = cert_mod.decide_nonneg
+        monkeypatch.setattr(cert_mod, "decide_nonneg", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        rep = verify(analyze_switched_min(bench_switched, 0.3, 4), bench_switched)
+        assert rep.passed and len(calls) == 20
+        ctrl = synthesize_switched(bench_three_mode, 0.3, 2)
+        calls.clear()
+        rep = verify(certificate_from(ctrl), closed_loop(bench_three_mode, ctrl))
+        assert rep.passed and len(calls) == 57
+
+    def test_transition_matrix_refuses_switched(self, bench_switched):
+        for target in (bench_switched, closed_loop(bench_switched, synthesize_switched(bench_switched, 0.5, 2))):
+            with pytest.raises(Unsupported, match="^transition_matrix needs an impulsive system"):
+                transition_matrix(target, 0.0, 1.0)
+
+    def test_flow_grid_needs_a_mode(self, bench_switched):
+        taus = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(Unsupported, match="^the flow data of a switched system need a mode$"):
+            flow_grid(bench_switched, taus)
+        Phi = flow_grid(bench_switched, taus, mode=1)[0]
+        assert Phi.shape == (2, 2, 11) and np.array_equal(Phi[..., 0], np.eye(2))
 
 
 class TestCrossCheckOracle:

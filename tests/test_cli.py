@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,7 @@ def switched_path(bench_switched, tmp_path_factory):
         ["synthesize", "--system", "{chain}", "--dwell", "constant:0.1", "--degree", "-1", "-o", "{out}"],
         ["synthesize", "--system", "{chain}", "--dwell", "constant:0.1", "--fixed-kd", "-o", "{out}"],
         ["synthesize", "--system", "{switched}", "--dwell", "minimum:0.5", "--fixed-kd", "-o", "{out}"],
+        ["synthesize", "--system", "{switched}", "--dwell", "range:0.1:0.3", "--fixed-kd", "-o", "{out}"],
     ],
 )
 def test_config_errors_exit_2(ex1_path, chain_path, switched_path, tmp_path, capsys, argv):
@@ -276,6 +279,28 @@ def test_config_errors_exit_2(ex1_path, chain_path, switched_path, tmp_path, cap
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dwell", ["constant:0.3", "range:0.3:0.6", "arbitrary"])
+def test_switched_pipeline(switched_path, tmp_path, capsys, dwell):
+    """A switched system takes every dwell class through the same commands
+    as an impulsive one: analyze -> certify -> simulate -> sweep and
+    synthesize -> certify -> simulate each exit 0."""
+    cert, ctrl, kind = tmp_path / "cert.json", tmp_path / "ctrl.json", dwell.split(":")[0]
+    common = ["--system", switched_path, "--dwell", dwell]
+    assert main(["analyze", *common, "--degree", "2", "-o", str(cert)]) == 0
+    assert f"(Switched{kind.capitalize()}DT, dwell {dwell}," in capsys.readouterr().out
+    assert main(["certify", "--system", switched_path, "--certificate", str(cert)]) == 0
+    assert main(["simulate", *common, "--runs", "2", "--horizon", "3", "-o", str(tmp_path / "open")]) == 0
+    if kind == "constant":  # sweep takes constant and minimum dwell
+        csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--system", switched_path, "--dwell", "constant", "--from", "0.2", "--to", "0.4",
+                     "--points", "2", "--degree", "2", "-o", str(csv)]) == 0
+        assert all(math.isfinite(float(g)) for g in re.findall(r",(.*)", csv.read_text())[1:])
+    assert main(["synthesize", *common, "--degree", "2", "-o", str(ctrl)]) == 0
+    assert main(["certify", "--system", switched_path, "--certificate", str(ctrl)]) == 0
+    assert main(["simulate", *common, "--runs", "2", "--horizon", "3", "--controller", str(ctrl),
+                 "-o", str(tmp_path / "closed")]) == 0
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]"])

@@ -27,12 +27,18 @@ ARTIFACTS = {
     "RangeDT": lambda b: analyze_range(b["growth"], 0.3, 0.5, 2),
     "RangeDT mu": lambda b: analyze_range(b["growth"], 0.3, 0.5, 2, mode="mu_variant"),
     "SwitchedMinDT": lambda b: analyze_switched_min(b["switched"], 0.5, 2),
+    "SwitchedConstantDT": lambda b: analyze_constant(b["switched"], 0.5, 2),
+    "SwitchedRangeDT": lambda b: analyze_range(b["switched"], 0.1, 0.3, 2),
+    "SwitchedArbitraryDT": lambda b: analyze_arbitrary(b["switched"]),
     "ArbitraryDT design": lambda b: synthesize(b["lti+inputs"], DwellTimeSpec.arbitrary()),
     "ConstantDT design": lambda b: synthesize(b["chain"], DwellTimeSpec.constant(0.1), 2),
     "MinimumDT design": lambda b: synthesize(b["lti+inputs"], DwellTimeSpec.minimum(0.2), 2),
     "RangeDT design": lambda b: synthesize(b["chain"], DwellTimeSpec.range(0.1, 0.3), 2),
     "RangeDT_FixedKd design": lambda b: synthesize(b["chain"], DwellTimeSpec.range(0.1, 0.3), 2, fixed_kd=True),
     "SwitchedMinDT design": lambda b: synthesize_switched(b["switched"], 0.5, 2),
+    "SwitchedConstantDT design": lambda b: synthesize(b["switched"], DwellTimeSpec.constant(0.3), 2),
+    "SwitchedRangeDT design": lambda b: synthesize(b["switched"], DwellTimeSpec.range(0.1, 0.3), 2),
+    "SwitchedArbitraryDT design": lambda b: synthesize(b["switched"], DwellTimeSpec.arbitrary()),
 }
 
 

@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (assert_matches_three_paths, first_program_rows, inactive_jump_rows, oracle_kd,
+from conftest import (assert_matches_three_paths, first_program_rows, oracle_kd,
                       reference_synthesize_switched, spy_relaxations, stabilizable_two_mode)
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.benchmarks import two_mode_switched_bench
-from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive
+from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive, Unsupported
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, InputSignal, estimate_gain, generate_inputs, simulate
@@ -289,14 +289,64 @@ class TestSwitchedSynthesis:
             synthesize_switched(sw, 0.2, degree=2)
 
 
+class TestSwitchedDesignDwellClasses:
+    """synthesize designs a switched system under every dwell class, as the
+    design of its lift with U block-diagonal and jump margin 0, reported per
+    mode; each closed loop passes verify and the cross-check and its gamma
+    stays at or above the Monte-Carlo lower bound."""
+
+    KIND = {"arbitrary": "SwitchedArbitraryDT", "constant": "SwitchedConstantDT", "range": "SwitchedRangeDT"}
+
+    @pytest.mark.parametrize("plant, dwell", [
+        ("two_mode", "constant:0.1"),
+        ("two_mode", "constant:0.5"),
+        ("two_mode", "range:0.1:0.3"),
+        ("two_mode", "range:0.5:1"),
+        ("two_mode", "arbitrary"),
+        ("three_mode", "constant:0.3"),
+        ("three_mode", "range:0.3:0.6"),
+        ("stabilizable", "constant:0.3"),
+        ("stabilizable", "range:0.3:0.5"),
+    ])
+    def test_closed_loop_certified(self, bench_three_mode, plant, dwell):
+        sw = {"two_mode": two_mode_switched_bench(), "three_mode": bench_three_mode,
+              "stabilizable": stabilizable_two_mode()}[plant]
+        spec = DwellTimeSpec.parse(dwell)
+        ctrl = synthesize(sw, spec, 2)
+        assert ctrl.kind == self.KIND[spec.kind] and ctrl.per_mode and ctrl.Ud is None
+        assert [len(x) for x in ctrl.X] == [sw.n] * sw.N and [len(u) for u in ctrl.Uc] == [sw.m] * sw.N
+        cert, loop = certificate_from(ctrl), closed_loop(sw, ctrl)
+        assert verify(cert, loop).passed and cross_check_discrete(cert, loop).passed
+        emp = estimate_gain(sw, SequenceGen.for_spec(spec, seed=1), runs=10, horizon=15.0, controller=ctrl)
+        assert ctrl.gamma >= emp
+
+    def test_switched_is_synthesize_minimum(self):
+        sw = stabilizable_two_mode()
+        ctrl = synthesize_switched(sw, 0.3, 2)
+        assert synthesize(sw, DwellTimeSpec.minimum(0.3), 2).to_json() == ctrl.to_json()
+
+    def test_fixed_kd_refused(self, monkeypatch):
+        monkeypatch.setattr(synthesis_mod, "_solve_design", None)
+        with pytest.raises(Unsupported, match="^fixed_kd acts on an impulsive system's discrete gain"):
+            synthesize(two_mode_switched_bench(), DwellTimeSpec.range(0.1, 0.3), 2, fixed_kd=True)
+
+    def test_arbitrary_needs_constant_modes(self):
+        sw = SwitchedSystem.from_arrays([
+            {"A": [[[-2.0, -1.0]]], "B": [[1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
+            {"A": [[-1.0]], "B": [[1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
+        ])
+        with pytest.raises(DimensionMismatch, match="needs constant matrices"):
+            synthesize(sw, DwellTimeSpec.arbitrary(), 2)
+
+
 class TestSwitchedModeOracle:
     """synthesize_switched solves synthesize's design program on the lift
     (model.lift_switched) with U block-diagonal.  Its program is that of the
     per-mode loops, kept as conftest.reference_synthesize_switched, row for
-    row up to the family names, plus the lift's jump rows of the inactive
-    blocks, X_k(0) >= 0; the coupling rows X_i(0) - X_j(T) >= 0 are the
-    lift's other jump rows.  Both end the same way here; HiGHS may end at
-    another vertex, so gamma is compared within 1e-9 relative, and each
+    row up to the family names: the coupling rows X_i(0) - X_j(T) >= 0 are
+    the lift's jump rows, and those of its inactive blocks, X_k(0) >= 0,
+    which X >= x_min implies, are not written.  The rows are in the same
+    order, so both end the same way, with equal gamma, X and U_c, and each
     controller passes verify and the cross-check."""
 
     @staticmethod
@@ -310,11 +360,11 @@ class TestSwitchedModeOracle:
         got, rows = first_program_rows(monkeypatch, lambda: self._outcome(lambda: synthesize_switched(sw, T, degree)))
         want, rows_r = first_program_rows(
             monkeypatch, lambda: self._outcome(lambda: reference_synthesize_switched(sw, T, degree)))
-        assert rows == rows_r + inactive_jump_rows(sw.N, sw.n, degree)
+        assert rows == rows_r
         if isinstance(want, str):
             assert got == want
             return
-        assert got.gamma == pytest.approx(want.gamma, rel=1e-9)
+        assert got.gamma == want.gamma and got.X == want.X and got.Uc == want.Uc
         cert, loop = certificate_from(got), closed_loop(sw, got)
         assert verify(cert, loop).passed and cross_check_discrete(cert, loop).passed
 

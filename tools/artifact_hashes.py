@@ -38,6 +38,11 @@ Cases:
 - switched minimum dwell and the Blanchini bound at five dwell times, and
   the minimum-dwell analysis of a three-mode system (`three_mode_switched`),
   whose lift has six selector jump maps, at three dwell times;
+- the switched constant, range and arbitrary analyses (`analyze_constant`,
+  `analyze_range`, `analyze_arbitrary` of a SwitchedSystem) of
+  two_mode_switched_bench at SWITCHED_DWELLS and of `three_mode_switched` at
+  THREE_MODE_DWELLS, degree 4 (0 under arbitrary dwell), each verified and
+  cross-checked;
 - `synthesize` for three plants, eight dwell specifications and degrees 0-3,
   with the closed loop verified and cross-checked, and likewise fixed-K_d
   designs on [0.2, 0.2] and both designs on [0.2, 0.2 + 1e-13], and
@@ -45,8 +50,10 @@ Cases:
   inputs at T in {0.7, 1.3, 1.7} and degrees 1-3;
 - `synthesize_switched` for two_mode_switched_bench at four dwell times,
   for a two-mode plant with one input per mode (`stabilizable_two_mode`)
-  at two, and for `three_mode_switched` at two, each closed loop verified
-  and cross-checked;
+  at two, and for `three_mode_switched` at two, and `synthesize` of
+  two_mode_switched_bench and `three_mode_switched` under the constant,
+  range and arbitrary dwells of SWITCHED_DESIGN_DWELLS at degree 2, each
+  closed loop verified and cross-checked;
 - each switched `verify` and cross-check report again for its lifted twin
   (`lifted_twin`, key `<case> lifted`): the certificate or controller
   stacked onto `lift_switched`, so that a version which checks a switched
@@ -90,7 +97,8 @@ Cases:
   every benchmark, nonpositive_rotation and negative_input_plant at
   T in {0.2, 1.9}.
 
-Only the public API is used, so the script runs against any version of `src/`.
+Only the public API is used, so the script runs against any version of `src/`;
+a case that a version refuses with any exception is stored as its error.
 """
 
 from __future__ import annotations
@@ -139,6 +147,12 @@ SWITCHED_DESIGN_T = (0.3, 0.5, 1.0, 2.0)
 STABILIZABLE_DESIGN_T = (0.3, 0.5)
 THREE_MODE_DESIGN_T = (0.3, 1.0)
 THREE_MODE_T = (0.1, 0.3, 1.0)
+# switched analyses and designs under the other dwell classes
+SWITCHED_DWELLS = ("constant:0.1", "constant:0.5", "range:0.1:0.3", "range:0.5:1", "arbitrary")
+THREE_MODE_DWELLS = ("constant:0.3", "range:0.3:0.6", "arbitrary")
+SWITCHED_DESIGN_DWELLS = ("constant:0.3", "range:0.1:0.3", "arbitrary")
+# certificate kind of an impulsive system per dwell kind: that of a lift
+LIFTED_KIND = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
 # several march chunks of 8,192 maps, and fewer maps than one prefix block
 SIM_HORIZONS = (30.0, 0.02)
 FLOW_GRID_CELLS = (1, 20, 700, 9000)
@@ -202,16 +216,18 @@ def stabilizable_two_mode() -> SwitchedSystem:
 
 def lifted_twin(c, target):
     """A switched certificate and its system, or closed loop, as those of
-    `model.lift_switched`, from public names only: zeta and X stacked, kind
-    MinimumDT, U_c block-diagonal with zero polynomials off the blocks."""
+    `model.lift_switched`, from public names only: zeta and X stacked, the
+    kind of the dwell (LIFTED_KIND), U_c block-diagonal with zero
+    polynomials off the blocks."""
     stack = lambda vectors: [v for vs in vectors for v in vs]
-    lifted = dataclasses.replace(c, kind="MinimumDT", zeta=stack(c.zeta))
+    kind = LIFTED_KIND[c.dwell.kind]
+    lifted = dataclasses.replace(c, kind=kind, zeta=stack(c.zeta))
     if not isinstance(target, synthesis.ClosedLoopView):
         return lifted, model.lift_switched(target)
     ctrl = target.ctrl
     N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly((0.0,))
     Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
-    ctrl = dataclasses.replace(ctrl, kind="MinimumDT", X=stack(ctrl.X), Uc=Uc)
+    ctrl = dataclasses.replace(ctrl, kind=kind, X=stack(ctrl.X), Uc=Uc)
     return lifted, synthesis.closed_loop(model.lift_switched(target.sys), ctrl)
 
 
@@ -392,7 +408,7 @@ class Recorder:
         analysis.lp_solve = spy
         try:
             result = run(self.lp_path)
-        except (DwellgainError, ValueError) as exc:
+        except Exception as exc:  # a version may not accept every case
             self.out[key] = _error(exc)
             return None
         finally:
@@ -477,6 +493,20 @@ def collect(lp_dir: str) -> dict:
         if c is not None:
             rec.reports(key, c, sw3)
             rec.reports(key + " lifted", *lifted_twin(c, sw3))
+    for sname, s, dwells in (("two_mode_switched_bench", sw, SWITCHED_DWELLS),
+                             ("three_mode_switched", sw3, THREE_MODE_DWELLS)):
+        for text in dwells:
+            spec = DwellTimeSpec.parse(text)
+            runs = {
+                "constant": lambda lp: analysis.analyze_constant(s, spec.T, 4, dump_lp=lp),
+                "range": lambda lp: analysis.analyze_range(s, spec.Tmin, spec.Tmax, 4, dump_lp=lp),
+                "arbitrary": lambda lp: analysis.analyze_arbitrary(s),
+            }
+            key = f"{sname} {text} degree={0 if spec.kind == 'arbitrary' else 4}"
+            c = rec.solve(key, runs[spec.kind], to_json)
+            if c is not None:
+                rec.reports(key, c, s)
+                rec.reports(key + " lifted", *lifted_twin(c, s))
 
     plants = {
         "unstable_chain_plant": benchmarks.unstable_chain_plant(),
@@ -501,6 +531,15 @@ def collect(lp_dir: str) -> dict:
         for T in Ts:
             key = f"{sname} design minimum T={T} degree=2"
             ctrl = rec.solve(key, lambda lp: synthesis.synthesize_switched(s, T, 2, dump_lp=lp), to_json)
+            if ctrl is not None:
+                c, loop = synthesis.certificate_from(ctrl), synthesis.closed_loop(s, ctrl)
+                rec.reports(key, c, loop)
+                rec.reports(key + " lifted", *lifted_twin(c, loop))
+    for sname, s in (("two_mode_switched_bench", sw), ("three_mode_switched", sw3)):
+        for text in SWITCHED_DESIGN_DWELLS:
+            key = f"{sname} design {text} degree=2"
+            spec = DwellTimeSpec.parse(text)
+            ctrl = rec.solve(key, lambda lp: synthesis.synthesize(s, spec, 2, dump_lp=lp), to_json)
             if ctrl is not None:
                 c, loop = synthesis.certificate_from(ctrl), synthesis.closed_loop(s, ctrl)
                 rec.reports(key, c, loop)
