@@ -786,9 +786,6 @@ def analyze_arbitrary(
 ) -> Certificate:
     """Arbitrary dwell-time gain bound for constant-matrix systems (plain LP):
     the hybrid rows with a constant zeta at the single timer value 0."""
-    require_forward_time(sys, "arbitrary dwell-time analysis")
-    if not sys.is_constant():
-        raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
     return _analyze_hybrid(sys, DwellTimeSpec.arbitrary(), 0, margin, jump_margin, (0,))
 
 
@@ -802,15 +799,17 @@ def _analyze_hybrid(
     mu_variant: bool = False,
     dump_lp=None,
 ) -> Certificate:
-    """The gates of every hybrid analysis (forward time, degree, positivity
-    and `_unstable_orbit`), then its program (`_solve_hybrid`).  A switched
-    system is gated on its own data, so a note names modes[k].X, and solved
-    as its lift with jump margin 0, jump_margin unread, reported per mode
-    (`Certificate.unlifted`): the lift's jump maps kron(e_i e_j', I) make
-    its jump rows the coupling rows zeta_i(0) - zeta_j(theta) >= 0 of each
-    switch j -> i, and `_unstable_orbit` is not run, J Phi(theta) being
-    nilpotent."""
+    """The gates of every hybrid analysis (forward time, constant matrices
+    under arbitrary dwell, degree, positivity and `_unstable_orbit`), then
+    its program (`_solve_hybrid`).  A switched system is gated on its own
+    data, so a note names modes[k].X, and solved as its lift with jump
+    margin 0, jump_margin unread, reported per mode (`Certificate.unlifted`):
+    the lift's jump maps kron(e_i e_j', I) make its jump rows the coupling
+    rows zeta_i(0) - zeta_j(theta) >= 0 of each switch j -> i, and
+    `_unstable_orbit` is not run, J Phi(theta) being nilpotent."""
     require_forward_time(sys, f"{dwell.kind} dwell-time analysis")
+    if dwell.kind == "arbitrary" and not sys.is_constant():
+        raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     require_positive(sys, _timer_end(dwell))

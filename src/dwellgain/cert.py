@@ -216,8 +216,9 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     coefficients with R the far end of the row's domain.  The positivity
     hypothesis is proved too, a failure being a note: a plant's by
     `model.require_positive`, a closed loop's by `model.require_positive_design`
-    for E and F and from its design's positivity rows (`_positivity_notes`),
-    as the theorem rows are; a switched system's E and F before the lift."""
+    for the matrices no feedback changes and from its design's positivity
+    rows (`_positivity_notes`) on the channels with an input, as the theorem
+    rows are; a switched system's before the lift."""
     given, ctrl = _unpack(sys)
     require_forward_time(given, "verification")
     cert, plant, ctrl = _lifted(cert, given, ctrl)
@@ -259,7 +260,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     Z = [_Exact.of(z.coeffs) for z in zs]
     A_, B_, E_, C_, D_, F_ = mode_mats(plant)
     u = [] if ctrl is None else _inputs(ctrl.Uc, ctrl.X, zs)
-    if ctrl is not None:
+    if ctrl is not None and plant.mc:
         X = [_Exact.of(x.coeffs) for x in ctrl.X]
         Uc = [[_Exact.of(p.coeffs) for p in row] for row in ctrl.Uc]
         positivity += _positivity_notes("A X + B U_c", A_.coeffs, X, B_.coeffs, Uc, where, R, True)
@@ -288,23 +289,21 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     target = np.stack([p.eval(thetas) for p in (mu or zs)])
     goal = [_Exact.of(p.coeffs) for p in mu] if mu else Z
     w, v = ONE, []  # the jump rows times the weight w, and w (K_d target)_l
-    if ctrl is not None:
-        fixed = ctrl.kind == "RangeDT_FixedKd"
-        Ud = ([] if ctrl.Ud is None else ctrl.Ud if ctrl._ud_poly
-              else [[Poly.const(x) for x in row] for row in ctrl.Ud])
+    if ctrl is not None and plant.md:
+        fixed = ctrl.M is not None
         # K_d = U_d X^-1 at the jump dwells, or U_d M^-1 under a fixed K_d
         Xd = [_Exact.of((x,)) for x in ctrl.M] if fixed else [_Exact.of(x.coeffs) for x in ctrl.X]
-        Ue = [[_Exact.of(p.coeffs) for p in row] for row in Ud]
+        Ue = [[_Exact.of(p.coeffs) for p in row] for row in ctrl.Ud]
         for jk, jm in enumerate(plant.jumps):
             of = f"jumps[{jk}]: " if len(plant.jumps) > 1 else ""
             positivity += _positivity_notes(of + "J X + B_d U_d", jm.J, Xd, jm.Bd, Ue, at, Rt)
             positivity += _positivity_notes(of + "C_d X + D_d U_d", jm.Cd, Xd, jm.Dd, Ue, at, Rt)
-        if plant.md and fixed:  # the rows times prod M are exact
+        if fixed:  # the rows times prod M are exact
             w = math.prod(Xd, start=ONE)
             v = [sum((u * math.prod(Xd[:j] + Xd[j + 1:], start=ONE) * g
                       for j, (u, g) in enumerate(zip(row, goal))), ZERO) for row in Ue]
-        elif plant.md:
-            v = _inputs(Ud, ctrl.X, mu or zs)
+        else:
+            v = _inputs(ctrl.Ud, ctrl.X, mu or zs)
     wgoal, ones, weight = [w * g for g in goal], [w] * plant.pd, w.size(0.0)
     for jk, jm in enumerate(plant.jumps):
         J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, np.ones(len(thetas)))

@@ -641,11 +641,13 @@ def require_positive(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float
 
 
 def require_positive_design(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end: float) -> None:
-    """As require_positive, for the plant of a state-feedback design: only E
-    and F, which no feedback changes, are checked.  The design's positivity
-    rows impose the rest, A + B K_c Metzler and C + D K_c, J + B_d K_d and
-    C_d + D_d K_d nonnegative, on the closed loop."""
-    require_positive(sys, tau_end, ("Ec", "Fc", "Ed", "Fd", "E", "F"))
+    """As require_positive, for the plant of a state-feedback design: the
+    matrices no feedback changes, E and F, A and C with no continuous input,
+    J and C_d with no discrete one.  The design's positivity rows impose the
+    rest: A + B K_c Metzler, C + D K_c, J + B_d K_d and C_d + D_d K_d >= 0."""
+    mc, md = (sys.m, 0) if isinstance(sys, SwitchedSystem) else (sys.mc, sys.md)
+    require_positive(sys, tau_end, ("Ec", "Fc", "Ed", "Fd", "E", "F") + ("A", "Cc", "C") * (not mc)
+                     + ("J", "Cd") * (not md))
 
 
 # --- JSON round-trip ---------------------------------------------------------

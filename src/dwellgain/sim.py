@@ -705,7 +705,7 @@ def simulate(
             break
         seg_t0.append(t0)
         seg_len.append(seg)
-        seg_mode.append(mode)
+        seg_mode.append(mode if switched else None)  # an impulsive system has one flow
         t0 += seg
         if last or t0 >= horizon - 1e-12:
             break

@@ -46,7 +46,7 @@ from .analysis import (
     _value,
     _var,
 )
-from .errors import DimensionMismatch, IllPosed, ParseError, Unsupported
+from .errors import DimensionMismatch, IllPosed, NotConstant, ParseError, Unsupported
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
                     require_positive_design, write_json)
@@ -107,7 +107,7 @@ class ControllerRealization:
     margin: float
     X: Union[list[Poly], list[list[Poly]]]
     Uc: Union[list[list[Poly]], list[list[list[Poly]]]]
-    Ud: Union[np.ndarray, list[list[Poly]], None] = None
+    Ud: Optional[list[list[Poly]]] = None  # rows of polynomials in theta
     M: Optional[np.ndarray] = None
 
     @property
@@ -153,31 +153,23 @@ class ControllerRealization:
 
     @property
     def _ud_poly(self) -> bool:
-        """Ud holds polynomial rows in theta (a genuine range design); else
-        it is a constant array (a degenerate range [T, T] included)."""
-        return self.Ud is not None and not isinstance(self.Ud, np.ndarray)
+        """U_d varies with theta, as `_solve_design` decides: its jump dwells
+        (`analysis._jump_timers`) are an interval and K_d is not fixed."""
+        lo, hi = _jump_timers(self.dwell)
+        return lo < hi and self.M is None
 
     def kd_mesh(self, thetas) -> np.ndarray:
-        """K_d = U_d X(.)^{-1} for the dwells `thetas`, a C-contiguous
-        (md, n, len(thetas)).  A RangeDT design evaluates at each clipped
-        theta in one vectorized pass; the others evaluate K_d once: from M
-        (RangeDT_FixedKd), at T (ConstantDT, MinimumDT) or at 0 (ArbitraryDT)."""
-        k = len(thetas)
-        if self.Ud is None:
-            n = len(self.X[0]) if self.per_mode else len(self.X)
-            return np.zeros((0, n, k))
-        if self.kind == "RangeDT_FixedKd":
-            K = (np.asarray(self.Ud) / np.asarray(self.M)[None, :])[:, :, None]
-        else:
-            at = (np.clip(np.asarray(thetas, dtype=float), self.dwell.Tmin, self.dwell.Tmax)
-                  if self.kind == "RangeDT" else np.array([self.dwell.T or 0.0]))
-            xv = np.stack([p.eval(at) for p in self.X])
-            if (xv <= 0.0).any():
-                raise IllPosed("denominator X not positive at the jump evaluation point")
-            ud = (np.array([[p.eval(at) for p in row] for row in self.Ud]) if self._ud_poly
-                  else np.asarray(self.Ud)[:, :, None])
-            K = ud / xv[None]
-        return K if K.shape[2] == k else np.repeat(K, k, axis=2)
+        """K_d = U_d(theta) X(theta)^{-1}, or U_d M^{-1} under a fixed K_d,
+        a C-contiguous (md, n, len(thetas)), each theta clipped to the jump
+        dwells: [Tmin, Tmax], T, or 0 under arbitrary dwell."""
+        if not self.Ud:
+            return np.zeros((0, len(self.X[0]) if self.per_mode else len(self.X), len(thetas)))
+        d = self.dwell
+        at = np.clip(np.asarray(thetas, dtype=float), *((d.Tmin, d.Tmax) if d.kind == "range" else [d.T or 0.0] * 2))
+        xv = self.M[:, None] if self.M is not None else np.stack([p.eval(at) for p in self.X])
+        if (xv <= 0.0).any():
+            raise IllPosed("denominator X not positive at the jump dwells")
+        return np.array([[p.eval(at) for p in row] for row in self.Ud]) / xv[None]
 
     def kd(self, theta: Optional[float] = None) -> np.ndarray:
         """K_d at one dwell theta, the single-point case of kd_mesh; a design
@@ -197,10 +189,10 @@ class ControllerRealization:
             "X": polys_to_json(self.X),
             "Uc": polys_to_json(self.Uc),
         }
-        if self._ud_poly:
+        if self.Ud is not None and self._ud_poly:
             data["Ud_poly"] = polys_to_json(self.Ud)
         elif self.Ud is not None:
-            data["Ud"] = np.asarray(self.Ud).tolist()
+            data["Ud"] = [[p.coeffs[0] for p in row] for row in self.Ud]
         if self.M is not None:
             data["M"] = np.asarray(self.M).tolist()
         return data
@@ -210,22 +202,26 @@ class ControllerRealization:
         try:
             kind = data["kind"]
             depth = 1 + kind.startswith("Switched")
-            matrix = lambda v: np.asarray(v, dtype=float)
-            Ud = (read_field(data, "Ud_poly", lambda v: polys_from_json(v, 2)) if "Ud_poly" in data
-                  else read_field(data, "Ud", matrix) if "Ud" in data else None)
-            return ControllerRealization(
+            X = read_field(data, "X", lambda v: polys_from_json(v, depth))
+            rows = lambda v: [_sized(row, X) for row in polys_from_json(v, 2)]
+            ctrl = ControllerRealization(
                 kind=kind,
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
                 gamma=read_field(data, "gamma", finite_float),
                 degree=read_field(data, "degree", int),
                 margin=read_field(data, "margin", finite_float),
-                X=read_field(data, "X", lambda v: polys_from_json(v, depth)),
+                X=X,
                 Uc=read_field(data, "Uc", lambda v: polys_from_json(v, depth + 1)),
-                Ud=Ud,
-                M=read_field(data, "M", matrix) if "M" in data else None,
+                Ud=(read_field(data, "Ud_poly", rows) if "Ud_poly" in data else
+                    read_field(data, "Ud", lambda v: rows([[[x] for x in r] for r in v])) if "Ud" in data else None),
+                M=read_field(data, "M", lambda v: np.array(_sized([finite_float(x) for x in v], X)))
+                if "M" in data else None,
             )
         except KeyError as exc:
             raise ParseError(f"controller file missing field {exc.args[0]!r}") from exc
+        if "Ud_poly" in data and not ctrl._ud_poly:  # to_json writes such a U_d as constants
+            raise ParseError(f"bad field 'Ud_poly': U_d is constant in a {ctrl.kind} controller under {ctrl.dwell}")
+        return ctrl
 
     def save(self, path: str) -> None:
         write_json(self.to_json(), path)
@@ -233,6 +229,13 @@ class ControllerRealization:
     @staticmethod
     def load(path: str) -> "ControllerRealization":
         return read_json(path, ControllerRealization.from_json)
+
+
+def _sized(items: list, X: list) -> list:
+    """items, for a controller file's decoder: one per entry of X, else a ValueError."""
+    if len(items) != len(X):
+        raise ValueError(f"{len(items)} entries where X has {len(X)}")
+    return items
 
 
 def realize_gain(ctrl: ControllerRealization, tau: float, mode: Optional[int] = None) -> np.ndarray:
@@ -324,7 +327,7 @@ def _design(sys, dwell: DwellTimeSpec, degree: int, margin: float, fixed_kd: boo
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if dwell.kind == "arbitrary" and not sys.is_constant():
-        raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
+        raise NotConstant("arbitrary dwell-time synthesis needs constant matrices")
     require_positive_design(sys, _timer_end(dwell))
     if switched:
         ctrl = _solve_design(lift_switched(sys), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sys.N)
@@ -404,12 +407,6 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
     _gain_cap_rows(prog, "gain_cap_d", 2 * mc * n, x_at, Ud, _GAIN_CAP, dwells)
 
     def finalize(sol, relax):
-        Ud_out = None
-        if Ud and theta_poly:
-            Ud_out = [[_value(u, sol.x) for u in row] for row in Ud]
-        elif Ud:
-            # read raw from sol.x, where _value would turn a -0.0 into 0.0
-            Ud_out = np.array([[sol.x[v] for u in row for v in _terms(u)] for row in Ud])
         ctrl = ControllerRealization(
             kind=kind,
             dwell=dwell,
@@ -418,7 +415,9 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
             margin=margin,
             X=[_value(x, sol.x) for x in X],
             Uc=[[_value(u, sol.x) for u in row] for row in Uc],
-            Ud=Ud_out,
+            # a point design's U_d is read raw from sol.x, where _value would turn a -0.0 into 0.0
+            Ud=[[_value(u, sol.x) if theta_poly else Poly.const(*[sol.x[v] for v in _terms(u)]) for u in row]
+                for row in Ud] or None,
             M=np.array([sol.x[v] for v in M]) if fixed_kd else None,
         )
         _check_denominator(ctrl)

@@ -495,9 +495,9 @@ def oracle_rows(cert, sys):
     V = []  # per discrete input, its terms: (K_d target)_l with zeta = X
     if ctrl is not None and plant.md:
         if ctrl.kind == "RangeDT_FixedKd":
-            V = [[target[j] * (u / m) for j, (u, m) in enumerate(zip(row, ctrl.M))] for row in ctrl.Ud]
+            V = [[target[j] * (u.coeffs[0] / m) for j, (u, m) in enumerate(zip(row, ctrl.M))] for row in ctrl.Ud]
         else:
-            V = [[u if isinstance(u, Poly) else Poly.const(u) for u in row] for row in ctrl.Ud]
+            V = ctrl.Ud
     for jk, jm in enumerate(plant.jumps):
         for family, lead, M, N, W in ((f"jump[{jk}]", None, jm.J, jm.Bd, jm.Ed),
                                       (f"out_d[{jk}]", gamma, jm.Cd, jm.Dd, jm.Fd)):
@@ -649,14 +649,13 @@ def oracle_kd(ctrl, theta):
     if ctrl.Ud is None:
         return np.zeros((0, len(ctrl.X)))
     if ctrl.kind == "RangeDT_FixedKd":
-        return np.array([[u / m for u, m in zip(row, ctrl.M)] for row in ctrl.Ud])
+        return np.array([[u.eval(theta) / m for u, m in zip(row, ctrl.M)] for row in ctrl.Ud])
     dwell = ctrl.dwell
     if ctrl.kind == "RangeDT":
         at = min(max(theta, dwell.Tmin), dwell.Tmax)
     else:
         at = 0.0 if ctrl.kind == "ArbitraryDT" else dwell.T
-    return np.array([[(u.eval(at) if isinstance(u, Poly) else u) / x.eval(at) for u, x in zip(row, ctrl.X)]
-                     for row in ctrl.Ud])
+    return np.array([[u.eval(at) / x.eval(at) for u, x in zip(row, ctrl.X)] for row in ctrl.Ud])
 
 
 def _closed_loop_mesh(view, taus, mode):
@@ -1667,7 +1666,7 @@ def reference_synthesize(
         "range": "RangeDT_FixedKd" if fixed_kd else "RangeDT",
     }[dwell.kind]
     if dwell.kind == "arbitrary" and not sys.is_constant():
-        raise DimensionMismatch("arbitrary dwell-time synthesis needs constant matrices")
+        raise NotConstant("arbitrary dwell-time synthesis needs constant matrices")
 
     x_degree = 0 if dwell.kind == "arbitrary" else degree
     Tend = 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
@@ -1793,7 +1792,7 @@ def reference_synthesize(
         if Ud_poly is not None:
             Ud_out = [[Ud_poly[l][j].value(sol.x) for j in range(n)] for l in range(md_)]
         elif Ud_const is not None:
-            Ud_out = np.array([[sol.x[Ud_const[l][j]] for j in range(n)] for l in range(md_)])
+            Ud_out = [[Poly.const(sol.x[Ud_const[l][j]]) for j in range(n)] for l in range(md_)]
         M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
         ctrl = ControllerRealization(
             kind=kind,

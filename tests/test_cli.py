@@ -242,7 +242,7 @@ class TestSynthesizeCommand:
         loaded = ControllerRealization.load(str(out))
         assert loaded.to_json() == ctrl.to_json()
         assert np.array_equal(loaded.kd(0.2), ctrl.kd(0.2))
-        assert np.array_equal(ctrl.kd(0.2), np.asarray(ctrl.Ud) / [x.eval(0.2) for x in ctrl.X])
+        assert np.array_equal(ctrl.kd(0.2), np.array(data["Ud"]) / [x.eval(0.2) for x in ctrl.X])
         assert main(["certify", "--system", str(sys_path), "--certificate", str(out)]) == 0
 
 

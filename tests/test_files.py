@@ -17,7 +17,8 @@ from dwellgain.analysis import (
     analyze_switched_min,
 )
 from dwellgain.errors import ParseError
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, load_system, system_to_json
+from dwellgain.cli import main
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, load_system, save_system, system_to_json
 from dwellgain.synthesis import ControllerRealization, synthesize, synthesize_switched
 
 ARTIFACTS = {
@@ -35,6 +36,7 @@ ARTIFACTS = {
     "MinimumDT design": lambda b: synthesize(b["lti+inputs"], DwellTimeSpec.minimum(0.2), 2),
     "RangeDT design": lambda b: synthesize(b["chain"], DwellTimeSpec.range(0.1, 0.3), 2),
     "RangeDT_FixedKd design": lambda b: synthesize(b["chain"], DwellTimeSpec.range(0.1, 0.3), 2, fixed_kd=True),
+    "RangeDT one-dwell design": lambda b: synthesize(b["chain"], DwellTimeSpec.range(0.2, 0.2000000000001), 2),
     "SwitchedMinDT design": lambda b: synthesize_switched(b["switched"], 0.5, 2),
     "SwitchedConstantDT design": lambda b: synthesize(b["switched"], DwellTimeSpec.constant(0.3), 2),
     "SwitchedRangeDT design": lambda b: synthesize(b["switched"], DwellTimeSpec.range(0.1, 0.3), 2),
@@ -56,7 +58,8 @@ def benches(bench_lti, bench_timer_growth, bench_chain_plant, bench_switched):
 @pytest.mark.parametrize("name", list(ARTIFACTS))
 def test_round_trip(benches, tmp_path, name):
     """save writes the sorted, indent-1 JSON of to_json with a final newline,
-    and load gives back an artifact with the same to_json."""
+    and load gives back an artifact with the same to_json, which saves to
+    the same bytes."""
     artifact = ARTIFACTS[name](benches)
     data = artifact.to_json()
     assert data["kind"] == name.split()[0]
@@ -66,7 +69,10 @@ def test_round_trip(benches, tmp_path, name):
     path = tmp_path / "artifact.json"
     artifact.save(str(path))
     assert path.read_text() == json.dumps(data, indent=1, sort_keys=True) + "\n"
-    assert type(artifact).load(str(path)).to_json() == data
+    loaded = type(artifact).load(str(path))
+    assert loaded.to_json() == data
+    loaded.save(str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("load", [Certificate.load, ControllerRealization.load, load_system],
@@ -108,17 +114,41 @@ DATA = Path(__file__).parent / "data"
     ("certificate", "zeta", [[0.5, float("inf")]], "zeta"),
     ("controller", "gamma", float("inf"), "gamma"),
     ("controller", "X", [[float("nan")]], "X"),
+    # U_d and M of a 2-state controller: finite, one entry per state, and
+    # U_d polynomial in theta only on a range of jump dwells
+    ("controller", "Ud", [[float("nan"), 0.5]], "Ud"),
+    ("controller", "Ud", [[0.5, float("-inf")]], "Ud"),
+    ("controller", "Ud", [[0.5, 0.5, 0.5]], "Ud"),
+    ("controller", "Ud", [[0.5]], "Ud"),
+    ("controller", "Ud", [0.5, 0.5], "Ud"),
+    ("controller", "M", [float("nan"), 1.0], "M"),
+    ("controller", "M", [1.0, float("inf")], "M"),
+    ("controller", "M", [1.0], "M"),
+    ("controller", "Ud_poly", [[[0.5], [0.1, 0.2]]], "Ud_poly"),
+    ("range controller", "Ud_poly", [[[0.5], [0.1, float("nan")]]], "Ud_poly"),
+    ("range controller", "Ud_poly", [[[0.5], [0.1], [0.2]]], "Ud_poly"),
+    ("range controller", "Ud_poly", [[[0.5], [0.1]]] * 2 + [[[0.5]]], "Ud_poly"),
 ])
-def test_wrong_field_names_it(bench_lti, bench_switched, tmp_path, base, field, value, named):
+def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, tmp_path, capsys, base, field, value,
+                              named):
     """A field of the wrong type or shape is a ParseError naming the file and
-    the field, not a TypeError, ValueError or IndexError from the decoder."""
-    load = {"certificate": Certificate.load, "controller": ControllerRealization.load}.get(base, load_system)
+    the field, not a TypeError, ValueError or IndexError from the decoder.
+    CLI certify refuses a bad controller file as a bad input, exit 2."""
+    load = {"certificate": Certificate.load}.get(base, load_system)
     if base in ("system", "switched"):
         data = system_to_json(bench_lti if base == "system" else bench_switched)
     else:
         data = json.loads((DATA / ("nonpositive_constant_1.json" if base == "certificate"
                                    else "negative_input_design.json")).read_text())
+    if base.endswith("controller"):
+        load = ControllerRealization.load
+        data["dwell"] = "range:0.1:0.3" if base == "range controller" else data["dwell"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**data, field: value}))
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: bad field {named!r}: "):
+    message = f"{re.escape(str(path))}: bad field {named!r}: "
+    with pytest.raises(ParseError, match=f"^{message}"):
         load(str(path))
+    if base.endswith("controller"):
+        save_system(negative_input_plant, str(tmp_path / "plant.json"))
+        assert main(["certify", "--system", str(tmp_path / "plant.json"), "--certificate", str(path)]) == 2
+        assert re.match(f"error: {message}", capsys.readouterr().err)

@@ -9,7 +9,7 @@ from conftest import cell_mesh, oracle_kc, oracle_kd
 from dwellgain import sim
 from dwellgain.cert import flow_grid, transition_matrix
 from dwellgain.errors import DimensionMismatch, IllPosed, StepTooLarge
-from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem
+from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, lift_switched
 from dwellgain.poly import Poly
 from dwellgain.sim import (
     InputSignal,
@@ -707,6 +707,20 @@ class TestSharedSegments:
                 assert sorted(march_spy["tables"], key=str) == sorted(longest.items(), key=str)
             ref = serial_simulate(sys_, gen, inputs, x0, 4.0, full=True, **kw)
             check_full(traj, ref, switched=case == "switched")
+
+    def test_tagged_impulsive_run_marches_one_flow(self, bench_switched, march_spy):
+        """An impulsive system has one flow whatever the tags of its jump
+        maps: the lift of a two-mode system builds one table, not one per
+        tag mode, and its run is the switched system's to rounding: the
+        block of its state of the active mode is the switched state."""
+        lifted, gen, const = lift_switched(bench_switched), SequenceGen.exact(0.5), generate_inputs("const_unit")
+        n = bench_switched.n
+        traj = simulate(lifted, gen, const, x0=[0.1] * n + [0.0] * n, horizon=4.0, start_mode=0)
+        assert march_spy["march"] == ["_march_tables"] and march_spy["tables"] == [(None, 500)]
+        ref = simulate(bench_switched, gen, const, x0=[0.1] * n, horizon=4.0, start_mode=0)
+        assert len(traj.jump_times) == 7 and set(ref.modes) == {0, 1}
+        blocks = traj.states.reshape(len(traj.times), 2, n)
+        np.testing.assert_allclose(blocks[np.arange(len(ref.modes)), ref.modes], ref.states, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("T, step", [(0.3, None), (0.5, None), (0.25, 0.002), (0.07, 0.01)])
     def test_whole_number_of_steps(self, bench_lti, T, step):

@@ -7,7 +7,8 @@ from conftest import (assert_matches_three_paths, first_program_rows, oracle_kd,
                       reference_synthesize_switched, spy_relaxations, stabilizable_two_mode)
 from dwellgain import synthesis as synthesis_mod
 from dwellgain.benchmarks import two_mode_switched_bench
-from dwellgain.errors import DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotPositive, Unsupported
+from dwellgain.errors import (DimensionMismatch, DwellgainError, IllPosed, Infeasible, NotConstant, NotPositive,
+                             Unsupported)
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem
 from dwellgain.poly import Poly
 from dwellgain.sim import SequenceGen, InputSignal, estimate_gain, generate_inputs, simulate
@@ -223,6 +224,23 @@ class TestInputPositivity:
         ctrl = synthesize(plant, DwellTimeSpec.constant(0.1), 2)
         assert verify(certificate_from(ctrl), closed_loop(plant, ctrl)).passed
 
+    def test_channel_without_input_is_the_plants(self, bench_chain_plant):
+        """No feedback changes J without a discrete input, nor A without a
+        continuous one: the design gate decides them as the analyses do,
+        where a negative entry used to reach an infeasible program."""
+        jm = bench_chain_plant.jump
+        J = jm.J - np.array([[0.0, 0.05], [0.0, 0.0]])
+        plant = ImpulsiveSystem.from_arrays(A=bench_chain_plant.A, Ec=bench_chain_plant.Ec, Cc=bench_chain_plant.Cc,
+                                            Fc=bench_chain_plant.Fc, J=J, Ed=jm.Ed, Cd=jm.Cd, Fd=jm.Fd)
+        assert plant.mc == plant.md == 0
+        with pytest.raises(NotPositive, match=re.escape("not positive on [0, 0.1]: jumps[0].J[0, 1]") + "$"):
+            synthesize(plant, DwellTimeSpec.constant(0.1), 2)
+        A = bench_chain_plant.A.coeffs[..., 0] - np.array([[0.0, 0.0], [0.05, 0.0]])
+        plant = ImpulsiveSystem.from_arrays(A=A, Ec=bench_chain_plant.Ec, Cc=bench_chain_plant.Cc,
+                                            Fc=bench_chain_plant.Fc, J=jm.J, Bd=jm.Bd, Ed=jm.Ed, Cd=jm.Cd, Fd=jm.Fd)
+        with pytest.raises(NotPositive, match=re.escape("not positive on [0, 0.1]: A[1, 0]") + "$"):
+            synthesize(plant, DwellTimeSpec.constant(0.1), 2)
+
 
 class TestSwitchedSynthesis:
     _stabilizable_two_mode = staticmethod(stabilizable_two_mode)
@@ -335,7 +353,7 @@ class TestSwitchedDesignDwellClasses:
             {"A": [[[-2.0, -1.0]]], "B": [[1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
             {"A": [[-1.0]], "B": [[1.0]], "E": [[1.0]], "C": [[1.0]], "F": [[0.0]]},
         ])
-        with pytest.raises(DimensionMismatch, match="needs constant matrices"):
+        with pytest.raises(NotConstant, match="needs constant matrices"):
             synthesize(sw, DwellTimeSpec.arbitrary(), 2)
 
 
@@ -438,16 +456,26 @@ def arbitrary_plant() -> ImpulsiveSystem:
 class TestKdMesh:
     def test_matches_per_theta_loop(self, bench_chain_plant, ctrl_constant_01, ctrl_range, ctrl_minimum):
         """kd_mesh equals, bit for bit, the per-theta kd loop and the gains
-        computed entry by entry from the stored U_d, X and M; thetas run past
-        both ends of the range."""
+        U_d(theta) X(theta)^-1, or U_d M^-1, computed entry by entry from the
+        stored U_d, X and M (`oracle_kd`), for every kind of design: constant,
+        minimum and arbitrary dwell, the one-dwell ranges [0.2, 0.2] and [0.2,
+        0.2 + 1e-13], a genuine range at degree 0 and 2, and a fixed K_d;
+        thetas run past both ends of the range."""
         designs = [
             ctrl_constant_01,
             ctrl_minimum,
             ctrl_range,
+            synthesize(arbitrary_plant(), DwellTimeSpec.range(0.1, 0.3), degree=0),
+            synthesize(bench_chain_plant, DwellTimeSpec.range(0.2, 0.2), degree=2),
+            synthesize(bench_chain_plant, DwellTimeSpec.range(0.2, 0.2000000000001), degree=2),
             synthesize(bench_chain_plant, DwellTimeSpec.range(0.1, 0.3), degree=2, fixed_kd=True),
             synthesize(arbitrary_plant(), DwellTimeSpec.arbitrary(), degree=0),
         ]
-        assert [c.kind for c in designs] == ["ConstantDT", "MinimumDT", "RangeDT", "RangeDT_FixedKd", "ArbitraryDT"]
+        assert [c.kind for c in designs] == ["ConstantDT", "MinimumDT"] + ["RangeDT"] * 4 + [
+            "RangeDT_FixedKd", "ArbitraryDT"]
+        # U_d varies with theta on the genuine ranges alone, constant rows elsewhere
+        assert [c._ud_poly for c in designs] == [False, False, True, True, False, False, False, False]
+        assert all(u.degree == 0 for c in designs if not c._ud_poly for row in c.Ud for u in row)
         thetas = np.array([0.05, 0.1, 0.1375, 0.2, 0.29, 0.3, 0.8])
         for ctrl in designs:
             mesh = ctrl.kd_mesh(thetas)
@@ -464,7 +492,7 @@ class TestKdMesh:
         polynomial in theta still needs theta."""
         for Tmax in (0.2, 0.2000000000001):
             ctrl = synthesize(bench_chain_plant, DwellTimeSpec.range(0.2, Tmax), degree=2)
-            assert ctrl.kind == "RangeDT" and isinstance(ctrl.Ud, np.ndarray)
+            assert ctrl.kind == "RangeDT" and not ctrl._ud_poly and "Ud" in ctrl.to_json()
             np.testing.assert_array_equal(ctrl.kd(), ctrl.kd(0.2))
             np.testing.assert_array_equal(ctrl.kd(), oracle_kd(ctrl, 0.2))
         with pytest.raises(ValueError, match="needs theta"):
