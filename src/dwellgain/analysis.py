@@ -49,7 +49,7 @@ from .errors import (
 from .lp import LinearProgram, RowBlock, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, lift_switched,
                     mode_mats, polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
-                    require_positive, write_json)
+                    require_positive, text, write_json)
 from .poly import RELAX_SCHEDULE, Poly
 
 __all__ = [
@@ -129,7 +129,7 @@ class Certificate:
     @staticmethod
     def from_json(data: dict) -> "Certificate":
         try:
-            kind = data["kind"]
+            kind = read_field(data, "kind", text)
             return Certificate(
                 kind=kind,
                 gamma=read_field(data, "gamma", finite_float),

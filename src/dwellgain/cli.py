@@ -8,6 +8,7 @@ Exit codes: 0 success (certify: all rows passed), 1 certify failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -93,7 +94,20 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _export_rows(traj: sim.Trajectory, every: int) -> sim.Trajectory:
+    """traj at the rows CLI simulate writes: each segment's rows at 0, every,
+    2 * every, ... cells from its start, and its last row, so both rows of
+    every jump and the horizon's last row; nothing is interpolated."""
+    seg = traj.jump_count  # nondecreasing, so searchsorted finds each segment's first row
+    keep = (np.arange(len(seg)) - np.searchsorted(seg, seg)) % every == 0
+    keep |= np.r_[seg[1:] != seg[:-1], True]
+    rows = {f: getattr(traj, f)[keep] for f in ("times", "states", "zc", "jump_count")}
+    return dataclasses.replace(traj, modes=None if traj.modes is None else traj.modes[keep], **rows)
+
+
 def _cmd_simulate(args) -> int:
+    if args.export_every < 1:
+        raise ParseError(f"--export-every must be >= 1, got {args.export_every}")
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
     gen = SequenceGen.for_spec(dwell, seed=args.seed)
@@ -119,7 +133,7 @@ def _cmd_simulate(args) -> int:
     )
     prefix = args.output or "trajectory"
     export_trajectory(
-        traj,
+        _export_rows(traj, args.export_every),
         prefix,
         sidecar={
             "command": "simulate",
@@ -130,6 +144,7 @@ def _cmd_simulate(args) -> int:
             "inputs": "const_unit",
             "empirical_gain": gain,
             "controller": args.controller,
+            "export_every": args.export_every,
         },
     )
     print(f"empirical gain lower bound = {_fmt(gain)}  ({args.runs} runs, horizon {_fmt(args.horizon)})")
@@ -239,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controller", default=None, help="apply a synthesized controller JSON")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for the Monte-Carlo runs")
     p.add_argument("--output", "-o", default=None, help="output prefix (default 'trajectory')")
+    p.add_argument("--export-every", type=int, default=10,
+                   help="write every K-th mesh row of each segment and both rows of every jump (1: every row)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("certify", help="independent verification of a certificate/controller")

@@ -710,6 +710,14 @@ def read_field(data: dict, key: str, decode):
         raise ParseError(f"bad field {key!r}: {exc}") from exc
 
 
+def text(value) -> str:
+    """value for a file's decoder when it is a string, else a TypeError,
+    which read_field names with its field."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def finite_float(value) -> float:
     """float(value) for a file's decoder: NaN and the infinities are a
     ValueError, which read_field names with its field."""

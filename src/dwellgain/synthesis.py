@@ -49,7 +49,7 @@ from .analysis import (
 from .errors import DimensionMismatch, IllPosed, NotConstant, ParseError, Unsupported
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
-                    require_positive_design, write_json)
+                    require_positive_design, text, write_json)
 from .poly import Poly, decide_nonneg, product_basis
 
 __all__ = [
@@ -200,7 +200,7 @@ class ControllerRealization:
     @staticmethod
     def from_json(data: dict) -> "ControllerRealization":
         try:
-            kind = data["kind"]
+            kind = read_field(data, "kind", text)
             depth = 1 + kind.startswith("Switched")
             X = read_field(data, "X", lambda v: polys_from_json(v, depth))
             rows = lambda v: [_sized(row, X) for row in polys_from_json(v, 2)]

@@ -628,6 +628,19 @@ def _verify_switched(cert, sw, grid):
     return _oracle_report(cert, sw, slacks, grid)
 
 
+def oracle_export_rows(jump_count: list, every: int) -> list:
+    """The rows CLI simulate writes, found row by row: a row is kept when it
+    lies a multiple of `every` rows after its segment's first row, or is its
+    segment's last row."""
+    keep, start = [], 0
+    for i, seg in enumerate(jump_count):
+        if i and seg != jump_count[i - 1]:
+            start = i
+        if (i - start) % every == 0 or i + 1 == len(jump_count) or jump_count[i + 1] != seg:
+            keep.append(i)
+    return keep
+
+
 def cell_mesh(pm, taus, clamp=None):
     """PolyMatrix.eval_mesh transposed to the oracles' cell-major (len, r, c)."""
     return pm.eval_mesh(taus, clamp).transpose(2, 0, 1)

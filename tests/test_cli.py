@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import spy_solves
+from conftest import oracle_export_rows, spy_solves
 from dwellgain import sim
 from dwellgain.cli import main
 from dwellgain.model import DwellTimeSpec, load_system, save_system
@@ -420,13 +421,69 @@ class TestSimulateAndSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestExportEvery:
+    """CLI simulate writes its states CSV at a stride of --export-every mesh
+    cells per segment, keeping both rows of every jump; the run, its gain and
+    the jumps CSV do not depend on the stride."""
+
+    @staticmethod
+    def _run(capsys, system, dwell, prefix, *extra):
+        assert main(["simulate", "--system", system, "--dwell", dwell, "--runs", "3", "--horizon", "4",
+                     "--seed", "5", "-o", prefix, *extra]) == 0
+        return capsys.readouterr().out.replace(prefix, "PREFIX"), {
+            suffix: Path(prefix + suffix).read_bytes() for suffix in ("_states.csv", "_jumps.csv", "_meta.json")}
+
+    @pytest.mark.parametrize("dwell", ["minimum:0.5", "range:0.3:0.6", "constant:0.45"])
+    @pytest.mark.parametrize("system", ["ex1", "switched"])
+    def test_default_stride_keeps_full_rows(self, ex1_path, switched_path, tmp_path, capsys, system, dwell):
+        path = {"ex1": ex1_path, "switched": switched_path}[system]
+        out_full, full = self._run(capsys, path, dwell, str(tmp_path / "full"), "--export-every", "1")
+        out_thin, thin = self._run(capsys, path, dwell, str(tmp_path / "thin"))
+        assert out_thin == out_full
+        assert thin["_jumps.csv"] == full["_jumps.csv"]
+        meta_full, meta_thin = json.loads(full["_meta.json"]), json.loads(thin["_meta.json"])
+        assert (meta_full.pop("export_every"), meta_thin.pop("export_every")) == (1, 10)
+        assert meta_thin == meta_full  # empirical_gain included
+        rows_full, rows_thin = full["_states.csv"].splitlines(), thin["_states.csv"].splitlines()
+        assert 8 * len(rows_thin) < len(rows_full)
+        it = iter(rows_full)
+        assert all(row in it for row in rows_thin)  # a subsequence: every kept row, in order
+        assert rows_thin[:2] == rows_full[:2] and rows_thin[-1] == rows_full[-1]
+        jump_times = [line.split(b",")[1] for line in full["_jumps.csv"].splitlines()[1:]]
+        assert jump_times
+        times_full = [row.split(b",")[0] for row in rows_full[1:]]
+        times_thin = [row.split(b",")[0] for row in rows_thin[1:]]
+        for t in jump_times:  # the left and right rows of each jump, both kept whole
+            assert times_full.count(t) == times_thin.count(t) == 2
+            rows_at = lambda rows, times: [r for r, s in zip(rows[1:], times) if s == t]
+            assert rows_at(rows_thin, times_thin) == rows_at(rows_full, times_full)
+
+    def test_every_one_is_the_library_export(self, ex1_path, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        expected_stdout = TestSimulateIntegrationCount._reference(ex1_path, "range:0.3:0.6", 2, 11, prefix, every=1)
+        expected = TestSimulateIntegrationCount._outputs(prefix)
+        capsys.readouterr()
+        assert main(["simulate", "--system", ex1_path, "--dwell", "range:0.3:0.6", "--runs", "2",
+                     "--horizon", "4", "--seed", "11", "-o", prefix, "--export-every", "1"]) == 0
+        assert capsys.readouterr().out == expected_stdout
+        assert TestSimulateIntegrationCount._outputs(prefix) == expected
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_bad_stride_exits_2(self, ex1_path, tmp_path, capsys, every):
+        assert main(["simulate", "--system", ex1_path, "--dwell", "minimum:0.5", "--runs", "1",
+                     "-o", str(tmp_path / "out"), "--export-every", every]) == 2
+        assert capsys.readouterr().err == f"error: --export-every must be >= 1, got {every}\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestSimulateIntegrationCount:
     """simulate exports run 0's trajectory and takes its sup as that run's
     gain sample, so each sampled sequence is integrated once."""
 
     @staticmethod
-    def _reference(system, dwell, runs, seed, prefix):
-        """The command's outputs with the export and estimate_gain run apart."""
+    def _reference(system, dwell, runs, seed, prefix, every=10):
+        """The command's outputs with the export and estimate_gain run apart,
+        the trajectory cut to the rows of `oracle_export_rows` at stride `every`."""
         sys_obj = load_system(system)
         spec = DwellTimeSpec.parse(dwell)
         gen = sim.SequenceGen.for_spec(spec, seed=seed)
@@ -434,9 +491,12 @@ class TestSimulateIntegrationCount:
                             horizon=4.0, clamp=spec.clamp, check_step=True,
                             rng=np.random.default_rng((seed, 0)))
         gain = sim.estimate_gain(sys_obj, gen, runs=runs, horizon=4.0, clamp=spec.clamp)
+        keep = oracle_export_rows(traj.jump_count.tolist(), every)
+        traj = dataclasses.replace(traj, times=traj.times[keep], states=traj.states[keep], zc=traj.zc[keep],
+                                   jump_count=traj.jump_count[keep])
         sim.export_trajectory(traj, prefix, sidecar={
             "command": "simulate", "system": system, "dwell": str(spec), "seed": seed, "runs": runs,
-            "inputs": "const_unit", "empirical_gain": gain, "controller": None})
+            "inputs": "const_unit", "empirical_gain": gain, "controller": None, "export_every": every})
         return (f"empirical gain lower bound = {gain!r}  ({runs} runs, horizon 4.0)\n"
                 f"trajectory written to {prefix}_states.csv / {prefix}_jumps.csv\n")
 

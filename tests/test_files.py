@@ -128,12 +128,16 @@ DATA = Path(__file__).parent / "data"
     ("range controller", "Ud_poly", [[[0.5], [0.1, float("nan")]]], "Ud_poly"),
     ("range controller", "Ud_poly", [[[0.5], [0.1], [0.2]]], "Ud_poly"),
     ("range controller", "Ud_poly", [[[0.5], [0.1]]] * 2 + [[[0.5]]], "Ud_poly"),
+    # a kind that is not a string, named as itself in both files
+    ("certificate", "kind", 3, "kind"),
+    ("controller", "kind", 3, "kind"),
 ])
 def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, tmp_path, capsys, base, field, value,
                               named):
     """A field of the wrong type or shape is a ParseError naming the file and
     the field, not a TypeError, ValueError or IndexError from the decoder.
-    CLI certify refuses a bad controller file as a bad input, exit 2."""
+    CLI certify refuses a bad certificate or controller file as a bad
+    input, exit 2."""
     load = {"certificate": Certificate.load}.get(base, load_system)
     if base in ("system", "switched"):
         data = system_to_json(bench_lti if base == "system" else bench_switched)
@@ -148,7 +152,7 @@ def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, t
     message = f"{re.escape(str(path))}: bad field {named!r}: "
     with pytest.raises(ParseError, match=f"^{message}"):
         load(str(path))
-    if base.endswith("controller"):
+    if base not in ("system", "switched"):
         save_system(negative_input_plant, str(tmp_path / "plant.json"))
         assert main(["certify", "--system", str(tmp_path / "plant.json"), "--certificate", str(path)]) == 2
         assert re.match(f"error: {message}", capsys.readouterr().err)

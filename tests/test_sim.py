@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_mesh, oracle_kc, oracle_kd
+from conftest import cell_mesh, oracle_export_rows, oracle_kc, oracle_kd
 from dwellgain import sim
 from dwellgain.cert import flow_grid, transition_matrix
 from dwellgain.errors import DimensionMismatch, IllPosed, StepTooLarge
@@ -814,6 +814,31 @@ class TestExport:
         states, jumps = oracle_export_text(traj)
         assert (tmp_path / f"{case}_states.csv").read_bytes() == states.encode()
         assert (tmp_path / f"{case}_jumps.csv").read_bytes() == jumps.encode()
+
+    @pytest.mark.parametrize("every", [1, 3, 10, 10**6])
+    @pytest.mark.parametrize("case", ["impulsive", "no_zc", "switched"])
+    def test_export_rows_are_the_full_runs(self, case, every, bench_lti, bench_switched, tmp_path):
+        """CLI simulate's stride cuts a run to whole rows of it, found as
+        `oracle_export_rows` finds them, modes with them; exported, the
+        states CSV is the full one's at those rows and the jumps CSV is the
+        full one's."""
+        from dwellgain.cli import _export_rows
+
+        sys_ = {"impulsive": bench_lti, "no_zc": self._no_zc_system(), "switched": bench_switched}[case]
+        traj = simulate(sys_, SequenceGen.uniform_range(0.3, 0.6, seed=2), generate_inputs("sine"),
+                        x0=np.full(sys_.n, 0.3), horizon=2.0)
+        thin = _export_rows(traj, every)
+        keep = oracle_export_rows(traj.jump_count.tolist(), every)
+        for part in ("times", "states", "zc", "jump_count") + (("modes",) if case == "switched" else ()):
+            np.testing.assert_array_equal(getattr(thin, part), getattr(traj, part)[keep])
+        assert (thin.modes is None) == (case != "switched")
+        for part in ("jump_times", "zd", "pre_jump_states", "post_jump_states"):
+            assert getattr(thin, part) is getattr(traj, part)
+        export_trajectory(traj, str(tmp_path / "full"))
+        export_trajectory(thin, str(tmp_path / "thin"))
+        rows = (tmp_path / "full_states.csv").read_text().splitlines()
+        assert (tmp_path / "thin_states.csv").read_text().splitlines() == rows[:1] + [rows[1 + i] for i in keep]
+        assert (tmp_path / "thin_jumps.csv").read_bytes() == (tmp_path / "full_jumps.csv").read_bytes()
 
 
 class TestInputs:

@@ -89,6 +89,10 @@ Cases:
   segment.  Arrays are stored as SHA-256 digests of their
   bytes, so a march that moves any value by one ulp shows; next to them
   are each array's largest magnitude and each estimate's value;
+- one CLI `simulate` run at default flags through `cli.main`
+  (lti_jump_bench, minimum:0.7, horizon 5, seed 1, paths relative to the
+  output directory so that the sidecar's system path is the same on every
+  checkout): its exit code and stdout and the bytes of its three files;
 - `decide_nonneg` verdicts (proved, order, smallest Bernstein coefficient)
   of every nonconstant flow or output matrix entry of the built-in
   benchmarks on (0, 1.9) at tol 0, 1e-8 and -1e-8, and at the points of
@@ -103,8 +107,10 @@ a case that a version refuses with any exception is stored as its error.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -112,7 +118,7 @@ import tempfile
 
 import numpy as np
 
-from dwellgain import analysis, benchmarks, cert, model, sim, synthesis, Poly
+from dwellgain import analysis, benchmarks, cert, cli, model, sim, synthesis, Poly
 from dwellgain.errors import DwellgainError
 from dwellgain.lp import dump_lp
 from dwellgain.model import DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, check_positive
@@ -332,6 +338,19 @@ def collect_simulations(rec: "Recorder", out_dir: str) -> None:
     for name, s, dwell, ctrl, horizon in constant_input_cases():
         record_trajectory(rec, f"sim {name} {dwell} const_unit horizon={horizon}", s,
                           sim.SequenceGen.for_spec(dwell, seed=7), constant, horizon, ctrl, dwell.clamp, prefix)
+
+
+def collect_cli_simulate(rec: "Recorder", out_dir: str) -> None:
+    """The exit code, stdout and three files of one CLI simulate run into rec.out."""
+    key = "sim cli simulate lti_jump_bench minimum:0.7 horizon=5 seed=1"
+    with contextlib.chdir(out_dir), contextlib.redirect_stdout(io.StringIO()) as stdout:
+        model.save_system(benchmarks.lti_jump_bench(), "lti_jump_bench.json")
+        code = cli.main(["simulate", "--system", "lti_jump_bench.json", "--dwell", "minimum:0.7",
+                         "--horizon", "5", "--seed", "1", "-o", "cli"])
+        rec.out[f"{key} stdout"] = {"digest": _digest(f"exit {code}\n{stdout.getvalue()}")}
+        for suffix in ("_states.csv", "_jumps.csv", "_meta.json"):
+            with open("cli" + suffix, "rb") as fh:
+                rec.out[f"{key} export{suffix}"] = {"digest": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def collect_decisions(rec: "Recorder") -> None:
@@ -585,6 +604,7 @@ def collect(lp_dir: str) -> dict:
     rec.reports("negative_input_plant design file", synthesis.certificate_from(stored),
                 synthesis.closed_loop(neg, stored))
     collect_simulations(rec, lp_dir)
+    collect_cli_simulate(rec, lp_dir)
     collect_decisions(rec)
     return rec.out
 
