@@ -85,6 +85,21 @@ _SWITCHED_KIND = {"arbitrary": "SwitchedArbitraryDT", "constant": "SwitchedConst
                   "range": "SwitchedRangeDT"}
 
 
+def _per_mode(listing) -> bool:
+    """Whether a file's zeta or X listing is one list per mode, as in a
+    switched file: its first entry's first entry is a list, not a coefficient."""
+    first = listing[0] if isinstance(listing, list) and listing else None
+    return isinstance(first, list) and bool(first) and isinstance(first[0], list)
+
+
+def _check_kind(kind: str, dwell: DwellTimeSpec, per_mode: bool, suffix: str = "") -> None:
+    """A file's kind must be the one its dwell and the nesting of its listing
+    imply, with `suffix`; else a ParseError naming the field."""
+    implied = (_SWITCHED_KIND if per_mode else _KIND)[dwell.kind] + suffix
+    if kind != implied:
+        raise ParseError(f"bad field 'kind': {kind!r} where the dwell {dwell} and the nesting imply {implied!r}")
+
+
 @dataclass
 class Certificate:
     """Sufficient proof object for one analysis theorem."""
@@ -129,11 +144,11 @@ class Certificate:
     @staticmethod
     def from_json(data: dict) -> "Certificate":
         try:
-            kind = read_field(data, "kind", text)
-            return Certificate(
-                kind=kind,
+            per_mode = _per_mode(data["zeta"])
+            cert = Certificate(
+                kind=read_field(data, "kind", text),
                 gamma=read_field(data, "gamma", finite_float),
-                zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + kind.startswith("Switched"))),
+                zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + per_mode)),
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
                 margin=read_field(data, "margin", finite_float),
                 jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", finite_float),
@@ -144,6 +159,8 @@ class Certificate:
             )
         except KeyError as exc:
             raise ParseError(f"certificate file missing field {exc.args[0]!r}") from exc
+        _check_kind(cert.kind, cert.dwell, per_mode)
+        return cert
 
     def save(self, path: str) -> None:
         write_json(self.to_json(), path)

@@ -40,12 +40,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _at_least(flag: str, value: int, low: int = 1) -> None:
+    """A ParseError naming the flag unless value >= low."""
+    if value < low:
+        raise ParseError(f"{flag} must be >= {low}, got {value}")
+
+
 def _lp_options(degree: int, margin, order_cap) -> dict:
     """The keywords of an analysis or design LP from --degree, --margin and
     --order-cap: the relaxation orders up to the cap and any margin
-    override; a negative degree is a ParseError."""
-    if degree < 0:
-        raise ParseError(f"--degree must be >= 0, got {degree}")
+    override; a negative degree or cap and a margin that is not finite are
+    a ParseError."""
+    _at_least("--degree", degree, 0)
+    if order_cap is not None:
+        _at_least("--order-cap", order_cap, 0)
+    if margin is not None and not np.isfinite(margin):
+        raise ParseError(f"--margin must be finite, got {margin}")
     schedule = ana.RELAX_SCHEDULE
     if order_cap is not None:
         schedule = tuple(r for r in schedule if r <= order_cap) or (int(order_cap),)
@@ -106,8 +116,8 @@ def _export_rows(traj: sim.Trajectory, every: int) -> sim.Trajectory:
 
 
 def _cmd_simulate(args) -> int:
-    if args.export_every < 1:
-        raise ParseError(f"--export-every must be >= 1, got {args.export_every}")
+    _at_least("--runs", args.runs)
+    _at_least("--export-every", args.export_every)
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
     gen = SequenceGen.for_spec(dwell, seed=args.seed)
@@ -153,6 +163,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _at_least("--grid", args.grid)
     sys_obj = load_system(args.system)
     loaded = read_json(args.certificate, lambda data: (
         synth.ControllerRealization if data.get("type") == "controller" else ana.Certificate).from_json(data))
@@ -190,6 +201,7 @@ def _cmd_sweep(args) -> int:
     kind = args.dwell.split(":")[0]
     if kind not in ("minimum", "constant"):
         raise ParseError("sweep supports --dwell minimum or constant")
+    _at_least("--points", args.points)
     Ts = np.linspace(args.sweep_from, args.sweep_to, args.points)
     payloads = [(args.system, kind, float(T), args.degree, args.margin, args.order_cap) for T in Ts]
     if args.jobs > 1:

@@ -31,9 +31,8 @@ operations, and they are composed by a two-level log-doubling prefix scan
 (Blelloch 1990), within blocks of 32 cells and then over the block ends.
 The tables hold each map as one (n, n+1) block [P | q]; the in-block ones
 are block-inner-major, (n, n+1, 32, L/32), so that every doubling step is
-one batched product over contiguous slabs, and they live in buffers
-allocated once per run.  No Python loop runs over its cells, blocks or
-segments.
+one batched product over contiguous slabs.  No Python loop runs over its
+cells, blocks or segments.
 
 The half-step referee reads the marched states afterwards, along the flat
 axis, so the states never depend on whether it runs.
@@ -41,7 +40,6 @@ axis, so the states never depend on whether it runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -191,30 +189,28 @@ def _mm(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.nd
     return np.einsum("ik...,kj...->ij...", A, B, out=out)
 
 
-def _mv(A: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cellwise products of a component-major matrix stack (r, k, ...) and vectors (k, ...)."""
-    return np.einsum("ik...,k...->i...", A, x, out=out)
+    return np.einsum("ik...,k...->i...", A, x)
 
 
-def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h, out=(None,) * 4):
+def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slice, h):
     """Classical RK4 step of x' = A x + b as an affine map x -> R x + s, per cell.
 
     A (n, n, len) and b (n, len) hold the data on a mesh; the slices pick the
     start, midpoint and end of each of m cells, whose widths h are one float
     or an (m,) array.  R is (n, n, m) and s (n, m); b None builds R alone
-    and s is None.  `out`, when given, is the arrays R, s are written to,
-    then one scratch array of each shape.
+    and s is None.
     """
     A1, A2, A4 = A[..., start], A[..., mid], A[..., end]
     # M2 = A2 + h/2 A2 A1, M3 = A2 + h/2 A2 M2, M4 = A4 + h A4 M3 and
     # R = I + h/6 (A1 + 2 M2 + 2 M3 + M4), evaluated in place: the same
     # floating-point operations in the same order, with fewer temporaries;
     # likewise v2, v3, v4 and s = h/6 (b1 + 2 v2 + 2 v3 + v4)
-    R_out, s_out, M3_out, v3_out = out
-    M2 = _mm(A2, A1, out=R_out)
+    M2 = _mm(A2, A1)
     M2 *= 0.5 * h
     M2 += A2
-    M3 = _mm(A2, M2, out=M3_out)
+    M3 = _mm(A2, M2)
     M3 *= 0.5 * h
     M3 += A2
     M4 = _mm(A4, M3)
@@ -231,10 +227,10 @@ def _rk4_stage(A: np.ndarray, b: np.ndarray, start: slice, mid: slice, end: slic
     if b is None:
         return R, None
     b1, b2, b4 = b[..., start], b[..., mid], b[..., end]
-    v2 = _mv(A2, b1, out=s_out)
+    v2 = _mv(A2, b1)
     v2 *= 0.5 * h
     v2 += b2
-    v3 = _mv(A2, v2, out=v3_out)
+    v3 = _mv(A2, v2)
     v3 *= 0.5 * h
     v3 += b2
     v4 = _mv(A4, v3)
@@ -272,20 +268,7 @@ def _prefix(T: np.ndarray, T2: np.ndarray) -> np.ndarray:
     return T
 
 
-def _buffers(n: int, m: int) -> list:
-    """Flat buffers for the tables of `_block_prefix` over up to m maps of
-    size n: two for the in-block tables, then two for the block-end ones."""
-    B = min(_BLOCK, m)
-    nb = -(-m // B)
-    return [np.empty(size) for size in (n * (n + 1) * B * nb,) * 2 + (n * (n + 1) * nb,) * 2]
-
-
-def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """The leading entries of the flat buffer `buf` as a C-contiguous array of `shape`."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def _block_prefix(R: np.ndarray, s: Optional[np.ndarray], buffers: Optional[list] = None):
+def _block_prefix(R: np.ndarray, s: Optional[np.ndarray]):
     """Prefix tables of the one-step maps x_{i+1} = R[..., i] x_i + s[..., i].
 
     R is (n, n, m) and s (n, m).  The m cells form nb blocks of B = min(_BLOCK, m),
@@ -299,19 +282,14 @@ def _block_prefix(R: np.ndarray, s: Optional[np.ndarray], buffers: Optional[list
       x_{(b+1)B} = U[:, :n, b] x_0 + U[:, n, b].
     Both levels come from `_prefix`, the second over the block-end maps, so
     no Python loop runs over cells or blocks.  With s None the tables hold
-    P alone, (n, n, B, nb) and (n, n, nb-1).  The tables are views into
-    `buffers` (from `_buffers`, for m maps or more), which a march reuses
-    chunk after chunk; without them they are allocated for this call.  R
-    and s may lie in the first buffer: they are copied into the second
-    before the first is written.
+    P alone, (n, n, B, nb) and (n, n, nb-1).
     """
     n, m = R.shape[1:]
     B = min(_BLOCK, m)
     nb, full = -(-m // B), m // B
     t = m - full * B  # cells of a last, partial block
     cols = n + (s is not None)
-    shapes = [(n, cols, B, nb)] * 2 + [(n, cols, nb - 1)] * 2
-    T, T2, U, U2 = map(_view, buffers, shapes) if buffers else map(np.empty, shapes)
+    T, T2, U, U2 = map(np.empty, [(n, cols, B, nb)] * 2 + [(n, cols, nb - 1)] * 2)
     for part, maps in [(T2[:, :n], R)] + ([(T2[:, n], s)] if s is not None else []):
         part[..., :full] = maps[..., : full * B].reshape(maps.shape[:-1] + (full, B)).swapaxes(-1, -2)
         if t:
@@ -405,10 +383,7 @@ class _FlatAxis:
     codes[i] (None: all alike) indexes `modes`; map i takes point i to point
     i+1 and is an RK4 cell of width widths[i], or at a segment's last point
     the jump, a cell of zero width whose mesh collapses onto that point.
-    The methods work on the stretch of points a..b, maps a..b-1.  `buffers`
-    holds the march's tables (see `_buffers`) from the first `maps` call on,
-    made once that call's mesh data exist so that a one-chunk run never
-    holds both."""
+    The methods work on the stretch of points a..b, maps a..b-1."""
 
     sys: Union[ImpulsiveSystem, SwitchedSystem]
     controller: object
@@ -419,7 +394,6 @@ class _FlatAxis:
     taus: np.ndarray
     origin: np.ndarray
     widths: np.ndarray
-    buffers: list = field(default_factory=list)
 
     def fields(self, a: int, b: int, quarters: bool):
         """A (+B K_c) and E w on the stretch's mesh -- its points, then the
@@ -466,14 +440,10 @@ class _FlatAxis:
     def maps(self, a: int, b: int):
         """The stretch's one-step maps x_{i+1} = R[..., i] x_i + s[..., i]
         (jumps still as identity cells) and the output terms C, z at its
-        points.  R and s lie in the first of `buffers`, as one table [R | s]."""
+        points."""
         A, bw, C, z = self.fields(a, b, quarters=False)
-        L, n = b - a, len(bw)
-        if not self.buffers:
-            self.buffers = _buffers(n, min(_CHUNK, len(self.widths)))
-        T, T2 = (_view(buf, (n, n + 1, L)) for buf in self.buffers[:2])
-        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b],
-                          (T[:, :n], T[:, n], T2[:, :n], T2[:, n]))
+        L = b - a
+        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b])
         return R, s, C, z
 
     def halfstep_error(self, a: int, b: int, xs: np.ndarray) -> np.ndarray:
@@ -620,9 +590,7 @@ def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds:
 def _march_flat(axis: _FlatAxis, jR, js, jumps_at: np.ndarray, x0: np.ndarray, switched: bool, states: np.ndarray,
                 zc: np.ndarray) -> None:
     """Fill the states and z_c of the whole flat axis, marched chunk by
-    chunk from the state the previous chunk ended in, the prefix tables of
-    every chunk in the same buffers; these are freed on return, before the
-    referee's own working set is built."""
+    chunk from the state the previous chunk ended in."""
     x = x0
     for a in range(0, len(axis.widths), _CHUNK):
         b = min(a + _CHUNK, len(axis.widths))
@@ -630,7 +598,7 @@ def _march_flat(axis: _FlatAxis, jR, js, jumps_at: np.ndarray, x0: np.ndarray, s
         lo, hi = np.searchsorted(jumps_at, [a, b])
         at = jumps_at[lo:hi] - a
         R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
-        xs = _scan(_block_prefix(R, s, axis.buffers), x, b - a)
+        xs = _scan(_block_prefix(R, s), x, b - a)
         if switched:  # the state is continuous: copy it rather than round it through the identity
             xs[:, at + 1] = xs[:, at]
         if not np.isfinite(xs).all():
@@ -639,7 +607,6 @@ def _march_flat(axis: _FlatAxis, jR, js, jumps_at: np.ndarray, x0: np.ndarray, s
         states[a : b + 1] = xs.T
         zc[a : b + 1] = (_mv(C, xs) + z).T
         x = xs[:, -1]
-    axis.buffers = []
 
 
 def _default_step(gen: SequenceGen) -> float:
@@ -676,8 +643,8 @@ def simulate(
     module docstring).  The two agree to rounding.
     """
     require_forward_time(sys, "simulation")
-    if horizon <= 0 or (step is not None and step <= 0):
-        raise DimensionMismatch("horizon and step must be positive")
+    if not (0 < horizon < np.inf and (step is None or 0 < step < np.inf)):
+        raise DimensionMismatch("horizon and step must be finite and positive")
     if rng is None:
         rng = np.random.default_rng(dwell_gen.seed)
     if step is None:

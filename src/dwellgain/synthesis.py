@@ -29,11 +29,13 @@ from .analysis import (
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
+    _check_kind,
     _Cone,
     _const_entries,
     _jump_rows,
     _jump_timers,
     _Mode,
+    _per_mode,
     _Program,
     _add,
     _const,
@@ -201,7 +203,7 @@ class ControllerRealization:
     def from_json(data: dict) -> "ControllerRealization":
         try:
             kind = read_field(data, "kind", text)
-            depth = 1 + kind.startswith("Switched")
+            depth = 1 + _per_mode(data["X"])
             X = read_field(data, "X", lambda v: polys_from_json(v, depth))
             rows = lambda v: [_sized(row, X) for row in polys_from_json(v, 2)]
             ctrl = ControllerRealization(
@@ -221,6 +223,7 @@ class ControllerRealization:
             raise ParseError(f"controller file missing field {exc.args[0]!r}") from exc
         if "Ud_poly" in data and not ctrl._ud_poly:  # to_json writes such a U_d as constants
             raise ParseError(f"bad field 'Ud_poly': U_d is constant in a {ctrl.kind} controller under {ctrl.dwell}")
+        _check_kind(ctrl.kind, ctrl.dwell, depth == 2, "_FixedKd" if ctrl.M is not None else "")
         return ctrl
 
     def save(self, path: str) -> None:

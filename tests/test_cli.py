@@ -346,6 +346,66 @@ def test_wrong_field_exits_2(ex1_path, tmp_path, capsys, argv, source, field, va
     assert not list(tmp_path.glob("out*"))
 
 
+SIMULATE = ["simulate", "--system", "{ex1}", "--dwell", "minimum:0.5", "--runs", "2", "--horizon", "2"]
+ANALYZE_RANGE = ["analyze", "--system", "{ex1}", "--dwell", "range:0.5:0.75", "--degree", "6"]
+SWEEP = ["sweep", "--system", "{ex1}", "--dwell", "minimum", "--from", "0.2", "--to", "0.4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIMULATE + ["--horizon", "inf"], "horizon and step must be finite and positive"),
+    (SIMULATE + ["--horizon", "nan"], "horizon and step must be finite and positive"),
+    (SIMULATE + ["--step", "nan"], "horizon and step must be finite and positive"),
+    (SIMULATE + ["--runs", "0"], "--runs must be >= 1, got 0"),
+    (["certify", "--system", "{ex1}", "--certificate", "{cert}", "--grid", "-5"], "--grid must be >= 1, got -5"),
+    (["certify", "--system", "{ex1}", "--certificate", "{cert}", "--grid", "0"], "--grid must be >= 1, got 0"),
+    (ANALYZE_RANGE + ["--margin", "nan"], "--margin must be finite, got nan"),
+    (ANALYZE_RANGE + ["--margin=-inf"], "--margin must be finite, got -inf"),
+    (ANALYZE_RANGE + ["--order-cap", "-1"], "--order-cap must be >= 0, got -1"),
+    (SWEEP + ["--points", "-1"], "--points must be >= 1, got -1"),
+    (SWEEP + ["--points", "0"], "--points must be >= 1, got 0"),
+    (["sweep", "--system", "{ex1}", "--dwell", "range:0.3:0.6", "--from", "0.2", "--to", "0.4"],
+     "sweep supports --dwell minimum or constant"),
+])
+def test_unusable_flag_exits_2(ex1_path, tmp_path, capsys, monkeypatch, argv, message):
+    """A flag value no run can use is a bad input, exit 2 with the flag
+    named, before any output is written: not a traceback, and not a
+    simulation that never ends (an infinite horizon's dwell draws, stubbed
+    here)."""
+    def no_draws(*args):
+        raise AssertionError("dwells drawn")
+
+    monkeypatch.setattr(sim.SequenceGen, "dwells", no_draws)
+    cert = Path(__file__).parent / "data" / "nonpositive_constant_1.json"
+    out = tmp_path / "out"
+    assert main([a.format(ex1=ex1_path, cert=cert) for a in argv] + ["-o", str(out)] * (argv[0] != "certify")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+class TestLpFlags:
+    """--order-cap and --margin reach the certificate file, and a sweep
+    point with no certified gain is written as nan."""
+
+    @pytest.mark.parametrize("cap", [2, 0])
+    def test_order_cap_is_the_relax_written(self, ex1_path, tmp_path, cap):
+        out = tmp_path / "c.json"
+        argv = [a.format(ex1=ex1_path) for a in ANALYZE_RANGE]
+        assert main(argv + ["--order-cap", str(cap), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["relax"] == cap
+
+    def test_margin_is_written(self, ex1_path, tmp_path):
+        out = tmp_path / "c.json"
+        argv = [a.format(ex1=ex1_path) for a in ANALYZE_RANGE]
+        assert main(argv + ["--margin", "0.001", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["margin"] == 0.001
+
+    def test_sweep_writes_nan_where_no_gain_is_certified(self, ex2_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--system", ex2_path, "--dwell", "minimum", "--from", "0.2", "--to", "0.4",
+                     "--points", "2", "-o", str(out)]) == 0
+        assert out.read_text() == "T,gamma\n0.2,nan\n0.4,nan\n"
+
+
 def test_parser_is_built_once(ex1_path, tmp_path, capsys):
     """main() shares one parser: analyze, simulate and a failing parse in one
     process print, write and exit as each does in a fresh process."""

@@ -131,6 +131,18 @@ DATA = Path(__file__).parent / "data"
     # a kind that is not a string, named as itself in both files
     ("certificate", "kind", 3, "kind"),
     ("controller", "kind", 3, "kind"),
+    # a kind other than the one the dwell, the nesting of zeta or X (per
+    # mode in a switched file) and, in a controller, M imply: a Switched
+    # kind on a flat listing is named as the kind, not as zeta or X
+    ("certificate", "kind", "Bogus", "kind"),
+    ("certificate", "kind", "RangeDT", "kind"),
+    ("certificate", "kind", "SwitchedConstantDT", "kind"),
+    ("certificate", "zeta", [[[0.5], [0.5]], [[0.5], [0.5]]], "kind"),
+    ("controller", "kind", "Bogus", "kind"),
+    ("controller", "kind", "SwitchedConstantDT", "kind"),
+    ("controller", "kind", "ConstantDT_FixedKd", "kind"),
+    ("controller", "M", [1.0, 1.0], "kind"),
+    ("range controller", "kind", "ConstantDT", "kind"),
 ])
 def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, tmp_path, capsys, base, field, value,
                               named):

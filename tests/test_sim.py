@@ -302,6 +302,19 @@ class TestSimulate:
             simulate(bench_lti, SequenceGen.exact(0.5), generate_inputs("const_unit"),
                      x0=[1.0, 1.0], horizon=-1.0)
 
+    @pytest.mark.parametrize("horizon, step", [(np.inf, None), (np.nan, None), (5.0, np.nan), (5.0, np.inf),
+                                               (5.0, 0.0)])
+    def test_horizon_and_step_must_be_finite_and_positive(self, bench_lti, monkeypatch, horizon, step):
+        """Refused before any dwell is drawn: the draws of an infinite
+        horizon would never end, and a step of NaN would build no mesh."""
+        def no_draws(*args):
+            raise AssertionError("dwells drawn")
+
+        monkeypatch.setattr(SequenceGen, "dwells", no_draws)
+        with pytest.raises(DimensionMismatch, match="horizon and step must be finite and positive"):
+            simulate(bench_lti, SequenceGen.min_plus_exp(0.5), generate_inputs("const_unit"),
+                     x0=[0.0, 0.0], horizon=horizon, step=step)
+
     def test_switched_simulation(self, bench_switched):
         traj = simulate(
             bench_switched,
@@ -388,11 +401,11 @@ class TestSerialEquivalence:
                                        rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("horizon, tail", [(8.5, 324), (8.1955, 20)])
-    def test_reused_buffers_hold_no_stale_values(self, horizon, tail):
-        """simulate keeps its prefix tables in buffers from chunk to chunk.
-        A last chunk that is short and not a multiple of _BLOCK cells, after a
-        full chunk of non-identity maps, and systems of n = 1, 2, 3 one after
-        another, still march as the serial oracle does."""
+    def test_short_last_chunk_matches_serial_oracle(self, horizon, tail):
+        """A flat march of more than one chunk whose last chunk is short and
+        not a multiple of _BLOCK cells, after a full chunk of non-identity
+        maps, and systems of n = 1, 2, 3 one after another, march as the
+        serial oracle does."""
         inputs = combine_inputs(generate_inputs("sine"), generate_inputs("uniform_random", seed=8))
         gen = SequenceGen.exact(0.5, seed=3)
         for n in (1, 2, 3):
