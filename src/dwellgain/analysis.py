@@ -806,6 +806,15 @@ def analyze_arbitrary(
     return _analyze_hybrid(sys, DwellTimeSpec.arbitrary(), 0, margin, jump_margin, (0,))
 
 
+def _check_margins(**margins: float) -> None:
+    """A ValueError naming the first margin that is not >= 0: a negative
+    margin turns each strict theorem row into a slack one, and its gamma
+    bounds nothing."""
+    for name, value in margins.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _analyze_hybrid(
     sys: Union[ImpulsiveSystem, SwitchedSystem],
     dwell: DwellTimeSpec,
@@ -817,8 +826,8 @@ def _analyze_hybrid(
     dump_lp=None,
 ) -> Certificate:
     """The gates of every hybrid analysis (forward time, constant matrices
-    under arbitrary dwell, degree, positivity and `_unstable_orbit`), then
-    its program (`_solve_hybrid`).  A switched system is gated on its own
+    under arbitrary dwell, degree, margins, positivity and
+    `_unstable_orbit`), then its program (`_solve_hybrid`).  A switched system is gated on its own
     data, so a note names modes[k].X, and solved as its lift with jump
     margin 0, jump_margin unread, reported per mode (`Certificate.unlifted`):
     the lift's jump maps kron(e_i e_j', I) make its jump rows the coupling
@@ -829,6 +838,7 @@ def _analyze_hybrid(
         raise NotConstant("arbitrary dwell-time analysis needs constant matrices")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    _check_margins(margin=margin, jump_margin=jump_margin)
     require_positive(sys, _timer_end(dwell))
     if isinstance(sys, SwitchedSystem):
         cert = _solve_hybrid(lift_switched(sys), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
@@ -946,6 +956,7 @@ def analyze_switched_blanchini(
     DwellTimeSpec.minimum(T)  # refuses T outside (0, inf)
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    _check_margins(margin=margin)
     for md in sw.modes:
         if any(not md[k].is_constant for k in ("A", "E", "C", "F")):
             raise NotConstant("this comparison bound needs timer-independent modes")

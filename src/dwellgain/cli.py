@@ -49,13 +49,15 @@ def _at_least(flag: str, value: int, low: int = 1) -> None:
 def _lp_options(degree: int, margin, order_cap) -> dict:
     """The keywords of an analysis or design LP from --degree, --margin and
     --order-cap: the relaxation orders up to the cap and any margin
-    override; a negative degree or cap and a margin that is not finite are
-    a ParseError."""
+    override; a negative degree, cap or margin and a margin that is not
+    finite are a ParseError."""
     _at_least("--degree", degree, 0)
     if order_cap is not None:
         _at_least("--order-cap", order_cap, 0)
-    if margin is not None and not np.isfinite(margin):
-        raise ParseError(f"--margin must be finite, got {margin}")
+    if margin is not None:
+        if not np.isfinite(margin):
+            raise ParseError(f"--margin must be finite, got {margin}")
+        _at_least("--margin", margin, 0)
     schedule = ana.RELAX_SCHEDULE
     if order_cap is not None:
         schedule = tuple(r for r in schedule if r <= order_cap) or (int(order_cap),)
@@ -117,6 +119,7 @@ def _export_rows(traj: sim.Trajectory, every: int) -> sim.Trajectory:
 
 def _cmd_simulate(args) -> int:
     _at_least("--runs", args.runs)
+    _at_least("--jobs", args.jobs)
     _at_least("--export-every", args.export_every)
     sys_obj = load_system(args.system)
     dwell = DwellTimeSpec.parse(args.dwell)
@@ -202,6 +205,7 @@ def _cmd_sweep(args) -> int:
     if kind not in ("minimum", "constant"):
         raise ParseError("sweep supports --dwell minimum or constant")
     _at_least("--points", args.points)
+    _at_least("--jobs", args.jobs)
     Ts = np.linspace(args.sweep_from, args.sweep_to, args.points)
     payloads = [(args.system, kind, float(T), args.degree, args.margin, args.order_cap) for T in Ts]
     if args.jobs > 1:

@@ -18,7 +18,10 @@ are marched through the jumps by a prefix scan over the segments, and the
 states and outputs of each segment are filled from its start by one
 product with the first m_k columns of its table, one product for a run of
 like segments, as under a constant dwell.  A random dwell is thus marched
-as a constant one is.
+as a constant one is.  A gain run (`estimate_gain`, and CLI simulate's runs
+after the first) needs only the outputs: its tables hold the z_c part alone,
+the march fills z_c alone, z_d comes from the states at the segment ends,
+and it returns the run's hybrid sup with no Trajectory.
 
 Otherwise -- a time-varying input, a single segment, or tables that would
 not serve two segments on average -- the run lays the mesh points of all
@@ -167,16 +170,20 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def sup_zc(self) -> float:
-        return float(np.max(np.abs(self.zc))) if self.zc.size else 0.0
+        return _sup(self.zc)
 
     def sup_zd(self) -> float:
-        return float(np.max(np.abs(self.zd))) if self.zd.size else 0.0
+        return _sup(self.zd)
 
     def sup_hybrid(self) -> float:
         return max(self.sup_zc(), self.sup_zd())
 
     def min_state(self) -> float:
         return float(np.min(self.states)) if self.states.size else 0.0
+
+
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
@@ -486,17 +493,19 @@ def _constant_input(inputs: InputSignal, times: np.ndarray) -> Optional[float]:
     return float(w[0]) if (w == w[0]).all() else None
 
 
-def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float) -> np.ndarray:
+def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float, cols: np.ndarray, full: bool):
     """The flow of `mode` from tau = 0 to each tau = jh, j < points, under the
     constant continuous input w, as the affine maps x(0) -> (x(jh), z_c(jh))
     in the layout the fill reads, (n+1, points, n+q): T[:n, j] is
     [Phi_j | C_j Phi_j] transposed and T[n, j] is [r_j | C_j r_j + z_j], with
-    Phi_j, r_j and the output terms C_j, z_j from `_flow_tables`.  A table
-    of more than _CHUNK cells is built one chunk at a time, each chunk from
-    the previous one's last column, so its working set stays a chunk's."""
+    Phi_j, r_j and the output terms C_j, z_j from `_flow_tables`.  Without
+    full the table holds the output part alone, (n+1, points, q).  Also
+    returns [Phi_j | r_j] (n, n+1, len(cols)) at the columns j in cols.  A
+    table of more than _CHUNK cells is built one chunk at a time, each chunk
+    from the previous one's last column, so its working set stays a chunk's."""
     n, qc = sys.n, mode_mats(sys, mode)[3].shape[0]
     taus = np.arange(points) * h
-    table = np.empty((n + 1, points, n + qc))
+    table, at = np.empty((n + 1, points, n * full + qc)), np.empty((n, n + 1, len(cols)))
     start = None  # [Phi | r] at the chunk's first point, [I | 0] at tau = 0
     for a in range(0, max(points - 1, 1), _CHUNK):
         b = min(a + _CHUNK, points - 1)
@@ -505,16 +514,22 @@ def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float) -
         top = np.concatenate([Phi, r[:, None]], axis=1)  # [Phi_j | r_j]
         bottom = _mm(C, top)
         bottom[:, n] += z
-        table[:, a : b + 1, :n] = top.transpose(1, 2, 0)
-        table[:, a : b + 1, n:] = bottom.transpose(1, 2, 0)
+        if full:
+            table[:, a : b + 1, :n] = top.transpose(1, 2, 0)
+        table[:, a : b + 1, n * full :] = bottom.transpose(1, 2, 0)
+        hit = (a <= cols) & (cols <= b)
+        at[..., hit] = top[..., cols[hit] - a]
         start = top[..., -1]
-    return table
+    return table, at
 
 
 def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np.ndarray, lens: np.ndarray,
-                  h: float, w: float, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray) -> None:
+                  h: float, w: float, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray,
+                  full: bool) -> np.ndarray:
     """Fill the states and z_c, side by side in out (npts, n+q), of a run
-    under the constant continuous input w from one table per mode.
+    under the constant continuous input w from one table per mode; without
+    full, z_c alone in out (npts, q).  Returns the states at the segment
+    ends, (n, K), the pre-jump states but the last.
 
     Segment k, in mode modes[codes[k]], has the points tau = jh, j < m_k =
     ms[k], and its end lens[k].  Its mode's table (`_mode_table`, over the
@@ -524,19 +539,19 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
     the map [E_k | e_k] from x_k to the segment's end.  The starts follow
     x_{k+1} = J_k (E_k x_k + e_k) + s_k, the jump maps J_k, s_k as in the
     flat march, by the prefix scan over the segments.  Then each segment's
-    points are filled by one product of [x_k | 1] with its table; a run of
-    segments alike in mode and cell count, as under a constant dwell,
-    shares one product."""
+    points are filled by one product of [x_k | 1] with its table, whose
+    columns are those of out; a run of segments alike in mode and cell
+    count, as under a constant dwell, shares one product."""
     n, K = sys.n, len(ms)
     counts = ms + 1
     firsts = np.cumsum(counts) - counts
     ends = firsts + ms
-    qc = out.shape[1] - n
+    qc = out.shape[1] - n * full
     tables = []
     to_end, Cend, zend = np.empty((n, n + 1, K)), np.empty((qc, n, K)), np.empty((qc, K))
     for c, mode in enumerate(modes):
         ks = np.flatnonzero(codes == c)
-        table = _mode_table(sys, controller, mode, clamp, int(ms[ks].max()), h, w)
+        table, at = _mode_table(sys, controller, mode, clamp, int(ms[ks].max()), h, w, ms[ks] - 1, full)
         tables.append(table)
         # the partial cells, from (m_k - 1) h to lens[k], and the outputs at their ends
         L, cell = len(ks), (ms[ks] - 1) * h
@@ -544,7 +559,7 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
         grid = np.concatenate([lens[ks], cell, cell + 0.5 * width])
         A, bw, Cend[..., ks], zend[..., ks] = _fields(sys, controller, mode, clamp, grid, np.full(3 * L, w), L)
         R, s = _rk4_stage(A, bw, slice(L, 2 * L), slice(2 * L, 3 * L), slice(0, L), width)
-        E = _mm(R, table[:, ms[ks] - 1, :n].transpose(2, 0, 1))
+        E = _mm(R, at)
         E[:, n] += s
         to_end[..., ks] = E
     maps = _mm(jR, to_end[..., :-1])
@@ -552,8 +567,9 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
     starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, K - 1)
     x_end = _mv(to_end[:, :n], starts)
     x_end += to_end[:, n]
-    out[ends, :n] = x_end.T
-    out[ends, n:] = (_mv(Cend, x_end) + zend).T
+    if full:
+        out[ends, :n] = x_end.T
+    out[ends, n * full :] = (_mv(Cend, x_end) + zend).T
 
     starts1 = np.concatenate([starts, np.ones((1, K))]).T  # the rows [x_k | 1]
     cuts = np.flatnonzero(np.diff(codes) | np.diff(ms)) + 1
@@ -562,10 +578,12 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
         rows = out[firsts[a] : ends[b - 1] + 1].reshape(b - a, -1)[:, : part.shape[1]]
         # einsum, not a BLAS product: BLAS would allocate work buffers of its own
         np.einsum("kl,lj->kj", starts1[a:b], part, out=rows)
-    if switched:  # the state is continuous: a post-jump state is the pre-jump one
+    if switched and full:  # the state is continuous: a post-jump state is the pre-jump one
         out[firsts[1:], :n] = out[ends[:-1], :n]
-    if not np.isfinite(out[:, :n]).all():
+    # without the states, an overflow shows in x_end or as an infinite or NaN z_c
+    if not (np.isfinite(x_end).all() and np.isfinite(out[:, :n] if full else out).all()):
         raise StepTooLarge("state overflow while integrating; reduce the step")
+    return x_end
 
 
 def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds: list):
@@ -642,6 +660,13 @@ def simulate(
     take the march along one flat axis of all the mesh points (see the
     module docstring).  The two agree to rounding.
     """
+    return _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, False)
+
+
+def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, sup: bool):
+    """simulate's body.  With sup it returns the run's hybrid sup, what
+    Trajectory.sup_hybrid would read, and builds no Trajectory; a run marched
+    from tables and without the referee then fills z_c alone."""
     require_forward_time(sys, "simulation")
     if not (0 < horizon < np.inf and (step is None or 0 < step < np.inf)):
         raise DimensionMismatch("horizon and step must be finite and positive")
@@ -719,17 +744,18 @@ def simulate(
     # on the run's points and cell midpoints and the tables, over each mode's
     # longest segment, hold at most half of the run's maps, so that a table
     # serves two segments on average; else chunk by chunk along the flat axis.
-    qc = mode_mats(sys, modes[0])[3].shape[0]
-    out = np.empty((len(times), n + qc))
-    states, zc = out[:, :n], out[:, n:]
     w = None
     if len(ms) > 1 and 2 * sum(ms[codes == c].max() for c in range(len(modes))) <= ms.sum():
         w = _constant_input(inputs, times)
     axis = None  # the flat axis, made for the flat march and the referee alone
     if w is None or check_step:
         axis = _flat_axis(sys, controller, clamp, inputs, modes, codes, counts, ms, lens, step, taus, origin)
+    full = not sup or axis is not None  # a gain run marched from tables fills z_c alone
+    out = np.empty((len(times), n * full + mode_mats(sys, modes[0])[3].shape[0]))
+    states, zc = out[:, :n], out[:, n * full :]
     if w is not None:
-        _march_tables(sys, controller, clamp, modes, codes, ms, lens, step, w, jR, js, x0, switched, out)
+        x_end = _march_tables(sys, controller, clamp, modes, codes, ms, lens, step, w, jR, js, x0, switched, out,
+                              full)
     else:
         _march_flat(axis, jR, js, jumps_at, x0, switched, states, zc)
 
@@ -747,10 +773,13 @@ def simulate(
         if worst_lt > _LT_TOL:
             raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
 
-    pre, post = states[jumps_at], states[jumps_at + 1]
+    pre = states[jumps_at] if full else x_end[:, :-1].T
     zd = np.zeros((0, 0))
     if not switched and len(jumps_at) and jCz.shape[0]:
         zd = (_mv(jCz, pre.T) + jzs).T
+    if sup:
+        return max(_sup(zc), _sup(zd))
+    post = states[jumps_at + 1]
     return Trajectory(
         times=times,
         states=states,
@@ -786,21 +815,11 @@ def _pick_jump(sys: ImpulsiveSystem, mode: Optional[int], rng: np.random.Generat
 
 
 def _gain_run(payload) -> float:
+    """The hybrid sup of run r of estimate_gain, marched as simulate marches
+    it with the sequence drawn from default_rng((seed, r))."""
     sys, dwell_gen, horizon, step, controller, clamp, r = payload
-    rng = np.random.default_rng((dwell_gen.seed, r))
-    traj = simulate(
-        sys,
-        dwell_gen,
-        generate_inputs("const_unit"),
-        x0=np.zeros(sys.n),
-        horizon=horizon,
-        step=step,
-        controller=controller,
-        clamp=clamp,
-        check_step=False,
-        rng=rng,
-    )
-    return traj.sup_hybrid()
+    return _run(sys, dwell_gen, generate_inputs("const_unit"), np.zeros(sys.n), horizon, step, controller, clamp,
+                False, np.random.default_rng((dwell_gen.seed, r)), None, True)
 
 
 def estimate_gain(

@@ -30,6 +30,7 @@ from .analysis import (
     RELAX_SCHEDULE,
     Certificate,
     _check_kind,
+    _check_margins,
     _Cone,
     _const_entries,
     _jump_rows,
@@ -329,6 +330,7 @@ def _design(sys, dwell: DwellTimeSpec, degree: int, margin: float, fixed_kd: boo
         raise ValueError("fixed_kd is a range dwell-time variant")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    _check_margins(margin=margin)
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise NotConstant("arbitrary dwell-time synthesis needs constant matrices")
     require_positive_design(sys, _timer_end(dwell))

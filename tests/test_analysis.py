@@ -1799,6 +1799,48 @@ class TestNegativeDegree:
             calls[run]()
 
 
+class TestNegativeMargin:
+    """A margin or jump margin below 0 (or NaN) is refused as a ValueError
+    naming it by every analysis and design entry point, before any LP is
+    built: it would turn each strict theorem row into a slack one.  A margin
+    of 0 stays allowed."""
+
+    @pytest.mark.parametrize("run, name", [
+        ("analyze_constant", "margin"), ("analyze_constant jump", "jump_margin"), ("analyze_minimum", "margin"),
+        ("analyze_range", "jump_margin"), ("analyze_arbitrary", "margin"), ("analyze_switched_min", "margin"),
+        ("switched analyze_range", "margin"), ("synthesize", "margin"), ("synthesize_switched", "margin"),
+        ("analyze_constant nan", "margin"), ("analyze_switched_blanchini", "margin"),
+    ])
+    def test_refused(self, monkeypatch, run, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an LP was built under a negative margin")
+
+        monkeypatch.setattr(_Program, "__init__", forbidden)
+        monkeypatch.setattr(analysis_mod, "lp_solve", forbidden)
+        s, sw = benchmarks.lti_jump_bench(), benchmarks.two_mode_switched_bench()
+        calls = {
+            "analyze_constant": lambda: analyze_constant(s, 0.5, 2, margin=-1.0),
+            "analyze_constant jump": lambda: analyze_constant(s, 0.5, 2, jump_margin=-0.01),
+            "analyze_minimum": lambda: analyze_minimum(s, 0.5, 2, margin=-1e-9),
+            "analyze_range": lambda: analyze_range(s, 0.5, 0.75, 2, jump_margin=-1.0),
+            "analyze_arbitrary": lambda: analyze_arbitrary(s, margin=-1.0),
+            "analyze_switched_min": lambda: analyze_switched_min(sw, 0.5, 2, margin=-1.0),
+            "switched analyze_range": lambda: analyze_range(sw, 0.5, 0.75, 2, margin=-1.0),
+            "synthesize": lambda: synthesize(benchmarks.unstable_chain_plant(), DwellTimeSpec.constant(0.5), 2,
+                                             margin=-1e-3),
+            "synthesize_switched": lambda: synthesize_switched(sw, 0.5, 2, margin=-1.0),
+            "analyze_constant nan": lambda: analyze_constant(s, 0.5, 2, margin=math.nan),
+            "analyze_switched_blanchini": lambda: analyze_switched_blanchini(sw, 0.5, margin=-1.0),
+        }
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got "):
+            calls[run]()
+
+    def test_zero_is_allowed(self):
+        s = benchmarks.lti_jump_bench()
+        c = analyze_constant(s, 0.5, 2, margin=0.0, jump_margin=0.0)
+        assert (c.margin, c.jump_margin) == (0.0, 0.0) and 0.0 < c.gamma < math.inf
+
+
 class TestSwitchedDwellGate:
     """The switched entry points refuse a dwell time outside (0, inf) with
     the ParseError of DwellTimeSpec.minimum, as the impulsive analyses do,

@@ -365,6 +365,17 @@ SWEEP = ["sweep", "--system", "{ex1}", "--dwell", "minimum", "--from", "0.2", "-
     (SWEEP + ["--points", "0"], "--points must be >= 1, got 0"),
     (["sweep", "--system", "{ex1}", "--dwell", "range:0.3:0.6", "--from", "0.2", "--to", "0.4"],
      "sweep supports --dwell minimum or constant"),
+    # a negative margin made every strict row slack: analyze wrote a gamma = 0.0 certificate, exit 0
+    (["analyze", "--system", "{ex1}", "--dwell", "constant:0.5", "--degree", "2", "--margin", "-1"],
+     "--margin must be >= 0, got -1.0"),
+    (ANALYZE_RANGE + ["--margin=-1e-9"], "--margin must be >= 0, got -1e-09"),
+    (["synthesize", "--system", "{ex1}", "--dwell", "constant:0.5", "--margin", "-0.5"],
+     "--margin must be >= 0, got -0.5"),
+    (SWEEP + ["--margin", "-1"], "--margin must be >= 0, got -1.0"),
+    # --jobs below 1 ran silently with one job
+    (SIMULATE + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (SIMULATE + ["--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    (SWEEP + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
 ])
 def test_unusable_flag_exits_2(ex1_path, tmp_path, capsys, monkeypatch, argv, message):
     """A flag value no run can use is a bad input, exit 2 with the flag
@@ -398,6 +409,12 @@ class TestLpFlags:
         argv = [a.format(ex1=ex1_path) for a in ANALYZE_RANGE]
         assert main(argv + ["--margin", "0.001", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["margin"] == 0.001
+
+    def test_margin_0_is_allowed(self, ex1_path, tmp_path):
+        out = tmp_path / "c.json"
+        argv = ["analyze", "--system", ex1_path, "--dwell", "constant:0.5", "--degree", "2"]
+        assert main(argv + ["--margin", "0", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["margin"] == 0.0
 
     def test_sweep_writes_nan_where_no_gain_is_certified(self, ex2_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -538,7 +555,8 @@ class TestExportEvery:
 
 class TestSimulateIntegrationCount:
     """simulate exports run 0's trajectory and takes its sup as that run's
-    gain sample, so each sampled sequence is integrated once."""
+    gain sample, so each sampled sequence is integrated once: one call of
+    `sim._run`, the body of `sim.simulate` and of every gain run."""
 
     @staticmethod
     def _reference(system, dwell, runs, seed, prefix, every=10):
@@ -581,13 +599,13 @@ class TestSimulateIntegrationCount:
         capsys.readouterr()
 
         calls = []
-        real = sim.simulate
+        real = sim._run
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("check_step"))
-            return real(*args, **kwargs)
+        def counted(*args):
+            calls.append(args[8])  # check_step
+            return real(*args)
 
-        monkeypatch.setattr(sim, "simulate", counted)
+        monkeypatch.setattr(sim, "_run", counted)
         assert main(["simulate", "--system", ex1_path, "--dwell", dwell, "--runs", str(runs),
                      "--jobs", str(jobs), "--horizon", "4", "--seed", "11", "-o", prefix]) == 0
         assert capsys.readouterr().out == expected_stdout

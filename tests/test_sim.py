@@ -917,3 +917,83 @@ class TestEstimateGain:
         g1 = estimate_gain(bench_lti, gen, runs=5, horizon=10.0)
         g2 = estimate_gain(bench_lti, gen, runs=5, horizon=10.0)
         assert g1 == g2
+
+    @staticmethod
+    def _sups(sys_, gen, inputs, runs, horizon, **kw):
+        """simulate's sup_hybrid of each run of estimate_gain, under the rng of that run."""
+        return [simulate(sys_, gen, inputs, np.zeros(sys_.n), horizon, rng=np.random.default_rng((gen.seed, r)),
+                         **kw).sup_hybrid() for r in range(runs)]
+
+    @pytest.mark.parametrize("case, march", [
+        ("constant", "_march_tables"), ("range", "_march_tables"), ("minimum", "_march_tables"),
+        ("switched", "_march_tables"), ("closed range", "_march_tables"), ("closed minimum", "_march_tables"),
+        ("no z_c", "_march_tables"), ("sine", "_march_flat"), ("single segment", "_march_flat"),
+    ])
+    def test_is_the_largest_simulated_sup(self, bench_lti, bench_timer_stable, bench_switched, closed_loops,
+                                          march_spy, monkeypatch, case, march):
+        """estimate_gain equals the largest sup_hybrid of simulate's runs, bit
+        for bit, on either march.  A gain run builds no Trajectory; from the
+        tables it fills z_c alone and takes z_d from the segment ends."""
+        kw, runs = {}, 3
+        if case.startswith("closed"):
+            sys_, ctrl, gen = closed_loops[case.split()[1]]
+            kw = {"controller": ctrl, "clamp": ctrl.clamp}
+        else:
+            sys_, gen = {
+                "constant": (bench_lti, SequenceGen.exact(0.3)),
+                "range": (bench_lti, SequenceGen.uniform_range(0.3, 0.45, seed=3)),
+                "minimum": (bench_timer_stable, SequenceGen.min_plus_exp(0.7, seed=4)),
+                "switched": (bench_switched, SequenceGen.min_plus_exp(0.1, seed=5)),
+                "no z_c": (TestExport._no_zc_system(), SequenceGen.uniform_range(0.3, 0.45, seed=8)),  # z_d decides
+                "sine": (bench_lti, SequenceGen.uniform_range(0.3, 0.45, seed=6)),
+                "single segment": (bench_lti, SequenceGen.exact(25.0)),
+            }[case]
+            kw = {"clamp": 0.7} if case == "minimum" else {}
+        inputs = generate_inputs("const_unit")
+        if case == "sine":  # the gain runs' input, so that they take the flat march
+            inputs = generate_inputs("sine")
+            monkeypatch.setattr(sim, "generate_inputs", lambda kind: inputs)
+        want = self._sups(sys_, gen, inputs, 1 if gen.kind == "exact" else runs, 20.0, **kw)
+        march_spy["march"].clear()
+        monkeypatch.setattr(sim, "Trajectory", None)  # a gain run that builds one fails
+        assert estimate_gain(sys_, gen, runs=runs, horizon=20.0, **kw) == max(want)
+        assert march_spy["march"] == [march] * len(want)
+
+    def test_z_d_is_read_at_the_jumps(self, march_spy):
+        """A gain run marched from tables reads z_d off the pre-jump states,
+        the segment ends but the last.  Every segment starts at 0 here, so
+        z_d at jump k grows with the dwell before it; this draw's first dwell
+        is its longest, so the first z_d is the sup, above every later one and
+        the output the horizon's end would give."""
+        reset = ImpulsiveSystem.from_arrays(A=[[-1.0]], Ec=[[1.0]], Cc=np.zeros((0, 1)), Fc=np.zeros((0, 1)),
+                                            J=[[0.0]], Ed=[[0.0]], Cd=[[1.0]], Fd=[[0.0]])
+        gen = SequenceGen.uniform_range(0.3, 0.6, seed=10)
+        ref = simulate(reset, gen, generate_inputs("const_unit"), [0.0], 3.0, rng=np.random.default_rng((10, 0)))
+        zd = ref.zd[:, 0]
+        assert zd[0] > max(zd[1:].max(), ref.states[-1, 0])
+        assert estimate_gain(reset, gen, runs=1, horizon=3.0) == zd[0]
+        assert march_spy["march"] == ["_march_tables"] * 2
+
+    def test_max_sup_takes_run_0_from_the_caller(self, bench_lti):
+        """sup0 stands in for run 0, and runs 1.. are marched as estimate_gain marches them."""
+        gen = SequenceGen.uniform_range(0.3, 0.45, seed=7)
+        sups = self._sups(bench_lti, gen, generate_inputs("const_unit"), 4, 10.0)
+        assert len(set(sups)) == 4
+
+        def max_sup(sup0):
+            return sim._max_sup(bench_lti, gen, 4, 10.0, "LinfXlinf", None, None, None, 1, sup0=sup0)
+
+        assert max_sup(sups[0]) == max(sups)
+        assert max_sup(0.0) == max(sups[1:])
+        assert max_sup(1e9) == 1e9
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_state_overflow_raises(self, q):
+        """The tables march of a gain run fills no states, and still raises on
+        their overflow, also where no z_c would show it."""
+        blowup = ImpulsiveSystem.from_arrays(
+            A=[[50.0]], Ec=[[1.0]], Cc=np.ones((q, 1)), Fc=np.zeros((q, 1)),
+            J=[[1.0]], Ed=[[0.0]], Cd=[[0.0]], Fd=[[0.0]],
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
+            estimate_gain(blowup, SequenceGen.exact(1.0), runs=1, horizon=30.0)
