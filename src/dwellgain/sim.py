@@ -9,36 +9,24 @@ segment k has the points tau = 0, h, ..., (m_k - 1) h and its length theta_k,
 so its first m_k - 1 cells are those of every other segment of its mode,
 and only its last one, never narrower than about 1e-9 h, is its own.
 
-When the continuous input is constant on the run's mesh, the segments of
-one mode share one table (`_mode_table`, built by `_flow_tables` over the
-mode's longest segment): the transition Phi_j and the forced response r_j
-from tau = 0 to each tau = jh, and the outputs there.  Each segment's last,
-partial cell is one RK4 map, batched over all segments.  The segment starts
-are marched through the jumps by a prefix scan over the segments, and the
-states and outputs of each segment are filled from its start by one
-product with the first m_k columns of its table, one product for a run of
-like segments, as under a constant dwell.  A random dwell is thus marched
-as a constant one is.  A gain run (`estimate_gain`, and CLI simulate's runs
-after the first) needs only the outputs: its tables hold the z_c part alone,
-the march fills z_c alone, z_d comes from the states at the segment ends,
-and it returns the run's hybrid sup with no Trajectory.
+One march serves every run.  The segments that share a table form a
+group: those of one mode when the continuous input is constant on every
+point that a table or the referee reads, whatever the dwell, else each
+segment alone.  A group's table (`_mode_table`, over its longest segment,
+under the input along it) holds the transition Phi_j, the forced response
+r_j and the outputs at each tau = jh.  The last, partial cells are batched
+per mode, the segment starts are marched through the jumps by a prefix
+scan over the segments (Blelloch 1990), and each segment is filled from its
+start by one product with its table, one for a run of like segments.  A
+gain run (`estimate_gain`, and CLI simulate's runs after the first) fills
+z_c alone, reads z_d at the segment ends and returns its hybrid sup with
+no Trajectory.
 
-Otherwise -- a time-varying input, a single segment, or tables that would
-not serve two segments on average -- the run lays the mesh points of all
-its segments on one flat axis, where the map between consecutive points is
-an RK4 cell or, at a segment's end, the jump.  The march takes this axis
-in chunks of _CHUNK maps: a chunk's mesh data are evaluated in one
-vectorized pass per mode, its maps are built at once as component-major
-(n, n, L) and (n, L) tables, so each batched 2x2 product is a few vector
-operations, and they are composed by a two-level log-doubling prefix scan
-(Blelloch 1990), within blocks of 32 cells and then over the block ends.
-The tables hold each map as one (n, n+1) block [P | q]; the in-block ones
-are block-inner-major, (n, n+1, 32, L/32), so that every doubling step is
-one batched product over contiguous slabs.  No Python loop runs over its
-cells, blocks or segments.
-
-The half-step referee reads the marched states afterwards, along the flat
-axis, so the states never depend on whether it runs.
+One referee serves every check_step run, by step doubling (Hairer, Norsett
+& Wanner 1993, II.4): per group, the two half-step RK4 maps of its table's
+full cells are built once and applied to the marched states of all its
+segments; the last cells are batched per mode.  The states never depend on
+whether it runs.
 """
 
 from __future__ import annotations
@@ -187,7 +175,7 @@ def _sup(a: np.ndarray) -> float:
 
 
 _BLOCK = 32  # cells per prefix-scan block: no product of maps spans more than this
-_CHUNK = 8192  # maps per march chunk: bounds the working tables whatever the run's length
+_CHUNK = 8192  # cells per table chunk: bounds a table's working set whatever its length
 _SLIVER = 1e-9  # the narrowest last cell of a segment, in steps
 
 
@@ -382,135 +370,88 @@ def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.
     return _scan(tables, Phi0, m, forced=False), None if w is None else _scan(tables, r0, m), C, z
 
 
-@dataclass
-class _FlatAxis:
-    """The mesh points of all the segments of one run on one axis.
+def _constant_input(inputs: InputSignal, times: np.ndarray, origin: np.ndarray, taus: np.ndarray, ends: np.ndarray,
+                    ms: np.ndarray, lens: np.ndarray, h: float, quarters: bool) -> Optional[float]:
+    """The continuous input's value when it takes one value on every point
+    that a table or the referee reads, else None: the run's points, the
+    times at timer values taus from origin, and the midpoints and with
+    quarters the quarter points of the cells from them, each h wide but a
+    segment's last one."""
+    t = [times]
+    for f in (0.5, 0.25, 0.75) if quarters else (0.5,):
+        tau = taus + f * h
+        tau[ends - 1] = taus[ends - 1] + f * (lens - (ms - 1) * h)
+        tau[ends] = taus[ends]  # no cell starts at a segment's end
+        t.append(origin + tau)
+    w = [np.asarray(inputs.wc(part)) for part in t]
+    w0 = w[0].flat[0]
+    return float(w0) if all((part == w0).all() for part in w) else None
 
-    Point i has timer value taus[i] and time origin[i] + taus[i], and
-    codes[i] (None: all alike) indexes `modes`; map i takes point i to point
-    i+1 and is an RK4 cell of width widths[i], or at a segment's last point
-    the jump, a cell of zero width whose mesh collapses onto that point.
-    The methods work on the stretch of points a..b, maps a..b-1."""
+
+@dataclass
+class _Plan:
+    """A run's segments as `_run` draws them.  Segment k starts at time
+    t0s[k] in mode modes[codes[k]], has the points tau = j h, j < ms[k], and
+    ends at tau = lens[k]; its first point is row firsts[k] of the run's
+    arrays.  Each entry (k, ks) of groups lists the segments ks that share
+    one table, those of a mode under the constant continuous input w, else
+    each alone, and k, the first of the longest: the table spans its mesh."""
 
     sys: Union[ImpulsiveSystem, SwitchedSystem]
     controller: object
     clamp: Optional[float]
     inputs: InputSignal
+    w: Optional[float]
+    h: float
     modes: list
-    codes: Optional[np.ndarray]
-    taus: np.ndarray
-    origin: np.ndarray
-    widths: np.ndarray
+    codes: np.ndarray
+    t0s: np.ndarray
+    ms: np.ndarray
+    lens: np.ndarray
+    firsts: np.ndarray
+    groups: list
 
-    def fields(self, a: int, b: int, quarters: bool):
-        """A (+B K_c) and E w on the stretch's mesh -- its points, then the
-        cell midpoints, then with quarters the quarter points -- and
-        C (+D K_c), F w on its points."""
-        taus, origin, widths = self.taus[a : b + 1], self.origin[a : b + 1], self.widths[a:b]
-        npts, cells = len(taus), taus[:-1]
-        parts = [taus, cells + 0.5 * widths]
-        if quarters:
-            parts += [cells + 0.25 * widths, cells + 0.75 * widths]
-        grid = np.concatenate(parts)
-        w = self.inputs.wc(np.concatenate([origin] + [origin[:-1]] * (len(parts) - 1)) + grid)
-        w = np.asarray(np.broadcast_to(w, grid.shape), dtype=float)
-        sys, ctrl, clamp = self.sys, self.controller, self.clamp
-        if self.codes is None:
-            return _fields(sys, ctrl, self.modes[0], clamp, grid, w, npts)
-        # Each mode's entries of the mesh, gathered by index: a stable sort of
-        # their codes lists mode 0's points, then its other entries, then
-        # mode 1's, ...  Each mode's data fill their stretch of arrays laid
-        # out in that order, which one gather per array takes to mesh order.
-        codes = self.codes[a : b + 1]
-        order = np.argsort(np.concatenate([codes] + [codes[:-1]] * (len(parts) - 1)), kind="stable")
-        points = np.argsort(codes, kind="stable")  # the points alone, in the same order
-        counts = np.bincount(codes, minlength=len(self.modes))
-        sizes = counts + np.bincount(codes[:-1], minlength=len(self.modes)) * (len(parts) - 1)
-        n, qc = sys.n, mode_mats(sys, self.modes[0])[3].shape[0]
-        A, bw = np.empty((n, n, len(grid))), np.empty((n, len(grid)))
-        C, z = np.empty((qc, n, npts)), np.empty((qc, npts))
-        lo = at = 0
-        for md, k, size in zip(self.modes, counts, sizes):
-            if k:
-                sel, hi = order[lo : lo + size], lo + size
-                A[..., lo:hi], bw[..., lo:hi], C[..., at : at + k], z[..., at : at + k] = _fields(
-                    sys, ctrl, md, clamp, grid[sel], w[sel], k)
-            lo, at = lo + size, at + k
-        data = [A, bw, C, z]
-        del A, bw, C, z  # each laid-out array is freed once gathered
-        for i, perm in enumerate((order, order, points, points)):
-            back = np.empty_like(perm)
-            back[perm] = np.arange(len(perm))
-            data[i] = data[i].take(back, axis=-1)
-        return tuple(data)
+    def input(self, t0, grid: np.ndarray) -> np.ndarray:
+        """The continuous input at the times t0 + grid, as floats of grid's shape."""
+        if self.w is not None:
+            return np.full(grid.shape, self.w)
+        return np.asarray(np.broadcast_to(self.inputs.wc(t0 + grid), grid.shape), dtype=float)
 
-    def maps(self, a: int, b: int):
-        """The stretch's one-step maps x_{i+1} = R[..., i] x_i + s[..., i]
-        (jumps still as identity cells) and the output terms C, z at its
-        points."""
-        A, bw, C, z = self.fields(a, b, quarters=False)
-        L = b - a
-        R, s = _rk4_stage(A, bw, slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1), self.widths[a:b])
-        return R, s, C, z
+    def fields(self, c: int, t0, grid: np.ndarray, npts: int):
+        """`_fields` of mode modes[c] on the timer values grid, under the input at t0 + grid."""
+        return _fields(self.sys, self.controller, self.modes[c], self.clamp, grid, self.input(t0, grid), npts)
 
-    def halfstep_error(self, a: int, b: int, xs: np.ndarray) -> np.ndarray:
-        """Relative gap between one h-step and two h/2-steps per map of the
-        stretch, along its states xs (n, b-a+1).
-
-        The one-step result from xs[:, i] is xs[:, i+1] itself: the march
-        applied the same maps, so the two differ only by rounding."""
-        A, bw, _, _ = self.fields(a, b, quarters=True)
-        L, h = b - a, self.widths[a:b]
-        start, mid, end = slice(0, L), slice(L + 1, 2 * L + 1), slice(1, L + 1)
-        R1, s1 = _rk4_stage(A, bw, start, slice(2 * L + 1, 3 * L + 1), mid, 0.5 * h)
-        R2, s2 = _rk4_stage(A, bw, mid, slice(3 * L + 1, 4 * L + 1), end, 0.5 * h)
-        x_two = _mv(R2, _mv(R1, xs[:, :-1]) + s1) + s2
-        num = np.max(np.abs(x_two - xs[:, 1:]), axis=0)
-        den = 1.0 + np.max(np.abs(xs[:, 1:]), axis=0)
-        return num / den
+    def last_cells(self, c: int, quarters: bool):
+        """The segments ks of mode modes[c], the widths of their last cells,
+        and `fields` on those cells' ends (where the outputs are read),
+        starts, midpoints and with quarters quarter points, len(ks) each."""
+        ks = np.flatnonzero(self.codes == c)
+        cell = (self.ms[ks] - 1) * self.h
+        width = self.lens[ks] - cell
+        parts = [self.lens[ks], cell] + [cell + f * width for f in ((0.5, 0.25, 0.75) if quarters else (0.5,))]
+        return ks, width, self.fields(c, np.concatenate([self.t0s[ks]] * len(parts)), np.concatenate(parts), len(ks))
 
 
-def _flat_axis(sys, controller, clamp, inputs: InputSignal, modes: list, codes: np.ndarray, counts: np.ndarray,
-               ms: np.ndarray, lens: np.ndarray, h: float, taus: np.ndarray, origin: np.ndarray) -> _FlatAxis:
-    """The run's points on one axis: segment k's counts[k] points have the
-    timer values taus and the time origin; its first m_k - 1 cells are h
-    wide, its last one ends at lens[k], and the jump after it is a cell of
-    zero width."""
-    ends = np.cumsum(counts) - 1
-    widths = np.full(len(taus) - 1, h)
-    widths[ends - 1] = lens - (ms - 1) * h
-    widths[ends[:-1]] = 0.0
-    return _FlatAxis(sys, controller, clamp, inputs, modes,
-                     codes=np.repeat(codes, counts) if len(modes) > 1 else None,
-                     taus=taus, origin=origin, widths=widths)
-
-
-def _constant_input(inputs: InputSignal, times: np.ndarray) -> Optional[float]:
-    """The continuous input's value when it takes one value on every point
-    and cell midpoint of the run's mesh, the time points `times`; else None."""
-    t = np.concatenate([times, 0.5 * (times[:-1] + times[1:])])
-    w = np.broadcast_to(inputs.wc(t), t.shape)
-    return float(w[0]) if (w == w[0]).all() else None
-
-
-def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float, cols: np.ndarray, full: bool):
-    """The flow of `mode` from tau = 0 to each tau = jh, j < points, under the
-    constant continuous input w, as the affine maps x(0) -> (x(jh), z_c(jh))
-    in the layout the fill reads, (n+1, points, n+q): T[:n, j] is
-    [Phi_j | C_j Phi_j] transposed and T[n, j] is [r_j | C_j r_j + z_j], with
-    Phi_j, r_j and the output terms C_j, z_j from `_flow_tables`.  Without
-    full the table holds the output part alone, (n+1, points, q).  Also
-    returns [Phi_j | r_j] (n, n+1, len(cols)) at the columns j in cols.  A
-    table of more than _CHUNK cells is built one chunk at a time, each chunk
-    from the previous one's last column, so its working set stays a chunk's."""
-    n, qc = sys.n, mode_mats(sys, mode)[3].shape[0]
+def _mode_table(plan: _Plan, k: int, cols: np.ndarray, full: bool):
+    """The flow of segment k's mode from tau = 0 to each tau = jh, j < m_k,
+    under the continuous input along segment k, as the affine maps
+    x(0) -> (x(jh), z_c(jh)) in the layout the fill reads, (n+1, m_k, n+q):
+    T[:n, j] is [Phi_j | C_j Phi_j] transposed and T[n, j] is
+    [r_j | C_j r_j + z_j], from `_flow_tables`; without full, the z_c part
+    alone.  Also returns [Phi_j | r_j] (n, n+1, len(cols)) at the columns
+    cols.  It is built _CHUNK cells at a time, each chunk from the previous
+    one's last column, so its working set stays a chunk's."""
+    sys, n, h, points, t0 = plan.sys, plan.sys.n, plan.h, int(plan.ms[k]), plan.t0s[k]
+    mode = plan.modes[plan.codes[k]]
+    qc = mode_mats(sys, mode)[3].shape[0]
     taus = np.arange(points) * h
     table, at = np.empty((n + 1, points, n * full + qc)), np.empty((n, n + 1, len(cols)))
     start = None  # [Phi | r] at the chunk's first point, [I | 0] at tau = 0
     for a in range(0, max(points - 1, 1), _CHUNK):
         b = min(a + _CHUNK, points - 1)
-        Phi, r, C, z = _flow_tables(sys, controller, mode, clamp, taus[a : b + 1], np.full(2 * (b - a) + 1, w), h,
-                                    start)
+        t = taus[a : b + 1]
+        w = plan.input(t0, np.concatenate([t, t[:-1] + 0.5 * h]))
+        Phi, r, C, z = _flow_tables(sys, plan.controller, mode, plan.clamp, t, w, h, start)
         top = np.concatenate([Phi, r[:, None]], axis=1)  # [Phi_j | r_j]
         bottom = _mm(C, top)
         bottom[:, n] += z
@@ -523,48 +464,39 @@ def _mode_table(sys, controller, mode, clamp, points: int, h: float, w: float, c
     return table, at
 
 
-def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np.ndarray, lens: np.ndarray,
-                  h: float, w: float, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray,
-                  full: bool) -> np.ndarray:
-    """Fill the states and z_c, side by side in out (npts, n+q), of a run
-    under the constant continuous input w from one table per mode; without
-    full, z_c alone in out (npts, q).  Returns the states at the segment
-    ends, (n, K), the pre-jump states but the last.
+def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray, full: bool) -> np.ndarray:
+    """Fill the states and z_c of a run, side by side in out (npts, n+q),
+    from its groups' tables; without full, z_c alone in out (npts, q).
+    Returns the states at the segment ends, (n, K).
 
-    Segment k, in mode modes[codes[k]], has the points tau = jh, j < m_k =
-    ms[k], and its end lens[k].  Its mode's table (`_mode_table`, over the
-    mode's longest segment) maps the segment's start x_k to its first m_k
-    points.  The last, partial cells of all the mode's segments are one
-    batch of RK4 maps, each composed with the table's column m_k - 1 into
+    A group's table maps the start x_k of each of its segments to the
+    segment's first m_k points.  The last cells of a mode's segments are one
+    batch of RK4 maps, each composed with its table's column m_k - 1 into
     the map [E_k | e_k] from x_k to the segment's end.  The starts follow
-    x_{k+1} = J_k (E_k x_k + e_k) + s_k, the jump maps J_k, s_k as in the
-    flat march, by the prefix scan over the segments.  Then each segment's
-    points are filled by one product of [x_k | 1] with its table, whose
-    columns are those of out; a run of segments alike in mode and cell
-    count, as under a constant dwell, shares one product."""
-    n, K = sys.n, len(ms)
-    counts = ms + 1
-    firsts = np.cumsum(counts) - counts
+    x_{k+1} = J_k (E_k x_k + e_k) + s_k by the prefix scan over the
+    segments.  Each segment is filled by one product of [x_k | 1] with its
+    table, whose columns are those of out, and a run of segments alike in
+    table and cell count, as under a constant dwell, shares one product."""
+    n, ms, K, firsts = plan.sys.n, plan.ms, len(plan.ms), plan.firsts
     ends = firsts + ms
     qc = out.shape[1] - n * full
-    tables = []
-    to_end, Cend, zend = np.empty((n, n + 1, K)), np.empty((qc, n, K)), np.empty((qc, K))
-    for c, mode in enumerate(modes):
-        ks = np.flatnonzero(codes == c)
-        table, at = _mode_table(sys, controller, mode, clamp, int(ms[ks].max()), h, w, ms[ks] - 1, full)
+    R, s, Cend, zend = np.empty((n, n, K)), np.empty((n, K)), np.empty((qc, n, K)), np.empty((qc, K))
+    for c in range(len(plan.modes)):  # the partial cells, and the outputs at their ends
+        ks, width, (A, bw, Cend[..., ks], zend[..., ks]) = plan.last_cells(c, quarters=False)
+        L = len(ks)
+        R[..., ks], s[..., ks] = _rk4_stage(A, bw, slice(L, 2 * L), slice(2 * L, 3 * L), slice(0, L), width)
+    tables, at, gid = [], np.empty((n, n + 1, K)), np.empty(K, dtype=int)
+    for g, (k, ks) in enumerate(plan.groups):
+        table, at[..., ks] = _mode_table(plan, k, ms[ks] - 1, full)
         tables.append(table)
-        # the partial cells, from (m_k - 1) h to lens[k], and the outputs at their ends
-        L, cell = len(ks), (ms[ks] - 1) * h
-        width = lens[ks] - cell
-        grid = np.concatenate([lens[ks], cell, cell + 0.5 * width])
-        A, bw, Cend[..., ks], zend[..., ks] = _fields(sys, controller, mode, clamp, grid, np.full(3 * L, w), L)
-        R, s = _rk4_stage(A, bw, slice(L, 2 * L), slice(2 * L, 3 * L), slice(0, L), width)
-        E = _mm(R, at)
-        E[:, n] += s
-        to_end[..., ks] = E
-    maps = _mm(jR, to_end[..., :-1])
-    maps[:, n] += js
-    starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, K - 1)
+        gid[ks] = g
+    to_end = _mm(R, at)
+    to_end[:, n] += s
+    starts = x0[:, None]  # a run of one segment has no jump to scan over
+    if K > 1:
+        maps = _mm(jR, to_end[..., :-1])
+        maps[:, n] += js
+        starts = _scan(_block_prefix(maps[:, :n], maps[:, n]), x0, K - 1)
     x_end = _mv(to_end[:, :n], starts)
     x_end += to_end[:, n]
     if full:
@@ -572,9 +504,9 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
     out[ends, n * full :] = (_mv(Cend, x_end) + zend).T
 
     starts1 = np.concatenate([starts, np.ones((1, K))]).T  # the rows [x_k | 1]
-    cuts = np.flatnonzero(np.diff(codes) | np.diff(ms)) + 1
+    cuts = np.flatnonzero(np.diff(gid) | np.diff(ms)) + 1
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), K]):  # a run of like segments: one strided view
-        part = tables[codes[a]][:, : ms[a]].reshape(n + 1, -1)
+        part = tables[gid[a]][:, : ms[a]].reshape(n + 1, -1)
         rows = out[firsts[a] : ends[b - 1] + 1].reshape(b - a, -1)[:, : part.shape[1]]
         # einsum, not a BLAS product: BLAS would allocate work buffers of its own
         np.einsum("kl,lj->kj", starts1[a:b], part, out=rows)
@@ -584,6 +516,44 @@ def _march_tables(sys, controller, clamp, modes: list, codes: np.ndarray, ms: np
     if not (np.isfinite(x_end).all() and np.isfinite(out[:, :n] if full else out).all()):
         raise StepTooLarge("state overflow while integrating; reduce the step")
     return x_end
+
+
+def _halfstep_error(plan: _Plan, states: np.ndarray) -> float:
+    """The largest relative gap between one h-step and two h/2-steps over
+    the run's cells, along its marched states (npts, n), which are the
+    one-step results to rounding.  Per group, the half-step maps of its
+    table's full cells are applied to its segments' states, padded to
+    (n, segments, cells); per mode, to the last cells.  Jumps are not read."""
+    ms, h, firsts = plan.ms, plan.h, plan.firsts
+
+    def gap(A, bw, cells, x, y, half):
+        """The gaps from x to y (n, ..., len) of the cells whose points are the slices `cells`."""
+        start, q1, mid, q3, end = cells
+        R1, s1 = _rk4_stage(A, bw, start, q1, mid, half)
+        R2, s2 = _rk4_stage(A, bw, mid, q3, end, half)
+        x = np.einsum("ijc,jsc->isc", R1, x) + s1[:, None]
+        x = np.einsum("ijc,jsc->isc", R2, x) + s2[:, None]
+        return np.max(np.abs(x - y), axis=0) / (1.0 + np.max(np.abs(y), axis=0))
+
+    worst = 0.0
+    for k, ks in plan.groups:
+        L = int(ms[k]) - 1  # the table's full cells
+        tau = np.arange(L + 1) * h
+        grid = np.concatenate([tau, tau[:-1] + 0.5 * h, tau[:-1] + 0.25 * h, tau[:-1] + 0.75 * h])
+        A, bw, _, _ = plan.fields(plan.codes[k], plan.t0s[k], grid, 0)
+        # each segment's points, its last one repeated past them, and the cells within it
+        X = states[firsts[ks, None] + np.minimum(np.arange(L + 1), ms[ks, None] - 1)].transpose(2, 0, 1)
+        cells = (slice(0, L), slice(2 * L + 1, 3 * L + 1), slice(L + 1, 2 * L + 1), slice(3 * L + 1, 4 * L + 1),
+                 slice(1, L + 1))
+        err = gap(A, bw, cells, X[..., :-1], X[..., 1:], 0.5 * h)
+        worst = max(worst, float(np.max(err, where=np.arange(L) < ms[ks, None] - 1, initial=0.0)))
+    for c in range(len(plan.modes)):
+        ks, width, (A, bw, _, _) = plan.last_cells(c, quarters=True)
+        L, last = len(ks), firsts[ks] + ms[ks]
+        cells = (slice(L, 2 * L), slice(3 * L, 4 * L), slice(2 * L, 3 * L), slice(4 * L, 5 * L), slice(0, L))
+        err = gap(A, bw, cells, states[last - 1].T[:, None], states[last].T[:, None], 0.5 * width)
+        worst = max(worst, float(np.max(err)))
+    return worst
 
 
 def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds: list):
@@ -603,28 +573,6 @@ def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds:
         Cz = Cz + _mm(take("Dd"), Kd)
     w = np.broadcast_to(np.asarray(wds, dtype=float), (sys.pd, len(picks)))
     return R, _mv(take("Ed"), w), Cz, _mv(take("Fd"), w)
-
-
-def _march_flat(axis: _FlatAxis, jR, js, jumps_at: np.ndarray, x0: np.ndarray, switched: bool, states: np.ndarray,
-                zc: np.ndarray) -> None:
-    """Fill the states and z_c of the whole flat axis, marched chunk by
-    chunk from the state the previous chunk ended in."""
-    x = x0
-    for a in range(0, len(axis.widths), _CHUNK):
-        b = min(a + _CHUNK, len(axis.widths))
-        R, s, C, z = axis.maps(a, b)
-        lo, hi = np.searchsorted(jumps_at, [a, b])
-        at = jumps_at[lo:hi] - a
-        R[..., at], s[..., at] = jR[..., lo:hi], js[..., lo:hi]
-        xs = _scan(_block_prefix(R, s), x, b - a)
-        if switched:  # the state is continuous: copy it rather than round it through the identity
-            xs[:, at + 1] = xs[:, at]
-        if not np.isfinite(xs).all():
-            raise StepTooLarge("state overflow while integrating; reduce the step")
-        # outputs on the mesh (pre-jump convention at a segment's right end)
-        states[a : b + 1] = xs.T
-        zc[a : b + 1] = (_mv(C, xs) + z).T
-        x = xs[:, -1]
 
 
 def _default_step(gen: SequenceGen) -> float:
@@ -653,20 +601,17 @@ def simulate(
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
 
     Every segment's mesh starts at tau = 0 in cells of the step, and its
-    last cell ends on the jump.  Under a continuous input constant on the
-    mesh, the segments of each mode share one transition table over the
-    mode's longest segment, whatever the dwell; a time-varying input, a
-    single segment, or tables that would not serve two segments on average
-    take the march along one flat axis of all the mesh points (see the
-    module docstring).  The two agree to rounding.
+    last cell ends on the jump.  One march and one referee serve every run:
+    the segments of a mode share one table under a constant continuous
+    input, and each has its own under a time-varying one.
     """
     return _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, False)
 
 
 def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, sup: bool):
     """simulate's body.  With sup it returns the run's hybrid sup, what
-    Trajectory.sup_hybrid would read, and builds no Trajectory; a run marched
-    from tables and without the referee then fills z_c alone."""
+    Trajectory.sup_hybrid would read, builds no Trajectory and fills z_c
+    alone."""
     require_forward_time(sys, "simulation")
     if not (0 < horizon < np.inf and (step is None or 0 < step < np.inf)):
         raise DimensionMismatch("horizon and step must be finite and positive")
@@ -680,6 +625,8 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     n = sys.n
     if switched:
         mode = int(start_mode) if start_mode is not None else int(rng.integers(sys.N))
+        if not 0 <= mode < sys.N:
+            raise DimensionMismatch(f"start_mode must be in [0, {sys.N}), got {start_mode}")
     else:
         mode = start_mode
     if x0.shape != (n,):
@@ -713,9 +660,8 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
 
     # Segment k has the points tau = j step, j < m_k, of one grid, and its
     # end lens[k]: its first m_k - 1 cells are those of every other segment,
-    # and its last one is never narrower than _SLIVER steps.  On the run's
-    # point axis it contributes these m_k + 1 points, and the jump after it
-    # is map ends[k].
+    # and its last one is never narrower than _SLIVER steps.  The run's
+    # arrays hold its m_k + 1 points, the last one at ends[k].
     t0s, lens = np.asarray(seg_t0), np.asarray(seg_len)
     ms = np.maximum(np.ceil(lens / step - _SLIVER), 1).astype(int)
     counts = ms + 1
@@ -736,44 +682,27 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
 
     # 8 MiB taken and given back, more than a chunk's tables up to n = 8 and
     # a run's mesh arrays: glibc raises its mmap and trim thresholds to the
-    # largest mapped block freed, so the arrays of either march come from a
-    # heap it no longer trims and re-faults on every run.
+    # largest mapped block freed, so the arrays of the march and the referee
+    # come from a heap it no longer trims and re-faults on every run.
     np.empty(1 << 23, np.uint8)
 
-    # March: from one table per mode when the continuous input is constant
-    # on the run's points and cell midpoints and the tables, over each mode's
-    # longest segment, hold at most half of the run's maps, so that a table
-    # serves two segments on average; else chunk by chunk along the flat axis.
-    w = None
-    if len(ms) > 1 and 2 * sum(ms[codes == c].max() for c in range(len(modes))) <= ms.sum():
-        w = _constant_input(inputs, times)
-    axis = None  # the flat axis, made for the flat march and the referee alone
-    if w is None or check_step:
-        axis = _flat_axis(sys, controller, clamp, inputs, modes, codes, counts, ms, lens, step, taus, origin)
-    full = not sup or axis is not None  # a gain run marched from tables fills z_c alone
+    # The segments of a mode share one table when the continuous input is constant
+    # on every point that a table or the referee reads; else each has its own.
+    w = _constant_input(inputs, times, origin, taus, ends, ms, lens, step, check_step)
+    members = np.arange(len(ms))[:, None] if w is None else [np.flatnonzero(codes == c) for c in range(len(modes))]
+    groups = [(int(ks[np.argmax(ms[ks])]), ks) for ks in members]
+    plan = _Plan(sys, controller, clamp, inputs, w, step, modes, codes, t0s, ms, lens, ends - ms, groups)
+    full = not sup  # a gain run fills z_c alone
     out = np.empty((len(times), n * full + mode_mats(sys, modes[0])[3].shape[0]))
     states, zc = out[:, :n], out[:, n * full :]
-    if w is not None:
-        x_end = _march_tables(sys, controller, clamp, modes, codes, ms, lens, step, w, jR, js, x0, switched, out,
-                              full)
-    else:
-        _march_flat(axis, jR, js, jumps_at, x0, switched, states, zc)
+    x_end = _march_tables(plan, jR, js, x0, switched, out, full)
 
-    # Half-step referee over the marched states.  Its quarter points and two
-    # half-step tables more than double the working set per map, so it takes
-    # a quarter of a chunk at a time; the march itself never depends on it.
-    worst_lt = 0.0
-    if check_step:
-        for a in range(0, len(axis.widths), _CHUNK // 4):
-            b = min(a + _CHUNK // 4, len(axis.widths))
-            err = axis.halfstep_error(a, b, states[a : b + 1].T)
-            lo, hi = np.searchsorted(jumps_at, [a, b])
-            err[jumps_at[lo:hi] - a] = 0.0  # jumps are not RK4 steps
-            worst_lt = max(worst_lt, float(np.max(err)))
-        if worst_lt > _LT_TOL:
-            raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
+    # The half-step referee reads the marched states: the march never depends on it.
+    worst_lt = _halfstep_error(plan, states) if check_step else 0.0
+    if worst_lt > _LT_TOL:
+        raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
 
-    pre = states[jumps_at] if full else x_end[:, :-1].T
+    pre = x_end[:, :-1].T
     zd = np.zeros((0, 0))
     if not switched and len(jumps_at) and jCz.shape[0]:
         zd = (_mv(jCz, pre.T) + jzs).T
@@ -838,7 +767,8 @@ def estimate_gain(
     Protocol: x0 = 0, unit constant inputs on both channels, `runs` sampled
     admissible sequences; returns the largest observed hybrid output sup-norm.
     Runs are independent per seed, so jobs > 1 fans them out over processes
-    without changing the result.
+    without changing the result.  An exact dwell on an impulsive system with
+    one jump map draws nothing, so it is run once.
     """
     return _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs)
 
@@ -847,12 +777,12 @@ def _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs,
     """The body of estimate_gain.  sup0, when given, is the sup of run 0 (the
     sequence drawn from default_rng((seed, 0))) that the caller has already
     integrated, so only runs 1.. are simulated here."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if runs < 1 or jobs < 1:
+        raise ValueError(f"runs and jobs must be >= 1, got runs={runs}, jobs={jobs}")
     if norm != "LinfXlinf":
         raise ValueError(f"unsupported norm {norm!r}")
-    if dwell_gen.kind == "exact":
-        runs = 1  # deterministic sequence: all runs identical
+    if dwell_gen.kind == "exact" and isinstance(sys, ImpulsiveSystem) and len(sys.jumps) == 1:
+        runs = 1  # no draw at all: every run is run 0
     sups = [] if sup0 is None else [sup0]
     payloads = [(sys, dwell_gen, horizon, step, controller, clamp, r) for r in range(len(sups), runs)]
     if jobs > 1 and len(payloads) > 1:

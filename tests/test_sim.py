@@ -64,14 +64,14 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
     cell by cell, nothing is reused.  A segment of length seg has the points
     tau = j step, j < m = ceil(seg / step - 1e-9), and seg.  Impulsive systems need a single jump
     map; a controller needs an impulsive plant.  Returns (states, sup of the
-    hybrid output), or with full=True a dict of the states, z_c, z_d and the
-    pre- and post-jump states."""
+    hybrid output), or with full=True a dict of the states, z_c, z_d, the
+    pre- and post-jump states and the segments (t0, length, mode)."""
     rng = np.random.default_rng(gen.seed)
     step = min(1e-3, gen.shortest / 50.0) if step is None else step
     switched = isinstance(sys, SwitchedSystem)
     mode = int(rng.integers(sys.N)) if switched else None
     x, t0, k = np.asarray(x0, dtype=float), 0.0, 0
-    states, zcs, zds, pre, post, sups = [], [], [], [], [], [0.0]
+    states, zcs, zds, pre, post, sups, segments = [], [], [], [], [], [0.0], []
     for dwell_len in gen.dwells(horizon, rng):
         seg = min(dwell_len, horizon - t0)
         last = t0 + dwell_len >= horizon - 1e-12
@@ -98,6 +98,7 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
         zc = np.einsum("mij,mj->mi", C_m, xs)
         zc += cell_mesh(F, taus, clamp).sum(axis=2) * w(taus)[:, None]
         states.append(xs)
+        segments.append((t0, seg, mode))
         zcs.append(zc)
         sups.append(np.max(np.abs(zc)))
         t0 += seg
@@ -119,7 +120,7 @@ def serial_simulate(sys, gen, inputs, x0, horizon, step=None, clamp=None, contro
         post.append(x)
     if full:
         return {"states": np.vstack(states), "zc": np.vstack(zcs), "zd": np.array(zds),
-                "pre": np.array(pre), "post": np.array(post)}
+                "pre": np.array(pre), "post": np.array(post), "segments": segments}
     return np.vstack(states), float(max(sups))
 
 
@@ -166,16 +167,35 @@ def timer_switched() -> SwitchedSystem:
 
 
 @pytest.fixture
-def march_spy(monkeypatch):
-    """The march each simulate call takes, and the (mode, points) of every
-    table `_mode_table` builds."""
-    seen = {"march": [], "tables": []}
-    for name in ("_march_flat", "_march_tables"):
-        march = getattr(sim, name)
-        monkeypatch.setattr(sim, name, lambda *a, f=march, name=name: seen["march"].append(name) or f(*a))
+def table_spy(monkeypatch):
+    """The (mode, points) of every table `_mode_table` builds, in order."""
+    seen = []
     mode_table = sim._mode_table
-    monkeypatch.setattr(sim, "_mode_table", lambda *a: seen["tables"].append((a[2], a[4])) or mode_table(*a))
+
+    def spy(plan, k, *rest):
+        seen.append((plan.modes[plan.codes[k]], int(plan.ms[k])))
+        return mode_table(plan, k, *rest)
+
+    monkeypatch.setattr(sim, "_mode_table", spy)
     return seen
+
+
+def segment_tables(traj):
+    """(mode, m_k) of each segment of traj: the tables a time-varying input
+    builds, one per segment over its own mesh."""
+    cells = np.bincount(traj.jump_count) - 1
+    firsts = np.cumsum(cells + 1) - cells - 1
+    modes = [None] * len(cells) if traj.modes is None else traj.modes[firsts].tolist()
+    return list(zip(modes, cells.tolist()))
+
+
+def mode_tables(traj):
+    """The tables a constant input builds: one per mode, in the order the
+    modes first run, over the mode's longest segment."""
+    longest = {}
+    for md, m in segment_tables(traj):
+        longest[md] = max(longest.get(md, 0), m)
+    return list(longest.items())
 
 
 def check_full(traj, ref, switched=False):
@@ -185,6 +205,30 @@ def check_full(traj, ref, switched=False):
         np.testing.assert_allclose(got, np.reshape(want, got.shape), rtol=1e-12, atol=0)
     if not switched and len(ref["zd"]):
         np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
+
+
+def oracle_referee(sys_, traj, segments, step, inputs, controller=None, clamp=None):
+    """The half-step referee's value segment by segment along traj's states,
+    each segment (t0, length, mode) on its own mesh: the largest gap between
+    one step and two half steps of a cell, relative to 1 + |x| at its end.
+    Jumps are not read."""
+    worst = 0.0
+    for k, (t0, seg, mode) in enumerate(segments):
+        xs = traj.states[traj.jump_count == k].T
+        m = xs.shape[1] - 1
+        h = np.full(m, step)
+        h[-1] = seg - (m - 1) * step  # the last cell ends at the segment's end
+        cells = np.arange(m) * step
+        grid = np.concatenate([np.append(cells, seg), cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
+        w = np.broadcast_to(inputs.wc(t0 + grid), grid.shape).astype(float)
+        A, b, _, _ = sim._fields(sys_, controller, mode, clamp, grid, w, 0)
+        mids = slice(m + 1, 2 * m + 1)
+        (R1, s1), (R2, s2) = (sim._rk4_stage(A, b, slice(0, m), slice(2 * m + 1, 3 * m + 1), mids, 0.5 * h),
+                              sim._rk4_stage(A, b, mids, slice(3 * m + 1, 4 * m + 1), slice(1, m + 1), 0.5 * h))
+        x_two = np.einsum("ijm,jm->im", R2, np.einsum("ijm,jm->im", R1, xs[:, :-1]) + s1) + s2
+        gap = np.max(np.abs(x_two - xs[:, 1:]), axis=0) / (1.0 + np.max(np.abs(xs[:, 1:]), axis=0))
+        worst = max(worst, float(np.max(gap)))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -402,10 +446,10 @@ class TestSerialEquivalence:
 
     @pytest.mark.parametrize("horizon, tail", [(8.5, 324), (8.1955, 20)])
     def test_short_last_chunk_matches_serial_oracle(self, horizon, tail):
-        """A flat march of more than one chunk whose last chunk is short and
-        not a multiple of _BLOCK cells, after a full chunk of non-identity
-        maps, and systems of n = 1, 2, 3 one after another, march as the
-        serial oracle does."""
+        """Runs of more points than a chunk, with a remainder that is not a
+        multiple of _BLOCK, under a sine input, so that each segment has a
+        table of its own, and systems of n = 1, 2, 3 one after another,
+        march as the serial oracle does."""
         inputs = combine_inputs(generate_inputs("sine"), generate_inputs("uniform_random", seed=8))
         gen = SequenceGen.exact(0.5, seed=3)
         for n in (1, 2, 3):
@@ -433,60 +477,61 @@ class TestSerialEquivalence:
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
 
-    def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch, march_spy):
+    def test_time_varying_input_is_never_reused(self, bench_timer_growth, monkeypatch, table_spy):
         calls = []
         eval_mesh = PolyMatrix.eval_mesh
         monkeypatch.setattr(PolyMatrix, "eval_mesh", lambda *a, **kw: calls.append(1) or eval_mesh(*a, **kw))
 
         def run(gen, inputs):
             calls.clear()
+            table_spy.clear()
             traj = simulate(bench_timer_growth, gen, inputs, x0=[0.2, 0.1], horizon=6.0, clamp=0.3)
             return traj, len(calls)
 
         gen, sine = SequenceGen.exact(0.35), generate_inputs("sine")
-        _, one_segment = run(SequenceGen.exact(100.0), sine)
-        traj, evals = run(gen, sine)
+        _, one_segment = run(SequenceGen.exact(100.0), sine)  # one table and one last cell
+        traj, _ = run(gen, sine)
         states, sup = serial_simulate(bench_timer_growth, gen, sine, [0.2, 0.1], 6.0, clamp=0.3)
         assert len(traj.jump_times) == 17
-        assert evals == one_segment  # the mesh is evaluated per chunk, not per segment
+        # a table per segment on its own mesh, under the input along that segment
+        assert table_spy == segment_tables(traj)
         assert traj.sup_hybrid() == pytest.approx(sup, rel=1e-12, abs=0)
         np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0)
 
         # a constant input repeats the segments: one table over the longest
         # segment, whose 350 points serve the 17 full dwells and the
         # truncated last one of about 0.05, and one evaluation of the last
-        # cells of all segments
+        # cells of all segments, as a single segment has
         const = generate_inputs("const_unit")
-        march_spy["tables"].clear()
         traj, evals = run(gen, const)
         ref = serial_simulate(bench_timer_growth, gen, const, [0.2, 0.1], 6.0, clamp=0.3, full=True)
-        assert march_spy["tables"] == [(None, 350)] and evals == 2 * one_segment
+        assert table_spy == [(None, 350)] and evals == one_segment
         assert np.array_equal(np.bincount(traj.jump_count)[-2:], [351, 51])
-        assert march_spy["march"] == ["_march_flat"] * 2 + ["_march_tables"]
         check_full(traj, ref)
 
-    def test_switched_reuse_is_per_mode(self, bench_switched, march_spy):
+    def test_switched_reuse_is_per_mode(self, bench_switched, table_spy):
         gen, const = SequenceGen.exact(0.3, seed=6), generate_inputs("const_unit")
         traj = simulate(bench_switched, gen, const, x0=[0.3, 0.1], horizon=5.0)
         ref = serial_simulate(bench_switched, gen, const, [0.3, 0.1], 5.0, full=True)
         assert len(set(traj.modes)) == 2
         # one table per mode, which the last 0.2 shares
-        assert march_spy["march"] == ["_march_tables"] and sorted(march_spy["tables"]) == [(0, 300), (1, 300)]
+        assert sorted(table_spy) == [(0, 300), (1, 300)] == sorted(mode_tables(traj))
         check_full(traj, ref, switched=True)
         assert np.array_equal(traj.pre_jump_states, traj.post_jump_states)
 
 
     @pytest.mark.parametrize("design", ["constant", "minimum", "range", "feedthrough"])
     @pytest.mark.parametrize("input_kind", ["const_unit", "sine"])
-    def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind, march_spy):
+    def test_closed_loop_matches_serial_oracle(self, closed_loops, design, input_kind, table_spy):
         """K_c(tau) enters the mesh data and K_d(theta) every jump; under a
-        constant input the segments share one table, whatever the dwell."""
+        constant input the segments share one table, whatever the dwell, and
+        under a sine input each has its own."""
         plant, ctrl, gen = closed_loops[design]
         inputs = generate_inputs(input_kind)
         x0 = np.full(plant.n, 0.1)
         traj = simulate(plant, gen, inputs, x0=x0, horizon=3.0, controller=ctrl, clamp=ctrl.clamp)
         ref = serial_simulate(plant, gen, inputs, x0, 3.0, clamp=ctrl.clamp, controller=ctrl, full=True)
-        assert march_spy["march"] == ["_march_tables" if input_kind == "const_unit" else "_march_flat"]
+        assert table_spy == (mode_tables(traj) if input_kind == "const_unit" else segment_tables(traj))
         assert len(traj.jump_times) > 1
         check_full(traj, ref)
 
@@ -525,8 +570,8 @@ class TestSerialEquivalence:
 
 
 class TestChunkedMarch:
-    """The march runs over chunks of the run's flat point axis; a chunk seam
-    may fall anywhere, on a jump too."""
+    """A table longer than _CHUNK cells is built one chunk at a time; a chunk
+    seam may fall anywhere in a segment, next to its last cell too."""
 
     @pytest.fixture
     def seam_case(self, request, bench_lti, bench_timer_growth, bench_switched, closed_loops):
@@ -557,8 +602,8 @@ class TestChunkedMarch:
         def run():
             return simulate(sys_, gen, inputs, x0=x0, horizon=1.5, step=0.01, **kw)
 
-        if chunk == "jump":  # chunk 0 ends on the first pre-jump sample, chunk 1 starts with the jump
-            chunk = int(np.searchsorted(run().jump_count, 1)) - 1
+        if chunk == "jump":  # the first segment's table ends in a chunk of one cell, next to its last cell
+            chunk = int(np.searchsorted(run().jump_count, 1)) - 3
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         traj = run()
         ref = serial_simulate(sys_, gen, inputs, x0, 1.5, step=0.01, full=True, **kw)
@@ -573,11 +618,11 @@ class TestChunkedMarch:
             np.testing.assert_allclose(traj.zd, ref["zd"], rtol=1e-12, atol=0)
 
     def test_jump_cells_stay_in_their_segment(self):
-        """A jump sits on the flat axis as a cell of zero width, and a table
-        ends at its mode's longest segment, so nothing is evaluated past a
-        segment's end: here X(tau) of the controller turns negative just
-        after the dwell.  The sine input takes the flat march, the constant
-        one the table."""
+        """A table ends at the longest segment it serves and a last cell at
+        its segment's end, so nothing is evaluated past a segment's end:
+        here X(tau) of the controller turns negative just after the dwell.
+        The sine input builds a table per segment, the constant one a table
+        for all."""
         plant = ImpulsiveSystem.from_arrays(
             A=[[-1.0]], Bc=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], Fc=[[0.0]], J=[[0.5]], Ed=[[0.2]], Cd=[[1.0]], Fd=[[0.0]],
         )
@@ -598,60 +643,75 @@ class TestChunkedMarch:
     def test_halfstep_referee_skips_jumps(self, bench_timer_stable, chunk, monkeypatch):
         """timer_stable_bench's jump is expansive, so a referee that took a
         jump for an RK4 step would raise.  The referee must instead give the
-        value it gives segment by segment, on each segment's own mesh, across
-        chunk seams too (the referee's chunks hold _CHUNK // 4 maps)."""
-        sys_, T = bench_timer_stable, 2.0
+        value it gives segment by segment, on each segment's own mesh, also
+        when the table is built in chunks."""
+        sys_, T, const = bench_timer_stable, 2.0, generate_inputs("const_unit")
 
         def run():
-            return simulate(sys_, SequenceGen.exact(T), generate_inputs("const_unit"), x0=[1.0, 1.0],
-                            horizon=10.0, step=0.02, check_step=True)
+            return simulate(sys_, SequenceGen.exact(T), const, x0=[1.0, 1.0], horizon=10.0, step=0.02,
+                            check_step=True)
 
-        if chunk == "jump":  # a seam right before the first jump
-            chunk = 4 * (int(np.searchsorted(run().jump_count, 1)) - 1)
+        if chunk == "jump":  # the table ends in a chunk of one cell, next to the last cell
+            chunk = int(np.searchsorted(run().jump_count, 1)) - 3
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         traj = run()
-        worst = 0.0
-        for k in range(len(traj.jump_times) + 1):
-            xs = traj.states[traj.jump_count == k].T
-            m = xs.shape[1] - 1
-            h = np.full(m, 0.02)
-            h[-1] = T - (m - 1) * 0.02  # the last cell ends at the dwell
-            cells = np.arange(m) * 0.02
-            grid = np.concatenate([np.append(cells, T), cells + 0.5 * h, cells + 0.25 * h, cells + 0.75 * h])
-            A = sys_.A.eval_mesh(grid)
-            b = sys_.Ec.eval_mesh(grid).sum(axis=1)
-            mids = slice(m + 1, 2 * m + 1)
-            halves = (sim._rk4_stage(A, b, slice(0, m), slice(2 * m + 1, 3 * m + 1), mids, 0.5 * h),
-                      sim._rk4_stage(A, b, mids, slice(3 * m + 1, 4 * m + 1), slice(1, m + 1), 0.5 * h))
-            (R1, s1), (R2, s2) = halves
-            x_two = np.einsum("ijm,jm->im", R2, np.einsum("ijm,jm->im", R1, xs[:, :-1]) + s1) + s2
-            gap = np.max(np.abs(x_two - xs[:, 1:]), axis=0) / (1.0 + np.max(np.abs(xs[:, 1:]), axis=0))
-            worst = max(worst, float(np.max(gap)))
+        ref = serial_simulate(sys_, SequenceGen.exact(T), const, [1.0, 1.0], 10.0, step=0.02, full=True)
+        worst = oracle_referee(sys_, traj, ref["segments"], 0.02, const)
         assert len(traj.jump_times) == 4
         assert worst > 1e-12  # truncation, not rounding, sets the value
+        assert traj.meta["worst_local_truncation"] == pytest.approx(worst, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["range", "minimum", "switched", "single segment", "closed", "sine"])
+    def test_halfstep_referee_matches_per_segment(self, bench_lti, bench_timer_stable, bench_switched, closed_loops,
+                                                  case, table_spy):
+        """The referee builds each table's half-step maps once and applies
+        them to the states of all the table's segments, padded to the
+        longest: its value is the one segment by segment, where the segments
+        differ in length, switch mode, are one, run in closed loop or each
+        have a table of their own."""
+        kw, inputs = {}, generate_inputs("sine" if case == "sine" else "const_unit")
+        if case == "closed":
+            sys_, ctrl, gen = closed_loops["range"]
+            kw = {"controller": ctrl, "clamp": ctrl.clamp}
+        else:
+            sys_, gen = {
+                "range": (bench_lti, SequenceGen.uniform_range(0.3, 0.6, seed=3)),
+                "minimum": (bench_timer_stable, SequenceGen.min_plus_exp(0.3, seed=4)),
+                "switched": (bench_switched, SequenceGen.min_plus_exp(0.1, seed=5)),
+                "single segment": (bench_lti, SequenceGen.exact(25.0)),
+                "sine": (bench_lti, SequenceGen.uniform_range(0.3, 0.6, seed=6)),
+            }[case]
+            kw = {"clamp": 0.3} if case == "minimum" else {}
+        x0, step = np.full(sys_.n, 0.1), 0.01
+        traj = simulate(sys_, gen, inputs, x0=x0, horizon=4.0, step=step, check_step=True, **kw)
+        ref = serial_simulate(sys_, gen, inputs, x0, 4.0, step=step, full=True, **kw)
+        assert table_spy == (segment_tables(traj) if case == "sine" else mode_tables(traj))
+        assert (len(set(np.bincount(traj.jump_count))) > 2) == (case != "single segment")
+        worst = oracle_referee(sys_, traj, ref["segments"], step, inputs, kw.get("controller"), kw.get("clamp"))
+        assert worst > 1e-12
         assert traj.meta["worst_local_truncation"] == pytest.approx(worst, rel=1e-12, abs=0)
 
 
 class TestSharedSegments:
     """A run under a constant continuous input is marched from one table per
-    mode, whatever its dwells; a time-varying input, a single segment, or
-    tables that would not serve two segments on average keep the flat
-    chunked march.  The closed loop, switched and clamped cases are in
+    mode, whatever its dwells; under a time-varying input each segment has
+    a table of its own.  The closed loop, switched and clamped cases are in
     TestSerialEquivalence."""
 
-    def test_discrete_input_varies_per_jump(self, bench_lti, march_spy):
+    def test_discrete_input_varies_per_jump(self, bench_lti, table_spy):
         """uniform_random keeps w_c = 1, so the segments share one table, and draws w_d per jump."""
         gen = SequenceGen.exact(0.25)
         inputs = combine_inputs(generate_inputs("const_unit"), generate_inputs("uniform_random", seed=8))
         traj = simulate(bench_lti, gen, inputs, x0=[0.1, 0.2], horizon=4.0)
-        assert march_spy["march"] == ["_march_tables"] and len(march_spy["tables"]) == 1
+        assert len(table_spy) == 1
         ref = serial_simulate(bench_lti, gen, inputs, [0.1, 0.2], 4.0, full=True)
         assert len(np.unique(ref["zd"])) > 10
         check_full(traj, ref)
 
     @pytest.mark.parametrize("case", ["timer_stable", "no_zc"])
-    def test_shared_tables_match_flat_march(self, bench_timer_stable, case, march_spy, monkeypatch):
-        """The two marches agree, the referee too, also for a system without z_c."""
+    def test_shared_tables_match_per_segment_tables(self, bench_timer_stable, case, table_spy, monkeypatch):
+        """One table per mode and one per segment agree, the referee too, also
+        for a system without z_c."""
         sys_ = bench_timer_stable if case == "timer_stable" else TestExport._no_zc_system()
         gen, const = SequenceGen.exact(1.7), generate_inputs("const_unit")
 
@@ -659,43 +719,57 @@ class TestSharedSegments:
             return simulate(sys_, gen, const, x0=[1.0, 1.0], horizon=20.0, check_step=True)
 
         shared = run()
+        assert table_spy == [(None, 1700)]
+        table_spy.clear()
         monkeypatch.setattr(sim, "_constant_input", lambda *a: None)
-        flat = run()
-        assert march_spy["march"] == ["_march_tables", "_march_flat"]
-        assert shared.zc.shape == flat.zc.shape and (shared.zc.size == 0) == (case == "no_zc")
+        own = run()
+        assert table_spy == segment_tables(own) and len(table_spy) == 12
+        assert shared.zc.shape == own.zc.shape and (shared.zc.size == 0) == (case == "no_zc")
         for part in ("states", "zc", "zd", "pre_jump_states", "post_jump_states"):
-            np.testing.assert_allclose(getattr(shared, part), getattr(flat, part), rtol=1e-12, atol=0)
-        assert shared.meta["worst_local_truncation"] == pytest.approx(flat.meta["worst_local_truncation"],
+            np.testing.assert_allclose(getattr(shared, part), getattr(own, part), rtol=1e-12, atol=0)
+        assert shared.meta["worst_local_truncation"] == pytest.approx(own.meta["worst_local_truncation"],
                                                                         rel=1e-9)
 
-    def test_single_segment(self, bench_lti, march_spy):
-        """T >= horizon is one segment, and T = 2.4 over a horizon of 3 has a
-        table of more than half the run's maps: no table would serve twice."""
+    def test_input_past_the_horizon_is_not_read(self, bench_lti, table_spy):
+        """The constancy check reads the points that a table or the referee
+        reads and no other: an input that changes just past the horizon, and
+        is 1 on the whole run, still lets the segments share one table."""
+        inputs = InputSignal(lambda t: np.where(np.asarray(t) <= 3.0, 1.0, 2.0), lambda k: 1.0, "step")
+        gen = SequenceGen.exact(0.25)
+        traj = simulate(bench_lti, gen, inputs, x0=[0.1, 0.2], horizon=3.0, check_step=True)
+        assert table_spy == [(None, 250)] and traj.times[-1] == 3.0
+        ref = simulate(bench_lti, gen, generate_inputs("const_unit"), x0=[0.1, 0.2], horizon=3.0, check_step=True)
+        assert np.array_equal(traj.states, ref.states) and traj.meta["worst_local_truncation"] > 0
+
+    def test_single_segment(self, bench_lti, table_spy):
+        """T >= horizon is one segment, which has no jump to scan over, and
+        T = 2.4 over a horizon of 3 has a table of most of the run's points,
+        which its last 0.6 shares."""
         const = generate_inputs("const_unit")
-        for T, jumps in ((5.0, 0), (2.4, 1)):
-            march_spy["march"].clear()
+        for T, jumps, points in ((5.0, 0, 3000), (2.4, 1, 2400)):
+            table_spy.clear()
             gen = SequenceGen.exact(T)
             traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=3.0)
-            assert march_spy["march"] == ["_march_flat"] and not march_spy["tables"]
+            assert table_spy == [(None, points)]
             assert len(traj.jump_times) == jumps
             check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 3.0, full=True))
 
-    def test_shape_longer_than_a_chunk(self, bench_lti, march_spy, monkeypatch):
+    def test_shape_longer_than_a_chunk(self, bench_lti, table_spy, monkeypatch):
         """A segment of more cells than a chunk: its table is built one chunk
         at a time, each chunk from the previous one's last column."""
         monkeypatch.setattr(sim, "_CHUNK", 64)
         gen, const = SequenceGen.exact(0.25), generate_inputs("const_unit")
         traj = simulate(bench_lti, gen, const, x0=[0.1, 0.2], horizon=2.0, step=0.002)
-        assert march_spy["march"] == ["_march_tables"] and march_spy["tables"] == [(None, 125)]
+        assert table_spy == [(None, 125)]
         check_full(traj, serial_simulate(bench_lti, gen, const, [0.1, 0.2], 2.0, step=0.002, full=True))
 
     @pytest.mark.parametrize("kind", ["range", "minimum"])
     @pytest.mark.parametrize("case", ["impulsive", "switched", "closed"])
     def test_random_dwell_shares_one_table_per_mode(self, bench_lti, bench_switched, closed_loops, case, kind,
-                                                    march_spy):
+                                                    table_spy):
         """Every segment's mesh starts at tau = 0 in whole steps, so under a
         constant input a random dwell builds one table per mode, over the
-        mode's longest segment; a sine input keeps the flat march."""
+        mode's longest segment; a sine input builds one per segment."""
         kw = {}
         if case == "closed":
             sys_, ctrl, gen = closed_loops[kind]
@@ -706,22 +780,14 @@ class TestSharedSegments:
                    else SequenceGen.min_plus_exp(T, seed=2))
         x0 = np.full(sys_.n, 0.1)
         for inputs in (generate_inputs("const_unit"), generate_inputs("sine")):
-            march_spy["march"].clear()
+            table_spy.clear()
             traj = simulate(sys_, gen, inputs, x0=x0, horizon=4.0, **kw)
             assert len(set(np.diff(traj.jump_times))) > 5  # no two dwells alike
-            if inputs.label == "sine":
-                assert march_spy["march"] == ["_march_flat"]
-            else:
-                cells = np.bincount(traj.jump_count) - 1
-                firsts = np.cumsum(cells + 1) - cells - 1
-                seg_modes = traj.modes[firsts].tolist() if case == "switched" else [None] * len(cells)
-                longest = {md: max(m for m, s in zip(cells, seg_modes) if s == md) for md in seg_modes}
-                assert march_spy["march"] == ["_march_tables"]
-                assert sorted(march_spy["tables"], key=str) == sorted(longest.items(), key=str)
+            assert table_spy == (segment_tables(traj) if inputs.label == "sine" else mode_tables(traj))
             ref = serial_simulate(sys_, gen, inputs, x0, 4.0, full=True, **kw)
             check_full(traj, ref, switched=case == "switched")
 
-    def test_tagged_impulsive_run_marches_one_flow(self, bench_switched, march_spy):
+    def test_tagged_impulsive_run_marches_one_flow(self, bench_switched, table_spy):
         """An impulsive system has one flow whatever the tags of its jump
         maps: the lift of a two-mode system builds one table, not one per
         tag mode, and its run is the switched system's to rounding: the
@@ -729,7 +795,7 @@ class TestSharedSegments:
         lifted, gen, const = lift_switched(bench_switched), SequenceGen.exact(0.5), generate_inputs("const_unit")
         n = bench_switched.n
         traj = simulate(lifted, gen, const, x0=[0.1] * n + [0.0] * n, horizon=4.0, start_mode=0)
-        assert march_spy["march"] == ["_march_tables"] and march_spy["tables"] == [(None, 500)]
+        assert table_spy == [(None, 500)]
         ref = simulate(bench_switched, gen, const, x0=[0.1] * n, horizon=4.0, start_mode=0)
         assert len(traj.jump_times) == 7 and set(ref.modes) == {0, 1}
         blocks = traj.states.reshape(len(traj.times), 2, n)
@@ -755,7 +821,7 @@ class TestSharedSegments:
 class TestErrorClasses:
     """What the plan-then-march order must keep raising; a state overflow is
     pinned by TestSimulate.test_state_overflow_raises, whose overflow lands
-    in a later chunk."""
+    late in the run."""
 
     def test_no_outgoing_jump_map(self):
         tagged = ImpulsiveSystem.from_arrays(
@@ -765,6 +831,14 @@ class TestErrorClasses:
         with pytest.raises(DimensionMismatch, match="no jump map leaves mode 1"):
             simulate(tagged, SequenceGen.exact(0.5), generate_inputs("const_unit"), x0=[1.0],
                      horizon=3.0, start_mode=0)
+
+    @pytest.mark.parametrize("start_mode", [-1, 5])
+    def test_start_mode_out_of_range(self, bench_switched, start_mode):
+        """A switched system's start mode is one of its N = 2 modes: -1 would
+        march the last mode under the label -1, and 5 has no data."""
+        with pytest.raises(DimensionMismatch, match=rf"start_mode must be in \[0, 2\), got {start_mode}"):
+            simulate(bench_switched, SequenceGen.exact(0.5), generate_inputs("const_unit"), x0=[0.1, 0.1],
+                     horizon=2.0, start_mode=start_mode)
 
     def test_denominator_not_positive(self):
         plant = ImpulsiveSystem.from_arrays(
@@ -912,6 +986,26 @@ class TestEstimateGain:
         with pytest.raises(ValueError):
             estimate_gain(bench_lti, SequenceGen.exact(0.5), norm="L2")
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_must_be_positive(self, bench_lti, jobs, monkeypatch):
+        """Refused before any run, as runs < 1 is."""
+        monkeypatch.setattr(sim, "_gain_run", None)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got runs=3, jobs={jobs}"):
+            estimate_gain(bench_lti, SequenceGen.uniform_range(0.3, 0.5), runs=3, jobs=jobs)
+
+    @pytest.mark.parametrize("lift", [True, False])
+    def test_exact_dwell_runs_every_draw(self, bench_switched, lift):
+        """An exact dwell collapses to one run only where a run draws
+        nothing.  The lift of a two-mode system draws each jump map, the
+        switched system its start mode: in both, a later run reaches a
+        larger sup than run 0."""
+        sys_ = lift_switched(bench_switched) if lift else bench_switched
+        gen = SequenceGen.exact(0.5, seed=0 if lift else 1)
+        sups = self._sups(sys_, gen, generate_inputs("const_unit"), 20, 10.0)
+        assert max(sups) > sups[0]
+        assert estimate_gain(sys_, gen, runs=20, horizon=10.0) == max(sups)
+        assert estimate_gain(sys_, gen, runs=1, horizon=10.0) == sups[0]
+
     def test_deterministic_given_seed(self, bench_lti):
         gen = SequenceGen.uniform_range(0.3, 0.5, seed=21)
         g1 = estimate_gain(bench_lti, gen, runs=5, horizon=10.0)
@@ -924,16 +1018,13 @@ class TestEstimateGain:
         return [simulate(sys_, gen, inputs, np.zeros(sys_.n), horizon, rng=np.random.default_rng((gen.seed, r)),
                          **kw).sup_hybrid() for r in range(runs)]
 
-    @pytest.mark.parametrize("case, march", [
-        ("constant", "_march_tables"), ("range", "_march_tables"), ("minimum", "_march_tables"),
-        ("switched", "_march_tables"), ("closed range", "_march_tables"), ("closed minimum", "_march_tables"),
-        ("no z_c", "_march_tables"), ("sine", "_march_flat"), ("single segment", "_march_flat"),
-    ])
+    @pytest.mark.parametrize("case", ["constant", "range", "minimum", "switched", "closed range", "closed minimum",
+                                      "no z_c", "sine", "single segment"])
     def test_is_the_largest_simulated_sup(self, bench_lti, bench_timer_stable, bench_switched, closed_loops,
-                                          march_spy, monkeypatch, case, march):
+                                          table_spy, monkeypatch, case):
         """estimate_gain equals the largest sup_hybrid of simulate's runs, bit
-        for bit, on either march.  A gain run builds no Trajectory; from the
-        tables it fills z_c alone and takes z_d from the segment ends."""
+        for bit, from tables per mode or per segment.  A gain run builds no
+        Trajectory; it fills z_c alone and takes z_d from the segment ends."""
         kw, runs = {}, 3
         if case.startswith("closed"):
             sys_, ctrl, gen = closed_loops[case.split()[1]]
@@ -950,21 +1041,24 @@ class TestEstimateGain:
             }[case]
             kw = {"clamp": 0.7} if case == "minimum" else {}
         inputs = generate_inputs("const_unit")
-        if case == "sine":  # the gain runs' input, so that they take the flat march
+        if case == "sine":  # the gain runs' input, so that each of their segments has a table of its own
             inputs = generate_inputs("sine")
             monkeypatch.setattr(sim, "generate_inputs", lambda kind: inputs)
-        want = self._sups(sys_, gen, inputs, 1 if gen.kind == "exact" else runs, 20.0, **kw)
-        march_spy["march"].clear()
+        runs = 1 if gen.kind == "exact" else runs
+        trajs = [simulate(sys_, gen, inputs, np.zeros(sys_.n), 20.0, rng=np.random.default_rng((gen.seed, r)), **kw)
+                 for r in range(runs)]
+        tables = [segment_tables(t) if case == "sine" else mode_tables(t) for t in trajs]
+        table_spy.clear()
         monkeypatch.setattr(sim, "Trajectory", None)  # a gain run that builds one fails
-        assert estimate_gain(sys_, gen, runs=runs, horizon=20.0, **kw) == max(want)
-        assert march_spy["march"] == [march] * len(want)
+        assert estimate_gain(sys_, gen, runs=3, horizon=20.0, **kw) == max(t.sup_hybrid() for t in trajs)
+        assert table_spy == sum(tables, [])
 
-    def test_z_d_is_read_at_the_jumps(self, march_spy):
-        """A gain run marched from tables reads z_d off the pre-jump states,
-        the segment ends but the last.  Every segment starts at 0 here, so
-        z_d at jump k grows with the dwell before it; this draw's first dwell
-        is its longest, so the first z_d is the sup, above every later one and
-        the output the horizon's end would give."""
+    def test_z_d_is_read_at_the_jumps(self, table_spy):
+        """A gain run reads z_d off the pre-jump states, the segment ends but
+        the last.  Every segment starts at 0 here, so z_d at jump k grows
+        with the dwell before it; this draw's first dwell is its longest, so
+        the first z_d is the sup, above every later one and the output the
+        horizon's end would give."""
         reset = ImpulsiveSystem.from_arrays(A=[[-1.0]], Ec=[[1.0]], Cc=np.zeros((0, 1)), Fc=np.zeros((0, 1)),
                                             J=[[0.0]], Ed=[[0.0]], Cd=[[1.0]], Fd=[[0.0]])
         gen = SequenceGen.uniform_range(0.3, 0.6, seed=10)
@@ -972,7 +1066,7 @@ class TestEstimateGain:
         zd = ref.zd[:, 0]
         assert zd[0] > max(zd[1:].max(), ref.states[-1, 0])
         assert estimate_gain(reset, gen, runs=1, horizon=3.0) == zd[0]
-        assert march_spy["march"] == ["_march_tables"] * 2
+        assert table_spy == mode_tables(ref) * 2
 
     def test_max_sup_takes_run_0_from_the_caller(self, bench_lti):
         """sup0 stands in for run 0, and runs 1.. are marched as estimate_gain marches them."""

@@ -80,10 +80,10 @@ Cases:
 - simulations, open and closed loop, impulsive (n = 1, 2, 4) and switched,
   at constant, range and minimum dwell: the `simulate` states, z_c and z_d
   and the bytes of the three `export_trajectory` files, over a horizon of
-  several march chunks and one of fewer maps than a prefix block, the
+  about 30,000 mesh points and one of fewer maps than a prefix block, the
   `estimate_gain` value and the `cert.flow_grid` tables (Phi, r, C, z) on
   grids of 1 to 9,000 cells.  These trajectories take a sine input, which
-  keeps the flat march; those of `constant_input_cases` take a constant
+  builds a table per segment; those of `constant_input_cases` take a constant
   one, which shares one table per mode, under exact, range and minimum
   dwell, open and closed loop, switched, and with a truncated last
   segment.  Arrays are stored as SHA-256 digests of their
@@ -159,7 +159,7 @@ THREE_MODE_DWELLS = ("constant:0.3", "range:0.3:0.6", "arbitrary")
 SWITCHED_DESIGN_DWELLS = ("constant:0.3", "range:0.1:0.3", "arbitrary")
 # certificate kind of an impulsive system per dwell kind: that of a lift
 LIFTED_KIND = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
-# several march chunks of 8,192 maps, and fewer maps than one prefix block
+# about 30,000 mesh points, and fewer maps than one prefix block
 SIM_HORIZONS = (30.0, 0.02)
 FLOW_GRID_CELLS = (1, 20, 700, 9000)
 NONNEG_DOMAIN = (0.0, 1.9)
