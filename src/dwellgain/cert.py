@@ -98,7 +98,7 @@ def flow_grid(sys, taus: np.ndarray, clamp: Optional[float] = None, mode: Option
     plant, ctrl = _unpack(sys)
     taus = np.asarray(taus, dtype=float)
     m = len(taus) - 1
-    if m and not np.allclose(np.diff(taus), taus[1] - taus[0]):
+    if m and not np.allclose(np.diff(taus), taus[1] - taus[0], atol=0.0):  # relative to the step alone
         raise ValueError("flow_grid needs a uniform grid")
     return _flow_tables(plant, ctrl, mode, clamp, taus, np.ones(2 * m + 1))
 
@@ -116,6 +116,11 @@ def transition_matrix(
     listed instants; the timer is zero at `timer_origin` (default `frm`) and
     resets at every jump.  `sys` is an impulsive plant or a ClosedLoopView of
     one, whose jumps map by J + B_d K_d(theta), theta the dwell before the jump."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
+    for name, value in (("frm", frm), ("to", to)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if frm > to:
         raise ValueError("need frm <= to")
     plant, ctrl = _unpack(sys)
@@ -219,6 +224,8 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     for the matrices no feedback changes and from its design's positivity
     rows (`_positivity_notes`) on the channels with an input, as the theorem
     rows are; a switched system's before the lift."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     given, ctrl = _unpack(sys)
     require_forward_time(given, "verification")
     cert, plant, ctrl = _lifted(cert, given, ctrl)
@@ -350,6 +357,8 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
     dwell theta reads the state at the first grid point at or after it, a
     dwell the certificate covers.  A row passes at >= -_SLACK_TOL times the
     size of its own terms at each point."""
+    if theta_points < 1 or grid < 1:
+        raise ValueError(f"theta_points and grid must be >= 1, got theta_points={theta_points}, grid={grid}")
     plant, ctrl = _unpack(sys)
     require_forward_time(plant, "the state-transition cross-check")
     cert, plant, ctrl = _lifted(cert, plant, ctrl)

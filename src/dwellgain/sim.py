@@ -22,11 +22,11 @@ gain run (`estimate_gain`, and CLI simulate's runs after the first) fills
 z_c alone, reads z_d at the segment ends and returns its hybrid sup with
 no Trajectory.
 
-One referee serves every check_step run, by step doubling (Hairer, Norsett
-& Wanner 1993, II.4): per group, the two half-step RK4 maps of its table's
-full cells are built once and applied to the marched states of all its
-segments; the last cells are batched per mode.  The states never depend on
-whether it runs.
+Under check_step the march also runs the referee, by step doubling (Hairer,
+Norsett & Wanner 1993, II.4): it walks each group's table one chunk at a
+time, applying the chunk's two half-step RK4 maps to the filled states of
+all the group's segments, and checks the last cells from the fields it
+marched them with.  The states never depend on whether it runs.
 """
 
 from __future__ import annotations
@@ -62,6 +62,19 @@ class SequenceGen:
     Tmin: Optional[float] = None
     Tmax: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse a law that cannot draw: a dwell of zero or less never reaches the horizon."""
+        if self.kind == "uniform_range":
+            if not (self.Tmin is not None and 0 < self.Tmin < np.inf):
+                raise ValueError(f"uniform_range needs 0 < Tmin < inf, got Tmin={self.Tmin}")
+            if not (self.Tmax is not None and self.Tmin <= self.Tmax < np.inf):
+                raise ValueError(f"uniform_range needs Tmin <= Tmax < inf, got Tmax={self.Tmax} with Tmin={self.Tmin}")
+        elif self.kind in ("exact", "min_plus_exp"):
+            if not (self.T is not None and 0 < self.T < np.inf):
+                raise ValueError(f"{self.kind} needs 0 < T < inf, got T={self.T}")
+        else:
+            raise ValueError(f"unknown sequence kind {self.kind!r}")
 
     @staticmethod
     def exact(T: float, seed: int = 0) -> "SequenceGen":
@@ -101,11 +114,8 @@ class SequenceGen:
                 d = self.T
             elif self.kind == "uniform_range":
                 d = float(rng.uniform(self.Tmin, self.Tmax))
-            elif self.kind == "min_plus_exp":
-                # T plus an exponential of rate 1/T, whose scale 1/rate is rounded twice
+            else:  # min_plus_exp: T plus an exponential of rate 1/T, whose scale 1/rate is rounded twice
                 d = min(self.T + float(rng.exponential(1.0 / (1.0 / self.T))), 10.0 * self.T)
-            else:
-                raise ValueError(f"unknown sequence kind {self.kind!r}")
             out.append(d)
             total += d
         return np.asarray(out)
@@ -464,10 +474,12 @@ def _mode_table(plan: _Plan, k: int, cols: np.ndarray, full: bool):
     return table, at
 
 
-def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray, full: bool) -> np.ndarray:
+def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.ndarray, full: bool,
+                  check_step: bool):
     """Fill the states and z_c of a run, side by side in out (npts, n+q),
     from its groups' tables; without full, z_c alone in out (npts, q).
-    Returns the states at the segment ends, (n, K).
+    Returns the states at the segment ends, (n, K), and the half-step
+    referee's value, 0.0 without check_step (which needs full).
 
     A group's table maps the start x_k of each of its segments to the
     segment's first m_k points.  The last cells of a mode's segments are one
@@ -476,15 +488,22 @@ def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.n
     x_{k+1} = J_k (E_k x_k + e_k) + s_k by the prefix scan over the
     segments.  Each segment is filled by one product of [x_k | 1] with its
     table, whose columns are those of out, and a run of segments alike in
-    table and cell count, as under a constant dwell, shares one product."""
-    n, ms, K, firsts = plan.sys.n, plan.ms, len(plan.ms), plan.firsts
+    table and cell count, as under a constant dwell, shares one product.
+
+    The referee is the largest relative gap between one h-step and two
+    h/2-steps over the cells, along the filled states: per group, a chunk's
+    half-step maps at a time, applied to its segments' states padded to (n,
+    segments, cells); per mode, from the last cells' own fields.  Jumps are not read."""
+    n, ms, K, firsts, h = plan.sys.n, plan.ms, len(plan.ms), plan.firsts, plan.h
     ends = firsts + ms
     qc = out.shape[1] - n * full
     R, s, Cend, zend = np.empty((n, n, K)), np.empty((n, K)), np.empty((qc, n, K)), np.empty((qc, K))
+    lasts = []  # per mode, the last cells' segments, widths and fields, for the referee
     for c in range(len(plan.modes)):  # the partial cells, and the outputs at their ends
-        ks, width, (A, bw, Cend[..., ks], zend[..., ks]) = plan.last_cells(c, quarters=False)
+        ks, width, (A, bw, Cend[..., ks], zend[..., ks]) = plan.last_cells(c, quarters=check_step)
         L = len(ks)
         R[..., ks], s[..., ks] = _rk4_stage(A, bw, slice(L, 2 * L), slice(2 * L, 3 * L), slice(0, L), width)
+        lasts.append((ks, width, A, bw))
     tables, at, gid = [], np.empty((n, n + 1, K)), np.empty(K, dtype=int)
     for g, (k, ks) in enumerate(plan.groups):
         table, at[..., ks] = _mode_table(plan, k, ms[ks] - 1, full)
@@ -515,45 +534,34 @@ def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.n
     # without the states, an overflow shows in x_end or as an infinite or NaN z_c
     if not (np.isfinite(x_end).all() and np.isfinite(out[:, :n] if full else out).all()):
         raise StepTooLarge("state overflow while integrating; reduce the step")
-    return x_end
+    if not check_step:
+        return x_end, 0.0
 
-
-def _halfstep_error(plan: _Plan, states: np.ndarray) -> float:
-    """The largest relative gap between one h-step and two h/2-steps over
-    the run's cells, along its marched states (npts, n), which are the
-    one-step results to rounding.  Per group, the half-step maps of its
-    table's full cells are applied to its segments' states, padded to
-    (n, segments, cells); per mode, to the last cells.  Jumps are not read."""
-    ms, h, firsts = plan.ms, plan.h, plan.firsts
-
-    def gap(A, bw, cells, x, y, half):
-        """The gaps from x to y (n, ..., len) of the cells whose points are the slices `cells`."""
-        start, q1, mid, q3, end = cells
-        R1, s1 = _rk4_stage(A, bw, start, q1, mid, half)
-        R2, s2 = _rk4_stage(A, bw, mid, q3, end, half)
+    def gap(A, bw, L, start, end, mid, x, y, half):
+        """The gaps from x to y (n, ..., L) of L cells whose fields begin at the
+        entries start (starts), end (ends) and mid (midpoints, then quarter points)."""
+        a, b, q1, q3, e = (slice(o, o + L) for o in (start, mid, mid + L, mid + 2 * L, end))
+        R1, s1 = _rk4_stage(A, bw, a, q1, b, half)
+        R2, s2 = _rk4_stage(A, bw, b, q3, e, half)
         x = np.einsum("ijc,jsc->isc", R1, x) + s1[:, None]
         x = np.einsum("ijc,jsc->isc", R2, x) + s2[:, None]
         return np.max(np.abs(x - y), axis=0) / (1.0 + np.max(np.abs(y), axis=0))
 
-    worst = 0.0
-    for k, ks in plan.groups:
-        L = int(ms[k]) - 1  # the table's full cells
-        tau = np.arange(L + 1) * h
-        grid = np.concatenate([tau, tau[:-1] + 0.5 * h, tau[:-1] + 0.25 * h, tau[:-1] + 0.75 * h])
-        A, bw, _, _ = plan.fields(plan.codes[k], plan.t0s[k], grid, 0)
-        # each segment's points, its last one repeated past them, and the cells within it
-        X = states[firsts[ks, None] + np.minimum(np.arange(L + 1), ms[ks, None] - 1)].transpose(2, 0, 1)
-        cells = (slice(0, L), slice(2 * L + 1, 3 * L + 1), slice(L + 1, 2 * L + 1), slice(3 * L + 1, 4 * L + 1),
-                 slice(1, L + 1))
-        err = gap(A, bw, cells, X[..., :-1], X[..., 1:], 0.5 * h)
-        worst = max(worst, float(np.max(err, where=np.arange(L) < ms[ks, None] - 1, initial=0.0)))
-    for c in range(len(plan.modes)):
-        ks, width, (A, bw, _, _) = plan.last_cells(c, quarters=True)
-        L, last = len(ks), firsts[ks] + ms[ks]
-        cells = (slice(L, 2 * L), slice(3 * L, 4 * L), slice(2 * L, 3 * L), slice(4 * L, 5 * L), slice(0, L))
-        err = gap(A, bw, cells, states[last - 1].T[:, None], states[last].T[:, None], 0.5 * width)
-        worst = max(worst, float(np.max(err)))
-    return worst
+    states, worst = out[:, :n], 0.0
+    for k, ks in plan.groups:  # the table's full cells, a chunk at a time
+        for a in range(0, ms[k] - 1, _CHUNK):
+            j = np.arange(a, min(a + _CHUNK, ms[k] - 1) + 1)  # the chunk's points
+            t, L = j * h, len(j) - 1
+            grid = np.concatenate([t, t[:-1] + 0.5 * h, t[:-1] + 0.25 * h, t[:-1] + 0.75 * h])
+            A, bw, _, _ = plan.fields(plan.codes[k], plan.t0s[k], grid, 0)
+            # each segment's points, its last one repeated past them, and the cells within it
+            X = states[firsts[ks, None] + np.minimum(j, ms[ks, None] - 1)].transpose(2, 0, 1)
+            err = gap(A, bw, L, 0, 1, L + 1, X[..., :-1], X[..., 1:], 0.5 * h)
+            worst = max(worst, float(np.max(err, where=j[:-1] < ms[ks, None] - 1, initial=0.0)))
+    for ks, width, A, bw in lasts:
+        x, y = states[ends[ks] - 1].T[:, None], states[ends[ks]].T[:, None]
+        worst = max(worst, float(np.max(gap(A, bw, len(ks), len(ks), 0, 2 * len(ks), x, y, 0.5 * width))))
+    return x_end, worst
 
 
 def _jump_maps(sys: ImpulsiveSystem, controller, picks: list, thetas: list, wds: list):
@@ -601,9 +609,9 @@ def simulate(
     raises StepTooLarge when the local truncation estimate exceeds 1e-4.
 
     Every segment's mesh starts at tau = 0 in cells of the step, and its
-    last cell ends on the jump.  One march and one referee serve every run:
-    the segments of a mode share one table under a constant continuous
-    input, and each has its own under a time-varying one.
+    last cell ends on the jump.  One march, which also runs the referee,
+    serves every run: the segments of a mode share one table under a
+    constant continuous input, and each has its own under a time-varying one.
     """
     return _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, False)
 
@@ -695,10 +703,8 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     full = not sup  # a gain run fills z_c alone
     out = np.empty((len(times), n * full + mode_mats(sys, modes[0])[3].shape[0]))
     states, zc = out[:, :n], out[:, n * full :]
-    x_end = _march_tables(plan, jR, js, x0, switched, out, full)
-
-    # The half-step referee reads the marched states: the march never depends on it.
-    worst_lt = _halfstep_error(plan, states) if check_step else 0.0
+    # the referee reads the filled states: they never depend on whether it runs
+    x_end, worst_lt = _march_tables(plan, jR, js, x0, switched, out, full, check_step)
     if worst_lt > _LT_TOL:
         raise StepTooLarge(f"local truncation estimate {worst_lt:.2e} exceeds {_LT_TOL:.0e}")
 

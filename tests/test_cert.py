@@ -125,6 +125,12 @@ class TestVerify:
         with pytest.raises(Mismatch):
             verify(short, bench_timer_growth)
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_is_refused(self, bench_timer_growth, grid):
+        c = analyze_range(bench_timer_growth, 0.3, 0.5, 4)
+        with pytest.raises(ValueError, match=f"^grid must be >= 1, got {grid}$"):
+            verify(c, bench_timer_growth, grid=grid)
+
     def test_arbitrary_needs_constant_system(self, bench_timer_growth):
         lam = [Poly.const(1.0)] * bench_timer_growth.n
         cert = Certificate(kind="ArbitraryDT", gamma=5.0, zeta=lam, dwell=DwellTimeSpec.arbitrary(),
@@ -573,6 +579,17 @@ class TestTransitionMatrix:
         Phi = transition_matrix(bench_lti, 0.0, 0.9)
         assert np.max(np.abs(Phi - expm(0.9 * A))) <= 1e-9
 
+    @pytest.mark.parametrize("kw, name", [
+        ({"step": -1.0}, "step"), ({"step": 0.0}, "step"), ({"step": np.nan}, "step"), ({"step": np.inf}, "step"),
+        ({"frm": np.nan}, "frm"), ({"frm": -np.inf}, "frm"), ({"to": np.nan}, "to"), ({"to": np.inf}, "to"),
+    ])
+    def test_refuses_bad_arguments(self, bench_lti, kw, name):
+        """A negative step used to integrate [0, 1] in one cell, a zero step to
+        divide by zero, a NaN bound to return the identity and an infinite one
+        to overflow."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            transition_matrix(bench_lti, **{"frm": 0.0, "to": 1.0, **kw})
+
     @pytest.mark.parametrize("spec, theta", [(DwellTimeSpec.constant(0.1), 0.1), (DwellTimeSpec.range(0.1, 0.3), 0.2)])
     def test_closed_loop_through_jumps(self, bench_chain_plant, spec, theta):
         """A closed loop's Phi through two jumps, each J + B_d K_d(theta), is
@@ -686,6 +703,21 @@ class TestSwitchedDwellClassReports:
         assert Phi.shape == (2, 2, 11) and np.array_equal(Phi[..., 0], np.eye(2))
 
 
+class TestFlowGrid:
+    @pytest.mark.parametrize("taus", [[0.0, 1e-9, 3e-9], [0.0, 1.0, 2.0, 3.5], [5.0, 5.1, 5.3]])
+    def test_uneven_grid_is_refused(self, bench_lti, taus):
+        """Uniformity is judged relative to the step: [0, 1e-9, 3e-9] used to
+        pass an absolute slack of 1e-8 and return Phi(2e-9) at tau = 3e-9."""
+        with pytest.raises(ValueError, match="^flow_grid needs a uniform grid$"):
+            flow_grid(bench_lti, taus)
+
+    @pytest.mark.parametrize("start, stop, cells", [(0.0, 1e-6, 1000), (1e3, 1e3 + 1e-3, 10), (0.0, 100.0, 3)])
+    def test_uniform_grid_to_rounding_is_accepted(self, bench_lti, start, stop, cells):
+        """A linspace is uniform up to rounding of its points, far off zero too."""
+        Phi = flow_grid(bench_lti, np.linspace(start, stop, cells + 1))[0]
+        assert Phi.shape == (2, 2, cells + 1) and np.array_equal(Phi[..., 0], np.eye(2))
+
+
 class TestCrossCheckOracle:
     """cross_check_discrete reads the simulator's evaluator; the body that
     integrated the plant's PolyMatrix data itself, kept as
@@ -742,6 +774,14 @@ class TestCrossCheck:
         cert = analyze_switched_min(bench_switched, 0.1, 4)
         rep = cross_check_discrete(cert, bench_switched)
         assert rep.passed
+
+    @pytest.mark.parametrize("kw", [{"theta_points": 0}, {"theta_points": -2}, {"grid": 0}, {"grid": -3}])
+    def test_counts_below_one_are_refused(self, bench_timer_growth, kw):
+        """theta_points = 0 used to end in an empty reduction, and grid = -3 to run 404 points."""
+        c = analyze_range(bench_timer_growth, 0.3, 0.5, 4)
+        (key, value), = kw.items()
+        with pytest.raises(ValueError, match=f"^theta_points and grid must be >= 1, got .*{key}={value}"):
+            cross_check_discrete(c, bench_timer_growth, **kw)
 
     def test_gamma_cut_violates(self, bench_timer_growth, cert_constant):
         bad = dataclasses.replace(cert_constant, gamma=0.9 * cert_constant.gamma)

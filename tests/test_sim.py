@@ -661,6 +661,59 @@ class TestChunkedMarch:
         assert worst > 1e-12  # truncation, not rounding, sets the value
         assert traj.meta["worst_local_truncation"] == pytest.approx(worst, rel=1e-12, abs=0)
 
+    def test_halfstep_referee_walks_a_table_a_chunk_at_a_time(self, bench_lti, monkeypatch):
+        """The referee builds the half-step maps of _CHUNK cells at a time: at
+        chunks of 64, no RK4 batch of a run of about 1,000 cells spans more.
+        With the table built at the default chunk and the referee walking
+        chunks of 64, the states are the default run's and so is its value,
+        bit for bit."""
+        const, default_chunk = generate_inputs("const_unit"), sim._CHUNK
+
+        def run():
+            return simulate(bench_lti, SequenceGen.exact(25.0), const, x0=[0.1, 0.2], horizon=1.0, step=1e-3,
+                            check_step=True)
+
+        default = run()
+        widths, rk4_stage, mode_table = [], sim._rk4_stage, sim._mode_table
+
+        def spy(*args):
+            R, s = rk4_stage(*args)
+            widths.append(R.shape[-1])
+            return R, s
+
+        monkeypatch.setattr(sim, "_rk4_stage", spy)
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        chunked = run()
+        assert len(chunked.times) > 1000 and len(chunked.jump_times) == 0
+        assert max(widths) == 64 and chunked.meta["worst_local_truncation"] > 0
+
+        def table_at_default_chunk(*args):
+            sim._CHUNK = default_chunk
+            table = mode_table(*args)
+            sim._CHUNK = 64  # the referee runs after the tables
+            return table
+
+        monkeypatch.setattr(sim, "_mode_table", table_at_default_chunk)
+        referee_chunked = run()
+        assert np.array_equal(referee_chunked.states, default.states)
+        assert referee_chunked.meta["worst_local_truncation"] == default.meta["worst_local_truncation"]
+
+    @pytest.mark.parametrize("check_step", [False, True])
+    def test_last_cells_evaluated_once_per_mode(self, bench_switched, check_step, monkeypatch):
+        """The march asks for each mode's last-cell fields once, with the
+        quarter points under check_step, and the referee reads those."""
+        calls, last_cells = [], sim._Plan.last_cells
+
+        def spy(plan, c, quarters):
+            calls.append((c, quarters))
+            return last_cells(plan, c, quarters)
+
+        monkeypatch.setattr(sim._Plan, "last_cells", spy)
+        traj = simulate(bench_switched, SequenceGen.min_plus_exp(0.1, seed=5), generate_inputs("const_unit"),
+                        x0=[0.1, 0.1], horizon=2.0, check_step=check_step)
+        assert calls == [(0, check_step), (1, check_step)]
+        assert (traj.meta["worst_local_truncation"] > 0) == check_step
+
     @pytest.mark.parametrize("case", ["range", "minimum", "switched", "single segment", "closed", "sine"])
     def test_halfstep_referee_matches_per_segment(self, bench_lti, bench_timer_stable, bench_switched, closed_loops,
                                                   case, table_spy):
@@ -969,6 +1022,22 @@ class TestSequences:
         gen = SequenceGen.min_plus_exp(0.2, seed=2)
         dw = gen.dwells(100.0, np.random.default_rng(2))
         assert np.all(dw >= 0.2) and np.all(dw <= 2.0 + 1e-12)
+
+    @pytest.mark.parametrize("kind, args, name", [
+        ("exact", (0.0,), "T"), ("exact", (-1.0,), "T"), ("exact", (np.inf,), "T"), ("exact", (np.nan,), "T"),
+        ("min_plus_exp", (0.0,), "T"), ("min_plus_exp", (-0.5,), "T"),
+        ("uniform_range", (0.0, 0.0), "Tmin"), ("uniform_range", (-1.0, 1.0), "Tmin"),
+        ("uniform_range", (0.5, 0.3), "Tmax"), ("uniform_range", (0.3, np.inf), "Tmax"),
+    ])
+    def test_refuses_a_dwell_it_cannot_draw(self, kind, args, name):
+        """Refused at construction: dwells() of a dwell of zero or less would
+        never reach the horizon, and min_plus_exp(0) would divide by zero."""
+        with pytest.raises(ValueError, match=f"^{kind} needs .* got {name}="):
+            getattr(SequenceGen, kind)(*args)
+
+    def test_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown sequence kind 'poisson'$"):
+            SequenceGen("poisson", T=1.0)
 
     def test_for_spec(self):
         from dwellgain.model import DwellTimeSpec

@@ -18,6 +18,15 @@ faster, and per op key the median op time of each side and the median of
 their per-pass ratio.  An op whose warm-up result (as the workload's check
 sums it up: outcome, exit code, gains, Monte-Carlo value) differs between
 the sides is listed, and the exit code is then 1.
+
+What it cannot see: both sides share one process, so one allocator and one
+heap, and a change in how a side's arrays reach the heap does not show.
+Deleting sim's 8 MiB warm-up block, which keeps glibc from trimming the heap
+and faulting it in again on every run, read 0.998 over 20 montecarlo passes
+(11/20 faster), while three separate perfbench montecarlo runs per side
+(seed 1, --seconds 20) read `wall_s` 0.071-0.072 s with the block and
+0.101-0.106 s without it, on a shared 2-vCPU Xeon host.  Time a change in
+allocation with perfbench/run.py, one process per side.
 """
 
 import argparse
