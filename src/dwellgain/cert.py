@@ -118,9 +118,11 @@ def transition_matrix(
     one, whose jumps map by J + B_d K_d(theta), theta the dwell before the jump."""
     if not 0 < step < np.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
-    for name, value in (("frm", frm), ("to", to)):
+    for name, value in (("frm", frm), ("to", to), ("timer_origin", frm if timer_origin is None else timer_origin)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if np.isnan(jumps_in_between).any():  # a NaN instant compares false, so it would be dropped silently
+        raise ValueError(f"jumps_in_between must not hold NaN, got {list(jumps_in_between)}")
     if frm > to:
         raise ValueError("need frm <= to")
     plant, ctrl = _unpack(sys)

@@ -190,8 +190,7 @@ def _cmd_certify(args) -> int:
 
 
 def _sweep_point(payload) -> tuple[float, float]:
-    (path, kind, T, degree, margin, order_cap) = payload
-    sys_obj = load_system(path)
+    (sys_obj, kind, T, degree, margin, order_cap) = payload
     dwell = DwellTimeSpec.parse(f"{kind}:{T}")
     try:
         cert = _analyze_once(sys_obj, dwell, degree, margin, order_cap)
@@ -207,7 +206,8 @@ def _cmd_sweep(args) -> int:
     _at_least("--points", args.points)
     _at_least("--jobs", args.jobs)
     Ts = np.linspace(args.sweep_from, args.sweep_to, args.points)
-    payloads = [(args.system, kind, float(T), args.degree, args.margin, args.order_cap) for T in Ts]
+    sys_obj = load_system(args.system)  # read once; each worker gets it pickled in its payloads
+    payloads = [(sys_obj, kind, float(T), args.degree, args.margin, args.order_cap) for T in Ts]
     if args.jobs > 1:
         # imported here: the pool loads multiprocessing, which one job never needs
         from concurrent.futures import ProcessPoolExecutor

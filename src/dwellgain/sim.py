@@ -18,9 +18,13 @@ r_j and the outputs at each tau = jh.  The last, partial cells are batched
 per mode, the segment starts are marched through the jumps by a prefix
 scan over the segments (Blelloch 1990), and each segment is filled from its
 start by one product with its table, one for a run of like segments.  A
-gain run (`estimate_gain`, and CLI simulate's runs after the first) fills
-z_c alone, reads z_d at the segment ends and returns its hybrid sup with
-no Trajectory.
+table whose data A (+B K_c) and forcing take one value on its mesh, as a
+time-invariant mode's or a chunk past the clamp, has one RK4 map and one
+block's prefix, shared by all its blocks.  A gain run (`estimate_gain`, and
+CLI simulate's runs after the first) fills z_c alone, reads z_d at the
+segment ends and returns its hybrid sup with no Trajectory.  An input that
+declares its constant value (`InputSignal.wc_value`) is never probed, and a
+gain run under one builds no mesh arrays (times, timers, origins).
 
 Under check_step the march also runs the referee, by step doubling (Hairer,
 Norsett & Wanner 1993, II.4): it walks each group's table one chunk at a
@@ -126,17 +130,25 @@ class InputSignal:
     """Exogenous inputs: wc(t) vectorized over time, wd(k) per jump index.
 
     Scalar-valued; the simulator broadcasts across input channels.
+    wc_value, when set, declares wc to be that one constant: the simulator
+    then takes w from it and never calls wc, and a gain run builds no mesh
+    arrays.  Left None, wc is probed on every point a run reads.  Under a
+    constant input, a time-invariant mode's table is built from one block.
     """
 
     wc: Callable[[np.ndarray], np.ndarray]
     wd: Callable[[int], float]
     label: str = ""
+    wc_value: Optional[float] = None
 
 
 def generate_inputs(kind: str, seed: int = 0) -> InputSignal:
-    """const_unit: w = 1; sine: (1 + sin t)/2; uniform_random: i.i.d. U(0,1) per jump."""
+    """const_unit: w = 1; sine: (1 + sin t)/2; uniform_random: i.i.d. U(0,1)
+    per jump.  const_unit and uniform_random declare w_c = 1 (wc_value): no
+    run probes their wc, a gain run under them builds no mesh arrays, and a
+    time-invariant mode's table is built from one block."""
     if kind == "const_unit":
-        return InputSignal(lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda k: 1.0, kind)
+        return InputSignal(lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda k: 1.0, kind, 1.0)
     if kind == "sine":
         return InputSignal(lambda t: 0.5 * (1.0 + np.sin(np.asarray(t, dtype=float))), lambda k: 1.0, kind)
     if kind == "uniform_random":
@@ -144,12 +156,12 @@ def generate_inputs(kind: str, seed: int = 0) -> InputSignal:
         def wd(k: int) -> float:
             return float(np.random.default_rng((seed, int(k))).uniform())
 
-        return InputSignal(lambda t: np.ones_like(np.asarray(t, dtype=float)), wd, kind)
+        return InputSignal(lambda t: np.ones_like(np.asarray(t, dtype=float)), wd, kind, 1.0)
     raise ValueError(f"unknown input kind {kind!r}")
 
 
 def combine_inputs(continuous: InputSignal, discrete: InputSignal) -> InputSignal:
-    return InputSignal(continuous.wc, discrete.wd, f"{continuous.label}+{discrete.label}")
+    return InputSignal(continuous.wc, discrete.wd, f"{continuous.label}+{discrete.label}", continuous.wc_value)
 
 
 @dataclass
@@ -273,7 +285,7 @@ def _prefix(T: np.ndarray, T2: np.ndarray) -> np.ndarray:
     return T
 
 
-def _block_prefix(R: np.ndarray, s: Optional[np.ndarray]):
+def _block_prefix(R: np.ndarray, s: Optional[np.ndarray], m: Optional[int] = None):
     """Prefix tables of the one-step maps x_{i+1} = R[..., i] x_i + s[..., i].
 
     R is (n, n, m) and s (n, m).  The m cells form nb blocks of B = min(_BLOCK, m),
@@ -288,7 +300,18 @@ def _block_prefix(R: np.ndarray, s: Optional[np.ndarray]):
     Both levels come from `_prefix`, the second over the block-end maps, so
     no Python loop runs over cells or blocks.  With s None the tables hold
     P alone, (n, n, B, nb) and (n, n, nb-1).
+
+    With m, R (n, n, 1) and s (n, 1) hold the one map of all m cells: one
+    block's prefix is built and T is a broadcast of it, and U scans nb - 1
+    copies of its end map.  A block's entries depend on its own maps alone,
+    so these are the floats the m maps would give.
     """
+    if m is not None:
+        B = min(_BLOCK, m)
+        nb = -(-m // B)
+        T, _ = _block_prefix(*(None if a is None else np.broadcast_to(a, a.shape[:-1] + (B,)) for a in (R, s)))
+        U = np.repeat(T[:, :, -1], nb - 1, axis=-1)
+        return np.broadcast_to(T, T.shape[:3] + (nb,)), _prefix(U, np.empty_like(U))
     n, m = R.shape[1:]
     B = min(_BLOCK, m)
     nb, full = -(-m // B), m // B
@@ -355,6 +378,13 @@ def _fields(sys, controller, mode, clamp, grid: np.ndarray, w: Optional[np.ndarr
     return A, b, C, z
 
 
+def _time_invariant(A: np.ndarray, b: Optional[np.ndarray]) -> bool:
+    """Whether the flow data A (n, n, len) and forcing b (n, len) or None
+    take one value on the whole mesh, so that every RK4 cell has one map:
+    time-invariant data, or a timer clamped before the mesh starts."""
+    return bool((A == A[..., :1]).all() and (b is None or (b == b[..., :1]).all()))
+
+
 def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.ndarray] = None,
                  h: Optional[float] = None, start: Optional[np.ndarray] = None):
     """The flow across the uniform grid `taus`, integrated by the march's RK4
@@ -375,8 +405,12 @@ def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.
     Phi0, r0 = (np.eye(n), np.zeros(n)) if start is None else (start[:, :n], start[:, n])
     if m < 1:
         return Phi0[:, :, None].copy(), None if w is None else r0[:, None].copy(), C, z
-    R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
-    tables = _block_prefix(R, s)
+    if _time_invariant(A, b):
+        R, s = _rk4_stage(A, b, slice(0, 1), slice(0, 1), slice(0, 1), h)
+        tables = _block_prefix(R, s, m)
+    else:
+        R, s = _rk4_stage(A, b, slice(0, m), slice(m + 1, 2 * m + 1), slice(1, m + 1), h)
+        tables = _block_prefix(R, s)
     return _scan(tables, Phi0, m, forced=False), None if w is None else _scan(tables, r0, m), C, z
 
 
@@ -675,11 +709,19 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     counts = ms + 1
     ends = np.cumsum(counts) - 1
     jumps_at = ends[:-1]
-    grid = np.arange(ms.max() + 1) * step
-    taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
-    taus[ends] = lens
-    origin = np.repeat(t0s, counts)
-    times = origin + taus
+    # The segments of a mode share one table when the continuous input is
+    # constant on every point that a table or the referee reads; else each
+    # has its own.  A declared value is not probed, and a gain run under it
+    # reads no mesh array.
+    w = inputs.wc_value
+    if w is None or not sup:
+        grid = np.arange(ms.max() + 1) * step
+        taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
+        taus[ends] = lens
+        origin = np.repeat(t0s, counts)
+        times = origin + taus
+        if w is None:
+            w = _constant_input(inputs, times, origin, taus, ends, ms, lens, step, check_step)
     modes = list(dict.fromkeys(seg_mode))
     codes = np.array([modes.index(md) for md in seg_mode])
     if switched:
@@ -694,14 +736,11 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     # come from a heap it no longer trims and re-faults on every run.
     np.empty(1 << 23, np.uint8)
 
-    # The segments of a mode share one table when the continuous input is constant
-    # on every point that a table or the referee reads; else each has its own.
-    w = _constant_input(inputs, times, origin, taus, ends, ms, lens, step, check_step)
     members = np.arange(len(ms))[:, None] if w is None else [np.flatnonzero(codes == c) for c in range(len(modes))]
     groups = [(int(ks[np.argmax(ms[ks])]), ks) for ks in members]
     plan = _Plan(sys, controller, clamp, inputs, w, step, modes, codes, t0s, ms, lens, ends - ms, groups)
     full = not sup  # a gain run fills z_c alone
-    out = np.empty((len(times), n * full + mode_mats(sys, modes[0])[3].shape[0]))
+    out = np.empty((ends[-1] + 1, n * full + mode_mats(sys, modes[0])[3].shape[0]))
     states, zc = out[:, :n], out[:, n * full :]
     # the referee reads the filled states: they never depend on whether it runs
     x_end, worst_lt = _march_tables(plan, jR, js, x0, switched, out, full, check_step)

@@ -582,13 +582,22 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("kw, name", [
         ({"step": -1.0}, "step"), ({"step": 0.0}, "step"), ({"step": np.nan}, "step"), ({"step": np.inf}, "step"),
         ({"frm": np.nan}, "frm"), ({"frm": -np.inf}, "frm"), ({"to": np.nan}, "to"), ({"to": np.inf}, "to"),
+        ({"timer_origin": np.nan}, "timer_origin"), ({"timer_origin": -np.inf}, "timer_origin"),
     ])
     def test_refuses_bad_arguments(self, bench_lti, kw, name):
         """A negative step used to integrate [0, 1] in one cell, a zero step to
-        divide by zero, a NaN bound to return the identity and an infinite one
-        to overflow."""
+        divide by zero, a NaN bound to return the identity, an infinite one
+        to overflow and a NaN timer origin to return a NaN matrix."""
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             transition_matrix(bench_lti, **{"frm": 0.0, "to": 1.0, **kw})
+
+    def test_refuses_nan_jump(self, bench_lti):
+        """A NaN instant is in no interval, so it used to be dropped and the
+        no-jump Phi returned, which differs from Phi with the jump at 0.5."""
+        no_jump, jump = transition_matrix(bench_lti, 0.0, 1.0), transition_matrix(bench_lti, 0.0, 1.0, [0.5])
+        assert no_jump[0, 0] == pytest.approx(0.36788, abs=1e-5) and jump[0, 0] == pytest.approx(0.18154, abs=1e-5)
+        with pytest.raises(ValueError, match="^jumps_in_between must not hold NaN"):
+            transition_matrix(bench_lti, 0.0, 1.0, jumps_in_between=[0.5, np.nan])
 
     @pytest.mark.parametrize("spec, theta", [(DwellTimeSpec.constant(0.1), 0.1), (DwellTimeSpec.range(0.1, 0.3), 0.2)])
     def test_closed_loop_through_jumps(self, bench_chain_plant, spec, theta):

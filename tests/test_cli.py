@@ -497,6 +497,30 @@ class TestSimulateAndSweep:
                          "--degree", "2", "--jobs", jobs, "-o", str(out)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_sweep_reads_the_system_once(self, ex1_path, tmp_path, monkeypatch):
+        """One read of --system per sweep, on the serial path and the --jobs
+        path, whose workers get the system in their payloads; the spy counts
+        in a file, which a forked worker's calls would reach too."""
+        from dwellgain import cli
+
+        log = tmp_path / "reads.log"
+
+        def spy(path):
+            with open(log, "a") as fh:
+                fh.write("read\n")
+            return load_system(path)
+
+        monkeypatch.setattr(cli, "load_system", spy)
+        csvs = []
+        for jobs in ("1", "2"):
+            log.write_text("")
+            out = tmp_path / f"sweep{jobs}.csv"
+            assert main(["sweep", "--system", ex1_path, "--dwell", "minimum", "--from", "0.3", "--to", "0.9",
+                         "--points", "3", "--degree", "2", "--jobs", jobs, "-o", str(out)]) == 0
+            assert log.read_text().splitlines() == ["read"]
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
 
 class TestExportEvery:
     """CLI simulate writes its states CSV at a stride of --export-every mesh

@@ -764,9 +764,10 @@ class TestSharedSegments:
     @pytest.mark.parametrize("case", ["timer_stable", "no_zc"])
     def test_shared_tables_match_per_segment_tables(self, bench_timer_stable, case, table_spy, monkeypatch):
         """One table per mode and one per segment agree, the referee too, also
-        for a system without z_c."""
+        for a system without z_c.  The input declares no value, so that the
+        patched constancy check decides the tables."""
         sys_ = bench_timer_stable if case == "timer_stable" else TestExport._no_zc_system()
-        gen, const = SequenceGen.exact(1.7), generate_inputs("const_unit")
+        gen, const = SequenceGen.exact(1.7), replace(generate_inputs("const_unit"), wc_value=None)
 
         def run():
             return simulate(sys_, gen, const, x0=[1.0, 1.0], horizon=20.0, check_step=True)
@@ -869,6 +870,79 @@ class TestSharedSegments:
             if k < len(traj.jump_times):
                 assert len(cells) == round(T / h)
                 np.testing.assert_allclose(cells, h, rtol=1e-9)
+
+
+class TestGainRunWork:
+    """A gain run does no per-point work whose result it never reads: a
+    declared constant input is not probed, and a table whose data take one
+    value on its mesh is built from one RK4 map and one block, bit for bit
+    the per-cell build."""
+
+    @pytest.mark.parametrize("check_step", [False, True])
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_declared_constant_is_never_probed(self, bench_timer_growth, check_step, combined):
+        """const_unit's wc is never called, alone or through combine_inputs,
+        and the run is the one the same lambdas give when the value is probed."""
+        const = generate_inputs("const_unit")
+        if combined:
+            const = combine_inputs(const, generate_inputs("uniform_random", seed=8))
+
+        def probe(t):
+            raise AssertionError("a declared constant input was probed")
+
+        declared, probed = replace(const, wc=probe), replace(const, wc_value=None)
+        assert declared.wc_value == 1.0
+        gen = SequenceGen.min_plus_exp(0.3, seed=4)
+        for sup in (False, True):  # a gain run has no referee: it fills no states
+            a, b = (sim._run(bench_timer_growth, gen, inputs, [0.2, 0.1], 6.0, None, None, 0.3, check_step and not sup,
+                             None, None, sup) for inputs in (declared, probed))
+            if sup:
+                assert a == b > 0
+                continue
+            assert a.meta["worst_local_truncation"] == b.meta["worst_local_truncation"]
+            for part in ("times", "states", "zc", "zd", "pre_jump_states", "post_jump_states"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+
+    @pytest.mark.parametrize("m", [1, 5, 31, 32, 33, 100])
+    def test_flow_of_constant_data_is_the_per_cell_flow(self, bench_lti, m, monkeypatch):
+        """Phi across m cells of lti_jump_bench, as the analyses and cert read
+        it without inputs, also for fewer cells than a block."""
+        taus = np.linspace(0.0, 0.05 * m, m + 1)
+        one = sim._flow_tables(bench_lti, None, None, None, taus)[0]
+        monkeypatch.setattr(sim, "_time_invariant", lambda A, b: False)
+        assert np.array_equal(one, sim._flow_tables(bench_lti, None, None, None, taus)[0])
+
+    @pytest.mark.parametrize("case", ["lti", "switched mode", "shorter than a block", "clamped"])
+    def test_time_invariant_table_is_the_per_cell_table(self, bench_lti, bench_switched, bench_timer_stable, case,
+                                                         monkeypatch):
+        """A run whose time-invariant tables are built from one block equals
+        the run with every table built cell by cell, bit for bit, referee and
+        gain included.  Past the clamp of a minimum dwell, timer_stable_bench's
+        data stop changing, so its chunks there are time-invariant."""
+        sys_, gen, kw = {
+            "lti": (bench_lti, SequenceGen.min_plus_exp(0.3, seed=2), {}),
+            "switched mode": (bench_switched, SequenceGen.exact(0.3, seed=6), {"start_mode": 0}),
+            "shorter than a block": (bench_lti, SequenceGen.exact(0.02), {"step": 1e-3}),
+            "clamped": (bench_timer_stable, SequenceGen.min_plus_exp(1.6, seed=3),
+                        {"step": 0.02, "clamp": 1.6, "horizon": 30.0}),
+        }[case]
+        if case == "clamped":
+            monkeypatch.setattr(sim, "_CHUNK", 64)
+        seen, time_invariant = [], sim._time_invariant
+        monkeypatch.setattr(sim, "_time_invariant", lambda A, b: seen.append(time_invariant(A, b)) or seen[-1])
+
+        def run(sup):
+            return sim._run(sys_, gen, generate_inputs("const_unit"), np.full(sys_.n, 0.1), kw.get("horizon", 5.0),
+                            kw.get("step"), None, kw.get("clamp"), not sup, None, kw.get("start_mode"), sup)
+
+        one, sup_one = run(False), run(True)
+        assert True in seen and (False in seen) == (case == "clamped")
+        monkeypatch.setattr(sim, "_time_invariant", lambda A, b: False)
+        cells, sup_cells = run(False), run(True)
+        assert sup_one == sup_cells == one.sup_hybrid()
+        assert one.meta["worst_local_truncation"] == cells.meta["worst_local_truncation"] > 0
+        for part in ("states", "zc", "zd", "pre_jump_states", "post_jump_states"):
+            assert np.array_equal(getattr(one, part), getattr(cells, part))
 
 
 class TestErrorClasses:
