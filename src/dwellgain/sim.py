@@ -10,9 +10,9 @@ so its first m_k - 1 cells are those of every other segment of its mode,
 and only its last one, never narrower than about 1e-9 h, is its own.
 
 One march serves every run.  The segments that share a table form a
-group: those of one mode when the continuous input is constant on every
-point that a table or the referee reads, whatever the dwell, else each
-segment alone.  A group's table (`_mode_table`, over its longest segment,
+group: those of one mode when the input declares its continuous part
+constant (`InputSignal.wc_value`), whatever the dwell, else each segment
+alone.  A group's table (`_mode_table`, over its longest segment,
 under the input along it) holds the transition Phi_j, the forced response
 r_j and the outputs at each tau = jh.  The last, partial cells are batched
 per mode, the segment starts are marched through the jumps by a prefix
@@ -22,9 +22,9 @@ table whose data A (+B K_c) and forcing take one value on its mesh, as a
 time-invariant mode's or a chunk past the clamp, has one RK4 map and one
 block's prefix, shared by all its blocks.  A gain run (`estimate_gain`, and
 CLI simulate's runs after the first) fills z_c alone, reads z_d at the
-segment ends and returns its hybrid sup with no Trajectory.  An input that
-declares its constant value (`InputSignal.wc_value`) is never probed, and a
-gain run under one builds no mesh arrays (times, timers, origins).
+segment ends and returns its hybrid sup with no Trajectory or mesh arrays
+(times, timers, origins).  An input with no declared value gets one table
+per segment, constant or not: a constant user input should declare it.
 
 Under check_step the march also runs the referee, by step doubling (Hairer,
 Norsett & Wanner 1993, II.4): it walks each group's table one chunk at a
@@ -131,8 +131,9 @@ class InputSignal:
 
     Scalar-valued; the simulator broadcasts across input channels.
     wc_value, when set, declares wc to be that one constant: the simulator
-    then takes w from it and never calls wc, and a gain run builds no mesh
-    arrays.  Left None, wc is probed on every point a run reads.  Under a
+    then takes w from it, never calls wc and builds one table per mode.
+    Left None, each segment gets a table of its own under wc, even when wc
+    is constant, so a constant input should declare its value.  Under a
     constant input, a time-invariant mode's table is built from one block.
     """
 
@@ -145,8 +146,9 @@ class InputSignal:
 def generate_inputs(kind: str, seed: int = 0) -> InputSignal:
     """const_unit: w = 1; sine: (1 + sin t)/2; uniform_random: i.i.d. U(0,1)
     per jump.  const_unit and uniform_random declare w_c = 1 (wc_value): no
-    run probes their wc, a gain run under them builds no mesh arrays, and a
-    time-invariant mode's table is built from one block."""
+    run calls their wc, their segments share one table per mode, and a
+    time-invariant mode's table is built from one block.  sine declares
+    nothing, so each of its segments gets its own table."""
     if kind == "const_unit":
         return InputSignal(lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda k: 1.0, kind, 1.0)
     if kind == "sine":
@@ -414,38 +416,20 @@ def _flow_tables(sys, controller, mode, clamp, taus: np.ndarray, w: Optional[np.
     return _scan(tables, Phi0, m, forced=False), None if w is None else _scan(tables, r0, m), C, z
 
 
-def _constant_input(inputs: InputSignal, times: np.ndarray, origin: np.ndarray, taus: np.ndarray, ends: np.ndarray,
-                    ms: np.ndarray, lens: np.ndarray, h: float, quarters: bool) -> Optional[float]:
-    """The continuous input's value when it takes one value on every point
-    that a table or the referee reads, else None: the run's points, the
-    times at timer values taus from origin, and the midpoints and with
-    quarters the quarter points of the cells from them, each h wide but a
-    segment's last one."""
-    t = [times]
-    for f in (0.5, 0.25, 0.75) if quarters else (0.5,):
-        tau = taus + f * h
-        tau[ends - 1] = taus[ends - 1] + f * (lens - (ms - 1) * h)
-        tau[ends] = taus[ends]  # no cell starts at a segment's end
-        t.append(origin + tau)
-    w = [np.asarray(inputs.wc(part)) for part in t]
-    w0 = w[0].flat[0]
-    return float(w0) if all((part == w0).all() for part in w) else None
-
-
 @dataclass
 class _Plan:
     """A run's segments as `_run` draws them.  Segment k starts at time
     t0s[k] in mode modes[codes[k]], has the points tau = j h, j < ms[k], and
     ends at tau = lens[k]; its first point is row firsts[k] of the run's
     arrays.  Each entry (k, ks) of groups lists the segments ks that share
-    one table, those of a mode under the constant continuous input w, else
-    each alone, and k, the first of the longest: the table spans its mesh."""
+    one table, those of a mode when inputs declares its continuous part
+    constant, else each alone, and k, the first of the longest: the table
+    spans its mesh."""
 
     sys: Union[ImpulsiveSystem, SwitchedSystem]
     controller: object
     clamp: Optional[float]
     inputs: InputSignal
-    w: Optional[float]
     h: float
     modes: list
     codes: np.ndarray
@@ -457,8 +441,8 @@ class _Plan:
 
     def input(self, t0, grid: np.ndarray) -> np.ndarray:
         """The continuous input at the times t0 + grid, as floats of grid's shape."""
-        if self.w is not None:
-            return np.full(grid.shape, self.w)
+        if self.inputs.wc_value is not None:
+            return np.full(grid.shape, self.inputs.wc_value)
         return np.asarray(np.broadcast_to(self.inputs.wc(t0 + grid), grid.shape), dtype=float)
 
     def fields(self, c: int, t0, grid: np.ndarray, npts: int):
@@ -644,8 +628,9 @@ def simulate(
 
     Every segment's mesh starts at tau = 0 in cells of the step, and its
     last cell ends on the jump.  One march, which also runs the referee,
-    serves every run: the segments of a mode share one table under a
-    constant continuous input, and each has its own under a time-varying one.
+    serves every run: the segments of a mode share one table under an input
+    that declares its continuous part constant, and otherwise each has its
+    own.
     """
     return _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, False)
 
@@ -653,7 +638,9 @@ def simulate(
 def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_step, rng, start_mode, sup: bool):
     """simulate's body.  With sup it returns the run's hybrid sup, what
     Trajectory.sup_hybrid would read, builds no Trajectory and fills z_c
-    alone."""
+    alone.  A gain run fills no states, so it has no referee."""
+    if sup and check_step:
+        raise ValueError("check_step needs the states, which a gain run (sup) does not fill")
     require_forward_time(sys, "simulation")
     if not (0 < horizon < np.inf and (step is None or 0 < step < np.inf)):
         raise DimensionMismatch("horizon and step must be finite and positive")
@@ -709,19 +696,6 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     counts = ms + 1
     ends = np.cumsum(counts) - 1
     jumps_at = ends[:-1]
-    # The segments of a mode share one table when the continuous input is
-    # constant on every point that a table or the referee reads; else each
-    # has its own.  A declared value is not probed, and a gain run under it
-    # reads no mesh array.
-    w = inputs.wc_value
-    if w is None or not sup:
-        grid = np.arange(ms.max() + 1) * step
-        taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
-        taus[ends] = lens
-        origin = np.repeat(t0s, counts)
-        times = origin + taus
-        if w is None:
-            w = _constant_input(inputs, times, origin, taus, ends, ms, lens, step, check_step)
     modes = list(dict.fromkeys(seg_mode))
     codes = np.array([modes.index(md) for md in seg_mode])
     if switched:
@@ -736,9 +710,12 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     # come from a heap it no longer trims and re-faults on every run.
     np.empty(1 << 23, np.uint8)
 
-    members = np.arange(len(ms))[:, None] if w is None else [np.flatnonzero(codes == c) for c in range(len(modes))]
+    # the segments of a mode share one table under a declared constant
+    # continuous input, else each has its own
+    members = ([np.flatnonzero(codes == c) for c in range(len(modes))] if inputs.wc_value is not None
+               else np.arange(len(ms))[:, None])
     groups = [(int(ks[np.argmax(ms[ks])]), ks) for ks in members]
-    plan = _Plan(sys, controller, clamp, inputs, w, step, modes, codes, t0s, ms, lens, ends - ms, groups)
+    plan = _Plan(sys, controller, clamp, inputs, step, modes, codes, t0s, ms, lens, ends - ms, groups)
     full = not sup  # a gain run fills z_c alone
     out = np.empty((ends[-1] + 1, n * full + mode_mats(sys, modes[0])[3].shape[0]))
     states, zc = out[:, :n], out[:, n * full :]
@@ -753,16 +730,18 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
         zd = (_mv(jCz, pre.T) + jzs).T
     if sup:
         return max(_sup(zc), _sup(zd))
-    post = states[jumps_at + 1]
+    grid = np.arange(ms.max() + 1) * step
+    taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
+    taus[ends] = lens
     return Trajectory(
-        times=times,
+        times=np.repeat(t0s, counts) + taus,
         states=states,
         zc=zc,
         jump_times=t0s[1:],
         jump_count=np.repeat(np.arange(len(ms)), counts),
         zd=zd,
         pre_jump_states=pre,
-        post_jump_states=post,
+        post_jump_states=states[jumps_at + 1],
         modes=np.repeat(seg_mode, counts) if switched else None,
         meta={
             "seed": dwell_gen.seed,

@@ -746,10 +746,10 @@ class TestChunkedMarch:
 
 
 class TestSharedSegments:
-    """A run under a constant continuous input is marched from one table per
-    mode, whatever its dwells; under a time-varying input each segment has
-    a table of its own.  The closed loop, switched and clamped cases are in
-    TestSerialEquivalence."""
+    """A run under an input that declares its continuous part constant is
+    marched from one table per mode, whatever its dwells; under any other
+    input each segment has a table of its own.  The closed loop, switched
+    and clamped cases are in TestSerialEquivalence."""
 
     def test_discrete_input_varies_per_jump(self, bench_lti, table_spy):
         """uniform_random keeps w_c = 1, so the segments share one table, and draws w_d per jump."""
@@ -762,38 +762,27 @@ class TestSharedSegments:
         check_full(traj, ref)
 
     @pytest.mark.parametrize("case", ["timer_stable", "no_zc"])
-    def test_shared_tables_match_per_segment_tables(self, bench_timer_stable, case, table_spy, monkeypatch):
+    def test_shared_tables_match_per_segment_tables(self, bench_timer_stable, case, table_spy):
         """One table per mode and one per segment agree, the referee too, also
-        for a system without z_c.  The input declares no value, so that the
-        patched constancy check decides the tables."""
+        for a system without z_c: const_unit declares w_c = 1 and shares one
+        table, and the same input with no declared value has one per segment,
+        although it is constant."""
         sys_ = bench_timer_stable if case == "timer_stable" else TestExport._no_zc_system()
-        gen, const = SequenceGen.exact(1.7), replace(generate_inputs("const_unit"), wc_value=None)
+        gen, const = SequenceGen.exact(1.7), generate_inputs("const_unit")
 
-        def run():
-            return simulate(sys_, gen, const, x0=[1.0, 1.0], horizon=20.0, check_step=True)
+        def run(inputs):
+            return simulate(sys_, gen, inputs, x0=[1.0, 1.0], horizon=20.0, check_step=True)
 
-        shared = run()
+        shared = run(const)
         assert table_spy == [(None, 1700)]
         table_spy.clear()
-        monkeypatch.setattr(sim, "_constant_input", lambda *a: None)
-        own = run()
+        own = run(replace(const, wc_value=None))
         assert table_spy == segment_tables(own) and len(table_spy) == 12
         assert shared.zc.shape == own.zc.shape and (shared.zc.size == 0) == (case == "no_zc")
         for part in ("states", "zc", "zd", "pre_jump_states", "post_jump_states"):
             np.testing.assert_allclose(getattr(shared, part), getattr(own, part), rtol=1e-12, atol=0)
         assert shared.meta["worst_local_truncation"] == pytest.approx(own.meta["worst_local_truncation"],
                                                                         rel=1e-9)
-
-    def test_input_past_the_horizon_is_not_read(self, bench_lti, table_spy):
-        """The constancy check reads the points that a table or the referee
-        reads and no other: an input that changes just past the horizon, and
-        is 1 on the whole run, still lets the segments share one table."""
-        inputs = InputSignal(lambda t: np.where(np.asarray(t) <= 3.0, 1.0, 2.0), lambda k: 1.0, "step")
-        gen = SequenceGen.exact(0.25)
-        traj = simulate(bench_lti, gen, inputs, x0=[0.1, 0.2], horizon=3.0, check_step=True)
-        assert table_spy == [(None, 250)] and traj.times[-1] == 3.0
-        ref = simulate(bench_lti, gen, generate_inputs("const_unit"), x0=[0.1, 0.2], horizon=3.0, check_step=True)
-        assert np.array_equal(traj.states, ref.states) and traj.meta["worst_local_truncation"] > 0
 
     def test_single_segment(self, bench_lti, table_spy):
         """T >= horizon is one segment, which has no jump to scan over, and
@@ -874,7 +863,7 @@ class TestSharedSegments:
 
 class TestGainRunWork:
     """A gain run does no per-point work whose result it never reads: a
-    declared constant input is not probed, and a table whose data take one
+    declared constant input is never called, and a table whose data take one
     value on its mesh is built from one RK4 map and one block, bit for bit
     the per-cell build."""
 
@@ -882,26 +871,35 @@ class TestGainRunWork:
     @pytest.mark.parametrize("combined", [False, True])
     def test_declared_constant_is_never_probed(self, bench_timer_growth, check_step, combined):
         """const_unit's wc is never called, alone or through combine_inputs,
-        and the run is the one the same lambdas give when the value is probed."""
+        and its run, from one table per mode, is bit for bit the run of the
+        same lambdas with no declared value, which has one table per segment."""
         const = generate_inputs("const_unit")
         if combined:
             const = combine_inputs(const, generate_inputs("uniform_random", seed=8))
 
         def probe(t):
-            raise AssertionError("a declared constant input was probed")
+            raise AssertionError("a declared constant input was called")
 
-        declared, probed = replace(const, wc=probe), replace(const, wc_value=None)
+        declared, undeclared = replace(const, wc=probe), replace(const, wc_value=None)
         assert declared.wc_value == 1.0
         gen = SequenceGen.min_plus_exp(0.3, seed=4)
         for sup in (False, True):  # a gain run has no referee: it fills no states
             a, b = (sim._run(bench_timer_growth, gen, inputs, [0.2, 0.1], 6.0, None, None, 0.3, check_step and not sup,
-                             None, None, sup) for inputs in (declared, probed))
+                             None, None, sup) for inputs in (declared, undeclared))
             if sup:
                 assert a == b > 0
                 continue
             assert a.meta["worst_local_truncation"] == b.meta["worst_local_truncation"]
             for part in ("times", "states", "zc", "zd", "pre_jump_states", "post_jump_states"):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
+
+    def test_gain_run_refuses_the_referee(self, bench_timer_growth, monkeypatch):
+        """A gain run fills z_c alone, so the referee would read no states:
+        check_step with sup is refused before anything is marched."""
+        monkeypatch.setattr(sim, "_march_tables", lambda *a: pytest.fail("the run was marched"))
+        with pytest.raises(ValueError, match="check_step"):
+            sim._run(bench_timer_growth, SequenceGen.min_plus_exp(0.3, seed=4), generate_inputs("const_unit"),
+                     [0.2, 0.1], 6.0, None, None, 0.3, True, None, None, True)
 
     @pytest.mark.parametrize("m", [1, 5, 31, 32, 33, 100])
     def test_flow_of_constant_data_is_the_per_cell_flow(self, bench_lti, m, monkeypatch):

@@ -86,9 +86,11 @@ Cases:
   builds a table per segment; those of `constant_input_cases` take a constant
   one, which shares one table per mode, under exact, range and minimum
   dwell, open and closed loop, switched, and with a truncated last
-  segment.  Arrays are stored as SHA-256 digests of their
-  bytes, so a march that moves any value by one ulp shows; next to them
-  are each array's largest magnitude and each estimate's value;
+  segment, and lti_jump_bench under range dwell takes const_unit with no
+  declared value (`wc_value` None), which builds a table per segment.
+  Arrays are stored as SHA-256 digests of their bytes, so a march that
+  moves any value by one ulp shows; next to them are each array's largest
+  magnitude and each estimate's value;
 - one CLI `simulate` run at default flags through `cli.main`
   (lti_jump_bench, minimum:0.7, horizon 5, seed 1, paths relative to the
   output directory so that the sidecar's system path is the same on every
@@ -338,6 +340,10 @@ def collect_simulations(rec: "Recorder", out_dir: str) -> None:
     for name, s, dwell, ctrl, horizon in constant_input_cases():
         record_trajectory(rec, f"sim {name} {dwell} const_unit horizon={horizon}", s,
                           sim.SequenceGen.for_spec(dwell, seed=7), constant, horizon, ctrl, dwell.clamp, prefix)
+    dwell = DwellTimeSpec.range(0.3, 0.45)
+    undeclared = dataclasses.replace(sim.generate_inputs("const_unit"), wc_value=None)  # a table per segment
+    record_trajectory(rec, f"sim lti_jump_bench {dwell} const_unit undeclared horizon=30.0", benchmarks.lti_jump_bench(),
+                      sim.SequenceGen.for_spec(dwell, seed=7), undeclared, 30.0, None, None, prefix)
 
 
 def collect_cli_simulate(rec: "Recorder", out_dir: str) -> None:
