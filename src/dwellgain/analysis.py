@@ -314,21 +314,43 @@ def _eval_grid(p: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _overflow(interval: tuple[float, float]) -> NumericalFailure:
+    """The failure of a program whose polynomials on interval overflow a
+    float: no LP can hold them."""
+    return NumericalFailure(f"the polynomials on [{interval[0]:g}, {interval[1]:g}] overflow a float")
+
+
+def _power(x: float, k: int, interval: tuple[float, float]) -> float:
+    """x ** k, a power of the timer on interval; one that overflows a float
+    is `_overflow`."""
+    try:
+        return x**k
+    except OverflowError:
+        raise _overflow(interval) from None
+
+
 def _shift_scale_arg(p: np.ndarray, a: float, h: float) -> np.ndarray:
     """The polynomials q with q(s) = p(a + h*s), for a stack p (..., n, width)
     of polynomials of n coefficients, not trimmed: q_k is h^k sum_{j >= k}
     C(j, k) a^(j - k) p_j, summed in j from zero (the zero weights of j < k
-    change no sum, and at a = 0 the sum is p_k alone), and zero where h^k is."""
+    change no sum, and at a = 0 the sum is p_k alone), and zero where h^k is.
+    A power or a q_k that overflows a float is `_overflow` of [a, a + h]."""
     n = p.shape[-2]
-    if a == 0.0:
-        out = 0.0 + p
-    else:
-        out = np.zeros(p.shape)
-        w = np.array([[math.comb(j, k) * a ** (j - k) if k <= j else 0.0 for k in range(n)] for j in range(n)])
-        for j in range(n):
-            out += w[j, :, None] * p[..., j, None, :]
-    hk = np.array([h**k for k in range(n)])[:, None]
-    return np.where(hk != 0.0, hk * out, 0.0)
+    interval = (a, a + h)
+    hk = np.array([_power(h, k, interval) for k in range(n)])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a q that is not finite is refused below
+        if a == 0.0:
+            out = 0.0 + p
+        else:
+            out = np.zeros(p.shape)
+            w = np.array([[math.comb(j, k) * _power(a, j - k, interval) if k <= j else 0.0 for k in range(n)]
+                          for j in range(n)])
+            for j in range(n):
+                out += w[j, :, None] * p[..., j, None, :]
+        q = np.where(hk != 0.0, hk * out, 0.0)
+    if not np.isfinite(q).all():
+        raise _overflow(interval)
+    return q
 
 
 def _value(p: np.ndarray, x: np.ndarray) -> Poly:
@@ -767,7 +789,8 @@ def _unstable_orbit(
     # |A(tau)| <= the largest row sum of |coefficient| * hi^degree on [0, hi]
     A = sys.A.coeffs
     size = (np.abs(A) * hi ** np.arange(A.shape[2])).sum(axis=(1, 2)).max()
-    m = max(1, math.ceil(hi / min(_ORBIT_STEP, _ORBIT_HL / max(size, 1e-300))))
+    # capped first: a mesh of more steps is skipped, and one of inf steps has no ceiling
+    m = max(1, math.ceil(min(hi / min(_ORBIT_STEP, _ORBIT_HL / max(size, 1e-300)), _ORBIT_MAX_STEPS)))
     if 2 * m > _ORBIT_MAX_STEPS:
         return None
 

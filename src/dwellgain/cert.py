@@ -98,6 +98,8 @@ def flow_grid(sys, taus: np.ndarray, clamp: Optional[float] = None, mode: Option
     plant, ctrl = _unpack(sys)
     taus = np.asarray(taus, dtype=float)
     m = len(taus) - 1
+    if m < 0:
+        raise ValueError("flow_grid needs a grid of one point at least")
     if m and not np.allclose(np.diff(taus), taus[1] - taus[0], atol=0.0):  # relative to the step alone
         raise ValueError("flow_grid needs a uniform grid")
     return _flow_tables(plant, ctrl, mode, clamp, taus, np.ones(2 * m + 1))

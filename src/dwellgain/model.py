@@ -1,5 +1,9 @@
 """System data model: timer-dependent impulsive systems, switched systems,
-dwell-time families, positivity checking, adjoint construction, JSON I/O."""
+dwell-time families, positivity checking, adjoint construction, JSON I/O.
+
+A flow, a jump map and a switched system's mode share one shape rule for
+their six matrices: every constructor, `validate`, `lift_switched` and
+`adjoint` read them by `_six` and hold them to it by `_check_six`."""
 
 from __future__ import annotations
 
@@ -181,6 +185,36 @@ def _as_matrix(data, rows: Optional[int] = None, cols: Optional[int] = None) -> 
     return m
 
 
+# the names of the six matrices of a flow and of a jump map; a mode's are "ABECDF"
+_CONT_KEYS = ("A", "Bc", "Ec", "Cc", "Dc", "Fc")
+_DISC_KEYS = ("J", "Bd", "Ed", "Cd", "Dd", "Fd")
+
+
+def _six(coerce, data: dict, key) -> tuple:
+    """The six matrices (A, B, E, C, D, F) of a flow, a jump map or a mode,
+    data[key[i]] each, through coerce (`_as_polymatrix` or `_as_matrix`).
+    An omitted B, E, C, D or F is the zero matrix of the shape A's rows, B's
+    and E's columns and C's rows fix; a missing A is a KeyError."""
+    a, b, e, c, d, f = key
+    A = coerce(data[a])
+    n = A.shape[0]
+    B = coerce(data.get(b), n, 0)
+    E = coerce(data.get(e), n, 0)
+    C = coerce(data.get(c), 0, n)
+    q = C.shape[0]
+    return A, B, E, C, coerce(data.get(d), q, B.shape[1]), coerce(data.get(f), q, E.shape[1])
+
+
+def _check_six(names, six, dims) -> None:
+    """The one shape rule: with dims = (n, m, p, q), the six matrices (A, B,
+    E, C, D, F) are (n, n), (n, m), (n, p), (q, n), (q, m) and (q, p).
+    DimensionMismatch names the first that is not."""
+    n, m, p, q = dims
+    for name, mat, want in zip(names, six, ((n, n), (n, m), (n, p), (q, n), (q, m), (q, p))):
+        if mat.shape != want:
+            raise DimensionMismatch(f"{name}: expected shape {want}, got {mat.shape}")
+
+
 @dataclass(frozen=True)
 class JumpMap:
     """One discrete transition: x+ = J x + Bd ud + Ed wd, zd = Cd x + Dd ud + Fd wd."""
@@ -226,35 +260,11 @@ class ImpulsiveSystem:
     ) -> "ImpulsiveSystem":
         """The first jump map is given by J, ..., tag; each further one by a
         dict with the same keys, J required."""
-        Apm = _as_polymatrix(A)
-        n = Apm.shape[0]
-        if Apm.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {Apm.shape}")
-        Ecpm = _as_polymatrix(Ec, n, 0)
-        pc = Ecpm.shape[1]
-        Ccpm = _as_polymatrix(Cc, 0, n)
-        qc = Ccpm.shape[0]
-        Fcpm = _as_polymatrix(Fc, qc, pc)
-        Bcpm = _as_polymatrix(Bc, n, 0)
-        mc = Bcpm.shape[1]
-        Dcpm = _as_polymatrix(Dc, qc, mc)
-
-        def one_jump(jm: dict) -> JumpMap:
-            Jm = _as_matrix(jm["J"])
-            Edm = _as_matrix(jm.get("Ed"), n, 0)
-            pd = Edm.shape[1]
-            Cdm = _as_matrix(jm.get("Cd"), 0, n)
-            qd = Cdm.shape[0]
-            Fdm = _as_matrix(jm.get("Fd"), qd, pd)
-            Bdm = _as_matrix(jm.get("Bd"), n, 0)
-            md = Bdm.shape[1]
-            Ddm = _as_matrix(jm.get("Dd"), qd, md)
-            tag = jm.get("tag")
-            return JumpMap(Jm, Bdm, Edm, Cdm, Ddm, Fdm, None if tag is None else tuple(tag))
-
+        flow = _six(_as_polymatrix, {"A": A, "Bc": Bc, "Ec": Ec, "Cc": Cc, "Dc": Dc, "Fc": Fc}, _CONT_KEYS)
         first = {"J": J, "Bd": Bd, "Ed": Ed, "Cd": Cd, "Dd": Dd, "Fd": Fd, "tag": tag}
-        jumps = [one_jump(jm) for jm in (first, *extra_jumps)]
-        sys = ImpulsiveSystem(Apm, Bcpm, Ecpm, Ccpm, Dcpm, Fcpm, tuple(jumps))
+        jumps = tuple(JumpMap(*_six(_as_matrix, jm, _DISC_KEYS), None if jm.get("tag") is None else tuple(jm["tag"]))
+                      for jm in (first, *extra_jumps))
+        sys = ImpulsiveSystem(*flow, jumps)
         sys.validate()
         return sys
 
@@ -291,28 +301,12 @@ class ImpulsiveSystem:
         return self.jumps[0]
 
     def validate(self) -> None:
-        n, mc, pc, qc = self.n, self.mc, self.pc, self.qc
-        checks = [
-            ("A", self.A.shape, (n, n)),
-            ("Bc", self.Bc.shape, (n, mc)),
-            ("Ec", self.Ec.shape, (n, pc)),
-            ("Cc", self.Cc.shape, (qc, n)),
-            ("Dc", self.Dc.shape, (qc, mc)),
-            ("Fc", self.Fc.shape, (qc, pc)),
-        ]
-        md, pd, qd = self.md, self.pd, self.qd
+        """The flow, then each jump map against the first one's channels, by `_check_six`."""
+        n = self.n
+        _check_six(_CONT_KEYS, mode_mats(self), (n, self.mc, self.pc, self.qc))
+        dims = (n, self.md, self.pd, self.qd)
         for k, jm in enumerate(self.jumps):
-            checks += [
-                (f"jumps[{k}].J", jm.J.shape, (n, n)),
-                (f"jumps[{k}].Bd", jm.Bd.shape, (n, md)),
-                (f"jumps[{k}].Ed", jm.Ed.shape, (n, pd)),
-                (f"jumps[{k}].Cd", jm.Cd.shape, (qd, n)),
-                (f"jumps[{k}].Dd", jm.Dd.shape, (qd, md)),
-                (f"jumps[{k}].Fd", jm.Fd.shape, (qd, pd)),
-            ]
-        for name, got, want in checks:
-            if got != want:
-                raise DimensionMismatch(f"{name}: expected shape {want}, got {got}")
+            _check_six([f"jumps[{k}].{x}" for x in _DISC_KEYS], (jm.J, jm.Bd, jm.Ed, jm.Cd, jm.Dd, jm.Fd), dims)
 
     def is_constant(self) -> bool:
         return all(m.is_constant for m in mode_mats(self))
@@ -326,24 +320,15 @@ class SwitchedSystem:
 
     @staticmethod
     def from_arrays(modes: Sequence[dict]) -> "SwitchedSystem":
+        """Each mode a dict of A, B, E, C, D, F, A required, in the shapes
+        mode 0 fixes (`_check_six`)."""
         if len(modes) < 1:
             raise DimensionMismatch("need at least one mode")
-        built = []
-        for md in modes:
-            A = _as_polymatrix(md["A"])
-            n = A.shape[0]
-            E = _as_polymatrix(md.get("E"), n, 0)
-            C = _as_polymatrix(md.get("C"), 0, n)
-            q = C.shape[0]
-            p = E.shape[1]
-            F = _as_polymatrix(md.get("F"), q, p)
-            B = _as_polymatrix(md.get("B"), n, 0)
-            D = _as_polymatrix(md.get("D"), q, B.shape[1])
-            built.append({"A": A, "B": B, "E": E, "C": C, "D": D, "F": F})
-        dims = {(m["A"].shape[0], m["B"].shape[1], m["E"].shape[1], m["C"].shape[0]) for m in built}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"modes disagree on dimensions: {sorted(dims)}")
-        return SwitchedSystem(tuple(built))
+        sw = SwitchedSystem(tuple(dict(zip("ABECDF", _six(_as_polymatrix, md, "ABECDF"))) for md in modes))
+        dims = (sw.n, sw.m, sw.p, sw.q)
+        for k in range(sw.N):
+            _check_six([f"modes[{k}].{x}" for x in "ABECDF"], mode_mats(sw, k), dims)
+        return sw
 
     @property
     def N(self) -> int:
@@ -534,51 +519,31 @@ def lift_switched(sw: SwitchedSystem) -> ImpulsiveSystem:
     jump maps select the active diagonal block."""
     if sw.N < 2:
         raise DimensionMismatch("lifting requires at least two modes")
-    N, n, m, p, q = sw.N, sw.n, sw.m, sw.p, sw.q
+    N, n = sw.N, sw.n
     dmax = 1 + max(mat.degree for i in range(N) for mat in mode_mats(sw, i))
 
-    def blkdiag(key, rows, cols):
-        arr = np.zeros((N * rows, N * cols, dmax))
+    def lifted(key):
+        """Mode i's matrix `key` in block row i: in block column i, or in the
+        one column block of E and F, which every mode's input shares."""
+        rows, cols = sw.modes[0][key].shape
+        stacked = key in "EF"
+        arr = np.zeros((N * rows, (1 if stacked else N) * cols, dmax))
         for i, md in enumerate(sw.modes):
             c = md[key].coeffs
-            arr[i * rows : (i + 1) * rows, i * cols : (i + 1) * cols, : c.shape[2]] = c
+            j = 0 if stacked else i
+            arr[i * rows : (i + 1) * rows, j * cols : (j + 1) * cols, : c.shape[2]] = c
         return PolyMatrix(arr)
 
-    def colstack(key, rows, cols):
-        arr = np.zeros((N * rows, cols, dmax))
-        for i, md in enumerate(sw.modes):
-            c = md[key].coeffs
-            arr[i * rows : (i + 1) * rows, :, : c.shape[2]] = c
-        return PolyMatrix(arr)
-
-    A = blkdiag("A", n, n)
-    B = blkdiag("B", n, m)
-    E = colstack("E", n, p)
-    C = blkdiag("C", q, n)
-    D = blkdiag("D", q, m)
-    F = colstack("F", q, p)
-
-    jumps = []
+    maps = []  # the selector e_dst e_src' kron I of each ordered pair of modes
     for dst in range(N):
         for src in range(N):
-            if dst == src:
-                continue
-            sel = np.zeros((N, N))
-            sel[dst, src] = 1.0
-            jumps.append(
-                JumpMap(
-                    J=np.kron(sel, np.eye(n)),
-                    Bd=np.zeros((N * n, 0)),
-                    Ed=np.zeros((N * n, 0)),
-                    Cd=np.zeros((0, N * n)),
-                    Dd=np.zeros((0, 0)),
-                    Fd=np.zeros((0, 0)),
-                    tag=(src, dst),
-                )
-            )
-    sys = ImpulsiveSystem(A, B, E, C, D, F, tuple(jumps))
-    sys.validate()
-    return sys
+            if dst != src:
+                J = np.zeros((N * n, N * n))
+                J[dst * n : (dst + 1) * n, src * n : (src + 1) * n] = np.eye(n)
+                maps.append({"J": J, "tag": (src, dst)})
+    A, B, E, C, D, F = map(lifted, "ABECDF")
+    first, *extra = maps
+    return ImpulsiveSystem.from_arrays(A, Bc=B, Ec=E, Cc=C, Dc=D, Fc=F, **first, extra_jumps=extra)
 
 
 def adjoint(sys: ImpulsiveSystem) -> ImpulsiveSystem:
@@ -592,27 +557,9 @@ def adjoint(sys: ImpulsiveSystem) -> ImpulsiveSystem:
     if sys.mc != 0 or sys.md != 0:
         raise Unsupported("adjoint is defined for systems without control channels")
     jm = sys.jump
-    out = ImpulsiveSystem(
-        A=sys.A.T,
-        Bc=PolyMatrix.zeros(sys.n, 0),
-        Ec=sys.Cc.T,
-        Cc=sys.Ec.T,
-        Dc=PolyMatrix.zeros(sys.pc, 0),
-        Fc=sys.Fc.T,
-        jumps=(
-            JumpMap(
-                J=jm.J.T.copy(),
-                Bd=np.zeros((sys.n, 0)),
-                Ed=jm.Cd.T.copy(),
-                Cd=jm.Ed.T.copy(),
-                Dd=np.zeros((sys.pd, 0)),
-                Fd=jm.Fd.T.copy(),
-            ),
-        ),
-        time_reversed=not sys.time_reversed,
-    )
-    out.validate()
-    return out
+    out = ImpulsiveSystem.from_arrays(sys.A.T, jm.J.T.copy(), Ec=sys.Cc.T, Cc=sys.Ec.T, Fc=sys.Fc.T,
+                                      Ed=jm.Cd.T.copy(), Cd=jm.Ed.T.copy(), Fd=jm.Fd.T.copy())
+    return replace(out, time_reversed=not sys.time_reversed)
 
 
 def require_forward_time(sys, operation: str) -> None:
@@ -651,10 +598,6 @@ def require_positive_design(sys: Union[ImpulsiveSystem, SwitchedSystem], tau_end
 
 
 # --- JSON round-trip ---------------------------------------------------------
-
-_CONT_KEYS = ("A", "Bc", "Ec", "Cc", "Dc", "Fc")
-_DISC_KEYS = ("J", "Bd", "Ed", "Cd", "Dd", "Fd")
-
 
 def _jump_to_json(jm: JumpMap) -> dict:
     out = {k: getattr(jm, k).tolist() for k in _DISC_KEYS if getattr(jm, k).size}

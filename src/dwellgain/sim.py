@@ -649,6 +649,8 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
     if step is None:
         step = _default_step(dwell_gen)
     x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise DimensionMismatch(f"x0 must be finite, got {x0.tolist()}")
 
     switched = isinstance(sys, SwitchedSystem)
     n = sys.n
@@ -662,21 +664,17 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
         raise DimensionMismatch(f"x0 must have length {n}")
 
     # Plan: the whole schedule first.  No draw depends on the state, so the
-    # draws come in the order a segment-by-segment march would make them.
-    seg_t0, seg_len, seg_mode = [], [], []
-    picks, thetas, wds = [], [], []  # per jump of an impulsive system
-    t0 = 0.0
-    for dwell_len in dwell_gen.dwells(horizon, rng):
-        seg = min(dwell_len, horizon - t0)
-        last = t0 + dwell_len >= horizon - 1e-12
-        if seg <= 0:
-            break
-        seg_t0.append(t0)
-        seg_len.append(seg)
-        seg_mode.append(mode if switched else None)  # an impulsive system has one flow
-        t0 += seg
-        if last or t0 >= horizon - 1e-12:
-            break
+    # draws come in the order a segment-by-segment march would make them:
+    # the dwells, then the jumps.  The run ends in segment K, the first
+    # whose dwell takes the time to the horizon, cut there.
+    dwells = dwell_gen.dwells(horizon, rng)
+    ends_t = np.cumsum(dwells)
+    K = int(np.argmax(ends_t >= horizon - 1e-12))
+    t0s = np.concatenate(([0.0], ends_t[:K]))
+    lens = np.append(dwells[:K], min(dwells[K], horizon - t0s[K]))
+    seg_mode = [mode if switched else None]  # an impulsive system has one flow
+    picks = []  # per jump of an impulsive system
+    for _ in range(K):
         if switched:
             j = int(rng.integers(sys.N - 1))
             mode = j if j < mode else j + 1
@@ -684,25 +682,24 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
             picks.append(_pick_jump(sys, mode, rng))
             if sys.jumps[picks[-1]].tag is not None:
                 mode = sys.jumps[picks[-1]].tag[1]
-            wds.append(inputs.wd(len(picks)))
-            thetas.append(dwell_len)
+        seg_mode.append(mode if switched else None)
 
     # Segment k has the points tau = j step, j < m_k, of one grid, and its
     # end lens[k]: its first m_k - 1 cells are those of every other segment,
     # and its last one is never narrower than _SLIVER steps.  The run's
     # arrays hold its m_k + 1 points, the last one at ends[k].
-    t0s, lens = np.asarray(seg_t0), np.asarray(seg_len)
     ms = np.maximum(np.ceil(lens / step - _SLIVER), 1).astype(int)
     counts = ms + 1
     ends = np.cumsum(counts) - 1
     jumps_at = ends[:-1]
-    modes = list(dict.fromkeys(seg_mode))
-    codes = np.array([modes.index(md) for md in seg_mode])
+    code_of = {md: c for c, md in enumerate(dict.fromkeys(seg_mode))}
+    modes, codes = list(code_of), np.array([code_of[md] for md in seg_mode])
     if switched:
         jR = np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(jumps_at)))
         js = np.zeros((n, len(jumps_at)))
     else:
-        jR, js, jCz, jzs = _jump_maps(sys, controller, picks, thetas, wds)
+        wds = [inputs.wd(k + 1) for k in range(K)]
+        jR, js, jCz, jzs = _jump_maps(sys, controller, picks, dwells[:K], wds)
 
     # 8 MiB taken and given back, more than a chunk's tables up to n = 8 and
     # a run's mesh arrays: glibc raises its mmap and trim thresholds to the
@@ -730,8 +727,7 @@ def _run(sys, dwell_gen, inputs, x0, horizon, step, controller, clamp, check_ste
         zd = (_mv(jCz, pre.T) + jzs).T
     if sup:
         return max(_sup(zc), _sup(zd))
-    grid = np.arange(ms.max() + 1) * step
-    taus = np.concatenate([grid[: m + 1] for m in ms.tolist()])
+    taus = (np.arange(ends[-1] + 1) - np.repeat(ends - ms, counts)) * step
     taus[ends] = lens
     return Trajectory(
         times=np.repeat(t0s, counts) + taus,

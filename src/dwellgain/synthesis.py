@@ -42,6 +42,7 @@ from .analysis import (
     _const,
     _eval_at,
     _poly,
+    _power,
     _scale,
     _solve_with_escalation,
     _terms,
@@ -278,7 +279,7 @@ class _DesignMode(_Mode):
         Tend = self.iv[1]
         for x in self.X:
             for k, le in enumerate(x):
-                w = _REG * (Tend ** (k + 1) / (k + 1)) if Tend > 0 else (_REG if k == 0 else 0.0)
+                w = _REG * (_power(Tend, k + 1, self.iv) / (k + 1)) if Tend > 0 else (_REG if k == 0 else 0.0)
                 for v, c in _terms(le).items():
                     extra_obj[v] = extra_obj.get(v, 0.0) + c * w
 

@@ -720,6 +720,17 @@ class TestFlowGrid:
         with pytest.raises(ValueError, match="^flow_grid needs a uniform grid$"):
             flow_grid(bench_lti, taus)
 
+    def test_empty_grid_is_refused(self, bench_lti):
+        """An empty grid is a ValueError, as an uneven one is, not an
+        IndexError of its missing step."""
+        with pytest.raises(ValueError, match="^flow_grid needs a grid of one point at least$"):
+            flow_grid(bench_lti, [])
+
+    def test_one_point_grid_is_the_identity(self, bench_lti):
+        Phi, r, C, z = flow_grid(bench_lti, [0.7])
+        assert np.array_equal(Phi[..., 0], np.eye(2)) and not r.any()
+        assert (Phi.shape, r.shape, C.shape, z.shape) == ((2, 2, 1), (2, 1), (1, 2, 1), (1, 1))
+
     @pytest.mark.parametrize("start, stop, cells", [(0.0, 1e-6, 1000), (1e3, 1e3 + 1e-3, 10), (0.0, 100.0, 3)])
     def test_uniform_grid_to_rounding_is_accepted(self, bench_lti, start, stop, cells):
         """A linspace is uniform up to rounding of its points, far off zero too."""

@@ -10,7 +10,7 @@ import pytest
 from conftest import oracle_export_rows, spy_solves
 from dwellgain import sim
 from dwellgain.cli import main
-from dwellgain.model import DwellTimeSpec, load_system, save_system
+from dwellgain.model import DwellTimeSpec, load_system, save_system, system_to_json
 from dwellgain.synthesis import ControllerRealization, synthesize
 
 
@@ -665,3 +665,44 @@ def test_console_entry_point():
     )
     assert r.returncode == 0
     assert "analyze" in r.stdout and "sweep" in r.stdout
+
+
+@pytest.fixture
+def misfit_f_path(bench_switched, tmp_path):
+    """two_mode_switched_bench as a file whose mode-0 F has two columns, though E has one."""
+    data = system_to_json(bench_switched)
+    data["modes"][0]["F"] = [[[0.1], [0.1]]]
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--degree", "2"], ["simulate", "--runs", "2", "--horizon", "3"]])
+def test_misfit_switched_file_exits_2(misfit_f_path, tmp_path, capsys, argv):
+    """A mode's F is held to the shape mode 0's E and C fix, mode 0's own
+    included: the file used to be simulated, and analyze ended in a NumPy
+    traceback."""
+    out = tmp_path / "out"
+    assert main([argv[0], "--system", misfit_f_path, "--dwell", "minimum:0.5", *argv[1:], "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: modes[0].F: expected shape (1, 1), got (1, 2)\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dwell", "constant:1e200", "--degree", "4"],
+    ["analyze", "--dwell", "range:1e100:2e100", "--degree", "4"],
+    ["analyze", "--dwell", "minimum:1e80", "--degree", "4"],
+    ["analyze", "--dwell", "constant:1e77", "--degree", "4"],
+    ["synthesize", "--dwell", "constant:1e200", "--degree", "2"],
+])
+def test_overflowing_dwell_exits_4(ex1_path, tmp_path, capsys, argv):
+    """A dwell whose powers, or the coefficients they scale, overflow a float
+    is a numerical failure naming the timer interval, not an OverflowError
+    or a ValueError of the LP's non-finite rows."""
+    out = tmp_path / "out.json"
+    # the point rows at such a dwell hold inf * 0 before the interval rows are refused
+    with np.errstate(invalid="ignore"):
+        assert main([argv[0], "--system", ex1_path, *argv[1:], "-o", str(out)]) == 4
+    T = float(argv[2].rsplit(":", 1)[1])
+    assert capsys.readouterr().err == f"numerical failure: the polynomials on [0, {T:g}] overflow a float\n"
+    assert not out.exists()

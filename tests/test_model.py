@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_check_positive
+from dwellgain import benchmarks
 from dwellgain import poly as poly_mod
 from dwellgain.analysis import (
     analyze_arbitrary,
@@ -19,6 +21,7 @@ from dwellgain.errors import DimensionMismatch, InvalidDomain, NotPositive, Pars
 from dwellgain.model import (
     DwellTimeSpec,
     ImpulsiveSystem,
+    JumpMap,
     PolyMatrix,
     SwitchedSystem,
     adjoint,
@@ -269,6 +272,130 @@ class TestAdjoint:
             adjoint(lift_switched(bench_switched))
 
 
+def _mode(**misfit):
+    """One mode of n = 2 states, one input, one exogenous input and one
+    output, with the matrices misfit given in place of its own."""
+    mode = {"A": [[-1.0, 0.0], [1.0, -2.0]], "B": [[1.0], [0.0]], "E": [[0.1], [0.1]], "C": [[0.0, 1.0]],
+            "D": [[0.2]], "F": [[0.1]]}
+    return {**mode, **misfit}
+
+
+# a misfit of each matrix: the shape it has, and the shape mode 0 fixes
+MISFITS = {"B": ([[1.0]], (2, 1)), "E": ([[0.1]], (2, 1)), "C": ([[0.0, 1.0, 1.0]], (1, 2)),
+           "D": ([[0.2, 0.2]], (1, 1)), "F": ([[0.1, 0.1]], (1, 1))}
+
+
+class TestShapeRule:
+    """One rule fixes the shapes of a system's six matrices from A's rows,
+    B's and E's columns and C's rows: that of the flow, of each jump map
+    against the first one's channels, and of each mode against mode 0."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("key", sorted(MISFITS))
+    def test_misfit_mode_matrix_is_refused(self, key, k):
+        bad, want = MISFITS[key]
+        modes = [_mode(), _mode()]
+        modes[k] = _mode(**{key: bad})
+        got = np.shape(bad)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"modes[{k}].{key}: expected shape {want}, got {got}")):
+            SwitchedSystem.from_arrays(modes)
+
+    def test_misfit_jump_matrix_is_refused(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("jumps[1].Cd: expected shape (1, 2), got (1, 3)")):
+            ImpulsiveSystem.from_arrays(A=-np.eye(2), J=np.eye(2), Cd=[[1.0, 0.0]],
+                                        extra_jumps=[{"J": np.eye(2), "Cd": [[1.0, 0.0, 0.0]]}])
+
+    def test_omitted_matrices_are_zeros_of_the_fixed_shapes(self):
+        sw = SwitchedSystem.from_arrays([{"A": [[-1.0, 0.0], [0.0, -1.0]], "E": [[1.0], [1.0]]}] * 2)
+        assert [sw.modes[0][x].shape for x in "ABECDF"] == [(2, 2), (2, 0), (2, 1), (0, 2), (0, 0), (0, 1)]
+        s = ImpulsiveSystem.from_arrays(A=-np.eye(2), J=np.eye(2), Bc=[[1.0], [0.0]], Cc=[[1.0, 1.0]],
+                                        Ed=[[1.0], [0.0]])
+        assert [m.shape for m in (s.Dc, s.Fc)] == [(1, 1), (1, 0)]
+        assert [getattr(s.jump, x).shape for x in ("Bd", "Cd", "Dd", "Fd")] == [(2, 0), (0, 2), (0, 0), (0, 1)]
+
+    def test_missing_A_or_J_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            SwitchedSystem.from_arrays([{"E": [[1.0]]}])
+        with pytest.raises(KeyError):
+            ImpulsiveSystem.from_arrays(A=[[-1.0]], J=[[1.0]], extra_jumps=[{"Cd": [[1.0]]}])
+
+
+def _random_switched(rng: np.random.Generator) -> SwitchedSystem:
+    """N modes of n states, m, p inputs and q outputs, each matrix a random
+    polynomial matrix of degree 0 to 2; a channel count may be zero."""
+    N, n, m, p, q = int(rng.integers(2, 4)), int(rng.integers(1, 4)), *map(int, rng.integers(0, 3, size=3))
+    shapes = {"A": (n, n), "B": (n, m), "E": (n, p), "C": (q, n), "D": (q, m), "F": (q, p)}
+    return SwitchedSystem.from_arrays([{x: PolyMatrix(rng.uniform(-1.0, 1.0, (*rc, int(rng.integers(1, 4)))))
+                                        for x, rc in shapes.items()} for _ in range(N)])
+
+
+def _lift_oracle(sw: SwitchedSystem) -> dict:
+    """The lift built by hand: A, B, C, D block-diagonal, E and F stacked, all
+    on the longest coefficient axis, and a selector e_dst e_src' kron I per
+    ordered pair of modes, dst major."""
+    N, n, d = sw.N, sw.n, max(mat.coeffs.shape[2] for md in sw.modes for mat in md.values())
+
+    def pad(mat):
+        c = mat.coeffs
+        return np.concatenate([c, np.zeros(c.shape[:2] + (d - c.shape[2],))], axis=2)
+
+    def blocks(key, diagonal):
+        rows = [[pad(md[key]) if (i == j or not diagonal) else np.zeros(pad(md[key]).shape)
+                 for j in range(N if diagonal else 1)] for i, md in enumerate(sw.modes)]
+        return np.concatenate([np.concatenate(row, axis=1) for row in rows], axis=0)
+
+    out = {x: blocks(x, x not in "EF") for x in "ABECDF"}
+    pairs = [(src, dst) for dst in range(N) for src in range(N) if src != dst]
+    out["J"] = [np.kron(np.eye(N)[:, [dst]] @ np.eye(N)[[src]], np.eye(n)) for src, dst in pairs]
+    out["tags"] = pairs
+    return out
+
+
+class TestLiftOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_switched_lift_matches_hand_built(self, seed):
+        sw = _random_switched(np.random.default_rng(seed))
+        lifted, want = lift_switched(sw), _lift_oracle(sw)
+        for x, got in zip("ABECDF", (lifted.A, lifted.Bc, lifted.Ec, lifted.Cc, lifted.Dc, lifted.Fc)):
+            assert got == PolyMatrix(want[x]), x
+        Nn = sw.N * sw.n
+        assert [jm.tag for jm in lifted.jumps] == want["tags"]
+        for jm, J in zip(lifted.jumps, want["J"]):
+            assert jm.J.shape == J.shape and np.array_equal(jm.J, J)
+            assert [getattr(jm, x).shape for x in ("Bd", "Ed", "Cd", "Dd", "Fd")] == [(Nn, 0), (Nn, 0), (0, Nn),
+                                                                                     (0, 0), (0, 0)]
+            assert not any(getattr(jm, x).size for x in ("Bd", "Ed", "Cd", "Dd", "Fd"))
+        assert not lifted.time_reversed
+
+
+def _adjoint_oracle(sys: ImpulsiveSystem) -> ImpulsiveSystem:
+    """The adjoint assembled field by field: transposes, input and output
+    roles swapped, no control channels, time reversed."""
+    jm = sys.jump
+    return ImpulsiveSystem(
+        A=sys.A.T, Bc=PolyMatrix.zeros(sys.n, 0), Ec=sys.Cc.T, Cc=sys.Ec.T, Dc=PolyMatrix.zeros(sys.pc, 0),
+        Fc=sys.Fc.T,
+        jumps=(JumpMap(J=jm.J.T.copy(), Bd=np.zeros((sys.n, 0)), Ed=jm.Cd.T.copy(), Cd=jm.Ed.T.copy(),
+                       Dd=np.zeros((sys.pd, 0)), Fd=jm.Fd.T.copy()),),
+        time_reversed=not sys.time_reversed,
+    )
+
+
+class TestAdjointOracle:
+    @pytest.mark.parametrize("name", ["lti_jump_bench", "timer_growth_bench", "timer_stable_bench", "no_outputs"])
+    def test_fields_equal_the_hand_built_adjoint(self, name):
+        s = (ImpulsiveSystem.from_arrays(A=[[[-1.0, 0.5]]], J=[[0.5]], Ec=[[1.0]], Ed=[[1.0, 2.0]])
+             if name == "no_outputs" else getattr(benchmarks, name)())
+        for sys in (s, adjoint(s)):
+            got, want = adjoint(sys), _adjoint_oracle(sys)
+            for f in ("A", "Bc", "Ec", "Cc", "Dc", "Fc", "time_reversed"):
+                assert getattr(got, f) == getattr(want, f), f
+            assert len(got.jumps) == 1 and got.jump.tag is None
+            for f in ("J", "Bd", "Ed", "Cd", "Dd", "Fd"):
+                a, b = getattr(got.jump, f), getattr(want.jump, f)
+                assert a.shape == b.shape and np.array_equal(a, b), f
+
+
 def _analyze(name, s):
     return {
         "arbitrary": lambda: analyze_arbitrary(s),
@@ -354,7 +481,7 @@ class TestSerialization:
     def test_nonsquare_A_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"A": [[[1.0], [0.0]]], "J": [[1.0]]}))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=re.escape("A: expected shape (1, 1), got (1, 2)")):
             load_system(str(path))
 
     def test_declared_dimension_mismatch(self, bench_lti, tmp_path):

@@ -359,6 +359,19 @@ class TestSimulate:
             simulate(bench_lti, SequenceGen.min_plus_exp(0.5), generate_inputs("const_unit"),
                      x0=[0.0, 0.0], horizon=horizon, step=step)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("switched", [False, True])
+    def test_x0_must_be_finite(self, bench_lti, bench_switched, monkeypatch, bad, switched):
+        """A non-finite x0 is refused by name before any dwell is drawn: it
+        used to be marched and blamed on the step (StepTooLarge)."""
+        def no_draws(*args):
+            raise AssertionError("dwells drawn")
+
+        monkeypatch.setattr(SequenceGen, "dwells", no_draws)
+        with pytest.raises(DimensionMismatch, match=r"^x0 must be finite, got \["):
+            simulate(bench_switched if switched else bench_lti, SequenceGen.exact(0.5),
+                     generate_inputs("const_unit"), x0=[bad, bad], horizon=3.0)
+
     def test_switched_simulation(self, bench_switched):
         traj = simulate(
             bench_switched,

@@ -66,6 +66,10 @@ Cases:
   referee, all at T = 1 and degree 0; and a plant whose discrete output
   entry, 8.27e-13, lies below HiGHS's small_matrix_value, at T = 0.2 and
   degree 1, whose every order and referee fail numerically;
+- `analyze_minimum` and `estimate_gain` of a switched system whose mode-0
+  F has two columns where E has one (`misfit_f_switched`), and
+  `analyze_constant` of lti_jump_bench at T = 1e200, degree 4, whose
+  powers of T overflow a float: each is stored as its error;
 - a system that is not positive (A[0, 1] = -3) under constant, minimum,
   range and arbitrary dwell, and `verify` of a certificate issued for it
   (tests/data/nonpositive_constant_1.json, made when no analysis checked
@@ -210,6 +214,14 @@ def three_mode_switched() -> SwitchedSystem:
     selector jump maps."""
     modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
     modes.append({"A": [[-1.5, 0.2], [0.3, -1.0]], "E": [[0.2], [0.05]], "C": [[0.5, 0.5]], "F": [[0.0]]})
+    return SwitchedSystem.from_arrays(modes)
+
+
+def misfit_f_switched() -> SwitchedSystem:
+    """two_mode_switched_bench with a mode-0 F of one row and two columns,
+    though its E has one column: a shape no system may have."""
+    modes = [{k: md[k] for k in "ABECDF"} for md in benchmarks.two_mode_switched_bench().modes]
+    modes[0]["F"] = [[0.1, 0.1]]
     return SwitchedSystem.from_arrays(modes)
 
 
@@ -583,6 +595,14 @@ def collect(lp_dir: str) -> dict:
     }
     for key, run in escalations.items():
         rec.solve(key, run, to_json)
+
+    # inputs no version should certify: a misfit F, and a dwell whose powers overflow a float
+    rec.solve("misfit_f_switched minimum T=0.5 degree=4",
+              lambda lp: analysis.analyze_minimum(misfit_f_switched(), 0.5, 4, dump_lp=lp), to_json)
+    rec.solve("misfit_f_switched estimate_gain minimum:0.5", lambda lp: sim.estimate_gain(
+        misfit_f_switched(), sim.SequenceGen.for_spec(DwellTimeSpec.minimum(0.5), seed=7), runs=3, horizon=10.0), repr)
+    rec.solve("lti_jump_bench constant T=1e200 degree=4",
+              lambda lp: analysis.analyze_constant(benchmarks.lti_jump_bench(), 1e200, 4, dump_lp=lp), to_json)
 
     rot = nonpositive_rotation()
     runs = {
