@@ -31,7 +31,7 @@ jump_margin argument is not read for it (`_analyze_hybrid`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence, Union
@@ -44,7 +44,6 @@ from .errors import (
     NumericalFailure,
     ParseError,
     RelaxationLimit,
-    Unsupported,
 )
 from .lp import LinearProgram, RowBlock, lp_solve
 from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, lift_switched,
@@ -111,7 +110,6 @@ class Certificate:
     margin: float
     jump_margin: float
     degree: int
-    aux: dict = field(default_factory=dict)
     relax: int = 0
 
     @property
@@ -138,7 +136,7 @@ class Certificate:
             "degree": self.degree,
             "relax": self.relax,
             "zeta": polys_to_json(self.zeta),
-            "aux": {k: polys_to_json(v) if k == "mu" else v for k, v in self.aux.items()},
+            "aux": {},
         }
 
     @staticmethod
@@ -153,12 +151,12 @@ class Certificate:
                 margin=read_field(data, "margin", finite_float),
                 jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", finite_float),
                 degree=read_field(data, "degree", int),
-                aux=read_field(data, "aux", lambda aux: {k: polys_from_json(v, 1) if k == "mu" else v
-                                                          for k, v in aux.items()}) if "aux" in data else {},
                 relax=read_field(data, "relax", int) if "relax" in data else 0,
             )
         except KeyError as exc:
             raise ParseError(f"certificate file missing field {exc.args[0]!r}") from exc
+        if data.get("aux", {}) != {}:  # an old mu-variant range certificate held aux.mu
+            raise ParseError("bad field 'aux': must be {}; a mu-variant range certificate is not read")
         _check_kind(cert.kind, cert.dwell, per_mode)
         return cert
 
@@ -290,10 +288,13 @@ def _deriv(p: np.ndarray) -> np.ndarray:
 
 
 def _eval_at(p: np.ndarray, t: float) -> np.ndarray:
-    """The expression p(t), by running powers of t; a zero power adds nothing."""
+    """The expression p(t), by running powers of t; a zero power adds nothing,
+    and one that overflows a float is `_overflow` of the timer's [0, t]."""
     out = np.zeros(p.shape[1])
     tk = 1.0
     for c in p:
+        if math.isinf(tk):
+            raise _overflow((0.0, t))
         if tk != 0.0:
             out += tk * c
         tk *= t
@@ -610,7 +611,6 @@ def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.n
 def _gain_rows_constant_like(
     prog: _Program, mats: tuple, jumps: Sequence, zeta: list[np.ndarray], gamma: int, tau_end: float,
     jump_dwells: tuple[float, float], margin: float, jump_margin: float, stationary_at: Optional[float] = None,
-    mu: Optional[list[np.ndarray]] = None,
 ) -> None:
     """The rows of the constant/minimum/range conditions, mats = (A, Bc, Ec,
     Cc, Dc, Fc) with the jump maps `jumps`; a switched system's are those of
@@ -619,23 +619,15 @@ def _gain_rows_constant_like(
     The theorem rows are a design's with X = zeta and U = []: flow and out_c
     on (0, tau_end) and the stationary rows at stationary_at (`_Mode`), and
     jump[k] and out_d[k] (`_jump_rows`) at every dwell theta in jump_dwells
-    = (lo, hi) (`_jump_timers`), with mu(theta) in place of zeta(theta) when
-    mu is given: polynomial rows in theta on [lo, hi], or point rows at
-    theta = lo when lo == hi.  The mu domination and pin rows follow.
+    = (lo, hi) (`_jump_timers`): polynomial rows in theta on [lo, hi], or
+    point rows at theta = lo when lo == hi.  The pin rows follow.
     """
     _Mode(prog, mats, zeta, [], tau_end).theorem_rows(gamma, margin, stationary_at)
     lo, hi = jump_dwells
-    target = zeta if mu is None else mu
-    if not lo < hi:
-        target = [_eval_at(t, lo) for t in target]
+    target = zeta if lo < hi else [_eval_at(z, lo) for z in zeta]
     zeta0 = [_eval_at(z, 0.0) for z in zeta]
     entries = [[_const_entries(target, [], P, None) for P in (jm.J, jm.Cd)] for jm in jumps]
     _jump_rows(prog, jumps, entries, zeta0, gamma, jump_dwells, margin, jump_margin)
-
-    # mu domination rows: mu(theta) - zeta(theta) >= 0 on [lo, hi]
-    if mu is not None:
-        for i in range(len(zeta)):
-            prog.add_interval_ge("mu_dom", i, _add(mu[i], zeta[i], -1.0), jump_dwells, 0.0)
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i, z0 in enumerate(zeta0):
@@ -845,7 +837,6 @@ def _analyze_hybrid(
     margin: float,
     jump_margin: float,
     relax_schedule,
-    mu_variant: bool = False,
     dump_lp=None,
 ) -> Certificate:
     """The gates of every hybrid analysis (forward time, constant matrices
@@ -869,22 +860,20 @@ def _analyze_hybrid(
     reason = _unstable_orbit(sys, dwell, margin, jump_margin)
     if reason:
         raise Infeasible(f"conditions infeasible ({reason})")
-    return _solve_hybrid(sys, dwell, degree, margin, jump_margin, relax_schedule, mu_variant, dump_lp)
+    return _solve_hybrid(sys, dwell, degree, margin, jump_margin, relax_schedule, dump_lp)
 
 
 def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margin: float, jump_margin: float,
-                  relax_schedule, mu_variant: bool = False, dump_lp=None) -> Certificate:
+                  relax_schedule, dump_lp=None) -> Certificate:
     """The hybrid program of sys under dwell, minimized: zeta, gamma and the
-    rows of `_gain_rows_constant_like`, with mu under mu_variant on a range.
-    sys must have passed its gates (`_analyze_hybrid`)."""
+    rows of `_gain_rows_constant_like`.  sys must have passed its gates (`_analyze_hybrid`)."""
     lo, hi = _jump_timers(dwell)
     stationary_at = dwell.T if dwell.kind == "minimum" else None
     prog = _Program()
     zeta = prog.poly_vec(sys.n, degree, "zeta")
     gamma = prog.scalar(lo=0.0, name="gamma")
-    mu = prog.poly_vec(sys.n, degree, "mu") if mu_variant and lo < hi else None
     _gain_rows_constant_like(prog, mode_mats(sys), sys.jumps, zeta, gamma, _timer_end(dwell), (lo, hi), margin,
-                             jump_margin, stationary_at=stationary_at, mu=mu)
+                             jump_margin, stationary_at=stationary_at)
 
     def finalize(sol, relax):
         return Certificate(
@@ -895,7 +884,6 @@ def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
             margin=margin,
             jump_margin=jump_margin,
             degree=degree,
-            aux={} if mu is None else {"mu": [_value(m, sol.x) for m in mu]},
             relax=relax,
         )
 
@@ -936,23 +924,14 @@ def analyze_range(
     Tmin: float,
     Tmax: float,
     degree: int,
-    mode: str = "direct",
     margin: float = DEFAULT_MARGIN,
     jump_margin: float = DEFAULT_JUMP_MARGIN,
     relax_schedule=RELAX_SCHEDULE,
     dump_lp=None,
 ) -> Certificate:
-    """Range dwell-time bound; jump rows become polynomials in the dwell theta.
-
-    mode="mu_variant" adds the dominating vector used by dwell-time-independent
-    synthesis (zeta(theta) <= mu(theta)) to an impulsive system's jump map;
-    a switched system is refused."""
-    if mode not in ("direct", "mu_variant"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "mu_variant" and isinstance(sys, SwitchedSystem):
-        raise Unsupported("mu_variant acts on an impulsive system's jump map; a switched system has none")
+    """Range dwell-time bound; jump rows become polynomials in the dwell theta."""
     return _analyze_hybrid(sys, DwellTimeSpec.range(Tmin, Tmax), degree, margin, jump_margin, relax_schedule,
-                           mu_variant=(mode == "mu_variant"), dump_lp=dump_lp)
+                           dump_lp=dump_lp)
 
 
 def analyze_switched_min(

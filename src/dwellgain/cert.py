@@ -212,7 +212,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     zeta_i(0) - zeta_j(theta) >= 0 are the rows of jump[k], k indexing the
     lift's jumps; a jump row with no term, zeta_i(0) >= 0 of a lift's
     inactive block, is pin_lo's row and proved once, there.  The proof
-    re-derives each row from zeta, mu, gamma and the plant data in exact
+    re-derives each row from zeta, gamma and the plant data in exact
     dyadic integers; a closed loop's zeta is X, so (A + B K_c) zeta =
     (A X + B U_c) 1 and the jump rows (J X + B_d U_d) 1 are polynomials (a
     fixed-K_d row is proved times prod M).  A row is
@@ -295,11 +295,9 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         thetas = np.array([dwell.T or 0.0])  # an arbitrary dwell has no T
         at = float(thetas[0])
     Rt = float(thetas[-1])
-    mu = cert.aux.get("mu")
-    # jump targets and jump maps for every theta at once, one column per theta
-    target = np.stack([p.eval(thetas) for p in (mu or zs)])
-    goal = [_Exact.of(p.coeffs) for p in mu] if mu else Z
-    w, v = ONE, []  # the jump rows times the weight w, and w (K_d target)_l
+    # zeta at every jump dwell theta at once, one column per theta
+    target = np.stack([z.eval(thetas) for z in zs])
+    w, v = ONE, []  # the jump rows times the weight w, and w (K_d zeta)_l
     if ctrl is not None and plant.md:
         fixed = ctrl.M is not None
         # K_d = U_d X^-1 at the jump dwells, or U_d M^-1 under a fixed K_d
@@ -311,21 +309,19 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
             positivity += _positivity_notes(of + "C_d X + D_d U_d", jm.Cd, Xd, jm.Dd, Ue, at, Rt)
         if fixed:  # the rows times prod M are exact
             w = math.prod(Xd, start=ONE)
-            v = [sum((u * math.prod(Xd[:j] + Xd[j + 1:], start=ONE) * g
-                      for j, (u, g) in enumerate(zip(row, goal))), ZERO) for row in Ue]
+            v = [sum((u * math.prod(Xd[:j] + Xd[j + 1:], start=ONE) * z
+                      for j, (u, z) in enumerate(zip(row, Z))), ZERO) for row in Ue]
         else:
-            v = _inputs(ctrl.Ud, ctrl.X, mu or zs)
-    wgoal, ones, weight = [w * g for g in goal], [w] * plant.pd, w.size(0.0)
+            v = _inputs(ctrl.Ud, ctrl.X, zs)
+    wZ, ones, weight = [w * z for z in Z], [w] * plant.pd, w.size(0.0)
     for jk, jm in enumerate(plant.jumps):
         J, Ed1, Cd, Fd1 = _jump_maps(plant, ctrl, np.full(len(thetas), jk), thetas, np.ones(len(thetas)))
-        y = _affine([(jm.J, wgoal), (jm.Bd, v), (jm.Ed, ones)], Rt)
+        y = _affine([(jm.J, wZ), (jm.Bd, v), (jm.Ed, ones)], Rt)
         add(f"jump[{jk}]", zv[:, :1] - (_mv(J, target) + Ed1), own([w * z.at(0.0) for z in Z], 0.0), y, at, weight,
             bare=w is not ONE)  # a row with no term is pin_lo's, unless weighted
         if len(Cd):
-            y = _affine([(jm.Cd, wgoal), (jm.Dd, v), (jm.Fd, ones)], Rt)
+            y = _affine([(jm.Cd, wZ), (jm.Dd, v), (jm.Fd, ones)], Rt)
             add(f"out_d[{jk}]", gamma - (_mv(Cd, target) + Fd1), own([w * gam] * len(Cd), 0.0), y, at, weight)
-    if mu:
-        add("mu_dom", target - np.stack([z.eval(thetas) for z in zs]), own(goal, Rt), own(Z, Rt), at)
     return _report(rows, grid, positivity)
 
 

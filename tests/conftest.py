@@ -490,12 +490,10 @@ def oracle_rows(cert, sys):
         th = (dwell.Tmin, dwell.Tmax) if dwell.Tmin < dwell.Tmax else dwell.Tmin
     else:
         th = dwell.T or 0.0
-    mu = cert.aux.get("mu")
-    target = mu or zs
-    V = []  # per discrete input, its terms: (K_d target)_l with zeta = X
+    V = []  # per discrete input, its terms: (K_d zeta)_l with zeta = X
     if ctrl is not None and plant.md:
         if ctrl.kind == "RangeDT_FixedKd":
-            V = [[target[j] * (u.coeffs[0] / m) for j, (u, m) in enumerate(zip(row, ctrl.M))] for row in ctrl.Ud]
+            V = [[zs[j] * (u.coeffs[0] / m) for j, (u, m) in enumerate(zip(row, ctrl.M))] for row in ctrl.Ud]
         else:
             V = ctrl.Ud
     for jk, jm in enumerate(plant.jumps):
@@ -503,11 +501,9 @@ def oracle_rows(cert, sys):
                                       (f"out_d[{jk}]", gamma, jm.Cd, jm.Dd, jm.Fd)):
             for i in range(M.shape[0]):
                 terms = [Poly.const(zs[i].eval(0.0) if lead is None else lead)]
-                terms += [-(t * M[i, j]) for j, t in enumerate(target)]
+                terms += [-(z * M[i, j]) for j, z in enumerate(zs)]
                 terms += [-(v * N[i, l]) for l, vs in enumerate(V) for v in vs]
                 rows.append((family, terms + [Poly.const(-w) for w in W[i]], th))
-    if mu:
-        rows += [("mu_dom", [m, -z], th) for m, z in zip(mu, zs)]
     return rows
 
 
@@ -588,17 +584,13 @@ def _verify_impulsive(cert, sys, grid):
         else:
             thetas = np.array([dwell.T])
         z0 = np.array([z.eval(0.0) for z in zeta])
-        mu = cert.aux.get("mu")
         for jk, jm in enumerate(sys.jumps):
             for th in thetas:
-                target = np.array([m.eval(th) for m in mu] if mu else [z.eval(th) for z in zeta])
+                target = np.array([z.eval(th) for z in zeta])
                 _record(slacks, f"jump[{jk}]", float(np.min(z0 - (jm.J @ target + jm.Ed.sum(axis=1)))))
                 if jm.Cd.shape[0]:
                     _record(slacks, f"out_d[{jk}]",
                             float(np.min(gamma - (jm.Cd @ target + jm.Fd.sum(axis=1)))))
-        if mu:
-            for th in thetas:
-                _record(slacks, "mu_dom", float(min(m.eval(th) - z.eval(th) for m, z in zip(mu, zeta))))
         _record(slacks, "pin_lo", float(np.min(z0)))
     return _oracle_report(cert, sys, slacks, grid)
 
@@ -1549,7 +1541,6 @@ def _reference_gain_rows(
     jump_margin: float,
     stationary_at: Optional[float] = None,
     theta_interval: Optional[tuple[float, float]] = None,
-    mu: Optional[list[PolyExpr]] = None,
 ):
     """analysis._gain_rows_constant_like with its jump and out_d rows in two
     branches: point rows at jump_at, or polynomials in theta over
@@ -1592,7 +1583,7 @@ def _reference_gain_rows(
         Fd1 = jm.Fd.sum(axis=1)
         if theta_interval is None:
             T = jump_at
-            target = [z.eval_at(T) for z in zeta] if mu is None else [m.eval_at(T) for m in mu]
+            target = [z.eval_at(T) for z in zeta]
             for i in range(n):
                 expr = zeta0[i] - _const_matvec_row(jm.J, i, target) - Ed1[i]
                 prog.add_point_ge(f"jump[{jk}]", i, expr, jump_margin)
@@ -1604,26 +1595,20 @@ def _reference_gain_rows(
                 )
                 prog.add_point_ge(f"out_d[{jk}]", i, expr, margin)
         else:
-            target_p = zeta if mu is None else mu
             for i in range(n):
                 expr = PolyExpr([zeta0[i]])
                 for j in range(n):
                     if jm.J[i, j] != 0.0:
-                        expr = expr - target_p[j].scaled(jm.J[i, j])
+                        expr = expr - zeta[j].scaled(jm.J[i, j])
                 expr = expr - PolyExpr.from_poly([Ed1[i]])
                 prog.add_interval_ge(f"jump[{jk}]", i, expr, theta_interval, jump_margin)
             for i in range(jm.Cd.shape[0]):
                 expr = gam
                 for j in range(n):
                     if jm.Cd[i, j] != 0.0:
-                        expr = expr - target_p[j].scaled(jm.Cd[i, j])
+                        expr = expr - zeta[j].scaled(jm.Cd[i, j])
                 expr = expr - PolyExpr.from_poly([Fd1[i]])
                 prog.add_interval_ge(f"out_d[{jk}]", i, expr, theta_interval, margin)
-
-    # mu domination rows: mu(theta) - zeta(theta) >= 0 on theta interval
-    if mu is not None and theta_interval is not None:
-        for i in range(n):
-            prog.add_interval_ge("mu_dom", i, mu[i] - zeta[i], theta_interval, 0.0)
 
     # scaling pin: margin <= zeta_i(0) <= PIN
     for i in range(n):
@@ -1631,7 +1616,7 @@ def _reference_gain_rows(
         prog.add_point_ge("pin_hi", i, LinExpr.constant(_ZETA_PIN) - zeta0[i], 0.0)
 
 def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, jump_dwells, margin, jump_margin,
-                                      stationary_at=None, mu=None):
+                                      stationary_at=None):
     """Oracle for analysis._gain_rows_constant_like: its body before the jump
     and out_d rows went through one path, with separate point (jump_at) and
     interval (theta_interval) branches, which jump_dwells = (lo, hi) selects,
@@ -1641,8 +1626,7 @@ def reference_gain_rows_constant_like(prog, mats, jumps, zeta, gamma, tau_end, j
     lo, hi = jump_dwells
     _reference_gain_rows(ReferenceRows(prog), (A, E, C, F, jumps), [ref_expr(z) for z in zeta], gamma,
                          (0.0, tau_end), None if lo < hi else lo, margin, jump_margin, stationary_at=stationary_at,
-                         theta_interval=(lo, hi) if lo < hi else None,
-                         mu=None if mu is None else [ref_expr(m) for m in mu])
+                         theta_interval=(lo, hi) if lo < hi else None)
 
 
 def reference_synthesize(

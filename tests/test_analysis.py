@@ -65,7 +65,6 @@ from dwellgain.errors import (
     NumericalFailure,
     ParseError,
     RelaxationLimit,
-    Unsupported,
 )
 from dwellgain.cert import cross_check_discrete, verify
 from dwellgain.lp import LinearProgram, _assemble, dump_lp
@@ -188,14 +187,6 @@ class TestRange:
         g_big = analyze_range(bench_timer_growth, 0.3, 0.5, 4).gamma
         assert g_big >= g_small - 1e-9
 
-    def test_mu_variant_consistent(self, bench_timer_growth):
-        g_direct = analyze_range(bench_timer_growth, 0.3, 0.5, 4).gamma
-        cert_mu = analyze_range(bench_timer_growth, 0.3, 0.5, 4, mode="mu_variant")
-        assert "mu" in cert_mu.aux and len(cert_mu.aux["mu"]) == 2
-        # the dominating-vector form is a restriction: never better than direct
-        assert cert_mu.gamma >= g_direct - 1e-9
-        assert cert_mu.gamma <= 1.10 * g_direct
-
 
 class TestSwitched:
     def test_reference(self, bench_switched):
@@ -316,11 +307,6 @@ class TestSwitchedDwellClasses:
         c = analyze_switched_min(bench_switched, 0.3, 4)
         assert analyze_minimum(bench_switched, 0.3, 4).to_json() == c.to_json()
         assert analyze_minimum(bench_switched, 0.3, 4, jump_margin=0.5).to_json() == c.to_json()
-
-    def test_mu_variant_refused(self, monkeypatch, bench_switched):
-        monkeypatch.setattr(analysis_mod, "lp_solve", None)
-        with pytest.raises(Unsupported, match="^mu_variant acts on an impulsive system's jump map"):
-            analyze_range(bench_switched, 0.1, 0.3, 2, mode="mu_variant")
 
     def test_arbitrary_needs_constant_modes(self):
         sw = SwitchedSystem.from_arrays([
@@ -757,12 +743,12 @@ def _outcome(run):
 
 def _shortfall(cert, target) -> float:
     """The most by which a row family's smallest value in verify falls below
-    the margin its LP imposed: jump_margin on jump rows, 0 on pin_hi, mu_dom
-    and couple rows, margin on every other row."""
+    the margin its LP imposed: jump_margin on jump rows, 0 on pin_hi and
+    couple rows, margin on every other row."""
     def margin(family):
         if family.startswith("jump"):
             return cert.jump_margin
-        return 0.0 if family.startswith(("pin_hi", "mu_dom", "couple")) else cert.margin
+        return 0.0 if family.startswith(("pin_hi", "couple")) else cert.margin
 
     return max(margin(f) - v for f, v in verify(cert, target).worst_slack.items())
 
@@ -867,41 +853,35 @@ class TestBernsteinRows:
         self._random_system_checks(sys, TestEscalation._runner(sys, DwellTimeSpec.constant(0.2), 1))
 
     def test_certify_grid_analyses(self):
-        """The certify-grid analyses, each range also with its dominating vector."""
-        runs = [(label, lambda run=run: run(None)) for label, run in _certify_grid_runs()
-                if not label.startswith("design")]
-        for bench in ("lti_jump_bench", "timer_growth_bench", "timer_stable_bench"):
-            s = getattr(benchmarks, bench)()
-            for T in CERTIFY_GRID_T:
-                Tmax = float(f"{1.5 * T:.5g}")
-                for degree in (2, 4, 6):
-                    runs.append((
-                        f"range-mu {bench} T={T} degree={degree}",
-                        lambda s=s, T=T, Tmax=Tmax, d=degree: analyze_range(s, T, Tmax, d, mode="mu_variant"),
-                    ))
+        """The certify-grid analyses."""
         sw = benchmarks.two_mode_switched_bench()
-        for label, run in runs:
+        for label, run in _certify_grid_runs():
+            if label.startswith("design"):
+                continue
             target = sw if label.startswith("switched") else getattr(benchmarks, label.split()[1])()
-            pair = self._never_worse(target, run)
+            pair = self._never_worse(target, lambda run=run: run(None))
             if pair is not None:
                 assert pair[0].gamma == pytest.approx(pair[1].gamma, rel=1e-7), label
 
-    @pytest.mark.parametrize(
-        "bench, T",
-        [
-            ("lti_jump_bench", 0.12),
-            ("lti_jump_bench", 0.2),
-            ("timer_growth_bench", 0.12),
-            ("timer_growth_bench", 0.2),
-            ("lti_jump_bench", 2.7),
-        ],
-    )
+    DOMINATED_GAMMA = {
+        ("lti_jump_bench", 0.12): 0.93050,
+        ("lti_jump_bench", 0.2): 1.02447,
+        ("timer_growth_bench", 0.12): 0.57569,
+        ("timer_growth_bench", 0.2): 0.70385,
+        ("lti_jump_bench", 2.7): 1.22347,
+    }
+
+    @pytest.mark.parametrize("bench, T", list(DOMINATED_GAMMA))
     def test_dominated_range_certifies(self, bench, T):
-        """Degree-6 dominated range analyses that failed numerically at every
-        order under the cone (the first four); the coefficient rows as plain
-        >= rows return a certificate at T = 2.7 that verify refuses."""
+        """Degree-6 range analyses on [T, 1.5 T] whose dominated form (jump
+        rows at a vector mu >= zeta, a program no longer offered: the plain
+        one is never worse) failed numerically at every order under the
+        product-basis cone (the first four), or, with the coefficient rows as
+        plain >= rows, returned a certificate at T = 2.7 that verify refused.
+        Each certifies at the first order."""
         s = getattr(benchmarks, bench)()
-        c = analyze_range(s, T, float(f"{1.5 * T:.5g}"), 6, mode="mu_variant")
+        c = analyze_range(s, T, float(f"{1.5 * T:.5g}"), 6)
+        assert c.relax == RELAX_SCHEDULE[0] and c.gamma == pytest.approx(self.DOMINATED_GAMMA[bench, T], rel=1e-5)
         assert verify(c, s).passed
         assert cross_check_discrete(c, s).passed
 
@@ -1048,8 +1028,7 @@ class TestPositivityGate:
         s = nonpositive_rotation
         runs = {
             r"on \[0, 1\]": [lambda: analyze_constant(s, 1.0, 2), lambda: analyze_minimum(s, 1.0, 2),
-                              lambda: analyze_range(s, 0.5, 1.0, 2),
-                              lambda: analyze_range(s, 0.5, 1.0, 2, mode="mu_variant")],
+                              lambda: analyze_range(s, 0.5, 1.0, 2)],
             "at tau = 0": [lambda: analyze_arbitrary(s), lambda: analyze_lti(s), lambda: analyze_lti(s, norm="L1")],
         }
         for where, group in runs.items():
@@ -1511,12 +1490,8 @@ class TestJumpRowFoldOracle:
             ("timer_stable_bench", "minimum:1.9"),
             ("lti_jump_bench", "minimum:0.5"),
             ("timer_growth_bench", "range:0.3:0.45"),
-            ("timer_growth_bench", "range-mu:0.3:0.45"),
-            ("lti_jump_bench", "range-mu:0.2:0.3"),
             ("timer_growth_bench", "range:0.2:0.2"),
             ("timer_growth_bench", "range:0.2:0.2000000000001"),
-            ("timer_growth_bench", "range-mu:0.2:0.2000000000001"),
-            ("timer_stable_bench", "range-mu:1.9:1.9000000000001"),
             ("lti_jump_bench", "arbitrary"),
         ],
     )
@@ -1532,7 +1507,7 @@ class TestJumpRowFoldOracle:
                 return analyze_constant(s, T[0], degree)
             if kind == "minimum":
                 return analyze_minimum(s, T[0], degree)
-            return analyze_range(s, *T, degree, mode="mu_variant" if kind == "range-mu" else "direct")
+            return analyze_range(s, *T, degree)
 
         def run_r():
             with monkeypatch.context() as m:

@@ -157,9 +157,6 @@ class TestVerify:
     def test_minimum_and_range_kinds(self, bench_lti, bench_timer_growth):
         assert verify(analyze_minimum(bench_lti, 1.0, 4), bench_lti).passed
         assert verify(analyze_range(bench_timer_growth, 0.3, 0.5, 4), bench_timer_growth).passed
-        mu = analyze_range(bench_timer_growth, 0.3, 0.5, 4, mode="mu_variant")
-        rep = verify(mu, bench_timer_growth)
-        assert rep.passed and "mu_dom" in rep.worst_slack
 
 
 class TestRowProof:
@@ -335,10 +332,7 @@ class TestVerifyOracle:
         # timer_growth is never stable under minimum dwell
         assert len(compared) >= 2
 
-    def test_mu_variant_arbitrary_and_switched(self, bench_timer_growth, bench_lti, bench_switched):
-        assert_matches_three_paths(
-            analyze_range(bench_timer_growth, 0.3, 0.5, 4, mode="mu_variant"), bench_timer_growth
-        )
+    def test_arbitrary_and_switched(self, bench_lti, bench_switched):
         arb = analyze_arbitrary(bench_lti)
         assert_matches_three_paths(arb, bench_lti)
         # an arbitrary dwell reads lambda = zeta(0) alone, whatever zeta's slope
@@ -398,7 +392,6 @@ class TestZeroGainClosedLoop:
         cases = [
             (analyze_constant(growth, 0.33, 2), growth),
             (analyze_range(growth, 0.2, 0.3, 4), growth),
-            (analyze_range(growth, 0.3, 0.5, 4, mode="mu_variant"), growth),
             (analyze_minimum(stable, 1.9, 4), stable),
             (analyze_minimum(lti, 0.5, 4), lti),
             (analyze_arbitrary(lti), lti),

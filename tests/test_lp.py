@@ -281,23 +281,27 @@ class TestLinprogOracle:
         self._assert_all_same(oracle_pairs)
 
     @pytest.mark.usefixtures("orbit_test_off")
-    @pytest.mark.parametrize("degree", [4, 6])
-    def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, degree):
+    @pytest.mark.parametrize("T, relax, error, message", [
+        (0.2, 10, RelaxationLimit, r"^interval relaxation exhausted at order \+10 while the sampled referee stays "
+                                   r"feasible \[order \+10: NumericalFailure \(solution violates constraints by "),
+        (0.12, 4, NumericalFailure, r"^sampled referee failed numerically \[order \+4: NumericalFailure \(solution "
+                                    r"violates constraints by .*; referee: NumericalFailure \("),
+    ], ids=["relaxation-limit", "referee-fails"])
+    def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, T, relax, error, message):
         # each order of the default schedule alone ends Infeasible, its referee
-        # infeasible too; the dominated range analysis fails numerically at one
-        # order: degree 4 at order +8, whose referee stays feasible, degree 6
-        # at order +10, whose referee is infeasible.  With the unstable-orbit
-        # test on, the timer_stable inputs are refused before any LP is built
+        # infeasible too; the degree-8 timer_growth analysis at dwell T fails
+        # the 1e-7 recheck at its one order, and then its referee stays
+        # feasible (relaxation-limit) or fails the recheck too (referee-fails).
+        # A second LP phase after a failed recheck or a scale-aware acceptance
+        # test (ROADMAP items 1 and 3) changes which answers fail the recheck,
+        # and so which inputs reach these ends.  With the unstable-orbit test
+        # on, the timer_stable inputs are refused before any LP is built
         # (test_orbit_test_refuses_inputs)
-        for relax in RELAX_SCHEDULE:
+        for order in RELAX_SCHEDULE:
             with pytest.raises(Infeasible):
-                analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
-        s, relax, error = {
-            4: (bench_timer_growth, 8, RelaxationLimit),
-            6: (bench_timer_stable, 10, Infeasible),
-        }[degree]
-        with pytest.raises(error, match=f"order \\+{relax}: NumericalFailure"):
-            analyze_range(s, 0.5, 0.75, degree, mode="mu_variant", relax_schedule=(relax,))
+                analyze_constant(bench_timer_stable, 0.12, 8, relax_schedule=(order,))
+        with pytest.raises(error, match=message):
+            analyze_constant(bench_timer_growth, T, 8, relax_schedule=(relax,))
         assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
 
@@ -312,7 +316,7 @@ class TestLinprogOracle:
             with pytest.raises(Infeasible, match=r"^conditions infeasible \(rho\(J Phi\(theta\)\) >= 3\.122 at theta = 0\.12\)$"):
                 analyze_constant(bench_timer_stable, 0.12, degree, relax_schedule=(relax,))
         with pytest.raises(Infeasible, match=r"^conditions infeasible \(rho\(J Phi\(theta\)\) >= 2\.043 at theta = 0\.5\)$"):
-            analyze_range(bench_timer_stable, 0.5, 0.75, degree, mode="mu_variant", relax_schedule=(10,))
+            analyze_range(bench_timer_stable, 0.5, 0.75, degree, relax_schedule=(10,))
         assert oracle_pairs == []
 
     def test_switched_min(self, oracle_pairs, bench_switched):
