@@ -205,6 +205,21 @@ def _bernstein_cone(order: int) -> _Cone:
     return _Cone(W, np.ones(order + 1, bool), -np.eye(order + 1), tuple(f"_b{i}" for i in range(order + 1)))
 
 
+@lru_cache(maxsize=None)
+def _product_cone(order: int) -> _Cone:
+    """The cone of `_bernstein_cone` spanned by s^i (1 - s)^j, i + j <= D,
+    one column c_ij >= 0 each: column (i, j) holds -(-1)^m C(j, m), minus
+    the coefficient of s^(i + m), at row i + m.  The designs, their `--dump-lp`
+    texts and the closed-loop Monte-Carlo values recorded for them were all
+    made with this encoding.  Cached, so read-only."""
+    pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    matrix = np.zeros((order + 1, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        matrix[i : i + j + 1, p] = [-((-1) ** m) * math.comb(j, m) for m in range(j + 1)]
+    matrix.setflags(write=False)
+    return _Cone(None, np.arange(order + 1) == 0, matrix, tuple(f"_h{i}_{j}" for i, j in pairs))
+
+
 def _csr(dense: np.ndarray, colmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, indices, values) of the nonzeros of dense (rows, ..., k), one
     LP row per index but the last, entry [r, ..., j] in LP column colmap[r, j]
@@ -273,7 +288,10 @@ def _scale(p: np.ndarray, s: float) -> np.ndarray:
 
 
 def _mul_poly(p: np.ndarray, data: Sequence[float]) -> np.ndarray:
-    """p times a polynomial with constant coefficients `data`."""
+    """p times a polynomial with constant coefficients `data`; an expression
+    p meets constant data only, data[0]."""
+    if p.ndim == 1:
+        return data[0] * p
     out = np.zeros((len(p) + len(data) - 1, p.shape[1]))
     for j, d in enumerate(data):
         if d != 0.0:
@@ -378,12 +396,13 @@ class _Program:
     rows (family, index, e, interval, margin), each e >= margin, at a point
     (interval None, e an expression) or at every t in interval = (a, b),
     a < b (e a polynomial).  Two encoders make LPs of it: one relaxation
-    order (`relaxation`) and the sampled referee (`sampled_referee`).  Both
-    write each run of consecutive rows of one shape, point rows or interval
-    rows on one interval with one length, as one row block; what no order
-    changes is encoded once per program (`_runs`)."""
+    order (`relaxation`), in the table cone(order), and the sampled referee
+    (`sampled_referee`).  Both write each run of consecutive rows of one
+    shape, point rows or interval rows on one interval with one length, as
+    one row block; what no order changes is encoded once per program (`_runs`)."""
 
-    def __init__(self):
+    def __init__(self, cone=_bernstein_cone):
+        self.cone = cone
         self.columns = LinearProgram()  # the decision columns, no rows
         self.rows: list[tuple] = []
         self._cut = (0, [])  # (rows cut, their runs)
@@ -458,15 +477,12 @@ class _Program:
                 self._cone_rows(lp, run.q.shape[1] - 1 + relax, run.names, run.cols, run.q, run.margins)
         return lp
 
-    def _cone(self, order: int) -> _Cone:
-        return _bernstein_cone(order)
-
     def _cone_rows(self, lp: LinearProgram, order: int, names: list[str], cols: np.ndarray, q: np.ndarray,
                    margins: np.ndarray) -> None:
-        """q[r] - margins[r] in the degree-`order` cone of `_cone` on [0, 1],
+        """q[r] - margins[r] in the degree-`order` cone of `cone` on [0, 1],
         for the stack q (rows, n, 1 + len(cols)): one = row block, and the
         cone columns of each row of q in turn, named by names[r]."""
-        cone = self._cone(order)
+        cone = self.cone(order)
         rows, n = q.shape[:2]
         b = np.zeros((rows, order + 1, q.shape[2]))
         if cone.weights is None:
@@ -504,32 +520,23 @@ class _Program:
         return lp
 
 
-def _bilinear_entry(A_pm: PolyMatrix, X: list[np.ndarray], B_pm: PolyMatrix,
-                    U: list[list[np.ndarray]], i: int, j: int) -> np.ndarray:
-    """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a polynomial (X diagonal),
-    read from the coefficient arrays; a zero B_il or U_lj adds no term."""
-    expr = _mul_poly(X[j], A_pm.coeffs[i, j])
-    for l in range(len(U)):
-        b = B_pm.coeffs[i, l]
-        if b.any() and U[l][j].any():
-            expr = _add(expr, _mul_poly(U[l][j], b))
-    return expr
+def _entries(P: np.ndarray, X: list, Q: Optional[np.ndarray], U: list) -> list[list]:
+    """(P X + Q U)_{ij} (X diagonal) for the coefficient arrays P (r, n, k)
+    and Q (r, m, k') in the timer, constant data as P[..., None]; X and U
+    hold polynomials, or expressions, which meet constant data only.  A zero
+    P_ij gives a zero entry, cheap for a lift's selector maps, and a zero
+    Q_il or U_lj adds no term; Q is not read when U = []."""
+    # the nonzero masks read once: an any() call costs about 2 us, and a lift has hundreds of entries
+    p_on, q_on = P.any(axis=-1).tolist(), U and Q.any(axis=-1).tolist()
 
-
-def _const_entries(x_at: list, U: list, P: np.ndarray, Q: Optional[np.ndarray], zeros: bool = False) -> list[list]:
-    """(P X + Q U)_{ij} for constant matrices P and Q, X read on one side
-    x_at: X(theta), X at a point, or M.  The entries are polynomials in theta
-    or expressions, as x_at and U hold; Q is not read when U = [].  An entry
-    with P_ij = 0 and Q_i = 0, zero whatever X and U, is left out of its row
-    unless `zeros`: `_theorem_row` skips it anyway, and most entries of a
-    lift's selector maps are such."""
-    def entry(i: int, j: int):
-        e = _scale(x_at[j], float(P[i, j]))
+    def entry(i: int, j: int) -> np.ndarray:
+        e = _mul_poly(X[j], P[i, j]) if p_on[i][j] else np.zeros((1,) * X[j].ndim)
         for l, u in enumerate(U):
-            e = _add(e, _scale(u[j], float(Q[i, l])))
+            if q_on[i][l] and np.count_nonzero(u[j]):
+                e = _add(e, _mul_poly(u[j], Q[i, l]))
         return e
 
-    return [[entry(i, j) for j in range(len(x_at)) if zeros or P[i, j] or U and Q[i].any()] for i in range(P.shape[0])]
+    return [[entry(i, j) for j in range(len(X))] for i in range(P.shape[0])]
 
 
 def _theorem_row(prog: _Program, family: str, index: int, lead: np.ndarray, entries: Sequence,
@@ -541,7 +548,7 @@ def _theorem_row(prog: _Program, family: str, index: int, lead: np.ndarray, entr
     zero throughout, off the blocks of a lift, adds nothing and is skipped."""
     expr = lead[None] if lead.ndim == 1 and where[0] < where[1] else lead
     for e in entries:
-        if e.any():
+        if np.count_nonzero(e):
             expr = _add(expr, e, -1.0)
     prog.add_interval_ge(family, index, expr, where, margin)
 
@@ -560,9 +567,8 @@ class _Mode:
         A, B, _, C, D, _ = self.mats = mats
         self.prog, self.X, self.U = prog, X, U
         self.iv = (0.0, tau_end)
-        n = len(X)
-        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
-        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+        self.flow = _entries(A.coeffs, X, B.coeffs if U else None, U)
+        self.out = _entries(C.coeffs, X, D.coeffs if U else None, U)
 
     def theorem_rows(self, gamma: int, margin: float, stat_at: Optional[float] = None) -> None:
         """flow: X_i' - E_i 1 - (A X + B U)_i 1 >= margin and out_c: gamma -
@@ -588,21 +594,21 @@ class _Mode:
             ("stat_flow", A, B, [_const(-e) for e in E(T).sum(axis=1)]),
             ("stat_out", C, D, [_add(gam, _const(f), -1.0) for f in F(T).sum(axis=1)]),
         ):
-            for i, row in enumerate(_const_entries(X_T, U_T, P(T), Q(T) if U_T else None)):
+            for i, row in enumerate(_entries(P(T)[..., None], X_T, Q(T)[..., None] if U_T else None, U_T)):
                 _theorem_row(prog, family, i, leads[i], row, (T, T), margin)
 
 
 def _jump_rows(prog: _Program, jumps: Sequence, entries: Sequence, x0: list[np.ndarray], gamma: int,
                dwells: tuple[float, float], margin: float, jump_margin: float) -> None:
     """Per jump map k, with entries[k] = (J_k X + Bd_k U, Cd_k X + Dd_k U) read
-    on one side (`_const_entries`): jump[k], X_i(0) - Ed_k,i 1 - (J_k X +
+    on one side (`_entries`): jump[k], X_i(0) - Ed_k,i 1 - (J_k X +
     Bd_k U)_i 1 >= jump_margin, and out_d[k], gamma - Fd_k,i 1 - (Cd_k X +
     Dd_k U)_i 1 >= margin, at every dwell in dwells = (lo, hi); x0 = X(0).
     A jump row with no term under jump_margin 0, X_i(0) >= 0, as of a lift's
     inactive block, is left out: the pin rows (a design's x_pos) give it."""
     for k, (jm, (jump, out_d)) in enumerate(zip(jumps, entries)):
         for i, (row, ed) in enumerate(zip(jump, jm.Ed.sum(axis=1))):
-            if jump_margin or ed or any(e.any() for e in row):
+            if jump_margin or ed or any(np.count_nonzero(e) for e in row):
                 _theorem_row(prog, f"jump[{k}]", i, _add(x0[i], _const(ed), -1.0), row, dwells, jump_margin)
         for i, (row, fd) in enumerate(zip(out_d, jm.Fd.sum(axis=1))):
             _theorem_row(prog, f"out_d[{k}]", i, _add(_var(gamma), _const(fd), -1.0), row, dwells, margin)
@@ -626,7 +632,7 @@ def _gain_rows_constant_like(
     lo, hi = jump_dwells
     target = zeta if lo < hi else [_eval_at(z, lo) for z in zeta]
     zeta0 = [_eval_at(z, 0.0) for z in zeta]
-    entries = [[_const_entries(target, [], P, None) for P in (jm.J, jm.Cd)] for jm in jumps]
+    entries = [[_entries(P[..., None], target, None, []) for P in (jm.J, jm.Cd)] for jm in jumps]
     _jump_rows(prog, jumps, entries, zeta0, gamma, jump_dwells, margin, jump_margin)
 
     # scaling pin: margin <= zeta_i(0) <= PIN

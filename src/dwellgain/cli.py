@@ -200,7 +200,7 @@ def _sweep_point(payload) -> tuple[float, float]:
 
 
 def _cmd_sweep(args) -> int:
-    kind = args.dwell.split(":")[0]
+    kind = args.dwell  # a bare class: the dwell times are --from ... --to
     if kind not in ("minimum", "constant"):
         raise ParseError("sweep supports --dwell minimum or constant")
     _at_least("--points", args.points)

@@ -5,10 +5,8 @@ coefficient tuples.  Nonnegativity of p on a compact interval [a, b] is
 certified by expressing p as a nonnegative combination of the products
 (t - a)^i (b - t)^j with i + j <= D, the degree-D Bernstein cone on [a, b].
 For a known p, `decide_nonneg` decides this exactly from its Bernstein
-coefficients in integers.  The analysis LPs impose the cone through one row
-per Bernstein coefficient; the design LPs span it with the product basis,
-whose table `product_basis` holds.  A uniform-grid falsifier finds a witness
-for a polynomial the exact test refuses.
+coefficients in integers.  A uniform-grid falsifier finds a witness for a
+polynomial the exact test refuses.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
@@ -26,7 +23,6 @@ __all__ = [
     "RELAX_SCHEDULE",
     "Poly",
     "Witness",
-    "product_basis",
     "decide_nonneg",
     "falsify_nonneg",
 ]
@@ -247,29 +243,6 @@ class _Exact:
     def size(self, R: float) -> float:
         """sum_k |C_k| R^k / 2^e, a bound on |p| over [-R, R]."""
         return sum(abs(c) / (1 << self.e) * R**k for k, c in enumerate(self.C))
-
-
-@lru_cache(maxsize=None)
-def product_basis(order: int):
-    """Coefficient table of the normalized product basis s^i (1 - s)^j,
-    i + j <= order, on s in [0, 1].
-
-    Returns (pairs, terms): pairs lists the (i, j) in cone-column order, and
-    terms[k] holds the (pair index, coefficient of s^k) of every product whose
-    s^k coefficient is nonzero, in pair order.  It depends on the order alone,
-    so each order is expanded once per process.
-    """
-    pairs = tuple((i, j) for i in range(order + 1) for j in range(order + 1 - i))
-    # s^i (1 - s)^j has coefficient (-1)^(k - i) C(j, k - i) at s^k, i <= k <= i + j
-    terms = tuple(
-        tuple(
-            (p, float((-1) ** (k - i) * math.comb(j, k - i)))
-            for p, (i, j) in enumerate(pairs)
-            if i <= k <= i + j
-        )
-        for k in range(order + 1)
-    )
-    return pairs, terms
 
 
 def falsify_nonneg(

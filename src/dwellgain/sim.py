@@ -511,7 +511,8 @@ def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.n
     The referee is the largest relative gap between one h-step and two
     h/2-steps over the cells, along the filled states: per group, a chunk's
     half-step maps at a time, applied to its segments' states padded to (n,
-    segments, cells); per mode, from the last cells' own fields.  Jumps are not read."""
+    segments, cells), so many segments at once that one gather holds at most
+    _CHUNK cells; per mode, from the last cells' own fields.  Jumps are not read."""
     n, ms, K, firsts, h = plan.sys.n, plan.ms, len(plan.ms), plan.firsts, plan.h
     ends = firsts + ms
     qc = out.shape[1] - n * full
@@ -572,10 +573,12 @@ def _march_tables(plan: _Plan, jR, js, x0: np.ndarray, switched: bool, out: np.n
             t, L = j * h, len(j) - 1
             grid = np.concatenate([t, t[:-1] + 0.5 * h, t[:-1] + 0.25 * h, t[:-1] + 0.75 * h])
             A, bw, _, _ = plan.fields(plan.codes[k], plan.t0s[k], grid, 0)
-            # each segment's points, its last one repeated past them, and the cells within it
-            X = states[firsts[ks, None] + np.minimum(j, ms[ks, None] - 1)].transpose(2, 0, 1)
-            err = gap(A, bw, L, 0, 1, L + 1, X[..., :-1], X[..., 1:], 0.5 * h)
-            worst = max(worst, float(np.max(err, where=j[:-1] < ms[ks, None] - 1, initial=0.0)))
+            batch = max(1, _CHUNK // L)  # segments per gather, so that one holds at most _CHUNK cells
+            for part in (ks[i : i + batch] for i in range(0, len(ks), batch)):
+                # each segment's points, its last one repeated past them, and the cells within it
+                X = states[firsts[part, None] + np.minimum(j, ms[part, None] - 1)].transpose(2, 0, 1)
+                err = gap(A, bw, L, 0, 1, L + 1, X[..., :-1], X[..., 1:], 0.5 * h)
+                worst = max(worst, float(np.max(err, where=j[:-1] < ms[part, None] - 1, initial=0.0)))
     for ks, width, A, bw in lasts:
         x, y = states[ends[ks] - 1].T[:, None], states[ends[ks]].T[:, None]
         worst = max(worst, float(np.max(gap(A, bw, len(ks), len(ks), 0, 2 * len(ks), x, y, 0.5 * width))))

@@ -5,9 +5,9 @@ gains U; the closed-loop positivity and performance rows are affine in them,
 so gain minimization stays a linear program.  The performance rows are the
 analysis theorem rows under zeta = X 1, written by the analysis builders
 (`analysis._Mode`, `analysis._jump_rows`); this module adds the positivity,
-denominator and gain-cap rows (`_DesignMode`).  A design's program
-(`_DesignProgram`) is an analysis program whose relaxation orders impose the
-interval rows in the product-basis cone.  There is one design program
+denominator and gain-cap rows (`_DesignMode`).  A design's program is an
+analysis `_Program` whose relaxation orders impose the interval rows in the
+product-basis cone (`analysis._product_cone`).  There is one design program
 (`_solve_design`): a switched design, under any dwell class, is that of its
 lift (`model.lift_switched`) with U block-diagonal, whose jump rows are the
 coupling rows X_i(0) - X_j(theta) >= 0.  Controllers are recovered as rational
@@ -17,7 +17,6 @@ gains Kc(tau) = Uc(tau) X(tau)^{-1} and never expanded symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
@@ -31,13 +30,13 @@ from .analysis import (
     Certificate,
     _check_kind,
     _check_margins,
-    _Cone,
-    _const_entries,
+    _entries,
     _jump_rows,
     _jump_timers,
     _Mode,
     _per_mode,
     _Program,
+    _product_cone,
     _add,
     _const,
     _eval_at,
@@ -54,7 +53,7 @@ from .errors import DimensionMismatch, IllPosed, NotConstant, ParseError, Unsupp
 from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
                     polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
                     require_positive_design, text, write_json)
-from .poly import Poly, decide_nonneg, product_basis
+from .poly import Poly, decide_nonneg
 
 __all__ = [
     "ControllerRealization",
@@ -76,28 +75,6 @@ _REG = 1e-6
 # gains to the LP bounds
 _GAIN_CAP = 100.0
 _ALPHA_CAP = 1e9
-
-
-class _DesignProgram(_Program):
-    """A design LP: its interval rows keep the product-basis cone, the
-    Bernstein cone of `_Program` spanned by (D + 1)(D + 2) / 2 columns instead
-    of D + 1.  The designs, their `--dump-lp` texts and the closed-loop
-    Monte-Carlo values recorded for them were all made with this encoding."""
-
-    def _cone(self, order: int) -> _Cone:
-        return _product_cone(order)
-
-
-@lru_cache(maxsize=None)
-def _product_cone(order: int) -> _Cone:
-    """q - margin = sum_ij c_ij s^i (1 - s)^j, i + j <= order, with one cone
-    column c_ij >= 0 each, matched coefficient by coefficient of s^k."""
-    pairs, terms = product_basis(order)
-    matrix = np.zeros((order + 1, len(pairs)))
-    for k, basis_k in enumerate(terms):
-        for p, c in basis_k:
-            matrix[k, p] = -c
-    return _Cone(None, np.arange(order + 1) == 0, matrix, tuple(f"_h{i}_{j}" for i, j in pairs))
 
 
 @dataclass
@@ -360,7 +337,7 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
     lo, hi = _jump_timers(dwell)
     theta_poly = lo < hi and not fixed_kd
 
-    prog = _DesignProgram()
+    prog = _Program(_product_cone)
     X = prog.poly_vec(n, x_degree, "X")
     nb, mb, zero = n // blocks, mc // blocks, np.zeros((1, 1))
     # the rows of the inputs b * mb + l of block b, zero off its states
@@ -389,10 +366,9 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
         sides = [([_var(v) for v in M], (lo, lo))]
     else:
         sides = [([_eval_at(x, t) for x in X], (t, t)) for t in ((0.0, lo) if dwell.kind == "minimum" else (lo,))]
-    # per side, (J_k X + Bd_k Ud, Cd_k X + Dd_k Ud) for each jump map k, zero
-    # entries too for the positivity rows; a lift's are read on the last
-    # side only, as it has no positivity rows
-    entries = [[[_const_entries(x_at, Ud, P, Q, zeros=blocks == 1) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))]
+    # per side, (J_k X + Bd_k Ud, Cd_k X + Dd_k Ud) for each jump map k; a
+    # lift's are read on the last side only, as it has no positivity rows
+    entries = [[[_entries(P[..., None], x_at, Q[..., None], Ud) for P, Q in ((jm.J, jm.Bd), (jm.Cd, jm.Dd))]
                 for jm in sys.jumps] for x_at, _ in (sides if blocks == 1 else sides[-1:])]
     # positivity rows (J X + Bd Ud)_{ij} >= 0, (Cd X + Dd Ud)_{ij} >= 0, side by side
     for k, family in enumerate(("pos_jump", "pos_out_d") if blocks == 1 else ()):

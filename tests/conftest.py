@@ -23,6 +23,7 @@ from dwellgain.analysis import (
     _ZETA_PIN,
     Certificate,
     _Program,
+    _product_cone,
     _row_ones,
     _solve_with_escalation,
     analyze_constant,
@@ -42,7 +43,7 @@ from dwellgain.errors import (
 from dwellgain.lp import LinearProgram, LpSolution, lp_solve
 from dwellgain.model import (DwellTimeSpec, ImpulsiveSystem, PositivityReport, SwitchedSystem, lift_switched,
                              require_forward_time)
-from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg, product_basis
+from dwellgain.poly import Poly, decide_nonneg, falsify_nonneg
 from dwellgain.synthesis import ControllerRealization
 
 
@@ -1214,7 +1215,7 @@ def _const_matvec_row(mat, i, vals):
     return out
 
 
-def _bilinear_entry(A_pm, X, B_pm, U, i, j):
+def _reference_entry(A_pm, X, B_pm, U, i, j):
     """(A(tau) X(tau) + B(tau) U(tau))_{ij} as a PolyExpr (X diagonal), as
     synthesis built it before the entry moved to analysis."""
     expr = X[j].mul_poly(A_pm.entry(i, j).coeffs)
@@ -1242,8 +1243,8 @@ class ReferenceMode:
         self.prog, self.X, self.U, self.tag = prog, X, U, tag
         self.iv = (0.0, Tend)
         n = len(X)
-        self.flow = [[_bilinear_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
-        self.out = [[_bilinear_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
+        self.flow = [[_reference_entry(A, X, B, U, i, j) for j in range(n)] for i in range(n)]
+        self.out = [[_reference_entry(C, X, D, U, i, j) for j in range(n)] for i in range(C.shape[0])]
 
     def positivity(self, alpha):
         al = PolyExpr([LinExpr.variable(alpha)])
@@ -1424,7 +1425,7 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     denominator and regularizer loops (families pos_out[i] and perf_out[i])."""
     n, m, q = sw.n, sw.m, sw.q
 
-    prog = ReferenceRows(synthesis_mod._DesignProgram())
+    prog = ReferenceRows(_Program(_product_cone))
     Xs = [prog.poly_vec(n, degree, f"X{i}_") for i in range(sw.N)]
     Us = [
         [
@@ -1443,15 +1444,15 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
     gam = PolyExpr([LinExpr.variable(gamma)])
     # each family for every mode in turn, in the order the lift's program has them
     modes = list(zip(sw.modes, Xs, Us))
-    flows = [[_sum_entries([_bilinear_entry(md["A"], X, md["B"], U, r, c) for c in range(n)]) for r in range(n)]
+    flows = [[_sum_entries([_reference_entry(md["A"], X, md["B"], U, r, c) for c in range(n)]) for r in range(n)]
              for md, X, U in modes]
-    outs = [[_sum_entries([_bilinear_entry(md["C"], X, md["D"], U, r, c) for c in range(n)]) for r in range(q)]
+    outs = [[_sum_entries([_reference_entry(md["C"], X, md["D"], U, r, c) for c in range(n)]) for r in range(q)]
             for md, X, U in modes]
     for i, (md, X, U) in enumerate(modes):
         idx = 0
         for r in range(n):
             for c in range(n):
-                expr = _bilinear_entry(md["A"], X, md["B"], U, r, c)
+                expr = _reference_entry(md["A"], X, md["B"], U, r, c)
                 if r == c:
                     expr = expr + PolyExpr([LinExpr.variable(alpha)])
                 prog.add_interval_ge(f"pos_flow[{i}]", idx, expr, (0.0, T), 0.0)
@@ -1460,7 +1461,7 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
         idx = 0
         for r in range(q):
             for c in range(n):
-                expr = _bilinear_entry(md["C"], X, md["D"], U, r, c)
+                expr = _reference_entry(md["C"], X, md["D"], U, r, c)
                 prog.add_interval_ge(f"pos_out[{i}]", idx, expr, (0.0, T), 0.0)
                 idx += 1
     for i, (md, X, U) in enumerate(modes):
@@ -1679,7 +1680,7 @@ def reference_synthesize(
     else:
         jump_eval = None if genuine_range else dwell.Tmin
 
-    prog = ReferenceRows(synthesis_mod._DesignProgram())
+    prog = ReferenceRows(_Program(_product_cone))
     X = prog.poly_vec(n, x_degree, "X")
     Uc = [prog.poly_vec(n, x_degree, f"U{l}") for l in range(mc)]
     gamma = prog.scalar(lo=0.0, name="gamma")
@@ -1817,7 +1818,7 @@ def per_row_cone_rows(lp, name, q, order, margin):
     """The product-basis cone encoding of an interval row on q(s), s in
     [0, 1], expanding every product polynomial with Poly.__pow__ again for
     each row: the oracle of the design's product cone
-    (synthesis._DesignProgram), and the reference the Bernstein rows of
+    (analysis._product_cone), and the reference the Bernstein rows of
     _Program are checked against (analyses used this encoding before)."""
     q = ref_expr(q)
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
@@ -1859,16 +1860,15 @@ def bernstein_cone_rows(lp, name, q, order, margin):
 
 def product_cone_rows(lp, name, q, order, margin):
     """The product-basis cone rows of an interval row, one row at a time
-    from the poly.product_basis table, as synthesis._DesignProgram._cone_rows
+    from the analysis._product_cone table, as a design program's _cone_rows
     wrote them before runs of rows became blocks."""
-    pairs, terms = product_basis(order)
-    cone = [lp.new_var(0.0, None, name=f"{name}_h{i}_{j}") for i, j in pairs]
+    table = _product_cone(order)
+    cone = [lp.new_var(0.0, None, name=f"{name}{suffix}") for suffix in table.suffixes]
     qs = q.tolist()
-    for k, basis_k in enumerate(terms):
+    for k, basis_k in enumerate(table.matrix.tolist()):
         const, *coeffs = qs[k] if k < len(qs) else [0.0]
         row = {v: c for v, c in enumerate(coeffs) if c != 0.0}
-        for p, c in basis_k:
-            row[cone[p]] = -c
+        row.update((v, c) for v, c in zip(cone, basis_k) if c != 0.0)
         add_eq(lp, row, (margin if k == 0 else 0.0) - const)
 
 
@@ -1879,8 +1879,7 @@ def per_row_relaxation(prog, relax, objective, cone_rows=None):
     on q(s) = p(a + (b - a) s) of the reference PolyExpr, by default
     product_cone_rows for a design program and bernstein_cone_rows else."""
     if cone_rows is None:
-        design = isinstance(prog, synthesis_mod._DesignProgram)
-        cone_rows = product_cone_rows if design else bernstein_cone_rows
+        cone_rows = product_cone_rows if prog.cone is _product_cone else bernstein_cone_rows
     c = prog.columns
     lp = LinearProgram(c.num_vars, dict(objective), dict(c.bounds), dict(c.names))
     for family, index, e, interval, margin in prog.rows:

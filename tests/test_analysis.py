@@ -48,6 +48,7 @@ from dwellgain.analysis import (
     RELAX_SCHEDULE,
     Certificate,
     _Program,
+    _product_cone,
     analyze_arbitrary,
     analyze_constant,
     analyze_lti,
@@ -1129,7 +1130,7 @@ def per_row_bernstein_rows(lp, name, q, order, margin):
 def per_row_reference_relaxation(prog, relax, objective):
     """The per-row relaxation of the reference expansions: the Bernstein
     rows of per_row_bernstein_rows, a design's cone of per_row_cone_rows."""
-    design = isinstance(prog, synthesis_mod._DesignProgram)
+    design = prog.cone is _product_cone
     return per_row_relaxation(prog, relax, objective, per_row_cone_rows if design else per_row_bernstein_rows)
 
 
@@ -1146,7 +1147,7 @@ class TestBlockEncoder:
 
     @classmethod
     def _program(cls, data):
-        prog = synthesis_mod._DesignProgram() if data.draw(st.booleans()) else _Program()
+        prog = _Program(_product_cone) if data.draw(st.booleans()) else _Program()
         ncols = data.draw(st.integers(0, 3))
         for v in range(ncols):
             prog.scalar(lo=data.draw(st.sampled_from([None, 0.0, -1.5])), name=f"v{v}")

@@ -376,6 +376,9 @@ SWEEP = ["sweep", "--system", "{ex1}", "--dwell", "minimum", "--from", "0.2", "-
     (SIMULATE + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
     (SIMULATE + ["--jobs", "-2"], "--jobs must be >= 1, got -2"),
     (SWEEP + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    # the text after the class was ignored: the sweep ran and wrote its CSV, exit 0
+    (["sweep", "--system", "{ex1}", "--dwell", "minimum:99", "--from", "0.2", "--to", "0.4"],
+     "sweep supports --dwell minimum or constant"),
 ])
 def test_unusable_flag_exits_2(ex1_path, tmp_path, capsys, monkeypatch, argv, message):
     """A flag value no run can use is a bad input, exit 2 with the flag
@@ -695,10 +698,13 @@ def test_misfit_switched_file_exits_2(misfit_f_path, tmp_path, capsys, argv):
     ["analyze", "--dwell", "constant:1e77", "--degree", "4"],
     ["synthesize", "--dwell", "constant:1e200", "--degree", "2"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_dwell_exits_4(ex1_path, tmp_path, capsys, argv):
     """A dwell whose powers, or the coefficients they scale, overflow a float
     is a numerical failure naming the timer interval, not an OverflowError
-    or a ValueError of the LP's non-finite rows."""
+    or a ValueError of the LP's non-finite rows.  Any RuntimeWarning on the
+    way fails it: pyproject makes errors only of those the package raises,
+    and one of NumPy's would print on the CLI's stderr."""
     out = tmp_path / "out.json"
     assert main([argv[0], "--system", ex1_path, *argv[1:], "-o", str(out)]) == 4
     T = float(argv[2].rsplit(":", 1)[1])

@@ -12,8 +12,9 @@ import dwellgain
 from conftest import CERTIFY_GRID_T, bernstein_oracle, per_row_certify_at_order
 from dwellgain import benchmarks
 from dwellgain import lp as lp_mod
+from dwellgain.analysis import _product_cone
 from dwellgain.model import lift_switched
-from dwellgain.poly import RELAX_SCHEDULE, Poly, _bernstein, decide_nonneg, falsify_nonneg, product_basis
+from dwellgain.poly import RELAX_SCHEDULE, Poly, _bernstein, decide_nonneg, falsify_nonneg
 
 coeff_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=7
@@ -380,14 +381,18 @@ class TestFalsify:
 
 
 @pytest.mark.parametrize("order", range(15))
-def test_product_basis_table_matches_expansion(order):
+def test_product_cone_table_matches_expansion(order):
+    """Column (i, j) of the design cone's table, named _h{i}_{j}, is minus
+    the coefficients of s^i (1 - s)^j as Poly.__pow__ expands it."""
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-    coeffs = [((Poly((0.0, 1.0)) ** i) * (Poly((1.0, -1.0)) ** j)).coeffs for i, j in pairs]
-    table_pairs, terms = product_basis(order)
-    assert list(table_pairs) == pairs and len(terms) == order + 1
-    for k, basis_k in enumerate(terms):
-        want = [(p, bc[k]) for p, bc in enumerate(coeffs) if k < len(bc) and bc[k] != 0.0]
-        assert list(basis_k) == want
+    cone = _product_cone(order)
+    assert cone.suffixes == tuple(f"_h{i}_{j}" for i, j in pairs)
+    assert cone.matrix.shape == (order + 1, len(pairs))
+    for p, (i, j) in enumerate(pairs):
+        want = np.zeros(order + 1)
+        bc = ((Poly((0.0, 1.0)) ** i) * (Poly((1.0, -1.0)) ** j)).coeffs
+        want[: len(bc)] = bc
+        assert cone.matrix[:, p].tolist() == (-want).tolist()
 
 
 
