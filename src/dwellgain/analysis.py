@@ -46,7 +46,7 @@ from .errors import (
     RelaxationLimit,
 )
 from .lp import LinearProgram, RowBlock, lp_solve
-from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, lift_switched,
+from .model import (DwellTimeSpec, ImpulsiveSystem, PolyMatrix, SwitchedSystem, finite_float, integer, lift_switched,
                     mode_mats, polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
                     require_positive, text, write_json)
 from .poly import RELAX_SCHEDULE, Poly
@@ -91,19 +91,18 @@ def _per_mode(listing) -> bool:
     return isinstance(first, list) and bool(first) and isinstance(first[0], list)
 
 
-def _check_kind(kind: str, dwell: DwellTimeSpec, per_mode: bool, suffix: str = "") -> None:
-    """A file's kind must be the one its dwell and the nesting of its listing
-    imply, with `suffix`; else a ParseError naming the field."""
-    implied = (_SWITCHED_KIND if per_mode else _KIND)[dwell.kind] + suffix
-    if kind != implied:
-        raise ParseError(f"bad field 'kind': {kind!r} where the dwell {dwell} and the nesting imply {implied!r}")
+def _check_kind(kind: str, artifact) -> None:
+    """A file's kind must be that of the certificate or controller it holds
+    (`Certificate.kind`); else a ParseError naming the field."""
+    if kind != artifact.kind:
+        raise ParseError(f"bad field 'kind': {kind!r} where the dwell {artifact.dwell} and the nesting imply "
+                         f"{artifact.kind!r}")
 
 
 @dataclass
 class Certificate:
     """Sufficient proof object for one analysis theorem."""
 
-    kind: str
     gamma: float
     zeta: Union[list[Poly], list[list[Poly]]]
     dwell: DwellTimeSpec
@@ -114,16 +113,22 @@ class Certificate:
 
     @property
     def per_mode(self) -> bool:
-        return self.kind.startswith("Switched")
+        """Whether zeta holds one list per mode, as a switched system's does."""
+        return bool(self.zeta) and not isinstance(self.zeta[0], Poly)
+
+    @property
+    def kind(self) -> str:
+        """The kind its dwell gives, in its Switched form for a per-mode zeta."""
+        return (_SWITCHED_KIND if self.per_mode else _KIND)[self.dwell.kind]
 
     def lifted(self) -> "Certificate":
         """A switched certificate as that of `model.lift_switched`: zeta stacked."""
-        return replace(self, kind=_KIND[self.dwell.kind], zeta=[z for zs in self.zeta for z in zs])
+        return replace(self, zeta=[z for zs in self.zeta for z in zs])
 
     def unlifted(self, N: int) -> "Certificate":
         """The inverse of `lifted`, for N modes."""
         n, zs = len(self.zeta) // N, self.zeta
-        return replace(self, kind=_SWITCHED_KIND[self.dwell.kind], zeta=[zs[i * n : (i + 1) * n] for i in range(N)])
+        return replace(self, zeta=[zs[i * n : (i + 1) * n] for i in range(N)])
 
     def to_json(self) -> dict:
         return {
@@ -143,21 +148,21 @@ class Certificate:
     def from_json(data: dict) -> "Certificate":
         try:
             per_mode = _per_mode(data["zeta"])
+            kind = read_field(data, "kind", text)
             cert = Certificate(
-                kind=read_field(data, "kind", text),
                 gamma=read_field(data, "gamma", finite_float),
                 zeta=read_field(data, "zeta", lambda v: polys_from_json(v, 1 + per_mode)),
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
                 margin=read_field(data, "margin", finite_float),
                 jump_margin=read_field(data, "jump_margin" if "jump_margin" in data else "margin", finite_float),
-                degree=read_field(data, "degree", int),
-                relax=read_field(data, "relax", int) if "relax" in data else 0,
+                degree=read_field(data, "degree", integer),
+                relax=read_field(data, "relax", integer) if "relax" in data else 0,
             )
         except KeyError as exc:
             raise ParseError(f"certificate file missing field {exc.args[0]!r}") from exc
         if data.get("aux", {}) != {}:  # an old mu-variant range certificate held aux.mu
             raise ParseError("bad field 'aux': must be {}; a mu-variant range certificate is not read")
-        _check_kind(cert.kind, cert.dwell, per_mode)
+        _check_kind(kind, cert)
         return cert
 
     def save(self, path: str) -> None:
@@ -710,20 +715,11 @@ def _solve_referee(prog: _Program, objective: dict[int, float], tried: list) -> 
         return "NumericalFailure"
 
 
-def _timer_end(dwell: DwellTimeSpec) -> float:
-    """The right end of the timer interval [0, tau_end] on which the flow rows
-    hold: 0 under arbitrary dwell, where every row is a point row at tau = 0,
-    else the dwell's horizon."""
-    return 0.0 if dwell.kind == "arbitrary" else dwell.horizon_tau()
-
-
 def _jump_timers(dwell: DwellTimeSpec) -> tuple[float, float]:
-    """The dwell times [lo, hi] at which the jump rows are imposed: [Tmin,
-    Tmax] for a range, collapsed to the one point Tmin when narrower than
-    1e-12, else the one point _timer_end: 0 (arbitrary) or T (constant,
-    minimum).  Constant dwell is the range [T, T]."""
-    hi = _timer_end(dwell)
-    lo = dwell.Tmin if dwell.kind == "range" else hi
+    """The dwells [lo, hi] at which the LPs impose the jump rows: the
+    dwell's `jump_dwells`, collapsed to the one point lo when narrower than
+    1e-12."""
+    lo, hi = dwell.jump_dwells
     return lo, (hi if hi - lo > 1e-12 else lo)
 
 
@@ -859,7 +855,7 @@ def _analyze_hybrid(
     if degree < 0:
         raise ValueError("degree must be >= 0")
     _check_margins(margin=margin, jump_margin=jump_margin)
-    require_positive(sys, _timer_end(dwell))
+    require_positive(sys, dwell.timer_end)
     if isinstance(sys, SwitchedSystem):
         cert = _solve_hybrid(lift_switched(sys), dwell, degree, margin, 0.0, relax_schedule, dump_lp=dump_lp)
         return cert.unlifted(sys.N)
@@ -873,17 +869,14 @@ def _solve_hybrid(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
                   relax_schedule, dump_lp=None) -> Certificate:
     """The hybrid program of sys under dwell, minimized: zeta, gamma and the
     rows of `_gain_rows_constant_like`.  sys must have passed its gates (`_analyze_hybrid`)."""
-    lo, hi = _jump_timers(dwell)
-    stationary_at = dwell.T if dwell.kind == "minimum" else None
     prog = _Program()
     zeta = prog.poly_vec(sys.n, degree, "zeta")
     gamma = prog.scalar(lo=0.0, name="gamma")
-    _gain_rows_constant_like(prog, mode_mats(sys), sys.jumps, zeta, gamma, _timer_end(dwell), (lo, hi), margin,
-                             jump_margin, stationary_at=stationary_at)
+    _gain_rows_constant_like(prog, mode_mats(sys), sys.jumps, zeta, gamma, dwell.timer_end, _jump_timers(dwell),
+                             margin, jump_margin, stationary_at=dwell.clamp)
 
     def finalize(sol, relax):
         return Certificate(
-            kind=_KIND[dwell.kind],
             gamma=float(sol.x[gamma]),
             zeta=[_value(z, sol.x) for z in zeta],
             dwell=dwell,

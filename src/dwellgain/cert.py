@@ -130,7 +130,7 @@ def transition_matrix(
     plant, ctrl = _unpack(sys)
     if isinstance(plant, SwitchedSystem):
         raise Unsupported("transition_matrix needs an impulsive system: a switched one has no jump maps and no mode")
-    if len(plant.jumps) != 1 and jumps_in_between:
+    if len(plant.jumps) != 1 and len(jumps_in_between):
         raise Unsupported("transition through jumps needs a single jump map")
     Phi = np.eye(plant.n)
     t_origin = frm if timer_origin is None else timer_origin
@@ -236,13 +236,8 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
     dwell, gamma = cert.dwell, cert.gamma
     if dwell.kind == "arbitrary" and not plant.is_constant():
         raise Mismatch("arbitrary-dwell certificate applies to constant systems")
-    if dwell.kind == "arbitrary":
-        taus = np.array([0.0])
-    else:
-        taus = np.linspace(0.0, dwell.horizon_tau(), grid + 2)
-        if dwell.clamp is not None:
-            taus = np.minimum(taus, dwell.clamp)
-    R = float(taus[-1])
+    R = dwell.timer_end
+    taus = np.linspace(0.0, R, grid + 2 if R else 1)  # under minimum dwell it ends at the clamp T
     where = (0.0, R) if R > 0 else 0.0
     gam = _Exact.of((gamma,))
     positivity = []  # notes: the entries of the positivity hypothesis not proved
@@ -263,7 +258,7 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
             if bare or b is not ZERO:
                 rows.setdefault(family, []).append((low, a - b, domain, sa + sb, weight))
 
-    # taus are clamped already; a controller clamps its own gains
+    # taus end at the clamp; a controller clamps its own gains
     A, Ew, C, Fw = _fields(plant, ctrl, None, None, taus, np.ones(len(taus)), len(taus))
     zv = np.stack([z.eval(taus) for z in zs])
     zdv = np.stack([z.deriv().eval(taus) for z in zs])
@@ -288,13 +283,9 @@ def verify(cert, sys, grid: int = 1000) -> VerificationReport:
         if len(out):
             add("stat_out", out[:, -1], own([gam] * len(out), R), y, R)
     add("pin_lo", zv[:, 0], own(Z, 0.0), own([ZERO] * len(Z), 0.0), 0.0)
-    if dwell.kind == "range":
-        thetas = np.linspace(dwell.Tmin, dwell.Tmax, min(grid, 301))
-        at = (dwell.Tmin, dwell.Tmax) if dwell.Tmin < dwell.Tmax else dwell.Tmin
-    else:
-        thetas = np.array([dwell.T or 0.0])  # an arbitrary dwell has no T
-        at = float(thetas[0])
-    Rt = float(thetas[-1])
+    lo, Rt = dwell.jump_dwells
+    thetas = np.linspace(lo, Rt, min(grid, 301) if lo < Rt else 1)
+    at = (lo, Rt) if lo < Rt else lo
     # zeta at every jump dwell theta at once, one column per theta
     target = np.stack([z.eval(thetas) for z in zs])
     w, v = ONE, []  # the jump rows times the weight w, and w (K_d zeta)_l
@@ -382,9 +373,9 @@ def cross_check_discrete(cert, sys, theta_points: int = 101, grid: int = 400) ->
         decay = -float(np.max(np.real(np.linalg.eigvals(at(0.0)[0]))))
         lo, hi = 0.0, float(np.clip(10.0 / max(decay, 1e-3), 1.0, 100.0))
     else:
-        lo, hi = (dwell.Tmin, dwell.Tmax) if dwell.kind == "range" else (dwell.T, dwell.T)
+        lo, hi = dwell.jump_dwells
         hi = 3.0 * dwell.T + 1.0 if dwell.kind == "minimum" else hi
-    thetas = np.linspace(lo, hi, 1 if dwell.kind == "constant" else theta_points)
+    thetas = np.linspace(lo, hi, 1 if lo == hi else theta_points)
     m = max(grid, theta_points * 4)
     taus = np.linspace(0.0, hi, m + 1)
     h = taus[1] - taus[0]

@@ -141,7 +141,7 @@ def _cmd_simulate(args) -> int:
     # The exported trajectory is estimate_gain's run 0: same rng, and the step
     # referee only reads the states, so its sup stands in for that run.
     gain = sim._max_sup(
-        sys_obj, gen, args.runs, args.horizon, "LinfXlinf", args.step, controller, clamp, args.jobs,
+        sys_obj, gen, args.runs, args.horizon, args.step, controller, clamp, args.jobs,
         sup0=traj.sup_hybrid(),
     )
     prefix = args.output or "trajectory"

@@ -450,6 +450,20 @@ class DwellTimeSpec:
             return float(self.Tmax)
         raise InvalidDomain("arbitrary dwell-time has no timer interval")
 
+    @property
+    def timer_end(self) -> float:
+        """The end of the timer interval [0, timer_end] of the flow rows: 0
+        under arbitrary dwell, where they are point rows, else the horizon."""
+        return 0.0 if self.kind == "arbitrary" else self.horizon_tau()
+
+    @property
+    def jump_dwells(self) -> tuple[float, float]:
+        """The dwells [lo, hi] at which the jump rows hold: [Tmin, Tmax] for a
+        range, else the one point timer_end, 0 or T."""
+        if self.kind == "range":
+            return float(self.Tmin), float(self.Tmax)
+        return self.timer_end, self.timer_end
+
 
 @dataclass
 class PositivityReport:
@@ -661,6 +675,15 @@ def text(value) -> str:
     return value
 
 
+def integer(value) -> int:
+    """value for a file's decoder when it is a JSON integer, else a
+    TypeError, which read_field names with its field: 3.7, true and "4" are
+    not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def finite_float(value) -> float:
     """float(value) for a file's decoder: NaN and the infinities are a
     ValueError, which read_field names with its field."""
@@ -670,31 +693,44 @@ def finite_float(value) -> float:
     return x
 
 
+def _tag(value) -> tuple[int, int]:
+    """A jump map's tag for a file's decoder: a list of two integers, its
+    source and target modes, else a TypeError or ValueError."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{value!r} is not a list of two modes")
+    return integer(value[0]), integer(value[1])
+
+
 def _jumps_from_json(maps: list) -> list[dict]:
     """The jump maps of a system file, one at least, as from_arrays' keywords."""
     if not maps:
         raise ValueError("a system needs one jump map at least")
     matrix = lambda v: v if _is_empty_listing(v) else _as_matrix(v)  # an empty matrix stands for zeros
-    return [{k: read_field(jm, k, tuple if k == "tag" else matrix) for k in (*_DISC_KEYS, "tag")
+    return [{k: read_field(jm, k, _tag if k == "tag" else matrix) for k in (*_DISC_KEYS, "tag")
              if k == "J" or jm.get(k) is not None} for jm in maps]
 
 
 def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
+    """The system of a file; a declared dimension (n, m, p, q of a switched
+    file, n, mc, pc, md, pd, qc, qd of an impulsive one) that the matrices
+    contradict is a DimensionMismatch."""
     try:
         if data.get("kind") == "switched" or "modes" in data:
-            return read_field(data, "modes", lambda modes: SwitchedSystem.from_arrays(
+            sys = read_field(data, "modes", lambda modes: SwitchedSystem.from_arrays(
                 [{k: read_field(md, k, PolyMatrix.from_entries) for k in "ABECDF" if k in md} for md in modes]))
-        cont = {k: read_field(data, k, PolyMatrix.from_entries) for k in _CONT_KEYS if k in data}
-        A = cont.pop("A")
-        maps = read_field(data, "jump_maps", _jumps_from_json) if "jump_maps" in data else _jumps_from_json([data])
-        first, *extra = maps
-        sys = ImpulsiveSystem.from_arrays(A, **cont, **first, extra_jumps=extra)
-        if data.get("time_reversed"):
-            sys = replace(sys, time_reversed=True)
-        declared = {k: data[k] for k in ("n", "mc", "pc", "md", "pd", "qc", "qd") if k in data}
-        for k, v in declared.items():
-            if getattr(sys, k) != v:
-                raise DimensionMismatch(f"declared {k}={v} but matrices give {getattr(sys, k)}")
+            dims = ("n", "m", "p", "q")
+        else:
+            cont = {k: read_field(data, k, PolyMatrix.from_entries) for k in _CONT_KEYS if k in data}
+            A = cont.pop("A")
+            maps = read_field(data, "jump_maps", _jumps_from_json) if "jump_maps" in data else _jumps_from_json([data])
+            first, *extra = maps
+            sys = ImpulsiveSystem.from_arrays(A, **cont, **first, extra_jumps=extra)
+            if data.get("time_reversed"):
+                sys = replace(sys, time_reversed=True)
+            dims = ("n", "mc", "pc", "md", "pd", "qc", "qd")
+        for k in dims:
+            if k in data and getattr(sys, k) != data[k]:
+                raise DimensionMismatch(f"declared {k}={data[k]} but matrices give {getattr(sys, k)}")
         return sys
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r} in system file") from exc

@@ -779,7 +779,6 @@ def estimate_gain(
     dwell_gen: SequenceGen,
     runs: int = 100,
     horizon: float = 30.0,
-    norm: str = "LinfXlinf",
     step: Optional[float] = None,
     controller=None,
     clamp: Optional[float] = None,
@@ -793,17 +792,15 @@ def estimate_gain(
     without changing the result.  An exact dwell on an impulsive system with
     one jump map draws nothing, so it is run once.
     """
-    return _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs)
+    return _max_sup(sys, dwell_gen, runs, horizon, step, controller, clamp, jobs)
 
 
-def _max_sup(sys, dwell_gen, runs, horizon, norm, step, controller, clamp, jobs, sup0=None) -> float:
+def _max_sup(sys, dwell_gen, runs, horizon, step, controller, clamp, jobs, sup0=None) -> float:
     """The body of estimate_gain.  sup0, when given, is the sup of run 0 (the
     sequence drawn from default_rng((seed, 0))) that the caller has already
     integrated, so only runs 1.. are simulated here."""
     if runs < 1 or jobs < 1:
         raise ValueError(f"runs and jobs must be >= 1, got runs={runs}, jobs={jobs}")
-    if norm != "LinfXlinf":
-        raise ValueError(f"unsupported norm {norm!r}")
     if dwell_gen.kind == "exact" and isinstance(sys, ImpulsiveSystem) and len(sys.jumps) == 1:
         runs = 1  # no draw at all: every run is run 0
     sups = [] if sup0 is None else [sup0]

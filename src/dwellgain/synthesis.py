@@ -23,8 +23,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .analysis import (
-    _KIND,
-    _SWITCHED_KIND,
     DEFAULT_MARGIN,
     RELAX_SCHEDULE,
     Certificate,
@@ -45,13 +43,12 @@ from .analysis import (
     _scale,
     _solve_with_escalation,
     _terms,
-    _timer_end,
     _value,
     _var,
 )
 from .errors import DimensionMismatch, IllPosed, NotConstant, ParseError, Unsupported
-from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, lift_switched, mode_mats,
-                    polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
+from .model import (DwellTimeSpec, ImpulsiveSystem, SwitchedSystem, finite_float, integer, lift_switched,
+                    mode_mats, polys_from_json, polys_to_json, read_field, read_json, require_forward_time,
                     require_positive_design, text, write_json)
 from .poly import Poly, decide_nonneg
 
@@ -81,7 +78,6 @@ _ALPHA_CAP = 1e9
 class ControllerRealization:
     """Diagonal denominator X, numerator gains, and the certified gain level."""
 
-    kind: str  # ArbitraryDT | ConstantDT | RangeDT | RangeDT_FixedKd | MinimumDT, or Switched<kind>
     dwell: DwellTimeSpec
     gamma: float
     degree: int
@@ -93,7 +89,13 @@ class ControllerRealization:
 
     @property
     def per_mode(self) -> bool:
-        return self.kind.startswith("Switched")
+        """Whether X holds one list per mode, as a switched system's does."""
+        return bool(self.X) and not isinstance(self.X[0], Poly)
+
+    @property
+    def kind(self) -> str:
+        """The kind of its certificate (`certificate_from`), with _FixedKd when M is set."""
+        return certificate_from(self).kind + ("_FixedKd" if self.M is not None else "")
 
     @property
     def clamp(self) -> Optional[float]:
@@ -103,14 +105,14 @@ class ControllerRealization:
         """A switched controller as that of `model.lift_switched`: X stacked,
         U_c block-diagonal with zero polynomials off the blocks."""
         N, n, zero = len(self.X), len(self.X[0]), Poly.const(0.0)
-        return replace(self, kind=_KIND[self.dwell.kind], X=[x for xs in self.X for x in xs],
+        return replace(self, X=[x for xs in self.X for x in xs],
                        Uc=[[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n)
                            for i, rows in enumerate(self.Uc) for row in rows])
 
     def unlifted(self, N: int) -> "ControllerRealization":
         """The inverse of `lifted`, for N modes: off the blocks U_c is dropped."""
         n, m, X = len(self.X) // N, len(self.Uc) // N, self.X
-        return replace(self, kind=_SWITCHED_KIND[self.dwell.kind], X=[X[i * n : (i + 1) * n] for i in range(N)],
+        return replace(self, X=[X[i * n : (i + 1) * n] for i in range(N)],
                        Uc=[[row[i * n : (i + 1) * n] for row in self.Uc[i * m : (i + 1) * m]] for i in range(N)])
 
     def kc_mesh(self, taus: np.ndarray, mode=None) -> np.ndarray:
@@ -141,12 +143,11 @@ class ControllerRealization:
 
     def kd_mesh(self, thetas) -> np.ndarray:
         """K_d = U_d(theta) X(theta)^{-1}, or U_d M^{-1} under a fixed K_d,
-        a C-contiguous (md, n, len(thetas)), each theta clipped to the jump
-        dwells: [Tmin, Tmax], T, or 0 under arbitrary dwell."""
+        a C-contiguous (md, n, len(thetas)), each theta clipped to the
+        dwell's `jump_dwells`."""
         if not self.Ud:
             return np.zeros((0, len(self.X[0]) if self.per_mode else len(self.X), len(thetas)))
-        d = self.dwell
-        at = np.clip(np.asarray(thetas, dtype=float), *((d.Tmin, d.Tmax) if d.kind == "range" else [d.T or 0.0] * 2))
+        at = np.clip(np.asarray(thetas, dtype=float), *self.dwell.jump_dwells)
         xv = self.M[:, None] if self.M is not None else np.stack([p.eval(at) for p in self.X])
         if (xv <= 0.0).any():
             raise IllPosed("denominator X not positive at the jump dwells")
@@ -186,10 +187,9 @@ class ControllerRealization:
             X = read_field(data, "X", lambda v: polys_from_json(v, depth))
             rows = lambda v: [_sized(row, X) for row in polys_from_json(v, 2)]
             ctrl = ControllerRealization(
-                kind=kind,
                 dwell=read_field(data, "dwell", DwellTimeSpec.parse),
                 gamma=read_field(data, "gamma", finite_float),
-                degree=read_field(data, "degree", int),
+                degree=read_field(data, "degree", integer),
                 margin=read_field(data, "margin", finite_float),
                 X=X,
                 Uc=read_field(data, "Uc", lambda v: polys_from_json(v, depth + 1)),
@@ -201,8 +201,8 @@ class ControllerRealization:
         except KeyError as exc:
             raise ParseError(f"controller file missing field {exc.args[0]!r}") from exc
         if "Ud_poly" in data and not ctrl._ud_poly:  # to_json writes such a U_d as constants
-            raise ParseError(f"bad field 'Ud_poly': U_d is constant in a {ctrl.kind} controller under {ctrl.dwell}")
-        _check_kind(ctrl.kind, ctrl.dwell, depth == 2, "_FixedKd" if ctrl.M is not None else "")
+            raise ParseError(f"bad field 'Ud_poly': U_d is constant in a {kind} controller under {ctrl.dwell}")
+        _check_kind(kind, ctrl)
         return ctrl
 
     def save(self, path: str) -> None:
@@ -311,7 +311,7 @@ def _design(sys, dwell: DwellTimeSpec, degree: int, margin: float, fixed_kd: boo
     _check_margins(margin=margin)
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise NotConstant("arbitrary dwell-time synthesis needs constant matrices")
-    require_positive_design(sys, _timer_end(dwell))
+    require_positive_design(sys, dwell.timer_end)
     if switched:
         ctrl = _solve_design(lift_switched(sys), dwell, degree, margin, 0.0, False, relax_schedule, dump_lp, sys.N)
         return ctrl.unlifted(sys.N)
@@ -331,9 +331,8 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
     hi], else with a constant U_d and X at the point, or with M in place of
     X (fixed_kd), whatever theta."""
     n, mc, md = sys.n, sys.mc, sys.md
-    kind = _KIND[dwell.kind] + ("_FixedKd" if fixed_kd else "")
     x_degree = 0 if dwell.kind == "arbitrary" else degree
-    Tend = _timer_end(dwell)
+    Tend = dwell.timer_end
     lo, hi = _jump_timers(dwell)
     theta_poly = lo < hi and not fixed_kd
 
@@ -378,7 +377,7 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
                 prog.add_interval_ge(family, idx, e, dwells, 0.0)
                 idx += 1
 
-    mode.theorem_rows(gamma, margin, dwell.T if dwell.kind == "minimum" else None)
+    mode.theorem_rows(gamma, margin, dwell.clamp)
     x_at, dwells = sides[-1]
     _jump_rows(prog, sys.jumps, entries[-1], [_eval_at(x, 0.0) for x in X], gamma, dwells, margin, jump_margin)
     for j, (m, x) in enumerate(zip(M, X)):
@@ -390,7 +389,6 @@ def _solve_design(sys: ImpulsiveSystem, dwell: DwellTimeSpec, degree: int, margi
 
     def finalize(sol, relax):
         ctrl = ControllerRealization(
-            kind=kind,
             dwell=dwell,
             gamma=float(sol.x[gamma]),
             degree=x_degree,
@@ -417,7 +415,7 @@ def _check_denominator(ctrl: ControllerRealization) -> None:
     """X > 0 on [0, tau_end] in every mode: the smallest Bernstein coefficient
     at the first order that proves X >= 0 (`poly.decide_nonneg`) is > 0;
     X(0) > 0 where tau_end = 0."""
-    tau_end = _timer_end(ctrl.dwell)
+    tau_end = ctrl.dwell.timer_end
     for x in chain.from_iterable(ctrl.X if ctrl.per_mode else [ctrl.X]):
         if not decide_nonneg(x, (0.0, tau_end) if tau_end else 0.0)[2] > 0:
             raise IllPosed("denominator X(tau) not positive on the working interval")
@@ -453,7 +451,6 @@ def closed_loop(sys, ctrl: ControllerRealization) -> ClosedLoopView:
 def certificate_from(ctrl: ControllerRealization) -> Certificate:
     """The copositive certificate zeta = X * 1 transferred to the closed loop."""
     return Certificate(
-        kind=ctrl.kind.removesuffix("_FixedKd"),
         gamma=ctrl.gamma,
         zeta=ctrl.X,
         dwell=ctrl.dwell,

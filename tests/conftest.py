@@ -781,19 +781,17 @@ def lifted(cert, target):
     """A switched certificate and its system, or closed loop, as those of the
     lift `lift_switched`, built here apart from `Certificate.lifted` and
     `ControllerRealization.lifted`: zeta and X stacked, U_c block-diagonal
-    with zero polynomials off the blocks, the kind that of the dwell.  Any
-    other pair as it is."""
+    with zero polynomials off the blocks.  Any other pair as it is."""
     if not cert.per_mode:
         return cert, target
     stack = lambda vectors: [v for vs in vectors for v in vs]
-    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
-    c = dataclasses.replace(cert, kind=kind[cert.dwell.kind], zeta=stack(cert.zeta))
+    c = dataclasses.replace(cert, zeta=stack(cert.zeta))
     if not isinstance(target, synthesis_mod.ClosedLoopView):
         return c, lift_switched(target)
     ctrl = target.ctrl
     N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly.const(0.0)
     Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
-    ctrl = dataclasses.replace(ctrl, kind=c.kind, X=stack(ctrl.X), Uc=Uc)
+    ctrl = dataclasses.replace(ctrl, X=stack(ctrl.X), Uc=Uc)
     return c, synthesis_mod.closed_loop(lift_switched(target.sys), ctrl)
 
 
@@ -1338,7 +1336,6 @@ def reference_analyze_arbitrary(sys, margin=DEFAULT_MARGIN, jump_margin=DEFAULT_
     if sol.status != "Optimal":
         raise Infeasible("no positive vector satisfies the arbitrary dwell-time conditions")
     return Certificate(
-        kind="ArbitraryDT",
         gamma=float(sol.x[gamma]),
         zeta=[Poly.const(sol.x[v]) for v in lam],
         dwell=DwellTimeSpec.arbitrary(),
@@ -1405,7 +1402,6 @@ def reference_switched_min(sw, T, degree, margin=DEFAULT_MARGIN, relax_schedule=
 
     def finalize(sol, relax):
         return Certificate(
-            kind="SwitchedMinDT",
             gamma=float(sol.x[gamma]),
             zeta=[[z.value(sol.x) for z in zeta] for zeta in zetas],
             dwell=DwellTimeSpec.minimum(T),
@@ -1509,7 +1505,6 @@ def reference_synthesize_switched(sw, T, degree, margin=DEFAULT_MARGIN, x_min=1e
 
     def finalize(sol, relax):
         ctrl = ControllerRealization(
-            kind="SwitchedMinDT",
             dwell=DwellTimeSpec.minimum(T),
             gamma=float(sol.x[gamma]),
             degree=degree,
@@ -1657,12 +1652,6 @@ def reference_synthesize(
     md_, qd = sys.md, sys.qd
     Ed1 = jm.Ed.sum(axis=1)
     Fd1 = jm.Fd.sum(axis=1)
-    kind = {
-        "arbitrary": "ArbitraryDT",
-        "constant": "ConstantDT",
-        "minimum": "MinimumDT",
-        "range": "RangeDT_FixedKd" if fixed_kd else "RangeDT",
-    }[dwell.kind]
     if dwell.kind == "arbitrary" and not sys.is_constant():
         raise NotConstant("arbitrary dwell-time synthesis needs constant matrices")
 
@@ -1793,7 +1782,6 @@ def reference_synthesize(
             Ud_out = [[Poly.const(sol.x[Ud_const[l][j]]) for j in range(n)] for l in range(md_)]
         M_out = np.array([sol.x[v] for v in M]) if fixed_kd else None
         ctrl = ControllerRealization(
-            kind=kind,
             dwell=dwell,
             gamma=float(sol.x[gamma]),
             degree=x_degree,

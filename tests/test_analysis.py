@@ -1837,3 +1837,22 @@ class TestSwitchedDwellGate:
         }
         with pytest.raises(ParseError, match=r"^minimum dwell-time needs 0 < T < inf, got "):
             calls[run]()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: analyze_lti(benchmarks.lti_jump_bench(), norm="L2"), ValueError,
+     "norm must be Linf|L1 and time continuous|discrete"),
+    (lambda: analyze_lti(benchmarks.lti_jump_bench(), time="hybrid"), ValueError,
+     "norm must be Linf|L1 and time continuous|discrete"),
+    (lambda: analyze_lti(benchmarks.timer_growth_bench()), NotConstant, "LTI analysis needs constant matrices"),
+    # a positive flow x' = x that grows
+    (lambda: analyze_lti(ImpulsiveSystem.from_arrays(A=[[1.0]], Ec=[[1.0]], Cc=[[1.0]], J=[[0.5]])), Infeasible,
+     "system not certifiably stable (LTI vector conditions)"),
+    (lambda: analyze_switched_blanchini(benchmarks.two_mode_switched_bench(), 0.5, grid_points=1), ValueError,
+     "grid_points must be >= 2"),
+], ids=["norm", "time", "timer-dependent", "unstable", "blanchini-grid"])
+def test_refusals(call, error, message):
+    """The refusals of analyze_lti and of the Blanchini bound, each by its
+    class and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

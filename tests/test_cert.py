@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -101,7 +102,6 @@ class TestVerify:
         lam = [Poly.const(1.0), Poly.const(1.0)]
         # (J - I) lam + Ed = [0.4, -0.5]: first row violated
         cert = Certificate(
-            kind="ArbitraryDT",
             gamma=5.0,
             zeta=lam,
             dwell=DwellTimeSpec.arbitrary(),
@@ -133,8 +133,8 @@ class TestVerify:
 
     def test_arbitrary_needs_constant_system(self, bench_timer_growth):
         lam = [Poly.const(1.0)] * bench_timer_growth.n
-        cert = Certificate(kind="ArbitraryDT", gamma=5.0, zeta=lam, dwell=DwellTimeSpec.arbitrary(),
-                           margin=0.0, jump_margin=0.0, degree=0)
+        cert = Certificate(gamma=5.0, zeta=lam, dwell=DwellTimeSpec.arbitrary(), margin=0.0, jump_margin=0.0,
+                           degree=0)
         for check in (verify, three_path_verify):
             with pytest.raises(Mismatch, match="constant systems"):
                 check(cert, bench_timer_growth)
@@ -145,6 +145,17 @@ class TestVerify:
         for check in (verify, three_path_verify):
             with pytest.raises(Mismatch, match="mode vectors"):
                 check(short, bench_switched)
+
+    def test_empty_zeta_is_a_mismatch(self, bench_lti, bench_switched):
+        """A file whose zeta is [] reads as a certificate of no state rows:
+        verify refuses it for either system with a Mismatch."""
+        data = {**analyze_constant(bench_lti, 0.5, 2).to_json(), "zeta": []}
+        cert = Certificate.from_json(data)
+        assert not cert.per_mode and cert.kind == "ConstantDT"
+        with pytest.raises(Mismatch, match="^certificate has 0 state rows, system has 2$"):
+            verify(cert, bench_lti)
+        with pytest.raises(Mismatch, match="^ConstantDT certificate cannot verify a switched system$"):
+            verify(cert, bench_switched)
 
     def test_switched_certificate(self, bench_switched):
         cert = analyze_switched_min(bench_switched, 0.1, 4)
@@ -370,13 +381,12 @@ def zero_gain(c, plant):
     one, zero = Poly.const(1.0), Poly.const(0.0)
     if c.per_mode:
         return ControllerRealization(
-            kind="SwitchedMinDT", dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
+            dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
             X=[[one] * plant.n for _ in range(plant.N)],
             Uc=[[[zero] * plant.n for _ in range(plant.m)] for _ in range(plant.N)],
         )
-    kind = {"arbitrary": "ArbitraryDT", "constant": "ConstantDT", "minimum": "MinimumDT", "range": "RangeDT"}
     return ControllerRealization(
-        kind=kind[c.dwell.kind], dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
+        dwell=c.dwell, gamma=c.gamma, degree=0, margin=0.0,
         X=[one] * plant.n, Uc=[[zero] * plant.n for _ in range(plant.mc)], Ud=[[zero] * plant.n for _ in range(plant.md)],
     )
 
@@ -591,6 +601,18 @@ class TestTransitionMatrix:
         assert no_jump[0, 0] == pytest.approx(0.36788, abs=1e-5) and jump[0, 0] == pytest.approx(0.18154, abs=1e-5)
         with pytest.raises(ValueError, match="^jumps_in_between must not hold NaN"):
             transition_matrix(bench_lti, 0.0, 1.0, jumps_in_between=[0.5, np.nan])
+
+    @pytest.mark.parametrize("frm, jumps, error, message", [
+        (1.0, [], ValueError, "need frm <= to"),
+        (0.0, [0.2, 0.4], Unsupported, "transition through jumps needs a single jump map"),
+        (0.0, np.array([0.2, 0.4]), Unsupported, "transition through jumps needs a single jump map"),
+    ], ids=["backward", "multi-jump-list", "multi-jump-array"])
+    def test_refusals(self, frm, jumps, error, message):
+        """Each refusal by class and message: a NumPy array of jump instants
+        is refused as a list is, not with NumPy's ambiguous truth value."""
+        two_jumps = ImpulsiveSystem.from_arrays(A=[[-1.0]], J=[[0.5]], extra_jumps=[{"J": [[0.2]]}])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            transition_matrix(two_jumps, frm, 0.5, jumps_in_between=jumps)
 
     @pytest.mark.parametrize("spec, theta", [(DwellTimeSpec.constant(0.1), 0.1), (DwellTimeSpec.range(0.1, 0.3), 0.2)])
     def test_closed_loop_through_jumps(self, bench_chain_plant, spec, theta):

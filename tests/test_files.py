@@ -145,6 +145,15 @@ DATA = Path(__file__).parent / "data"
     # the dominating vector of a mu-variant range certificate, a program no
     # longer offered: refused by name rather than verified as a plain range
     ("certificate", "aux", {"mu": [[0.5]]}, "aux"),
+    # integer fields hold JSON integers, and a tag two of them: 3.7 used to
+    # read as 3, true as 1, "4" as 4, "ab" as ('a', 'b')
+    ("certificate", "degree", 3.7, "degree"),
+    ("certificate", "degree", True, "degree"),
+    ("certificate", "relax", "4", "relax"),
+    ("controller", "degree", 2.5, "degree"),
+    ("system", "tag", "ab", "tag"),
+    ("system", "tag", [0, 1, 2], "tag"),
+    ("system", "tag", [0, 1.0], "tag"),
 ])
 def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, tmp_path, capsys, base, field, value,
                               named):

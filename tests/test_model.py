@@ -18,6 +18,7 @@ from dwellgain.analysis import (
 )
 from dwellgain.cert import cross_check_discrete, flow_grid, verify
 from dwellgain.errors import DimensionMismatch, InvalidDomain, NotPositive, ParseError, Unsupported
+from dwellgain.cli import main
 from dwellgain.model import (
     DwellTimeSpec,
     ImpulsiveSystem,
@@ -53,7 +54,7 @@ class TestPolyMatrix:
             assert mesh[..., k] == pytest.approx(pm(float(t)))
         # a controller's gains share the component-major (r, c, len) layout
         ctrl = ControllerRealization(
-            kind="RangeDT", dwell=DwellTimeSpec.range(0.5, 2.0), gamma=1.0, degree=1, margin=0.0,
+            dwell=DwellTimeSpec.range(0.5, 2.0), gamma=1.0, degree=1, margin=0.0,
             X=[Poly((1.0, 0.5)), Poly((2.0, -0.25))],
             Uc=[[Poly((0.3, -0.1)), Poly((-0.2, 0.4))]],
             Ud=[[Poly((0.1, 0.2)), Poly((-0.3, 0.05))]],
@@ -491,6 +492,19 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch):
             load_system(str(path))
 
+    @pytest.mark.parametrize("key, value", [("n", 7), ("m", 3), ("p", 4), ("q", 9)])
+    def test_declared_switched_dimension_mismatch(self, bench_switched, tmp_path, capsys, key, value):
+        """A switched file is held to its declared n, m, p and q as an
+        impulsive file is to its own: "n": 7 used to load with n = 2.  CLI
+        analyze refuses it as a bad input, exit 2."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**system_to_json(bench_switched), key: value}))
+        message = f"declared {key}={value} but matrices give {getattr(bench_switched, key)}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            load_system(str(path))
+        assert main(["analyze", "--system", str(path), "--dwell", "minimum:0.5"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_error_context(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -560,13 +574,52 @@ class TestDwellTimeSpec:
 
     def test_controller_keeps_its_dwell(self):
         ctrl = ControllerRealization(
-            kind="RangeDT", dwell=DwellTimeSpec.range(1 / 3, 0.123456789 * 5), gamma=1.0, degree=0,
+            dwell=DwellTimeSpec.range(1 / 3, 0.123456789 * 5), gamma=1.0, degree=0,
             margin=0.0, X=[Poly((1.0,))], Uc=[[Poly((0.5,))]],
         )
         data = json.loads(json.dumps(ctrl.to_json()))
         assert ControllerRealization.from_json(data).dwell == ctrl.dwell
         assert data["dwell"] == "range:0.3333333333333333:0.617283945"
 
+    @pytest.mark.parametrize("text, timer_end, jump_dwells", [
+        ("arbitrary", 0.0, (0.0, 0.0)),
+        ("constant:0.3", 0.3, (0.3, 0.3)),
+        ("minimum:0.5", 0.5, (0.5, 0.5)),
+        ("range:0.1:0.3", 0.3, (0.1, 0.3)),
+        ("range:0.2:0.2", 0.2, (0.2, 0.2)),
+    ])
+    def test_timer_interval_and_jump_dwells(self, text, timer_end, jump_dwells):
+        dwell = DwellTimeSpec.parse(text)
+        assert dwell.timer_end == timer_end and dwell.jump_dwells == jump_dwells
+        assert all(type(x) is float for x in (dwell.timer_end, *dwell.jump_dwells))
+
     def test_clamp_only_for_minimum(self):
         assert DwellTimeSpec.minimum(2.0).clamp == 2.0
         assert DwellTimeSpec.constant(2.0).clamp is None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyMatrix(np.zeros((2, 2))), DimensionMismatch,
+     "PolyMatrix needs a 3-D coefficient array, got shape (2, 2)"),
+    (lambda: PolyMatrix.from_const(np.zeros(3)), DimensionMismatch, "expected 2-D matrix, got shape (3,)"),
+    (lambda: PolyMatrix.from_entries([[[1.0], [2.0]], [[1.0]]]), DimensionMismatch, "ragged entry rows"),
+    (lambda: PolyMatrix.from_entries([[[0.0, 1.0]]]).const(), DimensionMismatch, "matrix is timer-dependent"),
+    (lambda: ImpulsiveSystem.from_arrays(A=None, J=[[1.0]]), DimensionMismatch, "cannot infer shape of omitted matrix"),
+    (lambda: SwitchedSystem.from_arrays([]), DimensionMismatch, "need at least one mode"),
+    (lambda: DwellTimeSpec("sometimes"), ParseError, "unknown dwell kind 'sometimes'"),
+    (lambda: DwellTimeSpec.arbitrary().horizon_tau(), InvalidDomain, "arbitrary dwell-time has no timer interval"),
+    (lambda: adjoint(ImpulsiveSystem.from_arrays(A=[[-1.0]], Bc=[[1.0]], J=[[0.5]])), Unsupported,
+     "adjoint is defined for systems without control channels"),
+], ids=["not-3d", "not-2d", "ragged", "timer-dependent", "no-A", "no-modes", "dwell-kind", "arbitrary-horizon",
+        "adjoint-inputs"])
+def test_refusals(call, error, message):
+    """The refusals of the matrix, system and dwell constructors, each by its
+    class and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_scalar_matrix_is_one_by_one():
+    """A scalar flow or jump matrix is read as the 1 x 1 matrix."""
+    sys = ImpulsiveSystem.from_arrays(A=-1.0, J=0.5)
+    assert sys.A.const().tolist() == [[-1.0]] and sys.jump.J.tolist() == [[0.5]]

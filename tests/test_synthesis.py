@@ -66,7 +66,6 @@ class TestGainRecovery:
     def test_identity_denominator_returns_numerator(self):
         A = np.array([[-1.0, 0.5], [0.2, -2.0]])
         ctrl = ControllerRealization(
-            kind="ConstantDT",
             dwell=DwellTimeSpec.constant(1.0),
             gamma=1.0,
             degree=0,
@@ -82,7 +81,6 @@ class TestGainRecovery:
     def test_printed_rational_gain_at_zero(self):
         # reference rational gains: entrywise ratio of constant terms at tau = 0
         ctrl = ControllerRealization(
-            kind="RangeDT",
             dwell=DwellTimeSpec.range(0.1, 0.3),
             gamma=0.69199,
             degree=2,
@@ -100,7 +98,6 @@ class TestGainRecovery:
 
     def test_ill_posed_denominator(self):
         ctrl = ControllerRealization(
-            kind="ConstantDT",
             dwell=DwellTimeSpec.constant(1.0),
             gamma=1.0,
             degree=1,
@@ -117,14 +114,14 @@ class TestGainRecovery:
         between the points of a 512-point grid on [0, 1]; X + 2e-8 is positive."""
         dip = Poly((0.09, -0.6, 1.0)) - 1e-8
         for dwell in (DwellTimeSpec.constant(1.0), DwellTimeSpec.minimum(1.0), DwellTimeSpec.range(0.5, 1.0)):
-            ctrl = ControllerRealization(kind="ConstantDT", dwell=dwell, gamma=1.0, degree=2, margin=0.0,
+            ctrl = ControllerRealization(dwell=dwell, gamma=1.0, degree=2, margin=0.0,
                                          X=[dip], Uc=[])
             assert (dip.eval(np.linspace(0.0, 1.0, 512)) > 0.0).all()
             with pytest.raises(IllPosed):
                 synthesis_mod._check_denominator(ctrl)
         # a constant X under arbitrary dwell is read at tau = 0
         for x, ok in ((Poly.const(1e-300), True), (Poly.const(0.0), False)):
-            ctrl = ControllerRealization(kind="ArbitraryDT", dwell=DwellTimeSpec.arbitrary(), gamma=1.0,
+            ctrl = ControllerRealization(dwell=DwellTimeSpec.arbitrary(), gamma=1.0,
                                          degree=0, margin=0.0, X=[x], Uc=[])
             if ok:
                 synthesis_mod._check_denominator(ctrl)
@@ -486,6 +483,12 @@ class TestKdMesh:
             assert ctrl.kd_mesh([]).shape == mesh.shape[:2] + (0,)
         assert not np.array_equal(designs[2].kd(0.1), designs[2].kd(0.3))
 
+    def test_no_discrete_input(self):
+        """A controller with no U_d has a K_d of no rows at every dwell."""
+        ctrl = ControllerRealization(dwell=DwellTimeSpec.constant(1.0), gamma=1.0, degree=0, margin=0.0,
+                                     X=[Poly.const(1.0)] * 2, Uc=[])
+        assert ctrl.kd_mesh([0.5, 1.0, 2.0]).shape == (0, 2, 3)
+
     def test_one_dwell_range_needs_no_theta(self, bench_chain_plant, ctrl_range):
         """A range design on [0.2, 0.2], or one narrower than 1e-12, has a
         constant U_d and the one dwell 0.2: kd() is K_d there.  A U_d
@@ -513,3 +516,21 @@ class TestArbitraryDesign:
         assert emp <= ctrl.gamma + 1e-6
         # gain constant in the timer
         assert ctrl.kc(0.0) == pytest.approx(ctrl.kc(3.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ControllerRealization(dwell=DwellTimeSpec.constant(1.0), gamma=1.0, degree=1, margin=0.0,
+                                   X=[Poly((0.5, -1.0))], Uc=[], Ud=[[Poly.const(1.0)]]).kd_mesh([1.0]),
+     IllPosed, "denominator X not positive at the jump dwells"),
+    (lambda: synthesize(ImpulsiveSystem.from_arrays(A=[[-1.0]], Bc=[[1.0]], J=[[0.5]], extra_jumps=[{"J": [[0.2]]}]),
+                        DwellTimeSpec.constant(0.5)),
+     DimensionMismatch, "synthesis expects a single jump map (pass a switched system as a SwitchedSystem)"),
+    (lambda: synthesize(ImpulsiveSystem.from_arrays(A=[[-1.0]], Bd=[[1.0]], J=[[0.5]]), DwellTimeSpec.constant(0.5),
+                        fixed_kd=True),
+     ValueError, "fixed_kd is a range dwell-time variant"),
+], ids=["kd-denominator", "multi-jump", "fixed-kd-off-range"])
+def test_refusals(call, error, message):
+    """The refusals of kd_mesh and of synthesize's gates, each by its class
+    and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -236,18 +236,19 @@ def stabilizable_two_mode() -> SwitchedSystem:
 
 def lifted_twin(c, target):
     """A switched certificate and its system, or closed loop, as those of
-    `model.lift_switched`, from public names only: zeta and X stacked, the
-    kind of the dwell (LIFTED_KIND), U_c block-diagonal with zero
-    polynomials off the blocks."""
+    `model.lift_switched`, from public names only: zeta and X stacked, U_c
+    block-diagonal with zero polynomials off the blocks.  A version whose
+    artifacts store their kind gets the kind of the dwell (LIFTED_KIND);
+    one that derives it from the nesting gets none."""
     stack = lambda vectors: [v for vs in vectors for v in vs]
-    kind = LIFTED_KIND[c.dwell.kind]
-    lifted = dataclasses.replace(c, kind=kind, zeta=stack(c.zeta))
+    kind = lambda a: {"kind": LIFTED_KIND[c.dwell.kind]} if "kind" in {f.name for f in dataclasses.fields(a)} else {}
+    lifted = dataclasses.replace(c, zeta=stack(c.zeta), **kind(c))
     if not isinstance(target, synthesis.ClosedLoopView):
         return lifted, model.lift_switched(target)
     ctrl = target.ctrl
     N, n, zero = len(ctrl.X), len(ctrl.X[0]), Poly((0.0,))
     Uc = [[zero] * (i * n) + row + [zero] * ((N - 1 - i) * n) for i, rows in enumerate(ctrl.Uc) for row in rows]
-    ctrl = dataclasses.replace(ctrl, kind=kind, X=stack(ctrl.X), Uc=Uc)
+    ctrl = dataclasses.replace(ctrl, X=stack(ctrl.X), Uc=Uc, **kind(ctrl))
     return lifted, synthesis.closed_loop(model.lift_switched(target.sys), ctrl)
 
 
