@@ -186,12 +186,15 @@ class _Cone(NamedTuple):
     at most D: coefficient row i of the D + 1 is sum_k weights[i, k] q_k
     (q's own coefficients where weights is None) plus matrix[i] . c, = margin
     where on[i], else 0, over cone columns c >= 0 of their own for each row
-    of q, named by the row's family and index and by suffixes."""
+    of q, named by the row's family and index and by suffixes.  presolve
+    says whether HiGHS presolves the programs written in this cone, their
+    sampled referees included (`_Program._lp`)."""
 
     weights: Optional[np.ndarray]
     on: np.ndarray
     matrix: np.ndarray
     suffixes: tuple[str, ...]
+    presolve: bool
 
 
 @lru_cache(maxsize=None)
@@ -201,13 +204,16 @@ def _bernstein_cone(order: int) -> _Cone:
     W[i, k] = C(i, k) / C(D, k), is one row b_i(q) - s_i = margin with a slack
     column s_i >= 0.  The slack's bound holds the sign to the solver's
     absolute tolerance; a >= row is checked only after scaling to unit norm,
-    which let a coefficient of a range analysis end at -2e-5.  Cached, so
-    read-only."""
+    which let a coefficient of a range analysis end at -2e-5.  Solved
+    without presolve: on programs of a few dozen rows it costs about as much
+    as the dual simplex, and it steered some answers to the vertex with
+    zeta(0) at the pin.  Cached, so read-only."""
     W = np.zeros((order + 1, order + 1))
     for i in range(order + 1):
         W[i, : i + 1] = [math.comb(i, k) / math.comb(order, k) for k in range(i + 1)]
     W.setflags(write=False)
-    return _Cone(W, np.ones(order + 1, bool), -np.eye(order + 1), tuple(f"_b{i}" for i in range(order + 1)))
+    return _Cone(W, np.ones(order + 1, bool), -np.eye(order + 1), tuple(f"_b{i}" for i in range(order + 1)),
+                 presolve=False)
 
 
 @lru_cache(maxsize=None)
@@ -216,13 +222,14 @@ def _product_cone(order: int) -> _Cone:
     one column c_ij >= 0 each: column (i, j) holds -(-1)^m C(j, m), minus
     the coefficient of s^(i + m), at row i + m.  The designs, their `--dump-lp`
     texts and the closed-loop Monte-Carlo values recorded for them were all
-    made with this encoding.  Cached, so read-only."""
+    made with this encoding, and with HiGHS's presolve, which this cone keeps
+    so that the designs stay as recorded.  Cached, so read-only."""
     pairs = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
     matrix = np.zeros((order + 1, len(pairs)))
     for p, (i, j) in enumerate(pairs):
         matrix[i : i + j + 1, p] = [-((-1) ** m) * math.comb(j, m) for m in range(j + 1)]
     matrix.setflags(write=False)
-    return _Cone(None, np.arange(order + 1) == 0, matrix, tuple(f"_h{i}_{j}" for i, j in pairs))
+    return _Cone(None, np.arange(order + 1) == 0, matrix, tuple(f"_h{i}_{j}" for i, j in pairs), presolve=True)
 
 
 def _csr(dense: np.ndarray, colmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,9 +470,11 @@ class _Program:
         return self._cut[1]
 
     def _lp(self, objective: dict[int, float]) -> LinearProgram:
-        """A new LP on the decision columns that minimizes objective."""
+        """A new LP on the decision columns that minimizes objective, with
+        presolve as the cone says."""
         lp = self.columns.copy()
         lp.objective = dict(objective)
+        lp.presolve = self.cone(0).presolve
         return lp
 
     def relaxation(self, relax: int, objective: dict[int, float]) -> LinearProgram:
@@ -780,10 +789,14 @@ def _unstable_orbit(
             return f"A(T) is not Hurwitz at T = {dwell.T:.6g}: spectral abscissa >= {alpha:.4g}"
     from .sim import _flow_tables
 
+    # a mesh of more than _ORBIT_MAX_STEPS / 2 steps is skipped, so the step
+    # _ORBIT_STEP alone decides a long interval, on which hi^degree may overflow
+    if hi / _ORBIT_STEP > _ORBIT_MAX_STEPS / 2:
+        return None
     # |A(tau)| <= the largest row sum of |coefficient| * hi^degree on [0, hi]
     A = sys.A.coeffs
     size = (np.abs(A) * hi ** np.arange(A.shape[2])).sum(axis=(1, 2)).max()
-    # capped first: a mesh of more steps is skipped, and one of inf steps has no ceiling
+    # capped first: a mesh of inf steps has no ceiling
     m = max(1, math.ceil(min(hi / min(_ORBIT_STEP, _ORBIT_HL / max(size, 1e-300)), _ORBIT_MAX_STEPS)))
     if 2 * m > _ORBIT_MAX_STEPS:
         return None

@@ -7,8 +7,11 @@ one block; `rows`, `bounds` and `names` read a program row by row.
 
 The solver contract is the interface; the implementation concatenates the
 blocks (`_assemble`) and passes the arrays straight to the HiGHS binding
-that SciPy bundles, with the options ``linprog(method="highs")`` uses, and
-checks the answer as ``linprog`` did.  The binding is loaded directly from
+that SciPy bundles, with the options ``linprog(method="highs")`` uses but
+presolve, which each program sets (`LinearProgram.presolve`: the analyses'
+Bernstein programs are solved without it, the designs with it), and checks
+the answer as ``linprog`` did.  Each thread keeps one HiGHS object and hands
+it every program it solves.  The binding is loaded directly from
 its extension file, so importing this module never runs ``scipy.optimize``
 (nor ``scipy.linalg`` or ``scipy.sparse``, which that package loads).
 Rows are normalized to unit infinity-norm before solving because
@@ -21,6 +24,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -108,7 +112,10 @@ class LinearProgram:
     order added, and column bounds (None: unbounded).  Columns come one by
     one (`new_var`) or as ranges of like columns (`add_columns`), one bound
     pair each and names made only when read.  `rows`, `bounds` and `names`
-    read the program row by row and column by column, each built anew."""
+    read the program row by row and column by column, each built anew.
+    presolve says whether HiGHS presolves the program (on by default)."""
+
+    presolve = True
 
     def __init__(self, num_vars: int = 0, objective: Optional[dict[int, float]] = None,
                  bounds: Optional[dict] = None, names: Optional[dict[int, str]] = None):
@@ -122,7 +129,7 @@ class LinearProgram:
     def copy(self) -> "LinearProgram":
         """A program with these columns, objective and blocks, to add to apart from this one."""
         lp = LinearProgram(self.num_vars, dict(self.objective), dict(self._bounds), dict(self._names))
-        lp.blocks, lp._ranges = list(self.blocks), list(self._ranges)
+        lp.blocks, lp._ranges, lp.presolve = list(self.blocks), list(self._ranges), self.presolve
         return lp
 
     def new_var(self, lo: Optional[float] = None, hi: Optional[float] = None, name: str = "") -> int:
@@ -245,7 +252,9 @@ def _assemble(lp: LinearProgram) -> _Assembled:
 
 
 def _highs_options():
-    """The options linprog(method="highs") sets: presolve, dual simplex, silent."""
+    """The options linprog(method="highs") sets: presolve, dual simplex,
+    silent.  Presolve is set again for each solve from the program
+    (`LinearProgram.presolve`)."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -256,6 +265,7 @@ def _highs_options():
 
 
 _OPTIONS = _highs_options()
+_THREAD = threading.local()  # .highs: the thread's solver object (`_solver`)
 _STATUS = _highs.HighsModelStatus
 _ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
@@ -263,9 +273,25 @@ _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _RESULT_TOL = math.sqrt(1e-9) * 10
 
 
+def _solver():
+    """(This thread's HiGHS object, whether HiGHS accepted _OPTIONS): the
+    object is made on the thread's first solve and kept for every later one
+    only once its options are accepted."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is not None:
+        return highs, True
+    highs = _highs._Highs()
+    if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
+        return highs, False
+    _THREAD.highs = highs
+    return highs, True
+
+
 def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve, handing HiGHS the assembled arrays through a new solver object;
-    Optimal solutions are re-checked for feasibility within 1e-7."""
+    """Solve with presolve as lp.presolve says, handing the assembled arrays
+    to this thread's HiGHS object (`_solver`), whose passModel replaces the
+    previous program; Optimal solutions are re-checked for feasibility
+    within 1e-7."""
     a = _assemble(lp)
     if lp.num_vars == 0:
         raise ValueError("LP has no variables")
@@ -291,9 +317,9 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         if big.size:
             v = int(big[0])
             raise NumericalFailure(f"column {lp.names.get(v, f'x{v}')} has {side} bound {bound[v]:.6g}, beyond {inf:g}")
-    highs = _highs._Highs()
+    highs, accepted = _solver()
     solved = False
-    if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
+    if not accepted or highs.setOptionValue("presolve", "on" if lp.presolve else "off") == _highs.HighsStatus.kError:
         status = _STATUS.kNotset
     elif highs.passModel(
         len(a.c), len(a.rhs), len(a.value), _ROWWISE, _MINIMIZE, 0.0, a.c, a.col_lower, a.col_upper,

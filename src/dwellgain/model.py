@@ -712,8 +712,8 @@ def _jumps_from_json(maps: list) -> list[dict]:
 
 def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
     """The system of a file; a declared dimension (n, m, p, q of a switched
-    file, n, mc, pc, md, pd, qc, qd of an impulsive one) that the matrices
-    contradict is a DimensionMismatch."""
+    file, n, mc, pc, md, pd, qc, qd of an impulsive one) is a JSON integer
+    (`integer`), and one that the matrices contradict is a DimensionMismatch."""
     try:
         if data.get("kind") == "switched" or "modes" in data:
             sys = read_field(data, "modes", lambda modes: SwitchedSystem.from_arrays(
@@ -729,7 +729,7 @@ def system_from_json(data: dict) -> Union[ImpulsiveSystem, SwitchedSystem]:
                 sys = replace(sys, time_reversed=True)
             dims = ("n", "mc", "pc", "md", "pd", "qc", "qd")
         for k in dims:
-            if k in data and getattr(sys, k) != data[k]:
+            if k in data and getattr(sys, k) != read_field(data, k, integer):
                 raise DimensionMismatch(f"declared {k}={data[k]} but matrices give {getattr(sys, k)}")
         return sys
     except KeyError as exc:

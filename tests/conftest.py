@@ -357,7 +357,8 @@ def csr_assemble(lp):
 
 def linprog_solve(lp) -> LpSolution:
     """Oracle for lp.lp_solve: scipy.optimize.linprog(method="highs") on the
-    CSR assembly, with the same 1e-7 feasibility recheck of Optimal answers."""
+    CSR assembly, presolved as lp.presolve says, with the same 1e-7
+    feasibility recheck of Optimal answers."""
     c, A_ub, b_ub, A_eq, b_eq, bounds = csr_assemble(lp)
     finite_rows = all(np.isfinite([r, *coeffs.values()]).all() for coeffs, _, r in lp.rows)
     if finite_rows and not np.isfinite([*b_ub, *b_eq]).all():
@@ -372,6 +373,7 @@ def linprog_solve(lp) -> LpSolution:
         b_eq=b_eq if A_eq.shape[0] else None,
         bounds=bounds,
         method="highs",
+        options={"presolve": lp.presolve},
     )
     if (np.abs(c) >= 1e20).any():
         # the third intended difference: lp_solve refuses an objective cost at
@@ -1865,11 +1867,13 @@ def per_row_relaxation(prog, relax, objective, cone_rows=None):
     before runs of rows became blocks: each point row one >= row, each
     interval row p >= margin on [a, b] cone_rows(lp, name, q, order, margin)
     on q(s) = p(a + (b - a) s) of the reference PolyExpr, by default
-    product_cone_rows for a design program and bernstein_cone_rows else."""
+    product_cone_rows for a design program and bernstein_cone_rows else.
+    Only a design program is presolved."""
     if cone_rows is None:
         cone_rows = product_cone_rows if prog.cone is _product_cone else bernstein_cone_rows
     c = prog.columns
     lp = LinearProgram(c.num_vars, dict(objective), dict(c.bounds), dict(c.names))
+    lp.presolve = prog.cone is _product_cone
     for family, index, e, interval, margin in prog.rows:
         if interval is None:
             add_ge(lp, row_terms(e)[0], margin - e[0])
@@ -1920,8 +1924,9 @@ def first_program_rows(monkeypatch, run):
 
 def per_sample_referee(prog, objective):
     """Oracle for _Program.sampled_referee: one eval_at and one add_ge per
-    sample of each interval row."""
+    sample of each interval row; presolved only for a design program."""
     lp = LinearProgram(prog.columns.num_vars, dict(objective), dict(prog.columns.bounds))
+    lp.presolve = prog.cone is _product_cone
     points, intervals = row_records(prog, 0)
     for _, _, expr, margin in points:
         expr = ref_expr(expr)
@@ -1994,7 +1999,7 @@ def spy_solves(monkeypatch, referee_fails=False):
 def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
     """Oracle for analyze_switched_blanchini: its LP as it was written by
     hand, row by row (add_le), before its rows went through analysis._Program;
-    solved with analysis_mod.lp_solve."""
+    solved with analysis_mod.lp_solve, without presolve."""
     from dwellgain.cert import flow_grid
 
     n, q, N = sw.n, sw.q, sw.N
@@ -2002,6 +2007,7 @@ def reference_blanchini(sw, T, grid_points=101, margin=DEFAULT_MARGIN):
     Phis, forced = zip(*(flow_grid(sw, taus, mode=i)[:2] for i in range(N)))
 
     lp = LinearProgram()
+    lp.presolve = False
     lam = [[lp.new_var(name=f"lam{i}_{r}") for r in range(n)] for i in range(N)]
     gamma = lp.new_var(lo=0.0, name="gamma")
     for i, md in enumerate(sw.modes):

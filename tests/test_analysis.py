@@ -823,35 +823,43 @@ class TestBernsteinRows:
         sys = ImpulsiveSystem.from_arrays(**{**zeros, **arrays})
         self._random_system_checks(sys, TestEscalation._runner(sys, DwellTimeSpec.parse(dwell), degree))
 
-    @pytest.mark.xfail(
-        raises=NumericalFailure, strict=False,
-        reason="the out_d row's 8.3e-13 entry is below HiGHS's small_matrix_value, so every order's "
-               "solution violates it by 8.27e-7 (ROADMAP item 1: a scale-aware LP acceptance test)",
-    )
     def test_tiny_discrete_output_draw(self):
         """A draw of test_random_positive_systems (Hypothesis seed 222): its
         true gain is 0, so gamma = margin = 1e-6 is the answer, which the
-        product-basis cone certifies at order +4."""
+        product-basis cone certifies at order +4.  The out_d row's 8.3e-13
+        entry is below HiGHS's small_matrix_value; presolved, HiGHS returned
+        zeta(0) at the 1e6 pin, which violates that row by 8.27e-7 at every
+        order, while the Bernstein rows, solved without presolve, give
+        zeta(0) = 0.060."""
         zeros = {"Ec": [[0.0]], "Cc": [[0.0]], "Fc": [[0.0]], "Ed": [[0.0]], "Fd": [[0.0]]}
         sys = ImpulsiveSystem.from_arrays(A=[[[-1.0]]], J=[[1.0]], Cd=[[8.265803520048773e-13]], **zeros)
         got = analyze_constant(sys, 0.2, 1)
         assert got.gamma == pytest.approx(DEFAULT_MARGIN, rel=1e-7) and got.relax == RELAX_SCHEDULE[0]
+        assert got.zeta[0].coeffs[0] < 1.0
         assert verify(got, sys).passed
 
-    @pytest.mark.xfail(
-        raises=RelaxationLimit, strict=False,
-        reason="the out_c row's 1e-12 entry is below HiGHS's small_matrix_value, so every order's "
-               "solution violates it by 1.04e-6 (ROADMAP item 1: a scale-aware LP acceptance test)",
-    )
     def test_tiny_continuous_output_draw(self):
         """A draw of test_random_positive_systems: A(tau) = tau, Cc = 1e-12,
         J = 0.5.  Its true gain is 0, so gamma = margin = 1e-6 is the
-        answer, which the product-basis cone certifies."""
+        answer, which the product-basis cone certifies.  As in the draw
+        above, presolved answers sat at the pin and violated the out_c row by
+        1.04e-6; without presolve zeta(0) = 0.021."""
         zeros = {"Ec": [[0.0]], "Fc": [[0.0]], "Ed": [[0.0]], "Cd": [[0.0]], "Fd": [[0.0]]}
         sys = ImpulsiveSystem.from_arrays(A=[[[0.0, 1.0]]], Cc=[[1e-12]], J=[[0.5]], **zeros)
         got = analyze_constant(sys, 0.2, 1)
         assert got.gamma == pytest.approx(DEFAULT_MARGIN, rel=1e-7) and verify(got, sys).passed
+        assert got.relax == RELAX_SCHEDULE[0] and got.zeta[0].coeffs[0] < 1.0
         self._random_system_checks(sys, TestEscalation._runner(sys, DwellTimeSpec.constant(0.2), 1))
+
+    def test_timer_growth_degree_8(self):
+        """analyze_constant(timer_growth_bench, 0.12, 8) under the default
+        schedule: presolved, every order and the referee failed the 1e-7
+        recheck (NumericalFailure); without presolve order +6 certifies, and
+        the certificate passes verify and the cross-check."""
+        s = benchmarks.timer_growth_bench()
+        got = analyze_constant(s, 0.12, 8)
+        assert got.relax == 6 and got.gamma == pytest.approx(0.52558, abs=1e-5)
+        assert verify(got, s).passed and cross_check_discrete(got, s).passed
 
     def test_certify_grid_analyses(self):
         """The certify-grid analyses."""

@@ -691,22 +691,28 @@ def test_misfit_switched_file_exits_2(misfit_f_path, tmp_path, capsys, argv):
     assert not list(tmp_path.glob("out*"))
 
 
-@pytest.mark.parametrize("argv", [
+_OVERFLOWING_DWELLS = [
     ["analyze", "--dwell", "constant:1e200", "--degree", "4"],
     ["analyze", "--dwell", "range:1e100:2e100", "--degree", "4"],
     ["analyze", "--dwell", "minimum:1e80", "--degree", "4"],
     ["analyze", "--dwell", "constant:1e77", "--degree", "4"],
     ["synthesize", "--dwell", "constant:1e200", "--degree", "2"],
-])
+]
+
+
+# on the timer-dependent ex2 too, but for minimum:1e80, where A(T) is not Hurwitz (Infeasible)
+@pytest.mark.parametrize("system, argv", [("ex1_path", argv) for argv in _OVERFLOWING_DWELLS]
+                         + [("ex2_path", argv) for i, argv in enumerate(_OVERFLOWING_DWELLS) if i != 2],
+                         ids=[f"argv{i}" for i in range(5)] + [f"ex2-argv{i}" for i in (0, 1, 3, 4)])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_dwell_exits_4(ex1_path, tmp_path, capsys, argv):
+def test_overflowing_dwell_exits_4(request, tmp_path, capsys, system, argv):
     """A dwell whose powers, or the coefficients they scale, overflow a float
     is a numerical failure naming the timer interval, not an OverflowError
     or a ValueError of the LP's non-finite rows.  Any RuntimeWarning on the
     way fails it: pyproject makes errors only of those the package raises,
     and one of NumPy's would print on the CLI's stderr."""
     out = tmp_path / "out.json"
-    assert main([argv[0], "--system", ex1_path, *argv[1:], "-o", str(out)]) == 4
+    assert main([argv[0], "--system", request.getfixturevalue(system), *argv[1:], "-o", str(out)]) == 4
     T = float(argv[2].rsplit(":", 1)[1])
     assert capsys.readouterr().err == f"numerical failure: the polynomials on [0, {T:g}] overflow a float\n"
     assert not out.exists()

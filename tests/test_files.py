@@ -154,6 +154,13 @@ DATA = Path(__file__).parent / "data"
     ("system", "tag", "ab", "tag"),
     ("system", "tag", [0, 1, 2], "tag"),
     ("system", "tag", [0, 1.0], "tag"),
+    # a declared dimension is a JSON integer too: 2.0 used to load as n = 2,
+    # and true would as n = 1
+    ("system", "n", 2.0, "n"),
+    ("system", "n", True, "n"),
+    ("system", "qd", "1", "qd"),
+    ("switched", "n", 2.0, "n"),
+    ("switched", "q", True, "q"),
 ])
 def test_wrong_field_names_it(bench_lti, bench_switched, negative_input_plant, tmp_path, capsys, base, field, value,
                               named):

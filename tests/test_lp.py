@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,27 +283,28 @@ class TestLinprogOracle:
         self._assert_all_same(oracle_pairs)
 
     @pytest.mark.usefixtures("orbit_test_off")
-    @pytest.mark.parametrize("T, relax, error, message", [
-        (0.2, 10, RelaxationLimit, r"^interval relaxation exhausted at order \+10 while the sampled referee stays "
-                                   r"feasible \[order \+10: NumericalFailure \(solution violates constraints by "),
-        (0.12, 4, NumericalFailure, r"^sampled referee failed numerically \[order \+4: NumericalFailure \(solution "
-                                    r"violates constraints by .*; referee: NumericalFailure \("),
+    @pytest.mark.parametrize("degree, relax, error, message", [
+        (8, 10, RelaxationLimit, r"^interval relaxation exhausted at order \+10 while the sampled referee stays "
+                                 r"feasible \[order \+10: NumericalFailure \(solution violates constraints by "),
+        (10, 4, NumericalFailure, r"^sampled referee failed numerically \[order \+4: NumericalFailure \(solution "
+                                  r"violates constraints by .*; referee: NumericalFailure \("),
     ], ids=["relaxation-limit", "referee-fails"])
-    def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, T, relax, error, message):
+    def test_escalation_failures(self, oracle_pairs, bench_timer_growth, bench_timer_stable, degree, relax, error,
+                                 message):
         # each order of the default schedule alone ends Infeasible, its referee
-        # infeasible too; the degree-8 timer_growth analysis at dwell T fails
-        # the 1e-7 recheck at its one order, and then its referee stays
-        # feasible (relaxation-limit) or fails the recheck too (referee-fails).
-        # A second LP phase after a failed recheck or a scale-aware acceptance
-        # test (ROADMAP items 1 and 3) changes which answers fail the recheck,
-        # and so which inputs reach these ends.  With the unstable-orbit test
-        # on, the timer_stable inputs are refused before any LP is built
-        # (test_orbit_test_refuses_inputs)
+        # infeasible too; the timer_growth analysis at dwell 0.12 fails the
+        # 1e-7 recheck at its one order, and then its referee stays feasible
+        # (degree 8, relaxation-limit) or fails the recheck too (degree 10,
+        # referee-fails).  A second LP phase after a failed recheck or a
+        # scale-aware acceptance test (ROADMAP items 1 and 3) changes which
+        # answers fail the recheck, and so which inputs reach these ends.
+        # With the unstable-orbit test on, the timer_stable inputs are refused
+        # before any LP is built (test_orbit_test_refuses_inputs)
         for order in RELAX_SCHEDULE:
             with pytest.raises(Infeasible):
                 analyze_constant(bench_timer_stable, 0.12, 8, relax_schedule=(order,))
         with pytest.raises(error, match=message):
-            analyze_constant(bench_timer_growth, T, 8, relax_schedule=(relax,))
+            analyze_constant(bench_timer_growth, 0.12, degree, relax_schedule=(relax,))
         assert {NumericalFailure, "Infeasible"} <= _outcome_classes(oracle_pairs)
         self._assert_all_same(oracle_pairs)
 
@@ -477,6 +480,13 @@ class _TamperedHighs:
 _REAL_HIGHS = lp_mod._highs._Highs
 
 
+def _use_highs_class(monkeypatch, cls):
+    """Solve with solver objects of cls from here on: the binding's _Highs
+    replaced, and no solver object kept from earlier solves."""
+    monkeypatch.setattr(lp_mod._highs, "_Highs", cls)
+    monkeypatch.setattr(lp_mod, "_THREAD", threading.local())
+
+
 class _HighsLpHandOff:
     """A _Highs whose passModel hands the arrays lp_solve passes over as one
     HighsLp, the way lp_solve handed programs to HiGHS before."""
@@ -537,8 +547,68 @@ class TestArrayHandOff:
 
         arrays = outcomes()
         assert [o[0] for o in arrays] == ["Infeasible", "Infeasible"] + ["NumericalFailure"] * 3 + ["Optimal"] * 2
-        monkeypatch.setattr(lp_mod._highs, "_Highs", _HighsLpHandOff)
+        _use_highs_class(monkeypatch, _HighsLpHandOff)
         assert outcomes() == arrays
+
+
+def _outcome(lp):
+    """(status, x bytes, objective) of lp_solve(lp), or its NumericalFailure message."""
+    try:
+        sol = lp_solve(lp)
+    except NumericalFailure as exc:
+        return "NumericalFailure", str(exc)
+    return sol.status, sol.x.tobytes(), sol.objective_value
+
+
+class TestSolverReuse:
+    """lp_solve hands every program to one HiGHS object per thread, through
+    passModel; each answer is bit-identical to that of a new object."""
+
+    @staticmethod
+    def _programs(monkeypatch, bench_pair_plant, bench_timer_growth):
+        """A design LP (presolved) and an analysis LP (not), both Optimal."""
+        lps = []
+        with monkeypatch.context() as m:
+            real = analysis_mod.lp_solve
+            m.setattr(analysis_mod, "lp_solve", lambda lp: real(lps.append(lp) or lp))
+            synthesize(bench_pair_plant, DwellTimeSpec.constant(0.3), 2)
+            analyze_constant(bench_timer_growth, 0.3, 4)
+        design = next(lp for lp in lps if lp.presolve)
+        analysis = next(lp for lp in lps if not lp.presolve)
+        return design, analysis
+
+    @staticmethod
+    def _fresh(monkeypatch, lp):
+        with monkeypatch.context() as m:
+            m.setattr(lp_mod, "_THREAD", threading.local())
+            return _outcome(lp)
+
+    def test_design_analysis_design(self, monkeypatch, bench_pair_plant, bench_timer_growth):
+        design, analysis = self._programs(monkeypatch, bench_pair_plant, bench_timer_growth)
+        monkeypatch.setattr(lp_mod, "_THREAD", threading.local())
+        order = [design, analysis, design]
+        reused = [_outcome(lp) for lp in order]
+        highs = lp_mod._THREAD.highs
+        assert [o[0] for o in reused] == ["Optimal"] * 3
+        assert reused == [self._fresh(monkeypatch, lp) for lp in order]
+        assert lp_mod._THREAD.highs is highs
+
+    def test_two_threads(self, monkeypatch, bench_pair_plant, bench_timer_growth):
+        lps = list(self._programs(monkeypatch, bench_pair_plant, bench_timer_growth)) * 3
+        serial = [self._fresh(monkeypatch, lp) for lp in lps]
+        start = threading.Barrier(2)
+        solvers = []
+
+        def run(order):
+            start.wait()
+            out = [_outcome(lp) for lp in order]
+            solvers.append(lp_mod._THREAD.highs)
+            return out
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            forward, backward = pool.map(run, (lps, lps[::-1]))
+        assert forward == serial and backward == serial[::-1]
+        assert solvers[0] is not solvers[1]
 
 
 class TestResultChecks:
@@ -559,8 +629,7 @@ class TestResultChecks:
         return lp
 
     def _solve(self, monkeypatch, **tamper):
-        fake = type("Fake", (_TamperedHighs,), tamper)
-        monkeypatch.setattr(lp_mod._highs, "_Highs", fake)
+        _use_highs_class(monkeypatch, type("Fake", (_TamperedHighs,), tamper))
         return lp_solve(self._program())
 
     def test_untampered(self, monkeypatch):
@@ -618,8 +687,8 @@ class TestHighsBinding:
         for name in ("HighsLp", "_Highs", "HighsOptions", "HighsModelStatus", "HighsStatus",
                      "HighsDebugLevel", "MatrixFormat", "ObjSense", "simplex_constants"):
             assert hasattr(core, name), name
-        for name in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
-                     "getSolution", "getInfo"):
+        for name in ("passOptions", "setOptionValue", "passModel", "run", "getModelStatus",
+                     "modelStatusToString", "getSolution", "getInfo"):
             assert hasattr(core._Highs, name), name
         m = core.HighsLp()
         for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
